@@ -46,9 +46,9 @@ test:
 	$(GO) test ./...
 
 # race exercises the concurrent sweep engine, the serving subsystem, the
-# engines they fan out, and the layer-parallel oblivious sort (the
+# engines they fan out, and the sort executor's layer-parallel path (the
 # workers=1-vs-N determinism tests under -race are the proof that the
-# concurrent layer swaps are race-free).
+# kernel's concurrent layer swaps are race-free).
 race:
 	$(GO) test -race ./internal/runner ./internal/sim ./internal/serve
 	$(GO) test -race ./internal/oblivious ./internal/core
@@ -64,7 +64,9 @@ bench-core:
 	$(GO) run ./cmd/incshrink-bench -exp core
 
 # bench-smoke compiles and runs every data-plane benchmark once — the
-# pooled-operator benchmarks and the root-package Advance/Count/CountWhere
+# pooled-operator benchmarks (both sort shapes among them: the real-first
+# cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
+# BenchmarkJoinSort1040) and the root-package Advance/Count/CountWhere
 # benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs
 # this).
 bench-smoke:

@@ -166,9 +166,11 @@ func BenchmarkAblationFlushPaper(b *testing.B) { runCacheAblation(b, false) }
 func BenchmarkAblationTruncateSMJ(b *testing.B) {
 	t1, t2 := ablationTables(128)
 	meter := mpc.NewMeter(mpc.DefaultCostModel())
+	dst := oblivious.NewBuffer(4, 0)
 	for i := 0; i < b.N; i++ {
 		meter.Reset()
-		oblivious.TruncatedSortMergeJoin(t1, t2, 0, 0, nil, 4, meter, mpc.OpTransform)
+		dst.Reset()
+		oblivious.TruncatedSortMergeJoinInto(dst, t1, t2, 0, 0, nil, 4, meter, mpc.OpTransform)
 	}
 	b.ReportMetric(meter.TotalGates(), "simGates")
 }
@@ -179,9 +181,11 @@ func BenchmarkAblationTruncateSMJ(b *testing.B) {
 func BenchmarkAblationTruncateNLJ(b *testing.B) {
 	t1, t2 := ablationTables(128)
 	meter := mpc.NewMeter(mpc.DefaultCostModel())
+	dst := oblivious.NewBuffer(4, 0)
 	for i := 0; i < b.N; i++ {
 		meter.Reset()
-		oblivious.TruncatedNestedLoopJoin(t1, t2, 0, 0, nil, 4, meter, mpc.OpTransform)
+		dst.Reset()
+		oblivious.TruncatedNestedLoopJoinInto(dst, t1, t2, 0, 0, nil, 4, meter, mpc.OpTransform)
 	}
 	b.ReportMetric(meter.TotalGates(), "simGates")
 }
@@ -199,33 +203,37 @@ func ablationTables(n int) (t1, t2 []oblivious.Record) {
 // BenchmarkAblationSortStdlib (non-oblivious) on the same input: the price of
 // data-independence in real CPU terms.
 func BenchmarkAblationSortBatcher(b *testing.B) {
-	base := ablationEntries(1024)
-	es := make([]oblivious.Entry, len(base))
+	base := ablationSlots(1024)
+	work := oblivious.NewBuffer(1, base.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(es, base)
-		oblivious.Sort(es, oblivious.ByIsViewFirst, nil, mpc.OpOther, 64)
+		work.Reset()
+		work.AppendAll(base)
+		oblivious.SortRealFirst(work, nil, mpc.OpOther, 64)
 	}
 }
 
-// BenchmarkAblationSortStdlib is the comparison point for the sort ablation.
+// BenchmarkAblationSortStdlib is the comparison point for the sort ablation:
+// a stable real-first sort of the same slots' positions by the isView bit.
 func BenchmarkAblationSortStdlib(b *testing.B) {
-	base := ablationEntries(1024)
-	es := make([]oblivious.Entry, len(base))
+	base := ablationSlots(1024)
+	perm := make([]int, base.Len())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(es, base)
-		sort.SliceStable(es, func(x, y int) bool { return es[x].IsView && !es[y].IsView })
+		for j := range perm {
+			perm[j] = j
+		}
+		sort.SliceStable(perm, func(x, y int) bool { return base.IsReal(perm[x]) && !base.IsReal(perm[y]) })
 	}
 }
 
-func ablationEntries(n int) []oblivious.Entry {
+func ablationSlots(n int) *oblivious.Buffer {
 	rng := rand.New(rand.NewSource(9)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := make([]oblivious.Entry, n)
-	for i := range es {
-		es[i] = oblivious.Entry{Row: table.Row{int64(i)}, IsView: rng.Intn(2) == 0}
+	b := oblivious.NewBuffer(1, n)
+	for i := 0; i < n; i++ {
+		b.AppendSlot(table.Row{int64(i)}, rng.Intn(2) == 0, -1, -1)
 	}
-	return es
+	return b
 }
 
 // BenchmarkEndToEndTimerTPCDS measures one full DP-Timer deployment over the

@@ -9,12 +9,14 @@ import (
 )
 
 // TestLintGate proves the lint gate actually gates: seeding a
-// secret-dependent branch into internal/oblivious trips oblivtaint, and
-// an unjoined go statement in internal/serve trips goleak — each makes
-// `go vet -vettool=incshrink-lint` exit nonzero, exactly as `make lint`
-// runs it. The unmodified tree is the control. This is the same
-// defence-in-depth pin the detclock analyzer got when it landed (a
-// smuggled time.Now must fail CI, not just a unit test over fixtures).
+// secret-dependent branch into internal/oblivious trips oblivtaint — be it
+// a plain flag test or a branching compare-exchange over the sort kernel's
+// keys, which no sanction covers — and an unjoined go statement in
+// internal/serve trips goleak. Each makes `go vet -vettool=incshrink-lint`
+// exit nonzero, exactly as `make lint` runs it. The unmodified tree is the
+// control. This is the same defence-in-depth pin the detclock analyzer got
+// when it landed (a smuggled time.Now must fail CI, not just a unit test
+// over fixtures).
 func TestLintGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the vettool and recompiles the module; skipping in -short")
@@ -55,6 +57,20 @@ func lintGateSecretBranch(b *Buffer, i int) int {
 		return 1
 	}
 	return 0
+}
+`,
+			pkg:      "./internal/oblivious",
+			analyzer: "oblivtaint",
+		},
+		{
+			name: "oblivtaint catches seeded branching compare-exchange",
+			file: "internal/oblivious/sort.go",
+			inject: `
+func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
+	keys[0].k, keys[1].k = boolWord(b.flag[0]), boolWord(b.flag[1])
+	if keys[1].k < keys[0].k {
+		keys[0], keys[1] = keys[1], keys[0]
+	}
 }
 `,
 			pkg:      "./internal/oblivious",

@@ -36,18 +36,20 @@ var OblivTaintPackages = []string{
 // Rebindable from -oblivtaint.sanction.
 //
 // Sanction rationale, by group:
-//   - Entries: the declared read-out surface — materializing slots IS its
-//     contract (diagnostic and test use; the hot path never leaves the
-//     arena).
-//   - Buffer counter maintenance (SetReal, Append*, Truncate, CutPrefix,
-//     ScanReal): the `real` counter is flag-derived by construction; in the
-//     deployed protocol these are local share updates, and every slot is
-//     touched unconditionally (the branch selects an increment, not an
-//     address).
-//   - Comparators and compaction (ByColumnAt, ByColumn, SortedByIsView*,
-//     TightCompact*, SelectInto, Count*, RealRows): the fixed-topology
-//     compare-exchange and scan primitives; their data-dependent swaps are
-//     exactly the part a circuit evaluates obliviously.
+//   - Buffer counter maintenance (SetReal, AppendFrom, AppendRange,
+//     Truncate, CutPrefix, ScanReal): the `real` counter is flag-derived by
+//     construction; in the deployed protocol these are local share updates,
+//     and every slot is touched unconditionally (the branch selects an
+//     increment, not an address).
+//   - boolWord: the bool -> {0,1} word conversion of the real-first key
+//     extraction — three lines the compiler lowers to a flag move. It is
+//     all the sort needs: the kernel (exchange) and the executor (sortKeys)
+//     are NOT here. The compare-exchange is a borrow chain and a masked
+//     XOR, so it passes the analyzer on its own; a branching `if less
+//     { swap }` over the keys would be a finding (TestLintGate seeds one).
+//   - Scans and compaction (TightCompactInto, SelectInto, CountBuffer): the
+//     fixed-topology scan primitives; their flag-dependent moves are exactly
+//     the part a circuit evaluates obliviously.
 //   - Truncated joins: the paper's core operators; window advance and
 //     contribution bookkeeping run inside MPC in deployment.
 //   - gmw.Circuit.AND / gmw.OpenWord: branch on OPENED d/e values, which
@@ -55,22 +57,13 @@ var OblivTaintPackages = []string{
 //     declared reveals.
 var OblivTaintSanctioned = []string{
 	"internal/oblivious.Buffer.SetReal",
-	"internal/oblivious.Buffer.Entries",
 	"internal/oblivious.Buffer.AppendFrom",
 	"internal/oblivious.Buffer.AppendRange",
-	"internal/oblivious.Buffer.AppendEntry",
 	"internal/oblivious.Buffer.Truncate",
 	"internal/oblivious.Buffer.CutPrefix",
 	"internal/oblivious.Buffer.ScanReal",
-	"internal/oblivious.ByColumnAt",
-	"internal/oblivious.ByColumn",
-	"internal/oblivious.SortedByIsView",
-	"internal/oblivious.SortedByIsViewBuffer",
-	"internal/oblivious.CountReal",
-	"internal/oblivious.RealRows",
-	"internal/oblivious.Count",
+	"internal/oblivious.boolWord",
 	"internal/oblivious.CountBuffer",
-	"internal/oblivious.TightCompact",
 	"internal/oblivious.TightCompactInto",
 	"internal/oblivious.SelectInto",
 	"internal/oblivious.TruncatedSortMergeJoinInto",
@@ -84,19 +77,18 @@ var OblivTaintSanctioned = []string{
 // the real-row counter (secret cardinality before DP release).
 var oblivBufferSources = map[string]bool{
 	"IsReal": true, "At": true, "Row": true, "Real": true,
-	"ScanReal": true, "Entry": true, "Entries": true, "Flags": true,
+	"ScanReal": true, "Flags": true,
 	"LeftID": true, "RightID": true, "LeftIDs": true, "RightIDs": true,
 	"Payload": true,
 }
 
 // oblivFieldSources are raw struct fields whose reads taint, keyed by
 // "<TypeName>.<field>". Buffer's unexported columns matter so an
-// in-package `b.flag[i]` cannot dodge the accessor list; Entry/Record are
-// the by-value row forms the operators exchange.
+// in-package `b.flag[i]` cannot dodge the accessor list; Record is the
+// by-value row form the joins take.
 var oblivFieldSources = map[string]bool{
 	"Buffer.flag": true, "Buffer.pay": true, "Buffer.left": true,
 	"Buffer.right": true, "Buffer.real": true,
-	"Entry.Row": true, "Entry.IsView": true, "Entry.Left": true, "Entry.Right": true,
 	"Record.Row": true,
 }
 

@@ -8,12 +8,11 @@ type Buffer struct {
 	n int
 }
 
-// Entry is the by-value slot form: every field is secret content.
-type Entry struct {
-	Row    []int64
-	IsView bool
-	Left   int64
-	Right  int64
+// Record is the by-value join input: the row is secret content, the ID is
+// public bookkeeping.
+type Record struct {
+	ID  int64
+	Row []int64
 }
 
 func GetBuffer(arity int) *Buffer { return &Buffer{} }
@@ -28,6 +27,4 @@ func (b *Buffer) At(i, j int) int64  { return 0 }
 func (b *Buffer) Row(i int) []int64  { return nil }
 func (b *Buffer) Real() int          { return 0 }
 func (b *Buffer) Flags() []bool      { return nil }
-func (b *Buffer) Entry(i int) Entry  { return Entry{} }
-func (b *Buffer) Entries() []Entry   { return nil }
 func (b *Buffer) LeftID(i int) int64 { return 0 }

@@ -63,11 +63,11 @@ func fanOut(b *oblivious.Buffer, emit func(...int64)) {
 	emit(row...) // want `fans out a variadic call's argument count`
 }
 
-func entryField(e oblivious.Entry) int {
-	if e.IsView { // want `secret-tainted value \(from oblivious\.Entry\.IsView\) controls a branch condition`
+func recordField(r oblivious.Record) int {
+	if r.Row[0] > 0 { // want `secret-tainted value \(from oblivious\.Record\.Row\) controls a branch condition`
 		return 1
 	}
-	return 0
+	return int(r.ID) // the ID is public
 }
 
 // publicControl is the legal shape: public loop bounds and indexes,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"incshrink/internal/mpc"
+	"incshrink/internal/oblivious"
 	"incshrink/internal/workload"
 )
 
@@ -324,14 +325,11 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 		f.Step(st)
 	}
 	contrib := make(map[int64]int)
-	for _, e := range f.View().Entries() {
-		if e.IsView {
-			contrib[e.Left]++
-		}
-	}
-	for _, e := range f.Cache().Snapshot() {
-		if e.IsView {
-			contrib[e.Left]++
+	for _, b := range []*oblivious.Buffer{f.View().Buffer(), f.Cache().Buffer()} {
+		for i := 0; i < b.Len(); i++ {
+			if b.IsReal(i) {
+				contrib[b.LeftID(i)]++
+			}
 		}
 	}
 	for id, c := range contrib {

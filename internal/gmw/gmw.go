@@ -230,9 +230,10 @@ func (c *Circuit) MUXWords(sel Bit, x, y Word) Word {
 }
 
 // CompareExchange performs the sorting-network comparator over two secret
-// words: output (min, max). This is the gate-level realization of what
-// internal/oblivious.Sort executes logically and what the cost model
-// charges per comparator.
+// words: output (min, max). This is the gate-level realization of what the
+// internal/oblivious sort kernel executes logically (a test there pins the
+// two to the same outputs, ties included) and what the cost model charges
+// per comparator.
 func (c *Circuit) CompareExchange(x, y Word) (lo, hi Word) {
 	gt := c.LessThan(y, x) // swap needed when x > y
 	lo = c.MUXWords(gt, x, y)

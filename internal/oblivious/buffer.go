@@ -7,20 +7,20 @@ import (
 	"incshrink/internal/table"
 )
 
-// Buffer is the columnar representation of a padded secure array: instead of
-// a slice of heap-allocated Entry structs, a buffer stores its slots as
-// parallel columns over one flat payload arena —
+// Buffer is a padded secure array — view tuples and dummies, notionally
+// secret-shared — stored as parallel columns over one flat payload arena:
 //
 //	payload   table.Flat  n rows x arity attributes, one contiguous []int64
-//	flag      []bool      the isView bit per slot
-//	left/right []int64    source-record IDs per slot (-1 when dummy)
+//	flag      []bool      the isView bit of Algorithm 1 per slot
+//	left/right []int64    IDs of the source records that generated a join
+//	                      entry (the contribution-budget bookkeeping reads
+//	                      them; -1 when not applicable or dummy)
 //
 // plus an incrementally maintained count of real slots, so Real() is O(1)
-// on every read path. All oblivious operators (sort, compaction, the
-// truncated joins, select, count) have Buffer forms that are the hot path of
-// the engine; the Entry-based forms remain as thin adapters for tests and
-// ad-hoc use. Buffers come from a per-arity free list (GetBuffer/Release),
-// so steady-state operation allocates nothing.
+// on every read path. Every oblivious operator (sort, compaction, the
+// truncated joins, select, count) works on buffers. Buffers come from a
+// per-arity free list (GetBuffer/Release), so steady-state operation
+// allocates nothing.
 type Buffer struct {
 	pay   table.Flat
 	flag  []bool
@@ -179,7 +179,8 @@ func (b *Buffer) Flags() []bool { return b.flag }
 func (b *Buffer) LeftIDs() []int64  { return b.left }
 func (b *Buffer) RightIDs() []int64 { return b.right }
 
-// AppendDummy appends a dummy slot (zero payload, isView false, IDs -1).
+// AppendDummy appends a dummy slot (zero payload, isView false, IDs -1). In
+// the deployed system dummy payloads are indistinguishable random shares.
 func (b *Buffer) AppendDummy() {
 	b.pay.AppendZeroRow()
 	b.flag = append(b.flag, false)
@@ -296,60 +297,6 @@ func (b *Buffer) Reset() {
 	b.real = 0
 }
 
-// Entry materializes slot i as an Entry (copying the payload). Diagnostic
-// and test use; the hot path never leaves the buffer.
-func (b *Buffer) Entry(i int) Entry {
-	return Entry{
-		Row:    b.Row(i).Clone(),
-		IsView: b.flag[i],
-		Left:   b.left[i],
-		Right:  b.right[i],
-	}
-}
-
-// Entries materializes every slot (diagnostic and test use).
-func (b *Buffer) Entries() []Entry {
-	if b.Len() == 0 {
-		return nil
-	}
-	out := make([]Entry, b.Len())
-	for i := range out {
-		out[i] = b.Entry(i)
-	}
-	return out
-}
-
-// AppendEntry appends a copy of an Entry-form slot.
-func (b *Buffer) AppendEntry(e Entry) {
-	b.pay.AppendRow(e.Row)
-	b.flag = append(b.flag, e.IsView)
-	b.left = append(b.left, e.Left)
-	b.right = append(b.right, e.Right)
-	if e.IsView {
-		b.real++
-	}
-}
-
-// AppendEntries appends copies of Entry-form slots.
-func (b *Buffer) AppendEntries(es []Entry) {
-	b.Grow(len(es))
-	for _, e := range es {
-		b.AppendEntry(e)
-	}
-}
-
-// BufferOf builds a buffer holding the given entries; arity is taken from
-// the first entry (0 when empty).
-func BufferOf(es []Entry) *Buffer {
-	arity := 0
-	if len(es) > 0 {
-		arity = len(es[0].Row)
-	}
-	b := GetBuffer(arity)
-	b.AppendEntries(es)
-	return b
-}
-
 // ScanReal recounts the real slots with a full scan. It exists to pin the
 // maintained counter in tests (counter == scan); production paths use the
 // O(1) Real.
@@ -363,109 +310,51 @@ func (b *Buffer) ScanReal() int {
 	return n
 }
 
-// LessAt orders buffer slots for the sorting network, comparing slots i and
-// j of b. Implementations must be strict weak orderings computable by a
-// constant-size circuit per comparison (the Buffer form of Less).
-type LessAt func(b *Buffer, i, j int) bool
-
-// ByIsViewFirstAt is ByIsViewFirst over buffer slots: real before dummy.
-func ByIsViewFirstAt(b *Buffer, i, j int) bool { return b.flag[i] && !b.flag[j] }
-
-// ByColumnAt is ByColumn over buffer slots: order on a payload column with
-// dummies last and a tag column as tie-break.
-func ByColumnAt(col, tagCol int) LessAt {
-	return func(b *Buffer, i, j int) bool {
-		switch {
-		case b.flag[i] != b.flag[j]:
-			return b.flag[i]
-		case !b.flag[i]:
-			return false
-		case b.At(i, col) != b.At(j, col):
-			return b.At(i, col) < b.At(j, col)
-		default:
-			return b.At(i, tagCol) < b.At(j, tagCol)
-		}
-	}
-}
-
-// permPool recycles the index permutations SortBuffer sorts in place of the
-// payload rows.
-var permPool = sync.Pool{New: func() any { s := make([]int32, 0, 1024); return &s }}
-
-// SortBuffer runs Batcher's odd-even merge network over the buffer in place,
-// charging one compare-exchange per comparator under op, exactly like the
-// Entry form Sort (both share one enumeration of the network, so the access
-// pattern — and the resulting order — is identical). Instead of moving
-// arity-wide rows at every comparator, the network swaps entries of an index
-// permutation; the payload, flag and ID columns are gathered once at the
-// end. Steady state allocates nothing: the permutation and the gather
-// scratch come from pools.
-func SortBuffer(b *Buffer, less LessAt, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+// SortRealFirst obliviously sorts the buffer in place so real slots precede
+// dummies — the Shrink ordering, under which a prefix cut of the sorted cache
+// always fetches real data first (Figure 3) — charging one compare-exchange
+// per comparator under op. The network runs over packed keys (sortKeys); the
+// payload, flag and ID columns are gathered once at the end. Steady state
+// allocates nothing: the keys and the gather scratch come from pools.
+func SortRealFirst(b *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := b.Len()
 	if n <= 1 {
 		return
 	}
-	if meter != nil {
-		meter.ChargeSort(op, n, tupleBits)
-	}
-	pp := permPool.Get().(*[]int32)
-	perm := (*pp)[:0]
+	kp := getKeys(n)
+	keys := *kp
 	for i := 0; i < n; i++ {
-		perm = append(perm, int32(i))
+		keys[i] = sortKey{k: 1 - boolWord(b.flag[i]), w: uint64(i)}
 	}
-	// Separate closure literals per branch keep the serial one off the heap
-	// (see parallelEligible). The parallel branch captures a rebound,
-	// never-reassigned slice so the escaping closure doesn't drag the perm
-	// variable itself onto the heap for serial sorts.
-	if parallelEligible(n) {
-		pm := perm
-		forEachComparatorParallel(n, func(i, j int) {
-			if less(b, int(pm[j]), int(pm[i])) {
-				pm[i], pm[j] = pm[j], pm[i]
-			}
-		})
-	} else {
-		forEachComparator(n, func(i, j int) {
-			if less(b, int(perm[j]), int(perm[i])) {
-				perm[i], perm[j] = perm[j], perm[i]
-			}
-		})
-	}
-	b.applyPerm(perm)
-	*pp = perm[:0]
-	permPool.Put(pp)
+	sortKeys(keys, meter, op, tupleBits)
+	b.applyPerm(keys)
+	keyPool.Put(kp)
 }
 
-// applyPerm reorders the buffer so slot i holds the old slot perm[i]: one
-// gather into a pooled scratch buffer, then a storage swap.
-func (b *Buffer) applyPerm(perm []int32) {
+// applyPerm reorders the buffer so slot i holds the old slot whose index
+// sorted key i carries: one gather into a pooled scratch buffer, then a
+// storage swap.
+func (b *Buffer) applyPerm(keys []sortKey) {
 	s := GetBuffer(b.Arity())
-	s.Grow(len(perm))
-	for _, pi := range perm {
-		s.AppendFrom(b, int(pi))
+	s.Grow(len(keys))
+	for _, key := range keys {
+		s.AppendFrom(b, int(uint32(key.w)))
 	}
 	*b, *s = *s, *b
 	s.Release()
 }
 
-// SortedByIsViewBuffer reports whether all real slots precede all dummies.
-func SortedByIsViewBuffer(b *Buffer) bool {
-	seenDummy := false
-	for _, f := range b.flag {
-		if !f {
-			seenDummy = true
-		} else if seenDummy {
-			return false
-		}
-	}
-	return true
-}
-
-// TightCompactInto is the Buffer form of TightCompact: obliviously pack the
-// real slots of src into dst up to cap slots (padding dst with dummies to
-// exactly cap), appending real slots beyond cap to overflow. dst and
-// overflow must have src's arity; both are appended to, not reset. Charged
-// as two linear passes at scan rate, like the Entry form.
+// TightCompactInto obliviously packs the real slots of src into dst up to
+// cap slots (padding dst with dummies to exactly cap), appending real slots
+// beyond cap to overflow — possible only if the caller's bound was not a
+// true upper bound, so they are returned rather than dropped. dst and
+// overflow must have src's arity; both are appended to, not reset. It models
+// an order-insensitive oblivious compaction network (linear passes of
+// bit-controlled moves rather than a full sort), so it is charged as two
+// linear passes at scan rate — mark+prefix-sum and controlled move — which
+// is what lets Transform tighten its exhaustively padded join output to the
+// public maximum-new-entries bound before caching without inflating its
+// cost profile.
 func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if cap < 0 {
 		cap = 0
@@ -491,9 +380,10 @@ func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Me
 	}
 }
 
-// SelectInto is the Buffer form of Select (Appendix A.1.1): append every
-// slot of src to dst with the isView bit anded with the predicate — same
-// length, full obliviousness. src is not modified.
+// SelectInto implements the oblivious selection of Appendix A.1.1: append
+// every slot of src to dst with the isView bit anded with the predicate —
+// same length, full obliviousness. Each input record contributes at most
+// once, so no truncation machinery is needed. src is not modified.
 func SelectInto(dst, src *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc.Op) {
 	if meter != nil {
 		meter.ChargeScan(op, src.Len(), 64*src.Arity())
@@ -507,9 +397,10 @@ func SelectInto(dst, src *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc
 	}
 }
 
-// CountBuffer is the Buffer form of Count: one oblivious scan accumulating
-// pred over real slots. The predicate sees each row as a zero-copy view
-// into the arena.
+// CountBuffer performs a secure aggregate count over a padded array: one
+// oblivious scan accumulating pred over real slots — the query operator used
+// for the paper's Q1/Q2 once the view is materialized. The predicate sees
+// each row as a zero-copy view into the arena.
 func CountBuffer(b *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc.Op) int {
 	if meter != nil {
 		meter.ChargeScan(op, b.Len(), 64*b.Arity())

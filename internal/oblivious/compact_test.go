@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,19 +10,19 @@ import (
 )
 
 func TestTightCompactBasic(t *testing.T) {
-	es := []Entry{
-		Dummy(2),
+	es := []entry{
+		dummy(2),
 		{Row: table.Row{1, 0}, IsView: true, Left: 10, Right: 20},
-		Dummy(2),
+		dummy(2),
 		{Row: table.Row{2, 0}, IsView: true, Left: 11, Right: 21},
 	}
 	m := mpc.NewMeter(mpc.DefaultCostModel())
-	out, overflow := TightCompact(es, 3, m, mpc.OpTransform, 128)
+	out, overflow := tightCompact(es, 3, m, 128)
 	if len(out) != 3 {
 		t.Fatalf("output length %d, want cap 3", len(out))
 	}
-	if CountReal(out) != 2 {
-		t.Errorf("output real count %d, want 2", CountReal(out))
+	if countReal(out) != 2 {
+		t.Errorf("output real count %d, want 2", countReal(out))
 	}
 	if len(overflow) != 0 {
 		t.Errorf("unexpected overflow %v", overflow)
@@ -33,13 +34,13 @@ func TestTightCompactBasic(t *testing.T) {
 }
 
 func TestTightCompactOverflow(t *testing.T) {
-	es := make([]Entry, 6)
+	es := make([]entry, 6)
 	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(i)}, IsView: true}
+		es[i] = entry{Row: table.Row{int64(i)}, IsView: true}
 	}
-	out, overflow := TightCompact(es, 4, nil, mpc.OpTransform, 64)
-	if len(out) != 4 || CountReal(out) != 4 {
-		t.Errorf("out: %d slots %d real", len(out), CountReal(out))
+	out, overflow := tightCompact(es, 4, nil, 64)
+	if len(out) != 4 || countReal(out) != 4 {
+		t.Errorf("out: %d slots %d real", len(out), countReal(out))
 	}
 	if len(overflow) != 2 {
 		t.Fatalf("overflow %d, want 2", len(overflow))
@@ -53,14 +54,14 @@ func TestTightCompactOverflow(t *testing.T) {
 
 func TestTightCompactEdgeCases(t *testing.T) {
 	// Negative cap clamps to zero; everything real overflows.
-	es := []Entry{{Row: table.Row{1}, IsView: true}}
-	out, overflow := TightCompact(es, -1, nil, mpc.OpTransform, 64)
+	es := []entry{{Row: table.Row{1}, IsView: true}}
+	out, overflow := tightCompact(es, -1, nil, 64)
 	if len(out) != 0 || len(overflow) != 1 {
 		t.Errorf("negative cap: out=%d overflow=%d", len(out), len(overflow))
 	}
 	// Empty input pads to cap with dummies of zero arity.
-	out, overflow = TightCompact(nil, 2, nil, mpc.OpTransform, 64)
-	if len(out) != 2 || len(overflow) != 0 || CountReal(out) != 0 {
+	out, overflow = tightCompact(nil, 2, nil, 64)
+	if len(out) != 2 || len(overflow) != 0 || countReal(out) != 0 {
 		t.Errorf("empty input: out=%d overflow=%d", len(out), len(overflow))
 	}
 }
@@ -69,10 +70,10 @@ func TestTightCompactPreservesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(21)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 30; trial++ {
 		es := randEntries(rng, 40)
-		orig := RealRows(es)
+		orig := realRowsOf(es)
 		cap := rng.Intn(50)
-		out, overflow := TightCompact(es, cap, nil, mpc.OpTransform, 64)
-		combined := append(RealRows(out), RealRows(overflow)...)
+		out, overflow := tightCompact(es, cap, nil, 64)
+		combined := append(realRowsOf(out), realRowsOf(overflow)...)
 		if !table.MultisetEqual(combined, orig) {
 			t.Fatalf("trial %d: compaction changed the real multiset", trial)
 		}
@@ -82,52 +83,90 @@ func TestTightCompactPreservesMultiset(t *testing.T) {
 	}
 }
 
+// kernelLess reports whether the kernel orders a strictly before b: the
+// comparator (0,1) over [b, a] exchanges exactly when a < b.
+func kernelLess(a, b sortKey) bool {
+	a.w, b.w = a.w&^0xFFFFFFFF|1, b.w&^0xFFFFFFFF
+	keys := []sortKey{b, a}
+	exchange(keys, []int32{0, 1})
+	return keys[0] == a
+}
+
+// TestByColumnOrdering pins the comparator definition twice: the reference
+// closures order as Example 5.1 and Figure 3 say, and the kernel's packed
+// keys — (key, tag) for the join, 1-isView for the cache — agree with them
+// on every case, so the two are one comparator.
 func TestByColumnOrdering(t *testing.T) {
-	real := func(key, tag int64) Entry { return Entry{Row: table.Row{key, tag}, IsView: true} }
-	less := ByColumn(0, 1)
+	real := func(key, tag int64) entry { return entry{Row: table.Row{key, tag}, IsView: true} }
+	joinKey := func(e entry) sortKey { return sortKey{k: uint64(e.Row[0]) ^ signBit, w: uint64(e.Row[1]) << 32} }
+	cacheKey := func(e entry) sortKey { return sortKey{k: 1 - boolWord(e.IsView)} }
+	ref := byColumn(0, 1)
+	for _, tc := range []struct {
+		name string
+		a, b entry
+		want bool
+	}{
+		{"key order", real(1, 1), real(2, 0), true},
+		{"key order reversed", real(2, 0), real(1, 1), false},
+		{"tag tie-break", real(1, 0), real(1, 1), true},
+		{"tag tie-break reversed", real(1, 1), real(1, 0), false},
+		{"equal entries must not swap", real(1, 1), real(1, 1), false},
+		{"negative before positive", real(-1, 1), real(0, 0), true},
+		{"extremes", real(math.MinInt64, 1), real(math.MaxInt64, 0), true},
+		{"extremes reversed", real(math.MaxInt64, 0), real(math.MinInt64, 1), false},
+	} {
+		if got := ref(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: reference less = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := kernelLess(joinKey(tc.a), joinKey(tc.b)); got != tc.want {
+			t.Errorf("%s: kernel less = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 	// Dummies sink regardless of payload.
-	if !less(real(9, 0), Dummy(2)) {
-		t.Error("real must order before dummy")
+	for _, tc := range []struct {
+		name string
+		a, b entry
+		want bool
+	}{
+		{"real must order before dummy", real(9, 0), dummy(2), true},
+		{"dummy must not order before real", dummy(2), real(0, 0), false},
+		{"dummy-dummy must not swap", dummy(2), dummy(2), false},
+	} {
+		if got := byIsViewFirst(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: reference less = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := kernelLess(cacheKey(tc.a), cacheKey(tc.b)); got != tc.want {
+			t.Errorf("%s: kernel less = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := ref(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: byColumn = %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	if less(Dummy(2), real(0, 0)) {
-		t.Error("dummy must not order before real")
-	}
-	if less(Dummy(2), Dummy(2)) {
-		t.Error("dummy-dummy must not swap")
-	}
-	// Key ordering, then tag tie-break.
-	if !less(real(1, 1), real(2, 0)) {
-		t.Error("key order wrong")
-	}
-	if !less(real(1, 0), real(1, 1)) {
-		t.Error("tag tie-break wrong")
-	}
-	if less(real(1, 1), real(1, 1)) {
-		t.Error("equal entries must not swap")
+	// The cache key sees the isView bit only: payloads never reorder reals.
+	if byIsViewFirst(real(1, 0), real(3, 0)) || kernelLess(cacheKey(real(1, 0)), cacheKey(real(3, 0))) {
+		t.Error("real-real must not swap under the real-first order")
 	}
 }
 
 func TestSortedByIsViewDetectsViolations(t *testing.T) {
-	good := []Entry{{IsView: true}, {IsView: true}, {}, {}}
-	if !SortedByIsView(good) {
+	if !sortedRealFirst([]bool{true, true, false, false}) {
 		t.Error("sorted array reported unsorted")
 	}
-	bad := []Entry{{IsView: true}, {}, {IsView: true}}
-	if SortedByIsView(bad) {
+	if sortedRealFirst([]bool{true, false, true}) {
 		t.Error("unsorted array reported sorted")
 	}
-	if !SortedByIsView(nil) {
+	if !sortedRealFirst(nil) {
 		t.Error("empty array should count as sorted")
 	}
 }
 
 func TestNLJEmptyInner(t *testing.T) {
 	t1 := []Record{{ID: 1, Row: table.Row{1, 0}}}
-	out := TruncatedNestedLoopJoin(t1, nil, 0, 0, nil, 3, nil, mpc.OpTransform)
+	out := nlj(t1, nil, nil, 3, nil)
 	if len(out) != 3 {
 		t.Fatalf("empty-inner NLJ output %d, want bound*|T1| = 3", len(out))
 	}
-	if CountReal(out) != 0 {
+	if countReal(out) != 0 {
 		t.Error("joins materialized from an empty inner relation")
 	}
 }

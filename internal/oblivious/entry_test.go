@@ -1,0 +1,178 @@
+package oblivious
+
+import (
+	"math/rand"
+	"testing"
+
+	"incshrink/internal/mpc"
+	"incshrink/internal/table"
+)
+
+// entry is the test-only row form of one buffer slot: assertions read slots
+// out as entries, and the reference sort below — the closure-driven network
+// the packed-key kernel replaced — runs over them.
+type entry struct {
+	Row    table.Row
+	IsView bool
+	Left   int64
+	Right  int64
+}
+
+func dummy(arity int) entry {
+	return entry{Row: make(table.Row, arity), Left: -1, Right: -1}
+}
+
+func newMeter() *mpc.Meter { return mpc.NewMeter(mpc.DefaultCostModel()) }
+
+func randEntries(rng *rand.Rand, n int) []entry {
+	es := make([]entry, n)
+	for i := range es {
+		es[i] = entry{Row: table.Row{int64(rng.Intn(100)), int64(i)}, IsView: rng.Intn(2) == 0}
+	}
+	return es
+}
+
+// bufferOf builds a pooled buffer holding es; arity is taken from the first
+// entry (0 when empty).
+func bufferOf(es []entry) *Buffer {
+	arity := 0
+	if len(es) > 0 {
+		arity = len(es[0].Row)
+	}
+	b := GetBuffer(arity)
+	for _, e := range es {
+		b.AppendSlot(e.Row, e.IsView, e.Left, e.Right)
+	}
+	return b
+}
+
+func randBuffer(rng *rand.Rand, n int) (*Buffer, []entry) {
+	es := randEntries(rng, n)
+	return bufferOf(es), es
+}
+
+// entriesOf reads every slot out (copying the payloads).
+func entriesOf(b *Buffer) []entry {
+	out := make([]entry, b.Len())
+	for i := range out {
+		out[i] = entry{Row: b.Row(i).Clone(), IsView: b.IsReal(i), Left: b.LeftID(i), Right: b.RightID(i)}
+	}
+	return out
+}
+
+func countReal(es []entry) int {
+	n := 0
+	for _, e := range es {
+		if e.IsView {
+			n++
+		}
+	}
+	return n
+}
+
+func realRowsOf(es []entry) []table.Row {
+	var out []table.Row
+	for _, e := range es {
+		if e.IsView {
+			out = append(out, e.Row)
+		}
+	}
+	return out
+}
+
+func entriesEqual(t *testing.T, got, want []entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("length %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if !g.Row.Equal(w.Row) || g.IsView != w.IsView || g.Left != w.Left || g.Right != w.Right {
+			t.Fatalf("slot %d: %+v, want %+v", i, g, w)
+		}
+	}
+}
+
+// sortedRealFirst reports whether all real slots precede all dummies.
+func sortedRealFirst(flags []bool) bool {
+	seenDummy := false
+	for _, f := range flags {
+		if !f {
+			seenDummy = true
+		} else if seenDummy {
+			return false
+		}
+	}
+	return true
+}
+
+// less is the reference comparator form: a strict weak ordering on entries.
+type less func(a, b entry) bool
+
+// byIsViewFirst orders real entries before dummies — the Shrink key.
+func byIsViewFirst(a, b entry) bool { return a.IsView && !b.IsView }
+
+// byColumn orders on a row column, dummies last, ties broken by the tag
+// column (T1 before T2) per Example 5.1.
+func byColumn(col, tagCol int) less {
+	return func(a, b entry) bool {
+		switch {
+		case a.IsView != b.IsView:
+			return a.IsView // dummies sink to the tail
+		case !a.IsView:
+			return false
+		case a.Row[col] != b.Row[col]:
+			return a.Row[col] < b.Row[col]
+		default:
+			return a.Row[tagCol] < b.Row[tagCol]
+		}
+	}
+}
+
+// forEachComparator replays the n-element network comparator by comparator
+// from a fresh enumeration.
+func forEachComparator(n int, cmpSwap func(i, j int)) {
+	batcherLayers(n, nil, func(pairs []int32) []int32 {
+		for c := 0; c < len(pairs); c += 2 {
+			cmpSwap(int(pairs[c]), int(pairs[c+1]))
+		}
+		return pairs[:0]
+	})
+}
+
+// refSort is the reference sort: the network driven by a less closure with
+// a branching swap, exactly as the engine ran it before the kernel.
+func refSort(es []entry, lt less) {
+	forEachComparator(len(es), func(i, j int) {
+		if lt(es[j], es[i]) {
+			es[i], es[j] = es[j], es[i]
+		}
+	})
+}
+
+// smj and nlj run the truncated joins into a fresh buffer of the
+// concatenated arity and read the padded output back.
+func smj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry {
+	dst := GetBuffer(recArity(t1) + recArity(t2))
+	defer dst.Release()
+	TruncatedSortMergeJoinInto(dst, t1, t2, 0, 0, match, bound, meter, mpc.OpTransform)
+	return entriesOf(dst)
+}
+
+func nlj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry {
+	dst := GetBuffer(recArity(t1) + recArity(t2))
+	defer dst.Release()
+	TruncatedNestedLoopJoinInto(dst, t1, t2, 0, 0, match, bound, meter, mpc.OpTransform)
+	return entriesOf(dst)
+}
+
+// tightCompact runs TightCompactInto over es and reads both outputs back.
+func tightCompact(es []entry, cap int, meter *mpc.Meter, tupleBits int) (out, overflow []entry) {
+	src := bufferOf(es)
+	defer src.Release()
+	dst, over := GetBuffer(src.Arity()), GetBuffer(src.Arity())
+	defer dst.Release()
+	defer over.Release()
+	TightCompactInto(src, cap, dst, over, meter, mpc.OpTransform, tupleBits)
+	return entriesOf(dst), entriesOf(over)
+}

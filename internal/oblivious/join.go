@@ -25,11 +25,6 @@ type MatchFunc func(left, right Record) bool
 // windows of the truncated joins.
 var intsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
 
-// byKeyThenTag is the join adapter's sort order, hoisted to package level so
-// the steady-state join path does not re-allocate the comparator closure on
-// every invocation (SortBuffer may retain it while parallel layers run).
-var byKeyThenTag = ByColumnAt(0, 1)
-
 // getInts borrows a zeroed int slice of length n.
 func getInts(n int) *[]int {
 	p := intsPool.Get().(*[]int)
@@ -46,7 +41,11 @@ func putInts(p *[]int) {
 	intsPool.Put(p)
 }
 
-// TruncatedSortMergeJoin implements the b-truncated oblivious sort-merge
+// signBit flips an int64 column into an order-preserving uint64 sort key, so
+// negative (pad) keys order below positive ones.
+const signBit = 1 << 63
+
+// TruncatedSortMergeJoinInto implements the b-truncated oblivious sort-merge
 // join of Example 5.1 with truncation bound `bound` (the omega of
 // trans_truncate when used inside Transform):
 //
@@ -61,46 +60,35 @@ func putInts(p *[]int) {
 // Every input record contributes at most `bound` entries across the whole
 // invocation (Eq. 3); exceeding joins are discarded, which is the source of
 // truncation error studied in Section 7.4. Output rows concatenate the T1
-// and T2 attributes.
-//
-// This Entry form adapts the columnar TruncatedSortMergeJoinInto, which is
-// the engine's hot path.
-func TruncatedSortMergeJoin(t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) []Entry {
-	dst := GetBuffer(recArity(t1) + recArity(t2))
-	defer dst.Release()
-	TruncatedSortMergeJoinInto(dst, t1, t2, key1, key2, match, bound, meter, op)
-	return dst.Entries()
-}
-
-// TruncatedSortMergeJoinInto is the columnar form of the b-truncated
-// oblivious sort-merge join: output slots are appended to dst, whose arity
-// must equal the concatenated record arities. All intermediates — the tagged
-// sorted union and the contribution counters — come from pools, and output
-// rows are written straight into dst's arena, so a warm call allocates
-// nothing beyond dst's own growth.
+// and T2 attributes and are appended to dst, whose arity must equal the
+// concatenated record arities. The tagged union is never materialized as
+// rows: it is the packed key slice the network sorts, and the scan reads
+// key, tag and source position straight back out of it. All intermediates
+// come from pools and output rows are written straight into dst's arena, so
+// a warm call allocates nothing beyond dst's own growth.
 func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	if bound < 1 {
 		bound = 1
 	}
 	outArity := dst.Arity()
 
-	// Build the tagged union as an arity-3 buffer with columns
-	// (key, tag, srcIndex): T1 rows tag 0, T2 rows tag 1. The payloads stay
-	// attached through the scan via srcIndex back into the input slices.
-	adapter := GetBuffer(3)
-	defer adapter.Release()
-	adapter.Grow(len(t1) + len(t2))
+	// The tagged union as sort keys: T1 rows tag 0, T2 rows tag 1, the low
+	// word holding the row's position in its own input so the payloads stay
+	// attached through the scan.
+	n := len(t1) + len(t2)
+	keysp := getKeys(n)
+	defer keyPool.Put(keysp)
+	keys := *keysp
 	for i, r := range t1 {
-		adapter.AppendRow(table.Row{r.Row[key1], 0, int64(i)}, -1, -1)
+		keys[i] = sortKey{k: uint64(r.Row[key1]) ^ signBit, w: uint64(i)}
 	}
 	for i, r := range t2 {
-		adapter.AppendRow(table.Row{r.Row[key2], 1, int64(i)}, -1, -1)
+		keys[len(t1)+i] = sortKey{k: uint64(r.Row[key2]) ^ signBit, w: 1<<32 | uint64(i)}
 	}
 
 	// Oblivious sort of the union on (key, tag), charged at the real network
 	// cost for the wider input side plus the key column.
-	tupleBits := 64 * (max(recArity(t1), recArity(t2)) + 1)
-	SortBuffer(adapter, byKeyThenTag, meter, op, tupleBits)
+	sortKeys(keys, meter, op, 64*(max(recArity(t1), recArity(t2))+1))
 
 	// Per-record contribution counters for this invocation.
 	contrib1p, contrib2p := getInts(len(t1)), getInts(len(t2))
@@ -110,11 +98,11 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 	defer putInts(windowp)
 	contrib1, contrib2 := *contrib1p, *contrib2p
 
-	dst.Grow(bound * adapter.Len())
+	dst.Grow(bound * n)
 	window := (*windowp)[:0] // indices into t1 sharing the current key
-	var windowKey int64
-	for i := 0; i < adapter.Len(); i++ {
-		key, tag, src := adapter.At(i, 0), int(adapter.At(i, 1)), int(adapter.At(i, 2))
+	var windowKey uint64
+	for _, sk := range keys {
+		key, tag, src := sk.k, sk.w>>32, int(uint32(sk.w))
 		// A new key group resets the T1 window; the scan only ever needs the
 		// current group because T1 sorts before T2 within a key.
 		if key != windowKey {
@@ -151,7 +139,7 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 	// The emit loop above touches each slot exactly once; charge the output
 	// linear scan (predicate + conditional copy per slot).
 	if meter != nil {
-		meter.ChargeScan(op, bound*adapter.Len(), 64*outArity)
+		meter.ChargeScan(op, bound*n, 64*outArity)
 	}
 }
 
@@ -162,23 +150,14 @@ func recArity(rs []Record) int {
 	return len(rs[0].Row)
 }
 
-// TruncatedNestedLoopJoin implements Algorithm 4: for each outer tuple, scan
-// the whole inner relation, emit a join entry when both tuples still have
-// contribution budget and the keys (and match predicate) agree, then
+// TruncatedNestedLoopJoinInto implements Algorithm 4: for each outer tuple,
+// scan the whole inner relation, emit a join entry when both tuples still
+// have contribution budget and the keys (and match predicate) agree, then
 // obliviously sort the per-outer intermediate array and keep its first
-// `bound` slots. The output length is exactly bound*len(t1). This Entry form
-// adapts the columnar TruncatedNestedLoopJoinInto.
-func TruncatedNestedLoopJoin(t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) []Entry {
-	dst := GetBuffer(recArity(t1) + recArity(t2))
-	defer dst.Release()
-	TruncatedNestedLoopJoinInto(dst, t1, t2, key1, key2, match, bound, meter, op)
-	return dst.Entries()
-}
-
-// TruncatedNestedLoopJoinInto is the columnar form of Algorithm 4; output
-// slots are appended to dst, whose arity must equal the concatenated record
-// arities. The per-outer intermediate array is a single pooled buffer reused
-// across outer tuples.
+// `bound` slots. Output slots are appended to dst, whose arity must equal
+// the concatenated record arities; the output length is exactly
+// bound*len(t1). The per-outer intermediate array is a single pooled buffer
+// reused across outer tuples.
 func TruncatedNestedLoopJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	if bound < 1 {
 		bound = 1
@@ -217,7 +196,7 @@ func TruncatedNestedLoopJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, m
 			}
 		}
 		// Alg 4:12-13 — oblivious sort of the intermediate array, keep b.
-		SortBuffer(oi, ByIsViewFirstAt, meter, op, 64*outArity)
+		SortRealFirst(oi, meter, op, 64*outArity)
 		for k := 0; k < bound; k++ {
 			if k < oi.Len() {
 				dst.AppendFrom(oi, k)
@@ -226,46 +205,4 @@ func TruncatedNestedLoopJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, m
 			}
 		}
 	}
-}
-
-// Select implements the oblivious selection of Appendix A.1.1: the output is
-// the input array itself (same length — full obliviousness), with the isView
-// bit set only for real entries satisfying the predicate. Each input record
-// contributes at most once, so no truncation machinery is needed. The
-// columnar form is SelectInto.
-func Select(es []Entry, pred table.Predicate, meter *mpc.Meter, op mpc.Op) []Entry {
-	out := make([]Entry, len(es))
-	bits := 0
-	if len(es) > 0 {
-		bits = es[0].Row.Bits()
-	}
-	if meter != nil {
-		meter.ChargeScan(op, len(es), bits)
-	}
-	for i, e := range es {
-		out[i] = e
-		out[i].IsView = e.IsView && pred(e.Row)
-	}
-	return out
-}
-
-// Count performs a secure aggregate count over a padded array: a single
-// oblivious scan accumulating pred over real entries. This is the query
-// operator used for the paper's Q1/Q2 once the view is materialized. The
-// columnar form is CountBuffer.
-func Count(es []Entry, pred table.Predicate, meter *mpc.Meter, op mpc.Op) int {
-	bits := 0
-	if len(es) > 0 {
-		bits = es[0].Row.Bits()
-	}
-	if meter != nil {
-		meter.ChargeScan(op, len(es), bits)
-	}
-	n := 0
-	for _, e := range es {
-		if e.IsView && pred(e.Row) {
-			n++
-		}
-	}
-	return n
 }

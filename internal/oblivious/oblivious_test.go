@@ -9,25 +9,33 @@ import (
 	"incshrink/internal/table"
 )
 
-func newMeter() *mpc.Meter { return mpc.NewMeter(mpc.DefaultCostModel()) }
-
-func randEntries(rng *rand.Rand, n int) []Entry {
-	es := make([]Entry, n)
-	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(rng.Intn(100)), int64(i)}, IsView: rng.Intn(2) == 0}
+// keysOf packs values as untagged sort keys, position in the low word.
+func keysOf(vals []int64) []sortKey {
+	keys := make([]sortKey, len(vals))
+	for i, v := range vals {
+		keys[i] = sortKey{k: uint64(v) ^ signBit, w: uint64(i)}
 	}
-	return es
+	return keys
+}
+
+func keyVal(k sortKey) int64 { return int64(k.k ^ signBit) }
+
+func randVals(rng *rand.Rand, n int) []int64 {
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(rng.Intn(100)) - 50
+	}
+	return vals
 }
 
 func TestSortCorrectnessAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	less := func(a, b Entry) bool { return a.Row[0] < b.Row[0] }
 	for n := 0; n <= 65; n++ {
-		es := randEntries(rng, n)
-		Sort(es, less, nil, mpc.OpOther, 64)
-		for i := 1; i < len(es); i++ {
-			if es[i].Row[0] < es[i-1].Row[0] {
-				t.Fatalf("n=%d: not sorted at %d: %v > %v", n, i, es[i-1].Row[0], es[i].Row[0])
+		keys := keysOf(randVals(rng, n))
+		sortKeys(keys, nil, mpc.OpOther, 64)
+		for i := 1; i < n; i++ {
+			if keyVal(keys[i]) < keyVal(keys[i-1]) {
+				t.Fatalf("n=%d: not sorted at %d: %v > %v", n, i, keyVal(keys[i-1]), keyVal(keys[i]))
 			}
 		}
 	}
@@ -36,52 +44,62 @@ func TestSortCorrectnessAllSizes(t *testing.T) {
 func TestSortMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		es := randEntries(rng, n)
-		want := make([]int64, n)
-		for i, e := range es {
-			want[i] = e.Row[0]
-		}
+		want := randVals(rng, rng.Intn(200))
+		keys := keysOf(want)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		Sort(es, func(a, b Entry) bool { return a.Row[0] < b.Row[0] }, nil, mpc.OpOther, 64)
-		for i := range es {
-			if es[i].Row[0] != want[i] {
-				t.Fatalf("trial %d: position %d = %d want %d", trial, i, es[i].Row[0], want[i])
+		sortKeys(keys, nil, mpc.OpOther, 64)
+		for i := range keys {
+			if keyVal(keys[i]) != want[i] {
+				t.Fatalf("trial %d: position %d = %d want %d", trial, i, keyVal(keys[i]), want[i])
 			}
 		}
 	}
 }
 
-// TestSortDataIndependence: the number of comparator evaluations must depend
-// only on the input length, never on the values — the defining property of
-// an oblivious sort.
+// TestSortDataIndependence: the comparators a sort executes must depend only
+// on the input length, never on the values — the defining property of an
+// oblivious sort. The kernel replays one pair list per length, so the count
+// is pinned twice: the list never exceeds the padded network the cost model
+// charges (mpc.SortCompareExchanges counts the next power of two, which the
+// executed network equals there), and the meter charge of the cache sort and
+// the join sort is that padded count whatever the data.
 func TestSortDataIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	for _, n := range []int{5, 16, 33, 100} {
-		counts := make(map[int]bool)
-		for trial := 0; trial < 10; trial++ {
-			es := randEntries(rng, n)
-			calls := 0
-			Sort(es, func(a, b Entry) bool { calls++; return a.Row[0] < b.Row[0] }, nil, mpc.OpOther, 64)
-			counts[calls] = true
+	for _, n := range []int{5, 16, 33, 100, 1024, 1040} {
+		got, charged := len(loadNetwork(n).pairs)/2, mpc.SortCompareExchanges(n)
+		if got > charged || (n&(n-1) == 0 && got != charged) {
+			t.Errorf("n=%d: network has %d comparators, cost model charges %d", n, got, charged)
 		}
-		if len(counts) != 1 {
-			t.Errorf("n=%d: comparator count varies across inputs: %v", n, counts)
+		charges := make(map[float64]bool)
+		for trial := 0; trial < 10; trial++ {
+			m := newMeter()
+			b, _ := randBuffer(rng, n)
+			SortRealFirst(b, m, mpc.OpShrink, 64)
+			b.Release()
+			sortKeys(keysOf(randVals(rng, n)), m, mpc.OpShrink, 64)
+			charges[m.Gates(mpc.OpShrink)] = true
+		}
+		want := 2 * float64(mpc.SortCompareExchanges(n)) * 64 * newMeter().Model().ANDGatesPerCompareExchangeBit
+		if len(charges) != 1 || !charges[want] {
+			t.Errorf("n=%d: charged gates %v across inputs, want always %v", n, charges, want)
 		}
 	}
 }
 
 func TestSortChargesPaddedNetwork(t *testing.T) {
 	m := newMeter()
-	es := randEntries(rand.New(rand.NewSource(4)), 8) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	Sort(es, ByIsViewFirst, m, mpc.OpShrink, 128)
+	b, _ := randBuffer(rand.New(rand.NewSource(4)), 8) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	defer b.Release()
+	SortRealFirst(b, m, mpc.OpShrink, 128)
 	want := float64(mpc.SortCompareExchanges(8)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
 	if got := m.Gates(mpc.OpShrink); got != want {
 		t.Errorf("charged %v gates, want %v", got, want)
 	}
 	// Tiny inputs charge nothing.
 	m.Reset()
-	Sort(es[:1], ByIsViewFirst, m, mpc.OpShrink, 128)
+	b.Truncate(1)
+	SortRealFirst(b, m, mpc.OpShrink, 128)
+	sortKeys(keysOf([]int64{7}), m, mpc.OpShrink, 128)
 	if m.TotalGates() != 0 {
 		t.Error("n=1 sort should be free")
 	}
@@ -90,58 +108,53 @@ func TestSortChargesPaddedNetwork(t *testing.T) {
 func TestByIsViewFirstOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 20; trial++ {
-		es := randEntries(rng, 50)
-		real := CountReal(es)
-		Sort(es, ByIsViewFirst, nil, mpc.OpOther, 64)
-		if !SortedByIsView(es) {
+		b, es := randBuffer(rng, 50)
+		SortRealFirst(b, nil, mpc.OpOther, 64)
+		if !sortedRealFirst(b.Flags()) {
 			t.Fatal("reals not all ahead of dummies")
 		}
-		if CountReal(es) != real {
+		if b.Real() != countReal(es) || b.ScanReal() != countReal(es) {
 			t.Fatal("sort changed the number of real entries")
 		}
+		b.Release()
 	}
 }
 
+// The cache read of Figure 3 is a real-first sort followed by a public
+// prefix cut: whatever prefix is cut, it holds real slots before any dummy.
 func TestCompactFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := randEntries(rng, 40)
-	real := CountReal(es)
-	fetched, rest := Compact(es, real, newMeter(), mpc.OpShrink, 64)
-	if len(fetched) != real || CountReal(fetched) != real {
-		t.Errorf("fetched %d entries with %d real, want all %d real", len(fetched), CountReal(fetched), real)
+	b, es := randBuffer(rng, 40)
+	defer b.Release()
+	real := countReal(es)
+	SortRealFirst(b, newMeter(), mpc.OpShrink, 64)
+	sorted := entriesOf(b)
+	if fetched := sorted[:real]; countReal(fetched) != real {
+		t.Errorf("fetched %d entries with %d real, want all real", len(fetched), countReal(fetched))
 	}
-	if CountReal(rest) != 0 {
-		t.Errorf("rest still holds %d real entries", CountReal(rest))
+	if rest := sorted[real:]; countReal(rest) != 0 {
+		t.Errorf("rest still holds %d real entries", countReal(rest))
 	}
-	if len(fetched)+len(rest) != 40 {
-		t.Error("compact lost entries")
-	}
-}
-
-func TestCompactClamping(t *testing.T) {
-	es := randEntries(rand.New(rand.NewSource(7)), 10) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	fetched, rest := Compact(es, -5, nil, mpc.OpOther, 64)
-	if len(fetched) != 0 || len(rest) != 10 {
-		t.Error("negative keep should clamp to 0")
-	}
-	fetched, rest = Compact(es, 99, nil, mpc.OpOther, 64)
-	if len(fetched) != 10 || len(rest) != 0 {
-		t.Error("oversized keep should clamp to len")
+	if len(sorted) != 40 || !table.MultisetEqual(realRowsOf(sorted), realRowsOf(es)) {
+		t.Error("sort lost entries")
 	}
 }
 
 func TestCompactPartialFetchKeepsRealPriority(t *testing.T) {
 	// Fewer slots than real entries: everything fetched must be real.
-	es := make([]Entry, 20)
+	es := make([]entry, 20)
 	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(i)}, IsView: i%2 == 0} // 10 real
+		es[i] = entry{Row: table.Row{int64(i)}, IsView: i%2 == 0} // 10 real
 	}
-	fetched, rest := Compact(es, 4, nil, mpc.OpOther, 64)
-	if CountReal(fetched) != 4 {
-		t.Errorf("fetched %d real, want 4", CountReal(fetched))
+	b := bufferOf(es)
+	defer b.Release()
+	SortRealFirst(b, nil, mpc.OpOther, 64)
+	sorted := entriesOf(b)
+	if got := countReal(sorted[:4]); got != 4 {
+		t.Errorf("fetched %d real, want 4", got)
 	}
-	if CountReal(rest) != 6 {
-		t.Errorf("rest has %d real, want 6", CountReal(rest))
+	if got := countReal(sorted[4:]); got != 6 {
+		t.Errorf("rest has %d real, want 6", got)
 	}
 }
 
@@ -168,12 +181,12 @@ func TestSMJMatchesHashJoinWithLargeBound(t *testing.T) {
 			rows2[i] = table.Row{int64(rng.Intn(8)), int64(100 + i)}
 		}
 		want := table.HashJoin(rows1, rows2, 0, 0)
-		got := TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 1000, nil, mpc.OpTransform)
+		got := smj(mkRecords(rows1), mkRecords(rows2), nil, 1000, nil)
 		if len(got) != 1000*(n1+n2) {
 			t.Fatalf("padded output size %d, want %d", len(got), 1000*(n1+n2))
 		}
-		if !table.MultisetEqual(RealRows(got), want) {
-			t.Fatalf("trial %d: SMJ real rows differ from hash join (%d vs %d)", trial, len(RealRows(got)), len(want))
+		if !table.MultisetEqual(realRowsOf(got), want) {
+			t.Fatalf("trial %d: SMJ real rows differ from hash join (%d vs %d)", trial, len(realRowsOf(got)), len(want))
 		}
 	}
 }
@@ -188,8 +201,8 @@ func TestSMJOutputSizeDataIndependent(t *testing.T) {
 		none[i] = table.Row{int64(i + 50), 0} // nothing joins
 	}
 	right := []table.Row{{1, 7}}
-	a := TruncatedSortMergeJoin(mkRecords(all), mkRecords(right), 0, 0, nil, 3, nil, mpc.OpTransform)
-	b := TruncatedSortMergeJoin(mkRecords(none), mkRecords(right), 0, 0, nil, 3, nil, mpc.OpTransform)
+	a := smj(mkRecords(all), mkRecords(right), nil, 3, nil)
+	b := smj(mkRecords(none), mkRecords(right), nil, 3, nil)
 	if len(a) != len(b) {
 		t.Errorf("output sizes %d vs %d differ with join selectivity", len(a), len(b))
 	}
@@ -207,8 +220,8 @@ func TestSMJTruncationBoundsContribution(t *testing.T) {
 	for i := range right {
 		right[i] = table.Row{5, int64(i)}
 	}
-	got := TruncatedSortMergeJoin(mkRecords(left), mkRecords(right), 0, 0, nil, 4, nil, mpc.OpTransform)
-	real := RealRows(got)
+	got := smj(mkRecords(left), mkRecords(right), nil, 4, nil)
+	real := realRowsOf(got)
 	if len(real) != 4 {
 		t.Errorf("hot record produced %d entries, want truncation to 4", len(real))
 	}
@@ -224,7 +237,7 @@ func TestSMJPerRecordContributionNeverExceedsBound(t *testing.T) {
 			rows1[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 			rows2[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 		}
-		got := TruncatedSortMergeJoin(mkRecordsBase(rows1, 1000), mkRecordsBase(rows2, 2000), 0, 0, nil, bound, nil, mpc.OpTransform)
+		got := smj(mkRecordsBase(rows1, 1000), mkRecordsBase(rows2, 2000), nil, bound, nil)
 		perRecord := make(map[int64]int)
 		for _, e := range got {
 			if e.IsView {
@@ -251,12 +264,12 @@ func TestSMJStability(t *testing.T) {
 		rows1[i] = table.Row{int64(rng.Intn(3)), int64(i)}
 		rows2[i] = table.Row{int64(rng.Intn(3)), int64(i)}
 	}
-	full := len(RealRows(TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, bound, nil, mpc.OpTransform)))
+	full := len(realRowsOf(smj(mkRecords(rows1), mkRecords(rows2), nil, bound, nil)))
 	for drop := 0; drop < len(rows2); drop++ {
 		reduced := make([]table.Row, 0, len(rows2)-1)
 		reduced = append(reduced, rows2[:drop]...)
 		reduced = append(reduced, rows2[drop+1:]...)
-		n := len(RealRows(TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(reduced), 0, 0, nil, bound, nil, mpc.OpTransform)))
+		n := len(realRowsOf(smj(mkRecords(rows1), mkRecords(reduced), nil, bound, nil)))
 		diff := full - n
 		if diff < -bound || diff > bound {
 			t.Fatalf("dropping record %d changed output by %d > bound %d", drop, diff, bound)
@@ -269,7 +282,7 @@ func TestSMJMatchPredicate(t *testing.T) {
 	sales := []table.Row{{1, 100}, {2, 100}}
 	rets := []table.Row{{1, 105}, {2, 150}}
 	within10 := func(l, r Record) bool { d := r.Row[1] - l.Row[1]; return d >= 0 && d <= 10 }
-	got := RealRows(TruncatedSortMergeJoin(mkRecords(sales), mkRecords(rets), 0, 0, within10, 5, nil, mpc.OpTransform))
+	got := realRowsOf(smj(mkRecords(sales), mkRecords(rets), within10, 5, nil))
 	if len(got) != 1 {
 		t.Fatalf("temporal join produced %d rows, want 1", len(got))
 	}
@@ -279,7 +292,7 @@ func TestSMJMatchPredicate(t *testing.T) {
 }
 
 func TestSMJBoundClamped(t *testing.T) {
-	got := TruncatedSortMergeJoin(mkRecords([]table.Row{{1, 0}}), mkRecords([]table.Row{{1, 0}}), 0, 0, nil, 0, nil, mpc.OpTransform)
+	got := smj(mkRecords([]table.Row{{1, 0}}), mkRecords([]table.Row{{1, 0}}), nil, 0, nil)
 	if len(got) != 2 { // bound clamps to 1, output = 1*(1+1)
 		t.Errorf("output size %d with clamped bound, want 2", len(got))
 	}
@@ -288,7 +301,7 @@ func TestSMJBoundClamped(t *testing.T) {
 func TestSMJChargesCosts(t *testing.T) {
 	m := newMeter()
 	rows := []table.Row{{1, 0}, {2, 0}, {3, 0}}
-	TruncatedSortMergeJoin(mkRecords(rows), mkRecords(rows), 0, 0, nil, 2, m, mpc.OpTransform)
+	smj(mkRecords(rows), mkRecords(rows), nil, 2, m)
 	if m.Gates(mpc.OpTransform) <= 0 {
 		t.Error("SMJ charged no gates")
 	}
@@ -304,8 +317,8 @@ func TestNLJMatchesHashJoin(t *testing.T) {
 			rows2[i] = table.Row{int64(rng.Intn(5)), int64(i)}
 		}
 		want := table.HashJoin(rows1, rows2, 0, 0)
-		got := TruncatedNestedLoopJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 1000, nil, mpc.OpTransform)
-		if !table.MultisetEqual(RealRows(got), want) {
+		got := nlj(mkRecords(rows1), mkRecords(rows2), nil, 1000, nil)
+		if !table.MultisetEqual(realRowsOf(got), want) {
 			t.Fatalf("trial %d: NLJ differs from hash join", trial)
 		}
 		if len(got) != 1000*len(rows1) {
@@ -322,8 +335,8 @@ func TestNLJBudgetConsumption(t *testing.T) {
 	for i := range right {
 		right[i] = table.Row{5, int64(i)}
 	}
-	got := TruncatedNestedLoopJoin(mkRecords(left), mkRecords(right), 0, 0, nil, 3, nil, mpc.OpTransform)
-	if real := len(RealRows(got)); real != 3 {
+	got := nlj(mkRecords(left), mkRecords(right), nil, 3, nil)
+	if real := len(realRowsOf(got)); real != 3 {
 		t.Errorf("budget-3 outer produced %d joins", real)
 	}
 	if len(got) != 3 {
@@ -341,83 +354,69 @@ func TestNLJAgainstSMJ(t *testing.T) {
 	}
 	// With a bound at least the max multiplicity both joins are untruncated
 	// and must agree with each other.
-	a := RealRows(TruncatedSortMergeJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 100, nil, mpc.OpTransform))
-	b := RealRows(TruncatedNestedLoopJoin(mkRecords(rows1), mkRecords(rows2), 0, 0, nil, 100, nil, mpc.OpTransform))
+	a := realRowsOf(smj(mkRecords(rows1), mkRecords(rows2), nil, 100, nil))
+	b := realRowsOf(nlj(mkRecords(rows1), mkRecords(rows2), nil, 100, nil))
 	if !table.MultisetEqual(a, b) {
 		t.Error("SMJ and NLJ disagree at large bound")
 	}
 }
 
 func TestSelect(t *testing.T) {
-	es := []Entry{
+	es := []entry{
 		{Row: table.Row{1}, IsView: true},
 		{Row: table.Row{2}, IsView: true},
 		{Row: table.Row{3}, IsView: false},
 	}
+	src := bufferOf(es)
+	defer src.Release()
+	dst := GetBuffer(1)
+	defer dst.Release()
 	m := newMeter()
-	out := Select(es, func(r table.Row) bool { return r[0]%2 == 1 }, m, mpc.OpQuery)
-	if len(out) != 3 {
-		t.Fatalf("selection changed array length to %d", len(out))
+	SelectInto(dst, src, func(r table.Row) bool { return r[0]%2 == 1 }, m, mpc.OpQuery)
+	if dst.Len() != 3 {
+		t.Fatalf("selection changed array length to %d", dst.Len())
 	}
-	if !out[0].IsView || out[1].IsView || out[2].IsView {
-		t.Errorf("isView bits wrong: %v %v %v", out[0].IsView, out[1].IsView, out[2].IsView)
+	if !dst.IsReal(0) || dst.IsReal(1) || dst.IsReal(2) {
+		t.Errorf("isView bits wrong: %v %v %v", dst.IsReal(0), dst.IsReal(1), dst.IsReal(2))
+	}
+	if dst.Real() != 1 || dst.ScanReal() != 1 {
+		t.Errorf("real counter %d (scan %d), want 1", dst.Real(), dst.ScanReal())
 	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("selection charged nothing")
 	}
 	// Input must be unmodified.
-	if !es[1].IsView {
-		t.Error("Select mutated its input")
+	if !src.IsReal(1) {
+		t.Error("SelectInto mutated its input")
 	}
 }
 
 func TestCount(t *testing.T) {
-	es := []Entry{
+	b := bufferOf([]entry{
 		{Row: table.Row{1}, IsView: true},
 		{Row: table.Row{1}, IsView: false}, // dummy never counts
 		{Row: table.Row{2}, IsView: true},
-	}
+	})
+	defer b.Release()
 	m := newMeter()
-	if got := Count(es, func(r table.Row) bool { return r[0] == 1 }, m, mpc.OpQuery); got != 1 {
-		t.Errorf("Count = %d want 1", got)
+	if got := CountBuffer(b, func(r table.Row) bool { return r[0] == 1 }, m, mpc.OpQuery); got != 1 {
+		t.Errorf("CountBuffer = %d want 1", got)
 	}
 	if m.Gates(mpc.OpQuery) <= 0 {
 		t.Error("count charged nothing")
 	}
-	if Count(nil, func(table.Row) bool { return true }, nil, mpc.OpQuery) != 0 {
+	empty := bufferOf(nil)
+	defer empty.Release()
+	if CountBuffer(empty, func(table.Row) bool { return true }, nil, mpc.OpQuery) != 0 {
 		t.Error("empty count wrong")
 	}
 }
 
 func TestDummyShape(t *testing.T) {
-	d := Dummy(4)
-	if d.IsView || len(d.Row) != 4 || d.Left != -1 || d.Right != -1 {
-		t.Errorf("Dummy(4) = %+v", d)
-	}
-}
-
-func BenchmarkSort1K(b *testing.B) {
-	rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	base := randEntries(rng, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		es := make([]Entry, len(base))
-		copy(es, base)
-		Sort(es, ByIsViewFirst, nil, mpc.OpOther, 64)
-	}
-}
-
-func BenchmarkSMJ128(b *testing.B) {
-	rng := rand.New(rand.NewSource(100)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	rows1 := make([]table.Row, 128)
-	rows2 := make([]table.Row, 128)
-	for i := range rows1 {
-		rows1[i] = table.Row{int64(rng.Intn(32)), int64(i)}
-		rows2[i] = table.Row{int64(rng.Intn(32)), int64(i)}
-	}
-	r1, r2 := mkRecords(rows1), mkRecords(rows2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = TruncatedSortMergeJoin(r1, r2, 0, 0, nil, 4, nil, mpc.OpTransform)
+	b := GetBuffer(4)
+	defer b.Release()
+	b.AppendDummy()
+	if d := entriesOf(b)[0]; d.IsView || !d.Row.Equal(make(table.Row, 4)) || d.Left != -1 || d.Right != -1 || b.Real() != 0 {
+		t.Errorf("AppendDummy slot = %+v", d)
 	}
 }

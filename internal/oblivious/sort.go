@@ -14,122 +14,185 @@
 package oblivious
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"incshrink/internal/mpc"
 	"incshrink/internal/runner"
-	"incshrink/internal/table"
 )
 
-// Entry is one slot of a secure array: a (notionally secret-shared) view
-// tuple or dummy. IsView is the isView bit of Algorithm 1; Left and Right
-// record the IDs of the source records that generated a join entry (used by
-// the contribution-budget bookkeeping; -1 when not applicable or dummy).
-type Entry struct {
-	Row    table.Row
-	IsView bool
-	Left   int64
-	Right  int64
-}
-
-// Dummy returns a dummy entry of the given arity. Dummy payloads are zeroed;
-// in the deployed system they are indistinguishable random shares.
-func Dummy(arity int) Entry {
-	return Entry{Row: make(table.Row, arity), IsView: false, Left: -1, Right: -1}
-}
-
-// CountReal returns the number of real (IsView) entries.
-func CountReal(es []Entry) int {
-	n := 0
-	for _, e := range es {
-		if e.IsView {
-			n++
-		}
-	}
-	return n
-}
-
-// RealRows extracts the rows of the real entries.
-func RealRows(es []Entry) []table.Row {
-	var out []table.Row
-	for _, e := range es {
-		if e.IsView {
-			out = append(out, e.Row)
-		}
-	}
-	return out
-}
-
-// Less orders entries for the sorting network. Implementations must be a
-// strict weak ordering computable by a constant-size circuit per comparison.
-type Less func(a, b Entry) bool
-
-// ByIsViewFirst orders real entries before dummies — the key used by Shrink
-// so that a prefix cut of the sorted cache always fetches real data first
-// (Figure 3).
-func ByIsViewFirst(a, b Entry) bool { return a.IsView && !b.IsView }
-
-// ByColumn returns an ordering on a row column, dummies last; used by the
-// sort-merge join to sort the unioned input on the join attribute. Ties are
-// broken by the tag column (T1 before T2) per Example 5.1.
-func ByColumn(col, tagCol int) Less {
-	return func(a, b Entry) bool {
-		switch {
-		case a.IsView != b.IsView:
-			return a.IsView // dummies sink to the tail
-		case !a.IsView:
-			return false
-		case a.Row[col] != b.Row[col]:
-			return a.Row[col] < b.Row[col]
-		default:
-			return a.Row[tagCol] < b.Row[tagCol]
-		}
-	}
-}
-
-// Sort runs Batcher's odd-even merge sorting network over es in place,
-// charging one compare-exchange per comparator to meter under op. The
-// network layout depends only on len(es); the comparator count equals
-// mpc.SortCompareExchanges(len(es)) exactly (verified in tests). tupleBits
-// is the secret payload width per element.
+// sortKey is one element of the packed-key sort. Every sort extracts its
+// keys once, in a linear pass, and the network then moves only these 16
+// bytes per comparator:
 //
-// Sort and the columnar SortBuffer share one enumeration of the network
-// (batcherNetwork), so the two representations produce identical orders and
-// identical access patterns.
-func Sort(es []Entry, less Less, meter *mpc.Meter, op mpc.Op, tupleBits int) {
-	n := len(es)
+//	k  the order-preserving primary key (a sign-flipped int64 column for the
+//	   join, 1-isView for the real-first cache sort)
+//	w  tag<<32 | index: the tie-break tag over the element's original
+//	   position, which is how the permutation is read back afterwards
+//
+// The order is (k, tag) lexicographic. The index never takes part: two
+// elements equal on (k, tag) are not exchanged, exactly like the strict
+// `less` comparators this kernel replaced, so the permutation on ties — and
+// with it every golden, snapshot and transcript — is unchanged.
+type sortKey struct{ k, w uint64 }
+
+// keyPool recycles the key slices, so a warm sort allocates nothing.
+var keyPool = sync.Pool{New: func() any { s := make([]sortKey, 0, 1024); return &s }}
+
+// getKeys borrows a key slice of length n (contents unspecified).
+func getKeys(n int) *[]sortKey {
+	p := keyPool.Get().(*[]sortKey)
+	if cap(*p) < n {
+		*p = make([]sortKey, n)
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// boolWord is the bool -> {0,1} word conversion of the real-first key
+// extraction. The compiler lowers it to a flag move, not a jump; it is the
+// one branch-shaped primitive the sort admits to OblivTaintSanctioned.
+func boolWord(b bool) uint64 {
+	var w uint64
+	if b {
+		w = 1
+	}
+	return w
+}
+
+// exchange is the sort kernel: it applies the comparators (i0,j0,i1,j1,...)
+// of pairs to keys in order. Each compare-exchange is branch-free — a
+// 128-bit borrow chain decides (k, tag) order and a masked XOR swaps both
+// words or neither — so its instruction trace, like its address trace, is a
+// function of the pair list alone. It is written inline in the loop because
+// the compiler will not inline it as a helper, and the call costs a third
+// of the loop; the indexes are widened unsigned, which spares a sign
+// extension per load.
+func exchange(keys []sortKey, pairs []int32) {
+	for c := 1; c < len(pairs); c += 2 {
+		i, j := uint32(pairs[c-1]), uint32(pairs[c])
+		a, b := keys[i], keys[j]
+		_, lt := bits.Sub64(b.w>>32, a.w>>32, 0)
+		_, lt = bits.Sub64(b.k, a.k, lt) // lt = 1 iff (b.k, b.tag) < (a.k, a.tag)
+		dk, dw := (a.k^b.k)&-lt, (a.w^b.w)&-lt
+		keys[i] = sortKey{a.k ^ dk, a.w ^ dw}
+		keys[j] = sortKey{b.k ^ dk, b.w ^ dw}
+	}
+}
+
+// sortKeys runs Batcher's odd-even merge sorting network over keys in place,
+// charging one compare-exchange per comparator to meter under op. It is the
+// one executor: the network layout depends only on len(keys) — the charge is
+// the padded power-of-two network, mpc.SortCompareExchanges(len(keys)), which
+// the executed one never exceeds — and every path below replays the same
+// comparator sequence.
+//
+//   - serial (the default): the cached pair list goes to the kernel whole.
+//   - layer-parallel (SetSortWorkers > 1, n >= parallelSortMinN): each (p,k)
+//     layer's index-disjoint comparators are split across goroutines, layer
+//     boundaries being barriers — byte-identical at any worker count.
+//   - streaming (n > networkCacheMaxN): the network is enumerated layer by
+//     layer into a pooled scratch list instead of being retained.
+func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+	n := len(keys)
 	if n <= 1 {
 		return
 	}
 	if meter != nil {
 		meter.ChargeSort(op, n, tupleBits)
 	}
-	// Two closure literals, one per branch: the serial executor never leaks
-	// its parameter, so the hot path's closure stays on the stack; the
-	// parallel executor necessarily heap-allocates it (goroutines capture
-	// it), which is noise against a network this large.
-	if parallelEligible(n) {
-		forEachComparatorParallel(n, func(i, j int) {
-			if less(es[j], es[i]) {
-				es[i], es[j] = es[j], es[i]
-			}
+	workers := 1
+	if n >= parallelSortMinN {
+		workers = int(sortWorkers.Load())
+	}
+	if workers > 1 {
+		parallelSortsRun.Add(1)
+	}
+	if n > networkCacheMaxN {
+		networkCacheEvictions.Add(1)
+		pp := pairScratchPool.Get().(*[]int32)
+		*pp = batcherLayers(n, (*pp)[:0], func(layer []int32) []int32 {
+			exchangeLayer(keys, layer, workers)
+			return layer[:0]
 		})
+		pairScratchPool.Put(pp)
 		return
 	}
-	forEachComparator(n, func(i, j int) {
-		if less(es[j], es[i]) {
-			es[i], es[j] = es[j], es[i]
+	net := loadNetwork(n)
+	if workers == 1 {
+		exchange(keys, net.pairs)
+		return
+	}
+	start := 0
+	for _, end := range net.layers {
+		exchangeLayer(keys, net.pairs[start:int(end)], workers)
+		start = int(end)
+	}
+}
+
+// exchangeLayer executes one layer's compare-exchanges, splitting them
+// across up to `workers` goroutines when the layer is wide enough
+// (runner.Split's chunking rule). All pairs in a layer are index-disjoint,
+// so the chunks race on nothing and the layer's outcome is
+// order-independent.
+func exchangeLayer(keys []sortKey, pairs []int32, workers int) {
+	nPairs := len(pairs) / 2
+	chunks := runner.Split(nPairs, workers, parallelLayerMinPairs)
+	if chunks <= 1 {
+		exchange(keys, pairs)
+		return
+	}
+	parallelLayersRun.Add(1)
+	per := (nPairs + chunks - 1) / chunks
+	var wg sync.WaitGroup
+	for lo := 0; lo < nPairs; lo += per {
+		seg := pairs[lo*2 : min(lo+per, nPairs)*2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			exchange(keys, seg)
+		}()
+	}
+	wg.Wait()
+}
+
+// batcherLayers is the one enumeration of Batcher's odd-even merge sorting
+// network for n elements. The comparators (i, j), i < j, of each (p,k) layer
+// are appended to buf as flat pairs, then layerEnd receives the slice and
+// returns the buffer the next layer appends to: return it unchanged to
+// accumulate the whole network, or resliced to [:0] after consuming the
+// layer. The enumeration is the standard iterative network on the
+// next-power-of-two index range; comparators touching indices >= n are
+// skipped consistently for every input of this length, so the pattern stays
+// data-independent. Within a layer every comparator touches a disjoint
+// index pair — for fixed k the low ends cover [j, j+k) and the high ends
+// [j+k, j+2k) with j stepping by 2k — so a layer's compare-exchanges commute
+// and may execute concurrently; only the layer boundaries order.
+func batcherLayers(n int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
+	p2 := 1
+	for p2 < n {
+		p2 <<= 1
+	}
+	for p := 1; p < p2; p <<= 1 {
+		for k := p; k >= 1; k >>= 1 {
+			for j := k % p; j <= p2-1-k; j += 2 * k {
+				for i := 0; i <= k-1; i++ {
+					a, b := i+j, i+j+k
+					if a/(p*2) == b/(p*2) && b < n {
+						buf = append(buf, int32(a), int32(b))
+					}
+				}
+			}
+			buf = layerEnd(buf)
 		}
-	})
+	}
+	return buf
 }
 
 // sortNetwork is one memoized enumeration of Batcher's network: the
 // comparator pairs flattened as (i0,j0,i1,j1,...) plus the end offset (into
-// pairs) of every (p,k) layer. Within a layer every comparator touches a
-// disjoint index pair — for fixed k the low ends cover [j, j+k) and the high
-// ends [j+k, j+2k) with j stepping by 2k — so a layer's compare-exchanges
-// commute and may execute concurrently; only the layer boundaries order.
+// pairs) of every (p,k) layer.
 type sortNetwork struct {
 	pairs  []int32
 	layers []int32 // end offsets into pairs, one per (p,k) layer, ascending
@@ -141,17 +204,19 @@ type sortNetwork struct {
 // sorts identically sized arrays — in a batched ingest run, once per step),
 // so replaying a flat pair list replaces the four nested loops and the
 // per-comparator index arithmetic of the enumeration on every sort after
-// the first. The cache is a copy-on-write map — reads are one atomic load
-// and a plain int-keyed map index, which stays off the allocator on the hot
-// path (a sync.Map would box the int key on every lookup); inserts are rare
-// (one per distinct size, ever) and copy the map under a mutex. It is
-// bounded two ways: lengths above networkCacheMaxN are never cached
-// (O(n log^2 n) pairs for rare one-off sizes), and the total retained pairs
-// across all lengths are capped by networkCachePairBudget — important in
-// the multi-tenant server, where sort sizes derive from client-chosen
-// deployments and an adversarial mix of block sizes must not grow resident
-// memory without bound. Beyond the budget, sorts fall back to direct
-// enumeration.
+// the first. (Replay also beats a run-structured enumeration — contiguous
+// lo/hi slices with no index loads — which measured slower than loading the
+// pairs on the 1,040-element join sort.) The cache is a copy-on-write map —
+// reads are one atomic load and a plain int-keyed map index, which stays off
+// the allocator on the hot path (a sync.Map would box the int key on every
+// lookup); inserts are rare (one per distinct size, ever) and copy the map
+// under a mutex. It is bounded two ways: lengths above networkCacheMaxN are
+// never cached (O(n log^2 n) pairs for rare one-off sizes), and the total
+// retained pairs across all lengths are capped by networkCachePairBudget —
+// important in the multi-tenant server, where sort sizes derive from
+// client-chosen deployments and an adversarial mix of block sizes must not
+// grow resident memory without bound. Beyond the budget, a sort enumerates
+// its network afresh.
 var (
 	networkCache      atomic.Value // map[int]*sortNetwork, copy-on-write
 	networkCacheMu    sync.Mutex   // serializes map copies on insert
@@ -171,6 +236,9 @@ const (
 	networkCachePairBudget = 4 << 20 // ~32 MiB of int32 pairs total
 )
 
+// pairScratchPool recycles the per-layer pair list of the streaming path.
+var pairScratchPool = sync.Pool{New: func() any { s := make([]int32, 0, 4096); return &s }}
+
 // CacheStats reports the network cache's lifetime hit/miss/eviction counts
 // and the pairs currently retained (against networkCachePairBudget). It is
 // the data source of the incshrink_core_comparator_cache_* families.
@@ -179,12 +247,54 @@ func CacheStats() (hits, misses, evictions, pairs int64) {
 		networkCacheEvictions.Load(), networkCachePairs.Load()
 }
 
+// cachedNetworks reads the current copy-on-write cache map (nil before the
+// first insert).
+func cachedNetworks() map[int]*sortNetwork {
+	m, _ := networkCache.Load().(map[int]*sortNetwork)
+	return m
+}
+
+// loadNetwork returns the memoized network for n, enumerating (and retaining,
+// budget permitting) it on first use.
+func loadNetwork(n int) *sortNetwork {
+	if net, ok := cachedNetworks()[n]; ok {
+		networkCacheHits.Add(1)
+		return net
+	}
+	networkCacheMisses.Add(1)
+	net := &sortNetwork{}
+	net.pairs = batcherLayers(n, nil, func(pairs []int32) []int32 {
+		net.layers = append(net.layers, int32(len(pairs)))
+		return pairs
+	})
+	nPairs := int64(len(net.pairs) / 2)
+	if networkCachePairs.Add(nPairs) <= networkCachePairBudget {
+		networkCacheMu.Lock()
+		old := cachedNetworks()
+		if _, loaded := old[n]; loaded {
+			networkCachePairs.Add(-nPairs) // lost the race: not retained
+		} else {
+			next := make(map[int]*sortNetwork, len(old)+1)
+			for k, v := range old {
+				next[k] = v
+			}
+			next[n] = net
+			networkCache.Store(next)
+		}
+		networkCacheMu.Unlock()
+	} else {
+		networkCachePairs.Add(-nPairs) // budget exhausted: don't retain
+		networkCacheEvictions.Add(1)
+	}
+	return net
+}
+
 // sortWorkers bounds the goroutines executing one sort's compare-exchange
-// layers. 1 (the default) runs every sort serially — byte-identical to the
-// pre-parallel code by construction; higher values split large layers
-// across that many goroutines. Because comparators within a layer touch
-// disjoint index pairs, the result is identical at every setting; tests pin
-// workers=1 vs N determinism and the race detector covers the swap path.
+// layers. 1 (the default) runs every sort serially; higher values split
+// large layers across that many goroutines. Because comparators within a
+// layer touch disjoint index pairs, the result is identical at every
+// setting; tests pin workers=1 vs N determinism and the race detector
+// covers the swap path.
 var sortWorkers atomic.Int32
 
 func init() { sortWorkers.Store(1) }
@@ -218,261 +328,4 @@ var (
 // many individual layers were actually executed across multiple goroutines.
 func ParallelSortStats() (sorts, layers int64) {
 	return parallelSortsRun.Load(), parallelLayersRun.Load()
-}
-
-// parallelEligible reports whether a sort of n elements may take the
-// layer-parallel executor. Callers branch on it BEFORE building their
-// cmpSwap closure: the serial executor never leaks its parameter, so serial
-// closures stay stack-allocated and the steady-state sort path stays off
-// the allocator entirely.
-func parallelEligible(n int) bool {
-	return n >= parallelSortMinN && sortWorkers.Load() > 1
-}
-
-// forEachComparator invokes cmpSwap over the comparators of the n-element
-// network in exactly batcherNetwork's order (a cached list is recorded
-// from one enumeration, so the access pattern — and therefore the sort
-// order and the leakage transcript — is identical on both paths). This is
-// the serial executor; it never retains cmpSwap.
-func forEachComparator(n int, cmpSwap func(i, j int)) {
-	if n > networkCacheMaxN {
-		networkCacheEvictions.Add(1)
-		batcherNetwork(n, cmpSwap)
-		return
-	}
-	pairs := loadNetwork(n).pairs
-	for k := 0; k < len(pairs); k += 2 {
-		cmpSwap(int(pairs[k]), int(pairs[k+1]))
-	}
-}
-
-// forEachComparatorParallel executes the same comparator sequence with each
-// (p,k) layer's disjoint compare-exchanges spread across the configured
-// worker pool. Layer boundaries are barriers and comparators within a layer
-// touch disjoint index pairs, so the outcome is byte-identical to
-// forEachComparator at any worker count. Only call when parallelEligible.
-func forEachComparatorParallel(n int, cmpSwap func(i, j int)) {
-	workers := int(sortWorkers.Load())
-	parallelSortsRun.Add(1)
-	if n > networkCacheMaxN {
-		networkCacheEvictions.Add(1)
-		forEachComparatorStreaming(n, workers, cmpSwap)
-		return
-	}
-	net := loadNetwork(n)
-	start := 0
-	for _, end := range net.layers {
-		runLayer(net.pairs[start:int(end)], workers, cmpSwap)
-		start = int(end)
-	}
-}
-
-// cachedNetworks reads the current copy-on-write cache map (nil before the
-// first insert).
-func cachedNetworks() map[int]*sortNetwork {
-	m, _ := networkCache.Load().(map[int]*sortNetwork)
-	return m
-}
-
-// loadNetwork returns the memoized network for n, enumerating (and retaining,
-// budget permitting) it on first use.
-func loadNetwork(n int) *sortNetwork {
-	if net, ok := cachedNetworks()[n]; ok {
-		networkCacheHits.Add(1)
-		return net
-	}
-	networkCacheMisses.Add(1)
-	net := &sortNetwork{}
-	batcherNetworkLayered(n, func(i, j int) {
-		net.pairs = append(net.pairs, int32(i), int32(j))
-	}, func() {
-		net.layers = append(net.layers, int32(len(net.pairs)))
-	})
-	nPairs := int64(len(net.pairs) / 2)
-	if networkCachePairs.Add(nPairs) <= networkCachePairBudget {
-		networkCacheMu.Lock()
-		old := cachedNetworks()
-		if _, loaded := old[n]; loaded {
-			networkCachePairs.Add(-nPairs) // lost the race: not retained
-		} else {
-			next := make(map[int]*sortNetwork, len(old)+1)
-			for k, v := range old {
-				next[k] = v
-			}
-			next[n] = net
-			networkCache.Store(next)
-		}
-		networkCacheMu.Unlock()
-	} else {
-		networkCachePairs.Add(-nPairs) // budget exhausted: don't retain
-		networkCacheEvictions.Add(1)
-	}
-	return net
-}
-
-// runLayer executes one layer's compare-exchanges, splitting them across up
-// to `workers` goroutines when the layer is wide enough (runner.Split's
-// chunking rule). All pairs in a layer are index-disjoint, so the chunks
-// race on nothing and the layer's outcome is order-independent.
-func runLayer(pairs []int32, workers int, cmpSwap func(i, j int)) {
-	nPairs := len(pairs) / 2
-	chunks := runner.Split(nPairs, workers, parallelLayerMinPairs)
-	if chunks <= 1 {
-		for k := 0; k < len(pairs); k += 2 {
-			cmpSwap(int(pairs[k]), int(pairs[k+1]))
-		}
-		return
-	}
-	parallelLayersRun.Add(1)
-	per := (nPairs + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for c := 0; c < chunks; c++ {
-		lo := c * per
-		if lo >= nPairs {
-			break
-		}
-		hi := lo + per
-		if hi > nPairs {
-			hi = nPairs
-		}
-		seg := pairs[lo*2 : hi*2]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < len(seg); k += 2 {
-				cmpSwap(int(seg[k]), int(seg[k+1]))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// pairScratchPool recycles the per-layer pair accumulator of the streaming
-// (uncached, over-budget-length) parallel path.
-var pairScratchPool = sync.Pool{New: func() any { s := make([]int32, 0, 4096); return &s }}
-
-// forEachComparatorStreaming parallelizes a network too large for the cache:
-// each layer's pairs are accumulated into a reusable scratch list and
-// executed with runLayer before the next layer is enumerated. runLayer joins
-// its goroutines before returning, so the scratch never escapes the call.
-func forEachComparatorStreaming(n, workers int, cmpSwap func(i, j int)) {
-	pp := pairScratchPool.Get().(*[]int32)
-	scratch := (*pp)[:0]
-	batcherNetworkLayered(n, func(i, j int) {
-		scratch = append(scratch, int32(i), int32(j))
-	}, func() {
-		runLayer(scratch, workers, cmpSwap)
-		scratch = scratch[:0]
-	})
-	*pp = scratch[:0]
-	pairScratchPool.Put(pp)
-}
-
-// batcherNetwork enumerates the comparators of Batcher's odd-even merge
-// sorting network for n elements, invoking cmpSwap(i, j) with i < j for each
-// one. The enumeration is the standard iterative network on the
-// next-power-of-two index range; comparators touching indices >= n are
-// skipped consistently for every input of this length, so the pattern stays
-// data-independent.
-func batcherNetwork(n int, cmpSwap func(i, j int)) {
-	batcherNetworkLayered(n, cmpSwap, nil)
-}
-
-// batcherNetworkLayered is batcherNetwork with a layer callback: layerEnd
-// (when non-nil) is invoked after the comparators of each (p,k) pass, whose
-// index pairs are mutually disjoint. The comparator order is identical to
-// batcherNetwork's — the layer marks only annotate it.
-func batcherNetworkLayered(n int, cmpSwap func(i, j int), layerEnd func()) {
-	p2 := 1
-	for p2 < n {
-		p2 <<= 1
-	}
-	for p := 1; p < p2; p <<= 1 {
-		for k := p; k >= 1; k >>= 1 {
-			for j := k % p; j <= p2-1-k; j += 2 * k {
-				for i := 0; i <= k-1; i++ {
-					a, b := i+j, i+j+k
-					if a/(p*2) != b/(p*2) {
-						continue
-					}
-					if b >= n {
-						continue
-					}
-					cmpSwap(a, b)
-				}
-			}
-			if layerEnd != nil {
-				layerEnd()
-			}
-		}
-	}
-}
-
-// SortedByIsView reports whether all real entries precede all dummies.
-func SortedByIsView(es []Entry) bool {
-	seenDummy := false
-	for _, e := range es {
-		if !e.IsView {
-			seenDummy = true
-		} else if seenDummy {
-			return false
-		}
-	}
-	return true
-}
-
-// TightCompact obliviously packs the real entries of es into an output array
-// of exactly cap slots, padding with dummies. It models an order-insensitive
-// oblivious compaction network (linear passes of bit-controlled moves rather
-// than a full sort), so it is charged at scan rate — this is what lets
-// Transform tighten its exhaustively padded join output to the public
-// maximum-new-entries bound before caching without inflating its cost
-// profile. Real entries beyond cap (possible only if the caller's bound was
-// not a true upper bound) are returned in overflow rather than dropped.
-func TightCompact(es []Entry, cap int, meter *mpc.Meter, op mpc.Op, tupleBits int) (out, overflow []Entry) {
-	if cap < 0 {
-		cap = 0
-	}
-	if meter != nil {
-		// Two linear passes: mark+prefix-sum and controlled move.
-		meter.ChargeScan(op, 2*len(es), tupleBits)
-	}
-	arity := 0
-	if len(es) > 0 {
-		arity = len(es[0].Row)
-	}
-	out = make([]Entry, 0, cap)
-	for _, e := range es {
-		if !e.IsView {
-			continue
-		}
-		if len(out) < cap {
-			out = append(out, e)
-		} else {
-			overflow = append(overflow, e)
-		}
-	}
-	for len(out) < cap {
-		out = append(out, Dummy(arity))
-	}
-	return out, overflow
-}
-
-// Compact obliviously moves the real entries of es to the head (sorting by
-// the isView bit) and returns the prefix of length keep as the fetched
-// output and the remainder as the surviving array — the cache read operation
-// of Figure 3. keep is clamped to [0, len(es)].
-func Compact(es []Entry, keep int, meter *mpc.Meter, op mpc.Op, tupleBits int) (fetched, rest []Entry) {
-	Sort(es, ByIsViewFirst, meter, op, tupleBits)
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > len(es) {
-		keep = len(es)
-	}
-	fetched = make([]Entry, keep)
-	copy(fetched, es[:keep])
-	rest = make([]Entry, len(es)-keep)
-	copy(rest, es[keep:])
-	return fetched, rest
 }

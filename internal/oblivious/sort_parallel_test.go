@@ -1,6 +1,7 @@
 package oblivious
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,13 +10,17 @@ import (
 	"incshrink/internal/table"
 )
 
-// sortZeroOne runs the raw Batcher network over a 0/1 slice.
+// sortZeroOne runs the network over a 0/1 slice through the kernel: each bit
+// is a sort key, and the sorted keys are read back in place.
 func sortZeroOne(bits []int) {
-	batcherNetwork(len(bits), func(i, j int) {
-		if bits[i] > bits[j] {
-			bits[i], bits[j] = bits[j], bits[i]
-		}
-	})
+	keys := make([]sortKey, len(bits))
+	for i, b := range bits {
+		keys[i] = sortKey{k: uint64(b), w: uint64(i)}
+	}
+	sortKeys(keys, nil, mpc.OpOther, 64)
+	for i, key := range keys {
+		bits[i] = int(key.k)
+	}
 }
 
 func isSortedZeroOne(bits []int) bool {
@@ -77,20 +82,44 @@ func TestBatcherZeroOnePrinciple(t *testing.T) {
 	}
 }
 
+// TestZeroOneCacheSort: the same principle through the whole cache sort —
+// key extraction from the isView column, kernel, gather — exhaustively over
+// every flag pattern at small sizes. Payloads carry the original position,
+// so the check also pins that the gather moves whole slots.
+func TestZeroOneCacheSort(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		for mask := 0; mask < 1<<n; mask++ {
+			b := GetBuffer(1)
+			for i := 0; i < n; i++ {
+				b.AppendSlot(table.Row{int64(i)}, mask>>i&1 == 1, int64(i), int64(i))
+			}
+			SortRealFirst(b, nil, mpc.OpOther, 64)
+			if !sortedRealFirst(b.Flags()) || b.Real() != bits.OnesCount(uint(mask)) {
+				t.Fatalf("n=%d mask=%b: not real-first: %v", n, mask, b.Flags())
+			}
+			for i := 0; i < n; i++ {
+				src := int(b.At(i, 0))
+				if b.IsReal(i) != (mask>>src&1 == 1) || b.LeftID(i) != int64(src) {
+					t.Fatalf("n=%d mask=%b: slot %d torn from its flag or IDs", n, mask, i)
+				}
+			}
+			b.Release()
+		}
+	}
+}
+
 // TestCachedReplayMatchesFreshEnumeration: the memoized pair list must
-// replay comparators in exactly batcherNetwork's order — the leakage
+// replay comparators in exactly the enumeration's order — the leakage
 // transcript and the sorted result depend on it — both on the cold path
 // that records the cache entry and on the warm path that replays it.
 func TestCachedReplayMatchesFreshEnumeration(t *testing.T) {
 	const n = 37 // uncommon non-power-of-two size
-	var want [][2]int
-	batcherNetwork(n, func(i, j int) { want = append(want, [2]int{i, j}) })
+	var want []int32
+	forEachComparator(n, func(i, j int) { want = append(want, int32(i), int32(j)) })
 	for pass := 0; pass < 2; pass++ { // cold (records), then warm (replays)
-		var got [][2]int
-		forEachComparator(n, func(i, j int) { got = append(got, [2]int{i, j}) })
-		if !reflect.DeepEqual(got, want) {
+		if got := loadNetwork(n).pairs; !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: cached replay diverges from fresh enumeration (%d vs %d comparators)",
-				pass, len(got), len(want))
+				pass, len(got)/2, len(want)/2)
 		}
 	}
 	// The layer marks must partition the pair list exactly.
@@ -110,29 +139,33 @@ func TestCachedReplayMatchesFreshEnumeration(t *testing.T) {
 // order-independent.
 func TestLayersAreDisjoint(t *testing.T) {
 	for _, n := range []int{2, 7, 64, 640, 1088, 5000} {
-		seen := map[int]bool{}
-		batcherNetworkLayered(n, func(i, j int) {
-			if seen[i] || seen[j] {
-				t.Fatalf("n=%d: index reused within a layer (pair %d,%d)", n, i, j)
-			}
-			seen[i], seen[j] = true, true
-		}, func() {
+		seen := map[int32]bool{}
+		batcherLayers(n, nil, func(pairs []int32) []int32 {
 			clear(seen)
+			for _, i := range pairs {
+				if seen[i] {
+					t.Fatalf("n=%d: index %d reused within a layer", n, i)
+				}
+				seen[i] = true
+			}
+			return pairs[:0]
 		})
 	}
 }
 
-func sortedAtWorkers(t *testing.T, workers, n int, seed int64) []Entry {
+// sortedAtWorkers sorts n seeded keys, heavy with (k, tag) ties, at the given
+// worker count.
+func sortedAtWorkers(t *testing.T, workers, n int, seed int64) []sortKey {
 	t.Helper()
 	SetSortWorkers(workers)
 	defer SetSortWorkers(1)
 	rng := rand.New(rand.NewSource(seed)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := make([]Entry, n)
-	for i := range es {
-		es[i] = Entry{Row: table.Row{int64(rng.Intn(50)), int64(i)}, IsView: rng.Intn(2) == 0}
+	keys := make([]sortKey, n)
+	for i := range keys {
+		keys[i] = sortKey{k: uint64(rng.Intn(50)), w: uint64(rng.Intn(2))<<32 | uint64(i)}
 	}
-	Sort(es, func(a, b Entry) bool { return a.Row[0] < b.Row[0] }, nil, mpc.OpOther, 64)
-	return es
+	sortKeys(keys, nil, mpc.OpOther, 64)
+	return keys
 }
 
 // TestSortWorkersDeterminism: the sorted output must be byte-identical at
@@ -151,32 +184,25 @@ func TestSortWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestSortBufferWorkersDeterminism covers the columnar path (SortBuffer's
-// permutation sort plus gather), which shares forEachComparator.
+// TestSortBufferWorkersDeterminism covers the buffer path (key extraction,
+// kernel, gather) at both settings.
 func TestSortBufferWorkersDeterminism(t *testing.T) {
 	build := func() *Buffer {
 		rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 		b := NewBuffer(2, 0)
 		for i := 0; i < parallelSortMinN+300; i++ {
-			b.AppendSlot(table.Row{int64(rng.Intn(64)), int64(i)}, rng.Intn(2) == 0, 0, 0)
+			b.AppendSlot(table.Row{int64(rng.Intn(64)), int64(i)}, rng.Intn(2) == 0, int64(i), 0)
 		}
 		return b
 	}
 	SetSortWorkers(1)
 	serial := build()
-	SortBuffer(serial, ByColumnAt(0, 1), nil, mpc.OpOther, 64)
+	SortRealFirst(serial, nil, mpc.OpOther, 64)
 	SetSortWorkers(4)
 	defer SetSortWorkers(1)
 	parallel := build()
-	SortBuffer(parallel, ByColumnAt(0, 1), nil, mpc.OpOther, 64)
-	if serial.Len() != parallel.Len() {
-		t.Fatalf("length mismatch: %d vs %d", serial.Len(), parallel.Len())
-	}
-	for i := 0; i < serial.Len(); i++ {
-		if !reflect.DeepEqual(serial.Row(i), parallel.Row(i)) || serial.IsReal(i) != parallel.IsReal(i) {
-			t.Fatalf("row %d differs between workers=1 and workers=4", i)
-		}
-	}
+	SortRealFirst(parallel, nil, mpc.OpOther, 64)
+	entriesEqual(t, entriesOf(parallel), entriesOf(serial))
 }
 
 // TestParallelPathEngages: with workers > 1 a big sort must actually take
@@ -207,7 +233,7 @@ func TestCacheStatsMove(t *testing.T) {
 	const n = 1531 // unlikely to be used by any other test
 	_, cached := cachedNetworks()[n]
 	h0, m0, _, p0 := CacheStats()
-	forEachComparator(n, func(i, j int) {})
+	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
 	h1, m1, _, p1 := CacheStats()
 	if cached {
 		if h1 != h0+1 || m1 != m0 {
@@ -221,7 +247,7 @@ func TestCacheStatsMove(t *testing.T) {
 			t.Fatalf("retained pairs did not grow: %d -> %d", p0, p1)
 		}
 	}
-	forEachComparator(n, func(i, j int) {})
+	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
 	h2, m2, _, _ := CacheStats()
 	if h2 != h1+1 || m2 != m1 {
 		t.Fatalf("replay of n=%d: hits %d -> %d misses %d -> %d, want hit +1", n, h1, h2, m1, m2)

@@ -137,15 +137,18 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
+// The exposition escapers, built once: a Replacer is safe for concurrent
+// use, and constructing one costs far more than the escape it performs.
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+)
+
 // escapeHelp escapes a HELP string: backslash and newline.
-func escapeHelp(s string) string {
-	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)
-}
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // escapeLabel escapes a label value: backslash, double quote, newline.
-func escapeLabel(s string) string {
-	return strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`).Replace(s)
-}
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 
 // DumpText returns the full exposition as a string — convenience for tests
 // and debug logging.

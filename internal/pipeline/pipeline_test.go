@@ -234,9 +234,9 @@ func TestPipelineCascades(t *testing.T) {
 		t.Fatal("nothing reached the final stage")
 	}
 	// Every surviving tuple must satisfy both predicates.
-	for _, e := range final.Entries() {
-		if e.IsView && !(e.Row[0] < 40 && e.Row[1]%2 == 0) {
-			t.Fatalf("tuple %v escaped the predicate chain", e.Row)
+	for out, i := final.Buffer(), 0; i < out.Len(); i++ {
+		if r := out.Row(i); out.IsReal(i) && !(r[0] < 40 && r[1]%2 == 0) {
+			t.Fatalf("tuple %v escaped the predicate chain", r)
 		}
 	}
 	if got := p.TotalEpsilon(); math.Abs(got-10) > 1e-12 {

@@ -157,18 +157,12 @@ func (c *Compiled) Predicate() table.Predicate {
 	}
 }
 
-// Execute answers the query over the padded view slots with one oblivious
-// scan, charging the meter under OpQuery.
-func (c *Compiled) Execute(view []oblivious.Entry, meter *mpc.Meter) int {
-	return oblivious.Count(view, c.Predicate(), meter, mpc.OpQuery)
-}
-
-// ExecuteBuffer answers the query over a columnar view arena with one
-// oblivious scan — the Buffer-form counterpart of Execute for callers that
-// hold a view arena directly (the engine's own query path routes the same
-// compiled predicate through core.Framework.QueryWhere, which additionally
-// tracks per-engine query metrics). The predicate evaluates against
-// zero-copy row views into the arena.
+// ExecuteBuffer answers the query over the padded view arena with one
+// oblivious scan, charging the meter under OpQuery (the engine's own query
+// path routes the same compiled predicate through
+// core.Framework.QueryWhere, which additionally tracks per-engine query
+// metrics). The predicate evaluates against zero-copy row views into the
+// arena.
 func (c *Compiled) ExecuteBuffer(view *oblivious.Buffer, meter *mpc.Meter) int {
 	return oblivious.CountBuffer(view, c.Predicate(), meter, mpc.OpQuery)
 }

@@ -11,17 +11,18 @@ import (
 
 var viewSchema = table.MustSchema("view", "left.key", "left.time", "right.key", "right.time")
 
-func entries(rows ...table.Row) []oblivious.Entry {
-	out := make([]oblivious.Entry, 0, len(rows)+3)
+// view builds a padded view arena: the given rows as real slots, then
+// dummies that would match any naive predicate if the dummy bit were
+// ignored.
+func view(rows ...table.Row) *oblivious.Buffer {
+	b := oblivious.NewBuffer(4, len(rows)+3)
 	for _, r := range rows {
-		out = append(out, oblivious.Entry{Row: r, IsView: true})
+		b.AppendRow(r, -1, -1)
 	}
-	// Pad with dummies that would match any naive predicate if the dummy
-	// bit were ignored.
 	for i := 0; i < 3; i++ {
-		out = append(out, oblivious.Dummy(4))
+		b.AppendDummy()
 	}
-	return out
+	return b
 }
 
 func TestOpEvalAndString(t *testing.T) {
@@ -76,7 +77,7 @@ func TestRewriteRejectsUnknownColumns(t *testing.T) {
 
 func TestExecuteCountsOnlyMatchingReals(t *testing.T) {
 	// Rows: {lkey, ltime, rkey, rtime}.
-	es := entries(
+	es := view(
 		table.Row{1, 100, 1, 105}, // within 10
 		table.Row{2, 100, 2, 115}, // outside
 		table.Row{3, 200, 3, 200}, // within
@@ -87,43 +88,33 @@ func TestExecuteCountsOnlyMatchingReals(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mpc.NewMeter(mpc.DefaultCostModel())
-	if got := c.Execute(es, m); got != 2 {
-		t.Errorf("Execute = %d, want 2", got)
-	}
-	if m.Gates(mpc.OpQuery) <= 0 {
-		t.Error("execution charged no gates")
-	}
-	// The Buffer form must agree with the Entry form and charge the meter
-	// identically.
-	buf := oblivious.BufferOf(es)
-	defer buf.Release()
-	m2 := mpc.NewMeter(mpc.DefaultCostModel())
-	if got := c.ExecuteBuffer(buf, m2); got != 2 {
+	if got := c.ExecuteBuffer(es, m); got != 2 {
 		t.Errorf("ExecuteBuffer = %d, want 2", got)
 	}
-	if m2.Gates(mpc.OpQuery) != m.Gates(mpc.OpQuery) {
-		t.Errorf("ExecuteBuffer charged %v gates, Execute charged %v", m2.Gates(mpc.OpQuery), m.Gates(mpc.OpQuery))
+	// One scan over every slot, dummies included, at the view's width.
+	if want := float64(es.Len()) * 64 * 4 * m.Model().ANDGatesPerScanBit; m.Gates(mpc.OpQuery) != want {
+		t.Errorf("execution charged %v gates, want %v", m.Gates(mpc.OpQuery), want)
 	}
 }
 
 func TestDummySlotsNeverCount(t *testing.T) {
 	// A predicate every dummy row (all zeros) satisfies must still exclude
 	// dummies via the isView bit.
-	es := entries(table.Row{1, 1, 1, 1})
+	es := view(table.Row{1, 1, 1, 1})
 	q := Count{Conds: []Cond{{Col: "left.key", Op: GE, Val: 0}}}
 	c, _ := Rewrite(q, viewSchema)
-	if got := c.Execute(es, nil); got != 1 {
+	if got := c.ExecuteBuffer(es, nil); got != 1 {
 		t.Errorf("count = %d, dummies leaked into the answer", got)
 	}
 }
 
 func TestEmptyConjunctionCountsAll(t *testing.T) {
-	es := entries(table.Row{1, 1, 1, 1}, table.Row{2, 2, 2, 2})
+	es := view(table.Row{1, 1, 1, 1}, table.Row{2, 2, 2, 2})
 	c, err := Rewrite(Count{}, viewSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Execute(es, nil); got != 2 {
+	if got := c.ExecuteBuffer(es, nil); got != 2 {
 		t.Errorf("unconditional count = %d", got)
 	}
 	if !strings.Contains(c.Query().String(), "SELECT COUNT(*)") {
@@ -147,9 +138,9 @@ func TestOracleMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Oracle(rows)
-	got := c.Execute(entries(rows...), nil)
+	got := c.ExecuteBuffer(view(rows...), nil)
 	if got != want {
-		t.Errorf("Execute = %d, Oracle = %d", got, want)
+		t.Errorf("ExecuteBuffer = %d, Oracle = %d", got, want)
 	}
 	if want != 2 { // rows 1 and 3 (row 4 excluded by key)
 		t.Errorf("oracle = %d, want 2", want)

@@ -58,15 +58,6 @@ func (c *Cache) Append(batch *oblivious.Buffer) {
 	}
 }
 
-// AppendEntries is Append for Entry-form batches (test and diagnostic use).
-func (c *Cache) AppendEntries(batch []oblivious.Entry) {
-	c.buf.AppendEntries(batch)
-	c.appends++
-	if c.buf.Len() > c.maxLen {
-		c.maxLen = c.buf.Len()
-	}
-}
-
 // Len returns the current number of slots (real + dummy).
 func (c *Cache) Len() int { return c.buf.Len() }
 
@@ -91,7 +82,7 @@ func (c *Cache) Stats() (appends, reads, flushes int) {
 // sortRealFirst obliviously sorts the cache so real tuples lead (the shared
 // first phase of every read-class operation; Figure 3).
 func (c *Cache) sortRealFirst() {
-	oblivious.SortBuffer(c.buf, oblivious.ByIsViewFirstAt, c.meter, mpc.OpShrink, c.tupleBits)
+	oblivious.SortRealFirst(c.buf, c.meter, mpc.OpShrink, c.tupleBits)
 }
 
 func clampSize(size, n int) int {
@@ -219,10 +210,6 @@ func (c *Cache) Prune(keep int) (lostReal int) {
 	return lostReal
 }
 
-// Snapshot returns an Entry-form copy of the current slots, for invariant
-// checks.
-func (c *Cache) Snapshot() []oblivious.Entry { return c.buf.Entries() }
-
 // Buffer exposes the cache arena for the snapshot codec. Callers other than
 // internal/snapshot must treat it as read-only; mutating it bypasses the
 // cache's operation counters.
@@ -263,12 +250,6 @@ func (v *View) Update(batch *oblivious.Buffer) {
 	v.updates++
 }
 
-// UpdateEntries is Update for Entry-form batches (test and diagnostic use).
-func (v *View) UpdateEntries(batch []oblivious.Entry) {
-	v.buf.AppendEntries(batch)
-	v.updates++
-}
-
 // Len returns the number of slots in the view (real + dummy).
 func (v *View) Len() int { return v.buf.Len() }
 
@@ -286,10 +267,6 @@ func (v *View) Updates() int { return v.updates }
 // Buffer exposes the view arena for query processing. Callers must not
 // mutate.
 func (v *View) Buffer() *oblivious.Buffer { return v.buf }
-
-// Entries materializes the slots in Entry form (test and diagnostic use;
-// the query path scans the arena directly).
-func (v *View) Entries() []oblivious.Entry { return v.buf.Entries() }
 
 // RestoreUpdates overwrites the update counter with a checkpointed value
 // (snapshot codec use).

@@ -9,16 +9,33 @@ import (
 	"incshrink/internal/table"
 )
 
-func batch(rng *rand.Rand, n, real int) []oblivious.Entry {
-	es := make([]oblivious.Entry, n)
-	perm := rng.Perm(n)
-	for i := range es {
-		es[i] = oblivious.Dummy(2)
+// batch builds a padded batch of n slots, `real` of them real at random
+// positions.
+func batch(rng *rand.Rand, n, real int) *oblivious.Buffer {
+	isReal := make([]int, n) // 0 = dummy, else 1 + the real tuple's rank
+	for i, p := range rng.Perm(n)[:real] {
+		isReal[p] = i + 1
 	}
-	for i := 0; i < real; i++ {
-		es[perm[i]] = oblivious.Entry{Row: table.Row{int64(i), 1}, IsView: true}
+	b := oblivious.NewBuffer(2, n)
+	for _, r := range isReal {
+		if r == 0 {
+			b.AppendDummy()
+		} else {
+			b.AppendSlot(table.Row{int64(r - 1), 1}, true, 0, 0)
+		}
 	}
-	return es
+	return b
+}
+
+// realRows copies out the payloads of b's real slots.
+func realRows(b *oblivious.Buffer) []table.Row {
+	var out []table.Row
+	for i := 0; i < b.Len(); i++ {
+		if b.IsReal(i) {
+			out = append(out, b.Row(i).Clone())
+		}
+	}
+	return out
 }
 
 // newCache builds an arity-2 cache like the test batches.
@@ -27,8 +44,8 @@ func newCache(tupleBits int, m *mpc.Meter) *Cache { return New(2, tupleBits, m) 
 func TestCacheAppendAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 10, 3))
-	c.AppendEntries(batch(rng, 10, 5))
+	c.Append(batch(rng, 10, 3))
+	c.Append(batch(rng, 10, 5))
 	if c.Len() != 20 {
 		t.Errorf("Len = %d", c.Len())
 	}
@@ -42,12 +59,15 @@ func TestCacheAppendAndCounters(t *testing.T) {
 	if a != 2 || r != 0 || f != 0 {
 		t.Errorf("stats = %d %d %d", a, r, f)
 	}
+	if c.String() == "" {
+		t.Error("String empty")
+	}
 }
 
 func TestCacheReadFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 30, 12))
+	c.Append(batch(rng, 30, 12))
 	got := c.Read(12)
 	defer got.Release()
 	if got.Len() != 12 || got.Real() != 12 {
@@ -64,7 +84,7 @@ func TestCacheReadFetchesRealFirst(t *testing.T) {
 func TestCacheReadOverAndUnderSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 10, 4))
+	c.Append(batch(rng, 10, 4))
 	// Positive noise: fetch more than real count -> dummies included.
 	got := c.Read(7)
 	if got.Len() != 7 || got.Real() != 4 {
@@ -73,7 +93,7 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 	got.Release()
 	// Negative noise: fetch fewer than real -> deferred data remains.
 	c2 := newCache(128, nil)
-	c2.AppendEntries(batch(rng, 10, 4))
+	c2.Append(batch(rng, 10, 4))
 	got = c2.Read(2)
 	if got.Real() != 2 || c2.Real() != 2 {
 		t.Errorf("undersized read: fetched %d real, cache keeps %d", got.Real(), c2.Real())
@@ -94,7 +114,7 @@ func TestCacheReadChargesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(4)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	c := newCache(256, m)
-	c.AppendEntries(batch(rng, 16, 5))
+	c.Append(batch(rng, 16, 5))
 	c.Read(5).Release()
 	want := float64(mpc.SortCompareExchanges(16)) * 256 * m.Model().ANDGatesPerCompareExchangeBit
 	if got := m.Gates(mpc.OpShrink); got != want {
@@ -106,7 +126,7 @@ func TestCacheFlushInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
 	v := NewView(2)
-	c.AppendEntries(batch(rng, 50, 6))
+	c.Append(batch(rng, 50, 6))
 	fetched, lost := c.FlushInto(v, 10)
 	if fetched != 10 || v.Len() != 10 {
 		t.Errorf("flush fetched %d (view len %d), want 10", fetched, v.Len())
@@ -132,39 +152,20 @@ func TestCacheFlushInto(t *testing.T) {
 func TestCacheFlushReportsLostReal(t *testing.T) {
 	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 20, 9))
+	c.Append(batch(rng, 20, 9))
 	_, lost := c.FlushInto(NewView(2), 5) // undersized flush: 4 real recycled
 	if lost != 4 {
 		t.Errorf("lost = %d, want 4", lost)
 	}
 }
 
-func TestCacheSnapshotIsCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	c := newCache(128, nil)
-	c.AppendEntries(batch(rng, 5, 2))
-	snap := c.Snapshot()
-	snap[0].IsView = !snap[0].IsView
-	if c.Snapshot()[0].IsView == snap[0].IsView {
-		t.Error("snapshot shares storage with cache")
-	}
-	if c.String() == "" {
-		t.Error("String empty")
-	}
-}
-
 func TestViewAppendOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(8)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	v := NewView(2)
-	v.UpdateEntries(batch(rng, 10, 4))
-	b := oblivious.BufferOf(batch(rng, 5, 5))
-	v.Update(b)
-	b.Release()
+	v.Update(batch(rng, 10, 4))
+	v.Update(batch(rng, 5, 5))
 	if v.Len() != 15 || v.Real() != 9 || v.Updates() != 2 {
 		t.Errorf("view len=%d real=%d updates=%d", v.Len(), v.Real(), v.Updates())
-	}
-	if len(v.Entries()) != 15 {
-		t.Error("Entries length wrong")
 	}
 	if v.Buffer().Len() != 15 {
 		t.Error("Buffer length wrong")
@@ -174,7 +175,7 @@ func TestViewAppendOnly(t *testing.T) {
 func TestViewSizeBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	v := NewView(2)
-	v.UpdateEntries(batch(rng, 8, 2))
+	v.Update(batch(rng, 8, 2))
 	if got := v.SizeBytes(256); got != 8*256/8 {
 		t.Errorf("SizeBytes = %d", got)
 	}
@@ -186,11 +187,11 @@ func TestReadPreservesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(10)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
 	b := batch(rng, 40, 17)
-	orig := oblivious.RealRows(b)
-	c.AppendEntries(b)
+	orig := realRows(b)
+	c.Append(b)
 	got := c.Read(9)
 	defer got.Release()
-	combined := append(oblivious.RealRows(got.Entries()), oblivious.RealRows(c.Snapshot())...)
+	combined := append(realRows(got), realRows(c.Buffer())...)
 	if !table.MultisetEqual(combined, orig) {
 		t.Error("read split changed the multiset of real tuples")
 	}
@@ -217,7 +218,7 @@ func TestCountersPinnedToScan(t *testing.T) {
 		switch rng.Intn(6) {
 		case 0, 1:
 			n := 1 + rng.Intn(20)
-			c.AppendEntries(batch(rng, n, rng.Intn(n+1)))
+			c.Append(batch(rng, n, rng.Intn(n+1)))
 			check("append")
 		case 2:
 			c.ReadInto(v, rng.Intn(c.Len()+3)-1)
@@ -242,8 +243,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
 	v := NewView(2)
-	src := oblivious.BufferOf(batch(rng, 256, 40))
-	defer src.Release()
+	src := batch(rng, 256, 40)
 	// Warm up: grow the cache and view arenas to their steady-state sizes.
 	for i := 0; i < 4; i++ {
 		c.Append(src)
@@ -263,8 +263,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 func BenchmarkCacheAppend256(b *testing.B) {
 	rng := rand.New(rand.NewSource(98)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(256, nil)
-	src := oblivious.BufferOf(batch(rng, 256, 40))
-	defer src.Release()
+	src := batch(rng, 256, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -281,8 +280,7 @@ func BenchmarkCacheRead256(b *testing.B) {
 	rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(256, nil)
 	v := NewView(2)
-	src := oblivious.BufferOf(batch(rng, 256, 40))
-	defer src.Release()
+	src := batch(rng, 256, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
