@@ -46,12 +46,15 @@ test:
 	$(GO) test ./...
 
 # race exercises the concurrent sweep engine, the serving subsystem, the
-# engines they fan out, and the sort executor's layer-parallel path (the
+# engines they fan out, the sort executor's layer-parallel path (the
 # workers=1-vs-N determinism tests under -race are the proof that the
-# kernel's concurrent layer swaps are race-free).
+# kernel's concurrent layer swaps are race-free), and the two-party stack:
+# every gmw/party pair test is two goroutines over one conn pair whose
+# counters are read from both.
 race:
 	$(GO) test -race ./internal/runner ./internal/sim ./internal/serve
 	$(GO) test -race ./internal/oblivious ./internal/core
+	$(GO) test -race ./internal/gmw ./internal/party ./internal/wire
 	$(GO) test -race -run TestDeterministicAcrossWorkerCounts ./internal/experiments
 
 bench:
@@ -66,11 +69,12 @@ bench-core:
 # bench-smoke compiles and runs every data-plane benchmark once — the
 # pooled-operator benchmarks (both sort shapes among them: the real-first
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
-# BenchmarkJoinSort1040) and the root-package Advance/Count/CountWhere
-# benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs
-# this).
+# BenchmarkJoinSort1040), the two-party GMW comparator over loopback
+# (BenchmarkEvalCompareExchangeLoopback, which reports rounds/op) and the
+# root-package Advance/Count/CountWhere benchmarks behind BENCH_core.json —
+# so none of them can bit-rot (CI runs this).
 bench-smoke:
-	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
 	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount' -benchtime 1x .
 
 # bench-batch is the batched-ingestion smoke (CI runs this): a short serve

@@ -11,10 +11,11 @@ import (
 // TestLintGate proves the lint gate actually gates: seeding a
 // secret-dependent branch into internal/oblivious trips oblivtaint — be it
 // a plain flag test or a branching compare-exchange over the sort kernel's
-// keys, which no sanction covers — and an unjoined go statement in
-// internal/serve trips goleak. Each makes `go vet -vettool=incshrink-lint`
-// exit nonzero, exactly as `make lint` runs it. The unmodified tree is the
-// control. This is the same defence-in-depth pin the detclock analyzer got
+// keys, which no sanction covers — a branch on a reconstructed bit seeded
+// into internal/gmw (whose gate code no sanction covers either) does the
+// same, and an unjoined go statement in internal/serve trips goleak. Each
+// makes `go vet -vettool=incshrink-lint` exit nonzero, exactly as `make
+// lint` runs it. The unmodified tree is the control. This is the same defence-in-depth pin the detclock analyzer got
 // when it landed (a smuggled time.Now must fail CI, not just a unit test
 // over fixtures).
 func TestLintGate(t *testing.T) {
@@ -46,7 +47,7 @@ func TestLintGate(t *testing.T) {
 	}{
 		{
 			name: "control",
-			pkg:  "./internal/oblivious ./internal/serve",
+			pkg:  "./internal/oblivious ./internal/gmw ./internal/serve",
 		},
 		{
 			name: "oblivtaint catches seeded secret branch",
@@ -74,6 +75,20 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 }
 `,
 			pkg:      "./internal/oblivious",
+			analyzer: "oblivtaint",
+		},
+		{
+			name: "oblivtaint catches seeded branching select in gmw",
+			file: "internal/gmw/eval.go",
+			inject: `
+func lintGateBranchingSelect(t Triple, z uint64) uint64 {
+	if t.B.Open() {
+		z ^= 1
+	}
+	return z
+}
+`,
+			pkg:      "./internal/gmw",
 			analyzer: "oblivtaint",
 		},
 		{

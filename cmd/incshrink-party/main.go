@@ -48,8 +48,8 @@ import (
 )
 
 // maxFrame bounds incoming frame payloads: the largest legitimate frame is
-// the GMW triple block (a few hundred bytes), so 64 KiB is generous without
-// letting a corrupt length prefix allocate unbounded memory.
+// the GMW triple block (one byte per triple, 250 for a session), so 64 KiB is
+// generous without letting a corrupt length prefix allocate unbounded memory.
 const maxFrame = 1 << 16
 
 type fileConfig struct {

@@ -1,42 +1,39 @@
 package gmw
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 
+	"incshrink/internal/mpc"
 	"incshrink/internal/wire"
 )
 
-// runPair evaluates one party program per role over a buffered loopback,
-// joining the role-1 goroutine before returning.
-func runPair(t *testing.T, triples int, program func(e *Eval) []uint32) (out0, out1 []uint32, e0, e1 *Eval) {
-	t.Helper()
-	c0, c1 := wire.Loopback(256)
-	defer c0.Close()
-	defer c1.Close()
-	e0 = NewEval(0, c0, 0)
-	e1 = NewEval(1, c1, 0)
+// tapConn wraps one end of a pair: it keeps a copy of every FrameOpen
+// payload the party sends and can rewrite the payloads it receives.
+type tapConn struct {
+	wire.Conn
+	opens  [][]byte
+	mangle func(typ byte, payload []byte)
+}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := e1.RecvTriples(); err != nil {
-			t.Errorf("role 1 triples: %v", err)
-			return
-		}
-		out1 = program(e1)
-	}()
-	if err := e0.DealTriples(NewDealer(42), triples); err != nil {
-		t.Fatalf("role 0 triples: %v", err)
+func (c *tapConn) Send(typ byte, payload []byte) error {
+	if typ == FrameOpen {
+		c.opens = append(c.opens, bytes.Clone(payload))
 	}
-	out0 = program(e0)
-	wg.Wait()
-	if e0.Err() != nil || e1.Err() != nil {
-		t.Fatalf("evaluation errors: role0=%v role1=%v", e0.Err(), e1.Err())
+	return c.Conn.Send(typ, payload)
+}
+
+func (c *tapConn) Recv() (byte, []byte, error) {
+	typ, p, err := c.Conn.Recv()
+	if err == nil && c.mangle != nil {
+		c.mangle(typ, p)
 	}
-	return out0, out1, e0, e1
+	return typ, p, err
 }
 
 // evalProgram runs every word circuit once over fixed inputs and opens all
@@ -46,92 +43,123 @@ func evalProgram(x, y uint32) func(e *Eval) []uint32 {
 	return func(e *Eval) []uint32 {
 		wx := ShareOfWord(e.Role(), x, 0xDEADBEEF)
 		wy := ShareOfWord(e.Role(), y, 0x1234ABCD)
-		var outs []uint32
-		open := func(w WordShare) {
-			v, err := e.OpenWord(w)
-			if err != nil {
-				return
-			}
-			outs = append(outs, v)
-		}
-		openBit := func(b BitShare) {
-			var w WordShare
-			w[0] = b
-			open(w)
-		}
-		open(e.Add(wx, wy))
-		openBit(e.LessThan(wx, wy))
-		openBit(e.Equal(wx, wy))
+		o := &opener{e: e}
+		o.word(e.Add(wx, wy))
+		o.bit(e.LessThan(wx, wy))
+		o.bit(e.Equal(wx, wy))
 		lo, hi := e.CompareExchange(wx, wy)
-		open(lo)
-		open(hi)
-		open(e.CounterUpdate(wx, wy))
-		openBit(e.ThresholdCheck(wx, wy))
-		return outs
+		o.word(lo)
+		o.word(hi)
+		o.word(e.CounterUpdate(wx, wy))
+		o.bit(e.ThresholdCheck(wx, wy))
+		return o.outs
 	}
 }
 
-// evalProgramTriples is the triple budget of evalProgram: Add 32, LessThan
-// 96, Equal 32, CompareExchange 160, CounterUpdate 32, ThresholdCheck 96.
-const evalProgramTriples = 32 + 96 + 32 + 160 + 32 + 96
+// evalProgramShape is evalProgram's online schedule, its circuits' round
+// shapes concatenated; evalProgramReveals the number of words it opens.
+var evalProgramShape = slices.Concat(AddShape, LessThanShape, EqualShape, CompareExchangeShape, AddShape, LessThanShape)
 
+const evalProgramReveals = 7
+
+// plainProgram is evalProgram in the clear.
+func plainProgram(x, y uint32) []uint32 {
+	return []uint32{x + y, b2u(x < y), b2u(x == y), min(x, y), max(x, y), x + y, b2u(x >= y)}
+}
+
+// TestEvalMatchesCircuitOutputs holds every word circuit's opened output to
+// the plaintext function, on the edge cases and on a random sweep that adds
+// a tie and the two single-bit neighbours of every sample.
 func TestEvalMatchesCircuitOutputs(t *testing.T) {
+	check := func(x, y uint32) bool {
+		r := runPair(t, int64(x)^int64(y)<<7, evalProgramShape.ANDs(), evalProgram(x, y))
+		want := plainProgram(x, y)
+		if len(r.out) != len(want) {
+			t.Fatalf("x=%d y=%d: %d outputs, want %d", x, y, len(r.out), len(want))
+		}
+		ok := true
+		for i := range want {
+			if r.out[i] != want[i] {
+				t.Errorf("x=%#x y=%#x output %d: opened %d, plaintext %d", x, y, i, r.out[i], want[i])
+				ok = false
+			}
+		}
+		if r.e0.TriplesLeft() != 0 || r.e1.TriplesLeft() != 0 {
+			t.Errorf("triple budget: %d and %d left of %d", r.e0.TriplesLeft(), r.e1.TriplesLeft(), evalProgramShape.ANDs())
+			ok = false
+		}
+		return ok
+	}
+	const top = math.MaxUint32
 	cases := [][2]uint32{
-		{0, 0}, {1, 1}, {3, 7}, {7, 3}, {0xFFFFFFFF, 1}, {1 << 31, (1 << 31) - 1}, {123456, 123456},
+		{0, 0}, {1, 1}, {3, 7}, {7, 3}, {top, 1}, {1 << 31, (1 << 31) - 1}, {123456, 123456},
+		{top, top}, {0, top}, {top, 0}, {top - 1, top}, {0, 1}, {1, 0}, {0, 1 << 31}, {1 << 31, 0},
 	}
 	for _, tc := range cases {
-		x, y := tc[0], tc[1]
-		out0, out1, e0, e1 := runPair(t, evalProgramTriples, evalProgram(x, y))
+		check(tc[0], tc[1])
+	}
+	sweep := func(x, y uint32) bool {
+		return check(x, y) && check(x, x) && check(x, x^1) && check(x^1<<31, x)
+	}
+	if err := quick.Check(sweep, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
 
-		// Reference outputs from the in-process Circuit over the same inputs.
-		d := NewDealer(7)
-		c := NewCircuit(d, 0)
-		cx, cy := c.ShareWord(x), c.ShareWord(y)
-		bit := func(b Bit) uint32 {
-			if b.Open() {
-				return 1
+// TestCircuitDepth pins each circuit's AND-gate and round counts, read from
+// the evaluator and conn counters, to the literal figures and to the shape
+// the package declares for it (which is what party.Predict prices).
+func TestCircuitDepth(t *testing.T) {
+	bit := func(f func(e *Eval, x, y WordShare) BitShare) func(*Eval, WordShare, WordShare) {
+		return func(e *Eval, x, y WordShare) { f(e, x, y) }
+	}
+	cases := []struct {
+		name         string
+		shape        Shape
+		ands, rounds int
+		run          func(e *Eval, x, y WordShare)
+	}{
+		{"LessThan", LessThanShape, 93, 6, bit((*Eval).LessThan)},
+		{"Equal", EqualShape, 31, 5, bit((*Eval).Equal)},
+		{"CompareExchange", CompareExchangeShape, 125, 7, func(e *Eval, x, y WordShare) { e.CompareExchange(x, y) }},
+		{"ThresholdCheck", LessThanShape, 93, 6, bit((*Eval).ThresholdCheck)},
+		{"Add", AddShape, 32, 32, func(e *Eval, x, y WordShare) { e.Add(x, y) }},
+	}
+	for _, tc := range cases {
+		var before wire.Stats
+		r := runPair(t, 5, tc.ands, func(e *Eval) []uint32 {
+			if e.Role() == 0 {
+				before = e.conn.Stats() // after the triple block
 			}
-			return 0
+			tc.run(e, ShareOfWord(e.Role(), 21, 0xDEADBEEF), ShareOfWord(e.Role(), 13, 0x1234ABCD))
+			return nil
+		})
+		st := r.c0.Stats().Sub(before)
+		if r.e0.ANDGates != tc.ands || r.e1.ANDGates != tc.ands || int(st.Rounds) != tc.rounds {
+			t.Errorf("%s: %d/%d AND gates in %d rounds, want %d in %d", tc.name, r.e0.ANDGates, r.e1.ANDGates, st.Rounds, tc.ands, tc.rounds)
 		}
-		clo, chi := c.CompareExchange(cx, cy)
-		want := []uint32{
-			OpenWord(c.Add(cx, cy)),
-			bit(c.LessThan(cx, cy)),
-			bit(c.Equal(cx, cy)),
-			OpenWord(clo),
-			OpenWord(chi),
-			OpenWord(c.CounterUpdate(cx, cy)),
-			bit(c.ThresholdCheck(cx, cy)),
+		if tc.shape.ANDs() != tc.ands || len(tc.shape) != tc.rounds {
+			t.Errorf("%s: declared shape %v is %d ANDs in %d rounds", tc.name, tc.shape, tc.shape.ANDs(), len(tc.shape))
 		}
-		if len(out0) != len(want) {
-			t.Fatalf("x=%d y=%d: %d outputs, want %d", x, y, len(out0), len(want))
+		if want := mpc.PredictOpenRounds(tc.shape); st.Rounds != want.Rounds || st.BytesSent+st.BytesRecv != want.Bytes {
+			t.Errorf("%s: measured %d rounds / %d bytes, shape prices %d / %d", tc.name, st.Rounds, st.BytesSent+st.BytesRecv, want.Rounds, want.Bytes)
 		}
-		for i := range want {
-			if out0[i] != want[i] || out1[i] != want[i] {
-				t.Errorf("x=%d y=%d output %d: role0=%d role1=%d circuit=%d", x, y, i, out0[i], out1[i], want[i])
-			}
-		}
-		// Gate counts match the in-process circuit exactly — the cost model's
-		// cross-check extends to the wire evaluator.
-		if e0.ANDGates != c.ANDGates || e1.ANDGates != c.ANDGates {
-			t.Errorf("AND gates: role0=%d role1=%d circuit=%d", e0.ANDGates, e1.ANDGates, c.ANDGates)
-		}
-		if e0.TriplesLeft() != 0 {
-			t.Errorf("triple budget: %d left of %d", e0.TriplesLeft(), evalProgramTriples)
+		if r.e0.TriplesLeft() != 0 {
+			t.Errorf("%s: %d triples left of %d", tc.name, r.e0.TriplesLeft(), tc.ands)
 		}
 	}
 }
 
 func TestEvalOpeningsIdenticalAcrossParties(t *testing.T) {
-	_, _, e0, e1 := runPair(t, evalProgramTriples, evalProgram(99, 1234))
-	if len(e0.Openings) != 2*e0.ANDGates {
-		t.Fatalf("%d openings for %d AND gates", len(e0.Openings), e0.ANDGates)
+	r := runPair(t, 42, evalProgramShape.ANDs(), evalProgram(99, 1234))
+	if len(r.e0.Openings) != 2*r.e0.ANDGates {
+		t.Fatalf("%d openings for %d AND gates", len(r.e0.Openings), r.e0.ANDGates)
 	}
-	if len(e0.Openings) != len(e1.Openings) {
-		t.Fatalf("transcript lengths differ: %d vs %d", len(e0.Openings), len(e1.Openings))
+	if len(r.e0.Openings) != len(r.e1.Openings) {
+		t.Fatalf("transcript lengths differ: %d vs %d", len(r.e0.Openings), len(r.e1.Openings))
 	}
-	for i := range e0.Openings {
-		if e0.Openings[i] != e1.Openings[i] {
+	for i := range r.e0.Openings {
+		if r.e0.Openings[i] != r.e1.Openings[i] {
 			t.Fatalf("opening %d differs between parties", i)
 		}
 	}
@@ -141,97 +169,252 @@ func TestEvalOpeningsIdenticalAcrossParties(t *testing.T) {
 // same inputs under different dealer randomness yield different openings
 // (the transcript depends on the masks, not the data).
 func TestEvalOpeningsMasked(t *testing.T) {
-	run := func(seed int64) []bool {
-		c0, c1 := wire.Loopback(256)
-		defer c0.Close()
-		defer c1.Close()
-		e0, e1 := NewEval(0, c0, 0), NewEval(1, c1, 0)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := e1.RecvTriples(); err != nil {
-				t.Error(err)
-				return
-			}
-			evalProgram(5, 9)(e1)
-		}()
-		if err := e0.DealTriples(NewDealer(seed), evalProgramTriples); err != nil {
-			t.Fatal(err)
-		}
-		evalProgram(5, 9)(e0)
-		wg.Wait()
-		return e0.Openings
-	}
-	a, b := run(1), run(2)
+	a := runPair(t, 1, evalProgramShape.ANDs(), evalProgram(5, 9)).e0.Openings
+	b := runPair(t, 2, evalProgramShape.ANDs(), evalProgram(5, 9)).e0.Openings
 	same := len(a) == len(b)
-	if same {
-		for i := range a {
-			if a[i] != b[i] {
-				same = false
-				break
-			}
-		}
+	for i := 0; same && i < len(a); i++ {
+		same = a[i] == b[i]
 	}
 	if same {
 		t.Fatal("openings identical under different triple randomness — transcript is not masked")
 	}
 }
 
-// TestEvalWireAccounting pins the wire shape of the GMW online phase: one
-// 1-byte frame per party per AND gate (one round), one 4-byte frame per
-// reveal, one triple block frame in the offline phase.
+// TestEvalWireAccounting pins the wire shape of the GMW online phase to the
+// closed form: one ⌈2k/8⌉-byte frame per party per k-lane round, one 4-byte
+// frame per reveal, one triple block frame in the offline phase.
 func TestEvalWireAccounting(t *testing.T) {
-	c0, c1 := wire.Loopback(256)
-	defer c0.Close()
-	defer c1.Close()
-	e0, e1 := NewEval(0, c0, 0), NewEval(1, c1, 0)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := e1.RecvTriples(); err != nil {
-			t.Error(err)
-			return
-		}
-		evalProgram(21, 13)(e1)
-	}()
-	if err := e0.DealTriples(NewDealer(3), evalProgramTriples); err != nil {
-		t.Fatal(err)
+	r := runPair(t, 3, evalProgramShape.ANDs(), evalProgram(21, 13))
+	want := mpc.PredictExchanges(evalProgramReveals)
+	open := mpc.PredictOpenRounds(evalProgramShape)
+	want.Rounds += open.Rounds
+	want.Bytes += open.Bytes
+	block := uint64(wire.FrameOverhead + evalProgramShape.ANDs())
+	st := r.c0.Stats()
+	if st.BytesSent != want.Bytes/2+block {
+		t.Errorf("role 0 bytes sent = %d, want %d", st.BytesSent, want.Bytes/2+block)
 	}
-	evalProgram(21, 13)(e0)
-	wg.Wait()
-
-	const reveals = 7
-	st := c0.Stats()
-	wantSent := uint64(wire.FrameOverhead+evalProgramTriples) + // triple block
-		uint64(e0.ANDGates)*(wire.FrameOverhead+1) +
-		reveals*(wire.FrameOverhead+4)
-	if st.BytesSent != wantSent {
-		t.Errorf("role 0 bytes sent = %d, want %d", st.BytesSent, wantSent)
+	if st.BytesRecv != want.Bytes/2 {
+		t.Errorf("role 0 bytes recv = %d, want %d", st.BytesRecv, want.Bytes/2)
 	}
-	wantRecv := wantSent - uint64(wire.FrameOverhead+evalProgramTriples)
-	if st.BytesRecv != wantRecv {
-		t.Errorf("role 0 bytes recv = %d, want %d", st.BytesRecv, wantRecv)
+	// Every AND round and every reveal is one send-then-recv: one round each.
+	if st.Rounds != want.Rounds || want.Rounds != 88+evalProgramReveals {
+		t.Errorf("role 0 rounds = %d, predicted %d, want %d", st.Rounds, want.Rounds, 88+evalProgramReveals)
 	}
-	// Every AND and every reveal is one send-then-recv: one round each.
-	if want := uint64(e0.ANDGates + reveals); st.Rounds != want {
-		t.Errorf("role 0 rounds = %d, want %d", st.Rounds, want)
+	if st1 := r.c1.Stats(); st1.Rounds != st.Rounds || st1.BytesSent != st.BytesRecv || st1.BytesRecv != st.BytesSent {
+		t.Errorf("role 1 counters %+v do not mirror role 0's %+v", st1, st)
 	}
 }
 
+// TestEvalTriplePoolExhaustion: a k-lane round that the pool cannot cover is
+// refused whole — no frame sent, no triple consumed — and the error sticks.
 func TestEvalTriplePoolExhaustion(t *testing.T) {
-	c0, c1 := wire.Loopback(4)
+	c0, c1 := wire.Loopback(256)
 	defer c0.Close()
 	defer c1.Close()
-	e := NewEval(0, c0, 0)
-	x := ShareOfWord(0, 1, 2)
-	_ = e.AND(x[0], x[1])
-	if !errors.Is(e.Err(), ErrNoTriples) {
-		t.Fatalf("err = %v, want ErrNoTriples", e.Err())
+	var sentBefore [2]uint64
+	r := evalPair(t, c0, c1, 9, 10, 0, func(e *Eval) []uint32 {
+		e.and(0, 0, 4)
+		e.and(0, 0, 4)
+		sentBefore[e.Role()] = e.conn.Stats().FramesSent
+		e.and(0, 0, 4) // two triples left
+		e.AND(0, 0)    // would fit, but the error is sticky
+		o := &opener{e: e}
+		o.word(0)
+		return o.outs
+	})
+	for role, e := range []*Eval{r.e0, r.e1} {
+		if !errors.Is(e.Err(), ErrNoTriples) {
+			t.Fatalf("role %d: err = %v, want ErrNoTriples", role, e.Err())
+		}
+		if e.TriplesLeft() != 2 || e.ANDGates != 8 {
+			t.Errorf("role %d: %d triples left after %d gates, want 2 after 8", role, e.TriplesLeft(), e.ANDGates)
+		}
+		if got := e.conn.Stats().FramesSent; got != sentBefore[role] {
+			t.Errorf("role %d: sent %d frames after the refused round", role, got-sentBefore[role])
+		}
+		if _, err := e.OpenWord(0); !errors.Is(err, ErrNoTriples) {
+			t.Errorf("role %d: OpenWord after exhaustion: %v", role, err)
+		}
 	}
-	// The error is sticky: later operations keep reporting it.
-	if _, err := e.OpenWord(x); !errors.Is(err, ErrNoTriples) {
-		t.Fatalf("OpenWord after exhaustion: %v", err)
+	if len(r.out) != 0 {
+		t.Errorf("opened %d words after exhaustion", len(r.out))
+	}
+}
+
+// TestTriplesConsumedOnce: n gates issued through any mix of lane widths
+// consume exactly the pool's first n positions, in order, each once — a
+// triple reused across lanes or rounds would let the two openings that share
+// it cancel its mask. With all-zero inputs the opened (d, e) of a gate are
+// the (a, b) of the triple it used, so the transcript names the positions.
+func TestTriplesConsumedOnce(t *testing.T) {
+	widths := []int{1, 7, 64, 32, 3, 1, 63, 8, 33}
+	n := 0
+	for _, k := range widths {
+		n += k
+	}
+	const seed = 77
+	r := runPair(t, seed, n, func(e *Eval) []uint32 {
+		for _, k := range widths {
+			left := e.TriplesLeft()
+			if z := e.and(0, 0, k); z>>uint(k-1)>>1 != 0 {
+				t.Errorf("width %d: output %#x has bits beyond its lanes", k, z)
+			}
+			if got := left - e.TriplesLeft(); got != k {
+				t.Errorf("width %d consumed %d triples", k, got)
+			}
+		}
+		return nil
+	})
+	if r.e0.TriplesLeft() != 0 || r.e0.ANDGates != n {
+		t.Fatalf("%d gates left %d of %d triples", r.e0.ANDGates, r.e0.TriplesLeft(), n)
+	}
+	twin := NewDealer(seed)
+	at := 0
+	for _, k := range widths {
+		for lane := 0; lane < k; lane++ {
+			tr := twin.Triple()
+			if d, e := r.e0.Openings[at+lane], r.e0.Openings[at+k+lane]; d != tr.A.Open() || e != tr.B.Open() {
+				t.Fatalf("width %d lane %d did not use pool position %d", k, lane, (at/2)+lane)
+			}
+		}
+		at += 2 * k
+	}
+}
+
+// TestOpenPadding: the padding bits of an opening's last byte go out as zero
+// and are ignored coming in — a peer that sets them changes nothing.
+func TestOpenPadding(t *testing.T) {
+	widths := []int{1, 3, 4, 5, 13, 60, 64}
+	program := func(e *Eval) []uint32 {
+		var outs []uint32
+		for _, k := range widths {
+			z := e.and(0x0123456789ABCDEF, 0xFFFF0000FFFF0000>>uint(e.Role()), k)
+			outs = append(outs, uint32(z), uint32(z>>32))
+		}
+		// The output shares differ per role; open them pairwise.
+		o := &opener{e: e}
+		for _, v := range outs {
+			o.word(WordShare(v))
+		}
+		return o.outs
+	}
+	n := 0
+	for _, k := range widths {
+		n += k
+	}
+	clean := runPair(t, 4, n, program)
+
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	round := 0
+	tap := &tapConn{Conn: c0, mangle: func(typ byte, p []byte) {
+		if typ != FrameOpen {
+			return
+		}
+		if pad := 8*len(p) - 2*widths[round]; pad > 0 {
+			p[len(p)-1] |= 0xFF << uint(8-pad)
+		}
+		round++
+	}}
+	dirty := evalPair(t, tap, c1, 4, n, 0, program)
+	if dirty.e0.Err() != nil || dirty.e1.Err() != nil {
+		t.Fatalf("evaluation errors: role0=%v role1=%v", dirty.e0.Err(), dirty.e1.Err())
+	}
+	if round != len(widths) {
+		t.Fatalf("mangled %d open frames, want %d", round, len(widths))
+	}
+	for i := range clean.out {
+		if clean.out[i] != dirty.out[i] {
+			t.Errorf("output %d: %#x with padding set, %#x without", i, dirty.out[i], clean.out[i])
+		}
+	}
+	for i, k := range widths {
+		p := tap.opens[i]
+		if len(p) != (2*k+7)/8 {
+			t.Fatalf("width %d: %d-byte opening", k, len(p))
+		}
+		if pad := 8*len(p) - 2*k; pad > 0 && p[len(p)-1]>>uint(8-pad) != 0 {
+			t.Errorf("width %d: padding bits sent as %#x", k, p[len(p)-1]>>uint(8-pad))
+		}
+	}
+}
+
+// TestHostileFrames: a peer that answers a protocol step with the wrong
+// frame — wrong type, wrong length, a triple block mid-circuit — ends the
+// evaluation in a typed, sticky error: nothing further is sent (no desync),
+// nothing panics, and every later call reports the same error.
+func TestHostileFrames(t *testing.T) {
+	// script plays the peer: it swallows `swallow` frames, then sends one.
+	cases := []struct {
+		name    string
+		typ     byte
+		payload []byte
+		swallow int
+		run     func(e *Eval)
+		sent    uint64 // frames the party may have sent when the error lands
+	}{
+		{"open: wrong type", FrameReveal, make([]byte, 8), 2, nil, 2},
+		{"open: one byte short", FrameOpen, make([]byte, 7), 2, nil, 2},
+		{"open: one byte long", FrameOpen, make([]byte, 9), 2, nil, 2},
+		{"open: empty", FrameOpen, nil, 2, nil, 2},
+		{"open: triple block mid-circuit", FrameTriples, make([]byte, 8), 2, nil, 2},
+		{"reveal: short", FrameReveal, make([]byte, 3), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
+		{"reveal: open frame", FrameOpen, make([]byte, 4), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
+		{"triples: reveal frame", FrameReveal, make([]byte, 4), 0, func(e *Eval) { _ = e.RecvTriples() }, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c0, c1 := wire.Loopback(8)
+			defer c0.Close()
+			defer c1.Close()
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < tc.swallow; i++ {
+					if _, _, err := c1.Recv(); err != nil {
+						t.Errorf("peer recv: %v", err)
+						return
+					}
+				}
+				if err := c1.Send(tc.typ, tc.payload); err != nil {
+					t.Errorf("peer send: %v", err)
+				}
+			}()
+			e := NewEval(0, c0, 0)
+			if err := e.DealTriples(NewDealer(1), CompareExchangeShape.ANDs()); err != nil {
+				t.Fatal(err)
+			}
+			x, y := ShareOfWord(0, 5, 1), ShareOfWord(0, 9, 2)
+			if tc.run != nil {
+				tc.run(e)
+			} else {
+				e.CompareExchange(x, y)
+			}
+			wg.Wait()
+			if !errors.Is(e.Err(), ErrBadFrame) {
+				t.Fatalf("err = %v, want ErrBadFrame", e.Err())
+			}
+			first := e.Err()
+			// Sticky: every entry point keeps reporting it and stays silent.
+			e.CompareExchange(x, y)
+			if _, err := e.OpenWord(x); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("OpenWord after the bad frame: %v", err)
+			}
+			if err := e.RecvTriples(); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("RecvTriples after the bad frame: %v", err)
+			}
+			if err := e.DealTriples(NewDealer(2), 4); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("DealTriples after the bad frame: %v", err)
+			}
+			if e.Err() != first {
+				t.Errorf("sticky error replaced: %v then %v", first, e.Err())
+			}
+			if got := c0.Stats().FramesSent; got != tc.sent {
+				t.Errorf("party sent %d frames, want %d (nothing after the bad frame)", got, tc.sent)
+			}
+		})
 	}
 }

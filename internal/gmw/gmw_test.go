@@ -1,86 +1,269 @@
 package gmw
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"incshrink/internal/mpc"
+	"incshrink/internal/wire"
 )
 
-func ctx(seed int64) *Circuit { return NewCircuit(NewDealer(seed), 0) }
+// pairRun is the outcome of one two-party evaluation: the outputs both
+// parties opened (checked identical) and each party's evaluator and conn.
+type pairRun struct {
+	out    []uint32
+	e0, e1 *Eval
+	c0, c1 wire.Conn
+}
+
+// evalPair runs program once per role over the given connected pair, role 1
+// on its own goroutine (joined before returning). Role 0 deals the triples
+// from NewDealer(seed). It does not judge the evaluators' errors.
+func evalPair(t testing.TB, c0, c1 wire.Conn, seed int64, triples, recordLimit int, program func(e *Eval) []uint32) *pairRun {
+	t.Helper()
+	r := &pairRun{e0: NewEval(0, c0, recordLimit), e1: NewEval(1, c1, recordLimit), c0: c0, c1: c1}
+	var out1 []uint32
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := r.e1.RecvTriples(); err != nil {
+			t.Errorf("role 1 triples: %v", err)
+			return
+		}
+		out1 = program(r.e1)
+	}()
+	if err := r.e0.DealTriples(NewDealer(seed), triples); err != nil {
+		t.Errorf("role 0 triples: %v", err)
+	}
+	r.out = program(r.e0)
+	wg.Wait()
+	if len(r.out) != len(out1) {
+		t.Fatalf("parties opened %d and %d outputs", len(r.out), len(out1))
+	}
+	for i := range r.out {
+		if r.out[i] != out1[i] {
+			t.Fatalf("output %d: role 0 opened %d, role 1 opened %d", i, r.out[i], out1[i])
+		}
+	}
+	return r
+}
+
+// runPair is evalPair over a fresh buffered loopback, requiring a clean run.
+func runPair(t testing.TB, seed int64, triples int, program func(e *Eval) []uint32) *pairRun {
+	t.Helper()
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	r := evalPair(t, c0, c1, seed, triples, 0, program)
+	if r.e0.Err() != nil || r.e1.Err() != nil {
+		t.Fatalf("evaluation errors: role0=%v role1=%v", r.e0.Err(), r.e1.Err())
+	}
+	return r
+}
+
+// opener collects a program's opened outputs.
+type opener struct {
+	e    *Eval
+	outs []uint32
+}
+
+func (o *opener) word(w WordShare) {
+	if v, err := o.e.OpenWord(w); err == nil {
+		o.outs = append(o.outs, v)
+	}
+}
+
+func (o *opener) bit(b BitShare) { o.word(WordOfBit(b)) }
+
+// bitShare splits a cleartext bit against a mask bit the way ShareOfWord
+// splits words: role 0 holds the mask, role 1 holds v^mask.
+func bitShare(role int, v, mask uint32) BitShare {
+	if role == 1 {
+		mask ^= v
+	}
+	return BitShare(mask & 1)
+}
+
+// wordCircuit evaluates one two-input word circuit between a fresh pair and
+// returns the opened result; triples is the circuit's exact budget.
+func wordCircuit(t testing.TB, triples int, x, y uint32, circuit func(e *Eval, wx, wy WordShare) WordShare) uint32 {
+	t.Helper()
+	r := runPair(t, int64(x)<<32|int64(y), triples, func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		o.word(circuit(e, ShareOfWord(e.Role(), x, 0xDEADBEEF), ShareOfWord(e.Role(), y, 0x1234ABCD)))
+		return o.outs
+	})
+	if r.e0.TriplesLeft() != 0 || r.e1.TriplesLeft() != 0 {
+		t.Fatalf("triples left: role0=%d role1=%d of %d", r.e0.TriplesLeft(), r.e1.TriplesLeft(), triples)
+	}
+	return r.out[0]
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 func TestBitOpen(t *testing.T) {
-	c := ctx(1)
+	d := NewDealer(1)
 	for _, v := range []bool{true, false} {
-		if c.ShareBit(v).Open() != v {
-			t.Fatalf("ShareBit(%v) round-trip failed", v)
-		}
-	}
-}
-
-func TestXORGate(t *testing.T) {
-	c := ctx(2)
-	for _, x := range []bool{false, true} {
-		for _, y := range []bool{false, true} {
-			if got := c.XOR(c.ShareBit(x), c.ShareBit(y)).Open(); got != (x != y) {
-				t.Errorf("XOR(%v,%v) = %v", x, y, got)
-			}
-		}
-	}
-	if c.ANDGates != 0 {
-		t.Error("XOR consumed AND gates")
-	}
-}
-
-func TestANDGateTruthTable(t *testing.T) {
-	c := ctx(3)
-	for _, x := range []bool{false, true} {
-		for _, y := range []bool{false, true} {
-			for trial := 0; trial < 20; trial++ { // fresh triples each time
-				if got := c.AND(c.ShareBit(x), c.ShareBit(y)).Open(); got != (x && y) {
-					t.Fatalf("AND(%v,%v) = %v", x, y, got)
-				}
+		for i := 0; i < 8; i++ {
+			if d.shareBit(v).Open() != v {
+				t.Fatalf("shareBit(%v) round-trip failed", v)
 			}
 		}
 	}
 }
 
-func TestNotOrMux(t *testing.T) {
-	c := ctx(4)
-	if c.NOT(c.ShareBit(true)).Open() || !c.NOT(c.ShareBit(false)).Open() {
-		t.Error("NOT wrong")
-	}
-	for _, x := range []bool{false, true} {
-		for _, y := range []bool{false, true} {
-			if got := c.OR(c.ShareBit(x), c.ShareBit(y)).Open(); got != (x || y) {
-				t.Errorf("OR(%v,%v) = %v", x, y, got)
-			}
-			for _, sel := range []bool{false, true} {
-				want := x
-				if sel {
-					want = y
-				}
-				if got := c.MUX(c.ShareBit(sel), c.ShareBit(x), c.ShareBit(y)).Open(); got != want {
-					t.Errorf("MUX(%v,%v,%v) = %v", sel, x, y, got)
-				}
-			}
+// TestDealerTriples: every dealt triple satisfies c = a AND b, and the two
+// packed halves XOR back to it.
+func TestDealerTriples(t *testing.T) {
+	d := NewDealer(2)
+	for i := 0; i < 200; i++ {
+		tr := d.Triple()
+		if tr.C.Open() != (tr.A.Open() && tr.B.Open()) {
+			t.Fatalf("triple %d: c != a AND b", i)
+		}
+		want := byte(b2u(tr.A.Open()) | b2u(tr.B.Open())<<1 | b2u(tr.C.Open())<<2)
+		if h0, h1 := tr.halves(); h0^h1 != want {
+			t.Fatalf("triple %d: halves reconstruct %03b, want %03b", i, h0^h1, want)
 		}
 	}
 }
 
-func TestWordRoundTrip(t *testing.T) {
-	c := ctx(5)
-	f := func(v uint32) bool { return OpenWord(c.ShareWord(v)) == v }
+// TestEitherRoleDeals: whichever role deals, the two pools hold matching
+// halves of valid triples.
+func TestEitherRoleDeals(t *testing.T) {
+	for dealer := 0; dealer < 2; dealer++ {
+		c0, c1 := wire.Loopback(4)
+		evs := [2]*Eval{NewEval(0, c0, 0), NewEval(1, c1, 0)}
+		if err := evs[dealer].DealTriples(NewDealer(8), 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := evs[1-dealer].RecvTriples(); err != nil {
+			t.Fatal(err)
+		}
+		twin := NewDealer(8)
+		for i := 0; i < 100; i++ {
+			h0, h1 := twin.Triple().halves()
+			if evs[0].triples[i] != h0 || evs[1].triples[i] != h1 {
+				t.Fatalf("role %d dealing: triple %d pools hold %03b/%03b, want %03b/%03b", dealer, i, evs[0].triples[i], evs[1].triples[i], h0, h1)
+			}
+		}
+		c0.Close()
+	}
+}
+
+// TestBitrev pins the delta-swap permutation to its definition — bit i moves
+// to the 5-bit reversal of i — and to being its own inverse.
+func TestBitrev(t *testing.T) {
+	for i := 0; i < 32; i++ {
+		want := uint32(1) << (bits.Reverse8(uint8(i)) >> 3)
+		if got := bitrev(1 << uint(i)); got != want {
+			t.Errorf("bitrev(1<<%d) = %#x, want %#x", i, got, want)
+		}
+	}
+	f := func(v uint32) bool {
+		return bitrev(bitrev(v)) == v && bits.OnesCount32(bitrev(v)) == bits.OnesCount32(v)
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+func TestXORGate(t *testing.T) {
+	r := runPair(t, 2, 0, func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		for x := uint32(0); x < 2; x++ {
+			for y := uint32(0); y < 2; y++ {
+				o.bit(e.XOR(bitShare(e.Role(), x, 1), bitShare(e.Role(), y, 0)))
+			}
+		}
+		return o.outs
+	})
+	for i, want := range []uint32{0, 1, 1, 0} {
+		if r.out[i] != want {
+			t.Errorf("XOR(%d,%d) = %d", i>>1, i&1, r.out[i])
+		}
+	}
+	if r.e0.ANDGates != 0 {
+		t.Error("XOR consumed AND gates")
+	}
+}
+
+func TestANDGateTruthTable(t *testing.T) {
+	const trials = 20 // fresh triples and masks each time
+	r := runPair(t, 3, 4*trials, func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		for i := uint32(0); i < 4*trials; i++ {
+			x, y := i&1, i>>1&1
+			o.bit(e.AND(bitShare(e.Role(), x, i>>2), bitShare(e.Role(), y, i>>3)))
+		}
+		return o.outs
+	})
+	for i, got := range r.out {
+		if x, y := uint32(i)&1, uint32(i)>>1&1; got != x&y {
+			t.Fatalf("AND(%d,%d) = %d", x, y, got)
+		}
+	}
+}
+
+func TestNotOrMux(t *testing.T) {
+	r := runPair(t, 4, 4+8, func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		role := e.Role()
+		o.bit(e.NOT(bitShare(role, 1, 1)))
+		o.bit(e.NOT(bitShare(role, 0, 1)))
+		for i := uint32(0); i < 4; i++ {
+			o.bit(e.OR(bitShare(role, i&1, 1), bitShare(role, i>>1, 0)))
+		}
+		for i := uint32(0); i < 8; i++ {
+			o.bit(e.MUX(bitShare(role, i>>2, 1), bitShare(role, i&1, 0), bitShare(role, i>>1&1, 1)))
+		}
+		return o.outs
+	})
+	if r.out[0] != 0 || r.out[1] != 1 {
+		t.Error("NOT wrong")
+	}
+	for i := uint32(0); i < 4; i++ {
+		if got := r.out[2+i]; got != (i&1)|(i>>1) {
+			t.Errorf("OR(%d,%d) = %d", i&1, i>>1, got)
+		}
+	}
+	for i := uint32(0); i < 8; i++ {
+		sel, x, y := i>>2, i&1, i>>1&1
+		want := x
+		if sel == 1 {
+			want = y
+		}
+		if got := r.out[6+i]; got != want {
+			t.Errorf("MUX(%d,%d,%d) = %d", sel, x, y, got)
+		}
+	}
+}
+
+func TestWordRoundTrip(t *testing.T) {
+	f := func(v, mask uint32) bool {
+		if bitrev(uint32(ShareOfWord(0, v, mask)^ShareOfWord(1, v, mask))) != v {
+			return false
+		}
+		return wordCircuit(t, 0, v, mask, func(_ *Eval, wx, _ WordShare) WordShare { return wx }) == v
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestAdder(t *testing.T) {
-	c := ctx(6)
 	f := func(x, y uint32) bool {
-		return OpenWord(c.Add(c.ShareWord(x), c.ShareWord(y))) == x+y
+		return wordCircuit(t, AddShape.ANDs(), x, y, (*Eval).Add) == x+y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -88,47 +271,63 @@ func TestAdder(t *testing.T) {
 }
 
 func TestAdderANDCost(t *testing.T) {
-	c := ctx(7)
-	c.Add(c.ShareWord(1), c.ShareWord(2))
-	if c.ANDGates != 32 {
-		t.Errorf("32-bit adder used %d AND gates, want 32", c.ANDGates)
+	r := runPair(t, 7, 32, func(e *Eval) []uint32 {
+		e.Add(ShareOfWord(e.Role(), 1, 5), ShareOfWord(e.Role(), 2, 6))
+		return nil
+	})
+	if r.e0.ANDGates != 32 {
+		t.Errorf("32-bit adder used %d AND gates, want 32", r.e0.ANDGates)
 	}
 }
 
+// lessThan evaluates LessThan between a fresh pair.
+func lessThan(t testing.TB, x, y uint32) bool {
+	return wordCircuit(t, LessThanShape.ANDs(), x, y, func(e *Eval, wx, wy WordShare) WordShare {
+		return WordOfBit(e.LessThan(wx, wy))
+	}) == 1
+}
+
 func TestLessThan(t *testing.T) {
-	c := ctx(8)
 	f := func(x, y uint32) bool {
-		return c.LessThan(c.ShareWord(x), c.ShareWord(y)).Open() == (x < y)
+		return lessThan(t, x, y) == (x < y) && !lessThan(t, x, x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	// Edge cases.
-	for _, pair := range [][2]uint32{{0, 0}, {0, 1}, {1, 0}, {^uint32(0), ^uint32(0)}, {^uint32(0) - 1, ^uint32(0)}} {
-		if got := c.LessThan(c.ShareWord(pair[0]), c.ShareWord(pair[1])).Open(); got != (pair[0] < pair[1]) {
-			t.Errorf("LessThan(%d,%d) = %v", pair[0], pair[1], got)
+	// Edge cases, and every single-bit difference in both directions.
+	pairs := [][2]uint32{{0, 0}, {0, 1}, {1, 0}, {^uint32(0), ^uint32(0)}, {^uint32(0) - 1, ^uint32(0)}}
+	for i := uint(0); i < 32; i++ {
+		pairs = append(pairs, [2]uint32{0xA5A5A5A5 &^ (1 << i), 0xA5A5A5A5 | 1<<i}, [2]uint32{0xA5A5A5A5 | 1<<i, 0xA5A5A5A5 &^ (1 << i)})
+	}
+	for _, pair := range pairs {
+		if got := lessThan(t, pair[0], pair[1]); got != (pair[0] < pair[1]) {
+			t.Errorf("LessThan(%#x,%#x) = %v", pair[0], pair[1], got)
 		}
 	}
 }
 
 func TestEqual(t *testing.T) {
-	c := ctx(9)
+	equal := func(x, y uint32) bool {
+		return wordCircuit(t, EqualShape.ANDs(), x, y, func(e *Eval, wx, wy WordShare) WordShare {
+			return WordOfBit(e.Equal(wx, wy))
+		}) == 1
+	}
 	f := func(x, y uint32) bool {
-		same := c.Equal(c.ShareWord(x), c.ShareWord(y)).Open()
-		return same == (x == y)
+		return equal(x, y) == (x == y) && equal(x, x)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	if !c.Equal(c.ShareWord(42), c.ShareWord(42)).Open() {
-		t.Error("Equal(42,42) false")
+	for i := uint(0); i < 32; i++ {
+		if equal(42, 42^1<<i) {
+			t.Errorf("Equal true on words differing in bit %d", i)
+		}
 	}
 }
 
 func TestXORWords(t *testing.T) {
-	c := ctx(10)
 	f := func(x, y uint32) bool {
-		return OpenWord(c.XORWords(c.ShareWord(x), c.ShareWord(y))) == x^y
+		return wordCircuit(t, 0, x, y, (*Eval).XORWords) == x^y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -136,65 +335,64 @@ func TestXORWords(t *testing.T) {
 }
 
 func TestMuxWordsAndCompareExchange(t *testing.T) {
-	c := ctx(11)
 	rng := rand.New(rand.NewSource(11)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	for trial := 0; trial < 50; trial++ {
-		x, y := rng.Uint32(), rng.Uint32()
-		lo, hi := c.CompareExchange(c.ShareWord(x), c.ShareWord(y))
-		wantLo, wantHi := x, y
-		if y < x {
-			wantLo, wantHi = y, x
+	const trials = 50
+	var xs, ys [trials]uint32
+	for i := range xs {
+		xs[i], ys[i] = rng.Uint32(), rng.Uint32()
+	}
+	r := runPair(t, 11, trials*(CompareExchangeShape.ANDs()+2*32), func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		for i := range xs {
+			wx, wy := ShareOfWord(e.Role(), xs[i], 0xDEADBEEF), ShareOfWord(e.Role(), ys[i], 0x1234ABCD)
+			lo, hi := e.CompareExchange(wx, wy)
+			o.word(lo)
+			o.word(hi)
+			o.word(e.MUXWords(bitShare(e.Role(), 0, 1), wx, wy))
+			o.word(e.MUXWords(bitShare(e.Role(), 1, 1), wx, wy))
 		}
-		if OpenWord(lo) != wantLo || OpenWord(hi) != wantHi {
-			t.Fatalf("CompareExchange(%d,%d) = (%d,%d)", x, y, OpenWord(lo), OpenWord(hi))
+		return o.outs
+	})
+	for i := range xs {
+		x, y := xs[i], ys[i]
+		got := r.out[4*i : 4*i+4]
+		if got[0] != min(x, y) || got[1] != max(x, y) {
+			t.Fatalf("CompareExchange(%d,%d) = (%d,%d)", x, y, got[0], got[1])
+		}
+		if got[2] != x || got[3] != y {
+			t.Fatalf("MUXWords(0/1,%d,%d) = %d/%d", x, y, got[2], got[3])
 		}
 	}
 }
 
 func TestCounterUpdateMatchesTransform(t *testing.T) {
 	// Alg. 1 lines 4-6 at the gate level: counter stays shared end to end.
-	c := ctx(12)
-	counter := c.ShareWord(100)
-	for _, delta := range []uint32{3, 0, 27, 1} {
-		counter = c.CounterUpdate(counter, c.ShareWord(delta))
-	}
-	if got := OpenWord(counter); got != 131 {
-		t.Errorf("counter = %d, want 131", got)
+	deltas := []uint32{3, 0, 27, 1}
+	r := runPair(t, 12, len(deltas)*AddShape.ANDs(), func(e *Eval) []uint32 {
+		counter := ShareOfWord(e.Role(), 100, 0xC0FFEE01)
+		for i, delta := range deltas {
+			counter = e.CounterUpdate(counter, ShareOfWord(e.Role(), delta, uint32(i)*0x9E3779B9))
+		}
+		o := &opener{e: e}
+		o.word(counter)
+		return o.outs
+	})
+	if r.out[0] != 131 {
+		t.Errorf("counter = %d, want 131", r.out[0])
 	}
 }
 
 func TestThresholdCheck(t *testing.T) {
-	c := ctx(13)
 	cases := []struct {
 		count, theta uint32
-		want         bool
-	}{{30, 30, true}, {29, 30, false}, {31, 30, true}, {0, 0, true}}
+		want         uint32
+	}{{30, 30, 1}, {29, 30, 0}, {31, 30, 1}, {0, 0, 1}}
 	for _, tc := range cases {
-		if got := c.ThresholdCheck(c.ShareWord(tc.count), c.ShareWord(tc.theta)).Open(); got != tc.want {
-			t.Errorf("ThresholdCheck(%d,%d) = %v want %v", tc.count, tc.theta, got, tc.want)
-		}
-	}
-}
-
-// TestOpeningsUniform: the online transcript of an AND gate (the masked
-// openings d, e) must be uniform regardless of the inputs — the semi-honest
-// security argument at gate level.
-func TestOpeningsUniform(t *testing.T) {
-	const n = 20000
-	for _, inputs := range [][2]bool{{false, false}, {true, true}} {
-		c := ctx(14)
-		ones := 0
-		for i := 0; i < n; i++ {
-			c.AND(c.ShareBit(inputs[0]), c.ShareBit(inputs[1]))
-		}
-		for _, v := range c.Openings {
-			if v {
-				ones++
-			}
-		}
-		frac := float64(ones) / float64(len(c.Openings))
-		if frac < 0.48 || frac > 0.52 {
-			t.Errorf("inputs %v: opening bias %v, want 0.5", inputs, frac)
+		got := wordCircuit(t, LessThanShape.ANDs(), tc.count, tc.theta, func(e *Eval, wc, wt WordShare) WordShare {
+			return WordOfBit(e.ThresholdCheck(wc, wt))
+		})
+		if got != tc.want {
+			t.Errorf("ThresholdCheck(%d,%d) = %d want %d", tc.count, tc.theta, got, tc.want)
 		}
 	}
 }
@@ -204,9 +402,7 @@ func TestOpeningsUniform(t *testing.T) {
 // charges (ANDGatesPerCompareExchangeBit per payload bit), keeping the two
 // layers honest with each other.
 func TestCompareExchangeCostMatchesSimulator(t *testing.T) {
-	c := ctx(15)
-	c.CompareExchange(c.ShareWord(5), c.ShareWord(9))
-	perBit := float64(c.ANDGates) / 32
+	perBit := float64(CompareExchangeShape.ANDs()) / 32
 	model := mpc.DefaultCostModel()
 	if perBit < model.ANDGatesPerCompareExchangeBit || perBit > 2*model.ANDGatesPerCompareExchangeBit {
 		t.Errorf("real comparator costs %.2f AND/bit; simulator charges %.2f — recalibrate",
@@ -215,40 +411,127 @@ func TestCompareExchangeCostMatchesSimulator(t *testing.T) {
 }
 
 func TestCommunicationAccounting(t *testing.T) {
-	c := ctx(16)
-	c.AND(c.ShareBit(true), c.ShareBit(false))
-	if c.BitsSent != 4 {
-		t.Errorf("one AND gate moved %d bits, want 4", c.BitsSent)
+	r := runPair(t, 16, 1, func(e *Eval) []uint32 {
+		e.AND(bitShare(e.Role(), 1, 1), bitShare(e.Role(), 0, 1))
+		return nil
+	})
+	// Each party sends its share of d and of e: 4 bits across both directions.
+	if got := r.e0.BitsSent + r.e1.BitsSent; got != 4*2 || r.e0.BitsSent != 4 {
+		t.Errorf("one AND gate moved %d+%d bits, want 4 per party", r.e0.BitsSent, r.e1.BitsSent)
 	}
-	if c.Stats() == "" {
+	if r.e0.Stats() == "" {
 		t.Error("empty stats")
 	}
 }
 
 func TestRecordLimit(t *testing.T) {
-	c := NewCircuit(NewDealer(17), 3)
-	for i := 0; i < 10; i++ {
-		c.AND(c.ShareBit(true), c.ShareBit(true))
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	// 10 single gates then a 32-lane round: the limit holds across both.
+	r := evalPair(t, c0, c1, 17, 10+LessThanShape.ANDs(), 3, func(e *Eval) []uint32 {
+		for i := 0; i < 10; i++ {
+			e.AND(bitShare(e.Role(), 1, 1), bitShare(e.Role(), 1, 0))
+		}
+		e.LessThan(ShareOfWord(e.Role(), 1, 2), ShareOfWord(e.Role(), 3, 4))
+		return nil
+	})
+	if r.e0.Err() != nil || r.e1.Err() != nil {
+		t.Fatalf("evaluation errors: role0=%v role1=%v", r.e0.Err(), r.e1.Err())
 	}
-	if len(c.Openings) != 3 {
-		t.Errorf("transcript kept %d openings, want limit 3", len(c.Openings))
+	if len(r.e0.Openings) != 3 || len(r.e1.Openings) != 3 {
+		t.Errorf("transcripts kept %d and %d openings, want limit 3", len(r.e0.Openings), len(r.e1.Openings))
 	}
 }
 
-func BenchmarkAND(b *testing.B) {
-	c := ctx(99)
-	x, y := c.ShareBit(true), c.ShareBit(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AND(x, y)
+// TestOpeningsUniform: the online transcript of the batched openings — the
+// share bits each party puts in its FrameOpen payloads, and the d and e both
+// reconstruct — must be uniform regardless of the inputs, and must depend on
+// the dealer's randomness only: the semi-honest security argument at the
+// frame level. Every bit position of a CompareExchange's seven frames is
+// tallied over dealer seeds for two opposite input pairs.
+func TestOpeningsUniform(t *testing.T) {
+	const seeds = 600
+	shape := CompareExchangeShape
+	// math/rand streams seeded 0, 1, 2, … are correlated draw for draw, so
+	// the dealer seeds are themselves drawn from a stream.
+	seedStream := rand.New(rand.NewSource(14)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	for _, in := range [][2]uint32{{0, 0}, {math.MaxUint32, math.MaxUint32}, {7, 1 << 31}} {
+		var sentOnes, openOnes [][]int // [round][bit]
+		for _, k := range shape {
+			sentOnes = append(sentOnes, make([]int, 2*k))
+			openOnes = append(openOnes, make([]int, 2*k))
+		}
+		var first [][]byte
+		for run := 0; run < seeds; run++ {
+			seed := seedStream.Int63()
+			c0, c1 := wire.Loopback(256)
+			tap := &tapConn{Conn: c0}
+			r := evalPair(t, tap, c1, seed, shape.ANDs(), 0, func(e *Eval) []uint32 {
+				e.CompareExchange(ShareOfWord(e.Role(), in[0], 0x0F0F0F0F), ShareOfWord(e.Role(), in[1], 0x33333333))
+				return nil
+			})
+			c0.Close()
+			if r.e0.Err() != nil || r.e1.Err() != nil {
+				t.Fatalf("evaluation errors: role0=%v role1=%v", r.e0.Err(), r.e1.Err())
+			}
+			if len(tap.opens) != len(shape) {
+				t.Fatalf("run %d: %d open frames, want %d", run, len(tap.opens), len(shape))
+			}
+			at := 0
+			for round, k := range shape {
+				for bit := 0; bit < 2*k; bit++ {
+					sentOnes[round][bit] += int(tap.opens[round][bit/8] >> uint(bit%8) & 1)
+					openOnes[round][bit] += int(b2u(r.e0.Openings[at+bit]))
+				}
+				at += 2 * k
+			}
+			switch run {
+			case 0:
+				first = tap.opens
+			case 1:
+				same := true
+				for i := range first {
+					same = same && string(first[i]) == string(tap.opens[i])
+				}
+				if same {
+					t.Errorf("inputs %v: identical frames under two dealer seeds — the openings are not masked", in)
+				}
+			}
+		}
+		for round := range shape {
+			for bit := range sentOnes[round] {
+				sent, opened := float64(sentOnes[round][bit])/seeds, float64(openOnes[round][bit])/seeds
+				if math.Abs(sent-0.5) > 0.1 || math.Abs(opened-0.5) > 0.1 {
+					t.Errorf("inputs %v round %d bit %d: over %d dealer seeds the sent share is 1 in %.3f and the opened value in %.3f, want 0.5",
+						in, round, bit, seeds, sent, opened)
+				}
+			}
+		}
 	}
 }
 
-func BenchmarkCompareExchange32(b *testing.B) {
-	c := ctx(100)
-	x, y := c.ShareWord(123), c.ShareWord(456)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.CompareExchange(x, y)
-	}
+// BenchmarkEvalCompareExchangeLoopback evaluates comparators between two
+// evaluators over the in-process transport and reports the measured online
+// rounds per comparator.
+func BenchmarkEvalCompareExchangeLoopback(b *testing.B) {
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	var before wire.Stats
+	evalPair(b, c0, c1, 100, b.N*CompareExchangeShape.ANDs(), 1, func(e *Eval) []uint32 {
+		x, y := ShareOfWord(e.Role(), 123, 0xA5A5A5A5), ShareOfWord(e.Role(), 456, 0x5A5A5A5A)
+		if e.Role() == 0 {
+			before = c0.Stats()
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			x, y = e.CompareExchange(y, x)
+		}
+		if e.Role() == 0 {
+			b.StopTimer()
+		}
+		return nil
+	})
+	b.ReportMetric(float64(c0.Stats().Sub(before).Rounds)/float64(b.N), "rounds/op")
 }

@@ -18,16 +18,6 @@ const (
 	ExchangeRounds = 1
 )
 
-// GMW online AND-gate wire shape (internal/gmw Eval): the two mask openings
-// d = x^a, e = y^b of one AND gate are packed into a single 1-byte frame per
-// party per gate, exchanged symmetrically.
-const (
-	// ANDOpenBytes is the per-party byte cost of one online AND opening.
-	ANDOpenBytes = 2 * (wire.FrameOverhead + 1)
-	// ANDOpenRounds is the per-party round cost of one online AND opening.
-	ANDOpenRounds = 1
-)
-
 // PredictedWire is the modeled wire cost of an operation: what the CostModel
 // expects the transport counters to report. The obs layer compares these
 // against measured conn tallies per op family.
@@ -41,7 +31,15 @@ func PredictExchanges(n int) PredictedWire {
 	return PredictedWire{Rounds: uint64(n) * ExchangeRounds, Bytes: uint64(n) * ExchangeBytes}
 }
 
-// PredictANDGates prices n online GMW AND-gate openings.
-func PredictANDGates(n int) PredictedWire {
-	return PredictedWire{Rounds: uint64(n) * ANDOpenRounds, Bytes: uint64(n) * ANDOpenBytes}
+// PredictOpenRounds prices the online GMW rounds of a circuit (internal/gmw
+// Eval) from its round shape — the lane count k of each AND round, as gmw
+// declares it. A round is priced by its lane count, not per gate: the 2k
+// masked-opening share bits d = x^a, e = y^b go out packed in one
+// ⌈2k/8⌉-byte frame and the peer's come back in another.
+func PredictOpenRounds(lanes []int) PredictedWire {
+	w := PredictedWire{Rounds: uint64(len(lanes))}
+	for _, k := range lanes {
+		w.Bytes += 2 * uint64(wire.FrameOverhead+(2*k+7)/8)
+	}
+	return w
 }

@@ -9,10 +9,11 @@
 // The session script exercises every wire primitive the runtime and the GMW
 // layer own: per-step counter re-shares, in-protocol recoveries, joint
 // Laplace noise and transcript observations, followed by a GMW segment
-// (offline triple dealing plus online AND openings) evaluating the paper's
-// counter-update and threshold circuits. The schedule is a pure function of
-// the configuration, so the wire cost is predictable in closed form
-// (Predict) and the smoke harness can hold measured conn counters to it.
+// (offline triple dealing plus online rounds of batched AND openings)
+// evaluating the paper's counter-update, threshold and comparator circuits.
+// The schedule is a pure function of the configuration, so the wire cost is
+// predictable in closed form (Predict) and the smoke harness can hold
+// measured conn counters to it.
 package party
 
 import (
@@ -22,6 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"incshrink/internal/gmw"
@@ -59,9 +61,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Triple budget of the GMW segment: one CounterUpdate (32), one
-// ThresholdCheck (96), one CompareExchange (160).
-const gmwTriples = 32 + 96 + 160
+// gmwSchedule is the online schedule of the GMW segment, concatenated from
+// the round shapes gmw declares: one CounterUpdate, one ThresholdCheck, one
+// CompareExchange. The triple budget (every dealt triple feeds exactly one
+// AND gate) and the wire prediction both derive from it.
+var gmwSchedule = slices.Concat(gmw.AddShape, gmw.LessThanShape, gmw.CompareExchangeShape)
 
 // gmwReveals is the number of OpenWord calls in the GMW segment.
 const gmwReveals = 4
@@ -98,16 +102,13 @@ type Report struct {
 }
 
 // Predict returns the modeled per-party wire cost of a session: the
-// runtime's word exchanges, the GMW online openings and output reveals, and
-// the one offline triple-block frame (which rides ahead of the first AND's
-// round, so it adds bytes but no round).
+// runtime's word exchanges, the GMW online opening rounds and output
+// reveals, and the one offline triple-block frame (which rides ahead of the
+// first AND round, so it adds bytes but no round).
 func Predict(cfg Config) (rounds, bytes uint64) {
-	ex := mpc.PredictExchanges(exchangesPerStep * cfg.Steps)
-	and := mpc.PredictANDGates(gmwTriples) // every dealt triple feeds one AND gate
-	reveal := mpc.PredictExchanges(gmwReveals)
-	rounds = ex.Rounds + and.Rounds + reveal.Rounds
-	bytes = ex.Bytes + and.Bytes + reveal.Bytes + uint64(wire.FrameOverhead+gmwTriples)
-	return rounds, bytes
+	ex := mpc.PredictExchanges(exchangesPerStep*cfg.Steps + gmwReveals)
+	open := mpc.PredictOpenRounds(gmwSchedule)
+	return ex.Rounds + open.Rounds, ex.Bytes + open.Bytes + uint64(wire.FrameOverhead+gmwSchedule.ANDs())
 }
 
 // counterValue is the deterministic counter plaintext re-shared at step t.
@@ -235,7 +236,7 @@ func (s *session) step(t int) error {
 func (s *session) gmwSegment() (*gmw.Eval, error) {
 	ev := gmw.NewEval(s.cfg.Role, s.conn, 0)
 	if s.cfg.Role == 0 {
-		if err := ev.DealTriples(gmw.NewDealer(s.cfg.Seed*7+5), gmwTriples); err != nil {
+		if err := ev.DealTriples(gmw.NewDealer(s.cfg.Seed*7+5), gmwSchedule.ANDs()); err != nil {
 			return nil, err
 		}
 	} else {
@@ -252,9 +253,7 @@ func (s *session) gmwSegment() (*gmw.Eval, error) {
 		return nil, err
 	}
 	s.open(sum)
-	var cmp gmw.WordShare
-	cmp[0] = ev.ThresholdCheck(wc, wd)
-	ge, err := ev.OpenWord(cmp)
+	ge, err := ev.OpenWord(gmw.WordOfBit(ev.ThresholdCheck(wc, wd)))
 	if err != nil {
 		return nil, err
 	}

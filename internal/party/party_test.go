@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"incshrink/internal/gmw"
 	"incshrink/internal/wire"
 )
 
@@ -108,8 +109,37 @@ func TestMeasuredWireMatchesPrediction(t *testing.T) {
 			t.Errorf("role %d bytes: measured %d, predicted %d", r.Role, r.WireBytes, r.PredictedBytes)
 		}
 	}
-	if r0.GMWANDGates != gmwTriples {
-		t.Errorf("GMW segment used %d AND gates, budget %d", r0.GMWANDGates, gmwTriples)
+	if r0.GMWANDGates != gmwSchedule.ANDs() {
+		t.Errorf("GMW segment used %d AND gates, budget %d", r0.GMWANDGates, gmwSchedule.ANDs())
+	}
+	if want := uint64(exchangesPerStep*testConfig().Steps + 32 + 6 + 7 + gmwReveals); r0.PredictedRounds != want {
+		t.Errorf("predicted %d rounds, want %d", r0.PredictedRounds, want)
+	}
+}
+
+// TestGMWSegmentSpendsItsTriples: the triple budget derived from the
+// declared circuit shapes is exactly what the segment consumes.
+func TestGMWSegmentSpendsItsTriples(t *testing.T) {
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	var evs [2]*gmw.Eval
+	var errs [2]error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		evs[1], errs[1] = (&session{cfg: Config{Role: 1, Seed: 9, Steps: 3}, conn: c1}).gmwSegment()
+	}()
+	evs[0], errs[0] = (&session{cfg: Config{Role: 0, Seed: 9, Steps: 3}, conn: c0}).gmwSegment()
+	wg.Wait()
+	for role, ev := range evs {
+		if errs[role] != nil {
+			t.Fatalf("role %d: %v", role, errs[role])
+		}
+		if ev.TriplesLeft() != 0 || ev.ANDGates != gmwSchedule.ANDs() {
+			t.Errorf("role %d: %d triples left after %d AND gates, budget %d", role, ev.TriplesLeft(), ev.ANDGates, gmwSchedule.ANDs())
+		}
 	}
 }
 
