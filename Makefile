@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test lint race bench bench-core bench-smoke bench-batch bench-serve bench-diff obs-smoke recover-smoke wire-smoke fuzz-smoke serve
+.PHONY: check fmt vet build test lint orphans race bench bench-core bench-smoke bench-batch bench-serve bench-diff obs-smoke recover-smoke wire-smoke fuzz-smoke serve
 
 # check is what CI runs: formatting, static checks, build, tests, the
 # observability smoke (boot the production wiring, scrape /metrics, assert
@@ -18,12 +18,13 @@ build:
 	$(GO) build ./...
 
 # lint is the full static-analysis gate (CI runs this): formatting, go vet,
-# and the incshrink-lint analyzers — detclock, rngdraw, maporder,
-# poolsteal, oblivtaint, goleak, atomicmix (see internal/analysis and
-# DESIGN.md §10). The gate runs with -tests (test files are policed too)
-# and -unusedallow (a stale escape hatch is a finding). When
-# staticcheck/govulncheck are on PATH they run too; CI installs them at
-# pinned versions, offline checkouts just skip them. Intentional violations
+# the orphaned-package check (orphans, below) and the incshrink-lint
+# analyzers — detclock, rngdraw, maporder, poolsteal, oblivtaint, goleak,
+# atomicmix (see internal/analysis and DESIGN.md §10). The gate runs with
+# -tests (test files are policed too) and -unusedallow (a stale escape hatch
+# is a finding). When staticcheck/govulncheck are on PATH they run too; CI
+# installs them at pinned versions, offline checkouts just skip them.
+# Intentional violations
 # are annotated in source as `//lint:allow <analyzer> <reason>` — the
 # reason is mandatory, an allow without one is itself a finding.
 #
@@ -35,12 +36,21 @@ LINT_SRC := $(shell find cmd/incshrink-lint internal/analysis -name '*.go' -not 
 bin/incshrink-lint: $(LINT_SRC) go.mod
 	$(GO) build -o $@ ./cmd/incshrink-lint
 
-lint: fmt vet bin/incshrink-lint
+lint: fmt vet orphans bin/incshrink-lint
 	$(GO) vet -vettool=$(abspath bin/incshrink-lint) -tests -unusedallow ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it pinned)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 		else echo "govulncheck not installed; skipping (CI runs it pinned)"; fi
+
+# orphans keeps "delete what nothing calls" done: every internal package must
+# be in the dependency closure of the library, a command or an example — a
+# package only its own tests import prints here and fails the gate. The one
+# named exception is the analyzers' test harness, test-only by design.
+orphans:
+	@deps="$$($(GO) list -deps . ./cmd/... ./examples/...)" || exit 1; \
+	out="$$($(GO) list ./internal/... | grep -vxF -e "$$deps" -e incshrink/internal/analysis/analysistest)"; \
+	if [ -n "$$out" ]; then echo "internal packages no program imports:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -27,56 +27,83 @@ func batchOpts(p Protocol) Options {
 // AdvanceBatch(s1..sk) must leave the database in a state byte-identical to
 // k sequential Advance calls — counts, stats, and the full durability
 // snapshot (cache and view arenas, budgets, RNG draw positions, cost meter)
-// — for batch sizes 1, 7 and 120 under both DP engines.
+// — for batch sizes 1, 7 and 120 under both DP engines. The second
+// deployment puts the rest of the step loop under the same check: public
+// arrivals carried across non-upload steps (UploadEvery 3), the
+// public-relation no-padding branch, and omega > 1 on a stream where every
+// left record matches two right records.
 func TestAdvanceBatchEquivalence(t *testing.T) {
 	const horizon = 120
+	deployments := []struct {
+		name        string
+		def         ViewDef
+		uploadEvery int // 0 = the default, every step
+		step        func(t int) StepRows
+	}{
+		{"default", ViewDef{Within: 10}, 0, batchStep},
+		{"public-omega2-upload3", ViewDef{Within: 10, Omega: 2, RightPublic: true}, 3,
+			func(t int) StepRows {
+				st := batchStep(t)
+				st.Right = append(st.Right, Row{3 * int64(t), int64(t) + 3})
+				return st
+			}},
+	}
 	for _, proto := range []Protocol{SDPTimer, SDPANT} {
 		for _, k := range []int{1, 7, 120} {
 			t.Run(fmt.Sprintf("%s/k=%d", proto, k), func(t *testing.T) {
-				seq, err := Open(ViewDef{Within: 10}, batchOpts(proto))
-				if err != nil {
-					t.Fatal(err)
-				}
-				bat, err := Open(ViewDef{Within: 10}, batchOpts(proto))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var steps []StepRows
-				for s := 0; s < horizon; s++ {
-					st := batchStep(s)
-					if err := seq.Advance(st.Left, st.Right); err != nil {
-						t.Fatal(err)
-					}
-					steps = append(steps, st)
-					if len(steps) == k {
-						if err := bat.AdvanceBatch(steps); err != nil {
+				for _, d := range deployments {
+					t.Run(d.name, func(t *testing.T) {
+						opts := batchOpts(proto)
+						opts.UploadEvery = d.uploadEvery
+						seq, err := Open(d.def, opts)
+						if err != nil {
 							t.Fatal(err)
 						}
-						steps = steps[:0]
-					}
-				}
-				if len(steps) > 0 {
-					if err := bat.AdvanceBatch(steps); err != nil {
-						t.Fatal(err)
-					}
-				}
-				ns, _ := seq.Count()
-				nb, _ := bat.Count()
-				if ns != nb {
-					t.Fatalf("count diverged: sequential %d, batched %d", ns, nb)
-				}
-				if seq.Stats() != bat.Stats() {
-					t.Fatalf("stats diverged:\nsequential %+v\nbatched    %+v", seq.Stats(), bat.Stats())
-				}
-				var sb, bb bytes.Buffer
-				if err := seq.Snapshot(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if err := bat.Snapshot(&bb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-					t.Fatalf("snapshots diverged (%d vs %d bytes): a batched run must be byte-identical to a sequential one", sb.Len(), bb.Len())
+						bat, err := Open(d.def, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var steps []StepRows
+						for s := 0; s < horizon; s++ {
+							st := d.step(s)
+							if err := seq.Advance(st.Left, st.Right); err != nil {
+								t.Fatal(err)
+							}
+							steps = append(steps, st)
+							if len(steps) == k {
+								if err := bat.AdvanceBatch(steps); err != nil {
+									t.Fatal(err)
+								}
+								steps = steps[:0]
+							}
+						}
+						if len(steps) > 0 {
+							if err := bat.AdvanceBatch(steps); err != nil {
+								t.Fatal(err)
+							}
+						}
+						ns, _ := seq.Count()
+						nb, _ := bat.Count()
+						if ns != nb {
+							t.Fatalf("count diverged: sequential %d, batched %d", ns, nb)
+						}
+						if ns == 0 {
+							t.Fatal("empty view: the stream never exercised the join")
+						}
+						if seq.Stats() != bat.Stats() {
+							t.Fatalf("stats diverged:\nsequential %+v\nbatched    %+v", seq.Stats(), bat.Stats())
+						}
+						var sb, bb bytes.Buffer
+						if err := seq.Snapshot(&sb); err != nil {
+							t.Fatal(err)
+						}
+						if err := bat.Snapshot(&bb); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
+							t.Fatalf("snapshots diverged (%d vs %d bytes): a batched run must be byte-identical to a sequential one", sb.Len(), bb.Len())
+						}
+					})
 				}
 			})
 		}

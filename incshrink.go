@@ -107,14 +107,17 @@ type Options struct {
 	MaxLeft, MaxRight int
 	// Seed drives all protocol randomness (default 1).
 	Seed int64
-	// MergeWindows makes AdvanceBatch coalesce the upload windows between
-	// two Shrink observation points into one larger Transform — one Batcher
-	// network over the merged window instead of one per step, a superlinear
-	// saving. Counter values at observation points, DP noise draws and view
-	// counts match step-by-step execution on single-contribution streams,
-	// but the simulated cost (which is the point) and the per-invocation
-	// omega truncation granularity differ, so merged runs are not
-	// byte-identical to sequential ones. Default off. See DESIGN.md §12.
+	// MergeWindows selects segment boundaries inside AdvanceBatch, nothing
+	// else. Off (the default), every step's upload gets its own Transform and
+	// AdvanceBatch is byte-identical to step-by-step Advance. On, the uploads
+	// between two Shrink observation points share one larger Transform — one
+	// Batcher network over the merged window instead of one per step, a
+	// superlinear saving. Counter values at observation points, DP noise
+	// draws and view counts still match step-by-step execution on
+	// single-contribution streams, but the simulated cost (which is the
+	// point) and the omega truncation granularity (per segment, not per
+	// upload) differ, so merged runs are not byte-identical to sequential
+	// ones. See DESIGN.md §12.
 	MergeWindows bool
 }
 
@@ -282,11 +285,7 @@ func (db *DB) Advance(left, right []Row) error {
 	if err := db.validateStep(left, right); err != nil {
 		return err
 	}
-	st := workload.Step{T: db.now}
-	st.Left = db.records(left)
-	st.Right = db.records(right)
-	db.fw.Step(st)
-	db.now++
+	db.apply([]StepRows{{Left: left, Right: right}})
 	return nil
 }
 
@@ -299,10 +298,11 @@ type StepRows struct {
 }
 
 // AdvanceBatch moves the database len(steps) time steps forward in one
-// call, ingesting steps[i] at logical time Now()+i. It is defined as
-// exactly equivalent to calling Advance once per element in order — same
-// counts, same record IDs, same simulated costs and DP randomness,
-// byte-identical snapshots. Batching never changes semantics; it buys
+// call, ingesting steps[i] at logical time Now()+i. Unless
+// Options.MergeWindows is set, it is exactly equivalent to calling Advance
+// once per element in order — same counts, same record IDs, same simulated
+// costs and DP randomness, byte-identical snapshots: both are the same
+// engine loop, and batching never changes semantics; it buys
 // wall clock in the layers that pay a fixed cost per call — one
 // validation pass, and in the serving stack one admission, one HTTP
 // round trip and one lock/worker-slot acquisition per batch instead of
@@ -324,12 +324,17 @@ func (db *DB) AdvanceBatch(steps []StepRows) error {
 			return fmt.Errorf("batch step %d of %d: %w", i, len(steps), err)
 		}
 	}
-	// Nothing can fail from here on: allocate IDs in exactly the order k
-	// sequential Advance calls would have (step 0 left, step 0 right,
-	// step 1 left, ...) and hand the whole window to the engine. All of the
-	// batch's records share one arena sized to the exact total, so the whole
-	// call costs two allocations regardless of k — the capacity is exact,
-	// append never reallocates, and the per-step subslices stay valid.
+	db.apply(steps)
+	return nil
+}
+
+// apply ingests pre-validated steps — nothing can fail from here on. IDs are
+// allocated in step order (step 0 left, step 0 right, step 1 left, ...), so
+// they do not depend on how the steps were cut into calls. All of the call's
+// records share one arena sized to the exact total, so it costs two
+// allocations regardless of len(steps) — the capacity is exact, append never
+// reallocates, and the per-step subslices stay valid.
+func (db *DB) apply(steps []StepRows) {
 	total := 0
 	for _, s := range steps {
 		total += len(s.Left) + len(s.Right)
@@ -347,7 +352,6 @@ func (db *DB) AdvanceBatch(steps []StepRows) error {
 	}
 	db.fw.StepBatch(wsteps)
 	db.now += len(steps)
-	return nil
 }
 
 // validateStep checks one step's uploads against the block sizes and row
@@ -376,14 +380,9 @@ func validateRows(stream string, rows []Row) error {
 	return nil
 }
 
-// records assigns stable IDs to pre-validated rows; it must only run after
-// both streams of the step have passed validation.
-func (db *DB) records(rows []Row) []oblivious.Record {
-	return db.appendRecords(make([]oblivious.Record, 0, len(rows)), rows)
-}
-
-// appendRecords is records over a caller-provided arena (AdvanceBatch backs
-// a whole batch with one allocation).
+// appendRecords assigns stable IDs to pre-validated rows, appending them to
+// the caller's arena; it must only run after every step of the call has
+// passed validation.
 func (db *DB) appendRecords(dst []oblivious.Record, rows []Row) []oblivious.Record {
 	for _, r := range rows {
 		// The engine's fixed-arity data plane (and the view schema the

@@ -35,8 +35,8 @@ var OblivTaintPackages = []string{
 // Rebindable from -oblivtaint.sanction.
 //
 // Sanction rationale, by group:
-//   - Buffer counter maintenance (SetReal, AppendFrom, AppendRange,
-//     Truncate, CutPrefix, ScanReal): the `real` counter is flag-derived by
+//   - Buffer counter maintenance (AppendFrom, AppendRange, Truncate,
+//     CutPrefix, ScanReal): the `real` counter is flag-derived by
 //     construction; in the deployed protocol these are local share updates,
 //     and every slot is touched unconditionally (the branch selects an
 //     increment, not an address).
@@ -46,7 +46,7 @@ var OblivTaintPackages = []string{
 //     are NOT here. The compare-exchange is a borrow chain and a masked
 //     XOR, so it passes the analyzer on its own; a branching `if less
 //     { swap }` over the keys would be a finding (TestLintGate seeds one).
-//   - Scans and compaction (TightCompactInto, SelectInto, CountBuffer): the
+//   - Scans and compaction (TightCompactInto, CountBuffer): the
 //     fixed-topology scan primitives; their flag-dependent moves are exactly
 //     the part a circuit evaluates obliviously.
 //   - Truncated joins: the paper's core operators; window advance and
@@ -57,7 +57,6 @@ var OblivTaintPackages = []string{
 // a function of the public lane count, so internal/gmw passes the analyzer
 // as ordinary code (TestLintGate seeds a branching select into it).
 var OblivTaintSanctioned = []string{
-	"internal/oblivious.Buffer.SetReal",
 	"internal/oblivious.Buffer.AppendFrom",
 	"internal/oblivious.Buffer.AppendRange",
 	"internal/oblivious.Buffer.Truncate",
@@ -66,7 +65,6 @@ var OblivTaintSanctioned = []string{
 	"internal/oblivious.boolWord",
 	"internal/oblivious.CountBuffer",
 	"internal/oblivious.TightCompactInto",
-	"internal/oblivious.SelectInto",
 	"internal/oblivious.TruncatedSortMergeJoinInto",
 	"internal/oblivious.TruncatedNestedLoopJoinInto",
 }

@@ -41,18 +41,18 @@ type Config struct {
 	// cache receives the raw exhaustively padded join array. This is what
 	// the EP baseline does and what makes it slow.
 	RawDelta bool
-	// MergeWindows enables window merging in StepBatch: upload blocks that
-	// fall between two Shrink observation points are coalesced into ONE
-	// Transform over the merged window — one Batcher network of kn elements
+	// MergeWindows selects segment boundaries in StepBatch — where the queued
+	// upload blocks get their Transform — and nothing else. Off (the default),
+	// every step ends a segment: one Transform per upload block, and results
+	// are byte-identical however the steps are cut into calls. On, a segment
+	// runs to the next Shrink observation point, flush or end of call, and
+	// its k blocks share ONE Transform — one Batcher network of kn elements
 	// instead of k networks of n, which wins superlinearly because the
-	// network is Theta(n log^2 n). Merging preserves count trajectories on
+	// network is Theta(n log^2 n). That preserves count trajectories on
 	// single-contribution streams and keeps the meter honest (charges follow
-	// SortCompareExchanges of the merged size), but it is NOT byte-identical
-	// to sequential stepping: the merged invocation charges fewer gates,
-	// emits one batch event instead of k, and applies the omega truncation
-	// per merged invocation rather than per block. Leave it off (the
-	// default) where byte-exact equivalence to Step-by-Step execution is the
-	// contract. See DESIGN.md §12.
+	// SortCompareExchanges of the merged size), but a k > 1 segment charges
+	// fewer gates, emits one batch event instead of k, and applies the omega
+	// truncation per segment rather than per block. See DESIGN.md §12.
 	MergeWindows bool
 	// Cost is the MPC cost model.
 	Cost mpc.CostModel
@@ -221,21 +221,20 @@ type Framework struct {
 	// records live only for the duration of one transform), and the two
 	// transform temporaries — the exhaustively padded join output and the
 	// compacted delta. The temporaries are framework-owned rather than
-	// pool-borrowed so a batched ingest (StepBatch) reuses the same arenas
-	// across every step of the batch with no pool round-trips in between.
+	// pool-borrowed so StepBatch reuses the same arenas across every step
+	// with no pool round-trips in between.
 	inLeft, inRight []oblivious.Record
 	newIDs          map[int64]bool
 	padRows         table.Flat
 	joinBuf         *oblivious.Buffer
 	deltaBuf        *oblivious.Buffer
 
-	// Window-merging scratch (Config.MergeWindows): the upload blocks
-	// accumulated since the last Shrink observation point and the arena
-	// their pending-right snapshots live in. Blocks never outlive one
-	// StepBatch call — the last step of a batch is always a merge boundary —
-	// so neither field is part of the durable state.
-	mergedBlocks     []uploadBlock
-	mergedRightArena []oblivious.Record
+	// Step-loop scratch: the upload blocks queued since the last segment end
+	// and the arena their pending-right snapshots live in. Blocks never
+	// outlive one StepBatch call — the last step of a call always ends a
+	// segment — so neither field is part of the durable state.
+	blocks     []uploadBlock
+	rightArena []oblivious.Record
 
 	// Public input caps: the active windows are padded to these sizes so the
 	// Transform input — and therefore its cost and its padded output — is
@@ -362,84 +361,58 @@ func (f *Framework) Cache() *securearray.Cache { return f.cache }
 // Config returns the engine configuration.
 func (f *Framework) Config() Config { return f.cfg }
 
-// Step implements Engine: run Transform on the step's uploads, then let the
-// Shrink protocol act, then the independent cache flush.
+// Step implements Engine: one time step is a batch of one.
 func (f *Framework) Step(st workload.Step) {
-	f.now = st.T
-	f.rt.SetTime(st.T)
-
-	// Public-relation arrivals accumulate between uploads; Transform runs
-	// only when owners submit data ("whenever owners submit new data, the
-	// servers invoke Transform"), so each record is charged omega once per
-	// upload period and its budget window spans the temporal join window.
-	f.pendingRight = append(f.pendingRight, st.Right...)
-	if f.uploadDue(st.T) {
-		f.transform(st.Left, f.pendingRight)
-		f.pendingRight = nil
-	}
-
-	shrinkProbe := f.ins.phaseStart(f.rt)
-	f.shrink.Tick(f, st.T)
-	f.ins.phaseDone("shrink", mpc.OpShrink, shrinkProbe, f.rt)
-
-	if f.flushDue(st.T) {
-		fetched, lost := f.cache.FlushInto(f.view, f.cfg.FlushSize)
-		f.lostReal += lost
-		f.rt.ObserveFlush(fetched, "flush")
-	}
-
-	f.ins.stepDone(f)
+	f.StepBatch([]workload.Step{st})
 }
 
-// StepBatch ingests a contiguous run of time steps in one call. Without
-// Config.MergeWindows it is defined as exactly equivalent to calling Step on
-// every element in order — same counts, same simulated costs, same RNG
-// draws, byte-identical snapshots — and is the engine-side target of batched
-// ingestion (incshrink.DB.AdvanceBatch, the serving layer's mailbox
-// coalescing). The per-step scratch — the framework-owned join/delta
-// buffers, the padding arena and input-window capacity, the memoized sort
-// networks — is warm after the first step, so the batch's marginal steps run
-// off the allocator.
+// StepBatch ingests a contiguous run of time steps — the one step loop of
+// the engine, and the engine-side target of batched ingestion
+// (incshrink.DB.AdvanceBatch, the serving layer's mailbox coalescing). Each
+// step queues its upload block (when the owners' schedule ships one), runs
+// Transform over the queued blocks if the step ends a segment, then lets the
+// Shrink protocol act, then the independent cache flush.
 //
-// With MergeWindows set, upload blocks between Shrink observation points are
-// coalesced: each segment runs one Transform over the merged window (one
-// kn-element Batcher network instead of k n-element ones). Segment
-// boundaries are exactly the steps where deferral would be visible — the
-// Shrink protocol observes the counter/cache (StepObserver), the independent
-// flush fires, or the batch ends — so counter values at every observation
-// point, all DP noise draws, and the view contents match sequential
-// execution on single-contribution streams. See transformMerged and
-// DESIGN.md §12 for the costs that intentionally differ.
+// Config.MergeWindows selects segment boundaries and nothing else. Off,
+// every step ends a segment: each upload block gets its own Transform, so
+// the result — counts, simulated costs, RNG draws, snapshots — does not
+// depend on how the steps were cut into calls. On, a segment ends only where
+// deferral would be visible — the Shrink protocol observes the counter or
+// the cache (StepObserver), the independent flush fires, or the batch ends
+// (blocks are never held across calls) — and the segment's k blocks share
+// one Transform: one kn-element Batcher network instead of k n-element
+// ones. See transform and DESIGN.md §12 for what differs at k > 1.
+//
+// The per-step scratch — the framework-owned join/delta buffers, the padding
+// arena and input-window capacity, the memoized sort networks — is warm
+// after the first step, so marginal steps run off the allocator.
 func (f *Framework) StepBatch(steps []workload.Step) {
-	if !f.cfg.MergeWindows {
-		for i := range steps {
-			f.Step(steps[i])
-		}
-		return
-	}
-	f.mergedBlocks = f.mergedBlocks[:0]
-	f.mergedRightArena = f.mergedRightArena[:0]
+	f.blocks = f.blocks[:0]
+	f.rightArena = f.rightArena[:0]
 	for i := range steps {
 		st := steps[i]
 		f.now = st.T
 		f.rt.SetTime(st.T)
 
+		// Public-relation arrivals accumulate between uploads; Transform runs
+		// only when owners submit data ("whenever owners submit new data, the
+		// servers invoke Transform"), so each record is charged omega once per
+		// upload period and its budget window spans the temporal join window.
 		f.pendingRight = append(f.pendingRight, st.Right...)
 		if f.uploadDue(st.T) {
-			rlo := len(f.mergedRightArena)
-			f.mergedRightArena = append(f.mergedRightArena, f.pendingRight...)
-			f.mergedBlocks = append(f.mergedBlocks, uploadBlock{
-				t: st.T, left: st.Left, rlo: rlo, rhi: len(f.mergedRightArena),
+			rlo := len(f.rightArena)
+			f.rightArena = append(f.rightArena, f.pendingRight...)
+			f.blocks = append(f.blocks, uploadBlock{
+				t: st.T, left: st.Left, rlo: rlo, rhi: len(f.rightArena),
 			})
 			f.pendingRight = f.pendingRight[:0]
 		}
 		// Transform must land before anything at this step can observe its
-		// effect: a Shrink observation, the independent flush, or the end of
-		// the batch (the framework never holds blocks across calls).
-		if len(f.mergedBlocks) > 0 && (f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
-			f.transformMerged(f.mergedBlocks)
-			f.mergedBlocks = f.mergedBlocks[:0]
-			f.mergedRightArena = f.mergedRightArena[:0]
+		// effect.
+		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
+			f.transform(f.blocks)
+			f.blocks = f.blocks[:0]
+			f.rightArena = f.rightArena[:0]
 		}
 
 		shrinkProbe := f.ins.phaseStart(f.rt)
@@ -456,18 +429,18 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 	}
 }
 
-// uploadBlock is one step's upload captured for window merging: the step
-// time, the left upload, and the span of the pending-right arena holding the
-// public-relation arrivals that accumulated up to it. inLeft/inRight spans
-// are filled by transformMerged once the merged input is built, so the
-// retain pass can walk blocks newest-first.
+// uploadBlock is one step's upload queued for Transform: the step time, the
+// left upload, and the span of f.rightArena holding the public-relation
+// arrivals that accumulated up to it. The inLeft/inRight spans are filled by
+// transform once the segment's input is built, so the retain pass can walk
+// blocks newest-first.
 type uploadBlock struct {
 	t         int
 	left      []oblivious.Record
-	rlo, rhi  int // f.mergedRightArena span
-	inLeftLo  int // merged f.inLeft span (set by transformMerged)
+	rlo, rhi  int // f.rightArena span
+	inLeftLo  int // f.inLeft span (set by transform)
 	inLeftHi  int
-	inRightLo int // merged f.inRight span (set by transformMerged)
+	inRightLo int // f.inRight span (set by transform)
 	inRightHi int
 }
 
@@ -495,47 +468,90 @@ func (f *Framework) uploadDue(t int) bool {
 	return (t+1)%f.wl.UploadEvery == 0
 }
 
-// transform is the Transform protocol of Algorithm 1 for one upload. Its
-// intermediates live in per-framework scratch and pooled columnar buffers,
-// so a steady-state invocation stays off the allocator: padded inputs reuse
-// f.inLeft/f.inRight, padding-record payloads live in the f.padRows arena,
-// and the join output, compaction output and overflow carry are
-// arena-backed oblivious.Buffers.
-func (f *Framework) transform(newLeft, newRight []oblivious.Record) {
+// transform is the Transform protocol of Algorithm 1 over one segment of
+// k >= 1 upload blocks; k = 1 is the algorithm verbatim. Its intermediates
+// live in per-framework scratch, so a steady-state invocation stays off the
+// allocator: padded inputs reuse f.inLeft/f.inRight, padding-record payloads
+// live in the f.padRows arena, and the join output, compaction output and
+// overflow carry are arena-backed oblivious.Buffers. Every padded size is a
+// public function of k and the deployment.
+//
+// Relative to k single-block invocations, a k-block segment is the
+// per-merged-invocation variant of Algorithm 1:
+//
+//   - One sort-merge join over the k*MaxLeft (+caps) merged input — the
+//     meter's ChargeSort follows SortCompareExchanges of the merged adapter
+//     size, so the superlinear saving is priced, not hidden.
+//   - The omega truncation bounds each record's contribution per MERGED
+//     invocation, not per block; on streams where a record's pairs all land
+//     in one block (multiplicity-1 workloads like the corebench stream) the
+//     produced pair set is identical to sequential.
+//   - The cardinality counter is re-shared once per covered block — all k
+//     reshares carrying the final cumulative count — so the RNG stream and
+//     the counter value at every observation point line up exactly with
+//     sequential execution (no Shrink observation can occur inside a
+//     segment, by construction of the boundaries).
+//   - Budgets age identically: the retain pass walks each record over every
+//     block it would have been input to, consuming omega per block and
+//     applying the temporal-window check at that block's time, reproducing
+//     the sequential budget and arrival maps including death order.
+//   - transforms counts one invocation, and one batch event is emitted for
+//     the merged delta (transcript shape differs from sequential; the
+//     security argument is unchanged because the merged sizes are public).
+func (f *Framework) transform(blocks []uploadBlock) {
 	probe := f.ins.phaseStart(f.rt)
 	f.transforms++
-	t := f.now
+	k := len(blocks)
 
 	// Register fresh records with their contribution budget and arrival
-	// time; pad the uploads to the public block sizes so the input size is
-	// data-independent.
-	for _, r := range newLeft {
-		f.leftBudget.Register(r.ID)
-		f.leftSince[r.ID] = t
-	}
-	for _, r := range newRight {
-		f.rightBudget.Register(r.ID)
-		f.rightSince[r.ID] = t
+	// time.
+	for bi := range blocks {
+		b := &blocks[bi]
+		for _, r := range b.left {
+			f.leftBudget.Register(r.ID)
+			f.leftSince[r.ID] = b.t
+		}
+		for _, r := range f.rightArena[b.rlo:b.rhi] {
+			f.rightBudget.Register(r.ID)
+			f.rightSince[r.ID] = b.t
+		}
 	}
 
 	// Reserve the padding arena up front so the Record row views handed out
-	// by newPadRecord stay valid for the whole invocation.
+	// by newPadRecordAt stay valid for the whole invocation.
 	padStart := f.ins.now()
 	f.padRows.Reset()
-	f.padRows.Grow(f.wl.MaxLeft + f.wl.MaxRight + f.activeLeftCap + f.activeRightCap)
+	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.activeLeftCap + f.activeRightCap)
 
-	// The full input is the padded new upload plus the active window padded
-	// to its public cap, so the input size (and thus the protocol's cost and
-	// output size) is data-independent. Public relations need no padding
-	// (their content is not secret).
-	f.inLeft = append(f.inLeft[:0], newLeft...)
-	f.inLeft = f.padTo(f.inLeft, f.wl.MaxLeft)
+	// The full input is every block padded to its public block size (pads
+	// carry the block's arrival time) plus the active window — the state from
+	// before the segment — padded to its public cap, so the input size (and
+	// thus the protocol's cost and output size) is data-independent. Public
+	// relations need no padding (their content is not secret).
+	f.inLeft = f.inLeft[:0]
+	for bi := range blocks {
+		b := &blocks[bi]
+		b.inLeftLo = len(f.inLeft)
+		f.inLeft = append(f.inLeft, b.left...)
+		for len(f.inLeft) < b.inLeftLo+f.wl.MaxLeft {
+			f.inLeft = append(f.inLeft, f.newPadRecordAt(b.t))
+		}
+		b.inLeftHi = len(f.inLeft)
+	}
 	nLeft := len(f.inLeft)
 	f.inLeft = f.appendPaddedActive(f.inLeft, f.activeLeft, f.activeLeftCap)
 
-	f.inRight = append(f.inRight[:0], newRight...)
-	if !f.wl.RightPublic {
-		f.inRight = f.padTo(f.inRight, f.wl.MaxRight)
+	f.inRight = f.inRight[:0]
+	for bi := range blocks {
+		b := &blocks[bi]
+		b.inRightLo = len(f.inRight)
+		f.inRight = append(f.inRight, f.rightArena[b.rlo:b.rhi]...)
+		if !f.wl.RightPublic {
+			for len(f.inRight) < b.inRightLo+f.wl.MaxRight {
+				f.inRight = append(f.inRight, f.newPadRecordAt(b.t))
+			}
+		}
+		b.inRightHi = len(f.inRight)
 	}
 	nRight := len(f.inRight)
 	f.inRight = f.appendPaddedActive(f.inRight, f.activeRight, f.activeRightCap)
@@ -571,13 +587,15 @@ func (f *Framework) transform(newLeft, newRight []oblivious.Record) {
 		f.overflow = next
 	}
 
-	// Alg. 1 lines 4-6: update and re-share the cardinality counter.
+	// Alg. 1 lines 4-6: update and re-share the cardinality counter — one
+	// reshare per covered block so the joint-randomness stream advances
+	// exactly as it would block by block; every reshare carries the final
+	// count, which is the only value any later observation can see.
 	newReal := delta.Real()
-	c, err := f.rt.RecoverInside(counterKey)
-	if err != nil {
-		panic("core: counter share lost: " + err.Error())
+	total := uint32(f.recoverCounter() + newReal)
+	for range blocks {
+		f.rt.ShareToServers(counterKey, total)
 	}
-	f.rt.ShareToServers(counterKey, c+uint32(newReal))
 	f.created += newReal
 
 	// Alg. 1 line 7: append the exhaustively padded output to the cache
@@ -586,161 +604,34 @@ func (f *Framework) transform(newLeft, newRight []oblivious.Record) {
 	f.cache.Append(delta)
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
-	// Charge contribution budgets: every private input record is consumed
-	// omega for this invocation, then the active sets are rebuilt from the
-	// still-alive, still-in-window records. The input windows already copied
-	// the previous active sets, so the active slices can be rebuilt in
-	// place.
-	f.activeLeft = f.retainAlive(f.activeLeft[:0], f.inLeft, f.leftBudget, f.leftSince, t)
-	f.activeRight = f.retainAlive(f.activeRight[:0], f.inRight, f.rightBudget, f.rightSince, t)
-
-	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
-}
-
-// transformMerged is the window-merged Transform: one protocol invocation
-// over every upload block of a segment. Relative to k sequential transforms
-// it is semantically the per-merged-invocation variant of Algorithm 1:
-//
-//   - One sort-merge join over the k*MaxLeft (+caps) merged input — the
-//     meter's ChargeSort follows SortCompareExchanges of the merged adapter
-//     size, so the superlinear saving is priced, not hidden.
-//   - The omega truncation bounds each record's contribution per MERGED
-//     invocation, not per block; on streams where a record's pairs all land
-//     in one block (multiplicity-1 workloads like the corebench stream) the
-//     produced pair set is identical to sequential.
-//   - The cardinality counter is re-shared once per covered block — all k
-//     reshares carrying the final cumulative count — so the RNG stream and
-//     the counter value at every observation point line up exactly with
-//     sequential execution (no Shrink observation can occur inside a
-//     segment, by construction of the boundaries).
-//   - Budgets age identically: the retain pass walks each record over every
-//     block it would have been input to, consuming omega per block and
-//     applying the temporal-window check at that block's time, reproducing
-//     the sequential budget and arrival maps including death order.
-//   - transforms counts one invocation, and one batch event is emitted for
-//     the merged delta (transcript shape differs from sequential; the
-//     security argument is unchanged because the merged sizes are public
-//     functions of k and the deployment).
-func (f *Framework) transformMerged(blocks []uploadBlock) {
-	probe := f.ins.phaseStart(f.rt)
-	f.transforms++
-	k := len(blocks)
-
-	for bi := range blocks {
-		b := &blocks[bi]
-		for _, r := range b.left {
-			f.leftBudget.Register(r.ID)
-			f.leftSince[r.ID] = b.t
-		}
-		for _, r := range f.mergedRightArena[b.rlo:b.rhi] {
-			f.rightBudget.Register(r.ID)
-			f.rightSince[r.ID] = b.t
-		}
-	}
-
-	padStart := f.ins.now()
-	f.padRows.Reset()
-	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.activeLeftCap + f.activeRightCap)
-
-	// Merged input: every block padded to its public block size (pads carry
-	// the block's arrival time, as they would sequentially), then the active
-	// windows — the state from before the segment — padded to their caps.
-	f.inLeft = f.inLeft[:0]
-	for bi := range blocks {
-		b := &blocks[bi]
-		b.inLeftLo = len(f.inLeft)
-		f.inLeft = append(f.inLeft, b.left...)
-		for len(f.inLeft) < b.inLeftLo+f.wl.MaxLeft {
-			f.inLeft = append(f.inLeft, f.newPadRecordAt(b.t))
-		}
-		b.inLeftHi = len(f.inLeft)
-	}
-	nLeft := len(f.inLeft)
-	f.inLeft = f.appendPaddedActive(f.inLeft, f.activeLeft, f.activeLeftCap)
-
-	f.inRight = f.inRight[:0]
-	for bi := range blocks {
-		b := &blocks[bi]
-		b.inRightLo = len(f.inRight)
-		f.inRight = append(f.inRight, f.mergedRightArena[b.rlo:b.rhi]...)
-		if !f.wl.RightPublic {
-			for len(f.inRight) < b.inRightLo+f.wl.MaxRight {
-				f.inRight = append(f.inRight, f.newPadRecordAt(b.t))
-			}
-		}
-		b.inRightHi = len(f.inRight)
-	}
-	nRight := len(f.inRight)
-	f.inRight = f.appendPaddedActive(f.inRight, f.activeRight, f.activeRightCap)
-	f.ins.observePad(padStart)
-
-	clear(f.newIDs)
-	for _, r := range f.inLeft[:nLeft] {
-		f.newIDs[r.ID] = true
-	}
-	for _, r := range f.inRight[:nRight] {
-		f.newIDs[r.ID] = true
-	}
-
-	joined := f.joinBuf
-	joined.Reset()
-	f.truncatedJoinInto(joined, f.inLeft, f.inRight)
-
-	delta := joined
-	if cap := f.deltaCap(nLeft, nRight); cap > 0 {
-		f.overflow.AppendAll(joined)
-		delta = f.deltaBuf
-		delta.Reset()
-		next := oblivious.GetBuffer(workload.JoinArity)
-		oblivious.TightCompactInto(f.overflow, cap, delta, next, f.rt.Meter, mpc.OpTransform, tupleBits)
-		f.overflow.Release()
-		f.overflow = next
-	}
-
-	// Alg. 1 lines 4-6 for the whole segment: one reshare per covered block
-	// so the joint-randomness stream advances exactly as it would have
-	// sequentially; every reshare carries the final count, which is the only
-	// value any later observation can see.
-	newReal := delta.Real()
-	c, err := f.rt.RecoverInside(counterKey)
-	if err != nil {
-		panic("core: counter share lost: " + err.Error())
-	}
-	total := c + uint32(newReal)
-	for range blocks {
-		f.rt.ShareToServers(counterKey, total)
-	}
-	f.created += newReal
-
-	f.cache.Append(delta)
-	f.rt.ObserveBatch(delta.Len(), "transform")
-
-	// Rebuild the active windows in sequential order — newest block first,
-	// then the pre-segment actives — walking each record's budget over every
-	// block it participated in.
+	// Charge contribution budgets and rebuild the active windows from the
+	// still-alive, still-in-window records — newest block first, then the
+	// pre-segment actives. The input windows already copied the previous
+	// active sets, so the active slices can be rebuilt in place.
 	f.activeLeft = f.activeLeft[:0]
 	for bi := k - 1; bi >= 0; bi-- {
 		b := &blocks[bi]
-		f.activeLeft = f.mergedRetain(f.activeLeft, f.inLeft[b.inLeftLo:b.inLeftHi], f.leftBudget, f.leftSince, blocks)
+		f.activeLeft = f.retain(f.activeLeft, f.inLeft[b.inLeftLo:b.inLeftHi], f.leftBudget, f.leftSince, blocks)
 	}
-	f.activeLeft = f.mergedRetain(f.activeLeft, f.inLeft[nLeft:], f.leftBudget, f.leftSince, blocks)
+	f.activeLeft = f.retain(f.activeLeft, f.inLeft[nLeft:], f.leftBudget, f.leftSince, blocks)
 
 	f.activeRight = f.activeRight[:0]
 	for bi := k - 1; bi >= 0; bi-- {
 		b := &blocks[bi]
-		f.activeRight = f.mergedRetain(f.activeRight, f.inRight[b.inRightLo:b.inRightHi], f.rightBudget, f.rightSince, blocks)
+		f.activeRight = f.retain(f.activeRight, f.inRight[b.inRightLo:b.inRightHi], f.rightBudget, f.rightSince, blocks)
 	}
-	f.activeRight = f.mergedRetain(f.activeRight, f.inRight[nRight:], f.rightBudget, f.rightSince, blocks)
+	f.activeRight = f.retain(f.activeRight, f.inRight[nRight:], f.rightBudget, f.rightSince, blocks)
 
 	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
 }
 
-// mergedRetain is retainAlive for a merged segment: each record consumes
-// omega for every block from its arrival onward and must stay inside the
-// temporal window at each of those block times — exactly the per-step
-// consume-then-check sequence retainAlive would have run, so budgets, death
-// steps and the arrival map come out identical to sequential execution.
-func (f *Framework) mergedRetain(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, blocks []uploadBlock) []oblivious.Record {
+// retain appends to out the input records that survive the segment — still
+// alive and still able to form new pairs within the temporal window. Each
+// record consumes omega for every block from its arrival onward and must
+// stay inside the window at each of those block times: the consume-then-
+// check sequence of one invocation per block, so budgets, death steps and
+// the arrival map do not depend on how blocks were grouped into segments.
+func (f *Framework) retain(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, blocks []uploadBlock) []oblivious.Record {
 	for _, r := range in {
 		if r.ID < 0 {
 			continue // upload padding never persists
@@ -795,56 +686,20 @@ func (f *Framework) appendPaddedActive(dst, active []oblivious.Record, cap int) 
 	}
 	dst = append(dst, active...)
 	for n := len(active); n < cap; n++ {
-		dst = append(dst, f.newPadRecord())
+		dst = append(dst, f.newPadRecordAt(f.now))
 	}
 	return dst
 }
 
-// padTo fills an upload to the fixed block size with dummy records that
-// carry fresh never-matching keys.
-func (f *Framework) padTo(rs []oblivious.Record, size int) []oblivious.Record {
-	for len(rs) < size {
-		rs = append(rs, f.newPadRecord())
-	}
-	return rs
-}
-
-// newPadRecord mints a padding record whose payload row lives in the
-// per-transform flat arena (f.padRows) instead of its own heap allocation.
-// Padding records never outlive the invocation: retainAlive drops them
-// before the arena is reset.
-func (f *Framework) newPadRecord() oblivious.Record {
-	return f.newPadRecordAt(f.now)
-}
-
-// newPadRecordAt mints a padding record stamped with an explicit arrival
-// step — in a merged transform, each block's pads carry that block's time,
-// just as they would have sequentially.
+// newPadRecordAt mints a padding record stamped with arrival step t, with
+// fresh never-matching keys. Its payload row lives in the per-transform flat
+// arena (f.padRows) instead of its own heap allocation; padding records never
+// outlive the invocation: retain drops them before the arena is reset.
 func (f *Framework) newPadRecordAt(t int) oblivious.Record {
 	f.padRows.AppendRow(table.Row{f.dummyID, int64(t)})
 	r := oblivious.Record{ID: f.dummyID, Row: f.padRows.Row(f.padRows.Rows() - 1)}
 	f.dummyID--
 	return r
-}
-
-// retainAlive consumes omega budget from each input record and appends the
-// survivors — still alive and still able to form new pairs within the
-// temporal window — to out.
-func (f *Framework) retainAlive(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, t int) []oblivious.Record {
-	for _, r := range in {
-		if r.ID < 0 {
-			continue // upload padding never persists
-		}
-		alive := bt.Consume(r.ID, f.cfg.Omega)
-		arrived, ok := since[r.ID]
-		inWindow := ok && int64(t-arrived) <= f.wl.Within
-		if alive && inWindow {
-			out = append(out, r)
-		} else {
-			delete(since, r.ID)
-		}
-	}
-	return out
 }
 
 // Query implements Engine: one oblivious scan over the materialized view,

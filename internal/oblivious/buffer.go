@@ -93,18 +93,6 @@ func (b *Buffer) At(i, j int) int64 { return b.pay.At(i, j) }
 // IsReal reports slot i's isView bit.
 func (b *Buffer) IsReal(i int) bool { return b.flag[i] }
 
-// SetReal writes slot i's isView bit, maintaining the real count.
-func (b *Buffer) SetReal(i int, real bool) {
-	if b.flag[i] != real {
-		if real {
-			b.real++
-		} else {
-			b.real--
-		}
-		b.flag[i] = real
-	}
-}
-
 // LeftID and RightID return slot i's source-record IDs (-1 when dummy).
 func (b *Buffer) LeftID(i int) int64  { return b.left[i] }
 func (b *Buffer) RightID(i int) int64 { return b.right[i] }
@@ -377,23 +365,6 @@ func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Me
 	}
 	for ; packed < cap; packed++ {
 		dst.AppendDummy()
-	}
-}
-
-// SelectInto implements the oblivious selection of Appendix A.1.1: append
-// every slot of src to dst with the isView bit anded with the predicate —
-// same length, full obliviousness. Each input record contributes at most
-// once, so no truncation machinery is needed. src is not modified.
-func SelectInto(dst, src *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc.Op) {
-	if meter != nil {
-		meter.ChargeScan(op, src.Len(), 64*src.Arity())
-	}
-	dst.Grow(src.Len())
-	for i := 0; i < src.Len(); i++ {
-		dst.AppendFrom(src, i)
-		if src.flag[i] && !pred(src.Row(i)) {
-			dst.SetReal(dst.Len()-1, false)
-		}
 	}
 }
 

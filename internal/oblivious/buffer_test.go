@@ -42,9 +42,9 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 		case 2:
 			b.AppendSlot(table.Row{7, 8}, rng.Intn(2) == 0, -1, -1)
 		case 3:
-			if b.Len() > 0 {
-				b.SetReal(rng.Intn(b.Len()), rng.Intn(2) == 0)
-			}
+			other, _ := randBuffer(rng, 1+rng.Intn(10))
+			b.AppendFrom(other, rng.Intn(other.Len()))
+			other.Release()
 		case 4:
 			b.Truncate(rng.Intn(b.Len() + 1))
 		case 5:
@@ -126,29 +126,6 @@ func TestTightCompactIntoMatchesEntryForm(t *testing.T) {
 		out, over := tightCompact(es, cap, nil, 64)
 		entriesEqual(t, out, wantOut)
 		entriesEqual(t, over, wantOver)
-	}
-}
-
-func TestSelectIntoMatchesEntryForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	es := randEntries(rng, 25)
-	pred := func(r table.Row) bool { return r[0]%3 == 0 }
-	want := make([]entry, len(es))
-	for i, e := range es {
-		want[i] = e
-		want[i].IsView = e.IsView && pred(e.Row)
-	}
-
-	src := bufferOf(es)
-	defer src.Release()
-	dst := GetBuffer(2)
-	defer dst.Release()
-	m := mpc.NewMeter(mpc.DefaultCostModel())
-	SelectInto(dst, src, pred, m, mpc.OpQuery)
-	entriesEqual(t, entriesOf(dst), want)
-	entriesEqual(t, entriesOf(src), es) // src must be unmodified
-	if m.Gates(mpc.OpQuery) <= 0 {
-		t.Error("selection charged nothing")
 	}
 }
 

@@ -361,36 +361,6 @@ func TestNLJAgainstSMJ(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	es := []entry{
-		{Row: table.Row{1}, IsView: true},
-		{Row: table.Row{2}, IsView: true},
-		{Row: table.Row{3}, IsView: false},
-	}
-	src := bufferOf(es)
-	defer src.Release()
-	dst := GetBuffer(1)
-	defer dst.Release()
-	m := newMeter()
-	SelectInto(dst, src, func(r table.Row) bool { return r[0]%2 == 1 }, m, mpc.OpQuery)
-	if dst.Len() != 3 {
-		t.Fatalf("selection changed array length to %d", dst.Len())
-	}
-	if !dst.IsReal(0) || dst.IsReal(1) || dst.IsReal(2) {
-		t.Errorf("isView bits wrong: %v %v %v", dst.IsReal(0), dst.IsReal(1), dst.IsReal(2))
-	}
-	if dst.Real() != 1 || dst.ScanReal() != 1 {
-		t.Errorf("real counter %d (scan %d), want 1", dst.Real(), dst.ScanReal())
-	}
-	if m.Gates(mpc.OpQuery) <= 0 {
-		t.Error("selection charged nothing")
-	}
-	// Input must be unmodified.
-	if !src.IsReal(1) {
-		t.Error("SelectInto mutated its input")
-	}
-}
-
 func TestCount(t *testing.T) {
 	b := bufferOf([]entry{
 		{Row: table.Row{1}, IsView: true},

@@ -11,7 +11,7 @@ import (
 
 // TestRunBatchedMatchesRun is the sim-level batch-vs-sequential
 // equivalence: for both DP engines and every (QueryEvery, k) combination —
-// including chunks of 120 uninterrupted steps — RunBatched must reproduce
+// including chunks of 120 uninterrupted steps — RunKindBatched must reproduce
 // Run's Result exactly: counts, L1 statistics, simulated costs, series.
 func TestRunBatchedMatchesRun(t *testing.T) {
 	wl := workload.TPCDS(240, 5)

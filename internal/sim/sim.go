@@ -78,7 +78,7 @@ func (a *runAccum) step(e core.Engine, st workload.Step) {
 
 // score accounts one already-ingested step: it accumulates the ground
 // truth and issues the standing query when the schedule fires (split out
-// of step so RunBatched can ingest through StepBatch and score after).
+// of step so RunKindBatched can ingest through StepBatch and score after).
 func (a *runAccum) score(e core.Engine, st workload.Step) {
 	a.truth += st.NewPairs
 	if (st.T+1)%a.opts.QueryEvery != 0 {
@@ -133,51 +133,6 @@ func Run(e core.Engine, tr *workload.Trace, opts Options) Result {
 	a := newRunAccum(opts)
 	for _, st := range tr.Steps {
 		a.step(e, st)
-	}
-	return a.result(e, tr)
-}
-
-// BatchEngine is implemented by engines that can ingest a contiguous run of
-// steps in one call with per-step semantics preserved exactly
-// (core.Framework.StepBatch).
-type BatchEngine interface {
-	StepBatch(steps []workload.Step)
-}
-
-// RunBatched drives the engine over the trace feeding the steps in chunks
-// of up to k through StepBatch, splitting chunks at the query schedule so
-// the standing query still fires after exactly the same steps as Run.
-// Because StepBatch is defined as equivalent to per-step ingestion, the
-// Result — every count, error statistic and simulated cost — is identical
-// to Run's for any k; that equivalence is the batched-ingestion acceptance
-// criterion pinned by tests. Engines without StepBatch (the baselines) fall
-// back to Run.
-func RunBatched(e core.Engine, tr *workload.Trace, opts Options, k int) Result {
-	be, ok := e.(BatchEngine)
-	if !ok || k <= 1 {
-		return Run(e, tr, opts)
-	}
-	a := newRunAccum(opts)
-	q := a.opts.QueryEvery
-	for i := 0; i < len(tr.Steps); {
-		end := i + k
-		if end > len(tr.Steps) {
-			end = len(tr.Steps)
-		}
-		// Never run past a query point: the chunk ends at the first step
-		// after which the schedule fires, so queries interleave exactly as
-		// in the sequential run.
-		for j := i; j < end-1; j++ {
-			if (tr.Steps[j].T+1)%q == 0 {
-				end = j + 1
-				break
-			}
-		}
-		be.StepBatch(tr.Steps[i:end])
-		for _, st := range tr.Steps[i:end] {
-			a.score(e, st)
-		}
-		i = end
 	}
 	return a.result(e, tr)
 }
@@ -252,14 +207,41 @@ func RunKind(kind EngineKind, cfg core.Config, tr *workload.Trace, opts Options)
 	return Run(e, tr, opts), nil
 }
 
-// RunKindBatched is RunKind through the batched ingestion path: the steps
-// feed the engine in chunks of up to k via StepBatch (see RunBatched).
+// RunKindBatched is RunKind with the DP engines ingesting through
+// core.Framework.StepBatch in chunks of up to k steps, split at the query
+// schedule so the standing query fires after exactly the same steps as in
+// RunKind. Without Config.MergeWindows the Result — every count, error
+// statistic and simulated cost — is identical to RunKind's for any k (the
+// `batch` experiment's table); with it, k bounds the segment length. The
+// baselines have no StepBatch and run per step.
 func RunKindBatched(kind EngineKind, cfg core.Config, tr *workload.Trace, opts Options, k int) (Result, error) {
 	e, err := Build(kind, cfg, tr.Config)
 	if err != nil {
 		return Result{}, err
 	}
-	return RunBatched(e, tr, opts, k), nil
+	fw, ok := e.(*core.Framework)
+	if !ok || k <= 1 {
+		return Run(e, tr, opts), nil
+	}
+	a := newRunAccum(opts)
+	q := a.opts.QueryEvery
+	for i := 0; i < len(tr.Steps); {
+		end := min(i+k, len(tr.Steps))
+		// Never run past a query point: the chunk ends at the first step
+		// after which the schedule fires.
+		for j := i; j < end-1; j++ {
+			if (tr.Steps[j].T+1)%q == 0 {
+				end = j + 1
+				break
+			}
+		}
+		fw.StepBatch(tr.Steps[i:end])
+		for _, st := range tr.Steps[i:end] {
+			a.score(e, st)
+		}
+		i = end
+	}
+	return a.result(e, tr), nil
 }
 
 // RunKindWithRestart is RunKind with a restart after k steps (see
