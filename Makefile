@@ -152,12 +152,14 @@ wire-smoke:
 	$(GO) build -o bin/incshrink-party ./cmd/incshrink-party
 	./bin/incshrink-party -smoke -bench BENCH_wire.json
 
-# fuzz-smoke gives each snapshot-codec fuzz target a short budget beyond
-# the checked-in seed corpus (the corpus itself already runs in `test`).
+# fuzz-smoke gives each snapshot-codec fuzz target (the section codecs and
+# the whole engine state) and the wire framing a short budget beyond the seed
+# corpus (the corpus itself already runs in `test`).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeRuntime -fuzztime 10s ./internal/snapshot
+	$(GO) test -run XXX -fuzz FuzzDecodeFrameworkState -fuzztime 10s ./internal/core
 	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a

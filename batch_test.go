@@ -31,7 +31,9 @@ func batchOpts(p Protocol) Options {
 // deployment puts the rest of the step loop under the same check: public
 // arrivals carried across non-upload steps (UploadEvery 3), the
 // public-relation no-padding branch, and omega > 1 on a stream where every
-// left record matches two right records.
+// left record matches two right records. The third is window-limited
+// (Within/UploadEvery + 1 < Budget/Omega): its records retire because the
+// join window lapses, not because their budget runs out.
 func TestAdvanceBatchEquivalence(t *testing.T) {
 	const horizon = 120
 	deployments := []struct {
@@ -47,6 +49,7 @@ func TestAdvanceBatchEquivalence(t *testing.T) {
 				st.Right = append(st.Right, Row{3 * int64(t), int64(t) + 3})
 				return st
 			}},
+		{"window-limited", ViewDef{Within: 3, Budget: 10}, 0, batchStep},
 	}
 	for _, proto := range []Protocol{SDPTimer, SDPANT} {
 		for _, k := range []int{1, 7, 120} {
@@ -160,5 +163,85 @@ func TestAdvanceBatchAllOrNothing(t *testing.T) {
 	}
 	if !bytes.Equal(cb.Bytes(), db.Bytes()) {
 		t.Fatal("rejected-then-retried batch diverged from a clean run: the rejection leaked state")
+	}
+}
+
+// TestAdvanceCopiesRows pins the ownership contract of Advance and
+// AdvanceBatch: rows are copied before the call returns, so a caller that
+// overwrites every row it passed — as one reusing its buffers would — gets
+// the same counts and the same snapshot bytes as one that never touches them
+// again. The second deployment holds public arrivals across calls
+// (UploadEvery 3), the longest the engine keeps a record before its upload.
+func TestAdvanceCopiesRows(t *testing.T) {
+	deployments := []struct {
+		name string
+		def  ViewDef
+		opts Options
+	}{
+		{"default", ViewDef{Within: 10}, Options{T: 4, Seed: 5}},
+		{"public-upload3", ViewDef{Within: 10, RightPublic: true}, Options{T: 4, Seed: 5, UploadEvery: 3}},
+	}
+	scribble := func(steps []StepRows) {
+		for _, st := range steps {
+			for _, rows := range [][]Row{st.Left, st.Right} {
+				for _, r := range rows {
+					for i := range r {
+						r[i] = -7
+					}
+				}
+			}
+		}
+	}
+	for _, proto := range []Protocol{SDPTimer, SDPANT} {
+		for _, d := range deployments {
+			for _, batch := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/batch=%d", proto, d.name, batch), func(t *testing.T) {
+					d.opts.Protocol = proto
+					clean, reuse := mustOpen(t, d.def, d.opts), mustOpen(t, d.def, d.opts)
+					joined := 0
+					for s := 0; s < 48; s += batch {
+						var a, b []StepRows
+						for i := s; i < s+batch; i++ {
+							a, b = append(a, batchStep(i)), append(b, batchStep(i))
+						}
+						if batch == 1 {
+							if err := clean.Advance(a[0].Left, a[0].Right); err != nil {
+								t.Fatal(err)
+							}
+							if err := reuse.Advance(b[0].Left, b[0].Right); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							if err := clean.AdvanceBatch(a); err != nil {
+								t.Fatal(err)
+							}
+							if err := reuse.AdvanceBatch(b); err != nil {
+								t.Fatal(err)
+							}
+						}
+						scribble(b)
+						nc, _ := clean.Count()
+						nr, _ := reuse.Count()
+						if nc != nr {
+							t.Fatalf("after step %d: count %d with rows left alone, %d with rows overwritten", s+batch-1, nc, nr)
+						}
+						joined = nc
+					}
+					if joined == 0 {
+						t.Fatal("empty view: the stream never exercised the join")
+					}
+					var cb, rb bytes.Buffer
+					if err := clean.Snapshot(&cb); err != nil {
+						t.Fatal(err)
+					}
+					if err := reuse.Snapshot(&rb); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(cb.Bytes(), rb.Bytes()) {
+						t.Fatal("overwriting the caller's rows after the call changed the snapshot")
+					}
+				})
+			}
+		}
 	}
 }

@@ -175,21 +175,6 @@ func BenchmarkAblationTruncateSMJ(b *testing.B) {
 	b.ReportMetric(meter.TotalGates(), "simGates")
 }
 
-// BenchmarkAblationTruncateNLJ measures the truncated nested-loop join of
-// Algorithm 4 on the same input: quadratic equality tests plus per-outer
-// sorts make it far more expensive in simulated gates.
-func BenchmarkAblationTruncateNLJ(b *testing.B) {
-	t1, t2 := ablationTables(128)
-	meter := mpc.NewMeter(mpc.DefaultCostModel())
-	dst := oblivious.NewBuffer(4, 0)
-	for i := 0; i < b.N; i++ {
-		meter.Reset()
-		dst.Reset()
-		oblivious.TruncatedNestedLoopJoinInto(dst, t1, t2, 0, 0, nil, 4, meter, mpc.OpTransform)
-	}
-	b.ReportMetric(meter.TotalGates(), "simGates")
-}
-
 func ablationTables(n int) (t1, t2 []oblivious.Record) {
 	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for i := 0; i < n; i++ {

@@ -264,7 +264,7 @@ func Open(def ViewDef, opts Options) (*DB, error) {
 func (db *DB) Now() int { return db.now }
 
 // Instrument attaches a view's observability instruments (phase timing
-// histograms, window/budget gauges, predicted-vs-measured cost accounting)
+// histograms, window gauges, predicted-vs-measured cost accounting)
 // to the engine; nil detaches. Instruments observe but never perturb: an
 // instrumented DB produces byte-identical counts and snapshots to a bare
 // one, a property pinned by test.
@@ -272,7 +272,8 @@ func (db *DB) Instrument(ins *core.Instruments) { db.fw.SetInstruments(ins) }
 
 // Advance moves the database one time step forward, ingesting the records
 // each owner received this step. Uploads on the owners' schedule must fit
-// the configured block sizes. A rejected Advance (wrapping
+// the configured block sizes. Rows are copied before Advance returns; the
+// caller may reuse or overwrite them. A rejected Advance (wrapping
 // ErrInvalidArgument) mutates nothing: the step does not happen, no record
 // IDs are consumed, and a corrected retry continues exactly where a
 // never-failed run would be — the byte-identical-replay contract the
@@ -298,7 +299,8 @@ type StepRows struct {
 }
 
 // AdvanceBatch moves the database len(steps) time steps forward in one
-// call, ingesting steps[i] at logical time Now()+i. Unless
+// call, ingesting steps[i] at logical time Now()+i. As with Advance, rows
+// are copied before the call returns and may be reused by the caller. Unless
 // Options.MergeWindows is set, it is exactly equivalent to calling Advance
 // once per element in order — same counts, same record IDs, same simulated
 // costs and DP randomness, byte-identical snapshots: both are the same

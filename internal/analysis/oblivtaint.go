@@ -30,7 +30,7 @@ var OblivTaintPackages = []string{
 // bodies are exempt from taint sinks, the same way DetClockSanctioned
 // exempts the obs layer from the wall-clock ban. These are the functions
 // that BUILD obliviousness for everyone else: flag-blinded counter
-// maintenance, fixed-topology scans and the truncated joins. Each entry is "<module-relative-pkg>.<Recv.>Name"; the
+// maintenance, fixed-topology scans and the truncated join. Each entry is "<module-relative-pkg>.<Recv.>Name"; the
 // sanction covers the whole function body, so keep the primitives small.
 // Rebindable from -oblivtaint.sanction.
 //
@@ -49,7 +49,7 @@ var OblivTaintPackages = []string{
 //   - Scans and compaction (TightCompactInto, CountBuffer): the
 //     fixed-topology scan primitives; their flag-dependent moves are exactly
 //     the part a circuit evaluates obliviously.
-//   - Truncated joins: the paper's core operators; window advance and
+//   - The truncated join: the paper's core operator; window advance and
 //     contribution bookkeeping run inside MPC in deployment.
 //
 // The GMW evaluator is NOT here: its k-lane AND derives the output shares
@@ -66,7 +66,6 @@ var OblivTaintSanctioned = []string{
 	"internal/oblivious.CountBuffer",
 	"internal/oblivious.TightCompactInto",
 	"internal/oblivious.TruncatedSortMergeJoinInto",
-	"internal/oblivious.TruncatedNestedLoopJoinInto",
 }
 
 // oblivBufferSources are the oblivious.Buffer methods that read the

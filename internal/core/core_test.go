@@ -443,52 +443,6 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
-func TestBudgetTracker(t *testing.T) {
-	bt := NewBudgetTracker(5)
-	bt.Register(1)
-	if bt.Remaining(1) != 5 {
-		t.Errorf("remaining = %d", bt.Remaining(1))
-	}
-	if !bt.Consume(1, 2) {
-		t.Error("record retired too early")
-	}
-	if bt.Remaining(1) != 3 {
-		t.Errorf("remaining after consume = %d", bt.Remaining(1))
-	}
-	if bt.Consume(1, 3) {
-		t.Error("record should retire at zero")
-	}
-	if bt.Consume(1, 1) {
-		t.Error("retired record still consumable")
-	}
-	if bt.Active() != 0 {
-		t.Errorf("active = %d", bt.Active())
-	}
-	// Re-registering does not refresh an exhausted record's budget map entry
-	// count, but registering a new record does.
-	bt.Register(2)
-	bt.Register(2)
-	if bt.Active() != 1 {
-		t.Errorf("active after double-register = %d", bt.Active())
-	}
-}
-
-func TestBudgetTrackerUnlimited(t *testing.T) {
-	bt := NewBudgetTracker(0)
-	if !bt.Unlimited() {
-		t.Error("b=0 should be unlimited")
-	}
-	bt.Register(1)
-	for i := 0; i < 100; i++ {
-		if !bt.Consume(1, 10) {
-			t.Fatal("unlimited tracker retired a record")
-		}
-	}
-	if bt.Remaining(1) <= 0 {
-		t.Error("unlimited remaining should be large")
-	}
-}
-
 func TestPruneKeepsErrorBounded(t *testing.T) {
 	// With PruneTo well above the Theorem-4 bound, pruning should lose no
 	// (or almost no) real tuples.

@@ -1,3 +1,9 @@
+// Package core implements IncShrink itself: the Transform protocol
+// (Algorithm 1) with truncated view transformation and contribution
+// budgets, the two Shrink protocols sDPTimer (Algorithm 2) and sDPANT
+// (Algorithm 3) with joint DP noise and cache flushing, the materialized
+// view lifecycle, view-based query answering, and the three comparison
+// baselines of Section 7 (NM, EP, OTM).
 package core
 
 import (
@@ -202,44 +208,35 @@ type Framework struct {
 	cache *securearray.Cache
 	view  *securearray.View
 
-	leftBudget  *BudgetTracker
-	rightBudget *BudgetTracker
-	activeLeft  []oblivious.Record
-	activeRight []oblivious.Record
-	leftSince   map[int64]int // record id -> arrival step, for window aging
-	rightSince  map[int64]int
+	// win holds each stream's records — row, arrival step and remaining
+	// budget — by value (window.go). pending holds the arrivals not yet
+	// admitted to a block: right-stream arrivals accumulate there between
+	// uploads; the left side is only ever non-empty inside a step.
+	win     [2]window
+	pending [2][]windowEntry
 
-	shrink       Shrinker
-	match        oblivious.MatchFunc
-	pendingRight []oblivious.Record // public arrivals awaiting the next upload
-	overflow     *oblivious.Buffer  // real entries beyond the delta cap, carried forward
-	dummyID      int64              // descending generator for padding-record keys
+	shrink   Shrinker
+	match    oblivious.MatchFunc
+	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward
+	dummyID  int64             // descending generator for padding-record keys
 
 	// Per-transform scratch, reused across invocations so the steady-state
-	// Advance path allocates (almost) nothing: the padded input windows, the
-	// new-record ID set, a flat arena for padding-record payloads (dummy
-	// records live only for the duration of one transform), and the two
-	// transform temporaries — the exhaustively padded join output and the
-	// compacted delta. The temporaries are framework-owned rather than
-	// pool-borrowed so StepBatch reuses the same arenas across every step
-	// with no pool round-trips in between.
-	inLeft, inRight []oblivious.Record
-	newIDs          map[int64]bool
-	padRows         table.Flat
-	joinBuf         *oblivious.Buffer
-	deltaBuf        *oblivious.Buffer
+	// Advance path allocates (almost) nothing: the padded inputs, a flat
+	// arena for padding-record payloads (dummy records live only for the
+	// duration of one transform), and the two transform temporaries — the
+	// exhaustively padded join output and the compacted delta. The
+	// temporaries are framework-owned rather than pool-borrowed so StepBatch
+	// reuses the same arenas across every step with no pool round-trips in
+	// between.
+	in       [2][]oblivious.Record
+	padRows  table.Flat
+	joinBuf  *oblivious.Buffer
+	deltaBuf *oblivious.Buffer
 
-	// Step-loop scratch: the upload blocks queued since the last segment end
-	// and the arena their pending-right snapshots live in. Blocks never
-	// outlive one StepBatch call — the last step of a call always ends a
-	// segment — so neither field is part of the durable state.
-	blocks     []uploadBlock
-	rightArena []oblivious.Record
-
-	// Public input caps: the active windows are padded to these sizes so the
-	// Transform input — and therefore its cost and its padded output — is
-	// data-independent.
-	activeLeftCap, activeRightCap int
+	// blocks are the upload blocks admitted since the last segment end. They
+	// never outlive one StepBatch call — the last step of a call always ends
+	// a segment — so they are not part of the durable state.
+	blocks []uploadBlock
 
 	created    int
 	lostReal   int
@@ -271,28 +268,27 @@ func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
 	}
 	rt := mpc.NewRuntime(cfg.Cost, cfg.Seed)
 	f := &Framework{
-		cfg:         cfg,
-		wl:          wl,
-		rt:          rt,
-		cache:       securearray.New(workload.JoinArity, tupleBits, rt.Meter),
-		view:        securearray.NewView(workload.JoinArity),
-		leftBudget:  NewBudgetTracker(cfg.Budget),
-		rightBudget: NewBudgetTracker(rightBudgetFor(cfg, wl)),
-		leftSince:   make(map[int64]int),
-		rightSince:  make(map[int64]int),
-		shrink:      shrink,
-		match:       wl.Match(),
-		overflow:    oblivious.NewBuffer(workload.JoinArity, 0),
-		newIDs:      make(map[int64]bool),
-		padRows:     *table.NewFlat(workload.StreamArity, 0),
-		joinBuf:     oblivious.NewBuffer(workload.JoinArity, 0),
-		deltaBuf:    oblivious.NewBuffer(workload.JoinArity, 0),
-		dummyID:     -2, // -1 is reserved for dummy entries
+		cfg:      cfg,
+		wl:       wl,
+		rt:       rt,
+		cache:    securearray.New(workload.JoinArity, tupleBits, rt.Meter),
+		view:     securearray.NewView(workload.JoinArity),
+		shrink:   shrink,
+		match:    wl.Match(),
+		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
+		padRows:  *table.NewFlat(workload.StreamArity, 0),
+		joinBuf:  oblivious.NewBuffer(workload.JoinArity, 0),
+		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
+		dummyID:  -2, // -1 is reserved for dummy entries
 	}
+	// Public input sizes: every block is padded to the block size and the
+	// carried window to the cap, so the Transform input — and therefore its
+	// cost and its padded output — is data-independent. A public relation
+	// needs neither padding nor a budget (its content is not secret).
 	inv := invocationsPerRecord(cfg, wl)
-	f.activeLeftCap = (inv - 1) * wl.MaxLeft
+	f.win[left] = window{total: cfg.Budget, block: wl.MaxLeft, cap: (inv - 1) * wl.MaxLeft}
 	if !wl.RightPublic {
-		f.activeRightCap = (inv - 1) * wl.MaxRight
+		f.win[right] = window{total: cfg.Budget, block: wl.MaxRight, cap: (inv - 1) * wl.MaxRight}
 	}
 	// Alg. 1 line 1-2: initialize the shared cardinality counter to zero.
 	rt.ShareToServers(counterKey, 0)
@@ -334,13 +330,6 @@ func (f *Framework) deltaCap(nLeft, nRight int) int {
 		return f.cfg.Omega * nRight
 	}
 	return f.cfg.Omega * (nLeft + nRight)
-}
-
-func rightBudgetFor(cfg Config, wl workload.Config) int {
-	if wl.RightPublic {
-		return 0 // public relation: unlimited
-	}
-	return cfg.Budget
 }
 
 const counterKey = "c"
@@ -388,7 +377,6 @@ func (f *Framework) Step(st workload.Step) {
 // after the first step, so marginal steps run off the allocator.
 func (f *Framework) StepBatch(steps []workload.Step) {
 	f.blocks = f.blocks[:0]
-	f.rightArena = f.rightArena[:0]
 	for i := range steps {
 		st := steps[i]
 		f.now = st.T
@@ -398,21 +386,22 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		// only when owners submit data ("whenever owners submit new data, the
 		// servers invoke Transform"), so each record is charged omega once per
 		// upload period and its budget window spans the temporal join window.
-		f.pendingRight = append(f.pendingRight, st.Right...)
+		// Arrivals are copied here; the caller's rows are not read again.
+		f.pending[right] = appendArrivals(f.pending[right], st.Right)
 		if f.uploadDue(st.T) {
-			rlo := len(f.rightArena)
-			f.rightArena = append(f.rightArena, f.pendingRight...)
-			f.blocks = append(f.blocks, uploadBlock{
-				t: st.T, left: st.Left, rlo: rlo, rhi: len(f.rightArena),
-			})
-			f.pendingRight = f.pendingRight[:0]
+			f.pending[left] = appendArrivals(f.pending[left], st.Left)
+			b := uploadBlock{t: st.T}
+			for s := range f.win {
+				b.lo[s], b.hi[s] = f.win[s].admit(f.pending[s], st.T)
+				f.pending[s] = f.pending[s][:0]
+			}
+			f.blocks = append(f.blocks, b)
 		}
 		// Transform must land before anything at this step can observe its
 		// effect.
 		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
 			f.transform(f.blocks)
 			f.blocks = f.blocks[:0]
-			f.rightArena = f.rightArena[:0]
 		}
 
 		shrinkProbe := f.ins.phaseStart(f.rt)
@@ -429,19 +418,11 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 	}
 }
 
-// uploadBlock is one step's upload queued for Transform: the step time, the
-// left upload, and the span of f.rightArena holding the public-relation
-// arrivals that accumulated up to it. The inLeft/inRight spans are filled by
-// transform once the segment's input is built, so the retain pass can walk
-// blocks newest-first.
+// uploadBlock is one step's upload queued for Transform: the step time and,
+// per stream, the span of the window table its records were admitted to.
 type uploadBlock struct {
-	t         int
-	left      []oblivious.Record
-	rlo, rhi  int // f.rightArena span
-	inLeftLo  int // f.inLeft span (set by transform)
-	inLeftHi  int
-	inRightLo int // f.inRight span (set by transform)
-	inRightHi int
+	t      int
+	lo, hi [2]int
 }
 
 // observesAt reports whether the Shrink protocol will look at the counter or
@@ -471,7 +452,7 @@ func (f *Framework) uploadDue(t int) bool {
 // transform is the Transform protocol of Algorithm 1 over one segment of
 // k >= 1 upload blocks; k = 1 is the algorithm verbatim. Its intermediates
 // live in per-framework scratch, so a steady-state invocation stays off the
-// allocator: padded inputs reuse f.inLeft/f.inRight, padding-record payloads
+// allocator: padded inputs reuse f.in, padding-record payloads
 // live in the f.padRows arena, and the join output, compaction output and
 // overflow carry are arena-backed oblivious.Buffers. Every padded size is a
 // public function of k and the deployment.
@@ -491,10 +472,10 @@ func (f *Framework) uploadDue(t int) bool {
 //     the counter value at every observation point line up exactly with
 //     sequential execution (no Shrink observation can occur inside a
 //     segment, by construction of the boundaries).
-//   - Budgets age identically: the retain pass walks each record over every
+//   - Budgets age identically: window.retire walks each record over every
 //     block it would have been input to, consuming omega per block and
 //     applying the temporal-window check at that block's time, reproducing
-//     the sequential budget and arrival maps including death order.
+//     the sequential budgets, death steps and window order.
 //   - transforms counts one invocation, and one batch event is emitted for
 //     the merged delta (transcript shape differs from sequential; the
 //     security argument is unchanged because the merged sizes are public).
@@ -503,81 +484,29 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	f.transforms++
 	k := len(blocks)
 
-	// Register fresh records with their contribution budget and arrival
-	// time.
-	for bi := range blocks {
-		b := &blocks[bi]
-		for _, r := range b.left {
-			f.leftBudget.Register(r.ID)
-			f.leftSince[r.ID] = b.t
-		}
-		for _, r := range f.rightArena[b.rlo:b.rhi] {
-			f.rightBudget.Register(r.ID)
-			f.rightSince[r.ID] = b.t
-		}
-	}
-
 	// Reserve the padding arena up front so the Record row views handed out
 	// by newPadRecordAt stay valid for the whole invocation.
 	padStart := f.ins.now()
 	f.padRows.Reset()
-	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.activeLeftCap + f.activeRightCap)
-
-	// The full input is every block padded to its public block size (pads
-	// carry the block's arrival time) plus the active window — the state from
-	// before the segment — padded to its public cap, so the input size (and
-	// thus the protocol's cost and output size) is data-independent. Public
-	// relations need no padding (their content is not secret).
-	f.inLeft = f.inLeft[:0]
-	for bi := range blocks {
-		b := &blocks[bi]
-		b.inLeftLo = len(f.inLeft)
-		f.inLeft = append(f.inLeft, b.left...)
-		for len(f.inLeft) < b.inLeftLo+f.wl.MaxLeft {
-			f.inLeft = append(f.inLeft, f.newPadRecordAt(b.t))
-		}
-		b.inLeftHi = len(f.inLeft)
-	}
-	nLeft := len(f.inLeft)
-	f.inLeft = f.appendPaddedActive(f.inLeft, f.activeLeft, f.activeLeftCap)
-
-	f.inRight = f.inRight[:0]
-	for bi := range blocks {
-		b := &blocks[bi]
-		b.inRightLo = len(f.inRight)
-		f.inRight = append(f.inRight, f.rightArena[b.rlo:b.rhi]...)
-		if !f.wl.RightPublic {
-			for len(f.inRight) < b.inRightLo+f.wl.MaxRight {
-				f.inRight = append(f.inRight, f.newPadRecordAt(b.t))
-			}
-		}
-		b.inRightHi = len(f.inRight)
-	}
-	nRight := len(f.inRight)
-	f.inRight = f.appendPaddedActive(f.inRight, f.activeRight, f.activeRightCap)
+	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.win[left].cap + f.win[right].cap)
+	fresh := [2]int{f.buildInput(left, blocks), f.buildInput(right, blocks)}
 	f.ins.observePad(padStart)
-
-	clear(f.newIDs)
-	for _, r := range f.inLeft[:nLeft] {
-		f.newIDs[r.ID] = true
-	}
-	for _, r := range f.inRight[:nRight] {
-		f.newIDs[r.ID] = true
-	}
 
 	// The join condition is the view definition's temporal predicate, plus
 	// "at least one side is new" so pairs already produced by an earlier
-	// invocation are not regenerated (applied inside truncatedJoinInto; both
-	// checks compile to constant-size circuits over the secret payloads).
+	// invocation are not regenerated. New is positional: the segment's block
+	// records are the first fresh[s] of each input (both checks compile to
+	// constant-size circuits over the secret payloads).
 	joined := f.joinBuf
 	joined.Reset()
-	f.truncatedJoinInto(joined, f.inLeft, f.inRight)
+	oblivious.TruncatedSortMergeJoinInto(joined, f.in[left], f.in[right], workload.ColKey, workload.ColKey,
+		f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform, fresh[left], fresh[right])
 
 	// Tighten the exhaustively padded join output to the public
 	// maximum-new-entries bound before caching. Entries beyond the cap (rare
 	// late-shipped pairs) carry over to the next invocation's batch.
 	delta := joined
-	if cap := f.deltaCap(nLeft, nRight); cap > 0 {
+	if cap := f.deltaCap(fresh[left], fresh[right]); cap > 0 {
 		f.overflow.AppendAll(joined) // carried entries first, then this batch
 		delta = f.deltaBuf
 		delta.Reset()
@@ -604,97 +533,42 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	f.cache.Append(delta)
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
-	// Charge contribution budgets and rebuild the active windows from the
-	// still-alive, still-in-window records — newest block first, then the
-	// pre-segment actives. The input windows already copied the previous
-	// active sets, so the active slices can be rebuilt in place.
-	f.activeLeft = f.activeLeft[:0]
-	for bi := k - 1; bi >= 0; bi-- {
-		b := &blocks[bi]
-		f.activeLeft = f.retain(f.activeLeft, f.inLeft[b.inLeftLo:b.inLeftHi], f.leftBudget, f.leftSince, blocks)
+	// Charge contribution budgets and retire what ran out of budget or window.
+	for s := range f.win {
+		f.win[s].retire(blocks, f.cfg.Omega, f.wl.Within)
 	}
-	f.activeLeft = f.retain(f.activeLeft, f.inLeft[nLeft:], f.leftBudget, f.leftSince, blocks)
-
-	f.activeRight = f.activeRight[:0]
-	for bi := k - 1; bi >= 0; bi-- {
-		b := &blocks[bi]
-		f.activeRight = f.retain(f.activeRight, f.inRight[b.inRightLo:b.inRightHi], f.rightBudget, f.rightSince, blocks)
-	}
-	f.activeRight = f.retain(f.activeRight, f.inRight[nRight:], f.rightBudget, f.rightSince, blocks)
 
 	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
 }
 
-// retain appends to out the input records that survive the segment — still
-// alive and still able to form new pairs within the temporal window. Each
-// record consumes omega for every block from its arrival onward and must
-// stay inside the window at each of those block times: the consume-then-
-// check sequence of one invocation per block, so budgets, death steps and
-// the arrival map do not depend on how blocks were grouped into segments.
-func (f *Framework) retain(out, in []oblivious.Record, bt *BudgetTracker, since map[int64]int, blocks []uploadBlock) []oblivious.Record {
-	for _, r := range in {
-		if r.ID < 0 {
-			continue // upload padding never persists
-		}
-		arrived, ok := since[r.ID]
-		alive := ok
-		if alive {
-			for bi := range blocks {
-				if blocks[bi].t < arrived {
-					continue
-				}
-				if !bt.Consume(r.ID, f.cfg.Omega) || int64(blocks[bi].t-arrived) > f.wl.Within {
-					alive = false
-					break
-				}
-			}
-		}
-		if alive {
-			out = append(out, r)
-		} else {
-			delete(since, r.ID)
+// buildInput lays out one stream's Transform input from its window: every
+// block of the segment padded to the public block size (pads carry the
+// block's arrival time), then the records carried from before the segment
+// padded to the public cap, so the input size — and thus the protocol's cost
+// and output size — is data-independent. It returns the length of the
+// input's new-record prefix.
+func (f *Framework) buildInput(s int, blocks []uploadBlock) (fresh int) {
+	w, in := &f.win[s], f.in[s][:0]
+	for _, b := range blocks {
+		padded := len(in) + w.block
+		in = w.appendRecords(in, b.lo[s], b.hi[s])
+		for len(in) < padded {
+			in = append(in, f.newPadRecordAt(b.t))
 		}
 	}
-	return out
-}
-
-// truncatedJoinInto runs the omega-truncated oblivious sort-merge join over
-// the inputs into dst, keeping only pairs involving at least one new record
-// (pairs between two previously seen records were emitted by an earlier
-// invocation).
-func (f *Framework) truncatedJoinInto(dst *oblivious.Buffer, inLeft, inRight []oblivious.Record) {
-	match := func(l, r oblivious.Record) bool {
-		if !f.newIDs[l.ID] && !f.newIDs[r.ID] {
-			return false
-		}
-		return f.match(l, r)
+	fresh = len(in)
+	in = w.appendRecords(in, 0, blocks[0].lo[s])
+	for len(in) < fresh+w.cap {
+		in = append(in, f.newPadRecordAt(f.now))
 	}
-	oblivious.TruncatedSortMergeJoinInto(dst, inLeft, inRight,
-		workload.ColKey, workload.ColKey, match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
-}
-
-// appendPaddedActive appends an active window padded to its public cap with
-// dummy records. Windows larger than the cap cannot occur (the cap is the
-// exact product of block size and surviving invocations), but clamp
-// defensively.
-func (f *Framework) appendPaddedActive(dst, active []oblivious.Record, cap int) []oblivious.Record {
-	if cap == 0 {
-		return append(dst, active...) // public relation: no padding
-	}
-	if len(active) > cap {
-		active = active[:cap]
-	}
-	dst = append(dst, active...)
-	for n := len(active); n < cap; n++ {
-		dst = append(dst, f.newPadRecordAt(f.now))
-	}
-	return dst
+	f.in[s] = in
+	return fresh
 }
 
 // newPadRecordAt mints a padding record stamped with arrival step t, with
 // fresh never-matching keys. Its payload row lives in the per-transform flat
 // arena (f.padRows) instead of its own heap allocation; padding records never
-// outlive the invocation: retain drops them before the arena is reset.
+// outlive the invocation: they are never admitted to a window.
 func (f *Framework) newPadRecordAt(t int) oblivious.Record {
 	f.padRows.AppendRow(table.Row{f.dummyID, int64(t)})
 	r := oblivious.Record{ID: f.dummyID, Row: f.padRows.Row(f.padRows.Rows() - 1)}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -35,8 +36,18 @@ func mergedEngine(t *testing.T, wl workload.Config, ant bool) *Framework {
 // query answer after every batch matches sequential execution exactly —
 // counter values at observation points, DP noise draws, and view contents
 // all line up even though the merged run invokes Transform far fewer times.
+// The second workload is window-limited (records retire because the join
+// window lapses before their budget does), with segments longer than the
+// window.
 func TestMergeWindowsCountTrajectory(t *testing.T) {
-	wl := workload.TPCDS(120, 7)
+	short := workload.TPCDS(120, 7)
+	short.Within, short.MaxLag = 3, 3
+	for _, wl := range []workload.Config{workload.TPCDS(120, 7), short} {
+		t.Run(fmt.Sprintf("within=%d", wl.Within), func(t *testing.T) { mergeCountTrajectory(t, wl) })
+	}
+}
+
+func mergeCountTrajectory(t *testing.T, wl workload.Config) {
 	tr := mustTrace(t, wl)
 
 	cfg := DefaultConfig(wl, 7)
@@ -144,7 +155,7 @@ func TestMergedMeterConsistency(t *testing.T) {
 	// the active-window caps. Sort tuples carry (key, tag) over the widest
 	// record; join emit and compaction move full view rows.
 	model := mrg.cfg.Cost
-	mergedN := k*wl.MaxLeft + mrg.activeLeftCap + k*wl.MaxRight + mrg.activeRightCap
+	mergedN := k*wl.MaxLeft + mrg.win[left].cap + k*wl.MaxRight + mrg.win[right].cap
 	sortBits := 64 * (workload.StreamArity + 1)
 	outLen := mrg.cfg.Omega * mergedN // omega slots per adapter tuple
 	want := float64(mpc.SortCompareExchanges(mergedN))*float64(sortBits)*model.ANDGatesPerCompareExchangeBit +

@@ -14,7 +14,6 @@ import (
 type InstrumentSet struct {
 	phaseSeconds *obs.HistogramVec
 	windowSize   *obs.GaugeVec
-	budgetActive *obs.GaugeVec
 	cacheLen     *obs.GaugeVec
 	viewLen      *obs.GaugeVec
 	steps        *obs.CounterVec
@@ -34,8 +33,6 @@ func NewInstrumentSet(r *obs.Registry) *InstrumentSet {
 			"wall time per engine phase (transform, shrink, pad, query)", phaseBuckets(), "view", "phase"),
 		windowSize: r.GaugeVec("incshrink_core_window_records",
 			"records in the active join window, by stream side", "view", "side"),
-		budgetActive: r.GaugeVec("incshrink_core_budget_active_records",
-			"records still holding contribution budget, by stream side", "view", "side"),
 		cacheLen: r.GaugeVec("incshrink_core_cache_len",
 			"public length of the secure cache", "view"),
 		viewLen: r.GaugeVec("incshrink_core_view_len",
@@ -94,8 +91,6 @@ func (s *InstrumentSet) ForView(view string) *Instruments {
 		querySeconds:     s.phaseSeconds.With(view, "query"),
 		windowLeft:       s.windowSize.With(view, "left"),
 		windowRight:      s.windowSize.With(view, "right"),
-		budgetLeft:       s.budgetActive.With(view, "left"),
-		budgetRight:      s.budgetActive.With(view, "right"),
 		cacheLen:         s.cacheLen.With(view),
 		viewLen:          s.viewLen.With(view),
 		steps:            s.steps.With(view),
@@ -112,7 +107,6 @@ func (s *InstrumentSet) Drop(view string) {
 	}
 	for _, side := range []string{"left", "right"} {
 		s.windowSize.Delete(view, side)
-		s.budgetActive.Delete(view, side)
 	}
 	s.cacheLen.Delete(view)
 	s.viewLen.Delete(view)
@@ -131,8 +125,6 @@ type Instruments struct {
 	querySeconds     *obs.Histogram
 	windowLeft       *obs.Gauge
 	windowRight      *obs.Gauge
-	budgetLeft       *obs.Gauge
-	budgetRight      *obs.Gauge
 	cacheLen         *obs.Gauge
 	viewLen          *obs.Gauge
 	steps            *obs.Counter
@@ -202,17 +194,15 @@ func (ins *Instruments) stepDone(f *Framework) {
 		return
 	}
 	ins.steps.Inc()
-	ins.windowLeft.Set(float64(len(f.activeLeft)))
-	ins.windowRight.Set(float64(len(f.activeRight)))
-	ins.budgetLeft.Set(float64(f.leftBudget.Active()))
-	ins.budgetRight.Set(float64(f.rightBudget.Active()))
+	ins.windowLeft.Set(float64(len(f.win[left].entries)))
+	ins.windowRight.Set(float64(len(f.win[right].entries)))
 	ins.cacheLen.Set(float64(f.cache.Len()))
 	ins.viewLen.Set(float64(f.view.Len()))
 }
 
 // SetInstruments attaches (or, with nil, detaches) a view's instruments.
-// Instruments observe the engine — phase wall times, window and budget
-// levels, modeled-vs-measured cost — but no engine decision ever reads
+// Instruments observe the engine — phase wall times, window levels,
+// modeled-vs-measured cost — but no engine decision ever reads
 // them back; the non-perturbation tests pin that an instrumented run is
 // byte-identical to a bare one.
 func (f *Framework) SetInstruments(ins *Instruments) { f.ins = ins }

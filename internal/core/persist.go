@@ -4,21 +4,19 @@ import (
 	"fmt"
 	"io"
 
-	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
-	"incshrink/internal/table"
-	"incshrink/internal/workload"
 )
 
 // Framework durability. A snapshot captures every byte of mutable engine
 // state — the MPC runtime (share stores, transcripts, all RNG draw
 // positions, the cost meter), the secure cache and materialized view arenas,
-// the contribution-budget tables, the active input windows, the public
-// pending-arrival and overflow carries, and the bookkeeping counters — so a
-// framework restored from it continues bit-identically to one that never
-// stopped. The configuration (Config, workload, Shrink protocol) is *not*
-// state: Restore targets a framework freshly constructed with the same
-// parameters and refuses anything else via the header fingerprint.
+// the two input windows (each record's row, arrival step and remaining
+// contribution budget), the pending-arrival and overflow carries, and the
+// bookkeeping counters — so a framework restored from it continues
+// bit-identically to one that never stopped. The configuration (Config,
+// workload, Shrink protocol) is *not* state: Restore targets a framework
+// freshly constructed with the same parameters and refuses anything else via
+// the header fingerprint.
 //
 // The built-in Shrink protocols keep their evolving state (cardinality
 // counter, noisy threshold) secret-shared in the runtime's stores, so
@@ -74,14 +72,12 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	snapshot.EncodeCache(enc, f.cache)
 	snapshot.EncodeView(enc, f.view)
 
-	encodeBudget(enc, f.leftBudget)
-	encodeBudget(enc, f.rightBudget)
-	snapshot.EncodeInt64IntMap(enc, f.leftSince)
-	snapshot.EncodeInt64IntMap(enc, f.rightSince)
-
-	encodeRecords(enc, f.activeLeft)
-	encodeRecords(enc, f.activeRight)
-	encodeRecords(enc, f.pendingRight)
+	// The clock leads the windows: their decoder checks arrivals against it.
+	// Left arrivals never outlive a step, so only the right side's are state.
+	enc.Int(f.now)
+	encodeEntries(enc, f.win[left].entries)
+	encodeEntries(enc, f.win[right].entries)
+	encodeEntries(enc, f.pending[right])
 	snapshot.EncodeBuffer(enc, f.overflow)
 
 	enc.I64(f.dummyID)
@@ -90,7 +86,6 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	enc.Int(f.transforms)
 	enc.Int(f.queries)
 	enc.F64(f.querySecs)
-	enc.Int(f.now)
 }
 
 // DecodeState reloads state written by EncodeState. The caller is
@@ -106,18 +101,13 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
 		return err
 	}
 
-	if err := decodeBudgetInto(dec, f.leftBudget); err != nil {
+	f.now = dec.Int()
+	f.win[left].decode(dec, f.now)
+	f.win[right].decode(dec, f.now)
+	f.pending[right] = decodeEntries(dec, f.pending[right][:0])
+	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := decodeBudgetInto(dec, f.rightBudget); err != nil {
-		return err
-	}
-	f.leftSince = snapshot.DecodeInt64IntMap(dec)
-	f.rightSince = snapshot.DecodeInt64IntMap(dec)
-
-	f.activeLeft = decodeRecords(dec, f.activeLeft[:0])
-	f.activeRight = decodeRecords(dec, f.activeRight[:0])
-	f.pendingRight = decodeRecords(dec, nil)
 	if err := snapshot.DecodeBufferInto(dec, f.overflow); err != nil {
 		return err
 	}
@@ -128,7 +118,6 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
 	f.transforms = dec.Int()
 	f.queries = dec.Int()
 	f.querySecs = dec.F64()
-	f.now = dec.Int()
 	if err := dec.Err(); err != nil {
 		return err
 	}
@@ -138,64 +127,4 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
 		return dec.Err()
 	}
 	return nil
-}
-
-// encodeBudget writes a contribution-budget table: the construction-time
-// total (validated on decode) and the per-record remaining budgets.
-func encodeBudget(enc *snapshot.Encoder, bt *BudgetTracker) {
-	enc.Int(bt.total)
-	snapshot.EncodeInt64IntMap(enc, bt.remaining)
-}
-
-func decodeBudgetInto(dec *snapshot.Decoder, bt *BudgetTracker) error {
-	total := dec.Int()
-	remaining := snapshot.DecodeInt64IntMap(dec)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if total != bt.total {
-		dec.Corrupt("budget table total %d, restoring into total %d", total, bt.total)
-		return dec.Err()
-	}
-	for id, r := range remaining {
-		if r <= 0 || (bt.total > 0 && r > bt.total) {
-			dec.Corrupt("record %d holds remaining budget %d of total %d", id, r, bt.total)
-			return dec.Err()
-		}
-	}
-	bt.remaining = remaining
-	return nil
-}
-
-// encodeRecords writes an input-record slice: stable ID plus the row
-// attributes each record carries.
-func encodeRecords(enc *snapshot.Encoder, rs []oblivious.Record) {
-	enc.U32(uint32(len(rs)))
-	for _, r := range rs {
-		enc.I64(r.ID)
-		enc.I64s(r.Row)
-	}
-}
-
-// decodeRecords reads records into dst, materializing each row into its own
-// framework-owned copy (the snapshotted rows pointed into caller or trace
-// memory that no longer exists after a restart).
-func decodeRecords(dec *snapshot.Decoder, dst []oblivious.Record) []oblivious.Record {
-	n := dec.Len()
-	if dec.Err() != nil {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		id := dec.I64()
-		row := dec.I64s()
-		if dec.Err() != nil {
-			return nil
-		}
-		if len(row) != workload.StreamArity {
-			dec.Corrupt("input record with %d attributes, want %d", len(row), workload.StreamArity)
-			return nil
-		}
-		dst = append(dst, oblivious.Record{ID: id, Row: table.Row(row)})
-	}
-	return dst
 }

@@ -203,16 +203,6 @@ func (p *Party) observe(ev Event) {
 	p.Transcript.Append(ev)
 }
 
-// ContributeRandom draws one uniformly random word from the party's private
-// randomness — its input to joint noise generation and in-MPC re-sharing.
-// The contribution is recorded in the transcript (it is the party's own
-// input, hence trivially simulatable).
-func (p *Party) ContributeRandom(t int, label string) secretshare.Word {
-	z := p.rng.Uint32()
-	p.observe(Event{Kind: EvRandomContributed, Time: t, Share: z, Label: label})
-	return z
-}
-
 // StoreShare saves one share under a key (e.g. the cardinality counter "c"
 // or the noisy threshold "theta") and records the observation.
 func (p *Party) StoreShare(t int, key string, share secretshare.Word) {

@@ -160,17 +160,6 @@ func TestSortedByIsViewDetectsViolations(t *testing.T) {
 	}
 }
 
-func TestNLJEmptyInner(t *testing.T) {
-	t1 := []Record{{ID: 1, Row: table.Row{1, 0}}}
-	out := nlj(t1, nil, nil, 3, nil)
-	if len(out) != 3 {
-		t.Fatalf("empty-inner NLJ output %d, want bound*|T1| = 3", len(out))
-	}
-	if countReal(out) != 0 {
-		t.Error("joins materialized from an empty inner relation")
-	}
-}
-
 func TestRecArityEmpty(t *testing.T) {
 	if recArity(nil) != 0 {
 		t.Error("empty record slice arity wrong")

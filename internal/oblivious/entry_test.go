@@ -150,19 +150,12 @@ func refSort(es []entry, lt less) {
 	})
 }
 
-// smj and nlj run the truncated joins into a fresh buffer of the
-// concatenated arity and read the padded output back.
+// smj runs the truncated join into a fresh buffer of the concatenated arity
+// and reads the padded output back.
 func smj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry {
 	dst := GetBuffer(recArity(t1) + recArity(t2))
 	defer dst.Release()
 	TruncatedSortMergeJoinInto(dst, t1, t2, 0, 0, match, bound, meter, mpc.OpTransform)
-	return entriesOf(dst)
-}
-
-func nlj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry {
-	dst := GetBuffer(recArity(t1) + recArity(t2))
-	defer dst.Release()
-	TruncatedNestedLoopJoinInto(dst, t1, t2, 0, 0, match, bound, meter, mpc.OpTransform)
 	return entriesOf(dst)
 }
 

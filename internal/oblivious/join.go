@@ -16,9 +16,7 @@ type Record struct {
 
 // MatchFunc is the join condition beyond key equality (for example the
 // temporal predicate "returned within 10 days" that defines the paper's Q1
-// view, or Transform's "at least one side is new" admissibility check). It
-// sees the full records so admissibility can depend on carried metadata;
-// a nil MatchFunc matches every key-equal pair.
+// view). A nil MatchFunc matches every key-equal pair.
 type MatchFunc func(left, right Record) bool
 
 // intsPool recycles the per-invocation contribution counters and key-group
@@ -66,9 +64,19 @@ const signBit = 1 << 63
 // key, tag and source position straight back out of it. All intermediates
 // come from pools and output rows are written straight into dst's arena, so
 // a warm call allocates nothing beyond dst's own growth.
-func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
+//
+// An incremental caller passes fresh = (new1, new2): the first new1 records
+// of t1 and the first new2 of t2 are new since its last invocation, and only
+// pairs with at least one new side are emitted (the others were emitted
+// then). Without it every record is new. The test is on input position, which
+// the scan already holds, so it needs no lookup by ID.
+func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op, fresh ...int) {
 	if bound < 1 {
 		bound = 1
+	}
+	new1, new2 := len(t1), len(t2)
+	if len(fresh) == 2 {
+		new1, new2 = fresh[0], fresh[1]
 	}
 	outArity := dst.Arity()
 
@@ -118,7 +126,7 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 				if emitted >= bound {
 					break
 				}
-				if contrib1[li] >= bound || contrib2[src] >= bound {
+				if contrib1[li] >= bound || contrib2[src] >= bound || (li >= new1 && src >= new2) {
 					continue
 				}
 				l := t1[li]
@@ -148,61 +156,4 @@ func recArity(rs []Record) int {
 		return 0
 	}
 	return len(rs[0].Row)
-}
-
-// TruncatedNestedLoopJoinInto implements Algorithm 4: for each outer tuple,
-// scan the whole inner relation, emit a join entry when both tuples still
-// have contribution budget and the keys (and match predicate) agree, then
-// obliviously sort the per-outer intermediate array and keep its first
-// `bound` slots. Output slots are appended to dst, whose arity must equal
-// the concatenated record arities; the output length is exactly
-// bound*len(t1). The per-outer intermediate array is a single pooled buffer
-// reused across outer tuples.
-func TruncatedNestedLoopJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
-	if bound < 1 {
-		bound = 1
-	}
-	outArity := dst.Arity()
-
-	budget1p, budget2p := getInts(len(t1)), getInts(len(t2))
-	defer putInts(budget1p)
-	defer putInts(budget2p)
-	budget1, budget2 := *budget1p, *budget2p
-	for i := range budget1 {
-		budget1[i] = bound
-	}
-	for i := range budget2 {
-		budget2[i] = bound
-	}
-
-	oi := GetBuffer(outArity)
-	defer oi.Release()
-	dst.Grow(bound * len(t1))
-	for i, l := range t1 {
-		oi.Reset()
-		oi.Grow(len(t2))
-		for j, r := range t2 {
-			if meter != nil {
-				meter.ChargeEqualities(op, 1, 64)
-			}
-			if budget1[i] > 0 && budget2[j] > 0 &&
-				l.Row[key1] == r.Row[key2] &&
-				(match == nil || match(l, r)) {
-				oi.AppendJoin(l.Row, r.Row, l.ID, r.ID)
-				budget1[i]--
-				budget2[j]--
-			} else {
-				oi.AppendDummy()
-			}
-		}
-		// Alg 4:12-13 — oblivious sort of the intermediate array, keep b.
-		SortRealFirst(oi, meter, op, 64*outArity)
-		for k := 0; k < bound; k++ {
-			if k < oi.Len() {
-				dst.AppendFrom(oi, k)
-			} else {
-				dst.AppendDummy()
-			}
-		}
-	}
 }

@@ -307,57 +307,40 @@ func TestSMJChargesCosts(t *testing.T) {
 	}
 }
 
-func TestNLJMatchesHashJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(11)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	for trial := 0; trial < 10; trial++ {
-		rows1 := make([]table.Row, 10)
-		rows2 := make([]table.Row, 10)
-		for i := range rows1 {
-			rows1[i] = table.Row{int64(rng.Intn(5)), int64(i)}
-			rows2[i] = table.Row{int64(rng.Intn(5)), int64(i)}
-		}
-		want := table.HashJoin(rows1, rows2, 0, 0)
-		got := nlj(mkRecords(rows1), mkRecords(rows2), nil, 1000, nil)
-		if !table.MultisetEqual(realRowsOf(got), want) {
-			t.Fatalf("trial %d: NLJ differs from hash join", trial)
-		}
-		if len(got) != 1000*len(rows1) {
-			t.Fatalf("NLJ output size %d, want %d", len(got), 1000*len(rows1))
-		}
-	}
-}
-
-func TestNLJBudgetConsumption(t *testing.T) {
-	// Outer tuple with budget `bound` joining many inner rows: at most bound
-	// join entries total (Alg 4:6-9).
-	left := []table.Row{{5, 0}}
-	right := make([]table.Row, 10)
-	for i := range right {
-		right[i] = table.Row{5, int64(i)}
-	}
-	got := nlj(mkRecords(left), mkRecords(right), nil, 3, nil)
-	if real := len(realRowsOf(got)); real != 3 {
-		t.Errorf("budget-3 outer produced %d joins", real)
-	}
-	if len(got) != 3 {
-		t.Errorf("output size %d, want bound*|T1| = 3", len(got))
-	}
-}
-
-func TestNLJAgainstSMJ(t *testing.T) {
-	rng := rand.New(rand.NewSource(12)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	rows1 := make([]table.Row, 8)
-	rows2 := make([]table.Row, 8)
+// TestJoinFreshPrefix pins the incremental form of the join: with
+// fresh = (new1, new2), exactly the key-equal pairs with a left record among
+// the first new1 or a right record among the first new2 come out, and the
+// padded output size does not change.
+func TestJoinFreshPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(13)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rows1 := make([]table.Row, 12)
+	rows2 := make([]table.Row, 9)
 	for i := range rows1 {
 		rows1[i] = table.Row{int64(rng.Intn(4)), int64(i)}
-		rows2[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 	}
-	// With a bound at least the max multiplicity both joins are untruncated
-	// and must agree with each other.
-	a := realRowsOf(smj(mkRecords(rows1), mkRecords(rows2), nil, 100, nil))
-	b := realRowsOf(nlj(mkRecords(rows1), mkRecords(rows2), nil, 100, nil))
-	if !table.MultisetEqual(a, b) {
-		t.Error("SMJ and NLJ disagree at large bound")
+	for i := range rows2 {
+		rows2[i] = table.Row{int64(rng.Intn(4)), int64(100 + i)}
+	}
+	const bound = 1000 // untruncated
+	for _, fresh := range [][2]int{{0, 0}, {3, 0}, {0, 2}, {3, 2}, {12, 9}} {
+		var want []table.Row
+		for i, l := range rows1 {
+			for j, r := range rows2 {
+				if l[0] == r[0] && (i < fresh[0] || j < fresh[1]) {
+					want = append(want, table.Row{l[0], l[1], r[0], r[1]})
+				}
+			}
+		}
+		dst := GetBuffer(4)
+		TruncatedSortMergeJoinInto(dst, mkRecords(rows1), mkRecords(rows2), 0, 0, nil, bound, nil, mpc.OpTransform, fresh[0], fresh[1])
+		got := entriesOf(dst)
+		dst.Release()
+		if !table.MultisetEqual(realRowsOf(got), want) {
+			t.Errorf("fresh=%v: %d pairs, want %d", fresh, countReal(got), len(want))
+		}
+		if len(got) != bound*(len(rows1)+len(rows2)) {
+			t.Errorf("fresh=%v: output size %d depends on the prefix lengths", fresh, len(got))
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package oblivious implements the data-independent ("oblivious") operators
 // IncShrink compiles into its MPC protocols: Batcher's odd-even merge
-// sorting network (the ObliSort of Algorithms 2 and 3, citing Batcher [5]),
-// the b-truncated oblivious sort-merge join of Example 5.1, and the
-// truncated oblivious nested-loop join of Algorithm 4.
+// sorting network (the ObliSort of Algorithms 2 and 3, citing Batcher [5])
+// and the b-truncated oblivious sort-merge join of Example 5.1.
 //
 // Obliviousness here means the sequence of memory touches and
 // compare-exchange positions depends only on input *sizes*, never on

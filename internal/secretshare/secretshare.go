@@ -4,16 +4,13 @@
 // The paper (Section 3) uses (2,2) XOR sharing over the ring Z_{2^32}: a
 // secret x splits into x1 chosen uniformly at random and x2 = x XOR x1.
 // Either share alone is uniformly distributed and carries no information
-// about x; XOR of both recovers it. The package also provides the (k,k)
-// generalization required by the multi-server extension (Section 8) and the
+// about x; XOR of both recovers it. The package also provides the
 // in-protocol re-sharing procedure of Appendix A.2, where the randomness is
 // contributed jointly by the participants so that no single party can
 // predict or bias the fresh shares.
 package secretshare
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 )
@@ -88,38 +85,6 @@ func RecoverVector(v VectorShares2) ([]Word, error) {
 	return out, nil
 }
 
-// ErrTooFewParties is returned by the (k,k) scheme for k < 2.
-var ErrTooFewParties = errors.New("secretshare: need at least 2 parties")
-
-// ShareK splits x into a (k,k) XOR sharing: k-1 uniform values plus the XOR
-// correction term. All k shares are required to recover; any k-1 of them are
-// jointly uniform (Appendix A.2).
-func ShareK(x Word, k int, rng RNG) ([]Word, error) {
-	if k < 2 {
-		return nil, ErrTooFewParties
-	}
-	shares := make([]Word, k)
-	acc := x
-	for i := 0; i < k-1; i++ {
-		shares[i] = rng.Uint32()
-		acc ^= shares[i]
-	}
-	shares[k-1] = acc
-	return shares, nil
-}
-
-// RecoverK reconstructs the secret from all k shares.
-func RecoverK(shares []Word) (Word, error) {
-	if len(shares) < 2 {
-		return 0, ErrTooFewParties
-	}
-	var x Word
-	for _, s := range shares {
-		x ^= s
-	}
-	return x, nil
-}
-
 // ReshareInside implements the in-MPC re-sharing of Appendix A.2 for the
 // two-party case: each server contributes a uniformly random value z_i as
 // protocol input; the protocol internally computes shares
@@ -130,89 +95,6 @@ func RecoverK(shares []Word) (Word, error) {
 func ReshareInside(secret Word, z0, z1 Word) Shares2 {
 	mask := z0 ^ z1
 	return Shares2{S0: mask, S1: secret ^ mask}
-}
-
-// ReshareInsideK generalizes ReshareInside to k parties per Appendix A.2:
-// each party i contributes k-1 random words zi[j]; the protocol XOR-combines
-// the j-th contribution of every party into z_j, emits shares
-// (z_1, ..., z_{k-1}, c XOR z_1 XOR ... XOR z_{k-1}) and reveals exactly one
-// share per party.
-func ReshareInsideK(secret Word, contributions [][]Word) ([]Word, error) {
-	k := len(contributions)
-	if k < 2 {
-		return nil, ErrTooFewParties
-	}
-	for i, c := range contributions {
-		if len(c) != k-1 {
-			return nil, fmt.Errorf("secretshare: party %d contributed %d values, want %d", i, len(c), k-1)
-		}
-	}
-	shares := make([]Word, k)
-	var acc Word = secret
-	for j := 0; j < k-1; j++ {
-		var z Word
-		for i := 0; i < k; i++ {
-			z ^= contributions[i][j]
-		}
-		shares[j] = z
-		acc ^= z
-	}
-	shares[k-1] = acc
-	return shares, nil
-}
-
-// ShareBytes secret-shares an arbitrary byte payload by packing it into
-// 32-bit words (little-endian, zero-padded) and sharing each word. The
-// original length is preserved so RecoverBytes can strip the padding. Tuple
-// encodings produced by internal/table travel through the cache in this
-// form.
-func ShareBytes(payload []byte, rng RNG) (BytesShares, error) {
-	words := packWords(payload)
-	v := ShareVector(words, rng)
-	return BytesShares{Vec: v, ByteLen: len(payload)}, nil
-}
-
-// BytesShares is a (2,2) sharing of a byte payload.
-type BytesShares struct {
-	Vec     VectorShares2
-	ByteLen int
-}
-
-// RecoverBytes reconstructs the original payload.
-func RecoverBytes(bs BytesShares) ([]byte, error) {
-	words, err := RecoverVector(bs.Vec)
-	if err != nil {
-		return nil, err
-	}
-	return unpackWords(words, bs.ByteLen)
-}
-
-func packWords(payload []byte) []Word {
-	n := (len(payload) + 3) / 4
-	words := make([]Word, n)
-	var buf [4]byte
-	for i := 0; i < n; i++ {
-		copy(buf[:], payload[i*4:])
-		// zero any tail bytes beyond payload
-		for j := len(payload) - i*4; j < 4; j++ {
-			if j >= 0 {
-				buf[j] = 0
-			}
-		}
-		words[i] = binary.LittleEndian.Uint32(buf[:])
-	}
-	return words
-}
-
-func unpackWords(words []Word, byteLen int) ([]byte, error) {
-	if byteLen < 0 || (byteLen+3)/4 != len(words) {
-		return nil, fmt.Errorf("secretshare: byte length %d inconsistent with %d words", byteLen, len(words))
-	}
-	out := make([]byte, len(words)*4)
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(out[i*4:], w)
-	}
-	return out[:byteLen], nil
 }
 
 // NewRand returns a deterministic RNG seeded with seed. Every randomized

@@ -1,8 +1,6 @@
 package secretshare
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -98,59 +96,6 @@ func TestRecoverVectorMismatch(t *testing.T) {
 	}
 }
 
-func TestShareKRoundTrip(t *testing.T) {
-	rng := NewRand(7)
-	for k := 2; k <= 8; k++ {
-		for i := 0; i < 50; i++ {
-			x := rng.Uint32()
-			shares, err := ShareK(x, k, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(shares) != k {
-				t.Fatalf("k=%d: got %d shares", k, len(shares))
-			}
-			got, err := RecoverK(shares)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != x {
-				t.Fatalf("k=%d: recovered %d want %d", k, got, x)
-			}
-		}
-	}
-}
-
-func TestShareKErrors(t *testing.T) {
-	rng := NewRand(8)
-	if _, err := ShareK(1, 1, rng); err != ErrTooFewParties {
-		t.Errorf("ShareK k=1: err = %v", err)
-	}
-	if _, err := RecoverK([]Word{1}); err != ErrTooFewParties {
-		t.Errorf("RecoverK 1 share: err = %v", err)
-	}
-}
-
-// TestShareKPartialSharesUniform: any k-1 shares of a (k,k) sharing are
-// jointly uniform; in particular dropping the last share and XORing the rest
-// should not correlate with the secret.
-func TestShareKPartialSharesUniform(t *testing.T) {
-	rng := NewRand(9)
-	const n = 32 * 1024
-	hist := make([]int, 16)
-	for i := 0; i < n; i++ {
-		shares, _ := ShareK(7, 3, rng)
-		partial := shares[0] ^ shares[1] // misses shares[2]
-		hist[partial>>28]++
-	}
-	exp := n / 16
-	for b, h := range hist {
-		if h < exp*8/10 || h > exp*12/10 {
-			t.Fatalf("bucket %d count %d far from uniform expectation %d", b, h, exp)
-		}
-	}
-}
-
 func TestReshareInside(t *testing.T) {
 	rng := NewRand(10)
 	f := func(secret, z0, z1 Word) bool {
@@ -174,89 +119,6 @@ func TestReshareInsideMaskedFromEachServer(t *testing.T) {
 	}
 	if Recover(s) != 0xCAFEBABE {
 		t.Fatal("recover failed")
-	}
-}
-
-func TestReshareInsideK(t *testing.T) {
-	rng := rand.New(rand.NewSource(11)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-	for k := 2; k <= 6; k++ {
-		secret := rng.Uint32()
-		contrib := make([][]Word, k)
-		for i := range contrib {
-			contrib[i] = make([]Word, k-1)
-			for j := range contrib[i] {
-				contrib[i][j] = rng.Uint32()
-			}
-		}
-		shares, err := ReshareInsideK(secret, contrib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RecoverK(shares)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != secret {
-			t.Fatalf("k=%d: recovered %d want %d", k, got, secret)
-		}
-	}
-}
-
-func TestReshareInsideKValidation(t *testing.T) {
-	if _, err := ReshareInsideK(1, [][]Word{{1}}); err != ErrTooFewParties {
-		t.Errorf("1 party: err = %v", err)
-	}
-	if _, err := ReshareInsideK(1, [][]Word{{1}, {2, 3}}); err == nil {
-		t.Error("want error on wrong contribution length")
-	}
-}
-
-func TestShareBytesRoundTrip(t *testing.T) {
-	rng := NewRand(12)
-	cases := [][]byte{nil, {}, {1}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, 5}, bytes.Repeat([]byte{0xAB}, 1000)}
-	for _, payload := range cases {
-		bs, err := ShareBytes(payload, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RecoverBytes(bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("payload %v round-tripped to %v", payload, got)
-		}
-	}
-}
-
-func TestShareBytesProperty(t *testing.T) {
-	rng := NewRand(13)
-	f := func(payload []byte) bool {
-		bs, err := ShareBytes(payload, rng)
-		if err != nil {
-			return false
-		}
-		got, err := RecoverBytes(bs)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, payload)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRecoverBytesInconsistent(t *testing.T) {
-	rng := NewRand(14)
-	bs, _ := ShareBytes([]byte{1, 2, 3, 4}, rng)
-	bs.ByteLen = 99
-	if _, err := RecoverBytes(bs); err == nil {
-		t.Fatal("want error on inconsistent byte length")
-	}
-	bs.ByteLen = -1
-	if _, err := RecoverBytes(bs); err == nil {
-		t.Fatal("want error on negative byte length")
 	}
 }
 

@@ -215,9 +215,6 @@ func (c *Cache) Prune(keep int) (lostReal int) {
 // cache's operation counters.
 func (c *Cache) Buffer() *oblivious.Buffer { return c.buf }
 
-// TupleBits returns the per-slot secret payload width fixed at construction.
-func (c *Cache) TupleBits() int { return c.tupleBits }
-
 // RestoreCounters overwrites the operation counters with checkpointed
 // values; the snapshot codec calls it after reloading the arena so a
 // restored cache reports the same history as one that never stopped.

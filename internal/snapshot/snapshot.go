@@ -43,8 +43,9 @@ const (
 	Magic = "INCSNAP\x01"
 	// Version is the current format version. v2 added the per-party wire
 	// tallies (transcript events and party state) and the standalone
-	// party-runtime section.
-	Version = 2
+	// party-runtime section; v3 replaced the engine's budget, arrival and
+	// active-record sections with one window section per stream.
+	Version = 3
 )
 
 // Typed decode errors, distinguishable with errors.Is.

@@ -8,48 +8,12 @@ import (
 	"incshrink/internal/oblivious"
 	"incshrink/internal/secretshare"
 	"incshrink/internal/securearray"
-	"incshrink/internal/table"
 )
 
 // This file holds the section codecs for the data-plane containers and the
 // MPC runtime. Each section is self-delimiting (every variable-length field
 // is length-prefixed), so sections compose by concatenation and higher
 // layers (core, incshrink, dpsync) interleave their own fields freely.
-
-// EncodeFlat writes a table.Flat arena: arity, then the row-major data.
-// Non-empty arity-0 arenas are refused symmetrically with DecodeFlatInto:
-// their row count is carried by no data bytes, which would hand a forged
-// stream an unbounded reconstruction loop for free.
-func EncodeFlat(e *Encoder, f *table.Flat) {
-	if f.Arity() == 0 && f.Rows() > 0 {
-		e.Fail("cannot encode a non-empty arity-0 arena (%d rows)", f.Rows())
-	}
-	e.Int(f.Arity())
-	e.Int(f.Rows())
-	e.I64s(f.Data())
-}
-
-// DecodeFlatInto reloads an arena encoded with EncodeFlat into dst, which
-// must have the encoded arity and is reset first.
-func DecodeFlatInto(d *Decoder, dst *table.Flat) error {
-	arity := d.Int()
-	rows := d.Int()
-	data := d.I64s()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if arity != dst.Arity() {
-		d.Corrupt("flat arena arity %d, restoring into arity %d", arity, dst.Arity())
-		return d.Err()
-	}
-	if arity < 0 || rows < 0 || len(data) != rows*arity || (arity == 0 && rows > 0) {
-		d.Corrupt("flat arena %d rows x %d arity carries %d attributes", rows, arity, len(data))
-		return d.Err()
-	}
-	dst.Reset()
-	dst.AppendData(data)
-	return d.Err()
-}
 
 // EncodeBuffer writes an oblivious.Buffer: the payload arena plus the
 // parallel flag and source-ID columns.
@@ -144,43 +108,6 @@ func DecodeViewInto(d *Decoder, v *securearray.View) error {
 	}
 	v.RestoreUpdates(updates)
 	return nil
-}
-
-// EncodeInt64IntMap writes a map[int64]int in sorted key order, so equal
-// maps encode to equal bytes.
-func EncodeInt64IntMap(e *Encoder, m map[int64]int) {
-	keys := make([]int64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.I64(k)
-		e.Int(m[k])
-	}
-}
-
-// DecodeInt64IntMap reads a map encoded with EncodeInt64IntMap.
-func DecodeInt64IntMap(d *Decoder) map[int64]int {
-	n := d.Len()
-	if d.Err() != nil {
-		return nil
-	}
-	m := make(map[int64]int, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		k := d.I64()
-		v := d.Int()
-		if d.Err() != nil {
-			return nil
-		}
-		m[k] = v
-	}
-	if len(m) != n {
-		d.Corrupt("int64 map with duplicate keys (%d entries, %d distinct)", n, len(m))
-		return nil
-	}
-	return m
 }
 
 // encodeTranscriptEvents writes one party's transcript, including the

@@ -46,8 +46,10 @@ func advanceBoth(t *testing.T, dbs []*DB, from, to int) {
 // TestRecoverSmoke is the `make recover-smoke` entry point: advance a
 // deployment mid-run, snapshot, restore, continue both the snapshotted and
 // an uninterrupted database, and verify every count, filtered count and
-// stat stays identical. One protocol per smoke run keeps it fast; the full
-// golden matrix lives in internal/experiments.
+// stat stays identical — and, at the end, the two snapshots byte for byte.
+// The deployment is window-limited (Within 5 against ten uses of budget), so
+// retirement by window is under the restore check too. The full golden
+// matrix lives in internal/experiments.
 func TestRecoverSmoke(t *testing.T) {
 	for _, proto := range []Protocol{SDPTimer, SDPANT} {
 		t.Run(proto.String(), func(t *testing.T) {
@@ -90,6 +92,16 @@ func TestRecoverSmoke(t *testing.T) {
 			}
 			if ref.Stats() != restored.Stats() {
 				t.Fatalf("Stats diverged:\nrestored: %+v\nuninterrupted: %+v", restored.Stats(), ref.Stats())
+			}
+			var a, b bytes.Buffer
+			if err := ref.Snapshot(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.Snapshot(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatal("restored and uninterrupted databases snapshot to different bytes")
 			}
 		})
 	}
@@ -165,8 +177,9 @@ func TestRestoreRejectsDamage(t *testing.T) {
 
 	t.Run("version-mismatch", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
-		// The version field is the u32 right after the magic.
-		bad[len(snapshot.Magic)] = 99
+		// The version field is the u32 right after the magic; the previous
+		// format is refused like any other.
+		bad[len(snapshot.Magic)] = snapshot.Version - 1
 		if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, snapshot.ErrVersionMismatch) {
 			t.Fatalf("want ErrVersionMismatch, got %v", err)
 		}
