@@ -79,10 +79,12 @@ bench-core:
 # bench-smoke compiles and runs every data-plane benchmark once — the
 # pooled-operator benchmarks (both sort shapes among them: the real-first
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
-# BenchmarkJoinSort1040), the two-party GMW comparator over loopback
-# (BenchmarkEvalCompareExchangeLoopback, which reports rounds/op) and the
-# root-package Advance/Count/CountWhere benchmarks behind BENCH_core.json —
-# so none of them can bit-rot (CI runs this).
+# BenchmarkJoinSort1040; and the scan kernel at the cpdb view size,
+# BenchmarkCountColumns120k, which fails if a scan allocates), the two-party
+# GMW comparator over loopback (BenchmarkEvalCompareExchangeLoopback, which
+# reports rounds/op) and the root-package Advance/Count/CountWhere
+# benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs
+# this).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
 	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount' -benchtime 1x .

@@ -10,14 +10,15 @@ import (
 
 // TestLintGate proves the lint gate actually gates: seeding a
 // secret-dependent branch into internal/oblivious trips oblivtaint — be it
-// a plain flag test or a branching compare-exchange over the sort kernel's
-// keys, which no sanction covers — a branch on a reconstructed bit seeded
-// into internal/gmw (whose gate code no sanction covers either) does the
-// same, and an unjoined go statement in internal/serve trips goleak. Each
-// makes `go vet -vettool=incshrink-lint` exit nonzero, exactly as `make
-// lint` runs it. The unmodified tree is the control. This is the same defence-in-depth pin the detclock analyzer got
-// when it landed (a smuggled time.Now must fail CI, not just a unit test
-// over fixtures).
+// a plain flag test, a branching compare-exchange over the sort kernel's
+// keys or a branch on a flag byte inside the scan kernel, none of which any
+// sanction covers — a branch on a reconstructed bit seeded into
+// internal/gmw (whose gate code no sanction covers either) does the same,
+// and an unjoined go statement in internal/serve trips goleak. Each makes
+// `go vet -vettool=incshrink-lint` exit nonzero, exactly as `make lint`
+// runs it. The unmodified tree is the control. This is the same
+// defence-in-depth pin the detclock analyzer got when it landed (a smuggled
+// time.Now must fail CI, not just a unit test over fixtures).
 func TestLintGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the vettool and recompiles the module; skipping in -short")
@@ -40,8 +41,9 @@ func TestLintGate(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		file     string // module-relative file to append to
+		file     string // module-relative file to seed
 		inject   string // source appended verbatim
+		replace  string // when set, the line of file that inject replaces instead
 		pkg      string // package argument for go vet
 		analyzer string // expected analyzer name in the failure output
 	}{
@@ -78,6 +80,17 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 			analyzer: "oblivtaint",
 		},
 		{
+			name:    "oblivtaint catches seeded flag branch in the scan kernel",
+			file:    "internal/oblivious/scan.go",
+			replace: "\t\t\ttotal += int(flag[i])\n",
+			inject: `			if flag[i] == 1 {
+				total++
+			}
+`,
+			pkg:      "./internal/oblivious",
+			analyzer: "oblivtaint",
+		},
+		{
 			name: "oblivtaint catches seeded branching select in gmw",
 			file: "internal/gmw/eval.go",
 			inject: `
@@ -109,14 +122,18 @@ func lintGateSpawn(f func()) {
 			root := copyModule(t, moduleRoot)
 			if tc.file != "" {
 				target := filepath.Join(root, filepath.FromSlash(tc.file))
-				f, err := os.OpenFile(target, os.O_APPEND|os.O_WRONLY, 0)
+				src, err := os.ReadFile(target)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := f.WriteString(tc.inject); err != nil {
-					t.Fatal(err)
+				seeded := string(src) + tc.inject
+				if tc.replace != "" {
+					if strings.Count(string(src), tc.replace) != 1 {
+						t.Fatalf("%s no longer has exactly one line %q to seed", tc.file, tc.replace)
+					}
+					seeded = strings.Replace(string(src), tc.replace, tc.inject, 1)
 				}
-				if err := f.Close(); err != nil {
+				if err := os.WriteFile(target, []byte(seeded), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}

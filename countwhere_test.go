@@ -1,6 +1,7 @@
 package incshrink
 
 import (
+	"errors"
 	"testing"
 
 	"incshrink/internal/query"
@@ -109,29 +110,26 @@ func TestCountWhereOperators(t *testing.T) {
 }
 
 // TestCountWhereErrors covers the rewrite error paths: unknown filter
-// column, unknown Minus column, and errors on any condition of a
-// conjunction — all without perturbing the query stats.
+// column, unknown Minus column, an operator outside the enum (which used to
+// answer 0, nil), and errors on any condition of a conjunction — every one
+// an ErrInvalidArgument, and all without perturbing the query stats.
 func TestCountWhereErrors(t *testing.T) {
 	db := countWhereDB(t)
 	queriesBefore := db.Stats().QuerySeconds
 
-	if _, _, err := db.CountWhere(Where{Col: "price", Cmp: Gt, Val: 0}); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if _, _, err := db.CountWhere(Where{Col: "right.time", Minus: "ship.time", Cmp: Le, Val: 1}); err == nil {
-		t.Error("unknown Minus column accepted")
-	}
-	if _, _, err := db.CountWhere(
-		Where{Col: "left.key", Cmp: Gt, Val: 0},
-		Where{Col: "nope", Cmp: Eq, Val: 1},
-	); err == nil {
-		t.Error("bad second condition accepted")
-	}
-	if _, _, err := db.CountWhere(
-		Where{Col: "left.key", Cmp: Gt, Val: 0},
-		Where{Col: "right.time", Minus: "nope", Cmp: Le, Val: 1},
-	); err == nil {
-		t.Error("bad Minus in second condition accepted")
+	for name, conds := range map[string][]Where{
+		"unknown column":                   {{Col: "price", Cmp: Gt, Val: 0}},
+		"unknown Minus column":             {{Col: "right.time", Minus: "ship.time", Cmp: Le, Val: 1}},
+		"operator past the enum":           {{Col: "left.key", Cmp: Cmp(17)}},
+		"operator just past the enum":      {{Col: "left.key", Cmp: Ge + 1}},
+		"negative operator":                {{Col: "left.key", Cmp: Cmp(-1)}},
+		"bad second condition":             {{Col: "left.key", Cmp: Gt, Val: 0}, {Col: "nope", Cmp: Eq, Val: 1}},
+		"bad Minus in second condition":    {{Col: "left.key", Cmp: Gt, Val: 0}, {Col: "right.time", Minus: "nope", Cmp: Le, Val: 1}},
+		"bad operator in second condition": {{Col: "left.key", Cmp: Gt, Val: 0}, {Col: "left.key", Cmp: Cmp(17)}},
+	} {
+		if n, _, err := db.CountWhere(conds...); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("%s: CountWhere = %d, %v; want an error wrapping ErrInvalidArgument", name, n, err)
+		}
 	}
 	if after := db.Stats().QuerySeconds; after != queriesBefore {
 		t.Errorf("failed rewrites charged the query meter: %v -> %v", queriesBefore, after)

@@ -433,18 +433,23 @@ var viewSchema = table.MustSchema("view", "left.key", "left.time", "right.key", 
 
 // CountWhere answers a filtered count over the materialized view: the
 // logical query "COUNT(*) over the view definition's join WHERE <conds>" is
-// rewritten onto the view and executed with one oblivious scan. It returns
-// an error when a condition references a column the view does not carry.
+// rewritten onto the view — each condition lowered to a range test of the
+// scan kernel — and executed with one oblivious scan. A condition naming a
+// column the view does not carry, or an operator that does not exist, is
+// rejected with an error wrapping ErrInvalidArgument.
 func (db *DB) CountWhere(conds ...Where) (n int, qetSeconds float64, err error) {
-	q := query.Count{}
+	// Up to four conditions compile on the stack; the scan itself never
+	// allocates.
+	var buf [4]oblivious.ScanCond
+	prog := buf[:0]
 	for _, w := range conds {
-		q.Conds = append(q.Conds, query.Cond{Col: w.Col, DiffCol: w.Minus, Op: query.Op(w.Cmp), Val: w.Val})
+		sc, err := query.Lower(query.Cond{Col: w.Col, DiffCol: w.Minus, Op: query.Op(w.Cmp), Val: w.Val}, viewSchema)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
+		}
+		prog = append(prog, sc)
 	}
-	compiled, err := query.Rewrite(q, viewSchema)
-	if err != nil {
-		return 0, 0, err
-	}
-	n, qet := db.fw.QueryWhere(compiled.Predicate())
+	n, qet := db.fw.QueryWhere(prog)
 	return n, qet, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
+	"slices"
 	"strings"
 )
 
@@ -29,63 +31,75 @@ var OblivTaintPackages = []string{
 // OblivTaintSanctioned lists the constant-time / blinded primitives whose
 // bodies are exempt from taint sinks, the same way DetClockSanctioned
 // exempts the obs layer from the wall-clock ban. These are the functions
-// that BUILD obliviousness for everyone else: flag-blinded counter
-// maintenance, fixed-topology scans and the truncated join. Each entry is "<module-relative-pkg>.<Recv.>Name"; the
-// sanction covers the whole function body, so keep the primitives small.
-// Rebindable from -oblivtaint.sanction.
+// that BUILD obliviousness for everyone else. Each entry is
+// "<module-relative-pkg>.<Recv.>Name"; the sanction covers the whole
+// function body, so keep the primitives small. Rebindable from
+// -oblivtaint.sanction.
 //
-// Sanction rationale, by group:
-//   - Buffer counter maintenance (AppendFrom, AppendRange, Truncate,
-//     CutPrefix, ScanReal): the `real` counter is flag-derived by
-//     construction; in the deployed protocol these are local share updates,
-//     and every slot is touched unconditionally (the branch selects an
-//     increment, not an address).
-//   - boolWord: the bool -> {0,1} word conversion of the real-first key
-//     extraction — three lines the compiler lowers to a flag move. It is
-//     all the sort needs: the kernel (exchange) and the executor (sortKeys)
-//     are NOT here. The compare-exchange is a borrow chain and a masked
-//     XOR, so it passes the analyzer on its own; a branching `if less
-//     { swap }` over the keys would be a finding (TestLintGate seeds one).
-//   - Scans and compaction (TightCompactInto, CountBuffer): the
-//     fixed-topology scan primitives; their flag-dependent moves are exactly
-//     the part a circuit evaluates obliviously.
-//   - The truncated join: the paper's core operator; window advance and
-//     contribution bookkeeping run inside MPC in deployment.
+// What is left, and why:
+//   - boolWord: the bool -> {0,1} word conversion — three lines the compiler
+//     lowers to a flag move. It is all the sort, the scans and the counters
+//     need: the sort kernel (exchange, sortKeys) is a borrow chain and a
+//     masked XOR; the scan kernel (CountColumns, flagWord, outsideWord) is a
+//     borrow shifted into a verdict word, ANDed with the flag bits and
+//     popcounted; CountBuffer and the Buffer counter methods (AppendFrom,
+//     AppendRange, Truncate, CutPrefix, ScanReal) add boolWord(flag) where
+//     they used to branch on it. All of those pass the analyzer as ordinary
+//     code, and a branching `if less { swap }` over the keys or
+//     `if flag[i] == 1 { n++ }` over the flag column is a finding
+//     (TestLintGate seeds both).
+//   - TightCompactInto: the fixed-topology compaction; its flag-dependent
+//     moves are exactly the part a circuit evaluates obliviously.
+//   - TruncatedSortMergeJoinInto: the paper's core operator; window advance
+//     and contribution bookkeeping run inside MPC in deployment.
 //
 // The GMW evaluator is NOT here: its k-lane AND derives the output shares
 // from the opened d/e words with a masked select, and every frame length is
 // a function of the public lane count, so internal/gmw passes the analyzer
 // as ordinary code (TestLintGate seeds a branching select into it).
 var OblivTaintSanctioned = []string{
-	"internal/oblivious.Buffer.AppendFrom",
-	"internal/oblivious.Buffer.AppendRange",
-	"internal/oblivious.Buffer.Truncate",
-	"internal/oblivious.Buffer.CutPrefix",
-	"internal/oblivious.Buffer.ScanReal",
 	"internal/oblivious.boolWord",
-	"internal/oblivious.CountBuffer",
 	"internal/oblivious.TightCompactInto",
 	"internal/oblivious.TruncatedSortMergeJoinInto",
+}
+
+// OblivTaintColumnParams names, per function (keyed like
+// OblivTaintSanctioned), the parameters that are secret columns handed in
+// by the caller. The analysis is intraprocedural, so without this a kernel
+// that takes its columns as plain slices would be checked against nothing:
+// these parameters start tainted, and — like a source field's — their
+// len/cap is public by the padding invariant.
+var OblivTaintColumnParams = map[string][]string{
+	"internal/oblivious.CountColumns": {"flag", "cols"},
+	"internal/oblivious.flagWord":     {"f"},
+	"internal/oblivious.outsideWord":  {"a", "b"},
 }
 
 // oblivBufferSources are the oblivious.Buffer methods that read the
 // secret columns: the view/dummy flag, payload cells, provenance IDs, and
 // the real-row counter (secret cardinality before DP release).
 var oblivBufferSources = map[string]bool{
-	"IsReal": true, "At": true, "Row": true, "Real": true,
+	"IsReal": true, "FlagByte": true, "At": true, "Row": true, "Real": true,
 	"ScanReal": true, "Flags": true,
 	"LeftID": true, "RightID": true, "LeftIDs": true, "RightIDs": true,
 	"Payload": true,
 }
 
 // oblivFieldSources are raw struct fields whose reads taint, keyed by
-// "<TypeName>.<field>". Buffer's unexported columns matter so an
-// in-package `b.flag[i]` cannot dodge the accessor list; Record is the
-// by-value row form the joins take.
-var oblivFieldSources = map[string]bool{
-	"Buffer.flag": true, "Buffer.pay": true, "Buffer.left": true,
-	"Buffer.right": true, "Buffer.real": true,
-	"Record.Row": true,
+// module-relative package, then "<TypeName>.<field>". Buffer's unexported
+// columns matter so an in-package `b.flag[i]` cannot dodge the accessor
+// list; Record is the by-value row form the joins take; View is the
+// column-major materialized view, the same secrets in another layout.
+var oblivFieldSources = map[string]map[string]bool{
+	"internal/oblivious": {
+		"Buffer.flag": true, "Buffer.pay": true, "Buffer.left": true,
+		"Buffer.right": true, "Buffer.real": true,
+		"Record.Row": true,
+	},
+	"internal/securearray": {
+		"View.flag": true, "View.cols": true, "View.left": true,
+		"View.right": true, "View.real": true,
+	},
 }
 
 // tableSources are the table.Flat / table.Column cell readers.
@@ -122,7 +136,8 @@ func runOblivTaint(pass *Pass) error {
 			if !ok || fd.Body == nil || sanctionedFunc(pass, fd) {
 				continue
 			}
-			t := &taintScan{pass: pass, tainted: map[types.Object]string{}}
+			t := &taintScan{pass: pass, tainted: map[types.Object]string{}, columns: map[types.Object]bool{}}
+			t.seedColumnParams(fd)
 			t.fixpoint(fd.Body)
 			t.reportSinks(fd.Body)
 		}
@@ -130,9 +145,9 @@ func runOblivTaint(pass *Pass) error {
 	return nil
 }
 
-// sanctionedFunc reports whether the declaration matches an entry in
-// OblivTaintSanctioned.
-func sanctionedFunc(pass *Pass, fd *ast.FuncDecl) bool {
+// funcKey names a declaration the way OblivTaintSanctioned and
+// OblivTaintColumnParams do: "<module-relative-pkg>.<Recv.>Name".
+func funcKey(pass *Pass, fd *ast.FuncDecl) string {
 	rel := strings.TrimPrefix(strings.TrimPrefix(pass.Pkg.Path(), ModulePath), "/")
 	key := rel + "."
 	if fd.Recv != nil && len(fd.Recv.List) == 1 {
@@ -140,13 +155,28 @@ func sanctionedFunc(pass *Pass, fd *ast.FuncDecl) bool {
 			key += name + "."
 		}
 	}
-	key += fd.Name.Name
-	for _, s := range OblivTaintSanctioned {
-		if s == key {
-			return true
+	return key + fd.Name.Name
+}
+
+// sanctionedFunc reports whether the declaration matches an entry in
+// OblivTaintSanctioned.
+func sanctionedFunc(pass *Pass, fd *ast.FuncDecl) bool {
+	return slices.Contains(OblivTaintSanctioned, funcKey(pass, fd))
+}
+
+// seedColumnParams taints the parameters OblivTaintColumnParams registers
+// for fd and records them as columns (public length, secret contents).
+func (t *taintScan) seedColumnParams(fd *ast.FuncDecl) {
+	key := funcKey(t.pass, fd)
+	names := OblivTaintColumnParams[key]
+	for _, field := range fd.Type.Params.List {
+		for _, id := range field.Names {
+			if obj := t.pass.TypesInfo.Defs[id]; obj != nil && slices.Contains(names, id.Name) {
+				t.tainted[obj] = key + "." + id.Name
+				t.columns[obj] = true
+			}
 		}
 	}
-	return false
 }
 
 // recvTypeName unwraps *T and generic T[P] receivers to the base name.
@@ -173,6 +203,7 @@ func recvTypeName(e ast.Expr) string {
 type taintScan struct {
 	pass    *Pass
 	tainted map[types.Object]string
+	columns map[types.Object]bool // registered column parameters (OblivTaintColumnParams)
 	changed bool
 }
 
@@ -316,6 +347,9 @@ func (t *taintScan) exprTaint(e ast.Expr) (string, bool) {
 		// (grown under secret conditions) keeps its length tainted.
 		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && (id.Name == "len" || id.Name == "cap") && len(e.Args) == 1 {
 			if _, isBuiltin := t.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+				if arg, ok := ast.Unparen(e.Args[0]).(*ast.Ident); ok && t.columns[t.pass.TypesInfo.Uses[arg]] {
+					return "", false
+				}
 				if sel, ok := ast.Unparen(e.Args[0]).(*ast.SelectorExpr); ok {
 					if _, isSrc := t.sourceField(sel); isSrc {
 						fieldTainted := false
@@ -400,6 +434,8 @@ func (t *taintScan) sourceCall(call *ast.CallExpr) (string, bool) {
 			switch {
 			case taintPkg(pkgPath, "internal/oblivious") && tname == "Buffer" && oblivBufferSources[fn.Name()]:
 				return "oblivious.Buffer." + fn.Name(), true
+			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && fn.Name() == "Columns":
+				return "securearray.View.Columns", true
 			case taintPkg(pkgPath, "internal/table") && tableSources[tname+"."+fn.Name()]:
 				return "table." + tname + "." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/gmw") && tname == "Bit" && fn.Name() == "Open":
@@ -427,12 +463,14 @@ func (t *taintScan) sourceField(sel *ast.SelectorExpr) (string, bool) {
 		return "", false
 	}
 	pkgPath, tname, ok := namedTypePath(s.Recv())
-	if !ok || !taintPkg(pkgPath, "internal/oblivious") {
+	if !ok {
 		return "", false
 	}
 	key := tname + "." + v.Name()
-	if oblivFieldSources[key] {
-		return "oblivious." + key, true
+	for rel, fields := range oblivFieldSources {
+		if fields[key] && taintPkg(pkgPath, rel) {
+			return path.Base(rel) + "." + key, true
+		}
 	}
 	return "", false
 }
@@ -501,7 +539,7 @@ func (t *taintScan) reportSinks(body *ast.BlockStmt) {
 					return true
 				}
 			}
-			if n.Ellipsis.IsValid() && len(n.Args) > 0 {
+			if n.Ellipsis.IsValid() && len(n.Args) > 0 && !t.publicCount(n.Args[len(n.Args)-1]) {
 				if origin, ok := t.exprTaint(n.Args[len(n.Args)-1]); ok {
 					t.report(n.Ellipsis, origin, "fans out a variadic call's argument count")
 				}
@@ -509,6 +547,20 @@ func (t *taintScan) reportSinks(body *ast.BlockStmt) {
 		}
 		return true
 	})
+}
+
+// publicCount reports whether the spread argument e has a public element
+// count whatever it holds: a reslice x[lo:hi] with both bounds untainted
+// (an omitted lo is 0) spreads exactly hi-lo elements — the bulk
+// column-to-column copy `append(dst, src.flag[lo:hi]...)`.
+func (t *taintScan) publicCount(e ast.Expr) bool {
+	s, ok := ast.Unparen(e).(*ast.SliceExpr)
+	if !ok || s.High == nil {
+		return false
+	}
+	_, loTainted := t.exprTaint(s.Low)
+	_, hiTainted := t.exprTaint(s.High)
+	return !loTainted && !hiTainted
 }
 
 func (t *taintScan) report(pos token.Pos, origin, what string) {

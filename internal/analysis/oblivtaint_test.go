@@ -12,5 +12,7 @@ func TestOblivTaint(t *testing.T) {
 	analysis.OblivTaintSanctioned = append(append([]string{}, old...),
 		"internal/securearray.sanctionedCompareExchange")
 	defer func() { analysis.OblivTaintSanctioned = old }()
+	analysis.OblivTaintColumnParams["internal/securearray.branchingKernel"] = []string{"flag"}
+	defer delete(analysis.OblivTaintColumnParams, "internal/securearray.branchingKernel")
 	analysistest.Run(t, analysis.OblivTaint, "incshrink/internal/securearray")
 }

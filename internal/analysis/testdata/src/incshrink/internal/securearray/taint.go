@@ -70,6 +70,52 @@ func recordField(r oblivious.Record) int {
 	return int(r.ID) // the ID is public
 }
 
+// View mirrors the column-major materialized view: its columns are secret
+// stores in this package, registered beside Buffer's.
+type View struct {
+	flag []uint8
+	cols [][]int64
+}
+
+func branchOnViewFlag(v *View) (n int) {
+	for i := 0; i < len(v.flag); i++ { // the column's length is public
+		if v.flag[i] == 1 { // want `secret-tainted value \(from securearray\.View\.flag\) controls a branch condition`
+			n++
+		}
+	}
+	return n
+}
+
+func indexByViewCell(v *View, xs []int64) int64 {
+	return xs[v.cols[0][0]] // want `secret-tainted value \(from securearray\.View\.cols\) selects a memory address`
+}
+
+// branchingKernel is registered in OblivTaintColumnParams by the unit test:
+// its flag parameter starts tainted, with a public length.
+func branchingKernel(flag []uint8, public []uint8) (n int) {
+	for i := 0; i < len(flag); i++ {
+		if flag[i] == 1 { // want `secret-tainted value \(from internal/securearray\.branchingKernel\.flag\) controls a branch condition`
+			n++
+		}
+		if public[i] == 1 { // an unregistered parameter is public
+			n++
+		}
+		n += int(flag[i]) // the legal shape: the flag is data
+	}
+	return n
+}
+
+// bulkColumnCopy spreads a reslice with public bounds: exactly hi-lo
+// elements, whatever they hold. Spreading the whole secret slice is still a
+// finding (fanOut above).
+func bulkColumnCopy(b *oblivious.Buffer, dst []bool, lo, hi int) []bool {
+	return append(dst, b.Flags()[lo:hi]...)
+}
+
+func secretBoundCopy(b *oblivious.Buffer, dst []bool) []bool {
+	return append(dst, b.Flags()[:b.Real()]...) // want `fans out a variadic call's argument count`
+}
+
 // publicControl is the legal shape: public loop bounds and indexes,
 // secret values flowing only through data positions.
 func publicControl(b *oblivious.Buffer, out []int64) {

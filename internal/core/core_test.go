@@ -312,6 +312,36 @@ func TestFetchSizesAreNoisy(t *testing.T) {
 	}
 }
 
+// TestQueryChargesFullWidthScan: a query is charged as one pass over every
+// view slot, dummies included, at the view's full tuple width — whichever
+// columns its conditions read, and however few — and its answer is the
+// kernel's over the view's columns.
+func TestQueryChargesFullWidthScan(t *testing.T) {
+	wl := workload.TPCDS(120, 29)
+	f, _ := NewTimerEngine(DefaultConfig(wl, 29), wl)
+	for _, st := range mustTrace(t, wl).Steps {
+		f.Step(st)
+	}
+	if f.View().Len() == 0 || f.View().Real() == 0 {
+		t.Fatal("view empty")
+	}
+	q1 := []oblivious.ScanCond{{Col: 3, Diff: 1, Lo: 0, Hi: 10 ^ 1<<63}} // right.time - left.time <= 10
+	for _, conds := range [][]oblivious.ScanCond{nil, q1} {
+		before := f.rt.Meter.Gates(mpc.OpQuery)
+		n, qet := f.QueryWhere(conds)
+		gates := f.rt.Meter.Gates(mpc.OpQuery) - before
+		if want := float64(f.View().Len()) * 64 * 4 * f.rt.Meter.Model().ANDGatesPerScanBit; gates != want {
+			t.Errorf("%d conditions: charged %v gates, want %v", len(conds), gates, want)
+		}
+		if qet <= 0 || n != f.View().Count(conds) {
+			t.Errorf("%d conditions: answer %d (qet %v), view counts %d", len(conds), n, qet, f.View().Count(conds))
+		}
+	}
+	if n, _ := f.Query(); n != f.View().Real() {
+		t.Errorf("standing query answers %d, view holds %d real tuples", n, f.View().Real())
+	}
+}
+
 // TestBudgetLifetimeContribution: no record contributes more than b view
 // entries over its lifetime (KI-3).
 func TestBudgetLifetimeContribution(t *testing.T) {
@@ -325,11 +355,15 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 		f.Step(st)
 	}
 	contrib := make(map[int64]int)
-	for _, b := range []*oblivious.Buffer{f.View().Buffer(), f.Cache().Buffer()} {
-		for i := 0; i < b.Len(); i++ {
-			if b.IsReal(i) {
-				contrib[b.LeftID(i)]++
-			}
+	flag, _, left, _ := f.View().Columns()
+	for i, fl := range flag {
+		if fl == 1 {
+			contrib[left[i]]++
+		}
+	}
+	for b, i := f.Cache().Buffer(), 0; i < b.Len(); i++ {
+		if b.IsReal(i) {
+			contrib[b.LeftID(i)]++
 		}
 	}
 	for id, c := range contrib {

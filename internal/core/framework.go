@@ -579,18 +579,18 @@ func (f *Framework) newPadRecordAt(t int) oblivious.Record {
 // Query implements Engine: one oblivious scan over the materialized view,
 // counting real entries (the view definition already encodes the temporal
 // predicate, so the standing query counts every real view tuple).
-func (f *Framework) Query() (int, float64) {
-	return f.QueryWhere(func(table.Row) bool { return true })
-}
+func (f *Framework) Query() (int, float64) { return f.QueryWhere(nil) }
 
-// QueryWhere answers an arbitrary predicate-count over the materialized
-// view with one oblivious scan — the execution target of rewritten queries
-// (internal/query). View rows have the layout {left..., right...}; the scan
-// runs over the view arena, handing the predicate zero-copy row views.
-func (f *Framework) QueryWhere(pred table.Predicate) (int, float64) {
+// QueryWhere answers a filtered count over the materialized view with one
+// oblivious scan — the execution target of rewritten queries (query.Lower).
+// View columns have the layout {left..., right...}; the scan kernel reads
+// only the flag column and the columns conds names, and is charged as one
+// pass over every slot at full tuple width whatever they are.
+func (f *Framework) QueryWhere(conds []oblivious.ScanCond) (int, float64) {
 	qProbe := f.ins.phaseStart(f.rt)
 	before := f.rt.Meter.Seconds(mpc.OpQuery)
-	res := oblivious.CountBuffer(f.view.Buffer(), pred, f.rt.Meter, mpc.OpQuery)
+	f.rt.Meter.ChargeScan(mpc.OpQuery, f.view.Len(), 64*f.view.Arity())
+	res := f.view.Count(conds)
 	qet := f.rt.Meter.Seconds(mpc.OpQuery) - before
 	f.queries++
 	f.querySecs += qet

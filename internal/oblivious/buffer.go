@@ -17,10 +17,11 @@ import (
 //	                      them; -1 when not applicable or dummy)
 //
 // plus an incrementally maintained count of real slots, so Real() is O(1)
-// on every read path. Every oblivious operator (sort, compaction, the
-// truncated joins, select, count) works on buffers. Buffers come from a
-// per-arity free list (GetBuffer/Release), so steady-state operation
-// allocates nothing.
+// on every read path. Every oblivious operator that reorders or gathers
+// (sort, compaction, the truncated join) works on buffers; the append-only
+// materialized view is scanned column-major instead (CountColumns). Buffers
+// come from a per-arity free list (GetBuffer/Release), so steady-state
+// operation allocates nothing.
 type Buffer struct {
 	pay   table.Flat
 	flag  []bool
@@ -92,6 +93,10 @@ func (b *Buffer) At(i, j int) int64 { return b.pay.At(i, j) }
 
 // IsReal reports slot i's isView bit.
 func (b *Buffer) IsReal(i int) bool { return b.flag[i] }
+
+// FlagByte returns slot i's isView bit as a 0/1 byte, the form the
+// column-major view stores and sums.
+func (b *Buffer) FlagByte(i int) uint8 { return uint8(boolWord(b.flag[i])) }
 
 // LeftID and RightID return slot i's source-record IDs (-1 when dummy).
 func (b *Buffer) LeftID(i int) int64  { return b.left[i] }
@@ -182,9 +187,7 @@ func (b *Buffer) AppendFrom(src *Buffer, i int) {
 	b.flag = append(b.flag, src.flag[i])
 	b.left = append(b.left, src.left[i])
 	b.right = append(b.right, src.right[i])
-	if src.flag[i] {
-		b.real++
-	}
+	b.real += int(boolWord(src.flag[i]))
 }
 
 // AppendRange appends copies of src's slots [lo, hi) with one bulk copy per
@@ -198,9 +201,7 @@ func (b *Buffer) AppendRange(src *Buffer, lo, hi int) {
 	b.left = append(b.left, src.left[lo:hi]...)
 	b.right = append(b.right, src.right[lo:hi]...)
 	for _, fl := range src.flag[lo:hi] {
-		if fl {
-			b.real++
-		}
+		b.real += int(boolWord(fl))
 	}
 }
 
@@ -241,9 +242,7 @@ func (b *Buffer) Truncate(n int) (droppedReal int) {
 		n = 0
 	}
 	for i := n; i < b.Len(); i++ {
-		if b.flag[i] {
-			droppedReal++
-		}
+		droppedReal += int(boolWord(b.flag[i]))
 	}
 	b.pay.Truncate(n)
 	b.flag = b.flag[:n]
@@ -261,9 +260,7 @@ func (b *Buffer) CutPrefix(n int) (removedReal int) {
 		return 0
 	}
 	for i := 0; i < n; i++ {
-		if b.flag[i] {
-			removedReal++
-		}
+		removedReal += int(boolWord(b.flag[i]))
 	}
 	b.pay.CutPrefix(n)
 	copy(b.flag, b.flag[n:])
@@ -291,9 +288,7 @@ func (b *Buffer) Reset() {
 func (b *Buffer) ScanReal() int {
 	n := 0
 	for _, f := range b.flag {
-		if f {
-			n++
-		}
+		n += int(boolWord(f))
 	}
 	return n
 }
@@ -368,19 +363,18 @@ func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Me
 	}
 }
 
-// CountBuffer performs a secure aggregate count over a padded array: one
-// oblivious scan accumulating pred over real slots — the query operator used
-// for the paper's Q1/Q2 once the view is materialized. The predicate sees
-// each row as a zero-copy view into the arena.
+// CountBuffer counts the real slots of a row-major padded array that satisfy
+// pred: one scan that evaluates the predicate on every slot, real or dummy,
+// and adds the AND of the two bits, so every payload row is read whatever
+// the flags say. The engine's queries run CountColumns over the column-major
+// view instead; this form remains for cmd/benchmark's scan probe.
 func CountBuffer(b *Buffer, pred table.Predicate, meter *mpc.Meter, op mpc.Op) int {
 	if meter != nil {
 		meter.ChargeScan(op, b.Len(), 64*b.Arity())
 	}
 	n := 0
 	for i := 0; i < b.Len(); i++ {
-		if b.flag[i] && pred(b.Row(i)) {
-			n++
-		}
+		n += int(boolWord(b.flag[i]) & boolWord(pred(b.Row(i))))
 	}
 	return n
 }

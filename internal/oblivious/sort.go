@@ -48,9 +48,11 @@ func getKeys(n int) *[]sortKey {
 	return p
 }
 
-// boolWord is the bool -> {0,1} word conversion of the real-first key
-// extraction. The compiler lowers it to a flag move, not a jump; it is the
-// one branch-shaped primitive the sort admits to OblivTaintSanctioned.
+// boolWord is the bool -> {0,1} word conversion: the real-first key
+// extraction, the flag byte the view stores and every real-slot counter go
+// through it. The compiler lowers it to a flag move, not a jump; it is the
+// one branch-shaped primitive the sort, the scans and the counters admit to
+// OblivTaintSanctioned.
 func boolWord(b bool) uint64 {
 	var w uint64
 	if b {

@@ -2,14 +2,16 @@
 // logical counting queries over the join are rewritten as queries over the
 // materialized view and executed with a single oblivious scan. A query is a
 // conjunction of comparisons over named columns; the rewriter resolves the
-// names against the view schema and reports queries the view cannot answer
-// (columns the view definition did not materialize).
+// names against the view schema, reports queries the view cannot answer
+// (columns the view definition did not materialize), and lowers each
+// comparison to the range test the scan kernel evaluates — a condition
+// program (oblivious.ScanCond), not a closure.
 package query
 
 import (
 	"fmt"
+	"math"
 
-	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/table"
 )
@@ -104,11 +106,13 @@ func (q Count) String() string {
 	return s
 }
 
-// Compiled is a query rewritten against a concrete view schema, ready to
-// execute over view slots or oracle rows.
+// Compiled is a query rewritten against a concrete view schema: the
+// condition program the view scan runs, and beside it the plaintext row
+// predicate that is the scan's ground truth.
 type Compiled struct {
 	query Count
 	preds []compiledCond
+	conds []oblivious.ScanCond
 }
 
 type compiledCond struct {
@@ -117,30 +121,59 @@ type compiledCond struct {
 	val       int64
 }
 
-// Rewrite resolves the query's column names against the view schema. It
-// fails when the query references columns the materialized view does not
-// carry — those queries cannot be answered from the view and would need the
-// NM path.
+// Lower resolves one condition against the view schema and lowers it to the
+// kernel's range test. In the sign-flipped unsigned domain (x ^ 1<<63 is
+// order-preserving from int64) every operator is membership in one closed
+// range or in its complement: EQ/NE [v, v], LE/GT [0, v], GE/LT [v, max],
+// with NE, GT and LT inverted. It fails when the condition references a
+// column the materialized view does not carry — such a query cannot be
+// answered from the view and would need the NM path — or an operator that
+// does not exist.
+func Lower(cond Cond, schema *table.Schema) (oblivious.ScanCond, error) {
+	col, err := schema.Col(cond.Col)
+	diff := -1
+	if err == nil && cond.DiffCol != "" {
+		diff, err = schema.Col(cond.DiffCol)
+	}
+	if err != nil {
+		return oblivious.ScanCond{}, fmt.Errorf("query: cannot rewrite %q over view %q: %w", cond, schema.Name, err)
+	}
+	v := uint64(cond.Val) ^ 1<<63
+	sc := oblivious.ScanCond{Col: col, Diff: diff, Lo: v, Hi: v}
+	switch cond.Op {
+	case EQ, NE:
+	case LE, GT:
+		sc.Lo = 0
+	case GE, LT:
+		sc.Hi = math.MaxUint64
+	default:
+		return oblivious.ScanCond{}, fmt.Errorf("query: cannot rewrite %q over view %q: unknown operator %d", cond, schema.Name, int(cond.Op))
+	}
+	sc.Invert = cond.Op == NE || cond.Op == GT || cond.Op == LT
+	return sc, nil
+}
+
+// Rewrite lowers every condition of the query (see Lower), failing on the
+// first the view cannot answer.
 func Rewrite(q Count, schema *table.Schema) (*Compiled, error) {
 	c := &Compiled{query: q}
 	for _, cond := range q.Conds {
-		col, err := schema.Col(cond.Col)
+		sc, err := Lower(cond, schema)
 		if err != nil {
-			return nil, fmt.Errorf("query: cannot rewrite %q over view %q: %w", cond, schema.Name, err)
+			return nil, err
 		}
-		diff := -1
-		if cond.DiffCol != "" {
-			diff, err = schema.Col(cond.DiffCol)
-			if err != nil {
-				return nil, fmt.Errorf("query: cannot rewrite %q over view %q: %w", cond, schema.Name, err)
-			}
-		}
-		c.preds = append(c.preds, compiledCond{col: col, diff: diff, op: cond.Op, val: cond.Val})
+		c.conds = append(c.conds, sc)
+		c.preds = append(c.preds, compiledCond{col: sc.Col, diff: sc.Diff, op: cond.Op, val: cond.Val})
 	}
 	return c, nil
 }
 
-// Predicate returns the row predicate of the compiled query.
+// Conds returns the compiled condition program, the argument of
+// core.Framework.QueryWhere and securearray.View.Count.
+func (c *Compiled) Conds() []oblivious.ScanCond { return c.conds }
+
+// Predicate returns the plaintext row predicate of the compiled query — the
+// oracle the scan kernel is tested against, never the scan itself.
 func (c *Compiled) Predicate() table.Predicate {
 	preds := c.preds
 	return func(r table.Row) bool {
@@ -155,16 +188,6 @@ func (c *Compiled) Predicate() table.Predicate {
 		}
 		return true
 	}
-}
-
-// ExecuteBuffer answers the query over the padded view arena with one
-// oblivious scan, charging the meter under OpQuery (the engine's own query
-// path routes the same compiled predicate through
-// core.Framework.QueryWhere, which additionally tracks per-engine query
-// metrics). The predicate evaluates against zero-copy row views into the
-// arena.
-func (c *Compiled) ExecuteBuffer(view *oblivious.Buffer, meter *mpc.Meter) int {
-	return oblivious.CountBuffer(view, c.Predicate(), meter, mpc.OpQuery)
 }
 
 // Oracle answers the query over plaintext logical join rows — the ground

@@ -1,20 +1,22 @@
 package query
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
-	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
+	"incshrink/internal/securearray"
 	"incshrink/internal/table"
 )
 
 var viewSchema = table.MustSchema("view", "left.key", "left.time", "right.key", "right.time")
 
-// view builds a padded view arena: the given rows as real slots, then
-// dummies that would match any naive predicate if the dummy bit were
+// view builds a padded materialized view: the given rows as real slots,
+// then dummies that would match any naive predicate if the dummy bit were
 // ignored.
-func view(rows ...table.Row) *oblivious.Buffer {
+func view(rows ...table.Row) *securearray.View {
 	b := oblivious.NewBuffer(4, len(rows)+3)
 	for _, r := range rows {
 		b.AppendRow(r, -1, -1)
@@ -22,7 +24,9 @@ func view(rows ...table.Row) *oblivious.Buffer {
 	for i := 0; i < 3; i++ {
 		b.AppendDummy()
 	}
-	return b
+	v := securearray.NewView(4)
+	v.Update(b)
+	return v
 }
 
 func TestOpEvalAndString(t *testing.T) {
@@ -66,6 +70,15 @@ func TestRewriteResolvesColumns(t *testing.T) {
 	}
 }
 
+func TestRewriteRejectsUnknownOperator(t *testing.T) {
+	for _, op := range []Op{-1, GE + 1, 17} {
+		_, err := Rewrite(Count{Conds: []Cond{{Col: "left.key", Op: op, Val: 1}}}, viewSchema)
+		if err == nil || !strings.Contains(err.Error(), "unknown operator") {
+			t.Errorf("operator %d: got %v, want an unknown-operator error", int(op), err)
+		}
+	}
+}
+
 func TestRewriteRejectsUnknownColumns(t *testing.T) {
 	if _, err := Rewrite(Count{Conds: []Cond{{Col: "price", Op: GT, Val: 1}}}, viewSchema); err == nil {
 		t.Error("unknown column accepted")
@@ -87,13 +100,8 @@ func TestExecuteCountsOnlyMatchingReals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mpc.NewMeter(mpc.DefaultCostModel())
-	if got := c.ExecuteBuffer(es, m); got != 2 {
-		t.Errorf("ExecuteBuffer = %d, want 2", got)
-	}
-	// One scan over every slot, dummies included, at the view's width.
-	if want := float64(es.Len()) * 64 * 4 * m.Model().ANDGatesPerScanBit; m.Gates(mpc.OpQuery) != want {
-		t.Errorf("execution charged %v gates, want %v", m.Gates(mpc.OpQuery), want)
+	if got := es.Count(c.Conds()); got != 2 {
+		t.Errorf("view count = %d, want 2", got)
 	}
 }
 
@@ -103,7 +111,7 @@ func TestDummySlotsNeverCount(t *testing.T) {
 	es := view(table.Row{1, 1, 1, 1})
 	q := Count{Conds: []Cond{{Col: "left.key", Op: GE, Val: 0}}}
 	c, _ := Rewrite(q, viewSchema)
-	if got := c.ExecuteBuffer(es, nil); got != 1 {
+	if got := es.Count(c.Conds()); got != 1 {
 		t.Errorf("count = %d, dummies leaked into the answer", got)
 	}
 }
@@ -114,7 +122,7 @@ func TestEmptyConjunctionCountsAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ExecuteBuffer(es, nil); got != 2 {
+	if got := es.Count(c.Conds()); got != 2 {
 		t.Errorf("unconditional count = %d", got)
 	}
 	if !strings.Contains(c.Query().String(), "SELECT COUNT(*)") {
@@ -138,9 +146,9 @@ func TestOracleMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := c.Oracle(rows)
-	got := c.ExecuteBuffer(view(rows...), nil)
+	got := view(rows...).Count(c.Conds())
 	if got != want {
-		t.Errorf("ExecuteBuffer = %d, Oracle = %d", got, want)
+		t.Errorf("view count = %d, Oracle = %d", got, want)
 	}
 	if want != 2 { // rows 1 and 3 (row 4 excluded by key)
 		t.Errorf("oracle = %d, want 2", want)
@@ -155,5 +163,79 @@ func TestCondString(t *testing.T) {
 	d := Cond{Col: "a", DiffCol: "b", Op: GE, Val: -1}
 	if d.String() != "a - b >= -1" {
 		t.Errorf("diff cond: %q", d.String())
+	}
+}
+
+// edgeVals are the cells and constants the differential test leans on: the
+// ends of the int64 range, the sign change, and neighbours whose differences
+// wrap around.
+var edgeVals = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+
+func edgeOrSmall(rng *rand.Rand) int64 {
+	if rng.Intn(3) == 0 {
+		return rng.Int63n(21) - 10
+	}
+	return edgeVals[rng.Intn(len(edgeVals))]
+}
+
+// TestKernelMatchesOracle is the scan kernel's differential test: for every
+// operator, with and without a difference column, over boundary constants
+// and cells, conjunctions of zero to three conditions and view lengths
+// around the kernel's 8-slot and 64-slot strides, View.Count of the compiled
+// program equals the plaintext predicate counted over the real rows. Dummy
+// slots carry payload as wild as the real ones, so an answer that ignored
+// the flag column could not pass.
+func TestKernelMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	cols := viewSchema.Columns
+	randCond := func() Cond {
+		c := Cond{Col: cols[rng.Intn(len(cols))], Op: Op(rng.Intn(6)), Val: edgeOrSmall(rng)}
+		if rng.Intn(2) == 0 {
+			c.DiffCol = cols[rng.Intn(len(cols))]
+		}
+		return c
+	}
+	lengths := []int{63, 64, 65, 127, 129, 120000}
+	for n := 0; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		b := oblivious.NewBuffer(4, n)
+		var real []table.Row
+		for i := 0; i < n; i++ {
+			row := table.Row{edgeOrSmall(rng), edgeOrSmall(rng), edgeOrSmall(rng), edgeOrSmall(rng)}
+			isReal := rng.Intn(2) == 0
+			b.AppendSlot(row, isReal, -1, -1)
+			if isReal {
+				real = append(real, row)
+			}
+		}
+		v := securearray.NewView(4)
+		v.Update(b)
+
+		queries := []Count{{}}
+		for op := EQ; op <= GE; op++ {
+			for _, val := range edgeVals {
+				queries = append(queries,
+					Count{Conds: []Cond{{Col: "right.time", Op: op, Val: val}}},
+					Count{Conds: []Cond{{Col: "right.time", DiffCol: "left.time", Op: op, Val: val}}})
+			}
+		}
+		for i := 0; i < 60; i++ {
+			var q Count
+			for k := rng.Intn(4); k > 0; k-- {
+				q.Conds = append(q.Conds, randCond())
+			}
+			queries = append(queries, q)
+		}
+		for _, q := range queries {
+			c, err := Rewrite(q, viewSchema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := v.Count(c.Conds()), c.Oracle(real); got != want {
+				t.Fatalf("n=%d %s: kernel counts %d, oracle %d", n, q, got, want)
+			}
+		}
 	}
 }

@@ -10,12 +10,16 @@
 // before dummies, which is what lets Shrink discard dummy volume without
 // learning which slots were real.
 //
-// Both the cache and the materialized view are backed by columnar
-// oblivious.Buffer arenas. Synchronization paths that feed the view
-// (ReadInto, FlushInto, ReadAndPruneInto, DrainInto) cut a prefix of the
-// sorted cache directly into the view arena — one copy, no intermediate
-// slice — and every real-tuple count is maintained incrementally, so Real()
-// is O(1) on the serving read path.
+// The cache is a row-major oblivious.Buffer arena: it is sorted and gathered
+// on every synchronization, and those move whole slots. The materialized
+// view is only ever appended to and scanned, so it is a column store — one
+// []int64 per attribute beside a 0/1 byte flag column — that a query reads
+// with the branch-free oblivious.CountColumns kernel, touching only the
+// columns it names. Synchronization paths that feed the view (ReadInto,
+// FlushInto, ReadAndPruneInto, DrainInto) transpose a prefix of the sorted
+// cache directly onto the view's columns — one copy, no intermediate slice —
+// and every real-tuple count is maintained incrementally, so Real() is O(1)
+// on the serving read path.
 package securearray
 
 import (
@@ -116,8 +120,7 @@ func (c *Cache) Read(size int) *oblivious.Buffer {
 func (c *Cache) ReadInto(v *View, size int) {
 	c.sortRealFirst()
 	size = clampSize(size, c.buf.Len())
-	v.buf.AppendRange(c.buf, 0, size)
-	v.updates++
+	v.appendRange(c.buf, 0, size)
 	c.buf.CutPrefix(size)
 	c.reads++
 }
@@ -132,8 +135,7 @@ func (c *Cache) ReadInto(v *View, size int) {
 func (c *Cache) FlushInto(v *View, size int) (fetched, lostReal int) {
 	c.sortRealFirst()
 	size = clampSize(size, c.buf.Len())
-	v.buf.AppendRange(c.buf, 0, size)
-	v.updates++
+	v.appendRange(c.buf, 0, size)
 	c.buf.CutPrefix(size)
 	lostReal = c.buf.Real()
 	c.buf.Reset()
@@ -169,8 +171,7 @@ func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) 
 	if size+spill > c.buf.Len() {
 		spill = c.buf.Len() - size
 	}
-	v.buf.AppendRange(c.buf, 0, size+spill)
-	v.updates++
+	v.appendRange(c.buf, 0, size+spill)
 	c.buf.CutPrefix(size + spill)
 	c.reads++
 	if keep < 0 {
@@ -187,8 +188,7 @@ func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) 
 // entire cache needs no oblivious reordering (nothing about the data is
 // revealed by a full move); baselines that synchronize everything use this.
 func (c *Cache) DrainInto(v *View) {
-	v.buf.AppendAll(c.buf)
-	v.updates++
+	v.appendRange(c.buf, 0, c.buf.Len())
 	c.buf.Reset()
 	c.reads++
 }
@@ -228,46 +228,83 @@ func (c *Cache) String() string {
 }
 
 // View is the materialized view object V: an append-only padded array the
-// servers answer queries from. Unlike the cache it is never resorted or
-// shrunk; Shrink appends DP-sized batches, so the view length itself is a
-// function of the DP outputs only. Like the cache it is a columnar arena
-// with an incrementally maintained real-tuple counter.
+// servers answer queries from. Unlike the cache it is never resorted, gathered
+// or shrunk; Shrink appends DP-sized batches, so the view length itself is a
+// function of the DP outputs only. That is what lets it be column-major:
+//
+//	cols        [][]int64  one column per attribute
+//	flag        []uint8    the isView bit per slot, 0 or 1
+//	left/right  []int64    source-record IDs (-1 when dummy)
+//
+// plus the real-tuple counter, maintained by adding the flag byte.
 type View struct {
-	buf     *oblivious.Buffer
-	updates int
+	cols        [][]int64
+	flag        []uint8
+	left, right []int64
+	real        int
+	updates     int
 }
 
 // NewView creates an empty materialized view for rows of the given arity.
-func NewView(arity int) *View { return &View{buf: oblivious.NewBuffer(arity, 0)} }
+func NewView(arity int) *View { return &View{cols: make([][]int64, arity)} }
 
-// Update appends a synchronized batch o (Alg. 2 line 8 / Alg. 3 line 10:
-// V <- V u o). The batch is copied; the caller keeps ownership.
-func (v *View) Update(batch *oblivious.Buffer) {
-	v.buf.AppendAll(batch)
+// appendRange is the one synchronization: slots [lo, hi) of the row-major
+// src are transposed onto the tail of the columns.
+func (v *View) appendRange(src *oblivious.Buffer, lo, hi int) {
+	arity := v.Arity()
+	for i := lo; i < hi; i++ {
+		f := src.FlagByte(i)
+		v.flag = append(v.flag, f)
+		v.real += int(f)
+		for j := 0; j < arity; j++ {
+			v.cols[j] = append(v.cols[j], src.At(i, j))
+		}
+		v.left = append(v.left, src.LeftID(i))
+		v.right = append(v.right, src.RightID(i))
+	}
 	v.updates++
 }
 
+// Update appends a synchronized batch o (Alg. 2 line 8 / Alg. 3 line 10:
+// V <- V u o). The batch is copied; the caller keeps ownership.
+func (v *View) Update(batch *oblivious.Buffer) { v.appendRange(batch, 0, batch.Len()) }
+
+// Arity returns the payload attributes per slot.
+func (v *View) Arity() int { return len(v.cols) }
+
 // Len returns the number of slots in the view (real + dummy).
-func (v *View) Len() int { return v.buf.Len() }
+func (v *View) Len() int { return len(v.flag) }
 
 // Real returns the number of real tuples from the maintained counter — O(1)
 // (simulator bookkeeping and the serving stats path).
-func (v *View) Real() int { return v.buf.Real() }
+func (v *View) Real() int { return v.real }
 
-// ScanReal recounts the real tuples with a full scan, for counter-pinning
-// tests.
-func (v *View) ScanReal() int { return v.buf.ScanReal() }
+// Count answers a counting query with one oblivious scan of the columns the
+// conditions name: the number of real slots satisfying all of conds. With no
+// conditions it recounts the real slots, which is how tests pin Real.
+func (v *View) Count(conds []oblivious.ScanCond) int {
+	return oblivious.CountColumns(v.flag, v.cols, conds)
+}
 
-// Updates returns the number of Update calls.
+// Updates returns the number of synchronizations appended so far.
 func (v *View) Updates() int { return v.updates }
 
-// Buffer exposes the view arena for query processing. Callers must not
-// mutate.
-func (v *View) Buffer() *oblivious.Buffer { return v.buf }
+// Columns exposes the column store for the snapshot codec, which writes it
+// out row-major. Callers must not mutate or retain it across appends.
+func (v *View) Columns() (flag []uint8, cols [][]int64, left, right []int64) {
+	return v.flag, v.cols, v.left, v.right
+}
 
-// RestoreUpdates overwrites the update counter with a checkpointed value
-// (snapshot codec use).
-func (v *View) RestoreUpdates(updates int) { v.updates = updates }
+// Restore replaces the view's contents with the slots of the row-major rows
+// and its update counter with a checkpointed value (snapshot codec use).
+func (v *View) Restore(rows *oblivious.Buffer, updates int) {
+	for j := 0; j < v.Arity(); j++ {
+		v.cols[j] = v.cols[j][:0]
+	}
+	v.flag, v.left, v.right, v.real = v.flag[:0], v.left[:0], v.right[:0], 0
+	v.appendRange(rows, 0, rows.Len())
+	v.updates = updates
+}
 
 // SizeBytes returns the storage footprint of the view given the per-slot
 // payload width, the "materialized view size (Mb)" metric of Table 2.

@@ -167,8 +167,9 @@ func TestViewAppendOnly(t *testing.T) {
 	if v.Len() != 15 || v.Real() != 9 || v.Updates() != 2 {
 		t.Errorf("view len=%d real=%d updates=%d", v.Len(), v.Real(), v.Updates())
 	}
-	if v.Buffer().Len() != 15 {
-		t.Error("Buffer length wrong")
+	if flag, cols, left, right := v.Columns(); len(flag) != 15 || len(cols) != 2 || len(cols[0]) != 15 ||
+		len(cols[1]) != 15 || len(left) != 15 || len(right) != 15 {
+		t.Error("column lengths wrong")
 	}
 }
 
@@ -210,12 +211,12 @@ func TestCountersPinnedToScan(t *testing.T) {
 		if c.Real() != c.ScanReal() {
 			t.Fatalf("after %s: cache counter %d != scan %d", op, c.Real(), c.ScanReal())
 		}
-		if v.Real() != v.ScanReal() {
-			t.Fatalf("after %s: view counter %d != scan %d", op, v.Real(), v.ScanReal())
+		if v.Real() != v.Count(nil) {
+			t.Fatalf("after %s: view counter %d != scan %d", op, v.Real(), v.Count(nil))
 		}
 	}
 	for i := 0; i < 300; i++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(8) {
 		case 0, 1:
 			n := 1 + rng.Intn(20)
 			c.Append(batch(rng, n, rng.Intn(n+1)))
@@ -232,6 +233,13 @@ func TestCountersPinnedToScan(t *testing.T) {
 		case 5:
 			c.Prune(rng.Intn(c.Len() + 2))
 			check("prune")
+		case 6:
+			c.DrainInto(v)
+			check("drainInto")
+		case 7:
+			n := 1 + rng.Intn(20)
+			v.Update(batch(rng, n, rng.Intn(n+1)))
+			check("update")
 		}
 	}
 }
@@ -244,13 +252,13 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	c := newCache(128, nil)
 	v := NewView(2)
 	src := batch(rng, 256, 40)
-	// Warm up: grow the cache and view arenas to their steady-state sizes.
+	// Warm up: grow the cache arena to its steady-state size. The view's
+	// columns keep growing, geometrically, which amortizes to well under one
+	// allocation per synchronization.
 	for i := 0; i < 4; i++ {
 		c.Append(src)
 		c.ReadAndPruneInto(v, 40, 4, 128)
 	}
-	grown := v.Len() // pre-grow the view past what the measured runs add
-	v.Buffer().Grow(grown * 64)
 	avg := testing.AllocsPerRun(50, func() {
 		c.Append(src)
 		c.ReadAndPruneInto(v, 40, 4, 128)

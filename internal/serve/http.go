@@ -298,7 +298,7 @@ func NewHandler(reg *Registry) http.Handler {
 		}
 		n, qet, err := v.CountWhere(conds...)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, CountResponse{Count: n, QETSeconds: qet})

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -118,6 +119,19 @@ func TestHTTPEndToEnd(t *testing.T) {
 	badOp := CountRequest{Where: []WhereJSON{{Col: "left.key", Op: "~", Val: 1}}}
 	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/count", badOp, nil); code != 400 {
 		t.Errorf("unknown op: code=%d", code)
+	}
+	// An operator outside the enum cannot be spelled over HTTP (ParseCmp
+	// refuses it), so drive it through the view the handler calls: the
+	// engine must refuse it as the client's error — 400 by type, not by the
+	// handler's say-so — instead of answering 0.
+	sales, err := reg.Get("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []incshrink.Where{{Col: "left.key", Cmp: incshrink.Cmp(17)}, {Col: "price"}} {
+		if _, _, err := sales.CountWhere(w); !errors.Is(err, incshrink.ErrInvalidArgument) || statusFor(err) != 400 {
+			t.Errorf("CountWhere(%+v): err=%v status=%d, want ErrInvalidArgument and 400", w, err, statusFor(err))
+		}
 	}
 
 	var st StatusJSON

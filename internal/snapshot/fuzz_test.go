@@ -7,6 +7,7 @@ import (
 
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
+	"incshrink/internal/securearray"
 	"incshrink/internal/table"
 )
 
@@ -38,6 +39,22 @@ func FuzzDecodeBuffer(f *testing.F) {
 		}
 		if dst.Real() != dst.ScanReal() {
 			t.Fatalf("decoded buffer real counter %d != scan %d", dst.Real(), dst.ScanReal())
+		}
+		// Whatever decodes as a buffer is also a view's contents: transposed
+		// onto columns it keeps its count, and it encodes back to the same
+		// section.
+		v := securearray.NewView(2)
+		v.Restore(dst, 0)
+		if v.Real() != dst.Real() || v.Count(nil) != dst.Real() {
+			t.Fatalf("view of the decoded buffer counts %d (scan %d), buffer %d", v.Real(), v.Count(nil), dst.Real())
+		}
+		var asView, asBuffer bytes.Buffer
+		ev, eb := NewEncoder(&asView), NewEncoder(&asBuffer)
+		EncodeView(ev, v)
+		EncodeBuffer(eb, dst)
+		eb.Int(0)
+		if ev.Finish() != nil || eb.Finish() != nil || !bytes.Equal(asView.Bytes(), asBuffer.Bytes()) {
+			t.Fatal("view section differs from the buffer section it was restored from")
 		}
 	})
 }

@@ -118,6 +118,46 @@ func TestCacheViewCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestViewSectionIsBufferSection pins the format the column-major view
+// keeps: its section is, byte for byte, EncodeBuffer of the row-major
+// equivalent followed by the update counter — so snapshots written before
+// the view was a column store still load, and ones written now load there —
+// and decoding transposes it back exactly, counter included.
+func TestViewSectionIsBufferSection(t *testing.T) {
+	for _, arity := range []int{1, 2, 4} {
+		for _, n := range []int{0, 1, 7, 129} {
+			rows := sampleBuffer(arity, n)
+			v := securearray.NewView(arity)
+			v.Update(rows)
+			want := encodeSection(t, func(e *Encoder) {
+				EncodeBuffer(e, rows)
+				e.Int(1)
+			})
+			got := encodeSection(t, func(e *Encoder) { EncodeView(e, v) })
+			if !bytes.Equal(got, want) {
+				t.Fatalf("arity=%d n=%d: view section differs from the row-major buffer section", arity, n)
+			}
+
+			back := securearray.NewView(arity)
+			back.Update(sampleBuffer(arity, 3)) // contents a restore must replace
+			dec := NewDecoder(bytes.NewReader(got))
+			if err := DecodeViewInto(dec, back); err != nil {
+				t.Fatalf("arity=%d n=%d: %v", arity, n, err)
+			}
+			if err := dec.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if back.Len() != n || back.Real() != rows.Real() || back.Real() != back.Count(nil) || back.Updates() != 1 {
+				t.Fatalf("arity=%d n=%d: restored len/real/scan/updates (%d,%d,%d,%d), want (%d,%d,%d,1)",
+					arity, n, back.Len(), back.Real(), back.Count(nil), back.Updates(), n, rows.Real(), rows.Real())
+			}
+			if again := encodeSection(t, func(e *Encoder) { EncodeView(e, back) }); !bytes.Equal(again, want) {
+				t.Fatalf("arity=%d n=%d: restore then re-encode changed the bytes", arity, n)
+			}
+		}
+	}
+}
+
 // TestRuntimeCodecResumesRandomness pins the RNG-resume invariant at the
 // runtime level: after restore, both parties and the protocol stream
 // produce exactly the words the snapshotted runtime would have produced.

@@ -86,16 +86,35 @@ func DecodeCacheInto(d *Decoder, c *securearray.Cache) error {
 	return nil
 }
 
-// EncodeView writes a securearray.View: its arena plus the update counter.
+// EncodeView writes a securearray.View: the bytes EncodeBuffer would write
+// for the row-major equivalent of its column store — the payload is
+// transposed on the way out, the 0/1 flag bytes are the bools' encoding —
+// plus the update counter.
 func EncodeView(e *Encoder, v *securearray.View) {
-	EncodeBuffer(e, v.Buffer())
+	flag, cols, left, right := v.Columns()
+	e.Int(len(cols))
+	e.Int(len(flag))
+	e.U32(uint32(len(flag) * len(cols)))
+	for i := range flag {
+		for _, col := range cols {
+			e.I64(col[i])
+		}
+	}
+	e.U32(uint32(len(flag)))
+	for _, f := range flag {
+		e.U8(f)
+	}
+	e.I64s(left)
+	e.I64s(right)
 	e.Int(v.Updates())
 }
 
 // DecodeViewInto reloads a view encoded with EncodeView into v (same arity
-// required).
+// required): the buffer section is decoded and validated row-major, then
+// transposed back onto the view's columns.
 func DecodeViewInto(d *Decoder, v *securearray.View) error {
-	if err := DecodeBufferInto(d, v.Buffer()); err != nil {
+	rows := oblivious.NewBuffer(v.Arity(), 0)
+	if err := DecodeBufferInto(d, rows); err != nil {
 		return err
 	}
 	updates := d.Int()
@@ -106,7 +125,7 @@ func DecodeViewInto(d *Decoder, v *securearray.View) error {
 		d.Corrupt("view updates %d", updates)
 		return d.Err()
 	}
-	v.RestoreUpdates(updates)
+	v.Restore(rows, updates)
 	return nil
 }
 
