@@ -55,15 +55,15 @@ orphans:
 test:
 	$(GO) test ./...
 
-# race exercises the concurrent sweep engine, the serving subsystem, the
-# engines they fan out, the sort executor's layer-parallel path (the
-# workers=1-vs-N determinism tests under -race are the proof that the
-# kernel's concurrent layer swaps are race-free), and the two-party stack:
-# every gmw/party pair test is two goroutines over one conn pair whose
-# counters are read from both.
+# race exercises the concurrent sweep engine, the serving subsystem (whose
+# concurrent views are also what reaches internal/oblivious' process-wide
+# comparator cache and pools from several goroutines — that package itself
+# starts none), the engines they fan out, and the two-party stack: every
+# gmw/party pair test is two goroutines over one conn pair whose counters are
+# read from both.
 race:
 	$(GO) test -race ./internal/runner ./internal/sim ./internal/serve
-	$(GO) test -race ./internal/oblivious ./internal/core
+	$(GO) test -race ./internal/core
 	$(GO) test -race ./internal/gmw ./internal/party ./internal/wire
 	$(GO) test -race -run TestDeterministicAcrossWorkerCounts ./internal/experiments
 

@@ -178,8 +178,8 @@ func BenchmarkAblationTruncateSMJ(b *testing.B) {
 func ablationTables(n int) (t1, t2 []oblivious.Record) {
 	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for i := 0; i < n; i++ {
-		t1 = append(t1, oblivious.Record{ID: int64(i), Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
-		t2 = append(t2, oblivious.Record{ID: int64(n + i), Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
+		t1 = append(t1, oblivious.Record{Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
+		t2 = append(t2, oblivious.Record{Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
 	}
 	return t1, t2
 }
@@ -216,7 +216,7 @@ func ablationSlots(n int) *oblivious.Buffer {
 	rng := rand.New(rand.NewSource(9)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	b := oblivious.NewBuffer(1, n)
 	for i := 0; i < n; i++ {
-		b.AppendSlot(table.Row{int64(i)}, rng.Intn(2) == 0, -1, -1)
+		b.AppendSlot(table.Row{int64(i)}, rng.Intn(2) == 0, 0, 0)
 	}
 	return b
 }

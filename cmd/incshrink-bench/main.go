@@ -49,7 +49,6 @@ import (
 
 	"incshrink"
 	"incshrink/internal/experiments"
-	"incshrink/internal/oblivious"
 	"incshrink/internal/serve"
 )
 
@@ -64,10 +63,8 @@ func main() {
 		jsonOut = flag.String("json", "", "serve/core experiments: machine-readable report path (default BENCH_<exp>.json)")
 		compare = flag.Bool("compare", false, "compare two BENCH_*.json reports (old then new as positional args) instead of running; exits nonzero on regression")
 		thresh  = flag.Float64("threshold", 0.15, "with -compare: relative change past which a directional metric counts as a regression")
-		sortWkr = flag.Int("sort-workers", 1, "goroutines per oblivious sort's compare-exchange layers (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 	)
 	flag.Parse()
-	oblivious.SetSortWorkers(*sortWkr)
 
 	if *compare {
 		if flag.NArg() != 2 {

@@ -56,8 +56,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"incshrink/internal/oblivious"
 )
 
 func main() {
@@ -75,10 +73,8 @@ func main() {
 		cpEvery   = flag.Int("checkpoint-every", 100, "checkpoint a view every N applied uploads (needs -data; 0 = only explicit/shutdown checkpoints)")
 		traceBuf  = flag.Int("trace-buffer", 4096, "spans kept in the in-memory trace ring served at /debug/traces")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
-		sortWkrs  = flag.Int("sort-workers", 0, "goroutines per oblivious sort's compare-exchange layers (0 = GOMAXPROCS, 1 = serial); results are identical at any value")
 	)
 	flag.Parse()
-	oblivious.SetSortWorkers(*sortWkrs)
 
 	level, err := parseLevel(*logLevel)
 	if err != nil {

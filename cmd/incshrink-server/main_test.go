@@ -102,8 +102,6 @@ func TestObsSmoke(t *testing.T) {
 		"incshrink_core_comparator_cache_hits",
 		"incshrink_core_comparator_cache_misses",
 		"incshrink_core_comparator_cache_pairs",
-		"incshrink_core_sort_parallel_sorts",
-		"incshrink_core_sort_workers",
 	} {
 		if !strings.Contains(string(scrape), family) {
 			t.Errorf("scrape missing family %s", family)

@@ -49,7 +49,10 @@ func badArg(format string, args ...any) error {
 // Row is one relational tuple: {join key, event time, extra attributes...}.
 // Only the first two attributes participate in the view definition; any
 // extra attributes are ignored by the engine (the materialized view carries
-// exactly the four columns of the join schema).
+// exactly the four columns of the join schema). The join key must be
+// non-negative: the engine pads every upload to its public block size with
+// records keyed from the negative half of the domain, so a negative client
+// key could join padding. Advance rejects one.
 type Row = []int64
 
 // Protocol selects the Shrink synchronization strategy.
@@ -202,11 +205,10 @@ func (o Options) validate() error {
 // (internal/serve, exposed by cmd/incshrink-server), which serializes
 // per-view ingestion behind a mailbox and interleaves queries safely.
 type DB struct {
-	fw     *core.Framework
-	def    ViewDef
-	opts   Options
-	now    int
-	nextID int64
+	fw   *core.Framework
+	def  ViewDef
+	opts Options
+	now  int
 }
 
 // Open creates a database for the given view definition. Definitions and
@@ -257,7 +259,7 @@ func Open(def ViewDef, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{fw: fw, def: def, opts: opts, nextID: 1}, nil
+	return &DB{fw: fw, def: def, opts: opts}, nil
 }
 
 // Now returns the current logical time step.
@@ -272,17 +274,15 @@ func (db *DB) Instrument(ins *core.Instruments) { db.fw.SetInstruments(ins) }
 
 // Advance moves the database one time step forward, ingesting the records
 // each owner received this step. Uploads on the owners' schedule must fit
-// the configured block sizes. Rows are copied before Advance returns; the
+// the configured block sizes, and every row needs at least {key, time} with
+// a non-negative key (see Row). Rows are copied before Advance returns; the
 // caller may reuse or overwrite them. A rejected Advance (wrapping
-// ErrInvalidArgument) mutates nothing: the step does not happen, no record
-// IDs are consumed, and a corrected retry continues exactly where a
-// never-failed run would be — the byte-identical-replay contract the
-// serving layer and snapshot/restore depend on.
+// ErrInvalidArgument) mutates nothing: the step does not happen, and a
+// corrected retry continues exactly where a never-failed run would be — the
+// byte-identical-replay contract the serving layer and snapshot/restore
+// depend on.
 func (db *DB) Advance(left, right []Row) error {
-	// Validate both streams completely before mutating any state. IDs are
-	// only allocated once nothing can fail; consuming nextID for valid left
-	// rows and then rejecting a malformed right row would permanently burn
-	// IDs and fork the replay.
+	// Validate both streams completely before mutating any state.
 	if err := db.validateStep(left, right); err != nil {
 		return err
 	}
@@ -302,8 +302,8 @@ type StepRows struct {
 // call, ingesting steps[i] at logical time Now()+i. As with Advance, rows
 // are copied before the call returns and may be reused by the caller. Unless
 // Options.MergeWindows is set, it is exactly equivalent to calling Advance
-// once per element in order — same counts, same record IDs, same simulated
-// costs and DP randomness, byte-identical snapshots: both are the same
+// once per element in order — same counts, same simulated costs and DP
+// randomness, byte-identical snapshots: both are the same
 // engine loop, and batching never changes semantics; it buys
 // wall clock in the layers that pay a fixed cost per call — one
 // validation pass, and in the serving stack one admission, one HTTP
@@ -311,11 +311,11 @@ type StepRows struct {
 // per step.
 //
 // Validation is all-or-nothing: every step of the batch is validated
-// up-front, before any state mutates or any record ID is allocated. If any
-// step is rejected (error wrapping ErrInvalidArgument, naming the offending
-// step index), the batch does not happen at all — no step is applied, the
-// logical clock does not move, and no IDs are burned — so a corrected retry
-// continues exactly where a never-failed run would have. An empty batch is
+// up-front, before any state mutates. If any step is rejected (error
+// wrapping ErrInvalidArgument, naming the offending step index), the batch
+// does not happen at all — no step is applied and the logical clock does not
+// move — so a corrected retry continues exactly where a never-failed run
+// would have. An empty batch is
 // rejected the same way rather than silently succeeding.
 func (db *DB) AdvanceBatch(steps []StepRows) error {
 	if len(steps) == 0 {
@@ -330,10 +330,8 @@ func (db *DB) AdvanceBatch(steps []StepRows) error {
 	return nil
 }
 
-// apply ingests pre-validated steps — nothing can fail from here on. IDs are
-// allocated in step order (step 0 left, step 0 right, step 1 left, ...), so
-// they do not depend on how the steps were cut into calls. All of the call's
-// records share one arena sized to the exact total, so it costs two
+// apply ingests pre-validated steps — nothing can fail from here on. All of
+// the call's records share one arena sized to the exact total, so it costs two
 // allocations regardless of len(steps) — the capacity is exact, append never
 // reallocates, and the per-step subslices stay valid.
 func (db *DB) apply(steps []StepRows) {
@@ -346,19 +344,19 @@ func (db *DB) apply(steps []StepRows) {
 	for i, s := range steps {
 		wsteps[i] = workload.Step{T: db.now + i}
 		lo := len(arena)
-		arena = db.appendRecords(arena, s.Left)
+		arena = appendRecords(arena, s.Left)
 		wsteps[i].Left = arena[lo:len(arena):len(arena)]
 		lo = len(arena)
-		arena = db.appendRecords(arena, s.Right)
+		arena = appendRecords(arena, s.Right)
 		wsteps[i].Right = arena[lo:len(arena):len(arena)]
 	}
 	db.fw.StepBatch(wsteps)
 	db.now += len(steps)
 }
 
-// validateStep checks one step's uploads against the block sizes and row
-// arity without mutating anything — the shared admission gate of Advance
-// and AdvanceBatch.
+// validateStep checks one step's uploads against the block sizes, the row
+// arity and the key domain without mutating anything — the shared admission
+// gate of Advance and AdvanceBatch.
 func (db *DB) validateStep(left, right []Row) error {
 	if len(left) > db.opts.MaxLeft {
 		return badArg("left upload %d exceeds block size %d", len(left), db.opts.MaxLeft)
@@ -372,27 +370,30 @@ func (db *DB) validateStep(left, right []Row) error {
 	return validateRows("right", right)
 }
 
-// validateRows checks every row of one stream before any ID is allocated.
+// validateRows checks every row of one stream: it carries {key, time}, and
+// its key is outside the negative half of the domain, which the engine's
+// padding records are keyed from.
 func validateRows(stream string, rows []Row) error {
 	for i, r := range rows {
 		if len(r) < workload.StreamArity {
 			return badArg("%s row %d needs at least {key, time}, got %d attributes", stream, i, len(r))
 		}
+		if r[workload.ColKey] < 0 {
+			return badArg("%s row %d has negative key %d; keys must be non-negative", stream, i, r[workload.ColKey])
+		}
 	}
 	return nil
 }
 
-// appendRecords assigns stable IDs to pre-validated rows, appending them to
-// the caller's arena; it must only run after every step of the call has
-// passed validation.
-func (db *DB) appendRecords(dst []oblivious.Record, rows []Row) []oblivious.Record {
+// appendRecords appends pre-validated rows to the caller's arena as engine
+// records.
+func appendRecords(dst []oblivious.Record, rows []Row) []oblivious.Record {
 	for _, r := range rows {
 		// The engine's fixed-arity data plane (and the view schema the
 		// queries resolve against) carries exactly {key, time} per stream;
 		// extra attributes do not participate in the view definition and are
 		// dropped here.
-		dst = append(dst, oblivious.Record{ID: db.nextID, Row: table.Row(r[:workload.StreamArity])})
-		db.nextID++
+		dst = append(dst, oblivious.Record{Row: table.Row(r[:workload.StreamArity])})
 	}
 	return dst
 }

@@ -1,7 +1,10 @@
 package incshrink
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -117,6 +120,61 @@ func TestRowValidation(t *testing.T) {
 	db, _ := Open(ViewDef{Within: 5}, Options{})
 	if err := db.Advance([]Row{{1}}, nil); err == nil {
 		t.Error("one-attribute row accepted")
+	}
+}
+
+// TestNegativeKeyRejected is the regression test for a client key joining
+// engine padding: pad records take their keys from the negative half of the
+// domain (-2 downward), so a left row keyed -41 used to meet the pad keyed
+// -41 of a later Transform's right block and put a view entry where no right
+// record was ever uploaded. Negative keys are refused, on either stream and
+// by either ingest call, before anything mutates.
+func TestNegativeKeyRejected(t *testing.T) {
+	open := func() *DB {
+		db, err := Open(ViewDef{Within: 10}, Options{MaxLeft: 4, MaxRight: 4, T: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	snap := func(db *DB) []byte {
+		var buf bytes.Buffer
+		if err := db.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fresh := snap(open())
+
+	db := open()
+	if err := db.Advance([]Row{{-41, 0}}, nil); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("Advance with left key -41: got %v, want ErrInvalidArgument", err)
+	}
+	if err := db.Advance([]Row{{1, 0}}, []Row{{-1, 0}}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("Advance with right key -1: got %v, want ErrInvalidArgument", err)
+	}
+	batch := []StepRows{{Left: []Row{{1, 0}}}, {Right: []Row{{2, 1}, {-3, 1}}}}
+	err := db.AdvanceBatch(batch)
+	if !errors.Is(err, ErrInvalidArgument) || !strings.Contains(err.Error(), "batch step 1 of 2") {
+		t.Fatalf("AdvanceBatch with a negative key in step 1: got %v, want ErrInvalidArgument naming step 1", err)
+	}
+	if db.Now() != 0 || !bytes.Equal(snap(db), fresh) {
+		t.Fatalf("rejected uploads left a trace: clock %d, snapshot differs from a fresh database: %v",
+			db.Now(), !bytes.Equal(snap(db), fresh))
+	}
+	// With the bad row gone, the steps that used to collide run clean: no
+	// right record is ever uploaded, so the view must stay empty.
+	for i := 0; i < 6; i++ {
+		if err := db.Advance(nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.Stats().ViewEntries; got != 0 {
+		t.Fatalf("%d view entries with no right record uploaded", got)
+	}
+	// Key 0 is the boundary and is a client key.
+	if err := db.Advance([]Row{{0, 6}}, []Row{{0, 6}}); err != nil {
+		t.Fatalf("key 0 rejected: %v", err)
 	}
 }
 

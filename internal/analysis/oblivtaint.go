@@ -76,13 +76,11 @@ var OblivTaintColumnParams = map[string][]string{
 }
 
 // oblivBufferSources are the oblivious.Buffer methods that read the
-// secret columns: the view/dummy flag, payload cells, provenance IDs, and
-// the real-row counter (secret cardinality before DP release).
+// secret columns: the view/dummy flag, payload cells, and the real-row
+// counter (secret cardinality before DP release).
 var oblivBufferSources = map[string]bool{
 	"IsReal": true, "FlagByte": true, "At": true, "Row": true, "Real": true,
-	"ScanReal": true, "Flags": true,
-	"LeftID": true, "RightID": true, "LeftIDs": true, "RightIDs": true,
-	"Payload": true,
+	"ScanReal": true, "Flags": true, "Payload": true,
 }
 
 // oblivFieldSources are raw struct fields whose reads taint, keyed by
@@ -92,13 +90,11 @@ var oblivBufferSources = map[string]bool{
 // column-major materialized view, the same secrets in another layout.
 var oblivFieldSources = map[string]map[string]bool{
 	"internal/oblivious": {
-		"Buffer.flag": true, "Buffer.pay": true, "Buffer.left": true,
-		"Buffer.right": true, "Buffer.real": true,
+		"Buffer.flag": true, "Buffer.pay": true, "Buffer.real": true,
 		"Record.Row": true,
 	},
 	"internal/securearray": {
-		"View.flag": true, "View.cols": true, "View.left": true,
-		"View.right": true, "View.real": true,
+		"View.flag": true, "View.cols": true, "View.real": true,
 	},
 }
 

@@ -19,7 +19,6 @@ var RNGDrawPackages = []string{
 	"", // module root (incshrink.DB owns framework state)
 	"internal/core",
 	"internal/dp",
-	"internal/dpsync",
 	"internal/mpc",
 	"internal/gmw",
 	"internal/secretshare",

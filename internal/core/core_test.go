@@ -343,33 +343,71 @@ func TestQueryChargesFullWidthScan(t *testing.T) {
 }
 
 // TestBudgetLifetimeContribution: no record contributes more than b view
-// entries over its lifetime (KI-3).
+// entries over its lifetime (KI-3). The generator gives every left record a
+// fresh key (checked below), so a view entry's left.key column names the left
+// record that produced it. Under the paper-default CPDB setting no record has
+// more partners than budget, so the second deployment makes the budget bind:
+// b = 2*omega = 4 against partners that keep arriving over three upload
+// periods — a record that outlives its budget contributes up to 6 there.
 func TestBudgetLifetimeContribution(t *testing.T) {
-	wl := workload.CPDB(250, 19)
-	tr := mustTrace(t, wl)
-	cfg := DefaultConfig(wl, 19)
-	cfg.FlushEvery = 0
-	cfg.PruneTo = 0 // keep everything so we can count contributions
-	f, _ := NewTimerEngine(cfg, wl)
-	for _, st := range tr.Steps {
-		f.Step(st)
-	}
-	contrib := make(map[int64]int)
-	flag, _, left, _ := f.View().Columns()
-	for i, fl := range flag {
-		if fl == 1 {
-			contrib[left[i]]++
-		}
-	}
-	for b, i := f.Cache().Buffer(), 0; i < b.Len(); i++ {
-		if b.IsReal(i) {
-			contrib[b.LeftID(i)]++
-		}
-	}
-	for id, c := range contrib {
-		if c > cfg.Budget {
-			t.Fatalf("record %d contributed %d entries, budget %d", id, c, cfg.Budget)
-		}
+	binding := workload.CPDB(250, 19)
+	binding.MaxLag = binding.Within
+	for _, c := range []struct {
+		name          string
+		wl            workload.Config
+		omega, budget int
+	}{
+		{name: "default", wl: workload.CPDB(250, 19)},
+		{name: "budget-binds", wl: binding, omega: 2, budget: 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := mustTrace(t, c.wl)
+			cfg := DefaultConfig(c.wl, 19)
+			if c.omega > 0 {
+				cfg.Omega, cfg.Budget = c.omega, c.budget
+			}
+			cfg.FlushEvery = 0
+			cfg.PruneTo = 0 // keep everything so we can count contributions
+			f, err := NewTimerEngine(cfg, c.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leftKeys := make(map[int64]bool)
+			for _, st := range tr.Steps {
+				for _, r := range st.Left {
+					if leftKeys[r.Row[workload.ColKey]] {
+						t.Fatalf("left key %d uploaded twice: the key no longer identifies a record", r.Row[workload.ColKey])
+					}
+					leftKeys[r.Row[workload.ColKey]] = true
+				}
+				f.Step(st)
+			}
+			contrib := make(map[int64]int)
+			flag, cols := f.View().Columns()
+			for i, fl := range flag {
+				if fl == 1 {
+					contrib[cols[workload.ColKey][i]]++
+				}
+			}
+			for b, i := f.Cache().Buffer(), 0; i < b.Len(); i++ {
+				if b.IsReal(i) {
+					contrib[b.At(i, workload.ColKey)]++
+				}
+			}
+			most := 0
+			for key, n := range contrib {
+				if !leftKeys[key] {
+					t.Fatalf("view entry with left.key %d, which no left record carried", key)
+				}
+				if n > cfg.Budget {
+					t.Fatalf("record with key %d contributed %d entries, budget %d", key, n, cfg.Budget)
+				}
+				most = max(most, n)
+			}
+			if c.omega > 0 && most != cfg.Budget {
+				t.Fatalf("largest contribution %d, budget %d: the budget never bound", most, cfg.Budget)
+			}
+		})
 	}
 }
 

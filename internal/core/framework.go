@@ -279,7 +279,7 @@ func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
 		padRows:  *table.NewFlat(workload.StreamArity, 0),
 		joinBuf:  oblivious.NewBuffer(workload.JoinArity, 0),
 		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
-		dummyID:  -2, // -1 is reserved for dummy entries
+		dummyID:  -2,
 	}
 	// Public input sizes: every block is padded to the block size and the
 	// carried window to the cap, so the Transform input — and therefore its
@@ -565,15 +565,17 @@ func (f *Framework) buildInput(s int, blocks []uploadBlock) (fresh int) {
 	return fresh
 }
 
-// newPadRecordAt mints a padding record stamped with arrival step t, with
-// fresh never-matching keys. Its payload row lives in the per-transform flat
-// arena (f.padRows) instead of its own heap allocation; padding records never
-// outlive the invocation: they are never admitted to a window.
+// newPadRecordAt mints a padding record stamped with arrival step t, with a
+// fresh never-matching key: pad keys descend from -2, the negative half of
+// the key domain, which is reserved for them (incshrink.DB rejects a
+// negative client key, so no real record can equal a pad key). Its payload
+// row lives in the per-transform flat arena (f.padRows) instead of its own
+// heap allocation; padding records never outlive the invocation: they are
+// never admitted to a window.
 func (f *Framework) newPadRecordAt(t int) oblivious.Record {
 	f.padRows.AppendRow(table.Row{f.dummyID, int64(t)})
-	r := oblivious.Record{ID: f.dummyID, Row: f.padRows.Row(f.padRows.Rows() - 1)}
 	f.dummyID--
-	return r
+	return oblivious.Record{Row: f.padRows.Row(f.padRows.Rows() - 1)}
 }
 
 // Query implements Engine: one oblivious scan over the materialized view,

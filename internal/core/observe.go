@@ -47,11 +47,10 @@ func NewInstrumentSet(r *obs.Registry) *InstrumentSet {
 	return s
 }
 
-// registerSortGauges exports the process-wide comparator-network cache and
-// sort-layer-parallelism levels of internal/oblivious. The values are
-// snapshotted from the package atomics at gather time (OnGather), so the
-// ~32 MiB pair budget and the parallel path's engagement are observable on
-// /metrics under real multi-tenant load. Gauge registration is idempotent;
+// registerSortGauges exports the process-wide comparator-network cache
+// levels of internal/oblivious. The values are snapshotted from the package
+// atomics at gather time (OnGather), so the ~32 MiB pair budget is observable
+// on /metrics under real multi-tenant load. Gauge registration is idempotent;
 // a duplicate hook from a second InstrumentSet just re-Sets the same
 // snapshot, which is harmless.
 func registerSortGauges(r *obs.Registry) {
@@ -63,22 +62,12 @@ func registerSortGauges(r *obs.Registry) {
 		"enumerated networks not retained (pair budget or size cap)")
 	cachePairs := r.Gauge("incshrink_core_comparator_cache_pairs",
 		"comparator pairs currently retained across all cached networks")
-	parSorts := r.Gauge("incshrink_core_sort_parallel_sorts",
-		"sorts that took the layer-parallel execution path")
-	parLayers := r.Gauge("incshrink_core_sort_parallel_layers",
-		"comparator layers executed across multiple goroutines")
-	workers := r.Gauge("incshrink_core_sort_workers",
-		"configured sort worker bound (-sort-workers)")
 	r.OnGather(func() {
 		h, m, e, p := oblivious.CacheStats()
 		cacheHits.Set(float64(h))
 		cacheMisses.Set(float64(m))
 		cacheEvictions.Set(float64(e))
 		cachePairs.Set(float64(p))
-		s, l := oblivious.ParallelSortStats()
-		parSorts.Set(float64(s))
-		parLayers.Set(float64(l))
-		workers.Set(float64(oblivious.SortWorkersSetting()))
 	})
 }
 

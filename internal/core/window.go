@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
 	"incshrink/internal/workload"
@@ -15,9 +13,11 @@ const (
 )
 
 // windowEntry is one outsourced record, held by value: the engine copies a
-// record on arrival and never looks at the caller's memory again.
+// record on arrival and never looks at the caller's memory again. A record
+// has no identifier: it is its row, and what the lifecycle needs to tell
+// records apart — arrival block, remaining budget, new or carried — is its
+// position in the table.
 type windowEntry struct {
-	id        int64
 	row       [workload.StreamArity]int64
 	arrived   int // step of the upload block that carried the record
 	remaining int // contribution budget left; 0 on an unlimited stream
@@ -27,7 +27,7 @@ type windowEntry struct {
 // budget are stamped by admit.
 func appendArrivals(dst []windowEntry, recs []oblivious.Record) []windowEntry {
 	for _, r := range recs {
-		dst = append(dst, windowEntry{id: r.ID, row: [workload.StreamArity]int64(r.Row)})
+		dst = append(dst, windowEntry{row: [workload.StreamArity]int64(r.Row)})
 	}
 	return dst
 }
@@ -74,7 +74,7 @@ func (w *window) admit(arrivals []windowEntry, t int) (lo, hi int) {
 func (w *window) appendRecords(dst []oblivious.Record, lo, hi int) []oblivious.Record {
 	for i := hi - 1; i >= lo; i-- {
 		e := &w.entries[i]
-		dst = append(dst, oblivious.Record{ID: e.id, Row: e.row[:]})
+		dst = append(dst, oblivious.Record{Row: e.row[:]})
 	}
 	return dst
 }
@@ -89,7 +89,7 @@ func (w *window) appendRecords(dst []oblivious.Record, lo, hi int) []oblivious.R
 func (w *window) retire(blocks []uploadBlock, omega int, within int64) {
 	kept := w.entries[:0]
 	for _, e := range w.entries {
-		alive := e.id >= 0 // a negative ID is padding and never persists
+		alive := true
 		for bi := 0; alive && bi < len(blocks); bi++ {
 			t := blocks[bi].t
 			if t < e.arrived {
@@ -116,7 +116,6 @@ func (w *window) retire(blocks []uploadBlock, omega int, within int64) {
 func encodeEntries(enc *snapshot.Encoder, es []windowEntry) {
 	enc.U32(uint32(len(es)))
 	for i := range es {
-		enc.I64(es[i].id)
 		enc.I64s(es[i].row[:])
 		enc.Int(es[i].arrived)
 		enc.Int(es[i].remaining)
@@ -128,7 +127,6 @@ func encodeEntries(enc *snapshot.Encoder, es []windowEntry) {
 func decodeEntries(dec *snapshot.Decoder, dst []windowEntry) []windowEntry {
 	for n := dec.Len(); n > 0 && dec.Err() == nil; n-- {
 		var e windowEntry
-		e.id = dec.I64()
 		row := dec.I64s()
 		e.arrived, e.remaining = dec.Int(), dec.Int()
 		if dec.Err() == nil && len(row) != workload.StreamArity {
@@ -141,8 +139,8 @@ func decodeEntries(dec *snapshot.Decoder, dst []windowEntry) []windowEntry {
 }
 
 // decode reloads the table written by encodeEntries and checks everything
-// the step loop relies on: the public cap, real distinct IDs, arrival no
-// later than the engine clock, and a budget the record could actually hold.
+// the step loop relies on: the public cap, arrival no later than the engine
+// clock, and a budget the record could actually hold.
 func (w *window) decode(dec *snapshot.Decoder, now int) {
 	w.entries = decodeEntries(dec, w.entries[:0])
 	if dec.Err() != nil {
@@ -152,23 +150,13 @@ func (w *window) decode(dec *snapshot.Decoder, now int) {
 		dec.Corrupt("window of %d records exceeds the public cap %d", len(w.entries), w.cap)
 		return
 	}
-	ids := make([]int64, 0, len(w.entries))
-	for _, e := range w.entries {
+	for i, e := range w.entries {
 		switch {
-		case e.id < 0:
-			dec.Corrupt("window holds padding record %d", e.id)
 		case e.arrived > now:
-			dec.Corrupt("record %d arrived at step %d, after the engine clock %d", e.id, e.arrived, now)
+			dec.Corrupt("record %d arrived at step %d, after the engine clock %d", i, e.arrived, now)
 		case w.total > 0 && (e.remaining <= 0 || e.remaining > w.total),
 			w.total <= 0 && e.remaining != 0:
-			dec.Corrupt("record %d holds remaining budget %d of total %d", e.id, e.remaining, w.total)
-		}
-		ids = append(ids, e.id)
-	}
-	slices.Sort(ids)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			dec.Corrupt("record %d appears twice in one window", ids[i])
+			dec.Corrupt("record %d holds remaining budget %d of total %d", i, e.remaining, w.total)
 		}
 	}
 }

@@ -19,7 +19,7 @@ func block(t int) []uploadBlock { return []uploadBlock{{t: t}} }
 
 func TestBudgetTracker(t *testing.T) {
 	w := window{total: 5}
-	w.admit([]windowEntry{{id: 1}}, 0)
+	w.admit([]windowEntry{{}}, 0)
 	if got := w.entries[0].remaining; got != 5 {
 		t.Errorf("remaining on entry = %d, want the full budget 5", got)
 	}
@@ -33,7 +33,7 @@ func TestBudgetTracker(t *testing.T) {
 	}
 	// A retired record is gone for good; a new one starts from the full
 	// budget, and charging only reaches records already arrived.
-	w.admit([]windowEntry{{id: 2}}, 5)
+	w.admit([]windowEntry{{}}, 5)
 	w.retire(block(4), 2, 100)
 	if len(w.entries) != 1 || w.entries[0].remaining != 5 {
 		t.Errorf("a block before the record's arrival charged it: %+v", w.entries)
@@ -42,7 +42,7 @@ func TestBudgetTracker(t *testing.T) {
 
 func TestBudgetTrackerUnlimited(t *testing.T) {
 	w := window{total: 0}
-	w.admit([]windowEntry{{id: 1}}, 0)
+	w.admit([]windowEntry{{}}, 0)
 	for i := 0; i < 100; i++ {
 		w.retire(block(i), 10, 1000)
 		if len(w.entries) != 1 {
@@ -72,9 +72,9 @@ func windowEngine(t testing.TB, within int64, blockSize int) *Framework {
 func windowStep(step int) workload.Step {
 	st := workload.Step{T: step}
 	for i := 0; i < 4; i++ {
-		key, id := int64(4*step+i), int64(8*step+2*i+1)
-		st.Left = append(st.Left, oblivious.Record{ID: id, Row: table.Row{key, int64(step)}})
-		st.Right = append(st.Right, oblivious.Record{ID: id + 1, Row: table.Row{key, int64(step) + 1}})
+		key := int64(4*step + i)
+		st.Left = append(st.Left, oblivious.Record{Row: table.Row{key, int64(step)}})
+		st.Right = append(st.Right, oblivious.Record{Row: table.Row{key, int64(step) + 1}})
 	}
 	return st
 }
@@ -130,7 +130,7 @@ func TestWindowLifecycleDoesNotLeak(t *testing.T) {
 // TestWindowDecodeRejectsCorruptStreams drives the window section's decoder
 // over streams that are well-framed but cannot be a window this engine wrote.
 func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
-	good := windowEntry{id: 7, row: [2]int64{1, 2}, arrived: 3, remaining: 4}
+	good := windowEntry{row: [2]int64{1, 2}, arrived: 3, remaining: 4}
 	with := func(edit func(*windowEntry)) []windowEntry {
 		e := good
 		edit(&e)
@@ -144,25 +144,23 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 		encode  func(*snapshot.Encoder) // overrides entries
 		want    error
 	}{
-		{name: "valid", w: limited, entries: with(func(e *windowEntry) { e.id = 8 })},
-		{name: "valid public", w: public, entries: with(func(e *windowEntry) { e.id, e.remaining = 8, 0 })[1:]},
-		{name: "budget spent", w: limited, entries: with(func(e *windowEntry) { e.id, e.remaining = 8, 0 }), want: snapshot.ErrCorrupt},
-		{name: "budget above total", w: limited, entries: with(func(e *windowEntry) { e.id, e.remaining = 8, 11 }), want: snapshot.ErrCorrupt},
+		// Two records equal in every field are two records: identity is position.
+		{name: "valid", w: limited, entries: with(func(*windowEntry) {})},
+		{name: "valid public", w: public, entries: with(func(e *windowEntry) { e.remaining = 0 })[1:]},
+		{name: "budget spent", w: limited, entries: with(func(e *windowEntry) { e.remaining = 0 }), want: snapshot.ErrCorrupt},
+		{name: "budget above total", w: limited, entries: with(func(e *windowEntry) { e.remaining = 11 }), want: snapshot.ErrCorrupt},
 		{name: "budget on a public stream", w: public, entries: []windowEntry{good}, want: snapshot.ErrCorrupt},
-		{name: "arrived after now", w: limited, entries: with(func(e *windowEntry) { e.id, e.arrived = 8, 6 }), want: snapshot.ErrCorrupt},
-		{name: "negative id", w: limited, entries: with(func(e *windowEntry) { e.id = -2 }), want: snapshot.ErrCorrupt},
-		{name: "duplicate id", w: limited, entries: with(func(*windowEntry) {}), want: snapshot.ErrCorrupt},
-		{name: "above the public cap", w: limited, entries: append(with(func(e *windowEntry) { e.id = 8 }), windowEntry{id: 9, arrived: 1, remaining: 1}), want: snapshot.ErrCorrupt},
+		{name: "arrived after now", w: limited, entries: with(func(e *windowEntry) { e.arrived = 6 }), want: snapshot.ErrCorrupt},
+		{name: "above the public cap", w: limited, entries: append(with(func(*windowEntry) {}), windowEntry{arrived: 1, remaining: 1}), want: snapshot.ErrCorrupt},
 		{name: "wrong arity", w: limited, want: snapshot.ErrCorrupt, encode: func(enc *snapshot.Encoder) {
 			enc.U32(1)
-			enc.I64(7)
 			enc.I64s([]int64{1, 2, 3})
 			enc.Int(3)
 			enc.Int(4)
 		}},
 		{name: "length beyond the stream", w: limited, want: snapshot.ErrTruncated, encode: func(enc *snapshot.Encoder) {
 			enc.U32(1 << 30)
-			enc.I64(7)
+			enc.I64s([]int64{1, 2})
 		}},
 	}
 	for _, c := range cases {

@@ -101,49 +101,13 @@ func TestLaplaceVariance(t *testing.T) {
 	}
 }
 
-func TestLaplaceMechanismValidation(t *testing.T) {
-	rng := newRNG(1)
-	if _, err := LaplaceMechanism(1, 1, 0, rng); err == nil {
-		t.Error("epsilon 0 should error")
-	}
-	if _, err := LaplaceMechanism(1, 0, 1, rng); err == nil {
-		t.Error("sensitivity 0 should error")
-	}
-	if _, err := LaplaceMechanism(1, 1, math.Inf(1), rng); err == nil {
-		t.Error("infinite epsilon should error")
-	}
-	if _, err := LaplaceMechanism(1, math.NaN(), 1, rng); err == nil {
-		t.Error("NaN sensitivity should error")
-	}
-}
-
-func TestNoisyCountNonNegative(t *testing.T) {
-	rng := newRNG(2)
-	for i := 0; i < 10000; i++ {
-		n, err := NoisyCount(0, 1, 0.1, rng)
-		if err != nil {
-			t.Fatal(err)
+// TestBoundsRejectBadParameters: the theorem-bound helpers refuse a
+// non-positive, infinite or NaN epsilon and contribution bound.
+func TestBoundsRejectBadParameters(t *testing.T) {
+	for _, c := range [][2]float64{{1, 0}, {0, 1}, {1, math.Inf(1)}, {math.NaN(), 1}} {
+		if _, err := DeferredDataBound(c[0], c[1], 10, 0.05); err == nil {
+			t.Errorf("b=%v epsilon=%v should error", c[0], c[1])
 		}
-		if n < 0 {
-			t.Fatalf("NoisyCount returned negative %d", n)
-		}
-	}
-}
-
-func TestNoisyCountCentersOnTruth(t *testing.T) {
-	rng := newRNG(3)
-	const truth, n = 1000, 20000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v, err := NoisyCount(truth, 1, 1.0, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += float64(v)
-	}
-	mean := sum / n
-	if math.Abs(mean-truth) > 1.0 {
-		t.Errorf("mean noisy count %v, want about %d", mean, truth)
 	}
 }
 
@@ -229,169 +193,6 @@ func TestFlushSizeFor(t *testing.T) {
 	}
 }
 
-func TestNANTFiresNearThreshold(t *testing.T) {
-	rng := newRNG(7)
-	m, err := NewNANT(30, 1, 50, rng) // large epsilon: little noise
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := 0
-	firedAt := -1
-	for step := 0; step < 200; step++ {
-		c += 3
-		rel, fired := m.Step(c)
-		if fired {
-			firedAt = c
-			if rel < c-10 || rel > c+10 {
-				t.Errorf("release %d far from truth %d at high epsilon", rel, c)
-			}
-			break
-		}
-	}
-	if firedAt < 0 {
-		t.Fatal("NANT never fired")
-	}
-	if firedAt < 15 || firedAt > 60 {
-		t.Errorf("fired at count %d, want near threshold 30", firedAt)
-	}
-}
-
-func TestNANTRepeatedFiring(t *testing.T) {
-	rng := newRNG(8)
-	m, err := NewNANT(30, 1, 10, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fires := 0
-	c := 0
-	for step := 0; step < 1000; step++ {
-		c += 3
-		_, fired := m.Step(c)
-		if fired {
-			fires++
-			c = 0 // reset counter as sDPANT does
-		}
-	}
-	if fires < 50 || fires > 200 {
-		t.Errorf("fires = %d over 1000 steps at rate 3/step threshold 30, want around 100", fires)
-	}
-	if m.Fires() != fires {
-		t.Errorf("Fires() = %d want %d", m.Fires(), fires)
-	}
-	if m.Steps() != 1000 {
-		t.Errorf("Steps() = %d want 1000", m.Steps())
-	}
-}
-
-func TestNANTThresholdRefreshes(t *testing.T) {
-	rng := newRNG(9)
-	m, err := NewNANT(30, 1, 1.0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.NoisyThreshold()
-	// Force a fire with an enormous count.
-	_, fired := m.Step(1 << 20)
-	if !fired {
-		t.Fatal("huge count did not fire")
-	}
-	if m.NoisyThreshold() == before {
-		t.Error("noisy threshold did not refresh after fire")
-	}
-}
-
-func TestNANTValidation(t *testing.T) {
-	rng := newRNG(10)
-	if _, err := NewNANT(30, 0, 1, rng); err == nil {
-		t.Error("zero sensitivity should error")
-	}
-	if _, err := NewNANT(30, 1, 0, rng); err == nil {
-		t.Error("zero epsilon should error")
-	}
-}
-
-func TestNANTReleaseNonNegative(t *testing.T) {
-	rng := newRNG(11)
-	m, _ := NewNANT(0, 1, 0.05, rng) // heavy noise, threshold 0
-	for i := 0; i < 5000; i++ {
-		rel, fired := m.Step(0)
-		if fired && rel < 0 {
-			t.Fatalf("negative release %d", rel)
-		}
-	}
-}
-
-func TestAccountantSequential(t *testing.T) {
-	a := NewAccountant(1.0)
-	if err := a.ChargeSequential(0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.ChargeSequential(0.6); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Spent(); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("spent = %v want 1.0", got)
-	}
-	if err := a.ChargeSequential(0.01); err == nil {
-		t.Error("over-budget charge should error")
-	}
-}
-
-func TestAccountantParallel(t *testing.T) {
-	a := NewAccountant(1.0)
-	for _, eps := range []float64{0.2, 0.5, 0.3} {
-		if err := a.ChargeParallel(eps); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Spent(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("parallel spent = %v want 0.5 (max)", got)
-	}
-}
-
-func TestAccountantStable(t *testing.T) {
-	a := NewAccountant(0) // tracking only
-	if err := a.ChargeStable(10, 0.15); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Spent(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("stable spent = %v want 1.5", got)
-	}
-	if !math.IsInf(a.Remaining(), 1) {
-		t.Error("unenforced accountant should have infinite remaining")
-	}
-	if err := a.ChargeStable(-1, 0.1); err == nil {
-		t.Error("negative stability should error")
-	}
-}
-
-func TestAccountantNegativeCharges(t *testing.T) {
-	a := NewAccountant(1)
-	if err := a.ChargeSequential(-0.1); err == nil {
-		t.Error("negative sequential charge should error")
-	}
-	if err := a.ChargeParallel(-0.1); err == nil {
-		t.Error("negative parallel charge should error")
-	}
-}
-
-func TestAccountantRemaining(t *testing.T) {
-	a := NewAccountant(2.0)
-	_ = a.ChargeSequential(0.5)
-	if got := a.Remaining(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("remaining = %v want 1.5", got)
-	}
-}
-
-func TestUserLevelEpsilon(t *testing.T) {
-	if got := UserLevelEpsilon(0.5, 4); got != 2.0 {
-		t.Errorf("user-level eps = %v want 2", got)
-	}
-	if got := UserLevelEpsilon(0.5, 0); got != 0.5 {
-		t.Errorf("ell<1 should clamp to 1, got %v", got)
-	}
-}
-
 // TestJointNoiseXORUniform: the XOR of one honest uniform word with any
 // adversarially fixed word is uniform, the property underpinning joint noise
 // generation. We fix z0 adversarially and verify the Laplace sample
@@ -417,14 +218,5 @@ func BenchmarkLaplace(b *testing.B) {
 	rng := newRNG(99)
 	for i := 0; i < b.N; i++ {
 		_ = Laplace(1.0, rng)
-	}
-}
-
-func BenchmarkNANTStep(b *testing.B) {
-	rng := newRNG(100)
-	m, _ := NewNANT(30, 1, 1.5, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step(i % 40)
 	}
 }

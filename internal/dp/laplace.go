@@ -1,11 +1,10 @@
 // Package dp implements the differential-privacy machinery used by
 // IncShrink's Shrink protocols: the joint fixed-point Laplace sampler of
-// Algorithm 2 (lines 4-6), the Numeric-Above-Noisy-Threshold mechanism of
-// Algorithm 5, a privacy-loss accountant implementing the composition rules
-// the paper relies on (parallel composition for disjoint intervals, q-stable
-// transformation scaling from Lemma 2, sequential composition for the
-// DP-Sync extension in Section 8), and the tail bounds of Theorems 4-6 as
-// computable predicates used by the cache-flush sizing logic.
+// Algorithm 2 (lines 4-6), the counted, resumable randomness streams it
+// draws from, and the tail bounds of Theorems 4-6 as computable predicates.
+// The mechanisms themselves — sDPTimer's noisy release and sDPANT's
+// numeric-above-noisy-threshold — run inside the MPC runtime (core.Timer,
+// core.ANT), not here.
 package dp
 
 import (
@@ -55,30 +54,6 @@ func LaplaceFromWords(scale float64, zr, zs uint32) float64 {
 // property comes from where the words originate, not from the math here.
 func Laplace(scale float64, rng RNG) float64 {
 	return LaplaceFromWords(scale, rng.Uint32(), rng.Uint32())
-}
-
-// LaplaceMechanism releases value + Lap(sensitivity/epsilon), the epsilon-DP
-// Laplace mechanism over a query with the given L1 sensitivity.
-func LaplaceMechanism(value float64, sensitivity, epsilon float64, rng RNG) (float64, error) {
-	if err := validate(sensitivity, epsilon); err != nil {
-		return 0, err
-	}
-	return value + Laplace(sensitivity/epsilon, rng), nil
-}
-
-// NoisyCount releases a DP count rounded to a non-negative integer, the form
-// in which Shrink consumes noisy cardinalities (a fetch size cannot be
-// negative; clamping is post-processing and costs no privacy).
-func NoisyCount(count int, sensitivity, epsilon float64, rng RNG) (int, error) {
-	v, err := LaplaceMechanism(float64(count), sensitivity, epsilon, rng)
-	if err != nil {
-		return 0, err
-	}
-	n := int(math.Round(v))
-	if n < 0 {
-		n = 0
-	}
-	return n, nil
 }
 
 var (

@@ -10,36 +10,28 @@ import (
 // Buffer is a padded secure array — view tuples and dummies, notionally
 // secret-shared — stored as parallel columns over one flat payload arena:
 //
-//	payload   table.Flat  n rows x arity attributes, one contiguous []int64
-//	flag      []bool      the isView bit of Algorithm 1 per slot
-//	left/right []int64    IDs of the source records that generated a join
-//	                      entry (the contribution-budget bookkeeping reads
-//	                      them; -1 when not applicable or dummy)
+//	payload  table.Flat  n rows x arity attributes, one contiguous []int64
+//	flag     []bool      the isView bit of Algorithm 1 per slot
 //
 // plus an incrementally maintained count of real slots, so Real() is O(1)
-// on every read path. Every oblivious operator that reorders or gathers
-// (sort, compaction, the truncated join) works on buffers; the append-only
-// materialized view is scanned column-major instead (CountColumns). Buffers
-// come from a per-arity free list (GetBuffer/Release), so steady-state
-// operation allocates nothing.
+// on every read path. A slot is its row and its flag and nothing else: which
+// input records produced a join entry is not recorded, because nothing
+// downstream of Transform asks (contribution budgets are charged per record
+// inside Transform, by position in the input window). Every oblivious
+// operator that reorders or gathers (sort, compaction, the truncated join)
+// works on buffers; the append-only materialized view is scanned column-major
+// instead (CountColumns). Buffers come from a per-arity free list
+// (GetBuffer/Release), so steady-state operation allocates nothing.
 type Buffer struct {
-	pay   table.Flat
-	flag  []bool
-	left  []int64
-	right []int64
-	real  int
+	pay  table.Flat
+	flag []bool
+	real int
 }
 
 // NewBuffer creates an empty buffer for rows of the given arity with
 // capacity for rowCap rows pre-reserved.
 func NewBuffer(arity, rowCap int) *Buffer {
-	b := &Buffer{
-		pay:   *table.NewFlat(arity, rowCap),
-		flag:  make([]bool, 0, rowCap),
-		left:  make([]int64, 0, rowCap),
-		right: make([]int64, 0, rowCap),
-	}
-	return b
+	return &Buffer{pay: *table.NewFlat(arity, rowCap), flag: make([]bool, 0, rowCap)}
 }
 
 // bufferPools holds one free list per arity: buffers of different arities
@@ -98,51 +90,39 @@ func (b *Buffer) IsReal(i int) bool { return b.flag[i] }
 // column-major view stores and sums.
 func (b *Buffer) FlagByte(i int) uint8 { return uint8(boolWord(b.flag[i])) }
 
-// LeftID and RightID return slot i's source-record IDs (-1 when dummy).
-func (b *Buffer) LeftID(i int) int64  { return b.left[i] }
-func (b *Buffer) RightID(i int) int64 { return b.right[i] }
-
-// AppendRow appends a real slot carrying a copy of row with the given
-// source IDs.
-func (b *Buffer) AppendRow(row table.Row, leftID, rightID int64) {
+// AppendRow appends a real slot carrying a copy of row.
+func (b *Buffer) AppendRow(row table.Row) {
 	b.pay.AppendRow(row)
 	b.flag = append(b.flag, true)
-	b.left = append(b.left, leftID)
-	b.right = append(b.right, rightID)
 	b.real++
 }
 
 // AppendJoin appends a real slot whose payload is the concatenation l||r —
 // the join-output append, with no temporary row materialized.
-func (b *Buffer) AppendJoin(l, r table.Row, leftID, rightID int64) {
+func (b *Buffer) AppendJoin(l, r table.Row) {
 	b.pay.AppendConcat(l, r)
 	b.flag = append(b.flag, true)
-	b.left = append(b.left, leftID)
-	b.right = append(b.right, rightID)
 	b.real++
 }
 
-// AppendSlot appends one fully specified slot — payload row, isView bit and
-// both source IDs — maintaining the real count. It is the generic
-// reconstruction append the snapshot codec uses; the specialized appends
-// (AppendRow, AppendJoin, AppendDummy) remain the hot-path forms.
-func (b *Buffer) AppendSlot(row table.Row, real bool, leftID, rightID int64) {
+// AppendSlot appends one fully specified slot — payload row and isView bit —
+// maintaining the real count. The two trailing arguments are ignored: they
+// were the slot's source-record IDs, and the signature stays only because
+// cmd/benchmark's probes, frozen for non-benchmark PRs, still pass them.
+func (b *Buffer) AppendSlot(row table.Row, real bool, _, _ int64) {
 	b.pay.AppendRow(row)
 	b.flag = append(b.flag, real)
-	b.left = append(b.left, leftID)
-	b.right = append(b.right, rightID)
 	if real {
 		b.real++
 	}
 }
 
 // AppendColumns bulk-appends decoded columnar state: row-major payload data
-// plus the parallel flag/ID columns, which must all describe the same number
-// of slots. It is the decode-side counterpart of the column accessors.
-func (b *Buffer) AppendColumns(payload []int64, flags []bool, left, right []int64) {
+// plus the parallel flag column, which must describe the same number of
+// slots. It is the decode-side counterpart of the column accessors.
+func (b *Buffer) AppendColumns(payload []int64, flags []bool) {
 	n := len(flags)
-	if len(left) != n || len(right) != n || (b.Arity() > 0 && len(payload) != n*b.Arity()) ||
-		(b.Arity() == 0 && len(payload) != 0) {
+	if (b.Arity() > 0 && len(payload) != n*b.Arity()) || (b.Arity() == 0 && len(payload) != 0) {
 		panic("oblivious: mismatched column lengths")
 	}
 	b.pay.AppendData(payload)
@@ -154,8 +134,6 @@ func (b *Buffer) AppendColumns(payload []int64, flags []bool, left, right []int6
 		}
 	}
 	b.flag = append(b.flag, flags...)
-	b.left = append(b.left, left...)
-	b.right = append(b.right, right...)
 	for _, fl := range flags {
 		if fl {
 			b.real++
@@ -167,26 +145,17 @@ func (b *Buffer) AppendColumns(payload []int64, flags []bool, left, right []int6
 // Callers must not mutate or retain it across appends.
 func (b *Buffer) Flags() []bool { return b.flag }
 
-// LeftIDs and RightIDs expose the source-ID columns for bulk readers (the
-// snapshot codec). Callers must not mutate or retain them across appends.
-func (b *Buffer) LeftIDs() []int64  { return b.left }
-func (b *Buffer) RightIDs() []int64 { return b.right }
-
-// AppendDummy appends a dummy slot (zero payload, isView false, IDs -1). In
+// AppendDummy appends a dummy slot (zero payload, isView false). In
 // the deployed system dummy payloads are indistinguishable random shares.
 func (b *Buffer) AppendDummy() {
 	b.pay.AppendZeroRow()
 	b.flag = append(b.flag, false)
-	b.left = append(b.left, -1)
-	b.right = append(b.right, -1)
 }
 
 // AppendFrom appends a copy of slot i of src (equal arity required).
 func (b *Buffer) AppendFrom(src *Buffer, i int) {
 	b.pay.AppendFrom(&src.pay, i)
 	b.flag = append(b.flag, src.flag[i])
-	b.left = append(b.left, src.left[i])
-	b.right = append(b.right, src.right[i])
 	b.real += int(boolWord(src.flag[i]))
 }
 
@@ -198,8 +167,6 @@ func (b *Buffer) AppendRange(src *Buffer, lo, hi int) {
 	}
 	b.pay.AppendRows(&src.pay, lo, hi)
 	b.flag = append(b.flag, src.flag[lo:hi]...)
-	b.left = append(b.left, src.left[lo:hi]...)
-	b.right = append(b.right, src.right[lo:hi]...)
 	for _, fl := range src.flag[lo:hi] {
 		b.real += int(boolWord(fl))
 	}
@@ -217,17 +184,6 @@ func (b *Buffer) Grow(extra int) {
 		copy(nf, b.flag)
 		b.flag = nf
 	}
-	b.left = growInt64(b.left, extra)
-	b.right = growInt64(b.right, extra)
-}
-
-func growInt64(s []int64, extra int) []int64 {
-	if need := len(s) + extra; cap(s) < need {
-		ns := make([]int64, len(s), need)
-		copy(ns, s)
-		return ns
-	}
-	return s
 }
 
 // Truncate drops every slot from index n on, returning the number of real
@@ -246,8 +202,6 @@ func (b *Buffer) Truncate(n int) (droppedReal int) {
 	}
 	b.pay.Truncate(n)
 	b.flag = b.flag[:n]
-	b.left = b.left[:n]
-	b.right = b.right[:n]
 	b.real -= droppedReal
 	return droppedReal
 }
@@ -265,10 +219,6 @@ func (b *Buffer) CutPrefix(n int) (removedReal int) {
 	b.pay.CutPrefix(n)
 	copy(b.flag, b.flag[n:])
 	b.flag = b.flag[:len(b.flag)-n]
-	copy(b.left, b.left[n:])
-	b.left = b.left[:len(b.left)-n]
-	copy(b.right, b.right[n:])
-	b.right = b.right[:len(b.right)-n]
 	b.real -= removedReal
 	return removedReal
 }
@@ -277,8 +227,6 @@ func (b *Buffer) CutPrefix(n int) (removedReal int) {
 func (b *Buffer) Reset() {
 	b.pay.Reset()
 	b.flag = b.flag[:0]
-	b.left = b.left[:0]
-	b.right = b.right[:0]
 	b.real = 0
 }
 
@@ -297,7 +245,7 @@ func (b *Buffer) ScanReal() int {
 // dummies — the Shrink ordering, under which a prefix cut of the sorted cache
 // always fetches real data first (Figure 3) — charging one compare-exchange
 // per comparator under op. The network runs over packed keys (sortKeys); the
-// payload, flag and ID columns are gathered once at the end. Steady state
+// payload and flag columns are gathered once at the end. Steady state
 // allocates nothing: the keys and the gather scratch come from pools.
 func SortRealFirst(b *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := b.Len()

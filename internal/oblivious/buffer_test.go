@@ -11,7 +11,6 @@ import (
 func TestBufferRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	es := randEntries(rng, 37)
-	es[3].Left, es[3].Right = 11, 22
 	b := bufferOf(es)
 	defer b.Release()
 	if b.Len() != 37 || b.Arity() != 2 {
@@ -36,11 +35,11 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		switch rng.Intn(8) {
 		case 0:
-			b.AppendRow(table.Row{rng.Int63n(50), 1}, int64(i), -1)
+			b.AppendRow(table.Row{rng.Int63n(50), 1})
 		case 1:
 			b.AppendDummy()
 		case 2:
-			b.AppendSlot(table.Row{7, 8}, rng.Intn(2) == 0, -1, -1)
+			b.AppendSlot(table.Row{7, 8}, rng.Intn(2) == 0, 0, 0)
 		case 3:
 			other, _ := randBuffer(rng, 1+rng.Intn(10))
 			b.AppendFrom(other, rng.Intn(other.Len()))
@@ -67,10 +66,7 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 func TestSortBufferMatchesEntrySort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 40; trial++ {
-		es := randEntries(rng, rng.Intn(150))
-		for i := range es { // every column distinguishes the slots of a tie
-			es[i].Left, es[i].Right = int64(i), int64(1000+i)
-		}
+		es := randEntries(rng, rng.Intn(150)) // the index column tells tied slots apart
 		b := bufferOf(es)
 		refSort(es, byIsViewFirst)
 		SortRealFirst(b, nil, mpc.OpOther, 64)
@@ -121,8 +117,6 @@ func TestTightCompactIntoMatchesEntryForm(t *testing.T) {
 		for len(wantOut) < cap {
 			wantOut = append(wantOut, dummy(2))
 		}
-		// Slots carry the IDs they were appended with; randEntries leaves
-		// them zero, dummies pad with -1.
 		out, over := tightCompact(es, cap, nil, 64)
 		entriesEqual(t, out, wantOut)
 		entriesEqual(t, over, wantOver)
@@ -153,7 +147,7 @@ func TestCountBufferMatchesEntryForm(t *testing.T) {
 func TestTruncateClamps(t *testing.T) {
 	b := GetBuffer(2)
 	defer b.Release()
-	b.AppendRow(table.Row{1, 2}, -1, -1)
+	b.AppendRow(table.Row{1, 2})
 	b.AppendDummy()
 	if got := b.Truncate(99); got != 0 || b.Len() != 2 {
 		t.Errorf("oversized truncate: dropped=%d len=%d", got, b.Len())
@@ -177,12 +171,12 @@ func TestBufferPoolRecycles(t *testing.T) {
 func TestAppendJoinConcatenates(t *testing.T) {
 	b := GetBuffer(4)
 	defer b.Release()
-	b.AppendJoin(table.Row{1, 2}, table.Row{3, 4}, 7, 9)
+	b.AppendJoin(table.Row{1, 2}, table.Row{3, 4})
 	if !b.Row(0).Equal(table.Row{1, 2, 3, 4}) {
 		t.Errorf("join row = %v", b.Row(0))
 	}
-	if b.LeftID(0) != 7 || b.RightID(0) != 9 || !b.IsReal(0) {
-		t.Errorf("join slot metadata wrong: %+v", entriesOf(b)[0])
+	if !b.IsReal(0) || b.Real() != 1 {
+		t.Errorf("join slot not real: %+v real=%d", entriesOf(b)[0], b.Real())
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 func TestTightCompactBasic(t *testing.T) {
 	es := []entry{
 		dummy(2),
-		{Row: table.Row{1, 0}, IsView: true, Left: 10, Right: 20},
+		{Row: table.Row{1, 0}, IsView: true},
 		dummy(2),
-		{Row: table.Row{2, 0}, IsView: true, Left: 11, Right: 21},
+		{Row: table.Row{2, 0}, IsView: true},
 	}
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	out, overflow := tightCompact(es, 3, m, 128)

@@ -14,12 +14,10 @@ import (
 type entry struct {
 	Row    table.Row
 	IsView bool
-	Left   int64
-	Right  int64
 }
 
 func dummy(arity int) entry {
-	return entry{Row: make(table.Row, arity), Left: -1, Right: -1}
+	return entry{Row: make(table.Row, arity)}
 }
 
 func newMeter() *mpc.Meter { return mpc.NewMeter(mpc.DefaultCostModel()) }
@@ -41,7 +39,7 @@ func bufferOf(es []entry) *Buffer {
 	}
 	b := GetBuffer(arity)
 	for _, e := range es {
-		b.AppendSlot(e.Row, e.IsView, e.Left, e.Right)
+		b.AppendSlot(e.Row, e.IsView, 0, 0)
 	}
 	return b
 }
@@ -55,7 +53,7 @@ func randBuffer(rng *rand.Rand, n int) (*Buffer, []entry) {
 func entriesOf(b *Buffer) []entry {
 	out := make([]entry, b.Len())
 	for i := range out {
-		out[i] = entry{Row: b.Row(i).Clone(), IsView: b.IsReal(i), Left: b.LeftID(i), Right: b.RightID(i)}
+		out[i] = entry{Row: b.Row(i).Clone(), IsView: b.IsReal(i)}
 	}
 	return out
 }
@@ -87,7 +85,7 @@ func entriesEqual(t *testing.T, got, want []entry) {
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if !g.Row.Equal(w.Row) || g.IsView != w.IsView || g.Left != w.Left || g.Right != w.Right {
+		if !g.Row.Equal(w.Row) || g.IsView != w.IsView {
 			t.Fatalf("slot %d: %+v, want %+v", i, g, w)
 		}
 	}

@@ -7,8 +7,10 @@ import (
 	"incshrink/internal/table"
 )
 
-// Record is an input tuple to a truncated transformation: a row plus the
-// stable record ID that the contribution-budget bookkeeping tracks.
+// Record is an input tuple to a truncated transformation. The engine reads
+// only Row: a record's identity is its position in the input (budgets and
+// newness are positional). ID is a label for whoever produced the record —
+// the workload generator and cmd/datagen number their records with it.
 type Record struct {
 	ID  int64
 	Row table.Row
@@ -133,7 +135,7 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 				if match != nil && !match(l, r) {
 					continue
 				}
-				dst.AppendJoin(l.Row, r.Row, l.ID, r.ID)
+				dst.AppendJoin(l.Row, r.Row)
 				contrib1[li]++
 				contrib2[src]++
 				emitted++

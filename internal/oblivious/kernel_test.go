@@ -69,8 +69,10 @@ func TestKernelMatchesReferenceNetwork(t *testing.T) {
 // TestJoinMatchesReferenceJoin runs the whole join against the pre-kernel
 // formulation — an arity-3 tagged union sorted by the reference network,
 // then the same scan — on tie-heavy inputs with negative and extreme keys,
-// so the emitted slots, their order and their IDs are pinned, not just the
-// sort.
+// so the emitted slots and their order are pinned, not just the sort. Every
+// record carries its union index as a third, unmatched attribute, so an
+// output row names the exact pair that produced it even among records equal
+// on key and time.
 func TestJoinMatchesReferenceJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(62)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for trial := 0; trial < 30; trial++ {
@@ -78,7 +80,7 @@ func TestJoinMatchesReferenceJoin(t *testing.T) {
 		union := tieHeavyUnion(rng, n1, n2)
 		var t1, t2 []Record
 		for i, e := range union {
-			r := Record{ID: int64(100 + i), Row: table.Row{e.Row[0], int64(rng.Intn(5))}}
+			r := Record{Row: table.Row{e.Row[0], int64(rng.Intn(5)), int64(100 + i)}}
 			if e.Row[1] == 0 {
 				t1 = append(t1, r)
 			} else {
@@ -103,7 +105,7 @@ func TestJoinMatchesReferenceJoin(t *testing.T) {
 					if emitted < bound && contrib1[li] < bound && contrib2[src] < bound {
 						want = append(want, entry{
 							Row:    append(t1[li].Row.Clone(), t2[src].Row...),
-							IsView: true, Left: t1[li].ID, Right: t2[src].ID,
+							IsView: true,
 						})
 						contrib1[li]++
 						contrib2[src]++

@@ -66,7 +66,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 func TestSortDataIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for _, n := range []int{5, 16, 33, 100, 1024, 1040} {
-		got, charged := len(loadNetwork(n).pairs)/2, mpc.SortCompareExchanges(n)
+		got, charged := len(loadNetwork(n))/2, mpc.SortCompareExchanges(n)
 		if got > charged || (n&(n-1) == 0 && got != charged) {
 			t.Errorf("n=%d: network has %d comparators, cost model charges %d", n, got, charged)
 		}
@@ -158,15 +158,13 @@ func TestCompactPartialFetchKeepsRealPriority(t *testing.T) {
 	}
 }
 
-func mkRecordsBase(rows []table.Row, base int64) []Record {
+func mkRecords(rows []table.Row) []Record {
 	rs := make([]Record, len(rows))
 	for i, r := range rows {
-		rs[i] = Record{ID: base + int64(i), Row: r}
+		rs[i] = Record{Row: r}
 	}
 	return rs
 }
-
-func mkRecords(rows []table.Row) []Record { return mkRecordsBase(rows, 1000) }
 
 func TestSMJMatchesHashJoinWithLargeBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(8)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
@@ -237,17 +235,19 @@ func TestSMJPerRecordContributionNeverExceedsBound(t *testing.T) {
 			rows1[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 			rows2[i] = table.Row{int64(rng.Intn(4)), int64(i)}
 		}
-		got := smj(mkRecordsBase(rows1, 1000), mkRecordsBase(rows2, 2000), nil, bound, nil)
-		perRecord := make(map[int64]int)
+		got := smj(mkRecords(rows1), mkRecords(rows2), nil, bound, nil)
+		// The second attribute of each side is the record's index, so an
+		// output row {lkey, i, rkey, j} names the pair that produced it.
+		perRecord := make(map[[2]int64]int)
 		for _, e := range got {
 			if e.IsView {
-				perRecord[e.Left]++
-				perRecord[e.Right]++
+				perRecord[[2]int64{0, e.Row[1]}]++
+				perRecord[[2]int64{1, e.Row[3]}]++
 			}
 		}
-		for id, c := range perRecord {
+		for rec, c := range perRecord {
 			if c > bound {
-				t.Fatalf("bound=%d: record %d contributed %d entries", bound, id, c)
+				t.Fatalf("bound=%d: record %d of side %d contributed %d entries", bound, rec[1], rec[0], c)
 			}
 		}
 	}
@@ -369,7 +369,7 @@ func TestDummyShape(t *testing.T) {
 	b := GetBuffer(4)
 	defer b.Release()
 	b.AppendDummy()
-	if d := entriesOf(b)[0]; d.IsView || !d.Row.Equal(make(table.Row, 4)) || d.Left != -1 || d.Right != -1 || b.Real() != 0 {
+	if d := entriesOf(b)[0]; d.IsView || !d.Row.Equal(make(table.Row, 4)) || b.Real() != 0 {
 		t.Errorf("AppendDummy slot = %+v", d)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 
 	"incshrink/internal/mpc"
-	"incshrink/internal/runner"
 )
 
 // sortKey is one element of the packed-key sort. Every sort extracts its
@@ -83,17 +82,15 @@ func exchange(keys []sortKey, pairs []int32) {
 
 // sortKeys runs Batcher's odd-even merge sorting network over keys in place,
 // charging one compare-exchange per comparator to meter under op. It is the
-// one executor: the network layout depends only on len(keys) — the charge is
-// the padded power-of-two network, mpc.SortCompareExchanges(len(keys)), which
-// the executed one never exceeds — and every path below replays the same
-// comparator sequence.
-//
-//   - serial (the default): the cached pair list goes to the kernel whole.
-//   - layer-parallel (SetSortWorkers > 1, n >= parallelSortMinN): each (p,k)
-//     layer's index-disjoint comparators are split across goroutines, layer
-//     boundaries being barriers — byte-identical at any worker count.
-//   - streaming (n > networkCacheMaxN): the network is enumerated layer by
-//     layer into a pooled scratch list instead of being retained.
+// one executor, and it is serial: the network layout depends only on
+// len(keys) — the charge is the padded power-of-two network,
+// mpc.SortCompareExchanges(len(keys)), which the executed one never exceeds —
+// and the cached pair list goes to the kernel whole. Above networkCacheMaxN
+// the same comparator sequence is enumerated layer by layer into a pooled
+// scratch list instead of being retained, which bounds resident memory
+// against client-chosen sizes. Serial on purpose: splitting a layer's
+// index-disjoint comparators across goroutines measured slower at every size
+// (DESIGN.md §12).
 func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := len(keys)
 	if n <= 1 {
@@ -102,59 +99,17 @@ func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if meter != nil {
 		meter.ChargeSort(op, n, tupleBits)
 	}
-	workers := 1
-	if n >= parallelSortMinN {
-		workers = int(sortWorkers.Load())
-	}
-	if workers > 1 {
-		parallelSortsRun.Add(1)
-	}
 	if n > networkCacheMaxN {
 		networkCacheEvictions.Add(1)
 		pp := pairScratchPool.Get().(*[]int32)
 		*pp = batcherLayers(n, (*pp)[:0], func(layer []int32) []int32 {
-			exchangeLayer(keys, layer, workers)
+			exchange(keys, layer)
 			return layer[:0]
 		})
 		pairScratchPool.Put(pp)
 		return
 	}
-	net := loadNetwork(n)
-	if workers == 1 {
-		exchange(keys, net.pairs)
-		return
-	}
-	start := 0
-	for _, end := range net.layers {
-		exchangeLayer(keys, net.pairs[start:int(end)], workers)
-		start = int(end)
-	}
-}
-
-// exchangeLayer executes one layer's compare-exchanges, splitting them
-// across up to `workers` goroutines when the layer is wide enough
-// (runner.Split's chunking rule). All pairs in a layer are index-disjoint,
-// so the chunks race on nothing and the layer's outcome is
-// order-independent.
-func exchangeLayer(keys []sortKey, pairs []int32, workers int) {
-	nPairs := len(pairs) / 2
-	chunks := runner.Split(nPairs, workers, parallelLayerMinPairs)
-	if chunks <= 1 {
-		exchange(keys, pairs)
-		return
-	}
-	parallelLayersRun.Add(1)
-	per := (nPairs + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < nPairs; lo += per {
-		seg := pairs[lo*2 : min(lo+per, nPairs)*2]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			exchange(keys, seg)
-		}()
-	}
-	wg.Wait()
+	exchange(keys, loadNetwork(n))
 }
 
 // batcherLayers is the one enumeration of Batcher's odd-even merge sorting
@@ -167,8 +122,8 @@ func exchangeLayer(keys []sortKey, pairs []int32, workers int) {
 // skipped consistently for every input of this length, so the pattern stays
 // data-independent. Within a layer every comparator touches a disjoint
 // index pair — for fixed k the low ends cover [j, j+k) and the high ends
-// [j+k, j+2k) with j stepping by 2k — so a layer's compare-exchanges commute
-// and may execute concurrently; only the layer boundaries order.
+// [j+k, j+2k) with j stepping by 2k — so a layer's compare-exchanges commute;
+// only the layer boundaries order.
 func batcherLayers(n int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
 	p2 := 1
 	for p2 < n {
@@ -188,14 +143,6 @@ func batcherLayers(n int, buf []int32, layerEnd func(pairs []int32) []int32) []i
 		}
 	}
 	return buf
-}
-
-// sortNetwork is one memoized enumeration of Batcher's network: the
-// comparator pairs flattened as (i0,j0,i1,j1,...) plus the end offset (into
-// pairs) of every (p,k) layer.
-type sortNetwork struct {
-	pairs  []int32
-	layers []int32 // end offsets into pairs, one per (p,k) layer, ascending
 }
 
 // networkCache memoizes the comparator list of Batcher's network per input
@@ -218,7 +165,7 @@ type sortNetwork struct {
 // grow resident memory without bound. Beyond the budget, a sort enumerates
 // its network afresh.
 var (
-	networkCache      atomic.Value // map[int]*sortNetwork, copy-on-write
+	networkCache      atomic.Value // map[int][]int32, copy-on-write
 	networkCacheMu    sync.Mutex   // serializes map copies on insert
 	networkCachePairs atomic.Int64 // pairs currently retained across all entries
 
@@ -248,33 +195,30 @@ func CacheStats() (hits, misses, evictions, pairs int64) {
 }
 
 // cachedNetworks reads the current copy-on-write cache map (nil before the
-// first insert).
-func cachedNetworks() map[int]*sortNetwork {
-	m, _ := networkCache.Load().(map[int]*sortNetwork)
+// first insert): input length -> the network's comparator pairs flattened as
+// (i0,j0,i1,j1,...).
+func cachedNetworks() map[int][]int32 {
+	m, _ := networkCache.Load().(map[int][]int32)
 	return m
 }
 
 // loadNetwork returns the memoized network for n, enumerating (and retaining,
 // budget permitting) it on first use.
-func loadNetwork(n int) *sortNetwork {
+func loadNetwork(n int) []int32 {
 	if net, ok := cachedNetworks()[n]; ok {
 		networkCacheHits.Add(1)
 		return net
 	}
 	networkCacheMisses.Add(1)
-	net := &sortNetwork{}
-	net.pairs = batcherLayers(n, nil, func(pairs []int32) []int32 {
-		net.layers = append(net.layers, int32(len(pairs)))
-		return pairs
-	})
-	nPairs := int64(len(net.pairs) / 2)
+	net := batcherLayers(n, nil, func(pairs []int32) []int32 { return pairs })
+	nPairs := int64(len(net) / 2)
 	if networkCachePairs.Add(nPairs) <= networkCachePairBudget {
 		networkCacheMu.Lock()
 		old := cachedNetworks()
 		if _, loaded := old[n]; loaded {
 			networkCachePairs.Add(-nPairs) // lost the race: not retained
 		} else {
-			next := make(map[int]*sortNetwork, len(old)+1)
+			next := make(map[int][]int32, len(old)+1)
 			for k, v := range old {
 				next[k] = v
 			}
@@ -287,45 +231,4 @@ func loadNetwork(n int) *sortNetwork {
 		networkCacheEvictions.Add(1)
 	}
 	return net
-}
-
-// sortWorkers bounds the goroutines executing one sort's compare-exchange
-// layers. 1 (the default) runs every sort serially; higher values split
-// large layers across that many goroutines. Because comparators within a
-// layer touch disjoint index pairs, the result is identical at every
-// setting; tests pin workers=1 vs N determinism and the race detector
-// covers the swap path.
-var sortWorkers atomic.Int32
-
-func init() { sortWorkers.Store(1) }
-
-// SetSortWorkers sets the process-wide sort parallelism; n <= 0 resolves to
-// GOMAXPROCS (runner.Workers). The -sort-workers flags of incshrink-server
-// and incshrink-bench land here.
-func SetSortWorkers(n int) { sortWorkers.Store(int32(runner.Workers(n))) }
-
-// SortWorkersSetting returns the current sort parallelism bound.
-func SortWorkersSetting() int { return int(sortWorkers.Load()) }
-
-const (
-	// parallelSortMinN is the smallest network that may parallelize at all:
-	// below it even the widest layer cannot amortize a goroutine handoff.
-	parallelSortMinN = 2048
-	// parallelLayerMinPairs is the minimum comparators one goroutine must
-	// receive; layers that cannot feed every worker that much shrink their
-	// worker count (runner.Split), down to running inline.
-	parallelLayerMinPairs = 512
-)
-
-// Parallel-execution accounting, exported through ParallelSortStats for the
-// incshrink_core_sort_parallel_* metric families.
-var (
-	parallelSortsRun  atomic.Int64
-	parallelLayersRun atomic.Int64
-)
-
-// ParallelSortStats reports how many sorts took the parallel path and how
-// many individual layers were actually executed across multiple goroutines.
-func ParallelSortStats() (sorts, layers int64) {
-	return parallelSortsRun.Load(), parallelLayersRun.Load()
 }

@@ -99,8 +99,8 @@ func TestZeroOneCacheSort(t *testing.T) {
 			}
 			for i := 0; i < n; i++ {
 				src := int(b.At(i, 0))
-				if b.IsReal(i) != (mask>>src&1 == 1) || b.LeftID(i) != int64(src) {
-					t.Fatalf("n=%d mask=%b: slot %d torn from its flag or IDs", n, mask, i)
+				if b.IsReal(i) != (mask>>src&1 == 1) {
+					t.Fatalf("n=%d mask=%b: slot %d torn from its flag", n, mask, i)
 				}
 			}
 			b.Release()
@@ -117,26 +117,16 @@ func TestCachedReplayMatchesFreshEnumeration(t *testing.T) {
 	var want []int32
 	forEachComparator(n, func(i, j int) { want = append(want, int32(i), int32(j)) })
 	for pass := 0; pass < 2; pass++ { // cold (records), then warm (replays)
-		if got := loadNetwork(n).pairs; !reflect.DeepEqual(got, want) {
+		if got := loadNetwork(n); !reflect.DeepEqual(got, want) {
 			t.Fatalf("pass %d: cached replay diverges from fresh enumeration (%d vs %d comparators)",
 				pass, len(got)/2, len(want)/2)
-		}
-	}
-	// The layer marks must partition the pair list exactly.
-	net := loadNetwork(n)
-	if len(net.layers) == 0 || int(net.layers[len(net.layers)-1]) != len(net.pairs) {
-		t.Fatalf("layer offsets %v do not partition %d pairs", net.layers, len(net.pairs))
-	}
-	for i := 1; i < len(net.layers); i++ {
-		if net.layers[i] < net.layers[i-1] {
-			t.Fatalf("layer offsets not ascending: %v", net.layers)
 		}
 	}
 }
 
 // TestLayersAreDisjoint: within one (p,k) layer no index may appear twice —
-// the property that makes executing a layer's swaps concurrently safe and
-// order-independent.
+// the property that makes a layer's swaps order-independent (and one opening
+// round in the two-party evaluation).
 func TestLayersAreDisjoint(t *testing.T) {
 	for _, n := range []int{2, 7, 64, 640, 1088, 5000} {
 		seen := map[int32]bool{}
@@ -153,74 +143,31 @@ func TestLayersAreDisjoint(t *testing.T) {
 	}
 }
 
-// sortedAtWorkers sorts n seeded keys, heavy with (k, tag) ties, at the given
-// worker count.
-func sortedAtWorkers(t *testing.T, workers, n int, seed int64) []sortKey {
-	t.Helper()
-	SetSortWorkers(workers)
-	defer SetSortWorkers(1)
-	rng := rand.New(rand.NewSource(seed)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+// TestStreamingPathMatchesReference: above networkCacheMaxN the network is
+// enumerated layer by layer into a scratch list instead of replayed from the
+// cache; the result must be the reference network's — the closure-driven,
+// branching replay of the same enumeration — on keys heavy with (k, tag) ties.
+func TestStreamingPathMatchesReference(t *testing.T) {
+	const n = networkCacheMaxN + 808
+	rng := rand.New(rand.NewSource(77)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	keys := make([]sortKey, n)
 	for i := range keys {
 		keys[i] = sortKey{k: uint64(rng.Intn(50)), w: uint64(rng.Intn(2))<<32 | uint64(i)}
 	}
+	want := append([]sortKey(nil), keys...)
+	forEachComparator(n, func(i, j int) {
+		a, b := want[i], want[j]
+		if b.k < a.k || (b.k == a.k && b.w>>32 < a.w>>32) {
+			want[i], want[j] = b, a
+		}
+	})
+	_, _, ev0, _ := CacheStats()
 	sortKeys(keys, nil, mpc.OpOther, 64)
-	return keys
-}
-
-// TestSortWorkersDeterminism: the sorted output must be byte-identical at
-// every worker count, on both the cached parallel path (n within the
-// network cache bound) and the streaming path (n beyond it). Run under
-// -race in CI, this also proves the layer-parallel swaps race-free.
-func TestSortWorkersDeterminism(t *testing.T) {
-	for _, n := range []int{parallelSortMinN + 904, networkCacheMaxN + 808} {
-		serial := sortedAtWorkers(t, 1, n, 77)
-		for _, workers := range []int{2, 4, 7} {
-			parallel := sortedAtWorkers(t, workers, n, 77)
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("n=%d: workers=%d output differs from serial", n, workers)
-			}
-		}
+	if _, _, ev1, _ := CacheStats(); ev1 != ev0+1 {
+		t.Fatalf("n=%d did not take the streaming path (evictions %d -> %d)", n, ev0, ev1)
 	}
-}
-
-// TestSortBufferWorkersDeterminism covers the buffer path (key extraction,
-// kernel, gather) at both settings.
-func TestSortBufferWorkersDeterminism(t *testing.T) {
-	build := func() *Buffer {
-		rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
-		b := NewBuffer(2, 0)
-		for i := 0; i < parallelSortMinN+300; i++ {
-			b.AppendSlot(table.Row{int64(rng.Intn(64)), int64(i)}, rng.Intn(2) == 0, int64(i), 0)
-		}
-		return b
-	}
-	SetSortWorkers(1)
-	serial := build()
-	SortRealFirst(serial, nil, mpc.OpOther, 64)
-	SetSortWorkers(4)
-	defer SetSortWorkers(1)
-	parallel := build()
-	SortRealFirst(parallel, nil, mpc.OpOther, 64)
-	entriesEqual(t, entriesOf(parallel), entriesOf(serial))
-}
-
-// TestParallelPathEngages: with workers > 1 a big sort must actually take
-// the parallel path (the stats the obs gauges export move), and small sorts
-// must stay serial regardless of the setting.
-func TestParallelPathEngages(t *testing.T) {
-	SetSortWorkers(4)
-	defer SetSortWorkers(1)
-	s0, l0 := ParallelSortStats()
-	sortedAtWorkers(t, 4, parallelSortMinN, 5)
-	s1, l1 := ParallelSortStats()
-	if s1 <= s0 || l1 <= l0 {
-		t.Fatalf("parallel stats did not move: sorts %d->%d layers %d->%d", s0, s1, l0, l1)
-	}
-	sortedAtWorkers(t, 4, parallelSortMinN-1, 5)
-	s2, _ := ParallelSortStats()
-	if s2 != s1 {
-		t.Fatalf("sort below the cutoff took the parallel path")
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("n=%d: streamed sort differs from the reference network", n)
 	}
 }
 
@@ -251,19 +198,5 @@ func TestCacheStatsMove(t *testing.T) {
 	h2, m2, _, _ := CacheStats()
 	if h2 != h1+1 || m2 != m1 {
 		t.Fatalf("replay of n=%d: hits %d -> %d misses %d -> %d, want hit +1", n, h1, h2, m1, m2)
-	}
-}
-
-// TestSortWorkersSetting: 0 resolves to GOMAXPROCS and explicit values are
-// kept verbatim.
-func TestSortWorkersSetting(t *testing.T) {
-	defer SetSortWorkers(1)
-	SetSortWorkers(3)
-	if got := SortWorkersSetting(); got != 3 {
-		t.Fatalf("SortWorkersSetting() = %d, want 3", got)
-	}
-	SetSortWorkers(0)
-	if got := SortWorkersSetting(); got < 1 {
-		t.Fatalf("SetSortWorkers(0) resolved to %d, want >= 1", got)
 	}
 }

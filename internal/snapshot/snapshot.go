@@ -6,8 +6,8 @@
 //
 // Layered composition: this package knows the wire format and the data-plane
 // containers; the layers that own richer state (core.Framework, the
-// incshrink.DB wrapper, dpsync strategies) compose their own sections out of
-// the Encoder/Decoder primitives. Two invariants hold everywhere:
+// incshrink.DB wrapper) compose their own sections out of the
+// Encoder/Decoder primitives. Two invariants hold everywhere:
 //
 //   - Restores are exact. A restored structure is bit-identical to the one
 //     snapshotted — including every RNG draw position — so a deployment that
@@ -44,8 +44,10 @@ const (
 	// Version is the current format version. v2 added the per-party wire
 	// tallies (transcript events and party state) and the standalone
 	// party-runtime section; v3 replaced the engine's budget, arrival and
-	// active-record sections with one window section per stream.
-	Version = 3
+	// active-record sections with one window section per stream; v4 dropped
+	// record identity — the two source-ID columns of every buffer and view
+	// section, the ID of every window entry and the DB's ID cursor.
+	Version = 4
 )
 
 // Typed decode errors, distinguishable with errors.Is.

@@ -23,11 +23,11 @@ func sampleBuffer(arity, n int) *oblivious.Buffer {
 		}
 		switch i % 3 {
 		case 0:
-			b.AppendSlot(row, true, int64(i), int64(i+1))
+			b.AppendSlot(row, true, 0, 0)
 		case 1:
 			b.AppendDummy()
 		default:
-			b.AppendSlot(row, false, -1, int64(-i))
+			b.AppendSlot(row, false, 0, 0)
 		}
 	}
 	return b
@@ -51,6 +51,11 @@ func TestBufferCodecRoundTrip(t *testing.T) {
 		for _, n := range []int{0, 1, 7, 129} {
 			src := sampleBuffer(arity, n)
 			data := encodeSection(t, func(e *Encoder) { EncodeBuffer(e, src) })
+			// A slot is its row and its flag: 8·arity + 1 bytes, between the
+			// magic, two ints, two length prefixes and the CRC.
+			if want := len(Magic) + 16 + 8 + 4 + n*(8*arity+1); len(data) != want {
+				t.Fatalf("arity=%d n=%d: section is %d bytes, want %d", arity, n, len(data), want)
+			}
 
 			dst := oblivious.NewBuffer(arity, 0)
 			dec := NewDecoder(bytes.NewReader(data))
@@ -65,8 +70,8 @@ func TestBufferCodecRoundTrip(t *testing.T) {
 					arity, n, dst.Len(), dst.Real(), src.Len(), src.Real())
 			}
 			for i := 0; i < src.Len(); i++ {
-				if dst.IsReal(i) != src.IsReal(i) || dst.LeftID(i) != src.LeftID(i) || dst.RightID(i) != src.RightID(i) {
-					t.Fatalf("slot %d metadata diverged", i)
+				if dst.IsReal(i) != src.IsReal(i) {
+					t.Fatalf("slot %d flag diverged", i)
 				}
 				for j := 0; j < arity; j++ {
 					if dst.At(i, j) != src.At(i, j) {
@@ -331,18 +336,25 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestHeaderVersionMismatch pins the version gate.
+// TestHeaderVersionMismatch pins the version gate: a future version and the
+// previous one (v3, whose buffer, view and window sections still carried
+// record IDs — there is no compatibility reader) are both refused.
 func TestHeaderVersionMismatch(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	enc.U32(Version + 7)
-	enc.U64(123)
-	if err := enc.Finish(); err != nil {
-		t.Fatal(err)
+	if Version != 4 {
+		t.Fatalf("format version %d, want 4", Version)
 	}
-	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-	if _, err := ReadHeader(dec); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("want ErrVersionMismatch, got %v", err)
+	for _, v := range []uint32{Version + 7, 3} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		enc.U32(v)
+		enc.U64(123)
+		if err := enc.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+		if _, err := ReadHeader(dec); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("version %d: want ErrVersionMismatch, got %v", v, err)
+		}
 	}
 }
 

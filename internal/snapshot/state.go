@@ -13,17 +13,15 @@ import (
 // This file holds the section codecs for the data-plane containers and the
 // MPC runtime. Each section is self-delimiting (every variable-length field
 // is length-prefixed), so sections compose by concatenation and higher
-// layers (core, incshrink, dpsync) interleave their own fields freely.
+// layers (core, incshrink) interleave their own fields freely.
 
 // EncodeBuffer writes an oblivious.Buffer: the payload arena plus the
-// parallel flag and source-ID columns.
+// parallel flag column — 8·arity + 1 bytes per slot.
 func EncodeBuffer(e *Encoder, b *oblivious.Buffer) {
 	e.Int(b.Arity())
 	e.Int(b.Len())
 	e.I64s(b.Payload().Data())
 	e.Bools(b.Flags())
-	e.I64s(b.LeftIDs())
-	e.I64s(b.RightIDs())
 }
 
 // DecodeBufferInto reloads a buffer encoded with EncodeBuffer into dst,
@@ -34,8 +32,6 @@ func DecodeBufferInto(d *Decoder, dst *oblivious.Buffer) error {
 	n := d.Int()
 	payload := d.I64s()
 	flags := d.Bools()
-	left := d.I64s()
-	right := d.I64s()
 	if d.Err() != nil {
 		return d.Err()
 	}
@@ -43,14 +39,13 @@ func DecodeBufferInto(d *Decoder, dst *oblivious.Buffer) error {
 		d.Corrupt("buffer arity %d, restoring into arity %d", arity, dst.Arity())
 		return d.Err()
 	}
-	if n < 0 || arity < 0 || len(flags) != n || len(left) != n || len(right) != n || len(payload) != n*arity {
-		d.Corrupt("buffer of %d slots carries %d flags, %d/%d ids, %d attributes",
-			n, len(flags), len(left), len(right), len(payload))
+	if n < 0 || arity < 0 || len(flags) != n || len(payload) != n*arity {
+		d.Corrupt("buffer of %d slots carries %d flags, %d attributes", n, len(flags), len(payload))
 		return d.Err()
 	}
 	dst.Reset()
 	dst.Grow(n)
-	dst.AppendColumns(payload, flags, left, right)
+	dst.AppendColumns(payload, flags)
 	return d.Err()
 }
 
@@ -91,7 +86,7 @@ func DecodeCacheInto(d *Decoder, c *securearray.Cache) error {
 // transposed on the way out, the 0/1 flag bytes are the bools' encoding —
 // plus the update counter.
 func EncodeView(e *Encoder, v *securearray.View) {
-	flag, cols, left, right := v.Columns()
+	flag, cols := v.Columns()
 	e.Int(len(cols))
 	e.Int(len(flag))
 	e.U32(uint32(len(flag) * len(cols)))
@@ -104,8 +99,6 @@ func EncodeView(e *Encoder, v *securearray.View) {
 	for _, f := range flag {
 		e.U8(f)
 	}
-	e.I64s(left)
-	e.I64s(right)
 	e.Int(v.Updates())
 }
 

@@ -7,7 +7,6 @@ import (
 	"incshrink"
 	"incshrink/internal/corebench"
 	"incshrink/internal/mpc"
-	"incshrink/internal/oblivious"
 )
 
 // TestAdvanceBatchStepAllocs pins the batched-ingestion allocation contract:
@@ -54,47 +53,6 @@ func TestAdvanceBatchStepAllocs(t *testing.T) {
 
 	if perStep > single {
 		t.Fatalf("batched ingestion allocates %.2f/step, sequential %.2f/step: batching must not cost more", perStep, single)
-	}
-}
-
-// bigOpts is a deployment whose merged upload windows exceed the parallel
-// sort cutoff, so batched ingestion actually exercises the layer-parallel
-// Batcher executor (the corebench deployment's sorts stay below it).
-func bigOpts() (incshrink.ViewDef, incshrink.Options) {
-	return incshrink.ViewDef{Within: 10},
-		incshrink.Options{Epsilon: 1.5, T: 10, Seed: 1, MaxLeft: 128, MaxRight: 32, MergeWindows: true}
-}
-
-// TestSortWorkersSnapshotIdentical: the full durability snapshot — arenas,
-// budgets, RNG positions, cost meter — must be byte-identical at any
-// -sort-workers value, on a deployment large enough that the parallel
-// executor engages. This is the end-to-end form of the oblivious-layer
-// determinism tests.
-func TestSortWorkersSnapshotIdentical(t *testing.T) {
-	run := func(workers int) []byte {
-		oblivious.SetSortWorkers(workers)
-		defer oblivious.SetSortWorkers(1)
-		def, opts := bigOpts()
-		db, err := incshrink.Open(def, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < 40; lo += 8 {
-			if err := db.AdvanceBatch(corebench.Steps(lo, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf bytes.Buffer
-		if err := db.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 4} {
-		if !bytes.Equal(serial, run(workers)) {
-			t.Fatalf("snapshot at sort-workers=%d differs from serial: parallel sort must be byte-deterministic", workers)
-		}
 	}
 }
 

@@ -50,7 +50,6 @@ func (db *DB) Snapshot(w io.Writer) error {
 	enc.Bool(db.opts.MergeWindows)
 
 	enc.Int(db.now)
-	enc.I64(db.nextID)
 
 	db.fw.EncodeState(enc)
 	return enc.Finish()
@@ -87,15 +86,14 @@ func Restore(r io.Reader) (*DB, error) {
 	opts.MergeWindows = dec.Bool()
 
 	now := dec.Int()
-	nextID := dec.I64()
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	if fp != configFingerprint(def, opts) {
 		return nil, fmt.Errorf("%w: the configuration section does not match the header", snapshot.ErrFingerprintMismatch)
 	}
-	if now < 0 || nextID < 1 {
-		return nil, fmt.Errorf("%w: cursor state (now=%d nextID=%d)", snapshot.ErrCorrupt, now, nextID)
+	if now < 0 {
+		return nil, fmt.Errorf("%w: logical clock %d", snapshot.ErrCorrupt, now)
 	}
 
 	db, err := Open(def, opts)
@@ -103,7 +101,6 @@ func Restore(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("%w: embedded configuration rejected: %v", snapshot.ErrCorrupt, err)
 	}
 	db.now = now
-	db.nextID = nextID
 	if err := db.fw.DecodeState(dec); err != nil {
 		return nil, err
 	}
