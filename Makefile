@@ -57,8 +57,9 @@ test:
 
 # race exercises the concurrent sweep engine, the serving subsystem (whose
 # concurrent views are also what reaches internal/oblivious' process-wide
-# comparator cache and pools from several goroutines — that package itself
-# starts none), the engines they fan out, and the two-party stack: every
+# comparator tables — each built once under a sync.Once — and pools from
+# several goroutines; that package itself starts none), the engines they fan
+# out, and the two-party stack: every
 # gmw/party pair test is two goroutines over one conn pair whose counters are
 # read from both.
 race:
@@ -72,17 +73,21 @@ bench:
 
 # bench-core regenerates the data-plane microbenchmark report
 # (BENCH_core.json): Advance/Count/CountWhere ns/op and allocs/op at the
-# paper-default deployment, with the pre-refactor baseline for comparison.
+# paper-default deployment, Advance on the CPDB trace under sDPANT
+# (advance_ant: sort lengths that vary from sync to sync), with the
+# pre-refactor baseline for comparison.
 bench-core:
 	$(GO) run ./cmd/incshrink-bench -exp core
 
 # bench-smoke compiles and runs every data-plane benchmark once — the
 # pooled-operator benchmarks (both sort shapes among them: the real-first
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
-# BenchmarkJoinSort1040; and the scan kernel at the cpdb view size,
+# BenchmarkJoinSort1040; 512 distinct sort lengths in the cpdb cache's range,
+# BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator
+# table or allocates; and the scan kernel at the cpdb view size,
 # BenchmarkCountColumns120k, which fails if a scan allocates), the two-party
 # GMW comparator over loopback (BenchmarkEvalCompareExchangeLoopback, which
-# reports rounds/op) and the root-package Advance/Count/CountWhere
+# reports rounds/op) and the root-package Advance/AdvanceANT/Count/CountWhere
 # benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs
 # this).
 bench-smoke:

@@ -62,8 +62,13 @@ type CoreReport struct {
 	// compare-exchange counts that explain it (one Batcher network over the
 	// merged window versus k per-step networks).
 	BatchCurve []BatchPoint `json:"batch_speedup_curve"`
-	Count      CoreOpReport `json:"count"`
-	CountWhere CoreOpReport `json:"count_where"`
+	// ANTDeployment names the deployment of AdvanceANT: the CPDB trace under
+	// sDPANT, whose synchronisations keep sorting new cache lengths
+	// (corebench.ANTDeployment).
+	ANTDeployment string       `json:"ant_deployment"`
+	AdvanceANT    CoreOpReport `json:"advance_ant"`
+	Count         CoreOpReport `json:"count"`
+	CountWhere    CoreOpReport `json:"count_where"`
 
 	// Baseline is the same benchmark recorded on the pre-refactor
 	// row-oriented engine (commit 5babe3b, this container class), kept in
@@ -180,6 +185,27 @@ func runCore(jsonOut string) error {
 		}
 	}
 
+	rep.ANTDeployment = corebench.ANTDeployment
+	advanceANT := testing.Benchmark(func(b *testing.B) {
+		db, steps, err := corebench.WarmANT(b.N)
+		if err != nil {
+			fail(err)
+			b.SkipNow()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, s := range steps {
+			if err := db.Advance(s.Left, s.Right); err != nil {
+				fail(err)
+				b.SkipNow()
+			}
+		}
+	})
+	if stepErr != nil {
+		return stepErr
+	}
+	rep.AdvanceANT = toOpReport(advanceANT)
+
 	queryDB, err := corebench.Open()
 	if err != nil {
 		return err
@@ -239,6 +265,8 @@ func runCore(jsonOut string) error {
 		fmt.Printf("core: advance-batch k=%-2d %.0f ns/step, %d allocs/step (%.2fx per-step speedup; %d vs %d comparators)\n",
 			pt.K, pt.NsPerStep, pt.AllocsPerStep, pt.Speedup, pt.MergedComparators, pt.SequentialComparators)
 	}
+	fmt.Printf("core: advance-ant %.0f ns/op, %d allocs/op (CPDB trace under sDPANT)\n",
+		rep.AdvanceANT.NsPerOp, rep.AdvanceANT.AllocsPerOp)
 	fmt.Printf("core: count %.1f ns/op (%d allocs/op), countWhere %.1f ns/op (%d allocs/op)\n",
 		rep.Count.NsPerOp, rep.Count.AllocsPerOp, rep.CountWhere.NsPerOp, rep.CountWhere.AllocsPerOp)
 

@@ -64,6 +64,24 @@ func BenchmarkAdvanceBatch8(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/step")
 }
 
+// BenchmarkAdvanceANT measures Advance on the CPDB/sDPANT deployment
+// (corebench.ANTDeployment), where nearly every synchronisation sorts a cache
+// length the process has not sorted before — the case the paper-default
+// stream of BenchmarkAdvance never meets.
+func BenchmarkAdvanceANT(b *testing.B) {
+	db, steps, err := corebench.WarmANT(b.N)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, s := range steps {
+		if err := db.Advance(s.Left, s.Right); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCount(b *testing.B) {
 	db := benchOpen(b)
 	for t := 0; t < 256; t++ {

@@ -40,7 +40,8 @@ var OblivTaintPackages = []string{
 //   - boolWord: the bool -> {0,1} word conversion — three lines the compiler
 //     lowers to a flag move. It is all the sort, the scans and the counters
 //     need: the sort kernel (exchange, sortKeys) is a borrow chain and a
-//     masked XOR; the scan kernel (CountColumns, flagWord, outsideWord) is a
+//     masked XOR, fed layer prefixes whose cut (forEachLayer, layerCut)
+//     branches on layer geometry and the public length alone; the scan kernel (CountColumns, flagWord, outsideWord) is a
 //     borrow shifted into a verdict word, ANDed with the flag bits and
 //     popcounted; CountBuffer and the Buffer counter methods (AppendFrom,
 //     AppendRange, Truncate, CutPrefix, ScanReal) add boolWord(flag) where

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
+	"incshrink/internal/obs"
 	"incshrink/internal/workload"
 )
 
@@ -569,5 +572,52 @@ func BenchmarkTimerStepTPCDS(b *testing.B) {
 		for _, st := range tr.Steps {
 			f.Step(st)
 		}
+	}
+}
+
+// TestComparatorCacheGaugesAfterWarmANT scrapes the four
+// incshrink_core_comparator_cache_* gauges after an sDPANT run over the CPDB
+// trace — the deployment whose synchronisations keep sorting new cache
+// lengths. Whatever else this process sorted, misses counts table builds and
+// so cannot pass one per power of two (13 tables, 2 to 8,192 wires), and the
+// run itself must show up as replays.
+func TestComparatorCacheGaugesAfterWarmANT(t *testing.T) {
+	wl := workload.CPDB(600, 7)
+	f, err := NewANTEngine(DefaultConfig(wl, 7), wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	f.SetInstruments(NewInstrumentSet(reg).ForView("cpdb"))
+	run(t, f, mustTrace(t, wl))
+	if f.Metrics().Updates < 50 {
+		t.Fatalf("only %d view updates: not a warm sDPANT run", f.Metrics().Updates)
+	}
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	gauge := map[string]float64{}
+	for _, line := range strings.Split(scrape.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "incshrink_core_comparator_cache_"); ok {
+			var v float64
+			key, val, _ := strings.Cut(name, " ")
+			if _, err := fmt.Sscan(val, &v); err != nil {
+				t.Fatalf("unparsable sample %q: %v", line, err)
+			}
+			gauge[key] = v
+		}
+	}
+	if len(gauge) != 4 {
+		t.Fatalf("scraped %v, want hits, misses, evictions and pairs", gauge)
+	}
+	if gauge["misses"] < 1 || gauge["misses"] > 13 {
+		t.Errorf("misses = %v, want between 1 and 13 table builds", gauge["misses"])
+	}
+	if gauge["hits"] < float64(f.Metrics().Updates) {
+		t.Errorf("hits = %v after %d view updates, each of which sorted the cache", gauge["hits"], f.Metrics().Updates)
+	}
+	if gauge["pairs"] < 1 || gauge["pairs"] > 600_000 {
+		t.Errorf("pairs = %v, want what at most 13 tables retain", gauge["pairs"])
 	}
 }

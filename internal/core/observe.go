@@ -47,21 +47,26 @@ func NewInstrumentSet(r *obs.Registry) *InstrumentSet {
 	return s
 }
 
-// registerSortGauges exports the process-wide comparator-network cache
-// levels of internal/oblivious. The values are snapshotted from the package
-// atomics at gather time (OnGather), so the ~32 MiB pair budget is observable
-// on /metrics under real multi-tenant load. Gauge registration is idempotent;
-// a duplicate hook from a second InstrumentSet just re-Sets the same
-// snapshot, which is harmless.
+// registerSortGauges exports the process-wide comparator-network table
+// counters of internal/oblivious. The values are snapshotted from the package
+// atomics at gather time (OnGather). A sort replays a prefix of every layer
+// of the retained network on the next power of two, so under real
+// multi-tenant load misses stops at one build per table (13 at most, 2 to
+// 8,192 wires) and pairs at what those tables hold (~565 k), whatever
+// lengths clients make the engines sort; a moving evictions gauge means
+// sorts above the table limit, which stream their network instead. Gauge
+// registration is
+// idempotent; a duplicate hook from a second InstrumentSet just re-Sets the
+// same snapshot, which is harmless.
 func registerSortGauges(r *obs.Registry) {
 	cacheHits := r.Gauge("incshrink_core_comparator_cache_hits",
-		"sorts that replayed a memoized comparator network")
+		"sorts that replayed a retained power-of-two comparator network")
 	cacheMisses := r.Gauge("incshrink_core_comparator_cache_misses",
-		"sorts that enumerated their comparator network")
+		"comparator network tables built (at most one per power of two, ever)")
 	cacheEvictions := r.Gauge("incshrink_core_comparator_cache_evictions",
-		"enumerated networks not retained (pair budget or size cap)")
+		"sorts above the table size limit, which streamed their network without retaining it")
 	cachePairs := r.Gauge("incshrink_core_comparator_cache_pairs",
-		"comparator pairs currently retained across all cached networks")
+		"comparator pairs retained by the tables built so far")
 	r.OnGather(func() {
 		h, m, e, p := oblivious.CacheStats()
 		cacheHits.Set(float64(h))

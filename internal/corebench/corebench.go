@@ -1,11 +1,15 @@
-// Package corebench defines the canonical data-plane benchmark deployment —
-// the paper-default engine fed a deterministic synthetic stream — shared by
-// the root-package Go benchmarks (core_bench_test.go) and the
+// Package corebench defines the canonical data-plane benchmark deployments —
+// the paper-default engine fed a deterministic synthetic stream, and the
+// CPDB/sDPANT engine fed the generated CPDB trace — shared by the
+// root-package Go benchmarks (core_bench_test.go) and the
 // `incshrink-bench -exp core` report generator, so the two can never
 // measure different workloads.
 package corebench
 
-import "incshrink"
+import (
+	"incshrink"
+	"incshrink/internal/workload"
+)
 
 // Deployment describes the benchmark configuration in human-readable form
 // (recorded in BENCH_core.json).
@@ -32,6 +36,51 @@ func OpenMerged() (*incshrink.DB, error) {
 		incshrink.ViewDef{Within: 10},
 		incshrink.Options{Epsilon: 1.5, T: 10, Seed: 1, MergeWindows: true},
 	)
+}
+
+// ANTDeployment describes the sDPANT benchmark configuration: the CPDB-like
+// deployment cmd/benchmark's cpdb_query workload preloads. sDPANT sorts a
+// cache whose length is whatever the DP-noised fetches left behind, so
+// nearly every synchronisation sorts a new length — the shape the
+// paper-default sDPTimer stream above never produces.
+const ANTDeployment = "ViewDef{Within:10,Omega:12,Budget:24,RightPublic:true} " +
+	"Options{Protocol:SDPANT,Theta:30,UploadEvery:5,MaxLeft:24,MaxRight:56,Seed:1}, workload.CPDB(seed 1) trace"
+
+// antWarmSteps is how many trace steps WarmANT replays before handing the
+// engine over: long enough that the cache length has settled into its
+// stationary range and the view is past its first few hundred syncs.
+const antWarmSteps = 1500
+
+// WarmANT opens the CPDB/sDPANT deployment, replays the warm-up prefix of
+// the CPDB trace and returns the engine with the next n steps of the trace,
+// ready to be measured.
+func WarmANT(n int) (*incshrink.DB, []incshrink.StepRows, error) {
+	db, err := incshrink.Open(
+		incshrink.ViewDef{Within: 10, Omega: 12, Budget: 24, RightPublic: true},
+		incshrink.Options{Protocol: incshrink.SDPANT, Theta: 30, UploadEvery: 5, MaxLeft: 24, MaxRight: 56, Seed: 1},
+	)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := workload.Generate(workload.CPDB(antWarmSteps+n, 1))
+	if err != nil {
+		return nil, nil, err
+	}
+	steps := make([]incshrink.StepRows, len(tr.Steps))
+	for i, st := range tr.Steps {
+		for _, r := range st.Left {
+			steps[i].Left = append(steps[i].Left, incshrink.Row(r.Row))
+		}
+		for _, r := range st.Right {
+			steps[i].Right = append(steps[i].Right, incshrink.Row(r.Row))
+		}
+	}
+	for _, s := range steps[:antWarmSteps] {
+		if err := db.Advance(s.Left, s.Right); err != nil {
+			return nil, nil, err
+		}
+	}
+	return db, steps[antWarmSteps:], nil
 }
 
 // MergedAdapterN is the truncated-join adapter size of one merged segment

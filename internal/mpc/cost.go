@@ -25,8 +25,7 @@ package mpc
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 )
 
 // CostModel holds the gate-level constants used to charge secure operations.
@@ -69,67 +68,16 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// sortCECache memoizes SortCompareExchanges per input length. The count is a
-// pure function of n, and the engine charges the same few padded sizes on
-// every Transform and Shrink, so without the cache the counting walk — the
-// same four nested loops the sorter itself replays from its network cache —
-// dominates a steady-state step. The cache is a copy-on-write map (reads
-// are one atomic load plus an int-keyed index, allocation-free on the hot
-// path; inserts copy under a mutex, once per distinct size ever). Lengths
-// above sortCECacheMaxN (one-off adversarial sizes in the multi-tenant
-// server) are recounted each time; entries are single ints, so the retained
-// footprint is negligible.
-var (
-	sortCECache   atomic.Value // map[int]int, copy-on-write
-	sortCECacheMu sync.Mutex
-)
-
-const sortCECacheMaxN = 1 << 16
-
 // SortCompareExchanges returns the number of compare-exchange operations a
-// Batcher odd-even merge sort performs on n elements: exactly the network
-// size, which is Theta(n log^2 n). For n <= 1 it is zero.
+// Batcher odd-even merge sort is charged for n elements: the size of the
+// network on the next power of two 2^k >= n, (k^2 - k + 4) * 2^(k-2) - 1,
+// which is Theta(n log^2 n). For n <= 1 it is zero.
 func SortCompareExchanges(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	if n <= sortCECacheMaxN {
-		m, _ := sortCECache.Load().(map[int]int)
-		if v, ok := m[n]; ok {
-			return v
-		}
-	}
-	// Batcher's network on n (padded to the next power of two) elements has
-	// (k^2 - k + 4) * 2^(k-2) - 1 comparators for n = 2^k; we count the
-	// exact number by walking the same index pattern the sorter uses.
-	p2 := 1
-	for p2 < n {
-		p2 <<= 1
-	}
-	count := 0
-	for p := 1; p < p2; p <<= 1 {
-		for k := p; k >= 1; k >>= 1 {
-			for j := k % p; j <= p2-1-k; j += 2 * k {
-				for i := 0; i <= k-1; i++ {
-					if (i+j)/(p*2) == (i+j+k)/(p*2) {
-						count++
-					}
-				}
-			}
-		}
-	}
-	if n <= sortCECacheMaxN {
-		sortCECacheMu.Lock()
-		old, _ := sortCECache.Load().(map[int]int)
-		next := make(map[int]int, len(old)+1)
-		for k, v := range old {
-			next[k] = v
-		}
-		next[n] = count
-		sortCECache.Store(next)
-		sortCECacheMu.Unlock()
-	}
-	return count
+	k := bits.Len(uint(n - 1))
+	return (k*k-k+4)<<k>>2 - 1
 }
 
 // Op identifies the protocol phase a cost is charged to; Table 2 reports

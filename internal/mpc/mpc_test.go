@@ -19,6 +19,50 @@ func TestSortCompareExchangesSmall(t *testing.T) {
 	}
 }
 
+// countingWalk is the reference for SortCompareExchanges: the textbook
+// iterative odd-even merge sort on the next power of two, counting every
+// comparator that stays inside its 2p block — the walk the closed form
+// replaced.
+func countingWalk(n int) int {
+	p2 := 1
+	for p2 < n {
+		p2 <<= 1
+	}
+	count := 0
+	for p := 1; p < p2; p <<= 1 {
+		for k := p; k >= 1; k >>= 1 {
+			for j := k % p; j <= p2-1-k; j += 2 * k {
+				for i := 0; i <= k-1; i++ {
+					if (i+j)/(p*2) == (i+j+k)/(p*2) {
+						count++
+					}
+				}
+			}
+		}
+	}
+	return count
+}
+
+// TestSortCompareExchangesClosedForm: the closed form equals the counting
+// walk at every power of two through 2^14, at lengths between them, and
+// above 65,536 — where the walk (70 ms at 65,537) used to run on every
+// ChargeSort because no cache held such lengths. A charge allocates nothing.
+func TestSortCompareExchangesClosedForm(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 5, 1040, 65537, 1 << 20}
+	for k := 1; k <= 14; k++ {
+		sizes = append(sizes, 1<<k)
+	}
+	for _, n := range sizes {
+		if got, want := SortCompareExchanges(n), countingWalk(n); got != want {
+			t.Errorf("SortCompareExchanges(%d) = %d, counting walk %d", n, got, want)
+		}
+	}
+	m := NewMeter(DefaultCostModel())
+	if allocs := testing.AllocsPerRun(100, func() { m.ChargeSort(OpShrink, 65537, 64) }); allocs != 0 {
+		t.Errorf("ChargeSort allocates %v times per call", allocs)
+	}
+}
+
 func TestSortCompareExchangesGrowth(t *testing.T) {
 	// Network size must be monotone in padded size and Theta(n log^2 n).
 	prev := 0

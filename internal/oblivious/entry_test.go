@@ -127,15 +127,28 @@ func byColumn(col, tagCol int) less {
 	}
 }
 
-// forEachComparator replays the n-element network comparator by comparator
-// from a fresh enumeration.
+// forEachComparator is the reference enumeration of the n-element network,
+// comparator by comparator: the textbook iterative odd-even merge sort on
+// the next power of two, one candidate at a time, skipping those that leave
+// their 2p block or touch an index >= n. It is deliberately not
+// batcherLayers — the run-structured enumeration, the retained tables and
+// the per-layer cut are all checked against it.
 func forEachComparator(n int, cmpSwap func(i, j int)) {
-	batcherLayers(n, nil, func(pairs []int32) []int32 {
-		for c := 0; c < len(pairs); c += 2 {
-			cmpSwap(int(pairs[c]), int(pairs[c+1]))
+	p2 := 1
+	for p2 < n {
+		p2 <<= 1
+	}
+	for p := 1; p < p2; p <<= 1 {
+		for k := p; k >= 1; k >>= 1 {
+			for j := k % p; j <= p2-1-k; j += 2 * k {
+				for i := 0; i <= k-1; i++ {
+					if a, b := i+j, i+j+k; a/(p*2) == b/(p*2) && b < n {
+						cmpSwap(a, b)
+					}
+				}
+			}
 		}
-		return pairs[:0]
-	})
+	}
 }
 
 // refSort is the reference sort: the network driven by a less closure with

@@ -58,7 +58,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 
 // TestSortDataIndependence: the comparators a sort executes must depend only
 // on the input length, never on the values — the defining property of an
-// oblivious sort. The kernel replays one pair list per length, so the count
+// oblivious sort. The kernel replays one comparator sequence per length, so the count
 // is pinned twice: the list never exceeds the padded network the cost model
 // charges (mpc.SortCompareExchanges counts the next power of two, which the
 // executed network equals there), and the meter charge of the cache sort and
@@ -66,7 +66,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 func TestSortDataIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	for _, n := range []int{5, 16, 33, 100, 1024, 1040} {
-		got, charged := len(loadNetwork(n))/2, mpc.SortCompareExchanges(n)
+		got, charged := len(networkOf(n))/2, mpc.SortCompareExchanges(n)
 		if got > charged || (n&(n-1) == 0 && got != charged) {
 			t.Errorf("n=%d: network has %d comparators, cost model charges %d", n, got, charged)
 		}

@@ -85,12 +85,9 @@ func exchange(keys []sortKey, pairs []int32) {
 // one executor, and it is serial: the network layout depends only on
 // len(keys) — the charge is the padded power-of-two network,
 // mpc.SortCompareExchanges(len(keys)), which the executed one never exceeds —
-// and the cached pair list goes to the kernel whole. Above networkCacheMaxN
-// the same comparator sequence is enumerated layer by layer into a pooled
-// scratch list instead of being retained, which bounds resident memory
-// against client-chosen sizes. Serial on purpose: splitting a layer's
-// index-disjoint comparators across goroutines measured slower at every size
-// (DESIGN.md §12).
+// and the kernel takes it a layer at a time from forEachLayer. Serial on
+// purpose: splitting a layer's index-disjoint comparators across goroutines
+// measured slower at every size (DESIGN.md §12).
 func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := len(keys)
 	if n <= 1 {
@@ -99,17 +96,35 @@ func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if meter != nil {
 		meter.ChargeSort(op, n, tupleBits)
 	}
+	forEachLayer(n, func(layer []int32) { exchange(keys, layer) })
+}
+
+// forEachLayer hands visit the layers of the n-element network (n >= 2) in
+// order, each as flat pairs valid only during the call. Up to
+// networkCacheMaxN a layer is a prefix of the same layer of the retained
+// 2^lg-wire network (networkTable), cut by layerCut; above it the same
+// comparator sequence is enumerated layer by layer into a pooled scratch
+// list instead of being retained, which bounds resident memory against
+// client-chosen sizes.
+func forEachLayer(n int, visit func(layer []int32)) {
 	if n > networkCacheMaxN {
 		networkCacheEvictions.Add(1)
 		pp := pairScratchPool.Get().(*[]int32)
 		*pp = batcherLayers(n, (*pp)[:0], func(layer []int32) []int32 {
-			exchange(keys, layer)
+			visit(layer)
 			return layer[:0]
 		})
 		pairScratchPool.Put(pp)
 		return
 	}
-	exchange(keys, loadNetwork(n))
+	lg := bits.Len(uint(n - 1))
+	pairs := networkTable(lg)
+	for lp := 0; lp < lg; lp++ {
+		for lk := lp; lk >= 0; lk-- {
+			visit(pairs[:2*layerCut(lp, lk, n)])
+			pairs = pairs[2*layerCut(lp, lk, 1<<lg):]
+		}
+	}
 }
 
 // batcherLayers is the one enumeration of Batcher's odd-even merge sorting
@@ -118,25 +133,25 @@ func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 // returns the buffer the next layer appends to: return it unchanged to
 // accumulate the whole network, or resliced to [:0] after consuming the
 // layer. The enumeration is the standard iterative network on the
-// next-power-of-two index range; comparators touching indices >= n are
-// skipped consistently for every input of this length, so the pattern stays
-// data-independent. Within a layer every comparator touches a disjoint
-// index pair — for fixed k the low ends cover [j, j+k) and the high ends
-// [j+k, j+2k) with j stepping by 2k — so a layer's compare-exchanges commute;
-// only the layer boundaries order.
+// next-power-of-two index range, taken a run at a time: for fixed k the low
+// ends of a run cover [j, j+k) and the high ends [j+k, j+2k), with j stepping
+// by 2k from k mod p, and a run belongs to the network iff it lies inside
+// one 2p-aligned block. Comparators touching indices >= n are skipped
+// consistently for every input of this length, so the pattern stays
+// data-independent; within a layer every comparator touches a disjoint index
+// pair, so a layer's compare-exchanges commute and only the layer boundaries
+// order; and within a layer the high index strictly ascends, which is what
+// makes the n-element layer a prefix of the 2^lg-wire one (layerCut).
 func batcherLayers(n int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
-	p2 := 1
-	for p2 < n {
-		p2 <<= 1
-	}
+	p2 := 1 << bits.Len(uint(n-1))
 	for p := 1; p < p2; p <<= 1 {
 		for k := p; k >= 1; k >>= 1 {
-			for j := k % p; j <= p2-1-k; j += 2 * k {
-				for i := 0; i <= k-1; i++ {
-					a, b := i+j, i+j+k
-					if a/(p*2) == b/(p*2) && b < n {
-						buf = append(buf, int32(a), int32(b))
-					}
+			for j := k & (p - 1); j+k < n; j += 2 * k {
+				if (j^(j+2*k-1))&^(2*p-1) != 0 {
+					continue // the run straddles a 2p block boundary
+				}
+				for a, end := j, min(j+k, n-k); a < end; a++ {
+					buf = append(buf, int32(a), int32(a+k))
 				}
 			}
 			buf = layerEnd(buf)
@@ -145,90 +160,81 @@ func batcherLayers(n int, buf []int32, layerEnd func(pairs []int32) []int32) []i
 	return buf
 }
 
-// networkCache memoizes the comparator list of Batcher's network per input
-// length. The network is a pure function of n, and the engine sorts the
-// same few padded sizes over and over (every Transform of a deployment
-// sorts identically sized arrays — in a batched ingest run, once per step),
-// so replaying a flat pair list replaces the four nested loops and the
-// per-comparator index arithmetic of the enumeration on every sort after
-// the first. (Replay also beats a run-structured enumeration — contiguous
-// lo/hi slices with no index loads — which measured slower than loading the
-// pairs on the 1,040-element join sort.) The cache is a copy-on-write map —
-// reads are one atomic load and a plain int-keyed map index, which stays off
-// the allocator on the hot path (a sync.Map would box the int key on every
-// lookup); inserts are rare (one per distinct size, ever) and copy the map
-// under a mutex. It is bounded two ways: lengths above networkCacheMaxN are
-// never cached (O(n log^2 n) pairs for rare one-off sizes), and the total
-// retained pairs across all lengths are capped by networkCachePairBudget —
-// important in the multi-tenant server, where sort sizes derive from
-// client-chosen deployments and an adversarial mix of block sizes must not
-// grow resident memory without bound. Beyond the budget, a sort enumerates
-// its network afresh.
-var (
-	networkCache      atomic.Value // map[int][]int32, copy-on-write
-	networkCacheMu    sync.Mutex   // serializes map copies on insert
-	networkCachePairs atomic.Int64 // pairs currently retained across all entries
+// layerCut is the number of comparators of layer (p, k) = (1<<lp, 1<<lk),
+// on any power-of-two wire count >= n, whose high index is below n — the
+// length of the prefix of that layer the n-element network executes, and at
+// n = the wire count the layer's full size. In closed form: within every
+// 2p-block the high ends are [p, 2p) when k = p, and [2km, 2km+k) for
+// m = 1..p/k-1 when k < p — after the first `skip` indices, one run of k in
+// every 2k. So each whole block below n holds `per` comparators and the
+// block n falls in the part of those runs below n. It branches on layer
+// geometry only.
+func layerCut(lp, lk, n int) int {
+	p, k := 1<<lp, 1<<lk
+	skip, per := 2*k, p-k
+	if lk == lp {
+		skip, per = k, p
+	}
+	r := max(0, n&(2*p-1)-skip)
+	return n>>(lp+1)*per + r>>(lk+1)<<lk + min(r&(2*k-1), k)
+}
 
-	// Cache accounting, exported through CacheStats for the
-	// incshrink_core_comparator_cache_* metric families: hits replayed a
-	// retained network, misses enumerated one, evictions enumerated one and
-	// could not retain it (pair budget exhausted, or an oversized length).
+const (
+	networkCacheMaxLg = 13
+	networkCacheMaxN  = 1 << networkCacheMaxLg
+)
+
+// networkTables retains Batcher's network on 2^lg wires for each
+// lg <= networkCacheMaxLg: the comparator pairs flattened as
+// (i0,j0,i1,j1,...), layer after layer, built on first use. One table serves
+// every input length in (2^(lg-1), 2^lg], because the n-element network is,
+// layer by layer, a prefix of it — which matters because sDPANT sorts a cache
+// whose length is whatever the DP-noised fetches left behind, and the
+// multi-tenant server's lengths derive from client-chosen deployments, so a
+// process keeps meeting new lengths. Resident pairs are bounded by
+// construction: all tables together hold ~565 k pairs (~4.5 MB). Why the
+// executor replays pair lists rather than walking the runs: DESIGN.md §12.
+var networkTables [networkCacheMaxLg + 1]struct {
+	once  sync.Once
+	pairs []int32
+}
+
+// networkTable returns the retained network on 2^lg wires, building it on
+// first use.
+func networkTable(lg int) []int32 {
+	t := &networkTables[lg]
+	built := false
+	t.once.Do(func() {
+		n := 1 << lg
+		t.pairs = batcherLayers(n, make([]int32, 0, 2*mpc.SortCompareExchanges(n)),
+			func(pairs []int32) []int32 { return pairs })
+		networkCachePairs.Add(int64(len(t.pairs) / 2))
+		networkCacheMisses.Add(1)
+		built = true
+	})
+	if !built {
+		networkCacheHits.Add(1)
+	}
+	return t.pairs
+}
+
+// Cache accounting, the data source of the
+// incshrink_core_comparator_cache_* metric families: a hit replayed a
+// retained table, a miss built one (at most once per table, ever), an
+// eviction streamed a length above networkCacheMaxN without retaining
+// anything.
+var (
 	networkCacheHits      atomic.Int64
 	networkCacheMisses    atomic.Int64
 	networkCacheEvictions atomic.Int64
+	networkCachePairs     atomic.Int64 // pairs the built tables retain
 )
 
-const (
-	networkCacheMaxN       = 1 << 13
-	networkCachePairBudget = 4 << 20 // ~32 MiB of int32 pairs total
-)
-
-// pairScratchPool recycles the per-layer pair list of the streaming path.
-var pairScratchPool = sync.Pool{New: func() any { s := make([]int32, 0, 4096); return &s }}
-
-// CacheStats reports the network cache's lifetime hit/miss/eviction counts
-// and the pairs currently retained (against networkCachePairBudget). It is
-// the data source of the incshrink_core_comparator_cache_* families.
+// CacheStats reports those counters.
 func CacheStats() (hits, misses, evictions, pairs int64) {
 	return networkCacheHits.Load(), networkCacheMisses.Load(),
 		networkCacheEvictions.Load(), networkCachePairs.Load()
 }
 
-// cachedNetworks reads the current copy-on-write cache map (nil before the
-// first insert): input length -> the network's comparator pairs flattened as
-// (i0,j0,i1,j1,...).
-func cachedNetworks() map[int][]int32 {
-	m, _ := networkCache.Load().(map[int][]int32)
-	return m
-}
-
-// loadNetwork returns the memoized network for n, enumerating (and retaining,
-// budget permitting) it on first use.
-func loadNetwork(n int) []int32 {
-	if net, ok := cachedNetworks()[n]; ok {
-		networkCacheHits.Add(1)
-		return net
-	}
-	networkCacheMisses.Add(1)
-	net := batcherLayers(n, nil, func(pairs []int32) []int32 { return pairs })
-	nPairs := int64(len(net) / 2)
-	if networkCachePairs.Add(nPairs) <= networkCachePairBudget {
-		networkCacheMu.Lock()
-		old := cachedNetworks()
-		if _, loaded := old[n]; loaded {
-			networkCachePairs.Add(-nPairs) // lost the race: not retained
-		} else {
-			next := make(map[int][]int32, len(old)+1)
-			for k, v := range old {
-				next[k] = v
-			}
-			next[n] = net
-			networkCache.Store(next)
-		}
-		networkCacheMu.Unlock()
-	} else {
-		networkCachePairs.Add(-nPairs) // budget exhausted: don't retain
-		networkCacheEvictions.Add(1)
-	}
-	return net
-}
+// pairScratchPool recycles the per-layer pair list of the streaming path.
+var pairScratchPool = sync.Pool{New: func() any { s := make([]int32, 0, 4096); return &s }}

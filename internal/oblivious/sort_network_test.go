@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -108,17 +109,80 @@ func TestZeroOneCacheSort(t *testing.T) {
 	}
 }
 
-// TestCachedReplayMatchesFreshEnumeration: the memoized pair list must
-// replay comparators in exactly the enumeration's order — the leakage
-// transcript and the sorted result depend on it — both on the cold path
-// that records the cache entry and on the warm path that replays it.
+// networkOf collects the comparator sequence sortKeys executes on n elements:
+// every layer forEachLayer hands the kernel, flattened in order.
+func networkOf(n int) []int32 {
+	got := []int32{}
+	forEachLayer(n, func(layer []int32) { got = append(got, layer...) })
+	return got
+}
+
+// referenceNetwork is the same sequence from the reference enumeration.
+func referenceNetwork(n int) []int32 {
+	want := []int32{}
+	forEachComparator(n, func(i, j int) { want = append(want, int32(i), int32(j)) })
+	return want
+}
+
+// TestEveryLengthIsALayerPrefix pins the property the retained tables rest
+// on: the n-element network is, layer by layer, a prefix of the network on
+// the next power of two. The pairs sortKeys hands to exchange equal the
+// reference enumeration pair for pair, in order — at every small length, at
+// both sides of the power-of-two boundaries, at the tpcds sizes and at the
+// table limit — and within every layer of every table the high index
+// strictly ascends, the fact that makes "high index < n" a prefix.
+func TestEveryLengthIsALayerPrefix(t *testing.T) {
+	sizes := []int{1023, 1024, 1025, 1040, 1105, 4097, 8191, 8192}
+	for n := 2; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		if got, want := networkOf(n), referenceNetwork(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: executed network differs from the reference (%d vs %d comparators)",
+				n, len(got)/2, len(want)/2)
+		}
+	}
+	for lg := 1; lg <= networkCacheMaxLg; lg++ {
+		pairs := networkTable(lg)
+		for lp := 0; lp < lg; lp++ {
+			for lk := lp; lk >= 0; lk-- {
+				layer := pairs[:2*layerCut(lp, lk, 1<<lg)]
+				pairs = pairs[len(layer):]
+				for c := 3; c < len(layer); c += 2 {
+					if layer[c] <= layer[c-2] {
+						t.Fatalf("table %d layer (p=%d,k=%d): high index %d after %d",
+							lg, 1<<lp, 1<<lk, layer[c], layer[c-2])
+					}
+				}
+			}
+		}
+		if len(pairs) != 0 {
+			t.Fatalf("table %d: %d values beyond the last layer", lg, len(pairs))
+		}
+	}
+	// The charged count is the power-of-two network's size: what each table
+	// holds, and one size past the last table what the enumeration lists.
+	for lg := 1; lg <= networkCacheMaxLg+1; lg++ {
+		listed := len(batcherLayers(1<<lg, nil, func(pairs []int32) []int32 { return pairs })) / 2
+		if lg <= networkCacheMaxLg && len(networkTable(lg))/2 != listed {
+			t.Fatalf("table %d holds %d comparators, enumeration lists %d", lg, len(networkTable(lg))/2, listed)
+		}
+		if charged := mpc.SortCompareExchanges(1 << lg); listed != charged {
+			t.Fatalf("2^%d wires: enumeration lists %d comparators, cost model charges %d", lg, listed, charged)
+		}
+	}
+}
+
+// TestCachedReplayMatchesFreshEnumeration: the table replay must execute
+// comparators in exactly the enumeration's order — the leakage transcript
+// and the sorted result depend on it — both on a first pass (which may build
+// the table) and on the warm pass that replays it.
 func TestCachedReplayMatchesFreshEnumeration(t *testing.T) {
 	const n = 37 // uncommon non-power-of-two size
-	var want []int32
-	forEachComparator(n, func(i, j int) { want = append(want, int32(i), int32(j)) })
-	for pass := 0; pass < 2; pass++ { // cold (records), then warm (replays)
-		if got := loadNetwork(n); !reflect.DeepEqual(got, want) {
-			t.Fatalf("pass %d: cached replay diverges from fresh enumeration (%d vs %d comparators)",
+	want := referenceNetwork(n)
+	for pass := 0; pass < 2; pass++ {
+		if got := networkOf(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: table replay diverges from fresh enumeration (%d vs %d comparators)",
 				pass, len(got)/2, len(want)/2)
 		}
 	}
@@ -144,8 +208,8 @@ func TestLayersAreDisjoint(t *testing.T) {
 }
 
 // TestStreamingPathMatchesReference: above networkCacheMaxN the network is
-// enumerated layer by layer into a scratch list instead of replayed from the
-// cache; the result must be the reference network's — the closure-driven,
+// enumerated layer by layer into a scratch list instead of replayed from a
+// table; the result must be the reference network's — the closure-driven,
 // branching replay of the same enumeration — on keys heavy with (k, tag) ties.
 func TestStreamingPathMatchesReference(t *testing.T) {
 	const n = networkCacheMaxN + 808
@@ -171,32 +235,84 @@ func TestStreamingPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCacheStatsMove: the comparator-cache counters behind the
-// incshrink_core_comparator_cache_* gauges must account a miss on first
-// use of a size and a hit on reuse. (The cache is process-global and tests
-// may repeat with -count, so the first observation adapts to whether the
-// size is already retained.)
+// TestCacheStatsMove: the counters behind the
+// incshrink_core_comparator_cache_* gauges. A miss is a table build — one per
+// size class per process, so two lengths sharing a class cost at most one —
+// a hit is a replay whatever the length, an eviction is a streamed sort
+// above networkCacheMaxN, and pairs is what the built tables retain: it
+// moves only with a miss and never past the sum of all tables. (The tables
+// are process-global and tests may repeat with -count, so the first
+// observation adapts to whether the class is already built.)
 func TestCacheStatsMove(t *testing.T) {
-	const n = 1531 // unlikely to be used by any other test
-	_, cached := cachedNetworks()[n]
-	h0, m0, _, p0 := CacheStats()
+	const n, sibling = 1531, 1207 // both replay the 2^11-wire table
+	h0, m0, e0, p0 := CacheStats()
 	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
 	h1, m1, _, p1 := CacheStats()
-	if cached {
-		if h1 != h0+1 || m1 != m0 {
-			t.Fatalf("replay of retained n=%d: hits %d -> %d misses %d -> %d, want hit +1", n, h0, h1, m0, m1)
+	switch {
+	case m1 == m0+1 && h1 == h0:
+		if want := int64(mpc.SortCompareExchanges(n)); p1 != p0+want {
+			t.Fatalf("table build retained %d pairs, want %d", p1-p0, want)
 		}
-	} else {
-		if m1 != m0+1 {
-			t.Fatalf("first enumeration of n=%d: misses %d -> %d, want +1", n, m0, m1)
+	case m1 == m0 && h1 == h0+1:
+		if p1 != p0 {
+			t.Fatalf("replay moved retained pairs %d -> %d", p0, p1)
 		}
-		if p1 <= p0 {
-			t.Fatalf("retained pairs did not grow: %d -> %d", p0, p1)
+	default:
+		t.Fatalf("first sort of n=%d: hits %d -> %d misses %d -> %d, want exactly one of them +1", n, h0, h1, m0, m1)
+	}
+	sortKeys(make([]sortKey, sibling), nil, mpc.OpOther, 64)
+	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
+	h2, m2, e2, p2 := CacheStats()
+	if h2 != h1+2 || m2 != m1 || p2 != p1 {
+		t.Fatalf("a new length in a built class and a repeat: hits %d -> %d misses %d -> %d pairs %d -> %d, want two hits and nothing else",
+			h1, h2, m1, m2, p1, p2)
+	}
+	if e2 != e0 {
+		t.Fatalf("sorts below networkCacheMaxN streamed: evictions %d -> %d", e0, e2)
+	}
+	bound := int64(0)
+	for lg := 1; lg <= networkCacheMaxLg; lg++ {
+		bound += int64(mpc.SortCompareExchanges(1 << lg))
+	}
+	if m2 > networkCacheMaxLg || p2 > bound {
+		t.Fatalf("%d builds retaining %d pairs, bound %d builds and %d pairs", m2, p2, networkCacheMaxLg, bound)
+	}
+}
+
+// BenchmarkSortVaryingLengths sorts 512 distinct lengths per iteration, drawn
+// once from a fixed seed in 1,100..4,000 — the range the cache of the CPDB
+// sDPANT deployment visits, where nearly every synchronisation brings a
+// length the process has not sorted before. It reports the cost per executed
+// comparator and fails if, once the counting pass below has touched every
+// length, a sort builds a table or allocates: every length must be a replay.
+func BenchmarkSortVaryingLengths(b *testing.B) {
+	rng := rand.New(rand.NewSource(103)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	lengths := rng.Perm(2901)[:512]
+	keys := make([]sortKey, 4000)
+	for i := range keys {
+		keys[i] = sortKey{k: rng.Uint64(), w: uint64(i)}
+	}
+	comparators := 0
+	for i := range lengths {
+		lengths[i] += 1100
+		forEachLayer(lengths[i], func(layer []int32) { comparators += len(layer) / 2 })
+	}
+	_, m0, _, _ := CacheStats()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range lengths {
+			sortKeys(keys[:n], nil, mpc.OpOther, 64)
 		}
 	}
-	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
-	h2, m2, _, _ := CacheStats()
-	if h2 != h1+1 || m2 != m1 {
-		t.Fatalf("replay of n=%d: hits %d -> %d misses %d -> %d, want hit +1", n, h1, h2, m1, m2)
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*comparators), "ns/comparator")
+	if _, m1, _, _ := CacheStats(); m1 != m0 {
+		b.Fatalf("warm sorts built %d tables", m1-m0)
+	}
+	if perSort := (ms1.Mallocs - ms0.Mallocs) / uint64(b.N*len(lengths)); perSort != 0 {
+		b.Fatalf("warm sorts allocate %d times each", perSort)
 	}
 }
