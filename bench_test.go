@@ -8,8 +8,10 @@ package incshrink
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -182,6 +184,122 @@ func ablationTables(n int) (t1, t2 []oblivious.Record) {
 		t2 = append(t2, oblivious.Record{Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
 	}
 	return t1, t2
+}
+
+// BenchmarkJoinSortVsMerge is the ablation behind "sort once, merge
+// thereafter": one Transform's join over a carry of m rows already in join
+// order and f new ones, as the from-scratch join (sort all m+f) and as the
+// engine runs it (sort the f new rows, merge them into the carry, compact the
+// merged rows back to m), at the tpcds_step deployment (936, 104), its 8-block
+// tpcds_batch segment (936, 832) and a small one (72, 8). Reported per
+// Transform: comparators executed — counted by a textbook walk of the network
+// local to this file, which internal/oblivious pins equal to what its kernel
+// runs — gates charged, and wall time as ns/op. The two joins must emit the
+// same pairs, and the default deployment must stay under 6,000 comparators.
+func BenchmarkJoinSortVsMerge(b *testing.B) {
+	for _, size := range [][2]int{{936, 104}, {936, 832}, {72, 8}} {
+		m, f := size[0], size[1]
+		rng := rand.New(rand.NewSource(int64(m + f))) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+		// Rows are {key, time, tag, arrival}, one in 13 on the right stream. Keys
+		// are distinct within a stream, as in the generated workloads, so which
+		// pairs are emitted does not hang on how the network orders ties.
+		rows := make([]table.Row, m+f)
+		keys := [2][]int{rng.Perm(2 * (m + f)), rng.Perm(2 * (m + f))}
+		for i := range rows {
+			tag := i % 13 / 12
+			rows[i] = table.Row{int64(keys[tag][i]), rng.Int63n(10), int64(tag), 0}
+		}
+		sort.SliceStable(rows[:m], func(i, j int) bool {
+			return rows[i][0] < rows[j][0] || (rows[i][0] == rows[j][0] && rows[i][2] < rows[j][2])
+		})
+		in := oblivious.NewBuffer(4, m+f)
+		var t [2][]oblivious.Record // the from-scratch join's inputs: new records first
+		var fresh [2]int
+		for _, r := range rows {
+			in.AppendRow(r)
+		}
+		for i, r := range append(append([]table.Row{}, rows[m:]...), rows[:m]...) {
+			t[r[2]] = append(t[r[2]], oblivious.Record{Row: r[:2]})
+			if i < f {
+				fresh[r[2]]++
+			}
+		}
+		within := func(l, r oblivious.Record) bool { return r.Row[1] >= l.Row[1] }
+		keep := func(r table.Row) bool { return r[3] == 0 }
+		pairsOf := func(dst *oblivious.Buffer) (out []string) {
+			for i := 0; i < dst.Len(); i++ {
+				if dst.IsReal(i) {
+					out = append(out, fmt.Sprint(dst.Row(i)))
+				}
+			}
+			sort.Strings(out)
+			return out
+		}
+		join := func(variant int, dst, sorted, carry *oblivious.Buffer, meter *mpc.Meter) {
+			dst.Reset()
+			if variant == 0 {
+				oblivious.TruncatedSortMergeJoinInto(dst, t[0], t[1], 0, 0, within, 1, meter, mpc.OpTransform, fresh[0], fresh[1])
+				return
+			}
+			sorted.Reset()
+			carry.Reset()
+			oblivious.MergeJoinInto(dst, sorted, in, m, 0, keep, within, 1, meter, mpc.OpTransform)
+			oblivious.TightCompactInto(sorted, m+f, carry, nil, nil, mpc.OpTransform, 0)
+			meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(m+f), 64*3)
+		}
+		var pairs [2][]string
+		for variant := range pairs {
+			dst := oblivious.NewBuffer(4, 0)
+			join(variant, dst, oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0), mpc.NewMeter(mpc.DefaultCostModel()))
+			pairs[variant] = pairsOf(dst)
+		}
+		if len(pairs[0]) == 0 || !reflect.DeepEqual(pairs[0], pairs[1]) {
+			b.Fatalf("(%d, %d): full sort emits %d pairs, sort + merge %d, or not the same ones", m, f, len(pairs[0]), len(pairs[1]))
+		}
+		P := 1
+		for P < max(m, f) {
+			P <<= 1
+		}
+		comparators := [2]int{sortComparators(0, m+f, 1), sortComparators(0, f, 1) + sortComparators(P-m, P+f, P)}
+		if m+f == 1040 && comparators[1] > 6000 {
+			b.Fatalf("the default deployment runs %d comparators per Transform, want at most 6,000", comparators[1])
+		}
+		for variant, name := range []string{"full-sort", "sort+merge"} {
+			b.Run(fmt.Sprintf("%d+%d/%s", m, f, name), func(b *testing.B) {
+				meter := mpc.NewMeter(mpc.DefaultCostModel())
+				dst, sorted, carry := oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0)
+				for i := 0; i < b.N; i++ {
+					meter.Reset()
+					join(variant, dst, sorted, carry, meter)
+				}
+				b.ReportMetric(float64(comparators[variant]), "comparators")
+				b.ReportMetric(meter.TotalGates(), "simGates")
+			})
+		}
+	}
+}
+
+// sortComparators walks Batcher's odd-even merge sorting network on wires
+// [0, hi) from phase p0 on, textbook form, and counts the comparators whose
+// low wire is at least lo: a sort of n is (0, n, 1), a merge of sorted runs of
+// m and f under the power of two P >= both is phase P alone on [P-m, P+f).
+func sortComparators(lo, hi, p0 int) (count int) {
+	p2 := 1
+	for p2 < hi {
+		p2 <<= 1
+	}
+	for p := p0; p < p2; p <<= 1 {
+		for k := p; k >= 1; k >>= 1 {
+			for j := k % p; j <= p2-1-k; j += 2 * k {
+				for i := 0; i <= k-1; i++ {
+					if a, c := i+j, i+j+k; a/(p*2) == c/(p*2) && a >= lo && c < hi {
+						count++
+					}
+				}
+			}
+		}
+	}
+	return count
 }
 
 // BenchmarkAblationSortBatcher measures the oblivious Batcher network against

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"incshrink/internal/corebench"
-	"incshrink/internal/mpc"
 )
 
 // The core experiment microbenchmarks the engine's data plane — the
@@ -171,8 +170,8 @@ func runCore(jsonOut string) error {
 			K:                     batchK,
 			NsPerStep:             float64(advanceBatch.T.Nanoseconds()) / float64(advanceBatch.N*batchK),
 			AllocsPerStep:         advanceBatch.AllocsPerOp() / int64(batchK),
-			MergedComparators:     mpc.SortCompareExchanges(corebench.MergedAdapterN(batchK)),
-			SequentialComparators: batchK * mpc.SortCompareExchanges(corebench.MergedAdapterN(1)),
+			MergedComparators:     corebench.MergedComparators(batchK),
+			SequentialComparators: batchK * corebench.MergedComparators(1),
 		}
 		rep.BatchCurve = append(rep.BatchCurve, pt)
 		if batchK == 8 {

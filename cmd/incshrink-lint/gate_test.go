@@ -11,8 +11,8 @@ import (
 // TestLintGate proves the lint gate actually gates: seeding a
 // secret-dependent branch into internal/oblivious trips oblivtaint — be it
 // a plain flag test, a branching compare-exchange over the sort kernel's
-// keys or a branch on a flag byte inside the scan kernel, none of which any
-// sanction covers — a branch on a reconstructed bit seeded into
+// keys, a merge whose window of the network is cut by a key, or a branch on
+// a flag byte inside the scan kernel, none of which any sanction covers — a branch on a reconstructed bit seeded into
 // internal/gmw (whose gate code no sanction covers either) does the same,
 // and an unjoined go statement in internal/serve trips goleak. Each makes
 // `go vet -vettool=incshrink-lint` exit nonzero, exactly as `make lint`
@@ -75,6 +75,18 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 		keys[0], keys[1] = keys[1], keys[0]
 	}
 }
+`,
+			pkg:      "./internal/oblivious",
+			analyzer: "oblivtaint",
+		},
+		{
+			name:    "oblivtaint catches seeded key-dependent merge cut",
+			file:    "internal/oblivious/sort.go",
+			replace: "\tlo := 1<<lp - m\n",
+			inject: `	lo := 1<<lp - m
+	if keys[m].k < keys[0].k {
+		lo--
+	}
 `,
 			pkg:      "./internal/oblivious",
 			analyzer: "oblivtaint",

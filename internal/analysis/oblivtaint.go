@@ -40,8 +40,10 @@ var OblivTaintPackages = []string{
 //   - boolWord: the bool -> {0,1} word conversion — three lines the compiler
 //     lowers to a flag move. It is all the sort, the scans and the counters
 //     need: the sort kernel (exchange, sortKeys) is a borrow chain and a
-//     masked XOR, fed layer prefixes whose cut (forEachLayer, layerCut)
-//     branches on layer geometry and the public length alone; the scan kernel (CountColumns, flagWord, outsideWord) is a
+//     masked XOR, fed layer windows whose cuts (forEachLayer, layerCut)
+//     branch on layer geometry and the public lengths alone — a sort's
+//     prefix and a merge's window of the last phase alike (mergeKeys takes
+//     its keys as a registered secret column); the scan kernel (CountColumns, flagWord, outsideWord) is a
 //     borrow shifted into a verdict word, ANDed with the flag bits and
 //     popcounted; CountBuffer and the Buffer counter methods (AppendFrom,
 //     AppendRange, Truncate, CutPrefix, ScanReal) add boolWord(flag) where
@@ -51,8 +53,11 @@ var OblivTaintPackages = []string{
 //     (TestLintGate seeds both).
 //   - TightCompactInto: the fixed-topology compaction; its flag-dependent
 //     moves are exactly the part a circuit evaluates obliviously.
-//   - TruncatedSortMergeJoinInto: the paper's core operator; window advance
-//     and contribution bookkeeping run inside MPC in deployment.
+//   - emitJoin: the linear scan of the paper's core operator, shared by the
+//     from-scratch join and the merge join; key-group advance and
+//     contribution bookkeeping run inside MPC in deployment. The sorts and
+//     the merge around it (TruncatedSortMergeJoinInto, MergeJoinInto) pass
+//     as ordinary code.
 //
 // The GMW evaluator is NOT here: its k-lane AND derives the output shares
 // from the opened d/e words with a masked select, and every frame length is
@@ -61,7 +66,7 @@ var OblivTaintPackages = []string{
 var OblivTaintSanctioned = []string{
 	"internal/oblivious.boolWord",
 	"internal/oblivious.TightCompactInto",
-	"internal/oblivious.TruncatedSortMergeJoinInto",
+	"internal/oblivious.emitJoin",
 }
 
 // OblivTaintColumnParams names, per function (keyed like
@@ -74,6 +79,7 @@ var OblivTaintColumnParams = map[string][]string{
 	"internal/oblivious.CountColumns": {"flag", "cols"},
 	"internal/oblivious.flagWord":     {"f"},
 	"internal/oblivious.outsideWord":  {"a", "b"},
+	"internal/oblivious.mergeKeys":    {"keys"},
 }
 
 // oblivBufferSources are the oblivious.Buffer methods that read the

@@ -621,3 +621,47 @@ func TestComparatorCacheGaugesAfterWarmANT(t *testing.T) {
 		t.Errorf("pairs = %v, want what at most 13 tables retain", gauge["pairs"])
 	}
 }
+
+// TestWindowGaugesExportPaddedSizesOnly: the window gauges are inside the
+// threat model — block padding exists to hide how many real records a stream
+// holds, so two deployments of equal padded sizes fed different numbers of
+// real records must scrape identical incshrink_core_window_* samples at
+// every step (the gauges used to read the unpadded record table).
+func TestWindowGaugesExportPaddedSizesOnly(t *testing.T) {
+	scrapes := func(perStep int) (out []string) {
+		f := windowEngine(t, 3, 8)
+		reg := obs.NewRegistry()
+		f.SetInstruments(NewInstrumentSet(reg).ForView("v"))
+		for step := 0; step < 12; step++ {
+			st := windowStep(step)
+			st.Left, st.Right = st.Left[:perStep], st.Right[:perStep]
+			f.Step(st)
+			var scrape strings.Builder
+			if err := reg.WritePrometheus(&scrape); err != nil {
+				t.Fatal(err)
+			}
+			samples := ""
+			for _, line := range strings.Split(scrape.String(), "\n") {
+				if strings.HasPrefix(line, "incshrink_core_window_") {
+					samples += line + "\n"
+				}
+			}
+			out = append(out, samples)
+		}
+		return out
+	}
+	sparse, dense := scrapes(1), scrapes(4)
+	for step := range sparse {
+		if sparse[step] != dense[step] {
+			t.Fatalf("step %d: window gauges tell 1 record per upload from 4:\n%s--- vs ---\n%s", step, sparse[step], dense[step])
+		}
+	}
+	for _, want := range []string{
+		`incshrink_core_window_records{view="v",side="left"} 24`,
+		`incshrink_core_window_blocks{view="v",side="right"} 3`,
+	} {
+		if !strings.Contains(sparse[len(sparse)-1], want) {
+			t.Errorf("last scrape lacks %q:\n%s", want, sparse[len(sparse)-1])
+		}
+	}
+}

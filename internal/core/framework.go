@@ -52,11 +52,10 @@ type Config struct {
 	// every step ends a segment: one Transform per upload block, and results
 	// are byte-identical however the steps are cut into calls. On, a segment
 	// runs to the next Shrink observation point, flush or end of call, and
-	// its k blocks share ONE Transform — one Batcher network of kn elements
-	// instead of k networks of n, which wins superlinearly because the
-	// network is Theta(n log^2 n). That preserves count trajectories on
-	// single-contribution streams and keeps the meter honest (charges follow
-	// SortCompareExchanges of the merged size), but a k > 1 segment charges
+	// its k blocks share ONE Transform — sorted together and merged into the
+	// carry once, instead of k sorts, merges and compactions. That preserves
+	// count trajectories on single-contribution streams and keeps the meter
+	// honest (charges follow the sizes that ran), but a k > 1 segment charges
 	// fewer gates, emits one batch event instead of k, and applies the omega
 	// truncation per segment rather than per block. See DESIGN.md §12.
 	MergeWindows bool
@@ -208,34 +207,31 @@ type Framework struct {
 	cache *securearray.Cache
 	view  *securearray.View
 
-	// win holds each stream's records — row, arrival step and remaining
-	// budget — by value (window.go). pending holds the arrivals not yet
-	// admitted to a block: right-stream arrivals accumulate there between
-	// uploads; the left side is only ever non-empty inside a step.
-	win     [2]window
-	pending [2][]windowEntry
+	// carry is the Transform's standing input — both streams' live records
+	// and block pads as one table in join order — and str the two public
+	// ledgers of the upload blocks in it (carry.go). pending holds arrivals
+	// not yet admitted to a block: the right stream's accumulate between
+	// uploads, the left side is only ever non-empty inside a step.
+	carry   *oblivious.Buffer
+	str     [2]stream
+	pending [2]*oblivious.Buffer
 
 	shrink   Shrinker
 	match    oblivious.MatchFunc
 	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward
-	dummyID  int64             // descending generator for padding-record keys
+	dummyID  int64             // ascending generator for padding-record keys
 
-	// Per-transform scratch, reused across invocations so the steady-state
-	// Advance path allocates (almost) nothing: the padded inputs, a flat
-	// arena for padding-record payloads (dummy records live only for the
-	// duration of one transform), and the two transform temporaries — the
-	// exhaustively padded join output and the compacted delta. The
-	// temporaries are framework-owned rather than pool-borrowed so StepBatch
-	// reuses the same arenas across every step with no pool round-trips in
-	// between.
-	in       [2][]oblivious.Record
-	padRows  table.Flat
+	// Per-transform scratch, framework-owned so the steady-state Advance path
+	// allocates (almost) nothing: the merged input awaiting its compaction
+	// into the next carry, the padded join output and the compacted delta.
+	// from is the upload step each stream's carry starts at afterwards (stays).
+	merged   *oblivious.Buffer
 	joinBuf  *oblivious.Buffer
 	deltaBuf *oblivious.Buffer
+	from     [2]int64
 
-	// blocks are the upload blocks admitted since the last segment end. They
-	// never outlive one StepBatch call — the last step of a call always ends
-	// a segment — so they are not part of the durable state.
+	// blocks are the upload blocks admitted since the last segment end; the
+	// last step of a StepBatch call ends a segment, so they are not state.
 	blocks []uploadBlock
 
 	created    int
@@ -276,20 +272,25 @@ func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
 		shrink:   shrink,
 		match:    wl.Match(),
 		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
-		padRows:  *table.NewFlat(workload.StreamArity, 0),
+		carry:    oblivious.NewBuffer(carryArity, 0),
+		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
+		merged:   oblivious.NewBuffer(carryArity, 0),
 		joinBuf:  oblivious.NewBuffer(workload.JoinArity, 0),
 		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
-		dummyID:  -2,
+		dummyID:  math.MinInt64,
 	}
 	// Public input sizes: every block is padded to the block size and the
-	// carried window to the cap, so the Transform input — and therefore its
-	// cost and its padded output — is data-independent. A public relation
-	// needs neither padding nor a budget (its content is not secret).
-	inv := invocationsPerRecord(cfg, wl)
-	f.win[left] = window{total: cfg.Budget, block: wl.MaxLeft, cap: (inv - 1) * wl.MaxLeft}
+	// carry holds the blocks of the invocations a record survives after its
+	// first, so the Transform input — and therefore its cost and its padded
+	// output — is data-independent. A public relation needs neither padding
+	// nor a budget (its content is not secret).
+	keep := invocationsPerRecord(cfg, wl) - 1
+	f.str[left] = stream{total: cfg.Budget, block: wl.MaxLeft, keep: keep}
+	f.str[right] = stream{keep: -1}
 	if !wl.RightPublic {
-		f.win[right] = window{total: cfg.Budget, block: wl.MaxRight, cap: (inv - 1) * wl.MaxRight}
+		f.str[right] = stream{total: cfg.Budget, block: wl.MaxRight, keep: keep}
 	}
+	f.prefill()
 	// Alg. 1 line 1-2: initialize the shared cardinality counter to zero.
 	rt.ShareToServers(counterKey, 0)
 	shrink.Init(f)
@@ -369,12 +370,9 @@ func (f *Framework) Step(st workload.Step) {
 // deferral would be visible — the Shrink protocol observes the counter or
 // the cache (StepObserver), the independent flush fires, or the batch ends
 // (blocks are never held across calls) — and the segment's k blocks share
-// one Transform: one kn-element Batcher network instead of k n-element
-// ones. See transform and DESIGN.md §12 for what differs at k > 1.
-//
-// The per-step scratch — the framework-owned join/delta buffers, the padding
-// arena and input-window capacity, the memoized sort networks — is warm
-// after the first step, so marginal steps run off the allocator.
+// one Transform. See transform and DESIGN.md §12 for what differs at k > 1.
+// The per-step scratch is warm after the first step, so marginal steps run
+// off the allocator.
 func (f *Framework) StepBatch(steps []workload.Step) {
 	f.blocks = f.blocks[:0]
 	for i := range steps {
@@ -383,19 +381,14 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		f.rt.SetTime(st.T)
 
 		// Public-relation arrivals accumulate between uploads; Transform runs
-		// only when owners submit data ("whenever owners submit new data, the
-		// servers invoke Transform"), so each record is charged omega once per
-		// upload period and its budget window spans the temporal join window.
-		// Arrivals are copied here; the caller's rows are not read again.
-		f.pending[right] = appendArrivals(f.pending[right], st.Right)
+		// only when owners submit data, so each record is charged omega once
+		// per upload period and its budget spans the temporal join window.
+		f.arrive(right, st.Right)
 		if f.uploadDue(st.T) {
-			f.pending[left] = appendArrivals(f.pending[left], st.Left)
-			b := uploadBlock{t: st.T}
-			for s := range f.win {
-				b.lo[s], b.hi[s] = f.win[s].admit(f.pending[s], st.T)
-				f.pending[s] = f.pending[s][:0]
-			}
-			f.blocks = append(f.blocks, b)
+			f.arrive(left, st.Left)
+			padStart := f.ins.now()
+			f.blocks = append(f.blocks, f.admit(st.T))
+			f.ins.observePad(padStart)
 		}
 		// Transform must land before anything at this step can observe its
 		// effect.
@@ -418,11 +411,25 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 	}
 }
 
+// arrive copies a step's records of stream s; the caller's rows are not reread.
+func (f *Framework) arrive(s int, recs []oblivious.Record) {
+	for _, r := range recs {
+		f.pending[s].AppendRow(r.Row[:workload.StreamArity])
+	}
+}
+
+// stays reports whether a carry row outlives the segment under way: iff its
+// block does, and blocks lapse oldest first, so that is one comparison with
+// its stream's cut — selected by arithmetic on the tag, not a branch.
+func (f *Framework) stays(r table.Row) bool {
+	return r[colArrived] >= f.from[left]+r[colTag]*(f.from[right]-f.from[left])
+}
+
 // uploadBlock is one step's upload queued for Transform: the step time and,
-// per stream, the span of the window table its records were admitted to.
+// per stream, the rows it appended behind the carry.
 type uploadBlock struct {
-	t      int
-	lo, hi [2]int
+	t int
+	n [2]int
 }
 
 // observesAt reports whether the Shrink protocol will look at the counter or
@@ -450,57 +457,57 @@ func (f *Framework) uploadDue(t int) bool {
 }
 
 // transform is the Transform protocol of Algorithm 1 over one segment of
-// k >= 1 upload blocks; k = 1 is the algorithm verbatim. Its intermediates
-// live in per-framework scratch, so a steady-state invocation stays off the
-// allocator: padded inputs reuse f.in, padding-record payloads
-// live in the f.padRows arena, and the join output, compaction output and
-// overflow carry are arena-backed oblivious.Buffers. Every padded size is a
-// public function of k and the deployment.
+// k >= 1 upload blocks; k = 1 is the algorithm with its full-input sort
+// replaced by "sort the new block, merge it into the carry", which yields
+// the same sorted union. Its intermediates live in per-framework scratch, so
+// a steady-state invocation stays off the allocator, and every padded size is
+// a public function of k and the deployment. Relative to k single-block
+// invocations, a k-block segment (DESIGN.md §12):
 //
-// Relative to k single-block invocations, a k-block segment is the
-// per-merged-invocation variant of Algorithm 1:
-//
-//   - One sort-merge join over the k*MaxLeft (+caps) merged input — the
-//     meter's ChargeSort follows SortCompareExchanges of the merged adapter
-//     size, so the superlinear saving is priced, not hidden.
-//   - The omega truncation bounds each record's contribution per MERGED
-//     invocation, not per block; on streams where a record's pairs all land
-//     in one block (multiplicity-1 workloads like the corebench stream) the
-//     produced pair set is identical to sequential.
-//   - The cardinality counter is re-shared once per covered block — all k
-//     reshares carrying the final cumulative count — so the RNG stream and
-//     the counter value at every observation point line up exactly with
-//     sequential execution (no Shrink observation can occur inside a
-//     segment, by construction of the boundaries).
-//   - Budgets age identically: window.retire walks each record over every
-//     block it would have been input to, consuming omega per block and
-//     applying the temporal-window check at that block's time, reproducing
-//     the sequential budgets, death steps and window order.
-//   - transforms counts one invocation, and one batch event is emitted for
-//     the merged delta (transcript shape differs from sequential; the
-//     security argument is unchanged because the merged sizes are public).
+//   - runs one sort of the k new blocks and one merge into the carry — the
+//     meter follows the sizes that ran, so the saving is priced, not hidden;
+//   - bounds each record's contribution by omega per MERGED invocation, not
+//     per block — the same pair set wherever a record's pairs all land in one
+//     block (multiplicity-1 streams);
+//   - re-shares the cardinality counter once per covered block, every reshare
+//     carrying the final count, so the RNG stream and the counter at every
+//     observation point line up with sequential execution (no Shrink
+//     observation can occur inside a segment, by construction);
+//   - ages budgets identically: stream.retire charges omega and applies the
+//     temporal-window check once per block of the segment;
+//   - counts as one invocation and emits one batch event for the merged delta
+//     (the merged sizes are public, so the security argument is unchanged).
 func (f *Framework) transform(blocks []uploadBlock) {
 	probe := f.ins.phaseStart(f.rt)
 	f.transforms++
-	k := len(blocks)
+	var fresh [2]int
+	for _, b := range blocks {
+		fresh[left] += b.n[left]
+		fresh[right] += b.n[right]
+	}
 
-	// Reserve the padding arena up front so the Record row views handed out
-	// by newPadRecordAt stay valid for the whole invocation.
-	padStart := f.ins.now()
-	f.padRows.Reset()
-	f.padRows.Grow(k*(f.wl.MaxLeft+f.wl.MaxRight) + f.win[left].cap + f.win[right].cap)
-	fresh := [2]int{f.buildInput(left, blocks), f.buildInput(right, blocks)}
-	f.ins.observePad(padStart)
+	// Charge contribution budgets on the ledgers and find the blocks that ran
+	// out: public bookkeeping, settled first so the join can flag what stays.
+	for s := range f.str {
+		f.from[s] = int64(f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within))
+	}
 
 	// The join condition is the view definition's temporal predicate, plus
-	// "at least one side is new" so pairs already produced by an earlier
-	// invocation are not regenerated. New is positional: the segment's block
-	// records are the first fresh[s] of each input (both checks compile to
-	// constant-size circuits over the secret payloads).
+	// "at least one side is new" so pairs an earlier invocation produced are
+	// not regenerated. New is positional: the rows behind the carry.
 	joined := f.joinBuf
 	joined.Reset()
-	oblivious.TruncatedSortMergeJoinInto(joined, f.in[left], f.in[right], workload.ColKey, workload.ColKey,
-		f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform, fresh[left], fresh[right])
+	f.merged.Reset()
+	oblivious.MergeJoinInto(joined, f.merged, f.carry, f.carry.Len()-fresh[left]-fresh[right], workload.ColKey,
+		f.stays, f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
+
+	// Retire the lapsed blocks: an order-preserving compaction of the merged
+	// input to the public size the ledgers now hold — a fixed-topology pass,
+	// because in key order which rows a block owns is secret — charged as the
+	// routing network that keeps the order, not as two linear passes.
+	f.carry.Reset()
+	oblivious.TightCompactInto(f.merged, f.str[left].rows()+f.str[right].rows(), f.carry, nil, nil, mpc.OpTransform, 0)
+	f.rt.Meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(f.merged.Len()), carryBits)
 
 	// Tighten the exhaustively padded join output to the public
 	// maximum-new-entries bound before caching. Entries beyond the cap (rare
@@ -533,49 +540,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	f.cache.Append(delta)
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
-	// Charge contribution budgets and retire what ran out of budget or window.
-	for s := range f.win {
-		f.win[s].retire(blocks, f.cfg.Omega, f.wl.Within)
-	}
-
 	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
-}
-
-// buildInput lays out one stream's Transform input from its window: every
-// block of the segment padded to the public block size (pads carry the
-// block's arrival time), then the records carried from before the segment
-// padded to the public cap, so the input size — and thus the protocol's cost
-// and output size — is data-independent. It returns the length of the
-// input's new-record prefix.
-func (f *Framework) buildInput(s int, blocks []uploadBlock) (fresh int) {
-	w, in := &f.win[s], f.in[s][:0]
-	for _, b := range blocks {
-		padded := len(in) + w.block
-		in = w.appendRecords(in, b.lo[s], b.hi[s])
-		for len(in) < padded {
-			in = append(in, f.newPadRecordAt(b.t))
-		}
-	}
-	fresh = len(in)
-	in = w.appendRecords(in, 0, blocks[0].lo[s])
-	for len(in) < fresh+w.cap {
-		in = append(in, f.newPadRecordAt(f.now))
-	}
-	f.in[s] = in
-	return fresh
-}
-
-// newPadRecordAt mints a padding record stamped with arrival step t, with a
-// fresh never-matching key: pad keys descend from -2, the negative half of
-// the key domain, which is reserved for them (incshrink.DB rejects a
-// negative client key, so no real record can equal a pad key). Its payload
-// row lives in the per-transform flat arena (f.padRows) instead of its own
-// heap allocation; padding records never outlive the invocation: they are
-// never admitted to a window.
-func (f *Framework) newPadRecordAt(t int) oblivious.Record {
-	f.padRows.AppendRow(table.Row{f.dummyID, int64(t)})
-	f.dummyID--
-	return oblivious.Record{Row: f.padRows.Row(f.padRows.Rows() - 1)}
 }
 
 // Query implements Engine: one oblivious scan over the materialized view,

@@ -130,12 +130,13 @@ func mergeTestSteps(k int) []workload.Step {
 
 // TestMergedMeterConsistency is the cost-model consistency check for window
 // merging: the transform-phase gates charged for one merged segment must
-// equal the closed form implied by the adapter size of the MERGED window —
-// SortCompareExchanges(mergedN) for the Batcher network plus two linear
-// passes (join emit, tight compaction) over the omega-bounded output. The
-// saving relative to k sequential invocations is intentional and priced,
-// not hidden: the merged run charges strictly fewer gates, and exactly the
-// gates a protocol running one big network would pay.
+// equal the closed form implied by what the MERGED invocation runs — one
+// Batcher sort of the segment's k new padded blocks, one merge of them into
+// the carry, the order-preserving compaction of the merged input back to the
+// carry's cap, plus two linear passes (join emit, tight compaction) over the
+// omega-bounded output. The saving relative to k sequential invocations is
+// intentional and priced, not hidden: the merged run charges strictly fewer
+// gates, and exactly the gates a protocol sorting and merging once would pay.
 func TestMergedMeterConsistency(t *testing.T) {
 	wl := workload.TPCDS(10, 1) // T=11 > 10 steps: no observation inside the batch
 	steps := mergeTestSteps(10)
@@ -145,20 +146,26 @@ func TestMergedMeterConsistency(t *testing.T) {
 	if mrg.cfg.T <= k {
 		t.Fatalf("test needs T > %d so the batch is one segment, got T=%d", k, mrg.cfg.T)
 	}
+	carried := mrg.carry.Len()
 	mrg.StepBatch(steps)
 	if mrg.transforms != 1 {
 		t.Fatalf("expected one merged invocation, got %d", mrg.transforms)
 	}
 
-	// Mirror the merged transform's charges. The adapter of the truncated
-	// sort-merge join holds both padded sides: k public blocks per side plus
-	// the active-window caps. Sort tuples carry (key, tag) over the widest
-	// record; join emit and compaction move full view rows.
+	// Mirror the merged transform's charges. The carry holds both padded
+	// sides at their caps, the segment adds k public blocks per side. Sort,
+	// merge and carry compaction move (key, tag) over the widest record; join
+	// emit and delta compaction move full view rows.
 	model := mrg.cfg.Cost
-	mergedN := k*wl.MaxLeft + mrg.win[left].cap + k*wl.MaxRight + mrg.win[right].cap
+	fresh := k * (wl.MaxLeft + wl.MaxRight)
+	mergedN := carried + fresh
+	if want := (invocationsPerRecord(mrg.cfg, wl) - 1) * (wl.MaxLeft + wl.MaxRight); carried != want || mrg.carry.Len() != want {
+		t.Fatalf("carry of %d rows before and %d after the segment, want the public cap %d", carried, mrg.carry.Len(), want)
+	}
 	sortBits := 64 * (workload.StreamArity + 1)
-	outLen := mrg.cfg.Omega * mergedN // omega slots per adapter tuple
-	want := float64(mpc.SortCompareExchanges(mergedN))*float64(sortBits)*model.ANDGatesPerCompareExchangeBit +
+	outLen := mrg.cfg.Omega * mergedN // omega slots per input tuple
+	want := float64(mpc.SortCompareExchanges(fresh)+mpc.MergeCompareExchanges(carried, fresh))*float64(sortBits)*model.ANDGatesPerCompareExchangeBit +
+		float64(mpc.CompactMoves(mergedN))*float64(sortBits)*model.ANDGatesPerScanBit + // carry compaction
 		float64(outLen)*float64(tupleBits)*model.ANDGatesPerScanBit + // join emit scan
 		float64(2*outLen)*float64(tupleBits)*model.ANDGatesPerScanBit // tight compaction
 
@@ -167,9 +174,8 @@ func TestMergedMeterConsistency(t *testing.T) {
 		t.Fatalf("merged transform gates = %.0f, want %.0f (mergedN=%d)", got, want, mergedN)
 	}
 
-	// The sequential run over the same steps must charge strictly more:
-	// k networks of the per-step adapter size are superlinearly costlier
-	// than one network of the merged size.
+	// The sequential run over the same steps must charge strictly more: k
+	// sorts, k merges into the carry and k compactions of it.
 	cfg := DefaultConfig(wl, 7)
 	seq, err := NewTimerEngine(cfg, wl)
 	if err != nil {

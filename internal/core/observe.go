@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/obs"
@@ -14,6 +16,7 @@ import (
 type InstrumentSet struct {
 	phaseSeconds *obs.HistogramVec
 	windowSize   *obs.GaugeVec
+	windowBlocks *obs.GaugeVec
 	cacheLen     *obs.GaugeVec
 	viewLen      *obs.GaugeVec
 	steps        *obs.CounterVec
@@ -32,7 +35,9 @@ func NewInstrumentSet(r *obs.Registry) *InstrumentSet {
 		phaseSeconds: r.HistogramVec("incshrink_core_phase_seconds",
 			"wall time per engine phase (transform, shrink, pad, query)", phaseBuckets(), "view", "phase"),
 		windowSize: r.GaugeVec("incshrink_core_window_records",
-			"records in the active join window, by stream side", "view", "side"),
+			"padded rows the stream holds in the join carry (public: whole upload blocks, pads included)", "view", "side"),
+		windowBlocks: r.GaugeVec("incshrink_core_window_blocks",
+			"live upload blocks in the stream's budget ledger", "view", "side"),
 		cacheLen: r.GaugeVec("incshrink_core_cache_len",
 			"public length of the secure cache", "view"),
 		viewLen: r.GaugeVec("incshrink_core_view_len",
@@ -83,8 +88,8 @@ func (s *InstrumentSet) ForView(view string) *Instruments {
 		shrinkSeconds:    s.phaseSeconds.With(view, "shrink"),
 		padSeconds:       s.phaseSeconds.With(view, "pad"),
 		querySeconds:     s.phaseSeconds.With(view, "query"),
-		windowLeft:       s.windowSize.With(view, "left"),
-		windowRight:      s.windowSize.With(view, "right"),
+		windowRows:       [2]*obs.Gauge{s.windowSize.With(view, "left"), s.windowSize.With(view, "right")},
+		windowBlocks:     [2]*obs.Gauge{s.windowBlocks.With(view, "left"), s.windowBlocks.With(view, "right")},
 		cacheLen:         s.cacheLen.With(view),
 		viewLen:          s.viewLen.With(view),
 		steps:            s.steps.With(view),
@@ -101,6 +106,7 @@ func (s *InstrumentSet) Drop(view string) {
 	}
 	for _, side := range []string{"left", "right"} {
 		s.windowSize.Delete(view, side)
+		s.windowBlocks.Delete(view, side)
 	}
 	s.cacheLen.Delete(view)
 	s.viewLen.Delete(view)
@@ -117,13 +123,14 @@ type Instruments struct {
 	shrinkSeconds    *obs.Histogram
 	padSeconds       *obs.Histogram
 	querySeconds     *obs.Histogram
-	windowLeft       *obs.Gauge
-	windowRight      *obs.Gauge
+	windowRows       [2]*obs.Gauge // by stream side
+	windowBlocks     [2]*obs.Gauge
 	cacheLen         *obs.Gauge
 	viewLen          *obs.Gauge
 	steps            *obs.Counter
 	queries          *obs.Counter
 	cost             *mpc.CostObserver
+	padPending       time.Duration // pad time of blocks admitted, not yet transformed
 }
 
 // now reads the sanctioned clock, or 0 when uninstrumented.
@@ -162,6 +169,8 @@ func (ins *Instruments) phaseDone(phase string, op mpc.Op, p phaseProbe, rt *mpc
 	elapsed := obs.Since(p.start)
 	switch phase {
 	case "transform":
+		// Its blocks were padded at admission: that is part of this Transform.
+		elapsed, ins.padPending = elapsed+ins.padPending, 0
 		ins.transformSeconds.ObserveDuration(elapsed)
 	case "shrink":
 		ins.shrinkSeconds.ObserveDuration(elapsed)
@@ -179,7 +188,9 @@ func (ins *Instruments) observePad(start obs.Ticks) {
 	if ins == nil {
 		return
 	}
-	ins.padSeconds.ObserveDuration(obs.Since(start))
+	d := obs.Since(start)
+	ins.padSeconds.ObserveDuration(d)
+	ins.padPending += d
 }
 
 // stepDone refreshes the per-view state gauges after one ingested step.
@@ -188,8 +199,11 @@ func (ins *Instruments) stepDone(f *Framework) {
 		return
 	}
 	ins.steps.Inc()
-	ins.windowLeft.Set(float64(len(f.win[left].entries)))
-	ins.windowRight.Set(float64(len(f.win[right].entries)))
+	// Padded sizes from the public ledgers, never a count of real records.
+	for s := range f.str {
+		ins.windowRows[s].Set(float64(f.str[s].rows()))
+		ins.windowBlocks[s].Set(float64(len(f.str[s].live)))
+	}
 	ins.cacheLen.Set(float64(f.cache.Len()))
 	ins.viewLen.Set(float64(f.view.Len()))
 }

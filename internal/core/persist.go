@@ -10,10 +10,10 @@ import (
 // Framework durability. A snapshot captures every byte of mutable engine
 // state — the MPC runtime (share stores, transcripts, all RNG draw
 // positions, the cost meter), the secure cache and materialized view arenas,
-// the two input windows (each record's row, arrival step and remaining
-// contribution budget), the pending-arrival and overflow carries, and the
-// bookkeeping counters — so a framework restored from it continues
-// bit-identically to one that never stopped. The configuration (Config,
+// the ledgers of live upload blocks (step, remaining budget, size) and the
+// carry they describe (every live record and pad, in join order), the pending
+// arrivals, the overflow and the counters — so a framework restored from it
+// continues bit-identically to one that never stopped. The configuration (Config,
 // workload, Shrink protocol) is *not* state: Restore targets a framework
 // freshly constructed with the same parameters and refuses anything else via
 // the header fingerprint.
@@ -72,12 +72,13 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	snapshot.EncodeCache(enc, f.cache)
 	snapshot.EncodeView(enc, f.view)
 
-	// The clock leads the windows: their decoder checks arrivals against it.
+	// Clock, ledgers, carry: each decoder checks against what came before.
 	// Left arrivals never outlive a step, so only the right side's are state.
 	enc.Int(f.now)
-	encodeEntries(enc, f.win[left].entries)
-	encodeEntries(enc, f.win[right].entries)
-	encodeEntries(enc, f.pending[right])
+	encodeLedger(enc, f.str[left].live)
+	encodeLedger(enc, f.str[right].live)
+	snapshot.EncodeBuffer(enc, f.carry)
+	snapshot.EncodeBuffer(enc, f.pending[right])
 	snapshot.EncodeBuffer(enc, f.overflow)
 
 	enc.I64(f.dummyID)
@@ -102,10 +103,15 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
 	}
 
 	f.now = dec.Int()
-	f.win[left].decode(dec, f.now)
-	f.win[right].decode(dec, f.now)
-	f.pending[right] = decodeEntries(dec, f.pending[right][:0])
+	f.str[left].decode(dec, f.now)
+	f.str[right].decode(dec, f.now)
 	if err := dec.Err(); err != nil {
+		return err
+	}
+	if err := f.decodeCarry(dec); err != nil {
+		return err
+	}
+	if err := snapshot.DecodeBufferInto(dec, f.pending[right]); err != nil {
 		return err
 	}
 	if err := snapshot.DecodeBufferInto(dec, f.overflow); err != nil {
@@ -121,7 +127,7 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if f.dummyID > -2 || f.created < 0 || f.lostReal < 0 || f.transforms < 0 || f.queries < 0 {
+	if f.dummyID >= 0 || f.created < 0 || f.lostReal < 0 || f.transforms < 0 || f.queries < 0 {
 		dec.Corrupt("framework counters out of range (dummyID=%d created=%d lost=%d transforms=%d queries=%d)",
 			f.dummyID, f.created, f.lostReal, f.transforms, f.queries)
 		return dec.Err()

@@ -8,6 +8,7 @@ package corebench
 
 import (
 	"incshrink"
+	"incshrink/internal/mpc"
 	"incshrink/internal/workload"
 )
 
@@ -83,14 +84,27 @@ func WarmANT(n int) (*incshrink.DB, []incshrink.StepRows, error) {
 	return db, steps[antWarmSteps:], nil
 }
 
-// MergedAdapterN is the truncated-join adapter size of one merged segment
-// covering k upload blocks at this deployment: each side carries k blocks
-// padded to the public block size (MaxLeft = MaxRight = 32) plus the active
-// window padded to its cap of 9 blocks (records participate in at most
-// min(budget/omega, Within/UploadEvery+1) = 10 Transform invocations, the
-// upload plus 9 carried). TestMergedAdapterNMatchesMeter pins this closed
-// form against the engine's actual meter charges.
-func MergedAdapterN(k int) int { return 2 * (32*k + 9*32) }
+// The deployment's public sizes: an upload block is padded to MaxLeft +
+// MaxRight = 32 + 32 rows, and the join carry holds the 9 blocks of the
+// invocations a record survives after its first (records participate in at
+// most min(budget/omega, Within/UploadEvery+1) = 10 Transform invocations).
+const (
+	blockRows = 2 * 32
+	carryRows = 9 * blockRows
+)
+
+// MergedAdapterN is the truncated-join input size of one merged segment
+// covering k upload blocks at this deployment: the carry plus the k new
+// padded blocks.
+func MergedAdapterN(k int) int { return carryRows + k*blockRows }
+
+// MergedComparators is the compare-exchanges that segment's Transform is
+// charged: one sort of the k new blocks and one merge of them into the
+// carry. TestMergedAdapterNMatchesMeter pins both closed forms against the
+// engine's actual meter charges.
+func MergedComparators(k int) int {
+	return mpc.SortCompareExchanges(k*blockRows) + mpc.MergeCompareExchanges(carryRows, k*blockRows)
+}
 
 // Step advances db one step with the deterministic synthetic upload: three
 // left rows and one right row joining the first of them within the window.

@@ -13,22 +13,67 @@ import (
 	"incshrink/internal/workload"
 )
 
+// restartAt is runKind with every DP engine snapshotted at step k, restored
+// into a fresh framework ("a fresh process") and continued.
+func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace, sim.Options) (sim.Result, error) {
+	return func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace, opts sim.Options) (sim.Result, error) {
+		if kind != sim.KindTimer && kind != sim.KindANT {
+			// The baselines are not what durability protects; they
+			// run uninterrupted.
+			return sim.RunKind(kind, cfg, tr, opts)
+		}
+		return sim.RunKindWithRestart(kind, cfg, tr, opts, k, func(e core.Engine) (core.Engine, error) {
+			fw := e.(*core.Framework)
+			var snap bytes.Buffer
+			if err := fw.Snapshot(&snap); err != nil {
+				return nil, err
+			}
+			// A fresh engine stands in for a fresh process: nothing
+			// carries over except the snapshot bytes.
+			fresh, err := sim.Build(kind, cfg, tr.Config)
+			if err != nil {
+				return nil, err
+			}
+			if err := fresh.(*core.Framework).Restore(bytes.NewReader(snap.Bytes())); err != nil {
+				return nil, err
+			}
+			return fresh, nil
+		})
+	}
+}
+
 // TestCrashRecoveryReproducesGoldens is the acceptance criterion of the
 // durability PR: run the paper-default evaluation with every DP engine
-// snapshotted at step k, restored into a fresh framework ("a fresh
-// process"), and continued to step 120 — the Table 2 and Figure 4 report
-// bytes must equal the pinned seed-1 goldens exactly, for both sDPTimer and
-// sDPANT, at every k in {1, 37, 60, 119}. Anything short of bit-exact
-// engine restoration (a lost RNG draw, a dropped cache slot, a meter tick)
-// shifts a count or a simulated cost somewhere in the reports and fails the
-// byte comparison.
+// snapshotted at step k, restored into a fresh framework, and continued to
+// step 120 — the Table 2 and Figure 4 report bytes must equal the pinned
+// seed-1 goldens exactly, for both sDPTimer and sDPANT, at every k in
+// {1, 37, 60, 119}. Anything short of bit-exact engine restoration (a lost
+// RNG draw, a dropped cache slot, a meter tick) shifts a count or a simulated
+// cost somewhere in the reports and fails the byte comparison. Then the same
+// with a kill at every step of a 40-step run against the run that never
+// stopped: the carry is snapshotted mid-window — pre-filled blocks still
+// retiring, every mix of live blocks — at each of them.
 func TestCrashRecoveryReproducesGoldens(t *testing.T) {
-	p := Params{Steps: 120, Seed: 1, Workers: 1}
 	defer func() {
 		runKind = sim.RunKind
 		ResetCaches()
 	}()
+	reports := func(p Params) map[string][]byte {
+		// The result cache is keyed by cell, not by execution function:
+		// force a cold re-run under the harness in place.
+		ResetCaches()
+		out := map[string][]byte{}
+		for _, name := range []string{"table2", "fig4"} {
+			var got bytes.Buffer
+			if err := Registry[name](context.Background(), p, &got); err != nil {
+				t.Fatal(err)
+			}
+			out[name] = got.Bytes()
+		}
+		return out
+	}
 
+	p := Params{Steps: 120, Seed: 1, Workers: 1}
 	goldens := map[string][]byte{}
 	for _, name := range []string{"table2", "fig4"} {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+"_seed1_steps120.txt"))
@@ -37,46 +82,29 @@ func TestCrashRecoveryReproducesGoldens(t *testing.T) {
 		}
 		goldens[name] = want
 	}
-
 	for _, k := range []int{1, 37, 60, 119} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			runKind = func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace, opts sim.Options) (sim.Result, error) {
-				if kind != sim.KindTimer && kind != sim.KindANT {
-					// The baselines are not what durability protects; they
-					// run uninterrupted.
-					return sim.RunKind(kind, cfg, tr, opts)
-				}
-				return sim.RunKindWithRestart(kind, cfg, tr, opts, k, func(e core.Engine) (core.Engine, error) {
-					fw := e.(*core.Framework)
-					var snap bytes.Buffer
-					if err := fw.Snapshot(&snap); err != nil {
-						return nil, err
-					}
-					// A fresh engine stands in for a fresh process: nothing
-					// carries over except the snapshot bytes.
-					fresh, err := sim.Build(kind, cfg, tr.Config)
-					if err != nil {
-						return nil, err
-					}
-					if err := fresh.(*core.Framework).Restore(bytes.NewReader(snap.Bytes())); err != nil {
-						return nil, err
-					}
-					return fresh, nil
-				})
-			}
-			// The result cache is keyed by cell, not by execution function:
-			// force a cold re-run under the restart harness.
-			ResetCaches()
-
-			for _, name := range []string{"table2", "fig4"} {
-				var got bytes.Buffer
-				if err := Registry[name](context.Background(), p, &got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), goldens[name]) {
-					t.Errorf("%s after snapshot/restore at step %d diverged from the golden\n--- got ---\n%s", name, k, got.String())
+			runKind = restartAt(k)
+			for name, got := range reports(p) {
+				if !bytes.Equal(got, goldens[name]) {
+					t.Errorf("%s after snapshot/restore at step %d diverged from the golden\n--- got ---\n%s", name, k, got)
 				}
 			}
 		})
 	}
+
+	t.Run("every step of 40", func(t *testing.T) {
+		p := Params{Steps: 40, Seed: 1, Workers: 1}
+		runKind = sim.RunKind
+		want := reports(p)
+		for k := 1; k < p.Steps; k++ {
+			runKind = restartAt(k)
+			for name, got := range reports(p) {
+				if !bytes.Equal(got, want[name]) {
+					t.Fatalf("%s after snapshot/restore at step %d diverged from the run that never stopped\n--- got ---\n%s--- want ---\n%s",
+						name, k, got, want[name])
+				}
+			}
+		}
+	})
 }

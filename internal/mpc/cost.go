@@ -38,8 +38,6 @@ type CostModel struct {
 	// ANDGatesPerScanBit is the per-bit cost of evaluating a predicate and
 	// conditionally copying a tuple during an oblivious linear scan.
 	ANDGatesPerScanBit float64
-	// ANDGatesPerEqualityBit is the per-bit cost of a join-key equality test.
-	ANDGatesPerEqualityBit float64
 	// ANDGatesPerLaplace is the circuit size of one joint Laplace draw
 	// (fixed-point log via table lookup plus arithmetic).
 	ANDGatesPerLaplace float64
@@ -61,7 +59,6 @@ func DefaultCostModel() CostModel {
 	return CostModel{
 		ANDGatesPerCompareExchangeBit: 3,
 		ANDGatesPerScanBit:            2,
-		ANDGatesPerEqualityBit:        1,
 		ANDGatesPerLaplace:            20000,
 		GatesPerSecond:                8e6,
 		BytesPerANDGate:               32,
@@ -79,6 +76,21 @@ func SortCompareExchanges(n int) int {
 	k := bits.Len(uint(n - 1))
 	return (k*k-k+4)<<k>>2 - 1
 }
+
+// MergeCompareExchanges returns the compare-exchanges merging sorted runs of
+// m and f elements is charged: the last phase of Batcher's network on 2^k
+// wires, 2^(k-1) >= both runs, (k-1) * 2^(k-1) + 1 — zero for an empty run.
+func MergeCompareExchanges(m, f int) int {
+	if m <= 0 || f <= 0 {
+		return 0
+	}
+	lp := bits.Len(uint(max(m, f) - 1))
+	return lp<<lp + 1
+}
+
+// CompactMoves returns the controlled moves an order-preserving compaction of
+// n slots is charged, at scan rate: ceil(log2 n) routing levels of n moves.
+func CompactMoves(n int) int { return n * bits.Len(uint(max(n, 1)-1)) }
 
 // Op identifies the protocol phase a cost is charged to; Table 2 reports
 // Transform, Shrink and query (QET) times separately.
@@ -144,9 +156,10 @@ func (m *Meter) ChargeScan(op Op, n, tupleBits int) {
 	m.ChargeGates(op, float64(n)*float64(tupleBits)*m.model.ANDGatesPerScanBit)
 }
 
-// ChargeEqualities charges n join-key equality tests of keyBits each.
-func (m *Meter) ChargeEqualities(op Op, n, keyBits int) {
-	m.ChargeGates(op, float64(n)*float64(keyBits)*m.model.ANDGatesPerEqualityBit)
+// ChargeMerge charges one oblivious merge of sorted runs of runM and runF tuples.
+func (m *Meter) ChargeMerge(op Op, runM, runF, tupleBits int) {
+	ce := MergeCompareExchanges(runM, runF)
+	m.ChargeGates(op, float64(ce)*float64(tupleBits)*m.model.ANDGatesPerCompareExchangeBit)
 }
 
 // ChargeLaplace charges one joint Laplace noise generation.

@@ -90,9 +90,15 @@ func TestMeterCharging(t *testing.T) {
 	if got := m.Gates(OpQuery); got != 100*64*2 {
 		t.Errorf("scan gates = %v", got)
 	}
-	m.ChargeEqualities(OpTransform, 10, 32)
-	if got := m.Gates(OpTransform); got != 10*32*1 {
-		t.Errorf("equality gates = %v", got)
+	// A merge of runs of 936 and 104 is the last phase on 2,048 wires; an
+	// order-preserving compaction of 1,040 slots is 11 levels of moves.
+	m.ChargeMerge(OpTransform, 936, 104, 64)
+	if got := m.Gates(OpTransform); got != 10241*64*3 {
+		t.Errorf("merge gates = %v", got)
+	}
+	m.ChargeScan(OpTransform, CompactMoves(1040), 64)
+	if got := m.Gates(OpTransform); got != 10241*64*3+11440*64*2 {
+		t.Errorf("merge + compaction gates = %v", got)
 	}
 	m.ChargeLaplace(OpShrink)
 	if got := m.Gates(OpShrink); got != wantGates+20000 {
@@ -117,6 +123,30 @@ func TestMeterCharging(t *testing.T) {
 	m.Reset()
 	if m.TotalGates() != 0 {
 		t.Error("reset did not zero")
+	}
+}
+
+// TestMergeCompareExchangesClosedForm: a merge is charged the last phase of
+// the network on twice the power of two covering its longer run — what is
+// left of SortCompareExchanges once both halves are sorted — and nothing
+// when a run is empty; a compaction is charged n * ceil(log2 n) moves.
+func TestMergeCompareExchangesClosedForm(t *testing.T) {
+	for lp := 0; lp <= 14; lp++ {
+		P := 1 << lp
+		want := SortCompareExchanges(2*P) - 2*SortCompareExchanges(P)
+		for _, mf := range [][2]int{{P, P}, {P, 1}, {1, P}, {P/2 + 1, P/2 + 1}} {
+			if got := MergeCompareExchanges(mf[0], mf[1]); got != want {
+				t.Errorf("MergeCompareExchanges(%d, %d) = %d, want the last phase on %d wires, %d", mf[0], mf[1], got, 2*P, want)
+			}
+		}
+	}
+	if MergeCompareExchanges(0, 9) != 0 || MergeCompareExchanges(9, 0) != 0 {
+		t.Error("merging with an empty run must be free")
+	}
+	for n, want := range map[int]int{0: 0, 1: 0, 2: 2, 3: 6, 1024: 10240, 1040: 11440} {
+		if got := CompactMoves(n); got != want {
+			t.Errorf("CompactMoves(%d) = %d, want %d", n, got, want)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ type Record struct {
 type MatchFunc func(left, right Record) bool
 
 // intsPool recycles the per-invocation contribution counters and key-group
-// windows of the truncated joins.
+// windows of the truncated join.
 var intsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
 
 // getInts borrows a zeroed int slice of length n.
@@ -51,11 +51,11 @@ const signBit = 1 << 63
 //
 //  1. Union the two inputs, tagging T1 rows before T2 rows, and obliviously
 //     sort on the join attribute with the tag as tie-break.
-//  2. Linearly scan the sorted array. After accessing each tuple, emit
-//     exactly `bound` output slots: true join entries between the accessed
-//     T2 tuple and preceding key-equal T1 tuples (subject to per-record
-//     contribution counters), padded with dummies — so the output length is
-//     bound*(len(t1)+len(t2)) regardless of the data.
+//  2. Linearly scan the sorted array (emitJoin). After accessing each tuple,
+//     emit exactly `bound` output slots: true join entries between the
+//     accessed T2 tuple and preceding key-equal T1 tuples (subject to
+//     per-record contribution counters), padded with dummies — so the output
+//     length is bound*(len(t1)+len(t2)) regardless of the data.
 //
 // Every input record contributes at most `bound` entries across the whole
 // invocation (Eq. 3); exceeding joins are discarded, which is the source of
@@ -63,53 +63,88 @@ const signBit = 1 << 63
 // and T2 attributes and are appended to dst, whose arity must equal the
 // concatenated record arities. The tagged union is never materialized as
 // rows: it is the packed key slice the network sorts, and the scan reads
-// key, tag and source position straight back out of it. All intermediates
-// come from pools and output rows are written straight into dst's arena, so
-// a warm call allocates nothing beyond dst's own growth.
+// key, tag and union position straight back out of it; intermediates come
+// from pools, so a warm call allocates nothing beyond dst's own growth.
 //
-// An incremental caller passes fresh = (new1, new2): the first new1 records
-// of t1 and the first new2 of t2 are new since its last invocation, and only
-// pairs with at least one new side are emitted (the others were emitted
-// then). Without it every record is new. The test is on input position, which
-// the scan already holds, so it needs no lookup by ID.
+// This is the from-scratch form — sort everything, then scan — and the
+// reference for MergeJoinInto, which the engine runs. fresh = (new1, new2)
+// says the first new1 records of t1 and the first new2 of t2 are new since
+// the caller's last invocation, and only pairs with a new side are emitted;
+// without it every record is new.
 func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op, fresh ...int) {
-	if bound < 1 {
-		bound = 1
-	}
 	new1, new2 := len(t1), len(t2)
 	if len(fresh) == 2 {
 		new1, new2 = fresh[0], fresh[1]
 	}
-	outArity := dst.Arity()
 
 	// The tagged union as sort keys: T1 rows tag 0, T2 rows tag 1, the low
-	// word holding the row's position in its own input so the payloads stay
-	// attached through the scan.
-	n := len(t1) + len(t2)
-	keysp := getKeys(n)
+	// word holding the row's position in the union.
+	keysp := getKeys(len(t1) + len(t2))
 	defer keyPool.Put(keysp)
 	keys := *keysp
 	for i, r := range t1 {
 		keys[i] = sortKey{k: uint64(r.Row[key1]) ^ signBit, w: uint64(i)}
 	}
 	for i, r := range t2 {
-		keys[len(t1)+i] = sortKey{k: uint64(r.Row[key2]) ^ signBit, w: 1<<32 | uint64(i)}
+		keys[len(t1)+i] = sortKey{k: uint64(r.Row[key2]) ^ signBit, w: 1<<32 | uint64(len(t1)+i)}
 	}
 
-	// Oblivious sort of the union on (key, tag), charged at the real network
-	// cost for the wider input side plus the key column.
+	// Sort the union on (key, tag), charged for the wider side plus the key.
 	sortKeys(keys, meter, op, 64*(max(recArity(t1), recArity(t2))+1))
 
-	// Per-record contribution counters for this invocation.
-	contrib1p, contrib2p := getInts(len(t1)), getInts(len(t2))
-	windowp := getInts(0)
-	defer putInts(contrib1p)
-	defer putInts(contrib2p)
-	defer putInts(windowp)
-	contrib1, contrib2 := *contrib1p, *contrib2p
+	emitJoin(dst, keys,
+		func(i int) table.Row {
+			if i < len(t1) {
+				return t1[i].Row
+			}
+			return t2[i-len(t1)].Row
+		},
+		func(i int) bool { return i < new1 || (i >= len(t1) && i < len(t1)+new2) },
+		match, bound, meter, op)
+}
 
-	dst.Grow(bound * n)
-	window := (*windowp)[:0] // indices into t1 sharing the current key
+// MergeJoinInto is the join for a caller that keeps the tagged union between
+// invocations: sort once, merge thereafter. in holds the union as rows
+// {record..., tag, caller's columns...}, the record half of dst's arity wide;
+// in[:m] is in (key, tag) order — the caller's carry — and in[m:] is new. Only
+// the new rows are sorted, one merge places them among the carry, and the
+// from-scratch join's linear scan emits every pair with a new side:
+// bound*in.Len() slots into dst. Every row is then appended to sorted in
+// (key, tag) order, flagged by keep: compacted, that is the next carry.
+func MergeJoinInto(dst, sorted, in *Buffer, m, key int, keep func(table.Row) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
+	arity := dst.Arity() / 2
+	keysp := getKeys(in.Len())
+	defer keyPool.Put(keysp)
+	keys := *keysp
+	for i := range in.Len() {
+		r := in.Row(i)
+		keys[i] = sortKey{k: uint64(r[key]) ^ signBit, w: uint64(r[arity])<<32 | uint64(i)}
+	}
+	sortKeys(keys[m:], meter, op, 64*(arity+1))
+	mergeKeys(keys, m, meter, op, 64*(arity+1))
+
+	emitJoin(dst, keys, func(i int) table.Row { return in.Row(i)[:arity] }, func(i int) bool { return i >= m },
+		match, bound, meter, op)
+	sorted.Grow(len(keys))
+	for _, sk := range keys {
+		r := in.Row(int(uint32(sk.w)))
+		sorted.AppendSlot(r, keep(r), 0, 0)
+	}
+}
+
+// emitJoin is the linear scan of the truncated join over the tagged union in
+// (key, tag) order. A key's low word is its record's position in the union:
+// row reads the record there, fresh says whether it is new to the caller, and
+// the per-invocation contribution counters are indexed by it.
+func emitJoin(dst *Buffer, keys []sortKey, row func(int) table.Row, fresh func(int) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
+	bound = max(bound, 1)
+	contribp, windowp := getInts(len(keys)), getInts(0)
+	defer putInts(contribp)
+	defer putInts(windowp)
+	contrib := *contribp
+
+	dst.Grow(bound * len(keys))
+	window := (*windowp)[:0] // union positions of the T1 records sharing the current key
 	var windowKey uint64
 	for _, sk := range keys {
 		key, tag, src := sk.k, sk.w>>32, int(uint32(sk.w))
@@ -123,21 +158,20 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 		if tag == 0 {
 			window = append(window, src)
 		} else {
-			r := t2[src]
 			for _, li := range window {
 				if emitted >= bound {
 					break
 				}
-				if contrib1[li] >= bound || contrib2[src] >= bound || (li >= new1 && src >= new2) {
+				if contrib[li] >= bound || contrib[src] >= bound || !(fresh(li) || fresh(src)) {
 					continue
 				}
-				l := t1[li]
-				if match != nil && !match(l, r) {
+				l, r := row(li), row(src)
+				if match != nil && !match(Record{Row: l}, Record{Row: r}) {
 					continue
 				}
-				dst.AppendJoin(l.Row, r.Row)
-				contrib1[li]++
-				contrib2[src]++
+				dst.AppendJoin(l, r)
+				contrib[li]++
+				contrib[src]++
 				emitted++
 			}
 		}
@@ -149,7 +183,7 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 	// The emit loop above touches each slot exactly once; charge the output
 	// linear scan (predicate + conditional copy per slot).
 	if meter != nil {
-		meter.ChargeScan(op, bound*n, 64*outArity)
+		meter.ChargeScan(op, bound*len(keys), 64*dst.Arity())
 	}
 }
 

@@ -96,32 +96,60 @@ func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if meter != nil {
 		meter.ChargeSort(op, n, tupleBits)
 	}
-	forEachLayer(n, func(layer []int32) { exchange(keys, layer) })
+	forEachLayer(0, n, 0, func(layer []int32) { exchange(keys, layer) })
 }
 
-// forEachLayer hands visit the layers of the n-element network (n >= 2) in
-// order, each as flat pairs valid only during the call. Up to
-// networkCacheMaxN a layer is a prefix of the same layer of the retained
-// 2^lg-wire network (networkTable), cut by layerCut; above it the same
-// comparator sequence is enumerated layer by layer into a pooled scratch
-// list instead of being retained, which bounds resident memory against
-// client-chosen sizes.
-func forEachLayer(n int, visit func(layer []int32)) {
-	if n > networkCacheMaxN {
+// mergeKeys merges the sorted runs keys[:m] and keys[m:] in place through the
+// last phase of the same network, charged as that phase padded to its power
+// of two (mpc.MergeCompareExchanges). With P the power of two >= both runs,
+// phase P of the 2P-wire network merges a sorted [0, P) with a sorted [P, 2P);
+// the runs are laid at wires [P-m, P) and [P, P+f) of a pooled scratch, the
+// wires outside standing for -inf and +inf, whose comparators never exchange:
+// what runs is one window of every layer (forEachLayer).
+func mergeKeys(keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+	f := len(keys) - m
+	if m == 0 || f == 0 {
+		return
+	}
+	if meter != nil {
+		meter.ChargeMerge(op, m, f, tupleBits)
+	}
+	lp := bits.Len(uint(max(m, f) - 1))
+	lo := 1<<lp - m
+	sp := getKeys(lo + len(keys))
+	copy((*sp)[lo:], keys)
+	forEachLayer(lo, lo+len(keys), lp, func(layer []int32) { exchange(*sp, layer) })
+	copy(keys, (*sp)[lo:])
+	keyPool.Put(sp)
+}
+
+// forEachLayer hands visit, in order, the layers of the network on wires
+// [0, hi) (hi >= 2) from phase 1<<from on, each cut to the comparators whose
+// low index is at least lo, as flat pairs valid only during the call: a sort
+// is (0, n, 0), a merge the last phase over the wires its runs occupy. Up to
+// networkCacheMaxN a layer is a window of the same layer of the retained
+// 2^lg-wire network (networkTable): within a layer both indexes ascend, the
+// high one k above the low, so "low >= lo" and "high < hi" bound a contiguous
+// run whose ends layerCut gives in closed form; below phase `from` the table
+// is 2^(lg-from) copies of the 2^from-wire network. Above networkCacheMaxN the
+// layers are enumerated into a pooled scratch list instead, bounding memory.
+func forEachLayer(lo, hi, from int, visit func(layer []int32)) {
+	if hi > networkCacheMaxN {
 		networkCacheEvictions.Add(1)
 		pp := pairScratchPool.Get().(*[]int32)
-		*pp = batcherLayers(n, (*pp)[:0], func(layer []int32) []int32 {
+		*pp = batcherLayers(lo, hi, 1<<from, (*pp)[:0], func(layer []int32) []int32 {
 			visit(layer)
 			return layer[:0]
 		})
 		pairScratchPool.Put(pp)
 		return
 	}
-	lg := bits.Len(uint(n - 1))
-	pairs := networkTable(lg)
-	for lp := 0; lp < lg; lp++ {
+	lg := bits.Len(uint(hi - 1))
+	pairs := networkTable(lg)[2*mpc.SortCompareExchanges(1<<from)<<(lg-from):]
+	for lp := from; lp < lg; lp++ {
 		for lk := lp; lk >= 0; lk-- {
-			visit(pairs[:2*layerCut(lp, lk, n)])
+			end := layerCut(lp, lk, hi)
+			visit(pairs[2*min(layerCut(lp, lk, lo+1<<lk), end) : 2*end])
 			pairs = pairs[2*layerCut(lp, lk, 1<<lg):]
 		}
 	}
@@ -141,16 +169,17 @@ func forEachLayer(n int, visit func(layer []int32)) {
 // data-independent; within a layer every comparator touches a disjoint index
 // pair, so a layer's compare-exchanges commute and only the layer boundaries
 // order; and within a layer the high index strictly ascends, which is what
-// makes the n-element layer a prefix of the 2^lg-wire one (layerCut).
-func batcherLayers(n int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
+// makes the n-element layer a prefix of the 2^lg-wire one (layerCut). A sort
+// passes (0, n, 1); a merge starts at its phase p0 and drops low indexes < lo.
+func batcherLayers(lo, n, p0 int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
 	p2 := 1 << bits.Len(uint(n-1))
-	for p := 1; p < p2; p <<= 1 {
+	for p := p0; p < p2; p <<= 1 {
 		for k := p; k >= 1; k >>= 1 {
 			for j := k & (p - 1); j+k < n; j += 2 * k {
 				if (j^(j+2*k-1))&^(2*p-1) != 0 {
 					continue // the run straddles a 2p block boundary
 				}
-				for a, end := j, min(j+k, n-k); a < end; a++ {
+				for a, end := max(j, lo), min(j+k, n-k); a < end; a++ {
 					buf = append(buf, int32(a), int32(a+k))
 				}
 			}
@@ -206,7 +235,7 @@ func networkTable(lg int) []int32 {
 	built := false
 	t.once.Do(func() {
 		n := 1 << lg
-		t.pairs = batcherLayers(n, make([]int32, 0, 2*mpc.SortCompareExchanges(n)),
+		t.pairs = batcherLayers(0, n, 1, make([]int32, 0, 2*mpc.SortCompareExchanges(n)),
 			func(pairs []int32) []int32 { return pairs })
 		networkCachePairs.Add(int64(len(t.pairs) / 2))
 		networkCacheMisses.Add(1)

@@ -113,7 +113,7 @@ func TestZeroOneCacheSort(t *testing.T) {
 // every layer forEachLayer hands the kernel, flattened in order.
 func networkOf(n int) []int32 {
 	got := []int32{}
-	forEachLayer(n, func(layer []int32) { got = append(got, layer...) })
+	forEachLayer(0, n, 0, func(layer []int32) { got = append(got, layer...) })
 	return got
 }
 
@@ -163,7 +163,7 @@ func TestEveryLengthIsALayerPrefix(t *testing.T) {
 	// The charged count is the power-of-two network's size: what each table
 	// holds, and one size past the last table what the enumeration lists.
 	for lg := 1; lg <= networkCacheMaxLg+1; lg++ {
-		listed := len(batcherLayers(1<<lg, nil, func(pairs []int32) []int32 { return pairs })) / 2
+		listed := len(batcherLayers(0, 1<<lg, 1, nil, func(pairs []int32) []int32 { return pairs })) / 2
 		if lg <= networkCacheMaxLg && len(networkTable(lg))/2 != listed {
 			t.Fatalf("table %d holds %d comparators, enumeration lists %d", lg, len(networkTable(lg))/2, listed)
 		}
@@ -194,7 +194,7 @@ func TestCachedReplayMatchesFreshEnumeration(t *testing.T) {
 func TestLayersAreDisjoint(t *testing.T) {
 	for _, n := range []int{2, 7, 64, 640, 1088, 5000} {
 		seen := map[int32]bool{}
-		batcherLayers(n, nil, func(pairs []int32) []int32 {
+		batcherLayers(0, n, 1, nil, func(pairs []int32) []int32 {
 			clear(seen)
 			for _, i := range pairs {
 				if seen[i] {
@@ -295,7 +295,7 @@ func BenchmarkSortVaryingLengths(b *testing.B) {
 	comparators := 0
 	for i := range lengths {
 		lengths[i] += 1100
-		forEachLayer(lengths[i], func(layer []int32) { comparators += len(layer) / 2 })
+		forEachLayer(0, lengths[i], 0, func(layer []int32) { comparators += len(layer) / 2 })
 	}
 	_, m0, _, _ := CacheStats()
 	var ms0, ms1 runtime.MemStats

@@ -3,6 +3,10 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -151,4 +155,39 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 		}
 	}
 	return b
+}
+
+// TestSeedCorpusDecodes keeps the checked-in seed corpus honest across format
+// bumps: the seeds named as valid encodings must still decode cleanly under
+// the current section codecs — a seed that only reaches the error path stops
+// guiding the fuzzer — so a version that changes the buffer or runtime
+// section has to regenerate them. (v5 changed neither: it replaced the
+// engine's window sections, whose fuzz seeds are live snapshots taken by
+// core.FuzzDecodeFrameworkState itself.)
+func TestSeedCorpusDecodes(t *testing.T) {
+	seed := func(target, name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\n[]byte(")
+		if !ok {
+			t.Fatalf("%s/%s is not a one-argument []byte seed", target, name)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Fatalf("%s/%s: %v", target, name, err)
+		}
+		return []byte(s)
+	}
+	for _, name := range []string{"seed_empty_buffer", "seed_small_buffer"} {
+		dec := NewDecoder(bytes.NewReader(seed("FuzzDecodeBuffer", name)))
+		if err := DecodeBufferInto(dec, oblivious.NewBuffer(2, 0)); err != nil || dec.Finish() != nil {
+			t.Errorf("%s no longer decodes: %v / %v", name, err, dec.Finish())
+		}
+	}
+	dec := NewDecoder(bytes.NewReader(seed("FuzzDecodeRuntime", "seed_runtime")))
+	if err := DecodeRuntimeInto(dec, mpc.NewRuntime(mpc.DefaultCostModel(), 9)); err != nil || dec.Finish() != nil {
+		t.Errorf("seed_runtime no longer decodes: %v / %v", err, dec.Finish())
+	}
 }

@@ -46,8 +46,11 @@ const (
 	// party-runtime section; v3 replaced the engine's budget, arrival and
 	// active-record sections with one window section per stream; v4 dropped
 	// record identity — the two source-ID columns of every buffer and view
-	// section, the ID of every window entry and the DB's ID cursor.
-	Version = 4
+	// section, the ID of every window entry and the DB's ID cursor; v5
+	// replaced the two arrival-ordered window sections with the per-stream
+	// block ledgers and the one key-ordered carry they describe, and dropped
+	// the cost model's unused equality-gate constant from the fingerprint.
+	Version = 5
 )
 
 // Typed decode errors, distinguishable with errors.Is.

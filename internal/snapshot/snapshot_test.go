@@ -337,13 +337,14 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestHeaderVersionMismatch pins the version gate: a future version and the
-// previous one (v3, whose buffer, view and window sections still carried
-// record IDs — there is no compatibility reader) are both refused.
+// previous one (v4, whose engine section held two arrival-ordered windows
+// where v5 holds the block ledgers and the key-ordered carry — there is no
+// compatibility reader) are both refused.
 func TestHeaderVersionMismatch(t *testing.T) {
-	if Version != 4 {
-		t.Fatalf("format version %d, want 4", Version)
+	if Version != 5 {
+		t.Fatalf("format version %d, want 5", Version)
 	}
-	for _, v := range []uint32{Version + 7, 3} {
+	for _, v := range []uint32{Version + 7, 4} {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		enc.U32(v)

@@ -24,29 +24,36 @@ func EncodeBuffer(e *Encoder, b *oblivious.Buffer) {
 	e.Bools(b.Flags())
 }
 
+// DecodeBufferColumns reads a buffer encoded with EncodeBuffer as its two raw
+// columns — row-major payload and flags — after checking the arity and the
+// framing, for a caller that validates the contents before loading them.
+func DecodeBufferColumns(d *Decoder, wantArity int) (payload []int64, flags []bool, err error) {
+	arity := d.Int()
+	n := d.Int()
+	payload = d.I64s()
+	flags = d.Bools()
+	switch {
+	case d.Err() != nil:
+	case arity != wantArity:
+		d.Corrupt("buffer arity %d, restoring into arity %d", arity, wantArity)
+	case n < 0 || arity < 0 || len(flags) != n || len(payload) != n*arity:
+		d.Corrupt("buffer of %d slots carries %d flags, %d attributes", n, len(flags), len(payload))
+	}
+	return payload, flags, d.Err()
+}
+
 // DecodeBufferInto reloads a buffer encoded with EncodeBuffer into dst,
 // which must have the encoded arity and is reset first. The real-slot
 // counter is rebuilt from the flag column.
 func DecodeBufferInto(d *Decoder, dst *oblivious.Buffer) error {
-	arity := d.Int()
-	n := d.Int()
-	payload := d.I64s()
-	flags := d.Bools()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if arity != dst.Arity() {
-		d.Corrupt("buffer arity %d, restoring into arity %d", arity, dst.Arity())
-		return d.Err()
-	}
-	if n < 0 || arity < 0 || len(flags) != n || len(payload) != n*arity {
-		d.Corrupt("buffer of %d slots carries %d flags, %d attributes", n, len(flags), len(payload))
-		return d.Err()
+	payload, flags, err := DecodeBufferColumns(d, dst.Arity())
+	if err != nil {
+		return err
 	}
 	dst.Reset()
-	dst.Grow(n)
+	dst.Grow(len(flags))
 	dst.AppendColumns(payload, flags)
-	return d.Err()
+	return nil
 }
 
 // EncodeCache writes a securearray.Cache: its arena plus operation counters.

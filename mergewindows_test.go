@@ -88,13 +88,15 @@ func TestMergedCountsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestMergedAdapterNMatchesMeter pins corebench.MergedAdapterN — the closed
-// form behind the comparator counts reported in BENCH_core.json — against
-// the engine's actual meter: one 10-step batch at the merged deployment is
-// one segment (T=10, no observation before t=10), and its transform charge
-// must be exactly the Batcher network over MergedAdapterN(10) tuples plus
-// the two linear passes (join emit, tight compaction) over the
-// omega-bounded output.
+// TestMergedAdapterNMatchesMeter pins corebench.MergedAdapterN and
+// corebench.MergedComparators — the closed forms behind the comparator
+// counts reported in BENCH_core.json — against the engine's actual meter:
+// one 10-step batch at the merged deployment is one segment (T=10, no
+// observation before t=10), and its transform charge must be exactly the
+// sort of the 10 new blocks and their merge into the carry, the
+// order-preserving compaction of the MergedAdapterN(10) merged rows back to
+// the carry, plus the two linear passes (join emit, tight compaction) over
+// the omega-bounded output.
 func TestMergedAdapterNMatchesMeter(t *testing.T) {
 	db, err := corebench.OpenMerged()
 	if err != nil {
@@ -106,13 +108,14 @@ func TestMergedAdapterNMatchesMeter(t *testing.T) {
 	model := mpc.DefaultCostModel()
 	n := corebench.MergedAdapterN(10)
 	const sortBits, rowBits = 64 * 3, 64 * 4 // (key, tag) over a stream row; a view row
-	gates := float64(mpc.SortCompareExchanges(n))*sortBits*model.ANDGatesPerCompareExchangeBit +
-		float64(n)*rowBits*model.ANDGatesPerScanBit + // join emit (omega=1 slot per adapter tuple)
+	gates := float64(corebench.MergedComparators(10))*sortBits*model.ANDGatesPerCompareExchangeBit +
+		float64(mpc.CompactMoves(n))*sortBits*model.ANDGatesPerScanBit + // carry compaction
+		float64(n)*rowBits*model.ANDGatesPerScanBit + // join emit (omega=1 slot per input row)
 		float64(2*n)*rowBits*model.ANDGatesPerScanBit // tight compaction
 	want := gates / model.GatesPerSecond
 	got := db.Stats().TransformSeconds
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("merged transform charged %.9fs, closed form says %.9fs (adapter %d)", got, want, n)
+		t.Fatalf("merged transform charged %.9fs, closed form says %.9fs (%d input rows)", got, want, n)
 	}
 }
 
