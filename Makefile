@@ -140,11 +140,14 @@ obs-smoke:
 # recover-smoke proves crash recovery end to end (CI runs this): snapshot a
 # deployment mid-run, restore it, and verify counts/stats stay identical to
 # an uninterrupted run — through the public API and through the serving
-# layer's checkpoint/restore-on-boot path. The exhaustive byte-identical
-# matrix (goldens at k in {1,37,60,119}) runs with the normal test suite as
-# internal/experiments TestCrashRecoveryReproducesGoldens.
+# layer's checkpoint/restore-on-boot path — and that what a checkpoint
+# writes beside the view does not grow with the horizon (the runtime section
+# is the same size after 10,000 steps as after 10). The exhaustive
+# byte-identical matrix (goldens at k in {1,37,60,119}) runs with the normal
+# test suite as internal/experiments TestCrashRecoveryReproducesGoldens.
 recover-smoke:
 	$(GO) test -count=1 -run 'TestRecoverSmoke' .
+	$(GO) test -count=1 -run 'TestFrameworkSnapshotRestoreContinues|TestRuntimeStateDoesNotGrowWithHorizon' ./internal/core
 	$(GO) test -count=1 -run 'TestRegistryCheckpointRestore|TestPeriodicCheckpointing' ./internal/serve
 
 # wire-smoke proves the transport stack end to end (CI runs this): build

@@ -238,16 +238,16 @@ func TestTimerLeakageSchedule(t *testing.T) {
 	cfg.T = 10
 	cfg.FlushEvery = 0
 	cfg.PruneTo = 0
-	f, _ := NewTimerEngine(cfg, wl)
+	f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
-	for _, ev := range f.Runtime().S0.Transcript.Events {
+	for _, ev := range real0.Events {
 		if ev.Kind == mpc.EvFetchObserved && ev.Time%10 != 0 {
 			t.Fatalf("fetch observed at t=%d, not a multiple of T=10", ev.Time)
 		}
 	}
-	fetches := f.Runtime().S0.Transcript.SizesOf(mpc.EvFetchObserved)
+	fetches := real0.SizesOf(mpc.EvFetchObserved)
 	if len(fetches) != 19 { // t = 10, 20, ..., 190
 		t.Errorf("observed %d fetches, want 19", len(fetches))
 	}
@@ -261,11 +261,11 @@ func TestBatchSizesDataIndependent(t *testing.T) {
 		wl := workload.TPCDS(150, seed)
 		tr := mustTrace(t, wl)
 		cfg := DefaultConfig(wl, 99) // same protocol seed: same noise draws
-		f, _ := NewTimerEngine(cfg, wl)
+		f, _, real1 := newRecorded(t, cfg, wl, &Timer{})
 		for _, st := range tr.Steps {
 			f.Step(st)
 		}
-		return f.Runtime().S1.Transcript.SizesOf(mpc.EvBatchObserved)
+		return real1.SizesOf(mpc.EvBatchObserved)
 	}
 	a, b := mkSizes(1), mkSizes(2)
 	if len(a) != len(b) {
@@ -285,7 +285,7 @@ func TestFetchSizesAreNoisy(t *testing.T) {
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 17)
 	cfg.T = 10
-	f, _ := NewTimerEngine(cfg, wl)
+	f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
 	truthPerInterval := make(map[int]int)
 	acc := 0
 	for _, st := range tr.Steps {
@@ -298,7 +298,7 @@ func TestFetchSizesAreNoisy(t *testing.T) {
 	}
 	exact := 0
 	total := 0
-	for _, ev := range f.Runtime().S0.Transcript.Events {
+	for _, ev := range real0.Events {
 		if ev.Kind != mpc.EvFetchObserved {
 			continue
 		}

@@ -253,6 +253,14 @@ const tupleBits = 64 * workload.JoinArity
 // New builds an IncShrink engine for a workload with the given Shrink
 // protocol.
 func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
+	return newOn(mpc.NewRuntime(cfg.Cost, cfg.Seed), cfg, wl, shrink)
+}
+
+// newOn is New over a runtime the caller built from cfg's cost model and
+// seed. Construction already shares the counter (and sDPANT its first
+// threshold), so the leakage tests, which must see a party's transcript from
+// its first event, attach their recorders to rt before handing it over.
+func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -262,7 +270,6 @@ func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
 	if shrink == nil {
 		return nil, fmt.Errorf("core: nil Shrink protocol")
 	}
-	rt := mpc.NewRuntime(cfg.Cost, cfg.Seed)
 	f := &Framework{
 		cfg:      cfg,
 		wl:       wl,
@@ -338,8 +345,8 @@ const counterKey = "c"
 // Name implements Engine.
 func (f *Framework) Name() string { return "DP-" + f.shrink.Name() }
 
-// Runtime exposes the MPC runtime (transcripts and meter) for experiments
-// and leakage tests.
+// Runtime exposes the MPC runtime (parties and meter) for experiments and
+// leakage tests.
 func (f *Framework) Runtime() *mpc.Runtime { return f.rt }
 
 // View exposes the materialized view (read-only use).

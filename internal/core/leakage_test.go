@@ -7,6 +7,23 @@ import (
 	"incshrink/internal/workload"
 )
 
+// newRecorded builds an engine whose two parties record their transcripts
+// from the first event — construction's counter share included — which is
+// the full event list the Theorem-7/8 simulators must reproduce. Nothing
+// outside tests records: a serving party keeps only the digest.
+func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) (f *Framework, s0, s1 *mpc.Transcript) {
+	t.Helper()
+	rt := mpc.NewRuntime(cfg.Cost, cfg.Seed)
+	s0, s1 = new(mpc.Transcript), new(mpc.Transcript)
+	rt.S0.Record(s0)
+	rt.S1.Record(s1)
+	f, err := newOn(rt, cfg, wl, shrink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, s0, s1
+}
+
 // TestSimulatorIndistinguishability is the executable half of Theorem 7:
 // the simulator of Table 1, given ONLY the public parameters and the DP
 // mechanism's outputs (the noisy fetch sizes), must reproduce a real
@@ -23,15 +40,13 @@ func TestSimulatorIndistinguishability(t *testing.T) {
 	cfg := DefaultConfig(wl, 31)
 	cfg.T = 10
 	cfg.FlushEvery = 0 // the periodic flush is exercised separately
-	f, err := NewTimerEngine(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, real0, real1 := newRecorded(t, cfg, wl, &Timer{})
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
-	real0 := &f.Runtime().S0.Transcript
-	real1 := &f.Runtime().S1.Transcript
+	if n := f.Runtime().S0.EventCount(); n != uint64(len(real0.Events)) {
+		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
+	}
 
 	// The simulator's inputs: public parameters...
 	pp := mpc.PublicParams{
@@ -80,16 +95,13 @@ func TestSimulatedSharesUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(wl, 33)
-	f, err := NewTimerEngine(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, _, real1 := newRecorded(t, cfg, wl, &Timer{})
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
 	hist := make([]int, 16)
 	n := 0
-	for _, ev := range f.Runtime().S1.Transcript.Events {
+	for _, ev := range real1.Events {
 		if ev.Kind == mpc.EvShareReceived {
 			hist[ev.Share>>28]++
 			n++
@@ -122,17 +134,14 @@ func TestCPDBBatchSizesPublic(t *testing.T) {
 	}
 	run := func(dropLeft bool) []int {
 		cfg := DefaultConfig(wl, 35)
-		f, err := NewTimerEngine(cfg, wl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
 		for _, st := range tr.Steps {
 			if dropLeft {
 				st.Left = st.Left[:len(st.Left)/2]
 			}
 			f.Step(st)
 		}
-		return f.Runtime().S0.Transcript.SizesOf(mpc.EvBatchObserved)
+		return real0.SizesOf(mpc.EvBatchObserved)
 	}
 	a, b := run(false), run(true)
 	if len(a) != len(b) {
@@ -156,14 +165,10 @@ func TestSimulatorIndistinguishabilityANT(t *testing.T) {
 	}
 	cfg := DefaultConfig(wl, 37)
 	cfg.FlushEvery = 0
-	f, err := NewANTEngine(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, real0, _ := newRecorded(t, cfg, wl, &ANT{})
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
-	real0 := &f.Runtime().S0.Transcript
 
 	pp := mpc.PublicParams{
 		UploadEvery: wl.UploadEvery,

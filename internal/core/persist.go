@@ -8,7 +8,7 @@ import (
 )
 
 // Framework durability. A snapshot captures every byte of mutable engine
-// state — the MPC runtime (share stores, transcripts, all RNG draw
+// state — the MPC runtime (share stores, transcript digests, all RNG draw
 // positions, the cost meter), the secure cache and materialized view arenas,
 // the ledgers of live upload blocks (step, remaining budget, size) and the
 // carry they describe (every live record and pad, in join order), the pending

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"incshrink/internal/mpc"
 	"incshrink/internal/snapshot"
 	"incshrink/internal/workload"
 )
@@ -93,11 +94,49 @@ func TestFrameworkSnapshotRestoreContinues(t *testing.T) {
 				if !reflect.DeepEqual(ref.Metrics(), restored.Metrics()) {
 					t.Errorf("metrics diverged:\nrestored: %+v\nuninterrupted: %+v", restored.Metrics(), ref.Metrics())
 				}
-				if !reflect.DeepEqual(ref.Runtime().S0.Transcript, restored.Runtime().S0.Transcript) ||
-					!reflect.DeepEqual(ref.Runtime().S1.Transcript, restored.Runtime().S1.Transcript) {
-					t.Error("server transcripts diverged after restore")
+				for _, pair := range [][2]*mpc.Party{
+					{ref.Runtime().S0, restored.Runtime().S0},
+					{ref.Runtime().S1, restored.Runtime().S1},
+				} {
+					p, q := pair[0], pair[1]
+					if p.TranscriptDigest() != q.TranscriptDigest() || p.EventCount() != q.EventCount() {
+						t.Errorf("%v transcript diverged after restore: digest %x over %d events, uninterrupted %x over %d",
+							p.ID, q.TranscriptDigest(), q.EventCount(), p.TranscriptDigest(), p.EventCount())
+					}
 				}
 			})
+		}
+	}
+}
+
+// TestRuntimeStateDoesNotGrowWithHorizon: a party keeps the digest of what it
+// observed, not the log, so the snapshot's runtime section — both parties,
+// the protocol stream, the meter, the clock — is the same size after 10,000
+// steps as after 10, under either protocol. Only the view may grow.
+func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
+	for _, ant := range []bool{false, true} {
+		f, tr := buildEngine(t, ant, 10_000)
+		section := func() int {
+			var buf bytes.Buffer
+			enc := snapshot.NewEncoder(&buf)
+			snapshot.EncodeRuntime(enc, f.Runtime())
+			if err := enc.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Len()
+		}
+		for _, st := range tr.Steps[:10] {
+			f.Step(st)
+		}
+		early, seen := section(), f.Runtime().S0.EventCount()
+		for _, st := range tr.Steps[10:] {
+			f.Step(st)
+		}
+		if late := section(); late != early {
+			t.Errorf("ant=%t: runtime section is %d bytes after 10 steps, %d after %d", ant, early, late, len(tr.Steps))
+		}
+		if now := f.Runtime().S0.EventCount(); now < seen+uint64(len(tr.Steps))/2 {
+			t.Errorf("ant=%t: only %d events over the run; the section had nothing to not grow with", ant, now-seen)
 		}
 	}
 }

@@ -74,8 +74,7 @@ func (c *CountingRNG) Discard(n uint64) {
 // unrestorable files). The underlying sources cannot seek, so resumption
 // replays the stream draw by draw; 2^36 draws replay in minutes, and at
 // tens of draws per time step correspond to a billion-step history — far
-// past the practical size of a snapshot, whose transcripts also grow with
-// every step.
+// past the practical size of a snapshot, whose view grows with every step.
 const MaxResumeDraws = 1 << 36
 
 // ResumeRNG schedules a fast-forward of rng to the given draw position,

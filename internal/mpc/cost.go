@@ -8,9 +8,10 @@
 //
 //  1. Leakage structure. Every value a server could observe during a real
 //     protocol execution — incoming shares, exhaustively padded batch sizes,
-//     DP-resized fetch counts, flush events — is recorded in a per-party
-//     Transcript. The security argument (Theorem 7/8/14) says this view must
-//     be simulatable from DP outputs and public parameters alone; the
+//     DP-resized fetch counts, flush events — is an Event the party hashes
+//     into its running transcript digest (and a test's recorder lists, see
+//     Party.Record). The security argument (Theorem 7/8/14) says this view
+//     must be simulatable from DP outputs and public parameters alone; the
 //     leakage tests in internal/core check exactly that the transcript
 //     contains nothing else.
 //

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"crypto/sha256"
 	"math"
 	"testing"
 
@@ -204,12 +205,11 @@ func TestTranscriptSharesUniform(t *testing.T) {
 }
 
 func TestJointRandomWordUsesBothParties(t *testing.T) {
-	r := NewRuntime(DefaultCostModel(), 9)
+	r, tr0, tr1 := recordedRuntime(9)
 	r.SetTime(1)
 	w := r.JointRandomWord("test")
 	// Each party must have exactly one random contribution whose XOR is w.
-	ev0 := r.S0.Transcript.EventsAt(1)
-	ev1 := r.S1.Transcript.EventsAt(1)
+	ev0, ev1 := tr0.Events, tr1.Events
 	if len(ev0) != 1 || len(ev1) != 1 {
 		t.Fatalf("contributions: %d and %d events", len(ev0), len(ev1))
 	}
@@ -260,21 +260,136 @@ func TestJointLaplaceDistribution(t *testing.T) {
 }
 
 func TestObserveEventsAppearInBothTranscripts(t *testing.T) {
-	r := NewRuntime(DefaultCostModel(), 11)
+	r, tr0, tr1 := recordedRuntime(11)
 	r.SetTime(3)
 	r.ObserveBatch(40, "transform")
 	r.ObserveFetch(7, "shrink")
 	r.ObserveFlush(15, "flush")
-	for _, p := range []*Party{r.S0, r.S1} {
-		if got := p.Transcript.SizesOf(EvBatchObserved); len(got) != 1 || got[0] != 40 {
-			t.Errorf("%v batch sizes = %v", p.ID, got)
+	for _, tr := range []*Transcript{tr0, tr1} {
+		if got := tr.SizesOf(EvBatchObserved); len(got) != 1 || got[0] != 40 {
+			t.Errorf("%v batch sizes = %v", tr.Party, got)
 		}
-		if got := p.Transcript.SizesOf(EvFetchObserved); len(got) != 1 || got[0] != 7 {
-			t.Errorf("%v fetch sizes = %v", p.ID, got)
+		if got := tr.SizesOf(EvFetchObserved); len(got) != 1 || got[0] != 7 {
+			t.Errorf("%v fetch sizes = %v", tr.Party, got)
 		}
-		if got := p.Transcript.SizesOf(EvFlushObserved); len(got) != 1 || got[0] != 15 {
-			t.Errorf("%v flush sizes = %v", p.ID, got)
+		if got := tr.SizesOf(EvFlushObserved); len(got) != 1 || got[0] != 15 {
+			t.Errorf("%v flush sizes = %v", tr.Party, got)
 		}
+	}
+}
+
+// recordedRuntime builds a runtime whose parties record their transcripts
+// from the first event.
+func recordedRuntime(seed int64) (r *Runtime, tr0, tr1 *Transcript) {
+	r = NewRuntime(DefaultCostModel(), seed)
+	tr0, tr1 = new(Transcript), new(Transcript)
+	r.S0.Record(tr0)
+	r.S1.Record(tr1)
+	return r, tr0, tr1
+}
+
+// hashEvents is the digest the event log used to be reduced to: SHA-256
+// over every event in the encoding Party.observe hashes.
+func hashEvents(events []Event) [sha256.Size]byte {
+	var b []byte
+	for _, ev := range events {
+		b = appendEvent(b, ev)
+	}
+	return sha256.Sum256(b)
+}
+
+// TestRunningDigestEqualsHashOfRecordedEvents: the party's running digest
+// and event count must equal SHA-256 over, and the length of, the full list
+// of events a recorder attached from construction saw — at every point of a
+// run of share / recover / joint-Laplace / observe steps, and across a
+// State/SetState round trip into a fresh runtime taken mid-run (the digest
+// resumes; the recorder, which is not state, keeps collecting).
+func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
+	r, tr0, tr1 := recordedRuntime(12)
+	check := func(when string) {
+		t.Helper()
+		for _, c := range []struct {
+			p  *Party
+			tr *Transcript
+		}{{r.S0, tr0}, {r.S1, tr1}} {
+			if got, want := c.p.TranscriptDigest(), hashEvents(c.tr.Events); got != want {
+				t.Fatalf("%s: %v running digest %x, recorded events hash to %x", when, c.p.ID, got, want)
+			}
+			if got, want := c.p.EventCount(), uint64(len(c.tr.Events)); got != want {
+				t.Fatalf("%s: %v counted %d events, recorded %d", when, c.p.ID, got, want)
+			}
+		}
+	}
+	step := func(r *Runtime, i int) {
+		r.SetTime(i)
+		r.ShareToServers("c", uint32(i)*2654435761)
+		if _, err := r.RecoverInside("c"); err != nil {
+			t.Fatal(err)
+		}
+		r.JointLaplace(2.5, OpShrink)
+		r.ObserveBatch(8, "transform")
+		if i%3 == 2 {
+			r.ObserveFetch(i%13, "shrink")
+		}
+		if i%5 == 4 {
+			r.ObserveFlush(4, "flush")
+		}
+	}
+	check("fresh")
+	for i := 0; i < 20; i++ {
+		step(r, i)
+		check("before the round trip")
+	}
+	if tr0.Events[len(tr0.Events)-1].WireRounds == 0 {
+		t.Fatal("events carry no wire stamps; the digest comparison would not cover them")
+	}
+
+	st := r.State()
+	r = NewRuntime(DefaultCostModel(), 12)
+	r.S0.Record(tr0)
+	r.S1.Record(tr1)
+	if err := r.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	check("restored")
+	for i := 20; i < 40; i++ {
+		step(r, i)
+		check("after the round trip")
+	}
+
+	// The restored run is the uninterrupted run.
+	ref := NewRuntime(DefaultCostModel(), 12)
+	for i := 0; i < 40; i++ {
+		step(ref, i)
+	}
+	if ref.S0.TranscriptDigest() != r.S0.TranscriptDigest() || ref.S1.TranscriptDigest() != r.S1.TranscriptDigest() {
+		t.Error("restored run's digests differ from an uninterrupted run's")
+	}
+}
+
+// TestSetStateRefusesBadDigestState: a hash state that does not unmarshal is
+// an error that leaves the party as it was — never a silently fresh digest.
+func TestSetStateRefusesBadDigestState(t *testing.T) {
+	r := NewRuntime(DefaultCostModel(), 13)
+	r.ObserveBatch(8, "transform")
+	before := r.S0.TranscriptDigest()
+	for name, damage := range map[string]func([]byte) []byte{
+		"short":     func(b []byte) []byte { return b[:len(b)-1] },
+		"long":      func(b []byte) []byte { return append(b, 0) },
+		"empty":     func([]byte) []byte { return nil },
+		"bad magic": func(b []byte) []byte { b[0] ^= 0xff; return b },
+	} {
+		st := r.S0.State()
+		st.Digest = damage(st.Digest)
+		if err := r.S0.SetState(st); err == nil {
+			t.Errorf("%s digest state accepted", name)
+		}
+		if r.S0.TranscriptDigest() != before || r.S0.EventCount() != 1 {
+			t.Errorf("%s digest state changed the party", name)
+		}
+	}
+	if got := len(r.S0.State().Digest); got != DigestStateLen {
+		t.Errorf("marshaled digest state is %d bytes, DigestStateLen = %d", got, DigestStateLen)
 	}
 }
 

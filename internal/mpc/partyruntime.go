@@ -18,7 +18,7 @@ const FrameWord byte = 0x01
 // PartyRuntime drives one party's half of the two-party protocol against a
 // transport. Every primitive the in-process Runtime offers exists here as a
 // per-party step: the word this party contributes goes out as a frame, the
-// peer's word comes back, and the party's transcript event is recorded with
+// peer's word comes back, and the party's transcript event is observed with
 // the connection's cumulative round/byte tally attached.
 //
 // Runtime composes two of these over a loopback pair and drives them in
@@ -57,7 +57,7 @@ func attachPartyRuntime(p *Party, conn wire.Conn) *PartyRuntime {
 	return &PartyRuntime{party: p, conn: conn}
 }
 
-// Party returns the underlying party (share store, transcript, wire tally).
+// Party returns the underlying party (share store, digest, wire tally).
 func (pr *PartyRuntime) Party() *Party { return pr.party }
 
 // Meter returns the standalone meter (nil inside a Runtime).
@@ -217,8 +217,8 @@ func (pr *PartyRuntime) ObserveFlush(size int, label string) {
 }
 
 // PartyRuntimeState is the serializable mutable state of one standalone
-// party runtime: the party (randomness position, share store, transcript,
-// wire tally), the meter and the logical clock. A party that crashes,
+// party runtime: the party (randomness position, share store, transcript
+// digest, wire tally), the meter and the logical clock. A party that crashes,
 // restores this state and reconnects resumes bit-identically — the wire
 // tally is part of the party state precisely so a fresh connection's
 // counters don't reset the transcript attribution.

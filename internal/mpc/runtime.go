@@ -1,7 +1,12 @@
 package mpc
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"maps"
 	"math/rand"
 
 	"incshrink/internal/dp"
@@ -16,7 +21,6 @@ type PartyID int
 const (
 	Server0 PartyID = iota
 	Server1
-	numParties
 )
 
 // String implements fmt.Stringer.
@@ -79,7 +83,7 @@ type Event struct {
 	WireBytes  uint64
 }
 
-// Transcript is the ordered view of one server.
+// Transcript is one server's ordered events, simulated or recorded.
 type Transcript struct {
 	Party  PartyID
 	Events []Event
@@ -100,26 +104,35 @@ func (tr *Transcript) SizesOf(kind EventKind) []int {
 	return out
 }
 
-// EventsAt returns the events recorded at logical time t.
-func (tr *Transcript) EventsAt(t int) []Event {
-	var out []Event
-	for _, ev := range tr.Events {
-		if ev.Time == t {
-			out = append(out, ev)
-		}
-	}
-	return out
+// appendEvent appends the bytes the transcript digest hashes for one event.
+func appendEvent(dst []byte, ev Event) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.Kind))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.Time))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.Size))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(ev.Share))
+	dst = append(dst, ev.Label...)
+	dst = binary.LittleEndian.AppendUint64(dst, ev.WireRounds)
+	return binary.LittleEndian.AppendUint64(dst, ev.WireBytes)
 }
 
+// DigestStateLen is the length of a marshaled SHA-256 state.
+const DigestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
+
 // Party models one outsourcing server: its local share store, its private
-// randomness, its transcript, and its cumulative wire tally (rounds and
-// frame bytes its connection has moved, stamped onto every event).
+// randomness, the running SHA-256 and count of the events it has observed,
+// and its cumulative wire tally (rounds and frame bytes its connection has
+// moved, stamped onto every event). The events themselves are not kept — a
+// party's state does not grow with the horizon; a test that needs them
+// attaches a recorder (Record).
 type Party struct {
 	ID         PartyID
 	seed       int64
 	rng        *dp.CountingRNG
 	store      map[string]secretshare.Word
-	Transcript Transcript
+	digest     hash.Hash
+	events     uint64
+	rec        *Transcript // nil on every serving path
+	evbuf      []byte      // observe's scratch
 	wireRounds uint64
 	wireBytes  uint64
 }
@@ -130,45 +143,66 @@ type Party struct {
 // the drawn words are unchanged.
 func NewParty(id PartyID, seed int64) *Party {
 	return &Party{
-		ID:         id,
-		seed:       seed,
-		rng:        dp.NewCountingRNG(rand.New(rand.NewSource(seed))),
-		store:      make(map[string]secretshare.Word),
-		Transcript: Transcript{Party: id},
+		ID:     id,
+		seed:   seed,
+		rng:    dp.NewCountingRNG(rand.New(rand.NewSource(seed))),
+		store:  make(map[string]secretshare.Word),
+		digest: sha256.New(),
 	}
 }
 
+// Record attaches a recorder: every event observed from now on is also
+// appended to tr. It is not state; only the Theorem-7/8 tests attach one.
+func (p *Party) Record(tr *Transcript) {
+	tr.Party = p.ID
+	p.rec = tr
+}
+
+// TranscriptDigest returns the SHA-256 of every event observed so far.
+func (p *Party) TranscriptDigest() [sha256.Size]byte {
+	return [sha256.Size]byte(p.digest.Sum(nil))
+}
+
+// EventCount returns the number of events observed so far.
+func (p *Party) EventCount() uint64 { return p.events }
+
 // PartyState is the serializable mutable state of a Party: the private
-// randomness position, the share store, the transcript, and the wire tally.
+// randomness position, the share store, the transcript digest (the running
+// SHA-256's marshaled state) with its event count, and the wire tally.
 // The party's identity and seed are construction parameters, not state.
 type PartyState struct {
 	Draws      uint64
 	Store      map[string]secretshare.Word
-	Events     []Event
+	Digest     []byte
+	EventCount uint64
 	WireRounds uint64
 	WireBytes  uint64
 }
 
-// State snapshots the party (maps and slices are copied).
+// State snapshots the party (the store is copied).
 func (p *Party) State() PartyState {
-	store := make(map[string]secretshare.Word, len(p.store))
-	for k, v := range p.store {
-		store[k] = v
-	}
+	// SHA-256 cannot fail to marshal, and the snapshot encoder checks the length.
+	digest, _ := p.digest.(encoding.BinaryMarshaler).MarshalBinary()
 	return PartyState{
 		Draws:      p.rng.Draws(),
-		Store:      store,
-		Events:     append([]Event(nil), p.Transcript.Events...),
+		Store:      maps.Clone(p.store),
+		Digest:     digest,
+		EventCount: p.events,
 		WireRounds: p.wireRounds,
 		WireBytes:  p.wireBytes,
 	}
 }
 
-// SetState restores a snapshot taken with State: the share store and
-// transcript are replaced, and the private randomness stream is rebuilt from
-// the party's seed and fast-forwarded to the recorded draw position, so the
-// next word drawn is exactly the one the snapshotted party would have drawn.
+// SetState restores a snapshot taken with State: the share store, transcript
+// digest and event count are replaced, and the private randomness stream is
+// rebuilt from the party's seed and fast-forwarded to the recorded draw
+// position, so the next word drawn is exactly the one the snapshotted party
+// would have drawn. On error the party is left untouched.
 func (p *Party) SetState(st PartyState) error {
+	digest := sha256.New()
+	if err := digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(st.Digest); err != nil {
+		return fmt.Errorf("mpc: restoring %v transcript digest: %w", p.ID, err)
+	}
 	rng := dp.NewCountingRNG(rand.New(rand.NewSource(p.seed)))
 	if err := dp.ResumeRNG(rng, st.Draws); err != nil {
 		return fmt.Errorf("mpc: restoring %v randomness: %w", p.ID, err)
@@ -178,7 +212,8 @@ func (p *Party) SetState(st PartyState) error {
 	for k, v := range st.Store {
 		p.store[k] = v
 	}
-	p.Transcript = Transcript{Party: p.ID, Events: append([]Event(nil), st.Events...)}
+	p.digest = digest
+	p.events = st.EventCount
 	p.wireRounds = st.WireRounds
 	p.wireBytes = st.WireBytes
 	return nil
@@ -193,14 +228,18 @@ func (p *Party) noteWire(rounds, bytes uint64) {
 // WireTally returns the party's cumulative wire rounds and frame bytes.
 func (p *Party) WireTally() (rounds, bytes uint64) { return p.wireRounds, p.wireBytes }
 
-// observe stamps an event with the party's current wire tally and appends
-// it to the transcript. All protocol-driven observations go through here;
-// events appended directly to the Transcript (simulators) carry whatever
-// tally their builder computes.
+// observe stamps an event with the party's current wire tally, hashes it into
+// the transcript digest and counts it. All protocol-driven observations go
+// through here; the simulators stamp their Transcripts themselves.
 func (p *Party) observe(ev Event) {
 	ev.WireRounds = p.wireRounds
 	ev.WireBytes = p.wireBytes
-	p.Transcript.Append(ev)
+	p.evbuf = appendEvent(p.evbuf[:0], ev)
+	p.digest.Write(p.evbuf)
+	p.events++
+	if p.rec != nil {
+		p.rec.Append(ev)
+	}
 }
 
 // StoreShare saves one share under a key (e.g. the cardinality counter "c"
@@ -217,9 +256,9 @@ func (p *Party) LoadShare(key string) (secretshare.Word, bool) {
 }
 
 // Runtime is the two-party protocol execution environment. Values recovered
-// "inside the protocol" are handled by Runtime methods and never written to
-// any party's transcript; only the events the paper's simulator reproduces
-// are observable.
+// "inside the protocol" are handled by Runtime methods and never enter any
+// party's transcript digest; only the events the paper's simulator
+// reproduces are observable.
 //
 // Since the transport refactor, a Runtime is two PartyRuntimes joined by an
 // in-process loopback wire: every joint primitive really is two per-party
@@ -302,10 +341,10 @@ func (r *Runtime) State() RuntimeState {
 }
 
 // SetState restores a snapshot taken with State on a runtime constructed
-// with the same seed and cost model: share stores, transcripts, meter and
-// logical clock are replaced, and every randomness stream is fast-forwarded
-// to its recorded position, so the protocol's joint noise resumes exactly
-// where the snapshotted runtime left off.
+// with the same seed and cost model: share stores, transcript digests, meter
+// and logical clock are replaced, and every randomness stream is
+// fast-forwarded to its recorded position, so the protocol's joint noise
+// resumes exactly where the snapshotted runtime left off.
 func (r *Runtime) SetState(st RuntimeState) error {
 	if err := r.S0.SetState(st.S0); err != nil {
 		return err
@@ -353,7 +392,7 @@ func (r *Runtime) ShareToServers(key string, value secretshare.Word) {
 
 // RecoverInside reconstructs the value stored under key from both servers'
 // shares without exposing it: the plaintext exists only inside the protocol
-// (this function's return value) and is never appended to a transcript. Both
+// (this function's return value) and is never observed by either party. Both
 // stores are checked before either party sends, so a missing key surfaces as
 // an error without leaving a half-completed exchange on the wire.
 func (r *Runtime) RecoverInside(key string) (secretshare.Word, error) {

@@ -19,7 +19,6 @@ package party
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -82,8 +81,8 @@ type Report struct {
 	// Opened collects every value revealed to the protocol layer, in order:
 	// recovered counters, Laplace noise bit patterns, GMW outputs.
 	Opened []uint32 `json:"opened"`
-	// TranscriptSHA digests the party's transcript events, including their
-	// wire stamps.
+	// TranscriptSHA is the party's running transcript digest: SHA-256 over
+	// every event it observed, wire stamps included.
 	TranscriptSHA string `json:"transcript_sha"`
 	// SnapshotSHA digests the final EncodePartyRuntime bytes.
 	SnapshotSHA string `json:"snapshot_sha"`
@@ -273,23 +272,7 @@ func (s *session) gmwSegment() (*gmw.Eval, error) {
 }
 
 func (s *session) report(ev *gmw.Eval) (*Report, error) {
-	th := sha256.New()
-	var b8 [8]byte
-	for _, e := range s.pr.Party().Transcript.Events {
-		binary.LittleEndian.PutUint64(b8[:], uint64(e.Kind))
-		th.Write(b8[:])
-		binary.LittleEndian.PutUint64(b8[:], uint64(e.Time))
-		th.Write(b8[:])
-		binary.LittleEndian.PutUint64(b8[:], uint64(e.Size))
-		th.Write(b8[:])
-		binary.LittleEndian.PutUint64(b8[:], uint64(e.Share))
-		th.Write(b8[:])
-		th.Write([]byte(e.Label))
-		binary.LittleEndian.PutUint64(b8[:], e.WireRounds)
-		th.Write(b8[:])
-		binary.LittleEndian.PutUint64(b8[:], e.WireBytes)
-		th.Write(b8[:])
-	}
+	transcript := s.pr.Party().TranscriptDigest()
 	finalSnap, err := s.encodeSnapshot()
 	if err != nil {
 		return nil, fmt.Errorf("party: final snapshot: %w", err)
@@ -302,7 +285,7 @@ func (s *session) report(ev *gmw.Eval) (*Report, error) {
 		Role:            s.cfg.Role,
 		Steps:           s.cfg.Steps,
 		Opened:          s.opened,
-		TranscriptSHA:   hex.EncodeToString(th.Sum(nil)),
+		TranscriptSHA:   hex.EncodeToString(transcript[:]),
 		SnapshotSHA:     hex.EncodeToString(snapSum[:]),
 		WireRounds:      s.baseRounds + st.Rounds,
 		WireBytes:       s.baseBytes + st.BytesSent + st.BytesRecv,

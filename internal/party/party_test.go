@@ -93,6 +93,28 @@ func TestLoopbackSessionDeterministic(t *testing.T) {
 	}
 }
 
+// TestTranscriptDigestMatchesLoggedTranscript pins the running digest to
+// what hashing the full event log produced before the log was dropped: the
+// literals are the TranscriptSHA values the last commit that kept
+// Transcript.Events reported for this configuration.
+func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
+	r0, r1, err := RunLoopbackPair(Config{Seed: 1234, Steps: 12, SnapshotAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		r    *Report
+		want string
+	}{
+		{r0, "d85046d6ba308f4996360131a30e5cc3de3f48afddec9c21a23d808bb680b213"},
+		{r1, "7395b752c74988736525255015bd8ca9a35e0673c3403cf0edf9758e86874b68"},
+	} {
+		if c.r.TranscriptSHA != c.want {
+			t.Errorf("role %d transcript digest %s, want %s", c.r.Role, c.r.TranscriptSHA, c.want)
+		}
+	}
+}
+
 // TestMeasuredWireMatchesPrediction pins the measured conn counters to the
 // closed-form model exactly: the schedule is deterministic, so over loopback
 // there is no slack at all.

@@ -10,10 +10,7 @@
 // predict or bias the fresh shares.
 package secretshare
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Word is the ring element type. The paper fixes the ring to Z_{2^32}; XOR
 // arithmetic on uint32 implements it exactly.
@@ -53,36 +50,6 @@ func Zero(rng RNG) Shares2 {
 // shares without interaction.
 func Add(a, b Shares2) Shares2 {
 	return Shares2{S0: a.S0 ^ b.S0, S1: a.S1 ^ b.S1}
-}
-
-// VectorShares2 is a (2,2) sharing of a vector of ring elements, stored as
-// two equally long share slices.
-type VectorShares2 struct {
-	S0, S1 []Word
-}
-
-// ShareVector splits each element of xs into a fresh sharing.
-func ShareVector(xs []Word, rng RNG) VectorShares2 {
-	v := VectorShares2{S0: make([]Word, len(xs)), S1: make([]Word, len(xs))}
-	for i, x := range xs {
-		r := rng.Uint32()
-		v.S0[i] = r
-		v.S1[i] = x ^ r
-	}
-	return v
-}
-
-// RecoverVector reconstructs the vector. It returns an error if the share
-// slices have mismatched lengths.
-func RecoverVector(v VectorShares2) ([]Word, error) {
-	if len(v.S0) != len(v.S1) {
-		return nil, fmt.Errorf("secretshare: mismatched share lengths %d and %d", len(v.S0), len(v.S1))
-	}
-	out := make([]Word, len(v.S0))
-	for i := range v.S0 {
-		out[i] = v.S0[i] ^ v.S1[i]
-	}
-	return out, nil
 }
 
 // ReshareInside implements the in-MPC re-sharing of Appendix A.2 for the

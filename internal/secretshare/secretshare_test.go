@@ -66,36 +66,6 @@ func TestSingleShareUniform(t *testing.T) {
 	}
 }
 
-func TestVectorRoundTrip(t *testing.T) {
-	rng := NewRand(6)
-	f := func(xs []Word) bool {
-		v := ShareVector(xs, rng)
-		got, err := RecoverVector(v)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(xs) {
-			return false
-		}
-		for i := range xs {
-			if got[i] != xs[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRecoverVectorMismatch(t *testing.T) {
-	_, err := RecoverVector(VectorShares2{S0: make([]Word, 3), S1: make([]Word, 2)})
-	if err == nil {
-		t.Fatal("want error on mismatched lengths")
-	}
-}
-
 func TestReshareInside(t *testing.T) {
 	rng := NewRand(10)
 	f := func(secret, z0, z1 Word) bool {
@@ -126,14 +96,5 @@ func BenchmarkShare(b *testing.B) {
 	rng := NewRand(100)
 	for i := 0; i < b.N; i++ {
 		_ = Share(Word(i), rng)
-	}
-}
-
-func BenchmarkShareVector1K(b *testing.B) {
-	rng := NewRand(101)
-	xs := make([]Word, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ShareVector(xs, rng)
 	}
 }

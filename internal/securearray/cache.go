@@ -99,24 +99,11 @@ func clampSize(size, n int) int {
 	return size
 }
 
-// Read performs the secure cache read of Figure 3: obliviously sort so real
-// tuples lead, cut the first size slots off as the fetched batch, and keep
-// the remainder. size is clamped to [0, Len]. The caller reveals only size
-// (the DP-protected cardinality). The fetched batch is returned in a pooled
-// buffer owned by the caller (Release it when done); ReadInto is the
-// zero-intermediate path when the destination is a view.
-func (c *Cache) Read(size int) *oblivious.Buffer {
-	c.sortRealFirst()
-	size = clampSize(size, c.buf.Len())
-	fetched := oblivious.GetBuffer(c.buf.Arity())
-	fetched.AppendRange(c.buf, 0, size)
-	c.buf.CutPrefix(size)
-	c.reads++
-	return fetched
-}
-
-// ReadInto performs the same secure cache read but appends the fetched
-// prefix directly into the view arena — one copy, no intermediate buffer.
+// ReadInto performs the secure cache read of Figure 3: obliviously sort so
+// real tuples lead, cut the first size slots off as the fetched batch, and
+// keep the remainder. size is clamped to [0, Len]. The caller reveals only
+// size (the DP-protected cardinality). The fetched prefix is appended
+// directly into the view's columns — one copy, no intermediate buffer.
 func (c *Cache) ReadInto(v *View, size int) {
 	c.sortRealFirst()
 	size = clampSize(size, c.buf.Len())
@@ -191,23 +178,6 @@ func (c *Cache) DrainInto(v *View) {
 	v.appendRange(c.buf, 0, c.buf.Len())
 	c.buf.Reset()
 	c.reads++
-}
-
-// Prune sorts the cache and recycles every slot beyond keep, retaining only
-// the head. It is the incremental Theorem-4 variant of the flush: with keep
-// at least the deferred-data bound, the recycled tail is all dummies except
-// with small probability. Returns the number of real tuples lost.
-func (c *Cache) Prune(keep int) (lostReal int) {
-	if keep < 0 {
-		keep = 0
-	}
-	if keep >= c.buf.Len() {
-		return 0
-	}
-	c.sortRealFirst()
-	lostReal = c.buf.Truncate(keep)
-	c.flushes++
-	return lostReal
 }
 
 // Buffer exposes the cache arena for the snapshot codec. Callers other than

@@ -38,6 +38,22 @@ func realRows(b *oblivious.Buffer) []table.Row {
 	return out
 }
 
+// viewRealRows copies out the payloads of v's real slots.
+func viewRealRows(v *View) []table.Row {
+	flag, cols := v.Columns()
+	var out []table.Row
+	for i, f := range flag {
+		if f == 1 {
+			row := make(table.Row, len(cols))
+			for j, col := range cols {
+				row[j] = col[i]
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
 // newCache builds an arity-2 cache like the test batches.
 func newCache(tupleBits int, m *mpc.Meter) *Cache { return New(2, tupleBits, m) }
 
@@ -68,8 +84,8 @@ func TestCacheReadFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
 	c.Append(batch(rng, 30, 12))
-	got := c.Read(12)
-	defer got.Release()
+	got := NewView(2)
+	c.ReadInto(got, 12)
 	if got.Len() != 12 || got.Real() != 12 {
 		t.Errorf("read %d slots, %d real; want 12 real", got.Len(), got.Real())
 	}
@@ -86,27 +102,34 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 	c := newCache(128, nil)
 	c.Append(batch(rng, 10, 4))
 	// Positive noise: fetch more than real count -> dummies included.
-	got := c.Read(7)
+	got := NewView(2)
+	c.ReadInto(got, 7)
 	if got.Len() != 7 || got.Real() != 4 {
 		t.Errorf("oversized read: %d slots %d real", got.Len(), got.Real())
 	}
-	got.Release()
 	// Negative noise: fetch fewer than real -> deferred data remains.
 	c2 := newCache(128, nil)
 	c2.Append(batch(rng, 10, 4))
-	got = c2.Read(2)
+	got = NewView(2)
+	c2.ReadInto(got, 2)
 	if got.Real() != 2 || c2.Real() != 2 {
 		t.Errorf("undersized read: fetched %d real, cache keeps %d", got.Real(), c2.Real())
 	}
-	got.Release()
 	// Read larger than cache clamps.
-	got = c2.Read(100)
+	got = NewView(2)
+	c2.ReadInto(got, 100)
 	if got.Len() != 8 {
 		t.Errorf("clamped read returned %d slots, want remaining 8", got.Len())
 	}
-	got.Release()
 	if c2.Len() != 0 {
 		t.Error("cache should be empty after clamped full read")
+	}
+	// A negative size clamps to an empty fetch that still counts as a read.
+	c2.Append(batch(rng, 6, 3))
+	got = NewView(2)
+	c2.ReadInto(got, -3)
+	if got.Len() != 0 || c2.Len() != 6 || got.Updates() != 1 {
+		t.Errorf("negative read: fetched %d slots, cache keeps %d, %d view updates", got.Len(), c2.Len(), got.Updates())
 	}
 }
 
@@ -115,7 +138,7 @@ func TestCacheReadChargesSort(t *testing.T) {
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	c := newCache(256, m)
 	c.Append(batch(rng, 16, 5))
-	c.Read(5).Release()
+	c.ReadInto(NewView(2), 5)
 	want := float64(mpc.SortCompareExchanges(16)) * 256 * m.Model().ANDGatesPerCompareExchangeBit
 	if got := m.Gates(mpc.OpShrink); got != want {
 		t.Errorf("read charged %v gates, want %v", got, want)
@@ -189,9 +212,9 @@ func TestReadPreservesMultiset(t *testing.T) {
 	b := batch(rng, 40, 17)
 	orig := realRows(b)
 	c.Append(b)
-	got := c.Read(9)
-	defer got.Release()
-	combined := append(realRows(got), realRows(c.Buffer())...)
+	got := NewView(2)
+	c.ReadInto(got, 9)
+	combined := append(viewRealRows(got), realRows(c.Buffer())...)
 	if !table.MultisetEqual(combined, orig) {
 		t.Error("read split changed the multiset of real tuples")
 	}
@@ -230,7 +253,7 @@ func TestCountersPinnedToScan(t *testing.T) {
 			c.ReadAndPruneInto(v, rng.Intn(c.Len()+2), rng.Intn(4), rng.Intn(15))
 			check("readAndPruneInto")
 		case 5:
-			c.Prune(rng.Intn(c.Len() + 2))
+			c.ReadAndPruneInto(v, 0, 0, rng.Intn(c.Len()+2))
 			check("prune")
 		case 6:
 			c.DrainInto(v)
@@ -277,7 +300,7 @@ func BenchmarkCacheAppend256(b *testing.B) {
 		c.Append(src)
 		if c.Len() >= 1<<16 {
 			b.StopTimer()
-			c.Prune(0)
+			c.FlushInto(NewView(2), 0)
 			b.StartTimer()
 		}
 	}
@@ -292,7 +315,7 @@ func BenchmarkCacheRead256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c.Prune(0)
+		c.FlushInto(NewView(2), 0)
 		c.Append(src)
 		if v.Len() > 1<<20 {
 			v = NewView(2)

@@ -108,11 +108,16 @@ func TestDrainInto(t *testing.T) {
 	}
 }
 
+// TestPrune: a synchronization that fetches and spills nothing is the bare
+// cache cap — sort real-first, recycle every slot beyond keep, count the
+// real tuples lost.
 func TestPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
 	c := newCache(128, nil)
+	v := NewView(2)
+	prune := func(c *Cache, keep int) int { return c.ReadAndPruneInto(v, 0, 0, keep) }
 	c.Append(batch(rng, 20, 6))
-	lost := c.Prune(10)
+	lost := prune(c, 10)
 	if lost != 0 {
 		t.Errorf("prune above real count lost %d", lost)
 	}
@@ -120,16 +125,25 @@ func TestPrune(t *testing.T) {
 		t.Errorf("after prune: len=%d real=%d", c.Len(), c.Real())
 	}
 	// Prune below real count loses the difference.
-	lost = c.Prune(4)
+	lost = prune(c, 4)
 	if lost != 2 {
 		t.Errorf("tight prune lost %d, want 2", lost)
 	}
-	// No-op cases: keeping more than present loses nothing.
-	if c.Prune(100) != 0 {
+	if c.Len() != 4 || c.Real() != 4 {
+		t.Errorf("after tight prune: len=%d real=%d", c.Len(), c.Real())
+	}
+	// No-op cases: keeping more than present loses nothing and is no flush.
+	if prune(c, 100) != 0 || c.Len() != 4 {
 		t.Error("oversized keep lost tuples")
 	}
+	if _, _, flushes := c.Stats(); flushes != 2 {
+		t.Errorf("%d flushes counted, want the two that recycled slots", flushes)
+	}
 	c2 := newCache(128, nil)
-	if c2.Prune(-1) != 0 {
+	if prune(c2, -1) != 0 {
 		t.Error("negative keep on empty cache should lose nothing")
+	}
+	if v.Len() != 0 {
+		t.Errorf("pruning alone moved %d slots into the view", v.Len())
 	}
 }

@@ -64,8 +64,8 @@ func FuzzDecodeBuffer(f *testing.F) {
 }
 
 // FuzzDecodeRuntime is FuzzDecodeBuffer for the runtime section: share
-// stores, transcripts, RNG positions and the meter, decoded from arbitrary
-// bytes into a live runtime.
+// stores, transcript-hash states, RNG positions and the meter, decoded from
+// arbitrary bytes into a live runtime.
 func FuzzDecodeRuntime(f *testing.F) {
 	rt := mpc.NewRuntime(mpc.DefaultCostModel(), 9)
 	rt.ShareToServers("c", 4)
@@ -161,8 +161,9 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 // bumps: the seeds named as valid encodings must still decode cleanly under
 // the current section codecs — a seed that only reaches the error path stops
 // guiding the fuzzer — so a version that changes the buffer or runtime
-// section has to regenerate them. (v5 changed neither: it replaced the
-// engine's window sections, whose fuzz seeds are live snapshots taken by
+// section has to regenerate them. (v6 changed the runtime section — a party's
+// transcript became a hash state and a count — and seed_runtime with it; the
+// engine section's fuzz seeds are live snapshots taken by
 // core.FuzzDecodeFrameworkState itself.)
 func TestSeedCorpusDecodes(t *testing.T) {
 	seed := func(target, name string) []byte {

@@ -49,8 +49,9 @@ const (
 	// section, the ID of every window entry and the DB's ID cursor; v5
 	// replaced the two arrival-ordered window sections with the per-stream
 	// block ledgers and the one key-ordered carry they describe, and dropped
-	// the cost model's unused equality-gate constant from the fingerprint.
-	Version = 5
+	// the cost model's unused equality-gate constant from the fingerprint; v6
+	// replaced each party's transcript with its running SHA-256 and count.
+	Version = 6
 )
 
 // Typed decode errors, distinguishable with errors.Is.

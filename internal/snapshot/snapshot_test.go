@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding"
 	"errors"
 	"testing"
 
@@ -187,6 +189,15 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The restored parties carry the snapshotted transcript digests, not the
+	// perturbed runtime's.
+	for _, pair := range [][2]*mpc.Party{{rt.S0, rt2.S0}, {rt.S1, rt2.S1}} {
+		p, p2 := pair[0], pair[1]
+		if p.TranscriptDigest() != p2.TranscriptDigest() || p.EventCount() != p2.EventCount() {
+			t.Fatalf("%v transcript digest / event count not restored", p.ID)
+		}
+	}
+
 	if got, _ := rt2.RecoverInside("c"); got != 17 {
 		t.Fatalf("recovered counter %d, want 17", got)
 	}
@@ -270,6 +281,53 @@ func TestDecoderRejectsDamage(t *testing.T) {
 			t.Fatalf("want truncated/corrupt, got %v", err)
 		}
 	})
+
+	// The party section's transcript-hash state: a damaged one must be
+	// ErrCorrupt — not a panic, and not a restore that quietly starts a fresh
+	// digest. Each case patches S0's field in a good runtime section.
+	rt := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
+	rt.ShareToServers("c", 17)
+	rt.ObserveFetch(5, "shrink")
+	section := encodeSection(t, func(e *Encoder) { EncodeRuntime(e, rt) })
+	at := bytes.Index(section, rt.State().S0.Digest)
+	if at < 4 {
+		t.Fatal("S0's marshaled hash state not found in the runtime section")
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(b []byte)
+	}{
+		// The length prefix disagrees with the one length a SHA-256 state has.
+		{"digest-length", func(b []byte) { b[at-4]-- }},
+		// Right length, first magic byte flipped.
+		{"digest-magic", func(b []byte) { b[at] ^= 0x40 }},
+		// Right length and a well-formed state — of SHA-224, which
+		// UnmarshalBinary on a SHA-256 refuses.
+		{"digest-unmarshal", func(b []byte) {
+			h := sha256.New224()
+			h.Write([]byte("some other hash"))
+			foreign, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+			if err != nil || len(foreign) != mpc.DigestStateLen {
+				t.Fatalf("foreign state: %d bytes, %v", len(foreign), err)
+			}
+			copy(b[at:], foreign)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := bytes.Clone(section)
+			c.damage(bad)
+			target := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
+			target.ObserveBatch(8, "transform")
+			before := target.S0.TranscriptDigest()
+			err := DecodeRuntimeInto(NewDecoder(bytes.NewReader(bad)), target)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+			if target.S0.TranscriptDigest() != before {
+				t.Fatal("a refused hash state still replaced the party's digest")
+			}
+		})
+	}
 }
 
 // TestResumeDrawBoundSymmetry pins that the draw-position bound is
@@ -290,9 +348,19 @@ func TestResumeDrawBoundSymmetry(t *testing.T) {
 	// hand (a real runtime cannot reach the bound in a test).
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
-	encodePartyState(enc, mpc.PartyState{Draws: uint64(dp.MaxResumeDraws) + 1})
+	encodePartyState(enc, st.S0)
 	if err := enc.Finish(); err == nil {
 		t.Fatal("encoded a party state beyond the resumable draw bound")
+	}
+
+	// The same holds for the other field a restore refuses: a transcript-hash
+	// state of the wrong length.
+	st = rt.State()
+	st.S0.Digest = st.S0.Digest[:len(st.S0.Digest)-1]
+	enc = NewEncoder(&buf)
+	encodePartyState(enc, st.S0)
+	if err := enc.Finish(); err == nil {
+		t.Fatal("encoded a party state whose hash state a restore would refuse")
 	}
 }
 
@@ -337,14 +405,14 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestHeaderVersionMismatch pins the version gate: a future version and the
-// previous one (v4, whose engine section held two arrival-ordered windows
-// where v5 holds the block ledgers and the key-ordered carry — there is no
-// compatibility reader) are both refused.
+// previous one (v5, whose party sections held every transcript event where
+// v6 holds their running digest and count — there is no compatibility
+// reader) are both refused.
 func TestHeaderVersionMismatch(t *testing.T) {
-	if Version != 5 {
-		t.Fatalf("format version %d, want 5", Version)
+	if Version != 6 {
+		t.Fatalf("format version %d, want 6", Version)
 	}
-	for _, v := range []uint32{Version + 7, 4} {
+	for _, v := range []uint32{Version + 7, 5} {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		enc.U32(v)

@@ -129,45 +129,6 @@ func DecodeViewInto(d *Decoder, v *securearray.View) error {
 	return nil
 }
 
-// encodeTranscriptEvents writes one party's transcript, including the
-// cumulative wire tally each event was stamped with (v2).
-func encodeTranscriptEvents(e *Encoder, events []mpc.Event) {
-	e.U32(uint32(len(events)))
-	for _, ev := range events {
-		e.U8(uint8(ev.Kind))
-		e.Int(ev.Time)
-		e.Int(ev.Size)
-		e.U32(ev.Share)
-		e.String(ev.Label)
-		e.U64(ev.WireRounds)
-		e.U64(ev.WireBytes)
-	}
-}
-
-func decodeTranscriptEvents(d *Decoder) []mpc.Event {
-	n := d.Len()
-	if d.Err() != nil {
-		return nil
-	}
-	out := make([]mpc.Event, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		ev := mpc.Event{
-			Kind:       mpc.EventKind(d.U8()),
-			Time:       d.Int(),
-			Size:       d.Int(),
-			Share:      d.U32(),
-			Label:      d.String(),
-			WireRounds: d.U64(),
-			WireBytes:  d.U64(),
-		}
-		if d.Err() != nil {
-			return nil
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
 func encodePartyState(e *Encoder, st mpc.PartyState) {
 	// Refuse to write a draw position a restore would refuse to replay:
 	// the checkpoint must fail now, loudly, not at the next boot.
@@ -185,7 +146,12 @@ func encodePartyState(e *Encoder, st mpc.PartyState) {
 		e.String(k)
 		e.U32(st.Store[k])
 	}
-	encodeTranscriptEvents(e, st.Events)
+	// Likewise a transcript-hash state a restore would refuse.
+	if len(st.Digest) != mpc.DigestStateLen {
+		e.Fail("party transcript digest state is %d bytes, want %d", len(st.Digest), mpc.DigestStateLen)
+	}
+	e.String(string(st.Digest))
+	e.U64(st.EventCount)
 	e.U64(st.WireRounds)
 	e.U64(st.WireBytes)
 }
@@ -209,7 +175,13 @@ func decodePartyState(d *Decoder) mpc.PartyState {
 		d.Corrupt("share store with duplicate keys")
 		return st
 	}
-	st.Events = decodeTranscriptEvents(d)
+	// The hash state's length is checked here, its magic and contents by
+	// SetState's UnmarshalBinary, whose error the callers make ErrCorrupt.
+	st.Digest = []byte(d.String())
+	if d.Err() == nil && len(st.Digest) != mpc.DigestStateLen {
+		d.Corrupt("party transcript digest state of %d bytes, want %d", len(st.Digest), mpc.DigestStateLen)
+	}
+	st.EventCount = d.U64()
 	st.WireRounds = d.U64()
 	st.WireBytes = d.U64()
 	return st
@@ -254,9 +226,9 @@ func decodeMeterState(d *Decoder) mpc.MeterState {
 }
 
 // EncodeRuntime writes the full mutable state of an MPC runtime: both
-// parties (randomness positions, share stores, transcripts, wire tallies),
-// the protocol-internal randomness position, the cost meter and the logical
-// clock.
+// parties (randomness positions, share stores, transcript digests and event
+// counts, wire tallies), the protocol-internal randomness position, the cost
+// meter and the logical clock.
 func EncodeRuntime(e *Encoder, rt *mpc.Runtime) {
 	st := rt.State()
 	encodePartyState(e, st.S0)

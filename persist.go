@@ -11,9 +11,9 @@ import (
 // header, the view definition and deployment options (so Restore can rebuild
 // the engine without any out-of-band configuration), the DB's own cursor
 // state, and the full engine state — cache and view arenas, contribution
-// budgets, secret-share stores, transcripts, the cost meter and every RNG
-// draw position — closed by a CRC-32C trailer. See DESIGN.md ("Durability")
-// for the layout and the RNG-resume invariant.
+// budgets, secret-share stores, transcript digests, the cost meter and every
+// RNG draw position — closed by a CRC-32C trailer. See DESIGN.md
+// ("Durability") for the layout and the RNG-resume invariant.
 //
 // The contract is exact resumption: a restored DB is bit-identical to the
 // one snapshotted, so the continuation of any workload produces the same
