@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test lint orphans race bench bench-core bench-smoke bench-batch bench-serve bench-diff obs-smoke recover-smoke wire-smoke fuzz-smoke serve
+.PHONY: check fmt vet build test lint orphans deadexports race bench bench-core bench-smoke bench-diff benchmark obs-smoke recover-smoke wire-smoke fuzz-smoke serve
 
 # check is what CI runs: formatting, static checks, build, tests, the
 # observability smoke (boot the production wiring, scrape /metrics, assert
@@ -18,9 +18,10 @@ build:
 	$(GO) build ./...
 
 # lint is the full static-analysis gate (CI runs this): formatting, go vet,
-# the orphaned-package check (orphans, below) and the incshrink-lint
-# analyzers — detclock, rngdraw, maporder, poolsteal, oblivtaint, goleak,
-# atomicmix (see internal/analysis and DESIGN.md §10). The gate runs with
+# the orphaned-package and dead-export checks (orphans and deadexports,
+# below) and the incshrink-lint analyzers — detclock, rngdraw, maporder,
+# poolsteal, oblivtaint, goleak, atomicmix (see internal/analysis and
+# DESIGN.md §10). The gate runs with
 # -tests (test files are policed too) and -unusedallow (a stale escape hatch
 # is a finding). When staticcheck/govulncheck are on PATH they run too; CI
 # installs them at pinned versions, offline checkouts just skip them.
@@ -36,7 +37,7 @@ LINT_SRC := $(shell find cmd/incshrink-lint internal/analysis -name '*.go' -not 
 bin/incshrink-lint: $(LINT_SRC) go.mod
 	$(GO) build -o $@ ./cmd/incshrink-lint
 
-lint: fmt vet orphans bin/incshrink-lint
+lint: fmt vet orphans deadexports bin/incshrink-lint
 	$(GO) vet -vettool=$(abspath bin/incshrink-lint) -tests -unusedallow ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it pinned)"; fi
@@ -51,6 +52,15 @@ orphans:
 	@deps="$$($(GO) list -deps . ./cmd/... ./examples/...)" || exit 1; \
 	out="$$($(GO) list ./internal/... | grep -vxF -e "$$deps" -e incshrink/internal/analysis/analysistest)"; \
 	if [ -n "$$out" ]; then echo "internal packages no program imports:"; echo "$$out"; exit 1; fi
+
+# deadexports is the same rule one level down: an exported function, type,
+# variable, constant or method of an internal package must be referenced from
+# somewhere other than its own package's tests. One whole-module type-check
+# on the standard library (internal/analysis TestDeadExports, which also runs
+# with the normal test suite); what it tolerates is a table in that file, one
+# reason per symbol.
+deadexports:
+	$(GO) test -count=1 -run 'TestDeadExports$$' ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -94,21 +104,6 @@ bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
 	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount' -benchtime 1x .
 
-# bench-batch is the batched-ingestion smoke (CI runs this): a short serve
-# benchmark comparing batch=1 against batch=8 on the Go-API and HTTP ingest
-# paths, written to BENCH_serve.json. The run itself asserts the
-# batch-vs-per-step equivalence (identical per-view counts at both batch
-# sizes); the throughput ratios are informational at smoke scale — regenerate
-# the committed report with bench-serve.
-bench-batch:
-	$(GO) run ./cmd/incshrink-bench -exp serve -views 4 -steps 60 -batch 8
-
-# bench-serve regenerates the committed serving benchmark report
-# (BENCH_serve.json) at full scale (the long horizon keeps the fast
-# ingest-bound and HTTP arms out of measurement noise).
-bench-serve:
-	$(GO) run ./cmd/incshrink-bench -exp serve -views 8 -steps 2000 -batch 8
-
 # bench-diff gates data-plane performance against the committed baseline:
 # regenerate a fresh core report and diff it against BENCH_baseline.json —
 # any directional metric (ns/op, allocs/op, speedup) regressing past the
@@ -127,6 +122,13 @@ else
 	$(GO) run ./cmd/incshrink-bench -compare -threshold $(BENCH_DIFF_THRESHOLD) BENCH_baseline.json BENCH_core.new.json
 	@rm -f BENCH_core.new.json
 endif
+
+# benchmark runs the end-to-end benchmark BENCHMARK.json declares — the five
+# workloads of cmd/benchmark, serve_http (the one place the serving layer is
+# measured) among them — and writes the layered report under .bench_out/.
+benchmark:
+	@mkdir -p .bench_out
+	$(GO) run ./cmd/benchmark -out .bench_out/report.json
 
 # obs-smoke boots the full production observability wiring in-process —
 # metrics registry, trace ring, slog access logs, ops mux — drives a tenant

@@ -89,7 +89,7 @@ func BenchmarkFigure9(b *testing.B) { benchFigure(b, experiments.Figure9) }
 // scale error against the analytic Laplace median, versus the float64
 // baseline sampler below.
 func BenchmarkAblationNoiseJoint(b *testing.B) {
-	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(1))
 	abs := make([]float64, 0, b.N)
 	for i := 0; i < b.N; i++ {
 		v := dp.LaplaceFromWords(1.0, rng.Uint32(), rng.Uint32())
@@ -106,7 +106,7 @@ func BenchmarkAblationNoiseJoint(b *testing.B) {
 // comparison point showing the 32-bit fixed-point discretization costs
 // nothing measurable in distribution quality.
 func BenchmarkAblationNoiseFloat(b *testing.B) {
-	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(1))
 	abs := make([]float64, 0, b.N)
 	for i := 0; i < b.N; i++ {
 		u := rng.Float64()
@@ -178,7 +178,7 @@ func BenchmarkAblationTruncateSMJ(b *testing.B) {
 }
 
 func ablationTables(n int) (t1, t2 []oblivious.Record) {
-	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < n; i++ {
 		t1 = append(t1, oblivious.Record{Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
 		t2 = append(t2, oblivious.Record{Row: table.Row{int64(rng.Intn(n / 4)), int64(i)}})
@@ -199,7 +199,7 @@ func ablationTables(n int) (t1, t2 []oblivious.Record) {
 func BenchmarkJoinSortVsMerge(b *testing.B) {
 	for _, size := range [][2]int{{936, 104}, {936, 832}, {72, 8}} {
 		m, f := size[0], size[1]
-		rng := rand.New(rand.NewSource(int64(m + f))) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+		rng := rand.New(rand.NewSource(int64(m + f)))
 		// Rows are {key, time, tag, arrival}, one in 13 on the right stream. Keys
 		// are distinct within a stream, as in the generated workloads, so which
 		// pairs are emitted does not hang on how the network orders ties.
@@ -331,7 +331,7 @@ func BenchmarkAblationSortStdlib(b *testing.B) {
 }
 
 func ablationSlots(n int) *oblivious.Buffer {
-	rng := rand.New(rand.NewSource(9)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(9))
 	b := oblivious.NewBuffer(1, n)
 	for i := 0; i < n; i++ {
 		b.AppendSlot(table.Row{int64(i)}, rng.Intn(2) == 0, 0, 0)

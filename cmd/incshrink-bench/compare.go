@@ -16,11 +16,10 @@ import (
 // direction are regressions, and any regression makes the command exit
 // nonzero — this is the `make bench-diff` gate.
 //
-// Classification is by suffix convention, shared across BENCH_core.json and
-// BENCH_serve.json:
+// Classification is by suffix convention:
 //
 //   - lower is better:  *ns_per_op, *allocs_per_op, *bytes_per_op, *_seconds
-//   - higher is better: *_per_sec, *speedup, *improvement, *throughput_ratio
+//   - higher is better: *_per_sec, *speedup, *improvement
 //
 // Anything else (workload configuration, deterministic counts, testing.B
 // iteration counts) carries no direction and is compared for information
@@ -45,8 +44,7 @@ func classify(path string) direction {
 		return dirLowerBetter
 	case strings.HasSuffix(path, "_per_sec"),
 		strings.HasSuffix(path, "speedup"),
-		strings.HasSuffix(path, "improvement"),
-		strings.HasSuffix(path, "throughput_ratio"):
+		strings.HasSuffix(path, "improvement"):
 		return dirHigherBetter
 	default:
 		return dirNeutral
@@ -54,9 +52,9 @@ func classify(path string) direction {
 }
 
 // flatten reduces a decoded JSON document to numeric leaves keyed by dotted
-// path ("default.per_step.advance_latency.p50_seconds"). Non-numeric leaves
-// are dropped: strings and booleans in the reports are configuration echo,
-// not measurements.
+// path ("baseline.advance.ns_per_op"). Non-numeric leaves are dropped:
+// strings and booleans in the reports are configuration echo, not
+// measurements.
 func flatten(prefix string, v any, out map[string]float64) {
 	switch x := v.(type) {
 	case map[string]any:

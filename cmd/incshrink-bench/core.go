@@ -87,7 +87,7 @@ type CoreReport struct {
 	// BatchPerStepSpeedup is Advance ns/op over AdvanceBatch8 per-step
 	// ns/op: how much cheaper one ingested step is inside an 8-step batch
 	// than as its own Advance call, at the engine layer (serving-layer
-	// amortization is measured separately in BENCH_serve.json).
+	// amortization is cmd/benchmark's serve_http workload).
 	BatchPerStepSpeedup float64 `json:"batch_per_step_speedup"`
 }
 

@@ -36,7 +36,7 @@ func TestAdvanceAndCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(7))
 	truth := 0
 	key := int64(1)
 	for day := 0; day < 120; day++ {

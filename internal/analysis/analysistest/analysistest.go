@@ -2,7 +2,9 @@
 // testdata/src and checks its findings against `// want "regexp"` comments
 // in the fixture, mirroring golang.org/x/tools/go/analysis/analysistest.
 //
-// Fixture packages live at testdata/src/<import-path>/ and are
+// Fixture packages live at testdata/src/<import-path>/ (their _test.go
+// files are part of the package, so an analyzer's handling of test files can
+// be pinned under Options.IncludeTests) and are
 // type-checked against that tree first, so a fixture can import
 // "incshrink/internal/dp" or "math/rand" and get the small stubs checked
 // in next to it — tests stay hermetic and fast, with no dependence on
@@ -197,7 +199,7 @@ func (l *loader) loadDir(path string) (*types.Package, []*ast.File, *types.Info,
 	}
 	var names []string
 	for _, e := range entries {
-		if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+		if n := e.Name(); strings.HasSuffix(n, ".go") {
 			names = append(names, n)
 		}
 	}

@@ -51,6 +51,11 @@ func runRNGDraw(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		// A test-local source never reaches a snapshot, so rngdraw skips
+		// _test.go even under -tests.
+		if isTestFile(pass, f) {
+			continue
+		}
 		// Walk with an explicit ancestor stack: a constructor call is
 		// legal exactly when some enclosing call is dp.NewCountingRNG,
 		// i.e. the raw source never exists outside the wrapper

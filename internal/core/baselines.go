@@ -2,7 +2,6 @@ package core
 
 import (
 	"incshrink/internal/mpc"
-	"incshrink/internal/table"
 	"incshrink/internal/workload"
 )
 
@@ -59,9 +58,6 @@ func (e *EP) Metrics() Metrics { return e.f.Metrics() }
 // Name implements Engine.
 func (e *EP) Name() string { return "EP" }
 
-// Framework exposes the underlying engine for tests.
-func (e *EP) Framework() *Framework { return e.f }
-
 // OTM is the one-time-materialization baseline: the view is built from the
 // first upload and never updated again. Queries are fast (tiny view) but the
 // error grows with every unsynchronized entry.
@@ -113,8 +109,8 @@ func (o *OTM) Name() string { return "OTM" }
 
 // NM is the non-materialization baseline (the standard SOGDB model of
 // DP-Sync): there is no view; every query re-evaluates the full oblivious
-// join over the entire outsourced history. The simulator computes the exact
-// answer from the plaintext relations (the oblivious join is untruncated, so
+// join over the entire outsourced history. The simulator takes the exact
+// answer from the trace's ground truth (the oblivious join is untruncated, so
 // its output equals the logical join) and charges the full garbled-circuit
 // cost of sorting and scanning the complete data, which is what produces the
 // paper's 7,800x-1.5e5x gaps.
@@ -122,10 +118,10 @@ type NM struct {
 	wl    workload.Config
 	meter *mpc.Meter
 
-	left, right []table.Row
-	truth       int
-	queries     int
-	querySecs   float64
+	rows      int // tuples outsourced so far, both relations
+	truth     int
+	queries   int
+	querySecs float64
 }
 
 // NewNMEngine builds the NM baseline.
@@ -138,25 +134,19 @@ func NewNMEngine(cfg Config, wl workload.Config) (*NM, error) {
 
 // Step implements Engine: outsourced data just accumulates.
 func (n *NM) Step(st workload.Step) {
-	for _, r := range st.Left {
-		n.left = append(n.left, r.Row)
-	}
-	for _, r := range st.Right {
-		n.right = append(n.right, r.Row)
-	}
+	n.rows += len(st.Left) + len(st.Right)
 	n.truth += st.NewPairs
 }
 
 // Query implements Engine: exact answer, full-join cost.
 func (n *NM) Query() (int, float64) {
 	before := n.meter.Seconds(mpc.OpQuery)
-	total := len(n.left) + len(n.right)
 	// One oblivious sort of the unioned relations on the join key, followed
 	// by the truncated scan emitting maxMultiplicity slots per tuple, and a
 	// final aggregation scan — the same cost shape as the Transform join,
 	// but over the entire history.
-	n.meter.ChargeSort(mpc.OpQuery, total, 64*(workload.StreamArity+1))
-	n.meter.ChargeScan(mpc.OpQuery, total*n.wl.MaxMultiplicity, 64*workload.JoinArity)
+	n.meter.ChargeSort(mpc.OpQuery, n.rows, 64*(workload.StreamArity+1))
+	n.meter.ChargeScan(mpc.OpQuery, n.rows*n.wl.MaxMultiplicity, 64*workload.JoinArity)
 	qet := n.meter.Seconds(mpc.OpQuery) - before
 	n.queries++
 	n.querySecs += qet

@@ -325,7 +325,7 @@ func TestQueryChargesFullWidthScan(t *testing.T) {
 	for _, st := range mustTrace(t, wl).Steps {
 		f.Step(st)
 	}
-	if f.View().Len() == 0 || f.View().Real() == 0 {
+	if f.view.Len() == 0 || f.view.Real() == 0 {
 		t.Fatal("view empty")
 	}
 	q1 := []oblivious.ScanCond{{Col: 3, Diff: 1, Lo: 0, Hi: 10 ^ 1<<63}} // right.time - left.time <= 10
@@ -333,15 +333,15 @@ func TestQueryChargesFullWidthScan(t *testing.T) {
 		before := f.rt.Meter.Gates(mpc.OpQuery)
 		n, qet := f.QueryWhere(conds)
 		gates := f.rt.Meter.Gates(mpc.OpQuery) - before
-		if want := float64(f.View().Len()) * 64 * 4 * f.rt.Meter.Model().ANDGatesPerScanBit; gates != want {
+		if want := float64(f.view.Len()) * 64 * 4 * f.rt.Meter.Model().ANDGatesPerScanBit; gates != want {
 			t.Errorf("%d conditions: charged %v gates, want %v", len(conds), gates, want)
 		}
-		if qet <= 0 || n != f.View().Count(conds) {
-			t.Errorf("%d conditions: answer %d (qet %v), view counts %d", len(conds), n, qet, f.View().Count(conds))
+		if qet <= 0 || n != f.view.Count(conds) {
+			t.Errorf("%d conditions: answer %d (qet %v), view counts %d", len(conds), n, qet, f.view.Count(conds))
 		}
 	}
-	if n, _ := f.Query(); n != f.View().Real() {
-		t.Errorf("standing query answers %d, view holds %d real tuples", n, f.View().Real())
+	if n, _ := f.Query(); n != f.view.Real() {
+		t.Errorf("standing query answers %d, view holds %d real tuples", n, f.view.Real())
 	}
 }
 
@@ -386,13 +386,13 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 				f.Step(st)
 			}
 			contrib := make(map[int64]int)
-			flag, cols := f.View().Columns()
+			flag, cols := f.view.Columns()
 			for i, fl := range flag {
 				if fl == 1 {
 					contrib[cols[workload.ColKey][i]]++
 				}
 			}
-			for b, i := f.Cache().Buffer(), 0; i < b.Len(); i++ {
+			for b, i := f.cache.Buffer(), 0; i < b.Len(); i++ {
 				if b.IsReal(i) {
 					contrib[b.At(i, workload.ColKey)]++
 				}

@@ -345,19 +345,6 @@ const counterKey = "c"
 // Name implements Engine.
 func (f *Framework) Name() string { return "DP-" + f.shrink.Name() }
 
-// Runtime exposes the MPC runtime (parties and meter) for experiments and
-// leakage tests.
-func (f *Framework) Runtime() *mpc.Runtime { return f.rt }
-
-// View exposes the materialized view (read-only use).
-func (f *Framework) View() *securearray.View { return f.view }
-
-// Cache exposes the secure cache (read-only use).
-func (f *Framework) Cache() *securearray.Cache { return f.cache }
-
-// Config returns the engine configuration.
-func (f *Framework) Config() Config { return f.cfg }
-
 // Step implements Engine: one time step is a batch of one.
 func (f *Framework) Step(st workload.Step) {
 	f.StepBatch([]workload.Step{st})

@@ -44,7 +44,7 @@ func TestSimulatorIndistinguishability(t *testing.T) {
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
-	if n := f.Runtime().S0.EventCount(); n != uint64(len(real0.Events)) {
+	if n := f.rt.S0.EventCount(); n != uint64(len(real0.Events)) {
 		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
 	}
 

@@ -95,8 +95,8 @@ func TestFrameworkSnapshotRestoreContinues(t *testing.T) {
 					t.Errorf("metrics diverged:\nrestored: %+v\nuninterrupted: %+v", restored.Metrics(), ref.Metrics())
 				}
 				for _, pair := range [][2]*mpc.Party{
-					{ref.Runtime().S0, restored.Runtime().S0},
-					{ref.Runtime().S1, restored.Runtime().S1},
+					{ref.rt.S0, restored.rt.S0},
+					{ref.rt.S1, restored.rt.S1},
 				} {
 					p, q := pair[0], pair[1]
 					if p.TranscriptDigest() != q.TranscriptDigest() || p.EventCount() != q.EventCount() {
@@ -119,7 +119,7 @@ func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
 		section := func() int {
 			var buf bytes.Buffer
 			enc := snapshot.NewEncoder(&buf)
-			snapshot.EncodeRuntime(enc, f.Runtime())
+			snapshot.EncodeRuntime(enc, f.rt)
 			if err := enc.Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -128,14 +128,14 @@ func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
 		for _, st := range tr.Steps[:10] {
 			f.Step(st)
 		}
-		early, seen := section(), f.Runtime().S0.EventCount()
+		early, seen := section(), f.rt.S0.EventCount()
 		for _, st := range tr.Steps[10:] {
 			f.Step(st)
 		}
 		if late := section(); late != early {
 			t.Errorf("ant=%t: runtime section is %d bytes after 10 steps, %d after %d", ant, early, late, len(tr.Steps))
 		}
-		if now := f.Runtime().S0.EventCount(); now < seen+uint64(len(tr.Steps))/2 {
+		if now := f.rt.S0.EventCount(); now < seen+uint64(len(tr.Steps))/2 {
 			t.Errorf("ant=%t: only %d events over the run; the section had nothing to not grow with", ant, now-seen)
 		}
 	}

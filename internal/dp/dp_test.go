@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func newRNG(seed int64) RNG { return rand.New(rand.NewSource(seed)) } //lint:allow rngdraw test-local stream, never snapshotted or resumed
+func newRNG(seed int64) RNG { return rand.New(rand.NewSource(seed)) }
 
 func TestFixedPointInOpenUnitInterval(t *testing.T) {
 	cases := []uint32{0, 1, 1 << 31, math.MaxUint32}

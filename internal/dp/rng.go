@@ -59,15 +59,6 @@ func (c *CountingRNG) Draws() uint64 {
 	return c.draws
 }
 
-// Discard advances the stream by n words without using their values. After
-// NewCountingRNG(sameSeededSource).Discard(d) the next Uint32 equals the
-// one a stream with d prior draws would produce.
-func (c *CountingRNG) Discard(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.Uint32()
-	}
-}
-
 // MaxResumeDraws bounds the draw position a stream can be resumed to (and,
 // symmetrically, the position past which snapshots refuse to encode, so
 // durability fails loudly at checkpoint time instead of silently producing

@@ -242,7 +242,7 @@ func TestFigureHelpers(t *testing.T) {
 
 func TestRegistryAndNames(t *testing.T) {
 	names := Names()
-	want := []string{"batch", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2"}
+	want := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
 	}

@@ -22,14 +22,6 @@ var Registry = map[string]Runner{
 		_, err = io.WriteString(w, FormatTable2(rows))
 		return err
 	},
-	"batch": func(ctx context.Context, p Params, w io.Writer) error {
-		rows, err := BatchSweep(ctx, p)
-		if err != nil {
-			return err
-		}
-		_, err = io.WriteString(w, FormatBatch(rows))
-		return err
-	},
 	"fig4": figureRunner(Figure4),
 	"fig5": figureRunner(Figure5),
 	"fig6": figureRunner(Figure6),

@@ -335,7 +335,7 @@ func TestXORWords(t *testing.T) {
 }
 
 func TestMuxWordsAndCompareExchange(t *testing.T) {
-	rng := rand.New(rand.NewSource(11)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(11))
 	const trials = 50
 	var xs, ys [trials]uint32
 	for i := range xs {
@@ -455,7 +455,7 @@ func TestOpeningsUniform(t *testing.T) {
 	shape := CompareExchangeShape
 	// math/rand streams seeded 0, 1, 2, … are correlated draw for draw, so
 	// the dealer seeds are themselves drawn from a stream.
-	seedStream := rand.New(rand.NewSource(14)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	seedStream := rand.New(rand.NewSource(14))
 	for _, in := range [][2]uint32{{0, 0}, {math.MaxUint32, math.MaxUint32}, {7, 1 << 31}} {
 		var sentOnes, openOnes [][]int // [round][bit]
 		for _, k := range shape {

@@ -25,7 +25,6 @@ package mpc
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -183,9 +182,6 @@ func (m *Meter) TotalGates() float64 {
 // Seconds converts a phase's gates to simulated seconds.
 func (m *Meter) Seconds(op Op) float64 { return m.gates[op] / m.model.GatesPerSecond }
 
-// TotalSeconds returns simulated seconds across all phases.
-func (m *Meter) TotalSeconds() float64 { return m.TotalGates() / m.model.GatesPerSecond }
-
 // Bytes returns the simulated network traffic for a phase.
 func (m *Meter) Bytes(op Op) float64 { return m.gates[op] * m.model.BytesPerANDGate }
 
@@ -222,49 +218,4 @@ func (m *Meter) SetState(st MeterState) error {
 	copy(m.gates[:], st.Gates)
 	copy(m.calls[:], st.Calls)
 	return nil
-}
-
-// Snapshot captures the current per-phase totals.
-type Snapshot struct {
-	Gates   map[string]float64
-	Seconds map[string]float64
-}
-
-// Snapshot returns a copy of the per-phase totals keyed by phase name.
-func (m *Meter) Snapshot() Snapshot {
-	s := Snapshot{Gates: map[string]float64{}, Seconds: map[string]float64{}}
-	for op := Op(0); op < numOps; op++ {
-		s.Gates[op.String()] = m.gates[op]
-		s.Seconds[op.String()] = m.Seconds(op)
-	}
-	return s
-}
-
-// String summarizes the meter for logs.
-func (m *Meter) String() string {
-	return fmt.Sprintf("mpc.Meter{transform=%.3fs shrink=%.3fs query=%.3fs total=%.3fs}",
-		m.Seconds(OpTransform), m.Seconds(OpShrink), m.Seconds(OpQuery), m.TotalSeconds())
-}
-
-// SortSeconds is a convenience estimate of the simulated duration of a
-// single oblivious sort, without charging a meter.
-func (model CostModel) SortSeconds(n, tupleBits int) float64 {
-	return float64(SortCompareExchanges(n)) * float64(tupleBits) * model.ANDGatesPerCompareExchangeBit / model.GatesPerSecond
-}
-
-// ScanSeconds estimates the simulated duration of one oblivious scan.
-func (model CostModel) ScanSeconds(n, tupleBits int) float64 {
-	return float64(n) * float64(tupleBits) * model.ANDGatesPerScanBit / model.GatesPerSecond
-}
-
-// CheckAsymptotics sanity-checks that the sort network size grows as
-// n log^2 n within a constant factor; used by self-tests and kept exported
-// for the ablation bench.
-func CheckAsymptotics(n int) (ratio float64) {
-	if n < 4 {
-		return 1
-	}
-	ce := float64(SortCompareExchanges(n))
-	lg := math.Log2(float64(n))
-	return ce / (float64(n) * lg * lg / 4)
 }

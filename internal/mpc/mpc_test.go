@@ -74,7 +74,8 @@ func TestSortCompareExchangesGrowth(t *testing.T) {
 		}
 		prev = ce
 	}
-	r := CheckAsymptotics(4096)
+	lg := math.Log2(4096)
+	r := float64(SortCompareExchanges(4096)) / (4096 * lg * lg / 4)
 	if r < 0.5 || r > 4 {
 		t.Errorf("n log^2 n ratio = %v out of constant-factor range", r)
 	}
@@ -116,10 +117,6 @@ func TestMeterCharging(t *testing.T) {
 	}
 	if m.Calls(OpShrink) != 2 {
 		t.Errorf("calls = %d want 2", m.Calls(OpShrink))
-	}
-	snap := m.Snapshot()
-	if snap.Gates["Query"] != m.Gates(OpQuery) {
-		t.Error("snapshot mismatch")
 	}
 	m.Reset()
 	if m.TotalGates() != 0 {
@@ -403,16 +400,6 @@ func TestEventKindString(t *testing.T) {
 	}
 	if Server0.String() != "S0" || Server1.String() != "S1" {
 		t.Error("PartyID string wrong")
-	}
-}
-
-func TestCostModelConvenience(t *testing.T) {
-	m := DefaultCostModel()
-	if m.SortSeconds(8, 64) != float64(19*64*3)/m.GatesPerSecond {
-		t.Error("SortSeconds wrong")
-	}
-	if m.ScanSeconds(10, 32) != float64(10*32*2)/m.GatesPerSecond {
-		t.Error("ScanSeconds wrong")
 	}
 }
 

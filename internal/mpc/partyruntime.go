@@ -60,12 +60,6 @@ func attachPartyRuntime(p *Party, conn wire.Conn) *PartyRuntime {
 // Party returns the underlying party (share store, digest, wire tally).
 func (pr *PartyRuntime) Party() *Party { return pr.party }
 
-// Meter returns the standalone meter (nil inside a Runtime).
-func (pr *PartyRuntime) Meter() *Meter { return pr.meter }
-
-// Conn returns the transport this party runs over.
-func (pr *PartyRuntime) Conn() wire.Conn { return pr.conn }
-
 // SetTime advances the logical clock used to stamp transcript events.
 func (pr *PartyRuntime) SetTime(t int) { pr.now = t }
 
@@ -127,8 +121,7 @@ func (pr *PartyRuntime) shareFinish(key string, value secretshare.Word, z uint32
 	}
 	pr.party.observe(Event{Kind: EvRandomContributed, Time: pr.now, Share: z, Label: "reshare:" + key})
 	// Appendix A.2 re-sharing, evaluated from this party's side: S0 keeps
-	// the joint mask, S1 keeps the value under the mask — the same split
-	// secretshare.ReshareInside produces for the in-process runtime.
+	// the joint mask, S1 keeps the value under the mask.
 	mask := z ^ zp
 	sh := mask
 	if pr.party.ID == Server1 {

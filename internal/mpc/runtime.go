@@ -278,29 +278,22 @@ type Runtime struct {
 	S0, S1 *Party
 	Meter  *Meter
 	p0, p1 *PartyRuntime
-	// protocolRNG supplies randomness for share splitting *inside* the
-	// protocol where the paper's construction XORs per-party contributions;
-	// tests can fix it for reproducibility. Like the party streams it is
-	// draw-counted so snapshots can resume it exactly.
-	protocolSeed int64
-	protocolRNG  *dp.CountingRNG
-	now          int
+	now    int
 }
 
 // NewRuntime builds a runtime with the given cost model and seed. The seed
-// derives independent streams for each party and the protocol internals.
+// derives an independent stream for each party; the protocol itself draws
+// nothing — every joint value XORs the two parties' own contributions.
 func NewRuntime(model CostModel, seed int64) *Runtime {
 	s0 := NewParty(Server0, seed*3+1)
 	s1 := NewParty(Server1, seed*3+2)
 	c0, c1 := wire.Loopback(1)
 	return &Runtime{
-		S0:           s0,
-		S1:           s1,
-		Meter:        NewMeter(model),
-		p0:           attachPartyRuntime(s0, c0),
-		p1:           attachPartyRuntime(s1, c1),
-		protocolSeed: seed*3 + 3,
-		protocolRNG:  dp.NewCountingRNG(rand.New(rand.NewSource(seed*3 + 3))),
+		S0:    s0,
+		S1:    s1,
+		Meter: NewMeter(model),
+		p0:    attachPartyRuntime(s0, c0),
+		p1:    attachPartyRuntime(s1, c1),
 	}
 }
 
@@ -320,23 +313,21 @@ func (r *Runtime) check(err error) {
 func (r *Runtime) WireTally() (rounds, bytes uint64) { return r.S0.WireTally() }
 
 // RuntimeState is the serializable mutable state of a Runtime: both parties,
-// the protocol-internal randomness position, the cost meter, and the logical
-// clock. The seed and cost model are construction parameters.
+// the cost meter, and the logical clock. The seed and cost model are
+// construction parameters.
 type RuntimeState struct {
-	S0, S1        PartyState
-	ProtocolDraws uint64
-	Meter         MeterState
-	Now           int
+	S0, S1 PartyState
+	Meter  MeterState
+	Now    int
 }
 
 // State snapshots the runtime.
 func (r *Runtime) State() RuntimeState {
 	return RuntimeState{
-		S0:            r.S0.State(),
-		S1:            r.S1.State(),
-		ProtocolDraws: r.protocolRNG.Draws(),
-		Meter:         r.Meter.State(),
-		Now:           r.now,
+		S0:    r.S0.State(),
+		S1:    r.S1.State(),
+		Meter: r.Meter.State(),
+		Now:   r.now,
 	}
 }
 
@@ -352,11 +343,6 @@ func (r *Runtime) SetState(st RuntimeState) error {
 	if err := r.S1.SetState(st.S1); err != nil {
 		return err
 	}
-	rng := dp.NewCountingRNG(rand.New(rand.NewSource(r.protocolSeed)))
-	if err := dp.ResumeRNG(rng, st.ProtocolDraws); err != nil {
-		return fmt.Errorf("mpc: restoring protocol randomness: %w", err)
-	}
-	r.protocolRNG = rng
 	if err := r.Meter.SetState(st.Meter); err != nil {
 		return err
 	}

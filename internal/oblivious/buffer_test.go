@@ -9,7 +9,7 @@ import (
 )
 
 func TestBufferRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(1))
 	es := randEntries(rng, 37)
 	b := bufferOf(es)
 	defer b.Release()
@@ -23,7 +23,7 @@ func TestBufferRoundTrip(t *testing.T) {
 }
 
 func TestBufferMutationsMaintainRealCounter(t *testing.T) {
-	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(2))
 	b := GetBuffer(2)
 	defer b.Release()
 	check := func(op string) {
@@ -64,7 +64,7 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 // closure-driven reference network produces over entries, ties included:
 // the invariant behind the byte-identical goldens and snapshots.
 func TestSortBufferMatchesEntrySort(t *testing.T) {
-	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 40; trial++ {
 		es := randEntries(rng, rng.Intn(150)) // the index column tells tied slots apart
 		b := bufferOf(es)
@@ -76,7 +76,7 @@ func TestSortBufferMatchesEntrySort(t *testing.T) {
 }
 
 func TestSortBufferChargesLikeEntrySort(t *testing.T) {
-	rng := rand.New(rand.NewSource(4)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(4))
 	b, _ := randBuffer(rng, 24)
 	defer b.Release()
 	m := mpc.NewMeter(mpc.DefaultCostModel())
@@ -100,7 +100,7 @@ func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 // input order — the first cap into the output, the rest into overflow — and
 // pads the output to exactly cap with dummies.
 func TestTightCompactIntoMatchesEntryForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 30; trial++ {
 		es := randEntries(rng, 40)
 		cap := rng.Intn(50)
@@ -124,7 +124,7 @@ func TestTightCompactIntoMatchesEntryForm(t *testing.T) {
 }
 
 func TestCountBufferMatchesEntryForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(7)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(7))
 	es := randEntries(rng, 33)
 	pred := func(r table.Row) bool { return r[0] < 40 }
 	want := 0
@@ -196,7 +196,7 @@ func maxSortAllocs() float64 {
 }
 
 func TestSortBufferSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(8))
 	b, _ := randBuffer(rng, 512)
 	defer b.Release()
 	SortRealFirst(b, nil, mpc.OpOther, 64) // warm the pools and the network cache
@@ -209,7 +209,7 @@ func TestSortBufferSteadyStateAllocs(t *testing.T) {
 }
 
 func TestSMJIntoSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(9)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(9))
 	rows1 := make([]table.Row, 64)
 	rows2 := make([]table.Row, 64)
 	for i := range rows1 {
@@ -230,7 +230,7 @@ func TestSMJIntoSteadyStateAllocs(t *testing.T) {
 }
 
 func TestTightCompactIntoSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(10)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(10))
 	src, _ := randBuffer(rng, 256)
 	defer src.Release()
 	dst, over := GetBuffer(2), GetBuffer(2)
@@ -247,7 +247,7 @@ func TestTightCompactIntoSteadyStateAllocs(t *testing.T) {
 }
 
 func BenchmarkSortBuffer1K(b *testing.B) {
-	rng := rand.New(rand.NewSource(99)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(99))
 	base, _ := randBuffer(rng, 1024)
 	defer base.Release()
 	work := GetBuffer(2)
@@ -265,7 +265,7 @@ func BenchmarkSortBuffer1K(b *testing.B) {
 // left window against 80 on the right, one 1,040-key sort plus the scan —
 // the shape one Advance spends most of its time in.
 func BenchmarkJoinSort1040(b *testing.B) {
-	rng := rand.New(rand.NewSource(102)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(102))
 	rows1 := make([]table.Row, 960)
 	rows2 := make([]table.Row, 80)
 	for i := range rows1 {
@@ -286,7 +286,7 @@ func BenchmarkJoinSort1040(b *testing.B) {
 }
 
 func BenchmarkSMJInto128(b *testing.B) {
-	rng := rand.New(rand.NewSource(100)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(100))
 	rows1 := make([]table.Row, 128)
 	rows2 := make([]table.Row, 128)
 	for i := range rows1 {
@@ -305,7 +305,7 @@ func BenchmarkSMJInto128(b *testing.B) {
 }
 
 func BenchmarkTightCompactInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(101)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(101))
 	src, _ := randBuffer(rng, 512)
 	defer src.Release()
 	dst, over := GetBuffer(2), GetBuffer(2)

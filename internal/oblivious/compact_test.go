@@ -67,7 +67,7 @@ func TestTightCompactEdgeCases(t *testing.T) {
 }
 
 func TestTightCompactPreservesMultiset(t *testing.T) {
-	rng := rand.New(rand.NewSource(21)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
 		es := randEntries(rng, 40)
 		orig := realRowsOf(es)

@@ -36,7 +36,7 @@ func tieHeavyUnion(rng *rand.Rand, n1, n2 int) []entry {
 // ordering and the real-first ordering, at every small size, at the tpcds
 // padded size and just past a power of two.
 func TestKernelMatchesReferenceNetwork(t *testing.T) {
-	rng := rand.New(rand.NewSource(61)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(61))
 	sizes := []int{1040, 2049}
 	for n := 0; n <= 130; n++ {
 		sizes = append(sizes, n)
@@ -74,7 +74,7 @@ func TestKernelMatchesReferenceNetwork(t *testing.T) {
 // output row names the exact pair that produced it even among records equal
 // on key and time.
 func TestJoinMatchesReferenceJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(62)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(62))
 	for trial := 0; trial < 30; trial++ {
 		n1, n2, bound := rng.Intn(60), rng.Intn(20), rng.Intn(3)+1
 		union := tieHeavyUnion(rng, n1, n2)

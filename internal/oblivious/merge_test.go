@@ -96,7 +96,7 @@ func keysSorted(keys []sortKey) bool {
 // The window is contiguous because within a layer the low index ascends as
 // well as the high one, checked for every layer of every table.
 func TestMergeIsAWindowOfTheLastPhase(t *testing.T) {
-	rng := rand.New(rand.NewSource(21)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(21))
 	sizes := [][2]int{{936, 104}, {936, 832}, {864, 96}, {72, 8}, {1, 100}, {100, 1}, {1023, 1}, {1024, 1024},
 		{4097, 96}} // the last streams: 2P = 16,384 wires is above networkCacheMaxN
 	for m := 0; m <= 130; m++ {
@@ -206,7 +206,7 @@ func TestMergeExtremeKeys(t *testing.T) {
 // the same size class already built, out of pooled scratch — no table build,
 // no retained pairs, no allocation — and is charged the padded last phase.
 func TestWarmMergeAllocatesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(22)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(22))
 	keys := tieHeavyRuns(rng, 936, 104)
 	mergeKeys(slices.Clone(keys), 936, nil, mpc.OpOther, 64)
 	_, m0, _, p0 := CacheStats()

@@ -29,7 +29,7 @@ func randVals(rng *rand.Rand, n int) []int64 {
 }
 
 func TestSortCorrectnessAllSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 65; n++ {
 		keys := keysOf(randVals(rng, n))
 		sortKeys(keys, nil, mpc.OpOther, 64)
@@ -42,7 +42,7 @@ func TestSortCorrectnessAllSizes(t *testing.T) {
 }
 
 func TestSortMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		want := randVals(rng, rng.Intn(200))
 		keys := keysOf(want)
@@ -64,7 +64,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 // executed network equals there), and the meter charge of the cache sort and
 // the join sort is that padded count whatever the data.
 func TestSortDataIndependence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{5, 16, 33, 100, 1024, 1040} {
 		got, charged := len(networkOf(n))/2, mpc.SortCompareExchanges(n)
 		if got > charged || (n&(n-1) == 0 && got != charged) {
@@ -88,7 +88,7 @@ func TestSortDataIndependence(t *testing.T) {
 
 func TestSortChargesPaddedNetwork(t *testing.T) {
 	m := newMeter()
-	b, _ := randBuffer(rand.New(rand.NewSource(4)), 8) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	b, _ := randBuffer(rand.New(rand.NewSource(4)), 8)
 	defer b.Release()
 	SortRealFirst(b, m, mpc.OpShrink, 128)
 	want := float64(mpc.SortCompareExchanges(8)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
@@ -106,7 +106,7 @@ func TestSortChargesPaddedNetwork(t *testing.T) {
 }
 
 func TestByIsViewFirstOrdering(t *testing.T) {
-	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		b, es := randBuffer(rng, 50)
 		SortRealFirst(b, nil, mpc.OpOther, 64)
@@ -123,7 +123,7 @@ func TestByIsViewFirstOrdering(t *testing.T) {
 // The cache read of Figure 3 is a real-first sort followed by a public
 // prefix cut: whatever prefix is cut, it holds real slots before any dummy.
 func TestCompactFetchesRealFirst(t *testing.T) {
-	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(6))
 	b, es := randBuffer(rng, 40)
 	defer b.Release()
 	real := countReal(es)
@@ -167,7 +167,7 @@ func mkRecords(rows []table.Row) []Record {
 }
 
 func TestSMJMatchesHashJoinWithLargeBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(8)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 20; trial++ {
 		n1, n2 := rng.Intn(30)+1, rng.Intn(30)+1
 		rows1 := make([]table.Row, n1)
@@ -226,7 +226,7 @@ func TestSMJTruncationBoundsContribution(t *testing.T) {
 }
 
 func TestSMJPerRecordContributionNeverExceedsBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(9)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		bound := rng.Intn(4) + 1
 		rows1 := make([]table.Row, 25)
@@ -256,7 +256,7 @@ func TestSMJPerRecordContributionNeverExceedsBound(t *testing.T) {
 // TestSMJStability verifies Eq. 3: removing any single input record changes
 // the real output by at most `bound` rows.
 func TestSMJStability(t *testing.T) {
-	rng := rand.New(rand.NewSource(10)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(10))
 	bound := 3
 	rows1 := make([]table.Row, 12)
 	rows2 := make([]table.Row, 12)
@@ -312,7 +312,7 @@ func TestSMJChargesCosts(t *testing.T) {
 // the first new1 or a right record among the first new2 come out, and the
 // padded output size does not change.
 func TestJoinFreshPrefix(t *testing.T) {
-	rng := rand.New(rand.NewSource(13)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(13))
 	rows1 := make([]table.Row, 12)
 	rows2 := make([]table.Row, 9)
 	for i := range rows1 {

@@ -29,7 +29,7 @@ func scanColumns(rng *rand.Rand, n int) (flag []uint8, cols [][]int64) {
 // branching loop, at every length around its 8- and 64-slot strides.
 // (query's TestKernelMatchesOracle covers the operators' lowering.)
 func TestCountColumnsMatchesBranchingScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(62)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(62))
 	bounds := []uint64{0, 1, 1<<63 - 8, 1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<63 + 8, math.MaxUint64 - 1, math.MaxUint64}
 	for n := 0; n <= 200; n++ {
 		flag, cols := scanColumns(rng, n)
@@ -69,7 +69,7 @@ func TestCountColumnsMatchesBranchingScan(t *testing.T) {
 // right.time - left.time <= 10. Neither may allocate.
 func BenchmarkCountColumns120k(b *testing.B) {
 	const slots = 120000
-	flag, cols := scanColumns(rand.New(rand.NewSource(63)), slots) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	flag, cols := scanColumns(rand.New(rand.NewSource(63)), slots)
 	for _, bc := range []struct {
 		name  string
 		conds []ScanCond

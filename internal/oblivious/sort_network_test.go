@@ -51,7 +51,7 @@ func TestBatcherZeroOnePrinciple(t *testing.T) {
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(41)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(41))
 	for n := 17; n <= 64; n++ {
 		var cases [][]int
 		for k := 0; k <= n; k++ { // threshold inputs: k ones then zeros
@@ -213,7 +213,7 @@ func TestLayersAreDisjoint(t *testing.T) {
 // branching replay of the same enumeration — on keys heavy with (k, tag) ties.
 func TestStreamingPathMatchesReference(t *testing.T) {
 	const n = networkCacheMaxN + 808
-	rng := rand.New(rand.NewSource(77)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(77))
 	keys := make([]sortKey, n)
 	for i := range keys {
 		keys[i] = sortKey{k: uint64(rng.Intn(50)), w: uint64(rng.Intn(2))<<32 | uint64(i)}
@@ -286,7 +286,7 @@ func TestCacheStatsMove(t *testing.T) {
 // comparator and fails if, once the counting pass below has touched every
 // length, a sort builds a table or allocates: every length must be a replay.
 func BenchmarkSortVaryingLengths(b *testing.B) {
-	rng := rand.New(rand.NewSource(103)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(103))
 	lengths := rng.Perm(2901)[:512]
 	keys := make([]sortKey, 4000)
 	for i := range keys {

@@ -223,12 +223,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.s.val.Store(v) }
 
-// Add moves the gauge by v (either sign).
-func (g *Gauge) Add(v float64) { g.s.val.Add(v) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return g.s.val.Load() }
-
 // A Histogram counts observations into fixed buckets. Buckets are chosen at
 // registration (ExpBuckets for the usual exponential ladder) and shared by
 // every series of the family.
@@ -249,18 +243,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds — the unit every *_seconds
 // family uses.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.s.counts {
-		n += h.s.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.s.sum.Load() }
 
 // ExpBuckets builds n exponentially growing bucket bounds starting at start
 // and multiplying by factor: the fixed-bucket ladder the histogram families

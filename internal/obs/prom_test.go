@@ -161,8 +161,8 @@ func TestConcurrentScrapeVsUpdate(t *testing.T) {
 	// A final quiescent scrape must agree exactly with the in-memory totals.
 	text := r.DumpText()
 	buckets := parseBuckets(t, text, "race_seconds")
-	if got := buckets[len(buckets)-1]; got != h.Count() {
-		t.Fatalf("+Inf = %d, Count() = %d", got, h.Count())
+	if got := buckets[len(buckets)-1]; got != uint64(c.Value()) {
+		t.Fatalf("+Inf = %d, observations = %v", got, c.Value())
 	}
 }
 

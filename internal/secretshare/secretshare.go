@@ -4,10 +4,9 @@
 // The paper (Section 3) uses (2,2) XOR sharing over the ring Z_{2^32}: a
 // secret x splits into x1 chosen uniformly at random and x2 = x XOR x1.
 // Either share alone is uniformly distributed and carries no information
-// about x; XOR of both recovers it. The package also provides the
-// in-protocol re-sharing procedure of Appendix A.2, where the randomness is
-// contributed jointly by the participants so that no single party can
-// predict or bias the fresh shares.
+// about x; XOR of both recovers it. (The in-protocol re-sharing of Appendix
+// A.2, whose randomness the participants contribute jointly, lives in
+// internal/mpc.)
 package secretshare
 
 import "math/rand"
@@ -37,31 +36,6 @@ func Share(x Word, rng RNG) Shares2 {
 // Recover reconstructs the secret from both shares.
 func Recover(s Shares2) Word {
 	return s.S0 ^ s.S1
-}
-
-// Zero returns a sharing of zero (used to initialize the cardinality counter
-// in Transform, Alg. 1 line 2: (x, x XOR 0)).
-func Zero(rng RNG) Shares2 {
-	return Share(0, rng)
-}
-
-// Add returns a sharing of a XOR b computed locally on each share. XOR
-// sharings are linearly homomorphic under XOR: each server combines its own
-// shares without interaction.
-func Add(a, b Shares2) Shares2 {
-	return Shares2{S0: a.S0 ^ b.S0, S1: a.S1 ^ b.S1}
-}
-
-// ReshareInside implements the in-MPC re-sharing of Appendix A.2 for the
-// two-party case: each server contributes a uniformly random value z_i as
-// protocol input; the protocol internally computes shares
-// (c0, c1) = (z0 XOR z1, c XOR z0 XOR z1). Server 0's knowledge of c is then
-// masked by z1 (which it does not know) and symmetrically for server 1. The
-// caller supplies the two contributed values; the secret never leaves the
-// protocol in the clear.
-func ReshareInside(secret Word, z0, z1 Word) Shares2 {
-	mask := z0 ^ z1
-	return Shares2{S0: mask, S1: secret ^ mask}
 }
 
 // NewRand returns a deterministic RNG seeded with seed. Every randomized

@@ -23,26 +23,6 @@ func TestShareRecoverProperty(t *testing.T) {
 	}
 }
 
-func TestZeroIsSharingOfZero(t *testing.T) {
-	rng := NewRand(3)
-	for i := 0; i < 100; i++ {
-		if got := Recover(Zero(rng)); got != 0 {
-			t.Fatalf("Zero recovered to %d", got)
-		}
-	}
-}
-
-func TestAddIsXORHomomorphic(t *testing.T) {
-	rng := NewRand(4)
-	f := func(a, b Word) bool {
-		sa, sb := Share(a, rng), Share(b, rng)
-		return Recover(Add(sa, sb)) == a^b
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSingleShareUniform checks the confidentiality side of Lemma 9: a single
 // share of a fixed secret is (statistically) uniform, so it is distributed
 // identically for two different messages. We bucket the top byte of many
@@ -63,32 +43,6 @@ func TestSingleShareUniform(t *testing.T) {
 				t.Fatalf("bucket %d count %d far from uniform expectation %d", b, h, exp)
 			}
 		}
-	}
-}
-
-func TestReshareInside(t *testing.T) {
-	rng := NewRand(10)
-	f := func(secret, z0, z1 Word) bool {
-		s := ReshareInside(secret, z0, z1)
-		return Recover(s) == secret
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	_ = rng
-}
-
-func TestReshareInsideMaskedFromEachServer(t *testing.T) {
-	// Server 0 sees share S0 = z0^z1 and knows z0; its residual knowledge
-	// z1 = S0^z0 is a value it did not choose. Server 1 sees S1 = c^z0^z1 and
-	// knows z1; its residual knowledge c^z0 is masked by z0. We verify the
-	// algebra, i.e. neither share equals the secret unless the masks collide.
-	s := ReshareInside(0xCAFEBABE, 0x11111111, 0x22222222)
-	if s.S0 == 0xCAFEBABE && s.S1 == 0 {
-		t.Fatal("share leaked secret in the clear")
-	}
-	if Recover(s) != 0xCAFEBABE {
-		t.Fatal("recover failed")
 	}
 }
 

@@ -23,8 +23,6 @@
 package securearray
 
 import (
-	"fmt"
-
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 )
@@ -70,10 +68,6 @@ func (c *Cache) Len() int { return c.buf.Len() }
 // exists only as the secret-shared counter; it is exposed here for the
 // simulator's bookkeeping, the serving stats path and tests.
 func (c *Cache) Real() int { return c.buf.Real() }
-
-// ScanReal recounts the real tuples with a full scan, for tests that pin the
-// maintained counter against the ground truth.
-func (c *Cache) ScanReal() int { return c.buf.ScanReal() }
 
 // MaxLen returns the high-water mark of the cache length.
 func (c *Cache) MaxLen() int { return c.maxLen }
@@ -190,11 +184,6 @@ func (c *Cache) Buffer() *oblivious.Buffer { return c.buf }
 // restored cache reports the same history as one that never stopped.
 func (c *Cache) RestoreCounters(appends, reads, flushes, maxLen int) {
 	c.appends, c.reads, c.flushes, c.maxLen = appends, reads, flushes, maxLen
-}
-
-// String summarizes the cache for logs.
-func (c *Cache) String() string {
-	return fmt.Sprintf("securearray.Cache{len=%d real=%d max=%d}", c.Len(), c.Real(), c.maxLen)
 }
 
 // View is the materialized view object V: an append-only padded array the

@@ -7,7 +7,7 @@ import (
 
 func TestReadAndPruneSegments(t *testing.T) {
 	// 30 slots, 12 real. Fetch 5, spill 4, keep 10 => 11 recycled.
-	rng := rand.New(rand.NewSource(1)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(1))
 	c := newCache(128, nil)
 	v := NewView(2)
 	c.Append(batch(rng, 30, 12))
@@ -34,7 +34,7 @@ func TestReadAndPruneSegments(t *testing.T) {
 func TestReadAndPruneLosesTailReal(t *testing.T) {
 	// 20 slots, 15 real. Fetch 2, spill 3, keep 5 => 10 recycled, of which
 	// 15-2-3-5 = 5 are real.
-	rng := rand.New(rand.NewSource(2)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(2))
 	c := newCache(128, nil)
 	c.Append(batch(rng, 20, 15))
 	lost := c.ReadAndPruneInto(NewView(2), 2, 3, 5)
@@ -47,7 +47,7 @@ func TestReadAndPruneLosesTailReal(t *testing.T) {
 }
 
 func TestReadAndPruneClamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(3))
 	c := newCache(128, nil)
 	v := NewView(2)
 	c.Append(batch(rng, 10, 4))
@@ -73,7 +73,7 @@ func TestReadAndPruneClamps(t *testing.T) {
 }
 
 func TestReadAndPruneConservesReal(t *testing.T) {
-	rng := rand.New(rand.NewSource(4)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		n := 10 + rng.Intn(40)
 		real := rng.Intn(n + 1)
@@ -90,7 +90,7 @@ func TestReadAndPruneConservesReal(t *testing.T) {
 }
 
 func TestDrainInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(5)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(5))
 	c := newCache(128, nil)
 	v := NewView(2)
 	b := batch(rng, 12, 5)
@@ -112,7 +112,7 @@ func TestDrainInto(t *testing.T) {
 // cache cap — sort real-first, recycle every slot beyond keep, count the
 // real tuples lost.
 func TestPrune(t *testing.T) {
-	rng := rand.New(rand.NewSource(6)) //lint:allow rngdraw test-local stream, never snapshotted or resumed
+	rng := rand.New(rand.NewSource(6))
 	c := newCache(128, nil)
 	v := NewView(2)
 	prune := func(c *Cache, keep int) int { return c.ReadAndPruneInto(v, 0, 0, keep) }

@@ -105,7 +105,7 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		nGot, qetGot := v.Count()
+		nGot, qetGot, _ := v.CountWhere()
 		nWant, qetWant := ref[name].Count()
 		if nGot != nWant || qetGot != qetWant {
 			t.Fatalf("%q diverged after restore: (%d, %v), uninterrupted (%d, %v)", name, nGot, qetGot, nWant, qetWant)

@@ -526,9 +526,6 @@ type ingestResult struct {
 	err  error
 }
 
-// Name returns the view's registry name.
-func (v *View) Name() string { return v.name }
-
 func (v *View) ingestLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(v.loopDone)
@@ -804,19 +801,9 @@ func (v *View) AdvanceBatch(ctx context.Context, steps []incshrink.StepRows) (in
 	return v.enqueue(ctx, steps)
 }
 
-// Count answers the standing view-count query. It is served immediately
+// CountWhere answers a count over the materialized view — the standing
+// view-count query when no condition is given. It is served immediately
 // (interleaving with ingestion) rather than queued behind the mailbox.
-func (v *View) Count() (n int, qetSeconds float64) {
-	start := obs.Now()
-	v.mu.Lock()
-	n, qet := v.db.Count()
-	v.mu.Unlock()
-	v.queries.Add(1)
-	v.reg.met.observeQuery(start)
-	return n, qet
-}
-
-// CountWhere answers a filtered count over the materialized view.
 func (v *View) CountWhere(conds ...incshrink.Where) (n int, qetSeconds float64, err error) {
 	start := obs.Now()
 	v.mu.Lock()

@@ -35,8 +35,8 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Name() != "sales" {
-		t.Errorf("name = %q", v.Name())
+	if v.name != "sales" {
+		t.Errorf("name = %q", v.name)
 	}
 	if _, err := reg.Create("sales", testDef(), testOpts(1)); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate create: %v", err)
@@ -84,7 +84,7 @@ func TestAdvanceAndCountThroughView(t *testing.T) {
 			t.Fatalf("step = %d after %d advances", step, day+1)
 		}
 	}
-	n, qet := v.Count()
+	n, qet, _ := v.CountWhere()
 	if n == 0 {
 		t.Error("count never grew")
 	}
@@ -236,52 +236,84 @@ func TestCloseDrainsAdmittedUploads(t *testing.T) {
 	}
 }
 
-// replaySequential drives the load generator's exact per-view trace into a
-// bare single-goroutine DB — the ground truth for the determinism check.
-func replaySequential(t *testing.T, name string, cfg LoadConfig) int {
-	t.Helper()
-	cfg = cfg.withDefaults()
-	opts := cfg.Opts
-	opts.Seed = runner.DeriveSeed(cfg.Opts.Seed, name)
-	db, err := incshrink.Open(cfg.Def, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.Opts.Seed, name+"/workload")))
-	nextKey := int64(1)
-	for step := 0; step < cfg.Steps; step++ {
-		left, right := genStep(rng, step, cfg.RowsPerStep, cfg.Def.Within, &nextKey)
-		if err := db.Advance(left, right); err != nil {
-			t.Fatal(err)
+// genStep produces one step of synthetic uploads: n sales at time t, each
+// with probability ~0.7 of a matching return within the view window. Row
+// content is a pure function of the per-view rng stream.
+func genStep(rng *rand.Rand, t int, n int, within int64, nextKey *int64) (left, right []incshrink.Row) {
+	for i := 0; i < n; i++ {
+		k := *nextKey
+		*nextKey++
+		left = append(left, incshrink.Row{k, int64(t)})
+		if rng.Float64() < 0.7 {
+			lag := rng.Int63n(within + 1)
+			right = append(right, incshrink.Row{k, int64(t) + lag})
 		}
 	}
-	n, _ := db.Count()
-	return n
+	return left, right
 }
 
 // TestConcurrentMatchesSequential is the acceptance determinism check: 8
-// views driven concurrently through the registry produce counts
-// byte-identical to sequential single-view runs at the same seed.
+// views driven concurrently through the registry (one goroutine per view,
+// admission rejections retried) produce counts identical to sequential
+// single-view replays of the same traces into bare DBs. Run under -race.
 func TestConcurrentMatchesSequential(t *testing.T) {
-	cfg := LoadConfig{
-		Views: 8, Steps: 40, QueryEvery: 4, RowsPerStep: 2,
-		Def:  testDef(),
-		Opts: testOpts(2022),
-	}
+	const views, steps, rows, seed = 8, 40, 2, 2022
 	reg := NewRegistry(Config{MailboxDepth: 4, IngestWorkers: 8})
 	defer reg.Close(context.Background())
-	rep, err := RunLoad(context.Background(), reg, cfg)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+
+	// drive feeds view name's trace, a pure function of (seed, name), to
+	// advance one step at a time.
+	drive := func(name string, advance func(left, right []incshrink.Row) error) error {
+		rng := rand.New(rand.NewSource(runner.DeriveSeed(seed, name+"/workload")))
+		nextKey := int64(1)
+		for s := 0; s < steps; s++ {
+			left, right := genStep(rng, s, rows, testDef().Within, &nextKey)
+			if err := advance(left, right); err != nil {
+				return fmt.Errorf("view %s step %d: %w", name, s, err)
+			}
+		}
+		return nil
 	}
-	if len(rep.Counts) != 8 {
-		t.Fatalf("counts for %d views, want 8", len(rep.Counts))
+	counts := make([]int, views)
+	var wg sync.WaitGroup
+	for i := 0; i < views; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("load-%03d", i)
+			v, err := reg.Create(name, testDef(), testOpts(runner.DeriveSeed(seed, name)))
+			if err == nil {
+				err = drive(name, func(left, right []incshrink.Row) error {
+					for {
+						_, err := v.Advance(ctx, left, right)
+						if !errors.Is(err, ErrBusy) {
+							return err
+						}
+						time.Sleep(time.Millisecond) //lint:allow detclock admission backoff pacing; a retry is idempotent, so timing never changes results
+					}
+				})
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			counts[i], _, _ = v.CountWhere()
+		}(i)
 	}
-	for i := 0; i < cfg.Views; i++ {
-		name := LoadName(i)
-		want := replaySequential(t, name, cfg)
-		if got := rep.Counts[name]; got != want {
-			t.Errorf("view %s: concurrent count %d != sequential %d", name, got, want)
+	wg.Wait()
+
+	for i := 0; i < views; i++ {
+		name := fmt.Sprintf("load-%03d", i)
+		db, err := incshrink.Open(testDef(), testOpts(runner.DeriveSeed(seed, name)))
+		if err == nil {
+			err = drive(name, db.Advance)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := db.Count(); counts[i] != want {
+			t.Errorf("view %s: concurrent count %d != sequential %d", name, counts[i], want)
 		}
 	}
 }
@@ -330,7 +362,7 @@ func TestConcurrentAdvanceCountRace(t *testing.T) {
 						return
 					default:
 					}
-					v.Count()
+					v.CountWhere()
 					if _, _, err := v.CountWhere(incshrink.Where{Col: "left.key", Cmp: incshrink.Gt, Val: 0}); err != nil {
 						errc <- err
 						return

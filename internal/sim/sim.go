@@ -70,16 +70,10 @@ func newRunAccum(opts Options) *runAccum {
 	return &runAccum{opts: opts}
 }
 
-// step feeds one trace step to the engine and scores the standing query.
+// step feeds one trace step to the engine, accumulates the ground truth and
+// issues the standing query when the schedule fires.
 func (a *runAccum) step(e core.Engine, st workload.Step) {
 	e.Step(st)
-	a.score(e, st)
-}
-
-// score accounts one already-ingested step: it accumulates the ground
-// truth and issues the standing query when the schedule fires (split out
-// of step so RunKindBatched can ingest through StepBatch and score after).
-func (a *runAccum) score(e core.Engine, st workload.Step) {
 	a.truth += st.NewPairs
 	if (st.T+1)%a.opts.QueryEvery != 0 {
 		return
@@ -205,43 +199,6 @@ func RunKind(kind EngineKind, cfg core.Config, tr *workload.Trace, opts Options)
 		return Result{}, err
 	}
 	return Run(e, tr, opts), nil
-}
-
-// RunKindBatched is RunKind with the DP engines ingesting through
-// core.Framework.StepBatch in chunks of up to k steps, split at the query
-// schedule so the standing query fires after exactly the same steps as in
-// RunKind. Without Config.MergeWindows the Result — every count, error
-// statistic and simulated cost — is identical to RunKind's for any k (the
-// `batch` experiment's table); with it, k bounds the segment length. The
-// baselines have no StepBatch and run per step.
-func RunKindBatched(kind EngineKind, cfg core.Config, tr *workload.Trace, opts Options, k int) (Result, error) {
-	e, err := Build(kind, cfg, tr.Config)
-	if err != nil {
-		return Result{}, err
-	}
-	fw, ok := e.(*core.Framework)
-	if !ok || k <= 1 {
-		return Run(e, tr, opts), nil
-	}
-	a := newRunAccum(opts)
-	q := a.opts.QueryEvery
-	for i := 0; i < len(tr.Steps); {
-		end := min(i+k, len(tr.Steps))
-		// Never run past a query point: the chunk ends at the first step
-		// after which the schedule fires.
-		for j := i; j < end-1; j++ {
-			if (tr.Steps[j].T+1)%q == 0 {
-				end = j + 1
-				break
-			}
-		}
-		fw.StepBatch(tr.Steps[i:end])
-		for _, st := range tr.Steps[i:end] {
-			a.score(e, st)
-		}
-		i = end
-	}
-	return a.result(e, tr), nil
 }
 
 // RunKindWithRestart is RunKind with a restart after k steps (see

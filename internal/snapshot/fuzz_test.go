@@ -161,8 +161,8 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 // bumps: the seeds named as valid encodings must still decode cleanly under
 // the current section codecs — a seed that only reaches the error path stops
 // guiding the fuzzer — so a version that changes the buffer or runtime
-// section has to regenerate them. (v6 changed the runtime section — a party's
-// transcript became a hash state and a count — and seed_runtime with it; the
+// section has to regenerate them. (v7 changed the runtime section — the
+// protocol-internal draw position left it — and seed_runtime with it; the
 // engine section's fuzz seeds are live snapshots taken by
 // core.FuzzDecodeFrameworkState itself.)
 func TestSeedCorpusDecodes(t *testing.T) {

@@ -50,8 +50,10 @@ const (
 	// replaced the two arrival-ordered window sections with the per-stream
 	// block ledgers and the one key-ordered carry they describe, and dropped
 	// the cost model's unused equality-gate constant from the fingerprint; v6
-	// replaced each party's transcript with its running SHA-256 and count.
-	Version = 6
+	// replaced each party's transcript with its running SHA-256 and count; v7
+	// dropped the runtime's protocol-internal draw position, a stream nothing
+	// ever drew from.
+	Version = 7
 )
 
 // Typed decode errors, distinguishable with errors.Is.
@@ -170,9 +172,6 @@ func (e *Encoder) Bools(vs []bool) {
 		e.Bool(v)
 	}
 }
-
-// Err returns the latched write error, if any.
-func (e *Encoder) Err() error { return e.err }
 
 // Fail latches a formatted encode error, for section encoders that detect
 // state the format cannot faithfully restore (the snapshot must fail

@@ -405,14 +405,13 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestHeaderVersionMismatch pins the version gate: a future version and the
-// previous one (v5, whose party sections held every transcript event where
-// v6 holds their running digest and count — there is no compatibility
-// reader) are both refused.
+// previous one (v6, whose runtime section carried one more draw position —
+// there is no compatibility reader) are both refused.
 func TestHeaderVersionMismatch(t *testing.T) {
-	if Version != 6 {
-		t.Fatalf("format version %d, want 6", Version)
+	if Version != 7 {
+		t.Fatalf("format version %d, want 7", Version)
 	}
-	for _, v := range []uint32{Version + 7, 5} {
+	for _, v := range []uint32{Version + 7, 6} {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		enc.U32(v)

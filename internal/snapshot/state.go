@@ -227,16 +227,11 @@ func decodeMeterState(d *Decoder) mpc.MeterState {
 
 // EncodeRuntime writes the full mutable state of an MPC runtime: both
 // parties (randomness positions, share stores, transcript digests and event
-// counts, wire tallies), the protocol-internal randomness position, the cost
-// meter and the logical clock.
+// counts, wire tallies), the cost meter and the logical clock.
 func EncodeRuntime(e *Encoder, rt *mpc.Runtime) {
 	st := rt.State()
 	encodePartyState(e, st.S0)
 	encodePartyState(e, st.S1)
-	if st.ProtocolDraws > dp.MaxResumeDraws {
-		e.Fail("protocol draw position %d exceeds the resumable bound %d", st.ProtocolDraws, uint64(dp.MaxResumeDraws))
-	}
-	e.U64(st.ProtocolDraws)
 	encodeMeterState(e, st.Meter)
 	e.Int(st.Now)
 }
@@ -250,7 +245,6 @@ func DecodeRuntimeInto(d *Decoder, rt *mpc.Runtime) error {
 	var st mpc.RuntimeState
 	st.S0 = decodePartyState(d)
 	st.S1 = decodePartyState(d)
-	st.ProtocolDraws = d.U64()
 	st.Meter = decodeMeterState(d)
 	st.Now = d.Int()
 	if d.Err() != nil {

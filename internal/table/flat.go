@@ -43,9 +43,6 @@ func (f *Flat) Row(i int) Row {
 // At returns attribute j of row i.
 func (f *Flat) At(i, j int) int64 { return f.data[i*f.arity+j] }
 
-// Set writes attribute j of row i.
-func (f *Flat) Set(i, j int, v int64) { f.data[i*f.arity+j] = v }
-
 // AppendRow appends a copy of r, which must have exactly the arena's arity.
 func (f *Flat) AppendRow(r Row) {
 	if len(r) != f.arity {
@@ -152,39 +149,3 @@ func (f *Flat) AppendData(data []int64) {
 	f.data = append(f.data, data...)
 	f.n += len(data) / f.arity
 }
-
-// Column is a schema-resolved accessor for one column of a Flat arena: a
-// strided view that reads attribute j of every row without materializing
-// per-row slices.
-type Column struct {
-	f *Flat
-	j int
-}
-
-// ColumnOf resolves a named column of s against a Flat arena whose rows
-// follow the schema layout.
-func (s *Schema) ColumnOf(f *Flat, name string) (Column, error) {
-	j, err := s.Col(name)
-	if err != nil {
-		return Column{}, err
-	}
-	if f.Arity() != s.Arity() {
-		return Column{}, fmt.Errorf("table: arena arity %d does not match schema %q arity %d", f.Arity(), s.Name, s.Arity())
-	}
-	return Column{f: f, j: j}, nil
-}
-
-// MustColumnOf is ColumnOf that panics, for fixtures with static schemas.
-func (s *Schema) MustColumnOf(f *Flat, name string) Column {
-	c, err := s.ColumnOf(f, name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Len returns the number of rows the column spans.
-func (c Column) Len() int { return c.f.Rows() }
-
-// At returns the column's value in row i.
-func (c Column) At(i int) int64 { return c.f.At(i, c.j) }

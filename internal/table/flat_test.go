@@ -19,9 +19,9 @@ func TestFlatAppendAndViews(t *testing.T) {
 	if f.At(0, 2) != 3 {
 		t.Errorf("At(0,2) = %d", f.At(0, 2))
 	}
-	f.Set(0, 2, 9)
+	f.Row(0)[2] = 9
 	if f.At(0, 2) != 9 {
-		t.Errorf("Set did not stick: %d", f.At(0, 2))
+		t.Errorf("write through the row view did not stick: %d", f.At(0, 2))
 	}
 }
 
@@ -69,29 +69,6 @@ func TestFlatArityMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewFlat(2, 0).AppendRow(Row{1})
-}
-
-func TestSchemaColumnOf(t *testing.T) {
-	s := MustSchema("r", "key", "time")
-	f := NewFlat(2, 2)
-	f.AppendRow(Row{10, 100})
-	f.AppendRow(Row{20, 200})
-	col, err := s.ColumnOf(f, "time")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col.Len() != 2 || col.At(0) != 100 || col.At(1) != 200 {
-		t.Errorf("column reads wrong: len=%d %d %d", col.Len(), col.At(0), col.At(1))
-	}
-	if _, err := s.ColumnOf(f, "missing"); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if _, err := s.ColumnOf(NewFlat(3, 0), "key"); err == nil {
-		t.Error("arity mismatch accepted")
-	}
-	if got := s.MustColumnOf(f, "key").At(1); got != 20 {
-		t.Errorf("MustColumnOf = %d", got)
-	}
 }
 
 func TestFlatZeroArity(t *testing.T) {

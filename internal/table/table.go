@@ -41,10 +41,6 @@ func (r Row) Equal(o Row) bool {
 	return true
 }
 
-// Bits returns the payload width of the row in bits, the unit the MPC cost
-// model charges per tuple.
-func (r Row) Bits() int { return 64 * len(r) }
-
 // Encode serializes the row with little-endian 64-bit words, prefixed by a
 // 32-bit length. This is the byte payload that gets secret-shared when a
 // tuple travels to the servers.
@@ -55,22 +51,6 @@ func (r Row) Encode() []byte {
 		binary.LittleEndian.PutUint64(buf[4+8*i:], uint64(v))
 	}
 	return buf
-}
-
-// DecodeRow parses a row from its Encode output.
-func DecodeRow(b []byte) (Row, error) {
-	if len(b) < 4 {
-		return nil, errors.New("table: row encoding too short")
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	if len(b) != 4+8*n {
-		return nil, fmt.Errorf("table: row encoding length %d inconsistent with %d attributes", len(b), n)
-	}
-	r := make(Row, n)
-	for i := range r {
-		r[i] = int64(binary.LittleEndian.Uint64(b[4+8*i:]))
-	}
-	return r, nil
 }
 
 // Schema names the columns of a relation.
@@ -110,30 +90,8 @@ func (s *Schema) Col(name string) (int, error) {
 	return i, nil
 }
 
-// MustCol is Col that panics, for fixtures whose columns are static.
-func (s *Schema) MustCol(name string) int {
-	i, err := s.Col(name)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
 // Arity returns the number of columns.
 func (s *Schema) Arity() int { return len(s.Columns) }
-
-// Joined returns the schema of the concatenation of two relations, with
-// columns qualified by their source relation name.
-func (s *Schema) Joined(o *Schema) *Schema {
-	cols := make([]string, 0, len(s.Columns)+len(o.Columns))
-	for _, c := range s.Columns {
-		cols = append(cols, s.Name+"."+c)
-	}
-	for _, c := range o.Columns {
-		cols = append(cols, o.Name+"."+c)
-	}
-	return MustSchema(s.Name+"_"+o.Name, cols...)
-}
 
 // TimedRow is a row plus the logical time at which the owner received it
 // (the timestamp t_tid of Section 6).
@@ -172,16 +130,6 @@ func (g *Growing) Insert(t int, r Row) error {
 	return nil
 }
 
-// InsertBatch appends rows at time t.
-func (g *Growing) InsertBatch(t int, rows []Row) error {
-	for _, r := range rows {
-		if err := g.Insert(t, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Len returns the total number of rows ever inserted.
 func (g *Growing) Len() int { return len(g.rows) }
 
@@ -193,32 +141,13 @@ func (g *Growing) Instance(t int) []TimedRow {
 	return g.rows[:hi]
 }
 
-// Between returns rows with timestamp in (lo, hi], the Delta-window used by
-// the leakage mechanisms (sigma_{t-T < t_tid <= t}).
-func (g *Growing) Between(lo, hi int) []TimedRow {
-	a := sort.Search(len(g.rows), func(i int) bool { return g.rows[i].Time > lo })
-	b := sort.Search(len(g.rows), func(i int) bool { return g.rows[i].Time > hi })
-	return g.rows[a:b]
-}
-
 // All returns every row.
 func (g *Growing) All() []TimedRow { return g.rows }
 
 // Predicate selects rows.
 type Predicate func(Row) bool
 
-// Count returns the number of rows in rs whose Row satisfies pred.
-func Count(rs []TimedRow, pred Predicate) int {
-	n := 0
-	for _, tr := range rs {
-		if pred(tr.Row) {
-			n++
-		}
-	}
-	return n
-}
-
-// CountRows is Count over bare rows.
+// CountRows returns the number of rows satisfying pred.
 func CountRows(rs []Row, pred Predicate) int {
 	n := 0
 	for _, r := range rs {
@@ -227,17 +156,6 @@ func CountRows(rs []Row, pred Predicate) int {
 		}
 	}
 	return n
-}
-
-// Filter returns the rows satisfying pred.
-func Filter(rs []TimedRow, pred Predicate) []Row {
-	var out []Row
-	for _, tr := range rs {
-		if pred(tr.Row) {
-			out = append(out, tr.Row)
-		}
-	}
-	return out
 }
 
 // HashJoin computes the plaintext equi-join of left and right on the given

@@ -372,15 +372,6 @@ func (c Config) Match() oblivious.MatchFunc {
 	}
 }
 
-// OracleCount recomputes the ground-truth logical answer q_t(D_t) from the
-// full relations — the count of key-equal, in-window pairs at time t. It is
-// O(n^2)-ish and intended for tests and the NM baseline, not the hot path.
-func (tr *Trace) OracleCount(t int) int {
-	left := rowsOf(tr.LeftTable.Instance(t))
-	right := rowsOf(tr.RightTable.Instance(t))
-	return table.JoinWithin(left, right, ColKey, ColKey, ColTime, ColTime, tr.Config.Within)
-}
-
 // PrefixTruth returns the cumulative ground truth per step computed from the
 // per-step increments.
 func (tr *Trace) PrefixTruth() []int {
@@ -399,12 +390,4 @@ func (tr *Trace) MeanPairsPerStep() float64 {
 		return 0
 	}
 	return float64(tr.TotalPairs) / float64(len(tr.Steps))
-}
-
-func rowsOf(trs []table.TimedRow) []table.Row {
-	out := make([]table.Row, len(trs))
-	for i, tr := range trs {
-		out[i] = tr.Row
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"incshrink/internal/oblivious"
+	"incshrink/internal/table"
 )
 
 func TestValidate(t *testing.T) {
@@ -115,7 +116,8 @@ func TestGroundTruthMatchesOracle(t *testing.T) {
 		}
 		truth := tr.PrefixTruth()
 		for _, checkT := range []int{0, 50, 150, 299} {
-			oracle := tr.OracleCount(checkT)
+			oracle := table.JoinWithin(rowsOf(tr.LeftTable.Instance(checkT)), rowsOf(tr.RightTable.Instance(checkT)),
+				ColKey, ColKey, ColTime, ColTime, cfg.Within)
 			if truth[checkT] != oracle {
 				t.Errorf("%s: t=%d prefix truth %d != oracle %d", cfg.Name, checkT, truth[checkT], oracle)
 			}
@@ -124,6 +126,14 @@ func TestGroundTruthMatchesOracle(t *testing.T) {
 			t.Errorf("%s: TotalPairs %d != final prefix %d", cfg.Name, tr.TotalPairs, truth[len(truth)-1])
 		}
 	}
+}
+
+func rowsOf(trs []table.TimedRow) []table.Row {
+	out := make([]table.Row, len(trs))
+	for i, tr := range trs {
+		out[i] = tr.Row
+	}
+	return out
 }
 
 func TestUploadSchedule(t *testing.T) {
