@@ -20,10 +20,9 @@ build:
 # lint is the full static-analysis gate (CI runs this): formatting, go vet,
 # the orphaned-package and dead-export checks (orphans and deadexports,
 # below) and the incshrink-lint analyzers — detclock, rngdraw, maporder,
-# poolsteal, oblivtaint, goleak, atomicmix (see internal/analysis and
-# DESIGN.md §10). The gate runs with
-# -tests (test files are policed too) and -unusedallow (a stale escape hatch
-# is a finding). When staticcheck/govulncheck are on PATH they run too; CI
+# oblivtaint, goleak, atomicmix (see internal/analysis and DESIGN.md §10).
+# The gate runs with -tests (test files are policed too) and -unusedallow (a
+# stale escape hatch is a finding). When staticcheck/govulncheck are on PATH they run too; CI
 # installs them at pinned versions, offline checkouts just skip them.
 # Intentional violations
 # are annotated in source as `//lint:allow <analyzer> <reason>` — the
@@ -58,7 +57,8 @@ orphans:
 # somewhere other than its own package's tests. One whole-module type-check
 # on the standard library (internal/analysis TestDeadExports, which also runs
 # with the normal test suite); what it tolerates is a table in that file, one
-# reason per symbol.
+# reason per symbol. The same load fails if a non-test file uses package
+# sync's Pool: scratch has an owner (DESIGN.md §7).
 deadexports:
 	$(GO) test -count=1 -run 'TestDeadExports$$' ./internal/analysis
 
@@ -66,8 +66,8 @@ test:
 	$(GO) test ./...
 
 # race exercises the concurrent sweep engine, the serving subsystem (whose
-# concurrent views are also what reaches internal/oblivious' process-wide
-# comparator tables — each built once under a sync.Once — and pools from
+# concurrent views are also what reaches internal/oblivious' one process-wide
+# structure, the comparator tables — each built once under a sync.Once — from
 # several goroutines; that package itself starts none), the engines they fan
 # out, and the two-party stack: every
 # gmw/party pair test is two goroutines over one conn pair whose counters are
@@ -90,7 +90,7 @@ bench-core:
 	$(GO) run ./cmd/incshrink-bench -exp core
 
 # bench-smoke compiles and runs every data-plane benchmark once — the
-# pooled-operator benchmarks (both sort shapes among them: the real-first
+# operator benchmarks (both sort shapes among them: the real-first
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
 # BenchmarkJoinSort1040; 512 distinct sort lengths in the cpdb cache's range,
 # BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator

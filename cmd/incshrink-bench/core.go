@@ -10,7 +10,7 @@ import (
 )
 
 // The core experiment microbenchmarks the engine's data plane — the
-// columnar, pooled buffer path behind Advance, Count and CountWhere — at
+// columnar buffer path behind Advance, Count and CountWhere — at
 // the paper-default deployment (Within=10, epsilon=1.5, T=10, seed 1) with
 // a deterministic synthetic stream (three left rows and one joining right
 // row per step, mirroring the root-package core benchmarks). It writes a
@@ -116,7 +116,7 @@ func runCore(jsonOut string) error {
 			fail(err)
 			b.SkipNow()
 		}
-		for t := 0; t < 64; t++ { // steady state: pools warm, windows full
+		for t := 0; t < 64; t++ { // steady state: scratch warm, windows full
 			if err := corebench.Step(db, t); err != nil {
 				fail(err)
 				b.SkipNow()

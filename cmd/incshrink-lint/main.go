@@ -1,7 +1,6 @@
 // Command incshrink-lint is the multichecker for incshrink's determinism
-// and obliviousness analyzers (detclock, rngdraw, maporder, poolsteal,
-// oblivtaint, goleak, atomicmix — see internal/analysis). It is usable
-// two ways:
+// and obliviousness analyzers (detclock, rngdraw, maporder, oblivtaint,
+// goleak, atomicmix — see internal/analysis). It is usable two ways:
 //
 // Standalone, over the whole module (the make-lint entry point):
 //
@@ -11,8 +10,8 @@
 //
 //	go vet -vettool=$(command -v incshrink-lint) ./...
 //
-// Analyzers are enabled with -detclock, -rngdraw, -maporder, -poolsteal,
-// -oblivtaint, -goleak, -atomicmix (all on by default) and scoped with
+// Analyzers are enabled with -detclock, -rngdraw, -maporder, -oblivtaint,
+// -goleak, -atomicmix (all on by default) and scoped with
 // -detclock.exclude / -rngdraw.pkgs / -oblivtaint.pkgs /
 // -oblivtaint.sanction / -goleak.exclude.
 // Intentional violations are annotated in source with

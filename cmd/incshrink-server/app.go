@@ -20,7 +20,6 @@ type appConfig struct {
 	HighWater       int
 	IngestBatch     int
 	MaxBatchSteps   int
-	Shards          int
 	IngestWorkers   int
 	DataDir         string
 	CheckpointEvery int
@@ -57,7 +56,6 @@ func buildApp(cfg appConfig, logDst io.Writer) (*app, error) {
 		HighWater:     cfg.HighWater,
 		IngestBatch:   cfg.IngestBatch,
 		MaxBatchSteps: cfg.MaxBatchSteps,
-		Shards:        cfg.Shards,
 		IngestWorkers: cfg.IngestWorkers,
 		Metrics:       metrics,
 		Traces:        traces,

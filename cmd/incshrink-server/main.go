@@ -5,7 +5,7 @@
 // Usage:
 //
 //	incshrink-server -addr :8080 -ops-addr :9090 -mailbox 16 -high-water 12 \
-//	    -ingest-batch 8 -shards 16 -ingest-workers 0 \
+//	    -ingest-batch 8 -ingest-workers 0 \
 //	    -data /var/lib/incshrink -checkpoint-every 100 -log-level info
 //
 // A curl session against a running server:
@@ -66,7 +66,6 @@ func main() {
 		highWater = flag.Int("high-water", 0, "backpressure threshold in queued steps: at or past it uploads get 503 + depth-aware Retry-After (0 = mailbox capacity)")
 		batch     = flag.Int("ingest-batch", 8, "max backlogged steps coalesced into one engine batch (1 disables coalescing)")
 		maxBatch  = flag.Int("max-batch-steps", 512, "max steps one advance-batch request may carry (larger -> 400)")
-		shards    = flag.Int("shards", 16, "registry hash shards (lifecycle ops on distinct views never contend)")
 		workers   = flag.Int("ingest-workers", 0, "max views advancing simultaneously (0 = GOMAXPROCS)")
 		grace     = flag.Duration("grace", 10*time.Second, "graceful shutdown budget")
 		dataDir   = flag.String("data", "", "data directory for view checkpoints (empty = not durable)")
@@ -90,7 +89,6 @@ func main() {
 		HighWater:       *highWater,
 		IngestBatch:     *batch,
 		MaxBatchSteps:   *maxBatch,
-		Shards:          *shards,
 		IngestWorkers:   *workers,
 		DataDir:         *dataDir,
 		CheckpointEvery: *cpEvery,
@@ -121,7 +119,6 @@ func main() {
 		slog.String("addr", *addr),
 		slog.Int("mailbox", *mailbox),
 		slog.Int("ingest_batch", *batch),
-		slog.Int("shards", *shards),
 		slog.Int("ingest_workers", *workers),
 		slog.String("data", *dataDir))
 

@@ -23,7 +23,6 @@ func TestObsSmoke(t *testing.T) {
 		Mailbox:       16,
 		IngestBatch:   8,
 		MaxBatchSteps: 512,
-		Shards:        4,
 		TraceBuffer:   256,
 		LogLevel:      slog.LevelInfo,
 		DataDir:       t.TempDir(),

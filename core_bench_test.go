@@ -30,7 +30,7 @@ func benchStep(b *testing.B, db *incshrink.DB, t int) {
 
 func BenchmarkAdvance(b *testing.B) {
 	db := benchOpen(b)
-	for t := 0; t < 64; t++ { // steady state: pools warm, windows full
+	for t := 0; t < 64; t++ { // steady state: scratch warm, windows full
 		benchStep(b, db, t)
 	}
 	b.ReportAllocs()
@@ -51,7 +51,7 @@ func BenchmarkAdvanceBatch8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for t := 0; t < 64; t++ { // steady state: pools warm, windows full
+	for t := 0; t < 64; t++ { // steady state: scratch warm, windows full
 		benchStep(b, db, t)
 	}
 	b.ReportAllocs()

@@ -1,6 +1,6 @@
-// Package analysis is incshrink's static-analysis suite: four analyzers
-// that machine-check the determinism contract every golden, snapshot and
-// batched==sequential test silently relies on.
+// Package analysis is incshrink's static-analysis suite: six analyzers
+// that machine-check the determinism, obliviousness and concurrency contracts
+// every golden, snapshot and batched==sequential test silently relies on.
 //
 //   - detclock: no wall-clock reads or global math/rand draws in
 //     deterministic packages.
@@ -11,9 +11,10 @@
 //   - maporder: no order-dependent work (appends, encodes, hashes, string
 //     or float accumulation) inside a range over a map — the classic
 //     silent golden-breaker.
-//   - poolsteal: values borrowed from the sync.Pool-backed arenas
-//     (oblivious.GetBuffer, sync.Pool.Get) are released on every path and
-//     never touched after release.
+//   - oblivtaint: secret values never reach a branch, an index or an
+//     allocation size in the packages that must be oblivious.
+//   - goleak: every go statement in a library package has a join.
+//   - atomicmix: what sync/atomic accesses is never accessed plainly.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer/Pass/Diagnostic, an analysistest-style fixture harness, and a
@@ -94,7 +95,7 @@ type Diagnostic struct {
 // //lint:allow validator both treat this as the registry of known
 // analyzer names.
 func All() []*Analyzer {
-	return []*Analyzer{DetClock, RNGDraw, MapOrder, PoolSteal, OblivTaint, GoLeak, AtomicMix}
+	return []*Analyzer{DetClock, RNGDraw, MapOrder, OblivTaint, GoLeak, AtomicMix}
 }
 
 // KnownAnalyzer reports whether name is an analyzer in the suite,

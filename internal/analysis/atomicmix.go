@@ -14,7 +14,7 @@ import (
 // schedule cooperates. The fix is to route every access through
 // sync/atomic — or better, migrate the field to the typed atomic.Int64
 // family, which makes plain access unrepresentable (the style the obs
-// registry and shard depth counters already use).
+// registry and the per-view depth counters already use).
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "a variable or field accessed through sync/atomic must never be read or written " +

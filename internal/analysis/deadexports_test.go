@@ -27,9 +27,6 @@ var deadExportsKept = map[string]string{
 	"gmw.Eval.XORWords":     "gate library; ROADMAP item 6",
 	"gmw.Eval.Equal":        "gate library; ROADMAP item 6",
 	"gmw.Eval.Stats":        "gate library; ROADMAP item 6",
-	"obs.SystemClock":       "the Clock seam nothing injects through yet",
-	"obs.Manual.Advance":    "the Clock seam's test fake",
-	"obs.Manual.Set":        "the Clock seam's test fake",
 	"party.Resume":          "rejoin entry point; ROADMAP item 7 wires it to a reconnect",
 	"secretshare.NewRand":   "the package's seeded source for its tests and fuzzers",
 	"query.Compiled.Conds":  "query.Rewrite outlives its callers for cmd/benchmark's probe; ROADMAP item 1",
@@ -75,7 +72,8 @@ func (l *moduleImporter) isTest(pos token.Pos) bool {
 // be referenced from somewhere other than its own package's tests. Struct
 // fields are not policed, and a method is exempt when its type implements
 // an interface (of the module or the standard library) that has it, since
-// it may be reached through that interface.
+// it may be reached through that interface. The load also asserts that no
+// non-test file of the module references package sync's Pool.
 func TestDeadExports(t *testing.T) {
 	const root = "../.."
 	fset := token.NewFileSet()
@@ -132,8 +130,13 @@ func TestDeadExports(t *testing.T) {
 			}
 		}
 	}
-	for _, obj := range l.info.Uses {
+	for id, obj := range l.info.Uses {
 		used[obj] = true
+		// The same load keeps the process-wide free lists deleted: scratch
+		// rides on the buffer its operator mutates (DESIGN.md §7).
+		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool" {
+			t.Errorf("%s: a sync Pool in a non-test file; scratch has an owner", fset.Position(id.Pos()))
+		}
 	}
 	ifaces := reachedInterfaces(l.pkgs)
 	var dead []string

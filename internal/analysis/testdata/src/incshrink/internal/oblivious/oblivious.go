@@ -1,6 +1,5 @@
 // Package oblivious is a hermetic analysistest stub of
-// incshrink/internal/oblivious: the pooled arena surface the poolsteal
-// fixtures borrow from, plus the secret accessors the oblivtaint
+// incshrink/internal/oblivious: the secret accessors the oblivtaint
 // fixtures read.
 package oblivious
 
@@ -15,11 +14,7 @@ type Record struct {
 	Row []int64
 }
 
-func GetBuffer(arity int) *Buffer { return &Buffer{} }
-
-func (b *Buffer) Release()       {}
-func (b *Buffer) Len() int       { return b.n }
-func (b *Buffer) Append(v int64) {}
+func (b *Buffer) Len() int { return b.n }
 
 // Secret accessors (oblivtaint sources).
 func (b *Buffer) IsReal(i int) bool { return false }

@@ -1,19 +1,6 @@
 // Package sync is a hermetic analysistest stub: enough surface for the
-// poolsteal fixtures.
+// goleak fixtures.
 package sync
-
-type Pool struct {
-	New func() any
-}
-
-func (p *Pool) Get() any {
-	if p.New != nil {
-		return p.New()
-	}
-	return nil
-}
-
-func (p *Pool) Put(x any) {}
 
 type WaitGroup struct{}
 

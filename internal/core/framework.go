@@ -219,6 +219,7 @@ type Framework struct {
 	shrink   Shrinker
 	match    oblivious.MatchFunc
 	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward
+	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction
 	dummyID  int64             // ascending generator for padding-record keys
 
 	// Per-transform scratch, framework-owned so the steady-state Advance path
@@ -279,6 +280,7 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		shrink:   shrink,
 		match:    wl.Match(),
 		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
+		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
 		carry:    oblivious.NewBuffer(carryArity, 0),
 		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
 		merged:   oblivious.NewBuffer(carryArity, 0),
@@ -511,10 +513,9 @@ func (f *Framework) transform(blocks []uploadBlock) {
 		f.overflow.AppendAll(joined) // carried entries first, then this batch
 		delta = f.deltaBuf
 		delta.Reset()
-		next := oblivious.GetBuffer(workload.JoinArity)
-		oblivious.TightCompactInto(f.overflow, cap, delta, next, f.rt.Meter, mpc.OpTransform, tupleBits)
-		f.overflow.Release()
-		f.overflow = next
+		f.spill.Reset()
+		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
+		f.overflow, f.spill = f.spill, f.overflow
 	}
 
 	// Alg. 1 lines 4-6: update and re-share the cardinality counter — one

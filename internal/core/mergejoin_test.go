@@ -74,10 +74,9 @@ func refTransform(f *Framework, blocks []uploadBlock) {
 		f.overflow.AppendAll(joined)
 		delta = f.deltaBuf
 		delta.Reset()
-		next := oblivious.GetBuffer(workload.JoinArity)
-		oblivious.TightCompactInto(f.overflow, cap, delta, next, f.rt.Meter, mpc.OpTransform, tupleBits)
-		f.overflow.Release()
-		f.overflow = next
+		f.spill.Reset()
+		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
+		f.overflow, f.spill = f.spill, f.overflow
 	}
 	newReal := delta.Real()
 	total := uint32(f.recoverCounter() + newReal)

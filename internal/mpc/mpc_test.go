@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
 )
 
@@ -215,21 +214,6 @@ func TestJointRandomWordUsesBothParties(t *testing.T) {
 	}
 	if ev0[0].Share^ev1[0].Share != w {
 		t.Error("joint word is not the XOR of the contributions")
-	}
-}
-
-// TestJointLaplaceMatchesDPFormula: the runtime's private Laplace inversion
-// must agree with dp.LaplaceFromWords bit-for-bit for the same words.
-func TestJointLaplaceMatchesDPFormula(t *testing.T) {
-	words := []uint32{0, 1, 1 << 16, 1 << 31, math.MaxUint32, 0xDEADBEEF}
-	for _, zr := range words {
-		for _, zs := range words {
-			got := laplaceFromWords(2.5, zr, zs)
-			want := dp.LaplaceFromWords(2.5, zr, zs)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("laplaceFromWords(%d,%d) = %v, dp gives %v", zr, zs, got, want)
-			}
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
 	"incshrink/internal/wire"
 )
@@ -191,7 +192,7 @@ func (pr *PartyRuntime) JointLaplace(scale float64, op Op) (float64, error) {
 	if pr.meter != nil {
 		pr.meter.ChargeLaplace(op)
 	}
-	return laplaceFromWords(scale, zr, zs), nil
+	return dp.LaplaceFromWords(scale, zr, zs), nil
 }
 
 // ObserveBatch records a padded Transform batch in this party's transcript.

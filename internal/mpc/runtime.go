@@ -427,7 +427,7 @@ func (r *Runtime) JointLaplace(scale float64, op Op) float64 {
 	zr := r.JointRandomWord("noise:mag")
 	zs := r.JointRandomWord("noise:sign")
 	r.Meter.ChargeLaplace(op)
-	return laplaceFromWords(scale, zr, zs)
+	return dp.LaplaceFromWords(scale, zr, zs)
 }
 
 // ObserveBatch records that both servers saw an exhaustively padded batch of
@@ -451,12 +451,4 @@ func (r *Runtime) ObserveFetch(size int, label string) {
 func (r *Runtime) ObserveFlush(size int, label string) {
 	r.p0.ObserveFlush(size, label)
 	r.p1.ObserveFlush(size, label)
-}
-
-// laplaceFromWords is dp.LaplaceFromWords. It was a duplicate while the MPC
-// layer avoided importing dp; since the draw-counted RNGs made mpc depend on
-// dp anyway, it now delegates (the equivalence test in mpc_test.go remains
-// as a pin on the shared formula).
-func laplaceFromWords(scale float64, zr, zs uint32) float64 {
-	return dp.LaplaceFromWords(scale, zr, zs)
 }

@@ -1,8 +1,6 @@
 package oblivious
 
 import (
-	"sync"
-
 	"incshrink/internal/mpc"
 	"incshrink/internal/table"
 )
@@ -20,46 +18,20 @@ import (
 // inside Transform, by position in the input window). Every oblivious
 // operator that reorders or gathers (sort, compaction, the truncated join)
 // works on buffers; the append-only materialized view is scanned column-major
-// instead (CountColumns). Buffers come from a per-arity free list
-// (GetBuffer/Release), so steady-state operation allocates nothing.
+// instead (CountColumns). The operators that mutate a buffer keep their
+// intermediates in its workspace (scratch), so a buffer its owner reuses
+// runs them off the allocator.
 type Buffer struct {
 	pay  table.Flat
 	flag []bool
 	real int
+	ws   scratch
 }
 
 // NewBuffer creates an empty buffer for rows of the given arity with
 // capacity for rowCap rows pre-reserved.
 func NewBuffer(arity, rowCap int) *Buffer {
 	return &Buffer{pay: *table.NewFlat(arity, rowCap), flag: make([]bool, 0, rowCap)}
-}
-
-// bufferPools holds one free list per arity: buffers of different arities
-// are never mixed, so a recycled buffer's arena capacity is always useful to
-// its next borrower.
-var bufferPools sync.Map // int (arity) -> *sync.Pool
-
-// GetBuffer borrows an empty buffer of the given arity from the per-arity
-// free list. Release it when done; the buffer and its arena are then reused.
-func GetBuffer(arity int) *Buffer {
-	p, ok := bufferPools.Load(arity)
-	if !ok {
-		p, _ = bufferPools.LoadOrStore(arity, &sync.Pool{
-			New: func() any { return NewBuffer(arity, 64) },
-		})
-	}
-	b := p.(*sync.Pool).Get().(*Buffer)
-	b.Reset()
-	return b
-}
-
-// Release returns the buffer to its arity's free list. The caller must not
-// use b (or row views into it) afterwards.
-func (b *Buffer) Release() {
-	if p, ok := bufferPools.Load(b.Arity()); ok {
-		b.Reset()
-		p.(*sync.Pool).Put(b)
-	}
 }
 
 // Arity returns the payload attributes per slot.
@@ -188,8 +160,8 @@ func (b *Buffer) Grow(extra int) {
 
 // Truncate drops every slot from index n on, returning the number of real
 // slots removed (the count of the dropped tail, maintained exactly). n is
-// clamped to [0, Len] — an oversized n must never reslice into recycled
-// pool capacity, which would resurrect stale slots.
+// clamped to [0, Len] — an oversized n must never reslice into retained
+// capacity, which would resurrect stale slots.
 func (b *Buffer) Truncate(n int) (droppedReal int) {
 	if n >= b.Len() {
 		return 0
@@ -246,33 +218,36 @@ func (b *Buffer) ScanReal() int {
 // always fetches real data first (Figure 3) — charging one compare-exchange
 // per comparator under op. The network runs over packed keys (sortKeys); the
 // payload and flag columns are gathered once at the end. Steady state
-// allocates nothing: the keys and the gather scratch come from pools.
+// allocates nothing: the keys and the gather arena are b's own workspace.
 func SortRealFirst(b *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := b.Len()
 	if n <= 1 {
 		return
 	}
-	kp := getKeys(n)
-	keys := *kp
+	b.ws.keys = resized(b.ws.keys, n)
+	keys := b.ws.keys
 	for i := 0; i < n; i++ {
 		keys[i] = sortKey{k: 1 - boolWord(b.flag[i]), w: uint64(i)}
 	}
-	sortKeys(keys, meter, op, tupleBits)
+	sortKeys(&b.ws, keys, meter, op, tupleBits)
 	b.applyPerm(keys)
-	keyPool.Put(kp)
 }
 
 // applyPerm reorders the buffer so slot i holds the old slot whose index
-// sorted key i carries: one gather into a pooled scratch buffer, then a
-// storage swap.
+// sorted key i carries: one gather into the workspace's arena, then a swap of
+// the two storages (the real count is a permutation's invariant).
 func (b *Buffer) applyPerm(keys []sortKey) {
-	s := GetBuffer(b.Arity())
+	if b.ws.gather == nil {
+		b.ws.gather = NewBuffer(b.Arity(), 0)
+	}
+	s := b.ws.gather
+	s.Reset()
 	s.Grow(len(keys))
 	for _, key := range keys {
 		s.AppendFrom(b, int(uint32(key.w)))
 	}
-	*b, *s = *s, *b
-	s.Release()
+	b.pay, s.pay = s.pay, b.pay
+	b.flag, s.flag = s.flag, b.flag
 }
 
 // TightCompactInto obliviously packs the real slots of src into dst up to

@@ -1,7 +1,9 @@
 package oblivious
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -12,7 +14,6 @@ func TestBufferRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	es := randEntries(rng, 37)
 	b := bufferOf(es)
-	defer b.Release()
 	if b.Len() != 37 || b.Arity() != 2 {
 		t.Fatalf("len=%d arity=%d", b.Len(), b.Arity())
 	}
@@ -24,8 +25,7 @@ func TestBufferRoundTrip(t *testing.T) {
 
 func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	b := GetBuffer(2)
-	defer b.Release()
+	b := NewBuffer(2, 0)
 	check := func(op string) {
 		t.Helper()
 		if b.Real() != b.ScanReal() {
@@ -43,7 +43,6 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 		case 3:
 			other, _ := randBuffer(rng, 1+rng.Intn(10))
 			b.AppendFrom(other, rng.Intn(other.Len()))
-			other.Release()
 		case 4:
 			b.Truncate(rng.Intn(b.Len() + 1))
 		case 5:
@@ -51,7 +50,6 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 		case 6:
 			other, _ := randBuffer(rng, rng.Intn(10))
 			b.AppendAll(other)
-			other.Release()
 		case 7:
 			SortRealFirst(b, nil, mpc.OpOther, 64)
 		}
@@ -71,14 +69,12 @@ func TestSortBufferMatchesEntrySort(t *testing.T) {
 		refSort(es, byIsViewFirst)
 		SortRealFirst(b, nil, mpc.OpOther, 64)
 		entriesEqual(t, entriesOf(b), es)
-		b.Release()
 	}
 }
 
 func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b, _ := randBuffer(rng, 24)
-	defer b.Release()
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	SortRealFirst(b, m, mpc.OpShrink, 128)
 	want := float64(mpc.SortCompareExchanges(24)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
@@ -87,8 +83,7 @@ func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 	}
 	// Tiny buffers charge nothing.
 	m.Reset()
-	one := GetBuffer(2)
-	defer one.Release()
+	one := NewBuffer(2, 0)
 	one.AppendDummy()
 	SortRealFirst(one, m, mpc.OpShrink, 128)
 	if m.TotalGates() != 0 {
@@ -134,7 +129,6 @@ func TestCountBufferMatchesEntryForm(t *testing.T) {
 		}
 	}
 	b := bufferOf(es)
-	defer b.Release()
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	if got := CountBuffer(b, pred, m, mpc.OpQuery); got != want {
 		t.Errorf("CountBuffer = %d, want %d", got, want)
@@ -145,8 +139,7 @@ func TestCountBufferMatchesEntryForm(t *testing.T) {
 }
 
 func TestTruncateClamps(t *testing.T) {
-	b := GetBuffer(2)
-	defer b.Release()
+	b := NewBuffer(2, 0)
 	b.AppendRow(table.Row{1, 2})
 	b.AppendDummy()
 	if got := b.Truncate(99); got != 0 || b.Len() != 2 {
@@ -157,20 +150,8 @@ func TestTruncateClamps(t *testing.T) {
 	}
 }
 
-func TestBufferPoolRecycles(t *testing.T) {
-	b := GetBuffer(5)
-	b.AppendDummy()
-	b.Release()
-	b2 := GetBuffer(5)
-	defer b2.Release()
-	if b2.Len() != 0 || b2.Real() != 0 || b2.Arity() != 5 {
-		t.Errorf("recycled buffer not reset: len=%d real=%d arity=%d", b2.Len(), b2.Real(), b2.Arity())
-	}
-}
-
 func TestAppendJoinConcatenates(t *testing.T) {
-	b := GetBuffer(4)
-	defer b.Release()
+	b := NewBuffer(4, 0)
 	b.AppendJoin(table.Row{1, 2}, table.Row{3, 4})
 	if !b.Row(0).Equal(table.Row{1, 2, 3, 4}) {
 		t.Errorf("join row = %v", b.Row(0))
@@ -180,31 +161,20 @@ func TestAppendJoinConcatenates(t *testing.T) {
 	}
 }
 
-// Allocation regressions (the pooled-path satellite): warm calls of the
-// columnar operators must stay off the allocator. The two sorts — the cache
-// sort and the join sort — are held to exactly zero (AllocsPerRun truncates
-// the per-run average, so a pool refill after a GC cannot fail them; under
-// the race detector, whose sync.Pool drops Puts, to the small constant);
-// compaction to a small constant.
-const maxSteadyAllocs = 8.0
-
-func maxSortAllocs() float64 {
-	if raceEnabled {
-		return maxSteadyAllocs
-	}
-	return 0
-}
+// Allocation regressions: warm calls of the columnar operators must stay off
+// the allocator — every intermediate is in the workspace of the buffer the
+// operator mutates, so the bound is exactly zero, race detector or not.
+const warmAllocs = 0
 
 func TestSortBufferSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	b, _ := randBuffer(rng, 512)
-	defer b.Release()
-	SortRealFirst(b, nil, mpc.OpOther, 64) // warm the pools and the network cache
+	SortRealFirst(b, nil, mpc.OpOther, 64) // warm the workspace and the network table
 	avg := testing.AllocsPerRun(100, func() {
 		SortRealFirst(b, nil, mpc.OpOther, 64)
 	})
-	if avg > maxSortAllocs() {
-		t.Errorf("SortRealFirst allocates %.1f/op warm, want <= %v", avg, maxSortAllocs())
+	if avg > warmAllocs {
+		t.Errorf("SortRealFirst allocates %.1f/op warm, want <= %v", avg, warmAllocs)
 	}
 }
 
@@ -217,41 +187,65 @@ func TestSMJIntoSteadyStateAllocs(t *testing.T) {
 		rows2[i] = table.Row{int64(rng.Intn(16)), int64(i)}
 	}
 	r1, r2 := mkRecords(rows1), mkRecords(rows2)
-	dst := GetBuffer(4)
-	defer dst.Release()
+	dst := NewBuffer(4, 0)
 	TruncatedSortMergeJoinInto(dst, r1, r2, 0, 0, nil, 4, nil, mpc.OpTransform) // warm dst arena
 	avg := testing.AllocsPerRun(100, func() {
 		dst.Reset()
 		TruncatedSortMergeJoinInto(dst, r1, r2, 0, 0, nil, 4, nil, mpc.OpTransform)
 	})
-	if avg > maxSortAllocs() {
-		t.Errorf("TruncatedSortMergeJoinInto allocates %.1f/op warm, want <= %v", avg, maxSortAllocs())
+	if avg > warmAllocs {
+		t.Errorf("TruncatedSortMergeJoinInto allocates %.1f/op warm, want <= %v", avg, warmAllocs)
+	}
+}
+
+// TestMergeJoinIntoSteadyStateAllocs holds the join the engine runs, at the
+// tpcds shape — a 104-row block merged into a 936-row carry — with dst, sorted
+// and in reused as core.Framework reuses them.
+func TestMergeJoinIntoSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	rows := make([]table.Row, 936+104)
+	for i := range rows {
+		rows[i] = table.Row{rng.Int63n(2880), int64(i), int64(rng.Intn(2))} // {key, payload, tag}
+	}
+	slices.SortFunc(rows[:936], func(a, b table.Row) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[2], b[2])) })
+	in := NewBuffer(3, len(rows))
+	for _, r := range rows {
+		in.AppendRow(r)
+	}
+	dst, sorted := NewBuffer(4, 0), NewBuffer(3, 0)
+	keep := func(table.Row) bool { return true }
+	run := func() {
+		dst.Reset()
+		sorted.Reset()
+		MergeJoinInto(dst, sorted, in, 936, 0, keep, nil, 1, nil, mpc.OpTransform)
+	}
+	run() // warm dst's workspace, both arenas and the network tables
+	if avg := testing.AllocsPerRun(100, run); avg > warmAllocs {
+		t.Errorf("MergeJoinInto allocates %.1f/op warm, want <= %v", avg, warmAllocs)
+	}
+	if dst.Len() != len(rows) || sorted.Len() != len(rows) {
+		t.Errorf("join emitted %d slots and %d sorted rows, want %d of each", dst.Len(), sorted.Len(), len(rows))
 	}
 }
 
 func TestTightCompactIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	src, _ := randBuffer(rng, 256)
-	defer src.Release()
-	dst, over := GetBuffer(2), GetBuffer(2)
-	defer dst.Release()
-	defer over.Release()
+	dst, over := NewBuffer(2, 0), NewBuffer(2, 0)
 	avg := testing.AllocsPerRun(100, func() {
 		dst.Reset()
 		over.Reset()
 		TightCompactInto(src, 64, dst, over, nil, mpc.OpTransform, 64)
 	})
-	if avg > maxSteadyAllocs {
-		t.Errorf("TightCompactInto allocates %.1f/op warm, want <= %v", avg, maxSteadyAllocs)
+	if avg > warmAllocs {
+		t.Errorf("TightCompactInto allocates %.1f/op warm, want <= %v", avg, warmAllocs)
 	}
 }
 
 func BenchmarkSortBuffer1K(b *testing.B) {
 	rng := rand.New(rand.NewSource(99))
 	base, _ := randBuffer(rng, 1024)
-	defer base.Release()
-	work := GetBuffer(2)
-	defer work.Release()
+	work := NewBuffer(2, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -275,8 +269,7 @@ func BenchmarkJoinSort1040(b *testing.B) {
 		rows2[i] = table.Row{rng.Int63n(2880), int64(i)}
 	}
 	r1, r2 := mkRecords(rows1), mkRecords(rows2)
-	dst := GetBuffer(4)
-	defer dst.Release()
+	dst := NewBuffer(4, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -294,8 +287,7 @@ func BenchmarkSMJInto128(b *testing.B) {
 		rows2[i] = table.Row{int64(rng.Intn(32)), int64(i)}
 	}
 	r1, r2 := mkRecords(rows1), mkRecords(rows2)
-	dst := GetBuffer(4)
-	defer dst.Release()
+	dst := NewBuffer(4, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -307,10 +299,7 @@ func BenchmarkSMJInto128(b *testing.B) {
 func BenchmarkTightCompactInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(101))
 	src, _ := randBuffer(rng, 512)
-	defer src.Release()
-	dst, over := GetBuffer(2), GetBuffer(2)
-	defer dst.Release()
-	defer over.Release()
+	dst, over := NewBuffer(2, 0), NewBuffer(2, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -30,14 +30,14 @@ func randEntries(rng *rand.Rand, n int) []entry {
 	return es
 }
 
-// bufferOf builds a pooled buffer holding es; arity is taken from the first
+// bufferOf builds a buffer holding es; arity is taken from the first
 // entry (0 when empty).
 func bufferOf(es []entry) *Buffer {
 	arity := 0
 	if len(es) > 0 {
 		arity = len(es[0].Row)
 	}
-	b := GetBuffer(arity)
+	b := NewBuffer(arity, 0)
 	for _, e := range es {
 		b.AppendSlot(e.Row, e.IsView, 0, 0)
 	}
@@ -164,8 +164,7 @@ func refSort(es []entry, lt less) {
 // smj runs the truncated join into a fresh buffer of the concatenated arity
 // and reads the padded output back.
 func smj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry {
-	dst := GetBuffer(recArity(t1) + recArity(t2))
-	defer dst.Release()
+	dst := NewBuffer(recArity(t1)+recArity(t2), 0)
 	TruncatedSortMergeJoinInto(dst, t1, t2, 0, 0, match, bound, meter, mpc.OpTransform)
 	return entriesOf(dst)
 }
@@ -173,10 +172,7 @@ func smj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry 
 // tightCompact runs TightCompactInto over es and reads both outputs back.
 func tightCompact(es []entry, cap int, meter *mpc.Meter, tupleBits int) (out, overflow []entry) {
 	src := bufferOf(es)
-	defer src.Release()
-	dst, over := GetBuffer(src.Arity()), GetBuffer(src.Arity())
-	defer dst.Release()
-	defer over.Release()
+	dst, over := NewBuffer(src.Arity(), 0), NewBuffer(src.Arity(), 0)
 	TightCompactInto(src, cap, dst, over, meter, mpc.OpTransform, tupleBits)
 	return entriesOf(dst), entriesOf(over)
 }

@@ -1,8 +1,6 @@
 package oblivious
 
 import (
-	"sync"
-
 	"incshrink/internal/mpc"
 	"incshrink/internal/table"
 )
@@ -20,26 +18,6 @@ type Record struct {
 // temporal predicate "returned within 10 days" that defines the paper's Q1
 // view). A nil MatchFunc matches every key-equal pair.
 type MatchFunc func(left, right Record) bool
-
-// intsPool recycles the per-invocation contribution counters and key-group
-// windows of the truncated join.
-var intsPool = sync.Pool{New: func() any { s := make([]int, 0, 256); return &s }}
-
-// getInts borrows a zeroed int slice of length n.
-func getInts(n int) *[]int {
-	p := intsPool.Get().(*[]int)
-	s := (*p)[:0]
-	for len(s) < n {
-		s = append(s, 0)
-	}
-	*p = s
-	return p
-}
-
-func putInts(p *[]int) {
-	*p = (*p)[:0]
-	intsPool.Put(p)
-}
 
 // signBit flips an int64 column into an order-preserving uint64 sort key, so
 // negative (pad) keys order below positive ones.
@@ -63,8 +41,8 @@ const signBit = 1 << 63
 // and T2 attributes and are appended to dst, whose arity must equal the
 // concatenated record arities. The tagged union is never materialized as
 // rows: it is the packed key slice the network sorts, and the scan reads
-// key, tag and union position straight back out of it; intermediates come
-// from pools, so a warm call allocates nothing beyond dst's own growth.
+// key, tag and union position straight back out of it; intermediates live in
+// dst's workspace, so a call on a reused dst allocates nothing.
 //
 // This is the from-scratch form — sort everything, then scan — and the
 // reference for MergeJoinInto, which the engine runs. fresh = (new1, new2)
@@ -79,9 +57,8 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 
 	// The tagged union as sort keys: T1 rows tag 0, T2 rows tag 1, the low
 	// word holding the row's position in the union.
-	keysp := getKeys(len(t1) + len(t2))
-	defer keyPool.Put(keysp)
-	keys := *keysp
+	dst.ws.keys = resized(dst.ws.keys, len(t1)+len(t2))
+	keys := dst.ws.keys
 	for i, r := range t1 {
 		keys[i] = sortKey{k: uint64(r.Row[key1]) ^ signBit, w: uint64(i)}
 	}
@@ -90,7 +67,7 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 	}
 
 	// Sort the union on (key, tag), charged for the wider side plus the key.
-	sortKeys(keys, meter, op, 64*(max(recArity(t1), recArity(t2))+1))
+	sortKeys(&dst.ws, keys, meter, op, 64*(max(recArity(t1), recArity(t2))+1))
 
 	emitJoin(dst, keys,
 		func(i int) table.Row {
@@ -113,15 +90,14 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 // (key, tag) order, flagged by keep: compacted, that is the next carry.
 func MergeJoinInto(dst, sorted, in *Buffer, m, key int, keep func(table.Row) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	arity := dst.Arity() / 2
-	keysp := getKeys(in.Len())
-	defer keyPool.Put(keysp)
-	keys := *keysp
+	dst.ws.keys = resized(dst.ws.keys, in.Len())
+	keys := dst.ws.keys
 	for i := range in.Len() {
 		r := in.Row(i)
 		keys[i] = sortKey{k: uint64(r[key]) ^ signBit, w: uint64(r[arity])<<32 | uint64(i)}
 	}
-	sortKeys(keys[m:], meter, op, 64*(arity+1))
-	mergeKeys(keys, m, meter, op, 64*(arity+1))
+	sortKeys(&dst.ws, keys[m:], meter, op, 64*(arity+1))
+	mergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))
 
 	emitJoin(dst, keys, func(i int) table.Row { return in.Row(i)[:arity] }, func(i int) bool { return i >= m },
 		match, bound, meter, op)
@@ -138,13 +114,12 @@ func MergeJoinInto(dst, sorted, in *Buffer, m, key int, keep func(table.Row) boo
 // the per-invocation contribution counters are indexed by it.
 func emitJoin(dst *Buffer, keys []sortKey, row func(int) table.Row, fresh func(int) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	bound = max(bound, 1)
-	contribp, windowp := getInts(len(keys)), getInts(0)
-	defer putInts(contribp)
-	defer putInts(windowp)
-	contrib := *contribp
+	dst.ws.contrib = resized(dst.ws.contrib, len(keys))
+	contrib := dst.ws.contrib
+	clear(contrib)
 
 	dst.Grow(bound * len(keys))
-	window := (*windowp)[:0] // union positions of the T1 records sharing the current key
+	window := dst.ws.window[:0] // union positions of the T1 records sharing the current key
 	var windowKey uint64
 	for _, sk := range keys {
 		key, tag, src := sk.k, sk.w>>32, int(uint32(sk.w))
@@ -179,7 +154,7 @@ func emitJoin(dst *Buffer, keys []sortKey, row func(int) table.Row, fresh func(i
 			dst.AppendDummy()
 		}
 	}
-	*windowp = window
+	dst.ws.window = window
 	// The emit loop above touches each slot exactly once; charge the output
 	// linear scan (predicate + conditional copy per slot).
 	if meter != nil {

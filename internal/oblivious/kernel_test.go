@@ -48,7 +48,7 @@ func TestKernelMatchesReferenceNetwork(t *testing.T) {
 		for i, e := range es {
 			keys[i] = sortKey{k: uint64(e.Row[0]) ^ signBit, w: uint64(e.Row[1])<<32 | uint64(e.Row[2])}
 		}
-		sortKeys(keys, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
 		refSort(es, byColumn(0, 1))
 		for i, e := range es {
 			got := table.Row{keyVal(keys[i]), int64(keys[i].w >> 32), int64(uint32(keys[i].w))}
@@ -62,7 +62,6 @@ func TestKernelMatchesReferenceNetwork(t *testing.T) {
 		SortRealFirst(b, nil, mpc.OpOther, 64)
 		refSort(flagged, byIsViewFirst)
 		entriesEqual(t, entriesOf(b), flagged)
-		b.Release()
 	}
 }
 

@@ -32,7 +32,7 @@ func TestSortCorrectnessAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 65; n++ {
 		keys := keysOf(randVals(rng, n))
-		sortKeys(keys, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
 		for i := 1; i < n; i++ {
 			if keyVal(keys[i]) < keyVal(keys[i-1]) {
 				t.Fatalf("n=%d: not sorted at %d: %v > %v", n, i, keyVal(keys[i-1]), keyVal(keys[i]))
@@ -47,7 +47,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 		want := randVals(rng, rng.Intn(200))
 		keys := keysOf(want)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortKeys(keys, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
 		for i := range keys {
 			if keyVal(keys[i]) != want[i] {
 				t.Fatalf("trial %d: position %d = %d want %d", trial, i, keyVal(keys[i]), want[i])
@@ -75,8 +75,7 @@ func TestSortDataIndependence(t *testing.T) {
 			m := newMeter()
 			b, _ := randBuffer(rng, n)
 			SortRealFirst(b, m, mpc.OpShrink, 64)
-			b.Release()
-			sortKeys(keysOf(randVals(rng, n)), m, mpc.OpShrink, 64)
+			sortKeys(new(scratch), keysOf(randVals(rng, n)), m, mpc.OpShrink, 64)
 			charges[m.Gates(mpc.OpShrink)] = true
 		}
 		want := 2 * float64(mpc.SortCompareExchanges(n)) * 64 * newMeter().Model().ANDGatesPerCompareExchangeBit
@@ -89,7 +88,6 @@ func TestSortDataIndependence(t *testing.T) {
 func TestSortChargesPaddedNetwork(t *testing.T) {
 	m := newMeter()
 	b, _ := randBuffer(rand.New(rand.NewSource(4)), 8)
-	defer b.Release()
 	SortRealFirst(b, m, mpc.OpShrink, 128)
 	want := float64(mpc.SortCompareExchanges(8)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
 	if got := m.Gates(mpc.OpShrink); got != want {
@@ -99,7 +97,7 @@ func TestSortChargesPaddedNetwork(t *testing.T) {
 	m.Reset()
 	b.Truncate(1)
 	SortRealFirst(b, m, mpc.OpShrink, 128)
-	sortKeys(keysOf([]int64{7}), m, mpc.OpShrink, 128)
+	sortKeys(new(scratch), keysOf([]int64{7}), m, mpc.OpShrink, 128)
 	if m.TotalGates() != 0 {
 		t.Error("n=1 sort should be free")
 	}
@@ -116,7 +114,6 @@ func TestByIsViewFirstOrdering(t *testing.T) {
 		if b.Real() != countReal(es) || b.ScanReal() != countReal(es) {
 			t.Fatal("sort changed the number of real entries")
 		}
-		b.Release()
 	}
 }
 
@@ -125,7 +122,6 @@ func TestByIsViewFirstOrdering(t *testing.T) {
 func TestCompactFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	b, es := randBuffer(rng, 40)
-	defer b.Release()
 	real := countReal(es)
 	SortRealFirst(b, newMeter(), mpc.OpShrink, 64)
 	sorted := entriesOf(b)
@@ -147,7 +143,6 @@ func TestCompactPartialFetchKeepsRealPriority(t *testing.T) {
 		es[i] = entry{Row: table.Row{int64(i)}, IsView: i%2 == 0} // 10 real
 	}
 	b := bufferOf(es)
-	defer b.Release()
 	SortRealFirst(b, nil, mpc.OpOther, 64)
 	sorted := entriesOf(b)
 	if got := countReal(sorted[:4]); got != 4 {
@@ -331,10 +326,9 @@ func TestJoinFreshPrefix(t *testing.T) {
 				}
 			}
 		}
-		dst := GetBuffer(4)
+		dst := NewBuffer(4, 0)
 		TruncatedSortMergeJoinInto(dst, mkRecords(rows1), mkRecords(rows2), 0, 0, nil, bound, nil, mpc.OpTransform, fresh[0], fresh[1])
 		got := entriesOf(dst)
-		dst.Release()
 		if !table.MultisetEqual(realRowsOf(got), want) {
 			t.Errorf("fresh=%v: %d pairs, want %d", fresh, countReal(got), len(want))
 		}
@@ -350,7 +344,6 @@ func TestCount(t *testing.T) {
 		{Row: table.Row{1}, IsView: false}, // dummy never counts
 		{Row: table.Row{2}, IsView: true},
 	})
-	defer b.Release()
 	m := newMeter()
 	if got := CountBuffer(b, func(r table.Row) bool { return r[0] == 1 }, m, mpc.OpQuery); got != 1 {
 		t.Errorf("CountBuffer = %d want 1", got)
@@ -359,15 +352,13 @@ func TestCount(t *testing.T) {
 		t.Error("count charged nothing")
 	}
 	empty := bufferOf(nil)
-	defer empty.Release()
 	if CountBuffer(empty, func(table.Row) bool { return true }, nil, mpc.OpQuery) != 0 {
 		t.Error("empty count wrong")
 	}
 }
 
 func TestDummyShape(t *testing.T) {
-	b := GetBuffer(4)
-	defer b.Release()
+	b := NewBuffer(4, 0)
 	b.AppendDummy()
 	if d := entriesOf(b)[0]; d.IsView || !d.Row.Equal(make(table.Row, 4)) || b.Real() != 0 {
 		t.Errorf("AppendDummy slot = %+v", d)

@@ -13,6 +13,7 @@ package oblivious
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,18 +35,20 @@ import (
 // with it every golden, snapshot and transcript — is unchanged.
 type sortKey struct{ k, w uint64 }
 
-// keyPool recycles the key slices, so a warm sort allocates nothing.
-var keyPool = sync.Pool{New: func() any { s := make([]sortKey, 0, 1024); return &s }}
-
-// getKeys borrows a key slice of length n (contents unspecified).
-func getKeys(n int) *[]sortKey {
-	p := keyPool.Get().(*[]sortKey)
-	if cap(*p) < n {
-		*p = make([]sortKey, n)
-	}
-	*p = (*p)[:n]
-	return p
+// scratch is the workspace of the operators that mutate the Buffer it rides
+// on — b in SortRealFirst, dst in the two joins. Each part grows on first use
+// and is kept, so a warm operator allocates nothing; and because it has one
+// owner, no operator ever sees memory another buffer, query or tenant wrote.
+type scratch struct {
+	keys, wires     []sortKey // the packed sort keys; mergeKeys' padded wire array
+	contrib, window []int     // emitJoin's per-record counters and current key group
+	pairs           []int32   // one streamed layer of a sort above networkCacheMaxN
+	gather          *Buffer   // applyPerm's arena, swapped with the buffer's own
 }
+
+// resized returns s at length n, reallocated only when its capacity falls
+// short; the contents are unspecified.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // boolWord is the bool -> {0,1} word conversion: the real-first key
 // extraction, the flag byte the view stores and every real-slot counter go
@@ -88,7 +91,7 @@ func exchange(keys []sortKey, pairs []int32) {
 // and the kernel takes it a layer at a time from forEachLayer. Serial on
 // purpose: splitting a layer's index-disjoint comparators across goroutines
 // measured slower at every size (DESIGN.md §12).
-func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+func sortKeys(ws *scratch, keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	n := len(keys)
 	if n <= 1 {
 		return
@@ -96,17 +99,17 @@ func sortKeys(keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if meter != nil {
 		meter.ChargeSort(op, n, tupleBits)
 	}
-	forEachLayer(0, n, 0, func(layer []int32) { exchange(keys, layer) })
+	forEachLayer(ws, 0, n, 0, func(layer []int32) { exchange(keys, layer) })
 }
 
 // mergeKeys merges the sorted runs keys[:m] and keys[m:] in place through the
 // last phase of the same network, charged as that phase padded to its power
 // of two (mpc.MergeCompareExchanges). With P the power of two >= both runs,
 // phase P of the 2P-wire network merges a sorted [0, P) with a sorted [P, 2P);
-// the runs are laid at wires [P-m, P) and [P, P+f) of a pooled scratch, the
+// the runs are laid at wires [P-m, P) and [P, P+f) of the workspace's array, the
 // wires outside standing for -inf and +inf, whose comparators never exchange:
 // what runs is one window of every layer (forEachLayer).
-func mergeKeys(keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+func mergeKeys(ws *scratch, keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	f := len(keys) - m
 	if m == 0 || f == 0 {
 		return
@@ -116,11 +119,11 @@ func mergeKeys(keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int
 	}
 	lp := bits.Len(uint(max(m, f) - 1))
 	lo := 1<<lp - m
-	sp := getKeys(lo + len(keys))
-	copy((*sp)[lo:], keys)
-	forEachLayer(lo, lo+len(keys), lp, func(layer []int32) { exchange(*sp, layer) })
-	copy(keys, (*sp)[lo:])
-	keyPool.Put(sp)
+	ws.wires = resized(ws.wires, lo+len(keys))
+	wires := ws.wires
+	copy(wires[lo:], keys)
+	forEachLayer(ws, lo, lo+len(keys), lp, func(layer []int32) { exchange(wires, layer) })
+	copy(keys, wires[lo:])
 }
 
 // forEachLayer hands visit, in order, the layers of the network on wires
@@ -132,16 +135,14 @@ func mergeKeys(keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int
 // high one k above the low, so "low >= lo" and "high < hi" bound a contiguous
 // run whose ends layerCut gives in closed form; below phase `from` the table
 // is 2^(lg-from) copies of the 2^from-wire network. Above networkCacheMaxN the
-// layers are enumerated into a pooled scratch list instead, bounding memory.
-func forEachLayer(lo, hi, from int, visit func(layer []int32)) {
+// layers are enumerated one at a time into ws.pairs instead, bounding memory.
+func forEachLayer(ws *scratch, lo, hi, from int, visit func(layer []int32)) {
 	if hi > networkCacheMaxN {
 		networkCacheEvictions.Add(1)
-		pp := pairScratchPool.Get().(*[]int32)
-		*pp = batcherLayers(lo, hi, 1<<from, (*pp)[:0], func(layer []int32) []int32 {
+		ws.pairs = batcherLayers(lo, hi, 1<<from, ws.pairs[:0], func(layer []int32) []int32 {
 			visit(layer)
 			return layer[:0]
 		})
-		pairScratchPool.Put(pp)
 		return
 	}
 	lg := bits.Len(uint(hi - 1))
@@ -264,6 +265,3 @@ func CacheStats() (hits, misses, evictions, pairs int64) {
 	return networkCacheHits.Load(), networkCacheMisses.Load(),
 		networkCacheEvictions.Load(), networkCachePairs.Load()
 }
-
-// pairScratchPool recycles the per-layer pair list of the streaming path.
-var pairScratchPool = sync.Pool{New: func() any { s := make([]int32, 0, 4096); return &s }}

@@ -18,7 +18,7 @@ func sortZeroOne(bits []int) {
 	for i, b := range bits {
 		keys[i] = sortKey{k: uint64(b), w: uint64(i)}
 	}
-	sortKeys(keys, nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
 	for i, key := range keys {
 		bits[i] = int(key.k)
 	}
@@ -90,7 +90,7 @@ func TestBatcherZeroOnePrinciple(t *testing.T) {
 func TestZeroOneCacheSort(t *testing.T) {
 	for n := 1; n <= 10; n++ {
 		for mask := 0; mask < 1<<n; mask++ {
-			b := GetBuffer(1)
+			b := NewBuffer(1, 0)
 			for i := 0; i < n; i++ {
 				b.AppendSlot(table.Row{int64(i)}, mask>>i&1 == 1, int64(i), int64(i))
 			}
@@ -104,7 +104,6 @@ func TestZeroOneCacheSort(t *testing.T) {
 					t.Fatalf("n=%d mask=%b: slot %d torn from its flag", n, mask, i)
 				}
 			}
-			b.Release()
 		}
 	}
 }
@@ -113,7 +112,7 @@ func TestZeroOneCacheSort(t *testing.T) {
 // every layer forEachLayer hands the kernel, flattened in order.
 func networkOf(n int) []int32 {
 	got := []int32{}
-	forEachLayer(0, n, 0, func(layer []int32) { got = append(got, layer...) })
+	forEachLayer(new(scratch), 0, n, 0, func(layer []int32) { got = append(got, layer...) })
 	return got
 }
 
@@ -226,7 +225,7 @@ func TestStreamingPathMatchesReference(t *testing.T) {
 		}
 	})
 	_, _, ev0, _ := CacheStats()
-	sortKeys(keys, nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
 	if _, _, ev1, _ := CacheStats(); ev1 != ev0+1 {
 		t.Fatalf("n=%d did not take the streaming path (evictions %d -> %d)", n, ev0, ev1)
 	}
@@ -246,7 +245,7 @@ func TestStreamingPathMatchesReference(t *testing.T) {
 func TestCacheStatsMove(t *testing.T) {
 	const n, sibling = 1531, 1207 // both replay the 2^11-wire table
 	h0, m0, e0, p0 := CacheStats()
-	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), make([]sortKey, n), nil, mpc.OpOther, 64)
 	h1, m1, _, p1 := CacheStats()
 	switch {
 	case m1 == m0+1 && h1 == h0:
@@ -260,8 +259,8 @@ func TestCacheStatsMove(t *testing.T) {
 	default:
 		t.Fatalf("first sort of n=%d: hits %d -> %d misses %d -> %d, want exactly one of them +1", n, h0, h1, m0, m1)
 	}
-	sortKeys(make([]sortKey, sibling), nil, mpc.OpOther, 64)
-	sortKeys(make([]sortKey, n), nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), make([]sortKey, sibling), nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), make([]sortKey, n), nil, mpc.OpOther, 64)
 	h2, m2, e2, p2 := CacheStats()
 	if h2 != h1+2 || m2 != m1 || p2 != p1 {
 		t.Fatalf("a new length in a built class and a repeat: hits %d -> %d misses %d -> %d pairs %d -> %d, want two hits and nothing else",
@@ -292,10 +291,10 @@ func BenchmarkSortVaryingLengths(b *testing.B) {
 	for i := range keys {
 		keys[i] = sortKey{k: rng.Uint64(), w: uint64(i)}
 	}
-	comparators := 0
+	comparators, ws := 0, new(scratch)
 	for i := range lengths {
 		lengths[i] += 1100
-		forEachLayer(0, lengths[i], 0, func(layer []int32) { comparators += len(layer) / 2 })
+		forEachLayer(ws, 0, lengths[i], 0, func(layer []int32) { comparators += len(layer) / 2 })
 	}
 	_, m0, _, _ := CacheStats()
 	var ms0, ms1 runtime.MemStats
@@ -303,7 +302,7 @@ func BenchmarkSortVaryingLengths(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, n := range lengths {
-			sortKeys(keys[:n], nil, mpc.OpOther, 64)
+			sortKeys(ws, keys[:n], nil, mpc.OpOther, 64)
 		}
 	}
 	b.StopTimer()

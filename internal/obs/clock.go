@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // This file is the one sanctioned wall-time origin of the module's
 // deterministic packages: internal/analysis/detclock bans time.Now and
@@ -21,57 +18,13 @@ type Ticks int64
 // Sub returns the duration elapsed from u to t.
 func (t Ticks) Sub(u Ticks) time.Duration { return time.Duration(t - u) }
 
-// Clock is a monotonic time source. The engine layers accept a Clock so
-// tests can substitute a Manual clock and make timing-derived metrics
-// deterministic; production code uses SystemClock.
-type Clock interface {
-	Now() Ticks
-}
-
-// systemClock reads the real monotonic clock. time.Since on a fixed base
+// epoch anchors the process-local monotonic scale. time.Since on a fixed base
 // uses the monotonic reading embedded in the base Time, so Ticks are immune
 // to wall-clock steps (NTP, manual adjustment).
-type systemClock struct{}
-
-// epoch anchors the process-local monotonic scale.
 var epoch = time.Now()
 
-// Now implements Clock.
-func (systemClock) Now() Ticks { return Ticks(time.Since(epoch)) }
+// Now reads the process's monotonic clock.
+func Now() Ticks { return Ticks(time.Since(epoch)) }
 
-// SystemClock returns the process's monotonic clock.
-func SystemClock() Clock { return systemClock{} }
-
-// Now reads the system clock — the convenience form instrumented packages
-// use when they do not carry an injected Clock.
-func Now() Ticks { return systemClock{}.Now() }
-
-// Since returns the time elapsed since a system-clock reading.
+// Since returns the time elapsed since a reading of Now.
 func Since(t Ticks) time.Duration { return Now().Sub(t) }
-
-// Manual is a test clock advanced explicitly. The zero value is ready to
-// use and starts at tick 0. Safe for concurrent use.
-type Manual struct {
-	t atomic.Int64
-}
-
-// Now implements Clock.
-func (m *Manual) Now() Ticks { return Ticks(m.t.Load()) }
-
-// Advance moves the clock forward by d (negative d is ignored: the clock is
-// monotonic by contract).
-func (m *Manual) Advance(d time.Duration) {
-	if d > 0 {
-		m.t.Add(int64(d))
-	}
-}
-
-// Set jumps the clock to an absolute tick, never backwards.
-func (m *Manual) Set(t Ticks) {
-	for {
-		cur := m.t.Load()
-		if int64(t) <= cur || m.t.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}

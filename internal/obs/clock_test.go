@@ -1,16 +1,14 @@
 package obs
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestSystemClockMonotone(t *testing.T) {
-	c := SystemClock()
-	prev := c.Now()
+	prev := Now()
 	for i := 0; i < 1000; i++ {
-		now := c.Now()
+		now := Now()
 		if now < prev {
 			t.Fatalf("system clock went backwards: %d after %d", now, prev)
 		}
@@ -29,43 +27,5 @@ func TestSinceMeasuresElapsed(t *testing.T) {
 func TestTicksSub(t *testing.T) {
 	if d := Ticks(1500).Sub(Ticks(500)); d != time.Microsecond {
 		t.Fatalf("Sub = %v, want 1µs", d)
-	}
-}
-
-func TestManualClock(t *testing.T) {
-	var m Manual
-	if m.Now() != 0 {
-		t.Fatalf("zero Manual should start at 0, got %d", m.Now())
-	}
-	m.Advance(time.Second)
-	if m.Now() != Ticks(time.Second) {
-		t.Fatalf("after Advance(1s): %d", m.Now())
-	}
-	m.Advance(-time.Hour) // ignored: monotonic by contract
-	if m.Now() != Ticks(time.Second) {
-		t.Fatalf("negative Advance moved the clock: %d", m.Now())
-	}
-	m.Set(Ticks(5 * time.Second))
-	m.Set(Ticks(time.Second)) // ignored: never backwards
-	if m.Now() != Ticks(5*time.Second) {
-		t.Fatalf("Set moved the clock backwards: %d", m.Now())
-	}
-}
-
-func TestManualClockConcurrentSet(t *testing.T) {
-	var m Manual
-	var wg sync.WaitGroup
-	for i := 1; i <= 8; i++ {
-		wg.Add(1)
-		go func(n int64) {
-			defer wg.Done()
-			for j := int64(0); j < 1000; j++ {
-				m.Set(Ticks(n * j))
-			}
-		}(int64(i))
-	}
-	wg.Wait()
-	if m.Now() != Ticks(8*999) {
-		t.Fatalf("concurrent Set: %d, want %d", m.Now(), 8*999)
 	}
 }

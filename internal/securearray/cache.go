@@ -51,7 +51,7 @@ func New(arity, tupleBits int, meter *mpc.Meter) *Cache {
 // Append writes an exhaustively padded batch to the tail of the cache
 // (Alg. 1 line 7). The batch length is public by construction — it depends
 // only on the upload size and the truncation bound. The batch is copied into
-// the cache arena; the caller keeps ownership (and may Release it).
+// the cache arena; the caller keeps ownership (and may reuse it).
 func (c *Cache) Append(batch *oblivious.Buffer) {
 	c.buf.AppendAll(batch)
 	c.appends++

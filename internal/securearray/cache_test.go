@@ -263,9 +263,9 @@ func TestCountersPinnedToScan(t *testing.T) {
 	}
 }
 
-// TestCacheSteadyStateAllocs pins the pooled data plane: appending a warm
-// batch and reading it back must not allocate per slot (small constant
-// per-op allocations only, from pool churn at worst).
+// TestCacheSteadyStateAllocs pins the warm data plane: appending a batch and
+// reading it back must not allocate per slot (small constant per-op
+// allocations only, from the view's geometric growth at worst).
 func TestCacheSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	c := newCache(128, nil)

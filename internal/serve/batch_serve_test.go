@@ -292,7 +292,7 @@ func TestRetryAfterSecondsFallback(t *testing.T) {
 // ingest goroutine may escape the drain and leak. Run under -race.
 func TestCloseCreateRace(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
-		reg := NewRegistry(Config{Shards: 4})
+		reg := NewRegistry(Config{})
 		const racers = 16
 		var wg sync.WaitGroup
 		created := make(chan *View, racers)
@@ -331,12 +331,11 @@ func TestCloseCreateRace(t *testing.T) {
 	}
 }
 
-// TestShardedRegistryConcurrentLifecycle hammers Create/Get/Drop/Names/Len
-// across many names concurrently — the sharded-registry race test (run
-// under -race; also exercises that distinct names never corrupt each
-// other's lifecycle).
-func TestShardedRegistryConcurrentLifecycle(t *testing.T) {
-	reg := NewRegistry(Config{Shards: 8})
+// TestRegistryConcurrentLifecycle hammers Create/Get/Drop/Names/Len across
+// many names concurrently — the registry's race test (run under -race; also
+// exercises that distinct names never corrupt each other's lifecycle).
+func TestRegistryConcurrentLifecycle(t *testing.T) {
+	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
 	var wg sync.WaitGroup
 	errc := make(chan error, 64)

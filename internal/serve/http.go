@@ -14,7 +14,7 @@ import (
 
 // The HTTP JSON API over a Registry. Routes (all JSON in and out):
 //
-//	GET    /healthz                        per-shard readiness (503 when degraded)
+//	GET    /healthz                        readiness and queue pressure (503 when degraded)
 //	GET    /v1/views                       list view names
 //	POST   /v1/views                       create a view (CreateRequest)
 //	DELETE /v1/views/{name}                drop a view

@@ -26,7 +26,7 @@ type serveMetrics struct {
 	querySeconds      *obs.Histogram
 	checkpointSeconds *obs.Histogram
 	checkpointBytes   *obs.Histogram
-	queueDepth        *obs.GaugeVec
+	queueDepth        *obs.Gauge
 	views             *obs.Gauge
 	httpRequests      *obs.CounterVec
 	httpSeconds       *obs.Histogram
@@ -36,7 +36,7 @@ type serveMetrics struct {
 func latencyBuckets() []float64 { return obs.ExpBuckets(1e-5, 4, 12) }
 
 // newServeMetrics registers the serve families and the scrape-time gauges:
-// queue depth is summed per shard (and the view count refreshed) inside an
+// queue depth is summed (and the view count refreshed) inside an
 // OnGather hook rather than on every state change, so the hot ingest path
 // never touches a Vec lookup.
 func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
@@ -65,8 +65,8 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 			"wall time writing one view checkpoint", latencyBuckets()),
 		checkpointBytes: m.Histogram("incshrink_serve_checkpoint_bytes",
 			"size of one written view checkpoint", obs.ExpBuckets(256, 4, 12)),
-		queueDepth: m.GaugeVec("incshrink_serve_queue_depth",
-			"queued ingest steps summed over the shard's views", "shard"),
+		queueDepth: m.Gauge("incshrink_serve_queue_depth",
+			"queued ingest steps summed over every view"),
 		views: m.Gauge("incshrink_serve_views",
 			"registered views"),
 		httpRequests: m.CounterVec("incshrink_http_requests_total",
@@ -75,20 +75,9 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 			"HTTP API request duration", latencyBuckets()),
 	}
 	m.OnGather(func() {
-		views := 0
-		for i, sh := range r.shards {
-			depth := 0
-			sh.mu.RLock()
-			for _, v := range sh.views {
-				if !v.dropping {
-					views++
-				}
-				depth += int(v.depth.Load())
-			}
-			sh.mu.RUnlock()
-			sm.queueDepth.With(strconv.Itoa(i)).Set(float64(depth))
-		}
-		sm.views.Set(float64(views))
+		h := r.Health()
+		sm.queueDepth.Set(float64(h.QueuedSteps))
+		sm.views.Set(float64(h.Views))
 	})
 	return sm
 }
@@ -149,64 +138,32 @@ func (r *Registry) span(trace obs.TraceID, name string, start obs.Ticks, note st
 	r.traces.Record(obs.Span{Trace: trace, Name: name, Start: start, Dur: obs.Since(start), Note: note})
 }
 
-// ShardHealth is one shard's readiness in a health report.
-type ShardHealth struct {
-	Shard int `json:"shard"`
-	// Views is the shard's registered view count; QueuedSteps sums their
-	// ingest queues; MaxDepth is the deepest single view queue.
+// Health is the registry's readiness report: queue pressure plus the
+// restore-in-progress flag.
+type Health struct {
+	// Ready is false during a restore (views are still being re-registered,
+	// so requests would land on an incomplete tenant set) and once any view's
+	// queue is at or past the high-water mark — the threshold admission
+	// rejects at, so unready means uploads are (about to be) bounced.
+	Ready     bool `json:"ready"`
+	Restoring bool `json:"restoring"`
+	// Views is the registered view count; QueuedSteps sums their ingest
+	// queues; MaxDepth is the deepest single view queue.
 	Views       int `json:"views"`
 	QueuedSteps int `json:"queued_steps"`
 	MaxDepth    int `json:"max_depth"`
-	// Ready is false once any of the shard's views has a queue at or past
-	// the high-water mark — the same threshold admission rejects at, so an
-	// unready shard is one where uploads are (about to be) bounced.
-	Ready bool `json:"ready"`
 }
 
-// Health is the registry's readiness report: per-shard queue pressure plus
-// the restore-in-progress flag.
-type Health struct {
-	Ready     bool          `json:"ready"`
-	Restoring bool          `json:"restoring"`
-	Views     int           `json:"views"`
-	Shards    []ShardHealth `json:"shards"`
-}
-
-// Health reports per-shard readiness: a shard is ready while every view's
-// ingest queue sits below the high-water mark, and the whole registry is
-// unready during a restore (views are still being re-registered, so
-// requests would land on an incomplete tenant set).
+// Health reports readiness.
 func (r *Registry) Health() Health {
-	h := Health{Ready: true, Restoring: r.restoring.Load(), Shards: make([]ShardHealth, len(r.shards))}
-	for i, sh := range r.shards {
-		s := ShardHealth{Shard: i, Ready: true}
-		sh.mu.RLock()
-		for _, v := range sh.views {
-			if v.dropping {
-				continue
-			}
-			s.Views++
-			d := int(v.depth.Load())
-			s.QueuedSteps += d
-			if d > s.MaxDepth {
-				s.MaxDepth = d
-			}
-		}
-		sh.mu.RUnlock()
-		if s.MaxDepth >= r.cfg.HighWater {
-			s.Ready = false
-		}
-		h.Views += s.Views
-		h.Shards[i] = s
+	h := Health{Restoring: r.restoring.Load()}
+	for _, v := range r.live() {
+		d := int(v.depth.Load())
+		h.Views++
+		h.QueuedSteps += d
+		h.MaxDepth = max(h.MaxDepth, d)
 	}
-	if h.Restoring {
-		h.Ready = false
-	}
-	for _, s := range h.Shards {
-		if !s.Ready {
-			h.Ready = false
-		}
-	}
+	h.Ready = !h.Restoring && h.MaxDepth < r.cfg.HighWater
 	return h
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // TestHealthDegradedQueue pins the degraded path: a view whose ingest queue
-// sits at the high-water mark flips its shard — and the registry — to
-// unready, and /healthz answers 503 until the queue drains.
+// sits at the high-water mark flips the registry to unready, and /healthz
+// answers 503 with the flat report until the queue drains.
 func TestHealthDegradedQueue(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
@@ -51,19 +51,8 @@ func TestHealthDegradedQueue(t *testing.T) {
 	if code != http.StatusServiceUnavailable || h.Ready {
 		t.Fatalf("degraded: code=%d %+v", code, h)
 	}
-	found := false
-	for _, s := range h.Shards {
-		if s.MaxDepth >= reg.cfg.HighWater {
-			if s.Ready {
-				t.Errorf("shard %d at high water but ready", s.Shard)
-			}
-			found = true
-		} else if !s.Ready {
-			t.Errorf("shard %d unready with depth %d", s.Shard, s.MaxDepth)
-		}
-	}
-	if !found {
-		t.Fatalf("no shard reports the backed-up view: %+v", h.Shards)
+	if h.Views != 1 || h.MaxDepth != reg.cfg.HighWater || h.QueuedSteps != reg.cfg.HighWater {
+		t.Fatalf("degraded report does not show the backed-up view: %+v", h)
 	}
 
 	v.depth.Add(-int32(reg.cfg.HighWater))
@@ -155,7 +144,7 @@ func TestServeMetricsScrape(t *testing.T) {
 		"incshrink_serve_advance_seconds_count",
 		"incshrink_serve_checkpoint_seconds_count 1",
 		"incshrink_serve_checkpoint_bytes_count 1",
-		`incshrink_serve_queue_depth{shard="0"}`,
+		"incshrink_serve_queue_depth 0",
 		"incshrink_serve_views 1",
 		`incshrink_core_phase_seconds_count{view="sales",phase="transform"} 6`,
 		`incshrink_core_phase_seconds_count{view="sales",phase="shrink"} 6`,

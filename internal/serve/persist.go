@@ -160,19 +160,8 @@ func (r *Registry) CheckpointAll() error {
 	if r.cfg.DataDir == "" {
 		return ErrNoDataDir
 	}
-	var views []*View
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		for _, v := range sh.views { //lint:allow maporder views are sorted by name below before any checkpoint runs
-			if !v.dropping {
-				views = append(views, v)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
 	var errs []error
-	for _, v := range views {
+	for _, v := range r.live() {
 		if _, _, err := v.checkpoint(); err != nil {
 			errs = append(errs, err)
 		}

@@ -18,9 +18,9 @@
 //     retry hint derived from the observed per-step ingest time and the
 //     current depth (BusyError), which the HTTP front end maps to 503 +
 //     Retry-After.
-//   - The registry itself is hash-sharded (Config.Shards): Create, Get,
-//     Drop and Names on views in distinct shards never contend on a lock,
-//     so a hot tenant's lifecycle traffic cannot stall lookups of the rest.
+//   - The registry is one map under one RWMutex: Get is a read lock, and
+//     Create and Drop hold the write lock for a map insert or delete only —
+//     opening a DB and draining a mailbox both run outside it.
 //   - Total ingest parallelism across views is bounded by a worker-pool
 //     semaphore (the internal/runner pattern: IngestWorkers slots, <= 0
 //     meaning GOMAXPROCS), so a thousand registered views cannot start a
@@ -41,7 +41,7 @@
 //
 // Lifecycle is race-free by construction and pinned by race-detector tests:
 // a view registered concurrently with Close is either drained by Close or
-// rejected with ErrClosed (the check-and-register is atomic under the shard
+// rejected with ErrClosed (the check-and-register is atomic under the registry
 // lock Close's sweep takes after setting the closed flag), and Drop keeps
 // the name reserved until the view's ingest loop has exited and its
 // checkpoint file is gone, so neither a queued checkpoint nor an immediate
@@ -52,7 +52,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"math"
 	"os"
@@ -128,10 +127,6 @@ type Config struct {
 	// slot, so an unbounded client batch could monopolize both. Default
 	// 512.
 	MaxBatchSteps int
-	// Shards is the number of hash shards the view table is split across;
-	// lifecycle and lookup operations on views in distinct shards never
-	// contend. Default 16.
-	Shards int
 	// IngestWorkers bounds how many views may execute Advance
 	// simultaneously (<= 0 means GOMAXPROCS).
 	IngestWorkers int
@@ -173,17 +168,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatchSteps <= 0 {
 		c.MaxBatchSteps = 512
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	c.IngestWorkers = runner.Workers(c.IngestWorkers)
 	return c
-}
-
-// shard is one slice of the registry's view table, with its own lock.
-type shard struct {
-	mu    sync.RWMutex
-	views map[string]*View
 }
 
 // Registry hosts named views. All methods are safe for concurrent use.
@@ -192,8 +178,9 @@ type Registry struct {
 	sem chan struct{} // ingest worker-pool slots, shared by every view
 
 	closed atomic.Bool // no new views or uploads once set
-	shards []*shard
-	wg     sync.WaitGroup // running ingest loops
+	mu     sync.RWMutex
+	views  map[string]*View // guarded by mu
+	wg     sync.WaitGroup   // running ingest loops
 
 	// Observability attachments (all optional, see Config): the serve
 	// metric families, the per-view engine instrument set, the span ring
@@ -211,25 +198,15 @@ func NewRegistry(cfg Config) *Registry {
 	r := &Registry{
 		cfg:    cfg,
 		sem:    make(chan struct{}, cfg.IngestWorkers),
-		shards: make([]*shard, cfg.Shards),
+		views:  make(map[string]*View),
 		traces: cfg.Traces,
 		logger: cfg.Logger,
-	}
-	for i := range r.shards {
-		r.shards[i] = &shard{views: make(map[string]*View)}
 	}
 	if cfg.Metrics != nil {
 		r.met = newServeMetrics(cfg.Metrics, r)
 		r.ins = core.NewInstrumentSet(cfg.Metrics)
 	}
 	return r
-}
-
-// shardOf maps a view name to its shard (FNV-1a).
-func (r *Registry) shardOf(name string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return r.shards[h.Sum32()%uint32(len(r.shards))]
 }
 
 // Create opens a new view under the given name and starts its ingest loop.
@@ -239,14 +216,13 @@ func (r *Registry) Create(name string, def incshrink.ViewDef, opts incshrink.Opt
 	}
 	// Check admission before incshrink.Open — building a framework is
 	// expensive and a retrying client should not pay it for a 409. The
-	// authoritative re-check happens in register, under the shard lock.
+	// authoritative re-check happens in register, under the write lock.
 	if r.closed.Load() {
 		return nil, ErrClosed
 	}
-	sh := r.shardOf(name)
-	sh.mu.RLock()
-	_, dup := sh.views[name]
-	sh.mu.RUnlock()
+	r.mu.RLock()
+	_, dup := r.views[name]
+	r.mu.RUnlock()
 	if dup {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
@@ -259,19 +235,17 @@ func (r *Registry) Create(name string, def incshrink.ViewDef, opts incshrink.Opt
 
 // register installs a ready DB under name and starts its ingest loop — the
 // shared tail of Create and RestoreAll. The closed check and the map insert
-// are atomic under the shard lock: Close sets the closed flag *before*
-// sweeping the shards under the same locks, so a concurrent register either
+// are atomic under the registry lock: Close sets the closed flag *before*
+// sweeping the map under the same lock, so a concurrent register either
 // observes the flag (and rejects) or lands in the map before the sweep
-// reaches its shard (and is drained by Close). No ingest loop can escape
-// both.
+// (and is drained by Close). No ingest loop can escape both.
 func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
-	sh := r.shardOf(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed.Load() {
 		return nil, ErrClosed
 	}
-	if _, ok := sh.views[name]; ok {
+	if _, ok := r.views[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	v := &View{
@@ -286,7 +260,7 @@ func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
 		// the view's whole history is observed.
 		db.Instrument(r.ins.ForView(name))
 	}
-	sh.views[name] = v
+	r.views[name] = v
 	r.wg.Add(1)
 	go v.ingestLoop(&r.wg)
 	return v, nil
@@ -294,46 +268,40 @@ func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
 
 // Get returns the named view. Views mid-Drop resolve as not found.
 func (r *Registry) Get(name string) (*View, error) {
-	sh := r.shardOf(name)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	v, ok := sh.views[name]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	v, ok := r.views[name]
 	if !ok || v.dropping {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	return v, nil
 }
 
+// live returns the registered views that are not mid-Drop, sorted by name.
+func (r *Registry) live() []*View {
+	r.mu.RLock()
+	out := make([]*View, 0, len(r.views))
+	for _, v := range r.views { //lint:allow maporder sorted by name below
+		if !v.dropping {
+			out = append(out, v)
+		}
+	}
+	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // Names lists the registered views in sorted order.
 func (r *Registry) Names() []string {
 	var out []string
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		for name, v := range sh.views {
-			if !v.dropping {
-				out = append(out, name)
-			}
-		}
-		sh.mu.RUnlock()
+	for _, v := range r.live() {
+		out = append(out, v.name)
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Len reports how many views are registered.
-func (r *Registry) Len() int {
-	n := 0
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		for _, v := range sh.views {
-			if !v.dropping {
-				n++
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (r *Registry) Len() int { return len(r.live()) }
 
 // Drop unregisters the named view: its ingest loop drains (uploads and
 // checkpoints already admitted to the mailbox are still applied, in order)
@@ -345,15 +313,14 @@ func (r *Registry) Len() int {
 // of the same name can never have its fresh checkpoint eaten by the old
 // tenant's teardown. Later Advance calls fail with ErrClosed.
 func (r *Registry) Drop(name string) error {
-	sh := r.shardOf(name)
-	sh.mu.Lock()
-	v, ok := sh.views[name]
+	r.mu.Lock()
+	v, ok := r.views[name]
 	if !ok || v.dropping {
-		sh.mu.Unlock()
+		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	v.dropping = true
-	sh.mu.Unlock()
+	r.mu.Unlock()
 
 	v.stop()
 	// Wait for the ingest loop to exit: every admitted upload is applied and
@@ -373,9 +340,9 @@ func (r *Registry) Drop(name string) error {
 			rmErr = fmt.Errorf("serve: dropping %q checkpoint: %w", name, err)
 		}
 	}
-	sh.mu.Lock()
-	delete(sh.views, name)
-	sh.mu.Unlock()
+	r.mu.Lock()
+	delete(r.views, name)
+	r.mu.Unlock()
 	if r.ins != nil {
 		// The tenant is gone; its label children must not linger on /metrics.
 		r.ins.Drop(name)
@@ -389,20 +356,19 @@ func (r *Registry) Drop(name string) error {
 // context is cancelled.
 func (r *Registry) Close(ctx context.Context) error {
 	r.closed.Store(true)
-	// Sweep every shard under its lock: any register that won its race
-	// against the flag is in the map by now (the insert and the flag check
-	// are atomic under the same lock), so its loop is stopped and counted
-	// in wg below — no ingest goroutine escapes the drain.
-	for _, sh := range r.shards {
-		sh.mu.Lock()
-		views := make([]*View, 0, len(sh.views))
-		for _, v := range sh.views { //lint:allow maporder shutdown signal only; stop order has no observable effect
-			views = append(views, v)
-		}
-		sh.mu.Unlock()
-		for _, v := range views {
-			v.stop()
-		}
+	// Sweep the map under the lock: any register that won its race against
+	// the flag is in the map by now (the insert and the flag check are atomic
+	// under the same lock), so its loop is stopped and counted in wg below —
+	// no ingest goroutine escapes the drain. Views mid-Drop are included
+	// (stop is idempotent).
+	r.mu.Lock()
+	views := make([]*View, 0, len(r.views))
+	for _, v := range r.views { //lint:allow maporder shutdown signal only; stop order has no observable effect
+		views = append(views, v)
+	}
+	r.mu.Unlock()
+	for _, v := range views {
+		v.stop()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -458,8 +424,8 @@ type View struct {
 	mailbox  chan *ingestReq
 	loopDone chan struct{} // closed when the ingest loop exits
 
-	// dropping marks a view mid-Drop; guarded by its shard's mutex. The
-	// name stays in the shard map (reserving it against re-Create) until
+	// dropping marks a view mid-Drop; guarded by the registry's mutex. The
+	// name stays in the map (reserving it against re-Create) until
 	// the drain and checkpoint removal finish.
 	dropping bool
 
