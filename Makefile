@@ -19,25 +19,16 @@ build:
 
 # lint is the full static-analysis gate (CI runs this): formatting, go vet,
 # the orphaned-package and dead-export checks (orphans and deadexports,
-# below) and the incshrink-lint analyzers — detclock, rngdraw, maporder,
-# oblivtaint, goleak, atomicmix (see internal/analysis and DESIGN.md §10).
-# The gate runs with -tests (test files are policed too) and -unusedallow (a
-# stale escape hatch is a finding). When staticcheck/govulncheck are on PATH they run too; CI
-# installs them at pinned versions, offline checkouts just skip them.
-# Intentional violations
-# are annotated in source as `//lint:allow <analyzer> <reason>` — the
-# reason is mandatory, an allow without one is itself a finding.
-#
-# bin/incshrink-lint is a real file target so CI can restore it from a
-# cache keyed on its sources and skip the rebuild (the cache step touches
-# the binary to keep it newer than the checkout).
-LINT_SRC := $(shell find cmd/incshrink-lint internal/analysis -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
-
-bin/incshrink-lint: $(LINT_SRC) go.mod
-	$(GO) build -o $@ ./cmd/incshrink-lint
-
-lint: fmt vet orphans deadexports bin/incshrink-lint
-	$(GO) vet -vettool=$(abspath bin/incshrink-lint) -tests -unusedallow ./...
+# below) and then the incshrink-lint analyzers — detclock, rngdraw, maporder,
+# oblivtaint, goleak, atomicmix (see internal/analysis and DESIGN.md §10) —
+# over every package and test file, from one source load of the module. When
+# staticcheck/govulncheck are on PATH they run too; CI installs them at
+# pinned versions, offline checkouts just skip them. Intentional violations
+# are annotated in source as `//lint:allow <analyzer> <reason>` — the reason
+# is mandatory, an allow without one is itself a finding, and so is an allow
+# that suppresses nothing.
+lint: fmt vet orphans deadexports
+	$(GO) run ./cmd/incshrink-lint
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipping (CI runs it pinned)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
@@ -54,9 +45,9 @@ orphans:
 
 # deadexports is the same rule one level down: an exported function, type,
 # variable, constant or method of an internal package must be referenced from
-# somewhere other than its own package's tests. One whole-module type-check
-# on the standard library (internal/analysis TestDeadExports, which also runs
-# with the normal test suite); what it tolerates is a table in that file, one
+# somewhere other than its own package's tests. It reads the units the lint
+# driver loads (internal/analysis TestDeadExports, which also runs with the
+# normal test suite); what it tolerates is a table in that file, one
 # reason per symbol. The same load fails if a non-test file uses package
 # sync's Pool: scratch has an owner (DESIGN.md §7).
 deadexports:

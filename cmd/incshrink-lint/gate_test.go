@@ -1,56 +1,43 @@
 package main_test
 
 import (
+	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"incshrink/internal/analysis"
 )
 
-// TestLintGate proves the lint gate actually gates: seeding a
-// secret-dependent branch into internal/oblivious trips oblivtaint — be it
-// a plain flag test, a branching compare-exchange over the sort kernel's
-// keys, a merge whose window of the network is cut by a key, or a branch on
-// a flag byte inside the scan kernel, none of which any sanction covers — a branch on a reconstructed bit seeded into
-// internal/gmw (whose gate code no sanction covers either) does the same,
-// and an unjoined go statement in internal/serve trips goleak. Each makes
-// `go vet -vettool=incshrink-lint` exit nonzero, exactly as `make lint`
-// runs it. The unmodified tree is the control. This is the same
-// defence-in-depth pin the detclock analyzer got when it landed (a smuggled
-// time.Now must fail CI, not just a unit test over fixtures).
+// TestLintGate proves the lint gate actually gates: it seeds one copy of the
+// module with a violation per case, runs the driver over it once, and wants
+// each seeded line reported by its analyzer — and nothing else reported.
+// Seeding a secret-dependent branch into internal/oblivious trips
+// oblivtaint — be it a plain flag test, a branching compare-exchange over
+// the sort kernel's keys, a merge whose window of the network is cut by a
+// key, or a branch on a flag byte inside the scan kernel, none of which any
+// sanction covers — and so does a branch on a reconstructed bit seeded into
+// internal/gmw (whose gate code no sanction covers either). An unjoined go
+// statement in internal/serve trips goleak, and a wall-clock read, an
+// order-sensitive map range, a mixed atomic/plain access and an uncounted
+// RNG trip detclock, maporder, atomicmix and rngdraw. Every finding makes
+// incshrink-lint exit nonzero, exactly as `make lint` runs it. This is the
+// same defence-in-depth pin the detclock analyzer got when it landed (a
+// smuggled time.Now must fail CI, not just a unit test over fixtures).
 func TestLintGate(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds the vettool and recompiles the module; skipping in -short")
+		t.Skip("type-checks the whole module; skipping in -short")
 	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go tool not on PATH")
-	}
-
-	moduleRoot, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tool := filepath.Join(t.TempDir(), "incshrink-lint")
-	build := exec.Command(goBin, "build", "-o", tool, ".")
-	build.Dir = filepath.Join(moduleRoot, "cmd", "incshrink-lint")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building vettool: %v\n%s", err, out)
-	}
-
 	cases := []struct {
 		name     string
 		file     string // module-relative file to seed
-		inject   string // source appended verbatim
+		inject   string // source appended verbatim (to a new file if file does not exist)
 		replace  string // when set, the line of file that inject replaces instead
-		pkg      string // package argument for go vet
-		analyzer string // expected analyzer name in the failure output
+		line     string // the seeded line the finding must be on
+		analyzer string // expected analyzer of that finding
 	}{
-		{
-			name: "control",
-			pkg:  "./internal/oblivious ./internal/gmw ./internal/serve",
-		},
 		{
 			name: "oblivtaint catches seeded secret branch",
 			file: "internal/oblivious/sort.go",
@@ -62,7 +49,7 @@ func lintGateSecretBranch(b *Buffer, i int) int {
 	return 0
 }
 `,
-			pkg:      "./internal/oblivious",
+			line:     "if b.IsReal(i) {",
 			analyzer: "oblivtaint",
 		},
 		{
@@ -76,7 +63,7 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 	}
 }
 `,
-			pkg:      "./internal/oblivious",
+			line:     "if keys[1].k < keys[0].k {",
 			analyzer: "oblivtaint",
 		},
 		{
@@ -88,7 +75,7 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 		lo--
 	}
 `,
-			pkg:      "./internal/oblivious",
+			line:     "if keys[m].k < keys[0].k {",
 			analyzer: "oblivtaint",
 		},
 		{
@@ -99,7 +86,7 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 				total++
 			}
 `,
-			pkg:      "./internal/oblivious",
+			line:     "if flag[i] == 1 {",
 			analyzer: "oblivtaint",
 		},
 		{
@@ -113,7 +100,7 @@ func lintGateBranchingSelect(t Triple, z uint64) uint64 {
 	return z
 }
 `,
-			pkg:      "./internal/gmw",
+			line:     "if t.B.Open() {",
 			analyzer: "oblivtaint",
 		},
 		{
@@ -124,57 +111,139 @@ func lintGateSpawn(f func()) {
 	go f()
 }
 `,
-			pkg:      "./internal/serve",
+			line:     "go f()",
 			analyzer: "goleak",
+		},
+		{
+			name: "detclock catches seeded wall-clock read",
+			file: "internal/core/lintgate_clock.go",
+			inject: `package core
+
+import "time"
+
+func lintGateClock() int64 {
+	return time.Now().UnixNano()
+}
+`,
+			line:     "return time.Now().UnixNano()",
+			analyzer: "detclock",
+		},
+		{
+			name: "maporder catches seeded order-sensitive map range",
+			file: "internal/table/lintgate_order.go",
+			inject: `package table
+
+func lintGateValues(m map[string]int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return out
+}
+`,
+			line:     "for _, v := range m {",
+			analyzer: "maporder",
+		},
+		{
+			name: "atomicmix catches seeded plain read of an atomic counter",
+			file: "internal/serve/lintgate_atomic.go",
+			inject: `package serve
+
+import "sync/atomic"
+
+var lintGateHits int64
+
+func lintGateHit() int64 {
+	atomic.AddInt64(&lintGateHits, 1)
+	return lintGateHits
+}
+`,
+			line:     "return lintGateHits",
+			analyzer: "atomicmix",
+		},
+		{
+			name: "rngdraw catches seeded uncounted RNG",
+			file: "internal/core/lintgate_rng.go",
+			inject: `package core
+
+import "math/rand"
+
+func lintGateRNG() *rand.Rand {
+	return rand.New(rand.NewSource(1))
+}
+`,
+			line:     "return rand.New(rand.NewSource(1))",
+			analyzer: "rngdraw",
 		},
 	}
 
+	moduleRoot, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := copyModule(t, moduleRoot)
 	for _, tc := range cases {
+		target := filepath.Join(root, filepath.FromSlash(tc.file))
+		src, err := os.ReadFile(target)
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		seeded := string(src) + tc.inject
+		if tc.replace != "" {
+			if strings.Count(string(src), tc.replace) != 1 {
+				t.Fatalf("%s no longer has exactly one line %q to seed", tc.file, tc.replace)
+			}
+			seeded = strings.Replace(string(src), tc.replace, tc.inject, 1)
+		}
+		if err := os.WriteFile(target, []byte(seeded), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := analysis.Lint(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A case's finding is "<file>:<line>:<col>: [<analyzer>] <message>".
+	var lines []string
+	for _, tc := range cases {
+		target := filepath.Join(root, filepath.FromSlash(tc.file))
+		src, err := os.ReadFile(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var at []string
+		for i, l := range strings.Split(string(src), "\n") {
+			if strings.TrimSpace(l) == tc.line {
+				at = append(at, fmt.Sprintf("%s:%d:", target, i+1))
+			}
+		}
+		if len(at) != 1 {
+			t.Fatalf("%s: want exactly one seeded line %q, found %d", tc.file, tc.line, len(at))
+		}
+		lines = append(lines, at[0])
 		t.Run(tc.name, func(t *testing.T) {
-			root := copyModule(t, moduleRoot)
-			if tc.file != "" {
-				target := filepath.Join(root, filepath.FromSlash(tc.file))
-				src, err := os.ReadFile(target)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seeded := string(src) + tc.inject
-				if tc.replace != "" {
-					if strings.Count(string(src), tc.replace) != 1 {
-						t.Fatalf("%s no longer has exactly one line %q to seed", tc.file, tc.replace)
-					}
-					seeded = strings.Replace(string(src), tc.replace, tc.inject, 1)
-				}
-				if err := os.WriteFile(target, []byte(seeded), 0o644); err != nil {
-					t.Fatal(err)
+			for _, f := range findings {
+				if strings.HasPrefix(f, at[0]) && strings.Contains(f, ": ["+tc.analyzer+"] ") {
+					return
 				}
 			}
-
-			args := append([]string{"vet", "-vettool=" + tool, "-tests", "-unusedallow"},
-				strings.Fields(tc.pkg)...)
-			vet := exec.Command(goBin, args...)
-			vet.Dir = root
-			out, err := vet.CombinedOutput()
-
-			if tc.analyzer == "" {
-				if err != nil {
-					t.Fatalf("clean tree must pass the gate, got: %v\n%s", err, out)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("seeded violation in %s must fail the gate, but go vet exited 0\n%s", tc.file, out)
-			}
-			if !strings.Contains(string(out), tc.analyzer) {
-				t.Fatalf("gate failed but not via %s:\n%s", tc.analyzer, out)
-			}
+			t.Fatalf("seeded %s violation at %s is not reported; findings:\n%s",
+				tc.analyzer, at[0], strings.Join(findings, "\n"))
 		})
 	}
+	t.Run("control", func(t *testing.T) {
+		for _, f := range findings {
+			if !slices.ContainsFunc(lines, func(at string) bool { return strings.HasPrefix(f, at) }) {
+				t.Errorf("finding off the seeded lines: %s", f)
+			}
+		}
+	})
 }
 
-// copyModule clones the module source tree into a temp dir so each case
+// copyModule clones the module source tree into a temp dir so the cases
 // can mutate it freely. VCS metadata and built binaries are skipped; the
-// analyzer fixtures under testdata ride along but are never compiled.
+// analyzer fixtures under testdata ride along but are never loaded.
 func copyModule(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()

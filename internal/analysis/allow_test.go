@@ -8,9 +8,8 @@ import (
 )
 
 // The escape-hatch misuse checks (missing reason, unknown analyzer) ride
-// in the detclock and rngdraw fixtures; this covers the optional
-// unused-allow mode.
+// in the detclock and rngdraw fixtures; this covers an allow that
+// suppresses nothing.
 func TestUnusedAllowReported(t *testing.T) {
-	analysistest.RunOpts(t, analysis.Options{ReportUnusedAllows: true},
-		analysis.DetClock, "incshrink/internal/unusedallow")
+	analysistest.Run(t, analysis.DetClock, "incshrink/internal/unusedallow")
 }

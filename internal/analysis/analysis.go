@@ -17,10 +17,11 @@
 //   - atomicmix: what sync/atomic accesses is never accessed plainly.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
-// (Analyzer/Pass/Diagnostic, an analysistest-style fixture harness, and a
-// unitchecker speaking cmd/go's -vettool protocol), but is implemented on
-// the standard library only, so the module stays dependency-free. If the
-// repo ever vendors x/tools, each analyzer ports mechanically.
+// (Analyzer/Pass/Diagnostic and an analysistest-style fixture harness), but
+// is implemented on the standard library only, so the module stays
+// dependency-free: Load type-checks a tree of packages from source into the
+// units go vet would analyze, and Lint runs the suite over the module. If
+// the repo ever vendors x/tools, each analyzer ports mechanically.
 //
 // Intentional violations are annotated in the source with
 //
@@ -109,28 +110,31 @@ func KnownAnalyzer(name string) bool {
 	return false
 }
 
-// Options configures a driver run.
-type Options struct {
-	// IncludeTests makes the analyzers report findings in _test.go
-	// files. Off by default: tests legitimately use wall-clock
-	// timeouts and ad-hoc randomness.
-	IncludeTests bool
-
-	// ReportUnusedAllows flags //lint:allow comments that suppressed
-	// nothing during this run. Off by default because a single
-	// package is often analyzed as several compilation units (the
-	// package, its test variant) with different analyzer subsets.
-	ReportUnusedAllows bool
+// Lint loads the module rooted at root and runs the whole suite over every
+// unit, returning each finding as "file:line:col: [analyzer] message".
+func Lint(root string) ([]string, error) {
+	fset := token.NewFileSet()
+	units, err := Load(fset, root, ModulePath)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, u := range units {
+		for _, d := range Run(fset, u, All()) {
+			out = append(out, fmt.Sprintf("%s: [%s] %s", fset.Position(d.Pos), d.Analyzer, d.Message))
+		}
+	}
+	return out, nil
 }
 
-// Run executes the given analyzers over one type-checked package and
-// returns the surviving findings in deterministic (position, analyzer)
-// order. Findings on lines carrying a matching //lint:allow comment (or
-// whose preceding line carries one) are suppressed; malformed allow
-// comments — unknown analyzer name, missing reason — are themselves
-// reported.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, opts Options) []Diagnostic {
-	allows := collectAllows(fset, files)
+// Run executes the given analyzers over one unit and returns the surviving
+// findings in deterministic (position, analyzer) order. Findings on lines
+// carrying a matching //lint:allow comment (or whose preceding line carries
+// one) are suppressed; malformed allow comments — unknown analyzer name,
+// missing reason — are themselves reported, as is an allow for one of the
+// given analyzers that suppressed nothing.
+func Run(fset *token.FileSet, u *Unit, analyzers []*Analyzer) []Diagnostic {
+	allows := collectAllows(fset, u.Files)
 
 	enabled := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -142,9 +146,9 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Files:     u.Files,
+			Pkg:       u.Pkg,
+			TypesInfo: u.Info,
 			report: func(d Diagnostic) {
 				diags = append(diags, d)
 			},
@@ -160,14 +164,9 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 
 	var kept []Diagnostic
 	for _, d := range diags {
-		if !opts.IncludeTests && d.Pos.IsValid() &&
-			strings.HasSuffix(fset.Position(d.Pos).Filename, "_test.go") {
-			continue
+		if !allows.suppresses(fset, d) {
+			kept = append(kept, d)
 		}
-		if allows.suppresses(fset, d) {
-			continue
-		}
-		kept = append(kept, d)
 	}
 
 	// Misuse of the escape hatch is a finding in its own right, but only
@@ -181,7 +180,7 @@ func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 		case al.reason == "" && enabled[al.analyzer]:
 			kept = append(kept, Diagnostic{Pos: al.pos, Analyzer: al.analyzer,
 				Message: fmt.Sprintf("//lint:allow %s needs a reason: //lint:allow %s <why this site is exempt>", al.analyzer, al.analyzer)})
-		case opts.ReportUnusedAllows && !al.used && enabled[al.analyzer]:
+		case !al.used && enabled[al.analyzer]:
 			kept = append(kept, Diagnostic{Pos: al.pos, Analyzer: al.analyzer,
 				Message: fmt.Sprintf("//lint:allow %s suppresses nothing on this line", al.analyzer)})
 		}

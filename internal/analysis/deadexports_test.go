@@ -1,13 +1,8 @@
 package analysis
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -34,135 +29,66 @@ var deadExportsKept = map[string]string{
 	"query.Compiled.Query":  "as above",
 }
 
-// moduleImporter type-checks the module's packages from their non-test
-// files, once each, so a symbol is one object wherever it is referenced;
-// everything else comes from the standard library's source importer.
-type moduleImporter struct {
-	fset  *token.FileSet
-	std   types.Importer
-	files map[string][]*ast.File // import path -> every parsed file, tests included
-	pkgs  map[string]*types.Package
-	info  *types.Info
-}
-
-func (l *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := l.pkgs[path]; ok {
-		return p, nil
-	}
-	if l.files[path] == nil {
-		return l.std.Import(path)
-	}
-	var files []*ast.File
-	for _, f := range l.files[path] {
-		if !l.isTest(f.Pos()) {
-			files = append(files, f)
-		}
-	}
-	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
-	l.pkgs[path] = p
-	return p, err
-}
-
-func (l *moduleImporter) isTest(pos token.Pos) bool {
-	return strings.HasSuffix(l.fset.Position(pos).Filename, "_test.go")
-}
-
 // TestDeadExports is `make deadexports` (ROADMAP item 10): an exported
 // function, type, variable, constant or method of an internal package must
 // be referenced from somewhere other than its own package's tests. Struct
 // fields are not policed, and a method is exempt when its type implements
 // an interface (of the module or the standard library) that has it, since
-// it may be reached through that interface. The load also asserts that no
-// non-test file of the module references package sync's Pool.
+// it may be reached through that interface. The same units also show that
+// no non-test file of the module references package sync's Pool.
 func TestDeadExports(t *testing.T) {
-	const root = "../.."
-	fset := token.NewFileSet()
-	l := &moduleImporter{
-		fset: fset, std: importer.ForCompiler(fset, "source", nil),
-		files: map[string][]*ast.File{}, pkgs: map[string]*types.Package{},
-		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
-	}
-	var paths []string
-	err := filepath.WalkDir(root, func(name string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if n := d.Name(); d.IsDir() {
-			if name != root && (n[0] == '.' || n == "testdata" || n == "bin") {
-				return filepath.SkipDir
-			}
-			return nil
-		} else if !strings.HasSuffix(n, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		rel, _ := filepath.Rel(root, filepath.Dir(name))
-		path := strings.TrimSuffix(ModulePath+"/"+filepath.ToSlash(rel), "/.")
-		if l.files[path] == nil {
-			paths = append(paths, path)
-		}
-		l.files[path] = append(l.files[path], f)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[types.Object]bool{}
-	for _, path := range paths {
-		if _, err := l.Import(path); err != nil {
-			t.Fatalf("type-checking %s: %v", path, err)
-		}
-		// Test files count as references to other packages only. They are
-		// checked with their package's sources (external tests on their
-		// own) and type errors ignored: export_test helpers and build-tagged
-		// twins do not resolve here, and do not need to.
-		variants := map[string][]*ast.File{}
-		for _, f := range l.files[path] {
-			variants[f.Name.Name] = append(variants[f.Name.Name], f)
-		}
-		for _, fs := range variants {
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-			(&types.Config{Importer: l, Error: func(error) {}}).Check(path, fset, fs, info)
-			for id, obj := range info.Uses {
-				if l.isTest(id.Pos()) && obj.Pkg() != nil && obj.Pkg().Path() != path {
-					used[obj] = true
-				}
-			}
-		}
-	}
-	for id, obj := range l.info.Uses {
-		used[obj] = true
-		// The same load keeps the process-wide free lists deleted: scratch
-		// rides on the buffer its operator mutates (DESIGN.md §7).
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool" {
-			t.Errorf("%s: a sync Pool in a non-test file; scratch has an owner", fset.Position(id.Pos()))
-		}
-	}
-	ifaces := reachedInterfaces(l.pkgs)
-	var dead []string
-	kept := map[string]bool{}
-	for id, obj := range l.info.Defs { //lint:allow maporder dead is sorted before it is reported
-		if obj == nil || !obj.Exported() || used[obj] || !strings.HasPrefix(obj.Pkg().Path(), ModulePath+"/internal/") ||
-			obj.Pkg().Path() == ModulePath+"/internal/analysis/analysistest" {
-			continue
-		}
-		name := obj.Pkg().Name() + "." + obj.Name()
-		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-			recv := fn.Type().(*types.Signature).Recv().Type()
-			if p, ok := recv.(*types.Pointer); ok {
-				recv = p.Elem()
-			}
-			named, ok := recv.(*types.Named)
-			// errors.Is and As reach Unwrap through an anonymous interface.
-			if !ok || types.IsInterface(named) || fn.Name() == "Unwrap" || implementsOneWith(named, fn.Name(), ifaces) {
+	fset, units := loadModule(t)
+	isTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
+	// Symbols are keyed by declaration: a package's unit re-checks its
+	// non-test files with its tests, so one declaration can be two objects.
+	used := map[token.Pos]bool{}
+	var pkgs []*types.Package
+	for _, u := range units {
+		pkgs = append(pkgs, u.Pkg)
+		own := strings.TrimSuffix(u.Pkg.Path(), "_test")
+		for id, obj := range u.Info.Uses {
+			if obj.Pkg() == nil {
 				continue
 			}
-			name = obj.Pkg().Name() + "." + named.Obj().Name() + "." + obj.Name()
-		} else if obj.Parent() != obj.Pkg().Scope() {
-			continue // a field, parameter or local
+			// Test files count as references to other packages only.
+			if !isTest(id.Pos()) || obj.Pkg().Path() != own {
+				used[obj.Pos()] = true
+			}
+			// The same load keeps the process-wide free lists deleted: scratch
+			// rides on the buffer its operator mutates (DESIGN.md §7).
+			if !isTest(id.Pos()) && obj.Pkg().Path() == "sync" && obj.Name() == "Pool" {
+				t.Errorf("%s: a sync Pool in a non-test file; scratch has an owner", fset.Position(id.Pos()))
+			}
 		}
-		if kept[name] = true; deadExportsKept[name] == "" {
-			dead = append(dead, fset.Position(id.Pos()).String()+": "+name)
+	}
+	ifaces := reachedInterfaces(pkgs)
+	var dead []string
+	kept := map[string]bool{}
+	for _, u := range units {
+		for id, obj := range u.Info.Defs { //lint:allow maporder dead is sorted before it is reported
+			if obj == nil || isTest(id.Pos()) || !obj.Exported() || used[obj.Pos()] ||
+				!strings.HasPrefix(obj.Pkg().Path(), ModulePath+"/internal/") ||
+				obj.Pkg().Path() == ModulePath+"/internal/analysis/analysistest" {
+				continue
+			}
+			name := obj.Pkg().Name() + "." + obj.Name()
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				recv := fn.Type().(*types.Signature).Recv().Type()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
+				}
+				named, ok := recv.(*types.Named)
+				// errors.Is and As reach Unwrap through an anonymous interface.
+				if !ok || types.IsInterface(named) || fn.Name() == "Unwrap" || implementsOneWith(named, fn.Name(), ifaces) {
+					continue
+				}
+				name = obj.Pkg().Name() + "." + named.Obj().Name() + "." + obj.Name()
+			} else if obj.Parent() != obj.Pkg().Scope() {
+				continue // a field, parameter or local
+			}
+			if kept[name] = true; deadExportsKept[name] == "" {
+				dead = append(dead, fset.Position(id.Pos()).String()+": "+name)
+			}
 		}
 	}
 	sort.Strings(dead)
@@ -178,7 +104,7 @@ func TestDeadExports(t *testing.T) {
 
 // reachedInterfaces lists error and the named interfaces of every package
 // the load reached, the standard library's included.
-func reachedInterfaces(pkgs map[string]*types.Package) []*types.Interface {
+func reachedInterfaces(pkgs []*types.Package) []*types.Interface {
 	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := map[*types.Package]bool{}
 	var visit func(*types.Package)

@@ -12,9 +12,6 @@ import (
 // breaks golden/batched==sequential equivalence outright or (networked
 // MPC) silently desynchronizes the two parties. The binaries and examples
 // are interactive front ends, where timing output is the point.
-//
-// The slice is the analyzer's configuration surface: the multichecker
-// rebinds it from -detclock.exclude.
 var DetClockExclude = []string{"cmd", "examples"}
 
 // DetClockSanctioned lists the module-relative package prefixes that ARE
@@ -23,7 +20,7 @@ var DetClockExclude = []string{"cmd", "examples"}
 // (histograms, spans, EWMA hints) that the engine never reads back. Unlike
 // DetClockExclude, a sanctioned package keeps the global math/rand ban —
 // obs mints trace IDs from its own splitmix64 sequence, not from hidden
-// RNG state. Rebindable from -detclock.sanction.
+// RNG state.
 var DetClockSanctioned = []string{"internal/obs"}
 
 // timeForbidden are the wall-clock entry points of package time. Pure

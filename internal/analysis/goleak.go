@@ -11,7 +11,7 @@ import (
 // HTTP server, a signal handler) whose lifetime is the process; library
 // packages may not — an unjoined goroutine there outlives the operation
 // that spawned it, races teardown (pool reclamation, checkpoint close),
-// and turns deterministic tests flaky. Rebindable from -goleak.exclude.
+// and turns deterministic tests flaky.
 var GoLeakExclude = []string{"cmd", "examples"}
 
 // GoLeak requires every go statement in library packages to have a
@@ -35,7 +35,7 @@ func runGoLeak(pass *Pass) error {
 	for _, f := range pass.Files {
 		// Test goroutines die with the test binary and run under the race
 		// detector and per-test timeouts; the leak contract is about
-		// library lifetimes, so goleak skips _test.go even under -tests.
+		// library lifetimes, so goleak skips _test.go files.
 		if isTestFile(pass, f) {
 			continue
 		}

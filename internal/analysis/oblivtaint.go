@@ -15,7 +15,7 @@ import (
 // that owns the secret update flow, and the GMW circuit layer. Inside
 // them, control flow, memory addresses, allocation sizes, and call fan-out
 // may depend only on public sizes and DP-released counters — never on
-// secret record contents. Rebindable from -oblivtaint.pkgs.
+// secret record contents.
 var OblivTaintPackages = []string{
 	"internal/oblivious",
 	"internal/securearray",
@@ -33,8 +33,7 @@ var OblivTaintPackages = []string{
 // exempts the obs layer from the wall-clock ban. These are the functions
 // that BUILD obliviousness for everyone else. Each entry is
 // "<module-relative-pkg>.<Recv.>Name"; the sanction covers the whole
-// function body, so keep the primitives small. Rebindable from
-// -oblivtaint.sanction.
+// function body, so keep the primitives small.
 //
 // What is left, and why:
 //   - boolWord: the bool -> {0,1} word conversion — three lines the compiler
@@ -129,7 +128,7 @@ func runOblivTaint(pass *Pass) error {
 	}
 	for _, f := range pass.Files {
 		// Obliviousness is a production-control-flow contract. Test files
-		// are exempt even under -tests: assertions must read flags and
+		// are exempt: assertions must read flags and
 		// payloads in the clear to check them.
 		if isTestFile(pass, f) {
 			continue

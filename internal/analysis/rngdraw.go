@@ -13,8 +13,7 @@ import (
 // dp.CountingRNG at the construction site — an unwrapped source draws
 // words nobody counts, and the next restore forks the noise stream.
 //
-// The empty string is the module root package. The multichecker rebinds
-// this slice from -rngdraw.pkgs.
+// The empty string is the module root package.
 var RNGDrawPackages = []string{
 	"", // module root (incshrink.DB owns framework state)
 	"internal/core",
@@ -52,7 +51,7 @@ func runRNGDraw(pass *Pass) error {
 	}
 	for _, f := range pass.Files {
 		// A test-local source never reaches a snapshot, so rngdraw skips
-		// _test.go even under -tests.
+		// _test.go files.
 		if isTestFile(pass, f) {
 			continue
 		}

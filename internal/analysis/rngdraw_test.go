@@ -8,9 +8,9 @@ import (
 )
 
 // The fixture's rng_test.go holds an unwrapped source and expects no
-// finding: rngdraw skips test files even when the driver reports on them.
+// finding: rngdraw skips test files, though the driver reports on them.
 func TestRNGDraw(t *testing.T) {
-	analysistest.RunOpts(t, analysis.Options{IncludeTests: true}, analysis.RNGDraw, "incshrink/internal/mpc")
+	analysistest.Run(t, analysis.RNGDraw, "incshrink/internal/mpc")
 }
 
 // internal/serve is not snapshot-covered: its workload randomness is

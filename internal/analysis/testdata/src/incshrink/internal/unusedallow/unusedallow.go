@@ -1,4 +1,4 @@
-// Package unusedallow exercises the -unusedallow mode: an escape hatch
+// Package unusedallow exercises unused-allow reporting: an escape hatch
 // that suppresses nothing is itself reported.
 package unusedallow
 
