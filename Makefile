@@ -56,15 +56,17 @@ deadexports:
 test:
 	$(GO) test ./...
 
-# race exercises the concurrent sweep engine, the serving subsystem (whose
-# concurrent views are also what reaches internal/oblivious' one process-wide
-# structure, the comparator tables — each built once under a sync.Once — from
-# several goroutines; that package itself starts none), the engines they fan
-# out, and the two-party stack: every
-# gmw/party pair test is two goroutines over one conn pair whose counters are
-# read from both.
+# race exercises the concurrent sweep engine (internal/runner's worker pool,
+# and the experiments' any-worker-count determinism on top of it), the
+# serving subsystem (whose concurrent views are also what reaches
+# internal/oblivious' one process-wide structure, the comparator tables —
+# each built once under a sync.Once — from several goroutines; that package
+# itself starts none), the engine, and the two-party stack: every gmw/party
+# pair test is two goroutines over one conn pair whose counters are read from
+# both. CI's race job runs exactly this target.
 race:
-	$(GO) test -race ./internal/runner ./internal/sim ./internal/serve
+	$(GO) test -race ./internal/runner
+	$(GO) test -race ./internal/serve
 	$(GO) test -race ./internal/core
 	$(GO) test -race ./internal/gmw ./internal/party ./internal/wire
 	$(GO) test -race -run TestDeterministicAcrossWorkerCounts ./internal/experiments

@@ -16,11 +16,6 @@ import (
 // isn't a listener address, so tests can build the exact production wiring
 // in-process and attach httptest listeners instead.
 type appConfig struct {
-	Mailbox         int
-	HighWater       int
-	IngestBatch     int
-	MaxBatchSteps   int
-	IngestWorkers   int
 	DataDir         string
 	CheckpointEvery int
 	TraceBuffer     int
@@ -51,16 +46,7 @@ func buildApp(cfg appConfig, logDst io.Writer) (*app, error) {
 	metrics := obs.NewRegistry()
 	traces := obs.NewTraceLog(cfg.TraceBuffer)
 
-	scfg := serve.Config{
-		MailboxDepth:  cfg.Mailbox,
-		HighWater:     cfg.HighWater,
-		IngestBatch:   cfg.IngestBatch,
-		MaxBatchSteps: cfg.MaxBatchSteps,
-		IngestWorkers: cfg.IngestWorkers,
-		Metrics:       metrics,
-		Traces:        traces,
-		Logger:        logger,
-	}
+	scfg := serve.Config{Metrics: metrics, Traces: traces, Logger: logger}
 	if cfg.DataDir != "" {
 		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("creating data directory: %w", err)

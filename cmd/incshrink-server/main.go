@@ -1,11 +1,12 @@
 // Command incshrink-server is the multi-tenant serving front end: it hosts
 // many named IncShrink views behind an HTTP JSON API, with per-view
 // single-writer ingestion and a concurrent read path (internal/serve).
+// Each view queues at most 16 requests; a full queue answers 503 with
+// Retry-After: 1, and an advance-batch request carries at most 512 steps.
 //
 // Usage:
 //
-//	incshrink-server -addr :8080 -ops-addr :9090 -mailbox 16 -high-water 12 \
-//	    -ingest-batch 8 -ingest-workers 0 \
+//	incshrink-server -addr :8080 -ops-addr :9090 \
 //	    -data /var/lib/incshrink -checkpoint-every 100 -log-level info
 //
 // A curl session against a running server:
@@ -22,7 +23,7 @@
 //
 // With -ops-addr set, a second private listener serves the operations
 // surface: GET /metrics (Prometheus text format, every layer's families —
-// serve queue/batch/latency metrics, per-view core engine gauges, and the
+// serve queue/latency metrics, per-view core engine gauges, and the
 // MPC predicted-vs-measured cost accounting), GET /debug/traces (the
 // bounded in-memory span ring as JSON), and /debug/pprof/* (the stdlib
 // profiler). Keep the ops port off the tenant network.
@@ -38,8 +39,8 @@
 // the moment of the checkpoint, including the DP protocols' randomness
 // positions, so the privacy guarantee over the whole update history is
 // unbroken by the restart. While the restore sweep runs, GET /healthz
-// reports 503; it also degrades to 503 when any view's ingest queue
-// reaches the high-water mark (the same threshold that bounces uploads).
+// reports 503; it also degrades to 503 while any view's ingest mailbox is
+// full (the state in which that view's uploads are bounced).
 //
 // SIGINT/SIGTERM triggers graceful shutdown: in-flight requests finish,
 // admitted uploads drain, final checkpoints are written, then the process
@@ -60,18 +61,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address for the tenant API")
-		opsAddr   = flag.String("ops-addr", "", "listen address for the private ops surface: /metrics, /debug/traces, /debug/pprof (empty = disabled)")
-		mailbox   = flag.Int("mailbox", 16, "per-view ingest queue capacity, in requests")
-		highWater = flag.Int("high-water", 0, "backpressure threshold in queued steps: at or past it uploads get 503 + depth-aware Retry-After (0 = mailbox capacity)")
-		batch     = flag.Int("ingest-batch", 8, "max backlogged steps coalesced into one engine batch (1 disables coalescing)")
-		maxBatch  = flag.Int("max-batch-steps", 512, "max steps one advance-batch request may carry (larger -> 400)")
-		workers   = flag.Int("ingest-workers", 0, "max views advancing simultaneously (0 = GOMAXPROCS)")
-		grace     = flag.Duration("grace", 10*time.Second, "graceful shutdown budget")
-		dataDir   = flag.String("data", "", "data directory for view checkpoints (empty = not durable)")
-		cpEvery   = flag.Int("checkpoint-every", 100, "checkpoint a view every N applied uploads (needs -data; 0 = only explicit/shutdown checkpoints)")
-		traceBuf  = flag.Int("trace-buffer", 4096, "spans kept in the in-memory trace ring served at /debug/traces")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
+		addr     = flag.String("addr", ":8080", "listen address for the tenant API")
+		opsAddr  = flag.String("ops-addr", "", "listen address for the private ops surface: /metrics, /debug/traces, /debug/pprof (empty = disabled)")
+		grace    = flag.Duration("grace", 10*time.Second, "graceful shutdown budget")
+		dataDir  = flag.String("data", "", "data directory for view checkpoints (empty = not durable)")
+		cpEvery  = flag.Int("checkpoint-every", 100, "checkpoint a view every N applied uploads (needs -data; 0 = only explicit/shutdown checkpoints)")
+		traceBuf = flag.Int("trace-buffer", 4096, "spans kept in the in-memory trace ring served at /debug/traces")
+		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	)
 	flag.Parse()
 
@@ -85,11 +81,6 @@ func main() {
 	defer stop()
 
 	a, err := buildApp(appConfig{
-		Mailbox:         *mailbox,
-		HighWater:       *highWater,
-		IngestBatch:     *batch,
-		MaxBatchSteps:   *maxBatch,
-		IngestWorkers:   *workers,
 		DataDir:         *dataDir,
 		CheckpointEvery: *cpEvery,
 		TraceBuffer:     *traceBuf,
@@ -117,9 +108,6 @@ func main() {
 	}
 	log.Info("incshrink-server listening",
 		slog.String("addr", *addr),
-		slog.Int("mailbox", *mailbox),
-		slog.Int("ingest_batch", *batch),
-		slog.Int("ingest_workers", *workers),
 		slog.String("data", *dataDir))
 
 	select {

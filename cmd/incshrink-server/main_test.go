@@ -20,12 +20,9 @@ import (
 func TestObsSmoke(t *testing.T) {
 	logs := &strings.Builder{}
 	a, err := buildApp(appConfig{
-		Mailbox:       16,
-		IngestBatch:   8,
-		MaxBatchSteps: 512,
-		TraceBuffer:   256,
-		LogLevel:      slog.LevelInfo,
-		DataDir:       t.TempDir(),
+		TraceBuffer: 256,
+		LogLevel:    slog.LevelInfo,
+		DataDir:     t.TempDir(),
 	}, logs)
 	if err != nil {
 		t.Fatal(err)

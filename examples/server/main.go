@@ -30,7 +30,7 @@ import (
 )
 
 func main() {
-	reg := serve.NewRegistry(serve.Config{MailboxDepth: 8})
+	reg := serve.NewRegistry(serve.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -187,9 +187,6 @@ func (m Metrics) AvgTransformSecs() float64 { return safeDiv(m.TransformSecs, fl
 // AvgShrinkSecs returns the mean Shrink execution time per view update.
 func (m Metrics) AvgShrinkSecs() float64 { return safeDiv(m.ShrinkSecs, float64(m.Updates)) }
 
-// AvgQuerySecs returns the mean query execution time (QET).
-func (m Metrics) AvgQuerySecs() float64 { return safeDiv(m.QuerySecs, float64(m.Queries)) }
-
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
 		return 0

@@ -8,7 +8,7 @@ import (
 // Record is an input tuple to a truncated transformation. The engine reads
 // only Row: a record's identity is its position in the input (budgets and
 // newness are positional). ID is a label for whoever produced the record —
-// the workload generator and cmd/datagen number their records with it.
+// the workload generator numbers its records with it.
 type Record struct {
 	ID  int64
 	Row table.Row

@@ -17,7 +17,7 @@ import (
 // restarting registry restores nothing.
 func TestDropCheckpointNoResurrection(t *testing.T) {
 	dir := t.TempDir()
-	reg := NewRegistry(Config{DataDir: dir, IngestWorkers: 1, MailboxDepth: 8})
+	reg := NewRegistry(Config{DataDir: dir})
 	defer reg.Close(context.Background())
 	v, err := reg.Create("sales", testDef(), testOpts(1))
 	if err != nil {
@@ -32,8 +32,7 @@ func TestDropCheckpointNoResurrection(t *testing.T) {
 	// upload, then start the Drop — the exact interleaving where the old
 	// layer could delete the file and have the queued checkpoint recreate
 	// it afterwards.
-	upDone := make(chan error, 1)
-	stallIngest(t, reg, v, incshrink.StepRows{Left: []incshrink.Row{{2, 1}}}, upDone)
+	up := stallIngest(t, v, incshrink.StepRows{Left: []incshrink.Row{{2, 1}}})
 	cpDone := make(chan error, 1)
 	go func() {
 		_, _, err := v.Checkpoint(ctx)
@@ -52,9 +51,9 @@ func TestDropCheckpointNoResurrection(t *testing.T) {
 		t.Fatalf("create during drop: got %v, want ErrExists (name reserved until teardown finishes)", err)
 	}
 
-	<-reg.sem // release: upload applies, checkpoint writes, loop exits, Drop deletes
-	if err := <-upDone; err != nil {
-		t.Fatalf("admitted upload failed: %v", err)
+	v.mu.Unlock() // release: upload applies, checkpoint writes, loop exits, Drop deletes
+	if res := <-up; res.err != nil {
+		t.Fatalf("admitted upload failed: %v", res.err)
 	}
 	if err := <-cpDone; err != nil {
 		t.Fatalf("queued checkpoint failed: %v", err)
@@ -82,8 +81,8 @@ func TestDropCheckpointNoResurrection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recreate after drop: %v", err)
 	}
-	if st := v2.Stats(); st.DB.Step != 0 {
-		t.Fatalf("recreated view inherited state: step %d", st.DB.Step)
+	if st := v2.Stats(); st.Stats.Step != 0 {
+		t.Fatalf("recreated view inherited state: step %d", st.Stats.Step)
 	}
 	if _, _, err := v2.Checkpoint(ctx); err != nil {
 		t.Fatal(err)

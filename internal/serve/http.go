@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"incshrink"
 )
@@ -29,11 +28,10 @@ import (
 // Request bodies are decoded strictly: unknown fields and trailing data
 // are 400s, not silently ignored.
 //
-// Error mapping: unknown view -> 404, duplicate create -> 409, ingest
-// queue past high water (ErrBusy) -> 503 with a depth-aware Retry-After
-// derived from the view's observed per-step ingest time, malformed input
-// or a DB-rejected upload/query -> 400, snapshot without a data directory
-// -> 409, anything unrecognized -> 500.
+// Error mapping: unknown view -> 404, duplicate create -> 409, full ingest
+// mailbox (ErrBusy) -> 503 with Retry-After: 1, malformed input or a
+// DB-rejected upload/query -> 400, snapshot without a data directory -> 409,
+// anything unrecognized -> 500.
 
 // CreateRequest declares a new view.
 type CreateRequest struct {
@@ -75,9 +73,9 @@ type AdvanceResponse struct {
 // AdvanceBatchRequest carries a contiguous run of time steps, applied
 // all-or-nothing: steps[i] ingests at the view's logical time Now()+i, and
 // if any step is invalid the whole batch is rejected with nothing applied
-// (the incshrink.DB.AdvanceBatch contract). Batches above the server's
-// Config.MaxBatchSteps are rejected with 400 — one atomic batch holds the
-// view's write lock for its whole application.
+// (the incshrink.DB.AdvanceBatch contract). Batches above 512 steps are
+// rejected with 400 — one atomic batch holds the view's write lock for its
+// whole application.
 type AdvanceBatchRequest struct {
 	Steps []incshrink.StepRows `json:"steps"`
 }
@@ -116,7 +114,8 @@ type SnapshotResponse struct {
 	Step int    `json:"step"`
 }
 
-// StatusJSON is the wire form of a view Status.
+// StatusJSON is a full snapshot of one view — identity, protocol stats and
+// serving stats — as View.Stats returns it and the stats route serves it.
 type StatusJSON struct {
 	Name  string          `json:"name"`
 	Stats incshrink.Stats `json:"stats"`
@@ -190,8 +189,8 @@ func NewHandler(reg *Registry) http.Handler {
 		code := http.StatusOK
 		if !h.Ready {
 			// A load balancer should stop routing here: either a restore is
-			// rebuilding the tenant set, or some view's ingest queue is at
-			// the high-water mark and uploads are being bounced.
+			// rebuilding the tenant set, or some view's mailbox is full and
+			// its uploads are being bounced.
 			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, h)
@@ -234,7 +233,7 @@ func NewHandler(reg *Registry) http.Handler {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, statusJSON(v.Stats()))
+		writeJSON(w, http.StatusCreated, v.Stats())
 	})
 
 	mux.HandleFunc("DELETE /v1/views/{name}", func(w http.ResponseWriter, r *http.Request) {
@@ -257,7 +256,7 @@ func NewHandler(reg *Registry) http.Handler {
 		// time step.
 		step, err := v.Advance(context.WithoutCancel(r.Context()), req.Left, req.Right)
 		if err != nil {
-			writeBusyAware(w, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, AdvanceResponse{Step: step})
@@ -273,7 +272,7 @@ func NewHandler(reg *Registry) http.Handler {
 		// applied (atomically) even if the client goes away.
 		step, err := v.AdvanceBatch(context.WithoutCancel(r.Context()), req.Steps)
 		if err != nil {
-			writeBusyAware(w, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, AdvanceBatchResponse{Step: step, Steps: len(req.Steps)})
@@ -307,7 +306,7 @@ func NewHandler(reg *Registry) http.Handler {
 	mux.HandleFunc("POST /v1/views/{name}/count", count)
 
 	mux.HandleFunc("GET /v1/views/{name}/stats", withView(reg, func(v *View, w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, statusJSON(v.Stats()))
+		writeJSON(w, http.StatusOK, v.Stats())
 	}))
 
 	mux.HandleFunc("POST /v1/views/{name}/snapshot", withView(reg, func(v *View, w http.ResponseWriter, r *http.Request) {
@@ -316,7 +315,7 @@ func NewHandler(reg *Registry) http.Handler {
 		// an admitted upload it completes even if the client goes away.
 		path, step, err := v.Checkpoint(context.WithoutCancel(r.Context()))
 		if err != nil {
-			writeBusyAware(w, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		writeJSON(w, http.StatusOK, SnapshotResponse{Path: path, Step: step})
@@ -335,10 +334,6 @@ func withView(reg *Registry, h func(*View, http.ResponseWriter, *http.Request)) 
 		}
 		h(v, w, r)
 	}
-}
-
-func statusJSON(s Status) StatusJSON {
-	return StatusJSON{Name: s.Name, Stats: s.DB, Serve: s.Serve}
 }
 
 // statusFor maps an internal error to a response status. Only errors the
@@ -366,23 +361,17 @@ func statusFor(err error) int {
 	}
 }
 
-// writeBusyAware writes an ingest error, attaching the depth-aware
-// Retry-After hint when the error is a backpressure rejection: the header
-// reflects how long the view's queue should take to drain below high water
-// at its observed per-step ingest rate, not a hardcoded constant.
-func writeBusyAware(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrBusy) {
-		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(err)))
-	}
-	writeError(w, statusFor(err), err)
-}
-
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeError writes err as a JSON body; a full mailbox also gets a
+// Retry-After, since the client may simply try again.
 func writeError(w http.ResponseWriter, code int, err error) {
+	if errors.Is(err, ErrBusy) {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

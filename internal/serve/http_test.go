@@ -177,7 +177,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 // with interleaved advance and count requests, final counts byte-identical
 // to sequential single-view runs at the same seed. Run under -race.
 func TestHTTPConcurrentViews(t *testing.T) {
-	reg := NewRegistry(Config{MailboxDepth: 4})
+	reg := NewRegistry(Config{})
 	defer reg.Close(t.Context())
 	srv := httptest.NewServer(NewHandler(reg))
 	defer srv.Close()
@@ -285,7 +285,7 @@ func TestHTTPBodyLimit(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("oversized body: code=%d, want 400", resp.StatusCode)
 	}
-	if st, err := reg.Get("v"); err != nil || st.Stats().DB.Step != 0 {
+	if st, err := reg.Get("v"); err != nil || st.Stats().Stats.Step != 0 {
 		t.Errorf("oversized body advanced the view: %v", err)
 	}
 }

@@ -21,7 +21,6 @@ type serveMetrics struct {
 	batches           *obs.Counter
 	queries           *obs.Counter
 	batchSteps        *obs.Histogram
-	batchRequests     *obs.Histogram
 	advanceSeconds    *obs.Histogram
 	querySeconds      *obs.Histogram
 	checkpointSeconds *obs.Histogram
@@ -44,21 +43,18 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 		advances: m.Counter("incshrink_serve_advances_total",
 			"upload steps applied across all views"),
 		rejected: m.Counter("incshrink_serve_rejected_total",
-			"upload steps refused at admission (queue past high water)"),
+			"upload steps refused at admission (mailbox full)"),
 		failed: m.Counter("incshrink_serve_failed_total",
 			"ingest requests the engine rejected (validation failures)"),
 		batches: m.Counter("incshrink_serve_batches_total",
-			"engine ingest calls (one per coalesced mailbox batch)"),
+			"engine ingest calls (one per applied upload request)"),
 		queries: m.Counter("incshrink_serve_queries_total",
 			"count queries served across all views"),
 		batchSteps: m.Histogram("incshrink_serve_batch_steps",
-			"steps per engine ingest batch (the achieved coalescing factor)",
+			"steps per engine ingest call (one upload request)",
 			obs.ExpBuckets(1, 2, 10)),
-		batchRequests: m.Histogram("incshrink_serve_batch_requests",
-			"mailbox requests coalesced into one engine ingest batch",
-			obs.ExpBuckets(1, 2, 6)),
 		advanceSeconds: m.Histogram("incshrink_serve_advance_seconds",
-			"wall time applying one engine ingest batch", latencyBuckets()),
+			"wall time applying one upload request", latencyBuckets()),
 		querySeconds: m.Histogram("incshrink_serve_query_seconds",
 			"wall time serving one count query", latencyBuckets()),
 		checkpointSeconds: m.Histogram("incshrink_serve_checkpoint_seconds",
@@ -66,7 +62,7 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 		checkpointBytes: m.Histogram("incshrink_serve_checkpoint_bytes",
 			"size of one written view checkpoint", obs.ExpBuckets(256, 4, 12)),
 		queueDepth: m.Gauge("incshrink_serve_queue_depth",
-			"queued ingest steps summed over every view"),
+			"queued ingest requests summed over every view"),
 		views: m.Gauge("incshrink_serve_views",
 			"registered views"),
 		httpRequests: m.CounterVec("incshrink_http_requests_total",
@@ -76,27 +72,20 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 	}
 	m.OnGather(func() {
 		h := r.Health()
-		sm.queueDepth.Set(float64(h.QueuedSteps))
+		sm.queueDepth.Set(float64(h.Queued))
 		sm.views.Set(float64(h.Views))
 	})
 	return sm
 }
 
-func (sm *serveMetrics) observeBatch(requests, steps int, d obs.Ticks) {
+func (sm *serveMetrics) observeApplied(steps int, start obs.Ticks) {
 	if sm == nil {
 		return
 	}
 	sm.batches.Inc()
-	sm.batchRequests.Observe(float64(requests))
 	sm.batchSteps.Observe(float64(steps))
-	sm.advanceSeconds.ObserveDuration(obs.Since(d))
-}
-
-func (sm *serveMetrics) observeApplied(steps int) {
-	if sm == nil {
-		return
-	}
 	sm.advances.Add(float64(steps))
+	sm.advanceSeconds.ObserveDuration(obs.Since(start))
 }
 
 func (sm *serveMetrics) observeRejected(steps int) {
@@ -142,28 +131,27 @@ func (r *Registry) span(trace obs.TraceID, name string, start obs.Ticks, note st
 // restore-in-progress flag.
 type Health struct {
 	// Ready is false during a restore (views are still being re-registered,
-	// so requests would land on an incomplete tenant set) and once any view's
-	// queue is at or past the high-water mark — the threshold admission
-	// rejects at, so unready means uploads are (about to be) bounced.
+	// so requests would land on an incomplete tenant set) and while any
+	// view's mailbox is full, so its uploads are being bounced.
 	Ready     bool `json:"ready"`
 	Restoring bool `json:"restoring"`
-	// Views is the registered view count; QueuedSteps sums their ingest
-	// queues; MaxDepth is the deepest single view queue.
-	Views       int `json:"views"`
-	QueuedSteps int `json:"queued_steps"`
-	MaxDepth    int `json:"max_depth"`
+	// Views is the registered view count; Queued sums the requests waiting
+	// in their mailboxes; MaxDepth is the deepest single mailbox.
+	Views    int `json:"views"`
+	Queued   int `json:"queued"`
+	MaxDepth int `json:"max_depth"`
 }
 
 // Health reports readiness.
 func (r *Registry) Health() Health {
 	h := Health{Restoring: r.restoring.Load()}
 	for _, v := range r.live() {
-		d := int(v.depth.Load())
+		d := len(v.mailbox)
 		h.Views++
-		h.QueuedSteps += d
+		h.Queued += d
 		h.MaxDepth = max(h.MaxDepth, d)
 	}
-	h.Ready = !h.Restoring && h.MaxDepth < r.cfg.HighWater
+	h.Ready = !h.Restoring && h.MaxDepth < mailboxDepth
 	return h
 }
 

@@ -10,12 +10,13 @@ import (
 	"strings"
 	"testing"
 
+	"incshrink"
 	"incshrink/internal/obs"
 )
 
-// TestHealthDegradedQueue pins the degraded path: a view whose ingest queue
-// sits at the high-water mark flips the registry to unready, and /healthz
-// answers 503 with the flat report until the queue drains.
+// TestHealthDegradedQueue pins the degraded path: a view whose mailbox is
+// full flips the registry to unready, and /healthz answers 503 with the flat
+// report until the mailbox drains.
 func TestHealthDegradedQueue(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
@@ -43,20 +44,38 @@ func TestHealthDegradedQueue(t *testing.T) {
 		t.Fatalf("healthy: code=%d %+v", code, h)
 	}
 
-	// Simulate a backed-up queue: depth is the same counter admission
-	// checks, so pushing it to the high-water mark is exactly the state a
-	// slow consumer leaves behind.
-	v.depth.Add(int32(reg.cfg.HighWater))
+	// Back the mailbox up for real: park the ingest loop, then queue
+	// uploads until the mailbox is full — exactly the state a slow view
+	// leaves behind, and the one admission rejects at.
+	first := stallIngest(t, v, incshrink.StepRows{Left: []incshrink.Row{{1, 0}}})
+	queued := make([]chan ingestResult, mailboxDepth)
+	for i := range queued {
+		queued[i] = make(chan ingestResult, 1)
+		v.mailbox <- &ingestReq{steps: []incshrink.StepRows{{Left: []incshrink.Row{{int64(i + 2), 0}}}}, done: queued[i]}
+	}
 	code, h := healthz()
 	if code != http.StatusServiceUnavailable || h.Ready {
 		t.Fatalf("degraded: code=%d %+v", code, h)
 	}
-	if h.Views != 1 || h.MaxDepth != reg.cfg.HighWater || h.QueuedSteps != reg.cfg.HighWater {
+	if h.Views != 1 || h.MaxDepth != mailboxDepth || h.Queued != mailboxDepth {
 		t.Fatalf("degraded report does not show the backed-up view: %+v", h)
 	}
+	// The bounced upload is told to come back in a second.
+	resp, err := srv.Client().Post(srv.URL+"/v1/views/sales/advance", "application/json", strings.NewReader(`{"left":[[99,0]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("upload into a full mailbox: %d, Retry-After %q; want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
 
-	v.depth.Add(-int32(reg.cfg.HighWater))
-	if code, h := healthz(); code != http.StatusOK || !h.Ready {
+	v.mu.Unlock()
+	<-first
+	for _, done := range queued {
+		<-done
+	}
+	if code, h := healthz(); code != http.StatusOK || !h.Ready || h.Queued != 0 {
 		t.Fatalf("drained: code=%d %+v", code, h)
 	}
 }

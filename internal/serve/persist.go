@@ -131,25 +131,11 @@ func (v *View) Checkpoint(ctx context.Context) (path string, step int, err error
 	if v.reg.cfg.DataDir == "" {
 		return "", 0, ErrNoDataDir
 	}
-	req := &ingestReq{checkpoint: true, done: make(chan ingestResult, 1)}
-	v.closeMu.Lock()
-	if v.closing {
-		v.closeMu.Unlock()
-		return "", 0, ErrClosed
+	res, err := v.submit(ctx, &ingestReq{checkpoint: true, done: make(chan ingestResult, 1)})
+	if err != nil {
+		return "", 0, err
 	}
-	select {
-	case v.mailbox <- req:
-		v.closeMu.Unlock()
-	default:
-		v.closeMu.Unlock()
-		return "", 0, v.busy(int(v.depth.Load()))
-	}
-	select {
-	case res := <-req.done:
-		return res.path, res.step, res.err
-	case <-ctx.Done():
-		return "", 0, ctx.Err()
-	}
+	return res.path, res.step, res.err
 }
 
 // CheckpointAll snapshots every registered view, taking each view's mutex

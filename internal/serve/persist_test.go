@@ -110,7 +110,7 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 		if nGot != nWant || qetGot != qetWant {
 			t.Fatalf("%q diverged after restore: (%d, %v), uninterrupted (%d, %v)", name, nGot, qetGot, nWant, qetWant)
 		}
-		if got, want := v.Stats().DB, ref[name].Stats(); got != want {
+		if got, want := v.Stats().Stats, ref[name].Stats(); got != want {
 			t.Fatalf("%q stats diverged:\nrestored: %+v\nuninterrupted: %+v", name, got, want)
 		}
 	}

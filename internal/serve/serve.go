@@ -4,40 +4,29 @@
 // not provide. A bare incshrink.DB is confined to a single goroutine; the
 // serve layer makes many of them jointly usable from arbitrary goroutines:
 //
-//   - Writes go through a bounded per-view mailbox drained by a single
-//     ingest goroutine, so Advance stays strictly serialized per view (the
-//     paper's "owners upload in time-step order" invariant) while distinct
-//     views ingest in parallel. The ingest goroutine coalesces queued steps:
-//     up to Config.IngestBatch backlogged steps drain into one
-//     incshrink.DB.AdvanceBatch call, amortizing the engine's scratch and
-//     the serving layer's locking across the backlog (the transfer cost
-//     amortization of the paper's Figure 4 batch-size lever).
-//   - Admission is depth-aware backpressure rather than a full-or-nothing
-//     mailbox: an upload is rejected with ErrBusy only once the queue depth
-//     (in steps) reaches Config.HighWater, and the rejection carries a
-//     retry hint derived from the observed per-step ingest time and the
-//     current depth (BusyError), which the HTTP front end maps to 503 +
-//     Retry-After.
+//   - Writes go through one bounded mailbox per view (mailboxDepth requests)
+//     drained by a single ingest goroutine, which applies each request as its
+//     own incshrink.DB.AdvanceBatch. Advance stays strictly serialized per
+//     view (the paper's "owners upload in time-step order" invariant) while
+//     distinct views ingest in parallel. Batching is the owner's lever: a
+//     client that wants the paper's Figure 4 amortization sends several steps
+//     in one AdvanceBatch request.
+//   - Admission is the mailbox itself: an upload that finds it full fails fast
+//     with ErrBusy, which the HTTP front end maps to 503 + Retry-After: 1.
 //   - The registry is one map under one RWMutex: Get is a read lock, and
 //     Create and Drop hold the write lock for a map insert or delete only —
 //     opening a DB and draining a mailbox both run outside it.
-//   - Total ingest parallelism across views is bounded by a worker-pool
-//     semaphore (the internal/runner pattern: IngestWorkers slots, <= 0
-//     meaning GOMAXPROCS), so a thousand registered views cannot start a
-//     thousand simultaneous MPC transforms. A coalesced batch holds its
-//     slot once for the whole batch.
-//   - Reads (Count, CountWhere, Stats) take the view's mutex directly and
-//     interleave between queued Advance batches, so queries are served while
-//     ingestion is in flight instead of waiting behind the whole mailbox.
-//     Note that "reads" still serialize on the mutex: a simulated secure
-//     query charges the view's cost meter, so it is a write at the DB layer.
+//   - Reads (CountWhere, Stats) take the view's mutex directly and interleave
+//     between queued uploads, so queries are served while ingestion is in
+//     flight instead of waiting behind the whole mailbox. Note that "reads"
+//     still serialize on the mutex: a simulated secure query charges the
+//     view's cost meter, so it is a write at the DB layer.
 //
 // Determinism is preserved per view: because the mailbox serializes each
 // view's step order and AdvanceBatch is byte-identical to sequential
 // Advance calls, a view ingesting a given step sequence through the
-// registry — under any amount of cross-view concurrency or coalescing —
-// produces counts byte-identical to a sequential single-view run at the
-// same seed.
+// registry — under any amount of cross-view concurrency — produces counts
+// byte-identical to a sequential single-view run at the same seed.
 //
 // Lifecycle is race-free by construction and pinned by race-detector tests:
 // a view registered concurrently with Close is either drained by Close or
@@ -53,26 +42,30 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"incshrink"
 	"incshrink/internal/core"
 	"incshrink/internal/obs"
-	"incshrink/internal/runner"
+)
+
+const (
+	// mailboxDepth is each view's ingest queue capacity, in requests.
+	mailboxDepth = 16
+	// maxBatchSteps caps the steps one client AdvanceBatch request may carry:
+	// a batch is applied atomically under the view mutex, so an unbounded one
+	// could starve the view's readers.
+	maxBatchSteps = 512
 )
 
 // Sentinel errors of the serving layer.
 var (
-	// ErrBusy reports backpressure: the view's ingest queue is at or past
-	// the high-water mark and the upload was not admitted. Rejections are
-	// returned as a *BusyError wrapping ErrBusy, carrying the observed
-	// queue depth and a retry hint.
-	ErrBusy = errors.New("serve: view ingest queue past high water, upload not admitted")
+	// ErrBusy reports a full ingest mailbox: the upload or checkpoint was not
+	// admitted and may be retried.
+	ErrBusy = errors.New("serve: view ingest mailbox full, request not admitted")
 	// ErrNotFound reports an unknown view name.
 	ErrNotFound = errors.New("serve: view not found")
 	// ErrExists reports a Create against a name already registered
@@ -83,53 +76,8 @@ var (
 	ErrClosed = errors.New("serve: closed")
 )
 
-// BusyError is the concrete admission rejection: errors.Is(err, ErrBusy)
-// matches it, and errors.As exposes the backpressure context — the queue
-// depth (in steps) observed at rejection and a hint for when the queue is
-// expected to have drained below the high-water mark, derived from the
-// view's recent per-step ingest time.
-type BusyError struct {
-	// Depth is the view's queued step count at the rejection.
-	Depth int
-	// RetryAfter is the suggested wait before retrying.
-	RetryAfter time.Duration
-}
-
-// Error implements error.
-func (e *BusyError) Error() string {
-	return fmt.Sprintf("%v (depth %d, retry in %s)", ErrBusy, e.Depth, e.RetryAfter.Round(time.Millisecond))
-}
-
-// Unwrap lets errors.Is(err, ErrBusy) keep working.
-func (e *BusyError) Unwrap() error { return ErrBusy }
-
 // Config tunes the registry.
 type Config struct {
-	// MailboxDepth is the per-view bounded ingest queue capacity, in
-	// requests. Default 16.
-	MailboxDepth int
-	// HighWater is the backpressure threshold, in queued steps: an upload
-	// that finds the view's queue depth at or past HighWater fails fast
-	// with a *BusyError. Defaults to MailboxDepth (reject roughly when the
-	// queue is full of single-step requests); set it lower to shed load
-	// early while keeping mailbox headroom for control traffic
-	// (checkpoints), or higher than MailboxDepth to let batch-submitting
-	// clients queue deeper (a batch request holds several steps in one
-	// mailbox slot).
-	HighWater int
-	// IngestBatch is the coalescing bound: the ingest goroutine drains up
-	// to this many backlogged steps into one AdvanceBatch call. Default 8;
-	// 1 disables coalescing.
-	IngestBatch int
-	// MaxBatchSteps caps the steps one client AdvanceBatch request may
-	// carry (larger requests are rejected with ErrInvalidArgument):
-	// a batch is applied atomically under the view mutex and one worker
-	// slot, so an unbounded client batch could monopolize both. Default
-	// 512.
-	MaxBatchSteps int
-	// IngestWorkers bounds how many views may execute Advance
-	// simultaneously (<= 0 means GOMAXPROCS).
-	IngestWorkers int
 	// DataDir enables durability: each view checkpoints to
 	// <DataDir>/<escaped name>.snap, RestoreAll re-registers every snapshot
 	// found there at boot, and the snapshot endpoint/periodic checkpointing
@@ -141,41 +89,22 @@ type Config struct {
 	// checkpoint-on-shutdown still work whenever DataDir is set.
 	CheckpointEvery int
 	// Metrics, when non-nil, turns on instrumentation: the serving
-	// families (queue depth, batch coalescing, latencies, checkpoint
-	// cost) are registered on it, and every hosted view's engine gets
-	// core/mpc instruments attached. Instruments observe but never
-	// perturb: per-view counts and snapshots are byte-identical with or
-	// without a Metrics registry (pinned by test).
+	// families (queue depth, latencies, checkpoint cost) are registered on
+	// it, and every hosted view's engine gets core/mpc instruments attached.
+	// Instruments observe but never perturb: per-view counts and snapshots
+	// are byte-identical with or without a Metrics registry (pinned by test).
 	Metrics *obs.Registry
 	// Traces, when non-nil, records request spans (HTTP dispatch, mailbox
-	// wait, batch apply) into the ring, dumpable via /debug/traces.
+	// wait, apply) into the ring, dumpable via /debug/traces.
 	Traces *obs.TraceLog
 	// Logger, when non-nil, emits structured access logs (with trace IDs)
 	// from the HTTP handler.
 	Logger *slog.Logger
 }
 
-func (c Config) withDefaults() Config {
-	if c.MailboxDepth <= 0 {
-		c.MailboxDepth = 16
-	}
-	if c.HighWater <= 0 {
-		c.HighWater = c.MailboxDepth
-	}
-	if c.IngestBatch <= 0 {
-		c.IngestBatch = 8
-	}
-	if c.MaxBatchSteps <= 0 {
-		c.MaxBatchSteps = 512
-	}
-	c.IngestWorkers = runner.Workers(c.IngestWorkers)
-	return c
-}
-
 // Registry hosts named views. All methods are safe for concurrent use.
 type Registry struct {
 	cfg Config
-	sem chan struct{} // ingest worker-pool slots, shared by every view
 
 	closed atomic.Bool // no new views or uploads once set
 	mu     sync.RWMutex
@@ -194,10 +123,8 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry(cfg Config) *Registry {
-	cfg = cfg.withDefaults()
 	r := &Registry{
 		cfg:    cfg,
-		sem:    make(chan struct{}, cfg.IngestWorkers),
 		views:  make(map[string]*View),
 		traces: cfg.Traces,
 		logger: cfg.Logger,
@@ -252,7 +179,7 @@ func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
 		name:     name,
 		reg:      r,
 		db:       db,
-		mailbox:  make(chan *ingestReq, r.cfg.MailboxDepth),
+		mailbox:  make(chan *ingestReq, mailboxDepth),
 		loopDone: make(chan struct{}),
 	}
 	if r.ins != nil {
@@ -387,14 +314,13 @@ func (r *Registry) Close(ctx context.Context) error {
 // protocol-level incshrink.Stats underneath.
 type ServeStats struct {
 	// Advances counts applied upload steps; Rejected counts steps refused
-	// at admission (queue past high water); Failed counts requests the DB
-	// rejected (for example block-size violations).
+	// at admission (mailbox full); Failed counts requests the DB rejected
+	// (for example block-size violations).
 	Advances int64 `json:"advances"`
 	Rejected int64 `json:"rejected"`
 	Failed   int64 `json:"failed"`
-	// Batches counts engine ingest calls: with mailbox coalescing one
-	// batch applies up to IngestBatch backlogged steps, so
-	// Advances/Batches is the view's achieved amortization factor.
+	// Batches counts engine ingest calls, one per applied upload request,
+	// so Advances/Batches is the mean steps per client request.
 	Batches int64 `json:"batches"`
 	// Queries counts served Count/CountWhere calls.
 	Queries int64 `json:"queries"`
@@ -406,14 +332,6 @@ type ServeStats struct {
 	// are surfaced here rather than failing the upload that triggered them).
 	Checkpoints      int64 `json:"checkpoints"`
 	CheckpointErrors int64 `json:"checkpoint_errors"`
-}
-
-// Status is a full snapshot of one view: identity, protocol stats, and
-// serving stats.
-type Status struct {
-	Name  string
-	DB    incshrink.Stats
-	Serve ServeStats
 }
 
 // View is one hosted tenant: a single incshrink.DB behind a serializing
@@ -430,19 +348,10 @@ type View struct {
 	dropping bool
 
 	// mu guards db — the bare DB is single-goroutine (see the incshrink
-	// package docs). The ingest loop holds it per batch; readers hold it
-	// per query, so reads interleave between queued ingest batches.
+	// package docs). The ingest loop holds it per request; readers hold it
+	// per query, so reads interleave between queued uploads.
 	mu sync.Mutex
 	db *incshrink.DB
-
-	// depth is the queued step count (a batch request counts each of its
-	// steps), decremented as the ingest loop pulls requests off the
-	// mailbox; stepNanos is an EWMA of the observed per-step ingest time.
-	// Together they drive the backpressure policy: admission compares
-	// depth against HighWater, and a rejection's retry hint is
-	// depth x stepNanos.
-	depth     atomic.Int32
-	stepNanos atomic.Int64
 
 	advances    atomic.Int64
 	rejected    atomic.Int64
@@ -456,7 +365,7 @@ type View struct {
 
 	// closeMu guards closing and orders mailbox sends against stop()'s
 	// close; it is never held across a DB operation, so admission stays
-	// fast even while an expensive ingest batch holds mu.
+	// fast even while an upload holds mu.
 	closeMu sync.Mutex
 	closing bool
 
@@ -480,7 +389,7 @@ type ingestReq struct {
 
 	// trace and admitted carry the request's trace context across the
 	// mailbox: the ID minted in the HTTP handler and the admission tick,
-	// so the ingest loop can record the mailbox-wait and batch-apply spans
+	// so the ingest loop can record the mailbox-wait and apply spans
 	// against the originating request.
 	trace    obs.TraceID
 	admitted obs.Ticks
@@ -495,163 +404,57 @@ type ingestResult struct {
 func (v *View) ingestLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(v.loopDone)
-	coalesce := v.reg.cfg.IngestBatch
-	var batch []*ingestReq // reused across iterations
 	for req := range v.mailbox {
-		v.depth.Add(-stepCount(req))
 		if req.checkpoint {
 			path, step, err := v.checkpoint()
 			req.done <- ingestResult{step: step, path: path, err: err}
 			continue
 		}
-		// Coalesce the backlog: drain queued upload requests — without
-		// blocking — until the batch bound is reached or a checkpoint
-		// request surfaces (which must stay ordered after the uploads
-		// admitted before it, so it ends the batch and runs right after).
-		batch = append(batch[:0], req)
-		nsteps := len(req.steps)
-		var ctl *ingestReq
-	drain:
-		for nsteps < coalesce && ctl == nil {
-			select {
-			case next, ok := <-v.mailbox:
-				if !ok {
-					break drain // closed: apply what we have; outer loop ends
-				}
-				v.depth.Add(-stepCount(next))
-				if next.checkpoint {
-					ctl = next
-					break drain
-				}
-				batch = append(batch, next)
-				nsteps += len(next.steps)
-			default:
-				break drain
-			}
-		}
-		v.applyBatch(batch)
-		if ctl != nil {
-			path, step, err := v.checkpoint()
-			ctl.done <- ingestResult{step: step, path: path, err: err}
-		}
+		v.apply(req)
 	}
 }
 
-// stepCount is a request's contribution to the queue depth.
-func stepCount(req *ingestReq) int32 {
-	if req.checkpoint {
-		return 0
-	}
-	return int32(len(req.steps))
-}
-
-// applyBatch applies a coalesced run of upload requests as one AdvanceBatch
-// under a single mutex/worker-slot acquisition, acknowledges each request
-// with the view's logical time after its own last step, and updates the
-// backpressure estimate. If the combined batch is rejected (all-or-nothing
-// validation tripped on some step), the requests are re-applied one by one
-// so the failure lands on the request that caused it and innocent neighbors
-// still ingest.
-func (v *View) applyBatch(reqs []*ingestReq) {
-	total := 0
-	for _, r := range reqs {
-		total += len(r.steps)
-	}
-	steps := reqs[0].steps
-	if len(reqs) > 1 {
-		steps = make([]incshrink.StepRows, 0, total)
-		for _, r := range reqs {
-			steps = append(steps, r.steps...)
-		}
-	}
-
-	// Wall time here feeds the Retry-After EWMA hint, the latency
-	// histograms and the trace spans — advisory observability, never view
-	// state. Read through the sanctioned obs clock.
+// apply applies one upload request as one AdvanceBatch under the view mutex
+// and acknowledges it with the view's logical time after its last step.
+func (v *View) apply(req *ingestReq) {
+	// Wall time here feeds the latency histogram and the trace spans —
+	// advisory observability, never view state.
 	start := obs.Now()
-	for _, r := range reqs {
-		if r.trace != 0 {
-			v.reg.span(r.trace, "ingest.wait", r.admitted, "")
-		}
-	}
+	v.reg.span(req.trace, "ingest.wait", req.admitted, "")
 	v.mu.Lock()
-	// Take the view mutex before a worker-pool slot: a slot is only ever
-	// held during actual engine execution, so readers parked on one view's
-	// mutex cannot pin slots and starve other views.
-	v.reg.sem <- struct{}{}
-	before := v.db.Now()
-	err := v.db.AdvanceBatch(steps)
-	if err == nil {
-		v.batches.Add(1)
-		v.reg.met.observeBatch(len(reqs), total, start)
-		s := before
-		for _, r := range reqs {
-			s += len(r.steps)
-			v.ackApplied(r, s)
-		}
-	} else if len(reqs) == 1 {
+	err := v.db.AdvanceBatch(req.steps)
+	step := v.db.Now()
+	v.mu.Unlock()
+	if req.trace != 0 {
+		v.reg.span(req.trace, "ingest.apply", start, fmt.Sprintf("steps=%d", len(req.steps)))
+	}
+	if err != nil {
 		v.failed.Add(1)
 		v.reg.met.observeFailed()
-		reqs[0].done <- ingestResult{step: v.db.Now(), err: err}
-	} else {
-		// A poisoned coalesced batch: isolate the offender by applying each
-		// request's own (still all-or-nothing) batch separately.
-		for _, r := range reqs {
-			if rerr := v.db.AdvanceBatch(r.steps); rerr != nil {
-				v.failed.Add(1)
-				v.reg.met.observeFailed()
-				r.done <- ingestResult{step: v.db.Now(), err: rerr}
-			} else {
-				v.batches.Add(1)
-				v.reg.met.observeBatch(1, len(r.steps), start)
-				v.ackApplied(r, v.db.Now())
-			}
-		}
+		req.done <- ingestResult{step: step, err: err}
+		return
 	}
-	applied := v.db.Now() - before
-	<-v.reg.sem
-	v.mu.Unlock()
-
-	for _, r := range reqs {
-		if r.trace != 0 {
-			v.reg.span(r.trace, "ingest.apply", start, fmt.Sprintf("steps=%d coalesced=%d", total, len(reqs)))
-		}
-	}
-	if applied > 0 {
-		per := obs.Since(start).Nanoseconds() / int64(applied)
-		old := v.stepNanos.Load()
-		if old == 0 {
-			v.stepNanos.Store(per)
-		} else {
-			v.stepNanos.Store((3*old + per) / 4)
-		}
-	}
-
-	// Periodic durability: checkpoint when the applied-upload counter
-	// crosses a CheckpointEvery boundary, after the acknowledgments (so the
-	// disk write never sits in an ack path) but still inside the ingest
-	// loop, before the next mailbox item — no other writer can run first,
-	// so the snapshot is exactly the post-batch state. Failures are counted
-	// (and visible in stats) but do not fail any upload.
-	cpEvery := int64(v.reg.cfg.CheckpointEvery)
-	if cpEvery > 0 && v.reg.cfg.DataDir != "" && applied > 0 {
-		adv := v.advances.Load()
-		if adv/cpEvery != (adv-int64(applied))/cpEvery {
-			v.checkpoint()
-		}
-	}
-}
-
-// ackApplied updates the serving counters for one applied request and
-// acknowledges it with the view's logical time after its last step.
-func (v *View) ackApplied(r *ingestReq, step int) {
-	v.advances.Add(int64(len(r.steps)))
-	v.reg.met.observeApplied(len(r.steps))
-	for _, s := range r.steps {
+	n := int64(len(req.steps))
+	v.batches.Add(1)
+	v.advances.Add(n)
+	for _, s := range req.steps {
 		v.rowsL.Add(int64(len(s.Left)))
 		v.rowsR.Add(int64(len(s.Right)))
 	}
-	r.done <- ingestResult{step: step}
+	v.reg.met.observeApplied(len(req.steps), start)
+	req.done <- ingestResult{step: step}
+
+	// Periodic durability: checkpoint when the applied-upload counter
+	// crosses a CheckpointEvery boundary, after the acknowledgment (so the
+	// disk write never sits in an ack path) but still inside the ingest
+	// loop, before the next mailbox item — no other writer can run first,
+	// so the snapshot is exactly the post-request state. Failures are
+	// counted (and visible in stats) but do not fail any upload.
+	if every := int64(v.reg.cfg.CheckpointEvery); every > 0 && v.reg.cfg.DataDir != "" {
+		if adv := v.advances.Load(); adv/every != (adv-n)/every {
+			v.checkpoint()
+		}
+	}
 }
 
 // stop closes the mailbox exactly once; admitted uploads drain first.
@@ -665,91 +468,63 @@ func (v *View) stop() {
 	close(v.mailbox)
 }
 
+// submit admits req to the mailbox without blocking and waits for its
+// result: ErrClosed once the view is stopping, ErrBusy when the mailbox is
+// full, ctx's error if it is cancelled first (the request still runs).
+func (v *View) submit(ctx context.Context, req *ingestReq) (ingestResult, error) {
+	// The send must not race stop()'s close of the mailbox: check and send
+	// under the same lock stop() takes, making stop-then-send impossible.
+	v.closeMu.Lock()
+	if v.closing {
+		v.closeMu.Unlock()
+		return ingestResult{}, ErrClosed
+	}
+	select {
+	case v.mailbox <- req:
+		v.closeMu.Unlock()
+	default:
+		v.closeMu.Unlock()
+		return ingestResult{}, ErrBusy
+	}
+	select {
+	case res := <-req.done:
+		return res, nil
+	case <-ctx.Done():
+		return ingestResult{}, ctx.Err()
+	}
+}
+
 // enqueue admits a run of steps to the ingest queue and waits for the
 // acknowledgment — the shared body of Advance and AdvanceBatch.
 func (v *View) enqueue(ctx context.Context, steps []incshrink.StepRows) (int, error) {
 	if len(steps) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", incshrink.ErrInvalidArgument)
 	}
-	if len(steps) > v.reg.cfg.MaxBatchSteps {
-		// A batch holds the view mutex and a worker slot for its whole
-		// atomic application; an unbounded one would starve readers and
-		// other views.
+	if len(steps) > maxBatchSteps {
 		return 0, fmt.Errorf("%w: batch of %d steps exceeds the %d-step limit",
-			incshrink.ErrInvalidArgument, len(steps), v.reg.cfg.MaxBatchSteps)
+			incshrink.ErrInvalidArgument, len(steps), maxBatchSteps)
 	}
 	req := &ingestReq{steps: steps, done: make(chan ingestResult, 1)}
 	if id, ok := obs.TraceFrom(ctx); ok {
 		req.trace = id
 		req.admitted = obs.Now()
 	}
-	// The send must not race stop()'s close of the mailbox: check and send
-	// under the same lock stop() takes, making stop-then-send impossible.
-	v.closeMu.Lock()
-	if v.closing {
-		v.closeMu.Unlock()
-		return 0, ErrClosed
-	}
-	// Depth-aware admission: reject only once the queued step count has
-	// reached the high-water mark, and tell the caller how deep the queue
-	// was and how long it should take to drain.
-	if d := int(v.depth.Load()); d >= v.reg.cfg.HighWater {
-		v.closeMu.Unlock()
+	res, err := v.submit(ctx, req)
+	if errors.Is(err, ErrBusy) {
 		v.rejected.Add(int64(len(steps)))
 		v.reg.met.observeRejected(len(steps))
-		return 0, v.busy(d)
 	}
-	select {
-	case v.mailbox <- req:
-		v.depth.Add(int32(len(steps)))
-		v.closeMu.Unlock()
-	default:
-		// The request channel itself is full (possible when control
-		// requests occupy slots): same backpressure signal.
-		d := int(v.depth.Load())
-		v.closeMu.Unlock()
-		v.rejected.Add(int64(len(steps)))
-		v.reg.met.observeRejected(len(steps))
-		return 0, v.busy(d)
+	if err != nil {
+		return 0, err
 	}
-	select {
-	case res := <-req.done:
-		return res.step, res.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-// busy builds the typed admission rejection for the observed depth.
-func (v *View) busy(depth int) error {
-	per := time.Duration(v.stepNanos.Load())
-	if per <= 0 {
-		per = time.Millisecond
-	}
-	hint := time.Duration(depth+1) * per
-	if hint < time.Millisecond {
-		hint = time.Millisecond
-	}
-	return &BusyError{Depth: depth, RetryAfter: hint}
-}
-
-// RetryAfterSeconds converts a BusyError's hint to the integer seconds an
-// HTTP Retry-After header carries (rounded up, at least 1). It returns 1
-// for errors without backpressure context.
-func RetryAfterSeconds(err error) int {
-	var be *BusyError
-	if errors.As(err, &be) && be.RetryAfter > 0 {
-		return int(math.Ceil(be.RetryAfter.Seconds()))
-	}
-	return 1
+	return res.step, res.err
 }
 
 // Advance admits one time step of uploads to the view's ingest queue and
 // waits for it to be applied, returning the view's logical time after the
-// step. A queue at or past the high-water mark fails fast with a *BusyError
-// wrapping ErrBusy (the caller should retry after the carried hint or shed
-// load); a dropped view or closed registry fails with ErrClosed. If ctx is
-// cancelled while the upload is queued, Advance returns the context error
+// step. A full mailbox fails fast with ErrBusy (the caller should retry or
+// shed load); a dropped view or closed registry fails with ErrClosed. If ctx
+// is cancelled while the upload is queued, Advance returns the context error
 // but the upload is still applied in order.
 func (v *View) Advance(ctx context.Context, left, right []incshrink.Row) (int, error) {
 	return v.enqueue(ctx, []incshrink.StepRows{{Left: left, Right: right}})
@@ -759,9 +534,8 @@ func (v *View) Advance(ctx context.Context, left, right []incshrink.Row) (int, e
 // unit and waits for it, returning the view's logical time after the last
 // step. The batch inherits incshrink.DB.AdvanceBatch's contract: either
 // every step applies, in order, or none do (the error names the offending
-// step). Admission counts the whole batch against the view's queue depth,
-// and batches above Config.MaxBatchSteps are rejected outright (they would
-// hold the view mutex and a worker slot for their whole atomic
+// step). The batch takes one mailbox slot, and batches above 512 steps are
+// rejected outright (they would hold the view mutex for their whole atomic
 // application).
 func (v *View) AdvanceBatch(ctx context.Context, steps []incshrink.StepRows) (int, error) {
 	return v.enqueue(ctx, steps)
@@ -784,13 +558,13 @@ func (v *View) CountWhere(conds ...incshrink.Where) (n int, qetSeconds float64, 
 }
 
 // Stats snapshots the view.
-func (v *View) Stats() Status {
+func (v *View) Stats() StatusJSON {
 	v.mu.Lock()
 	db := v.db.Stats()
 	v.mu.Unlock()
-	return Status{
-		Name: v.name,
-		DB:   db,
+	return StatusJSON{
+		Name:  v.name,
+		Stats: db,
 		Serve: ServeStats{
 			Advances:         v.advances.Load(),
 			Rejected:         v.rejected.Load(),

@@ -107,8 +107,8 @@ func TestAdvanceAndCountThroughView(t *testing.T) {
 	if st.Serve.RowsLeft != 30 || st.Serve.RowsRight != 30 {
 		t.Errorf("rows = %d/%d", st.Serve.RowsLeft, st.Serve.RowsRight)
 	}
-	if st.DB.Step != 30 {
-		t.Errorf("db step = %d", st.DB.Step)
+	if st.Stats.Step != 30 {
+		t.Errorf("db step = %d", st.Stats.Step)
 	}
 }
 
@@ -128,56 +128,63 @@ func TestAdvanceUploadErrorCounted(t *testing.T) {
 	}
 }
 
-// TestMailboxAdmission holds the view's DB mutex so the ingest loop stalls,
-// then overfills the mailbox: the overflow must bounce with ErrBusy while
-// the admitted uploads are applied once the mutex is released.
+// TestMailboxAdmission parks the ingest loop and fills the mailbox: the
+// overflow must bounce with ErrBusy while the admitted uploads are applied
+// once the loop is released.
 func TestMailboxAdmission(t *testing.T) {
-	// IngestBatch 1 disables coalescing so the mailbox occupancy the test
-	// steers is exact.
-	reg := NewRegistry(Config{MailboxDepth: 2, IngestBatch: 1})
+	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
 	v, err := reg.Create("v", testDef(), testOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	v.mu.Lock() // stall the ingest loop mid-step
-	done := make(chan error, 3)
 	ctx := context.Background()
 	row := []incshrink.Row{{1, 0}}
-	enqueue := func() {
+	first := stallIngest(t, v, incshrink.StepRows{Left: row})
+	done := make(chan error, mailboxDepth)
+	for i := 0; i < mailboxDepth; i++ {
 		go func() {
 			_, err := v.Advance(ctx, row, nil)
 			done <- err
 		}()
 	}
-	// First upload: wait until the loop has pulled it off the mailbox and
-	// parked on the mutex, so capacity is deterministic: 1 in flight.
-	enqueue()
-	waitFor(t, func() bool { return len(v.mailbox) == 0 })
-	// Two more fill the mailbox exactly.
-	enqueue()
-	waitFor(t, func() bool { return len(v.mailbox) == 1 })
-	enqueue()
-	waitFor(t, func() bool { return len(v.mailbox) == 2 })
+	waitFor(t, func() bool { return len(v.mailbox) == mailboxDepth })
 
 	// Overflow must bounce immediately with ErrBusy — synchronously, even
-	// though the ingest mutex is held by this test.
+	// though the ingest loop is parked.
 	for i := 0; i < 5; i++ {
 		if _, err := v.Advance(ctx, row, nil); !errors.Is(err, ErrBusy) {
 			t.Fatalf("overflow %d: expected ErrBusy, got %v", i, err)
 		}
 	}
 	v.mu.Unlock()
-	for i := 0; i < 3; i++ {
+	if res := <-first; res.err != nil {
+		t.Errorf("stalled upload failed: %v", res.err)
+	}
+	for i := 0; i < mailboxDepth; i++ {
 		if err := <-done; err != nil {
 			t.Errorf("admitted upload failed: %v", err)
 		}
 	}
 	st := v.Stats()
-	if st.Serve.Advances != 3 || st.Serve.Rejected != 5 {
-		t.Errorf("advances=%d rejected=%d, want 3/5", st.Serve.Advances, st.Serve.Rejected)
+	if st.Serve.Advances != mailboxDepth+1 || st.Serve.Rejected != 5 {
+		t.Errorf("advances=%d rejected=%d, want %d/5", st.Serve.Advances, st.Serve.Rejected, mailboxDepth+1)
 	}
+}
+
+// stallIngest parks v's ingest loop deterministically: it takes the view
+// mutex, pushes one upload straight into the mailbox and returns once the
+// loop has taken it, so the loop is blocked on the mutex and every later
+// request stays queued in admission order until the caller releases the
+// loop with v.mu.Unlock(). The returned channel carries the upload's result.
+func stallIngest(t *testing.T, v *View, first incshrink.StepRows) <-chan ingestResult {
+	t.Helper()
+	v.mu.Lock()
+	done := make(chan ingestResult, 1)
+	v.mailbox <- &ingestReq{steps: []incshrink.StepRows{first}, done: done}
+	waitFor(t, func() bool { return len(v.mailbox) == 0 })
+	return done
 }
 
 // waitFor polls cond until true or the deadline expires.
@@ -193,7 +200,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestCloseDrainsAdmittedUploads(t *testing.T) {
-	reg := NewRegistry(Config{MailboxDepth: 8})
+	reg := NewRegistry(Config{})
 	v, err := reg.Create("v", testDef(), testOpts(1))
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +229,8 @@ func TestCloseDrainsAdmittedUploads(t *testing.T) {
 		}
 	}
 	st := v.Stats()
-	if st.Serve.Advances != applied || int64(st.DB.Step) != applied {
-		t.Errorf("after close: advances=%d step=%d, want %d applied", st.Serve.Advances, st.DB.Step, applied)
+	if st.Serve.Advances != applied || int64(st.Stats.Step) != applied {
+		t.Errorf("after close: advances=%d step=%d, want %d applied", st.Serve.Advances, st.Stats.Step, applied)
 	}
 	if _, err := v.Advance(ctx, []incshrink.Row{{9, 0}}, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("advance after close: %v", err)
@@ -258,7 +265,7 @@ func genStep(rng *rand.Rand, t int, n int, within int64, nextKey *int64) (left, 
 // single-view replays of the same traces into bare DBs. Run under -race.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	const views, steps, rows, seed = 8, 40, 2, 2022
-	reg := NewRegistry(Config{MailboxDepth: 4, IngestWorkers: 8})
+	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
 	ctx := context.Background()
 
@@ -322,7 +329,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 // views, each with one writer and two readers issuing interleaved
 // Count/CountWhere/Stats while ingestion is in flight. Run under -race.
 func TestConcurrentAdvanceCountRace(t *testing.T) {
-	reg := NewRegistry(Config{MailboxDepth: 4})
+	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
 	ctx := context.Background()
 
@@ -382,8 +389,8 @@ func TestConcurrentAdvanceCountRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := v.Stats(); st.DB.Step != steps {
-			t.Errorf("view v%d at step %d, want %d", i, st.DB.Step, steps)
+		if st := v.Stats(); st.Stats.Step != steps {
+			t.Errorf("view v%d at step %d, want %d", i, st.Stats.Step, steps)
 		}
 	}
 }

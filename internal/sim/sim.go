@@ -5,12 +5,10 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"incshrink/internal/core"
-	"incshrink/internal/runner"
 	"incshrink/internal/workload"
 )
 
@@ -209,28 +207,6 @@ func RunKindWithRestart(kind EngineKind, cfg core.Config, tr *workload.Trace, op
 		return Result{}, err
 	}
 	return RunWithRestart(e, tr, opts, k, reload)
-}
-
-// RunKinds builds and runs several candidates over one shared trace,
-// fanning the engines out across a bounded worker pool (workers <= 0 means
-// GOMAXPROCS). Each engine derives its own protocol seed from cfg.Seed and
-// its kind, so no two engines share a random stream and the results — in
-// kinds order — are identical at any worker count. The trace is read-only
-// during the run and is safe to share.
-func RunKinds(ctx context.Context, kinds []EngineKind, cfg core.Config, tr *workload.Trace, opts Options, workers int) ([]Result, error) {
-	cells := make([]runner.Cell[Result], len(kinds))
-	for i, kind := range kinds {
-		kind := kind
-		cells[i] = runner.Cell[Result]{
-			Key: string(kind),
-			Run: func(context.Context) (Result, error) {
-				kcfg := cfg
-				kcfg.Seed = runner.DeriveSeed(cfg.Seed, string(kind))
-				return RunKind(kind, kcfg, tr, opts)
-			},
-		}
-	}
-	return runner.Map(ctx, cells, workers)
 }
 
 // Improvement returns base/x as a human-oriented ratio, guarding zeros

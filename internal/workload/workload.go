@@ -383,11 +383,3 @@ func (tr *Trace) PrefixTruth() []int {
 	}
 	return out
 }
-
-// MeanPairsPerStep reports the realized average new view entries per step.
-func (tr *Trace) MeanPairsPerStep() float64 {
-	if len(tr.Steps) == 0 {
-		return 0
-	}
-	return float64(tr.TotalPairs) / float64(len(tr.Steps))
-}
