@@ -43,7 +43,7 @@ func (passthroughShrink) Tick(f *Framework, _ int) {
 	}
 	// Straight append: no oblivious sort is needed because every slot moves.
 	f.cache.DrainInto(f.view)
-	f.resetCounter()
+	f.rt.ShareToServers(counterKey, 0)
 }
 
 // Step implements Engine.

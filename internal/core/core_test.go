@@ -625,6 +625,39 @@ func TestComparatorCacheGaugesAfterWarmANT(t *testing.T) {
 	}
 }
 
+// TestWireBytesGaugePricesWords: a runtime round of w words moves
+// 2·(5 + 4·w) bytes per party, so once the gauge prices rounds by the words
+// they carry it reads exactly 1.0 for Transform and Shrink after a Timer and
+// an sDPANT run — whose rounds carry up to 6 words each.
+func TestWireBytesGaugePricesWords(t *testing.T) {
+	for _, ant := range []bool{false, true} {
+		f, tr := buildEngine(t, ant, 200)
+		reg := obs.NewRegistry()
+		f.SetInstruments(NewInstrumentSet(reg).ForView("v"))
+		run(t, f, tr)
+		var scrape strings.Builder
+		if err := reg.WritePrometheus(&scrape); err != nil {
+			t.Fatal(err)
+		}
+		gauge := map[string]float64{}
+		for _, line := range strings.Split(scrape.String(), "\n") {
+			if name, ok := strings.CutPrefix(line, "incshrink_mpc_predicted_vs_measured_wire_bytes"); ok {
+				key, val, _ := strings.Cut(name, " ")
+				var v float64
+				if _, err := fmt.Sscan(val, &v); err != nil {
+					t.Fatalf("unparsable sample %q: %v", line, err)
+				}
+				gauge[key] = v
+			}
+		}
+		for _, op := range []string{`{op="Transform"}`, `{op="Shrink"}`} {
+			if v, ok := gauge[op]; !ok || v != 1 {
+				t.Errorf("%s (ANT %v): predicted/measured wire bytes %v (scraped: %v), want exactly 1", op, ant, v, ok)
+			}
+		}
+	}
+}
+
 // TestWindowGaugesExportPaddedSizesOnly: the window gauges are inside the
 // threat model — block padding exists to hide how many real records a stream
 // holds, so two deployments of equal padded sizes fed different numbers of

@@ -518,11 +518,20 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	// Alg. 1 lines 4-6: update and re-share the cardinality counter — one
 	// reshare per covered block so the joint-randomness stream advances
 	// exactly as it would block by block; every reshare carries the final
-	// count, which is the only value any later observation can see.
+	// count, which is the only value any later observation can see. The
+	// recovery and the re-shares are one round: the new total enters only at
+	// S1, under the mask the round yields. The re-shares take the slots
+	// after the recovery's.
 	newReal := delta.Real()
-	total := uint32(f.recoverCounter() + newReal)
+	rd := f.rt.Round()
+	cw := rd.Recover(counterKey)
 	for range blocks {
-		f.rt.ShareToServers(counterKey, total)
+		rd.Reshare(counterKey)
+	}
+	f.exchange(rd)
+	total := uint32(int(int32(rd.Recovered(cw))) + newReal)
+	for i := range blocks {
+		rd.Share(cw+1+i, total)
 	}
 	f.created += newReal
 

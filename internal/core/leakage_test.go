@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -22,6 +23,47 @@ func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) 
 		t.Fatal(err)
 	}
 	return f, s0, s1
+}
+
+// TestFrameGroupingKeepsEvents: grouping the runtime's words into fewer
+// frames moves only the wire stamps. With the stamps zeroed, both parties'
+// recorded transcripts — every draw, share, size and label, in order — hash
+// to what the one-word-per-round runtime produced for the same runs.
+func TestFrameGroupingKeepsEvents(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		shrink func() Shrinker
+		merge  bool
+		want   [2]string
+	}{
+		{"timer", func() Shrinker { return &Timer{} }, false, [2]string{
+			"381e248ac4054a907e140f9736fb09c8e84f981c43c636df85c9baf44e840a56",
+			"5e5ec41bfd49ca64f7774e5e2abce0517a34ddee48a2cec55f4c004b40119cba"}},
+		{"timer-merged", func() Shrinker { return &Timer{} }, true, [2]string{
+			"203a6559a8ee6dab9f868130bc4732a235d171ff44780414ba96c99bb250d87b",
+			"7b54049e07ea623862ef2050cbf378b89009e8db019702f070b277fe8a12dc3a"}},
+		{"ant", func() Shrinker { return &ANT{} }, false, [2]string{
+			"2d494958061fc3d73b491630d1ac6e1ee9bc30fe16cda6aa7c5c36f29b2e1fa9",
+			"a9efcfa01e17c86a4c9a46634957eb710b2767a1076f0ea9e3d4bf951e21d375"}},
+	} {
+		wl := workload.TPCDS(240, 41)
+		tr, err := workload.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(wl, 41)
+		cfg.MergeWindows = c.merge
+		f, real0, real1 := newRecorded(t, cfg, wl, c.shrink())
+		for i := 0; i < len(tr.Steps); i += 8 {
+			f.StepBatch(tr.Steps[i:min(i+8, len(tr.Steps))])
+		}
+		for p, real := range []*mpc.Transcript{real0, real1} {
+			d := real.DigestWithoutWire()
+			if got := hex.EncodeToString(d[:]); got != c.want[p] {
+				t.Errorf("%s: party %d events without wire stamps hash to %s, want %s", c.name, p, got, c.want[p])
+			}
+		}
+	}
 }
 
 // TestSimulatorIndistinguishability is the executable half of Theorem 7:

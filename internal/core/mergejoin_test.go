@@ -79,13 +79,20 @@ func refTransform(f *Framework, blocks []uploadBlock) {
 		f.overflow, f.spill = f.spill, f.overflow
 	}
 	newReal := delta.Real()
-	total := uint32(f.recoverCounter() + newReal)
+	total := uint32(recoverCounter(f) + newReal)
 	for range blocks {
 		f.rt.ShareToServers(counterKey, total)
 	}
 	f.created += newReal
 	f.cache.Append(delta)
 	f.rt.ObserveBatch(delta.Len(), "transform")
+}
+
+// recoverCounter reconstructs the cardinality counter inside the protocol,
+// in a round of its own; construction stores it, so it cannot be missing.
+func recoverCounter(f *Framework) int {
+	c, _ := f.rt.RecoverInside(counterKey)
+	return int(int32(c))
 }
 
 // TestMergeJoinMatchesFullSortJoin is the engine-level check that "sort the
@@ -152,7 +159,7 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 				observe := func(f *Framework) observed {
 					n, _ := f.Query()
 					nq, _ := f.QueryWhere(q1)
-					return observed{f.joinBuf.Len(), f.joinBuf.Real(), f.recoverCounter(), f.cache.Real(), f.view.Real(),
+					return observed{f.joinBuf.Len(), f.joinBuf.Real(), recoverCounter(f), f.cache.Real(), f.view.Real(),
 						f.lostReal, f.created, n, nq}
 				}
 				if got, exp := observe(eng), observe(ref); got != exp {

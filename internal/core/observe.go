@@ -179,8 +179,8 @@ func (ins *Instruments) phaseDone(phase string, op mpc.Op, p phaseProbe, rt *mpc
 		ins.queries.Inc()
 	}
 	sec, bytes := p.meter.Delta(rt.Meter, op)
-	rounds, wireBytes := p.wire.Delta(rt)
-	ins.cost.Observe(op, sec, bytes, elapsed, rounds, wireBytes)
+	rounds, words, wireBytes := p.wire.Delta(rt)
+	ins.cost.Observe(op, sec, bytes, elapsed, rounds, words, wireBytes)
 }
 
 // observePad records the padding section of one transform.

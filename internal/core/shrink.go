@@ -57,15 +57,19 @@ func (s *Timer) ObservesAt(_ *Framework, t int) bool {
 	return t != 0 && t%s.T == 0
 }
 
-// Tick implements Shrinker.
+// Tick implements Shrinker. The counter recovery, the joint noise and the
+// counter reset's re-share (Alg. 2 lines 3-4 and 9) are one round.
 func (s *Timer) Tick(f *Framework, t int) {
 	if t == 0 || t%s.T != 0 {
 		return
 	}
-	c := f.recoverCounter()
-	noise := f.rt.JointLaplace(float64(f.cfg.Budget)/f.cfg.Epsilon, mpc.OpShrink)
+	rd := f.rt.Round()
+	cw, nw, reset := rd.Recover(counterKey), rd.Noise(), rd.Reshare(counterKey)
+	f.exchange(rd)
+	c := int32(rd.Recovered(cw))
+	noise := rd.Laplace(nw, float64(f.cfg.Budget)/f.cfg.Epsilon, mpc.OpShrink)
 	f.syncToView(int(math.Round(float64(c) + noise)))
-	f.resetCounter()
+	rd.Share(reset, 0)
 }
 
 // ANT is the sDPANT protocol of Algorithm 3: split the budget eps in two;
@@ -88,59 +92,64 @@ const thresholdKey = "theta"
 // (Alg. 3 line 3). 8 fractional bits are plenty for a count threshold.
 const thresholdScale = 256
 
-// Init implements Shrinker: draw and share the first noisy threshold.
+// Init implements Shrinker: draw and share the first noisy threshold, one
+// round.
 func (s *ANT) Init(f *Framework) {
 	if s.Theta == 0 {
 		s.Theta = f.cfg.Theta
 	}
-	s.refreshThreshold(f)
+	rd := f.rt.Round()
+	nw, share := rd.Noise(), rd.Reshare(thresholdKey)
+	f.exchange(rd)
+	s.refreshThreshold(f, rd, nw, share)
 }
 
-func (s *ANT) refreshThreshold(f *Framework) {
+// refreshThreshold consumes the noise nw and the re-share slot share that rd
+// declared for a fresh noisy threshold.
+func (s *ANT) refreshThreshold(f *Framework, rd *mpc.Round, nw, share int) {
 	// Alg. 3 line 2/11: theta~ <- JointNoise(S0, S1, b, eps1/2, theta),
 	// i.e. Lap(b / (eps1/2)) = Lap(4b/eps) with eps1 = eps/2.
 	eps1 := f.cfg.Epsilon / 2
-	noisy := s.Theta + f.rt.JointLaplace(float64(f.cfg.Budget)/(eps1/2), mpc.OpShrink)
-	f.rt.ShareToServers(thresholdKey, uint32(int32(math.Round(noisy*thresholdScale))))
+	noisy := s.Theta + rd.Laplace(nw, float64(f.cfg.Budget)/(eps1/2), mpc.OpShrink)
+	rd.Share(share, uint32(int32(math.Round(noisy*thresholdScale))))
 }
 
-func (s *ANT) noisyThreshold(f *Framework) float64 {
-	w, err := f.rt.RecoverInside(thresholdKey)
-	if err != nil {
-		panic("core: noisy threshold share lost: " + err.Error())
-	}
-	return float64(int32(w)) / thresholdScale
-}
-
-// Tick implements Shrinker.
+// Tick implements Shrinker. The SVT check — the counter and threshold
+// recoveries and the joint noise — is one round; a release — its noise, the
+// refreshed threshold's noise and both re-shares — is another.
 func (s *ANT) Tick(f *Framework, t int) {
 	eps1 := f.cfg.Epsilon / 2
 	eps2 := f.cfg.Epsilon / 2
-	c := f.recoverCounter()
-	theta := s.noisyThreshold(f)
+	rd := f.rt.Round()
+	cw, tw, nw := rd.Recover(counterKey), rd.Recover(thresholdKey), rd.Noise()
+	f.exchange(rd)
+	c := int32(rd.Recovered(cw))
+	theta := float64(int32(rd.Recovered(tw))) / thresholdScale
 	// Alg. 3 line 6: c~ <- JointNoise(S0, S1, b, eps1/4, c) = c + Lap(4b/eps1).
-	noisyC := float64(c) + f.rt.JointLaplace(float64(f.cfg.Budget)/(eps1/4), mpc.OpShrink)
+	noisyC := float64(c) + rd.Laplace(nw, float64(f.cfg.Budget)/(eps1/4), mpc.OpShrink)
 	if noisyC < theta {
 		return
 	}
+	rd = f.rt.Round()
+	release, refresh := rd.Noise(), rd.Noise()
+	share, reset := rd.Reshare(thresholdKey), rd.Reshare(counterKey)
+	f.exchange(rd)
 	// Alg. 3 line 8: sz <- c + Lap(b/eps2).
-	noise := f.rt.JointLaplace(float64(f.cfg.Budget)/eps2, mpc.OpShrink)
+	noise := rd.Laplace(release, float64(f.cfg.Budget)/eps2, mpc.OpShrink)
 	f.syncToView(int(math.Round(float64(c) + noise)))
-	s.refreshThreshold(f)
-	f.resetCounter()
+	s.refreshThreshold(f, rd, refresh, share)
+	// Alg. 3 line 13: reset c to 0.
+	rd.Share(reset, 0)
 }
 
-// recoverCounter reconstructs the cardinality counter inside the protocol.
-func (f *Framework) recoverCounter() int {
-	c, err := f.rt.RecoverInside(counterKey)
-	if err != nil {
-		panic("core: counter share lost: " + err.Error())
+// exchange runs one round of the engine's in-process runtime. Every share a
+// round recovers was stored at construction and the loopback cannot fail,
+// so an error is a broken engine, not a condition to handle.
+func (f *Framework) exchange(rd *mpc.Round) {
+	if err := rd.Exchange(); err != nil {
+		panic("core: " + err.Error())
 	}
-	return int(int32(c))
 }
-
-// resetCounter resets c to 0 and re-shares it (Alg. 2 line 9, Alg. 3:13).
-func (f *Framework) resetCounter() { f.rt.ShareToServers(counterKey, 0) }
 
 // syncToView performs the common tail of both Shrink protocols: clamp the
 // DP-sized fetch, obliviously sort the cache, cut the prefix straight into

@@ -185,7 +185,8 @@ func TestEvalOpeningsMasked(t *testing.T) {
 // frame per reveal, one triple block frame in the offline phase.
 func TestEvalWireAccounting(t *testing.T) {
 	r := runPair(t, 3, evalProgramShape.ANDs(), evalProgram(21, 13))
-	want := mpc.PredictExchanges(evalProgramReveals)
+	// Each reveal is a one-word exchange.
+	want := mpc.PredictExchanges(slices.Repeat([]int{1}, evalProgramReveals)...)
 	open := mpc.PredictOpenRounds(evalProgramShape)
 	want.Rounds += open.Rounds
 	want.Bytes += open.Bytes

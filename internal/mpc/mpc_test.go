@@ -2,10 +2,13 @@ package mpc
 
 import (
 	"crypto/sha256"
+	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"incshrink/internal/secretshare"
+	"incshrink/internal/wire"
 )
 
 func TestSortCompareExchangesSmall(t *testing.T) {
@@ -404,6 +407,141 @@ func TestRuntimeDeterministicAcrossSeeds(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical streams")
+	}
+}
+
+// TestRoundShipsOneFrame: a round of w words is one frame of 4·w bytes each
+// way — one round, 2·(5 + 4·w) bytes per party — and its results are what
+// the same primitives give one word per round.
+func TestRoundShipsOneFrame(t *testing.T) {
+	r := NewRuntime(DefaultCostModel(), 15)
+	ref := NewRuntime(DefaultCostModel(), 15)
+	r.ShareToServers("c", 7)
+	ref.ShareToServers("c", 7)
+	p := r.WireProbe()
+	rd := r.Round()
+	cw, nw, sw := rd.Recover("c"), rd.Noise(), rd.Reshare("c")
+	if err := rd.Exchange(); err != nil {
+		t.Fatal(err)
+	}
+	if rounds, words, bytes := p.Delta(r); rounds != 1 || words != 4 || bytes != 2*(5+4*4) {
+		t.Errorf("4-word round moved %d rounds, %d words, %d bytes; want 1, 4, 42", rounds, words, bytes)
+	}
+	c := rd.Recovered(cw)
+	noise := rd.Laplace(nw, 2.5, OpShrink)
+	rd.Share(sw, c+1)
+	refC, _ := ref.RecoverInside("c")
+	refNoise := ref.JointLaplace(2.5, OpShrink)
+	ref.ShareToServers("c", refC+1)
+	if c != refC || noise != refNoise {
+		t.Errorf("grouped round recovered %d, drew %v; one word per round %d, %v", c, noise, refC, refNoise)
+	}
+	for _, pair := range [][2]*Party{{r.S0, ref.S0}, {r.S1, ref.S1}} {
+		a, _ := pair[0].LoadShare("c")
+		b, _ := pair[1].LoadShare("c")
+		if a != b || pair[0].rng.Draws() != pair[1].rng.Draws() || pair[0].EventCount() != pair[1].EventCount() {
+			t.Errorf("%v: share %d after %d draws and %d events, one word per round %d after %d and %d",
+				pair[0].ID, a, pair[0].rng.Draws(), pair[0].EventCount(), b, pair[1].rng.Draws(), pair[1].EventCount())
+		}
+	}
+}
+
+// TestBadRoundSendsNothing: a round naming a share no party stores fails
+// before any word is drawn or sent — on the in-process runtime and on a
+// standalone party alike, both connections' counters, the wire tallies and
+// the randomness positions stay where they were, and the runtime goes on.
+func TestBadRoundSendsNothing(t *testing.T) {
+	r := NewRuntime(DefaultCostModel(), 14)
+	r.ShareToServers("c", 3)
+	conns := [2]wire.Stats{r.p0.conn.Stats(), r.p1.conn.Stats()}
+	rounds, bytes := r.WireTally()
+	draws := [2]uint64{r.S0.rng.Draws(), r.S1.rng.Draws()}
+	rd := r.Round()
+	rd.Reshare("c")
+	rd.Noise()
+	rd.Recover("missing")
+	if err := rd.Exchange(); err == nil {
+		t.Fatal("a round recovering a missing key succeeded")
+	}
+	if got := [2]wire.Stats{r.p0.conn.Stats(), r.p1.conn.Stats()}; got != conns {
+		t.Errorf("conn counters moved: %+v, before %+v", got, conns)
+	}
+	if nr, nb := r.WireTally(); nr != rounds || nb != bytes {
+		t.Errorf("wire tally moved to %d/%d from %d/%d", nr, nb, rounds, bytes)
+	}
+	if got := [2]uint64{r.S0.rng.Draws(), r.S1.rng.Draws()}; got != draws {
+		t.Errorf("draws moved to %v from %v", got, draws)
+	}
+	if v, err := r.RecoverInside("c"); err != nil || v != 3 {
+		t.Errorf("after the bad round: recovered %d, %v; want 3", v, err)
+	}
+
+	c0, c1 := wire.Loopback(4)
+	defer c0.Close()
+	defer c1.Close()
+	pr := NewPartyRuntime(Server0, 14, DefaultCostModel(), c0)
+	rd = pr.Round()
+	rd.Noise()
+	rd.Recover("missing")
+	if err := rd.Exchange(); err == nil {
+		t.Fatal("a standalone round recovering a missing key succeeded")
+	}
+	if c0.Stats() != (wire.Stats{}) || c1.Stats() != (wire.Stats{}) {
+		t.Errorf("conn counters moved: %+v, %+v", c0.Stats(), c1.Stats())
+	}
+	if nr, nb := pr.Party().WireTally(); nr != 0 || nb != 0 || pr.party.rng.Draws() != 0 {
+		t.Errorf("standalone party: tally %d/%d and %d draws after a refused round", nr, nb, pr.party.rng.Draws())
+	}
+}
+
+// TestHostileFrames: a peer that answers a round with the wrong frame — the
+// wrong type, or a word count other than the round's — ends the round in
+// ErrBadFrame, not a panic, after this party sent its one frame.
+func TestHostileFrames(t *testing.T) {
+	cases := []struct {
+		name    string
+		typ     byte
+		payload []byte
+		words   int
+	}{
+		{"wrong type", FrameWord + 1, make([]byte, 12), 3},
+		{"one word short", FrameWord, make([]byte, 8), 3},
+		{"one word long", FrameWord, make([]byte, 16), 3},
+		{"one byte short", FrameWord, make([]byte, 3), 1},
+		{"one byte long", FrameWord, make([]byte, 5), 1},
+		{"empty", FrameWord, nil, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c0, c1 := wire.Loopback(4)
+			defer c0.Close()
+			defer c1.Close()
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := c1.Recv(); err != nil {
+					t.Errorf("peer recv: %v", err)
+					return
+				}
+				if err := c1.Send(tc.typ, tc.payload); err != nil {
+					t.Errorf("peer send: %v", err)
+				}
+			}()
+			pr := NewPartyRuntime(Server1, 2, DefaultCostModel(), c0)
+			rd := pr.Round()
+			for range tc.words {
+				rd.Reshare("c")
+			}
+			err := rd.Exchange()
+			wg.Wait()
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("err = %v, want ErrBadFrame", err)
+			}
+			if st := c0.Stats(); st.FramesSent != 1 {
+				t.Errorf("party sent %d frames, want its one round frame", st.FramesSent)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,7 @@ type CostObserver struct {
 	measuredSeconds  *obs.CounterVec
 	predictedBytes   *obs.CounterVec
 	wireRounds       *obs.CounterVec
+	wireWords        *obs.CounterVec
 	wireBytes        *obs.CounterVec
 	ratio            *obs.GaugeVec
 	wireRatio        *obs.GaugeVec
@@ -38,21 +39,23 @@ func NewCostObserver(r *obs.Registry) *CostObserver {
 			"modeled secure-computation network bytes, by operation class", "op"),
 		wireRounds: r.CounterVec("incshrink_mpc_wire_rounds_total",
 			"measured transport rounds from the party connection counters, by operation class", "op"),
+		wireWords: r.CounterVec("incshrink_mpc_wire_words_total",
+			"runtime words shipped per party, from the party runtime's word count, by operation class", "op"),
 		wireBytes: r.CounterVec("incshrink_mpc_wire_bytes_total",
 			"measured transport frame bytes from the party connection counters, by operation class", "op"),
 		ratio: r.GaugeVec("incshrink_mpc_predicted_vs_measured",
 			"ratio of cumulative modeled seconds to cumulative measured wall seconds, by operation class", "op"),
 		wireRatio: r.GaugeVec("incshrink_mpc_predicted_vs_measured_wire_bytes",
-			"ratio of wire bytes predicted from the measured round count (one word exchange per round) to measured wire bytes, by operation class", "op"),
+			"ratio of wire bytes predicted from the measured rounds and words (2·(5 + 4·w) per round of w words) to measured wire bytes, by operation class", "op"),
 	}
 }
 
 // Observe records one completed operation: the meter's modeled deltas for
-// the phase against the measured wall duration and the connection counters'
-// measured wire deltas, then refreshes the ratio gauges from the cumulative
-// totals. Negative deltas (a meter Reset between observations) are clamped
-// to zero rather than corrupting the counters.
-func (o *CostObserver) Observe(op Op, predictedSeconds, predictedBytes float64, measured time.Duration, wireRounds, wireBytes uint64) {
+// the phase against the measured wall duration and the runtime's measured
+// wire deltas (rounds, words, frame bytes), then refreshes the ratio gauges
+// from the cumulative totals. Negative deltas (a meter Reset between
+// observations) are clamped to zero rather than corrupting the counters.
+func (o *CostObserver) Observe(op Op, predictedSeconds, predictedBytes float64, measured time.Duration, wireRounds, wireWords, wireBytes uint64) {
 	if o == nil {
 		return
 	}
@@ -69,6 +72,9 @@ func (o *CostObserver) Observe(op Op, predictedSeconds, predictedBytes float64, 
 	if wireRounds > 0 {
 		o.wireRounds.With(name).Add(float64(wireRounds))
 	}
+	if wireWords > 0 {
+		o.wireWords.With(name).Add(float64(wireWords))
+	}
 	if wireBytes > 0 {
 		o.wireBytes.With(name).Add(float64(wireBytes))
 	}
@@ -77,11 +83,12 @@ func (o *CostObserver) Observe(op Op, predictedSeconds, predictedBytes float64, 
 	if meas > 0 {
 		o.ratio.With(name).Set(pred / meas)
 	}
-	// The runtime's word-exchange shape predicts ExchangeBytes per round;
-	// the gauge sits at 1.0 while traffic is pure runtime exchanges and
+	// The runtime's frame shape prices a round of w words at 2·(5 + 4·w)
+	// bytes; the gauge sits at 1.0 while traffic is pure runtime rounds and
 	// drifts when other frame shapes (GMW AND openings) mix in.
 	if wb := o.wireBytes.With(name).Value(); wb > 0 {
-		o.wireRatio.With(name).Set(o.wireRounds.With(name).Value() * ExchangeBytes / wb)
+		rounds, words := uint64(o.wireRounds.With(name).Value()), uint64(o.wireWords.With(name).Value())
+		o.wireRatio.With(name).Set(float64(exchangeBytes(rounds, words)) / wb)
 	}
 }
 
@@ -112,22 +119,23 @@ func (p MeterProbe) Delta(m *Meter, op Op) (seconds, bytes float64) {
 	return m.Seconds(op) - p.seconds[op], m.Bytes(op) - p.bytes[op]
 }
 
-// WireProbe captures a runtime's cumulative per-party wire tally so a caller
-// can compute the rounds and frame bytes one operation moved. Like
-// MeterProbe it is a value: take one before the operation, call Delta after.
+// WireProbe captures a runtime's cumulative per-party wire tally and word
+// count so a caller can compute the rounds, words and frame bytes one
+// operation moved. Like MeterProbe it is a value: take one before the
+// operation, call Delta after.
 type WireProbe struct {
-	rounds, bytes uint64
+	rounds, words, bytes uint64
 }
 
-// WireProbe snapshots the runtime's current wire tally.
+// WireProbe snapshots the runtime's current wire tally and word count.
 func (r *Runtime) WireProbe() WireProbe {
 	rounds, bytes := r.WireTally()
-	return WireProbe{rounds: rounds, bytes: bytes}
+	return WireProbe{rounds: rounds, words: r.p0.words, bytes: bytes}
 }
 
-// Delta returns the wire rounds and bytes the runtime moved since the probe
-// was taken.
-func (p WireProbe) Delta(r *Runtime) (rounds, bytes uint64) {
+// Delta returns the wire rounds, words and bytes the runtime moved since the
+// probe was taken.
+func (p WireProbe) Delta(r *Runtime) (rounds, words, bytes uint64) {
 	nr, nb := r.WireTally()
-	return nr - p.rounds, nb - p.bytes
+	return nr - p.rounds, r.p0.words - p.words, nb - p.bytes
 }

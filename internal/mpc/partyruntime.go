@@ -2,24 +2,29 @@ package mpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
-	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
 	"incshrink/internal/wire"
 )
 
-// FrameWord is the frame type of every online runtime exchange: one 4-byte
-// little-endian share word (a randomness contribution, a reshare mask
-// half, or a recovery share). Layers above the runtime (internal/gmw,
-// internal/party) use their own type bytes; the runtime never interprets
-// theirs.
+// FrameWord is the frame type of every online runtime exchange: the round's
+// 4-byte little-endian words (randomness contributions, re-share mask
+// halves, recovery shares) back to back, in declaration order. Layers above
+// the runtime (internal/gmw, internal/party) use their own type bytes; the
+// runtime never interprets theirs.
 const FrameWord byte = 0x01
 
+// ErrBadFrame reports a peer frame of the wrong type, or with a word count
+// other than the round's.
+var ErrBadFrame = errors.New("mpc: unexpected frame")
+
 // PartyRuntime drives one party's half of the two-party protocol against a
-// transport. Every primitive the in-process Runtime offers exists here as a
-// per-party step: the word this party contributes goes out as a frame, the
-// peer's word comes back, and the party's transcript event is observed with
+// transport. A protocol round is one begin/finish pair: begin draws or loads
+// every word this party contributes to the round and ships them as one
+// frame, finish receives the peer's frame; the round's results are then
+// consumed through Round, which observes the party's transcript events with
 // the connection's cumulative round/byte tally attached.
 //
 // Runtime composes two of these over a loopback pair and drives them in
@@ -37,7 +42,14 @@ type PartyRuntime struct {
 	meter *Meter
 	now   int
 	seen  wire.Stats
-	buf   [4]byte
+	// words counts the words this party has shipped, for the wire gauge; it
+	// is accounting, not state.
+	words uint64
+	round Round
+	// mine and peer are the current round's words, this party's and the
+	// peer's, by slot; frame is the outgoing payload.
+	mine, peer []uint32
+	frame      []byte
 }
 
 // NewPartyRuntime builds one party's standalone protocol driver over conn.
@@ -45,15 +57,17 @@ type PartyRuntime struct {
 // exactly as NewRuntime derives it, so a pair of standalone runtimes with
 // the same deployment seed reproduces the in-process Runtime bit for bit.
 func NewPartyRuntime(id PartyID, seed int64, model CostModel, conn wire.Conn) *PartyRuntime {
-	return &PartyRuntime{
+	pr := &PartyRuntime{
 		party: NewParty(id, seed*3+1+int64(id)),
 		conn:  conn,
 		meter: NewMeter(model),
 	}
+	pr.round = Round{ps: []*PartyRuntime{pr}, meter: pr.meter}
+	return pr
 }
 
 // attachPartyRuntime wraps an existing party over a conn without a meter —
-// the Runtime-internal constructor.
+// the Runtime-internal constructor; the Runtime drives its rounds.
 func attachPartyRuntime(p *Party, conn wire.Conn) *PartyRuntime {
 	return &PartyRuntime{party: p, conn: conn}
 }
@@ -67,6 +81,9 @@ func (pr *PartyRuntime) SetTime(t int) { pr.now = t }
 // Now returns the current logical time.
 func (pr *PartyRuntime) Now() int { return pr.now }
 
+// Round starts a new protocol round of this party alone (see Round).
+func (pr *PartyRuntime) Round() *Round { return pr.round.reset() }
+
 // noteWire folds the connection's activity since the last observation into
 // the party's cumulative wire tally (the value transcript events carry).
 func (pr *PartyRuntime) noteWire() {
@@ -76,123 +93,85 @@ func (pr *PartyRuntime) noteWire() {
 	pr.party.noteWire(d.Rounds, d.BytesSent+d.BytesRecv)
 }
 
-func (pr *PartyRuntime) sendWord(w uint32) error {
-	binary.LittleEndian.PutUint32(pr.buf[:], w)
-	if err := pr.conn.Send(FrameWord, pr.buf[:]); err != nil {
+// holds checks that this party stores every share the round recovers.
+func (pr *PartyRuntime) holds(words []roundWord) error {
+	for _, w := range words {
+		if !w.recovery {
+			continue
+		}
+		if _, ok := pr.party.LoadShare(w.key); !ok {
+			return fmt.Errorf("mpc: no shared value under key %q", w.key)
+		}
+	}
+	return nil
+}
+
+// begin fills this party's words of a round in slot order — a fresh draw
+// for every contribution, the stored share for every recovery — and ships
+// them as one frame.
+func (pr *PartyRuntime) begin(words []roundWord) error {
+	pr.mine, pr.frame = pr.mine[:0], pr.frame[:0]
+	for _, w := range words {
+		var v uint32
+		if w.recovery {
+			v, _ = pr.party.LoadShare(w.key)
+		} else {
+			v = pr.party.rng.Uint32()
+		}
+		pr.mine = append(pr.mine, v)
+		pr.frame = binary.LittleEndian.AppendUint32(pr.frame, v)
+	}
+	if err := pr.conn.Send(FrameWord, pr.frame); err != nil {
 		return fmt.Errorf("mpc: %v send: %w", pr.party.ID, err)
 	}
+	pr.words += uint64(len(words))
 	pr.noteWire()
 	return nil
 }
 
-func (pr *PartyRuntime) recvWord() (uint32, error) {
+// finish receives the peer's frame of an n-word round.
+func (pr *PartyRuntime) finish(n int) error {
 	typ, p, err := pr.conn.Recv()
 	if err != nil {
-		return 0, fmt.Errorf("mpc: %v recv: %w", pr.party.ID, err)
+		return fmt.Errorf("mpc: %v recv: %w", pr.party.ID, err)
 	}
-	if typ != FrameWord || len(p) != 4 {
-		return 0, fmt.Errorf("mpc: %v recv: unexpected frame type %#x length %d", pr.party.ID, typ, len(p))
+	if typ != FrameWord || len(p) != 4*n {
+		return fmt.Errorf("mpc: %v recv: %w: type %#x length %d, want %d words", pr.party.ID, ErrBadFrame, typ, len(p), n)
 	}
 	pr.noteWire()
-	return binary.LittleEndian.Uint32(p), nil
-}
-
-// contributeBegin draws this party's fresh random word and ships it; the
-// matching finish half receives the peer's word and records the event. The
-// split halves exist so the in-process Runtime can interleave both parties
-// from one goroutine without deadlocking on an unbuffered transport.
-func (pr *PartyRuntime) contributeBegin() (uint32, error) {
-	z := pr.party.rng.Uint32()
-	return z, pr.sendWord(z)
-}
-
-func (pr *PartyRuntime) jointFinish(z uint32, label string) (uint32, error) {
-	zp, err := pr.recvWord()
-	if err != nil {
-		return 0, err
+	pr.peer = pr.peer[:0]
+	for i := range n {
+		pr.peer = append(pr.peer, binary.LittleEndian.Uint32(p[4*i:]))
 	}
-	pr.party.observe(Event{Kind: EvRandomContributed, Time: pr.now, Share: z, Label: label})
-	return z ^ zp, nil
-}
-
-func (pr *PartyRuntime) shareFinish(key string, value secretshare.Word, z uint32) error {
-	zp, err := pr.recvWord()
-	if err != nil {
-		return err
-	}
-	pr.party.observe(Event{Kind: EvRandomContributed, Time: pr.now, Share: z, Label: "reshare:" + key})
-	// Appendix A.2 re-sharing, evaluated from this party's side: S0 keeps
-	// the joint mask, S1 keeps the value under the mask.
-	mask := z ^ zp
-	sh := mask
-	if pr.party.ID == Server1 {
-		sh = value ^ mask
-	}
-	pr.party.StoreShare(pr.now, key, sh)
 	return nil
 }
 
-func (pr *PartyRuntime) recoverBegin(key string) (uint32, error) {
-	s, ok := pr.party.LoadShare(key)
-	if !ok {
-		return 0, fmt.Errorf("mpc: no shared value under key %q", key)
-	}
-	return s, pr.sendWord(s)
+// contributed records this party's contribution at slot i.
+func (pr *PartyRuntime) contributed(i int, label string) {
+	pr.party.observe(Event{Kind: EvRandomContributed, Time: pr.now, Share: pr.mine[i], Label: label})
 }
 
-func (pr *PartyRuntime) recoverFinish(s uint32) (uint32, error) {
-	sp, err := pr.recvWord()
-	if err != nil {
-		return 0, err
+// share completes the Appendix A.2 re-share at slot i from this party's
+// side: S0 keeps the joint mask, S1 keeps the value under the mask.
+func (pr *PartyRuntime) share(i int, key string, value secretshare.Word) {
+	pr.contributed(i, "reshare:"+key)
+	sh := pr.mine[i] ^ pr.peer[i]
+	if pr.party.ID == Server1 {
+		sh ^= value
 	}
-	return s ^ sp, nil
-}
-
-// JointRandomWord runs this party's half of the Alg. 2:4-5 joint randomness
-// primitive: contribute one word, receive the peer's, XOR.
-func (pr *PartyRuntime) JointRandomWord(label string) (uint32, error) {
-	z, err := pr.contributeBegin()
-	if err != nil {
-		return 0, err
-	}
-	return pr.jointFinish(z, label)
-}
-
-// ShareToServers runs this party's half of in-protocol re-sharing under key.
-func (pr *PartyRuntime) ShareToServers(key string, value secretshare.Word) error {
-	z, err := pr.contributeBegin()
-	if err != nil {
-		return err
-	}
-	return pr.shareFinish(key, value, z)
+	pr.party.StoreShare(pr.now, key, sh)
 }
 
 // RecoverInside reconstructs the value under key: this party sends its
 // share, receives the peer's, and XOR-recovers. The plaintext is returned to
 // the protocol layer only; no transcript event is recorded.
 func (pr *PartyRuntime) RecoverInside(key string) (secretshare.Word, error) {
-	s, err := pr.recoverBegin(key)
-	if err != nil {
+	rd := pr.Round()
+	i := rd.Recover(key)
+	if err := rd.Exchange(); err != nil {
 		return 0, err
 	}
-	return pr.recoverFinish(s)
-}
-
-// JointLaplace draws Lap(scale) from two joint random words and charges the
-// standalone meter.
-func (pr *PartyRuntime) JointLaplace(scale float64, op Op) (float64, error) {
-	zr, err := pr.JointRandomWord("noise:mag")
-	if err != nil {
-		return 0, err
-	}
-	zs, err := pr.JointRandomWord("noise:sign")
-	if err != nil {
-		return 0, err
-	}
-	if pr.meter != nil {
-		pr.meter.ChargeLaplace(op)
-	}
-	return dp.LaplaceFromWords(scale, zr, zs), nil
+	return rd.Recovered(i), nil
 }
 
 // ObserveBatch records a padded Transform batch in this party's transcript.

@@ -115,6 +115,19 @@ func appendEvent(dst []byte, ev Event) []byte {
 	return binary.LittleEndian.AppendUint64(dst, ev.WireBytes)
 }
 
+// DigestWithoutWire is the SHA-256 of the recorded events in the running
+// digest's encoding, with every WireRounds / WireBytes stamp zeroed: the
+// projection of a transcript that regrouping the protocol's words into
+// frames leaves unchanged — same draws, same events, same order.
+func (tr *Transcript) DigestWithoutWire() [sha256.Size]byte {
+	var b []byte
+	for _, ev := range tr.Events {
+		ev.WireRounds, ev.WireBytes = 0, 0
+		b = appendEvent(b, ev)
+	}
+	return sha256.Sum256(b)
+}
+
 // DigestStateLen is the length of a marshaled SHA-256 state.
 const DigestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
 
@@ -260,10 +273,10 @@ func (p *Party) LoadShare(key string) (secretshare.Word, bool) {
 // party's transcript digest; only the events the paper's simulator
 // reproduces are observable.
 //
-// Since the transport refactor, a Runtime is two PartyRuntimes joined by an
-// in-process loopback wire: every joint primitive really is two per-party
-// protocol steps exchanging frames over a Conn, driven in lockstep from the
-// calling goroutine. Substituting TCP+TLS for the loopback (what
+// A Runtime is two PartyRuntimes joined by an in-process loopback wire:
+// every protocol round (Round) really is one frame each way per party over a
+// Conn, its begin and finish halves driven in lockstep from the calling
+// goroutine. Substituting TCP+TLS for the loopback (what
 // cmd/incshrink-party does) changes nothing observable — same draws, same
 // transcripts, same wire tallies — because both transports count identical
 // logical frames.
@@ -278,6 +291,7 @@ type Runtime struct {
 	S0, S1 *Party
 	Meter  *Meter
 	p0, p1 *PartyRuntime
+	round  Round
 	now    int
 }
 
@@ -288,13 +302,15 @@ func NewRuntime(model CostModel, seed int64) *Runtime {
 	s0 := NewParty(Server0, seed*3+1)
 	s1 := NewParty(Server1, seed*3+2)
 	c0, c1 := wire.Loopback(1)
-	return &Runtime{
+	r := &Runtime{
 		S0:    s0,
 		S1:    s1,
 		Meter: NewMeter(model),
 		p0:    attachPartyRuntime(s0, c0),
 		p1:    attachPartyRuntime(s1, c1),
 	}
+	r.round = Round{ps: []*PartyRuntime{r.p0, r.p1}, meter: r.Meter}
+	return r
 }
 
 // check panics on a transport error. The loopback pair cannot fail by
@@ -308,7 +324,7 @@ func (r *Runtime) check(err error) {
 }
 
 // WireTally returns S0's cumulative wire rounds and frame bytes. The runtime
-// protocol is symmetric — every exchange moves one frame each way — so S0's
+// protocol is symmetric — every round moves one frame each way — so S0's
 // tally equals S1's and stands for "the" per-party wire cost of the run.
 func (r *Runtime) WireTally() (rounds, bytes uint64) { return r.S0.WireTally() }
 
@@ -362,72 +378,53 @@ func (r *Runtime) SetTime(t int) {
 // Now returns the current logical time.
 func (r *Runtime) Now() int { return r.now }
 
+// Round starts a new protocol round of both servers (see Round). The loopback
+// pair holds one frame per direction, which is all a round sends.
+func (r *Runtime) Round() *Round { return r.round.reset() }
+
 // ShareToServers secret-shares a value computed inside the protocol and
 // stores one share per server under key, using the Appendix A.2 re-sharing:
-// both servers contribute randomness so neither can predict the split. Each
-// party ships its contribution as a wire frame and derives its own share
-// from the exchanged words; S0 always contributes (draws and sends) first.
+// both servers contribute randomness so neither can predict the split. It is
+// a round of one re-share.
 func (r *Runtime) ShareToServers(key string, value secretshare.Word) {
-	z0, err := r.p0.contributeBegin()
-	r.check(err)
-	z1, err := r.p1.contributeBegin()
-	r.check(err)
-	r.check(r.p0.shareFinish(key, value, z0))
-	r.check(r.p1.shareFinish(key, value, z1))
+	rd := r.Round()
+	i := rd.Reshare(key)
+	r.check(rd.Exchange())
+	rd.Share(i, value)
 }
 
 // RecoverInside reconstructs the value stored under key from both servers'
 // shares without exposing it: the plaintext exists only inside the protocol
-// (this function's return value) and is never observed by either party. Both
-// stores are checked before either party sends, so a missing key surfaces as
-// an error without leaving a half-completed exchange on the wire.
+// (this function's return value) and is never observed by either party. A
+// missing key surfaces as an error before either party sends.
 func (r *Runtime) RecoverInside(key string) (secretshare.Word, error) {
-	_, ok0 := r.S0.LoadShare(key)
-	_, ok1 := r.S1.LoadShare(key)
-	if !ok0 || !ok1 {
-		return 0, fmt.Errorf("mpc: no shared value under key %q", key)
+	rd := r.Round()
+	i := rd.Recover(key)
+	if err := rd.Exchange(); err != nil {
+		return 0, err
 	}
-	s0, err := r.p0.recoverBegin(key)
-	r.check(err)
-	s1, err := r.p1.recoverBegin(key)
-	r.check(err)
-	v0, err := r.p0.recoverFinish(s0)
-	r.check(err)
-	v1, err := r.p1.recoverFinish(s1)
-	r.check(err)
-	if v0 != v1 {
-		panic("mpc: parties recovered different values")
-	}
-	return v0, nil
+	return rd.Recovered(i), nil
 }
 
 // JointRandomWord XORs one fresh random contribution from each server, the
 // joint randomness primitive of Alg. 2:4-5. As long as one server samples
 // honestly the result is uniform and unpredictable to the other.
 func (r *Runtime) JointRandomWord(label string) uint32 {
-	z0, err := r.p0.contributeBegin()
-	r.check(err)
-	z1, err := r.p1.contributeBegin()
-	r.check(err)
-	w0, err := r.p0.jointFinish(z0, label)
-	r.check(err)
-	w1, err := r.p1.jointFinish(z1, label)
-	r.check(err)
-	if w0 != w1 {
-		panic("mpc: parties derived different joint words")
-	}
-	return w0
+	rd := r.Round()
+	i := rd.joint(label)
+	r.check(rd.Exchange())
+	return rd.jointWord(i)
 }
 
 // JointLaplace draws Lap(scale) using joint randomness: one word for the
-// magnitude, one for the sign, each the XOR of per-server contributions.
-// This is the paper's JointNoise(S0, S1, Delta, eps, .) with
-// scale = Delta/eps. The Laplace circuit cost is charged to op.
+// magnitude, one for the sign, each the XOR of per-server contributions,
+// both in one round. This is the paper's JointNoise(S0, S1, Delta, eps, .)
+// with scale = Delta/eps. The Laplace circuit cost is charged to op.
 func (r *Runtime) JointLaplace(scale float64, op Op) float64 {
-	zr := r.JointRandomWord("noise:mag")
-	zs := r.JointRandomWord("noise:sign")
-	r.Meter.ChargeLaplace(op)
-	return dp.LaplaceFromWords(scale, zr, zs)
+	rd := r.Round()
+	i := rd.Noise()
+	r.check(rd.Exchange())
+	return rd.Laplace(i, scale, op)
 }
 
 // ObserveBatch records that both servers saw an exhaustively padded batch of

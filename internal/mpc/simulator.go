@@ -25,17 +25,19 @@ type PublicParams struct {
 }
 
 // simWire tracks the cumulative wire tally of the simulated party. Every
-// runtime exchange (one word out, one word in) costs each party ExchangeRounds
-// and ExchangeBytes; the simulator advances the tally on the protocol's public
-// exchange schedule — including the silent in-protocol recoveries that emit no
-// events — and stamps each emitted event with the running total, so the
-// Theorem-7/8 structural comparison also pins the wire shape of the real
-// execution.
+// runtime round costs each party what PredictExchanges prices for its word
+// count; the simulator advances the tally on the protocol's public round
+// schedule — the silent in-protocol recoveries included, which ride in
+// their rounds without emitting events — and stamps each emitted event with
+// the running total, so the Theorem-7/8 structural comparison also pins the
+// wire shape of the real execution.
 type simWire struct{ rounds, bytes uint64 }
 
-func (w *simWire) exchange() {
-	w.rounds += ExchangeRounds
-	w.bytes += ExchangeBytes
+// round advances the tally by one round of the given word count.
+func (w *simWire) round(words int) {
+	p := PredictExchanges(words)
+	w.rounds += p.Rounds
+	w.bytes += p.Bytes
 }
 
 func (w *simWire) stamp(ev Event) Event {
@@ -60,34 +62,36 @@ func SimulateTimer(pp PublicParams, fetches map[int]int, party PartyID, seed int
 	tr := &Transcript{Party: party}
 	var w simWire
 
+	random := func(t int, label string) {
+		tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: label}))
+	}
 	reshareCounter := func(t int) {
-		w.exchange()
-		tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: "reshare:c"}))
+		random(t, "reshare:c")
 		tr.Append(w.stamp(Event{Kind: EvShareReceived, Time: t, Share: rng.Uint32(), Label: "c"}))
 	}
 
 	// Framework construction: the counter is shared once before time starts
-	// (one exchange; no prior recovery — there is nothing to recover yet).
+	// (a one-word round; nothing to recover yet).
+	w.round(1)
 	reshareCounter(0)
 
 	for t := 0; t < pp.Steps; t++ {
-		// Transform runs on the owners' public schedule: a silent counter
-		// recovery, the counter re-share, then the exhaustively padded batch
-		// entering the cache.
+		// Transform runs on the owners' public schedule: one round carrying
+		// the silent counter recovery (Alg. 1:4) and the counter re-share,
+		// then the exhaustively padded batch entering the cache.
 		if (t+1)%pp.UploadEvery == 0 {
-			w.exchange() // Alg. 1:4 counter recovery — no event, one exchange
+			w.round(2)
 			reshareCounter(t)
 			tr.Append(w.stamp(Event{Kind: EvBatchObserved, Time: t, Size: pp.BatchSize, Label: "transform"}))
 		}
-		// sDPTimer fires at multiples of T: a silent counter recovery, joint
-		// noise contributions, the fixed-size spill, the DP-sized fetch, and
-		// the counter reset.
+		// sDPTimer fires at multiples of T: one round carrying the silent
+		// counter recovery (Alg. 2:3), the two joint noise words and the
+		// counter reset's re-share; then the noise contributions, the
+		// fixed-size spill, the DP-sized fetch, and the reset.
 		if t > 0 && pp.T > 0 && t%pp.T == 0 {
-			w.exchange() // Alg. 2:3 counter recovery — no event, one exchange
-			w.exchange()
-			tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: "noise:mag"}))
-			w.exchange()
-			tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: "noise:sign"}))
+			w.round(4)
+			random(t, "noise:mag")
+			random(t, "noise:sign")
 			if pp.Spill > 0 {
 				tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: pp.Spill, Label: "spill"}))
 			}
@@ -117,42 +121,43 @@ func SimulateANT(pp PublicParams, updates []ANTOutput, party PartyID, seed int64
 	tr := &Transcript{Party: party}
 	var w simWire
 
-	// random models one joint random word: one exchange, then the event.
-	random := func(t int, label string) {
-		w.exchange()
-		tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: label}))
+	// noise models the two contributions of one joint Laplace draw.
+	noise := func(t int) {
+		for _, label := range []string{"noise:mag", "noise:sign"} {
+			tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: label}))
+		}
 	}
-	// reshare models one in-protocol re-share: one exchange covering both the
-	// contribution and the received share.
+	// reshare models the contribution and the received share of one
+	// in-protocol re-share.
 	reshare := func(t int, key string) {
-		w.exchange()
 		tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: "reshare:" + key}))
 		tr.Append(w.stamp(Event{Kind: EvShareReceived, Time: t, Share: rng.Uint32(), Label: key}))
 	}
-	noise := func(t int) {
-		random(t, "noise:mag")
-		random(t, "noise:sign")
-	}
 
-	// Construction: counter share, initial noisy threshold (joint noise +
-	// threshold share).
+	// Construction: the counter share (a one-word round), then the initial
+	// noisy threshold — its joint noise and its share in one round.
+	w.round(1)
 	reshare(0, "c")
+	w.round(3)
 	noise(0)
 	reshare(0, "theta")
 
 	next := 0
 	for t := 0; t < pp.Steps; t++ {
 		if (t+1)%pp.UploadEvery == 0 {
-			w.exchange() // Alg. 1:4 counter recovery — no event, one exchange
+			w.round(2) // Alg. 1:4 silent counter recovery + the re-share
 			reshare(t, "c")
 			tr.Append(w.stamp(Event{Kind: EvBatchObserved, Time: t, Size: pp.BatchSize, Label: "transform"}))
 		}
-		// The SVT condition check recovers the counter and the noisy threshold
-		// (two silent exchanges) and draws joint noise every step.
-		w.exchange()
-		w.exchange()
+		// The SVT condition check is one round every step: the silent
+		// recoveries of the counter and the noisy threshold, and the joint
+		// noise.
+		w.round(4)
 		noise(t)
 		if next < len(updates) && updates[next].Time == t {
+			// The release is one round: release noise, the refreshed
+			// threshold's noise, and the re-shares of threshold and counter.
+			w.round(6)
 			noise(t) // the release noise
 			if pp.Spill > 0 {
 				tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: pp.Spill, Label: "spill"}))

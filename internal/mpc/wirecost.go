@@ -2,21 +2,8 @@ package mpc
 
 import "incshrink/internal/wire"
 
-// Wire-shape constants of the online runtime protocol. Every joint primitive
-// (joint random word, in-protocol re-share, in-protocol recovery) is one
-// symmetric word exchange: each party ships one FrameWord frame (4-byte
-// payload) and receives the peer's, costing each party one round and
-// 2*WordFrameBytes logical frame bytes. Both the loopback and the TCP
-// transports count exactly these logical bytes, which is what makes the
-// tallies — and the transcripts that embed them — transport-independent.
-const (
-	// WordFrameBytes is the framed size of one runtime share word.
-	WordFrameBytes = wire.FrameOverhead + 4
-	// ExchangeBytes is the per-party byte cost of one word exchange.
-	ExchangeBytes = 2 * WordFrameBytes
-	// ExchangeRounds is the per-party round cost of one word exchange.
-	ExchangeRounds = 1
-)
+// wordBytes is the payload size of one runtime share word.
+const wordBytes = 4
 
 // PredictedWire is the modeled wire cost of an operation: what the CostModel
 // expects the transport counters to report. The obs layer compares these
@@ -26,9 +13,25 @@ type PredictedWire struct {
 	Bytes  uint64
 }
 
-// PredictExchanges prices n runtime word exchanges.
-func PredictExchanges(n int) PredictedWire {
-	return PredictedWire{Rounds: uint64(n) * ExchangeRounds, Bytes: uint64(n) * ExchangeBytes}
+// exchangeBytes is the per-party frame bytes of runtime rounds carrying
+// words words between them: each round ships one FrameWord frame of
+// 4·w payload bytes each way.
+func exchangeBytes(rounds, words uint64) uint64 {
+	return 2 * (rounds*wire.FrameOverhead + words*wordBytes)
+}
+
+// PredictExchanges prices runtime rounds by word count, one argument per
+// round: a round of w words costs each party one round and 2·(5 + 4·w)
+// logical frame bytes. Both the loopback and the TCP transports count
+// exactly these bytes, which is what makes the tallies — and the
+// transcripts that embed them — transport-independent.
+func PredictExchanges(words ...int) PredictedWire {
+	var n uint64
+	for _, w := range words {
+		n += uint64(w)
+	}
+	rounds := uint64(len(words))
+	return PredictedWire{Rounds: rounds, Bytes: exchangeBytes(rounds, n)}
 }
 
 // PredictOpenRounds prices the online GMW rounds of a circuit (internal/gmw

@@ -7,8 +7,9 @@
 // snapshots, wire tallies) is byte-identical across transports.
 //
 // The session script exercises every wire primitive the runtime and the GMW
-// layer own: per-step counter re-shares, in-protocol recoveries, joint
-// Laplace noise and transcript observations, followed by a GMW segment
+// layer own: per-step counter re-shares with joint Laplace noise in one
+// round and in-protocol recoveries in a second, transcript observations,
+// followed by a GMW segment
 // (offline triple dealing plus online rounds of batched AND openings)
 // evaluating the paper's counter-update, threshold and comparator circuits.
 // The schedule is a pure function of the configuration, so the wire cost is
@@ -66,12 +67,14 @@ func (c Config) Validate() error {
 // AND gate) and the wire prediction both derive from it.
 var gmwSchedule = slices.Concat(gmw.AddShape, gmw.LessThanShape, gmw.CompareExchangeShape)
 
-// gmwReveals is the number of OpenWord calls in the GMW segment.
-const gmwReveals = 4
+// gmwReveals is the round schedule of the GMW segment's four OpenWord
+// calls: one 4-byte word each way per reveal, priced as a one-word round.
+var gmwReveals = []int{1, 1, 1, 1}
 
-// exchangesPerStep is the runtime word exchanges one step performs: counter
-// re-share, counter recovery, and the two joint noise words.
-const exchangesPerStep = 4
+// stepRounds is the word count of each runtime round of one step: the
+// counter re-share with the two joint noise words, then the counter
+// recovery, which needs the re-share's result.
+var stepRounds = []int{3, 1}
 
 // Report is the deterministic outcome of one session, the unit the
 // equivalence tests and the wire smoke compare across transports.
@@ -101,13 +104,16 @@ type Report struct {
 }
 
 // Predict returns the modeled per-party wire cost of a session: the
-// runtime's word exchanges, the GMW online opening rounds and output
+// runtime rounds of every step, the GMW online opening rounds and output
 // reveals, and the one offline triple-block frame (which rides ahead of the
 // first AND round, so it adds bytes but no round).
 func Predict(cfg Config) (rounds, bytes uint64) {
-	ex := mpc.PredictExchanges(exchangesPerStep*cfg.Steps + gmwReveals)
+	step := mpc.PredictExchanges(stepRounds...)
+	reveal := mpc.PredictExchanges(gmwReveals...)
 	open := mpc.PredictOpenRounds(gmwSchedule)
-	return ex.Rounds + open.Rounds, ex.Bytes + open.Bytes + uint64(wire.FrameOverhead+gmwSchedule.ANDs())
+	steps := uint64(cfg.Steps)
+	return steps*step.Rounds + reveal.Rounds + open.Rounds,
+		steps*step.Bytes + reveal.Bytes + open.Bytes + uint64(wire.FrameOverhead+gmwSchedule.ANDs())
 }
 
 // counterValue is the deterministic counter plaintext re-shared at step t.
@@ -194,14 +200,19 @@ func (s *session) run(from int) (*Report, error) {
 	return s.report(ev)
 }
 
-// step is one runtime protocol step: re-share the counter, recover it back
-// (checking the reconstruction), draw joint Laplace noise, and record the
-// public observations of a padded batch plus the periodic DP fetch/flush.
+// step is one runtime protocol step in the two rounds of stepRounds:
+// re-share the counter and draw joint Laplace noise, then recover the
+// counter back (checking the reconstruction); then record the public
+// observations of a padded batch plus the periodic DP fetch/flush.
 func (s *session) step(t int) error {
 	s.pr.SetTime(t)
-	if err := s.pr.ShareToServers("c", counterValue(t)); err != nil {
+	rd := s.pr.Round()
+	share, noise := rd.Reshare("c"), rd.Noise()
+	if err := rd.Exchange(); err != nil {
 		return err
 	}
+	rd.Share(share, counterValue(t))
+	lap := rd.Laplace(noise, 2.5, mpc.OpShrink)
 	c, err := s.pr.RecoverInside("c")
 	if err != nil {
 		return err
@@ -210,11 +221,7 @@ func (s *session) step(t int) error {
 		return fmt.Errorf("party: role %d step %d: recovered counter %d, want %d", s.cfg.Role, t, c, counterValue(t))
 	}
 	s.open(c)
-	noise, err := s.pr.JointLaplace(2.5, mpc.OpShrink)
-	if err != nil {
-		return err
-	}
-	bits := math.Float64bits(noise)
+	bits := math.Float64bits(lap)
 	s.open(uint32(bits))
 	s.open(uint32(bits >> 32))
 

@@ -1,11 +1,13 @@
 package party
 
 import (
+	"encoding/hex"
 	"net"
 	"sync"
 	"testing"
 
 	"incshrink/internal/gmw"
+	"incshrink/internal/mpc"
 	"incshrink/internal/wire"
 )
 
@@ -93,32 +95,64 @@ func TestLoopbackSessionDeterministic(t *testing.T) {
 	}
 }
 
-// TestTranscriptDigestMatchesLoggedTranscript pins the running digest to
-// what hashing the full event log produced before the log was dropped: the
-// literals are the TranscriptSHA values the last commit that kept
-// Transcript.Events reported for this configuration.
-func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
-	r0, r1, err := RunLoopbackPair(Config{Seed: 1234, Steps: 12, SnapshotAt: -1})
-	if err != nil {
-		t.Fatal(err)
+// runRecordedPair is RunLoopbackPair with a recorder attached to each
+// party from its first event.
+func runRecordedPair(t *testing.T, cfg Config) (r [2]*Report, tr [2]*mpc.Transcript) {
+	t.Helper()
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	var errs [2]error
+	var wg sync.WaitGroup
+	for role, conn := range []wire.Conn{c0, c1} {
+		c := cfg
+		c.Role = role
+		pr := mpc.NewPartyRuntime(mpc.PartyID(role), c.Seed, mpc.DefaultCostModel(), conn)
+		tr[role] = new(mpc.Transcript)
+		pr.Party().Record(tr[role])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r[role], errs[role] = (&session{cfg: c, pr: pr, conn: conn}).run(0)
+		}()
 	}
-	for _, c := range []struct {
-		r    *Report
-		want string
-	}{
-		{r0, "d85046d6ba308f4996360131a30e5cc3de3f48afddec9c21a23d808bb680b213"},
-		{r1, "7395b752c74988736525255015bd8ca9a35e0673c3403cf0edf9758e86874b68"},
+	wg.Wait()
+	for role, err := range errs {
+		if err != nil {
+			t.Fatalf("role %d: %v", role, err)
+		}
+	}
+	return r, tr
+}
+
+// TestTranscriptDigestMatchesLoggedTranscript pins each party's events two
+// ways. Without their wire stamps they hash to what the one-word-per-round
+// runtime recorded — grouping words into frames moved no draw, event or
+// order. With them, the running digest is the literal the
+// two-rounds-per-step schedule produces.
+func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
+	r, tr := runRecordedPair(t, Config{Seed: 1234, Steps: 12, SnapshotAt: -1})
+	for role, want := range []struct{ unstamped, full string }{
+		{"74ff61a73a1505bbc55cb641521f5b4861c61bc8d123c051b6282d1da220eca9", "017cf72a0058cf7b02c932dd301794cd468746a615dc099448a8c90719db7a42"},
+		{"554007e8642b39894b913fa4c1d0b73280fce04c311ee6212eb5ec4882ac9fd7", "bba3d74b05e0440898cbf136b4dba70f7f06ed353c5ddd7354e6668a5bd2a415"},
 	} {
-		if c.r.TranscriptSHA != c.want {
-			t.Errorf("role %d transcript digest %s, want %s", c.r.Role, c.r.TranscriptSHA, c.want)
+		if d := tr[role].DigestWithoutWire(); hex.EncodeToString(d[:]) != want.unstamped {
+			t.Errorf("role %d events without wire stamps hash to %x, want %s", role, d, want.unstamped)
+		}
+		if r[role].TranscriptSHA != want.full {
+			t.Errorf("role %d transcript digest %s, want %s", role, r[role].TranscriptSHA, want.full)
 		}
 	}
 }
 
 // TestMeasuredWireMatchesPrediction pins the measured conn counters to the
 // closed-form model exactly: the schedule is deterministic, so over loopback
-// there is no slack at all.
+// there is no slack at all. The model itself is the declared schedules: two
+// runtime rounds per step, the GMW segment's AND rounds and its reveals.
 func TestMeasuredWireMatchesPrediction(t *testing.T) {
+	if len(stepRounds) != 2 {
+		t.Errorf("a step takes %d runtime rounds, want 2: only the recovery waits on the re-share", len(stepRounds))
+	}
 	r0, r1, err := RunLoopbackPair(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +168,18 @@ func TestMeasuredWireMatchesPrediction(t *testing.T) {
 	if r0.GMWANDGates != gmwSchedule.ANDs() {
 		t.Errorf("GMW segment used %d AND gates, budget %d", r0.GMWANDGates, gmwSchedule.ANDs())
 	}
-	if want := uint64(exchangesPerStep*testConfig().Steps + 32 + 6 + 7 + gmwReveals); r0.PredictedRounds != want {
+	if want := uint64(len(stepRounds)*testConfig().Steps + len(gmwSchedule) + len(gmwReveals)); r0.PredictedRounds != want {
 		t.Errorf("predicted %d rounds, want %d", r0.PredictedRounds, want)
+	}
+	// The session the benchmark runs: 350 steps cost each party 749 rounds
+	// and 19,153 bytes, measured and predicted.
+	l0, _, err := RunLoopbackPair(Config{Seed: 5, Steps: 350, SnapshotAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l0.WireRounds != 749 || l0.WireBytes != 19153 || l0.PredictedRounds != 749 || l0.PredictedBytes != 19153 {
+		t.Errorf("350 steps: measured %d rounds / %d bytes, predicted %d / %d, want 749 / 19153",
+			l0.WireRounds, l0.WireBytes, l0.PredictedRounds, l0.PredictedBytes)
 	}
 }
 

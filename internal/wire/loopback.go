@@ -3,12 +3,13 @@ package wire
 import "sync"
 
 // loopInline is the payload size a loopback frame carries without
-// allocating. Every online exchange of the party runtime (4-byte share
-// words, 1-byte AND openings) fits; only offline bulk frames (triple
-// batches) take the allocating path. Keeping the steady state allocation-
-// free is what lets the loopback transport sit under the engine's hot step
-// loop without moving its allocation benchmarks.
-const loopInline = 16
+// allocating. Every online exchange of the party runtime fits — a round of
+// up to 16 share words (the engine's largest, an sDPANT release, has 6),
+// packed AND openings — and only offline bulk frames (triple batches) take
+// the allocating path. Keeping the steady state allocation-free is what
+// lets the loopback transport sit under the engine's hot step loop without
+// moving its allocation benchmarks.
+const loopInline = 64
 
 type loopFrame struct {
 	typ    byte
