@@ -158,14 +158,16 @@ wire-smoke:
 	./bin/incshrink-party -smoke -bench BENCH_wire.json
 
 # fuzz-smoke gives each snapshot-codec fuzz target (the section codecs and
-# the whole engine state) and the wire framing a short budget beyond the seed
-# corpus (the corpus itself already runs in `test`).
+# the whole engine state), the wire framing and a GMW peer's fuzzed openings
+# a short budget beyond the seed corpus (the corpus itself already runs in
+# `test`).
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeRuntime -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeFrameworkState -fuzztime 10s ./internal/core
 	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s ./internal/gmw
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a
 # curl-able session). Add DATA=./incshrink-data for a durable server.

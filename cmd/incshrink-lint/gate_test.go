@@ -93,7 +93,7 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 			name: "oblivtaint catches seeded branching select in gmw",
 			file: "internal/gmw/eval.go",
 			inject: `
-func lintGateBranchingSelect(t Triple, z uint64) uint64 {
+func lintGateBranchingSelect(t Tuple, z uint64) uint64 {
 	if t.B.Open() {
 		z ^= 1
 	}

@@ -48,7 +48,7 @@ import (
 )
 
 // maxFrame bounds incoming frame payloads: the largest legitimate frame is
-// the GMW triple block (one byte per triple, 250 for a session), so 64 KiB is
+// the GMW tuple block (one byte per AND gate, 235 for a session), so 64 KiB is
 // generous without letting a corrupt length prefix allocate unbounded memory.
 const maxFrame = 1 << 16
 

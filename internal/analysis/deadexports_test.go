@@ -19,6 +19,7 @@ var deadExportsKept = map[string]string{
 	"gmw.Eval.XOR":          "gate library; ROADMAP item 6",
 	"gmw.Eval.OR":           "gate library; ROADMAP item 6",
 	"gmw.Eval.MUX":          "gate library; ROADMAP item 6",
+	"gmw.Eval.MUXWords":     "gate library; ROADMAP item 6 (CompareExchange fuses its mux into the comparator's last round)",
 	"gmw.Eval.XORWords":     "gate library; ROADMAP item 6",
 	"gmw.Eval.Equal":        "gate library; ROADMAP item 6",
 	"gmw.Eval.Stats":        "gate library; ROADMAP item 6",

@@ -85,7 +85,7 @@ func TestEvalMatchesCircuitOutputs(t *testing.T) {
 			}
 		}
 		if r.e0.TriplesLeft() != 0 || r.e1.TriplesLeft() != 0 {
-			t.Errorf("triple budget: %d and %d left of %d", r.e0.TriplesLeft(), r.e1.TriplesLeft(), evalProgramShape.ANDs())
+			t.Errorf("tuple budget: %d and %d left of %d", r.e0.TriplesLeft(), r.e1.TriplesLeft(), evalProgramShape.ANDs())
 			ok = false
 		}
 		return ok
@@ -119,17 +119,17 @@ func TestCircuitDepth(t *testing.T) {
 		ands, rounds int
 		run          func(e *Eval, x, y WordShare)
 	}{
-		{"LessThan", LessThanShape, 93, 6, bit((*Eval).LessThan)},
+		{"LessThan", LessThanShape, 70, 4, bit((*Eval).LessThan)},
 		{"Equal", EqualShape, 31, 5, bit((*Eval).Equal)},
-		{"CompareExchange", CompareExchangeShape, 125, 7, func(e *Eval, x, y WordShare) { e.CompareExchange(x, y) }},
-		{"ThresholdCheck", LessThanShape, 93, 6, bit((*Eval).ThresholdCheck)},
+		{"CompareExchange", CompareExchangeShape, 133, 4, func(e *Eval, x, y WordShare) { e.CompareExchange(x, y) }},
+		{"ThresholdCheck", LessThanShape, 70, 4, bit((*Eval).ThresholdCheck)},
 		{"Add", AddShape, 32, 32, func(e *Eval, x, y WordShare) { e.Add(x, y) }},
 	}
 	for _, tc := range cases {
 		var before wire.Stats
 		r := runPair(t, 5, tc.ands, func(e *Eval) []uint32 {
 			if e.Role() == 0 {
-				before = e.conn.Stats() // after the triple block
+				before = e.conn.Stats() // after the tuple block
 			}
 			tc.run(e, ShareOfWord(e.Role(), 21, 0xDEADBEEF), ShareOfWord(e.Role(), 13, 0x1234ABCD))
 			return nil
@@ -145,14 +145,14 @@ func TestCircuitDepth(t *testing.T) {
 			t.Errorf("%s: measured %d rounds / %d bytes, shape prices %d / %d", tc.name, st.Rounds, st.BytesSent+st.BytesRecv, want.Rounds, want.Bytes)
 		}
 		if r.e0.TriplesLeft() != 0 {
-			t.Errorf("%s: %d triples left of %d", tc.name, r.e0.TriplesLeft(), tc.ands)
+			t.Errorf("%s: %d tuples left of %d", tc.name, r.e0.TriplesLeft(), tc.ands)
 		}
 	}
 }
 
 func TestEvalOpeningsIdenticalAcrossParties(t *testing.T) {
 	r := runPair(t, 42, evalProgramShape.ANDs(), evalProgram(99, 1234))
-	if len(r.e0.Openings) != 2*r.e0.ANDGates {
+	if len(r.e0.Openings) != 3*r.e0.ANDGates {
 		t.Fatalf("%d openings for %d AND gates", len(r.e0.Openings), r.e0.ANDGates)
 	}
 	if len(r.e0.Openings) != len(r.e1.Openings) {
@@ -165,7 +165,7 @@ func TestEvalOpeningsIdenticalAcrossParties(t *testing.T) {
 	}
 }
 
-// TestEvalOpeningsMasked checks the online transcript is triple-masked: the
+// TestEvalOpeningsMasked checks the online transcript is tuple-masked: the
 // same inputs under different dealer randomness yield different openings
 // (the transcript depends on the masks, not the data).
 func TestEvalOpeningsMasked(t *testing.T) {
@@ -176,13 +176,13 @@ func TestEvalOpeningsMasked(t *testing.T) {
 		same = a[i] == b[i]
 	}
 	if same {
-		t.Fatal("openings identical under different triple randomness — transcript is not masked")
+		t.Fatal("openings identical under different tuple randomness — transcript is not masked")
 	}
 }
 
 // TestEvalWireAccounting pins the wire shape of the GMW online phase to the
-// closed form: one ⌈2k/8⌉-byte frame per party per k-lane round, one 4-byte
-// frame per reveal, one triple block frame in the offline phase.
+// closed form: one ⌈3k/8⌉-byte frame per party per k-lane round, one 4-byte
+// frame per reveal, one tuple block frame in the offline phase.
 func TestEvalWireAccounting(t *testing.T) {
 	r := runPair(t, 3, evalProgramShape.ANDs(), evalProgram(21, 13))
 	// Each reveal is a one-word exchange.
@@ -199,8 +199,8 @@ func TestEvalWireAccounting(t *testing.T) {
 		t.Errorf("role 0 bytes recv = %d, want %d", st.BytesRecv, want.Bytes/2)
 	}
 	// Every AND round and every reveal is one send-then-recv: one round each.
-	if st.Rounds != want.Rounds || want.Rounds != 88+evalProgramReveals {
-		t.Errorf("role 0 rounds = %d, predicted %d, want %d", st.Rounds, want.Rounds, 88+evalProgramReveals)
+	if st.Rounds != want.Rounds || want.Rounds != 81+evalProgramReveals {
+		t.Errorf("role 0 rounds = %d, predicted %d, want %d", st.Rounds, want.Rounds, 81+evalProgramReveals)
 	}
 	if st1 := r.c1.Stats(); st1.Rounds != st.Rounds || st1.BytesSent != st.BytesRecv || st1.BytesRecv != st.BytesSent {
 		t.Errorf("role 1 counters %+v do not mirror role 0's %+v", st1, st)
@@ -208,18 +208,18 @@ func TestEvalWireAccounting(t *testing.T) {
 }
 
 // TestEvalTriplePoolExhaustion: a k-lane round that the pool cannot cover is
-// refused whole — no frame sent, no triple consumed — and the error sticks.
+// refused whole — no frame sent, no tuple consumed — and the error sticks.
 func TestEvalTriplePoolExhaustion(t *testing.T) {
 	c0, c1 := wire.Loopback(256)
 	defer c0.Close()
 	defer c1.Close()
 	var sentBefore [2]uint64
 	r := evalPair(t, c0, c1, 9, 10, 0, func(e *Eval) []uint32 {
-		e.and(0, 0, 4)
-		e.and(0, 0, 4)
+		e.and(0, 0, 0, 4)
+		e.and(0, 0, 0, 4)
 		sentBefore[e.Role()] = e.conn.Stats().FramesSent
-		e.and(0, 0, 4) // two triples left
-		e.AND(0, 0)    // would fit, but the error is sticky
+		e.and(0, 0, 0, 4) // two tuples left
+		e.AND(0, 0)       // would fit, but the error is sticky
 		o := &opener{e: e}
 		o.word(0)
 		return o.outs
@@ -229,7 +229,7 @@ func TestEvalTriplePoolExhaustion(t *testing.T) {
 			t.Fatalf("role %d: err = %v, want ErrNoTriples", role, e.Err())
 		}
 		if e.TriplesLeft() != 2 || e.ANDGates != 8 {
-			t.Errorf("role %d: %d triples left after %d gates, want 2 after 8", role, e.TriplesLeft(), e.ANDGates)
+			t.Errorf("role %d: %d tuples left after %d gates, want 2 after 8", role, e.TriplesLeft(), e.ANDGates)
 		}
 		if got := e.conn.Stats().FramesSent; got != sentBefore[role] {
 			t.Errorf("role %d: sent %d frames after the refused round", role, got-sentBefore[role])
@@ -245,9 +245,10 @@ func TestEvalTriplePoolExhaustion(t *testing.T) {
 
 // TestTriplesConsumedOnce: n gates issued through any mix of lane widths
 // consume exactly the pool's first n positions, in order, each once — a
-// triple reused across lanes or rounds would let the two openings that share
-// it cancel its mask. With all-zero inputs the opened (d, e) of a gate are
-// the (a, b) of the triple it used, so the transcript names the positions.
+// tuple reused across lanes or rounds would let the two openings that share
+// it cancel its mask. With all-zero inputs the opened (δx, δy, δz) of a gate
+// are the (a, b, c) of the tuple it used, so the transcript names the
+// positions.
 func TestTriplesConsumedOnce(t *testing.T) {
 	widths := []int{1, 7, 64, 32, 3, 1, 63, 8, 33}
 	n := 0
@@ -258,39 +259,42 @@ func TestTriplesConsumedOnce(t *testing.T) {
 	r := runPair(t, seed, n, func(e *Eval) []uint32 {
 		for _, k := range widths {
 			left := e.TriplesLeft()
-			if z := e.and(0, 0, k); z>>uint(k-1)>>1 != 0 {
+			if z := e.and(0, 0, 0, k); z>>uint(k-1)>>1 != 0 {
 				t.Errorf("width %d: output %#x has bits beyond its lanes", k, z)
 			}
 			if got := left - e.TriplesLeft(); got != k {
-				t.Errorf("width %d consumed %d triples", k, got)
+				t.Errorf("width %d consumed %d tuples", k, got)
 			}
 		}
 		return nil
 	})
 	if r.e0.TriplesLeft() != 0 || r.e0.ANDGates != n {
-		t.Fatalf("%d gates left %d of %d triples", r.e0.ANDGates, r.e0.TriplesLeft(), n)
+		t.Fatalf("%d gates left %d of %d tuples", r.e0.ANDGates, r.e0.TriplesLeft(), n)
 	}
 	twin := NewDealer(seed)
 	at := 0
 	for _, k := range widths {
 		for lane := 0; lane < k; lane++ {
-			tr := twin.Triple()
-			if d, e := r.e0.Openings[at+lane], r.e0.Openings[at+k+lane]; d != tr.A.Open() || e != tr.B.Open() {
-				t.Fatalf("width %d lane %d did not use pool position %d", k, lane, (at/2)+lane)
+			tu := twin.Tuple()
+			dx, dy, dz := r.e0.Openings[at+lane], r.e0.Openings[at+k+lane], r.e0.Openings[at+2*k+lane]
+			if dx != tu.A.Open() || dy != tu.B.Open() || dz != tu.C.Open() {
+				t.Fatalf("width %d lane %d did not use pool position %d", k, lane, at/3+lane)
 			}
 		}
-		at += 2 * k
+		at += 3 * k
 	}
 }
 
 // TestOpenPadding: the padding bits of an opening's last byte go out as zero
-// and are ignored coming in — a peer that sets them changes nothing.
+// and are ignored coming in — a peer that sets them changes nothing. The
+// widths include k = 1 (3 bits, 5 of padding) and k = 3 (9 bits over 2
+// bytes, 7 of padding).
 func TestOpenPadding(t *testing.T) {
 	widths := []int{1, 3, 4, 5, 13, 60, 64}
 	program := func(e *Eval) []uint32 {
 		var outs []uint32
 		for _, k := range widths {
-			z := e.and(0x0123456789ABCDEF, 0xFFFF0000FFFF0000>>uint(e.Role()), k)
+			z := e.and(0x0123456789ABCDEF, 0xFFFF0000FFFF0000>>uint(e.Role()), 0xF0F0F0F0F0F0F0F0<<uint(e.Role()), k)
 			outs = append(outs, uint32(z), uint32(z>>32))
 		}
 		// The output shares differ per role; open them pairwise.
@@ -314,7 +318,7 @@ func TestOpenPadding(t *testing.T) {
 		if typ != FrameOpen {
 			return
 		}
-		if pad := 8*len(p) - 2*widths[round]; pad > 0 {
+		if pad := 8*len(p) - 3*widths[round]; pad > 0 {
 			p[len(p)-1] |= 0xFF << uint(8-pad)
 		}
 		round++
@@ -333,19 +337,20 @@ func TestOpenPadding(t *testing.T) {
 	}
 	for i, k := range widths {
 		p := tap.opens[i]
-		if len(p) != (2*k+7)/8 {
+		if len(p) != (3*k+7)/8 {
 			t.Fatalf("width %d: %d-byte opening", k, len(p))
 		}
-		if pad := 8*len(p) - 2*k; pad > 0 && p[len(p)-1]>>uint(8-pad) != 0 {
+		if pad := 8*len(p) - 3*k; pad > 0 && p[len(p)-1]>>uint(8-pad) != 0 {
 			t.Errorf("width %d: padding bits sent as %#x", k, p[len(p)-1]>>uint(8-pad))
 		}
 	}
 }
 
 // TestHostileFrames: a peer that answers a protocol step with the wrong
-// frame — wrong type, wrong length, a triple block mid-circuit — ends the
+// frame — wrong type, wrong length, a tuple block mid-circuit — ends the
 // evaluation in a typed, sticky error: nothing further is sent (no desync),
-// nothing panics, and every later call reports the same error.
+// nothing panics, and every later call reports the same error. The
+// comparator's first round is 48 lanes, an 18-byte opening.
 func TestHostileFrames(t *testing.T) {
 	// script plays the peer: it swallows `swallow` frames, then sends one.
 	cases := []struct {
@@ -356,11 +361,14 @@ func TestHostileFrames(t *testing.T) {
 		run     func(e *Eval)
 		sent    uint64 // frames the party may have sent when the error lands
 	}{
-		{"open: wrong type", FrameReveal, make([]byte, 8), 2, nil, 2},
-		{"open: one byte short", FrameOpen, make([]byte, 7), 2, nil, 2},
-		{"open: one byte long", FrameOpen, make([]byte, 9), 2, nil, 2},
+		{"open: wrong type", FrameReveal, make([]byte, 18), 2, nil, 2},
+		{"open: one byte short", FrameOpen, make([]byte, 17), 2, nil, 2},
+		{"open: one byte long", FrameOpen, make([]byte, 19), 2, nil, 2},
 		{"open: empty", FrameOpen, nil, 2, nil, 2},
-		{"open: triple block mid-circuit", FrameTriples, make([]byte, 8), 2, nil, 2},
+		{"open: triple block mid-circuit", FrameTriples, make([]byte, 18), 2, nil, 2},
+		{"open: two-input length", FrameOpen, make([]byte, 12), 2, nil, 2}, // ⌈2·48/8⌉
+		{"open k=1: two bytes", FrameOpen, make([]byte, 2), 2, func(e *Eval) { e.and(1, 1, 1, 1) }, 2},
+		{"open k=3: two-input length", FrameOpen, make([]byte, 1), 2, func(e *Eval) { e.and(7, 7, 7, 3) }, 2}, // 9 bits need 2 bytes
 		{"reveal: short", FrameReveal, make([]byte, 3), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
 		{"reveal: open frame", FrameOpen, make([]byte, 4), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
 		{"triples: reveal frame", FrameReveal, make([]byte, 4), 0, func(e *Eval) { _ = e.RecvTriples() }, 1},

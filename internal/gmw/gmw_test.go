@@ -21,9 +21,9 @@ type pairRun struct {
 }
 
 // evalPair runs program once per role over the given connected pair, role 1
-// on its own goroutine (joined before returning). Role 0 deals the triples
+// on its own goroutine (joined before returning). Role 0 deals the tuples
 // from NewDealer(seed). It does not judge the evaluators' errors.
-func evalPair(t testing.TB, c0, c1 wire.Conn, seed int64, triples, recordLimit int, program func(e *Eval) []uint32) *pairRun {
+func evalPair(t testing.TB, c0, c1 wire.Conn, seed int64, tuples, recordLimit int, program func(e *Eval) []uint32) *pairRun {
 	t.Helper()
 	r := &pairRun{e0: NewEval(0, c0, recordLimit), e1: NewEval(1, c1, recordLimit), c0: c0, c1: c1}
 	var out1 []uint32
@@ -32,13 +32,13 @@ func evalPair(t testing.TB, c0, c1 wire.Conn, seed int64, triples, recordLimit i
 	go func() {
 		defer wg.Done()
 		if err := r.e1.RecvTriples(); err != nil {
-			t.Errorf("role 1 triples: %v", err)
+			t.Errorf("role 1 tuples: %v", err)
 			return
 		}
 		out1 = program(r.e1)
 	}()
-	if err := r.e0.DealTriples(NewDealer(seed), triples); err != nil {
-		t.Errorf("role 0 triples: %v", err)
+	if err := r.e0.DealTriples(NewDealer(seed), tuples); err != nil {
+		t.Errorf("role 0 tuples: %v", err)
 	}
 	r.out = program(r.e0)
 	wg.Wait()
@@ -54,12 +54,12 @@ func evalPair(t testing.TB, c0, c1 wire.Conn, seed int64, triples, recordLimit i
 }
 
 // runPair is evalPair over a fresh buffered loopback, requiring a clean run.
-func runPair(t testing.TB, seed int64, triples int, program func(e *Eval) []uint32) *pairRun {
+func runPair(t testing.TB, seed int64, tuples int, program func(e *Eval) []uint32) *pairRun {
 	t.Helper()
 	c0, c1 := wire.Loopback(256)
 	defer c0.Close()
 	defer c1.Close()
-	r := evalPair(t, c0, c1, seed, triples, 0, program)
+	r := evalPair(t, c0, c1, seed, tuples, 0, program)
 	if r.e0.Err() != nil || r.e1.Err() != nil {
 		t.Fatalf("evaluation errors: role0=%v role1=%v", r.e0.Err(), r.e1.Err())
 	}
@@ -90,16 +90,16 @@ func bitShare(role int, v, mask uint32) BitShare {
 }
 
 // wordCircuit evaluates one two-input word circuit between a fresh pair and
-// returns the opened result; triples is the circuit's exact budget.
-func wordCircuit(t testing.TB, triples int, x, y uint32, circuit func(e *Eval, wx, wy WordShare) WordShare) uint32 {
+// returns the opened result; tuples is the circuit's exact budget.
+func wordCircuit(t testing.TB, tuples int, x, y uint32, circuit func(e *Eval, wx, wy WordShare) WordShare) uint32 {
 	t.Helper()
-	r := runPair(t, int64(x)<<32|int64(y), triples, func(e *Eval) []uint32 {
+	r := runPair(t, int64(x)<<32|int64(y), tuples, func(e *Eval) []uint32 {
 		o := &opener{e: e}
 		o.word(circuit(e, ShareOfWord(e.Role(), x, 0xDEADBEEF), ShareOfWord(e.Role(), y, 0x1234ABCD)))
 		return o.outs
 	})
 	if r.e0.TriplesLeft() != 0 || r.e1.TriplesLeft() != 0 {
-		t.Fatalf("triples left: role0=%d role1=%d of %d", r.e0.TriplesLeft(), r.e1.TriplesLeft(), triples)
+		t.Fatalf("tuples left: role0=%d role1=%d of %d", r.e0.TriplesLeft(), r.e1.TriplesLeft(), tuples)
 	}
 	return r.out[0]
 }
@@ -112,34 +112,64 @@ func b2u(b bool) uint32 {
 }
 
 func TestBitOpen(t *testing.T) {
-	d := NewDealer(1)
 	for _, v := range []bool{true, false} {
-		for i := 0; i < 8; i++ {
-			if d.shareBit(v).Open() != v {
-				t.Fatalf("shareBit(%v) round-trip failed", v)
+		for _, mask := range []bool{true, false} {
+			if shareBit(v, mask).Open() != v {
+				t.Fatalf("shareBit(%v, %v) round-trip failed", v, mask)
 			}
 		}
 	}
 }
 
-// TestDealerTriples: every dealt triple satisfies c = a AND b, and the two
-// packed halves XOR back to it.
-func TestDealerTriples(t *testing.T) {
+// TestDealerTuples: every dealt tuple satisfies all seven correlations —
+// a, b and c free, ab, ac, bc and abc their products — the two packed halves
+// XOR back to it, and over many draws a, b, c and every share bit are
+// uniform.
+func TestDealerTuples(t *testing.T) {
+	const draws = 4000
 	d := NewDealer(2)
-	for i := 0; i < 200; i++ {
-		tr := d.Triple()
-		if tr.C.Open() != (tr.A.Open() && tr.B.Open()) {
-			t.Fatalf("triple %d: c != a AND b", i)
+	var ones [2][7]int // [party][bit] share ones
+	var free [3]int    // a, b, c cleartext ones
+	for i := 0; i < draws; i++ {
+		tu := d.Tuple()
+		a, b, c := tu.A.Open(), tu.B.Open(), tu.C.Open()
+		opened := [7]bool{a, b, c, tu.AB.Open(), tu.AC.Open(), tu.BC.Open(), tu.ABC.Open()}
+		want := [7]bool{a, b, c, a && b, a && c, b && c, a && b && c}
+		if opened != want {
+			t.Fatalf("tuple %d: opens to %v, want %v", i, opened, want)
 		}
-		want := byte(b2u(tr.A.Open()) | b2u(tr.B.Open())<<1 | b2u(tr.C.Open())<<2)
-		if h0, h1 := tr.halves(); h0^h1 != want {
-			t.Fatalf("triple %d: halves reconstruct %03b, want %03b", i, h0^h1, want)
+		h0, h1 := tu.halves()
+		var packed byte
+		for j, v := range want {
+			packed |= byte(b2u(v)) << uint(j)
+		}
+		if h0^h1 != packed || (h0|h1)>>7 != 0 {
+			t.Fatalf("tuple %d: halves %08b/%08b reconstruct %07b, want %07b", i, h0, h1, h0^h1, packed)
+		}
+		for j := range 7 {
+			ones[0][j] += int(h0 >> uint(j) & 1)
+			ones[1][j] += int(h1 >> uint(j) & 1)
+		}
+		for j, v := range []bool{a, b, c} {
+			free[j] += int(b2u(v))
+		}
+	}
+	for j, n := range free {
+		if f := float64(n) / draws; math.Abs(f-0.5) > 0.05 {
+			t.Errorf("cleartext bit %d is 1 in %.3f of tuples, want 0.5", j, f)
+		}
+	}
+	for party := range ones {
+		for j, n := range ones[party] {
+			if f := float64(n) / draws; math.Abs(f-0.5) > 0.05 {
+				t.Errorf("party %d share bit %d is 1 in %.3f of tuples, want 0.5", party, j, f)
+			}
 		}
 	}
 }
 
 // TestEitherRoleDeals: whichever role deals, the two pools hold matching
-// halves of valid triples.
+// halves of valid tuples.
 func TestEitherRoleDeals(t *testing.T) {
 	for dealer := 0; dealer < 2; dealer++ {
 		c0, c1 := wire.Loopback(4)
@@ -152,9 +182,9 @@ func TestEitherRoleDeals(t *testing.T) {
 		}
 		twin := NewDealer(8)
 		for i := 0; i < 100; i++ {
-			h0, h1 := twin.Triple().halves()
-			if evs[0].triples[i] != h0 || evs[1].triples[i] != h1 {
-				t.Fatalf("role %d dealing: triple %d pools hold %03b/%03b, want %03b/%03b", dealer, i, evs[0].triples[i], evs[1].triples[i], h0, h1)
+			h0, h1 := twin.Tuple().halves()
+			if evs[0].tuples[i] != h0 || evs[1].tuples[i] != h1 {
+				t.Fatalf("role %d dealing: tuple %d pools hold %07b/%07b, want %07b/%07b", dealer, i, evs[0].tuples[i], evs[1].tuples[i], h0, h1)
 			}
 		}
 		c0.Close()
@@ -199,7 +229,7 @@ func TestXORGate(t *testing.T) {
 }
 
 func TestANDGateTruthTable(t *testing.T) {
-	const trials = 20 // fresh triples and masks each time
+	const trials = 20 // fresh tuples and masks each time
 	r := runPair(t, 3, 4*trials, func(e *Eval) []uint32 {
 		o := &opener{e: e}
 		for i := uint32(0); i < 4*trials; i++ {
@@ -211,6 +241,57 @@ func TestANDGateTruthTable(t *testing.T) {
 	for i, got := range r.out {
 		if x, y := uint32(i)&1, uint32(i)>>1&1; got != x&y {
 			t.Fatalf("AND(%d,%d) = %d", x, y, got)
+		}
+	}
+}
+
+// TestAND3TruthTable: the three-input gate on all 8 inputs, each trial
+// under fresh tuples and fresh input masks.
+func TestAND3TruthTable(t *testing.T) {
+	const trials = 12
+	r := runPair(t, 31, 8*trials, func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		for i := uint32(0); i < 8*trials; i++ {
+			m := i >> 3 * 0x9E3779B9
+			x, y, z := uint64(bitShare(e.Role(), i&1, m>>7)), uint64(bitShare(e.Role(), i>>1&1, m>>13)), uint64(bitShare(e.Role(), i>>2&1, m>>21))
+			o.bit(BitShare(e.and(x, y, z, 1)))
+		}
+		return o.outs
+	})
+	for i, got := range r.out {
+		if x, y, z := uint32(i)&1, uint32(i)>>1&1, uint32(i)>>2&1; got != x&y&z {
+			t.Fatalf("trial %d: AND(%d,%d,%d) = %d", i/8, x, y, z, got)
+		}
+	}
+}
+
+// TestMixedGateRound: one round whose lanes alternate between two-input
+// gates (z the public constant 1) and three-input gates (z secret), each
+// kind over all 8 input combinations twice.
+func TestMixedGateRound(t *testing.T) {
+	const k = 32 // lane i: odd lanes three-input, inputs (x, y, z) = bits 1..3 of i
+	r := runPair(t, 32, k, func(e *Eval) []uint32 {
+		var x, y, z uint64
+		for i := uint32(0); i < k; i++ {
+			xi, yi := uint64(bitShare(e.Role(), i>>1&1, i*5+1)), uint64(bitShare(e.Role(), i>>2&1, i*3))
+			zi := uint64(bitShare(e.Role(), i>>3&1, i>>1))
+			if i%2 == 0 {
+				zi = e.ones & 1
+			}
+			x, y, z = x|xi<<i, y|yi<<i, z|zi<<i
+		}
+		o := &opener{e: e}
+		o.word(WordShare(e.and(x, y, z, k)))
+		return o.outs
+	})
+	got := bitrev(r.out[0]) // undo OpenWord's relabelling: lane i is bit i
+	for i := uint32(0); i < k; i++ {
+		want := i >> 1 & (i >> 2) & 1
+		if i%2 == 1 {
+			want &= i >> 3
+		}
+		if got>>i&1 != want {
+			t.Errorf("lane %d (three-input %v): got %d, want %d", i, i%2 == 1, got>>i&1, want)
 		}
 	}
 }
@@ -294,12 +375,13 @@ func TestLessThan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	// Edge cases, and every single-bit difference in both directions.
+	// Edge cases, every single-bit difference in both directions, and the
+	// fold's boundary pairs.
 	pairs := [][2]uint32{{0, 0}, {0, 1}, {1, 0}, {^uint32(0), ^uint32(0)}, {^uint32(0) - 1, ^uint32(0)}}
 	for i := uint(0); i < 32; i++ {
 		pairs = append(pairs, [2]uint32{0xA5A5A5A5 &^ (1 << i), 0xA5A5A5A5 | 1<<i}, [2]uint32{0xA5A5A5A5 | 1<<i, 0xA5A5A5A5 &^ (1 << i)})
 	}
-	for _, pair := range pairs {
+	for _, pair := range append(pairs, foldBoundaryPairs()...) {
 		if got := lessThan(t, pair[0], pair[1]); got != (pair[0] < pair[1]) {
 			t.Errorf("LessThan(%#x,%#x) = %v", pair[0], pair[1], got)
 		}
@@ -331,6 +413,101 @@ func TestXORWords(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// foldBoundaries are the bit positions where the comparator's fold joins
+// two runs of segments: the radix-3 groups of each 16-bit half start at
+// bits 4 and 10 (and 20 and 26), and the halves meet at bit 16.
+var foldBoundaries = []uint{4, 10, 16, 20, 26}
+
+// foldBoundaryPairs lists input pairs that stress the fold's joins: words
+// differing in the single bit on either side of each boundary, in both
+// directions and over several backgrounds; ties; and x = y ± 1 where the
+// increment carries across a boundary.
+func foldBoundaryPairs() [][2]uint32 {
+	var pairs [][2]uint32
+	for _, w := range []uint32{0, math.MaxUint32, 0xA5A5A5A5, 0x5A5A5A5A, 0x0000FFFF, 0xFFFF0000} {
+		pairs = append(pairs, [2]uint32{w, w})
+		for _, b := range foldBoundaries {
+			for _, i := range []uint{b - 1, b} {
+				lo, hi := w&^(1<<i), w|1<<i
+				pairs = append(pairs, [2]uint32{lo, hi}, [2]uint32{hi, lo})
+			}
+		}
+	}
+	for _, b := range append([]uint{0, 2, 30}, foldBoundaries...) {
+		below := uint32(1)<<b - 1 // +1 carries into bit b
+		for _, w := range []uint32{below, below | 0xA0000000&^(1<<b)} {
+			pairs = append(pairs, [2]uint32{w, w + 1}, [2]uint32{w + 1, w})
+		}
+	}
+	return append(pairs, [2]uint32{math.MaxUint32 - 1, math.MaxUint32}, [2]uint32{math.MaxUint32, 0})
+}
+
+// compareExchanges evaluates CompareExchange on every pair between one
+// fresh two-party evaluation and returns the opened (lo, hi) of each.
+func compareExchanges(t *testing.T, seed int64, pairs [][2]uint32) [][2]uint32 {
+	t.Helper()
+	r := runPair(t, seed, len(pairs)*CompareExchangeShape.ANDs(), func(e *Eval) []uint32 {
+		o := &opener{e: e}
+		for i, pair := range pairs {
+			lo, hi := e.CompareExchange(ShareOfWord(e.Role(), pair[0], uint32(i)*0x9E3779B9), ShareOfWord(e.Role(), pair[1], ^uint32(i)))
+			o.word(lo)
+			o.word(hi)
+		}
+		return o.outs
+	})
+	out := make([][2]uint32, len(pairs))
+	for i := range out {
+		out[i] = [2]uint32{r.out[2*i], r.out[2*i+1]}
+	}
+	return out
+}
+
+// TestCompareExchangeFoldBoundaries holds the comparator to min/max on the
+// fold's boundary pairs, ties and ±1 neighbours.
+func TestCompareExchangeFoldBoundaries(t *testing.T) {
+	pairs := foldBoundaryPairs()
+	for i, got := range compareExchanges(t, 21, pairs) {
+		x, y := pairs[i][0], pairs[i][1]
+		if got != [2]uint32{min(x, y), max(x, y)} {
+			t.Errorf("CompareExchange(%#x, %#x) = (%#x, %#x)", x, y, got[0], got[1])
+		}
+	}
+}
+
+// TestCompareExchangeQuick is a testing/quick differential of the
+// comparator against min and max.
+func TestCompareExchangeQuick(t *testing.T) {
+	f := func(x, y uint32, seed int64) bool {
+		got := compareExchanges(t, seed, [][2]uint32{{x, y}, {y, x}, {x, x}})
+		return got[0] == [2]uint32{min(x, y), max(x, y)} && got[1] == got[0] && got[2] == [2]uint32{x, x}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCompareExchangeFitsBenchmarkDeal: cmd/benchmark deals a fixed
+// cexANDs = 160 tuples per comparator for its GMW sort (workload_party.go
+// and probe_gmw.go), so a comparator circuit needing more would exhaust the
+// benchmark's pool mid-sort.
+func TestCompareExchangeFitsBenchmarkDeal(t *testing.T) {
+	const cexANDs = 160
+	if n := CompareExchangeShape.ANDs(); n > cexANDs {
+		t.Errorf("CompareExchange consumes %d tuples; the benchmark deals %d per comparator", n, cexANDs)
+	}
+}
+
+// TestSegments pins the fold's relabelling: after segments, position j of a
+// WordShare holds bit 2j of the word and position 16+j bit 2j+1.
+func TestSegments(t *testing.T) {
+	for i := uint(0); i < 32; i++ {
+		want := uint32(1) << (i>>1 | i&1<<4)
+		if got := segments(bitrev(1 << i)); got != want {
+			t.Errorf("bit %d lands at %#x, want %#x", i, got, want)
+		}
 	}
 }
 
@@ -415,9 +592,10 @@ func TestCommunicationAccounting(t *testing.T) {
 		e.AND(bitShare(e.Role(), 1, 1), bitShare(e.Role(), 0, 1))
 		return nil
 	})
-	// Each party sends its share of d and of e: 4 bits across both directions.
-	if got := r.e0.BitsSent + r.e1.BitsSent; got != 4*2 || r.e0.BitsSent != 4 {
-		t.Errorf("one AND gate moved %d+%d bits, want 4 per party", r.e0.BitsSent, r.e1.BitsSent)
+	// Each party sends its shares of δx, δy and δz and receives the peer's:
+	// 6 bits across both directions.
+	if got := r.e0.BitsSent + r.e1.BitsSent; got != 6*2 || r.e0.BitsSent != 6 {
+		t.Errorf("one AND gate moved %d+%d bits, want 6 per party", r.e0.BitsSent, r.e1.BitsSent)
 	}
 	if r.e0.Stats() == "" {
 		t.Error("empty stats")
@@ -428,7 +606,7 @@ func TestRecordLimit(t *testing.T) {
 	c0, c1 := wire.Loopback(256)
 	defer c0.Close()
 	defer c1.Close()
-	// 10 single gates then a 32-lane round: the limit holds across both.
+	// 10 single gates then a 48-lane round: the limit holds across both.
 	r := evalPair(t, c0, c1, 17, 10+LessThanShape.ANDs(), 3, func(e *Eval) []uint32 {
 		for i := 0; i < 10; i++ {
 			e.AND(bitShare(e.Role(), 1, 1), bitShare(e.Role(), 1, 0))
@@ -445,11 +623,13 @@ func TestRecordLimit(t *testing.T) {
 }
 
 // TestOpeningsUniform: the online transcript of the batched openings — the
-// share bits each party puts in its FrameOpen payloads, and the d and e both
-// reconstruct — must be uniform regardless of the inputs, and must depend on
-// the dealer's randomness only: the semi-honest security argument at the
-// frame level. Every bit position of a CompareExchange's seven frames is
-// tallied over dealer seeds for two opposite input pairs.
+// share bits each party puts in its FrameOpen payloads, and the δx, δy and
+// δz both reconstruct — must be uniform regardless of the inputs, and must
+// depend on the dealer's randomness only: the semi-honest security argument
+// at the frame level. Every one of the 3k bit positions of each of a
+// CompareExchange's four frames is tallied over dealer seeds for three input
+// pairs — δz included, which for a two-input lane is the opening of the
+// public 1, masked only by c.
 func TestOpeningsUniform(t *testing.T) {
 	const seeds = 600
 	shape := CompareExchangeShape
@@ -459,8 +639,8 @@ func TestOpeningsUniform(t *testing.T) {
 	for _, in := range [][2]uint32{{0, 0}, {math.MaxUint32, math.MaxUint32}, {7, 1 << 31}} {
 		var sentOnes, openOnes [][]int // [round][bit]
 		for _, k := range shape {
-			sentOnes = append(sentOnes, make([]int, 2*k))
-			openOnes = append(openOnes, make([]int, 2*k))
+			sentOnes = append(sentOnes, make([]int, 3*k))
+			openOnes = append(openOnes, make([]int, 3*k))
 		}
 		var first [][]byte
 		for run := 0; run < seeds; run++ {
@@ -480,11 +660,14 @@ func TestOpeningsUniform(t *testing.T) {
 			}
 			at := 0
 			for round, k := range shape {
-				for bit := 0; bit < 2*k; bit++ {
+				if len(tap.opens[round]) != (3*k+7)/8 {
+					t.Fatalf("run %d round %d: %d-byte frame for %d lanes", run, round, len(tap.opens[round]), k)
+				}
+				for bit := 0; bit < 3*k; bit++ {
 					sentOnes[round][bit] += int(tap.opens[round][bit/8] >> uint(bit%8) & 1)
 					openOnes[round][bit] += int(b2u(r.e0.Openings[at+bit]))
 				}
-				at += 2 * k
+				at += 3 * k
 			}
 			switch run {
 			case 0:

@@ -130,7 +130,7 @@ func TestKernelMatchesGMWCompareExchange(t *testing.T) {
 		{0, 0}, {1, 1}, {3, 7}, {7, 3}, {0xFFFFFFFF, 1}, {1, 0xFFFFFFFF},
 		{1 << 31, 1<<31 - 1}, {123456, 123456}, {0xFFFFFFFF, 0xFFFFFFFF},
 	}
-	const cexANDs = 125 // triples one CompareExchange consumes
+	cexANDs := gmw.CompareExchangeShape.ANDs() // tuples one CompareExchange consumes
 	program := func(e *gmw.Eval) (out [][2]uint32) {
 		for _, tc := range cases {
 			x := gmw.ShareOfWord(e.Role(), tc[0], 0xDEADBEEF)

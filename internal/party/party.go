@@ -10,7 +10,7 @@
 // layer own: per-step counter re-shares with joint Laplace noise in one
 // round and in-protocol recoveries in a second, transcript observations,
 // followed by a GMW segment
-// (offline triple dealing plus online rounds of batched AND openings)
+// (offline tuple dealing plus online rounds of batched AND openings)
 // evaluating the paper's counter-update, threshold and comparator circuits.
 // The schedule is a pure function of the configuration, so the wire cost is
 // predictable in closed form (Predict) and the smoke harness can hold
@@ -63,7 +63,7 @@ func (c Config) Validate() error {
 
 // gmwSchedule is the online schedule of the GMW segment, concatenated from
 // the round shapes gmw declares: one CounterUpdate, one ThresholdCheck, one
-// CompareExchange. The triple budget (every dealt triple feeds exactly one
+// CompareExchange. The tuple budget (every dealt tuple feeds exactly one
 // AND gate) and the wire prediction both derive from it.
 var gmwSchedule = slices.Concat(gmw.AddShape, gmw.LessThanShape, gmw.CompareExchangeShape)
 
@@ -105,7 +105,7 @@ type Report struct {
 
 // Predict returns the modeled per-party wire cost of a session: the
 // runtime rounds of every step, the GMW online opening rounds and output
-// reveals, and the one offline triple-block frame (which rides ahead of the
+// reveals, and the one offline tuple-block frame (which rides ahead of the
 // first AND round, so it adds bytes but no round).
 func Predict(cfg Config) (rounds, bytes uint64) {
 	step := mpc.PredictExchanges(stepRounds...)
@@ -236,7 +236,7 @@ func (s *session) step(t int) error {
 }
 
 // gmwSegment runs the on-the-wire GMW circuits over the session connection:
-// role 0 deals the triples (offline phase), then both parties evaluate the
+// role 0 deals the tuples (offline phase), then both parties evaluate the
 // counter-update, threshold-check and compare-exchange circuits over shares
 // masked by fixed words, opening the outputs.
 func (s *session) gmwSegment() (*gmw.Eval, error) {

@@ -171,19 +171,19 @@ func TestMeasuredWireMatchesPrediction(t *testing.T) {
 	if want := uint64(len(stepRounds)*testConfig().Steps + len(gmwSchedule) + len(gmwReveals)); r0.PredictedRounds != want {
 		t.Errorf("predicted %d rounds, want %d", r0.PredictedRounds, want)
 	}
-	// The session the benchmark runs: 350 steps cost each party 749 rounds
-	// and 19,153 bytes, measured and predicted.
+	// The session the benchmark runs: 350 steps cost each party 744 rounds
+	// and 19,130 bytes, measured and predicted.
 	l0, _, err := RunLoopbackPair(Config{Seed: 5, Steps: 350, SnapshotAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l0.WireRounds != 749 || l0.WireBytes != 19153 || l0.PredictedRounds != 749 || l0.PredictedBytes != 19153 {
-		t.Errorf("350 steps: measured %d rounds / %d bytes, predicted %d / %d, want 749 / 19153",
+	if l0.WireRounds != 744 || l0.WireBytes != 19130 || l0.PredictedRounds != 744 || l0.PredictedBytes != 19130 {
+		t.Errorf("350 steps: measured %d rounds / %d bytes, predicted %d / %d, want 744 / 19130",
 			l0.WireRounds, l0.WireBytes, l0.PredictedRounds, l0.PredictedBytes)
 	}
 }
 
-// TestGMWSegmentSpendsItsTriples: the triple budget derived from the
+// TestGMWSegmentSpendsItsTriples: the tuple budget derived from the
 // declared circuit shapes is exactly what the segment consumes.
 func TestGMWSegmentSpendsItsTriples(t *testing.T) {
 	c0, c1 := wire.Loopback(256)
@@ -204,7 +204,7 @@ func TestGMWSegmentSpendsItsTriples(t *testing.T) {
 			t.Fatalf("role %d: %v", role, errs[role])
 		}
 		if ev.TriplesLeft() != 0 || ev.ANDGates != gmwSchedule.ANDs() {
-			t.Errorf("role %d: %d triples left after %d AND gates, budget %d", role, ev.TriplesLeft(), ev.ANDGates, gmwSchedule.ANDs())
+			t.Errorf("role %d: %d tuples left after %d AND gates, budget %d", role, ev.TriplesLeft(), ev.ANDGates, gmwSchedule.ANDs())
 		}
 	}
 }

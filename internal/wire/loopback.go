@@ -5,7 +5,7 @@ import "sync"
 // loopInline is the payload size a loopback frame carries without
 // allocating. Every online exchange of the party runtime fits — a round of
 // up to 16 share words (the engine's largest, an sDPANT release, has 6),
-// packed AND openings — and only offline bulk frames (triple batches) take
+// packed AND openings — and only offline bulk frames (tuple batches) take
 // the allocating path. Keeping the steady state allocation-free is what
 // lets the loopback transport sit under the engine's hot step loop without
 // moving its allocation benchmarks.

@@ -33,7 +33,7 @@ const (
 	// 32-bit little-endian payload length.
 	FrameOverhead = 5
 	// MaxFrame is the default payload-length bound a reader enforces before
-	// allocating anything: large enough for any offline triple batch the
+	// allocating anything: large enough for any offline tuple batch the
 	// party runtime ships, small enough that a hostile length cannot OOM the
 	// process.
 	MaxFrame = 1 << 20
