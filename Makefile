@@ -20,13 +20,14 @@ build:
 # lint is the full static-analysis gate (CI runs this): formatting, go vet,
 # the orphaned-package and dead-export checks (orphans and deadexports,
 # below) and then the incshrink-lint analyzers — detclock, rngdraw, maporder,
-# oblivtaint, goleak, atomicmix (see internal/analysis and DESIGN.md §10) —
-# over every package and test file, from one source load of the module. When
-# staticcheck/govulncheck are on PATH they run too; CI installs them at
-# pinned versions, offline checkouts just skip them. Intentional violations
-# are annotated in source as `//lint:allow <analyzer> <reason>` — the reason
-# is mandatory, an allow without one is itself a finding, and so is an allow
-# that suppresses nothing.
+# oblivtaint, and the bans goleak (a library go statement must name its join
+# in an allow) and atomicmix (no sync/atomic function; see internal/analysis
+# and DESIGN.md §10) — over every package and test file, from one source
+# load of the module. When staticcheck/govulncheck are on PATH they run too;
+# CI installs them at pinned versions, offline checkouts just skip them.
+# Intentional violations are annotated in source as
+# `//lint:allow <analyzer> <reason>` — the reason is mandatory, an allow
+# without one is itself a finding, and so is an allow that suppresses nothing.
 lint: fmt vet orphans deadexports
 	$(GO) run ./cmd/incshrink-lint
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -150,9 +151,9 @@ recover-smoke:
 # self-signed certificates in a temp dir, and require (a) the networked
 # session is byte-identical to the in-process loopback reference — opened
 # values, transcript and snapshot digests, wire tallies — and (b) the
-# measured per-party wire rounds/bytes match the mpc cost-model prediction
-# within tolerance (exact in practice). The measured numbers land in
-# BENCH_wire.json, diffable with `incshrink-bench -compare`.
+# measured per-party wire rounds/bytes equal the mpc cost-model prediction
+# exactly. The measured numbers land in BENCH_wire.json, diffable with
+# `incshrink-bench -compare`.
 wire-smoke:
 	$(GO) build -o bin/incshrink-party ./cmd/incshrink-party
 	./bin/incshrink-party -smoke -bench BENCH_wire.json

@@ -19,10 +19,12 @@ import (
 // the sort kernel's keys, a merge whose window of the network is cut by a
 // key, or a branch on a flag byte inside the scan kernel, none of which any
 // sanction covers — and so does a branch on a reconstructed bit seeded into
-// internal/gmw (whose gate code no sanction covers either). An unjoined go
-// statement in internal/serve trips goleak, and a wall-clock read, an
-// order-sensitive map range, a mixed atomic/plain access and an uncounted
-// RNG trip detclock, maporder, atomicmix and rngdraw. Every finding makes
+// internal/gmw (whose gate code no sanction covers either). A go statement
+// in a library package without an allow naming its join trips goleak —
+// unjoined in internal/serve, or joined through a WaitGroup in
+// internal/core — and a wall-clock read, an order-sensitive map range, a
+// sync/atomic function call and an uncounted RNG trip detclock, maporder,
+// atomicmix and rngdraw. Every finding makes
 // incshrink-lint exit nonzero, exactly as `make lint` runs it. This is the
 // same defence-in-depth pin the detclock analyzer got when it landed (a
 // smuggled time.Now must fail CI, not just a unit test over fixtures).
@@ -115,6 +117,25 @@ func lintGateSpawn(f func()) {
 			analyzer: "goleak",
 		},
 		{
+			name: "goleak catches seeded joined but unannotated goroutine",
+			file: "internal/core/lintgate_join.go",
+			inject: `package core
+
+import "sync"
+
+func lintGateWork(wg *sync.WaitGroup) { wg.Done() }
+
+func lintGateJoin() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go lintGateWork(&wg)
+	wg.Wait()
+}
+`,
+			line:     "go lintGateWork(&wg)",
+			analyzer: "goleak",
+		},
+		{
 			name: "detclock catches seeded wall-clock read",
 			file: "internal/core/lintgate_clock.go",
 			inject: `package core
@@ -158,7 +179,7 @@ func lintGateHit() int64 {
 	return lintGateHits
 }
 `,
-			line:     "return lintGateHits",
+			line:     "atomic.AddInt64(&lintGateHits, 1)",
 			analyzer: "atomicmix",
 		},
 		{

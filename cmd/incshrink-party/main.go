@@ -12,11 +12,12 @@
 //	    Run one party. Role 0 listens, role 1 dials (with retry).
 //	incshrink-party -gencert DIR -name NAME
 //	    Generate a self-signed certificate pair for one party.
-//	incshrink-party -smoke [-bench BENCH_wire.json] [-tolerance 0.01]
+//	incshrink-party -smoke [-bench BENCH_wire.json]
 //	    Spawn both parties as child processes over localhost TLS with
-//	    temp-dir certificates, compare their reports against an in-process
-//	    loopback reference, check measured wire rounds/bytes against the
-//	    mpc cost-model predictions, and write the wire benchmark report.
+//	    temp-dir certificates (smokeSteps steps, seed smokeSeed), compare
+//	    their reports against an in-process loopback reference, require the
+//	    measured wire rounds/bytes to equal the mpc cost-model predictions,
+//	    and write the wire benchmark report.
 //
 // Config file format (JSON):
 //
@@ -52,6 +53,13 @@ import (
 // generous without letting a corrupt length prefix allocate unbounded memory.
 const maxFrame = 1 << 16
 
+// The smoke's session: BENCH_wire.json records the wire cost of exactly this
+// configuration.
+const (
+	smokeSteps = 12
+	smokeSeed  = 1234
+)
+
 type fileConfig struct {
 	Role       int    `json:"role"`
 	Seed       int64  `json:"seed"`
@@ -80,9 +88,6 @@ func main() {
 		certName   = flag.String("name", "party", "certificate basename for -gencert")
 		smoke      = flag.Bool("smoke", false, "run the two-process localhost TLS smoke")
 		benchPath  = flag.String("bench", "BENCH_wire.json", "smoke: write the wire benchmark report here")
-		tolerance  = flag.Float64("tolerance", 0.01, "smoke: allowed relative deviation of measured wire cost from prediction")
-		steps      = flag.Int("steps", 12, "smoke: protocol steps per session")
-		seed       = flag.Int64("seed", 1234, "smoke: deployment seed")
 	)
 	flag.Parse()
 
@@ -91,7 +96,7 @@ func main() {
 	case *gencertDir != "":
 		err = runGencert(*gencertDir, *certName)
 	case *smoke:
-		err = runSmoke(*benchPath, *tolerance, *steps, *seed)
+		err = runSmoke(*benchPath)
 	case *configPath != "":
 		err = runParty(*configPath, *outPath)
 	default:
@@ -207,7 +212,7 @@ func writeConfig(path string, fc fileConfig) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-func runSmoke(benchPath string, tolerance float64, steps int, seed int64) error {
+func runSmoke(benchPath string) error {
 	exe, err := os.Executable()
 	if err != nil {
 		return err
@@ -231,7 +236,7 @@ func runSmoke(benchPath string, tolerance float64, steps int, seed int64) error 
 		return err
 	}
 
-	base := fileConfig{Seed: seed, Steps: steps}
+	base := fileConfig{Seed: smokeSeed, Steps: smokeSteps}
 	fc0, fc1 := base, base
 	fc0.Role, fc0.Listen, fc0.Cert, fc0.Key, fc0.PeerCert = 0, addr, cert0, key0, cert1
 	fc1.Role, fc1.Peer, fc1.Cert, fc1.Key, fc1.PeerCert = 1, addr, cert1, key1, cert0
@@ -274,7 +279,7 @@ func runSmoke(benchPath string, tolerance float64, steps int, seed int64) error 
 
 	// In-process loopback reference: the networked run must match it on
 	// every observable.
-	ref0, ref1, err := party.RunLoopbackPair(party.Config{Seed: seed, Steps: steps, SnapshotAt: -1})
+	ref0, ref1, err := party.RunLoopbackPair(party.Config{Seed: smokeSeed, Steps: smokeSteps, SnapshotAt: -1})
 	if err != nil {
 		return fmt.Errorf("loopback reference: %w", err)
 	}
@@ -284,13 +289,12 @@ func runSmoke(benchPath string, tolerance float64, steps int, seed int64) error 
 		}
 	}
 
-	// Measured wire cost must sit within tolerance of the closed-form
-	// prediction (it is exact for a correct implementation: the conn counts
-	// protocol frames, not TLS records).
+	// Measured wire cost must equal the closed-form prediction: the conn
+	// counts protocol frames, not TLS records, so any difference is a
+	// schedule the cost model does not describe.
 	check := func(name string, got, want uint64) error {
-		dev := relDev(got, want)
-		if dev > tolerance {
-			return fmt.Errorf("%s: measured %d vs predicted %d (deviation %.3f > tolerance %.3f)", name, got, want, dev, tolerance)
+		if got != want {
+			return fmt.Errorf("%s: measured %d vs predicted %d", name, got, want)
 		}
 		return nil
 	}
@@ -304,7 +308,7 @@ func runSmoke(benchPath string, tolerance float64, steps int, seed int64) error 
 	}
 
 	bench := map[string]any{
-		"config": map[string]any{"steps": steps, "seed": seed},
+		"config": map[string]any{"steps": smokeSteps, "seed": smokeSeed},
 		"wire": map[string]any{
 			"measured_rounds":  measured[0].WireRounds,
 			"measured_bytes":   measured[0].WireBytes,
@@ -323,25 +327,9 @@ func runSmoke(benchPath string, tolerance float64, steps int, seed int64) error 
 	if err := os.WriteFile(benchPath, append(b, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wire smoke ok: 2 processes over %s, %d rounds, %d bytes per party (prediction exact: %v); wrote %s\n",
-		addr, measured[0].WireRounds, measured[0].WireBytes,
-		measured[0].WireRounds == measured[0].PredictedRounds && measured[0].WireBytes == measured[0].PredictedBytes,
-		benchPath)
+	fmt.Printf("wire smoke ok: 2 processes over %s, %d rounds, %d bytes per party (prediction exact); wrote %s\n",
+		addr, measured[0].WireRounds, measured[0].WireBytes, benchPath)
 	return nil
-}
-
-func relDev(got, want uint64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return 1
-	}
-	d := float64(got) - float64(want)
-	if d < 0 {
-		d = -d
-	}
-	return d / float64(want)
 }
 
 func ratio(got, want uint64) float64 {

@@ -13,8 +13,10 @@
 //     silent golden-breaker.
 //   - oblivtaint: secret values never reach a branch, an index or an
 //     allocation size in the packages that must be oblivious.
-//   - goleak: every go statement in a library package has a join.
-//   - atomicmix: what sync/atomic accesses is never accessed plainly.
+//   - goleak: a ban on go statements in library packages; each of the few
+//     there states its join in a //lint:allow where it starts.
+//   - atomicmix: a ban on the package-level sync/atomic functions, so every
+//     atomic is typed (atomic.Int64 and kin) and cannot be read plainly.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer/Pass/Diagnostic and an analysistest-style fixture harness), but

@@ -11,7 +11,9 @@ import (
 // wall-clock read or a draw from the global math/rand source there either
 // breaks golden/batched==sequential equivalence outright or (networked
 // MPC) silently desynchronizes the two parties. The binaries and examples
-// are interactive front ends, where timing output is the point.
+// are interactive front ends, where timing output is the point. The same
+// prefixes scope goleak: a binary's goroutines may live as long as the
+// process.
 var DetClockExclude = []string{"cmd", "examples"}
 
 // DetClockSanctioned lists the module-relative package prefixes that ARE

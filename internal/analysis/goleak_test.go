@@ -10,3 +10,9 @@ import (
 func TestGoLeak(t *testing.T) {
 	analysistest.Run(t, analysis.GoLeak, "incshrink/internal/goleak")
 }
+
+// Binaries and examples are excluded: a process-lifetime goroutine is
+// theirs to start.
+func TestGoLeakSkipsBinaries(t *testing.T) {
+	analysistest.Run(t, analysis.GoLeak, "incshrink/cmd/bench")
+}

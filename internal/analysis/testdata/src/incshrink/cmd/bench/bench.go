@@ -1,5 +1,6 @@
-// Package bench is a detclock fixture under cmd/: binaries may time
-// things, so nothing here is a finding.
+// Package bench is a detclock and goleak fixture under cmd/: binaries may
+// time things and run goroutines as long-lived as the process, so nothing
+// here is a finding.
 package bench
 
 import "time"
@@ -8,4 +9,8 @@ func Timed(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
+}
+
+func Background(f func()) {
+	go f()
 }

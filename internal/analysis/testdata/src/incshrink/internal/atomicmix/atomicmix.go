@@ -1,60 +1,17 @@
-// Package atomicmix is the atomicmix fixture: fields and globals that
-// mix sync/atomic with plain access.
+// Package atomicmix is the atomicmix fixture: a package-level sync/atomic
+// function is a finding, a typed atomic's method is not.
 package atomicmix
 
 import "sync/atomic"
 
-type counter struct {
-	n    int64
-	cold int64
+var hits int64
+
+func hit() {
+	atomic.AddInt64(&hits, 1) // want `atomic.AddInt64 admits a plain access`
 }
 
-func (c *counter) inc() {
-	atomic.AddInt64(&c.n, 1)
-}
+var typed atomic.Int64
 
-func (c *counter) readPlain() int64 {
-	return c.n // want `plain access to n, which is accessed through sync/atomic`
-}
-
-func (c *counter) writePlain() {
-	c.n = 0 // want `plain access to n`
-}
-
-func (c *counter) readAtomic() int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-// cold is never touched atomically: plain access is fine.
-func (c *counter) coldPath() int64 {
-	c.cold++
-	return c.cold
-}
-
-// Struct-literal keys are construction, not access: the value is
-// unpublished until the literal is stored.
-func newCounter() *counter {
-	return &counter{n: 0}
-}
-
-var depth int64
-
-func enter() { atomic.AddInt64(&depth, 1) }
-
-func depthSnapshot() int64 {
-	return depth // want `plain access to depth`
-}
-
-func depthAtomic() int64 {
-	return atomic.LoadInt64(&depth)
-}
-
-type gauge struct{ v int64 }
-
-// Mutex-guarded mixed access still races with the atomic side; the
-// escape hatch records why a specific site claims otherwise.
-func (g *gauge) bump() { atomic.AddInt64(&g.v, 1) }
-
-func (g *gauge) resetUnderLock() {
-	g.v = 0 //lint:allow atomicmix fixture: single-writer init path before the readers start
+func hitTyped() int64 {
+	return typed.Add(1)
 }

@@ -1,104 +1,17 @@
-// Package goleak is the goleak fixture: spawned goroutines with and
-// without visible joins.
+// Package goleak is the goleak fixture: a library package, where every go
+// statement is a finding unless an allow states its join.
 package goleak
-
-import "sync"
 
 func work() {}
 
-func unjoinedClosure() {
-	go func() { work() }() // want `unjoined goroutine`
+func spawn() {
+	go work() // want `go statement in a library package`
 }
 
-func unjoinedNamed() {
-	go work() // want `unjoined goroutine`
-}
-
-func joinedByWaitGroup() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		work()
-	}()
-	wg.Wait()
-}
-
-func worker(wg *sync.WaitGroup) { defer wg.Done(); work() }
-
-func joinedByWaitGroupArg() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go worker(&wg)
-	wg.Wait()
-}
-
-func doneWithoutWait() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // want `unjoined goroutine`
-		defer wg.Done()
-		work()
-	}()
-}
-
-func joinedByClose() {
-	done := make(chan struct{})
+func spawnJoined(done chan struct{}) {
+	//lint:allow goleak fixture: the caller receives done before returning
 	go func() {
 		work()
 		close(done)
 	}()
-	<-done
-}
-
-func joinedBySendIntoSelect() {
-	res := make(chan int, 1)
-	go func() { res <- 1 }()
-	select {
-	case <-res:
-	}
-}
-
-func closeNeverReceived() {
-	done := make(chan struct{})
-	_ = done
-	go func() { // want `unjoined goroutine`
-		work()
-		close(done)
-	}()
-}
-
-type pump struct {
-	wg   sync.WaitGroup
-	done chan struct{}
-}
-
-// Struct-owned WaitGroup: the Done side is accepted here — the owner's
-// Close (audited separately) is where the Wait lives.
-func (p *pump) spawn() {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		work()
-	}()
-}
-
-// Struct-owned channel: same ownership argument on the channel side.
-func (p *pump) spawnSignal() {
-	go func() {
-		work()
-		close(p.done)
-	}()
-}
-
-// Parameter channel: the caller holds the receive end.
-func spawnInto(done chan struct{}) {
-	go func() {
-		work()
-		close(done)
-	}()
-}
-
-func allowedPump() {
-	go work() //lint:allow goleak fixture: process-lifetime pump, reaped at exit
 }

@@ -1,9 +1,9 @@
-// Package atomic is a hermetic analysistest stub: the classic
-// pointer-based entry points the atomicmix fixtures mix with plain
-// access.
+// Package atomic is a hermetic analysistest stub: one package-level
+// function the atomicmix fixture calls and one typed atomic it uses.
 package atomic
 
-func AddInt64(addr *int64, delta int64) int64              { return 0 }
-func LoadInt64(addr *int64) int64                          { return 0 }
-func StoreInt64(addr *int64, val int64)                    {}
-func CompareAndSwapInt64(addr *int64, old, new int64) bool { return false }
+func AddInt64(addr *int64, delta int64) int64 { return 0 }
+
+type Int64 struct{ v int64 }
+
+func (x *Int64) Add(delta int64) int64 { return 0 }

@@ -317,6 +317,7 @@ func RunLoopbackPair(cfg Config) (r0, r1 *Report, err error) {
 	var wg sync.WaitGroup
 	var err1 error
 	wg.Add(1)
+	//lint:allow goleak wg.Wait below
 	go func() {
 		defer wg.Done()
 		r1, err1 = Run(cfg1, c1)

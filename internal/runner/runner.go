@@ -70,6 +70,7 @@ func Map[T any](ctx context.Context, cells []Cell[T], workers int) ([]T, error) 
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		//lint:allow goleak wg.Wait before Map returns
 		go func() {
 			defer wg.Done()
 			for i := range next {

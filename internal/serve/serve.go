@@ -189,6 +189,7 @@ func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
 	}
 	r.views[name] = v
 	r.wg.Add(1)
+	//lint:allow goleak Close and Drop wait on r.wg
 	go v.ingestLoop(&r.wg)
 	return v, nil
 }
@@ -298,6 +299,7 @@ func (r *Registry) Close(ctx context.Context) error {
 		v.stop()
 	}
 	done := make(chan struct{})
+	//lint:allow goleak Close receives done or returns on ctx
 	go func() {
 		r.wg.Wait()
 		close(done)
