@@ -96,13 +96,13 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 			file: "internal/gmw/eval.go",
 			inject: `
 func lintGateBranchingSelect(t Tuple, z uint64) uint64 {
-	if t.B.Open() {
+	if t.bit(2).Open() {
 		z ^= 1
 	}
 	return z
 }
 `,
-			line:     "if t.B.Open() {",
+			line:     "if t.bit(2).Open() {",
 			analyzer: "oblivtaint",
 		},
 		{

@@ -49,8 +49,9 @@ import (
 )
 
 // maxFrame bounds incoming frame payloads: the largest legitimate frame is
-// the GMW tuple block (one byte per AND gate, 235 for a session), so 64 KiB is
-// generous without letting a corrupt length prefix allocate unbounded memory.
+// the GMW tuple block (two bytes per AND gate, 468 for a session), so 64 KiB
+// is generous without letting a corrupt length prefix allocate unbounded
+// memory.
 const maxFrame = 1 << 16
 
 // The smoke's session: BENCH_wire.json records the wire cost of exactly this

@@ -119,10 +119,10 @@ func TestCircuitDepth(t *testing.T) {
 		ands, rounds int
 		run          func(e *Eval, x, y WordShare)
 	}{
-		{"LessThan", LessThanShape, 70, 4, bit((*Eval).LessThan)},
-		{"Equal", EqualShape, 31, 5, bit((*Eval).Equal)},
-		{"CompareExchange", CompareExchangeShape, 133, 4, func(e *Eval, x, y WordShare) { e.CompareExchange(x, y) }},
-		{"ThresholdCheck", LessThanShape, 70, 4, bit((*Eval).ThresholdCheck)},
+		{"LessThan", LessThanShape, 54, 3, bit((*Eval).LessThan)},
+		{"Equal", EqualShape, 11, 3, bit((*Eval).Equal)},
+		{"CompareExchange", CompareExchangeShape, 148, 3, func(e *Eval, x, y WordShare) { e.CompareExchange(x, y) }},
+		{"ThresholdCheck", LessThanShape, 54, 3, bit((*Eval).ThresholdCheck)},
 		{"Add", AddShape, 32, 32, func(e *Eval, x, y WordShare) { e.Add(x, y) }},
 	}
 	for _, tc := range cases {
@@ -152,7 +152,7 @@ func TestCircuitDepth(t *testing.T) {
 
 func TestEvalOpeningsIdenticalAcrossParties(t *testing.T) {
 	r := runPair(t, 42, evalProgramShape.ANDs(), evalProgram(99, 1234))
-	if len(r.e0.Openings) != 3*r.e0.ANDGates {
+	if len(r.e0.Openings) != 4*r.e0.ANDGates {
 		t.Fatalf("%d openings for %d AND gates", len(r.e0.Openings), r.e0.ANDGates)
 	}
 	if len(r.e0.Openings) != len(r.e1.Openings) {
@@ -181,8 +181,9 @@ func TestEvalOpeningsMasked(t *testing.T) {
 }
 
 // TestEvalWireAccounting pins the wire shape of the GMW online phase to the
-// closed form: one ⌈3k/8⌉-byte frame per party per k-lane round, one 4-byte
-// frame per reveal, one tuple block frame in the offline phase.
+// closed form: one ⌈4k/8⌉-byte frame per party per k-lane round, one 4-byte
+// frame per reveal, one tuple block frame of TupleBytes per tuple in the
+// offline phase.
 func TestEvalWireAccounting(t *testing.T) {
 	r := runPair(t, 3, evalProgramShape.ANDs(), evalProgram(21, 13))
 	// Each reveal is a one-word exchange.
@@ -190,7 +191,7 @@ func TestEvalWireAccounting(t *testing.T) {
 	open := mpc.PredictOpenRounds(evalProgramShape)
 	want.Rounds += open.Rounds
 	want.Bytes += open.Bytes
-	block := uint64(wire.FrameOverhead + evalProgramShape.ANDs())
+	block := uint64(wire.FrameOverhead + TupleBytes*evalProgramShape.ANDs())
 	st := r.c0.Stats()
 	if st.BytesSent != want.Bytes/2+block {
 		t.Errorf("role 0 bytes sent = %d, want %d", st.BytesSent, want.Bytes/2+block)
@@ -199,8 +200,8 @@ func TestEvalWireAccounting(t *testing.T) {
 		t.Errorf("role 0 bytes recv = %d, want %d", st.BytesRecv, want.Bytes/2)
 	}
 	// Every AND round and every reveal is one send-then-recv: one round each.
-	if st.Rounds != want.Rounds || want.Rounds != 81+evalProgramReveals {
-		t.Errorf("role 0 rounds = %d, predicted %d, want %d", st.Rounds, want.Rounds, 81+evalProgramReveals)
+	if st.Rounds != want.Rounds || want.Rounds != 76+evalProgramReveals {
+		t.Errorf("role 0 rounds = %d, predicted %d, want %d", st.Rounds, want.Rounds, 76+evalProgramReveals)
 	}
 	if st1 := r.c1.Stats(); st1.Rounds != st.Rounds || st1.BytesSent != st.BytesRecv || st1.BytesRecv != st.BytesSent {
 		t.Errorf("role 1 counters %+v do not mirror role 0's %+v", st1, st)
@@ -215,11 +216,11 @@ func TestEvalTriplePoolExhaustion(t *testing.T) {
 	defer c1.Close()
 	var sentBefore [2]uint64
 	r := evalPair(t, c0, c1, 9, 10, 0, func(e *Eval) []uint32 {
-		e.and(0, 0, 0, 4)
-		e.and(0, 0, 0, 4)
+		e.and(vec{}, vec{}, vec{}, vec{}, 4)
+		e.and(vec{}, vec{}, vec{}, vec{}, 4)
 		sentBefore[e.Role()] = e.conn.Stats().FramesSent
-		e.and(0, 0, 0, 4) // two tuples left
-		e.AND(0, 0)       // would fit, but the error is sticky
+		e.and(vec{}, vec{}, vec{}, vec{}, 4) // two tuples left
+		e.AND(0, 0)                          // would fit, but the error is sticky
 		o := &opener{e: e}
 		o.word(0)
 		return o.outs
@@ -243,14 +244,16 @@ func TestEvalTriplePoolExhaustion(t *testing.T) {
 	}
 }
 
-// TestTriplesConsumedOnce: n gates issued through any mix of lane widths
-// consume exactly the pool's first n positions, in order, each once — a
-// tuple reused across lanes or rounds would let the two openings that share
-// it cancel its mask. With all-zero inputs the opened (δx, δy, δz) of a gate
-// are the (a, b, c) of the tuple it used, so the transcript names the
-// positions.
+// TestTriplesConsumedOnce: n gates issued through any mix of lane widths,
+// one- and two-word rounds among them, consume exactly the pool's first n
+// positions, in order, each once — a tuple reused across lanes or rounds
+// would let the two openings that share it cancel its mask. With all-zero
+// inputs the opened (δx, δy, δz, δw) of a gate are the (a, b, c, d) of the
+// tuple it used, so the transcript names the positions; and each round's
+// tuple words, read back from both pools, carry all fifteen components of
+// exactly those positions.
 func TestTriplesConsumedOnce(t *testing.T) {
-	widths := []int{1, 7, 64, 32, 3, 1, 63, 8, 33}
+	widths := []int{1, 7, 64, 32, 3, 1, 63, 8, 33, 96, 128, 65, 2}
 	n := 0
 	for _, k := range widths {
 		n += k
@@ -259,7 +262,8 @@ func TestTriplesConsumedOnce(t *testing.T) {
 	r := runPair(t, seed, n, func(e *Eval) []uint32 {
 		for _, k := range widths {
 			left := e.TriplesLeft()
-			if z := e.and(0, 0, 0, k); z>>uint(k-1)>>1 != 0 {
+			z := e.and(vec{}, vec{}, vec{}, vec{}, k)
+			if m := laneMask(k); z[0]&^m[0] != 0 || z[1]&^m[1] != 0 {
 				t.Errorf("width %d: output %#x has bits beyond its lanes", k, z)
 			}
 			if got := left - e.TriplesLeft(); got != k {
@@ -276,26 +280,54 @@ func TestTriplesConsumedOnce(t *testing.T) {
 	for _, k := range widths {
 		for lane := 0; lane < k; lane++ {
 			tu := twin.Tuple()
-			dx, dy, dz := r.e0.Openings[at+lane], r.e0.Openings[at+k+lane], r.e0.Openings[at+2*k+lane]
-			if dx != tu.A.Open() || dy != tu.B.Open() || dz != tu.C.Open() {
-				t.Fatalf("width %d lane %d did not use pool position %d", k, lane, at/3+lane)
+			for j := range 4 {
+				if r.e0.Openings[at+j*k+lane] != tu.bit(1<<j).Open() {
+					t.Fatalf("width %d lane %d did not use pool position %d", k, lane, at/4+lane)
+				}
 			}
 		}
-		at += 3 * k
+		at += 4 * k
+	}
+
+	c0, c1 := wire.Loopback(4)
+	defer c0.Close()
+	evs := [2]*Eval{NewEval(0, c0, 0), NewEval(1, c1, 0)}
+	if err := evs[0].DealTriples(NewDealer(seed), n); err != nil {
+		t.Fatal(err)
+	}
+	if err := evs[1].RecvTriples(); err != nil {
+		t.Fatal(err)
+	}
+	twin = NewDealer(seed)
+	for _, k := range widths {
+		words := [2][16]vec{evs[0].take(k), evs[1].take(k)}
+		for lane := 0; lane < k; lane++ {
+			tu := twin.Tuple()
+			h := [2]uint16{tu.S0, tu.S1}
+			for role := range words {
+				for s := 1; s < 16; s++ {
+					if got := words[role][s][lane/64] >> uint(lane%64) & 1; got != uint64(h[role]>>uint(s-1)&1) {
+						t.Fatalf("width %d lane %d role %d: component %04b reads %d, position %d holds %015b", k, lane, role, s, got, evs[0].next-k+lane, h[role])
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestOpenPadding: the padding bits of an opening's last byte go out as zero
-// and are ignored coming in — a peer that sets them changes nothing. The
-// widths include k = 1 (3 bits, 5 of padding) and k = 3 (9 bits over 2
-// bytes, 7 of padding).
+// and are ignored coming in — a peer that sets them changes nothing. Every
+// odd width pads: k = 1 is 4 bits and 4 of padding, k = 127 is 508 bits
+// over 64 bytes.
 func TestOpenPadding(t *testing.T) {
-	widths := []int{1, 3, 4, 5, 13, 60, 64}
+	widths := []int{1, 3, 4, 5, 13, 60, 64, 65, 96, 127, 128}
 	program := func(e *Eval) []uint32 {
 		var outs []uint32
+		role := uint(e.Role())
 		for _, k := range widths {
-			z := e.and(0x0123456789ABCDEF, 0xFFFF0000FFFF0000>>uint(e.Role()), 0xF0F0F0F0F0F0F0F0<<uint(e.Role()), k)
-			outs = append(outs, uint32(z), uint32(z>>32))
+			z := e.and(vec{0x0123456789ABCDEF, 0xFEDCBA9876543210}, vec{0xFFFF0000FFFF0000 >> role, 0x00FF00FF00FF00FF << role},
+				vec{0xF0F0F0F0F0F0F0F0 << role, 0x3333CCCC3333CCCC >> role}, vec{0xAAAAAAAA55555555 >> role, 0x5A5A5A5AA5A5A5A5 << role}, k)
+			outs = append(outs, uint32(z[0]), uint32(z[0]>>32), uint32(z[1]), uint32(z[1]>>32))
 		}
 		// The output shares differ per role; open them pairwise.
 		o := &opener{e: e}
@@ -318,7 +350,7 @@ func TestOpenPadding(t *testing.T) {
 		if typ != FrameOpen {
 			return
 		}
-		if pad := 8*len(p) - 3*widths[round]; pad > 0 {
+		if pad := 8*len(p) - 4*widths[round]; pad > 0 {
 			p[len(p)-1] |= 0xFF << uint(8-pad)
 		}
 		round++
@@ -337,10 +369,10 @@ func TestOpenPadding(t *testing.T) {
 	}
 	for i, k := range widths {
 		p := tap.opens[i]
-		if len(p) != (3*k+7)/8 {
+		if len(p) != (4*k+7)/8 {
 			t.Fatalf("width %d: %d-byte opening", k, len(p))
 		}
-		if pad := 8*len(p) - 3*k; pad > 0 && p[len(p)-1]>>uint(8-pad) != 0 {
+		if pad := 8*len(p) - 4*k; pad > 0 && p[len(p)-1]>>uint(8-pad) != 0 {
 			t.Errorf("width %d: padding bits sent as %#x", k, p[len(p)-1]>>uint(8-pad))
 		}
 	}
@@ -350,7 +382,7 @@ func TestOpenPadding(t *testing.T) {
 // frame — wrong type, wrong length, a tuple block mid-circuit — ends the
 // evaluation in a typed, sticky error: nothing further is sent (no desync),
 // nothing panics, and every later call reports the same error. The
-// comparator's first round is 48 lanes, an 18-byte opening.
+// comparator's first round is 42 lanes, a 21-byte opening.
 func TestHostileFrames(t *testing.T) {
 	// script plays the peer: it swallows `swallow` frames, then sends one.
 	cases := []struct {
@@ -361,17 +393,20 @@ func TestHostileFrames(t *testing.T) {
 		run     func(e *Eval)
 		sent    uint64 // frames the party may have sent when the error lands
 	}{
-		{"open: wrong type", FrameReveal, make([]byte, 18), 2, nil, 2},
-		{"open: one byte short", FrameOpen, make([]byte, 17), 2, nil, 2},
-		{"open: one byte long", FrameOpen, make([]byte, 19), 2, nil, 2},
+		{"open: wrong type", FrameReveal, make([]byte, 21), 2, nil, 2},
+		{"open: one byte short", FrameOpen, make([]byte, 20), 2, nil, 2},
+		{"open: one byte long", FrameOpen, make([]byte, 22), 2, nil, 2},
 		{"open: empty", FrameOpen, nil, 2, nil, 2},
-		{"open: triple block mid-circuit", FrameTriples, make([]byte, 18), 2, nil, 2},
-		{"open: two-input length", FrameOpen, make([]byte, 12), 2, nil, 2}, // ⌈2·48/8⌉
-		{"open k=1: two bytes", FrameOpen, make([]byte, 2), 2, func(e *Eval) { e.and(1, 1, 1, 1) }, 2},
-		{"open k=3: two-input length", FrameOpen, make([]byte, 1), 2, func(e *Eval) { e.and(7, 7, 7, 3) }, 2}, // 9 bits need 2 bytes
+		{"open: triple block mid-circuit", FrameTriples, make([]byte, 21), 2, nil, 2},
+		{"open: two-input length", FrameOpen, make([]byte, 11), 2, nil, 2}, // ⌈2·42/8⌉
+		{"open: fan-in-3 length", FrameOpen, make([]byte, 16), 2, nil, 2},  // ⌈3·42/8⌉
+		{"open k=1: two bytes", FrameOpen, make([]byte, 2), 2, func(e *Eval) { e.and(vec{1}, vec{1}, vec{1}, vec{1}, 1) }, 2},
+		{"open k=3: two-input length", FrameOpen, make([]byte, 1), 2, func(e *Eval) { e.and(vec{7}, vec{7}, vec{7}, vec{7}, 3) }, 2}, // 12 bits need 2 bytes
+		{"open k=96: cut at the 8-byte boundary", FrameOpen, make([]byte, 40), 2, func(e *Eval) { e.and(e.ones, e.ones, e.ones, e.ones, 96) }, 2},
 		{"reveal: short", FrameReveal, make([]byte, 3), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
 		{"reveal: open frame", FrameOpen, make([]byte, 4), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
 		{"triples: reveal frame", FrameReveal, make([]byte, 4), 0, func(e *Eval) { _ = e.RecvTriples() }, 1},
+		{"triples: half a tuple", FrameTriples, make([]byte, 2*TupleBytes+1), 0, func(e *Eval) { _ = e.RecvTriples() }, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,10 +3,16 @@ package gmw
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"incshrink/internal/wire"
 )
+
+// fuzzShape is the online schedule of FuzzPeerOpen's program: a
+// CompareExchange, whose rounds are all even-width and so unpadded, then an
+// Equal, whose last round (one lane, 4 bits) carries 4 bits of padding.
+var fuzzShape = slices.Concat(CompareExchangeShape, EqualShape)
 
 // rewriteConn is a fuzzed peer's end of the pair: its evaluator runs the
 // protocol honestly, but every FrameOpen it sends is reframed from the fuzz
@@ -28,20 +34,22 @@ func (c *rewriteConn) Send(typ byte, p []byte) error {
 	}
 	op, junk := c.data[0]%8, c.data[1]
 	c.data = c.data[2:]
-	k := CompareExchangeShape[c.round]
+	k := fuzzShape[c.round]
 	c.round++
 	out := bytes.Clone(p)
-	if pad := 8*len(out) - 3*k; pad > 0 {
+	if pad := 8*len(out) - 4*k; pad > 0 {
 		out[len(out)-1] |= junk << uint(8-pad)
 	}
 	switch op {
+	case 3: // the fan-in-3 length, ⌈3k/8⌉ (the same as ⌈4k/8⌉ for k = 1)
+		out = out[:(3*k+7)/8]
 	case 4: // one byte short
 		out = out[:len(out)-1]
 	case 5: // one byte long
 		out = append(out, junk)
 	case 6: // a reveal frame where an opening is due
 		typ = FrameReveal
-	case 7: // the two-input length, ⌈2k/8⌉ (the same as ⌈3k/8⌉ for k = 5)
+	case 7: // the two-input length, ⌈2k/8⌉ (the same as ⌈4k/8⌉ for k = 1)
 		out = out[:(2*k+7)/8]
 	}
 	if (typ != FrameOpen || len(out) != len(p)) && c.bad < 0 {
@@ -50,26 +58,27 @@ func (c *rewriteConn) Send(typ byte, p []byte) error {
 	return c.Conn.Send(typ, out)
 }
 
-// FuzzPeerOpen: a peer answers a CompareExchange with fuzzed FrameOpen
-// payloads. Whatever it sends, the honest party ends with the correct
-// (min, max) when every frame was well-formed — padding bits are ignored —
-// and otherwise with the sticky ErrBadFrame from the first malformed round,
-// having sent nothing after that round's opening. It never panics. Seed
-// corpus: testdata/fuzz/FuzzPeerOpen.
+// FuzzPeerOpen: a peer answers a CompareExchange and an Equal with fuzzed
+// FrameOpen payloads. Whatever it sends, the honest party ends with the
+// correct (min, max, x == y) when every frame was well-formed — padding
+// bits are ignored — and otherwise with the sticky ErrBadFrame from the
+// first malformed round, having sent nothing after that round's opening. It
+// never panics. Seed corpus: testdata/fuzz/FuzzPeerOpen.
 func FuzzPeerOpen(f *testing.F) {
 	f.Add(uint32(5), uint32(9), []byte{})
-	f.Add(uint32(9), uint32(5), []byte{0, 0xFF, 1, 0xFF, 2, 0xFF, 3, 0xFF})
+	f.Add(uint32(9), uint32(9), []byte{0, 0xFF, 1, 0xFF, 2, 0xFF, 0, 0xFF, 1, 0xFF, 2, 0xFF})
 	f.Add(uint32(1<<16), uint32(1<<15), []byte{0, 0, 4, 0})
 	f.Add(uint32(7), uint32(7), []byte{5, 0xAA})
 	f.Add(uint32(0), uint32(0xFFFFFFFF), []byte{0, 0, 1, 0, 2, 0, 6, 0})
-	f.Add(uint32(0xA5A5A5A5), uint32(0x5A5A5A5A), []byte{1, 1, 2, 2, 7, 0})
+	f.Add(uint32(0xA5A5A5A5), uint32(0x5A5A5A5A), []byte{1, 1, 2, 2, 3, 0})
 	f.Fuzz(func(t *testing.T, x, y uint32, data []byte) {
 		c0, c1 := wire.Loopback(8)
 		peer := &rewriteConn{Conn: c1, data: data, bad: -1}
 		e0, e1 := NewEval(0, c0, 0), NewEval(1, peer, 0)
 		program := func(e *Eval) (out []uint32) {
-			lo, hi := e.CompareExchange(ShareOfWord(e.Role(), x, 0x5EED5EED), ShareOfWord(e.Role(), y, 0xF00DF00D))
-			for _, w := range []WordShare{lo, hi} {
+			wx, wy := ShareOfWord(e.Role(), x, 0x5EED5EED), ShareOfWord(e.Role(), y, 0xF00DF00D)
+			lo, hi := e.CompareExchange(wx, wy)
+			for _, w := range []WordShare{lo, hi, WordOfBit(e.Equal(wx, wy))} {
 				if v, err := e.OpenWord(w); err == nil {
 					out = append(out, v)
 				}
@@ -84,7 +93,7 @@ func FuzzPeerOpen(f *testing.F) {
 			}
 		}()
 		var out []uint32
-		if e0.DealTriples(NewDealer(int64(x)<<32|int64(y)), CompareExchangeShape.ANDs()) == nil {
+		if e0.DealTriples(NewDealer(int64(x)<<32|int64(y)), fuzzShape.ANDs()) == nil {
 			out = program(e0)
 		}
 		sent := c0.Stats().FramesSent
@@ -92,8 +101,8 @@ func FuzzPeerOpen(f *testing.F) {
 		<-done
 
 		if peer.bad < 0 {
-			if e0.Err() != nil || len(out) != 2 || out[0] != min(x, y) || out[1] != max(x, y) {
-				t.Fatalf("well-formed peer: opened %v, err %v; want [%d %d]", out, e0.Err(), min(x, y), max(x, y))
+			if want := []uint32{min(x, y), max(x, y), b2u(x == y)}; e0.Err() != nil || !slices.Equal(out, want) {
+				t.Fatalf("well-formed peer: opened %v, err %v; want %v", out, e0.Err(), want)
 			}
 			return
 		}

@@ -1,9 +1,9 @@
 // Package gmw implements an executable two-party semi-honest secure
 // computation layer in the GMW style: boolean circuits evaluated over
-// XOR-shared bits, with AND gates of up to three inputs realized from
+// XOR-shared bits, with AND gates of up to four inputs realized from
 // correlated-randomness tuples handed out by an offline dealer (the standard
 // preprocessing model; EMP-Toolkit's semi-honest backend plays the same role
-// for the paper's prototype, and the three-input gate is ABY2.0's multi-input
+// for the paper's prototype, and the four-input gate is ABY2.0's multi-input
 // AND, Patra et al., USENIX Security 2021).
 //
 // The package serves two purposes in this reproduction:
@@ -12,7 +12,7 @@
 //     threshold comparisons, mux-based conditional swaps — actually running
 //     over shares between two parties joined by a wire.Conn (Eval), with the
 //     online transcript (the masked openings δx = x XOR a, δy = y XOR b,
-//     δz = z XOR c of every gate) visible for inspection.
+//     δz = z XOR c, δw = w XOR d of every gate) visible for inspection.
 //  2. It validates the cost simulator: the AND-gate counts of the word-level
 //     circuits here (adders, comparators, muxes) are what
 //     internal/mpc.CostModel charges per compare-exchange and per scan bit;
@@ -33,12 +33,39 @@ type Bit struct {
 // Open reconstructs the cleartext bit.
 func (b Bit) Open() bool { return b.S0 != b.S1 }
 
-// Tuple is the correlated randomness of one three-input AND gate: shared
-// uniform bits a, b and c together with shared products ab, ac, bc and abc.
-// Each AND gate, two-input or three-input, consumes exactly one tuple.
+// TupleBytes is the size of one party's share of a tuple on the wire: a
+// FrameTriples payload carries each gate's share as a little-endian uint16.
+const TupleBytes = 2
+
+// Tuple is the correlated randomness of one four-input AND gate: shared
+// uniform bits a, b, c and d together with shares of the product over every
+// non-empty subset of them, packed as each party's fifteen share bits. Bit
+// s-1 of S0 and of S1 are the two shares of the product over the subset s
+// of {a, b, c, d}, bit 0 of s standing for a, bit 1 for b, bit 2 for c and
+// bit 3 for d: bit 0 is a, bit 2 is ab, bit 14 is abcd. S0 and S1 are the
+// units of the FrameTriples payload. Each AND gate, of two, three or four
+// inputs, consumes exactly one tuple.
 type Tuple struct {
-	A, B, C, AB, AC, BC, ABC Bit
+	S0, S1 uint16
 }
+
+// bit returns the shared product over subset s, 1 <= s <= 15.
+func (t Tuple) bit(s uint) Bit {
+	return Bit{S0: t.S0>>(s-1)&1 == 1, S1: t.S1>>(s-1)&1 == 1}
+}
+
+// products[v] has bit s-1 set when the 4-bit value v (a, b, c, d in bits 0..3)
+// holds every member of subset s, that is when the product over s is 1.
+var products = func() (p [16]uint16) {
+	for v := range p {
+		for s := 1; s < 16; s++ {
+			if v&s == s {
+				p[v] |= 1 << (s - 1)
+			}
+		}
+	}
+	return p
+}()
 
 // Dealer produces correlated randomness in the offline phase. The dealer is
 // a standard abstraction for semi-honest preprocessing (instantiable with
@@ -53,36 +80,11 @@ func NewDealer(seed int64) *Dealer {
 	return &Dealer{rng: rand.New(rand.NewSource(seed))}
 }
 
-// shareBit splits v against a mask bit: party 0 holds the mask, party 1
-// holds v XOR mask.
-func shareBit(v, mask bool) Bit {
-	return Bit{S0: mask, S1: v != mask}
-}
-
-// Tuple draws one fresh tuple from a single 64-bit draw: bits 0..2 are a, b
-// and c, bits 3..9 the masks of the seven shares.
+// Tuple draws one fresh tuple from a single 64-bit draw: bits 0..3 are a,
+// b, c and d, bits 4..18 party 0's fifteen shares, the masks of the
+// products party 1 holds.
 func (d *Dealer) Tuple() Tuple {
 	r := d.rng.Uint64()
-	bit := func(i uint) bool { return r>>i&1 == 1 }
-	a, b, c := bit(0), bit(1), bit(2)
-	return Tuple{
-		A: shareBit(a, bit(3)), B: shareBit(b, bit(4)), C: shareBit(c, bit(5)),
-		AB: shareBit(a && b, bit(6)), AC: shareBit(a && c, bit(7)), BC: shareBit(b && c, bit(8)),
-		ABC: shareBit(a && b && c, bit(9)),
-	}
-}
-
-// halves packs each party's shares of t into a byte (bits 0..6 = a, b, c,
-// ab, ac, bc, abc) — the unit of both the FrameTriples payload and the
-// evaluator's tuple pool.
-func (t Tuple) halves() (h0, h1 byte) {
-	for i, s := range [...]Bit{t.A, t.B, t.C, t.AB, t.AC, t.BC, t.ABC} {
-		if s.S0 {
-			h0 |= 1 << uint(i)
-		}
-		if s.S1 {
-			h1 |= 1 << uint(i)
-		}
-	}
-	return h0, h1
+	s0 := uint16(r>>4) & 0x7FFF
+	return Tuple{S0: s0, S1: s0 ^ products[r&15]}
 }

@@ -114,44 +114,45 @@ func b2u(b bool) uint32 {
 func TestBitOpen(t *testing.T) {
 	for _, v := range []bool{true, false} {
 		for _, mask := range []bool{true, false} {
-			if shareBit(v, mask).Open() != v {
-				t.Fatalf("shareBit(%v, %v) round-trip failed", v, mask)
+			if (Bit{S0: mask, S1: v != mask}).Open() != v {
+				t.Fatalf("Bit{%v, %v ^ %v} round-trip failed", mask, v, mask)
 			}
 		}
 	}
 }
 
-// TestDealerTuples: every dealt tuple satisfies all seven correlations —
-// a, b and c free, ab, ac, bc and abc their products — the two packed halves
-// XOR back to it, and over many draws a, b, c and every share bit are
-// uniform.
+// TestDealerTuples: every dealt tuple satisfies all fifteen correlations —
+// a, b, c and d free, bit s-1 the product over subset s of them — and over
+// many draws a, b, c, d and every share bit are uniform.
 func TestDealerTuples(t *testing.T) {
 	const draws = 4000
 	d := NewDealer(2)
-	var ones [2][7]int // [party][bit] share ones
-	var free [3]int    // a, b, c cleartext ones
+	var ones [2][15]int // [party][bit] share ones
+	var free [4]int     // a, b, c, d cleartext ones
 	for i := 0; i < draws; i++ {
 		tu := d.Tuple()
-		a, b, c := tu.A.Open(), tu.B.Open(), tu.C.Open()
-		opened := [7]bool{a, b, c, tu.AB.Open(), tu.AC.Open(), tu.BC.Open(), tu.ABC.Open()}
-		want := [7]bool{a, b, c, a && b, a && c, b && c, a && b && c}
-		if opened != want {
-			t.Fatalf("tuple %d: opens to %v, want %v", i, opened, want)
+		var vals [4]bool
+		for j := range vals {
+			vals[j] = tu.bit(1 << j).Open()
+			free[j] += int(b2u(vals[j]))
 		}
-		h0, h1 := tu.halves()
-		var packed byte
-		for j, v := range want {
-			packed |= byte(b2u(v)) << uint(j)
+		for s := uint(1); s < 16; s++ {
+			want := true
+			for j, v := range vals {
+				if s>>j&1 == 1 {
+					want = want && v
+				}
+			}
+			if tu.bit(s).Open() != want {
+				t.Fatalf("tuple %d: subset %04b opens to %v, want %v", i, s, tu.bit(s).Open(), want)
+			}
 		}
-		if h0^h1 != packed || (h0|h1)>>7 != 0 {
-			t.Fatalf("tuple %d: halves %08b/%08b reconstruct %07b, want %07b", i, h0, h1, h0^h1, packed)
+		if (tu.S0|tu.S1)>>15 != 0 {
+			t.Fatalf("tuple %d: halves %016b/%016b use bit 15", i, tu.S0, tu.S1)
 		}
-		for j := range 7 {
-			ones[0][j] += int(h0 >> uint(j) & 1)
-			ones[1][j] += int(h1 >> uint(j) & 1)
-		}
-		for j, v := range []bool{a, b, c} {
-			free[j] += int(b2u(v))
+		for j := range 15 {
+			ones[0][j] += int(tu.S0 >> uint(j) & 1)
+			ones[1][j] += int(tu.S1 >> uint(j) & 1)
 		}
 	}
 	for j, n := range free {
@@ -168,6 +169,15 @@ func TestDealerTuples(t *testing.T) {
 	}
 }
 
+// poolAt reads pool position i of e back out of the bit-sliced pool, in the
+// FrameTriples layout.
+func poolAt(e *Eval, i int) (h uint16) {
+	for s, v := range e.pool[i/64] {
+		h |= uint16(v>>uint(i%64)&1) << s
+	}
+	return h
+}
+
 // TestEitherRoleDeals: whichever role deals, the two pools hold matching
 // halves of valid tuples.
 func TestEitherRoleDeals(t *testing.T) {
@@ -182,29 +192,57 @@ func TestEitherRoleDeals(t *testing.T) {
 		}
 		twin := NewDealer(8)
 		for i := 0; i < 100; i++ {
-			h0, h1 := twin.Tuple().halves()
-			if evs[0].tuples[i] != h0 || evs[1].tuples[i] != h1 {
-				t.Fatalf("role %d dealing: tuple %d pools hold %07b/%07b, want %07b/%07b", dealer, i, evs[0].tuples[i], evs[1].tuples[i], h0, h1)
+			tu := twin.Tuple()
+			if p0, p1 := poolAt(evs[0], i), poolAt(evs[1], i); p0 != tu.S0 || p1 != tu.S1 {
+				t.Fatalf("role %d dealing: tuple %d pools hold %015b/%015b, want %015b/%015b", dealer, i, p0, p1, tu.S0, tu.S1)
 			}
 		}
 		c0.Close()
 	}
 }
 
-// TestBitrev pins the delta-swap permutation to its definition — bit i moves
-// to the 5-bit reversal of i — and to being its own inverse.
+// TestBitrev pins the WordShare permutation — once a bit reversal, now the
+// radix-4 layout — to its table, and toLayout and fromLayout to being
+// inverse bijections that keep every bit.
 func TestBitrev(t *testing.T) {
+	want := [32]uint8{31, 10, 26, 16, 5, 23, 13, 2, 28, 18, 7, 30, 20, 9, 25, 15, 4, 22, 12, 1, 27, 17, 6, 29, 19, 8, 24, 14, 3, 21, 11, 0}
+	if layout != want {
+		t.Errorf("layout = %v, want %v", layout, want)
+	}
 	for i := 0; i < 32; i++ {
-		want := uint32(1) << (bits.Reverse8(uint8(i)) >> 3)
-		if got := bitrev(1 << uint(i)); got != want {
-			t.Errorf("bitrev(1<<%d) = %#x, want %#x", i, got, want)
+		if got := toLayout(1 << uint(i)); got != 1<<layout[i] {
+			t.Errorf("toLayout(1<<%d) = %#x, want bit %d", i, got, layout[i])
 		}
 	}
 	f := func(v uint32) bool {
-		return bitrev(bitrev(v)) == v && bits.OnesCount32(bitrev(v)) == bits.OnesCount32(v)
+		return fromLayout(toLayout(v)) == v && toLayout(fromLayout(v)) == v && bits.OnesCount32(toLayout(v)) == bits.OnesCount32(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSegments checks that the layout puts each block where the fold's first
+// round reads it: the block at element position e keeps its top bit at e
+// (fieldT), its middle bit at 11+e (fieldM) and its bottom bit at 21+e
+// (fieldB), and the three fields tile the word.
+func TestSegments(t *testing.T) {
+	if fieldT&fieldM != 0 || fieldT&fieldB != 0 || fieldM&fieldB != 0 || fieldT|fieldM|fieldB != word {
+		t.Fatalf("fields %#x, %#x, %#x do not tile the word", fieldT, fieldM, fieldB)
+	}
+	for e, b := range elements {
+		top, bottom := 3*b+1, 3*b-1
+		if b == 0 {
+			top, bottom = 1, 0
+		} else if got := toLayout(1 << (3 * b)); got != 1<<(11+e) || got&fieldM == 0 {
+			t.Errorf("block %d middle bit lands at %#x, want bit %d", b, got, 11+e)
+		}
+		if got := toLayout(1 << top); got != 1<<e || got&fieldT == 0 {
+			t.Errorf("block %d top bit lands at %#x, want bit %d", b, got, e)
+		}
+		if got := toLayout(1 << bottom); got != 1<<(21+e) || got&fieldB == 0 {
+			t.Errorf("block %d bottom bit lands at %#x, want bit %d", b, got, 21+e)
+		}
 	}
 }
 
@@ -245,53 +283,59 @@ func TestANDGateTruthTable(t *testing.T) {
 	}
 }
 
-// TestAND3TruthTable: the three-input gate on all 8 inputs, each trial
+// TestAND4TruthTable: the four-input gate on all 16 inputs, each trial
 // under fresh tuples and fresh input masks.
-func TestAND3TruthTable(t *testing.T) {
+func TestAND4TruthTable(t *testing.T) {
 	const trials = 12
-	r := runPair(t, 31, 8*trials, func(e *Eval) []uint32 {
+	r := runPair(t, 31, 16*trials, func(e *Eval) []uint32 {
 		o := &opener{e: e}
-		for i := uint32(0); i < 8*trials; i++ {
-			m := i >> 3 * 0x9E3779B9
-			x, y, z := uint64(bitShare(e.Role(), i&1, m>>7)), uint64(bitShare(e.Role(), i>>1&1, m>>13)), uint64(bitShare(e.Role(), i>>2&1, m>>21))
-			o.bit(BitShare(e.and(x, y, z, 1)))
+		for i := uint32(0); i < 16*trials; i++ {
+			m := i >> 4 * 0x9E3779B9
+			var in [4]uint64
+			for j := range in {
+				in[j] = uint64(bitShare(e.Role(), i>>uint(j)&1, m>>uint(7+6*j)))
+			}
+			o.bit(BitShare(e.and(vec{in[0]}, vec{in[1]}, vec{in[2]}, vec{in[3]}, 1)[0]))
 		}
 		return o.outs
 	})
 	for i, got := range r.out {
-		if x, y, z := uint32(i)&1, uint32(i)>>1&1, uint32(i)>>2&1; got != x&y&z {
-			t.Fatalf("trial %d: AND(%d,%d,%d) = %d", i/8, x, y, z, got)
+		if v := uint32(i) & 15; got != b2u(v == 15) {
+			t.Fatalf("trial %d: AND(%04b) = %d", i/16, v, got)
 		}
 	}
 }
 
-// TestMixedGateRound: one round whose lanes alternate between two-input
-// gates (z the public constant 1) and three-input gates (z secret), each
-// kind over all 8 input combinations twice.
+// TestMixedGateRound: one 96-lane round, two words, whose lanes cycle
+// through two-input gates (z and w the public constant 1), three-input
+// gates (w the public 1) and four-input gates, each kind over all 16
+// combinations of its lane's input bits twice.
 func TestMixedGateRound(t *testing.T) {
-	const k = 32 // lane i: odd lanes three-input, inputs (x, y, z) = bits 1..3 of i
+	const k = 96 // lane i: fan-in 2 + i%3, inputs (x, y, z, w) = bits 0..3 of i/3
 	r := runPair(t, 32, k, func(e *Eval) []uint32 {
-		var x, y, z uint64
+		var in [4]vec
 		for i := uint32(0); i < k; i++ {
-			xi, yi := uint64(bitShare(e.Role(), i>>1&1, i*5+1)), uint64(bitShare(e.Role(), i>>2&1, i*3))
-			zi := uint64(bitShare(e.Role(), i>>3&1, i>>1))
-			if i%2 == 0 {
-				zi = e.ones & 1
+			for j := range in {
+				v := uint64(bitShare(e.Role(), i/3>>uint(j)&1, i*(5+uint32(j))+uint32(j)))
+				if j >= 2+int(i%3) {
+					v = e.ones[0] & 1
+				}
+				in[j][i/64] |= v << (i % 64)
 			}
-			x, y, z = x|xi<<i, y|yi<<i, z|zi<<i
 		}
+		z := e.and(in[0], in[1], in[2], in[3], k)
 		o := &opener{e: e}
-		o.word(WordShare(e.and(x, y, z, k)))
+		for _, w := range []uint64{z[0], z[0] >> 32, z[1]} {
+			o.word(WordShare(w))
+		}
 		return o.outs
 	})
-	got := bitrev(r.out[0]) // undo OpenWord's relabelling: lane i is bit i
 	for i := uint32(0); i < k; i++ {
-		want := i >> 1 & (i >> 2) & 1
-		if i%2 == 1 {
-			want &= i >> 3
-		}
-		if got>>i&1 != want {
-			t.Errorf("lane %d (three-input %v): got %d, want %d", i, i%2 == 1, got>>i&1, want)
+		got := toLayout(r.out[i/32]) >> (i % 32) & 1 // undo OpenWord's relabelling: lane i is bit i
+		fanIn := 2 + i%3
+		want := b2u(i/3&(1<<fanIn-1) == 1<<fanIn-1)
+		if got != want {
+			t.Errorf("lane %d (%d-input, inputs %04b): got %d, want %d", i, fanIn, i/3&15, got, want)
 		}
 	}
 }
@@ -332,7 +376,7 @@ func TestNotOrMux(t *testing.T) {
 
 func TestWordRoundTrip(t *testing.T) {
 	f := func(v, mask uint32) bool {
-		if bitrev(uint32(ShareOfWord(0, v, mask)^ShareOfWord(1, v, mask))) != v {
+		if fromLayout(uint32(ShareOfWord(0, v, mask)^ShareOfWord(1, v, mask))) != v {
 			return false
 		}
 		return wordCircuit(t, 0, v, mask, func(_ *Eval, wx, _ WordShare) WordShare { return wx }) == v
@@ -417,9 +461,9 @@ func TestXORWords(t *testing.T) {
 }
 
 // foldBoundaries are the bit positions where the comparator's fold joins
-// two runs of segments: the radix-3 groups of each 16-bit half start at
-// bits 4 and 10 (and 20 and 26), and the halves meet at bit 16.
-var foldBoundaries = []uint{4, 10, 16, 20, 26}
+// two blocks: blocks start at bits 2, 5, …, 29, and the runs of blocks the
+// second round folds (L, M and H) at bits 8 and 20.
+var foldBoundaries = []uint{2, 5, 8, 11, 14, 17, 20, 23, 26, 29}
 
 // foldBoundaryPairs lists input pairs that stress the fold's joins: words
 // differing in the single bit on either side of each boundary, in both
@@ -436,7 +480,7 @@ func foldBoundaryPairs() [][2]uint32 {
 			}
 		}
 	}
-	for _, b := range append([]uint{0, 2, 30}, foldBoundaries...) {
+	for _, b := range append([]uint{0, 1, 30}, foldBoundaries...) {
 		below := uint32(1)<<b - 1 // +1 carries into bit b
 		for _, w := range []uint32{below, below | 0xA0000000&^(1<<b)} {
 			pairs = append(pairs, [2]uint32{w, w + 1}, [2]uint32{w + 1, w})
@@ -492,22 +536,17 @@ func TestCompareExchangeQuick(t *testing.T) {
 // TestCompareExchangeFitsBenchmarkDeal: cmd/benchmark deals a fixed
 // cexANDs = 160 tuples per comparator for its GMW sort (workload_party.go
 // and probe_gmw.go), so a comparator circuit needing more would exhaust the
-// benchmark's pool mid-sort.
+// benchmark's pool mid-sort. The party_tls sort — Batcher's network over 64
+// words, 543 comparators — deals its whole pool as one FrameTriples frame,
+// which must fit the frame bound a NetConn reader enforces by default, or
+// the run fails with ErrFrameTooLarge.
 func TestCompareExchangeFitsBenchmarkDeal(t *testing.T) {
-	const cexANDs = 160
+	const cexANDs, sortComparators = 160, 543
 	if n := CompareExchangeShape.ANDs(); n > cexANDs {
 		t.Errorf("CompareExchange consumes %d tuples; the benchmark deals %d per comparator", n, cexANDs)
 	}
-}
-
-// TestSegments pins the fold's relabelling: after segments, position j of a
-// WordShare holds bit 2j of the word and position 16+j bit 2j+1.
-func TestSegments(t *testing.T) {
-	for i := uint(0); i < 32; i++ {
-		want := uint32(1) << (i>>1 | i&1<<4)
-		if got := segments(bitrev(1 << i)); got != want {
-			t.Errorf("bit %d lands at %#x, want %#x", i, got, want)
-		}
+	if n := cexANDs * sortComparators * TupleBytes; n > wire.MaxFrame {
+		t.Errorf("the party_tls sort deals a %d-byte tuple frame; readers accept at most %d", n, wire.MaxFrame)
 	}
 }
 
@@ -592,10 +631,13 @@ func TestCommunicationAccounting(t *testing.T) {
 		e.AND(bitShare(e.Role(), 1, 1), bitShare(e.Role(), 0, 1))
 		return nil
 	})
-	// Each party sends its shares of δx, δy and δz and receives the peer's:
-	// 6 bits across both directions.
-	if got := r.e0.BitsSent + r.e1.BitsSent; got != 6*2 || r.e0.BitsSent != 6 {
-		t.Errorf("one AND gate moved %d+%d bits, want 6 per party", r.e0.BitsSent, r.e1.BitsSent)
+	// Each party sends its shares of δx, δy, δz and δw and receives the
+	// peer's: 8 bits across both directions.
+	if got := r.e0.BitsSent + r.e1.BitsSent; got != 8*2 || r.e0.BitsSent != 8 {
+		t.Errorf("one AND gate moved %d+%d bits, want 8 per party", r.e0.BitsSent, r.e1.BitsSent)
+	}
+	if c := r.c0.Stats(); c.BytesRecv != wire.FrameOverhead+1 {
+		t.Errorf("one AND gate's opening is a %d-byte frame, want %d: four bits pad to one byte", c.BytesRecv, wire.FrameOverhead+1)
 	}
 	if r.e0.Stats() == "" {
 		t.Error("empty stats")
@@ -606,7 +648,7 @@ func TestRecordLimit(t *testing.T) {
 	c0, c1 := wire.Loopback(256)
 	defer c0.Close()
 	defer c1.Close()
-	// 10 single gates then a 48-lane round: the limit holds across both.
+	// 10 single gates then a 42-lane round: the limit holds across both.
 	r := evalPair(t, c0, c1, 17, 10+LessThanShape.ANDs(), 3, func(e *Eval) []uint32 {
 		for i := 0; i < 10; i++ {
 			e.AND(bitShare(e.Role(), 1, 1), bitShare(e.Role(), 1, 0))
@@ -626,21 +668,23 @@ func TestRecordLimit(t *testing.T) {
 // share bits each party puts in its FrameOpen payloads, and the δx, δy and
 // δz both reconstruct — must be uniform regardless of the inputs, and must
 // depend on the dealer's randomness only: the semi-honest security argument
-// at the frame level. Every one of the 3k bit positions of each of a
-// CompareExchange's four frames is tallied over dealer seeds for three input
-// pairs — δz included, which for a two-input lane is the opening of the
-// public 1, masked only by c.
+// at the frame level. Every one of the 4k bit positions of each of a
+// CompareExchange's three frames, the 96-lane round's lanes 64–95 included,
+// is tallied over dealer seeds for four input pairs — δz and δw included,
+// which for a two-input lane are openings of the public 1, masked only by c
+// and d. The last pair differs only in its low byte, so the comparison is
+// decided by lanes 64–95.
 func TestOpeningsUniform(t *testing.T) {
 	const seeds = 600
 	shape := CompareExchangeShape
 	// math/rand streams seeded 0, 1, 2, … are correlated draw for draw, so
 	// the dealer seeds are themselves drawn from a stream.
 	seedStream := rand.New(rand.NewSource(14))
-	for _, in := range [][2]uint32{{0, 0}, {math.MaxUint32, math.MaxUint32}, {7, 1 << 31}} {
+	for _, in := range [][2]uint32{{0, 0}, {math.MaxUint32, math.MaxUint32}, {7, 1 << 31}, {0xC0DE0081, 0xC0DE0012}} {
 		var sentOnes, openOnes [][]int // [round][bit]
 		for _, k := range shape {
-			sentOnes = append(sentOnes, make([]int, 3*k))
-			openOnes = append(openOnes, make([]int, 3*k))
+			sentOnes = append(sentOnes, make([]int, 4*k))
+			openOnes = append(openOnes, make([]int, 4*k))
 		}
 		var first [][]byte
 		for run := 0; run < seeds; run++ {
@@ -660,14 +704,14 @@ func TestOpeningsUniform(t *testing.T) {
 			}
 			at := 0
 			for round, k := range shape {
-				if len(tap.opens[round]) != (3*k+7)/8 {
+				if len(tap.opens[round]) != (4*k+7)/8 {
 					t.Fatalf("run %d round %d: %d-byte frame for %d lanes", run, round, len(tap.opens[round]), k)
 				}
-				for bit := 0; bit < 3*k; bit++ {
+				for bit := 0; bit < 4*k; bit++ {
 					sentOnes[round][bit] += int(tap.opens[round][bit/8] >> uint(bit%8) & 1)
 					openOnes[round][bit] += int(b2u(r.e0.Openings[at+bit]))
 				}
-				at += 3 * k
+				at += 4 * k
 			}
 			switch run {
 			case 0:
@@ -691,6 +735,31 @@ func TestOpeningsUniform(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompareExchangeAllocs: once the pool is dealt, a loopback comparator
+// allocates nothing on either party — the round's tuple words, openings and
+// expansion all live on the stack.
+func TestCompareExchangeAllocs(t *testing.T) {
+	const runs = 50
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	var allocs float64
+	evalPair(t, c0, c1, 3, (runs+1)*CompareExchangeShape.ANDs(), 1, func(e *Eval) []uint32 {
+		x, y := ShareOfWord(e.Role(), 5, 0xA5A5A5A5), ShareOfWord(e.Role(), 9, 0x5A5A5A5A)
+		if e.Role() == 1 {
+			for range runs + 1 { // AllocsPerRun's warm-up call, then the measured ones
+				x, y = e.CompareExchange(y, x)
+			}
+			return nil
+		}
+		allocs = testing.AllocsPerRun(runs, func() { x, y = e.CompareExchange(y, x) })
+		return nil
+	})
+	if allocs != 0 {
+		t.Errorf("a loopback CompareExchange allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -36,14 +36,14 @@ func PredictExchanges(words ...int) PredictedWire {
 
 // PredictOpenRounds prices the online GMW rounds of a circuit (internal/gmw
 // Eval) from its round shape — the lane count k of each AND round, as gmw
-// declares it. A round is priced by its lane count, not per gate: the 3k
-// masked-opening share bits δx = x^a, δy = y^b, δz = z^c of its k
-// three-input gates go out packed in one ⌈3k/8⌉-byte frame and the peer's
+// declares it. A round is priced by its lane count, not per gate: the 4k
+// masked-opening share bits δx = x^a, δy = y^b, δz = z^c, δw = w^d of its
+// k four-input gates go out packed in one ⌈4k/8⌉-byte frame and the peer's
 // come back in another.
 func PredictOpenRounds(lanes []int) PredictedWire {
 	w := PredictedWire{Rounds: uint64(len(lanes))}
 	for _, k := range lanes {
-		w.Bytes += 2 * uint64(wire.FrameOverhead+(3*k+7)/8)
+		w.Bytes += 2 * uint64(wire.FrameOverhead+(4*k+7)/8)
 	}
 	return w
 }

@@ -105,15 +105,16 @@ type Report struct {
 
 // Predict returns the modeled per-party wire cost of a session: the
 // runtime rounds of every step, the GMW online opening rounds and output
-// reveals, and the one offline tuple-block frame (which rides ahead of the
-// first AND round, so it adds bytes but no round).
+// reveals, and the one offline tuple-block frame of gmw.TupleBytes per
+// tuple (which rides ahead of the first AND round, so it adds bytes but no
+// round).
 func Predict(cfg Config) (rounds, bytes uint64) {
 	step := mpc.PredictExchanges(stepRounds...)
 	reveal := mpc.PredictExchanges(gmwReveals...)
 	open := mpc.PredictOpenRounds(gmwSchedule)
 	steps := uint64(cfg.Steps)
 	return steps*step.Rounds + reveal.Rounds + open.Rounds,
-		steps*step.Bytes + reveal.Bytes + open.Bytes + uint64(wire.FrameOverhead+gmwSchedule.ANDs())
+		steps*step.Bytes + reveal.Bytes + open.Bytes + uint64(wire.FrameOverhead+gmw.TupleBytes*gmwSchedule.ANDs())
 }
 
 // counterValue is the deterministic counter plaintext re-shared at step t.

@@ -21,7 +21,7 @@ func FuzzFrameDecoder(f *testing.F) {
 	f.Add([]byte{9})                         // bare type byte
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff}) // hostile length
 	f.Add([]byte{2, 5, 0, 0, 0, 'a', 'b'})   // truncated payload
-	// A gmw FrameOpen (type 0x11) carrying a 16-lane round: 48 opening bits.
+	// A gmw FrameOpen (type 0x11) carrying a 12-lane round: 48 opening bits.
 	f.Add(AppendFrame(nil, 0x11, []byte{0xEF, 0xBE, 0xAD, 0xDE, 0xCD, 0xAB}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data), 1<<16)
