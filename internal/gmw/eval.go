@@ -23,7 +23,8 @@ const (
 	// on receipt. k is public (it is the circuit's round shape), so the
 	// receiver checks the length against it.
 	FrameOpen byte = 0x11
-	// FrameReveal carries one 4-byte word share for an output opening.
+	// FrameReveal carries an output opening: this party's 4-byte word
+	// shares, little-endian, back to back.
 	FrameReveal byte = 0x12
 )
 
@@ -45,7 +46,7 @@ type BitShare uint8
 // WordShare is one party's share of a secret 32-bit word, packed with bit i
 // of the word at position layout[i], the order in which the comparator's
 // first round is shifts and masks (see fold). Build one with ShareOfWord or
-// WordOfBit; OpenWord undoes the permutation.
+// WordOfBit; OpenWords undoes the permutation.
 type WordShare uint32
 
 // vec is the lanes of one AND round, lane i at bit i%64 of word i/64.
@@ -140,7 +141,7 @@ var (
 // propagating the sticky error (Err), so word-level circuits compose without
 // per-gate error plumbing. Both parties observe identical public openings; a
 // per-gate consistency failure therefore surfaces as differing opened
-// outputs, which OpenWord callers check.
+// outputs, which OpenWords callers check.
 type Eval struct {
 	role int // 0 or 1, the secretshare party index
 	conn wire.Conn
@@ -578,23 +579,37 @@ func ShareOfWord(role int, value, mask uint32) WordShare {
 // circuit's bit output can be opened with OpenWord.
 func WordOfBit(b BitShare) WordShare { return WordShare(b) << layout[0] }
 
-// OpenWord reveals a secret word: exchange the packed 4-byte shares and XOR.
-// Both parties learn the cleartext; use only on protocol outputs.
+// OpenWord reveals a secret word: OpenWords of one word.
 func (e *Eval) OpenWord(w WordShare) (uint32, error) {
+	var out [1]uint32
+	err := e.OpenWords([]WordShare{w}, out[:])
+	return out[0], err
+}
+
+// OpenWords reveals a vector of secret words into out[:len(ws)] in one
+// round: exchange the packed 4-byte shares in one FrameReveal frame each way
+// and XOR. Both parties learn the cleartexts; use only on protocol outputs.
+func (e *Eval) OpenWords(ws []WordShare, out []uint32) error {
 	if e.err != nil {
-		return 0, e.err
+		return e.err
 	}
-	binary.LittleEndian.PutUint32(e.buf[:4], uint32(w))
-	e.BitsSent += 64
-	if err := e.conn.Send(FrameReveal, e.buf[:4]); err != nil {
+	out = out[:len(ws)]
+	p := e.buf[:0]
+	for _, w := range ws {
+		p = binary.LittleEndian.AppendUint32(p, uint32(w))
+	}
+	e.BitsSent += 64 * len(ws)
+	if err := e.conn.Send(FrameReveal, p); err != nil {
 		e.fail(err)
-		return 0, e.err
+		return e.err
 	}
-	p := e.recv(FrameReveal, 4)
-	if p == nil {
-		return 0, e.err
+	if p = e.recv(FrameReveal, 4*len(ws)); p == nil {
+		return e.err
 	}
-	return fromLayout(uint32(w) ^ binary.LittleEndian.Uint32(p)), nil
+	for i, w := range ws {
+		out[i] = fromLayout(uint32(w) ^ binary.LittleEndian.Uint32(p[4*i:]))
+	}
+	return nil
 }
 
 // Stats summarizes the evaluation.

@@ -405,6 +405,7 @@ func TestHostileFrames(t *testing.T) {
 		{"open k=96: cut at the 8-byte boundary", FrameOpen, make([]byte, 40), 2, func(e *Eval) { e.and(e.ones, e.ones, e.ones, e.ones, 96) }, 2},
 		{"reveal: short", FrameReveal, make([]byte, 3), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
 		{"reveal: open frame", FrameOpen, make([]byte, 4), 2, func(e *Eval) { _, _ = e.OpenWord(5) }, 2},
+		{"reveal: one word of four", FrameReveal, make([]byte, 4), 2, func(e *Eval) { _ = e.OpenWords([]WordShare{1, 2, 3, 4}, make([]uint32, 4)) }, 2},
 		{"triples: reveal frame", FrameReveal, make([]byte, 4), 0, func(e *Eval) { _ = e.RecvTriples() }, 1},
 		{"triples: half a tuple", FrameTriples, make([]byte, 2*TupleBytes+1), 0, func(e *Eval) { _ = e.RecvTriples() }, 1},
 	}

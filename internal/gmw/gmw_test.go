@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -760,6 +761,50 @@ func TestCompareExchangeAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a loopback CompareExchange allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestOpenWords: a vector reveal opens every word in one round, agrees with
+// word-at-a-time OpenWord, and allocates nothing once warm.
+func TestOpenWords(t *testing.T) {
+	vals := []uint32{0, 1, 0xDEADBEEF, 0xFFFFFFFF, 1 << 31}
+	const runs = 20
+	c0, c1 := wire.Loopback(256)
+	defer c0.Close()
+	defer c1.Close()
+	var allocs float64
+	r := evalPair(t, c0, c1, 4, 0, 0, func(e *Eval) []uint32 {
+		ws := make([]WordShare, len(vals))
+		for i, v := range vals {
+			ws[i] = ShareOfWord(e.Role(), v, 0x9E3779B9*uint32(i+1))
+		}
+		out := make([]uint32, len(vals))
+		before := e.conn.Stats()
+		if err := e.OpenWords(ws, out); err != nil {
+			t.Errorf("role %d: %v", e.Role(), err)
+		}
+		if d := e.conn.Stats().Sub(before); d.FramesSent != 1 {
+			t.Errorf("role %d: %d reveal frames sent, want 1", e.Role(), d.FramesSent)
+		}
+		for i, w := range ws {
+			if v, err := e.OpenWord(w); err != nil || v != out[i] {
+				t.Errorf("role %d word %d: OpenWords %d, OpenWord %d (%v)", e.Role(), i, out[i], v, err)
+			}
+		}
+		if e.Role() == 1 {
+			for range runs + 1 { // AllocsPerRun's warm-up call, then the measured ones
+				_ = e.OpenWords(ws, out)
+			}
+		} else {
+			allocs = testing.AllocsPerRun(runs, func() { _ = e.OpenWords(ws, out) })
+		}
+		return out
+	})
+	if !slices.Equal(r.out, vals) {
+		t.Errorf("opened %v, want %v", r.out, vals)
+	}
+	if allocs != 0 {
+		t.Errorf("a loopback OpenWords allocates %.1f times, want 0", allocs)
 	}
 }
 

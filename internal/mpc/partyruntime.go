@@ -162,18 +162,6 @@ func (pr *PartyRuntime) share(i int, key string, value secretshare.Word) {
 	pr.party.StoreShare(pr.now, key, sh)
 }
 
-// RecoverInside reconstructs the value under key: this party sends its
-// share, receives the peer's, and XOR-recovers. The plaintext is returned to
-// the protocol layer only; no transcript event is recorded.
-func (pr *PartyRuntime) RecoverInside(key string) (secretshare.Word, error) {
-	rd := pr.Round()
-	i := rd.Recover(key)
-	if err := rd.Exchange(); err != nil {
-		return 0, err
-	}
-	return rd.Recovered(i), nil
-}
-
 // ObserveBatch records a padded Transform batch in this party's transcript.
 func (pr *PartyRuntime) ObserveBatch(size int, label string) {
 	pr.party.observe(Event{Kind: EvBatchObserved, Time: pr.now, Size: size, Label: label})

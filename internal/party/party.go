@@ -7,11 +7,12 @@
 // snapshots, wire tallies) is byte-identical across transports.
 //
 // The session script exercises every wire primitive the runtime and the GMW
-// layer own: per-step counter re-shares with joint Laplace noise in one
-// round and in-protocol recoveries in a second, transcript observations,
-// followed by a GMW segment
-// (offline tuple dealing plus online rounds of batched AND openings)
-// evaluating the paper's counter-update, threshold and comparator circuits.
+// layer own: each step is one round, the shape of core.Timer.Tick, that
+// recovers the shared counter in-protocol, draws joint Laplace noise and
+// re-shares the next counter; then transcript observations; then a GMW
+// segment (offline tuple dealing plus online rounds of batched AND
+// openings) evaluating the paper's counter-update, threshold and comparator
+// circuits, whose four outputs are revealed in one round.
 // The schedule is a pure function of the configuration, so the wire cost is
 // predictable in closed form (Predict) and the smoke harness can hold
 // measured conn counters to it.
@@ -67,14 +68,14 @@ func (c Config) Validate() error {
 // AND gate) and the wire prediction both derive from it.
 var gmwSchedule = slices.Concat(gmw.AddShape, gmw.LessThanShape, gmw.CompareExchangeShape)
 
-// gmwReveals is the round schedule of the GMW segment's four OpenWord
-// calls: one 4-byte word each way per reveal, priced as a one-word round.
-var gmwReveals = []int{1, 1, 1, 1}
+// gmwReveals is the round schedule of the GMW segment's output reveal: its
+// four words go in one OpenWords frame each way, priced as a four-word round.
+var gmwReveals = []int{4}
 
-// stepRounds is the word count of each runtime round of one step: the
-// counter re-share with the two joint noise words, then the counter
-// recovery, which needs the re-share's result.
-var stepRounds = []int{3, 1}
+// stepRounds is the word count of each runtime round of one step: one round
+// carries the counter re-share, the two joint noise words and the recovery
+// of the counter the previous step re-shared.
+var stepRounds = []int{4}
 
 // Report is the deterministic outcome of one session, the unit the
 // equivalence tests and the wire smoke compare across transports.
@@ -117,7 +118,8 @@ func Predict(cfg Config) (rounds, bytes uint64) {
 		steps*step.Bytes + reveal.Bytes + open.Bytes + uint64(wire.FrameOverhead+gmw.TupleBytes*gmwSchedule.ANDs())
 }
 
-// counterValue is the deterministic counter plaintext re-shared at step t.
+// counterValue is the deterministic counter plaintext step t recovers: step
+// t-1 re-shares it, and counterValue(0) = 0 is the initial counter.
 func counterValue(t int) uint32 { return uint32(t) * 2654435761 }
 
 // Run executes a full session over conn and reports its observables.
@@ -182,6 +184,11 @@ func (s *session) encodeSnapshot() ([]byte, error) {
 }
 
 func (s *session) run(from int) (*Report, error) {
+	if from == 0 {
+		// Alg. 1 lines 1-2: the counter starts at a public zero, which both
+		// parties share without a round.
+		s.pr.Party().StoreShare(0, "c", 0)
+	}
 	for t := from; t < s.cfg.Steps; t++ {
 		if err := s.step(t); err != nil {
 			return nil, err
@@ -201,26 +208,26 @@ func (s *session) run(from int) (*Report, error) {
 	return s.report(ev)
 }
 
-// step is one runtime protocol step in the two rounds of stepRounds:
-// re-share the counter and draw joint Laplace noise, then recover the
-// counter back (checking the reconstruction); then record the public
-// observations of a padded batch plus the periodic DP fetch/flush.
+// step is one runtime protocol step in the one round of stepRounds, the
+// shape of core.Timer.Tick: recover the counter step t-1 re-shared
+// (checking the reconstruction), draw joint Laplace noise and re-share the
+// next counter; then record the public observations of a padded batch plus
+// the periodic DP fetch/flush. Declaration order is draw order — the
+// re-share mask, then the noise — and the recovery, which draws nothing,
+// goes last; it loads the stored share at Exchange, before Share replaces it.
 func (s *session) step(t int) error {
 	s.pr.SetTime(t)
 	rd := s.pr.Round()
-	share, noise := rd.Reshare("c"), rd.Noise()
+	share, noise, cw := rd.Reshare("c"), rd.Noise(), rd.Recover("c")
 	if err := rd.Exchange(); err != nil {
 		return err
 	}
-	rd.Share(share, counterValue(t))
-	lap := rd.Laplace(noise, 2.5, mpc.OpShrink)
-	c, err := s.pr.RecoverInside("c")
-	if err != nil {
-		return err
-	}
+	c := rd.Recovered(cw)
 	if c != counterValue(t) {
 		return fmt.Errorf("party: role %d step %d: recovered counter %d, want %d", s.cfg.Role, t, c, counterValue(t))
 	}
+	rd.Share(share, counterValue(t+1))
+	lap := rd.Laplace(noise, 2.5, mpc.OpShrink)
 	s.open(c)
 	bits := math.Float64bits(lap)
 	s.open(uint32(bits))
@@ -255,27 +262,14 @@ func (s *session) gmwSegment() (*gmw.Eval, error) {
 	wc := gmw.ShareOfWord(s.cfg.Role, last, 0xC0FFEE01)
 	wd := gmw.ShareOfWord(s.cfg.Role, uint32(s.cfg.Steps), 0x5EED5EED)
 
-	sum, err := ev.OpenWord(ev.CounterUpdate(wc, wd))
-	if err != nil {
-		return nil, err
-	}
-	s.open(sum)
-	ge, err := ev.OpenWord(gmw.WordOfBit(ev.ThresholdCheck(wc, wd)))
-	if err != nil {
-		return nil, err
-	}
-	s.open(ge)
+	sum := ev.CounterUpdate(wc, wd)
+	ge := gmw.WordOfBit(ev.ThresholdCheck(wc, wd))
 	lo, hi := ev.CompareExchange(wc, wd)
-	lov, err := ev.OpenWord(lo)
-	if err != nil {
+	var out [4]uint32
+	if err := ev.OpenWords([]gmw.WordShare{sum, ge, lo, hi}, out[:]); err != nil {
 		return nil, err
 	}
-	s.open(lov)
-	hiv, err := ev.OpenWord(hi)
-	if err != nil {
-		return nil, err
-	}
-	s.open(hiv)
+	s.opened = append(s.opened, out[:]...)
 	return ev, nil
 }
 

@@ -1,7 +1,10 @@
 package party
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -125,17 +128,30 @@ func runRecordedPair(t *testing.T, cfg Config) (r [2]*Report, tr [2]*mpc.Transcr
 	return r, tr
 }
 
-// TestTranscriptDigestMatchesLoggedTranscript pins each party's events two
-// ways. Without their wire stamps they hash to what the one-word-per-round
-// runtime recorded — grouping words into frames moved no draw, event or
-// order. With them, the running digest is the literal the
-// two-rounds-per-step schedule produces.
+// TestTranscriptDigestMatchesLoggedTranscript pins each party's events
+// three ways. Leaving out the stored shares, and without wire stamps, they
+// hash to what the two-rounds-per-step schedule recorded: folding the
+// recovery into the re-share's round moved no draw, contribution or
+// observation. The unstamped and the running (stamped) digests are this
+// schedule's literals. The unstamped one moved from the two-round schedule
+// for two reasons: both parties store a share of the initial zero counter
+// before step 0, and role 1's share stored at step t masks counterValue(t+1)
+// rather than counterValue(t).
 func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
 	r, tr := runRecordedPair(t, Config{Seed: 1234, Steps: 12, SnapshotAt: -1})
-	for role, want := range []struct{ unstamped, full string }{
-		{"74ff61a73a1505bbc55cb641521f5b4861c61bc8d123c051b6282d1da220eca9", "017cf72a0058cf7b02c932dd301794cd468746a615dc099448a8c90719db7a42"},
-		{"554007e8642b39894b913fa4c1d0b73280fce04c311ee6212eb5ec4882ac9fd7", "bba3d74b05e0440898cbf136b4dba70f7f06ed353c5ddd7354e6668a5bd2a415"},
+	for role, want := range []struct{ draws, unstamped, full string }{
+		{"a74f8d14d943d8b8ed5f2ac0f2326d1eb3e5eec479d95a84329e0fde69ae2da4", "c47960dcda5aa217fff9d8025dbde7f3470cd0b16594c45dd8d2ee7457402ab8", "8b789fbd4496815d333b155452b21c1c76636222d2608c4ea6fb820d70f0dd57"},
+		{"f2417e5bffc8b55d72c3380f6e4c6e09101aaee7c8d49d4f1df4386ae4bb02a5", "48d2f8478ca1bfc82823f14cd6c19f9f9d1320c6168c38f10865399ce546a34a", "b38266c401c8ff9469436f45647e3fec24f215e24c15f4e648df51c5f7069717"},
 	} {
+		var draws mpc.Transcript
+		for _, ev := range tr[role].Events {
+			if ev.Kind != mpc.EvShareReceived {
+				draws.Append(ev)
+			}
+		}
+		if d := draws.DigestWithoutWire(); hex.EncodeToString(d[:]) != want.draws {
+			t.Errorf("role %d events other than stored shares hash to %x, want %s", role, d, want.draws)
+		}
 		if d := tr[role].DigestWithoutWire(); hex.EncodeToString(d[:]) != want.unstamped {
 			t.Errorf("role %d events without wire stamps hash to %x, want %s", role, d, want.unstamped)
 		}
@@ -147,11 +163,11 @@ func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
 
 // TestMeasuredWireMatchesPrediction pins the measured conn counters to the
 // closed-form model exactly: the schedule is deterministic, so over loopback
-// there is no slack at all. The model itself is the declared schedules: two
-// runtime rounds per step, the GMW segment's AND rounds and its reveals.
+// there is no slack at all. The model itself is the declared schedules: one
+// runtime round per step, the GMW segment's AND rounds and its reveal.
 func TestMeasuredWireMatchesPrediction(t *testing.T) {
-	if len(stepRounds) != 2 {
-		t.Errorf("a step takes %d runtime rounds, want 2: only the recovery waits on the re-share", len(stepRounds))
+	if len(stepRounds) != 1 {
+		t.Errorf("a step takes %d runtime rounds, want 1: recovery, noise and re-share are one round, as in core.Timer.Tick", len(stepRounds))
 	}
 	r0, r1, err := RunLoopbackPair(testConfig())
 	if err != nil {
@@ -171,14 +187,14 @@ func TestMeasuredWireMatchesPrediction(t *testing.T) {
 	if want := uint64(len(stepRounds)*testConfig().Steps + len(gmwSchedule) + len(gmwReveals)); r0.PredictedRounds != want {
 		t.Errorf("predicted %d rounds, want %d", r0.PredictedRounds, want)
 	}
-	// The session the benchmark runs: 350 steps cost each party 742 rounds
-	// and 19,391 bytes, measured and predicted.
+	// The session the benchmark runs: 350 steps cost each party 389 rounds
+	// and 15,861 bytes, measured and predicted.
 	l0, _, err := RunLoopbackPair(Config{Seed: 5, Steps: 350, SnapshotAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l0.WireRounds != 742 || l0.WireBytes != 19391 || l0.PredictedRounds != 742 || l0.PredictedBytes != 19391 {
-		t.Errorf("350 steps: measured %d rounds / %d bytes, predicted %d / %d, want 742 / 19391",
+	if l0.WireRounds != 389 || l0.WireBytes != 15861 || l0.PredictedRounds != 389 || l0.PredictedBytes != 15861 {
+		t.Errorf("350 steps: measured %d rounds / %d bytes, predicted %d / %d, want 389 / 15861",
 			l0.WireRounds, l0.WireBytes, l0.PredictedRounds, l0.PredictedBytes)
 	}
 }
@@ -228,47 +244,107 @@ func TestLoopbackVsTCPEquivalence(t *testing.T) {
 }
 
 // TestSnapshotRejoinByteIdentical is the crash/rejoin contract: both parties
-// snapshot mid-run, are rebuilt from those bytes over a fresh connection,
-// and the completed session is byte-identical to the uninterrupted one —
-// including the transcript wire stamps, which survive the connection
-// counters resetting.
+// snapshot after step k, are rebuilt from those bytes over a fresh
+// connection, and the completed session is byte-identical to the
+// uninterrupted one — including the transcript wire stamps, which survive
+// the connection counters resetting. Every k is tried: the snapshot after
+// step k carries the share of the counter step k+1 recovers.
 func TestSnapshotRejoinByteIdentical(t *testing.T) {
-	cfg := testConfig()
-	f0, f1, err := RunLoopbackPair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f0.Snapshot) == 0 || len(f1.Snapshot) == 0 {
-		t.Fatal("mid-run snapshots missing")
-	}
+	for k := range testConfig().Steps {
+		cfg := testConfig()
+		cfg.SnapshotAt = k
+		f0, f1, err := RunLoopbackPair(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f0.Snapshot) == 0 || len(f1.Snapshot) == 0 {
+			t.Fatalf("snapshot after step %d missing", k)
+		}
 
-	// Values opened before the crash point: three per completed step.
-	prefix := 3 * (cfg.SnapshotAt + 1)
+		// Values opened before the crash point: three per completed step.
+		prefix := 3 * (k + 1)
 
-	c0, c1 := wire.Loopback(256)
+		c0, c1 := wire.Loopback(256)
+		cfg0, cfg1 := cfg, cfg
+		cfg0.Role, cfg1.Role = 0, 1
+
+		var wg sync.WaitGroup
+		var r1 *Report
+		var err1 error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r1, err1 = Resume(cfg1, f1.Snapshot, f1.Opened[:prefix], c1)
+		}()
+		r0, err0 := Resume(cfg0, f0.Snapshot, f0.Opened[:prefix], c0)
+		wg.Wait()
+		c0.Close()
+		c1.Close()
+		if err0 != nil || err1 != nil {
+			t.Fatalf("resume after step %d: role0=%v role1=%v", k, err0, err1)
+		}
+		if ok, field := Equivalent(f0, r0); !ok {
+			t.Errorf("role 0: session rejoined after step %d diverges on %s", k, field)
+		}
+		if ok, field := Equivalent(f1, r1); !ok {
+			t.Errorf("role 1: session rejoined after step %d diverges on %s", k, field)
+		}
+	}
+}
+
+// TestOpenedValuesPinned pins the SHA-256 of every value a session opens,
+// little-endian, for the smoke configuration and for the benchmark's first
+// seed-1 session. The literals are those of the two-rounds-per-step
+// schedule: regrouping rounds must not move an opened value.
+func TestOpenedValuesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Seed: 1234, Steps: 12, SnapshotAt: -1}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9"},
+		{Config{Seed: 64, Steps: 350, SnapshotAt: -1}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3"},
+	} {
+		r0, r1, err := RunLoopbackPair(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []*Report{r0, r1} {
+			var b []byte
+			for _, v := range r.Opened {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
+			if got := sha256.Sum256(b); hex.EncodeToString(got[:]) != tc.want {
+				t.Errorf("seed %d, %d steps: role %d opened values hash to %x, want %s", tc.cfg.Seed, tc.cfg.Steps, r.Role, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestOldSchedulePeerRejected: a peer on the two-rounds-per-step schedule
+// answers step 0 with its 3-word re-share and noise frame. The party fails
+// with mpc.ErrBadFrame after its own one frame — it neither hangs nor sends
+// anything further.
+func TestOldSchedulePeerRejected(t *testing.T) {
+	c0, c1 := wire.Loopback(8)
 	defer c0.Close()
 	defer c1.Close()
-	cfg0, cfg1 := cfg, cfg
-	cfg0.Role, cfg1.Role = 0, 1
-
 	var wg sync.WaitGroup
-	var r1 *Report
-	var err1 error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r1, err1 = Resume(cfg1, f1.Snapshot, f1.Opened[:prefix], c1)
+		if err := c1.Send(mpc.FrameWord, make([]byte, 12)); err != nil {
+			t.Errorf("peer send: %v", err)
+		}
 	}()
-	r0, err0 := Resume(cfg0, f0.Snapshot, f0.Opened[:prefix], c0)
+	cfg := testConfig()
+	cfg.Role = 0
+	_, err := Run(cfg, c0)
 	wg.Wait()
-	if err0 != nil || err1 != nil {
-		t.Fatalf("resume: role0=%v role1=%v", err0, err1)
+	if !errors.Is(err, mpc.ErrBadFrame) {
+		t.Fatalf("err = %v, want mpc.ErrBadFrame", err)
 	}
-	if ok, field := Equivalent(f0, r0); !ok {
-		t.Errorf("role 0: rejoined session diverges on %s", field)
-	}
-	if ok, field := Equivalent(f1, r1); !ok {
-		t.Errorf("role 1: rejoined session diverges on %s", field)
+	if got := c0.Stats().FramesSent; got != 1 {
+		t.Errorf("party sent %d frames, want 1 (nothing after the bad frame)", got)
 	}
 }
 
