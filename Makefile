@@ -89,7 +89,9 @@ bench-core:
 # BenchmarkJoinSort1040; 512 distinct sort lengths in the cpdb cache's range,
 # BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator
 # table or allocates; and the scan kernel at the cpdb view size,
-# BenchmarkCountColumns120k, which fails if a scan allocates), the two-party
+# BenchmarkCountColumns120k, which fails if a scan allocates), the cache read
+# at the cpdb layout (BenchmarkCacheReadRuns: a real-first remainder and a
+# compacted batch merged, not sorted; it fails if a warm read allocates), the two-party
 # GMW comparator over loopback (BenchmarkEvalCompareExchangeLoopback, which
 # reports rounds/op) and the root-package Advance/AdvanceANT/Count/CountWhere
 # benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs

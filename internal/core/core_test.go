@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -698,6 +699,41 @@ func TestWindowGaugesExportPaddedSizesOnly(t *testing.T) {
 	} {
 		if !strings.Contains(sparse[len(sparse)-1], want) {
 			t.Errorf("last scrape lacks %q:\n%s", want, sparse[len(sparse)-1])
+		}
+	}
+}
+
+// TestCachedDeltasAreRealFirst: a delta Transform caches with
+// AppendRealFirst, a tight compaction's output, must hold its reals first —
+// the next read merges it with the cache's other runs instead of sorting it,
+// and a delta out of order would leave a read's prefix short of real tuples.
+// The compaction buffer is emptied before each step, so after the step it
+// holds the delta that step cached, or nothing.
+func TestCachedDeltasAreRealFirst(t *testing.T) {
+	for _, wl := range []workload.Config{workload.TPCDS(200, 7), workload.CPDB(200, 7)} {
+		for _, ant := range []bool{false, true} {
+			cfg := DefaultConfig(wl, 7)
+			f, err := NewTimerEngine(cfg, wl)
+			if ant {
+				f, err = NewANTEngine(cfg, wl)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, reals := 0, 0
+			for _, st := range mustTrace(t, wl).Steps {
+				f.deltaBuf.Reset()
+				f.Step(st)
+				if d := f.deltaBuf; d.Len() > 0 {
+					if i := slices.Index(d.Flags(), false); i >= 0 && slices.Contains(d.Flags()[i:], true) {
+						t.Fatalf("%s ant=%t step %d: a compacted delta is not real-first: %v", wl.Name, ant, st.T, d.Flags())
+					}
+					cached, reals = cached+1, reals+d.Real()
+				}
+			}
+			if cached == 0 || reals == 0 {
+				t.Errorf("%s ant=%t: %d compacted deltas, %d real tuples: nothing exercised", wl.Name, ant, cached, reals)
+			}
 		}
 	}
 }

@@ -505,7 +505,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	// Tighten the exhaustively padded join output to the public
 	// maximum-new-entries bound before caching. Entries beyond the cap (rare
 	// late-shipped pairs) carry over to the next invocation's batch.
-	delta := joined
+	delta, compacted := joined, false
 	if cap := f.deltaCap(fresh[left], fresh[right]); cap > 0 {
 		f.overflow.AppendAll(joined) // carried entries first, then this batch
 		delta = f.deltaBuf
@@ -513,6 +513,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 		f.spill.Reset()
 		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
 		f.overflow, f.spill = f.spill, f.overflow
+		compacted = true
 	}
 
 	// Alg. 1 lines 4-6: update and re-share the cardinality counter — one
@@ -537,8 +538,13 @@ func (f *Framework) transform(blocks []uploadBlock) {
 
 	// Alg. 1 line 7: append the exhaustively padded output to the cache
 	// (Append copies; delta is framework scratch reused by the next
-	// invocation).
-	f.cache.Append(delta)
+	// invocation). A compacted delta holds its reals first, so the next read
+	// merges it rather than sorting it.
+	if compacted {
+		f.cache.AppendRealFirst(delta)
+	} else {
+		f.cache.Append(delta)
+	}
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
 	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)

@@ -206,3 +206,38 @@ func TestFrameworkRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Fatalf("want fingerprint mismatch for different epsilon, got %v", err)
 	}
 }
+
+// TestSnapshotEveryStepByteIdentical: an sDPANT engine snapshotted and
+// restored into a fresh framework after every one of 40 steps, each restore
+// continuing from the last, stays byte-identical to the engine that never
+// stopped — its snapshot equals the uninterrupted one after every step. A
+// restored cache forgets its run layout and re-sorts on its next read; the
+// real-first order is total, so that read leaves the bytes the merge would.
+func TestSnapshotEveryStepByteIdentical(t *testing.T) {
+	ref, tr := buildEngine(t, true, 40)
+	hop, _ := buildEngine(t, true, 40)
+	for _, st := range tr.Steps {
+		ref.Step(st)
+		hop.Step(st)
+		var want, got bytes.Buffer
+		if err := ref.Snapshot(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := hop.Snapshot(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("step %d: the restored chain's snapshot differs from the uninterrupted one", st.T)
+		}
+		hop = rebuildLike(t, hop)
+		if err := hop.Restore(bytes.NewReader(got.Bytes())); err != nil {
+			t.Fatalf("restore after step %d: %v", st.T, err)
+		}
+	}
+	if ref.Metrics().Updates < 3 {
+		t.Errorf("only %d view updates in 40 steps: too few reads to exercise a restored cache", ref.Metrics().Updates)
+	}
+	if !reflect.DeepEqual(ref.Metrics(), hop.Metrics()) {
+		t.Errorf("metrics diverged:\nrestored: %+v\nuninterrupted: %+v", hop.Metrics(), ref.Metrics())
+	}
+}

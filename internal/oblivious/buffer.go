@@ -216,21 +216,79 @@ func (b *Buffer) ScanReal() int {
 // SortRealFirst obliviously sorts the buffer in place so real slots precede
 // dummies — the Shrink ordering, under which a prefix cut of the sorted cache
 // always fetches real data first (Figure 3) — charging one compare-exchange
-// per comparator under op. The network runs over packed keys (sortKeys); the
-// payload and flag columns are gathered once at the end. Steady state
-// allocates nothing: the keys and the gather arena are b's own workspace.
+// per comparator under op. It is MergeRealFirst of one raw run.
 func SortRealFirst(b *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
-	n := b.Len()
+	MergeRealFirst(b, []Run{{Len: b.Len()}}, meter, op, tupleBits)
+}
+
+// Run is one public segment of a buffer: Len slots, already in real-first
+// order (reals, then dummies, each in position order) when RealFirst is set,
+// in no known order otherwise. Where the runs lie and which are real-first
+// is public; which slots are real is not.
+type Run struct {
+	Len       int
+	RealFirst bool
+}
+
+// MergeRealFirst puts b, laid out as runs (their lengths summing to b.Len()),
+// in real-first order and returns the number of compare-exchanges it
+// executed. The order is total — key 1-isView, tie-break the slot's position
+// — so the result is the unique stable partition, reals in position order
+// then dummies, whatever the layout: the keys are extracted once, each raw
+// run is sorted by Batcher's network, adjacent runs are merged pairwise
+// through its last phase (mergeKeys) until one is left, and one gather
+// applies the permutation. A buffer that is one real-first run is left
+// alone. Every comparator position is a function of the layout alone. The
+// meter is charged the full sort, mpc.SortCompareExchanges(b.Len()), which
+// the executed count never exceeds. Steady state allocates nothing: the
+// keys, run ends and gather arena are b's own workspace.
+func MergeRealFirst(b *Buffer, runs []Run, meter *mpc.Meter, op mpc.Op, tupleBits int) (executed int) {
+	n, covered := b.Len(), 0
+	for _, r := range runs {
+		covered += r.Len
+	}
+	if covered != n {
+		panic("oblivious: runs do not cover the buffer")
+	}
 	if n <= 1 {
-		return
+		return 0
+	}
+	if meter != nil {
+		meter.ChargeSort(op, n, tupleBits)
+	}
+	if len(runs) == 1 && runs[0].RealFirst {
+		return 0
 	}
 	b.ws.keys = resized(b.ws.keys, n)
 	keys := b.ws.keys
-	for i := 0; i < n; i++ {
-		keys[i] = sortKey{k: 1 - boolWord(b.flag[i]), w: uint64(i)}
+	for i := range n {
+		keys[i] = sortKey{k: 1 - boolWord(b.flag[i]), w: uint64(i)<<32 | uint64(i)}
 	}
-	sortKeys(&b.ws, keys, meter, op, tupleBits)
+	ends, lo := b.ws.ends[:0], 0
+	for _, r := range runs {
+		if r.Len == 0 {
+			continue
+		}
+		if !r.RealFirst {
+			executed += sortKeys(&b.ws, keys[lo:lo+r.Len], nil, op, tupleBits)
+		}
+		lo += r.Len
+		ends = append(ends, lo)
+	}
+	for len(ends) > 1 {
+		lo, kept := 0, 0
+		for j := 0; j < len(ends); j += 2 {
+			end := ends[min(j+1, len(ends)-1)]
+			if j+1 < len(ends) {
+				executed += mergeKeys(&b.ws, keys[lo:end], ends[j]-lo, nil, op, tupleBits)
+			}
+			ends[kept], kept, lo = end, kept+1, end
+		}
+		ends = ends[:kept]
+	}
+	b.ws.ends = ends
 	b.applyPerm(keys)
+	return executed
 }
 
 // applyPerm reorders the buffer so slot i holds the old slot whose index

@@ -1,7 +1,9 @@
 package oblivious
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -109,6 +111,14 @@ type less func(a, b entry) bool
 
 // byIsViewFirst orders real entries before dummies — the Shrink key.
 func byIsViewFirst(a, b entry) bool { return a.IsView && !b.IsView }
+
+// stableRealFirst is the real-first oracle: the stable partition, reals then
+// dummies, each in input order — the one order the total key (1-isView,
+// position) admits, so any correct network, and any merge of runs, must
+// produce exactly it.
+func stableRealFirst(es []entry) {
+	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(boolWord(!a.IsView), boolWord(!b.IsView)) })
+}
 
 // byColumn orders on a row column, dummies last, ties broken by the tag
 // column (T1 before T2) per Example 5.1.

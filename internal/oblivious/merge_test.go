@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"incshrink/internal/mpc"
+	"incshrink/internal/table"
 )
 
 // lastPhases memoizes, per half width P, the last phase (p = P) of the
@@ -223,5 +224,162 @@ func TestWarmMergeAllocatesNothing(t *testing.T) {
 	perMerge := meter.Gates(mpc.OpTransform) / float64(meter.Calls(mpc.OpTransform))
 	if want := 10241 * 64 * meter.Model().ANDGatesPerCompareExchangeBit; perMerge != want {
 		t.Errorf("a (936, 104) merge charged %v gates, want the padded last phase %v", perMerge, want)
+	}
+}
+
+// runsBuffer fills a buffer laid out as runs. Every slot carries its
+// position, so slots are told apart byte for byte; each run draws its own
+// real density, and a real-first run is stored in its stable real-first
+// order, as a compaction or an earlier read leaves it.
+func runsBuffer(rng *rand.Rand, runs []Run) (*Buffer, []entry) {
+	var es []entry
+	for _, r := range runs {
+		p := rng.Float64()
+		run := make([]entry, r.Len)
+		for i := range run {
+			run[i] = entry{Row: table.Row{int64(len(es) + i), rng.Int63n(100)}, IsView: rng.Float64() < p}
+		}
+		if r.RealFirst {
+			stableRealFirst(run)
+		}
+		es = append(es, run...)
+	}
+	return bufferOf(es), es
+}
+
+// randomLayout draws 1–40 runs of 1–300 slots, raw and real-first mixed.
+func randomLayout(rng *rand.Rand) []Run {
+	runs := make([]Run, 1+rng.Intn(40))
+	for i := range runs {
+		runs[i] = Run{Len: 1 + rng.Intn(300), RealFirst: rng.Intn(2) == 0}
+	}
+	return runs
+}
+
+func layoutLen(runs []Run) int {
+	n := 0
+	for _, r := range runs {
+		n += r.Len
+	}
+	return n
+}
+
+// TestMergeRealFirstMatchesStablePartition: over random layouts, merging the
+// runs leaves the buffer, payloads included, in exactly the stable
+// real-first partition of its slots — the order a full sort gives. The
+// comparators executed are a function of the layout (two fillings of one
+// layout execute the same number) and never exceed the full sort the read is
+// charged, which the meter shows whatever the layout.
+func TestMergeRealFirstMatchesStablePartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 60; trial++ {
+		runs := randomLayout(rng)
+		n := layoutLen(runs)
+		var executed [2]int
+		for fill := range executed {
+			b, es := runsBuffer(rng, runs)
+			meter := mpc.NewMeter(mpc.DefaultCostModel())
+			executed[fill] = MergeRealFirst(b, runs, meter, mpc.OpShrink, 64)
+			stableRealFirst(es)
+			entriesEqual(t, entriesOf(b), es)
+			if b.Real() != b.ScanReal() {
+				t.Fatalf("layout %v: real counter %d, scan %d", runs, b.Real(), b.ScanReal())
+			}
+			want := float64(mpc.SortCompareExchanges(n)) * 64 * meter.Model().ANDGatesPerCompareExchangeBit
+			if n <= 1 {
+				want = 0
+			}
+			if got := meter.Gates(mpc.OpShrink); got != want {
+				t.Fatalf("layout %v: charged %v gates, want the full sort's %v", runs, got, want)
+			}
+		}
+		if executed[0] != executed[1] || executed[0] > mpc.SortCompareExchanges(n) {
+			t.Fatalf("layout %v: executed %d and %d comparators, the full sort charges %d",
+				runs, executed[0], executed[1], mpc.SortCompareExchanges(n))
+		}
+	}
+}
+
+// tenRuns is the tpcds_step layout: what the last read left, then ten
+// compacted Transform batches.
+var tenRuns = append([]Run{{105, true}}, slices.Repeat([]Run{{100, true}}, 10)...)
+
+// TestMergeRealFirstLayouts pins the comparators a read executes on the
+// cache layouts the benchmark workloads meet: cpdb's 1,116-slot remainder
+// plus a 1,000-slot batch, tpcds_batch's 200 plus an 832-slot merged batch,
+// and tpcds_step's ten batches. Each read is charged the full sort,
+// 139,263, 58,367 and 58,367 comparators. A cache that is one real-first run
+// executes nothing and is not moved.
+func TestMergeRealFirstLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, tc := range []struct {
+		name string
+		runs []Run
+		want int
+	}{
+		{"cpdb", []Run{{1116, true}, {1000, true}}, 10869},
+		{"tpcds_batch", []Run{{200, true}, {832, true}}, 4669},
+		{"tpcds_step", tenRuns, 16861},
+		{"one real-first run", []Run{{2116, true}}, 0},
+	} {
+		b, es := runsBuffer(rng, tc.runs)
+		got := MergeRealFirst(b, tc.runs, nil, mpc.OpShrink, 64)
+		stableRealFirst(es)
+		entriesEqual(t, entriesOf(b), es)
+		if got != tc.want {
+			t.Errorf("%s: %d comparators, want %d (the full sort charges %d)",
+				tc.name, got, tc.want, mpc.SortCompareExchanges(layoutLen(tc.runs)))
+		}
+	}
+}
+
+// TestMergeRealFirstOneRawRun: a buffer that is one raw run is sorted whole —
+// exactly SortRealFirst, the sorting network's comparators included.
+func TestMergeRealFirstOneRawRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range []int{0, 1, 2, 37, 1024, 1040, 2116} {
+		b, es := randBuffer(rng, n)
+		ref := bufferOf(es)
+		SortRealFirst(ref, nil, mpc.OpShrink, 64)
+		got := MergeRealFirst(b, []Run{{Len: n}}, nil, mpc.OpShrink, 64)
+		entriesEqual(t, entriesOf(b), entriesOf(ref))
+		want := 0
+		if n > 1 {
+			want = len(networkOf(n)) / 2
+		}
+		if got != want {
+			t.Errorf("n=%d: one raw run executed %d comparators, the sorting network has %d", n, got, want)
+		}
+	}
+}
+
+// TestMergeRealFirstRejectsBadLayout: runs that do not cover the buffer are a
+// caller's bug, not something to sort around.
+func TestMergeRealFirstRejectsBadLayout(t *testing.T) {
+	b, _ := randBuffer(rand.New(rand.NewSource(26)), 10)
+	defer func() {
+		if recover() == nil {
+			t.Error("runs covering 9 of 10 slots did not panic")
+		}
+	}()
+	MergeRealFirst(b, []Run{{Len: 4}, {Len: 5, RealFirst: true}}, nil, mpc.OpShrink, 64)
+}
+
+// TestWarmMergeRealFirstAllocatesNothing: a warm read of the cpdb layout —
+// keys, run ends, merge wires and gather arena all in the buffer's
+// workspace — makes no allocation.
+func TestWarmMergeRealFirstAllocatesNothing(t *testing.T) {
+	runs := []Run{{1116, true}, {1000, false}}
+	base, _ := runsBuffer(rand.New(rand.NewSource(27)), runs)
+	b := NewBuffer(base.Arity(), 0)
+	meter := mpc.NewMeter(mpc.DefaultCostModel())
+	read := func() {
+		b.Reset()
+		b.AppendAll(base)
+		MergeRealFirst(b, runs, meter, mpc.OpShrink, 64)
+	}
+	read()
+	if allocs := testing.AllocsPerRun(50, read); allocs > warmAllocs {
+		t.Errorf("warm MergeRealFirst: %v allocs, want %v", allocs, warmAllocs)
 	}
 }

@@ -31,17 +31,22 @@ import (
 //
 // The order is (k, tag) lexicographic. The index never takes part: two
 // elements equal on (k, tag) are not exchanged, exactly like the strict
-// `less` comparators this kernel replaced, so the permutation on ties — and
-// with it every golden, snapshot and transcript — is unchanged.
+// `less` comparators this kernel replaced. The join's tag is its side, so
+// its permutation on ties is the network's — and with it every join golden
+// and transcript. The real-first sort's tag is the position itself, which
+// makes its order total: the output is the unique stable partition, reals
+// in arrival order then dummies, whatever network or run layout produced
+// it (MergeRealFirst).
 type sortKey struct{ k, w uint64 }
 
 // scratch is the workspace of the operators that mutate the Buffer it rides
-// on — b in SortRealFirst, dst in the two joins. Each part grows on first use
+// on — b in MergeRealFirst, dst in the two joins. Each part grows on first use
 // and is kept, so a warm operator allocates nothing; and because it has one
 // owner, no operator ever sees memory another buffer, query or tenant wrote.
 type scratch struct {
 	keys, wires     []sortKey // the packed sort keys; mergeKeys' padded wire array
 	contrib, window []int     // emitJoin's per-record counters and current key group
+	ends            []int     // MergeRealFirst's run ends, merged pairwise
 	pairs           []int32   // one streamed layer of a sort above networkCacheMaxN
 	gather          *Buffer   // applyPerm's arena, swapped with the buffer's own
 }
@@ -84,22 +89,22 @@ func exchange(keys []sortKey, pairs []int32) {
 }
 
 // sortKeys runs Batcher's odd-even merge sorting network over keys in place,
-// charging one compare-exchange per comparator to meter under op. It is the
-// one executor, and it is serial: the network layout depends only on
-// len(keys) — the charge is the padded power-of-two network,
-// mpc.SortCompareExchanges(len(keys)), which the executed one never exceeds —
-// and the kernel takes it a layer at a time from forEachLayer. Serial on
-// purpose: splitting a layer's index-disjoint comparators across goroutines
-// measured slower at every size (DESIGN.md §12).
-func sortKeys(ws *scratch, keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+// charging one compare-exchange per comparator to meter under op, and
+// returns the number it executed. It is the one executor, and it is serial:
+// the network layout depends only on len(keys) — the charge is the padded
+// power-of-two network, mpc.SortCompareExchanges(len(keys)), which the
+// executed one never exceeds — and the kernel takes it a layer at a time
+// from forEachLayer. Serial on purpose: splitting a layer's index-disjoint
+// comparators across goroutines measured slower at every size (DESIGN.md §12).
+func sortKeys(ws *scratch, keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) int {
 	n := len(keys)
 	if n <= 1 {
-		return
+		return 0
 	}
 	if meter != nil {
 		meter.ChargeSort(op, n, tupleBits)
 	}
-	forEachLayer(ws, 0, n, 0, func(layer []int32) { exchange(keys, layer) })
+	return forEachLayer(ws, 0, n, 0, func(layer []int32) { exchange(keys, layer) })
 }
 
 // mergeKeys merges the sorted runs keys[:m] and keys[m:] in place through the
@@ -108,11 +113,12 @@ func sortKeys(ws *scratch, keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBit
 // phase P of the 2P-wire network merges a sorted [0, P) with a sorted [P, 2P);
 // the runs are laid at wires [P-m, P) and [P, P+f) of the workspace's array, the
 // wires outside standing for -inf and +inf, whose comparators never exchange:
-// what runs is one window of every layer (forEachLayer).
-func mergeKeys(ws *scratch, keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+// what runs is one window of every layer (forEachLayer). It returns the
+// number of comparators executed.
+func mergeKeys(ws *scratch, keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int) int {
 	f := len(keys) - m
 	if m == 0 || f == 0 {
-		return
+		return 0
 	}
 	if meter != nil {
 		meter.ChargeMerge(op, m, f, tupleBits)
@@ -122,8 +128,9 @@ func mergeKeys(ws *scratch, keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, 
 	ws.wires = resized(ws.wires, lo+len(keys))
 	wires := ws.wires
 	copy(wires[lo:], keys)
-	forEachLayer(ws, lo, lo+len(keys), lp, func(layer []int32) { exchange(wires, layer) })
+	ran := forEachLayer(ws, lo, lo+len(keys), lp, func(layer []int32) { exchange(wires, layer) })
 	copy(keys, wires[lo:])
+	return ran
 }
 
 // forEachLayer hands visit, in order, the layers of the network on wires
@@ -136,24 +143,29 @@ func mergeKeys(ws *scratch, keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, 
 // run whose ends layerCut gives in closed form; below phase `from` the table
 // is 2^(lg-from) copies of the 2^from-wire network. Above networkCacheMaxN the
 // layers are enumerated one at a time into ws.pairs instead, bounding memory.
-func forEachLayer(ws *scratch, lo, hi, from int, visit func(layer []int32)) {
+// It returns the number of comparators visited.
+func forEachLayer(ws *scratch, lo, hi, from int, visit func(layer []int32)) (pairs int) {
 	if hi > networkCacheMaxN {
 		networkCacheEvictions.Add(1)
 		ws.pairs = batcherLayers(lo, hi, 1<<from, ws.pairs[:0], func(layer []int32) []int32 {
 			visit(layer)
+			pairs += len(layer) / 2
 			return layer[:0]
 		})
-		return
+		return pairs
 	}
 	lg := bits.Len(uint(hi - 1))
-	pairs := networkTable(lg)[2*mpc.SortCompareExchanges(1<<from)<<(lg-from):]
+	table := networkTable(lg)[2*mpc.SortCompareExchanges(1<<from)<<(lg-from):]
 	for lp := from; lp < lg; lp++ {
 		for lk := lp; lk >= 0; lk-- {
 			end := layerCut(lp, lk, hi)
-			visit(pairs[2*min(layerCut(lp, lk, lo+1<<lk), end) : 2*end])
-			pairs = pairs[2*layerCut(lp, lk, 1<<lg):]
+			start := min(layerCut(lp, lk, lo+1<<lk), end)
+			visit(table[2*start : 2*end])
+			pairs += end - start
+			table = table[2*layerCut(lp, lk, 1<<lg):]
 		}
 	}
+	return pairs
 }
 
 // batcherLayers is the one enumeration of Batcher's odd-even merge sorting

@@ -10,12 +10,20 @@
 // before dummies, which is what lets Shrink discard dummy volume without
 // learning which slots were real.
 //
-// The cache is a row-major oblivious.Buffer arena: it is sorted and gathered
-// on every synchronization, and those move whole slots. The materialized
-// view is only ever appended to and scanned, so it is a column store — one
-// []int64 per attribute beside a 0/1 byte flag column — that a query reads
-// with the branch-free oblivious.CountColumns kernel, touching only the
-// columns it names. Synchronization paths that feed the view (ReadInto,
+// The cache is a row-major oblivious.Buffer arena: it is put in real-first
+// order and gathered on every synchronization, and those move whole slots.
+// The order is total (reals in arrival order, then dummies), so a read need
+// not re-sort what is already in it: the cache remembers, in memory only, the
+// public runs appended since the last read — one per batch, raw or already
+// real-first — and oblivious.MergeRealFirst sorts the raw ones and merges
+// them all. What a read leaves is one real-first run. Because the order does
+// not depend on the layout, a restored cache forgets its runs and its first
+// read re-sorts it whole, to the same bytes.
+//
+// The materialized view is only ever appended to and scanned, so it is a
+// column store — one []int64 per attribute beside a 0/1 byte flag column —
+// that a query reads with the branch-free oblivious.CountColumns kernel,
+// touching only the columns it names. Synchronization paths that feed the view (ReadInto,
 // FlushInto, ReadAndPruneInto, DrainInto) transpose a prefix of the sorted
 // cache directly onto the view's columns — one copy, no intermediate slice —
 // and every real-tuple count is maintained incrementally, so Real() is O(1)
@@ -35,6 +43,11 @@ type Cache struct {
 	// so all slots are indistinguishable.
 	tupleBits int
 
+	// runs is the public layout of buf: one run per batch appended since
+	// the last read, after the real-first run that read left. It is not
+	// part of the snapshot (RestoreCounters).
+	runs []oblivious.Run
+
 	appends int
 	reads   int
 	flushes int
@@ -52,8 +65,18 @@ func New(arity, tupleBits int, meter *mpc.Meter) *Cache {
 // (Alg. 1 line 7). The batch length is public by construction — it depends
 // only on the upload size and the truncation bound. The batch is copied into
 // the cache arena; the caller keeps ownership (and may reuse it).
-func (c *Cache) Append(batch *oblivious.Buffer) {
+func (c *Cache) Append(batch *oblivious.Buffer) { c.appendRun(batch, false) }
+
+// AppendRealFirst is Append for a batch the caller already put in
+// real-first order (its reals, in order, then its dummies) — a tight
+// compaction's output — which the next read merges instead of sorting.
+func (c *Cache) AppendRealFirst(batch *oblivious.Buffer) { c.appendRun(batch, true) }
+
+func (c *Cache) appendRun(batch *oblivious.Buffer, realFirst bool) {
 	c.buf.AppendAll(batch)
+	if batch.Len() > 0 {
+		c.runs = append(c.runs, oblivious.Run{Len: batch.Len(), RealFirst: realFirst})
+	}
 	c.appends++
 	if c.buf.Len() > c.maxLen {
 		c.maxLen = c.buf.Len()
@@ -78,9 +101,20 @@ func (c *Cache) Stats() (appends, reads, flushes int) {
 }
 
 // sortRealFirst obliviously sorts the cache so real tuples lead (the shared
-// first phase of every read-class operation; Figure 3).
+// first phase of every read-class operation; Figure 3), merging its runs
+// into one. It is charged as a full sort of the cache.
 func (c *Cache) sortRealFirst() {
-	oblivious.SortRealFirst(c.buf, c.meter, mpc.OpShrink, c.tupleBits)
+	oblivious.MergeRealFirst(c.buf, c.runs, c.meter, mpc.OpShrink, c.tupleBits)
+}
+
+// oneRun records the whole cache as one run, or none when it is empty. What
+// a read leaves — a prefix cut and truncation of the real-first order — is
+// itself real-first.
+func (c *Cache) oneRun(realFirst bool) {
+	c.runs = c.runs[:0]
+	if c.buf.Len() > 0 {
+		c.runs = append(c.runs, oblivious.Run{Len: c.buf.Len(), RealFirst: realFirst})
+	}
 }
 
 func clampSize(size, n int) int {
@@ -103,6 +137,7 @@ func (c *Cache) ReadInto(v *View, size int) {
 	size = clampSize(size, c.buf.Len())
 	v.appendRange(c.buf, 0, size)
 	c.buf.CutPrefix(size)
+	c.oneRun(true)
 	c.reads++
 }
 
@@ -120,6 +155,7 @@ func (c *Cache) FlushInto(v *View, size int) (fetched, lostReal int) {
 	c.buf.CutPrefix(size)
 	lostReal = c.buf.Real()
 	c.buf.Reset()
+	c.oneRun(true)
 	c.flushes++
 	return size, lostReal
 }
@@ -162,6 +198,7 @@ func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) 
 		lostReal = c.buf.Truncate(keep)
 		c.flushes++
 	}
+	c.oneRun(true)
 	return lostReal
 }
 
@@ -171,6 +208,7 @@ func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) 
 func (c *Cache) DrainInto(v *View) {
 	v.appendRange(c.buf, 0, c.buf.Len())
 	c.buf.Reset()
+	c.oneRun(true)
 	c.reads++
 }
 
@@ -181,9 +219,12 @@ func (c *Cache) Buffer() *oblivious.Buffer { return c.buf }
 
 // RestoreCounters overwrites the operation counters with checkpointed
 // values; the snapshot codec calls it after reloading the arena so a
-// restored cache reports the same history as one that never stopped.
+// restored cache reports the same history as one that never stopped. The
+// reloaded arena is recorded as one raw run: the layout is not checkpointed,
+// and the next read's full sort gives the bytes a merge would have.
 func (c *Cache) RestoreCounters(appends, reads, flushes, maxLen int) {
 	c.appends, c.reads, c.flushes, c.maxLen = appends, reads, flushes, maxLen
+	c.oneRun(false)
 }
 
 // View is the materialized view object V: an append-only padded array the

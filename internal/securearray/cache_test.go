@@ -2,6 +2,7 @@ package securearray
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -319,5 +320,134 @@ func BenchmarkCacheRead256(b *testing.B) {
 		}
 		b.StartTimer()
 		c.ReadInto(v, 40)
+	}
+}
+
+// compacted builds an n-slot batch as Transform caches it after tight
+// compaction: its real slots first, then dummies. Every slot's payload is
+// unique (seq numbers them), so equal arenas are equal slot for slot.
+func compacted(rng *rand.Rand, seq *int64, n, real int) *oblivious.Buffer {
+	raw := oblivious.NewBuffer(2, n)
+	isReal := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		*seq++
+		raw.AppendSlot(table.Row{*seq, rng.Int63n(100)}, isReal[i] < real, 0, 0)
+	}
+	out := oblivious.NewBuffer(2, n)
+	oblivious.TightCompactInto(raw, n, out, nil, nil, mpc.OpOther, 0)
+	return out
+}
+
+// sameArena reports whether two buffers hold the same slots in the same
+// order, payloads and flags.
+func sameArena(a, b *oblivious.Buffer) bool {
+	return slices.Equal(a.Flags(), b.Flags()) && slices.Equal(a.Payload().Data(), b.Payload().Data())
+}
+
+// sameView reports whether two views hold the same columns and counters.
+func sameView(a, b *View) bool {
+	fa, ca := a.Columns()
+	fb, cb := b.Columns()
+	return slices.Equal(fa, fb) && slices.EqualFunc(ca, cb, slices.Equal) &&
+		a.Real() == b.Real() && a.Updates() == b.Updates()
+}
+
+// TestAppendRealFirstMatchesAppend feeds the same compacted batches to one
+// cache through AppendRealFirst, whose reads merge, and to another through
+// Append, whose reads sort them whole, under a random schedule of every read.
+// Because the real-first order is total, every read leaves both arenas and
+// both views byte-identical — not merely equal counts — and leaves the
+// merging cache one real-first run, or none.
+func TestAppendRealFirstMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var seq int64
+	m, s := newCache(128, nil), newCache(128, nil)
+	vm, vs := NewView(2), NewView(2)
+	for i := 0; i < 400; i++ {
+		switch op := rng.Intn(10); {
+		case op < 6:
+			n := 1 + rng.Intn(120)
+			b := compacted(rng, &seq, n, rng.Intn(n+1))
+			m.AppendRealFirst(b)
+			s.Append(b)
+			continue
+		case op == 6:
+			size := rng.Intn(m.Len()+3) - 1
+			m.ReadInto(vm, size)
+			s.ReadInto(vs, size)
+		case op == 7:
+			size := rng.Intn(m.Len() + 2)
+			m.FlushInto(vm, size)
+			s.FlushInto(vs, size)
+		default:
+			size, spill, keep := rng.Intn(m.Len()+2), rng.Intn(6), rng.Intn(m.Len()+2)
+			m.ReadAndPruneInto(vm, size, spill, keep)
+			s.ReadAndPruneInto(vs, size, spill, keep)
+		}
+		if !sameArena(m.Buffer(), s.Buffer()) || !sameView(vm, vs) {
+			t.Fatalf("op %d: the merged read and the full sort left different arenas or views", i)
+		}
+		if want := min(m.Len(), 1); len(m.runs) != want || (want == 1 && (!m.runs[0].RealFirst || m.runs[0].Len != m.Len())) {
+			t.Fatalf("op %d: a read left runs %v over %d slots, want one real-first run or none", i, m.runs, m.Len())
+		}
+	}
+}
+
+// TestRestoredCacheForgetsItsRuns: a cache reloaded from its arena, as the
+// snapshot codec reloads it, holds one raw run, and from then on reads leave
+// the same bytes as the cache that kept its runs.
+func TestRestoredCacheForgetsItsRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var seq int64
+	kept, v := newCache(128, nil), NewView(2)
+	kept.AppendRealFirst(compacted(rng, &seq, 90, 30))
+	kept.ReadInto(v, 20)
+	for range 3 {
+		kept.AppendRealFirst(compacted(rng, &seq, 40, 25))
+	}
+	restored, rv := newCache(128, nil), NewView(2)
+	restored.Buffer().AppendAll(kept.Buffer())
+	appends, reads, flushes := kept.Stats()
+	restored.RestoreCounters(appends, reads, flushes, kept.MaxLen())
+	if len(restored.runs) != 1 || restored.runs[0] != (oblivious.Run{Len: restored.Len()}) {
+		t.Fatalf("restored runs %v, want one raw run of %d", restored.runs, restored.Len())
+	}
+	for i := range 6 {
+		b := compacted(rng, &seq, 40, rng.Intn(41))
+		kept.AppendRealFirst(b)
+		restored.AppendRealFirst(b)
+		kept.ReadAndPruneInto(v, 30, 2, 60)
+		restored.ReadAndPruneInto(rv, 30, 2, 60)
+		if !sameArena(kept.Buffer(), restored.Buffer()) {
+			t.Fatalf("read %d after restore: arenas differ", i)
+		}
+	}
+	if vv, rr := viewRealRows(v), viewRealRows(rv); !slices.EqualFunc(vv[len(vv)-len(rr):], rr, table.Row.Equal) {
+		t.Error("the restored cache fed its view different tuples")
+	}
+}
+
+// BenchmarkCacheReadRuns is one cache read at the cpdb_query layout: a
+// 1,116-slot real-first remainder plus a 1,000-slot compacted batch, merged
+// rather than sorted, then pruned back to the remainder. It fails if a warm
+// read allocates.
+func BenchmarkCacheReadRuns(b *testing.B) {
+	rng := rand.New(rand.NewSource(100))
+	var seq int64
+	c, v := newCache(256, nil), NewView(2)
+	c.AppendRealFirst(compacted(rng, &seq, 1116, 500))
+	batch := compacted(rng, &seq, 1000, 400)
+	read := func() {
+		c.AppendRealFirst(batch)
+		c.ReadAndPruneInto(v, 0, 0, 1116)
+	}
+	read()
+	if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
+		b.Fatalf("a warm read allocates %v times", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		read()
 	}
 }

@@ -24,9 +24,10 @@ func TestWarmANTSyncBuildsNoNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	h0, m0, _, p0 := oblivious.CacheStats()
-	// A sync sorts the cache the step found, plus — on a step that ran a
-	// Transform — that step's padded output, a public constant. So the
-	// lengths found, counted per kind of step, are distinct sorted lengths.
+	// A sync orders the cache the step found, plus — on a step that ran a
+	// Transform — that step's padded output, a public constant: it merges
+	// the two runs, through a window of the table for their length. So the
+	// lengths found, counted per kind of step, are distinct ordered lengths.
 	found := map[bool]map[int]bool{false: {}, true: {}}
 	for _, s := range steps {
 		before := db.Stats()
