@@ -50,9 +50,11 @@ orphans:
 # driver loads (internal/analysis TestDeadExports, which also runs with the
 # normal test suite); what it tolerates is a table in that file, one
 # reason per symbol. The same load fails if a non-test file uses package
-# sync's Pool: scratch has an owner (DESIGN.md §7).
+# sync's Pool: scratch has an owner (DESIGN.md §7), and, in
+# TestOblivTaintTablesNameLiveCode, if an oblivtaint sanction or column
+# parameter names a function or parameter the module no longer has.
 deadexports:
-	$(GO) test -count=1 -run 'TestDeadExports$$' ./internal/analysis
+	$(GO) test -count=1 -run 'TestDeadExports$$|TestOblivTaintTablesNameLiveCode$$' ./internal/analysis
 
 test:
 	$(GO) test ./...
@@ -88,8 +90,9 @@ bench-core:
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
 # BenchmarkJoinSort1040; 512 distinct sort lengths in the cpdb cache's range,
 # BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator
-# table or allocates; and the scan kernel at the cpdb view size,
-# BenchmarkCountColumns120k, which fails if a scan allocates), the cache read
+# table or allocates; and the scan kernel over a packed flag bitset at the
+# cpdb view size, BenchmarkCountColumns120k, which fails if a scan
+# allocates), the cache read
 # at the cpdb layout (BenchmarkCacheReadRuns: a real-first remainder and a
 # compacted batch merged, not sorted; it fails if a warm read allocates), the two-party
 # GMW comparator over loopback (BenchmarkEvalCompareExchangeLoopback, which

@@ -17,9 +17,10 @@ import (
 // Seeding a secret-dependent branch into internal/oblivious trips
 // oblivtaint — be it a plain flag test, a branching compare-exchange over
 // the sort kernel's keys, a merge whose window of the network is cut by a
-// key, or a branch on a flag byte inside the scan kernel, none of which any
-// sanction covers — and so does a branch on a reconstructed bit seeded into
-// internal/gmw (whose gate code no sanction covers either). A go statement
+// key, or a popcount of a packed flag word that loops once per set bit
+// inside the scan kernel, none of which any sanction covers — and so does a
+// branch on a reconstructed bit seeded into internal/gmw (whose gate code no
+// sanction covers either). A go statement
 // in a library package without an allow naming its join trips goleak —
 // unjoined in internal/serve, or joined through a WaitGroup in
 // internal/core — and a wall-clock read, an order-sensitive map range, a
@@ -83,12 +84,12 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 		{
 			name:    "oblivtaint catches seeded flag branch in the scan kernel",
 			file:    "internal/oblivious/scan.go",
-			replace: "\t\t\ttotal += int(flag[i])\n",
-			inject: `			if flag[i] == 1 {
+			replace: "\t\t\ttotal += bits.OnesCount64(w)\n",
+			inject: `			for ; w != 0; w &= w - 1 {
 				total++
 			}
 `,
-			line:     "if flag[i] == 1 {",
+			line:     "for ; w != 0; w &= w - 1 {",
 			analyzer: "oblivtaint",
 		},
 		{

@@ -42,14 +42,15 @@ var OblivTaintPackages = []string{
 //     masked XOR, fed layer windows whose cuts (forEachLayer, layerCut)
 //     branch on layer geometry and the public lengths alone — a sort's
 //     prefix and a merge's window of the last phase alike (mergeKeys takes
-//     its keys as a registered secret column); the scan kernel (CountColumns, flagWord, outsideWord) is a
-//     borrow shifted into a verdict word, ANDed with the flag bits and
-//     popcounted; CountBuffer and the Buffer counter methods (AppendFrom,
-//     AppendRange, Truncate, CutPrefix, ScanReal) add boolWord(flag) where
-//     they used to branch on it. All of those pass the analyzer as ordinary
-//     code, and a branching `if less { swap }` over the keys or
-//     `if flag[i] == 1 { n++ }` over the flag column is a finding
-//     (TestLintGate seeds both).
+//     its keys as a registered secret column); the scan kernel (CountColumns,
+//     outsideWord) is a carry shifted into a verdict word, ANDed with a word
+//     of the flag bitset and popcounted; CountBuffer and the Buffer counter
+//     methods (AppendFrom, AppendRange, Truncate, CutPrefix, ScanReal) add
+//     boolWord(flag) where they used to branch on it. All of those pass the
+//     analyzer as ordinary code, and a branching `if less { swap }` over the
+//     keys, `if flag[i] == 1 { n++ }` over a flag column or a loop that
+//     clears a flag word's bits one at a time is a finding (TestLintGate
+//     seeds them).
 //   - TightCompactInto: the fixed-topology compaction; its flag-dependent
 //     moves are exactly the part a circuit evaluates obliviously.
 //   - emitJoin: the linear scan of the paper's core operator, shared by the
@@ -76,7 +77,6 @@ var OblivTaintSanctioned = []string{
 // len/cap is public by the padding invariant.
 var OblivTaintColumnParams = map[string][]string{
 	"internal/oblivious.CountColumns": {"flag", "cols"},
-	"internal/oblivious.flagWord":     {"f"},
 	"internal/oblivious.outsideWord":  {"a", "b"},
 	"internal/oblivious.mergeKeys":    {"keys"},
 }
@@ -436,8 +436,8 @@ func (t *taintScan) sourceCall(call *ast.CallExpr) (string, bool) {
 			switch {
 			case taintPkg(pkgPath, "internal/oblivious") && tname == "Buffer" && oblivBufferSources[fn.Name()]:
 				return "oblivious.Buffer." + fn.Name(), true
-			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && fn.Name() == "Columns":
-				return "securearray.View.Columns", true
+			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && (fn.Name() == "Columns" || fn.Name() == "FlagByte"):
+				return "securearray.View." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/table") && tableSources[tname+"."+fn.Name()]:
 				return "table." + tname + "." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/gmw") && tname == "Bit" && fn.Name() == "Open":

@@ -70,16 +70,29 @@ func recordField(r oblivious.Record) int {
 	return int(r.ID) // the ID is public
 }
 
-// View mirrors the column-major materialized view: its columns are secret
-// stores in this package, registered beside Buffer's.
+// View mirrors the column-major materialized view: its columns and its flag
+// bitset are secret stores in this package, registered beside Buffer's.
 type View struct {
-	flag []uint8
+	flag []uint64
+	n    int
 	cols [][]int64
 }
 
+// FlagByte is the view's per-slot flag accessor, a registered source.
+func (v *View) FlagByte(i int) uint8 { return uint8(v.flag[i/64] >> (63 - i%64) & 1) }
+
 func branchOnViewFlag(v *View) (n int) {
 	for i := 0; i < len(v.flag); i++ { // the column's length is public
-		if v.flag[i] == 1 { // want `secret-tainted value \(from securearray\.View\.flag\) controls a branch condition`
+		if v.flag[i]&1 == 1 { // want `secret-tainted value \(from securearray\.View\.flag\) controls a branch condition`
+			n++
+		}
+	}
+	return n
+}
+
+func branchOnViewFlagByte(v *View) (n int) {
+	for i := 0; i < v.n; i++ {
+		if v.FlagByte(i) == 1 { // want `secret-tainted value \(from securearray\.View\.FlagByte\) controls a branch condition`
 			n++
 		}
 	}

@@ -390,9 +390,9 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 				f.Step(st)
 			}
 			contrib := make(map[int64]int)
-			flag, cols := f.view.Columns()
-			for i, fl := range flag {
-				if fl == 1 {
+			cols := f.view.Columns()
+			for i := 0; i < f.view.Len(); i++ {
+				if f.view.FlagByte(i) == 1 {
 					contrib[cols[workload.ColKey][i]]++
 				}
 			}

@@ -59,7 +59,7 @@ func (b *Buffer) At(i, j int) int64 { return b.pay.At(i, j) }
 func (b *Buffer) IsReal(i int) bool { return b.flag[i] }
 
 // FlagByte returns slot i's isView bit as a 0/1 byte, the form the
-// column-major view stores and sums.
+// column-major view shifts into its flag bitset and sums.
 func (b *Buffer) FlagByte(i int) uint8 { return uint8(boolWord(b.flag[i])) }
 
 // AppendRow appends a real slot carrying a copy of row.

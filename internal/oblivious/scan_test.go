@@ -23,16 +23,28 @@ func scanColumns(rng *rand.Rand, n int) (flag []uint8, cols [][]int64) {
 	return flag, cols
 }
 
+// packFlags is the view's flag layout: slot i at bit 63-i%64 of word i/64,
+// every bit at or past len(flag) zero.
+func packFlags(flag []uint8) []uint64 {
+	words := make([]uint64, (len(flag)+scanBlock-1)/scanBlock)
+	for i, f := range flag {
+		words[i/scanBlock] |= uint64(f) << (scanBlock - 1 - i%scanBlock)
+	}
+	return words
+}
+
 // TestCountColumnsMatchesBranchingScan pins the kernel's contract at the
 // ScanCond level — any closed range, including the full and the one-point
 // ones, inverted or not, wrapping differences — against the obvious
-// branching loop, at every length around its 8- and 64-slot strides.
+// branching loop, at every length across the 64-, 128- and 192-slot word
+// boundaries and around outsideWord's four-slot stride.
 // (query's TestKernelMatchesOracle covers the operators' lowering.)
 func TestCountColumnsMatchesBranchingScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	bounds := []uint64{0, 1, 1<<63 - 8, 1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<63 + 8, math.MaxUint64 - 1, math.MaxUint64}
 	for n := 0; n <= 200; n++ {
 		flag, cols := scanColumns(rng, n)
+		words := packFlags(flag)
 		for trial := 0; trial < 20; trial++ {
 			conds := make([]ScanCond, rng.Intn(4))
 			for k := range conds {
@@ -57,7 +69,7 @@ func TestCountColumnsMatchesBranchingScan(t *testing.T) {
 					want++
 				}
 			}
-			if got := CountColumns(flag, cols, conds); got != want {
+			if got := CountColumns(words, n, cols, conds); got != want {
 				t.Fatalf("n=%d conds=%+v: kernel counts %d, branching scan %d", n, conds, got, want)
 			}
 		}
@@ -70,6 +82,7 @@ func TestCountColumnsMatchesBranchingScan(t *testing.T) {
 func BenchmarkCountColumns120k(b *testing.B) {
 	const slots = 120000
 	flag, cols := scanColumns(rand.New(rand.NewSource(63)), slots)
+	words := packFlags(flag)
 	for _, bc := range []struct {
 		name  string
 		conds []ScanCond
@@ -79,13 +92,13 @@ func BenchmarkCountColumns120k(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			sink := 0
-			if allocs := testing.AllocsPerRun(3, func() { sink += CountColumns(flag, cols, bc.conds) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(3, func() { sink += CountColumns(words, slots, cols, bc.conds) }); allocs != 0 {
 				b.Fatalf("CountColumns allocates %v times per scan, want 0", allocs)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sink += CountColumns(flag, cols, bc.conds)
+				sink += CountColumns(words, slots, cols, bc.conds)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/slots, "ns/slot")
 			_ = sink

@@ -56,7 +56,7 @@ type scratch struct {
 func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // boolWord is the bool -> {0,1} word conversion: the real-first key
-// extraction, the flag byte the view stores and every real-slot counter go
+// extraction, the flag bit the view stores and every real-slot counter go
 // through it. The compiler lowers it to a flag move, not a jump; it is the
 // one branch-shaped primitive the sort, the scans and the counters admit to
 // OblivTaintSanctioned.

@@ -21,10 +21,11 @@
 // read re-sorts it whole, to the same bytes.
 //
 // The materialized view is only ever appended to and scanned, so it is a
-// column store — one []int64 per attribute beside a 0/1 byte flag column —
-// that a query reads with the branch-free oblivious.CountColumns kernel,
-// touching only the columns it names. Synchronization paths that feed the view (ReadInto,
-// FlushInto, ReadAndPruneInto, DrainInto) transpose a prefix of the sorted
+// column store — one []int64 per attribute beside a bitset of the isView
+// flags, 64 slots to a word — that a query reads with the branch-free
+// oblivious.CountColumns kernel, touching only the columns it names.
+// Synchronization paths that feed the view (ReadInto, FlushInto,
+// ReadAndPruneInto, DrainInto) transpose a prefix of the sorted
 // cache directly onto the view's columns — one copy, no intermediate slice —
 // and every real-tuple count is maintained incrementally, so Real() is O(1)
 // on the serving read path.
@@ -233,12 +234,14 @@ func (c *Cache) RestoreCounters(appends, reads, flushes, maxLen int) {
 // function of the DP outputs only. That is what lets it be column-major:
 //
 //	cols  [][]int64  one column per attribute
-//	flag  []uint8    the isView bit per slot, 0 or 1
+//	flag  []uint64   the isView bits, slot i at bit 63-i%64 of word i/64
 //
-// plus the real-tuple counter, maintained by adding the flag byte.
+// plus the slot count n and the real-tuple counter, maintained by adding
+// each slot's flag as its bit is ORed in. Bits at or past n are zero.
 type View struct {
 	cols    [][]int64
-	flag    []uint8
+	flag    []uint64
+	n       int
 	real    int
 	updates int
 }
@@ -247,12 +250,16 @@ type View struct {
 func NewView(arity int) *View { return &View{cols: make([][]int64, arity)} }
 
 // appendRange is the one synchronization: slots [lo, hi) of the row-major
-// src are transposed onto the tail of the columns.
+// src are transposed onto the tail of the columns. The flag words the new
+// slots need are appended zeroed, counted from n alone: len(v.flag) is
+// (n+63)/64, but the analyzer cannot see that it is public.
 func (v *View) appendRange(src *oblivious.Buffer, lo, hi int) {
 	arity := v.Arity()
+	v.flag = append(v.flag, make([]uint64, (v.n+hi-lo+63)/64-(v.n+63)/64)...)
 	for i := lo; i < hi; i++ {
 		f := src.FlagByte(i)
-		v.flag = append(v.flag, f)
+		v.flag[v.n/64] |= uint64(f) << (63 - v.n%64)
+		v.n++
 		v.real += int(f)
 		for j := 0; j < arity; j++ {
 			v.cols[j] = append(v.cols[j], src.At(i, j))
@@ -269,7 +276,7 @@ func (v *View) Update(batch *oblivious.Buffer) { v.appendRange(batch, 0, batch.L
 func (v *View) Arity() int { return len(v.cols) }
 
 // Len returns the number of slots in the view (real + dummy).
-func (v *View) Len() int { return len(v.flag) }
+func (v *View) Len() int { return v.n }
 
 // Real returns the number of real tuples from the maintained counter — O(1)
 // (simulator bookkeeping and the serving stats path).
@@ -279,15 +286,19 @@ func (v *View) Real() int { return v.real }
 // conditions name: the number of real slots satisfying all of conds. With no
 // conditions it recounts the real slots, which is how tests pin Real.
 func (v *View) Count(conds []oblivious.ScanCond) int {
-	return oblivious.CountColumns(v.flag, v.cols, conds)
+	return oblivious.CountColumns(v.flag, v.n, v.cols, conds)
 }
 
 // Updates returns the number of synchronizations appended so far.
 func (v *View) Updates() int { return v.updates }
 
-// Columns exposes the column store for the snapshot codec, which writes it
-// out row-major. Callers must not mutate or retain it across appends.
-func (v *View) Columns() (flag []uint8, cols [][]int64) { return v.flag, v.cols }
+// FlagByte returns slot i's isView bit as a 0/1 byte, the form the snapshot
+// codec writes.
+func (v *View) FlagByte(i int) uint8 { return uint8(v.flag[i/64] >> (63 - i%64) & 1) }
+
+// Columns exposes the attribute columns for the snapshot codec, which writes
+// them out row-major. Callers must not mutate or retain them across appends.
+func (v *View) Columns() [][]int64 { return v.cols }
 
 // Restore replaces the view's contents with the slots of the row-major rows
 // and its update counter with a checkpointed value (snapshot codec use).
@@ -295,7 +306,7 @@ func (v *View) Restore(rows *oblivious.Buffer, updates int) {
 	for j := 0; j < v.Arity(); j++ {
 		v.cols[j] = v.cols[j][:0]
 	}
-	v.flag, v.real = v.flag[:0], 0
+	v.flag, v.n, v.real = v.flag[:0], 0, 0
 	v.appendRange(rows, 0, rows.Len())
 	v.updates = updates
 }

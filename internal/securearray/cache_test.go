@@ -41,10 +41,10 @@ func realRows(b *oblivious.Buffer) []table.Row {
 
 // viewRealRows copies out the payloads of v's real slots.
 func viewRealRows(v *View) []table.Row {
-	flag, cols := v.Columns()
+	cols := v.Columns()
 	var out []table.Row
-	for i, f := range flag {
-		if f == 1 {
+	for i := 0; i < v.Len(); i++ {
+		if v.FlagByte(i) == 1 {
 			row := make(table.Row, len(cols))
 			for j, col := range cols {
 				row[j] = col[i]
@@ -188,8 +188,55 @@ func TestViewAppendOnly(t *testing.T) {
 	if v.Len() != 15 || v.Real() != 9 || v.Updates() != 2 {
 		t.Errorf("view len=%d real=%d updates=%d", v.Len(), v.Real(), v.Updates())
 	}
-	if flag, cols := v.Columns(); len(flag) != 15 || len(cols) != 2 || len(cols[0]) != 15 || len(cols[1]) != 15 {
+	if cols := v.Columns(); len(cols) != 2 || len(cols[0]) != 15 || len(cols[1]) != 15 {
 		t.Error("column lengths wrong")
+	}
+}
+
+// TestViewFlagBitset appends batches of 1–150 slots, so appends start and
+// end inside flag words and straddle them, and after every append checks the
+// packing against the source flags: FlagByte is each slot's flag, the
+// no-condition scan is Real, the bitset holds exactly (Len+63)/64 words and
+// no bit at or past Len is set. Restoring a shorter view must clear the
+// longer one's bits.
+func TestViewFlagBitset(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	check := func(v *View, want []uint8) {
+		t.Helper()
+		if v.Len() != len(want) || len(v.flag) != (len(want)+63)/64 {
+			t.Fatalf("view of %d slots holds len %d in %d flag words", len(want), v.Len(), len(v.flag))
+		}
+		for i, f := range want {
+			if got := v.FlagByte(i); got != f {
+				t.Fatalf("len %d: FlagByte(%d) = %d, source flag %d", len(want), i, got, f)
+			}
+		}
+		if r := len(want) % 64; r != 0 && v.flag[len(v.flag)-1]<<r != 0 {
+			t.Fatalf("len %d: bits past Len set in the last flag word %#x", len(want), v.flag[len(v.flag)-1])
+		}
+		if v.Count(nil) != v.Real() {
+			t.Fatalf("len %d: Count(nil) = %d, Real = %d", len(want), v.Count(nil), v.Real())
+		}
+	}
+	flags := func(b *oblivious.Buffer) []uint8 {
+		out := make([]uint8, b.Len())
+		for i := range out {
+			out[i] = b.FlagByte(i)
+		}
+		return out
+	}
+	v, all := NewView(2), []uint8(nil)
+	for len(all) < 2000 {
+		n := 1 + rng.Intn(150)
+		b := batch(rng, n, rng.Intn(n+1))
+		v.Update(b)
+		all = append(all, flags(b)...)
+		check(v, all)
+	}
+	for _, n := range []int{130, 65, 64, 63, 1} {
+		rows := batch(rng, n, rng.Intn(n+1))
+		v.Restore(rows, 1)
+		check(v, flags(rows))
 	}
 }
 
@@ -346,9 +393,8 @@ func sameArena(a, b *oblivious.Buffer) bool {
 
 // sameView reports whether two views hold the same columns and counters.
 func sameView(a, b *View) bool {
-	fa, ca := a.Columns()
-	fb, cb := b.Columns()
-	return slices.Equal(fa, fb) && slices.EqualFunc(ca, cb, slices.Equal) &&
+	return slices.Equal(a.flag, b.flag) && a.Len() == b.Len() &&
+		slices.EqualFunc(a.Columns(), b.Columns(), slices.Equal) &&
 		a.Real() == b.Real() && a.Updates() == b.Updates()
 }
 

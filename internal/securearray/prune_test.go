@@ -100,9 +100,9 @@ func TestDrainInto(t *testing.T) {
 		t.Errorf("drain moved %d, cache %d", v.Len(), c.Len())
 	}
 	// Drain preserves order (no sort).
-	flag, cols := v.Columns()
+	cols := v.Columns()
 	for i := 0; i < b.Len(); i++ {
-		if cols[0][i] != b.At(i, 0) || cols[1][i] != b.At(i, 1) || flag[i] != b.FlagByte(i) {
+		if cols[0][i] != b.At(i, 0) || cols[1][i] != b.At(i, 1) || v.FlagByte(i) != b.FlagByte(i) {
 			t.Fatalf("drain reordered slot %d", i)
 		}
 	}

@@ -129,10 +129,11 @@ func TestCacheViewCodecRoundTrip(t *testing.T) {
 // keeps: its section is, byte for byte, EncodeBuffer of the row-major
 // equivalent followed by the update counter — so snapshots written before
 // the view was a column store still load, and ones written now load there —
-// and decoding transposes it back exactly, counter included.
+// and decoding transposes it back exactly, counter included. The lengths
+// end before, on and after the flag bitset's word boundaries.
 func TestViewSectionIsBufferSection(t *testing.T) {
 	for _, arity := range []int{1, 2, 4} {
-		for _, n := range []int{0, 1, 7, 129} {
+		for _, n := range []int{0, 1, 7, 63, 64, 65, 129, 130} {
 			rows := sampleBuffer(arity, n)
 			v := securearray.NewView(arity)
 			v.Update(rows)

@@ -90,21 +90,21 @@ func DecodeCacheInto(d *Decoder, c *securearray.Cache) error {
 
 // EncodeView writes a securearray.View: the bytes EncodeBuffer would write
 // for the row-major equivalent of its column store — the payload is
-// transposed on the way out, the 0/1 flag bytes are the bools' encoding —
-// plus the update counter.
+// transposed on the way out, and the flag bitset is written one 0/1 byte per
+// slot, the bools' encoding — plus the update counter.
 func EncodeView(e *Encoder, v *securearray.View) {
-	flag, cols := v.Columns()
+	cols, n := v.Columns(), v.Len()
 	e.Int(len(cols))
-	e.Int(len(flag))
-	e.U32(uint32(len(flag) * len(cols)))
-	for i := range flag {
+	e.Int(n)
+	e.U32(uint32(n * len(cols)))
+	for i := 0; i < n; i++ {
 		for _, col := range cols {
 			e.I64(col[i])
 		}
 	}
-	e.U32(uint32(len(flag)))
-	for _, f := range flag {
-		e.U8(f)
+	e.U32(uint32(n))
+	for i := 0; i < n; i++ {
+		e.U8(v.FlagByte(i))
 	}
 	e.Int(v.Updates())
 }
