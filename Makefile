@@ -3,10 +3,12 @@ GO ?= go
 .PHONY: check fmt vet build test lint orphans deadexports race bench bench-core bench-smoke bench-diff benchmark obs-smoke recover-smoke wire-smoke fuzz-smoke serve
 
 # check is what CI runs: formatting, static checks, build, tests, the
-# observability smoke (boot the production wiring, scrape /metrics, assert
-# every layer's families), and the two-process wire smoke (real TLS
-# sockets, byte-identical to loopback, measured wire cost vs prediction).
-check: lint build test obs-smoke wire-smoke
+# data-plane benchmark smoke, the observability smoke (boot the production
+# wiring, scrape /metrics, assert every layer's families), the crash-recovery
+# smoke, and the two-process wire smoke (real TLS sockets, byte-identical to
+# loopback, measured wire cost vs prediction). CI's timing gate (bench-diff)
+# and its race job are left out: run them by name.
+check: lint build test bench-smoke obs-smoke recover-smoke wire-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"incshrink/internal/dp"
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/securearray"
@@ -120,11 +121,14 @@ func SpillBound(cfg Config, wl workload.Config) int {
 // the Theorem-4 deferred-data bound for the configured epsilon/budget plus
 // two padded batches of headroom.
 func PruneBound(cfg Config, wl workload.Config) int {
-	// Deferred-data bound (Theorem 4) over a short horizon of updates plus
-	// two padded batches of headroom: beyond this length the sorted cache
-	// tail is dummy with high probability.
-	const k = 8
-	alpha := 2 * float64(cfg.Budget) / cfg.Epsilon * math.Sqrt(float64(k)*math.Log(20))
+	// Deferred-data bound (Theorem 4) over a short horizon of 8 updates at
+	// beta 0.05, plus two padded batches of headroom: beyond this length the
+	// sorted cache tail is dummy with high probability. An unlimited Budget
+	// (0) bounds nothing, so it adds no deferred-data headroom.
+	alpha, err := dp.DeferredDataBound(float64(cfg.Budget), cfg.Epsilon, 8, 0.05)
+	if err != nil {
+		alpha = 0
+	}
 	batch := cfg.Omega * (wl.MaxLeft + wl.MaxRight)
 	if wl.RightDrivesPairs {
 		batch = cfg.Omega * wl.MaxRight
@@ -395,8 +399,8 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		f.ins.phaseDone("shrink", mpc.OpShrink, shrinkProbe, f.rt)
 
 		if f.flushDue(st.T) {
-			fetched, lost := f.cache.FlushInto(f.view, f.cfg.FlushSize)
-			f.lostReal += lost
+			fetched := min(f.cfg.FlushSize, f.cache.Len())
+			f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
 			f.rt.ObserveFlush(fetched, "flush")
 		}
 

@@ -30,8 +30,8 @@ func refStepBatch(f *Framework, steps []workload.Step) {
 		}
 		f.shrink.Tick(f, st.T)
 		if f.flushDue(st.T) {
-			fetched, lost := f.cache.FlushInto(f.view, f.cfg.FlushSize)
-			f.lostReal += lost
+			fetched := min(f.cfg.FlushSize, f.cache.Len())
+			f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
 			f.rt.ObserveFlush(fetched, "flush")
 		}
 	}

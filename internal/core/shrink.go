@@ -157,22 +157,16 @@ func (f *Framework) exchange(rd *mpc.Round) {
 // prune the cache tail to its public Theorem-4 bound. The fetched slots are
 // copied exactly once, cache arena to view arena.
 func (f *Framework) syncToView(sz int) {
-	if sz < 0 {
-		sz = 0
-	}
-	if sz > f.cache.Len() {
-		sz = f.cache.Len()
-	}
+	sz = min(max(sz, 0), f.cache.Len())
 	if f.cfg.PruneTo > 0 {
-		lost := f.cache.ReadAndPruneInto(f.view, sz, f.cfg.SpillPerUpdate, f.cfg.PruneTo)
-		f.lostReal += lost
+		f.lostReal += f.cache.ReadAndPruneInto(f.view, sz, f.cfg.SpillPerUpdate, f.cfg.PruneTo)
 		if f.cfg.SpillPerUpdate > 0 {
 			// The spill has a publicly fixed size; record it as a
 			// flush-class event, distinct from the DP-sized fetch.
 			f.rt.ObserveFlush(f.cfg.SpillPerUpdate, "spill")
 		}
 	} else {
-		f.cache.ReadInto(f.view, sz)
+		f.cache.ReadAndPruneInto(f.view, sz, 0, f.cache.Len())
 	}
 	f.rt.ObserveFetch(sz, "shrink")
 }

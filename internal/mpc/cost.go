@@ -125,7 +125,6 @@ func (o Op) String() string {
 type Meter struct {
 	model CostModel
 	gates [numOps]float64
-	calls [numOps]int
 }
 
 // NewMeter creates a meter over the given cost model.
@@ -142,7 +141,6 @@ func (m *Meter) ChargeGates(op Op, gates float64) {
 		op = OpOther
 	}
 	m.gates[op] += gates
-	m.calls[op]++
 }
 
 // ChargeSort charges one oblivious sort of n tuples of tupleBits payload.
@@ -185,37 +183,28 @@ func (m *Meter) Seconds(op Op) float64 { return m.gates[op] / m.model.GatesPerSe
 // Bytes returns the simulated network traffic for a phase.
 func (m *Meter) Bytes(op Op) float64 { return m.gates[op] * m.model.BytesPerANDGate }
 
-// Calls returns how many charges were recorded for a phase.
-func (m *Meter) Calls(op Op) int { return m.calls[op] }
-
 // Reset zeroes all counters.
 func (m *Meter) Reset() {
 	m.gates = [numOps]float64{}
-	m.calls = [numOps]int{}
 }
 
 // MeterState is the serializable accumulator state of a Meter (per-phase
-// gate totals and call counts, indexed by Op). The cost model is a
-// construction parameter, not state.
+// gate totals, indexed by Op). The cost model is a construction parameter,
+// not state.
 type MeterState struct {
 	Gates []float64
-	Calls []int
 }
 
 // State snapshots the accumulators.
 func (m *Meter) State() MeterState {
-	return MeterState{
-		Gates: append([]float64(nil), m.gates[:]...),
-		Calls: append([]int(nil), m.calls[:]...),
-	}
+	return MeterState{Gates: append([]float64(nil), m.gates[:]...)}
 }
 
 // SetState restores accumulators snapshotted with State.
 func (m *Meter) SetState(st MeterState) error {
-	if len(st.Gates) != int(numOps) || len(st.Calls) != int(numOps) {
-		return fmt.Errorf("mpc: meter state carries %d/%d phases, want %d", len(st.Gates), len(st.Calls), numOps)
+	if len(st.Gates) != int(numOps) {
+		return fmt.Errorf("mpc: meter state carries %d phases, want %d", len(st.Gates), numOps)
 	}
 	copy(m.gates[:], st.Gates)
-	copy(m.calls[:], st.Calls)
 	return nil
 }

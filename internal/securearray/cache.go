@@ -3,12 +3,13 @@
 // exhaustively padded outputs of the Transform protocol until a Shrink
 // protocol synchronizes a DP-sized prefix into the materialized view.
 //
-// The cache supports exactly the three operations the paper describes —
-// write (append a padded batch), read (oblivious sort by the isView bit,
-// then cut a prefix; Figure 3), and flush (fixed-size read followed by
-// recycling the remainder; Section 5.2.1). Reads always fetch real tuples
-// before dummies, which is what lets Shrink discard dummy volume without
-// learning which slots were real.
+// The cache supports the two operations the paper describes — write (append
+// a padded batch) and read (oblivious sort by the isView bit, then cut a
+// prefix; Figure 3). Section 5.2.1's flush is that read with the surviving
+// tail cut to zero, so ReadAndPruneInto is the one read: its public cut
+// points say how much is fetched, spilled, kept and recycled. Reads always
+// fetch real tuples before dummies, which is what lets Shrink discard dummy
+// volume without learning which slots were real.
 //
 // The cache is a row-major oblivious.Buffer arena: it is put in real-first
 // order and gathered on every synchronization, and those move whole slots.
@@ -24,11 +25,10 @@
 // column store — one []int64 per attribute beside a bitset of the isView
 // flags, 64 slots to a word — that a query reads with the branch-free
 // oblivious.CountColumns kernel, touching only the columns it names.
-// Synchronization paths that feed the view (ReadInto, FlushInto,
-// ReadAndPruneInto, DrainInto) transpose a prefix of the sorted
-// cache directly onto the view's columns — one copy, no intermediate slice —
-// and every real-tuple count is maintained incrementally, so Real() is O(1)
-// on the serving read path.
+// Both synchronization paths that feed the view (ReadAndPruneInto,
+// DrainInto) transpose a prefix of the cache directly onto the view's
+// columns — one copy, no intermediate slice — and every real-tuple count is
+// maintained incrementally, so Real() is O(1) on the serving read path.
 package securearray
 
 import (
@@ -46,13 +46,10 @@ type Cache struct {
 
 	// runs is the public layout of buf: one run per batch appended since
 	// the last read, after the real-first run that read left. It is not
-	// part of the snapshot (RestoreCounters).
+	// part of the snapshot (RestoreMaxLen).
 	runs []oblivious.Run
 
-	appends int
-	reads   int
-	flushes int
-	maxLen  int
+	maxLen int
 }
 
 // New creates an empty cache for slots of the given payload arity, each
@@ -78,7 +75,6 @@ func (c *Cache) appendRun(batch *oblivious.Buffer, realFirst bool) {
 	if batch.Len() > 0 {
 		c.runs = append(c.runs, oblivious.Run{Len: batch.Len(), RealFirst: realFirst})
 	}
-	c.appends++
 	if c.buf.Len() > c.maxLen {
 		c.maxLen = c.buf.Len()
 	}
@@ -96,18 +92,6 @@ func (c *Cache) Real() int { return c.buf.Real() }
 // MaxLen returns the high-water mark of the cache length.
 func (c *Cache) MaxLen() int { return c.maxLen }
 
-// Stats returns operation counters (appends, reads, flushes).
-func (c *Cache) Stats() (appends, reads, flushes int) {
-	return c.appends, c.reads, c.flushes
-}
-
-// sortRealFirst obliviously sorts the cache so real tuples lead (the shared
-// first phase of every read-class operation; Figure 3), merging its runs
-// into one. It is charged as a full sort of the cache.
-func (c *Cache) sortRealFirst() {
-	oblivious.MergeRealFirst(c.buf, c.runs, c.meter, mpc.OpShrink, c.tupleBits)
-}
-
 // oneRun records the whole cache as one run, or none when it is empty. What
 // a read leaves — a prefix cut and truncation of the real-first order — is
 // itself real-first.
@@ -118,52 +102,10 @@ func (c *Cache) oneRun(realFirst bool) {
 	}
 }
 
-func clampSize(size, n int) int {
-	if size < 0 {
-		return 0
-	}
-	if size > n {
-		return n
-	}
-	return size
-}
-
-// ReadInto performs the secure cache read of Figure 3: obliviously sort so
-// real tuples lead, cut the first size slots off as the fetched batch, and
-// keep the remainder. size is clamped to [0, Len]. The caller reveals only
-// size (the DP-protected cardinality). The fetched prefix is appended
-// directly into the view's columns — one copy, no intermediate buffer.
-func (c *Cache) ReadInto(v *View, size int) {
-	c.sortRealFirst()
-	size = clampSize(size, c.buf.Len())
-	v.appendRange(c.buf, 0, size)
-	c.buf.CutPrefix(size)
-	c.oneRun(true)
-	c.reads++
-}
-
-// FlushInto performs the cache-flush of Section 5.2.1: fetch exactly size
-// slots off the head of the sorted cache into the view and recycle (drop)
-// everything else. With a flush size chosen by dp.FlushSizeFor, the recycled
-// slots are all dummies except with small probability beta. It returns the
-// fetched slot count (size clamped to the cache length — the public flush
-// observation) and the number of real tuples lost to recycling (0 in the
-// common case; surfaced so experiments can report it).
-func (c *Cache) FlushInto(v *View, size int) (fetched, lostReal int) {
-	c.sortRealFirst()
-	size = clampSize(size, c.buf.Len())
-	v.appendRange(c.buf, 0, size)
-	c.buf.CutPrefix(size)
-	lostReal = c.buf.Real()
-	c.buf.Reset()
-	c.oneRun(true)
-	c.flushes++
-	return size, lostReal
-}
-
-// ReadAndPruneInto performs the view synchronization, a bounded
-// deferred-data spill, and the incremental cache cap under a single
-// oblivious sort. The sorted (real-first) cache splits into four
+// ReadAndPruneInto is the cache read: it performs the view synchronization,
+// a bounded deferred-data spill, and the incremental cache cap under a single
+// oblivious sort, charged as a full sort of the cache, which merges the
+// cache's runs into one. The sorted (real-first) cache splits into four
 // public-length segments:
 //
 //	[0:size)                the DP-sized fetch (Alg. 2:8 / Alg. 3:10)
@@ -175,29 +117,24 @@ func (c *Cache) FlushInto(v *View, size int) (fetched, lostReal int) {
 //	remainder               recycled; real tuples here are counted as lost
 //	                        (w.h.p. it is pure dummy volume, Theorem 4)
 //
-// All three cut points are public (size is the DP release; spill and keep
-// are configuration constants), so the operation leaks nothing beyond the
-// DP outputs. The combined fetch goes straight into the view arena; the
-// surviving segment stays in place (a prefix cut, no reallocation). Returns
-// the number of real tuples recycled.
+// All three cut points are public (size is the DP release or a flush size;
+// spill and keep are configuration constants), so the operation leaks
+// nothing beyond the DP outputs. Each is clamped to what the cache holds.
+// Figure 3's plain read keeps everything (spill 0, keep >= Len); Section
+// 5.2.1's flush keeps nothing (spill 0, keep 0), and with a flush size
+// chosen by dp.FlushSizeFor what it recycles is all dummies except with
+// small probability beta. The combined fetch goes straight into the view
+// arena; the surviving segment stays in place (a prefix cut, no
+// reallocation). Returns the number of real tuples recycled.
 func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) {
-	c.sortRealFirst()
-	size = clampSize(size, c.buf.Len())
-	if spill < 0 {
-		spill = 0
-	}
-	if size+spill > c.buf.Len() {
-		spill = c.buf.Len() - size
-	}
+	oblivious.MergeRealFirst(c.buf, c.runs, c.meter, mpc.OpShrink, c.tupleBits)
+	size = min(max(size, 0), c.buf.Len())
+	spill = min(max(spill, 0), c.buf.Len()-size)
 	v.appendRange(c.buf, 0, size+spill)
 	c.buf.CutPrefix(size + spill)
-	c.reads++
-	if keep < 0 {
-		keep = 0
-	}
+	keep = max(keep, 0)
 	if keep < c.buf.Len() {
 		lostReal = c.buf.Truncate(keep)
-		c.flushes++
 	}
 	c.oneRun(true)
 	return lostReal
@@ -210,21 +147,19 @@ func (c *Cache) DrainInto(v *View) {
 	v.appendRange(c.buf, 0, c.buf.Len())
 	c.buf.Reset()
 	c.oneRun(true)
-	c.reads++
 }
 
 // Buffer exposes the cache arena for the snapshot codec. Callers other than
 // internal/snapshot must treat it as read-only; mutating it bypasses the
-// cache's operation counters.
+// cache's runs and high-water mark.
 func (c *Cache) Buffer() *oblivious.Buffer { return c.buf }
 
-// RestoreCounters overwrites the operation counters with checkpointed
-// values; the snapshot codec calls it after reloading the arena so a
-// restored cache reports the same history as one that never stopped. The
-// reloaded arena is recorded as one raw run: the layout is not checkpointed,
-// and the next read's full sort gives the bytes a merge would have.
-func (c *Cache) RestoreCounters(appends, reads, flushes, maxLen int) {
-	c.appends, c.reads, c.flushes, c.maxLen = appends, reads, flushes, maxLen
+// RestoreMaxLen is the snapshot codec's hook after it reloads the arena: it
+// restores the checkpointed high-water mark and records the reloaded arena
+// as one raw run. The layout is not checkpointed, and the next read's full
+// sort gives the bytes a merge would have.
+func (c *Cache) RestoreMaxLen(maxLen int) {
+	c.maxLen = maxLen
 	c.oneRun(false)
 }
 

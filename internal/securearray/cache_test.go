@@ -58,6 +58,12 @@ func viewRealRows(v *View) []table.Row {
 // newCache builds an arity-2 cache like the test batches.
 func newCache(tupleBits int, m *mpc.Meter) *Cache { return New(2, tupleBits, m) }
 
+// read is Figure 3's plain read: fetch size slots and keep the rest.
+func read(c *Cache, v *View, size int) { c.ReadAndPruneInto(v, size, 0, c.Len()) }
+
+// flush is Section 5.2.1's flush: fetch size slots and recycle the rest.
+func flush(c *Cache, v *View, size int) (lostReal int) { return c.ReadAndPruneInto(v, size, 0, 0) }
+
 func TestCacheAppendAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := newCache(128, nil)
@@ -72,9 +78,10 @@ func TestCacheAppendAndCounters(t *testing.T) {
 	if c.MaxLen() != 20 {
 		t.Errorf("MaxLen = %d", c.MaxLen())
 	}
-	a, r, f := c.Stats()
-	if a != 2 || r != 0 || f != 0 {
-		t.Errorf("stats = %d %d %d", a, r, f)
+	flush(c, NewView(2), 5)
+	c.Append(batch(rng, 10, 2))
+	if c.Len() != 10 || c.MaxLen() != 20 {
+		t.Errorf("after a flush and an append: Len = %d, MaxLen = %d, want 10 and the high-water mark 20", c.Len(), c.MaxLen())
 	}
 }
 
@@ -83,7 +90,7 @@ func TestCacheReadFetchesRealFirst(t *testing.T) {
 	c := newCache(128, nil)
 	c.Append(batch(rng, 30, 12))
 	got := NewView(2)
-	c.ReadInto(got, 12)
+	read(c, got, 12)
 	if got.Len() != 12 || got.Real() != 12 {
 		t.Errorf("read %d slots, %d real; want 12 real", got.Len(), got.Real())
 	}
@@ -101,7 +108,7 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 	c.Append(batch(rng, 10, 4))
 	// Positive noise: fetch more than real count -> dummies included.
 	got := NewView(2)
-	c.ReadInto(got, 7)
+	read(c, got, 7)
 	if got.Len() != 7 || got.Real() != 4 {
 		t.Errorf("oversized read: %d slots %d real", got.Len(), got.Real())
 	}
@@ -109,13 +116,13 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 	c2 := newCache(128, nil)
 	c2.Append(batch(rng, 10, 4))
 	got = NewView(2)
-	c2.ReadInto(got, 2)
+	read(c2, got, 2)
 	if got.Real() != 2 || c2.Real() != 2 {
 		t.Errorf("undersized read: fetched %d real, cache keeps %d", got.Real(), c2.Real())
 	}
 	// Read larger than cache clamps.
 	got = NewView(2)
-	c2.ReadInto(got, 100)
+	read(c2, got, 100)
 	if got.Len() != 8 {
 		t.Errorf("clamped read returned %d slots, want remaining 8", got.Len())
 	}
@@ -125,7 +132,7 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 	// A negative size clamps to an empty fetch that still counts as a read.
 	c2.Append(batch(rng, 6, 3))
 	got = NewView(2)
-	c2.ReadInto(got, -3)
+	read(c2, got, -3)
 	if got.Len() != 0 || c2.Len() != 6 || got.Updates() != 1 {
 		t.Errorf("negative read: fetched %d slots, cache keeps %d, %d view updates", got.Len(), c2.Len(), got.Updates())
 	}
@@ -136,7 +143,7 @@ func TestCacheReadChargesSort(t *testing.T) {
 	m := mpc.NewMeter(mpc.DefaultCostModel())
 	c := newCache(256, m)
 	c.Append(batch(rng, 16, 5))
-	c.ReadInto(NewView(2), 5)
+	read(c, NewView(2), 5)
 	want := float64(mpc.SortCompareExchanges(16)) * 256 * m.Model().ANDGatesPerCompareExchangeBit
 	if got := m.Gates(mpc.OpShrink); got != want {
 		t.Errorf("read charged %v gates, want %v", got, want)
@@ -148,9 +155,9 @@ func TestCacheFlushInto(t *testing.T) {
 	c := newCache(128, nil)
 	v := NewView(2)
 	c.Append(batch(rng, 50, 6))
-	fetched, lost := c.FlushInto(v, 10)
-	if fetched != 10 || v.Len() != 10 {
-		t.Errorf("flush fetched %d (view len %d), want 10", fetched, v.Len())
+	lost := flush(c, v, 10)
+	if v.Len() != 10 {
+		t.Errorf("flush fetched %d slots, want 10", v.Len())
 	}
 	if v.Real() != 6 {
 		t.Errorf("flush fetched %d real, want all 6", v.Real())
@@ -161,10 +168,6 @@ func TestCacheFlushInto(t *testing.T) {
 	if c.Len() != 0 {
 		t.Error("flush must empty the cache")
 	}
-	_, _, f := c.Stats()
-	if f != 1 {
-		t.Errorf("flush counter = %d", f)
-	}
 	if v.Updates() != 1 {
 		t.Errorf("view updates = %d, want 1", v.Updates())
 	}
@@ -174,7 +177,7 @@ func TestCacheFlushReportsLostReal(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := newCache(128, nil)
 	c.Append(batch(rng, 20, 9))
-	_, lost := c.FlushInto(NewView(2), 5) // undersized flush: 4 real recycled
+	lost := flush(c, NewView(2), 5) // undersized flush: 4 real recycled
 	if lost != 4 {
 		t.Errorf("lost = %d, want 4", lost)
 	}
@@ -258,7 +261,7 @@ func TestReadPreservesMultiset(t *testing.T) {
 	orig := realRows(b)
 	c.Append(b)
 	got := NewView(2)
-	c.ReadInto(got, 9)
+	read(c, got, 9)
 	combined := append(viewRealRows(got), realRows(c.Buffer())...)
 	if !table.MultisetEqual(combined, orig) {
 		t.Error("read split changed the multiset of real tuples")
@@ -289,11 +292,11 @@ func TestCountersPinnedToScan(t *testing.T) {
 			c.Append(batch(rng, n, rng.Intn(n+1)))
 			check("append")
 		case 2:
-			c.ReadInto(v, rng.Intn(c.Len()+3)-1)
-			check("readInto")
+			read(c, v, rng.Intn(c.Len()+3)-1)
+			check("read")
 		case 3:
-			_, _ = c.FlushInto(v, rng.Intn(c.Len()+3)-1)
-			check("flushInto")
+			flush(c, v, rng.Intn(c.Len()+3)-1)
+			check("flush")
 		case 4:
 			c.ReadAndPruneInto(v, rng.Intn(c.Len()+2), rng.Intn(4), rng.Intn(15))
 			check("readAndPruneInto")
@@ -345,7 +348,7 @@ func BenchmarkCacheAppend256(b *testing.B) {
 		c.Append(src)
 		if c.Len() >= 1<<16 {
 			b.StopTimer()
-			c.FlushInto(NewView(2), 0)
+			flush(c, NewView(2), 0)
 			b.StartTimer()
 		}
 	}
@@ -360,13 +363,13 @@ func BenchmarkCacheRead256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c.FlushInto(NewView(2), 0)
+		flush(c, NewView(2), 0)
 		c.Append(src)
 		if v.Len() > 1<<20 {
 			v = NewView(2)
 		}
 		b.StartTimer()
-		c.ReadInto(v, 40)
+		read(c, v, 40)
 	}
 }
 
@@ -419,12 +422,12 @@ func TestAppendRealFirstMatchesAppend(t *testing.T) {
 			continue
 		case op == 6:
 			size := rng.Intn(m.Len()+3) - 1
-			m.ReadInto(vm, size)
-			s.ReadInto(vs, size)
+			read(m, vm, size)
+			read(s, vs, size)
 		case op == 7:
 			size := rng.Intn(m.Len() + 2)
-			m.FlushInto(vm, size)
-			s.FlushInto(vs, size)
+			flush(m, vm, size)
+			flush(s, vs, size)
 		default:
 			size, spill, keep := rng.Intn(m.Len()+2), rng.Intn(6), rng.Intn(m.Len()+2)
 			m.ReadAndPruneInto(vm, size, spill, keep)
@@ -447,14 +450,13 @@ func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 	var seq int64
 	kept, v := newCache(128, nil), NewView(2)
 	kept.AppendRealFirst(compacted(rng, &seq, 90, 30))
-	kept.ReadInto(v, 20)
+	read(kept, v, 20)
 	for range 3 {
 		kept.AppendRealFirst(compacted(rng, &seq, 40, 25))
 	}
 	restored, rv := newCache(128, nil), NewView(2)
 	restored.Buffer().AppendAll(kept.Buffer())
-	appends, reads, flushes := kept.Stats()
-	restored.RestoreCounters(appends, reads, flushes, kept.MaxLen())
+	restored.RestoreMaxLen(kept.MaxLen())
 	if len(restored.runs) != 1 || restored.runs[0] != (oblivious.Run{Len: restored.Len()}) {
 		t.Fatalf("restored runs %v, want one raw run of %d", restored.runs, restored.Len())
 	}

@@ -161,10 +161,10 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 // bumps: the seeds named as valid encodings must still decode cleanly under
 // the current section codecs — a seed that only reaches the error path stops
 // guiding the fuzzer — so a version that changes the buffer or runtime
-// section has to regenerate them. (v7 changed the runtime section — the
-// protocol-internal draw position left it — and seed_runtime with it; the
-// engine section's fuzz seeds are live snapshots taken by
-// core.FuzzDecodeFrameworkState itself.)
+// section has to regenerate them. (v7 and v8 changed the runtime section —
+// the protocol-internal draw position, then the meter's call counts, left
+// it — and seed_runtime with it; the engine section's fuzz seeds are live
+// snapshots taken by core.FuzzDecodeFrameworkState itself.)
 func TestSeedCorpusDecodes(t *testing.T) {
 	seed := func(target, name string) []byte {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))

@@ -52,8 +52,9 @@ const (
 	// the cost model's unused equality-gate constant from the fingerprint; v6
 	// replaced each party's transcript with its running SHA-256 and count; v7
 	// dropped the runtime's protocol-internal draw position, a stream nothing
-	// ever drew from.
-	Version = 7
+	// ever drew from; v8 dropped the cache's three operation counters and the
+	// meter's per-phase call counts, which only tests read.
+	Version = 8
 )
 
 // Typed decode errors, distinguishable with errors.Is.

@@ -56,13 +56,10 @@ func DecodeBufferInto(d *Decoder, dst *oblivious.Buffer) error {
 	return nil
 }
 
-// EncodeCache writes a securearray.Cache: its arena plus operation counters.
+// EncodeCache writes a securearray.Cache: its arena plus its high-water mark.
+// The runs the arena holds are not written (securearray.Cache.RestoreMaxLen).
 func EncodeCache(e *Encoder, c *securearray.Cache) {
 	EncodeBuffer(e, c.Buffer())
-	appends, reads, flushes := c.Stats()
-	e.Int(appends)
-	e.Int(reads)
-	e.Int(flushes)
 	e.Int(c.MaxLen())
 }
 
@@ -72,19 +69,15 @@ func DecodeCacheInto(d *Decoder, c *securearray.Cache) error {
 	if err := DecodeBufferInto(d, c.Buffer()); err != nil {
 		return err
 	}
-	appends := d.Int()
-	reads := d.Int()
-	flushes := d.Int()
 	maxLen := d.Int()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if appends < 0 || reads < 0 || flushes < 0 || maxLen < c.Len() {
-		d.Corrupt("cache counters (appends=%d reads=%d flushes=%d maxLen=%d, len=%d)",
-			appends, reads, flushes, maxLen, c.Len())
+	if maxLen < c.Len() {
+		d.Corrupt("cache high-water mark %d below its length %d", maxLen, c.Len())
 		return d.Err()
 	}
-	c.RestoreCounters(appends, reads, flushes, maxLen)
+	c.RestoreMaxLen(maxLen)
 	return nil
 }
 
@@ -192,10 +185,6 @@ func encodeMeterState(e *Encoder, st mpc.MeterState) {
 	for _, g := range st.Gates {
 		e.F64(g)
 	}
-	e.U32(uint32(len(st.Calls)))
-	for _, c := range st.Calls {
-		e.Int(c)
-	}
 }
 
 func decodeMeterState(d *Decoder) mpc.MeterState {
@@ -207,17 +196,6 @@ func decodeMeterState(d *Decoder) mpc.MeterState {
 	st.Gates = make([]float64, 0, min(ng, allocChunk))
 	for i := 0; i < ng; i++ {
 		st.Gates = append(st.Gates, d.F64())
-		if d.Err() != nil {
-			return st
-		}
-	}
-	nc := d.Len()
-	if d.Err() != nil {
-		return st
-	}
-	st.Calls = make([]int, 0, min(nc, allocChunk))
-	for i := 0; i < nc; i++ {
-		st.Calls = append(st.Calls, d.Int())
 		if d.Err() != nil {
 			return st
 		}
