@@ -16,8 +16,8 @@ func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) 
 	t.Helper()
 	rt := mpc.NewRuntime(cfg.Cost, cfg.Seed)
 	s0, s1 = new(mpc.Transcript), new(mpc.Transcript)
-	rt.S0.Record(s0)
-	rt.S1.Record(s1)
+	rt.Party(mpc.Server0).Record(s0)
+	rt.Party(mpc.Server1).Record(s1)
 	f, err := newOn(rt, cfg, wl, shrink)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSimulatorIndistinguishability(t *testing.T) {
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
-	if n := f.rt.S0.EventCount(); n != uint64(len(real0.Events)) {
+	if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
 		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
 	}
 

@@ -95,8 +95,8 @@ func TestFrameworkSnapshotRestoreContinues(t *testing.T) {
 					t.Errorf("metrics diverged:\nrestored: %+v\nuninterrupted: %+v", restored.Metrics(), ref.Metrics())
 				}
 				for _, pair := range [][2]*mpc.Party{
-					{ref.rt.S0, restored.rt.S0},
-					{ref.rt.S1, restored.rt.S1},
+					{ref.rt.Party(mpc.Server0), restored.rt.Party(mpc.Server0)},
+					{ref.rt.Party(mpc.Server1), restored.rt.Party(mpc.Server1)},
 				} {
 					p, q := pair[0], pair[1]
 					if p.TranscriptDigest() != q.TranscriptDigest() || p.EventCount() != q.EventCount() {
@@ -128,14 +128,14 @@ func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
 		for _, st := range tr.Steps[:10] {
 			f.Step(st)
 		}
-		early, seen := section(), f.rt.S0.EventCount()
+		early, seen := section(), f.rt.Party(mpc.Server0).EventCount()
 		for _, st := range tr.Steps[10:] {
 			f.Step(st)
 		}
 		if late := section(); late != early {
 			t.Errorf("ant=%t: runtime section is %d bytes after 10 steps, %d after %d", ant, early, late, len(tr.Steps))
 		}
-		if now := f.rt.S0.EventCount(); now < seen+uint64(len(tr.Steps))/2 {
+		if now := f.rt.Party(mpc.Server0).EventCount(); now < seen+uint64(len(tr.Steps))/2 {
 			t.Errorf("ant=%t: only %d events over the run; the section had nothing to not grow with", ant, now-seen)
 		}
 	}

@@ -189,7 +189,7 @@ func TestTranscriptSharesUniform(t *testing.T) {
 	hist := make([]int, 16)
 	for i := 0; i < n; i++ {
 		r.ShareToServers("c", 0xABCD1234)
-		s, _ := r.S1.LoadShare("c")
+		s, _ := r.Party(Server1).LoadShare("c")
 		hist[s>>28]++
 	}
 	exp := n / 16
@@ -200,10 +200,22 @@ func TestTranscriptSharesUniform(t *testing.T) {
 	}
 }
 
+// jointRandomWord runs a round of one joint random word (Alg. 2:4-5) and
+// returns the word.
+func jointRandomWord(t *testing.T, r *Runtime, label string) uint32 {
+	t.Helper()
+	rd := r.Round()
+	i := rd.joint(label)
+	if err := rd.Exchange(); err != nil {
+		t.Fatal(err)
+	}
+	return rd.jointWord(i)
+}
+
 func TestJointRandomWordUsesBothParties(t *testing.T) {
 	r, tr0, tr1 := recordedRuntime(9)
 	r.SetTime(1)
-	w := r.JointRandomWord("test")
+	w := jointRandomWord(t, r, "test")
 	// Each party must have exactly one random contribution whose XOR is w.
 	ev0, ev1 := tr0.Events, tr1.Events
 	if len(ev0) != 1 || len(ev1) != 1 {
@@ -264,8 +276,8 @@ func TestObserveEventsAppearInBothTranscripts(t *testing.T) {
 func recordedRuntime(seed int64) (r *Runtime, tr0, tr1 *Transcript) {
 	r = NewRuntime(DefaultCostModel(), seed)
 	tr0, tr1 = new(Transcript), new(Transcript)
-	r.S0.Record(tr0)
-	r.S1.Record(tr1)
+	r.Party(Server0).Record(tr0)
+	r.Party(Server1).Record(tr1)
 	return r, tr0, tr1
 }
 
@@ -292,7 +304,7 @@ func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
 		for _, c := range []struct {
 			p  *Party
 			tr *Transcript
-		}{{r.S0, tr0}, {r.S1, tr1}} {
+		}{{r.Party(Server0), tr0}, {r.Party(Server1), tr1}} {
 			if got, want := c.p.TranscriptDigest(), hashEvents(c.tr.Events); got != want {
 				t.Fatalf("%s: %v running digest %x, recorded events hash to %x", when, c.p.ID, got, want)
 			}
@@ -327,8 +339,8 @@ func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
 
 	st := r.State()
 	r = NewRuntime(DefaultCostModel(), 12)
-	r.S0.Record(tr0)
-	r.S1.Record(tr1)
+	r.Party(Server0).Record(tr0)
+	r.Party(Server1).Record(tr1)
 	if err := r.SetState(st); err != nil {
 		t.Fatal(err)
 	}
@@ -343,33 +355,44 @@ func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		step(ref, i)
 	}
-	if ref.S0.TranscriptDigest() != r.S0.TranscriptDigest() || ref.S1.TranscriptDigest() != r.S1.TranscriptDigest() {
+	if ref.Party(Server0).TranscriptDigest() != r.Party(Server0).TranscriptDigest() || ref.Party(Server1).TranscriptDigest() != r.Party(Server1).TranscriptDigest() {
 		t.Error("restored run's digests differ from an uninterrupted run's")
 	}
 }
 
 // TestSetStateRefusesBadDigestState: a hash state that does not unmarshal is
 // an error that leaves the party as it was — never a silently fresh digest.
+// So is a runtime state with another party count than the runtime's.
 func TestSetStateRefusesBadDigestState(t *testing.T) {
 	r := NewRuntime(DefaultCostModel(), 13)
 	r.ObserveBatch(8, "transform")
-	before := r.S0.TranscriptDigest()
+	s0 := r.Party(Server0)
+	before := s0.TranscriptDigest()
 	for name, damage := range map[string]func([]byte) []byte{
 		"short":     func(b []byte) []byte { return b[:len(b)-1] },
 		"long":      func(b []byte) []byte { return append(b, 0) },
 		"empty":     func([]byte) []byte { return nil },
 		"bad magic": func(b []byte) []byte { b[0] ^= 0xff; return b },
 	} {
-		st := r.S0.State()
+		st := s0.State()
 		st.Digest = damage(st.Digest)
-		if err := r.S0.SetState(st); err == nil {
+		if err := s0.SetState(st); err == nil {
 			t.Errorf("%s digest state accepted", name)
 		}
-		if r.S0.TranscriptDigest() != before || r.S0.EventCount() != 1 {
+		if s0.TranscriptDigest() != before || s0.EventCount() != 1 {
 			t.Errorf("%s digest state changed the party", name)
 		}
 	}
-	if got := len(r.S0.State().Digest); got != DigestStateLen {
+	one := r.State()
+	one.Parties = one.Parties[:1]
+	one.Now = 9
+	if err := r.SetState(one); err == nil {
+		t.Error("a one-party state restored into a two-party runtime")
+	}
+	if s0.TranscriptDigest() != before || r.Now() != 0 {
+		t.Error("a state of the wrong party count changed the runtime")
+	}
+	if got := len(s0.State().Digest); got != DigestStateLen {
 		t.Errorf("marshaled digest state is %d bytes, DigestStateLen = %d", got, DigestStateLen)
 	}
 }
@@ -391,14 +414,14 @@ func TestRuntimeDeterministicAcrossSeeds(t *testing.T) {
 	a := NewRuntime(DefaultCostModel(), 42)
 	b := NewRuntime(DefaultCostModel(), 42)
 	for i := 0; i < 100; i++ {
-		if a.JointRandomWord("x") != b.JointRandomWord("x") {
+		if jointRandomWord(t, a, "x") != jointRandomWord(t, b, "x") {
 			t.Fatal("same seed produced different joint words")
 		}
 	}
 	c := NewRuntime(DefaultCostModel(), 43)
 	same := true
 	for i := 0; i < 100; i++ {
-		if a.JointRandomWord("x") != c.JointRandomWord("x") {
+		if jointRandomWord(t, a, "x") != jointRandomWord(t, c, "x") {
 			same = false
 		}
 	}
@@ -433,7 +456,7 @@ func TestRoundShipsOneFrame(t *testing.T) {
 	if c != refC || noise != refNoise {
 		t.Errorf("grouped round recovered %d, drew %v; one word per round %d, %v", c, noise, refC, refNoise)
 	}
-	for _, pair := range [][2]*Party{{r.S0, ref.S0}, {r.S1, ref.S1}} {
+	for _, pair := range [][2]*Party{{r.Party(Server0), ref.Party(Server0)}, {r.Party(Server1), ref.Party(Server1)}} {
 		a, _ := pair[0].LoadShare("c")
 		b, _ := pair[1].LoadShare("c")
 		if a != b || pair[0].rng.Draws() != pair[1].rng.Draws() || pair[0].EventCount() != pair[1].EventCount() {
@@ -450,9 +473,10 @@ func TestRoundShipsOneFrame(t *testing.T) {
 func TestBadRoundSendsNothing(t *testing.T) {
 	r := NewRuntime(DefaultCostModel(), 14)
 	r.ShareToServers("c", 3)
-	conns := [2]wire.Stats{r.p0.conn.Stats(), r.p1.conn.Stats()}
+	s0, s1 := r.Party(Server0), r.Party(Server1)
+	conns := [2]wire.Stats{s0.conn.Stats(), s1.conn.Stats()}
 	rounds, bytes := r.WireTally()
-	draws := [2]uint64{r.S0.rng.Draws(), r.S1.rng.Draws()}
+	draws := [2]uint64{s0.rng.Draws(), s1.rng.Draws()}
 	rd := r.Round()
 	rd.Reshare("c")
 	rd.Noise()
@@ -460,13 +484,13 @@ func TestBadRoundSendsNothing(t *testing.T) {
 	if err := rd.Exchange(); err == nil {
 		t.Fatal("a round recovering a missing key succeeded")
 	}
-	if got := [2]wire.Stats{r.p0.conn.Stats(), r.p1.conn.Stats()}; got != conns {
+	if got := [2]wire.Stats{s0.conn.Stats(), s1.conn.Stats()}; got != conns {
 		t.Errorf("conn counters moved: %+v, before %+v", got, conns)
 	}
 	if nr, nb := r.WireTally(); nr != rounds || nb != bytes {
 		t.Errorf("wire tally moved to %d/%d from %d/%d", nr, nb, rounds, bytes)
 	}
-	if got := [2]uint64{r.S0.rng.Draws(), r.S1.rng.Draws()}; got != draws {
+	if got := [2]uint64{s0.rng.Draws(), s1.rng.Draws()}; got != draws {
 		t.Errorf("draws moved to %v from %v", got, draws)
 	}
 	if v, err := r.RecoverInside("c"); err != nil || v != 3 {
@@ -486,8 +510,8 @@ func TestBadRoundSendsNothing(t *testing.T) {
 	if c0.Stats() != (wire.Stats{}) || c1.Stats() != (wire.Stats{}) {
 		t.Errorf("conn counters moved: %+v, %+v", c0.Stats(), c1.Stats())
 	}
-	if nr, nb := pr.Party().WireTally(); nr != 0 || nb != 0 || pr.party.rng.Draws() != 0 {
-		t.Errorf("standalone party: tally %d/%d and %d draws after a refused round", nr, nb, pr.party.rng.Draws())
+	if nr, nb := pr.WireTally(); nr != 0 || nb != 0 || pr.Party(Server0).rng.Draws() != 0 {
+		t.Errorf("standalone party: tally %d/%d and %d draws after a refused round", nr, nb, pr.Party(Server0).rng.Draws())
 	}
 }
 

@@ -130,12 +130,12 @@ type WireProbe struct {
 // WireProbe snapshots the runtime's current wire tally and word count.
 func (r *Runtime) WireProbe() WireProbe {
 	rounds, bytes := r.WireTally()
-	return WireProbe{rounds: rounds, words: r.p0.words, bytes: bytes}
+	return WireProbe{rounds: rounds, words: r.ps[0].words, bytes: bytes}
 }
 
 // Delta returns the wire rounds, words and bytes the runtime moved since the
 // probe was taken.
 func (p WireProbe) Delta(r *Runtime) (rounds, words, bytes uint64) {
 	nr, nb := r.WireTally()
-	return nr - p.rounds, r.p0.words - p.words, nb - p.bytes
+	return nr - p.rounds, r.ps[0].words - p.words, nb - p.bytes
 }

@@ -1,9 +1,24 @@
 package mpc
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
 	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
 )
+
+// FrameWord is the frame type of every online runtime exchange: the round's
+// 4-byte little-endian words (randomness contributions, re-share mask
+// halves, recovery shares) back to back, in declaration order. Layers above
+// the runtime (internal/gmw, internal/party) use their own type bytes; the
+// runtime never interprets theirs.
+const FrameWord byte = 0x01
+
+// ErrBadFrame reports a peer frame of the wrong type, or with a word count
+// other than the round's.
+var ErrBadFrame = errors.New("mpc: unexpected frame")
 
 // roundWord is one word of a round as both parties declare it: a share of
 // the value stored under key, recovered inside the protocol, or a fresh
@@ -30,12 +45,15 @@ type roundWord struct {
 // may be computed from the round's own results: it enters only locally, at
 // S1, as value ^ mask.
 //
+// Each party of the runtime plays its half of the round (Party.begin and
+// Party.finish); the in-process runtime plays both halves in lockstep, a
+// one-party runtime plays one against its peer.
+//
 // A Round belongs to the runtime that started it and is valid until that
 // runtime starts the next one.
 type Round struct {
 	words []roundWord
-	ps    []*PartyRuntime
-	meter *Meter
+	rt    *Runtime
 }
 
 func (rd *Round) reset() *Round {
@@ -70,17 +88,18 @@ func (rd *Round) joint(label string) int { return rd.declare(false, label) }
 // round recovers — so a missing key fails before anything is drawn or sent —
 // then ships its words in one frame, then receives its peer's.
 func (rd *Round) Exchange() error {
-	for _, p := range rd.ps {
+	ps := rd.rt.ps
+	for _, p := range ps {
 		if err := p.holds(rd.words); err != nil {
 			return err
 		}
 	}
-	for _, p := range rd.ps {
+	for _, p := range ps {
 		if err := p.begin(rd.words); err != nil {
 			return err
 		}
 	}
-	for _, p := range rd.ps {
+	for _, p := range ps {
 		if err := p.finish(len(rd.words)); err != nil {
 			return err
 		}
@@ -91,8 +110,9 @@ func (rd *Round) Exchange() error {
 // open XORs the two words at slot i. In-process, both parties derive it and
 // must agree.
 func (rd *Round) open(i int) uint32 {
-	v := rd.ps[0].mine[i] ^ rd.ps[0].peer[i]
-	for _, p := range rd.ps[1:] {
+	ps := rd.rt.ps
+	v := ps[0].mine[i] ^ ps[0].peer[i]
+	for _, p := range ps[1:] {
 		if p.mine[i]^p.peer[i] != v {
 			panic("mpc: parties opened different words")
 		}
@@ -107,8 +127,8 @@ func (rd *Round) Recovered(i int) secretshare.Word { return rd.open(i) }
 // jointWord records every party's contribution at slot i and returns the
 // joint word.
 func (rd *Round) jointWord(i int) uint32 {
-	for _, p := range rd.ps {
-		p.contributed(i, rd.words[i].key)
+	for _, p := range rd.rt.ps {
+		p.contributed(i, rd.words[i].key, rd.rt.now)
 	}
 	return rd.open(i)
 }
@@ -118,14 +138,94 @@ func (rd *Round) jointWord(i int) uint32 {
 func (rd *Round) Laplace(i int, scale float64, op Op) float64 {
 	zr := rd.jointWord(i)
 	zs := rd.jointWord(i + 1)
-	rd.meter.ChargeLaplace(op)
+	rd.rt.Meter.ChargeLaplace(op)
 	return dp.LaplaceFromWords(scale, zr, zs)
 }
 
 // Share completes the re-share declared at slot i: every party records its
 // contribution and stores its share of value.
 func (rd *Round) Share(i int, value secretshare.Word) {
-	for _, p := range rd.ps {
-		p.share(i, rd.words[i].key, value)
+	for _, p := range rd.rt.ps {
+		p.share(i, rd.words[i].key, value, rd.rt.now)
 	}
+}
+
+// noteWire folds the connection's activity since the last observation into
+// the party's cumulative wire tally (the value transcript events carry).
+func (p *Party) noteWire() {
+	st := p.conn.Stats()
+	d := st.Sub(p.seen)
+	p.seen = st
+	p.wireRounds += d.Rounds
+	p.wireBytes += d.BytesSent + d.BytesRecv
+}
+
+// holds checks that this party stores every share the round recovers.
+func (p *Party) holds(words []roundWord) error {
+	for _, w := range words {
+		if !w.recovery {
+			continue
+		}
+		if _, ok := p.LoadShare(w.key); !ok {
+			return fmt.Errorf("mpc: no shared value under key %q", w.key)
+		}
+	}
+	return nil
+}
+
+// begin fills this party's words of a round in slot order — a fresh draw
+// for every contribution, the stored share for every recovery — and ships
+// them as one frame.
+func (p *Party) begin(words []roundWord) error {
+	p.mine, p.frame = p.mine[:0], p.frame[:0]
+	for _, w := range words {
+		var v uint32
+		if w.recovery {
+			v, _ = p.LoadShare(w.key)
+		} else {
+			v = p.rng.Uint32()
+		}
+		p.mine = append(p.mine, v)
+		p.frame = binary.LittleEndian.AppendUint32(p.frame, v)
+	}
+	if err := p.conn.Send(FrameWord, p.frame); err != nil {
+		return fmt.Errorf("mpc: %v send: %w", p.ID, err)
+	}
+	p.words += uint64(len(words))
+	p.noteWire()
+	return nil
+}
+
+// finish receives the peer's frame of an n-word round.
+func (p *Party) finish(n int) error {
+	typ, b, err := p.conn.Recv()
+	if err != nil {
+		return fmt.Errorf("mpc: %v recv: %w", p.ID, err)
+	}
+	if typ != FrameWord || len(b) != 4*n {
+		return fmt.Errorf("mpc: %v recv: %w: type %#x length %d, want %d words", p.ID, ErrBadFrame, typ, len(b), n)
+	}
+	p.noteWire()
+	p.peer = p.peer[:0]
+	for i := range n {
+		p.peer = append(p.peer, binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return nil
+}
+
+// contributed records this party's contribution at slot i at time t.
+func (p *Party) contributed(i int, label string, t int) {
+	p.observe(Event{Kind: EvRandomContributed, Time: t, Share: p.mine[i], Label: label})
+}
+
+// share completes the Appendix A.2 re-share at slot i from this party's
+// side at time t: S0 keeps the joint mask, S1 keeps the value under the
+// mask.
+func (p *Party) share(i int, key string, value secretshare.Word, t int) {
+	p.contributed(i, "reshare:"+key, t)
+	sh := p.mine[i] ^ p.peer[i]
+	if p.ID == Server1 {
+		sh ^= value
+	}
+	p.StoreShare(t, key, sh)
 }

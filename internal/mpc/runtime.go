@@ -133,10 +133,11 @@ const DigestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
 
 // Party models one outsourcing server: its local share store, its private
 // randomness, the running SHA-256 and count of the events it has observed,
-// and its cumulative wire tally (rounds and frame bytes its connection has
-// moved, stamped onto every event). The events themselves are not kept — a
-// party's state does not grow with the horizon; a test that needs them
-// attaches a recorder (Record).
+// its cumulative wire tally (rounds and frame bytes its connection has
+// moved, stamped onto every event), and its half of every protocol round —
+// the connection it ships its words over and the current round's words. The
+// events themselves are not kept — a party's state does not grow with the
+// horizon; a test that needs them attaches a recorder (Record).
 type Party struct {
 	ID         PartyID
 	seed       int64
@@ -148,6 +149,16 @@ type Party struct {
 	evbuf      []byte      // observe's scratch
 	wireRounds uint64
 	wireBytes  uint64
+
+	conn wire.Conn
+	seen wire.Stats
+	// words counts the words this party has shipped, for the wire gauge; it
+	// is accounting, not state.
+	words uint64
+	// mine and peer are the current round's words, this party's and the
+	// peer's, by slot; frame is the outgoing payload.
+	mine, peer []uint32
+	frame      []byte
 }
 
 // NewParty creates a server with its own private randomness stream. The
@@ -232,12 +243,6 @@ func (p *Party) SetState(st PartyState) error {
 	return nil
 }
 
-// noteWire adds a transport delta to the party's cumulative tally.
-func (p *Party) noteWire(rounds, bytes uint64) {
-	p.wireRounds += rounds
-	p.wireBytes += bytes
-}
-
 // WireTally returns the party's cumulative wire rounds and frame bytes.
 func (p *Party) WireTally() (rounds, bytes uint64) { return p.wireRounds, p.wireBytes }
 
@@ -268,118 +273,147 @@ func (p *Party) LoadShare(key string) (secretshare.Word, bool) {
 	return w, ok
 }
 
-// Runtime is the two-party protocol execution environment. Values recovered
-// "inside the protocol" are handled by Runtime methods and never enter any
-// party's transcript digest; only the events the paper's simulator
-// reproduces are observable.
+// Runtime drives the protocol over its parties: both servers in-process
+// (NewRuntime) or one server against a peer across a connection
+// (NewPartyRuntime). Values recovered "inside the protocol" are handled by
+// Runtime methods and never enter any party's transcript digest; only the
+// events the paper's simulator reproduces are observable.
 //
-// A Runtime is two PartyRuntimes joined by an in-process loopback wire:
-// every protocol round (Round) really is one frame each way per party over a
-// Conn, its begin and finish halves driven in lockstep from the calling
-// goroutine. Substituting TCP+TLS for the loopback (what
-// cmd/incshrink-party does) changes nothing observable — same draws, same
-// transcripts, same wire tallies — because both transports count identical
-// logical frames.
+// Every protocol round (Round) is one frame each way per party over a Conn.
+// The in-process runtime joins its two parties by a loopback pair and drives
+// their halves in lockstep from the calling goroutine; cmd/incshrink-party
+// runs a one-party runtime per process over TCP+TLS, blocking on the peer.
+// Both execute the same Party halves and count identical logical frames, so
+// substituting the network for the loopback changes nothing observable —
+// same draws, same transcripts, same wire tallies.
 //
-// A Runtime (parties, meter, RNG streams, loopback pair) is not safe for
+// A Runtime (parties, meter, RNG streams, connections) is not safe for
 // concurrent use: it is owned by exactly one engine, and the sweep engine
 // (internal/runner) parallelizes at the cell level by giving every
 // concurrently running engine its own Runtime with its own derived seed.
 // Nothing in this package is shared between runtimes, so any number may run
 // in parallel.
 type Runtime struct {
-	S0, S1 *Party
-	Meter  *Meter
-	p0, p1 *PartyRuntime
-	round  Round
-	now    int
+	// Meter accumulates the modeled cost: one charge per joint operation,
+	// however many parties the runtime drives.
+	Meter *Meter
+	ps    []*Party
+	round Round
+	now   int
 }
 
-// NewRuntime builds a runtime with the given cost model and seed. The seed
-// derives an independent stream for each party; the protocol itself draws
-// nothing — every joint value XORs the two parties' own contributions.
-func NewRuntime(model CostModel, seed int64) *Runtime {
-	s0 := NewParty(Server0, seed*3+1)
-	s1 := NewParty(Server1, seed*3+2)
-	c0, c1 := wire.Loopback(1)
-	r := &Runtime{
-		S0:    s0,
-		S1:    s1,
-		Meter: NewMeter(model),
-		p0:    attachPartyRuntime(s0, c0),
-		p1:    attachPartyRuntime(s1, c1),
-	}
-	r.round = Round{ps: []*PartyRuntime{r.p0, r.p1}, meter: r.Meter}
+// partyOn builds party id of a deployment over conn. Its private stream
+// derives from the deployment seed, so every runtime of one deployment —
+// in-process or one party per process — draws the same words.
+func partyOn(id PartyID, seed int64, conn wire.Conn) *Party {
+	p := NewParty(id, seed*3+1+int64(id))
+	p.conn = conn
+	return p
+}
+
+func newRuntime(model CostModel, ps ...*Party) *Runtime {
+	r := &Runtime{Meter: NewMeter(model), ps: ps}
+	r.round.rt = r
 	return r
 }
 
-// check panics on a transport error. The loopback pair cannot fail by
-// construction (it is buffered, in-process and never closed while the
-// runtime lives), so an error here is a programming bug, not a condition
-// engines should handle.
+// NewRuntime builds the in-process runtime of both servers, joined by a
+// loopback pair, with the given cost model and seed. The seed derives an
+// independent stream for each party; the protocol itself draws nothing —
+// every joint value XORs the two parties' own contributions.
+func NewRuntime(model CostModel, seed int64) *Runtime {
+	c0, c1 := wire.Loopback(1)
+	return newRuntime(model, partyOn(Server0, seed, c0), partyOn(Server1, seed, c1))
+}
+
+// NewPartyRuntime builds the runtime of server id alone, whose peer is at the
+// other end of conn. The seed is the deployment seed: the party's private
+// stream is derived exactly as NewRuntime derives it, so a pair of one-party
+// runtimes with the same deployment seed reproduces the in-process Runtime
+// bit for bit.
+func NewPartyRuntime(id PartyID, seed int64, model CostModel, conn wire.Conn) *Runtime {
+	return newRuntime(model, partyOn(id, seed, conn))
+}
+
+// Party returns server id, or nil if the runtime does not drive it.
+func (r *Runtime) Party(id PartyID) *Party {
+	for _, p := range r.ps {
+		if p.ID == id {
+			return p
+		}
+	}
+	return nil
+}
+
+// check panics on a transport error in the helpers below. Only the
+// in-process engine calls them, over its loopback pair, which is buffered,
+// in-process and never closed while the runtime lives — so an error here is
+// a programming bug, not a condition engines should handle. A networked
+// party drives its rounds through Round.Exchange, which returns typed
+// errors instead.
 func (r *Runtime) check(err error) {
 	if err != nil {
 		panic("mpc: loopback transport failed: " + err.Error())
 	}
 }
 
-// WireTally returns S0's cumulative wire rounds and frame bytes. The runtime
-// protocol is symmetric — every round moves one frame each way — so S0's
-// tally equals S1's and stands for "the" per-party wire cost of the run.
-func (r *Runtime) WireTally() (rounds, bytes uint64) { return r.S0.WireTally() }
+// WireTally returns the first party's cumulative wire rounds and frame
+// bytes. The protocol is symmetric — every round moves one frame each way —
+// so every party's tally is the same and stands for "the" per-party wire
+// cost of the run.
+func (r *Runtime) WireTally() (rounds, bytes uint64) { return r.ps[0].WireTally() }
 
-// RuntimeState is the serializable mutable state of a Runtime: both parties,
-// the cost meter, and the logical clock. The seed and cost model are
-// construction parameters.
+// RuntimeState is the serializable mutable state of a Runtime: its parties
+// in order, the cost meter, and the logical clock. The seed, cost model and
+// the parties' identities are construction parameters. A party that
+// crashes, restores this state and reconnects resumes bit-identically — the
+// wire tally is part of the party state precisely so a fresh connection's
+// counters don't reset the transcript attribution.
 type RuntimeState struct {
-	S0, S1 PartyState
-	Meter  MeterState
-	Now    int
+	Parties []PartyState
+	Meter   MeterState
+	Now     int
 }
 
 // State snapshots the runtime.
 func (r *Runtime) State() RuntimeState {
-	return RuntimeState{
-		S0:    r.S0.State(),
-		S1:    r.S1.State(),
-		Meter: r.Meter.State(),
-		Now:   r.now,
+	st := RuntimeState{Parties: make([]PartyState, len(r.ps)), Meter: r.Meter.State(), Now: r.now}
+	for i, p := range r.ps {
+		st.Parties[i] = p.State()
 	}
+	return st
 }
 
 // SetState restores a snapshot taken with State on a runtime constructed
-// with the same seed and cost model: share stores, transcript digests, meter
-// and logical clock are replaced, and every randomness stream is
-// fast-forwarded to its recorded position, so the protocol's joint noise
-// resumes exactly where the snapshotted runtime left off.
+// the same way, with the same seed and cost model: share stores, transcript
+// digests, meter and logical clock are replaced, and every randomness
+// stream is fast-forwarded to its recorded position, so the protocol's joint
+// noise resumes exactly where the snapshotted runtime left off.
 func (r *Runtime) SetState(st RuntimeState) error {
-	if err := r.S0.SetState(st.S0); err != nil {
-		return err
+	if len(st.Parties) != len(r.ps) {
+		return fmt.Errorf("mpc: state of %d parties for a runtime of %d", len(st.Parties), len(r.ps))
 	}
-	if err := r.S1.SetState(st.S1); err != nil {
-		return err
+	for i, p := range r.ps {
+		if err := p.SetState(st.Parties[i]); err != nil {
+			return err
+		}
 	}
 	if err := r.Meter.SetState(st.Meter); err != nil {
 		return err
 	}
 	r.now = st.Now
-	r.p0.SetTime(st.Now)
-	r.p1.SetTime(st.Now)
 	return nil
 }
 
 // SetTime advances the logical clock used to stamp transcript events.
-func (r *Runtime) SetTime(t int) {
-	r.now = t
-	r.p0.SetTime(t)
-	r.p1.SetTime(t)
-}
+func (r *Runtime) SetTime(t int) { r.now = t }
 
 // Now returns the current logical time.
 func (r *Runtime) Now() int { return r.now }
 
-// Round starts a new protocol round of both servers (see Round). The loopback
-// pair holds one frame per direction, which is all a round sends.
+// Round starts a new protocol round of the runtime's parties (see Round).
+// The loopback pair holds one frame per direction, which is all a round
+// sends.
 func (r *Runtime) Round() *Round { return r.round.reset() }
 
 // ShareToServers secret-shares a value computed inside the protocol and
@@ -406,16 +440,6 @@ func (r *Runtime) RecoverInside(key string) (secretshare.Word, error) {
 	return rd.Recovered(i), nil
 }
 
-// JointRandomWord XORs one fresh random contribution from each server, the
-// joint randomness primitive of Alg. 2:4-5. As long as one server samples
-// honestly the result is uniform and unpredictable to the other.
-func (r *Runtime) JointRandomWord(label string) uint32 {
-	rd := r.Round()
-	i := rd.joint(label)
-	r.check(rd.Exchange())
-	return rd.jointWord(i)
-}
-
 // JointLaplace draws Lap(scale) using joint randomness: one word for the
 // magnitude, one for the sign, each the XOR of per-server contributions,
 // both in one round. This is the paper's JointNoise(S0, S1, Delta, eps, .)
@@ -427,25 +451,31 @@ func (r *Runtime) JointLaplace(scale float64, op Op) float64 {
 	return rd.Laplace(i, scale, op)
 }
 
-// ObserveBatch records that both servers saw an exhaustively padded batch of
+// observe records ev, stamped with the current time, in every party's
+// transcript.
+func (r *Runtime) observe(ev Event) {
+	ev.Time = r.now
+	for _, p := range r.ps {
+		p.observe(ev)
+	}
+}
+
+// ObserveBatch records that the servers saw an exhaustively padded batch of
 // `size` tuples at the current time (Transform output entering the cache).
 // The size is data-independent (always the padded maximum), which is why it
 // is safe to reveal.
 func (r *Runtime) ObserveBatch(size int, label string) {
-	r.p0.ObserveBatch(size, label)
-	r.p1.ObserveBatch(size, label)
+	r.observe(Event{Kind: EvBatchObserved, Size: size, Label: label})
 }
 
 // ObserveFetch records a DP-sized synchronization of `size` tuples from the
 // cache to the materialized view. This is the only data-dependent scalar in
 // the servers' views; the DP analysis covers exactly this field.
 func (r *Runtime) ObserveFetch(size int, label string) {
-	r.p0.ObserveFetch(size, label)
-	r.p1.ObserveFetch(size, label)
+	r.observe(Event{Kind: EvFetchObserved, Size: size, Label: label})
 }
 
 // ObserveFlush records a fixed-size cache flush.
 func (r *Runtime) ObserveFlush(size int, label string) {
-	r.p0.ObserveFlush(size, label)
-	r.p1.ObserveFlush(size, label)
+	r.observe(Event{Kind: EvFlushObserved, Size: size, Label: label})
 }

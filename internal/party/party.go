@@ -1,10 +1,10 @@
 // Package party runs one server's half of a deterministic two-party
-// IncShrink protocol session over a transport. It is the process-level
-// counterpart of the in-process mpc.Runtime: cmd/incshrink-party wraps one
-// Session per OS process over TCP+TLS, the tests wrap two over an in-process
-// loopback, and the contract — checked by the equivalence tests and the wire
-// smoke — is that every observable output (opened values, transcripts,
-// snapshots, wire tallies) is byte-identical across transports.
+// IncShrink protocol session over a transport, on a one-party mpc.Runtime
+// (mpc.NewPartyRuntime): cmd/incshrink-party wraps one Session per OS
+// process over TCP+TLS, the tests wrap two over an in-process loopback, and
+// the contract — checked by the equivalence tests and the wire smoke — is
+// that every observable output (opened values, transcripts, snapshots, wire
+// tallies) is byte-identical across transports.
 //
 // The session script exercises every wire primitive the runtime and the GMW
 // layer own: each step is one round, the shape of core.Timer.Tick, that
@@ -43,7 +43,7 @@ type Config struct {
 	Seed int64
 	// Steps is the number of runtime protocol steps.
 	Steps int
-	// SnapshotAt, when >= 0, captures a snapshot of the party runtime after
+	// SnapshotAt, when >= 0, captures a snapshot of the party's runtime after
 	// the step with that index completes; the bytes land in Report.Snapshot.
 	SnapshotAt int
 }
@@ -88,7 +88,8 @@ type Report struct {
 	// TranscriptSHA is the party's running transcript digest: SHA-256 over
 	// every event it observed, wire stamps included.
 	TranscriptSHA string `json:"transcript_sha"`
-	// SnapshotSHA digests the final EncodePartyRuntime bytes.
+	// SnapshotSHA digests the final snapshot.EncodeRuntime bytes of the
+	// party's one-party runtime.
 	SnapshotSHA string `json:"snapshot_sha"`
 	// WireRounds / WireBytes are the connection counters at session end.
 	WireRounds uint64 `json:"wire_rounds"`
@@ -127,13 +128,13 @@ func Run(cfg Config, conn wire.Conn) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pr := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
-	s := &session{cfg: cfg, pr: pr, conn: conn}
+	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
+	s := &session{cfg: cfg, rt: rt, conn: conn}
 	return s.run(0)
 }
 
 // Resume restores a snapshot taken by a previous Run (Config.SnapshotAt)
-// into a fresh party runtime over a fresh connection and completes the
+// into a fresh one-party runtime over a fresh connection and completes the
 // session. opened is the prefix of values the crashed run had already
 // revealed to the protocol layer (three per completed step) — they were
 // delivered before the crash, so the application persists them alongside the
@@ -143,23 +144,23 @@ func Resume(cfg Config, snap []byte, opened []uint32, conn wire.Conn) (*Report, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pr := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
+	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
 	d := snapshot.NewDecoder(bytes.NewReader(snap))
-	if err := snapshot.DecodePartyRuntimeInto(d, pr); err != nil {
+	if err := snapshot.DecodeRuntimeInto(d, rt); err != nil {
 		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
 	}
-	s := &session{cfg: cfg, pr: pr, conn: conn}
-	s.baseRounds, s.baseBytes = pr.Party().WireTally()
+	s := &session{cfg: cfg, rt: rt, conn: conn}
+	s.baseRounds, s.baseBytes = rt.WireTally()
 	s.opened = append(s.opened, opened...)
-	return s.run(pr.Now() + 1)
+	return s.run(rt.Now() + 1)
 }
 
 type session struct {
 	cfg  Config
-	pr   *mpc.PartyRuntime
+	rt   *mpc.Runtime
 	conn wire.Conn
 	// baseRounds/baseBytes are the party's wire tally when the session
 	// (re)started: zero on a fresh run, the pre-crash total on a resume. The
@@ -171,12 +172,15 @@ type session struct {
 	snap       []byte
 }
 
+// party is the runtime's one party, this process's server.
+func (s *session) party() *mpc.Party { return s.rt.Party(mpc.PartyID(s.cfg.Role)) }
+
 func (s *session) open(v uint32) { s.opened = append(s.opened, v) }
 
 func (s *session) encodeSnapshot() ([]byte, error) {
 	var buf bytes.Buffer
 	e := snapshot.NewEncoder(&buf)
-	snapshot.EncodePartyRuntime(e, s.pr)
+	snapshot.EncodeRuntime(e, s.rt)
 	if err := e.Finish(); err != nil {
 		return nil, err
 	}
@@ -187,7 +191,7 @@ func (s *session) run(from int) (*Report, error) {
 	if from == 0 {
 		// Alg. 1 lines 1-2: the counter starts at a public zero, which both
 		// parties share without a round.
-		s.pr.Party().StoreShare(0, "c", 0)
+		s.party().StoreShare(0, "c", 0)
 	}
 	for t := from; t < s.cfg.Steps; t++ {
 		if err := s.step(t); err != nil {
@@ -216,8 +220,8 @@ func (s *session) run(from int) (*Report, error) {
 // re-share mask, then the noise — and the recovery, which draws nothing,
 // goes last; it loads the stored share at Exchange, before Share replaces it.
 func (s *session) step(t int) error {
-	s.pr.SetTime(t)
-	rd := s.pr.Round()
+	s.rt.SetTime(t)
+	rd := s.rt.Round()
 	share, noise, cw := rd.Reshare("c"), rd.Noise(), rd.Recover("c")
 	if err := rd.Exchange(); err != nil {
 		return err
@@ -233,12 +237,12 @@ func (s *session) step(t int) error {
 	s.open(uint32(bits))
 	s.open(uint32(bits >> 32))
 
-	s.pr.ObserveBatch(8, "transform")
+	s.rt.ObserveBatch(8, "transform")
 	if t%3 == 2 {
-		s.pr.ObserveFetch((t*7)%13, "shrink")
+		s.rt.ObserveFetch((t*7)%13, "shrink")
 	}
 	if t%5 == 4 {
-		s.pr.ObserveFlush(4, "flush")
+		s.rt.ObserveFlush(4, "flush")
 	}
 	return nil
 }
@@ -274,7 +278,7 @@ func (s *session) gmwSegment() (*gmw.Eval, error) {
 }
 
 func (s *session) report(ev *gmw.Eval) (*Report, error) {
-	transcript := s.pr.Party().TranscriptDigest()
+	transcript := s.party().TranscriptDigest()
 	finalSnap, err := s.encodeSnapshot()
 	if err != nil {
 		return nil, fmt.Errorf("party: final snapshot: %w", err)

@@ -110,13 +110,13 @@ func runRecordedPair(t *testing.T, cfg Config) (r [2]*Report, tr [2]*mpc.Transcr
 	for role, conn := range []wire.Conn{c0, c1} {
 		c := cfg
 		c.Role = role
-		pr := mpc.NewPartyRuntime(mpc.PartyID(role), c.Seed, mpc.DefaultCostModel(), conn)
+		rt := mpc.NewPartyRuntime(mpc.PartyID(role), c.Seed, mpc.DefaultCostModel(), conn)
 		tr[role] = new(mpc.Transcript)
-		pr.Party().Record(tr[role])
+		rt.Party(mpc.PartyID(role)).Record(tr[role])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r[role], errs[role] = (&session{cfg: c, pr: pr, conn: conn}).run(0)
+			r[role], errs[role] = (&session{cfg: c, rt: rt, conn: conn}).run(0)
 		}()
 	}
 	wg.Wait()
@@ -295,14 +295,20 @@ func TestSnapshotRejoinByteIdentical(t *testing.T) {
 // TestOpenedValuesPinned pins the SHA-256 of every value a session opens,
 // little-endian, for the smoke configuration and for the benchmark's first
 // seed-1 session. The literals are those of the two-rounds-per-step
-// schedule: regrouping rounds must not move an opened value.
+// schedule: regrouping rounds must not move an opened value. For the smoke
+// configuration it also pins each role's final snapshot digest, so the
+// party's snapshot bytes cannot drift unnoticed.
 func TestOpenedValuesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want string
+		snap [2]string
 	}{
-		{Config{Seed: 1234, Steps: 12, SnapshotAt: -1}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9"},
-		{Config{Seed: 64, Steps: 350, SnapshotAt: -1}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3"},
+		{Config{Seed: 1234, Steps: 12, SnapshotAt: -1}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9", [2]string{
+			"e406ffd7dc20341833b4d936c31caa7fb5970958d10e793164e4712c0aa7ba99",
+			"6bd207a93494747d50b6363a7940ee894cdb7aa441a6418e968f513c3cf2e27a",
+		}},
+		{Config{Seed: 64, Steps: 350, SnapshotAt: -1}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3", [2]string{}},
 	} {
 		r0, r1, err := RunLoopbackPair(tc.cfg)
 		if err != nil {
@@ -315,6 +321,9 @@ func TestOpenedValuesPinned(t *testing.T) {
 			}
 			if got := sha256.Sum256(b); hex.EncodeToString(got[:]) != tc.want {
 				t.Errorf("seed %d, %d steps: role %d opened values hash to %x, want %s", tc.cfg.Seed, tc.cfg.Steps, r.Role, got, tc.want)
+			}
+			if want := tc.snap[r.Role]; want != "" && r.SnapshotSHA != want {
+				t.Errorf("seed %d, %d steps: role %d snapshot digest %s, want %s", tc.cfg.Seed, tc.cfg.Steps, r.Role, r.SnapshotSHA, want)
 			}
 		}
 	}

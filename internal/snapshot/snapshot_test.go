@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"errors"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"incshrink/internal/dp"
@@ -12,6 +15,7 @@ import (
 	"incshrink/internal/oblivious"
 	"incshrink/internal/securearray"
 	"incshrink/internal/table"
+	"incshrink/internal/wire"
 )
 
 // sampleBuffer builds a buffer with a mix of real, dummy and edge-value
@@ -176,7 +180,7 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 	rt2 := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
 	// Perturb the fresh runtime first: restore must overwrite everything.
 	rt2.ShareToServers("c", 999)
-	rt2.JointRandomWord("noise")
+	rt2.JointLaplace(1.0, mpc.OpOther)
 	dec := NewDecoder(bytes.NewReader(data))
 	if err := DecodeRuntimeInto(dec, rt2); err != nil {
 		t.Fatal(err)
@@ -187,8 +191,8 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 
 	// The restored parties carry the snapshotted transcript digests, not the
 	// perturbed runtime's.
-	for _, pair := range [][2]*mpc.Party{{rt.S0, rt2.S0}, {rt.S1, rt2.S1}} {
-		p, p2 := pair[0], pair[1]
+	for _, id := range []mpc.PartyID{mpc.Server0, mpc.Server1} {
+		p, p2 := rt.Party(id), rt2.Party(id)
 		if p.TranscriptDigest() != p2.TranscriptDigest() || p.EventCount() != p2.EventCount() {
 			t.Fatalf("%v transcript digest / event count not restored", p.ID)
 		}
@@ -202,12 +206,108 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 	}
 	// The next joint draws must coincide word for word.
 	for i := 0; i < 8; i++ {
-		if a, b := rt.JointRandomWord("t"), rt2.JointRandomWord("t"); a != b {
-			t.Fatalf("draw %d diverged: %08x vs %08x", i, b, a)
+		if a, b := rt.JointLaplace(1.0, mpc.OpOther), rt2.JointLaplace(1.0, mpc.OpOther); a != b {
+			t.Fatalf("draw %d diverged: %v vs %v", i, b, a)
 		}
 	}
 	if rt.Meter.TotalGates() != rt2.Meter.TotalGates() {
 		t.Fatalf("meter gates %v, want %v", rt2.Meter.TotalGates(), rt.Meter.TotalGates())
+	}
+}
+
+// driveRounds runs a session's protocol steps on rt: every step is one round
+// that re-shares the next counter, draws joint Laplace noise and recovers
+// the counter the previous step re-shared, then records the public
+// observations. It returns the values the protocol opened.
+func driveRounds(rt *mpc.Runtime, ids []mpc.PartyID, steps int) ([]float64, error) {
+	for _, id := range ids {
+		rt.Party(id).StoreShare(0, "c", 0)
+	}
+	var opened []float64
+	for t := range steps {
+		rt.SetTime(t)
+		rd := rt.Round()
+		share, noise, c := rd.Reshare("c"), rd.Noise(), rd.Recover("c")
+		if err := rd.Exchange(); err != nil {
+			return nil, err
+		}
+		v := rd.Recovered(c)
+		rd.Share(share, v+uint32(t)+1)
+		opened = append(opened, float64(v), rd.Laplace(noise, 2.5, mpc.OpShrink))
+		rt.ObserveBatch(8, "transform")
+		rt.ObserveFetch(t%5, "shrink")
+		rt.ObserveFlush(4, "flush")
+	}
+	return opened, nil
+}
+
+// TestRuntimeEqualsPairOfPartyRuntimes: the in-process runtime and a pair of
+// one-party runtimes over a loopback connection, each driven from its own
+// goroutine, open the same values and end in the same state — every party's
+// draws, share store, transcript digest, event count and wire tally, and
+// the meter — and the in-process runtime's section is the two one-party
+// sections' party states back to back, then the shared meter and clock.
+func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
+	const seed, steps = 21, 9
+	model := mpc.DefaultCostModel()
+	both := mpc.NewRuntime(model, seed)
+	want, err := driveRounds(both, []mpc.PartyID{mpc.Server0, mpc.Server1}, steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c0, c1 := wire.Loopback(1)
+	defer c0.Close()
+	defer c1.Close()
+	var one [2]*mpc.Runtime
+	var opened [2][]float64
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, conn := range []wire.Conn{c0, c1} {
+		id := mpc.PartyID(i)
+		one[i] = mpc.NewPartyRuntime(id, seed, model, conn)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opened[i], errs[i] = driveRounds(one[i], []mpc.PartyID{id}, steps)
+		}()
+	}
+	wg.Wait()
+
+	// body is a section's bytes without the stream's magic and CRC-32C
+	// trailer.
+	body := func(write func(*Encoder)) []byte {
+		b := encodeSection(t, write)
+		return b[len(Magic) : len(b)-4]
+	}
+	st := both.State()
+	tail := body(func(e *Encoder) {
+		encodeMeterState(e, st.Meter)
+		e.Int(st.Now)
+	})
+	var joined []byte
+	for i, r := range one {
+		if errs[i] != nil {
+			t.Fatalf("party %d: %v", i, errs[i])
+		}
+		if !slices.Equal(opened[i], want) {
+			t.Errorf("party %d opened %v, the in-process runtime %v", i, opened[i], want)
+		}
+		ost := r.State()
+		if !reflect.DeepEqual(ost.Parties, st.Parties[i:i+1]) {
+			t.Errorf("party %d state %+v, in-process %+v", i, ost.Parties[0], st.Parties[i])
+		}
+		if !reflect.DeepEqual(ost.Meter, st.Meter) || ost.Now != st.Now {
+			t.Errorf("party %d meter %v at %d, in-process %v at %d", i, ost.Meter, ost.Now, st.Meter, st.Now)
+		}
+		party, ok := bytes.CutSuffix(body(func(e *Encoder) { EncodeRuntime(e, r) }), tail)
+		if !ok {
+			t.Fatalf("party %d section does not end in the meter and clock", i)
+		}
+		joined = append(joined, party...)
+	}
+	if !bytes.Equal(body(func(e *Encoder) { EncodeRuntime(e, both) }), append(joined, tail...)) {
+		t.Error("the in-process runtime's section is not its parties' one-party sections joined")
 	}
 }
 
@@ -298,7 +398,7 @@ func TestDecoderRejectsDamage(t *testing.T) {
 	rt.ShareToServers("c", 17)
 	rt.ObserveFetch(5, "shrink")
 	section := encodeSection(t, func(e *Encoder) { EncodeRuntime(e, rt) })
-	at := bytes.Index(section, rt.State().S0.Digest)
+	at := bytes.Index(section, rt.State().Parties[0].Digest)
 	if at < 4 {
 		t.Fatal("S0's marshaled hash state not found in the runtime section")
 	}
@@ -327,12 +427,12 @@ func TestDecoderRejectsDamage(t *testing.T) {
 			c.damage(bad)
 			target := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
 			target.ObserveBatch(8, "transform")
-			before := target.S0.TranscriptDigest()
+			before := target.Party(mpc.Server0).TranscriptDigest()
 			err := DecodeRuntimeInto(NewDecoder(bytes.NewReader(bad)), target)
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("want ErrCorrupt, got %v", err)
 			}
-			if target.S0.TranscriptDigest() != before {
+			if target.Party(mpc.Server0).TranscriptDigest() != before {
 				t.Fatal("a refused hash state still replaced the party's digest")
 			}
 		})
@@ -345,9 +445,9 @@ func TestDecoderRejectsDamage(t *testing.T) {
 // position past the bound refuses to decode.
 func TestResumeDrawBoundSymmetry(t *testing.T) {
 	rt := mpc.NewRuntime(mpc.DefaultCostModel(), 1)
-	rt.JointRandomWord("x")
+	rt.JointLaplace(1.0, mpc.OpOther)
 	st := rt.State()
-	st.S0.Draws = uint64(dp.MaxResumeDraws) + 1
+	st.Parties[0].Draws = uint64(dp.MaxResumeDraws) + 1
 	if err := rt.SetState(st); err == nil {
 		t.Fatal("SetState accepted a draw position beyond the resumable bound")
 	}
@@ -357,7 +457,7 @@ func TestResumeDrawBoundSymmetry(t *testing.T) {
 	// hand (a real runtime cannot reach the bound in a test).
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
-	encodePartyState(enc, st.S0)
+	encodePartyState(enc, st.Parties[0])
 	if err := enc.Finish(); err == nil {
 		t.Fatal("encoded a party state beyond the resumable draw bound")
 	}
@@ -365,9 +465,9 @@ func TestResumeDrawBoundSymmetry(t *testing.T) {
 	// The same holds for the other field a restore refuses: a transcript-hash
 	// state of the wrong length.
 	st = rt.State()
-	st.S0.Digest = st.S0.Digest[:len(st.S0.Digest)-1]
+	st.Parties[0].Digest = st.Parties[0].Digest[:len(st.Parties[0].Digest)-1]
 	enc = NewEncoder(&buf)
-	encodePartyState(enc, st.S0)
+	encodePartyState(enc, st.Parties[0])
 	if err := enc.Finish(); err == nil {
 		t.Fatal("encoded a party state whose hash state a restore would refuse")
 	}
@@ -379,7 +479,7 @@ func TestResumeDrawBoundSymmetry(t *testing.T) {
 func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 	ref := mpc.NewRuntime(mpc.DefaultCostModel(), 5)
 	for i := 0; i < 100; i++ {
-		ref.JointRandomWord("w")
+		ref.JointLaplace(1.0, mpc.OpOther)
 	}
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
@@ -407,7 +507,7 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatal("re-snapshot before first draw changed the stream position")
 	}
 	for i := 0; i < 16; i++ {
-		if a, b := ref.JointRandomWord("w"), restored.JointRandomWord("w"); a != b {
+		if a, b := ref.JointLaplace(1.0, mpc.OpOther), restored.JointLaplace(1.0, mpc.OpOther); a != b {
 			t.Fatalf("draw %d diverged after lazy resume", i)
 		}
 	}

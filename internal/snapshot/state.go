@@ -203,61 +203,40 @@ func decodeMeterState(d *Decoder) mpc.MeterState {
 	return st
 }
 
-// EncodeRuntime writes the full mutable state of an MPC runtime: both
-// parties (randomness positions, share stores, transcript digests and event
-// counts, wire tallies), the cost meter and the logical clock.
+// EncodeRuntime writes the full mutable state of an MPC runtime: each of its
+// parties in order (randomness positions, share stores, transcript digests
+// and event counts, wire tallies — so a crash-rejoined party with a fresh
+// connection keeps attributing transcript events to the same positions in
+// the wire conversation), the cost meter and the logical clock. The party
+// count is the runtime's, not the stream's: two for the in-process runtime,
+// one for a party process.
 func EncodeRuntime(e *Encoder, rt *mpc.Runtime) {
 	st := rt.State()
-	encodePartyState(e, st.S0)
-	encodePartyState(e, st.S1)
+	for _, p := range st.Parties {
+		encodePartyState(e, p)
+	}
 	encodeMeterState(e, st.Meter)
 	e.Int(st.Now)
 }
 
 // DecodeRuntimeInto reloads runtime state encoded with EncodeRuntime into a
-// runtime constructed with the same seed and cost model. Every randomness
+// runtime constructed the same way, with the same seed and cost model: it
+// reads one party state per party the runtime drives. Every randomness
 // stream is rebuilt from its seed and fast-forwarded to the recorded draw
 // position — the invariant that makes restored protocol noise resume
 // exactly where the snapshotted runtime stopped.
 func DecodeRuntimeInto(d *Decoder, rt *mpc.Runtime) error {
-	var st mpc.RuntimeState
-	st.S0 = decodePartyState(d)
-	st.S1 = decodePartyState(d)
+	// The runtime's own state only sizes the party list; every field is read.
+	st := rt.State()
+	for i := range st.Parties {
+		st.Parties[i] = decodePartyState(d)
+	}
 	st.Meter = decodeMeterState(d)
 	st.Now = d.Int()
 	if d.Err() != nil {
 		return d.Err()
 	}
 	if err := rt.SetState(st); err != nil {
-		d.Corrupt("%v", err)
-		return d.Err()
-	}
-	return nil
-}
-
-// EncodePartyRuntime writes the full mutable state of one standalone party
-// runtime (cmd/incshrink-party): the party — including the wire tally, so a
-// crash-rejoined party with a fresh connection keeps attributing transcript
-// events to the same positions in the wire conversation — its meter and the
-// logical clock.
-func EncodePartyRuntime(e *Encoder, pr *mpc.PartyRuntime) {
-	st := pr.State()
-	encodePartyState(e, st.Party)
-	encodeMeterState(e, st.Meter)
-	e.Int(st.Now)
-}
-
-// DecodePartyRuntimeInto reloads state encoded with EncodePartyRuntime into
-// a party runtime constructed with the same identity, seed and cost model.
-func DecodePartyRuntimeInto(d *Decoder, pr *mpc.PartyRuntime) error {
-	var st mpc.PartyRuntimeState
-	st.Party = decodePartyState(d)
-	st.Meter = decodeMeterState(d)
-	st.Now = d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if err := pr.SetState(st); err != nil {
 		d.Corrupt("%v", err)
 		return d.Err()
 	}

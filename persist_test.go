@@ -2,6 +2,8 @@ package incshrink
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -108,7 +110,8 @@ func TestRecoverSmoke(t *testing.T) {
 }
 
 // TestSnapshotRoundTripBytes pins that Snapshot → Restore → Snapshot
-// reproduces the stream byte-for-byte at the public API level.
+// reproduces the stream byte-for-byte at the public API level, and pins the
+// first stream's length and SHA-256 so the format cannot drift unnoticed.
 func TestSnapshotRoundTripBytes(t *testing.T) {
 	db := mustOpen(t, ViewDef{Within: 4}, Options{Protocol: SDPANT, Seed: 3})
 	advanceBoth(t, []*DB{db}, 0, 30)
@@ -117,6 +120,10 @@ func TestSnapshotRoundTripBytes(t *testing.T) {
 	var a bytes.Buffer
 	if err := db.Snapshot(&a); err != nil {
 		t.Fatal(err)
+	}
+	const wantLen, wantSHA = 22077, "4930c08321ec03ff5b7b8b5d2ca457e2f973aa49df6e91f6e57de0ca9c40e572"
+	if sum := sha256.Sum256(a.Bytes()); a.Len() != wantLen || hex.EncodeToString(sum[:]) != wantSHA {
+		t.Errorf("snapshot is %d bytes hashing to %x, want %d bytes hashing to %s", a.Len(), sum, wantLen, wantSHA)
 	}
 	restored, err := Restore(bytes.NewReader(a.Bytes()))
 	if err != nil {
