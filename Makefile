@@ -90,7 +90,10 @@ bench-core:
 # bench-smoke compiles and runs every data-plane benchmark once — the
 # operator benchmarks (both sort shapes among them: the real-first
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
-# BenchmarkJoinSort1040; 512 distinct sort lengths in the cpdb cache's range,
+# BenchmarkJoinSort1040; the join as the engine runs it at the tpcds_step
+# shape, a block merged into a 936-row carry that the scan also retires,
+# BenchmarkMergeJoinCarry, which fails if a warm join allocates; 512
+# distinct sort lengths in the cpdb cache's range,
 # BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator
 # table or allocates; and the scan kernel over a packed flag bitset at the
 # cpdb view size, BenchmarkCountColumns120k, which fails if a scan

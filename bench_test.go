@@ -189,8 +189,8 @@ func ablationTables(n int) (t1, t2 []oblivious.Record) {
 // BenchmarkJoinSortVsMerge is the ablation behind "sort once, merge
 // thereafter": one Transform's join over a carry of m rows already in join
 // order and f new ones, as the from-scratch join (sort all m+f) and as the
-// engine runs it (sort the f new rows, merge them into the carry, compact the
-// merged rows back to m), at the tpcds_step deployment (936, 104), its 8-block
+// engine runs it (sort the f new rows, merge them into the carry, retire the
+// carry in the join's scan), at the tpcds_step deployment (936, 104), its 8-block
 // tpcds_batch segment (936, 832) and a small one (72, 8). Reported per
 // Transform: comparators executed — counted by a textbook walk of the network
 // local to this file, which internal/oblivious pins equal to what its kernel
@@ -235,22 +235,20 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 			sort.Strings(out)
 			return out
 		}
-		join := func(variant int, dst, sorted, carry *oblivious.Buffer, meter *mpc.Meter) {
+		join := func(variant int, dst, carry *oblivious.Buffer, meter *mpc.Meter) {
 			dst.Reset()
 			if variant == 0 {
 				oblivious.TruncatedSortMergeJoinInto(dst, t[0], t[1], 0, 0, within, 1, meter, mpc.OpTransform, fresh[0], fresh[1])
 				return
 			}
-			sorted.Reset()
 			carry.Reset()
-			oblivious.MergeJoinInto(dst, sorted, in, m, 0, keep, within, 1, meter, mpc.OpTransform)
-			oblivious.TightCompactInto(sorted, m+f, carry, nil, nil, mpc.OpTransform, 0)
+			oblivious.MergeJoinInto(dst, carry, in, m, 0, keep, within, 1, meter, mpc.OpTransform)
 			meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(m+f), 64*3)
 		}
 		var pairs [2][]string
 		for variant := range pairs {
 			dst := oblivious.NewBuffer(4, 0)
-			join(variant, dst, oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0), mpc.NewMeter(mpc.DefaultCostModel()))
+			join(variant, dst, oblivious.NewBuffer(4, 0), mpc.NewMeter(mpc.DefaultCostModel()))
 			pairs[variant] = pairsOf(dst)
 		}
 		if len(pairs[0]) == 0 || !reflect.DeepEqual(pairs[0], pairs[1]) {
@@ -267,10 +265,10 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 		for variant, name := range []string{"full-sort", "sort+merge"} {
 			b.Run(fmt.Sprintf("%d+%d/%s", m, f, name), func(b *testing.B) {
 				meter := mpc.NewMeter(mpc.DefaultCostModel())
-				dst, sorted, carry := oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0)
+				dst, carry := oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0)
 				for i := 0; i < b.N; i++ {
 					meter.Reset()
-					join(variant, dst, sorted, carry, meter)
+					join(variant, dst, carry, meter)
 				}
 				b.ReportMetric(float64(comparators[variant]), "comparators")
 				b.ReportMetric(meter.TotalGates(), "simGates")

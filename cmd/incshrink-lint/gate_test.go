@@ -17,8 +17,10 @@ import (
 // Seeding a secret-dependent branch into internal/oblivious trips
 // oblivtaint — be it a plain flag test, a branching compare-exchange over
 // the sort kernel's keys, a merge whose window of the network is cut by a
-// key, or a popcount of a packed flag word that loops once per set bit
-// inside the scan kernel, none of which any sanction covers — and so does a
+// key, a popcount of a packed flag word that loops once per set bit inside
+// the scan kernel, or a carry retirement that selects rows by keep in the
+// merge join's own body rather than in the sanctioned scan (emitJoin), none
+// of which any sanction covers — and so does a
 // branch on a reconstructed bit seeded into internal/gmw (whose gate code no
 // sanction covers either). A go statement
 // in a library package without an allow naming its join trips goleak —
@@ -90,6 +92,20 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 			}
 `,
 			line:     "for ; w != 0; w &= w - 1 {",
+			analyzer: "oblivtaint",
+		},
+		{
+			name:    "oblivtaint catches seeded carry retirement outside the join's scan",
+			file:    "internal/oblivious/join.go",
+			replace: "\tmergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))\n",
+			inject: `	mergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))
+	for i := range in.Len() {
+		if keep(in.Row(i)) {
+			next.AppendFrom(in, i)
+		}
+	}
+`,
+			line:     "if keep(in.Row(i)) {",
 			analyzer: "oblivtaint",
 		},
 		{

@@ -219,18 +219,20 @@ type Framework struct {
 
 	shrink   Shrinker
 	match    oblivious.MatchFunc
-	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward
+	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward; the join appends behind them
 	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction
 	dummyID  int64             // ascending generator for padding-record keys
 
 	// Per-transform scratch, framework-owned so the steady-state Advance path
-	// allocates (almost) nothing: the merged input awaiting its compaction
-	// into the next carry, the padded join output and the compacted delta.
-	// from is the upload step each stream's carry starts at afterwards (stays).
-	merged   *oblivious.Buffer
-	joinBuf  *oblivious.Buffer
-	deltaBuf *oblivious.Buffer
-	from     [2]int64
+	// allocates (almost) nothing: the carry's back buffer, which the join's
+	// scan fills with the next carry before the two swap, and the compacted
+	// delta (the raw join output itself under RawDelta). The padded join
+	// output has no buffer of its own: it lands on the overflow, the delta
+	// compaction's input. from is the upload step each stream's carry starts
+	// at afterwards (stays).
+	nextCarry *oblivious.Buffer
+	deltaBuf  *oblivious.Buffer
+	from      [2]int64
 
 	// blocks are the upload blocks admitted since the last segment end; the
 	// last step of a StepBatch call ends a segment, so they are not state.
@@ -273,21 +275,20 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		return nil, fmt.Errorf("core: nil Shrink protocol")
 	}
 	f := &Framework{
-		cfg:      cfg,
-		wl:       wl,
-		rt:       rt,
-		cache:    securearray.New(workload.JoinArity, tupleBits, rt.Meter),
-		view:     securearray.NewView(workload.JoinArity),
-		shrink:   shrink,
-		match:    wl.Match(),
-		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
-		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
-		carry:    oblivious.NewBuffer(carryArity, 0),
-		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
-		merged:   oblivious.NewBuffer(carryArity, 0),
-		joinBuf:  oblivious.NewBuffer(workload.JoinArity, 0),
-		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
-		dummyID:  math.MinInt64,
+		cfg:       cfg,
+		wl:        wl,
+		rt:        rt,
+		cache:     securearray.New(workload.JoinArity, tupleBits, rt.Meter),
+		view:      securearray.NewView(workload.JoinArity),
+		shrink:    shrink,
+		match:     wl.Match(),
+		overflow:  oblivious.NewBuffer(workload.JoinArity, 0),
+		spill:     oblivious.NewBuffer(workload.JoinArity, 0),
+		carry:     oblivious.NewBuffer(carryArity, 0),
+		pending:   [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
+		nextCarry: oblivious.NewBuffer(carryArity, 0),
+		deltaBuf:  oblivious.NewBuffer(workload.JoinArity, 0),
+		dummyID:   math.MinInt64,
 	}
 	// Public input sizes: every block is padded to the block size and the
 	// carry holds the blocks of the invocations a record survives after its
@@ -491,33 +492,38 @@ func (f *Framework) transform(blocks []uploadBlock) {
 
 	// The join condition is the view definition's temporal predicate, plus
 	// "at least one side is new" so pairs an earlier invocation produced are
-	// not regenerated. New is positional: the rows behind the carry.
-	joined := f.joinBuf
-	joined.Reset()
-	f.merged.Reset()
-	oblivious.MergeJoinInto(joined, f.merged, f.carry, f.carry.Len()-fresh[left]-fresh[right], workload.ColKey,
+	// not regenerated. New is positional: the rows behind the carry. The
+	// padded output lands straight on the delta compaction's input, behind the
+	// entries carried over from earlier invocations — or, uncompacted, is the
+	// delta.
+	limit := f.deltaCap(fresh[left], fresh[right])
+	joined := f.overflow
+	if limit == 0 {
+		joined = f.deltaBuf
+		joined.Reset()
+	}
+	// The join's scan also retires the lapsed blocks: the rows that stay, in
+	// join order, are the next carry at the public size the ledgers now hold.
+	// It is an order-preserving compaction of the merged input — a
+	// fixed-topology pass, because in key order which rows a block owns is
+	// secret — charged as the routing network that keeps the order, not as
+	// two linear passes.
+	n := f.carry.Len()
+	f.nextCarry.Reset()
+	oblivious.MergeJoinInto(joined, f.nextCarry, f.carry, n-fresh[left]-fresh[right], workload.ColKey,
 		f.stays, f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
-
-	// Retire the lapsed blocks: an order-preserving compaction of the merged
-	// input to the public size the ledgers now hold — a fixed-topology pass,
-	// because in key order which rows a block owns is secret — charged as the
-	// routing network that keeps the order, not as two linear passes.
-	f.carry.Reset()
-	oblivious.TightCompactInto(f.merged, f.str[left].rows()+f.str[right].rows(), f.carry, nil, nil, mpc.OpTransform, 0)
-	f.rt.Meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(f.merged.Len()), carryBits)
+	f.carry, f.nextCarry = f.nextCarry, f.carry
+	f.rt.Meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(n), carryBits)
 
 	// Tighten the exhaustively padded join output to the public
 	// maximum-new-entries bound before caching. Entries beyond the cap (rare
 	// late-shipped pairs) carry over to the next invocation's batch.
-	delta, compacted := joined, false
-	if cap := f.deltaCap(fresh[left], fresh[right]); cap > 0 {
-		f.overflow.AppendAll(joined) // carried entries first, then this batch
-		delta = f.deltaBuf
+	delta := f.deltaBuf
+	if limit > 0 {
 		delta.Reset()
 		f.spill.Reset()
-		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
+		oblivious.TightCompactInto(f.overflow, limit, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
 		f.overflow, f.spill = f.spill, f.overflow
-		compacted = true
 	}
 
 	// Alg. 1 lines 4-6: update and re-share the cardinality counter — one
@@ -544,7 +550,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	// (Append copies; delta is framework scratch reused by the next
 	// invocation). A compacted delta holds its reals first, so the next read
 	// merges it rather than sorting it.
-	if compacted {
+	if limit > 0 {
 		f.cache.AppendRealFirst(delta)
 	} else {
 		f.cache.Append(delta)

@@ -7,6 +7,7 @@ import (
 
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
+	"incshrink/internal/table"
 	"incshrink/internal/workload"
 )
 
@@ -64,8 +65,7 @@ func refTransform(f *Framework, blocks []uploadBlock) {
 		}
 	}
 	f.carry = next
-	joined := f.joinBuf
-	joined.Reset()
+	joined := oblivious.NewBuffer(workload.JoinArity, 0)
 	oblivious.TruncatedSortMergeJoinInto(joined, in[left], in[right], workload.ColKey, workload.ColKey,
 		f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform, fresh[left], fresh[right])
 
@@ -139,6 +139,7 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 			pairs := 0
 			for lo := 0; lo < len(tr.Steps); lo += c.chunk {
 				steps := tr.Steps[lo:min(lo+c.chunk, len(tr.Steps))]
+				before := eng.created + eng.overflow.Real() // every real the join emits lands in one of the two
 				eng.StepBatch(steps)
 				refStepBatch(ref, steps)
 				at := fmt.Sprintf("after step %d", steps[len(steps)-1].T)
@@ -155,17 +156,20 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 						t.Fatalf("%s: carry row %d out of (key, tag) order", at, i)
 					}
 				}
+				// The join's slots and reals are observed on the last delta
+				// compaction's input, now the spill: the overflow carried into
+				// that Transform, then everything its join emitted.
 				type observed struct{ joinLen, joinReal, counter, cacheReal, viewReal, lost, created, count, countQ1 int }
 				observe := func(f *Framework) observed {
 					n, _ := f.Query()
 					nq, _ := f.QueryWhere(q1)
-					return observed{f.joinBuf.Len(), f.joinBuf.Real(), recoverCounter(f), f.cache.Real(), f.view.Real(),
+					return observed{f.spill.Len(), f.spill.Real(), recoverCounter(f), f.cache.Real(), f.view.Real(),
 						f.lostReal, f.created, n, nq}
 				}
 				if got, exp := observe(eng), observe(ref); got != exp {
 					t.Fatalf("%s: merge join %+v, full-sort reference %+v", at, got, exp)
 				}
-				pairs += eng.joinBuf.Real()
+				pairs += eng.created + eng.overflow.Real() - before
 			}
 			if pairs == 0 || eng.view.Real() == 0 {
 				t.Fatal("the stream never exercised the join or the view")
@@ -183,5 +187,37 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOverflowCarriesLatePairs drives the delta cap's rare case: pairs the
+// cap does not cover. The join appends its output behind the entries the
+// overflow carries, so a late-shipped burst must drain through later
+// Transforms one capped delta at a time, none lost. Three right records
+// arrive at step 0; their three left partners ship late, at step 1, when
+// the right block is a single pad, so the cap is omega * 1 = 1.
+func TestOverflowCarriesLatePairs(t *testing.T) {
+	wl := workload.TPCDS(8, 1)
+	wl.MaxLeft, wl.MaxRight = 4, 1
+	cfg := DefaultConfig(wl, 1)
+	eng, err := NewTimerEngine(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(key, at int64) oblivious.Record {
+		return oblivious.Record{Row: table.Row{key, at}}
+	}
+	steps := []workload.Step{
+		{T: 0, Right: []oblivious.Record{rec(1, 0), rec(2, 0), rec(3, 0)}},
+		{T: 1, Left: []oblivious.Record{rec(1, 0), rec(2, 0), rec(3, 0)}},
+		{T: 2},
+		{T: 3},
+		{T: 4},
+	}
+	for i, want := range [][2]int{{0, 0}, {1, 2}, {2, 1}, {3, 0}, {3, 0}} {
+		eng.Step(steps[i])
+		if got := [2]int{eng.created, eng.overflow.Real()}; got != want {
+			t.Fatalf("after step %d: %d pairs delivered and %d carried, want %d and %d", i, got[0], got[1], want[0], want[1])
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package oblivious
 
 import (
+	"slices"
+
 	"incshrink/internal/mpc"
 	"incshrink/internal/table"
 )
@@ -69,11 +71,16 @@ func (b *Buffer) AppendRow(row table.Row) {
 	b.real++
 }
 
-// AppendJoin appends a real slot whose payload is the concatenation l||r —
-// the join-output append, with no temporary row materialized.
-func (b *Buffer) AppendJoin(l, r table.Row) {
-	b.pay.AppendConcat(l, r)
-	b.flag = append(b.flag, true)
+// setJoin makes dummy slot i the real join entry l||r — the join's fill of
+// its padded output, with no temporary row materialized. len(l)+len(r) must
+// be the buffer's arity.
+func (b *Buffer) setJoin(i int, l, r table.Row) {
+	if len(l)+len(r) != b.Arity() {
+		panic("oblivious: join entry arity differs from the buffer's")
+	}
+	row := b.pay.Row(i)
+	copy(row[copy(row, l):], r)
+	b.flag[i] = true
 	b.real++
 }
 
@@ -101,9 +108,7 @@ func (b *Buffer) AppendColumns(payload []int64, flags []bool) {
 	if b.Arity() == 0 {
 		// An arity-0 arena carries no attribute data, so the payload append
 		// cannot account the rows; the flag column carries the slot count.
-		for range flags {
-			b.pay.AppendZeroRow()
-		}
+		b.pay.AppendZeroRows(n)
 	}
 	b.flag = append(b.flag, flags...)
 	for _, fl := range flags {
@@ -117,11 +122,18 @@ func (b *Buffer) AppendColumns(payload []int64, flags []bool) {
 // Callers must not mutate or retain it across appends.
 func (b *Buffer) Flags() []bool { return b.flag }
 
-// AppendDummy appends a dummy slot (zero payload, isView false). In
-// the deployed system dummy payloads are indistinguishable random shares.
-func (b *Buffer) AppendDummy() {
-	b.pay.AppendZeroRow()
-	b.flag = append(b.flag, false)
+// AppendDummies appends n dummy slots (zero payload, isView false) with one
+// zeroing of payload and flags — the padding of the join's output and of a
+// compaction's tail. In the deployed system dummy payloads are
+// indistinguishable random shares. n <= 0 appends nothing.
+func (b *Buffer) AppendDummies(n int) {
+	if n <= 0 {
+		return
+	}
+	b.pay.AppendZeroRows(n)
+	lo := len(b.flag)
+	b.flag = slices.Grow(b.flag, n)[:lo+n]
+	clear(b.flag[lo:])
 }
 
 // AppendFrom appends a copy of slot i of src (equal arity required).
@@ -318,7 +330,9 @@ func (b *Buffer) applyPerm(keys []sortKey) {
 // linear passes at scan rate — mark+prefix-sum and controlled move — which
 // is what lets Transform tighten its exhaustively padded join output to the
 // public maximum-new-entries bound before caching without inflating its
-// cost profile.
+// cost profile. That delta compaction and cmd/benchmark's operator probe are
+// its callers; the carry's order-preserving retirement runs in the join's
+// scan instead (MergeJoinInto). The tail is padded with one bulk append.
 func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
 	if cap < 0 {
 		cap = 0
@@ -339,9 +353,7 @@ func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Me
 			overflow.AppendFrom(src, i)
 		}
 	}
-	for ; packed < cap; packed++ {
-		dst.AppendDummy()
-	}
+	dst.AppendDummies(cap - packed)
 }
 
 // CountBuffer counts the real slots of a row-major padded array that satisfy

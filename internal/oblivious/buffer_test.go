@@ -37,7 +37,7 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 		case 0:
 			b.AppendRow(table.Row{rng.Int63n(50), 1})
 		case 1:
-			b.AppendDummy()
+			b.AppendDummies(1)
 		case 2:
 			b.AppendSlot(table.Row{7, 8}, rng.Intn(2) == 0, 0, 0)
 		case 3:
@@ -85,7 +85,7 @@ func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 	// Tiny buffers charge nothing.
 	m.Reset()
 	one := NewBuffer(2, 0)
-	one.AppendDummy()
+	one.AppendDummies(1)
 	SortRealFirst(one, m, mpc.OpShrink, 128)
 	if m.TotalGates() != 0 {
 		t.Error("n=1 sort should be free")
@@ -142,7 +142,7 @@ func TestCountBufferMatchesEntryForm(t *testing.T) {
 func TestTruncateClamps(t *testing.T) {
 	b := NewBuffer(2, 0)
 	b.AppendRow(table.Row{1, 2})
-	b.AppendDummy()
+	b.AppendDummies(1)
 	if got := b.Truncate(99); got != 0 || b.Len() != 2 {
 		t.Errorf("oversized truncate: dropped=%d len=%d", got, b.Len())
 	}
@@ -151,15 +151,45 @@ func TestTruncateClamps(t *testing.T) {
 	}
 }
 
+// TestAppendDummiesOverRecycledStorage: dummies padded into storage a
+// truncation freed are zero rows flagged dummy, and leave the real count be.
+func TestAppendDummiesOverRecycledStorage(t *testing.T) {
+	b := NewBuffer(2, 0)
+	for i := range 6 {
+		b.AppendRow(table.Row{int64(i + 1), 7})
+	}
+	b.Truncate(2)
+	b.AppendDummies(3)
+	b.AppendDummies(-1)
+	b.AppendDummies(1)
+	if b.Len() != 6 || b.Real() != 2 || b.ScanReal() != 2 {
+		t.Fatalf("len=%d real=%d scanned=%d, want 6, 2, 2", b.Len(), b.Real(), b.ScanReal())
+	}
+	for i := 2; i < b.Len(); i++ {
+		if b.IsReal(i) || !b.Row(i).Equal(table.Row{0, 0}) {
+			t.Errorf("slot %d = %v real=%v, want a zero dummy", i, b.Row(i), b.IsReal(i))
+		}
+	}
+}
+
+// TestAppendJoinConcatenates: a join entry is the concatenation l||r, filled
+// into a padded dummy slot (setJoin) that then counts as real.
 func TestAppendJoinConcatenates(t *testing.T) {
 	b := NewBuffer(4, 0)
-	b.AppendJoin(table.Row{1, 2}, table.Row{3, 4})
-	if !b.Row(0).Equal(table.Row{1, 2, 3, 4}) {
-		t.Errorf("join row = %v", b.Row(0))
+	b.AppendDummies(2)
+	b.setJoin(1, table.Row{1, 2}, table.Row{3, 4})
+	if !b.Row(1).Equal(table.Row{1, 2, 3, 4}) || !b.Row(0).Equal(table.Row{0, 0, 0, 0}) {
+		t.Errorf("join rows = %v, %v", b.Row(0), b.Row(1))
 	}
-	if !b.IsReal(0) || b.Real() != 1 {
-		t.Errorf("join slot not real: %+v real=%d", entriesOf(b)[0], b.Real())
+	if b.IsReal(0) || !b.IsReal(1) || b.Real() != 1 {
+		t.Errorf("join slot not real: %+v real=%d", entriesOf(b)[1], b.Real())
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a join entry of the wrong arity did not panic")
+		}
+	}()
+	b.setJoin(0, table.Row{1}, table.Row{2, 3, 4, 5})
 }
 
 // Allocation regressions: warm calls of the columnar operators must stay off
@@ -200,7 +230,7 @@ func TestSMJIntoSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMergeJoinIntoSteadyStateAllocs holds the join the engine runs, at the
-// tpcds shape — a 104-row block merged into a 936-row carry — with dst, sorted
+// tpcds shape — a 104-row block merged into a 936-row carry — with dst, next
 // and in reused as core.Framework reuses them.
 func TestMergeJoinIntoSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -213,19 +243,19 @@ func TestMergeJoinIntoSteadyStateAllocs(t *testing.T) {
 	for _, r := range rows {
 		in.AppendRow(r)
 	}
-	dst, sorted := NewBuffer(4, 0), NewBuffer(3, 0)
+	dst, next := NewBuffer(4, 0), NewBuffer(3, 0)
 	keep := func(table.Row) bool { return true }
 	run := func() {
 		dst.Reset()
-		sorted.Reset()
-		MergeJoinInto(dst, sorted, in, 936, 0, keep, nil, 1, nil, mpc.OpTransform)
+		next.Reset()
+		MergeJoinInto(dst, next, in, 936, 0, keep, nil, 1, nil, mpc.OpTransform)
 	}
 	run() // warm dst's workspace, both arenas and the network tables
 	if avg := testing.AllocsPerRun(100, run); avg > warmAllocs {
 		t.Errorf("MergeJoinInto allocates %.1f/op warm, want <= %v", avg, warmAllocs)
 	}
-	if dst.Len() != len(rows) || sorted.Len() != len(rows) {
-		t.Errorf("join emitted %d slots and %d sorted rows, want %d of each", dst.Len(), sorted.Len(), len(rows))
+	if dst.Len() != len(rows) || next.Len() != len(rows) {
+		t.Errorf("join emitted %d slots and retired to %d rows, want %d of each", dst.Len(), next.Len(), len(rows))
 	}
 }
 
@@ -276,6 +306,91 @@ func BenchmarkJoinSort1040(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst.Reset()
 		TruncatedSortMergeJoinInto(dst, r1, r2, 0, 0, nil, 1, nil, mpc.OpTransform)
+	}
+}
+
+// TestMergeJoinRetiresInJoinOrder: the rows keep selects reach next in (key,
+// tag) order, each exactly once, behind nothing — whatever the union's ties —
+// and the emitted slots land on dst behind what it already held.
+func TestMergeJoinRetiresInJoinOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	byKeyTag := func(a, b table.Row) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[2], b[2])) }
+	for trial := range 40 {
+		m, f := rng.Intn(60), 1+rng.Intn(20)
+		rows := make([]table.Row, m+f)
+		for i := range rows {
+			rows[i] = table.Row{rng.Int63n(12) - 6, int64(i), rng.Int63n(2), rng.Int63n(3)} // {key, payload, tag, block}
+		}
+		slices.SortStableFunc(rows[:m], byKeyTag)
+		in := NewBuffer(4, 0)
+		for _, r := range rows {
+			in.AppendRow(r)
+		}
+		dst, next := NewBuffer(4, 0), NewBuffer(4, 0)
+		dst.AppendRow(table.Row{9, 9, 9, 9})
+		keep := func(r table.Row) bool { return r[3] != 0 }
+		MergeJoinInto(dst, next, in, m, 0, keep, nil, 2, nil, mpc.OpTransform)
+
+		if dst.Len() != 1+2*len(rows) || !dst.Row(0).Equal(table.Row{9, 9, 9, 9}) {
+			t.Fatalf("trial %d: dst holds %d slots starting %v, want the old slot then %d", trial, dst.Len(), dst.Row(0), 2*len(rows))
+		}
+		var want []table.Row
+		for _, r := range rows {
+			if keep(r) {
+				want = append(want, r)
+			}
+		}
+		got := make([]table.Row, next.Len())
+		for i := range got {
+			got[i] = next.Row(i)
+			if i > 0 && byKeyTag(got[i-1], got[i]) > 0 {
+				t.Fatalf("trial %d: next row %d %v follows %v out of (key, tag) order", trial, i, got[i], got[i-1])
+			}
+		}
+		byPayload := func(a, b table.Row) int { return cmp.Compare(a[1], b[1]) }
+		slices.SortFunc(got, byPayload)
+		slices.SortFunc(want, byPayload)
+		if !slices.EqualFunc(got, want, table.Row.Equal) || next.Real() != len(want) {
+			t.Fatalf("trial %d: next holds %v (%d real), want the kept rows %v", trial, got, next.Real(), want)
+		}
+	}
+}
+
+// BenchmarkMergeJoinCarry is the join as the engine runs it at the tpcds_step
+// shape: a 104-row block sorted and merged into a 936-row carry, the omega = 1
+// scan emitting onto dst, and the carry retired in that scan — the oldest of
+// the ten blocks lapses, so next holds the 936 rows that stay. It fails if a
+// warm call allocates.
+func BenchmarkMergeJoinCarry(b *testing.B) {
+	rng := rand.New(rand.NewSource(103))
+	rows := make([]table.Row, 936+104)
+	for i := range rows {
+		rows[i] = table.Row{rng.Int63n(2880), rng.Int63n(10), int64(i % 13 / 12), int64(i / 104)} // {key, time, tag, block}
+	}
+	slices.SortStableFunc(rows[:936], func(a, b table.Row) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[2], b[2])) })
+	in := NewBuffer(4, len(rows))
+	for _, r := range rows {
+		in.AppendRow(r)
+	}
+	within := func(l, r Record) bool { return r.Row[1] >= l.Row[1] }
+	keep := func(r table.Row) bool { return r[3] > 0 }
+	dst, next := NewBuffer(4, 0), NewBuffer(4, 0)
+	join := func() {
+		dst.Reset()
+		next.Reset()
+		MergeJoinInto(dst, next, in, 936, 0, keep, within, 1, nil, mpc.OpTransform)
+	}
+	join()
+	if allocs := testing.AllocsPerRun(10, join); allocs != 0 {
+		b.Fatalf("a warm join allocates %v times", allocs)
+	}
+	if dst.Len() != len(rows) || next.Len() != 936 {
+		b.Fatalf("join emitted %d slots and retired to %d rows, want %d and 936", dst.Len(), next.Len(), len(rows))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		join()
 	}
 }
 

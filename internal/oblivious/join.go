@@ -77,7 +77,7 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 			return t2[i-len(t1)].Row
 		},
 		func(i int) bool { return i < new1 || (i >= len(t1) && i < len(t1)+new2) },
-		match, bound, meter, op)
+		match, bound, nil, nil, nil, meter, op)
 }
 
 // MergeJoinInto is the join for a caller that keeps the tagged union between
@@ -86,9 +86,11 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 // in[:m] is in (key, tag) order — the caller's carry — and in[m:] is new. Only
 // the new rows are sorted, one merge places them among the carry, and the
 // from-scratch join's linear scan emits every pair with a new side:
-// bound*in.Len() slots into dst. Every row is then appended to sorted in
-// (key, tag) order, flagged by keep: compacted, that is the next carry.
-func MergeJoinInto(dst, sorted, in *Buffer, m, key int, keep func(table.Row) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
+// bound*in.Len() slots appended to dst, behind whatever it already holds. The
+// same scan retires the union: the rows keep selects are appended to next in
+// (key, tag) order — the order-preserving compaction that yields the next
+// carry, with no row copied twice. The caller charges that compaction.
+func MergeJoinInto(dst, next, in *Buffer, m, key int, keep func(table.Row) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
 	arity := dst.Arity() / 2
 	dst.ws.keys = resized(dst.ws.keys, in.Len())
 	keys := dst.ws.keys
@@ -100,28 +102,33 @@ func MergeJoinInto(dst, sorted, in *Buffer, m, key int, keep func(table.Row) boo
 	mergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))
 
 	emitJoin(dst, keys, func(i int) table.Row { return in.Row(i)[:arity] }, func(i int) bool { return i >= m },
-		match, bound, meter, op)
-	sorted.Grow(len(keys))
-	for _, sk := range keys {
-		r := in.Row(int(uint32(sk.w)))
-		sorted.AppendSlot(r, keep(r), 0, 0)
-	}
+		match, bound, in, next, keep, meter, op)
 }
 
 // emitJoin is the linear scan of the truncated join over the tagged union in
 // (key, tag) order. A key's low word is its record's position in the union:
 // row reads the record there, fresh says whether it is new to the caller, and
-// the per-invocation contribution counters are indexed by it.
-func emitJoin(dst *Buffer, keys []sortKey, row func(int) table.Row, fresh func(int) bool, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
+// the per-invocation contribution counters are indexed by it. The output is
+// padded in bulk up front — bound dummy slots per key, one zeroing in all —
+// and a key's pairs fill its first slots. With a non-nil next the scan also
+// retires the union: each row of in that keep selects is appended to next, in
+// scan order. That selection depends on the rows, so it lives here, in the
+// sanctioned scan, and not in the callers.
+func emitJoin(dst *Buffer, keys []sortKey, row func(int) table.Row, fresh func(int) bool, match MatchFunc, bound int,
+	in, next *Buffer, keep func(table.Row) bool, meter *mpc.Meter, op mpc.Op) {
 	bound = max(bound, 1)
 	dst.ws.contrib = resized(dst.ws.contrib, len(keys))
 	contrib := dst.ws.contrib
 	clear(contrib)
 
-	dst.Grow(bound * len(keys))
+	base := dst.Len() // key k's slots are [base+k*bound, base+(k+1)*bound)
+	dst.AppendDummies(bound * len(keys))
+	if next != nil {
+		next.Grow(len(keys))
+	}
 	window := dst.ws.window[:0] // union positions of the T1 records sharing the current key
 	var windowKey uint64
-	for _, sk := range keys {
+	for k, sk := range keys {
 		key, tag, src := sk.k, sk.w>>32, int(uint32(sk.w))
 		// A new key group resets the T1 window; the scan only ever needs the
 		// current group because T1 sorts before T2 within a key.
@@ -144,14 +151,14 @@ func emitJoin(dst *Buffer, keys []sortKey, row func(int) table.Row, fresh func(i
 				if match != nil && !match(Record{Row: l}, Record{Row: r}) {
 					continue
 				}
-				dst.AppendJoin(l, r)
+				dst.setJoin(base+k*bound+emitted, l, r)
 				contrib[li]++
 				contrib[src]++
 				emitted++
 			}
 		}
-		for ; emitted < bound; emitted++ {
-			dst.AppendDummy()
+		if next != nil && keep(in.Row(src)) {
+			next.AppendFrom(in, src)
 		}
 	}
 	dst.ws.window = window

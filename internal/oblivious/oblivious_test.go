@@ -359,8 +359,8 @@ func TestCount(t *testing.T) {
 
 func TestDummyShape(t *testing.T) {
 	b := NewBuffer(4, 0)
-	b.AppendDummy()
+	b.AppendDummies(1)
 	if d := entriesOf(b)[0]; d.IsView || !d.Row.Equal(make(table.Row, 4)) || b.Real() != 0 {
-		t.Errorf("AppendDummy slot = %+v", d)
+		t.Errorf("dummy slot = %+v", d)
 	}
 }

@@ -22,7 +22,7 @@ func view(rows ...table.Row) *securearray.View {
 		b.AppendRow(r)
 	}
 	for i := 0; i < 3; i++ {
-		b.AppendDummy()
+		b.AppendDummies(1)
 	}
 	v := securearray.NewView(4)
 	v.Update(b)

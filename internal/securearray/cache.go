@@ -124,18 +124,19 @@ func (c *Cache) oneRun(realFirst bool) {
 // 5.2.1's flush keeps nothing (spill 0, keep 0), and with a flush size
 // chosen by dp.FlushSizeFor what it recycles is all dummies except with
 // small probability beta. The combined fetch goes straight into the view
-// arena; the surviving segment stays in place (a prefix cut, no
-// reallocation). Returns the number of real tuples recycled.
+// arena; the recycled tail is truncated first, and the surviving segment then
+// slides to the front (a prefix cut, no reallocation). Returns the number of
+// real tuples recycled.
 func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) {
 	oblivious.MergeRealFirst(c.buf, c.runs, c.meter, mpc.OpShrink, c.tupleBits)
 	size = min(max(size, 0), c.buf.Len())
 	spill = min(max(spill, 0), c.buf.Len()-size)
 	v.appendRange(c.buf, 0, size+spill)
+	// Recycle the tail before cutting the prefix, so the cut slides only the
+	// surviving segment down.
+	keep = min(max(keep, 0), c.buf.Len()-size-spill)
+	lostReal = c.buf.Truncate(size + spill + keep)
 	c.buf.CutPrefix(size + spill)
-	keep = max(keep, 0)
-	if keep < c.buf.Len() {
-		lostReal = c.buf.Truncate(keep)
-	}
 	c.oneRun(true)
 	return lostReal
 }

@@ -20,7 +20,7 @@ func batch(rng *rand.Rand, n, real int) *oblivious.Buffer {
 	b := oblivious.NewBuffer(2, n)
 	for _, r := range isReal {
 		if r == 0 {
-			b.AppendDummy()
+			b.AppendDummies(1)
 		} else {
 			b.AppendSlot(table.Row{int64(r - 1), 1}, true, 0, 0)
 		}

@@ -151,7 +151,7 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 		if i%2 == 0 {
 			b.AppendRow(row)
 		} else {
-			b.AppendDummy()
+			b.AppendDummies(1)
 		}
 	}
 	return b

@@ -31,7 +31,7 @@ func sampleBuffer(arity, n int) *oblivious.Buffer {
 		case 0:
 			b.AppendSlot(row, true, 0, 0)
 		case 1:
-			b.AppendDummy()
+			b.AppendDummies(1)
 		default:
 			b.AppendSlot(row, false, 0, 0)
 		}

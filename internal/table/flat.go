@@ -1,6 +1,9 @@
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Flat is a row-major arena of fixed-arity rows: one contiguous []int64
 // holding n*arity attributes. It is the columnar data plane's payload
@@ -52,27 +55,16 @@ func (f *Flat) AppendRow(r Row) {
 	f.n++
 }
 
-// AppendConcat appends the concatenation a||b as one row; len(a)+len(b) must
-// equal the arena's arity. This is the join-output append: no temporary
-// concatenated Row is ever materialized.
-func (f *Flat) AppendConcat(a, b Row) {
-	if len(a)+len(b) != f.arity {
-		panic(fmt.Sprintf("table: concat arity %d+%d != arena arity %d", len(a), len(b), f.arity))
+// AppendZeroRows appends n all-zero rows (dummy payloads) with one
+// reservation and one zeroing. n <= 0 appends nothing.
+func (f *Flat) AppendZeroRows(n int) {
+	if n <= 0 {
+		return
 	}
-	f.data = append(f.data, a...)
-	f.data = append(f.data, b...)
-	f.n++
-}
-
-// AppendZeroRow appends an all-zero row (a dummy payload).
-func (f *Flat) AppendZeroRow() {
-	if cap(f.data)-len(f.data) >= f.arity {
-		f.data = f.data[:len(f.data)+f.arity]
-		clear(f.data[len(f.data)-f.arity:])
-	} else {
-		f.data = append(f.data, make([]int64, f.arity)...)
-	}
-	f.n++
+	lo := len(f.data)
+	f.data = slices.Grow(f.data, n*f.arity)[:lo+n*f.arity]
+	clear(f.data[lo:])
+	f.n += n
 }
 
 // AppendFrom appends a copy of row i of src, which must have equal arity.

@@ -5,8 +5,8 @@ import "testing"
 func TestFlatAppendAndViews(t *testing.T) {
 	f := NewFlat(3, 4)
 	f.AppendRow(Row{1, 2, 3})
-	f.AppendConcat(Row{4}, Row{5, 6})
-	f.AppendZeroRow()
+	f.AppendRow(Row{4, 5, 6})
+	f.AppendZeroRows(1)
 	if f.Rows() != 3 || f.Arity() != 3 {
 		t.Fatalf("rows=%d arity=%d", f.Rows(), f.Arity())
 	}
@@ -73,13 +73,33 @@ func TestFlatArityMismatchPanics(t *testing.T) {
 
 func TestFlatZeroArity(t *testing.T) {
 	f := NewFlat(0, 0)
-	f.AppendZeroRow()
-	f.AppendZeroRow()
+	f.AppendZeroRows(2)
+	f.AppendZeroRows(-1)
 	if f.Rows() != 2 || len(f.Row(1)) != 0 {
 		t.Errorf("zero-arity arena: rows=%d row len=%d", f.Rows(), len(f.Row(1)))
 	}
 	f.CutPrefix(1)
 	if f.Rows() != 1 {
 		t.Errorf("zero-arity cut: rows=%d", f.Rows())
+	}
+}
+
+// TestFlatAppendZeroRowsOverRecycledStorage: rows appended into capacity a
+// truncation freed must read zero, not the values that were there.
+func TestFlatAppendZeroRowsOverRecycledStorage(t *testing.T) {
+	f := NewFlat(2, 0)
+	for i := range 5 {
+		f.AppendRow(Row{int64(i + 1), -1})
+	}
+	f.Truncate(1)
+	f.AppendZeroRows(3)
+	f.AppendZeroRows(0)
+	if f.Rows() != 4 || !f.Row(0).Equal(Row{1, -1}) {
+		t.Fatalf("rows=%d row 0 = %v", f.Rows(), f.Row(0))
+	}
+	for i := 1; i < 4; i++ {
+		if !f.Row(i).Equal(Row{0, 0}) {
+			t.Errorf("row %d = %v, want zeros", i, f.Row(i))
+		}
 	}
 }
