@@ -91,8 +91,9 @@ bench-core:
 # operator benchmarks (both sort shapes among them: the real-first
 # cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
 # BenchmarkJoinSort1040; the join as the engine runs it at the tpcds_step
-# shape, a block merged into a 936-row carry that the scan also retires,
-# BenchmarkMergeJoinCarry, which fails if a warm join allocates; 512
+# shape, a block's keys merged into the 936 carried keys while the scan
+# retires the oldest block's, BenchmarkMergeJoinCarry, which fails if a warm
+# join allocates; 512
 # distinct sort lengths in the cpdb cache's range,
 # BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator
 # table or allocates; and the scan kernel over a packed flag bitset at the
@@ -101,12 +102,14 @@ bench-core:
 # at the cpdb layout (BenchmarkCacheReadRuns: a real-first remainder and a
 # compacted batch merged, not sorted; it fails if a warm read allocates), the two-party
 # GMW comparator over loopback (BenchmarkEvalCompareExchangeLoopback, which
-# reports rounds/op) and the root-package Advance/AdvanceANT/Count/CountWhere
-# benchmarks behind BENCH_core.json — so none of them can bit-rot (CI runs
-# this).
+# reports rounds/op), the root-package Advance/AdvanceANT/Count/CountWhere
+# benchmarks behind BENCH_core.json, and the root-package sort-versus-merge
+# join ablation (BenchmarkJoinSortVsMerge, which fails if the two joins emit
+# different pairs or the default deployment's join runs more than 6,000
+# comparators) — so none of them can bit-rot (CI runs this).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
-	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount' -benchtime 1x .
+	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount|BenchmarkJoinSortVsMerge' -benchtime 1x .
 
 # bench-diff gates data-plane performance against the committed baseline:
 # regenerate a fresh core report and diff it against BENCH_baseline.json —

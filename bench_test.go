@@ -189,43 +189,98 @@ func ablationTables(n int) (t1, t2 []oblivious.Record) {
 // BenchmarkJoinSortVsMerge is the ablation behind "sort once, merge
 // thereafter": one Transform's join over a carry of m rows already in join
 // order and f new ones, as the from-scratch join (sort all m+f) and as the
-// engine runs it (sort the f new rows, merge them into the carry, retire the
-// carry in the join's scan), at the tpcds_step deployment (936, 104), its 8-block
-// tpcds_batch segment (936, 832) and a small one (72, 8). Reported per
-// Transform: comparators executed — counted by a textbook walk of the network
-// local to this file, which internal/oblivious pins equal to what its kernel
-// runs — gates charged, and wall time as ns/op. The two joins must emit the
-// same pairs, and the default deployment must stay under 6,000 comparators.
+// engine runs it (sort the f new keys, merge them into the carried keys,
+// retire the lapsed keys in the join's scan and cut them from the union's
+// sides), at the tpcds_step deployment (936, 104), its 8-block tpcds_batch
+// segment (936, 832) and a small one (72, 8). The merge join runs a cycle of
+// segments as the engine does — nine blocks carried, each segment's k
+// blocks appended and the k oldest retired — so every call meets the same
+// shape; a round of the pool's segments is first joined both ways. Reported per Transform: comparators executed — counted by a
+// textbook walk of the network local to this file, which internal/oblivious
+// pins equal to what its kernel runs — gates charged, and wall time as ns/op.
+// The two joins must emit the same pairs, some segment of the round must emit
+// one, and the default deployment must stay under 6,000 comparators.
 func BenchmarkJoinSortVsMerge(b *testing.B) {
-	for _, size := range [][2]int{{936, 104}, {936, 832}, {72, 8}} {
-		m, f := size[0], size[1]
+	for _, shape := range []struct{ block, k int }{{104, 1}, {104, 8}, {8, 1}} {
+		m, f := 9*shape.block, shape.k*shape.block
 		rng := rand.New(rand.NewSource(int64(m + f)))
-		// Rows are {key, time, tag, arrival}, one in 13 on the right stream. Keys
-		// are distinct within a stream, as in the generated workloads, so which
-		// pairs are emitted does not hang on how the network orders ties.
-		rows := make([]table.Row, m+f)
-		keys := [2][]int{rng.Perm(2 * (m + f)), rng.Perm(2 * (m + f))}
-		for i := range rows {
-			tag := i % 13 / 12
-			rows[i] = table.Row{int64(keys[tag][i]), rng.Int63n(10), int64(tag), 0}
-		}
-		sort.SliceStable(rows[:m], func(i, j int) bool {
-			return rows[i][0] < rows[j][0] || (rows[i][0] == rows[j][0] && rows[i][2] < rows[j][2])
-		})
-		in := oblivious.NewBuffer(4, m+f)
-		var t [2][]oblivious.Record // the from-scratch join's inputs: new records first
-		var fresh [2]int
-		for _, r := range rows {
-			in.AppendRow(r)
-		}
-		for i, r := range append(append([]table.Row{}, rows[m:]...), rows[:m]...) {
-			t[r[2]] = append(t[r[2]], oblivious.Record{Row: r[:2]})
-			if i < f {
-				fresh[r[2]]++
+		// A pool of upload blocks, rows {key, time, tag, block}, one in 13 on
+		// the right stream. Keys are distinct within a stream, as in the
+		// generated workloads, so which pairs are emitted does not hang on how
+		// the network orders ties; the pool holds enough blocks that no key is
+		// in the union twice.
+		pool := make([][]table.Row, 9+2*shape.k)
+		keys := [2][]int{rng.Perm(len(pool) * shape.block), rng.Perm(len(pool) * shape.block)}
+		for j := range pool {
+			for i := range shape.block {
+				g := j*shape.block + i
+				tag := g % 13 / 12
+				pool[j] = append(pool[j], table.Row{int64(keys[tag][g]), rng.Int63n(10), int64(tag), int64(j)})
 			}
 		}
+		sides := func(blocks ...[]table.Row) (n [2]int) {
+			for _, blk := range blocks {
+				for _, r := range blk {
+					n[r[2]]++
+				}
+			}
+			return n
+		}
 		within := func(l, r oblivious.Record) bool { return r.Row[1] >= l.Row[1] }
-		keep := func(r table.Row) bool { return r[3] == 0 }
+
+		// The union after a filling join of the first nine blocks; segment
+		// appends the next k of the pool and joins them while the k oldest
+		// lapse.
+		u := oblivious.NewUnion(4, 0)
+		carried := pool[:9:9]
+		for _, blk := range carried {
+			for _, r := range blk {
+				u.Append(int(r[2]), r)
+			}
+		}
+		oblivious.MergeJoinInto(oblivious.NewBuffer(4, 0), u, sides(carried...), [2]int{}, within, 1, nil, mpc.OpTransform)
+		next := 9
+		segment := func(dst *oblivious.Buffer, meter *mpc.Meter) {
+			var arriving [][]table.Row
+			for range shape.k {
+				arriving = append(arriving, pool[next])
+				for _, r := range pool[next] {
+					u.Append(int(r[2]), r)
+				}
+				next = (next + 1) % len(pool)
+			}
+			oblivious.MergeJoinInto(dst, u, sides(arriving...), sides(carried[:shape.k]...), within, 1, meter, mpc.OpTransform)
+			meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(m+f), 64*3)
+			carried = append(carried[shape.k:], arriving...)
+		}
+
+		// The from-scratch join's inputs for the next segment: its records
+		// first, then the carried ones.
+		var t [2][]oblivious.Record
+		var fresh [2]int
+		inputs := func() {
+			t, fresh = [2][]oblivious.Record{}, [2]int{}
+			for j := range shape.k + 9 {
+				blk := pool[(next+j)%len(pool)]
+				if j >= shape.k {
+					blk = carried[j-shape.k]
+				}
+				for _, r := range blk {
+					t[r[2]] = append(t[r[2]], oblivious.Record{Row: r[:2]})
+					if j < shape.k {
+						fresh[r[2]]++
+					}
+				}
+			}
+		}
+		join := func(variant int, dst *oblivious.Buffer, meter *mpc.Meter) {
+			dst.Reset()
+			if variant == 0 {
+				oblivious.TruncatedSortMergeJoinInto(dst, t[0], t[1], 0, 0, within, 1, meter, mpc.OpTransform, fresh[0], fresh[1])
+				return
+			}
+			segment(dst, meter)
+		}
 		pairsOf := func(dst *oblivious.Buffer) (out []string) {
 			for i := 0; i < dst.Len(); i++ {
 				if dst.IsReal(i) {
@@ -235,24 +290,26 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 			sort.Strings(out)
 			return out
 		}
-		join := func(variant int, dst, carry *oblivious.Buffer, meter *mpc.Meter) {
-			dst.Reset()
-			if variant == 0 {
-				oblivious.TruncatedSortMergeJoinInto(dst, t[0], t[1], 0, 0, within, 1, meter, mpc.OpTransform, fresh[0], fresh[1])
-				return
+		// A round of the pool's segments, each joined both ways.
+		emitted := 0
+		for range len(pool) {
+			inputs()
+			var pairs [2][]string
+			for variant := range pairs {
+				dst := oblivious.NewBuffer(4, 0)
+				join(variant, dst, mpc.NewMeter(mpc.DefaultCostModel()))
+				pairs[variant] = pairsOf(dst)
 			}
-			carry.Reset()
-			oblivious.MergeJoinInto(dst, carry, in, m, 0, keep, within, 1, meter, mpc.OpTransform)
-			meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(m+f), 64*3)
+			if !reflect.DeepEqual(pairs[0], pairs[1]) {
+				b.Fatalf("(%d, %d): full sort emits %d pairs, sort + merge %d, or not the same ones", m, f, len(pairs[0]), len(pairs[1]))
+			}
+			emitted += len(pairs[0])
 		}
-		var pairs [2][]string
-		for variant := range pairs {
-			dst := oblivious.NewBuffer(4, 0)
-			join(variant, dst, oblivious.NewBuffer(4, 0), mpc.NewMeter(mpc.DefaultCostModel()))
-			pairs[variant] = pairsOf(dst)
+		if emitted == 0 {
+			b.Fatalf("(%d, %d): no segment of the round emitted a pair", m, f)
 		}
-		if len(pairs[0]) == 0 || !reflect.DeepEqual(pairs[0], pairs[1]) {
-			b.Fatalf("(%d, %d): full sort emits %d pairs, sort + merge %d, or not the same ones", m, f, len(pairs[0]), len(pairs[1]))
+		if u.Len() != m {
+			b.Fatalf("(%d, %d): the union holds %d rows after a segment, want %d", m, f, u.Len(), m)
 		}
 		P := 1
 		for P < max(m, f) {
@@ -265,10 +322,10 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 		for variant, name := range []string{"full-sort", "sort+merge"} {
 			b.Run(fmt.Sprintf("%d+%d/%s", m, f, name), func(b *testing.B) {
 				meter := mpc.NewMeter(mpc.DefaultCostModel())
-				dst, carry := oblivious.NewBuffer(4, 0), oblivious.NewBuffer(4, 0)
+				dst := oblivious.NewBuffer(4, 0)
 				for i := 0; i < b.N; i++ {
 					meter.Reset()
-					join(variant, dst, carry, meter)
+					join(variant, dst, meter)
 				}
 				b.ReportMetric(float64(comparators[variant]), "comparators")
 				b.ReportMetric(meter.TotalGates(), "simGates")

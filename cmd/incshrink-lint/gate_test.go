@@ -18,9 +18,9 @@ import (
 // oblivtaint — be it a plain flag test, a branching compare-exchange over
 // the sort kernel's keys, a merge whose window of the network is cut by a
 // key, a popcount of a packed flag word that loops once per set bit inside
-// the scan kernel, or a carry retirement that selects rows by keep in the
-// merge join's own body rather than in the sanctioned scan (emitJoin), none
-// of which any sanction covers — and so does a
+// the scan kernel, or a carry retirement that selects the keys behind the
+// cut in the merge join's own body rather than in the sanctioned scan
+// (emitJoin), none of which any sanction covers — and so does a
 // branch on a reconstructed bit seeded into internal/gmw (whose gate code no
 // sanction covers either). A go statement
 // in a library package without an allow naming its join trips goleak —
@@ -99,13 +99,14 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 			file:    "internal/oblivious/join.go",
 			replace: "\tmergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))\n",
 			inject: `	mergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))
-	for i := range in.Len() {
-		if keep(in.Row(i)) {
-			next.AppendFrom(in, i)
+	kept := u.back[:0]
+	for _, k := range keys {
+		if uint32(k.w) >= uint32(cut[k.w>>32]) {
+			kept = append(kept, k)
 		}
 	}
 `,
-			line:     "if keep(in.Row(i)) {",
+			line:     "if uint32(k.w) >= uint32(cut[k.w>>32]) {",
 			analyzer: "oblivtaint",
 		},
 		{

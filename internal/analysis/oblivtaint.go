@@ -55,9 +55,13 @@ var OblivTaintPackages = []string{
 //     moves are exactly the part a circuit evaluates obliviously.
 //   - emitJoin: the linear scan of the paper's core operator, shared by the
 //     from-scratch join and the merge join; key-group advance and
-//     contribution bookkeeping run inside MPC in deployment. The sorts and
-//     the merge around it (TruncatedSortMergeJoinInto, MergeJoinInto) pass
-//     as ordinary code.
+//     contribution bookkeeping run inside MPC in deployment. For the merge
+//     join the same scan retires the union's keys: it keeps a key iff its
+//     row lies behind its side's public cut, rebased by the cut — a select
+//     on the secret key column, so it stays here. The sorts and the merge
+//     around it (TruncatedSortMergeJoinInto, MergeJoinInto) and the
+//     join-order read (Union.AppendJoinOrder, which hands each key to
+//     Union.appendRow as a call argument) pass as ordinary code.
 //
 // The GMW evaluator is NOT here: its k-lane AND derives the output shares
 // from the opened d/e words with a masked select, and every frame length is
@@ -92,12 +96,15 @@ var oblivBufferSources = map[string]bool{
 // oblivFieldSources are raw struct fields whose reads taint, keyed by
 // module-relative package, then "<TypeName>.<field>". Buffer's unexported
 // columns matter so an in-package `b.flag[i]` cannot dodge the accessor
-// list; Record is the by-value row form the joins take; View is the
-// column-major materialized view, the same secrets in another layout.
+// list; Record is the by-value row form the joins take; Union's key column
+// and its back buffer say, key by key, which row comes next in join order;
+// View is the column-major materialized view, the same secrets in another
+// layout.
 var oblivFieldSources = map[string]map[string]bool{
 	"internal/oblivious": {
 		"Buffer.flag": true, "Buffer.pay": true, "Buffer.real": true,
 		"Record.Row": true,
+		"Union.keys": true, "Union.back": true,
 	},
 	"internal/securearray": {
 		"View.flag": true, "View.cols": true, "View.real": true,
@@ -436,6 +443,8 @@ func (t *taintScan) sourceCall(call *ast.CallExpr) (string, bool) {
 			switch {
 			case taintPkg(pkgPath, "internal/oblivious") && tname == "Buffer" && oblivBufferSources[fn.Name()]:
 				return "oblivious.Buffer." + fn.Name(), true
+			case taintPkg(pkgPath, "internal/oblivious") && tname == "Union" && fn.Name() == "Key":
+				return "oblivious.Union.Key", true
 			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && (fn.Name() == "Columns" || fn.Name() == "FlagByte"):
 				return "securearray.View." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/table") && tableSources[tname+"."+fn.Name()]:

@@ -16,22 +16,26 @@ const (
 )
 
 // The carry is the Transform's standing input: the tagged union of both
-// streams' live records and of the pads their upload blocks were filled to,
-// one row each, held in join order — sorted on (key, tag) — from one
-// invocation to the next, so an invocation sorts only its new blocks and
-// merges them in (oblivious.MergeJoinInto). A row is the record, its stream
-// tag and the step of the upload block that carried it; a record has no
-// identifier, and new-or-carried is its position. Between invocations the
-// carry sits at its public cap: each padded stream holds exactly `keep` whole
-// blocks, pads included (a pad is minted once, with its block, and leaves
-// with it), from step 0 on (prefill). A public relation's records enter
-// unpadded and are bounded by the join window alone.
+// streams' live records and of the pads their upload blocks were filled to
+// (oblivious.Union). Each stream's rows stay on its side of the union in
+// arrival order, from admission until their block lapses; what is held in
+// join order — sorted on (key, tag) — from one invocation to the next is only
+// the union's key column, so an invocation sorts only its new blocks' keys
+// and merges them in (oblivious.MergeJoinInto). A row is the record, its
+// stream tag and the step of the upload block that carried it; a record has
+// no identifier, and new-or-carried is its position. Blocks lapse oldest
+// first, so the rows that lapse are a prefix of their side, cut after the
+// join's scan has retired their keys. Between invocations the carry sits at
+// its public cap: each padded stream holds exactly `keep` whole blocks, pads
+// included (a pad is minted once, with its block, and leaves with it), from
+// step 0 on (prefill). A public relation's records enter unpadded and are
+// bounded by the join window alone.
 const (
 	colTag     = workload.StreamArity
 	colArrived = workload.StreamArity + 1
 	carryArity = workload.StreamArity + 2
 	// carryBits is the secret payload width the carry's sort, merge and
-	// compaction move: the record plus its (key, tag) sort column.
+	// compaction are charged for: the record plus its (key, tag) sort column.
 	carryBits = 64 * (workload.StreamArity + 1)
 )
 
@@ -72,8 +76,8 @@ func (s *stream) rows() (n int) {
 // inside the temporal window at each of those block times — one invocation's
 // consume-then-check per block, so budgets and death steps do not depend on
 // how blocks were grouped into segments. Older blocks lapse first, and the
-// survivors are held to the newest `keep`; it returns their first upload step.
-func (s *stream) retire(blocks []uploadBlock, omega int, within int64) (from int) {
+// survivors are held to the newest `keep`.
+func (s *stream) retire(blocks []uploadBlock, omega int, within int64) {
 	kept := s.live[:0]
 	for _, b := range s.live {
 		alive := true
@@ -96,16 +100,12 @@ func (s *stream) retire(blocks []uploadBlock, omega int, within int64) (from int
 		kept = kept[:copy(kept, kept[over:])]
 	}
 	s.live = kept
-	if len(kept) == 0 {
-		return blocks[len(blocks)-1].t + 1
-	}
-	return kept[0].t
 }
 
 // prefill starts the carry at its public cap by admitting, and charging, the
 // uploads of the `keep` periods before step 0 as blocks of nothing but pads:
 // they hold the budget such blocks would have left and retire on schedule.
-// Pad keys ascend as they are minted, so the rows are already in join order.
+// Pad keys ascend as they are minted, so the keys are already in join order.
 func (f *Framework) prefill() {
 	for j := f.str[left].keep; j >= 1; j-- {
 		b := []uploadBlock{f.admit(f.wl.UploadEvery - 1 - j*f.wl.UploadEvery)}
@@ -115,23 +115,24 @@ func (f *Framework) prefill() {
 	}
 }
 
-// admit appends one upload block behind the carry: each stream's pending
+// admit appends one upload block to the carry: each stream's pending
 // arrivals in upload order, then pads up to the public block size, every row
-// stamped with its stream and the block's step. A pad has a fresh
-// never-matching key: pad keys ascend from the bottom of the negative half of
-// the key domain, reserved for them (incshrink.DB rejects negative client keys).
+// stamped with its stream and the block's step, at the tail of its stream's
+// side, its key behind the union's. A pad has a fresh never-matching key: pad
+// keys ascend from the bottom of the negative half of the key domain,
+// reserved for them (incshrink.DB rejects negative client keys).
 func (f *Framework) admit(t int) uploadBlock {
 	b := uploadBlock{t: t}
 	for s := range f.str {
 		st, arrived := &f.str[s], f.pending[s]
 		b.n[s] = max(arrived.Len(), st.block)
-		f.carry.Grow(b.n[s])
+		f.carry.Side[s].Grow(b.n[s])
 		for i := range arrived.Len() {
 			a := arrived.Row(i)
-			f.carry.AppendRow(table.Row{a[workload.ColKey], a[workload.ColTime], int64(s), int64(t)})
+			f.carry.Append(s, table.Row{a[workload.ColKey], a[workload.ColTime], int64(s), int64(t)})
 		}
 		for range b.n[s] - arrived.Len() {
-			f.carry.AppendRow(table.Row{f.dummyID, int64(t), int64(s), int64(t)})
+			f.carry.Append(s, table.Row{f.dummyID, int64(t), int64(s), int64(t)})
 			f.dummyID++
 		}
 		arrived.Reset()
@@ -175,11 +176,15 @@ func (s *stream) decode(dec *snapshot.Decoder, now int) {
 	}
 }
 
-// decodeCarry reloads the carry and holds it to the two decoded ledgers: its
-// length is their public total, every live block owns exactly its rows — so
-// no row names a block that is not live — none arrived after the engine
-// clock, and the rows are in (key, tag) order, without which every later merge
-// would be silently wrong. The raw columns are checked before they are loaded.
+// decodeCarry reloads the carry, written as its rows in join order, and
+// holds it to the two decoded ledgers: its length is their public total,
+// every live block owns exactly its rows — so no row names a block that is
+// not live — none arrived after the engine clock, and the rows are in (key,
+// tag) order, without which every later merge would be silently wrong. The
+// raw columns are checked before they are loaded. Each side then holds its
+// live blocks' rows block after block, at the offsets the ledger gives them
+// (within a block in the order decoded — a row's position on its side is
+// not state), and the keys are rebuilt in the order decoded.
 func (f *Framework) decodeCarry(dec *snapshot.Decoder) error {
 	payload, flags, err := snapshot.DecodeBufferColumns(dec, carryArity)
 	if err != nil {
@@ -199,18 +204,42 @@ func (f *Framework) decodeCarry(dec *snapshot.Decoder) error {
 		}
 		owned[[2]int64{r[colTag], r[colArrived]}]++
 	}
+	next := map[[2]int64]int{} // the next free position of each (stream, upload step) on its side
 	for s := range f.str {
+		off := 0
 		for _, b := range f.str[s].live {
 			if n := owned[[2]int64{int64(s), int64(b.t)}]; n != b.n && dec.Err() == nil {
 				dec.Corrupt("the block of stream %d uploaded at step %d owns %d carry rows, its ledger entry says %d", s, b.t, n, b.n)
 			}
+			next[[2]int64{int64(s), int64(b.t)}] = off
+			off += b.n
 		}
 	}
 	if dec.Err() != nil {
 		return dec.Err()
 	}
 	f.carry.Reset()
-	f.carry.AppendColumns(payload, flags)
+	at := make([]int, len(flags)) // row i's position on its side
+	var order [2][]int            // the rows of each side, by position
+	for s := range f.str {
+		order[s] = make([]int, f.str[s].rows())
+	}
+	for i := range at {
+		r := payload[i*carryArity:][:carryArity]
+		block := [2]int64{r[colTag], r[colArrived]}
+		at[i] = next[block]
+		next[block]++
+		order[r[colTag]][at[i]] = i
+	}
+	for s, rows := range order {
+		f.carry.Side[s].Grow(len(rows))
+		for _, i := range rows {
+			f.carry.Side[s].AppendRow(payload[i*carryArity:][:carryArity])
+		}
+	}
+	for i, pos := range at {
+		f.carry.AppendKey(int(payload[i*carryArity+colTag]), pos)
+	}
 	return nil
 }
 

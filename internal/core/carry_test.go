@@ -19,11 +19,11 @@ func block(t int) []uploadBlock { return []uploadBlock{{t: t}} }
 
 func TestBudgetTracker(t *testing.T) {
 	s := stream{total: 5, keep: -1, live: []liveBlock{{t: 0, remaining: 5}}}
-	if from := s.retire(block(0), 2, 100); len(s.live) != 1 || s.live[0].remaining != 3 || from != 0 {
-		t.Fatalf("after one consume of 2: %+v from step %d, want one block holding 3 from step 0", s.live, from)
+	if s.retire(block(0), 2, 100); len(s.live) != 1 || s.live[0].remaining != 3 || s.live[0].t != 0 {
+		t.Fatalf("after one consume of 2: %+v, want one block holding 3 from step 0", s.live)
 	}
-	if from := s.retire(block(1), 3, 100); len(s.live) != 0 || from != 2 {
-		t.Errorf("block should retire at zero, ledger holds %+v from step %d", s.live, from)
+	if s.retire(block(1), 3, 100); len(s.live) != 0 {
+		t.Errorf("block should retire at zero, ledger holds %+v", s.live)
 	}
 	// A retired block is gone for good; a new one starts from the full
 	// budget, and charging only reaches blocks already uploaded.
@@ -36,8 +36,8 @@ func TestBudgetTracker(t *testing.T) {
 	s = stream{total: 50, keep: 2}
 	for step := 0; step < 6; step++ {
 		s.live = append(s.live, liveBlock{t: step, remaining: 50})
-		if from := s.retire(block(step), 1, 100); len(s.live) > 2 || from != max(step-1, 0) {
-			t.Fatalf("step %d: ledger %+v from step %d, want the 2 newest blocks", step, s.live, from)
+		if s.retire(block(step), 1, 100); len(s.live) > 2 || s.live[0].t != max(step-1, 0) {
+			t.Fatalf("step %d: ledger %+v, want the 2 newest blocks", step, s.live)
 		}
 	}
 }
@@ -93,10 +93,64 @@ func carryStateOf(f *Framework) carryState {
 	for s := range f.str {
 		st.live[s] = slices.Clone(f.str[s].live)
 	}
-	for i := 0; i < f.carry.Len(); i++ {
-		st.rows = append(st.rows, slices.Clone(f.carry.Row(i)))
+	for _, r := range joinOrder(f) {
+		st.rows = append(st.rows, slices.Clone(r))
 	}
 	return st
+}
+
+// joinOrder returns the carry's rows in join order, as the snapshot writes
+// them.
+func joinOrder(f *Framework) []table.Row {
+	b := oblivious.NewBuffer(carryArity, f.carry.Len())
+	f.carry.AppendJoinOrder(b)
+	rows := make([]table.Row, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows
+}
+
+// checkUnion fails t unless the carry is the union the ledgers describe:
+// each side holds exactly its live blocks' rows, block after block in ledger
+// order; every key names a row that carries the key's (key, tag); every row
+// is named once; and the keys are in (key, tag) order.
+func checkUnion(t testing.TB, f *Framework, at string) {
+	t.Helper()
+	var named [2][]bool
+	for s, side := range f.carry.Side {
+		if side.Len() != f.str[s].rows() {
+			t.Fatalf("%s: side %d holds %d rows, its ledger %d", at, s, side.Len(), f.str[s].rows())
+		}
+		i := 0
+		for _, b := range f.str[s].live {
+			for end := i + b.n; i < end; i++ {
+				if r := side.Row(i); r[colTag] != int64(s) || r[colArrived] != int64(b.t) {
+					t.Fatalf("%s: side %d row %d is %v, but lies in the block of step %d", at, s, i, r, b.t)
+				}
+			}
+		}
+		named[s] = make([]bool, side.Len())
+	}
+	var prev table.Row
+	for j := range f.carry.Len() {
+		key, s, i := f.carry.Key(j)
+		if s > right || i >= len(named[s]) || named[s][i] {
+			t.Fatalf("%s: key %d names row %d of side %d, which is absent or named twice", at, j, i, s)
+		}
+		named[s][i] = true
+		r := f.carry.Side[s].Row(i)
+		if r[workload.ColKey] != key {
+			t.Fatalf("%s: key %d is (%d, %d), but names row %v", at, j, key, s, r)
+		}
+		if prev != nil && !carryOrdered(prev, r) {
+			t.Fatalf("%s: key %d names %v, after %v: out of (key, tag) order", at, j, r, prev)
+		}
+		prev = r
+	}
+	if f.carry.Len() != len(named[left])+len(named[right]) {
+		t.Fatalf("%s: %d keys over %d + %d rows", at, f.carry.Len(), len(named[left]), len(named[right]))
+	}
 }
 
 func (st carryState) encode(enc *snapshot.Encoder) {
@@ -148,11 +202,7 @@ func TestWindowLifecycleDoesNotLeak(t *testing.T) {
 					t.Fatalf("step %d: carry of %d rows over %d + %d blocks in %d snapshot bytes, want %d rows, 3 + 3 blocks, %d bytes",
 						step, f.carry.Len(), len(f.str[left].live), len(f.str[right].live), buf.Len(), want, size)
 				}
-				for i := 1; i < f.carry.Len(); i++ {
-					if !carryOrdered(f.carry.Row(i-1), f.carry.Row(i)) {
-						t.Fatalf("step %d: carry row %d out of (key, tag) order", step, i)
-					}
-				}
+				checkUnion(t, f, fmt.Sprintf("step %d", step))
 			}
 			if n, _ := f.Query(); n == 0 {
 				t.Error("empty view: the stream never exercised the join")

@@ -14,7 +14,6 @@ import (
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/securearray"
-	"incshrink/internal/table"
 	"incshrink/internal/workload"
 )
 
@@ -209,11 +208,12 @@ type Framework struct {
 	view  *securearray.View
 
 	// carry is the Transform's standing input — both streams' live records
-	// and block pads as one table in join order — and str the two public
-	// ledgers of the upload blocks in it (carry.go). pending holds arrivals
-	// not yet admitted to a block: the right stream's accumulate between
-	// uploads, the left side is only ever non-empty inside a step.
-	carry   *oblivious.Buffer
+	// and block pads, each side in arrival order, with their sort keys in
+	// join order — and str the two public ledgers of the upload blocks in it
+	// (carry.go). pending holds arrivals not yet admitted to a block: the
+	// right stream's accumulate between uploads, the left side is only ever
+	// non-empty inside a step.
+	carry   *oblivious.Union
 	str     [2]stream
 	pending [2]*oblivious.Buffer
 
@@ -223,16 +223,12 @@ type Framework struct {
 	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction
 	dummyID  int64             // ascending generator for padding-record keys
 
-	// Per-transform scratch, framework-owned so the steady-state Advance path
-	// allocates (almost) nothing: the carry's back buffer, which the join's
-	// scan fills with the next carry before the two swap, and the compacted
-	// delta (the raw join output itself under RawDelta). The padded join
-	// output has no buffer of its own: it lands on the overflow, the delta
-	// compaction's input. from is the upload step each stream's carry starts
-	// at afterwards (stays).
-	nextCarry *oblivious.Buffer
-	deltaBuf  *oblivious.Buffer
-	from      [2]int64
+	// deltaBuf is per-transform scratch, framework-owned so the steady-state
+	// Advance path allocates (almost) nothing: the compacted delta (the raw
+	// join output itself under RawDelta). The padded join output has no
+	// buffer of its own: it lands on the overflow, the delta compaction's
+	// input.
+	deltaBuf *oblivious.Buffer
 
 	// blocks are the upload blocks admitted since the last segment end; the
 	// last step of a StepBatch call ends a segment, so they are not state.
@@ -275,20 +271,19 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		return nil, fmt.Errorf("core: nil Shrink protocol")
 	}
 	f := &Framework{
-		cfg:       cfg,
-		wl:        wl,
-		rt:        rt,
-		cache:     securearray.New(workload.JoinArity, tupleBits, rt.Meter),
-		view:      securearray.NewView(workload.JoinArity),
-		shrink:    shrink,
-		match:     wl.Match(),
-		overflow:  oblivious.NewBuffer(workload.JoinArity, 0),
-		spill:     oblivious.NewBuffer(workload.JoinArity, 0),
-		carry:     oblivious.NewBuffer(carryArity, 0),
-		pending:   [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
-		nextCarry: oblivious.NewBuffer(carryArity, 0),
-		deltaBuf:  oblivious.NewBuffer(workload.JoinArity, 0),
-		dummyID:   math.MinInt64,
+		cfg:      cfg,
+		wl:       wl,
+		rt:       rt,
+		cache:    securearray.New(workload.JoinArity, tupleBits, rt.Meter),
+		view:     securearray.NewView(workload.JoinArity),
+		shrink:   shrink,
+		match:    wl.Match(),
+		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
+		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
+		carry:    oblivious.NewUnion(carryArity, workload.ColKey),
+		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
+		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
+		dummyID:  math.MinInt64,
 	}
 	// Public input sizes: every block is padded to the block size and the
 	// carry holds the blocks of the invocations a record survives after its
@@ -416,15 +411,8 @@ func (f *Framework) arrive(s int, recs []oblivious.Record) {
 	}
 }
 
-// stays reports whether a carry row outlives the segment under way: iff its
-// block does, and blocks lapse oldest first, so that is one comparison with
-// its stream's cut — selected by arithmetic on the tag, not a branch.
-func (f *Framework) stays(r table.Row) bool {
-	return r[colArrived] >= f.from[left]+r[colTag]*(f.from[right]-f.from[left])
-}
-
 // uploadBlock is one step's upload queued for Transform: the step time and,
-// per stream, the rows it appended behind the carry.
+// per stream, the rows it appended to the carry.
 type uploadBlock struct {
 	t int
 	n [2]int
@@ -485,14 +473,18 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	}
 
 	// Charge contribution budgets on the ledgers and find the blocks that ran
-	// out: public bookkeeping, settled first so the join can flag what stays.
+	// out: public bookkeeping, settled first so the join knows what stays.
+	// Blocks lapse oldest first, so a side's lapsed rows are the prefix of
+	// its arrival order that the ledger no longer holds.
+	var cut [2]int
 	for s := range f.str {
-		f.from[s] = int64(f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within))
+		f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within)
+		cut[s] = f.carry.Side[s].Len() - f.str[s].rows()
 	}
 
 	// The join condition is the view definition's temporal predicate, plus
 	// "at least one side is new" so pairs an earlier invocation produced are
-	// not regenerated. New is positional: the rows behind the carry. The
+	// not regenerated. New is positional: the rows at the sides' tails. The
 	// padded output lands straight on the delta compaction's input, behind the
 	// entries carried over from earlier invocations — or, uncompacted, is the
 	// delta.
@@ -502,17 +494,14 @@ func (f *Framework) transform(blocks []uploadBlock) {
 		joined = f.deltaBuf
 		joined.Reset()
 	}
-	// The join's scan also retires the lapsed blocks: the rows that stay, in
-	// join order, are the next carry at the public size the ledgers now hold.
-	// It is an order-preserving compaction of the merged input — a
+	// The join's scan also retires the lapsed blocks: the keys that stay, in
+	// join order, are the next carry's at the public size the ledgers now
+	// hold. It is an order-preserving compaction of the merged keys — a
 	// fixed-topology pass, because in key order which rows a block owns is
 	// secret — charged as the routing network that keeps the order, not as
 	// two linear passes.
 	n := f.carry.Len()
-	f.nextCarry.Reset()
-	oblivious.MergeJoinInto(joined, f.nextCarry, f.carry, n-fresh[left]-fresh[right], workload.ColKey,
-		f.stays, f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
-	f.carry, f.nextCarry = f.nextCarry, f.carry
+	oblivious.MergeJoinInto(joined, f.carry, fresh, cut, f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
 	f.rt.Meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(n), carryBits)
 
 	// Tighten the exhaustively padded join output to the public

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -11,11 +12,29 @@ import (
 	"incshrink/internal/workload"
 )
 
+// reference is the engine the merge join is checked against: a Framework
+// whose Transform is refTransform, plus the reference's own carry — the rows
+// that outlive each Transform, in join order. The Framework's union only
+// stages each segment's new rows, at the tails of its sides.
+type reference struct {
+	*Framework
+	carried []table.Row
+}
+
+// newReference takes over f, moving the rows prefill put in its union — the
+// pads of the periods before step 0 — to the reference's carry.
+func newReference(f *Framework) *reference {
+	r := &reference{Framework: f, carried: joinOrder(f)}
+	f.carry.Reset()
+	return r
+}
+
 // refStepBatch is StepBatch with the Transform replaced by refTransform: the
 // reference engine the merge join is checked against. Everything but the
 // join — admission, segment boundaries, ledgers, delta compaction, counter,
 // cache, Shrink, flush — is the engine's own code or a copy of it.
-func refStepBatch(f *Framework, steps []workload.Step) {
+func refStepBatch(r *reference, steps []workload.Step) {
+	f := r.Framework
 	f.blocks = f.blocks[:0]
 	for i, st := range steps {
 		f.now = st.T
@@ -26,7 +45,7 @@ func refStepBatch(f *Framework, steps []workload.Step) {
 			f.blocks = append(f.blocks, f.admit(st.T))
 		}
 		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
-			refTransform(f, f.blocks)
+			refTransform(r, f.blocks)
 			f.blocks = f.blocks[:0]
 		}
 		f.shrink.Tick(f, st.T)
@@ -38,33 +57,45 @@ func refStepBatch(f *Framework, steps []workload.Step) {
 	}
 }
 
-// refTransform rebuilds the two join inputs from the carry's records — the
-// segment's rows first, then the carried ones — runs the from-scratch join
-// (sort everything, then scan) on them, and keeps the rows that stay in
-// whatever order they had: it sorts again next time.
-func refTransform(f *Framework, blocks []uploadBlock) {
+// refTransform rebuilds the two join inputs from the union and the
+// reference's carry — the segment's rows at the tails of the union's sides
+// first, then the carried ones in join order — runs the from-scratch join
+// (sort everything, then scan) on them, and keeps the rows whose block is
+// still on its ledger, put back in join order by a plain sort.
+func refTransform(r *reference, blocks []uploadBlock) {
+	f := r.Framework
 	f.transforms++
 	var fresh [2]int
 	for _, b := range blocks {
 		fresh[left] += b.n[left]
 		fresh[right] += b.n[right]
 	}
-	m := f.carry.Len() - fresh[left] - fresh[right]
+	live := map[[2]int64]bool{}
 	for s := range f.str {
-		f.from[s] = int64(f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within))
-	}
-	var in [2][]oblivious.Record
-	next := oblivious.NewBuffer(carryArity, 0)
-	for _, span := range [][2]int{{m, f.carry.Len()}, {0, m}} {
-		for i := span[0]; i < span[1]; i++ {
-			r := slices.Clone(f.carry.Row(i))
-			in[r[colTag]] = append(in[r[colTag]], oblivious.Record{Row: r[:workload.StreamArity]})
-			if f.stays(r) {
-				next.AppendRow(r)
-			}
+		f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within)
+		for _, b := range f.str[s].live {
+			live[[2]int64{int64(s), int64(b.t)}] = true
 		}
 	}
-	f.carry = next
+	var rows []table.Row
+	for s, side := range f.carry.Side {
+		for i := side.Len() - fresh[s]; i < side.Len(); i++ {
+			rows = append(rows, slices.Clone(side.Row(i)))
+		}
+	}
+	var in [2][]oblivious.Record
+	var next []table.Row
+	for _, row := range append(rows, r.carried...) {
+		in[row[colTag]] = append(in[row[colTag]], oblivious.Record{Row: row[:workload.StreamArity]})
+		if live[[2]int64{row[colTag], row[colArrived]}] {
+			next = append(next, row)
+		}
+	}
+	slices.SortStableFunc(next, func(a, b table.Row) int {
+		return cmp.Or(cmp.Compare(a[workload.ColKey], b[workload.ColKey]), cmp.Compare(a[colTag], b[colTag]))
+	})
+	r.carried = next
+	f.carry.Reset()
 	joined := oblivious.NewBuffer(workload.JoinArity, 0)
 	oblivious.TruncatedSortMergeJoinInto(joined, in[left], in[right], workload.ColKey, workload.ColKey,
 		f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform, fresh[left], fresh[right])
@@ -133,7 +164,8 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, _ := build(cfg, c.wl)
+			refEng, _ := build(cfg, c.wl)
+			ref := newReference(refEng)
 			tr := mustTrace(t, c.wl)
 			want := eng.carry.Len()
 			pairs := 0
@@ -147,14 +179,11 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 				if !c.wl.RightPublic && eng.carry.Len() != want {
 					t.Fatalf("%s: carry of %d rows, the public cap is %d", at, eng.carry.Len(), want)
 				}
-				if eng.carry.Len() != ref.carry.Len() || eng.carry.Len() != eng.str[left].rows()+eng.str[right].rows() {
-					t.Fatalf("%s: carry of %d rows, reference %d, ledgers %d", at, eng.carry.Len(), ref.carry.Len(),
-						eng.str[left].rows()+eng.str[right].rows())
-				}
-				for i := 1; i < eng.carry.Len(); i++ {
-					if !carryOrdered(eng.carry.Row(i-1), eng.carry.Row(i)) {
-						t.Fatalf("%s: carry row %d out of (key, tag) order", at, i)
-					}
+				checkUnion(t, eng, at)
+				byColumns := func(a, b table.Row) int { return slices.Compare(a, b) }
+				got, exp := slices.SortedFunc(slices.Values(joinOrder(eng)), byColumns), slices.SortedFunc(slices.Values(ref.carried), byColumns)
+				if !slices.EqualFunc(got, exp, table.Row.Equal) {
+					t.Fatalf("%s: the carry holds %d rows, the reference's %d, or not the same ones", at, len(got), len(exp))
 				}
 				// The join's slots and reals are observed on the last delta
 				// compaction's input, now the spill: the overflow carried into
@@ -166,7 +195,7 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 					return observed{f.spill.Len(), f.spill.Real(), recoverCounter(f), f.cache.Real(), f.view.Real(),
 						f.lostReal, f.created, n, nq}
 				}
-				if got, exp := observe(eng), observe(ref); got != exp {
+				if got, exp := observe(eng), observe(ref.Framework); got != exp {
 					t.Fatalf("%s: merge join %+v, full-sort reference %+v", at, got, exp)
 				}
 				pairs += eng.created + eng.overflow.Real() - before

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
 )
 
@@ -77,7 +78,9 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	enc.Int(f.now)
 	encodeLedger(enc, f.str[left].live)
 	encodeLedger(enc, f.str[right].live)
-	snapshot.EncodeBuffer(enc, f.carry)
+	carry := oblivious.NewBuffer(carryArity, f.carry.Len()) // the carry section is its rows in join order
+	f.carry.AppendJoinOrder(carry)
+	snapshot.EncodeBuffer(enc, carry)
 	snapshot.EncodeBuffer(enc, f.pending[right])
 	snapshot.EncodeBuffer(enc, f.overflow)
 

@@ -207,37 +207,94 @@ func TestFrameworkRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// TestSnapshotEveryStepByteIdentical: an sDPANT engine snapshotted and
-// restored into a fresh framework after every one of 40 steps, each restore
-// continuing from the last, stays byte-identical to the engine that never
-// stopped — its snapshot equals the uninterrupted one after every step. A
+// TestSnapshotEveryStepByteIdentical: an engine snapshotted and restored
+// into a fresh framework after every step, each restore continuing from the
+// last, stays byte-identical to the engine that never stopped — its snapshot
+// equals the uninterrupted one after every step — and after every step and
+// every restore its carry is the union its ledgers describe (checkUnion). A
 // restored cache forgets its run layout and re-sorts on its next read; the
 // real-first order is total, so that read leaves the bytes the merge would.
+// A restored union places each block's rows in the order the snapshot lists
+// them, not the order they arrived in; nothing observable depends on it. The
+// deployments cover the layouts the union meets: TPC-ds under sDPANT; CPDB,
+// whose public relation enters in blocks of varying size and lapses later
+// than the left stream (the left side keeps 1 block, the right 3); and
+// TPC-ds under sDPTimer with merged windows, driven in StepBatch calls of 8
+// steps whose segments join several blocks at once.
 func TestSnapshotEveryStepByteIdentical(t *testing.T) {
-	ref, tr := buildEngine(t, true, 40)
-	hop, _ := buildEngine(t, true, 40)
-	for _, st := range tr.Steps {
-		ref.Step(st)
-		hop.Step(st)
-		var want, got bytes.Buffer
-		if err := ref.Snapshot(&want); err != nil {
-			t.Fatal(err)
-		}
-		if err := hop.Snapshot(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("step %d: the restored chain's snapshot differs from the uninterrupted one", st.T)
-		}
-		hop = rebuildLike(t, hop)
-		if err := hop.Restore(bytes.NewReader(got.Bytes())); err != nil {
-			t.Fatalf("restore after step %d: %v", st.T, err)
-		}
+	cases := []struct {
+		name  string
+		wl    workload.Config
+		tune  func(*Config)
+		ant   bool
+		chunk int
+		check func(t *testing.T, f *Framework) // the premise of the deployment, after the run
+	}{
+		{name: "tpcds sDPANT", wl: workload.TPCDS(40, 7), ant: true, chunk: 1},
+		{name: "cpdb public relation", wl: workload.CPDB(60, 7), ant: true, chunk: 1, check: func(t *testing.T, f *Framework) {
+			sizes := map[int]bool{}
+			for _, b := range f.str[right].live {
+				sizes[b.n] = true
+			}
+			if len(f.str[left].live) != 1 || len(f.str[right].live) != 3 || len(sizes) < 2 {
+				t.Errorf("the sides hold %d and %d blocks, the right ones of %d sizes: want 1 and 3, of varying size",
+					len(f.str[left].live), len(f.str[right].live), len(sizes))
+			}
+		}},
+		{name: "tpcds sDPTimer merged windows", wl: workload.TPCDS(40, 7), tune: func(c *Config) { c.MergeWindows = true }, chunk: 8,
+			check: func(t *testing.T, f *Framework) {
+				if f.transforms >= 40/2 {
+					t.Errorf("%d transforms over 40 daily uploads: the segments must join several blocks", f.transforms)
+				}
+			}},
 	}
-	if ref.Metrics().Updates < 3 {
-		t.Errorf("only %d view updates in 40 steps: too few reads to exercise a restored cache", ref.Metrics().Updates)
-	}
-	if !reflect.DeepEqual(ref.Metrics(), hop.Metrics()) {
-		t.Errorf("metrics diverged:\nrestored: %+v\nuninterrupted: %+v", hop.Metrics(), ref.Metrics())
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig(c.wl, 7)
+			if c.tune != nil {
+				c.tune(&cfg)
+			}
+			build := NewTimerEngine
+			if c.ant {
+				build = NewANTEngine
+			}
+			ref, err := build(cfg, c.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hop, _ := build(cfg, c.wl)
+			tr := mustTrace(t, c.wl)
+			for lo := 0; lo < len(tr.Steps); lo += c.chunk {
+				steps := tr.Steps[lo:min(lo+c.chunk, len(tr.Steps))]
+				at := steps[len(steps)-1].T
+				ref.StepBatch(steps)
+				hop.StepBatch(steps)
+				checkUnion(t, hop, fmt.Sprintf("after step %d", at))
+				var want, got bytes.Buffer
+				if err := ref.Snapshot(&want); err != nil {
+					t.Fatal(err)
+				}
+				if err := hop.Snapshot(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want.Bytes(), got.Bytes()) {
+					t.Fatalf("step %d: the restored chain's snapshot differs from the uninterrupted one", at)
+				}
+				hop = rebuildLike(t, hop)
+				if err := hop.Restore(bytes.NewReader(got.Bytes())); err != nil {
+					t.Fatalf("restore after step %d: %v", at, err)
+				}
+				checkUnion(t, hop, fmt.Sprintf("restored after step %d", at))
+			}
+			if ref.Metrics().Updates < 3 {
+				t.Errorf("only %d view updates in %d steps: too few reads to exercise a restored cache", ref.Metrics().Updates, len(tr.Steps))
+			}
+			if !reflect.DeepEqual(ref.Metrics(), hop.Metrics()) {
+				t.Errorf("metrics diverged:\nrestored: %+v\nuninterrupted: %+v", hop.Metrics(), ref.Metrics())
+			}
+			if c.check != nil {
+				c.check(t, ref)
+			}
+		})
 	}
 }

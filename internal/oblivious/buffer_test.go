@@ -3,7 +3,6 @@ package oblivious
 import (
 	"cmp"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -229,33 +228,51 @@ func TestSMJIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMergeJoinIntoSteadyStateAllocs holds the join the engine runs, at the
-// tpcds shape — a 104-row block merged into a 936-row carry — with dst, next
-// and in reused as core.Framework reuses them.
-func TestMergeJoinIntoSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	rows := make([]table.Row, 936+104)
-	for i := range rows {
-		rows[i] = table.Row{rng.Int63n(2880), int64(i), int64(rng.Intn(2))} // {key, payload, tag}
+// tpcdsCarry drives a union the way the engine does at the tpcds_step shape:
+// each call of join appends a 104-row block — 96 left rows, 8 right — and
+// joins it with omega = 1, emitting onto dst, and once nine blocks are
+// carried the same scan retires the oldest, so the union is back at 936
+// rows. The blocks come round again from a pool of 16. It returns warm, after
+// ten joins.
+func tpcdsCarry(seed int64, match MatchFunc) (u *Union, dst *Buffer, join func()) {
+	rng := rand.New(rand.NewSource(seed))
+	blocks := make([][]table.Row, 16)
+	for j := range blocks {
+		for i := range 104 {
+			blocks[j] = append(blocks[j], table.Row{rng.Int63n(2880), rng.Int63n(10), int64(i % 13 / 12), int64(j)}) // {key, time, tag, block}
+		}
 	}
-	slices.SortFunc(rows[:936], func(a, b table.Row) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[2], b[2])) })
-	in := NewBuffer(3, len(rows))
-	for _, r := range rows {
-		in.AppendRow(r)
-	}
-	dst, next := NewBuffer(4, 0), NewBuffer(3, 0)
-	keep := func(table.Row) bool { return true }
-	run := func() {
+	u, dst = NewUnion(4, 0), NewBuffer(4, 0)
+	joins := 0
+	join = func() {
+		for _, r := range blocks[joins%len(blocks)] {
+			u.Append(int(r[2]), r)
+		}
+		var cut [2]int
+		if joins >= 9 {
+			cut = [2]int{96, 8}
+		}
 		dst.Reset()
-		next.Reset()
-		MergeJoinInto(dst, next, in, 936, 0, keep, nil, 1, nil, mpc.OpTransform)
+		MergeJoinInto(dst, u, [2]int{96, 8}, cut, match, 1, nil, mpc.OpTransform)
+		joins++
 	}
-	run() // warm dst's workspace, both arenas and the network tables
-	if avg := testing.AllocsPerRun(100, run); avg > warmAllocs {
+	for range 10 {
+		join()
+	}
+	return u, dst, join
+}
+
+// TestMergeJoinIntoSteadyStateAllocs holds the join the engine runs, at the
+// tpcds shape — a 104-row block merged into a 936-row carry whose oldest
+// block is retired — with dst and the union reused as core.Framework reuses
+// them.
+func TestMergeJoinIntoSteadyStateAllocs(t *testing.T) {
+	u, dst, join := tpcdsCarry(11, nil)
+	if avg := testing.AllocsPerRun(100, join); avg > warmAllocs {
 		t.Errorf("MergeJoinInto allocates %.1f/op warm, want <= %v", avg, warmAllocs)
 	}
-	if dst.Len() != len(rows) || next.Len() != len(rows) {
-		t.Errorf("join emitted %d slots and retired to %d rows, want %d of each", dst.Len(), next.Len(), len(rows))
+	if dst.Len() != 1040 || u.Len() != 936 {
+		t.Errorf("join emitted %d slots and retired to %d rows, want 1040 and 936", dst.Len(), u.Len())
 	}
 }
 
@@ -309,83 +326,85 @@ func BenchmarkJoinSort1040(b *testing.B) {
 	}
 }
 
-// TestMergeJoinRetiresInJoinOrder: the rows keep selects reach next in (key,
-// tag) order, each exactly once, behind nothing — whatever the union's ties —
-// and the emitted slots land on dst behind what it already held.
+// TestMergeJoinRetiresInJoinOrder: a join leaves each side of the union
+// holding the rows behind its cut, in arrival order, and the union's keys in
+// (key, tag) order, each naming a row that carries its (key, tag) and every
+// row named once — whatever the union's ties — and the emitted slots land on
+// dst behind what it already held.
 func TestMergeJoinRetiresInJoinOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	byKeyTag := func(a, b table.Row) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[2], b[2])) }
 	for trial := range 40 {
-		m, f := rng.Intn(60), 1+rng.Intn(20)
-		rows := make([]table.Row, m+f)
-		for i := range rows {
-			rows[i] = table.Row{rng.Int63n(12) - 6, int64(i), rng.Int63n(2), rng.Int63n(3)} // {key, payload, tag, block}
+		u := NewUnion(4, 0)
+		var arrived [2][]table.Row
+		appendBlock := func(n, block int) (fresh [2]int) {
+			for range n {
+				s := rng.Intn(2)
+				r := table.Row{rng.Int63n(12) - 6, int64(len(arrived[0]) + len(arrived[1])), int64(s), int64(block)} // {key, payload, tag, block}
+				u.Append(s, r)
+				arrived[s] = append(arrived[s], r)
+				fresh[s]++
+			}
+			return fresh
 		}
-		slices.SortStableFunc(rows[:m], byKeyTag)
-		in := NewBuffer(4, 0)
-		for _, r := range rows {
-			in.AppendRow(r)
-		}
-		dst, next := NewBuffer(4, 0), NewBuffer(4, 0)
+		// Two blocks joined into the union, then a third appended and joined
+		// while the first lapses.
+		gone := appendBlock(rng.Intn(30), 0)
+		more := appendBlock(rng.Intn(30), 1)
+		dst := NewBuffer(4, 0)
+		MergeJoinInto(dst, u, [2]int{gone[0] + more[0], gone[1] + more[1]}, [2]int{}, nil, 2, nil, mpc.OpTransform)
+		fresh := appendBlock(1+rng.Intn(20), 2)
+		n := u.Len()
+		dst.Reset()
 		dst.AppendRow(table.Row{9, 9, 9, 9})
-		keep := func(r table.Row) bool { return r[3] != 0 }
-		MergeJoinInto(dst, next, in, m, 0, keep, nil, 2, nil, mpc.OpTransform)
+		MergeJoinInto(dst, u, fresh, gone, nil, 2, nil, mpc.OpTransform)
 
-		if dst.Len() != 1+2*len(rows) || !dst.Row(0).Equal(table.Row{9, 9, 9, 9}) {
-			t.Fatalf("trial %d: dst holds %d slots starting %v, want the old slot then %d", trial, dst.Len(), dst.Row(0), 2*len(rows))
+		if dst.Len() != 1+2*n || !dst.Row(0).Equal(table.Row{9, 9, 9, 9}) {
+			t.Fatalf("trial %d: dst holds %d slots starting %v, want the old slot then %d", trial, dst.Len(), dst.Row(0), 2*n)
 		}
-		var want []table.Row
-		for _, r := range rows {
-			if keep(r) {
-				want = append(want, r)
+		var named [2][]bool
+		for s, side := range u.Side {
+			want := arrived[s][gone[s]:]
+			for i := range side.Len() {
+				if i >= len(want) || !side.Row(i).Equal(want[i]) {
+					t.Fatalf("trial %d: side %d holds %d rows, want the %d behind its cut in arrival order", trial, s, side.Len(), len(want))
+				}
 			}
+			named[s] = make([]bool, side.Len())
 		}
-		got := make([]table.Row, next.Len())
-		for i := range got {
-			got[i] = next.Row(i)
-			if i > 0 && byKeyTag(got[i-1], got[i]) > 0 {
-				t.Fatalf("trial %d: next row %d %v follows %v out of (key, tag) order", trial, i, got[i], got[i-1])
+		if u.Len() != len(named[0])+len(named[1]) {
+			t.Fatalf("trial %d: %d keys over %d + %d rows", trial, u.Len(), len(named[0]), len(named[1]))
+		}
+		for j := range u.Len() {
+			key, s, i := u.Key(j)
+			if i >= len(named[s]) || named[s][i] {
+				t.Fatalf("trial %d: key %d names row %d of side %d, absent or named twice", trial, j, i, s)
 			}
-		}
-		byPayload := func(a, b table.Row) int { return cmp.Compare(a[1], b[1]) }
-		slices.SortFunc(got, byPayload)
-		slices.SortFunc(want, byPayload)
-		if !slices.EqualFunc(got, want, table.Row.Equal) || next.Real() != len(want) {
-			t.Fatalf("trial %d: next holds %v (%d real), want the kept rows %v", trial, got, next.Real(), want)
+			named[s][i] = true
+			if r := u.Side[s].Row(i); r[0] != key || r[2] != int64(s) {
+				t.Fatalf("trial %d: key %d is (%d, %d) but names %v", trial, j, key, s, r)
+			}
+			if j > 0 {
+				if pk, ps, _ := u.Key(j - 1); cmp.Or(cmp.Compare(pk, key), cmp.Compare(ps, s)) > 0 {
+					t.Fatalf("trial %d: key %d (%d, %d) follows (%d, %d)", trial, j, key, s, pk, ps)
+				}
+			}
 		}
 	}
 }
 
 // BenchmarkMergeJoinCarry is the join as the engine runs it at the tpcds_step
-// shape: a 104-row block sorted and merged into a 936-row carry, the omega = 1
-// scan emitting onto dst, and the carry retired in that scan — the oldest of
-// the ten blocks lapses, so next holds the 936 rows that stay. It fails if a
-// warm call allocates.
+// shape (tpcdsCarry): a 104-row block sorted and merged into the 936 carried
+// keys, the omega = 1 scan emitting onto dst and retiring the oldest of the
+// ten blocks, whose rows each side then cuts. It fails if a warm call
+// allocates.
 func BenchmarkMergeJoinCarry(b *testing.B) {
-	rng := rand.New(rand.NewSource(103))
-	rows := make([]table.Row, 936+104)
-	for i := range rows {
-		rows[i] = table.Row{rng.Int63n(2880), rng.Int63n(10), int64(i % 13 / 12), int64(i / 104)} // {key, time, tag, block}
-	}
-	slices.SortStableFunc(rows[:936], func(a, b table.Row) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[2], b[2])) })
-	in := NewBuffer(4, len(rows))
-	for _, r := range rows {
-		in.AppendRow(r)
-	}
 	within := func(l, r Record) bool { return r.Row[1] >= l.Row[1] }
-	keep := func(r table.Row) bool { return r[3] > 0 }
-	dst, next := NewBuffer(4, 0), NewBuffer(4, 0)
-	join := func() {
-		dst.Reset()
-		next.Reset()
-		MergeJoinInto(dst, next, in, 936, 0, keep, within, 1, nil, mpc.OpTransform)
-	}
-	join()
+	u, dst, join := tpcdsCarry(103, within)
 	if allocs := testing.AllocsPerRun(10, join); allocs != 0 {
 		b.Fatalf("a warm join allocates %v times", allocs)
 	}
-	if dst.Len() != len(rows) || next.Len() != 936 {
-		b.Fatalf("join emitted %d slots and retired to %d rows, want %d and 936", dst.Len(), next.Len(), len(rows))
+	if dst.Len() != 1040 || u.Len() != 936 {
+		b.Fatalf("join emitted %d slots and retired to %d rows, want 1040 and 936", dst.Len(), u.Len())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
