@@ -123,11 +123,11 @@ func BenchmarkAblationNoiseFloat(b *testing.B) {
 	}
 }
 
-// runCacheAblation runs DP-Timer on TPC-ds with or without the incremental
-// Theorem-4 prune and reports the cache high-water mark and the simulated
-// Shrink cost: the trade-off the prune design buys.
-func runCacheAblation(b *testing.B, prune bool) {
-	b.Helper()
+// BenchmarkAblationFlushPrune runs DP-Timer on TPC-ds with the incremental
+// Theorem-4 prune and reports the cache high-water mark, the simulated
+// Shrink cost and the real tuples the prune recycled: the trade-off the prune
+// design buys.
+func BenchmarkAblationFlushPrune(b *testing.B) {
 	wl := workload.TPCDS(benchParams.Steps, benchParams.Seed)
 	tr, err := workload.Generate(wl)
 	if err != nil {
@@ -137,11 +137,6 @@ func runCacheAblation(b *testing.B, prune bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig(wl, benchParams.Seed)
 		cfg.T = 10
-		if !prune {
-			cfg.PruneTo = 0
-			cfg.FlushEvery = 50 // the literal-paper flush, scaled to horizon
-			cfg.FlushSize = 15
-		}
 		e, err := core.NewTimerEngine(cfg, wl)
 		if err != nil {
 			b.Fatal(err)
@@ -155,13 +150,6 @@ func runCacheAblation(b *testing.B, prune bool) {
 	b.ReportMetric(m.ShrinkSecs, "simShrinkSecs")
 	b.ReportMetric(float64(m.LostReal), "lostReal")
 }
-
-// BenchmarkAblationFlushPrune measures the incremental Theorem-4 prune.
-func BenchmarkAblationFlushPrune(b *testing.B) { runCacheAblation(b, true) }
-
-// BenchmarkAblationFlushPaper measures the literal periodic flush instead:
-// the cache grows between flushes and the Shrink sorts get expensive.
-func BenchmarkAblationFlushPaper(b *testing.B) { runCacheAblation(b, false) }
 
 // BenchmarkAblationTruncateSMJ measures the truncated sort-merge join of
 // Example 5.1 and reports its simulated gate cost.

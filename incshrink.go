@@ -241,7 +241,6 @@ func Open(def ViewDef, opts Options) (*DB, error) {
 	cfg.Budget = def.Budget
 	cfg.T = opts.T
 	cfg.Theta = opts.Theta
-	cfg.PruneTo = core.PruneBound(cfg, wl)
 	cfg.SpillPerUpdate = core.SpillBound(cfg, wl)
 	cfg.MergeWindows = opts.MergeWindows
 	if err := cfg.Validate(); err != nil {

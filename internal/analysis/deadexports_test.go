@@ -30,13 +30,42 @@ var deadExportsKept = map[string]string{
 	"query.Compiled.Query":  "as above",
 }
 
+// configKnobsKept are the exported fields of the engine's configuration
+// (core.Config) and the library's deployment options (incshrink.Options),
+// each with what keeps it settable: a deployment choice, or two non-test
+// callers that set it differently. A value that can be derived is derived
+// where the engine is built instead (the prune bound, the flush constants).
+var configKnobsKept = map[string]string{
+	"core.Config.Epsilon":            "deployment choice: the privacy budget (Options.Epsilon; Figures 5 and 7 sweep it)",
+	"core.Config.Omega":              "deployment choice: the truncation bound (ViewDef.Omega; EP and OTM raise it to the multiplicity)",
+	"core.Config.Budget":             "deployment choice: the contribution budget (ViewDef.Budget; EP and OTM lift it)",
+	"core.Config.T":                  "deployment choice: the sDPTimer interval (Options.T; Figures 7 and 9 sweep it)",
+	"core.Config.Theta":              "deployment choice: the sDPANT threshold (Options.Theta; Figure 7 sets it from T)",
+	"core.Config.SpillPerUpdate":     "DefaultConfig sizes it at the default T, and the experiments keep that value after setting T (Table 2's spill 9 against T = 10's 8, DESIGN.md §4)",
+	"core.Config.RawDelta":           "NewEPEngine sets it, every DP engine leaves it off",
+	"core.Config.MergeWindows":       "deployment choice (Options.MergeWindows)",
+	"core.Config.Cost":               "deployment choice: the MPC backend the meter prices",
+	"core.Config.Seed":               "deployment choice (Options.Seed; the experiments derive one per cell)",
+	"incshrink.Options.Epsilon":      "deployment choice",
+	"incshrink.Options.Protocol":     "deployment choice",
+	"incshrink.Options.T":            "deployment choice",
+	"incshrink.Options.Theta":        "deployment choice",
+	"incshrink.Options.UploadEvery":  "deployment choice: the owners' upload schedule",
+	"incshrink.Options.MaxLeft":      "deployment choice: the public upload block size",
+	"incshrink.Options.MaxRight":     "deployment choice: the public upload block size",
+	"incshrink.Options.Seed":         "deployment choice",
+	"incshrink.Options.MergeWindows": "deployment choice",
+}
+
 // TestDeadExports is `make deadexports` (ROADMAP item 10): an exported
 // function, type, variable, constant or method of an internal package must
 // be referenced from somewhere other than its own package's tests. Struct
 // fields are not policed, and a method is exempt when its type implements
 // an interface (of the module or the standard library) that has it, since
 // it may be reached through that interface. The same units also show that
-// no non-test file of the module references package sync's Pool.
+// no non-test file of the module references package sync's Pool, and that
+// every exported field of core.Config and incshrink.Options is listed in
+// configKnobsKept.
 func TestDeadExports(t *testing.T) {
 	fset, units := loadModule(t)
 	isTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
@@ -62,6 +91,7 @@ func TestDeadExports(t *testing.T) {
 			}
 		}
 	}
+	checkConfigKnobs(t, units)
 	ifaces := reachedInterfaces(pkgs)
 	var dead []string
 	kept := map[string]bool{}
@@ -99,6 +129,50 @@ func TestDeadExports(t *testing.T) {
 	for name := range deadExportsKept {
 		if !kept[name] {
 			t.Errorf("deadExportsKept lists %s, which is referenced or gone", name)
+		}
+	}
+}
+
+// checkConfigKnobs fails for an exported field of core.Config or
+// incshrink.Options that configKnobsKept does not list, and for an entry
+// that names no field: a new knob is inventoried like a new export.
+func checkConfigKnobs(t *testing.T, units []*Unit) {
+	t.Helper()
+	found := map[string]bool{}
+	for _, u := range units {
+		var name string
+		switch u.Pkg.Path() {
+		case ModulePath:
+			name = "Options"
+		case ModulePath + "/internal/core":
+			name = "Config"
+		default:
+			continue
+		}
+		tn, ok := u.Pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st := tn.Type().Underlying().(*types.Struct)
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				found[u.Pkg.Name()+"."+name+"."+f.Name()] = true
+			}
+		}
+	}
+	var unlisted []string
+	for knob := range found {
+		if configKnobsKept[knob] == "" {
+			unlisted = append(unlisted, knob)
+		}
+	}
+	sort.Strings(unlisted)
+	for _, knob := range unlisted {
+		t.Errorf("%s is a settable knob configKnobsKept does not list: derive it, or say why it is set", knob)
+	}
+	for knob := range configKnobsKept {
+		if !found[knob] {
+			t.Errorf("configKnobsKept lists %s, which is gone", knob)
 		}
 	}
 }

@@ -17,11 +17,10 @@ type EP struct {
 // NewEPEngine builds the EP baseline for a workload.
 func NewEPEngine(cfg Config, wl workload.Config) (*EP, error) {
 	// EP reuses the Transform machinery with an un-truncating bound and a
-	// pass-through Shrink that moves every cached slot straight to the view.
+	// pass-through Shrink that moves every cached slot straight to the view
+	// (it never flushes or prunes: those belong to the DP protocols).
 	cfg.Omega = wl.MaxMultiplicity
-	cfg.Budget = 0 // unlimited: EP provides no DP guarantee
-	cfg.FlushEvery = 0
-	cfg.PruneTo = 0
+	cfg.Budget = 0      // unlimited: EP provides no DP guarantee
 	cfg.RawDelta = true // the defining naivety: no dummy elimination, ever
 	f, err := New(cfg, wl, &passthroughShrink{})
 	if err != nil {
@@ -70,8 +69,6 @@ type OTM struct {
 func NewOTMEngine(cfg Config, wl workload.Config) (*OTM, error) {
 	cfg.Omega = wl.MaxMultiplicity
 	cfg.Budget = 0
-	cfg.FlushEvery = 0
-	cfg.PruneTo = 0
 	f, err := New(cfg, wl, &noopShrink{})
 	if err != nil {
 		return nil, err

@@ -61,8 +61,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Epsilon = math.Inf(1) * 0 }, // NaN
 		func(c *Config) { c.Omega = 0 },
 		func(c *Config) { c.Budget = 1; c.Omega = 5 },
-		func(c *Config) { c.FlushEvery = -1 },
-		func(c *Config) { c.FlushSize = -1 },
+		func(c *Config) { c.Epsilon = math.Inf(1) }, // every Laplace scale would be 0
+		func(c *Config) { c.Theta = -1 },
+		func(c *Config) { c.Theta = math.NaN() },
+		func(c *Config) { c.Theta = math.Inf(1) },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(wl, 1)
@@ -88,7 +90,7 @@ func TestDefaultConfigPerWorkload(t *testing.T) {
 	if cp.T != 3 { // floor(30/9.8)
 		t.Errorf("CPDB T = %d, want 3", cp.T)
 	}
-	if tp.Epsilon != 1.5 || tp.FlushEvery != 2000 || tp.FlushSize != 15 || tp.Theta != 30 {
+	if tp.Epsilon != 1.5 || tp.Theta != 30 {
 		t.Error("paper defaults not applied")
 	}
 }
@@ -240,8 +242,6 @@ func TestTimerLeakageSchedule(t *testing.T) {
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 13)
 	cfg.T = 10
-	cfg.FlushEvery = 0
-	cfg.PruneTo = 0
 	f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
 	for _, st := range tr.Steps {
 		f.Step(st)
@@ -373,13 +373,15 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 			if c.omega > 0 {
 				cfg.Omega, cfg.Budget = c.omega, c.budget
 			}
-			cfg.FlushEvery = 0
-			cfg.PruneTo = 0 // keep everything so we can count contributions
 			f, err := NewTimerEngine(cfg, c.wl)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Every entry is counted as its Transform's delta enters the
+			// cache, so entries the view, the cache and the prune's recycled
+			// tail hold all count.
 			leftKeys := make(map[int64]bool)
+			contrib := make(map[int64]int)
 			for _, st := range tr.Steps {
 				for _, r := range st.Left {
 					if leftKeys[r.Row[workload.ColKey]] {
@@ -387,18 +389,15 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 					}
 					leftKeys[r.Row[workload.ColKey]] = true
 				}
+				before := f.transforms
 				f.Step(st)
-			}
-			contrib := make(map[int64]int)
-			cols := f.view.Columns()
-			for i := 0; i < f.view.Len(); i++ {
-				if f.view.FlagByte(i) == 1 {
-					contrib[cols[workload.ColKey][i]]++
+				if f.transforms == before {
+					continue
 				}
-			}
-			for b, i := f.cache.Buffer(), 0; i < b.Len(); i++ {
-				if b.IsReal(i) {
-					contrib[b.At(i, workload.ColKey)]++
+				for b, i := f.deltaBuf, 0; i < b.Len(); i++ {
+					if b.IsReal(i) {
+						contrib[b.At(i, workload.ColKey)]++
+					}
 				}
 			}
 			most := 0
@@ -523,8 +522,8 @@ func TestEngineNames(t *testing.T) {
 }
 
 func TestPruneKeepsErrorBounded(t *testing.T) {
-	// With PruneTo well above the Theorem-4 bound, pruning should lose no
-	// (or almost no) real tuples.
+	// With the prune bound well above the Theorem-4 bound, pruning should
+	// lose no (or almost no) real tuples.
 	wl := workload.TPCDS(400, 41)
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 41)
@@ -537,8 +536,8 @@ func TestPruneKeepsErrorBounded(t *testing.T) {
 		t.Errorf("prune lost %d of %d real tuples", m.LostReal, tr.TotalPairs)
 	}
 	// And the cache stayed bounded.
-	if m.CacheMax > 10*cfg.PruneTo {
-		t.Errorf("cache peaked at %d despite prune bound %d", m.CacheMax, cfg.PruneTo)
+	if m.CacheMax > 10*f.prune {
+		t.Errorf("cache peaked at %d despite prune bound %d", m.CacheMax, f.prune)
 	}
 }
 

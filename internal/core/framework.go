@@ -29,19 +29,13 @@ type Config struct {
 	T int
 	// Theta is the sDPANT synchronization threshold.
 	Theta float64
-	// FlushEvery and FlushSize parameterize the independent cache flush
-	// (defaults 2000 and 15). FlushEvery = 0 disables flushing.
-	FlushEvery, FlushSize int
-	// PruneTo, when positive, prunes the cache to this public length after
-	// every view update, recycling the (w.h.p. dummy) tail. It is the
-	// Theorem-4-sized incremental variant of the cache flush; set to 0 to
-	// run the paper's literal protocol (cache grows until the flush).
-	PruneTo int
 	// SpillPerUpdate additionally moves this many slots from the head of
 	// the sorted cache into the view at every update (beyond the DP-sized
 	// fetch). Because real tuples sort first, the spill drains deferred
 	// data, keeping the deferred-data walk bounded at any horizon at the
 	// cost of at most SpillPerUpdate dummy view slots per update.
+	// It stays configured, not derived in New, because Table 2's TPC-ds
+	// cells run spill 9 where their T = 10 derives 8 (DESIGN.md §4).
 	SpillPerUpdate int
 	// RawDelta disables the tight compaction of the Transform output: the
 	// cache receives the raw exhaustively padded join array. This is what
@@ -51,7 +45,8 @@ type Config struct {
 	// upload blocks get their Transform — and nothing else. Off (the default),
 	// every step ends a segment: one Transform per upload block, and results
 	// are byte-identical however the steps are cut into calls. On, a segment
-	// runs to the next Shrink observation point, flush or end of call, and
+	// runs to the next Shrink observation point (its cache flushes included)
+	// or the end of the call, and
 	// its k blocks share ONE Transform — sorted together and merged into the
 	// carry once, instead of k sorts, merges and compactions. That preserves
 	// count trajectories on single-contribution streams and keeps the meter
@@ -66,17 +61,16 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's default setting for a workload: eps=1.5,
-// f=2000, s=15, theta=30, T = floor(30 / mean entries per step), and the
-// dataset-specific omega and b of Section 7 (omega=1,b=10 for multiplicity-1
-// workloads; omega=10,b=20 otherwise).
+// theta=30, T = floor(30 / mean entries per step), and the dataset-specific
+// omega and b of Section 7 (omega=1,b=10 for multiplicity-1 workloads;
+// omega=10,b=20 otherwise). The paper's flush parameters f=2000 and s=15 are
+// the Shrink protocols' constants (flushEvery, flushSize).
 func DefaultConfig(wl workload.Config, seed int64) Config {
 	cfg := Config{
-		Epsilon:    1.5,
-		FlushEvery: 2000,
-		FlushSize:  15,
-		Theta:      30,
-		Cost:       mpc.DefaultCostModel(),
-		Seed:       seed,
+		Epsilon: 1.5,
+		Theta:   30,
+		Cost:    mpc.DefaultCostModel(),
+		Seed:    seed,
 	}
 	if wl.MaxMultiplicity <= 1 {
 		cfg.Omega, cfg.Budget = 1, 10
@@ -89,9 +83,6 @@ func DefaultConfig(wl workload.Config, seed int64) Config {
 	if cfg.T < 1 {
 		cfg.T = 1
 	}
-	// Incremental Theorem-4 pruning keeps the cache near its deferred-data
-	// bound (see DESIGN.md): bound at the flush horizon plus two batches.
-	cfg.PruneTo = PruneBound(cfg, wl)
 	cfg.SpillPerUpdate = SpillBound(cfg, wl)
 	return cfg
 }
@@ -116,10 +107,10 @@ func SpillBound(cfg Config, wl workload.Config) int {
 	return 2
 }
 
-// PruneBound computes the public cache length the incremental prune keeps:
+// pruneBound computes the public cache length the incremental prune keeps:
 // the Theorem-4 deferred-data bound for the configured epsilon/budget plus
 // two padded batches of headroom.
-func PruneBound(cfg Config, wl workload.Config) int {
+func pruneBound(cfg Config, wl workload.Config) int {
 	// Deferred-data bound (Theorem 4) over a short horizon of 8 updates at
 	// beta 0.05, plus two padded batches of headroom: beyond this length the
 	// sorted cache tail is dummy with high probability. An unlimited Budget
@@ -138,14 +129,14 @@ func PruneBound(cfg Config, wl workload.Config) int {
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
-	case !(c.Epsilon > 0):
-		return fmt.Errorf("core: Epsilon must be positive, got %v", c.Epsilon)
+	case !(c.Epsilon > 0) || math.IsInf(c.Epsilon, 0):
+		return fmt.Errorf("core: Epsilon must be positive and finite, got %v", c.Epsilon)
+	case !(c.Theta >= 0) || math.IsInf(c.Theta, 0):
+		return fmt.Errorf("core: Theta must be non-negative and finite, got %v", c.Theta)
 	case c.Omega < 1:
 		return fmt.Errorf("core: Omega must be at least 1, got %d", c.Omega)
 	case c.Budget != 0 && c.Budget < c.Omega:
 		return fmt.Errorf("core: Budget %d below Omega %d would retire records before first use", c.Budget, c.Omega)
-	case c.FlushEvery < 0 || c.FlushSize < 0:
-		return fmt.Errorf("core: flush parameters must be non-negative")
 	}
 	return nil
 }
@@ -218,6 +209,7 @@ type Framework struct {
 	pending [2]*oblivious.Buffer
 
 	shrink   Shrinker
+	prune    int // the public cache length each view update keeps (pruneBound)
 	match    oblivious.MatchFunc
 	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward; the join appends behind them
 	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction
@@ -277,6 +269,7 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		cache:    securearray.New(workload.JoinArity, tupleBits, rt.Meter),
 		view:     securearray.NewView(workload.JoinArity),
 		shrink:   shrink,
+		prune:    pruneBound(cfg, wl),
 		match:    wl.Match(),
 		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
 		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
@@ -354,15 +347,15 @@ func (f *Framework) Step(st workload.Step) {
 // (incshrink.DB.AdvanceBatch, the serving layer's mailbox coalescing). Each
 // step queues its upload block (when the owners' schedule ships one), runs
 // Transform over the queued blocks if the step ends a segment, then lets the
-// Shrink protocol act, then the independent cache flush.
+// Shrink protocol act (the DP protocols flush the cache at the end of theirs).
 //
 // Config.MergeWindows selects segment boundaries and nothing else. Off,
 // every step ends a segment: each upload block gets its own Transform, so
 // the result — counts, simulated costs, RNG draws, snapshots — does not
 // depend on how the steps were cut into calls. On, a segment ends only where
 // deferral would be visible — the Shrink protocol observes the counter or
-// the cache (StepObserver), the independent flush fires, or the batch ends
-// (blocks are never held across calls) — and the segment's k blocks share
+// the cache (StepObserver), or the batch ends (blocks are never held across
+// calls) — and the segment's k blocks share
 // one Transform. See transform and DESIGN.md §12 for what differs at k > 1.
 // The per-step scratch is warm after the first step, so marginal steps run
 // off the allocator.
@@ -385,7 +378,7 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		}
 		// Transform must land before anything at this step can observe its
 		// effect.
-		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
+		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || i == len(steps)-1) {
 			f.transform(f.blocks)
 			f.blocks = f.blocks[:0]
 		}
@@ -393,12 +386,6 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		shrinkProbe := f.ins.phaseStart(f.rt)
 		f.shrink.Tick(f, st.T)
 		f.ins.phaseDone("shrink", mpc.OpShrink, shrinkProbe, f.rt)
-
-		if f.flushDue(st.T) {
-			fetched := min(f.cfg.FlushSize, f.cache.Len())
-			f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
-			f.rt.ObserveFlush(fetched, "flush")
-		}
 
 		f.ins.stepDone(f)
 	}
@@ -428,11 +415,6 @@ func (f *Framework) observesAt(t int) bool {
 		return so.ObservesAt(f, t)
 	}
 	return true
-}
-
-// flushDue reports whether the independent cache flush fires at step t.
-func (f *Framework) flushDue(t int) bool {
-	return f.cfg.FlushEvery > 0 && t > 0 && t%f.cfg.FlushEvery == 0
 }
 
 // uploadDue reports whether the owners' schedule ships a (possibly empty,

@@ -72,58 +72,73 @@ func TestFrameGroupingKeepsEvents(t *testing.T) {
 // server's transcript event for event — same kinds, times, public sizes and
 // labels. If the implementation ever leaked a data-dependent value into the
 // transcript (an unpadded batch, a true cardinality, an extra message), the
-// structural comparison would fail.
+// structural comparison would fail. The 2,010-step run crosses the cache
+// flush at step 2000, whose size the simulator derives from the public cache
+// length.
 func TestSimulatorIndistinguishability(t *testing.T) {
-	wl := workload.TPCDS(240, 31)
-	tr, err := workload.Generate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(wl, 31)
-	cfg.T = 10
-	cfg.FlushEvery = 0 // the periodic flush is exercised separately
-	f, real0, real1 := newRecorded(t, cfg, wl, &Timer{})
-	for _, st := range tr.Steps {
-		f.Step(st)
-	}
-	if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
-		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
-	}
+	for _, steps := range []int{240, 2010} {
+		wl := workload.TPCDS(steps, 31)
+		tr, err := workload.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(wl, 31)
+		cfg.T = 10
+		f, real0, real1 := newRecorded(t, cfg, wl, &Timer{})
+		for _, st := range tr.Steps {
+			f.Step(st)
+		}
+		if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
+			t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
+		}
+		requireFlushes(t, real0, wl)
 
-	// The simulator's inputs: public parameters...
-	pp := mpc.PublicParams{
-		UploadEvery: wl.UploadEvery,
-		BatchSize:   cfg.Omega * wl.MaxRight, // right-driven public delta cap
-		T:           cfg.T,
-		Spill:       cfg.SpillPerUpdate,
-		Steps:       wl.Steps,
-	}
-	// ...and the DP mechanism's outputs, i.e. exactly the fetch sizes.
-	fetches := map[int]int{}
-	for _, ev := range real0.Events {
-		if ev.Kind == mpc.EvFetchObserved {
-			fetches[ev.Time] = ev.Size
+		// The simulator's inputs: public parameters...
+		pp := mpc.PublicParams{
+			UploadEvery: wl.UploadEvery,
+			BatchSize:   cfg.Omega * wl.MaxRight, // right-driven public delta cap
+			T:           cfg.T,
+			Spill:       cfg.SpillPerUpdate,
+			Prune:       f.prune,
+			Steps:       wl.Steps,
+		}
+		// ...and the DP mechanism's outputs, i.e. exactly the fetch sizes.
+		fetches := map[int]int{}
+		for _, ev := range real0.Events {
+			if ev.Kind == mpc.EvFetchObserved {
+				fetches[ev.Time] = ev.Size
+			}
+		}
+		for _, real := range []*mpc.Transcript{real0, real1} {
+			requireSimulated(t, real, mpc.SimulateTimer(pp, fetches, real.Party, 7))
 		}
 	}
+}
 
-	for _, real := range []*mpc.Transcript{real0, real1} {
-		simulated := mpc.SimulateTimer(pp, fetches, real.Party, 7)
-		ok, at := mpc.StructurallyEqual(real, simulated)
-		if !ok {
-			lo := at - 2
-			if lo < 0 {
-				lo = 0
-			}
-			hiR, hiS := at+3, at+3
-			if hiR > len(real.Events) {
-				hiR = len(real.Events)
-			}
-			if hiS > len(simulated.Events) {
-				hiS = len(simulated.Events)
-			}
-			t.Fatalf("party %v: transcripts diverge at event %d\nreal:      %+v\nsimulated: %+v",
-				real.Party, at, real.Events[lo:hiR], simulated.Events[lo:hiS])
+// requireFlushes fails the test unless the run observed the cache flush at
+// every positive multiple of 2000 steps it reached.
+func requireFlushes(t *testing.T, real *mpc.Transcript, wl workload.Config) {
+	t.Helper()
+	n := 0
+	for _, ev := range real.Events {
+		if ev.Kind == mpc.EvFlushObserved && ev.Label == "flush" {
+			n++
 		}
+	}
+	if want := (wl.Steps - 1) / flushEvery; n != want {
+		t.Fatalf("%s over %d steps: %d cache flushes, want %d", wl.Name, wl.Steps, n, want)
+	}
+}
+
+// requireSimulated fails the test where a simulated transcript departs from
+// the real one, showing the events around the divergence.
+func requireSimulated(t *testing.T, real, simulated *mpc.Transcript) {
+	t.Helper()
+	if ok, at := mpc.StructurallyEqual(real, simulated); !ok {
+		lo := max(at-2, 0)
+		hiR, hiS := min(at+3, len(real.Events)), min(at+3, len(simulated.Events))
+		t.Fatalf("party %v: transcripts diverge at event %d\nreal:      %+v\nsimulated: %+v",
+			real.Party, at, real.Events[lo:hiR], simulated.Events[lo:hiS])
 	}
 }
 
@@ -198,44 +213,57 @@ func TestCPDBBatchSizesPublic(t *testing.T) {
 
 // TestSimulatorIndistinguishabilityANT is the Theorem-8 counterpart: the
 // sDPANT deployment's transcripts must be reproducible from the public
-// parameters plus the M_ant outputs (update times and released sizes).
+// parameters plus the M_ant outputs (update times and released sizes). The
+// CPDB run crosses the cache flush at step 2000; its right relation is
+// public, so its batch sizes follow the public arrivals.
 func TestSimulatorIndistinguishabilityANT(t *testing.T) {
-	wl := workload.TPCDS(240, 37)
-	tr, err := workload.Generate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(wl, 37)
-	cfg.FlushEvery = 0
-	f, real0, _ := newRecorded(t, cfg, wl, &ANT{})
-	for _, st := range tr.Steps {
-		f.Step(st)
-	}
+	for _, wl := range []workload.Config{workload.TPCDS(240, 37), workload.CPDB(2010, 37)} {
+		tr, err := workload.Generate(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(wl, 37)
+		f, real0, _ := newRecorded(t, cfg, wl, &ANT{})
+		for _, st := range tr.Steps {
+			f.Step(st)
+		}
+		requireFlushes(t, real0, wl)
 
-	pp := mpc.PublicParams{
-		UploadEvery: wl.UploadEvery,
-		BatchSize:   cfg.Omega * wl.MaxRight,
-		Spill:       cfg.SpillPerUpdate,
-		Steps:       wl.Steps,
+		pp := mpc.PublicParams{
+			UploadEvery: wl.UploadEvery,
+			BatchSize:   cfg.Omega * wl.MaxRight,
+			Spill:       cfg.SpillPerUpdate,
+			Prune:       f.prune,
+			Steps:       wl.Steps,
+		}
+		if wl.RightPublic {
+			pp.Batches = publicBatches(cfg, wl, tr)
+		}
+		var updates []mpc.ANTOutput
+		for _, ev := range real0.Events {
+			if ev.Kind == mpc.EvFetchObserved {
+				updates = append(updates, mpc.ANTOutput{Time: ev.Time, Size: ev.Size})
+			}
+		}
+		if len(updates) == 0 {
+			t.Fatalf("%s: ANT never updated; test vacuous", wl.Name)
+		}
+		requireSimulated(t, real0, mpc.SimulateANT(pp, updates, real0.Party, 9))
 	}
-	var updates []mpc.ANTOutput
-	for _, ev := range real0.Events {
-		if ev.Kind == mpc.EvFetchObserved {
-			updates = append(updates, mpc.ANTOutput{Time: ev.Time, Size: ev.Size})
+}
+
+// publicBatches is each Transform's output size over a public right
+// relation: omega times the padded left block plus the right rows that
+// arrived since the previous upload.
+func publicBatches(cfg Config, wl workload.Config, tr *workload.Trace) []int {
+	var out []int
+	right := 0
+	for _, st := range tr.Steps {
+		right += len(st.Right)
+		if (st.T+1)%wl.UploadEvery == 0 {
+			out = append(out, cfg.Omega*(wl.MaxLeft+right))
+			right = 0
 		}
 	}
-	if len(updates) == 0 {
-		t.Fatal("ANT never updated; test vacuous")
-	}
-	simulated := mpc.SimulateANT(pp, updates, real0.Party, 9)
-	ok, at := mpc.StructurallyEqual(real0, simulated)
-	if !ok {
-		lo := at - 2
-		if lo < 0 {
-			lo = 0
-		}
-		hiR, hiS := min(at+3, len(real0.Events)), min(at+3, len(simulated.Events))
-		t.Fatalf("ANT transcripts diverge at event %d\nreal:      %+v\nsimulated: %+v",
-			at, real0.Events[lo:hiR], simulated.Events[lo:hiS])
-	}
+	return out
 }

@@ -32,7 +32,7 @@ func newReference(f *Framework) *reference {
 // refStepBatch is StepBatch with the Transform replaced by refTransform: the
 // reference engine the merge join is checked against. Everything but the
 // join — admission, segment boundaries, ledgers, delta compaction, counter,
-// cache, Shrink, flush — is the engine's own code or a copy of it.
+// cache, Shrink (and its flush) — is the engine's own code or a copy of it.
 func refStepBatch(r *reference, steps []workload.Step) {
 	f := r.Framework
 	f.blocks = f.blocks[:0]
@@ -44,16 +44,11 @@ func refStepBatch(r *reference, steps []workload.Step) {
 			f.arrive(left, st.Left)
 			f.blocks = append(f.blocks, f.admit(st.T))
 		}
-		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || f.flushDue(st.T) || i == len(steps)-1) {
+		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || i == len(steps)-1) {
 			refTransform(r, f.blocks)
 			f.blocks = f.blocks[:0]
 		}
 		f.shrink.Tick(f, st.T)
-		if f.flushDue(st.T) {
-			fetched := min(f.cfg.FlushSize, f.cache.Len())
-			f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
-			f.rt.ObserveFlush(fetched, "flush")
-		}
 	}
 }
 

@@ -32,35 +32,27 @@ type StepObserver interface {
 // recover the cardinality counter inside the protocol, distort it with
 // jointly generated Laplace(b/eps) noise, fetch that many slots from the
 // sorted cache and append them to the view, then reset and re-share the
-// counter.
-type Timer struct {
-	// T is the update interval; 0 means "use the framework config".
-	T int
-}
+// counter. It also runs the paper's cache flush (Section 5.2.1).
+type Timer struct{}
 
 // Name implements Shrinker.
 func (s *Timer) Name() string { return "Timer" }
 
 // Init implements Shrinker.
-func (s *Timer) Init(f *Framework) {
-	if s.T == 0 {
-		s.T = f.cfg.T
-	}
-	if s.T < 1 {
-		s.T = 1
-	}
-}
+func (s *Timer) Init(*Framework) {}
 
 // ObservesAt implements StepObserver: sDPTimer touches the counter and the
-// cache only on its T-step schedule — precisely Tick's early-return guard.
-func (s *Timer) ObservesAt(_ *Framework, t int) bool {
-	return t != 0 && t%s.T == 0
+// cache only on its T-step schedule (an interval below 1 is every step) and
+// at the cache flushes.
+func (s *Timer) ObservesAt(f *Framework, t int) bool {
+	return t != 0 && (t%max(f.cfg.T, 1) == 0 || t%flushEvery == 0)
 }
 
 // Tick implements Shrinker. The counter recovery, the joint noise and the
 // counter reset's re-share (Alg. 2 lines 3-4 and 9) are one round.
 func (s *Timer) Tick(f *Framework, t int) {
-	if t == 0 || t%s.T != 0 {
+	if t == 0 || t%max(f.cfg.T, 1) != 0 {
+		f.flush(t)
 		return
 	}
 	rd := f.rt.Round()
@@ -70,17 +62,15 @@ func (s *Timer) Tick(f *Framework, t int) {
 	noise := rd.Laplace(nw, float64(f.cfg.Budget)/f.cfg.Epsilon, mpc.OpShrink)
 	f.syncToView(int(math.Round(float64(c) + noise)))
 	rd.Share(reset, 0)
+	f.flush(t)
 }
 
 // ANT is the sDPANT protocol of Algorithm 3: split the budget eps in two;
 // keep a secret-shared noisy threshold; each step distort the counter and
 // compare against the noisy threshold; on crossing, release a DP-sized fetch
-// and refresh the threshold with fresh randomness.
-type ANT struct {
-	// Theta is the synchronization threshold; 0 means "use the framework
-	// config".
-	Theta float64
-}
+// and refresh the threshold with fresh randomness. It also runs the paper's
+// cache flush (Section 5.2.1).
+type ANT struct{}
 
 // Name implements Shrinker.
 func (s *ANT) Name() string { return "ANT" }
@@ -95,9 +85,6 @@ const thresholdScale = 256
 // Init implements Shrinker: draw and share the first noisy threshold, one
 // round.
 func (s *ANT) Init(f *Framework) {
-	if s.Theta == 0 {
-		s.Theta = f.cfg.Theta
-	}
 	rd := f.rt.Round()
 	nw, share := rd.Noise(), rd.Reshare(thresholdKey)
 	f.exchange(rd)
@@ -110,13 +97,14 @@ func (s *ANT) refreshThreshold(f *Framework, rd *mpc.Round, nw, share int) {
 	// Alg. 3 line 2/11: theta~ <- JointNoise(S0, S1, b, eps1/2, theta),
 	// i.e. Lap(b / (eps1/2)) = Lap(4b/eps) with eps1 = eps/2.
 	eps1 := f.cfg.Epsilon / 2
-	noisy := s.Theta + rd.Laplace(nw, float64(f.cfg.Budget)/(eps1/2), mpc.OpShrink)
+	noisy := f.cfg.Theta + rd.Laplace(nw, float64(f.cfg.Budget)/(eps1/2), mpc.OpShrink)
 	rd.Share(share, uint32(int32(math.Round(noisy*thresholdScale))))
 }
 
 // Tick implements Shrinker. The SVT check — the counter and threshold
 // recoveries and the joint noise — is one round; a release — its noise, the
-// refreshed threshold's noise and both re-shares — is another.
+// refreshed threshold's noise and both re-shares — is another. sDPANT
+// observes the counter every step, so it needs no StepObserver.
 func (s *ANT) Tick(f *Framework, t int) {
 	eps1 := f.cfg.Epsilon / 2
 	eps2 := f.cfg.Epsilon / 2
@@ -128,6 +116,7 @@ func (s *ANT) Tick(f *Framework, t int) {
 	// Alg. 3 line 6: c~ <- JointNoise(S0, S1, b, eps1/4, c) = c + Lap(4b/eps1).
 	noisyC := float64(c) + rd.Laplace(nw, float64(f.cfg.Budget)/(eps1/4), mpc.OpShrink)
 	if noisyC < theta {
+		f.flush(t)
 		return
 	}
 	rd = f.rt.Round()
@@ -140,6 +129,7 @@ func (s *ANT) Tick(f *Framework, t int) {
 	s.refreshThreshold(f, rd, refresh, share)
 	// Alg. 3 line 13: reset c to 0.
 	rd.Share(reset, 0)
+	f.flush(t)
 }
 
 // exchange runs one round of the engine's in-process runtime. Every share a
@@ -152,23 +142,36 @@ func (f *Framework) exchange(rd *mpc.Round) {
 }
 
 // syncToView performs the common tail of both Shrink protocols: clamp the
-// DP-sized fetch, obliviously sort the cache, cut the prefix straight into
-// the view arena (Alg. 2 lines 7-8 / Alg. 3 lines 9-10), then optionally
+// DP-sized fetch, obliviously sort the cache, cut the prefix and the spill
+// straight into the view arena (Alg. 2 lines 7-8 / Alg. 3 lines 9-10), and
 // prune the cache tail to its public Theorem-4 bound. The fetched slots are
 // copied exactly once, cache arena to view arena.
 func (f *Framework) syncToView(sz int) {
 	sz = min(max(sz, 0), f.cache.Len())
-	if f.cfg.PruneTo > 0 {
-		f.lostReal += f.cache.ReadAndPruneInto(f.view, sz, f.cfg.SpillPerUpdate, f.cfg.PruneTo)
-		if f.cfg.SpillPerUpdate > 0 {
-			// The spill has a publicly fixed size; record it as a
-			// flush-class event, distinct from the DP-sized fetch.
-			f.rt.ObserveFlush(f.cfg.SpillPerUpdate, "spill")
-		}
-	} else {
-		f.cache.ReadAndPruneInto(f.view, sz, 0, f.cache.Len())
+	f.lostReal += f.cache.ReadAndPruneInto(f.view, sz, f.cfg.SpillPerUpdate, f.prune)
+	if f.cfg.SpillPerUpdate > 0 {
+		// The spill has a publicly fixed size; record it as a flush-class
+		// event, distinct from the DP-sized fetch.
+		f.rt.ObserveFlush(f.cfg.SpillPerUpdate, "spill")
 	}
 	f.rt.ObserveFetch(sz, "shrink")
+}
+
+// The paper's cache flush (Section 5.2.1), f and s.
+const (
+	flushEvery = 2000
+	flushSize  = 15
+)
+
+// flush ends both DP Shrink protocols' Tick: every flushEvery steps it moves
+// the flushSize head of the sorted cache into the view and recycles the rest.
+func (f *Framework) flush(t int) {
+	if t == 0 || t%flushEvery != 0 {
+		return
+	}
+	fetched := min(flushSize, f.cache.Len())
+	f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
+	f.rt.ObserveFlush(fetched, "flush")
 }
 
 // NewTimerEngine builds an IncShrink engine running sDPTimer.

@@ -54,7 +54,7 @@ func Figure5(ctx context.Context, p Params) ([]Figure, error) {
 		for _, eps := range EpsilonSweep {
 			cfg := ds.Cfg
 			cfg.Epsilon = eps
-			cfg = prunedConfig(cfg, ds.WL)
+			cfg.SpillPerUpdate = core.SpillBound(cfg, ds.WL)
 			for _, kind := range dpKinds {
 				cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: cfg})
 			}
@@ -90,14 +90,6 @@ func Figure5(ctx context.Context, p Params) ([]Figure, error) {
 		figs = append(figs, acc, eff)
 	}
 	return figs, nil
-}
-
-// prunedConfig recomputes the Theorem-4 prune bound after epsilon, omega or
-// the budget were mutated by a sweep.
-func prunedConfig(cfg core.Config, wl workload.Config) core.Config {
-	cfg.PruneTo = core.PruneBound(cfg, wl)
-	cfg.SpillPerUpdate = core.SpillBound(cfg, wl)
-	return cfg
 }
 
 // Figure6 reproduces the workload-type comparison: L1 error and QET on
@@ -168,7 +160,7 @@ func Figure7(ctx context.Context, p Params) ([]Figure, error) {
 				cfg.Epsilon = eps
 				cfg.T = T
 				cfg.Theta = ds.WL.PairRate * float64(T)
-				cfg = prunedConfig(cfg, ds.WL)
+				cfg.SpillPerUpdate = core.SpillBound(cfg, ds.WL)
 				for _, kind := range dpKinds {
 					cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: cfg})
 				}
@@ -216,7 +208,7 @@ func Figure8(ctx context.Context, p Params) ([]Figure, error) {
 		cfg := ds.Cfg
 		cfg.Omega = omega
 		cfg.Budget = 2 * omega
-		cfg = prunedConfig(cfg, ds.WL)
+		cfg.SpillPerUpdate = core.SpillBound(cfg, ds.WL)
 		for _, kind := range dpKinds {
 			cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: cfg})
 		}

@@ -16,12 +16,65 @@ type PublicParams struct {
 	UploadEvery int
 	// BatchSize is the public padded size of each Transform output batch.
 	BatchSize int
+	// Batches, when non-nil, lists each Transform's output size in upload
+	// order instead: over a public relation only the private side is padded,
+	// so the sizes follow the public arrivals.
+	Batches []int
 	// T is the sDPTimer update interval.
 	T int
 	// Spill is the fixed per-update spill size (0 = disabled).
 	Spill int
+	// Prune is the public cache length each view update keeps.
+	Prune int
 	// Steps is the horizon to simulate.
 	Steps int
+}
+
+// The paper's cache flush (Section 5.2.1), which the DP Shrink protocols run
+// at the end of every flushEvery-th step: the flushSize head of the sorted
+// cache moves to the view and the rest is recycled. These are internal/core's
+// constants of the same names; its 2,010-step simulator tests fail if the two
+// drift apart.
+const (
+	flushEvery = 2000
+	flushSize  = 15
+)
+
+// simCache tracks the public length of the secure cache from the public
+// parameters and the DP outputs alone: the flush size is the one event size
+// that depends on it.
+type simCache struct {
+	pp      PublicParams
+	len     int
+	batches int
+}
+
+// batch adds the next Transform's output and returns its size.
+func (c *simCache) batch() int {
+	n := c.pp.BatchSize
+	if c.pp.Batches != nil {
+		n = c.pp.Batches[c.batches]
+	}
+	c.batches++
+	c.len += n
+	return n
+}
+
+// sync applies a view update's fetch (clamped to the cache, as the fetch
+// event records it), its clamped spill and the prune.
+func (c *simCache) sync(fetch int) {
+	spill := min(c.pp.Spill, c.len-fetch)
+	c.len = min(c.pp.Prune, c.len-fetch-spill)
+}
+
+// flush appends step t's flush event, after the step's Shrink events, and
+// empties the cache.
+func (c *simCache) flush(tr *Transcript, w *simWire, t int) {
+	if t == 0 || t%flushEvery != 0 {
+		return
+	}
+	tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: min(flushSize, c.len), Label: "flush"}))
+	c.len = 0
 }
 
 // simWire tracks the cumulative wire tally of the simulated party. Every
@@ -61,6 +114,7 @@ func SimulateTimer(pp PublicParams, fetches map[int]int, party PartyID, seed int
 	rng := dp.NewCountingRNG(rand.New(rand.NewSource(seed)))
 	tr := &Transcript{Party: party}
 	var w simWire
+	cache := simCache{pp: pp}
 
 	random := func(t int, label string) {
 		tr.Append(w.stamp(Event{Kind: EvRandomContributed, Time: t, Share: rng.Uint32(), Label: label}))
@@ -82,12 +136,13 @@ func SimulateTimer(pp PublicParams, fetches map[int]int, party PartyID, seed int
 		if (t+1)%pp.UploadEvery == 0 {
 			w.round(2)
 			reshareCounter(t)
-			tr.Append(w.stamp(Event{Kind: EvBatchObserved, Time: t, Size: pp.BatchSize, Label: "transform"}))
+			tr.Append(w.stamp(Event{Kind: EvBatchObserved, Time: t, Size: cache.batch(), Label: "transform"}))
 		}
 		// sDPTimer fires at multiples of T: one round carrying the silent
 		// counter recovery (Alg. 2:3), the two joint noise words and the
 		// counter reset's re-share; then the noise contributions, the
-		// fixed-size spill, the DP-sized fetch, and the reset.
+		// fixed-size spill, the DP-sized fetch, and the reset. The flush, if
+		// the step is due one, comes last.
 		if t > 0 && pp.T > 0 && t%pp.T == 0 {
 			w.round(4)
 			random(t, "noise:mag")
@@ -96,8 +151,10 @@ func SimulateTimer(pp PublicParams, fetches map[int]int, party PartyID, seed int
 				tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: pp.Spill, Label: "spill"}))
 			}
 			tr.Append(w.stamp(Event{Kind: EvFetchObserved, Time: t, Size: fetches[t], Label: "shrink"}))
+			cache.sync(fetches[t])
 			reshareCounter(t)
 		}
+		cache.flush(tr, &w, t)
 	}
 	return tr
 }
@@ -120,6 +177,7 @@ func SimulateANT(pp PublicParams, updates []ANTOutput, party PartyID, seed int64
 	rng := dp.NewCountingRNG(rand.New(rand.NewSource(seed)))
 	tr := &Transcript{Party: party}
 	var w simWire
+	cache := simCache{pp: pp}
 
 	// noise models the two contributions of one joint Laplace draw.
 	noise := func(t int) {
@@ -147,7 +205,7 @@ func SimulateANT(pp PublicParams, updates []ANTOutput, party PartyID, seed int64
 		if (t+1)%pp.UploadEvery == 0 {
 			w.round(2) // Alg. 1:4 silent counter recovery + the re-share
 			reshare(t, "c")
-			tr.Append(w.stamp(Event{Kind: EvBatchObserved, Time: t, Size: pp.BatchSize, Label: "transform"}))
+			tr.Append(w.stamp(Event{Kind: EvBatchObserved, Time: t, Size: cache.batch(), Label: "transform"}))
 		}
 		// The SVT condition check is one round every step: the silent
 		// recoveries of the counter and the noisy threshold, and the joint
@@ -163,11 +221,13 @@ func SimulateANT(pp PublicParams, updates []ANTOutput, party PartyID, seed int64
 				tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: pp.Spill, Label: "spill"}))
 			}
 			tr.Append(w.stamp(Event{Kind: EvFetchObserved, Time: t, Size: updates[next].Size, Label: "shrink"}))
+			cache.sync(updates[next].Size)
 			noise(t) // the refreshed threshold's noise
 			reshare(t, "theta")
 			reshare(t, "c")
 			next++
 		}
+		cache.flush(tr, &w, t)
 	}
 	return tr
 }

@@ -58,33 +58,41 @@ func TestAdvanceBatchStepAllocs(t *testing.T) {
 
 // TestMergedCountsMatchSequential checks the public-API contract of
 // Options.MergeWindows on the corebench stream (every key pairs exactly
-// once): query answers match sequential ingestion at every batch boundary
-// while the simulated transform cost drops.
+// once): query answers, view slots and cache slots match sequential
+// ingestion at every batch boundary while the simulated transform cost
+// drops. The runs cross the cache flushes at steps 2000 and 4000; at T = 7
+// those are not sDPTimer updates, so a segment that ran past one would show.
 func TestMergedCountsMatchSequential(t *testing.T) {
-	seq, err := corebench.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mrg, err := corebench.OpenMerged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < 60; lo += 10 {
-		steps := corebench.Steps(lo, 10)
-		if err := seq.AdvanceBatch(steps); err != nil {
-			t.Fatal(err)
+	const steps, batch = 4100, 7
+	for _, T := range []int{10, 7} {
+		open := func(merge bool) *incshrink.DB {
+			db, err := incshrink.Open(incshrink.ViewDef{Within: 10},
+				incshrink.Options{Epsilon: 1.5, T: T, Seed: 1, MergeWindows: merge})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
 		}
-		if err := mrg.AdvanceBatch(steps); err != nil {
-			t.Fatal(err)
+		seq, mrg := open(false), open(true)
+		for lo := 0; lo < steps; lo += batch {
+			rows := corebench.Steps(lo, min(batch, steps-lo))
+			if err := seq.AdvanceBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := mrg.AdvanceBatch(rows); err != nil {
+				t.Fatal(err)
+			}
+			ns, _ := seq.Count()
+			nm, _ := mrg.Count()
+			ss, ms := seq.Stats(), mrg.Stats()
+			if ns != nm || ss.ViewSlots != ms.ViewSlots || ss.CacheSlots != ms.CacheSlots {
+				t.Fatalf("T=%d, after step %d: sequential count %d, view %d, cache %d; merged %d, %d, %d",
+					T, lo+len(rows)-1, ns, ss.ViewSlots, ss.CacheSlots, nm, ms.ViewSlots, ms.CacheSlots)
+			}
 		}
-		ns, _ := seq.Count()
-		nm, _ := mrg.Count()
-		if ns != nm {
-			t.Fatalf("after step %d: sequential count %d, merged count %d", lo+9, ns, nm)
+		if st, mt := seq.Stats().TransformSeconds, mrg.Stats().TransformSeconds; mt >= st {
+			t.Fatalf("T=%d: merged transform cost %.3fs not below sequential %.3fs", T, mt, st)
 		}
-	}
-	if st, mt := seq.Stats().TransformSeconds, mrg.Stats().TransformSeconds; mt >= st {
-		t.Fatalf("merged transform cost %.3fs not below sequential %.3fs", mt, st)
 	}
 }
 
