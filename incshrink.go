@@ -212,8 +212,9 @@ type DB struct {
 }
 
 // Open creates a database for the given view definition. Definitions and
-// options that are malformed — negative bounds, unknown protocols — are
-// rejected with an error wrapping ErrInvalidArgument.
+// options that are malformed — negative bounds, unknown protocols, public
+// sizes past the engine's cap — are rejected with an error wrapping
+// ErrInvalidArgument.
 func Open(def ViewDef, opts Options) (*DB, error) {
 	if err := def.validate(); err != nil {
 		return nil, err
@@ -241,13 +242,7 @@ func Open(def ViewDef, opts Options) (*DB, error) {
 	cfg.Budget = def.Budget
 	cfg.T = opts.T
 	cfg.Theta = opts.Theta
-	cfg.SpillPerUpdate = core.SpillBound(cfg, wl)
 	cfg.MergeWindows = opts.MergeWindows
-	if err := cfg.Validate(); err != nil {
-		// Everything in cfg derives from the caller's def/opts, so an engine
-		// rejection is a caller mistake (e.g. Budget below Omega).
-		return nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
-	}
 	var fw *core.Framework
 	var err error
 	if opts.Protocol == SDPANT {
@@ -256,7 +251,10 @@ func Open(def ViewDef, opts Options) (*DB, error) {
 		fw, err = core.NewTimerEngine(cfg, wl)
 	}
 	if err != nil {
-		return nil, err
+		// Everything the engine is built from derives from the caller's
+		// def/opts, so a rejection is a caller mistake (e.g. Budget below
+		// Omega, or a window and block sizes past the engine's public cap).
+		return nil, fmt.Errorf("%w: %v", ErrInvalidArgument, err)
 	}
 	return &DB{fw: fw, def: def, opts: opts}, nil
 }

@@ -34,17 +34,15 @@ var deadExportsKept = map[string]string{
 // (core.Config) and the library's deployment options (incshrink.Options),
 // each with what keeps it settable: a deployment choice, or two non-test
 // callers that set it differently. A value that can be derived is derived
-// where the engine is built instead (the prune bound, the flush constants).
+// where the engine is built instead (the prune and spill bounds, the flush
+// constants, the cost model, EP's raw delta).
 var configKnobsKept = map[string]string{
 	"core.Config.Epsilon":            "deployment choice: the privacy budget (Options.Epsilon; Figures 5 and 7 sweep it)",
 	"core.Config.Omega":              "deployment choice: the truncation bound (ViewDef.Omega; EP and OTM raise it to the multiplicity)",
 	"core.Config.Budget":             "deployment choice: the contribution budget (ViewDef.Budget; EP and OTM lift it)",
 	"core.Config.T":                  "deployment choice: the sDPTimer interval (Options.T; Figures 7 and 9 sweep it)",
 	"core.Config.Theta":              "deployment choice: the sDPANT threshold (Options.Theta; Figure 7 sets it from T)",
-	"core.Config.SpillPerUpdate":     "DefaultConfig sizes it at the default T, and the experiments keep that value after setting T (Table 2's spill 9 against T = 10's 8, DESIGN.md §4)",
-	"core.Config.RawDelta":           "NewEPEngine sets it, every DP engine leaves it off",
 	"core.Config.MergeWindows":       "deployment choice (Options.MergeWindows)",
-	"core.Config.Cost":               "deployment choice: the MPC backend the meter prices",
 	"core.Config.Seed":               "deployment choice (Options.Seed; the experiments derive one per cell)",
 	"incshrink.Options.Epsilon":      "deployment choice",
 	"incshrink.Options.Protocol":     "deployment choice",

@@ -5,28 +5,24 @@ import (
 	"incshrink/internal/workload"
 )
 
-// EP is the exhaustive-padding baseline of Section 7: the view is updated at
-// every upload with the maximally padded Transform output — no DP, no cache,
-// no truncation (the bound is the workload's maximum multiplicity, so no
-// real entry is ever dropped). Queries are exact but must scan a view that
-// is almost entirely dummy slots, which is what makes EP slow.
-type EP struct {
-	f *Framework
-}
-
-// NewEPEngine builds the EP baseline for a workload.
-func NewEPEngine(cfg Config, wl workload.Config) (*EP, error) {
+// NewEPEngine builds the exhaustive-padding baseline of Section 7: the view
+// is updated at every upload with the maximally padded Transform output — no
+// DP, no cache, no truncation (the bound is the workload's maximum
+// multiplicity, so no real entry is ever dropped). Queries are exact but must
+// scan a view that is almost entirely dummy slots, which is what makes EP
+// slow.
+func NewEPEngine(cfg Config, wl workload.Config) (*Framework, error) {
 	// EP reuses the Transform machinery with an un-truncating bound and a
 	// pass-through Shrink that moves every cached slot straight to the view
 	// (it never flushes or prunes: those belong to the DP protocols).
 	cfg.Omega = wl.MaxMultiplicity
-	cfg.Budget = 0      // unlimited: EP provides no DP guarantee
-	cfg.RawDelta = true // the defining naivety: no dummy elimination, ever
+	cfg.Budget = 0 // unlimited: EP provides no DP guarantee
 	f, err := New(cfg, wl, &passthroughShrink{})
 	if err != nil {
 		return nil, err
 	}
-	return &EP{f: f}, nil
+	f.rawDelta = true // the defining naivety: no dummy elimination, ever
+	return f, nil
 }
 
 // passthroughShrink moves the whole cache into the view every step, without
@@ -44,18 +40,6 @@ func (passthroughShrink) Tick(f *Framework, _ int) {
 	f.cache.DrainInto(f.view)
 	f.rt.ShareToServers(counterKey, 0)
 }
-
-// Step implements Engine.
-func (e *EP) Step(st workload.Step) { e.f.Step(st) }
-
-// Query implements Engine.
-func (e *EP) Query() (int, float64) { return e.f.Query() }
-
-// Metrics implements Engine.
-func (e *EP) Metrics() Metrics { return e.f.Metrics() }
-
-// Name implements Engine.
-func (e *EP) Name() string { return "EP" }
 
 // OTM is the one-time-materialization baseline: the view is built from the
 // first upload and never updated again. Queries are fast (tiny view) but the
@@ -126,7 +110,7 @@ func NewNMEngine(cfg Config, wl workload.Config) (*NM, error) {
 	if err := wl.Validate(); err != nil {
 		return nil, err
 	}
-	return &NM{wl: wl, meter: mpc.NewMeter(cfg.Cost)}, nil
+	return &NM{wl: wl, meter: mpc.NewMeter(mpc.DefaultCostModel())}, nil
 }
 
 // Step implements Engine: outsourced data just accumulates.
@@ -167,7 +151,6 @@ func (n *NM) Name() string { return "NM" }
 
 var (
 	_ Engine = (*Framework)(nil)
-	_ Engine = (*EP)(nil)
 	_ Engine = (*OTM)(nil)
 	_ Engine = (*NM)(nil)
 )

@@ -112,6 +112,69 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestInvocationsPerRecordSaturates: a record's invocation count over a
+// window of MaxInt64 steps does not overflow. The budget bounds it, or
+// nothing does and it is MaxInt.
+func TestInvocationsPerRecordSaturates(t *testing.T) {
+	wl := workload.Config{Within: math.MaxInt64, UploadEvery: 1}
+	for _, c := range []struct{ budget, want int }{{10, 10}, {0, math.MaxInt}} {
+		if got := invocationsPerRecord(Config{Omega: 1, Budget: c.budget}, wl); got != c.want {
+			t.Errorf("budget %d: %d invocations per record, want %d", c.budget, got, c.want)
+		}
+	}
+}
+
+// TestNewRefusesOversizedDeployments: a deployment whose padded join output
+// would pass maxJoinRows is refused before New pads its carry, whichever
+// factor is large, and one at the cap is built.
+func TestNewRefusesOversizedDeployments(t *testing.T) {
+	base := workload.TPCDS(100, 1)
+	width := base.MaxLeft + base.MaxRight
+	for _, c := range []struct {
+		name string
+		edit func(*Config, *workload.Config)
+		ok   bool
+	}{
+		{"unbounded window", func(c *Config, wl *workload.Config) { c.Budget, wl.Within = 0, math.MaxInt64 }, false},
+		{"window and budget", func(c *Config, wl *workload.Config) { c.Budget, wl.Within = 1<<40, 1<<40 }, false},
+		{"block", func(c *Config, wl *workload.Config) { wl.MaxLeft = 1 << 40 }, false},
+		{"omega", func(c *Config, wl *workload.Config) { c.Omega, c.Budget = maxJoinRows/width+1, maxJoinRows/width+1 }, false},
+		{"omega at the cap", func(c *Config, wl *workload.Config) { c.Omega, c.Budget = maxJoinRows/width, maxJoinRows/width }, true},
+	} {
+		cfg, wl := DefaultConfig(base, 1), base
+		c.edit(&cfg, &wl)
+		_, err := New(cfg, wl, &Timer{})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: New error %v, want ok=%t", c.name, err, c.ok)
+		}
+	}
+}
+
+// TestSpillBound pins the derived spill: with a data rate it follows Theta,
+// so it is 9 at the default Theta = 30 on both generators wherever Figure 5
+// (epsilon) and Figure 7 (T) move the other parameters; without one it is
+// max(omega, 2).
+func TestSpillBound(t *testing.T) {
+	for _, wl := range []workload.Config{workload.TPCDS(100, 1), workload.CPDB(100, 1)} {
+		for _, T := range []int{1, 2, 5, 10, 20, 50, 100} {
+			for _, eps := range []float64{0.01, 0.05, 0.1, 0.5, 1, 1.5, 5, 10, 50} {
+				cfg := DefaultConfig(wl, 1)
+				cfg.T, cfg.Epsilon = T, eps
+				if got := spillBound(cfg, wl); got != 9 {
+					t.Errorf("%s T=%d eps=%g: spill %d, want 9", wl.Name, T, eps, got)
+				}
+			}
+		}
+	}
+	open := workload.TPCDS(100, 1)
+	open.PairRate = 0
+	for omega, want := range map[int]int{1: 2, 2: 2, 3: 3, 10: 10} {
+		if got := spillBound(Config{Omega: omega, Theta: 30}, open); got != want {
+			t.Errorf("no data rate, omega %d: spill %d, want %d", omega, got, want)
+		}
+	}
+}
+
 func TestTimerEndToEndTPCDS(t *testing.T) {
 	wlCfg := workload.TPCDS(400, 42)
 	tr := mustTrace(t, wlCfg)

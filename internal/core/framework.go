@@ -17,7 +17,9 @@ import (
 	"incshrink/internal/workload"
 )
 
-// Config carries the IncShrink deployment parameters of Section 7.
+// Config carries the IncShrink deployment parameters of Section 7: only what
+// a deployment chooses. New derives the rest — the prune and spill bounds,
+// the cost model — and the baselines' constructors set their own.
 type Config struct {
 	// Epsilon is the per-update-stream privacy budget (default 1.5).
 	Epsilon float64
@@ -29,18 +31,6 @@ type Config struct {
 	T int
 	// Theta is the sDPANT synchronization threshold.
 	Theta float64
-	// SpillPerUpdate additionally moves this many slots from the head of
-	// the sorted cache into the view at every update (beyond the DP-sized
-	// fetch). Because real tuples sort first, the spill drains deferred
-	// data, keeping the deferred-data walk bounded at any horizon at the
-	// cost of at most SpillPerUpdate dummy view slots per update.
-	// It stays configured, not derived in New, because Table 2's TPC-ds
-	// cells run spill 9 where their T = 10 derives 8 (DESIGN.md §4).
-	SpillPerUpdate int
-	// RawDelta disables the tight compaction of the Transform output: the
-	// cache receives the raw exhaustively padded join array. This is what
-	// the EP baseline does and what makes it slow.
-	RawDelta bool
 	// MergeWindows selects segment boundaries in StepBatch — where the queued
 	// upload blocks get their Transform — and nothing else. Off (the default),
 	// every step ends a segment: one Transform per upload block, and results
@@ -54,8 +44,6 @@ type Config struct {
 	// fewer gates, emits one batch event instead of k, and applies the omega
 	// truncation per segment rather than per block. See DESIGN.md §12.
 	MergeWindows bool
-	// Cost is the MPC cost model.
-	Cost mpc.CostModel
 	// Seed drives all protocol randomness.
 	Seed int64
 }
@@ -69,7 +57,6 @@ func DefaultConfig(wl workload.Config, seed int64) Config {
 	cfg := Config{
 		Epsilon: 1.5,
 		Theta:   30,
-		Cost:    mpc.DefaultCostModel(),
 		Seed:    seed,
 	}
 	if wl.MaxMultiplicity <= 1 {
@@ -83,28 +70,24 @@ func DefaultConfig(wl workload.Config, seed int64) Config {
 	if cfg.T < 1 {
 		cfg.T = 1
 	}
-	cfg.SpillPerUpdate = SpillBound(cfg, wl)
 	return cfg
 }
 
-// SpillBound sizes the per-update deferred-data spill: a small constant
-// drain proportional to the data rate (about a quarter of one update
-// interval's expected new entries) and *independent of epsilon*, so the
-// deferred-data level — and with it the privacy-accuracy trade-off of
-// Figure 5 — still scales with the noise while no longer growing with the
-// horizon.
-func SpillBound(cfg Config, wl workload.Config) int {
+// spillBound sizes the per-update deferred-data spill: the slots each view
+// update moves from the head of the sorted cache beyond the DP-sized fetch.
+// Real tuples sort first, so the spill drains deferred data at a rate
+// *independent of epsilon*: the deferred-data level — and with it the
+// privacy-accuracy trade-off of Figure 5 — still scales with the noise while
+// no longer growing with the horizon, at the cost of at most that many dummy
+// view slots per update. With a data rate it is about a quarter of one
+// update's expected new entries, and Section 7 sizes that volume as Theta
+// (T = Theta / rate), so the spill follows Theta, not T. An open-ended
+// deployment has no rate and spills max(omega, 2).
+func spillBound(cfg Config, wl workload.Config) int {
 	if wl.PairRate > 0 {
-		T := cfg.T
-		if T < 1 {
-			T = 1
-		}
-		return int(math.Ceil(wl.PairRate*float64(T)/4)) + 1
+		return int(math.Ceil(cfg.Theta/4)) + 1
 	}
-	if cfg.Omega > 2 {
-		return cfg.Omega
-	}
-	return 2
+	return max(cfg.Omega, 2)
 }
 
 // pruneBound computes the public cache length the incremental prune keeps:
@@ -209,7 +192,9 @@ type Framework struct {
 	pending [2]*oblivious.Buffer
 
 	shrink   Shrinker
-	prune    int // the public cache length each view update keeps (pruneBound)
+	prune    int  // the public cache length each view update keeps (pruneBound)
+	spillLen int  // the public slots each view update spills (spillBound)
+	rawDelta bool // cache the raw padded join output, uncompacted (EP)
 	match    oblivious.MatchFunc
 	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward; the join appends behind them
 	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction
@@ -217,7 +202,7 @@ type Framework struct {
 
 	// deltaBuf is per-transform scratch, framework-owned so the steady-state
 	// Advance path allocates (almost) nothing: the compacted delta (the raw
-	// join output itself under RawDelta). The padded join output has no
+	// join output itself under rawDelta). The padded join output has no
 	// buffer of its own: it lands on the overflow, the delta compaction's
 	// input.
 	deltaBuf *oblivious.Buffer
@@ -239,19 +224,27 @@ type Framework struct {
 	ins *Instruments
 }
 
+// maxJoinRows caps the padded join output of one Transform, omega slots for
+// each row of the carry and the new blocks: omega·(keep+1)·(MaxLeft+MaxRight).
+// It bounds the carry (keep blocks) and a step's delta (omega per new row)
+// too, so a deployment whose public sizes alone would exhaust memory is
+// refused before anything is allocated. The largest deployment the tests,
+// examples, experiments and benchmarks build pads to 10,880 rows.
+const maxJoinRows = 1 << 20
+
 // tupleBits is the secret payload width of a view entry (two stream rows).
 const tupleBits = 64 * workload.JoinArity
 
 // New builds an IncShrink engine for a workload with the given Shrink
 // protocol.
 func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
-	return newOn(mpc.NewRuntime(cfg.Cost, cfg.Seed), cfg, wl, shrink)
+	return newOn(mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed), cfg, wl, shrink)
 }
 
-// newOn is New over a runtime the caller built from cfg's cost model and
-// seed. Construction already shares the counter (and sDPANT its first
-// threshold), so the leakage tests, which must see a party's transcript from
-// its first event, attach their recorders to rt before handing it over.
+// newOn is New over a runtime the caller built from the default cost model
+// and cfg's seed. Construction already shares the counter (and sDPANT its
+// first threshold), so the leakage tests, which must see a party's transcript
+// from its first event, attach their recorders to rt before handing it over.
 func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -262,6 +255,18 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 	if shrink == nil {
 		return nil, fmt.Errorf("core: nil Shrink protocol")
 	}
+	// Public input sizes: every block is padded to the block size and the
+	// carry holds the blocks of the invocations a record survives after its
+	// first, so the Transform input — and therefore its cost and its padded
+	// output — is data-independent. They are allocated in full whatever the
+	// data, the carry before New returns, so they are bounded first.
+	inv := invocationsPerRecord(cfg, wl)
+	width := wl.MaxLeft + wl.MaxRight
+	if wl.MaxLeft > maxJoinRows || wl.MaxRight > maxJoinRows ||
+		inv > maxJoinRows/width || cfg.Omega > maxJoinRows/(inv*width) {
+		return nil, fmt.Errorf("core: a padded join output of omega %d × %d blocks of %d+%d rows exceeds %d rows",
+			cfg.Omega, inv, wl.MaxLeft, wl.MaxRight, maxJoinRows)
+	}
 	f := &Framework{
 		cfg:      cfg,
 		wl:       wl,
@@ -270,6 +275,7 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		view:     securearray.NewView(workload.JoinArity),
 		shrink:   shrink,
 		prune:    pruneBound(cfg, wl),
+		spillLen: spillBound(cfg, wl),
 		match:    wl.Match(),
 		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
 		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
@@ -278,12 +284,9 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
 		dummyID:  math.MinInt64,
 	}
-	// Public input sizes: every block is padded to the block size and the
-	// carry holds the blocks of the invocations a record survives after its
-	// first, so the Transform input — and therefore its cost and its padded
-	// output — is data-independent. A public relation needs neither padding
-	// nor a budget (its content is not secret).
-	keep := invocationsPerRecord(cfg, wl) - 1
+	// A public relation needs neither padding nor a budget (its content is
+	// not secret).
+	keep := inv - 1
 	f.str[left] = stream{total: cfg.Budget, block: wl.MaxLeft, keep: keep}
 	f.str[right] = stream{keep: -1}
 	if !wl.RightPublic {
@@ -301,7 +304,7 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 // and by the temporal join window (a record older than Within steps can no
 // longer form new pairs).
 func invocationsPerRecord(cfg Config, wl workload.Config) int {
-	byWindow := int(wl.Within)/wl.UploadEvery + 1
+	byWindow := int(min(wl.Within/int64(wl.UploadEvery), math.MaxInt-1)) + 1
 	if cfg.Budget <= 0 {
 		return byWindow
 	}
@@ -323,7 +326,7 @@ func invocationsPerRecord(cfg Config, wl workload.Config) int {
 // overflow carry catches the rare exceptions). A zero cap disables tight
 // compaction (the EP baseline caches the raw padded output).
 func (f *Framework) deltaCap(nLeft, nRight int) int {
-	if f.cfg.RawDelta {
+	if f.rawDelta {
 		return 0
 	}
 	if f.wl.RightDrivesPairs {
@@ -334,8 +337,8 @@ func (f *Framework) deltaCap(nLeft, nRight int) int {
 
 const counterKey = "c"
 
-// Name implements Engine.
-func (f *Framework) Name() string { return "DP-" + f.shrink.Name() }
+// Name implements Engine: the Shrink protocol names the engine.
+func (f *Framework) Name() string { return f.shrink.Name() }
 
 // Step implements Engine: one time step is a batch of one.
 func (f *Framework) Step(st workload.Step) {

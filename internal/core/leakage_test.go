@@ -14,7 +14,7 @@ import (
 // outside tests records: a serving party keeps only the digest.
 func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) (f *Framework, s0, s1 *mpc.Transcript) {
 	t.Helper()
-	rt := mpc.NewRuntime(cfg.Cost, cfg.Seed)
+	rt := mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed)
 	s0, s1 = new(mpc.Transcript), new(mpc.Transcript)
 	rt.Party(mpc.Server0).Record(s0)
 	rt.Party(mpc.Server1).Record(s1)
@@ -98,7 +98,7 @@ func TestSimulatorIndistinguishability(t *testing.T) {
 			UploadEvery: wl.UploadEvery,
 			BatchSize:   cfg.Omega * wl.MaxRight, // right-driven public delta cap
 			T:           cfg.T,
-			Spill:       cfg.SpillPerUpdate,
+			Spill:       spillBound(cfg, wl),
 			Prune:       f.prune,
 			Steps:       wl.Steps,
 		}
@@ -232,7 +232,7 @@ func TestSimulatorIndistinguishabilityANT(t *testing.T) {
 		pp := mpc.PublicParams{
 			UploadEvery: wl.UploadEvery,
 			BatchSize:   cfg.Omega * wl.MaxRight,
-			Spill:       cfg.SpillPerUpdate,
+			Spill:       spillBound(cfg, wl),
 			Prune:       f.prune,
 			Steps:       wl.Steps,
 		}

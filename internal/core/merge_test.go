@@ -156,7 +156,7 @@ func TestMergedMeterConsistency(t *testing.T) {
 	// sides at their caps, the segment adds k public blocks per side. Sort,
 	// merge and carry compaction move (key, tag) over the widest record; join
 	// emit and delta compaction move full view rows.
-	model := mrg.cfg.Cost
+	model := mpc.DefaultCostModel()
 	fresh := k * (wl.MaxLeft + wl.MaxRight)
 	mergedN := carried + fresh
 	if want := (invocationsPerRecord(mrg.cfg, wl) - 1) * (wl.MaxLeft + wl.MaxRight); carried != want || mrg.carry.Len() != want {

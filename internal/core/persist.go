@@ -25,8 +25,8 @@ import (
 // mutable state is not supported by the codec.
 
 // StateFingerprint canonically hashes the construction parameters a
-// snapshot is only valid for: the full Config (including the cost model and
-// seed), the workload, and the Shrink protocol.
+// snapshot is only valid for: the full Config (seed included), the
+// workload, and the Shrink protocol.
 func (f *Framework) StateFingerprint() uint64 {
 	return snapshot.Fingerprint(
 		fmt.Sprintf("%+v", f.cfg),

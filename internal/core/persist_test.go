@@ -43,7 +43,7 @@ func rebuildLike(t *testing.T, f *Framework) *Framework {
 		fresh *Framework
 		err   error
 	)
-	if f.shrink.Name() == "ANT" {
+	if f.Name() == "DP-ANT" {
 		fresh, err = NewANTEngine(f.cfg, f.wl)
 	} else {
 		fresh, err = NewTimerEngine(f.cfg, f.wl)

@@ -36,7 +36,7 @@ type StepObserver interface {
 type Timer struct{}
 
 // Name implements Shrinker.
-func (s *Timer) Name() string { return "Timer" }
+func (s *Timer) Name() string { return "DP-Timer" }
 
 // Init implements Shrinker.
 func (s *Timer) Init(*Framework) {}
@@ -73,7 +73,7 @@ func (s *Timer) Tick(f *Framework, t int) {
 type ANT struct{}
 
 // Name implements Shrinker.
-func (s *ANT) Name() string { return "ANT" }
+func (s *ANT) Name() string { return "DP-ANT" }
 
 const thresholdKey = "theta"
 
@@ -148,12 +148,10 @@ func (f *Framework) exchange(rd *mpc.Round) {
 // copied exactly once, cache arena to view arena.
 func (f *Framework) syncToView(sz int) {
 	sz = min(max(sz, 0), f.cache.Len())
-	f.lostReal += f.cache.ReadAndPruneInto(f.view, sz, f.cfg.SpillPerUpdate, f.prune)
-	if f.cfg.SpillPerUpdate > 0 {
-		// The spill has a publicly fixed size; record it as a flush-class
-		// event, distinct from the DP-sized fetch.
-		f.rt.ObserveFlush(f.cfg.SpillPerUpdate, "spill")
-	}
+	f.lostReal += f.cache.ReadAndPruneInto(f.view, sz, f.spillLen, f.prune)
+	// The spill has a publicly fixed size; record it as a flush-class event,
+	// distinct from the DP-sized fetch.
+	f.rt.ObserveFlush(f.spillLen, "spill")
 	f.rt.ObserveFetch(sz, "shrink")
 }
 

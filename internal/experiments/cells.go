@@ -27,9 +27,12 @@ type simCell struct {
 // paper's sweeps vary. The key drives per-cell seed derivation and error
 // reporting, so it deliberately does not mention which experiment enumerated
 // the cell: Table 2 and Figure 4 evaluate the same cells and share results.
+// The literal "raw=false" is the flag every cell always printed — EP sets its
+// raw delta inside its constructor, never in a cell's config — kept so that
+// every cell's seed, and with it every golden, stays byte-identical.
 func (c simCell) key() string {
-	return fmt.Sprintf("%s|%s|eps=%g|omega=%d|b=%d|T=%d|theta=%g|raw=%t",
-		c.wl.Name, c.kind, c.cfg.Epsilon, c.cfg.Omega, c.cfg.Budget, c.cfg.T, c.cfg.Theta, c.cfg.RawDelta)
+	return fmt.Sprintf("%s|%s|eps=%g|omega=%d|b=%d|T=%d|theta=%g|raw=false",
+		c.wl.Name, c.kind, c.cfg.Epsilon, c.cfg.Omega, c.cfg.Budget, c.cfg.T, c.cfg.Theta)
 }
 
 // runCells executes the cells across p.Workers workers (<= 0 means

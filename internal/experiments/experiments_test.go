@@ -146,6 +146,54 @@ func TestFigure5Trends(t *testing.T) {
 	}
 }
 
+// TestFigure5AgreesWithTable2: Figure 5's epsilon = 1.5 points and Table 2's
+// DP rows are one cell — one key, one seed, one configuration — so they
+// report the same floats. Each runs from empty caches, so the agreement is
+// recomputed, not shared.
+func TestFigure5AgreesWithTable2(t *testing.T) {
+	p := Params{Steps: 60, Seed: 2022}
+	ResetCaches()
+	rows, err := Table2(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetCaches()
+	figs, err := Figure5(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(id, series string) float64 {
+		for _, fig := range figs {
+			if fig.ID != id {
+				continue
+			}
+			for _, pt := range fig.Series(series) {
+				if pt.X == 1.5 {
+					return pt.Y
+				}
+			}
+		}
+		t.Fatalf("%s has no %s point at epsilon 1.5", id, series)
+		return 0
+	}
+	checked := 0
+	for _, r := range rows {
+		if r.Candidate != "DP-Timer" && r.Candidate != "DP-ANT" {
+			continue
+		}
+		checked++
+		if l1 := at("fig5-accuracy-"+r.Dataset, r.Candidate); l1 != r.AvgL1 {
+			t.Errorf("%s %s: Figure 5 avgL1 %v, Table 2 %v", r.Dataset, r.Candidate, l1, r.AvgL1)
+		}
+		if qet := at("fig5-efficiency-"+r.Dataset, r.Candidate); qet != r.QETSecs {
+			t.Errorf("%s %s: Figure 5 QET %v, Table 2 %v", r.Dataset, r.Candidate, qet, r.QETSecs)
+		}
+	}
+	if checked != 4 {
+		t.Fatalf("checked %d Table 2 rows, want DP-Timer and DP-ANT on both datasets", checked)
+	}
+}
+
 func TestFigure6SparseBurstBias(t *testing.T) {
 	figs, err := Figure6(ctx, Params{Steps: 500, Seed: 2022})
 	if err != nil {

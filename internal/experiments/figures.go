@@ -54,7 +54,6 @@ func Figure5(ctx context.Context, p Params) ([]Figure, error) {
 		for _, eps := range EpsilonSweep {
 			cfg := ds.Cfg
 			cfg.Epsilon = eps
-			cfg.SpillPerUpdate = core.SpillBound(cfg, ds.WL)
 			for _, kind := range dpKinds {
 				cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: cfg})
 			}
@@ -160,7 +159,6 @@ func Figure7(ctx context.Context, p Params) ([]Figure, error) {
 				cfg.Epsilon = eps
 				cfg.T = T
 				cfg.Theta = ds.WL.PairRate * float64(T)
-				cfg.SpillPerUpdate = core.SpillBound(cfg, ds.WL)
 				for _, kind := range dpKinds {
 					cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: cfg})
 				}
@@ -208,7 +206,6 @@ func Figure8(ctx context.Context, p Params) ([]Figure, error) {
 		cfg := ds.Cfg
 		cfg.Omega = omega
 		cfg.Budget = 2 * omega
-		cfg.SpillPerUpdate = core.SpillBound(cfg, ds.WL)
 		for _, kind := range dpKinds {
 			cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: cfg})
 		}

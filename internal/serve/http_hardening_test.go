@@ -52,6 +52,10 @@ func TestHTTPRejectsHostileCreateBodies(t *testing.T) {
 		{"trailing-token", `{"name":"v","within":5} 42`},
 		{"not-json", `hello`},
 		{"bad-protocol", `{"name":"v","within":5,"protocol":"sDPWAT"}`},
+		// Public sizes past the engine's cap: refused before anything is padded.
+		{"unbounded-window-and-budget", `{"name":"v","within":9223372036854775807,"budget":9223372036854775807}`},
+		{"huge-window-and-budget", `{"name":"v","within":1099511627776,"budget":1099511627776}`},
+		{"huge-block", `{"name":"v","within":5,"max_left":1099511627776}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,9 +67,15 @@ func TestHTTPRejectsHostileCreateBodies(t *testing.T) {
 	if got := reg.Len(); got != 0 {
 		t.Fatalf("%d views registered by rejected bodies", got)
 	}
-	// The same fields through the happy path still work.
-	if code := postRaw(t, c, srv.URL+"/v1/views", `{"name":"v","within":5,"epsilon":1.5,"t":10}`); code != http.StatusCreated {
-		t.Fatalf("valid create -> %d, want 201", code)
+	// The same fields through the happy path still work. A window of MaxInt64
+	// steps is bounded by the default budget: ten invocations per record.
+	for _, body := range []string{
+		`{"name":"v","within":5,"epsilon":1.5,"t":10}`,
+		`{"name":"w","within":9223372036854775807}`,
+	} {
+		if code := postRaw(t, c, srv.URL+"/v1/views", body); code != http.StatusCreated {
+			t.Fatalf("valid create %s -> %d, want 201", body, code)
+		}
 	}
 }
 

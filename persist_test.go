@@ -269,6 +269,9 @@ func TestOpenRejectsNegativeFields(t *testing.T) {
 		{"max-right", ViewDef{}, Options{MaxRight: -32}},
 		{"protocol", ViewDef{}, Options{Protocol: Protocol(7)}},
 		{"budget-below-omega", ViewDef{Omega: 10, Budget: 5}, Options{}},
+		// Public sizes past the engine's cap, refused before any padding.
+		{"unbounded-window-and-budget", ViewDef{Within: math.MaxInt64, Budget: math.MaxInt64}, Options{}},
+		{"huge-max-left", ViewDef{Within: 5}, Options{MaxLeft: 1 << 40}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
