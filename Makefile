@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt vet build test lint orphans deadexports race bench bench-core bench-smoke bench-diff benchmark obs-smoke recover-smoke wire-smoke fuzz-smoke serve
+.PHONY: check fmt vet build test lint orphans deadexports race bench-smoke benchmark obs-smoke recover-smoke wire-smoke fuzz-smoke serve
 
 # check is what CI runs: formatting, static checks, build, tests, the
 # data-plane benchmark smoke, the observability smoke (boot the production
 # wiring, scrape /metrics, assert every layer's families), the crash-recovery
 # smoke, and the two-process wire smoke (real TLS sockets, byte-identical to
-# loopback, measured wire cost vs prediction). CI's timing gate (bench-diff)
-# and its race job are left out: run them by name.
+# loopback, measured wire cost vs prediction). CI's race job is left out: run
+# it by name. Nothing here judges wall time: the end-to-end benchmark
+# (benchmark, below) is the one place it is measured.
 check: lint build test bench-smoke obs-smoke recover-smoke wire-smoke
 
 fmt:
@@ -76,59 +77,33 @@ race:
 	$(GO) test -race ./internal/gmw ./internal/party ./internal/wire
 	$(GO) test -race -run TestDeterministicAcrossWorkerCounts ./internal/experiments
 
-bench:
-	$(GO) test -bench . -benchtime 1x .
-
-# bench-core regenerates the data-plane microbenchmark report
-# (BENCH_core.json): Advance/Count/CountWhere ns/op and allocs/op at the
-# paper-default deployment, Advance on the CPDB trace under sDPANT
-# (advance_ant: sort lengths that vary from sync to sync), with the
-# pre-refactor baseline for comparison.
-bench-core:
-	$(GO) run ./cmd/incshrink-bench -exp core
-
-# bench-smoke compiles and runs every data-plane benchmark once — the
-# operator benchmarks (both sort shapes among them: the real-first
-# cache sort, BenchmarkSortBuffer1K, and the join at the tpcds padded size,
-# BenchmarkJoinSort1040; the join as the engine runs it at the tpcds_step
-# shape, a block's keys merged into the 936 carried keys while the scan
-# retires the oldest block's, BenchmarkMergeJoinCarry, which fails if a warm
-# join allocates; 512
-# distinct sort lengths in the cpdb cache's range,
-# BenchmarkSortVaryingLengths, which fails if a warm sort builds a comparator
-# table or allocates; and the scan kernel over a packed flag bitset at the
-# cpdb view size, BenchmarkCountColumns120k, which fails if a scan
-# allocates), the cache read
-# at the cpdb layout (BenchmarkCacheReadRuns: a real-first remainder and a
-# compacted batch merged, not sorted; it fails if a warm read allocates), the two-party
-# GMW comparator over loopback (BenchmarkEvalCompareExchangeLoopback, which
-# reports rounds/op), the root-package Advance/AdvanceANT/Count/CountWhere
-# benchmarks behind BENCH_core.json, and the root-package sort-versus-merge
-# join ablation (BenchmarkJoinSortVsMerge, which fails if the two joins emit
-# different pairs or the default deployment's join runs more than 6,000
-# comparators) — so none of them can bit-rot (CI runs this).
+# bench-smoke compiles and runs every data-plane benchmark once, so none of
+# them can bit-rot (CI runs this). They are:
+# - the operator benchmarks, both sort shapes among them: the real-first
+#   cache sort (BenchmarkSortBuffer1K) and the join at the tpcds padded size
+#   (BenchmarkJoinSort1040);
+# - the join as the engine runs it at the tpcds_step shape, a block's keys
+#   merged into the 936 carried keys while the scan retires the oldest
+#   block's (BenchmarkMergeJoinCarry, which fails if a warm join allocates);
+# - 512 distinct sort lengths in the cpdb cache's range
+#   (BenchmarkSortVaryingLengths, which fails if a warm sort builds a
+#   comparator table or allocates);
+# - the scan kernel over a packed flag bitset at the cpdb view size
+#   (BenchmarkCountColumns120k, which fails if a scan allocates);
+# - the cache read at the cpdb layout (BenchmarkCacheReadRuns: a real-first
+#   remainder and a compacted batch merged, not sorted; it fails if a warm
+#   read allocates);
+# - the two-party GMW comparator over loopback
+#   (BenchmarkEvalCompareExchangeLoopback, which reports rounds/op);
+# - the root package's Advance, AdvanceBatch8, AdvanceANT, Count and
+#   CountWhere benchmarks (TestAdvanceBatchStepAllocs pins their warm
+#   allocations exactly);
+# - the root package's sort-versus-merge join ablation
+#   (BenchmarkJoinSortVsMerge, which fails if the two joins emit different
+#   pairs or the default deployment's join runs more than 6,000 comparators).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
 	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount|BenchmarkJoinSortVsMerge' -benchtime 1x .
-
-# bench-diff gates data-plane performance against the committed baseline:
-# regenerate a fresh core report and diff it against BENCH_baseline.json —
-# any directional metric (ns/op, allocs/op, speedup) regressing past the
-# threshold fails (CI runs this with a looser threshold to absorb shared-
-# runner noise). To refresh the baseline after an intentional performance
-# change, run `make bench-core` on a quiet machine and copy the result:
-# `cp BENCH_core.json BENCH_baseline.json` (see README).
-# Usage: make bench-diff [OLD=old.json NEW=new.json] diffs any two existing
-# reports without running anything.
-BENCH_DIFF_THRESHOLD ?= 0.25
-bench-diff:
-ifdef OLD
-	$(GO) run ./cmd/incshrink-bench -compare -threshold $(BENCH_DIFF_THRESHOLD) $(OLD) $(NEW)
-else
-	$(GO) run ./cmd/incshrink-bench -exp core -json BENCH_core.new.json
-	$(GO) run ./cmd/incshrink-bench -compare -threshold $(BENCH_DIFF_THRESHOLD) BENCH_baseline.json BENCH_core.new.json
-	@rm -f BENCH_core.new.json
-endif
 
 # benchmark runs the end-to-end benchmark BENCHMARK.json declares — the five
 # workloads of cmd/benchmark, serve_http (the one place the serving layer is
@@ -169,8 +144,8 @@ recover-smoke:
 # session is byte-identical to the in-process loopback reference — opened
 # values, transcript and snapshot digests, wire tallies — and (b) the
 # measured per-party wire rounds/bytes equal the mpc cost-model prediction
-# exactly. The measured numbers land in BENCH_wire.json, diffable with
-# `incshrink-bench -compare`.
+# exactly. The measured numbers land in BENCH_wire.json, which CI holds with
+# git diff --exit-code.
 wire-smoke:
 	$(GO) build -o bin/incshrink-party ./cmd/incshrink-party
 	./bin/incshrink-party -smoke -bench BENCH_wire.json

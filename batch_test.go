@@ -9,7 +9,7 @@ import (
 
 // batchStep is the deterministic synthetic upload the equivalence tests
 // drive: three left rows at time t and one right row joining the first of
-// them within the window (the corebench stream shape).
+// them within the window (the stream of deployments_test.go).
 func batchStep(t int) StepRows {
 	k := int64(t)
 	return StepRows{

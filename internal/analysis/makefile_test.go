@@ -68,6 +68,74 @@ func TestMakefileNamesExist(t *testing.T) {
 	}
 }
 
+// TestMakefileTargetsExist: a target that CI or .PHONY still names after its
+// rule is deleted fails only when that job runs, or never. So every
+// `make <target>` in the CI workflow and every .PHONY name must be a rule the
+// Makefile defines.
+func TestMakefileTargetsExist(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(moduleRoot, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := map[string]bool{}
+	var phony []string
+	for _, line := range strings.Split(string(src), "\n") {
+		head, _, ok := strings.Cut(line, ":")
+		if !ok || strings.ContainsAny(line[:1], " \t#") || strings.HasPrefix(line[len(head):], ":=") {
+			continue
+		}
+		if head == ".PHONY" {
+			phony = strings.Fields(line[len(head)+1:])
+			continue
+		}
+		for _, name := range strings.Fields(head) {
+			rules[name] = true
+		}
+	}
+	if len(rules) == 0 || len(phony) == 0 {
+		t.Fatal("no rule or no .PHONY line in the Makefile: the parser no longer reads it")
+	}
+	for _, name := range phony {
+		if !rules[name] {
+			t.Errorf("Makefile: .PHONY names %q, which no rule defines", name)
+		}
+	}
+	ci, err := os.ReadFile(filepath.Join(moduleRoot, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := 0
+	for i, line := range strings.Split(string(ci), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) > 0 && fields[0] == "#" {
+			continue
+		}
+		for j, f := range fields {
+			if f != "make" {
+				continue
+			}
+			for _, target := range fields[j+1:] {
+				if strings.HasPrefix(target, "-") || strings.Contains(target, "=") {
+					continue // a flag or a variable
+				}
+				if !targetName.MatchString(target) {
+					break // the shell command goes on past make
+				}
+				named++
+				if !rules[target] {
+					t.Errorf("ci.yml:%d: make %s, which no Makefile rule defines", i+1, target)
+				}
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("ci.yml names no make target: the parser no longer reads it")
+	}
+}
+
+// targetName is what a make target on a CI line looks like.
+var targetName = regexp.MustCompile(`^[A-Za-z0-9_.-]+$`)
+
 // testSelectors are the go test flags that pick functions by name, each
 // with the kinds of function it picks from.
 var testSelectors = []struct {

@@ -52,7 +52,7 @@ type Config struct {
 // theta=30, T = floor(30 / mean entries per step), and the dataset-specific
 // omega and b of Section 7 (omega=1,b=10 for multiplicity-1 workloads;
 // omega=10,b=20 otherwise). The paper's flush parameters f=2000 and s=15 are
-// the Shrink protocols' constants (flushEvery, flushSize).
+// the Shrink protocols' constants (mpc.FlushEvery, mpc.FlushSize).
 func DefaultConfig(wl workload.Config, seed int64) Config {
 	cfg := Config{
 		Epsilon: 1.5,

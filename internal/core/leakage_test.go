@@ -125,7 +125,7 @@ func requireFlushes(t *testing.T, real *mpc.Transcript, wl workload.Config) {
 			n++
 		}
 	}
-	if want := (wl.Steps - 1) / flushEvery; n != want {
+	if want := (wl.Steps - 1) / mpc.FlushEvery; n != want {
 		t.Fatalf("%s over %d steps: %d cache flushes, want %d", wl.Name, wl.Steps, n, want)
 	}
 }

@@ -45,7 +45,7 @@ func (s *Timer) Init(*Framework) {}
 // cache only on its T-step schedule (an interval below 1 is every step) and
 // at the cache flushes.
 func (s *Timer) ObservesAt(f *Framework, t int) bool {
-	return t != 0 && (t%max(f.cfg.T, 1) == 0 || t%flushEvery == 0)
+	return t != 0 && (t%max(f.cfg.T, 1) == 0 || t%mpc.FlushEvery == 0)
 }
 
 // Tick implements Shrinker. The counter recovery, the joint noise and the
@@ -155,19 +155,14 @@ func (f *Framework) syncToView(sz int) {
 	f.rt.ObserveFetch(sz, "shrink")
 }
 
-// The paper's cache flush (Section 5.2.1), f and s.
-const (
-	flushEvery = 2000
-	flushSize  = 15
-)
-
-// flush ends both DP Shrink protocols' Tick: every flushEvery steps it moves
-// the flushSize head of the sorted cache into the view and recycles the rest.
+// flush ends both DP Shrink protocols' Tick: every mpc.FlushEvery steps it
+// moves the mpc.FlushSize head of the sorted cache into the view and recycles
+// the rest (the paper's cache flush, Section 5.2.1).
 func (f *Framework) flush(t int) {
-	if t == 0 || t%flushEvery != 0 {
+	if t == 0 || t%mpc.FlushEvery != 0 {
 		return
 	}
-	fetched := min(flushSize, f.cache.Len())
+	fetched := min(mpc.FlushSize, f.cache.Len())
 	f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
 	f.rt.ObserveFlush(fetched, "flush")
 }

@@ -30,14 +30,14 @@ type PublicParams struct {
 	Steps int
 }
 
-// The paper's cache flush (Section 5.2.1), which the DP Shrink protocols run
-// at the end of every flushEvery-th step: the flushSize head of the sorted
-// cache moves to the view and the rest is recycled. These are internal/core's
-// constants of the same names; its 2,010-step simulator tests fail if the two
-// drift apart.
+// The paper's cache flush (Section 5.2.1), f and s: the DP Shrink protocols
+// run it at the end of every FlushEvery-th step, moving the FlushSize head of
+// the sorted cache to the view and recycling the rest. Both are public
+// parameters of the schedule; internal/core's flush and this simulator read
+// them from here.
 const (
-	flushEvery = 2000
-	flushSize  = 15
+	FlushEvery = 2000
+	FlushSize  = 15
 )
 
 // simCache tracks the public length of the secure cache from the public
@@ -70,10 +70,10 @@ func (c *simCache) sync(fetch int) {
 // flush appends step t's flush event, after the step's Shrink events, and
 // empties the cache.
 func (c *simCache) flush(tr *Transcript, w *simWire, t int) {
-	if t == 0 || t%flushEvery != 0 {
+	if t == 0 || t%FlushEvery != 0 {
 		return
 	}
-	tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: min(flushSize, c.len), Label: "flush"}))
+	tr.Append(w.stamp(Event{Kind: EvFlushObserved, Time: t, Size: min(FlushSize, c.len), Label: "flush"}))
 	c.len = 0
 }
 

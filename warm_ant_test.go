@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"incshrink"
-	"incshrink/internal/corebench"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/workload"
 )
@@ -19,10 +18,7 @@ import (
 // cache lengths, so the test cannot pass vacuously.
 func TestWarmANTSyncBuildsNoNetwork(t *testing.T) {
 	const measured = 1500
-	db, steps, err := corebench.WarmANT(measured)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, steps := warmANT(t, measured)
 	h0, m0, _, p0 := oblivious.CacheStats()
 	// A sync orders the cache the step found, plus — on a step that ran a
 	// Transform — that step's padded output, a public constant: it merges
