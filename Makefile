@@ -127,8 +127,9 @@ obs-smoke:
 # layer's checkpoint/restore-on-boot path — that what a checkpoint
 # writes beside the view does not grow with the horizon (the runtime section
 # is the same size after 10,000 steps as after 10), and that both parties of
-# a two-process session, each restored from its own one-party runtime
-# section after any step and rejoined over a fresh connection, finish
+# a two-process session, each restored from its own session snapshot (its
+# one-party runtime section and its next step) after any step and rejoined
+# over a fresh connection, finish
 # byte-identical to the session that never stopped. The exhaustive
 # byte-identical matrix (goldens at k in {1,37,60,119}) runs with the normal
 # test suite as internal/experiments TestCrashRecoveryReproducesGoldens.
@@ -150,15 +151,17 @@ wire-smoke:
 	$(GO) build -o bin/incshrink-party ./cmd/incshrink-party
 	./bin/incshrink-party -smoke -bench BENCH_wire.json
 
-# fuzz-smoke gives each snapshot-codec fuzz target (the section codecs and
-# the whole engine state), the wire framing and a GMW peer's fuzzed openings
-# a short budget beyond the seed corpus (the corpus itself already runs in
-# `test`).
+# fuzz-smoke gives each snapshot-codec fuzz target (the section codecs, the
+# whole engine state and the DB stream a durable server reads from disk), the
+# wire framing and a GMW peer's fuzzed openings a short budget beyond the
+# seed corpus (the corpus itself already runs in `test`). CI runs it as its
+# own job.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeRuntime -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzDecodeFrameworkState -fuzztime 10s ./internal/core
+	$(GO) test -run XXX -fuzz FuzzRestore -fuzztime 10s .
 	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s ./internal/gmw
 

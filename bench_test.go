@@ -124,7 +124,7 @@ func BenchmarkAblationNoiseFloat(b *testing.B) {
 }
 
 // BenchmarkAblationFlushPrune runs DP-Timer on TPC-ds with the incremental
-// Theorem-4 prune and reports the cache high-water mark, the simulated
+// Theorem-4 prune and reports the cache slots left at the end, the simulated
 // Shrink cost and the real tuples the prune recycled: the trade-off the prune
 // design buys.
 func BenchmarkAblationFlushPrune(b *testing.B) {
@@ -146,7 +146,7 @@ func BenchmarkAblationFlushPrune(b *testing.B) {
 		}
 		m = e.Metrics()
 	}
-	b.ReportMetric(float64(m.CacheMax), "cacheMax")
+	b.ReportMetric(float64(m.CacheLen), "cacheLen")
 	b.ReportMetric(m.ShrinkSecs, "simShrinkSecs")
 	b.ReportMetric(float64(m.LostReal), "lostReal")
 }

@@ -208,7 +208,6 @@ type DB struct {
 	fw   *core.Framework
 	def  ViewDef
 	opts Options
-	now  int
 }
 
 // Open creates a database for the given view definition. Definitions and
@@ -259,8 +258,9 @@ func Open(def ViewDef, opts Options) (*DB, error) {
 	return &DB{fw: fw, def: def, opts: opts}, nil
 }
 
-// Now returns the current logical time step.
-func (db *DB) Now() int { return db.now }
+// Now returns the current logical time step: the step the next Advance
+// ingests.
+func (db *DB) Now() int { return db.fw.Now() }
 
 // Instrument attaches a view's observability instruments (phase timing
 // histograms, window gauges, predicted-vs-measured cost accounting)
@@ -339,7 +339,7 @@ func (db *DB) apply(steps []StepRows) {
 	arena := make([]oblivious.Record, 0, total)
 	wsteps := make([]workload.Step, len(steps))
 	for i, s := range steps {
-		wsteps[i] = workload.Step{T: db.now + i}
+		wsteps[i] = workload.Step{T: db.Now() + i}
 		lo := len(arena)
 		arena = appendRecords(arena, s.Left)
 		wsteps[i].Left = arena[lo:len(arena):len(arena)]
@@ -348,7 +348,6 @@ func (db *DB) apply(steps []StepRows) {
 		wsteps[i].Right = arena[lo:len(arena):len(arena)]
 	}
 	db.fw.StepBatch(wsteps)
-	db.now += len(steps)
 }
 
 // validateStep checks one step's uploads against the block sizes, the row
@@ -479,7 +478,7 @@ type Stats struct {
 func (db *DB) Stats() Stats {
 	m := db.fw.Metrics()
 	return Stats{
-		Step:             db.now,
+		Step:             db.Now(),
 		ViewEntries:      m.ViewReal,
 		ViewSlots:        m.ViewLen,
 		ViewBytes:        m.ViewBytes,

@@ -59,9 +59,8 @@ var OblivTaintPackages = []string{
 //     join the same scan retires the union's keys: it keeps a key iff its
 //     row lies behind its side's public cut, rebased by the cut — a select
 //     on the secret key column, so it stays here. The sorts and the merge
-//     around it (TruncatedSortMergeJoinInto, MergeJoinInto) and the
-//     join-order read (Union.AppendJoinOrder, which hands each key to
-//     Union.appendRow as a call argument) pass as ordinary code.
+//     around it (TruncatedSortMergeJoinInto, MergeJoinInto) pass as
+//     ordinary code.
 //
 // The GMW evaluator is NOT here: its k-lane AND derives the output shares
 // from the opened d/e words with a masked select, and every frame length is
@@ -445,7 +444,7 @@ func (t *taintScan) sourceCall(call *ast.CallExpr) (string, bool) {
 				return "oblivious.Buffer." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/oblivious") && tname == "Union" && fn.Name() == "Key":
 				return "oblivious.Union.Key", true
-			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && (fn.Name() == "Columns" || fn.Name() == "FlagByte"):
+			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && (fn.Name() == "Columns" || fn.Name() == "FlagWords"):
 				return "securearray.View." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/table") && tableSources[tname+"."+fn.Name()]:
 				return "table." + tname + "." + fn.Name(), true

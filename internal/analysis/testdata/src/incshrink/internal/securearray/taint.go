@@ -78,8 +78,8 @@ type View struct {
 	cols [][]int64
 }
 
-// FlagByte is the view's per-slot flag accessor, a registered source.
-func (v *View) FlagByte(i int) uint8 { return uint8(v.flag[i/64] >> (63 - i%64) & 1) }
+// FlagWords is the view's packed-flag accessor, a registered source.
+func (v *View) FlagWords() []uint64 { return v.flag }
 
 func branchOnViewFlag(v *View) (n int) {
 	for i := 0; i < len(v.flag); i++ { // the column's length is public
@@ -90,9 +90,9 @@ func branchOnViewFlag(v *View) (n int) {
 	return n
 }
 
-func branchOnViewFlagByte(v *View) (n int) {
+func branchOnViewFlagWords(v *View) (n int) {
 	for i := 0; i < v.n; i++ {
-		if v.FlagByte(i) == 1 { // want `secret-tainted value \(from securearray\.View\.FlagByte\) controls a branch condition`
+		if v.FlagWords()[i/64]>>(63-i%64)&1 == 1 { // want `secret-tainted value \(from securearray\.View\.FlagWords\) controls a branch condition`
 			n++
 		}
 	}

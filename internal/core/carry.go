@@ -1,15 +1,13 @@
 package core
 
 import (
-	"slices"
-
 	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 	"incshrink/internal/workload"
 )
 
-// Stream sides: the tag column of a carry row, and the index of the
-// per-stream arrays of Framework and uploadBlock.
+// Stream sides: the side of the carry a stream's rows are on, its join tag,
+// and the index of the per-stream arrays of Framework and uploadBlock.
 const (
 	left  = 0
 	right = 1
@@ -21,23 +19,20 @@ const (
 // arrival order, from admission until their block lapses; what is held in
 // join order — sorted on (key, tag) — from one invocation to the next is only
 // the union's key column, so an invocation sorts only its new blocks' keys
-// and merges them in (oblivious.MergeJoinInto). A row is the record, its
-// stream tag and the step of the upload block that carried it; a record has
-// no identifier, and new-or-carried is its position. Blocks lapse oldest
-// first, so the rows that lapse are a prefix of their side, cut after the
-// join's scan has retired their keys. Between invocations the carry sits at
-// its public cap: each padded stream holds exactly `keep` whole blocks, pads
-// included (a pad is minted once, with its block, and leaves with it), from
-// step 0 on (prefill). A public relation's records enter unpadded and are
-// bounded by the join window alone.
-const (
-	colTag     = workload.StreamArity
-	colArrived = workload.StreamArity + 1
-	carryArity = workload.StreamArity + 2
-	// carryBits is the secret payload width the carry's sort, merge and
-	// compaction are charged for: the record plus its (key, tag) sort column.
-	carryBits = 64 * (workload.StreamArity + 1)
-)
+// and merges them in (oblivious.MergeJoinInto). A row is the record, what the
+// join reads; its stream is its side, and its upload block follows from its
+// position on the side and the ledger, which lists the side's blocks in the
+// same order. A record has no identifier, and new-or-carried is its position.
+// Blocks lapse oldest first, so the rows that lapse are a prefix of their
+// side, cut after the join's scan has retired their keys. Between
+// invocations the carry sits at its public cap: each padded stream holds
+// exactly `keep` whole blocks, pads included (a pad is minted once, with its
+// block, and leaves with it), from step 0 on (prefill). A public relation's
+// records enter unpadded and are bounded by the join window alone.
+//
+// carryBits is the secret payload width the carry's sort, merge and
+// compaction are charged for: the record plus its (key, tag) sort column.
+const carryBits = 64 * (workload.StreamArity + 1)
 
 // liveBlock is one upload block whose rows are in the carry; all of it is
 // public, the budget too, which every record of a block spends alike.
@@ -116,11 +111,11 @@ func (f *Framework) prefill() {
 }
 
 // admit appends one upload block to the carry: each stream's pending
-// arrivals in upload order, then pads up to the public block size, every row
-// stamped with its stream and the block's step, at the tail of its stream's
-// side, its key behind the union's. A pad has a fresh never-matching key: pad
-// keys ascend from the bottom of the negative half of the key domain,
-// reserved for them (incshrink.DB rejects negative client keys).
+// arrivals in upload order, then pads up to the public block size, at the
+// tail of its stream's side, each key behind the union's. A pad has a fresh
+// never-matching key: pad keys ascend from the bottom of the negative half of
+// the key domain, reserved for them (incshrink.DB rejects negative client
+// keys).
 func (f *Framework) admit(t int) uploadBlock {
 	b := uploadBlock{t: t}
 	for s := range f.str {
@@ -128,11 +123,10 @@ func (f *Framework) admit(t int) uploadBlock {
 		b.n[s] = max(arrived.Len(), st.block)
 		f.carry.Side[s].Grow(b.n[s])
 		for i := range arrived.Len() {
-			a := arrived.Row(i)
-			f.carry.Append(s, table.Row{a[workload.ColKey], a[workload.ColTime], int64(s), int64(t)})
+			f.carry.Append(s, arrived.Row(i))
 		}
 		for range b.n[s] - arrived.Len() {
-			f.carry.Append(s, table.Row{f.dummyID, int64(t), int64(s), int64(t)})
+			f.carry.Append(s, table.Row{f.dummyID, int64(t)})
 			f.dummyID++
 		}
 		arrived.Reset()
@@ -152,18 +146,21 @@ func encodeLedger(enc *snapshot.Encoder, live []liveBlock) {
 }
 
 // decode reloads the ledger written by encodeLedger and checks what the step
-// loop relies on: blocks in upload order and no later than the engine clock,
-// a budget a block could hold, and on a padded stream exactly `keep` blocks of
-// at least the public size. It stops at the first error, so a forged length
+// loop relies on: blocks in upload order, the newest the last upload before
+// the engine's clock — every upload leaves a block on both ledgers that
+// outlives its own step, and older blocks lapse first, so the clock cannot
+// move without the ledger — a budget a block could hold, and on a padded
+// stream exactly `keep` blocks of at least the public size. last is the
+// step of that upload. It stops at the first error, so a forged length
 // costs only the bytes present.
-func (s *stream) decode(dec *snapshot.Decoder, now int) {
+func (s *stream) decode(dec *snapshot.Decoder, last int) {
 	s.live = s.live[:0]
 	for n := dec.Len(); n > 0 && dec.Err() == nil; n-- {
 		b := liveBlock{t: dec.Int(), remaining: dec.Int(), n: dec.Int()}
-		switch last := len(s.live) - 1; {
+		switch prev := len(s.live) - 1; {
 		case dec.Err() != nil:
-		case b.t > now || (last >= 0 && b.t <= s.live[last].t):
-			dec.Corrupt("block uploaded at step %d, engine clock %d, out of order", b.t, now)
+		case prev >= 0 && b.t <= s.live[prev].t:
+			dec.Corrupt("block uploaded at step %d after one uploaded at %d", b.t, s.live[prev].t)
 		case s.total > 0 && (b.remaining <= 0 || b.remaining > s.total), s.total <= 0 && b.remaining != 0:
 			dec.Corrupt("block holds remaining budget %d of total %d", b.remaining, s.total)
 		case b.n < s.block:
@@ -171,80 +168,86 @@ func (s *stream) decode(dec *snapshot.Decoder, now int) {
 		}
 		s.live = append(s.live, b)
 	}
-	if dec.Err() == nil && s.keep >= 0 && len(s.live) != s.keep {
-		dec.Corrupt("ledger of %d blocks, the public cap is %d", len(s.live), s.keep)
+	switch n := len(s.live); {
+	case dec.Err() != nil:
+	case n > 0 && s.live[n-1].t != last:
+		dec.Corrupt("newest block uploaded at step %d, the last upload before the engine clock at %d", s.live[n-1].t, last)
+	case s.keep >= 0 && n != s.keep:
+		dec.Corrupt("ledger of %d blocks, the public cap is %d", n, s.keep)
 	}
 }
 
-// decodeCarry reloads the carry, written as its rows in join order, and
-// holds it to the two decoded ledgers: its length is their public total,
-// every live block owns exactly its rows — so no row names a block that is
-// not live — none arrived after the engine clock, and the rows are in (key,
-// tag) order, without which every later merge would be silently wrong. The
-// raw columns are checked before they are loaded. Each side then holds its
-// live blocks' rows block after block, at the offsets the ledger gives them
-// (within a block in the order decoded — a row's position on its side is
-// not state), and the keys are rebuilt in the order decoded.
-func (f *Framework) decodeCarry(dec *snapshot.Decoder) error {
-	payload, flags, err := snapshot.DecodeBufferColumns(dec, carryArity)
-	if err != nil {
-		return err
+// encodeCarry writes the carry as it is held: each side's rows in arrival
+// order — every carry row is live, so no flag column — then the key order,
+// one (side, position) word per key.
+func (f *Framework) encodeCarry(enc *snapshot.Encoder) {
+	for _, side := range f.carry.Side {
+		enc.I64s(side.Payload().Data())
 	}
-	if want := f.str[left].rows() + f.str[right].rows(); len(flags) != want || slices.Contains(flags, false) {
-		dec.Corrupt("carry of %d rows, the ledgers hold %d, or a row is flagged dead", len(flags), want)
+	enc.U32(uint32(f.carry.Len()))
+	for j := range f.carry.Len() {
+		_, s, i := f.carry.Key(j)
+		enc.U64(uint64(s)<<32 | uint64(i))
 	}
-	owned := map[[2]int64]int{} // rows per (stream, upload step)
-	for i := 0; i < len(flags) && dec.Err() == nil; i++ {
-		r := payload[i*carryArity:][:carryArity]
-		switch {
-		case (r[colTag] != left && r[colTag] != right) || r[colArrived] > int64(f.now):
-			dec.Corrupt("carry row %d of stream %d arrived at step %d, engine clock %d", i, r[colTag], r[colArrived], f.now)
-		case i > 0 && !carryOrdered(payload[(i-1)*carryArity:], r):
-			dec.Corrupt("carry row %d is out of (key, tag) order", i)
+}
+
+// decodeCarry reloads the carry written by encodeCarry and holds it to the
+// two decoded ledgers: each side holds exactly its ledger's rows, and the
+// key order names every row exactly once, in (key, side) order, without
+// which every later merge would be silently wrong. The raw columns are
+// checked before they are loaded; the restored union then equals the
+// snapshotted one position for position.
+func (f *Framework) decodeCarry(dec *snapshot.Decoder) {
+	const arity = workload.StreamArity
+	var rows [2][]int64
+	for s := range rows {
+		rows[s] = dec.I64s()
+		if n := f.str[s].rows(); dec.Err() == nil && len(rows[s]) != n*arity {
+			dec.Corrupt("side %d holds %d values, its ledger %d rows of %d", s, len(rows[s]), n, arity)
 		}
-		owned[[2]int64{r[colTag], r[colArrived]}]++
 	}
-	next := map[[2]int64]int{} // the next free position of each (stream, upload step) on its side
-	for s := range f.str {
-		off := 0
-		for _, b := range f.str[s].live {
-			if n := owned[[2]int64{int64(s), int64(b.t)}]; n != b.n && dec.Err() == nil {
-				dec.Corrupt("the block of stream %d uploaded at step %d owns %d carry rows, its ledger entry says %d", s, b.t, n, b.n)
-			}
-			next[[2]int64{int64(s), int64(b.t)}] = off
-			off += b.n
+	n := dec.Len()
+	if dec.Err() == nil && n*arity != len(rows[left])+len(rows[right]) {
+		dec.Corrupt("%d keys over %d rows", n, (len(rows[left])+len(rows[right]))/arity)
+	}
+	if dec.Err() != nil {
+		return
+	}
+	named := [2][]bool{make([]bool, len(rows[left])/arity), make([]bool, len(rows[right])/arity)}
+	order := make([][2]int, n)
+	for j := 0; j < n && dec.Err() == nil; j++ {
+		w := dec.U64()
+		s, i := int(min(w>>32, 2)), int(uint32(w))
+		switch {
+		case dec.Err() != nil:
+		case s > right || i >= len(named[s]) || named[s][i]:
+			dec.Corrupt("key %d names row %d of side %d, which is absent or named twice", j, i, s)
+		case j > 0 && !carryOrdered(rows, order[j-1], [2]int{s, i}):
+			dec.Corrupt("key %d is out of (key, side) order", j)
+		default:
+			named[s][i] = true
+			order[j] = [2]int{s, i}
 		}
 	}
 	if dec.Err() != nil {
-		return dec.Err()
+		return
 	}
 	f.carry.Reset()
-	at := make([]int, len(flags)) // row i's position on its side
-	var order [2][]int            // the rows of each side, by position
-	for s := range f.str {
-		order[s] = make([]int, f.str[s].rows())
-	}
-	for i := range at {
-		r := payload[i*carryArity:][:carryArity]
-		block := [2]int64{r[colTag], r[colArrived]}
-		at[i] = next[block]
-		next[block]++
-		order[r[colTag]][at[i]] = i
-	}
-	for s, rows := range order {
-		f.carry.Side[s].Grow(len(rows))
-		for _, i := range rows {
-			f.carry.Side[s].AppendRow(payload[i*carryArity:][:carryArity])
+	for s, side := range f.carry.Side {
+		side.Grow(len(named[s]))
+		for k := 0; k < len(rows[s]); k += arity {
+			side.AppendRow(rows[s][k : k+arity])
 		}
 	}
-	for i, pos := range at {
-		f.carry.AppendKey(int(payload[i*carryArity+colTag]), pos)
+	for _, at := range order {
+		f.carry.AppendKey(at[0], at[1])
 	}
-	return nil
 }
 
-// carryOrdered reports whether row a may precede row b in the carry.
-func carryOrdered(a, b []int64) bool {
-	return a[workload.ColKey] < b[workload.ColKey] ||
-		(a[workload.ColKey] == b[workload.ColKey] && a[colTag] <= b[colTag])
+// carryOrdered reports whether the decoded row a may precede row b in join
+// order: a's (key, side) is at most b's.
+func carryOrdered(rows [2][]int64, a, b [2]int) bool {
+	ka := rows[a[0]][a[1]*workload.StreamArity+workload.ColKey]
+	kb := rows[b[0]][b[1]*workload.StreamArity+workload.ColKey]
+	return ka < kb || (ka == kb && a[0] <= b[0])
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -81,40 +82,34 @@ func windowStep(step int) workload.Step {
 }
 
 // carryState is the window part of a snapshot — clock, ledgers, carry — in a
-// form a test can edit before encoding it.
+// form a test can edit before encoding it: each side's rows in arrival order
+// and the key order, one (side, position) per key.
 type carryState struct {
 	now  int
 	live [2][]liveBlock
-	rows [][]int64
+	side [2][][]int64
+	keys [][2]int
 }
 
 func carryStateOf(f *Framework) carryState {
 	st := carryState{now: f.now}
 	for s := range f.str {
 		st.live[s] = slices.Clone(f.str[s].live)
+		for i := range f.carry.Side[s].Len() {
+			st.side[s] = append(st.side[s], slices.Clone(f.carry.Side[s].Row(i)))
+		}
 	}
-	for _, r := range joinOrder(f) {
-		st.rows = append(st.rows, slices.Clone(r))
+	for j := range f.carry.Len() {
+		_, s, i := f.carry.Key(j)
+		st.keys = append(st.keys, [2]int{s, i})
 	}
 	return st
 }
 
-// joinOrder returns the carry's rows in join order, as the snapshot writes
-// them.
-func joinOrder(f *Framework) []table.Row {
-	b := oblivious.NewBuffer(carryArity, f.carry.Len())
-	f.carry.AppendJoinOrder(b)
-	rows := make([]table.Row, b.Len())
-	for i := range rows {
-		rows[i] = b.Row(i)
-	}
-	return rows
-}
-
 // checkUnion fails t unless the carry is the union the ledgers describe:
-// each side holds exactly its live blocks' rows, block after block in ledger
-// order; every key names a row that carries the key's (key, tag); every row
-// is named once; and the keys are in (key, tag) order.
+// each side holds exactly its live blocks' rows; every key names a row that
+// carries the key; every row is named once; and the keys are in (key, tag)
+// order.
 func checkUnion(t testing.TB, f *Framework, at string) {
 	t.Helper()
 	var named [2][]bool
@@ -122,31 +117,23 @@ func checkUnion(t testing.TB, f *Framework, at string) {
 		if side.Len() != f.str[s].rows() {
 			t.Fatalf("%s: side %d holds %d rows, its ledger %d", at, s, side.Len(), f.str[s].rows())
 		}
-		i := 0
-		for _, b := range f.str[s].live {
-			for end := i + b.n; i < end; i++ {
-				if r := side.Row(i); r[colTag] != int64(s) || r[colArrived] != int64(b.t) {
-					t.Fatalf("%s: side %d row %d is %v, but lies in the block of step %d", at, s, i, r, b.t)
-				}
-			}
-		}
 		named[s] = make([]bool, side.Len())
 	}
-	var prev table.Row
+	prev := [2]int64{math.MinInt64, 0}
 	for j := range f.carry.Len() {
 		key, s, i := f.carry.Key(j)
 		if s > right || i >= len(named[s]) || named[s][i] {
 			t.Fatalf("%s: key %d names row %d of side %d, which is absent or named twice", at, j, i, s)
 		}
 		named[s][i] = true
-		r := f.carry.Side[s].Row(i)
-		if r[workload.ColKey] != key {
+		if r := f.carry.Side[s].Row(i); r[workload.ColKey] != key {
 			t.Fatalf("%s: key %d is (%d, %d), but names row %v", at, j, key, s, r)
 		}
-		if prev != nil && !carryOrdered(prev, r) {
-			t.Fatalf("%s: key %d names %v, after %v: out of (key, tag) order", at, j, r, prev)
+		cur := [2]int64{key, int64(s)}
+		if cur[0] < prev[0] || (cur[0] == prev[0] && cur[1] < prev[1]) {
+			t.Fatalf("%s: key %d is %v, after %v: out of (key, tag) order", at, j, cur, prev)
 		}
-		prev = r
+		prev = cur
 	}
 	if f.carry.Len() != len(named[left])+len(named[right]) {
 		t.Fatalf("%s: %d keys over %d + %d rows", at, f.carry.Len(), len(named[left]), len(named[right]))
@@ -156,22 +143,23 @@ func checkUnion(t testing.TB, f *Framework, at string) {
 func (st carryState) encode(enc *snapshot.Encoder) {
 	encodeLedger(enc, st.live[left])
 	encodeLedger(enc, st.live[right])
-	b := oblivious.NewBuffer(carryArity, len(st.rows))
-	for _, r := range st.rows {
-		b.AppendRow(r)
+	for _, rows := range st.side {
+		enc.I64s(slices.Concat(rows...))
 	}
-	snapshot.EncodeBuffer(enc, b)
+	enc.U32(uint32(len(st.keys)))
+	for _, k := range st.keys {
+		enc.U64(uint64(k[0])<<32 | uint64(k[1]))
+	}
 }
 
-// decodeCarryState runs the window part of DecodeState over f.
+// decodeCarryState runs the window part of DecodeState over f, whose
+// streams upload every step.
 func decodeCarryState(f *Framework, dec *snapshot.Decoder, now int) error {
 	f.now = now
-	f.str[left].decode(dec, now)
-	f.str[right].decode(dec, now)
-	if dec.Err() != nil {
-		return dec.Err()
-	}
-	return f.decodeCarry(dec)
+	f.str[left].decode(dec, now-1)
+	f.str[right].decode(dec, now-1)
+	f.decodeCarry(dec)
+	return dec.Err()
 }
 
 // TestWindowLifecycleDoesNotLeak is the regression test for the record
@@ -224,18 +212,19 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 		}
 		return f
 	}
-	const now = 5
+	const now = 6 // the engine has run steps 0 to 5
 	stateOf := func(f *Framework) carryState {
-		for step := 0; step <= now; step++ {
+		for step := 0; step < now; step++ {
 			f.Step(windowStep(step))
 		}
 		return carryStateOf(f)
 	}
-	// swapRows exchanges the first two carry rows that differ in key.
-	swapRows := func(st *carryState) {
-		for i := 1; i < len(st.rows); i++ {
-			if st.rows[i][workload.ColKey] != st.rows[0][workload.ColKey] {
-				st.rows[0], st.rows[i] = st.rows[i], st.rows[0]
+	keyOf := func(st *carryState, j int) int64 { return st.side[st.keys[j][0]][st.keys[j][1]][workload.ColKey] }
+	// swapKeys exchanges the first two keys that differ in join key.
+	swapKeys := func(st *carryState) {
+		for j := 1; j < len(st.keys); j++ {
+			if keyOf(st, j) != keyOf(st, 0) {
+				st.keys[0], st.keys[j] = st.keys[j], st.keys[0]
 				return
 			}
 		}
@@ -252,44 +241,51 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 		{name: "budget spent", engine: limited, edit: func(st *carryState) { st.live[left][0].remaining = 0 }, want: snapshot.ErrCorrupt},
 		{name: "budget above total", engine: limited, edit: func(st *carryState) { st.live[right][2].remaining = 11 }, want: snapshot.ErrCorrupt},
 		{name: "budget on a public stream", engine: public, edit: func(st *carryState) { st.live[right][0].remaining = 4 }, want: snapshot.ErrCorrupt},
-		{name: "arrived after now", engine: limited, edit: func(st *carryState) { st.rows[7][colArrived] = now + 1 }, want: snapshot.ErrCorrupt},
-		{name: "block after now", engine: limited, edit: func(st *carryState) { st.live[left][2].t = now + 1 }, want: snapshot.ErrCorrupt},
+		{name: "block after now", engine: limited, edit: func(st *carryState) { st.live[left][2].t = now }, want: snapshot.ErrCorrupt},
+		{name: "ledger behind the clock", engine: public, edit: func(st *carryState) {
+			for i := range st.live[right] {
+				st.live[right][i].t--
+			}
+		}, want: snapshot.ErrCorrupt},
 		{name: "blocks out of order", engine: limited, edit: func(st *carryState) { st.live[left][1].t = st.live[left][0].t }, want: snapshot.ErrCorrupt},
 		{name: "above the public cap", engine: limited, edit: func(st *carryState) {
 			st.live[left] = append(st.live[left][:1:1], st.live[left]...)
 			st.live[left][0].t--
 		}, want: snapshot.ErrCorrupt},
-		{name: "below the public cap", engine: limited, edit: func(st *carryState) { st.rows = st.rows[1:] }, want: snapshot.ErrCorrupt},
 		{name: "short block", engine: limited, edit: func(st *carryState) { st.live[left][0].n-- }, want: snapshot.ErrCorrupt},
-		{name: "out of key order", engine: limited, edit: swapRows, want: snapshot.ErrCorrupt},
+		// The carry: each side against its ledger, then the key order.
+		{name: "below the public cap", engine: limited, edit: func(st *carryState) {
+			st.side[left] = st.side[left][:len(st.side[left])-1]
+			st.keys = slices.DeleteFunc(st.keys, func(k [2]int) bool { return k == [2]int{left, len(st.side[left])} })
+		}, want: snapshot.ErrCorrupt},
+		{name: "side longer than its ledger", engine: public, edit: func(st *carryState) {
+			st.side[right] = append(st.side[right], []int64{1 << 40, now - 1})
+			st.keys = append(st.keys, [2]int{right, len(st.side[right]) - 1})
+		}, want: snapshot.ErrCorrupt},
+		{name: "wrong arity", engine: limited, edit: func(st *carryState) {
+			for s := range st.side {
+				for i, r := range st.side[s] {
+					st.side[s][i] = append(slices.Clone(r), 0)
+				}
+			}
+		}, want: snapshot.ErrCorrupt},
+		{name: "key missing", engine: limited, edit: func(st *carryState) { st.keys = st.keys[:len(st.keys)-1] }, want: snapshot.ErrCorrupt},
+		{name: "bad tag", engine: limited, edit: func(st *carryState) { st.keys[len(st.keys)-1][0] = 2 }, want: snapshot.ErrCorrupt},
+		{name: "key out of range", engine: limited, edit: func(st *carryState) {
+			st.keys[len(st.keys)-1][1] = len(st.side[st.keys[len(st.keys)-1][0]])
+		}, want: snapshot.ErrCorrupt},
+		{name: "key repeated", engine: limited, edit: func(st *carryState) { st.keys[1] = st.keys[0] }, want: snapshot.ErrCorrupt},
+		{name: "out of key order", engine: limited, edit: swapKeys, want: snapshot.ErrCorrupt},
 		{name: "out of tag order", engine: limited, edit: func(st *carryState) {
-			// Give a right row its left neighbour's key: (key, 1) then (key, 0).
-			for i := 1; i < len(st.rows); i++ {
-				if st.rows[i-1][colTag] == right && st.rows[i][colTag] == left {
-					st.rows[i-1][workload.ColKey] = st.rows[i][workload.ColKey]
+			// Give a right row its left successor's key: (key, 1) then (key, 0).
+			for j := 1; j < len(st.keys); j++ {
+				if st.keys[j-1][0] == right && st.keys[j][0] == left {
+					st.side[right][st.keys[j-1][1]][workload.ColKey] = keyOf(st, j)
 					return
 				}
 			}
 			panic("no right row directly before a left row")
 		}, want: snapshot.ErrCorrupt},
-		{name: "no such block", engine: limited, edit: func(st *carryState) { st.rows[3][colArrived] = -40 }, want: snapshot.ErrCorrupt},
-		{name: "block of the other stream", engine: public, edit: func(st *carryState) {
-			// Hand one row of the oldest public block to the left stream: both
-			// per-block counts are now off.
-			for _, r := range st.rows {
-				if r[colTag] == right && r[colArrived] == int64(st.live[right][0].t) {
-					r[colTag] = left
-					return
-				}
-			}
-		}, want: snapshot.ErrCorrupt},
-		{name: "bad tag", engine: limited, edit: func(st *carryState) { st.rows[len(st.rows)-1][colTag] = 2 }, want: snapshot.ErrCorrupt},
-		{name: "wrong arity", engine: limited, want: snapshot.ErrCorrupt, encode: func(enc *snapshot.Encoder) {
-			f := limited()
-			encodeLedger(enc, f.str[left].live)
-			encodeLedger(enc, f.str[right].live)
-			snapshot.EncodeBuffer(enc, oblivious.NewBuffer(carryArity-1, 0))
-		}},
 		{name: "length beyond the stream", engine: limited, want: snapshot.ErrTruncated, encode: func(enc *snapshot.Encoder) {
 			enc.U32(1 << 30)
 			enc.Int(1)

@@ -146,7 +146,6 @@ type Metrics struct {
 	ViewBytes     int64
 	CacheLen      int
 	CacheReal     int
-	CacheMax      int
 	Updates       int
 	Transforms    int
 	LostReal      int
@@ -216,7 +215,7 @@ type Framework struct {
 	transforms int
 	queries    int
 	querySecs  float64
-	now        int
+	now        int // the step that runs next
 
 	// ins observes the engine (phase timings, window/budget gauges,
 	// predicted-vs-measured cost). nil means uninstrumented; every hook
@@ -279,7 +278,7 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		match:    wl.Match(),
 		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
 		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
-		carry:    oblivious.NewUnion(carryArity, workload.ColKey),
+		carry:    oblivious.NewUnion(workload.StreamArity, workload.ColKey),
 		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
 		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
 		dummyID:  math.MinInt64,
@@ -366,7 +365,6 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 	f.blocks = f.blocks[:0]
 	for i := range steps {
 		st := steps[i]
-		f.now = st.T
 		f.rt.SetTime(st.T)
 
 		// Public-relation arrivals accumulate between uploads; Transform runs
@@ -390,9 +388,13 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		f.shrink.Tick(f, st.T)
 		f.ins.phaseDone("shrink", mpc.OpShrink, shrinkProbe, f.rt)
 
+		f.now = st.T + 1
 		f.ins.stepDone(f)
 	}
 }
+
+// Now returns the logical time of the step the engine runs next.
+func (f *Framework) Now() int { return f.now }
 
 // arrive copies a step's records of stream s; the caller's rows are not reread.
 func (f *Framework) arrive(s int, recs []oblivious.Record) {
@@ -564,7 +566,6 @@ func (f *Framework) Metrics() Metrics {
 		ViewBytes:     f.view.SizeBytes(tupleBits),
 		CacheLen:      f.cache.Len(),
 		CacheReal:     f.cache.Real(),
-		CacheMax:      f.cache.MaxLen(),
 		Updates:       f.view.Updates(),
 		Transforms:    f.transforms,
 		LostReal:      f.lostReal,

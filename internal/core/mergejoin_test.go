@@ -14,19 +14,50 @@ import (
 
 // reference is the engine the merge join is checked against: a Framework
 // whose Transform is refTransform, plus the reference's own carry — the rows
-// that outlive each Transform, in join order. The Framework's union only
-// stages each segment's new rows, at the tails of its sides.
+// that outlive each Transform, in join order, each with its stream and the
+// step of its upload block. The Framework's union only stages each segment's
+// new rows, at the tails of its sides.
 type reference struct {
 	*Framework
-	carried []table.Row
+	carried []carriedRow
+}
+
+type carriedRow struct {
+	row  table.Row
+	s, t int
 }
 
 // newReference takes over f, moving the rows prefill put in its union — the
 // pads of the periods before step 0 — to the reference's carry.
 func newReference(f *Framework) *reference {
-	r := &reference{Framework: f, carried: joinOrder(f)}
+	r := &reference{Framework: f, carried: ledgerRows(f)}
+	sortJoinOrder(r.carried)
 	f.carry.Reset()
 	return r
+}
+
+// ledgerRows copies out the rows of f's carry side by side, each stamped
+// with the block the ledger places it in: a side holds its live blocks' rows
+// block after block.
+func ledgerRows(f *Framework) []carriedRow {
+	var rows []carriedRow
+	for s, side := range f.carry.Side {
+		i := 0
+		for _, b := range f.str[s].live {
+			for range b.n {
+				rows = append(rows, carriedRow{slices.Clone(side.Row(i)), s, b.t})
+				i++
+			}
+		}
+	}
+	return rows
+}
+
+// sortJoinOrder sorts rows on (key, stream), stably.
+func sortJoinOrder(rows []carriedRow) {
+	slices.SortStableFunc(rows, func(a, b carriedRow) int {
+		return cmp.Or(cmp.Compare(a.row[workload.ColKey], b.row[workload.ColKey]), cmp.Compare(a.s, b.s))
+	})
 }
 
 // refStepBatch is StepBatch with the Transform replaced by refTransform: the
@@ -37,7 +68,6 @@ func refStepBatch(r *reference, steps []workload.Step) {
 	f := r.Framework
 	f.blocks = f.blocks[:0]
 	for i, st := range steps {
-		f.now = st.T
 		f.rt.SetTime(st.T)
 		f.arrive(right, st.Right)
 		if f.uploadDue(st.T) {
@@ -49,6 +79,7 @@ func refStepBatch(r *reference, steps []workload.Step) {
 			f.blocks = f.blocks[:0]
 		}
 		f.shrink.Tick(f, st.T)
+		f.now = st.T + 1
 	}
 }
 
@@ -72,23 +103,25 @@ func refTransform(r *reference, blocks []uploadBlock) {
 			live[[2]int64{int64(s), int64(b.t)}] = true
 		}
 	}
-	var rows []table.Row
+	var rows []carriedRow
 	for s, side := range f.carry.Side {
-		for i := side.Len() - fresh[s]; i < side.Len(); i++ {
-			rows = append(rows, slices.Clone(side.Row(i)))
+		i := side.Len() - fresh[s]
+		for _, b := range blocks {
+			for range b.n[s] {
+				rows = append(rows, carriedRow{slices.Clone(side.Row(i)), s, b.t})
+				i++
+			}
 		}
 	}
 	var in [2][]oblivious.Record
-	var next []table.Row
-	for _, row := range append(rows, r.carried...) {
-		in[row[colTag]] = append(in[row[colTag]], oblivious.Record{Row: row[:workload.StreamArity]})
-		if live[[2]int64{row[colTag], row[colArrived]}] {
-			next = append(next, row)
+	var next []carriedRow
+	for _, c := range append(rows, r.carried...) {
+		in[c.s] = append(in[c.s], oblivious.Record{Row: c.row})
+		if live[[2]int64{int64(c.s), int64(c.t)}] {
+			next = append(next, c)
 		}
 	}
-	slices.SortStableFunc(next, func(a, b table.Row) int {
-		return cmp.Or(cmp.Compare(a[workload.ColKey], b[workload.ColKey]), cmp.Compare(a[colTag], b[colTag]))
-	})
+	sortJoinOrder(next)
 	r.carried = next
 	f.carry.Reset()
 	joined := oblivious.NewBuffer(workload.JoinArity, 0)
@@ -175,9 +208,11 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 					t.Fatalf("%s: carry of %d rows, the public cap is %d", at, eng.carry.Len(), want)
 				}
 				checkUnion(t, eng, at)
-				byColumns := func(a, b table.Row) int { return slices.Compare(a, b) }
-				got, exp := slices.SortedFunc(slices.Values(joinOrder(eng)), byColumns), slices.SortedFunc(slices.Values(ref.carried), byColumns)
-				if !slices.EqualFunc(got, exp, table.Row.Equal) {
+				byColumns := func(a, b carriedRow) int {
+					return cmp.Or(slices.Compare(a.row, b.row), cmp.Compare(a.s, b.s), cmp.Compare(a.t, b.t))
+				}
+				got, exp := slices.SortedFunc(slices.Values(ledgerRows(eng)), byColumns), slices.SortedFunc(slices.Values(ref.carried), byColumns)
+				if !slices.EqualFunc(got, exp, func(a, b carriedRow) bool { return byColumns(a, b) == 0 }) {
 					t.Fatalf("%s: the carry holds %d rows, the reference's %d, or not the same ones", at, len(got), len(exp))
 				}
 				// The join's slots and reals are observed on the last delta

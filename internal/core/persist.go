@@ -4,20 +4,20 @@ import (
 	"fmt"
 	"io"
 
-	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
 )
 
 // Framework durability. A snapshot captures every byte of mutable engine
 // state — the MPC runtime (share stores, transcript digests, all RNG draw
-// positions, the cost meter), the secure cache and materialized view arenas,
-// the ledgers of live upload blocks (step, remaining budget, size) and the
-// carry they describe (every live record and pad, in join order), the pending
-// arrivals, the overflow and the counters — so a framework restored from it
-// continues bit-identically to one that never stopped. The configuration (Config,
-// workload, Shrink protocol) is *not* state: Restore targets a framework
-// freshly constructed with the same parameters and refuses anything else via
-// the header fingerprint.
+// positions, the cost meter), the secure cache arena and the materialized
+// view's columns and flag words, the engine clock, the ledgers of live upload
+// blocks (step, remaining budget, size) and the carry they describe (each
+// side's rows in arrival order, then the key order), the pending arrivals, the
+// overflow and the counters — each as the engine holds it, so a framework
+// restored from it continues bit-identically to one that never stopped. The
+// configuration (Config, workload, Shrink protocol) is *not* state: Restore
+// targets a framework freshly constructed with the same parameters and
+// refuses anything else via the header fingerprint.
 //
 // The built-in Shrink protocols keep their evolving state (cardinality
 // counter, noisy threshold) secret-shared in the runtime's stores, so
@@ -59,9 +59,7 @@ func (f *Framework) Restore(r io.Reader) error {
 		return fmt.Errorf("%w: snapshot %016x, this engine %016x",
 			snapshot.ErrFingerprintMismatch, fp, f.StateFingerprint())
 	}
-	if err := f.DecodeState(dec); err != nil {
-		return err
-	}
+	f.DecodeState(dec)
 	return dec.Finish()
 }
 
@@ -78,9 +76,7 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	enc.Int(f.now)
 	encodeLedger(enc, f.str[left].live)
 	encodeLedger(enc, f.str[right].live)
-	carry := oblivious.NewBuffer(carryArity, f.carry.Len()) // the carry section is its rows in join order
-	f.carry.AppendJoinOrder(carry)
-	snapshot.EncodeBuffer(enc, carry)
+	f.encodeCarry(enc)
 	snapshot.EncodeBuffer(enc, f.pending[right])
 	snapshot.EncodeBuffer(enc, f.overflow)
 
@@ -92,34 +88,26 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	enc.F64(f.querySecs)
 }
 
-// DecodeState reloads state written by EncodeState. The caller is
+// DecodeState reloads state written by EncodeState; like the section
+// decoders it is built from, it latches its errors in dec. The caller is
 // responsible for fingerprint/framing checks.
-func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
-	if err := snapshot.DecodeRuntimeInto(dec, f.rt); err != nil {
-		return err
-	}
-	if err := snapshot.DecodeCacheInto(dec, f.cache); err != nil {
-		return err
-	}
-	if err := snapshot.DecodeViewInto(dec, f.view); err != nil {
-		return err
-	}
+func (f *Framework) DecodeState(dec *snapshot.Decoder) {
+	snapshot.DecodeRuntimeInto(dec, f.rt)
+	snapshot.DecodeCacheInto(dec, f.cache)
+	snapshot.DecodeViewInto(dec, f.view)
 
+	// The runtime's clock is the engine's: the step that ran last.
 	f.now = dec.Int()
-	f.str[left].decode(dec, f.now)
-	f.str[right].decode(dec, f.now)
-	if err := dec.Err(); err != nil {
-		return err
+	if dec.Err() == nil && f.now < 0 {
+		dec.Corrupt("engine clock %d", f.now)
 	}
-	if err := f.decodeCarry(dec); err != nil {
-		return err
-	}
-	if err := snapshot.DecodeBufferInto(dec, f.pending[right]); err != nil {
-		return err
-	}
-	if err := snapshot.DecodeBufferInto(dec, f.overflow); err != nil {
-		return err
-	}
+	f.rt.SetTime(max(f.now-1, 0))
+	last := f.now/f.wl.UploadEvery*f.wl.UploadEvery - 1 // the last upload before the clock
+	f.str[left].decode(dec, last)
+	f.str[right].decode(dec, last)
+	f.decodeCarry(dec)
+	snapshot.DecodeBufferInto(dec, f.pending[right])
+	snapshot.DecodeBufferInto(dec, f.overflow)
 
 	f.dummyID = dec.I64()
 	f.created = dec.Int()
@@ -127,13 +115,8 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) error {
 	f.transforms = dec.Int()
 	f.queries = dec.Int()
 	f.querySecs = dec.F64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if f.dummyID >= 0 || f.created < 0 || f.lostReal < 0 || f.transforms < 0 || f.queries < 0 {
+	if dec.Err() == nil && (f.dummyID >= 0 || f.created < 0 || f.lostReal < 0 || f.transforms < 0 || f.queries < 0) {
 		dec.Corrupt("framework counters out of range (dummyID=%d created=%d lost=%d transforms=%d queries=%d)",
 			f.dummyID, f.created, f.lostReal, f.transforms, f.queries)
-		return dec.Err()
 	}
-	return nil
 }

@@ -173,6 +173,30 @@ func TestFrameworkSnapshotDeterministicBytes(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsForgedClock: the snapshot holds one clock, the
+// engine's, and the ledgers pin it — the newest block is the last upload
+// before it — so a stream re-encoded with the clock moved by any whole number
+// of upload periods is ErrCorrupt, not an engine that restores and then
+// answers differently from the one that never stopped.
+func TestRestoreRejectsForgedClock(t *testing.T) {
+	f, tr := buildEngine(t, false, 40)
+	for _, st := range tr.Steps {
+		f.Step(st)
+	}
+	for _, off := range []int{-41, -20, -1, 1, 1000} {
+		var buf bytes.Buffer
+		f.now += off
+		err := f.Snapshot(&buf)
+		f.now -= off
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rebuildLike(t, f).Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("clock %d, engine at %d: restore error %v, want ErrCorrupt", f.now+off, f.now, err)
+		}
+	}
+}
+
 // TestFrameworkRestoreRejectsMismatchedConfig pins the fingerprint check:
 // a snapshot must not restore into an engine built with different
 // parameters or a different Shrink protocol.
@@ -211,12 +235,12 @@ func TestFrameworkRestoreRejectsMismatchedConfig(t *testing.T) {
 // into a fresh framework after every step, each restore continuing from the
 // last, stays byte-identical to the engine that never stopped — its snapshot
 // equals the uninterrupted one after every step — and after every step and
-// every restore its carry is the union its ledgers describe (checkUnion). A
-// restored cache forgets its run layout and re-sorts on its next read; the
-// real-first order is total, so that read leaves the bytes the merge would.
-// A restored union places each block's rows in the order the snapshot lists
-// them, not the order they arrived in; nothing observable depends on it. The
-// deployments cover the layouts the union meets: TPC-ds under sDPANT; CPDB,
+// every restore its carry is the union its ledgers describe (checkUnion) and
+// the uninterrupted engine's union exactly: both sides row for row, in
+// arrival order, and the key order key for key. A restored cache forgets its
+// run layout and re-sorts on its next read; the real-first order is total, so
+// that read leaves the bytes the merge would. The deployments cover the
+// layouts the union meets: TPC-ds under sDPANT; CPDB,
 // whose public relation enters in blocks of varying size and lapses later
 // than the left stream (the left side keeps 1 block, the right 3); and
 // TPC-ds under sDPTimer with merged windows, driven in StepBatch calls of 8
@@ -285,6 +309,9 @@ func TestSnapshotEveryStepByteIdentical(t *testing.T) {
 					t.Fatalf("restore after step %d: %v", at, err)
 				}
 				checkUnion(t, hop, fmt.Sprintf("restored after step %d", at))
+				if !reflect.DeepEqual(carryStateOf(hop), carryStateOf(ref)) {
+					t.Fatalf("restored after step %d: the union differs from the uninterrupted one", at)
+				}
 			}
 			if ref.Metrics().Updates < 3 {
 				t.Errorf("only %d view updates in %d steps: too few reads to exercise a restored cache", ref.Metrics().Updates, len(tr.Steps))

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7). Each experiment has a typed runner returning the
 // rows/series the paper reports and a formatter producing a readable text
-// table. The per-experiment index lives in DESIGN.md; paper-vs-measured
-// comparisons live in EXPERIMENTS.md.
+// table. The per-experiment index lives in DESIGN.md §3; Table 2's and
+// Figure 4's reports at seed 1 are pinned byte for byte as goldens under
+// testdata/, and cmd/incshrink-bench prints every report at any scale.
 package experiments
 
 import (

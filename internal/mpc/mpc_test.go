@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -385,11 +386,12 @@ func TestSetStateRefusesBadDigestState(t *testing.T) {
 	}
 	one := r.State()
 	one.Parties = one.Parties[:1]
-	one.Now = 9
+	gates := r.Meter.TotalGates()
+	one.Meter.Gates = slices.Repeat([]float64{9}, len(one.Meter.Gates))
 	if err := r.SetState(one); err == nil {
 		t.Error("a one-party state restored into a two-party runtime")
 	}
-	if s0.TranscriptDigest() != before || r.Now() != 0 {
+	if s0.TranscriptDigest() != before || r.Meter.TotalGates() != gates {
 		t.Error("a state of the wrong party count changed the runtime")
 	}
 	if got := len(s0.State().Digest); got != DigestStateLen {

@@ -222,7 +222,12 @@ func (p *Party) contributed(i int, label string, t int) {
 // side at time t: S0 keeps the joint mask, S1 keeps the value under the
 // mask.
 func (p *Party) share(i int, key string, value secretshare.Word, t int) {
-	p.contributed(i, "reshare:"+key, t)
+	label, ok := p.labels[key] // built on the key's first re-share only
+	if !ok {
+		label = "reshare:" + key
+		p.labels[key] = label
+	}
+	p.contributed(i, label, t)
 	sh := p.mine[i] ^ p.peer[i]
 	if p.ID == Server1 {
 		sh ^= value

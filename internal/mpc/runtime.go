@@ -159,6 +159,9 @@ type Party struct {
 	// peer's, by slot; frame is the outgoing payload.
 	mine, peer []uint32
 	frame      []byte
+	// labels holds the event label of each key re-shared so far (share); it
+	// is derived, not state.
+	labels map[string]string
 }
 
 // NewParty creates a server with its own private randomness stream. The
@@ -172,6 +175,7 @@ func NewParty(id PartyID, seed int64) *Party {
 		rng:    dp.NewCountingRNG(rand.New(rand.NewSource(seed))),
 		store:  make(map[string]secretshare.Word),
 		digest: sha256.New(),
+		labels: make(map[string]string),
 	}
 }
 
@@ -364,20 +368,21 @@ func (r *Runtime) check(err error) {
 func (r *Runtime) WireTally() (rounds, bytes uint64) { return r.ps[0].WireTally() }
 
 // RuntimeState is the serializable mutable state of a Runtime: its parties
-// in order, the cost meter, and the logical clock. The seed, cost model and
-// the parties' identities are construction parameters. A party that
+// in order and the cost meter. The seed, cost model and the parties'
+// identities are construction parameters, and the logical clock belongs to
+// the runtime's owner, which sets it (SetTime) before each step and on
+// restore. A party that
 // crashes, restores this state and reconnects resumes bit-identically — the
 // wire tally is part of the party state precisely so a fresh connection's
 // counters don't reset the transcript attribution.
 type RuntimeState struct {
 	Parties []PartyState
 	Meter   MeterState
-	Now     int
 }
 
 // State snapshots the runtime.
 func (r *Runtime) State() RuntimeState {
-	st := RuntimeState{Parties: make([]PartyState, len(r.ps)), Meter: r.Meter.State(), Now: r.now}
+	st := RuntimeState{Parties: make([]PartyState, len(r.ps)), Meter: r.Meter.State()}
 	for i, p := range r.ps {
 		st.Parties[i] = p.State()
 	}
@@ -386,7 +391,7 @@ func (r *Runtime) State() RuntimeState {
 
 // SetState restores a snapshot taken with State on a runtime constructed
 // the same way, with the same seed and cost model: share stores, transcript
-// digests, meter and logical clock are replaced, and every randomness
+// digests and meter are replaced, and every randomness
 // stream is fast-forwarded to its recorded position, so the protocol's joint
 // noise resumes exactly where the snapshotted runtime left off.
 func (r *Runtime) SetState(st RuntimeState) error {
@@ -398,18 +403,11 @@ func (r *Runtime) SetState(st RuntimeState) error {
 			return err
 		}
 	}
-	if err := r.Meter.SetState(st.Meter); err != nil {
-		return err
-	}
-	r.now = st.Now
-	return nil
+	return r.Meter.SetState(st.Meter)
 }
 
 // SetTime advances the logical clock used to stamp transcript events.
 func (r *Runtime) SetTime(t int) { r.now = t }
-
-// Now returns the current logical time.
-func (r *Runtime) Now() int { return r.now }
 
 // Round starts a new protocol round of the runtime's parties (see Round).
 // The loopback pair holds one frame per direction, which is all a round

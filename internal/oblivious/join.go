@@ -111,7 +111,7 @@ func (u *Union) Append(s int, row table.Row) {
 
 // AppendKey appends the key of row i of side s behind the union's — for a
 // caller that placed the rows itself (a restore) and appends their keys in
-// (key, tag) order.
+// the (key, tag) order it checked.
 func (u *Union) AppendKey(s, i int) {
 	u.keys = append(u.keys, sortKey{k: uint64(u.Side[s].At(i, u.key)) ^ signBit, w: uint64(s)<<32 | uint64(i)})
 }
@@ -121,18 +121,6 @@ func (u *Union) Key(j int) (key int64, s, i int) {
 	w := u.keys[j].w
 	return int64(u.keys[j].k ^ signBit), int(w >> 32), int(uint32(w))
 }
-
-// AppendJoinOrder appends a copy of every row to dst in key order, reading
-// each through its key.
-func (u *Union) AppendJoinOrder(dst *Buffer) {
-	dst.Grow(len(u.keys))
-	for _, k := range u.keys {
-		u.appendRow(dst, k.w)
-	}
-}
-
-// appendRow appends the row a key's low word names to dst.
-func (u *Union) appendRow(dst *Buffer, w uint64) { dst.AppendFrom(u.Side[w>>32], int(uint32(w))) }
 
 // Reset empties the union, keeping its storage for reuse.
 func (u *Union) Reset() {

@@ -43,8 +43,9 @@ type Config struct {
 	Seed int64
 	// Steps is the number of runtime protocol steps.
 	Steps int
-	// SnapshotAt, when >= 0, captures a snapshot of the party's runtime after
-	// the step with that index completes; the bytes land in Report.Snapshot.
+	// SnapshotAt, when >= 0, captures a session snapshot (the party's runtime
+	// and the step it runs next) after the step with that index completes;
+	// the bytes land in Report.Snapshot.
 	SnapshotAt int
 }
 
@@ -88,8 +89,8 @@ type Report struct {
 	// TranscriptSHA is the party's running transcript digest: SHA-256 over
 	// every event it observed, wire stamps included.
 	TranscriptSHA string `json:"transcript_sha"`
-	// SnapshotSHA digests the final snapshot.EncodeRuntime bytes of the
-	// party's one-party runtime.
+	// SnapshotSHA digests the final session snapshot: the party's one-party
+	// runtime section and the step it would run next, the horizon.
 	SnapshotSHA string `json:"snapshot_sha"`
 	// WireRounds / WireBytes are the connection counters at session end.
 	WireRounds uint64 `json:"wire_rounds"`
@@ -135,19 +136,21 @@ func Run(cfg Config, conn wire.Conn) (*Report, error) {
 
 // Resume restores a snapshot taken by a previous Run (Config.SnapshotAt)
 // into a fresh one-party runtime over a fresh connection and completes the
-// session. opened is the prefix of values the crashed run had already
-// revealed to the protocol layer (three per completed step) — they were
-// delivered before the crash, so the application persists them alongside the
-// snapshot. The final report must be byte-identical to an uninterrupted run —
-// the crash/rejoin contract.
+// session from the step the snapshot names. opened is the prefix of values
+// the crashed run had already revealed to the protocol layer (three per
+// completed step) — they were delivered before the crash, so the application
+// persists them alongside the snapshot. The final report must be
+// byte-identical to an uninterrupted run — the crash/rejoin contract.
 func Resume(cfg Config, snap []byte, opened []uint32, conn wire.Conn) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
 	d := snapshot.NewDecoder(bytes.NewReader(snap))
-	if err := snapshot.DecodeRuntimeInto(d, rt); err != nil {
-		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
+	snapshot.DecodeRuntimeInto(d, rt)
+	next := d.Int()
+	if d.Err() == nil && (next < 1 || next > cfg.Steps) {
+		d.Corrupt("session snapshot resumes at step %d of %d", next, cfg.Steps)
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
@@ -155,7 +158,7 @@ func Resume(cfg Config, snap []byte, opened []uint32, conn wire.Conn) (*Report, 
 	s := &session{cfg: cfg, rt: rt, conn: conn}
 	s.baseRounds, s.baseBytes = rt.WireTally()
 	s.opened = append(s.opened, opened...)
-	return s.run(rt.Now() + 1)
+	return s.run(next)
 }
 
 type session struct {
@@ -177,10 +180,13 @@ func (s *session) party() *mpc.Party { return s.rt.Party(mpc.PartyID(s.cfg.Role)
 
 func (s *session) open(v uint32) { s.opened = append(s.opened, v) }
 
-func (s *session) encodeSnapshot() ([]byte, error) {
+// encodeSnapshot writes the session's snapshot: the runtime section, then
+// the step the session runs next.
+func (s *session) encodeSnapshot(next int) ([]byte, error) {
 	var buf bytes.Buffer
 	e := snapshot.NewEncoder(&buf)
 	snapshot.EncodeRuntime(e, s.rt)
+	e.Int(next)
 	if err := e.Finish(); err != nil {
 		return nil, err
 	}
@@ -198,7 +204,7 @@ func (s *session) run(from int) (*Report, error) {
 			return nil, err
 		}
 		if t == s.cfg.SnapshotAt {
-			b, err := s.encodeSnapshot()
+			b, err := s.encodeSnapshot(t + 1)
 			if err != nil {
 				return nil, fmt.Errorf("party: snapshotting at step %d: %w", t, err)
 			}
@@ -279,7 +285,7 @@ func (s *session) gmwSegment() (*gmw.Eval, error) {
 
 func (s *session) report(ev *gmw.Eval) (*Report, error) {
 	transcript := s.party().TranscriptDigest()
-	finalSnap, err := s.encodeSnapshot()
+	finalSnap, err := s.encodeSnapshot(s.cfg.Steps)
 	if err != nil {
 		return nil, fmt.Errorf("party: final snapshot: %w", err)
 	}

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
 	"incshrink/internal/gmw"
 	"incshrink/internal/mpc"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/wire"
 )
 
@@ -292,6 +295,36 @@ func TestSnapshotRejoinByteIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsForgedStep: a session snapshot names the step the
+// session runs next, after its runtime section. A step before the first
+// the snapshot could follow, or past the horizon, is snapshot.ErrCorrupt
+// before the party sends anything.
+func TestResumeRejectsForgedStep(t *testing.T) {
+	cfg := testConfig()
+	f0, _, err := RunLoopbackPair(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := f0.Snapshot[:len(f0.Snapshot)-12] // the magic and runtime section, before the step and the CRC
+	if got := binary.LittleEndian.Uint64(f0.Snapshot[len(body):]); got != uint64(cfg.SnapshotAt+1) {
+		t.Fatalf("snapshot after step %d resumes at %d", cfg.SnapshotAt, got)
+	}
+	for _, next := range []int64{0, -1, int64(cfg.Steps) + 1} {
+		forged := binary.LittleEndian.AppendUint64(slices.Clone(body), uint64(next))
+		forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, crc32.MakeTable(crc32.Castagnoli)))
+		c0, c1 := wire.Loopback(8)
+		_, err := Resume(cfg, forged, f0.Opened[:3*(cfg.SnapshotAt+1)], c0)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("resume at step %d: %v, want snapshot.ErrCorrupt", next, err)
+		}
+		if sent := c0.Stats().FramesSent; sent != 0 {
+			t.Errorf("resume at step %d sent %d frames", next, sent)
+		}
+		c0.Close()
+		c1.Close()
+	}
+}
+
 // TestOpenedValuesPinned pins the SHA-256 of every value a session opens,
 // little-endian, for the smoke configuration and for the benchmark's first
 // seed-1 session. The literals are those of the two-rounds-per-step
@@ -305,8 +338,8 @@ func TestOpenedValuesPinned(t *testing.T) {
 		snap [2]string
 	}{
 		{Config{Seed: 1234, Steps: 12, SnapshotAt: -1}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9", [2]string{
-			"e406ffd7dc20341833b4d936c31caa7fb5970958d10e793164e4712c0aa7ba99",
-			"6bd207a93494747d50b6363a7940ee894cdb7aa441a6418e968f513c3cf2e27a",
+			"ce6a8020879159225d9f54a369c110d69d744952a0e010ccbbae2db4645ddd7d",
+			"f62076a77e3d3505ca130d38b119417177208d2eeff2bb2e9f1124e90aae4e7a",
 		}},
 		{Config{Seed: 64, Steps: 350, SnapshotAt: -1}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3", [2]string{}},
 	} {

@@ -46,10 +46,8 @@ type Cache struct {
 
 	// runs is the public layout of buf: one run per batch appended since
 	// the last read, after the real-first run that read left. It is not
-	// part of the snapshot (RestoreMaxLen).
+	// part of the snapshot (Restored).
 	runs []oblivious.Run
-
-	maxLen int
 }
 
 // New creates an empty cache for slots of the given payload arity, each
@@ -75,9 +73,6 @@ func (c *Cache) appendRun(batch *oblivious.Buffer, realFirst bool) {
 	if batch.Len() > 0 {
 		c.runs = append(c.runs, oblivious.Run{Len: batch.Len(), RealFirst: realFirst})
 	}
-	if c.buf.Len() > c.maxLen {
-		c.maxLen = c.buf.Len()
-	}
 }
 
 // Len returns the current number of slots (real + dummy).
@@ -88,9 +83,6 @@ func (c *Cache) Len() int { return c.buf.Len() }
 // exists only as the secret-shared counter; it is exposed here for the
 // simulator's bookkeeping, the serving stats path and tests.
 func (c *Cache) Real() int { return c.buf.Real() }
-
-// MaxLen returns the high-water mark of the cache length.
-func (c *Cache) MaxLen() int { return c.maxLen }
 
 // oneRun records the whole cache as one run, or none when it is empty. What
 // a read leaves — a prefix cut and truncation of the real-first order — is
@@ -152,17 +144,13 @@ func (c *Cache) DrainInto(v *View) {
 
 // Buffer exposes the cache arena for the snapshot codec. Callers other than
 // internal/snapshot must treat it as read-only; mutating it bypasses the
-// cache's runs and high-water mark.
+// cache's runs.
 func (c *Cache) Buffer() *oblivious.Buffer { return c.buf }
 
-// RestoreMaxLen is the snapshot codec's hook after it reloads the arena: it
-// restores the checkpointed high-water mark and records the reloaded arena
-// as one raw run. The layout is not checkpointed, and the next read's full
-// sort gives the bytes a merge would have.
-func (c *Cache) RestoreMaxLen(maxLen int) {
-	c.maxLen = maxLen
-	c.oneRun(false)
-}
+// Restored is the snapshot codec's hook after it reloads the arena: it
+// records the reloaded arena as one raw run. The layout is not checkpointed,
+// and the next read's full sort gives the bytes a merge would have.
+func (c *Cache) Restored() { c.oneRun(false) }
 
 // View is the materialized view object V: an append-only padded array the
 // servers answer queries from. Unlike the cache it is never resorted, gathered
@@ -228,23 +216,23 @@ func (v *View) Count(conds []oblivious.ScanCond) int {
 // Updates returns the number of synchronizations appended so far.
 func (v *View) Updates() int { return v.updates }
 
-// FlagByte returns slot i's isView bit as a 0/1 byte, the form the snapshot
-// codec writes.
-func (v *View) FlagByte(i int) uint8 { return uint8(v.flag[i/64] >> (63 - i%64) & 1) }
-
-// Columns exposes the attribute columns for the snapshot codec, which writes
-// them out row-major. Callers must not mutate or retain them across appends.
+// Columns exposes the attribute columns for the snapshot codec. Callers
+// must not mutate or retain them across appends.
 func (v *View) Columns() [][]int64 { return v.cols }
 
-// Restore replaces the view's contents with the slots of the row-major rows
-// and its update counter with a checkpointed value (snapshot codec use).
-func (v *View) Restore(rows *oblivious.Buffer, updates int) {
-	for j := 0; j < v.Arity(); j++ {
-		v.cols[j] = v.cols[j][:0]
-	}
-	v.flag, v.n, v.real = v.flag[:0], 0, 0
-	v.appendRange(rows, 0, rows.Len())
-	v.updates = updates
+// FlagWords exposes the packed isView bits, ⌈Len()/64⌉ words, for the
+// snapshot codec. Callers must not mutate or retain them across appends.
+func (v *View) FlagWords() []uint64 { return v.flag }
+
+// Restore replaces the view with n slots held as cols and flag, in the
+// layout Columns and FlagWords expose, and its update counter with a
+// checkpointed value (snapshot codec use). The view takes ownership of the
+// slices; the caller has checked that every column holds n slots and that
+// flag is ⌈n/64⌉ words with no bit set at or past n. The real-tuple counter
+// is their popcount.
+func (v *View) Restore(cols [][]int64, flag []uint64, n, updates int) {
+	v.cols, v.flag, v.n, v.updates = cols, flag, n, updates
+	v.real = v.Count(nil)
 }
 
 // SizeBytes returns the storage footprint of the view given the per-slot

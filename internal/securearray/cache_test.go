@@ -39,12 +39,15 @@ func realRows(b *oblivious.Buffer) []table.Row {
 	return out
 }
 
+// viewFlag reads slot i's isView bit out of the view's flag words.
+func viewFlag(v *View, i int) uint8 { return uint8(v.flag[i/64] >> (63 - i%64) & 1) }
+
 // viewRealRows copies out the payloads of v's real slots.
 func viewRealRows(v *View) []table.Row {
 	cols := v.Columns()
 	var out []table.Row
 	for i := 0; i < v.Len(); i++ {
-		if v.FlagByte(i) == 1 {
+		if viewFlag(v, i) == 1 {
 			row := make(table.Row, len(cols))
 			for j, col := range cols {
 				row[j] = col[i]
@@ -75,13 +78,10 @@ func TestCacheAppendAndCounters(t *testing.T) {
 	if c.Real() != 8 {
 		t.Errorf("Real = %d", c.Real())
 	}
-	if c.MaxLen() != 20 {
-		t.Errorf("MaxLen = %d", c.MaxLen())
-	}
 	flush(c, NewView(2), 5)
 	c.Append(batch(rng, 10, 2))
-	if c.Len() != 10 || c.MaxLen() != 20 {
-		t.Errorf("after a flush and an append: Len = %d, MaxLen = %d, want 10 and the high-water mark 20", c.Len(), c.MaxLen())
+	if c.Len() != 10 {
+		t.Errorf("after a flush and an append: Len = %d, want 10", c.Len())
 	}
 }
 
@@ -198,10 +198,10 @@ func TestViewAppendOnly(t *testing.T) {
 
 // TestViewFlagBitset appends batches of 1–150 slots, so appends start and
 // end inside flag words and straddle them, and after every append checks the
-// packing against the source flags: FlagByte is each slot's flag, the
+// packing against the source flags: each slot's bit is its flag, the
 // no-condition scan is Real, the bitset holds exactly (Len+63)/64 words and
-// no bit at or past Len is set. Restoring a shorter view must clear the
-// longer one's bits.
+// no bit at or past Len is set. Restoring a shorter view's columns and flag
+// words must replace the longer one's, and recount Real.
 func TestViewFlagBitset(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	check := func(v *View, want []uint8) {
@@ -210,8 +210,8 @@ func TestViewFlagBitset(t *testing.T) {
 			t.Fatalf("view of %d slots holds len %d in %d flag words", len(want), v.Len(), len(v.flag))
 		}
 		for i, f := range want {
-			if got := v.FlagByte(i); got != f {
-				t.Fatalf("len %d: FlagByte(%d) = %d, source flag %d", len(want), i, got, f)
+			if got := viewFlag(v, i); got != f {
+				t.Fatalf("len %d: slot %d flagged %d, source flag %d", len(want), i, got, f)
 			}
 		}
 		if r := len(want) % 64; r != 0 && v.flag[len(v.flag)-1]<<r != 0 {
@@ -238,7 +238,9 @@ func TestViewFlagBitset(t *testing.T) {
 	}
 	for _, n := range []int{130, 65, 64, 63, 1} {
 		rows := batch(rng, n, rng.Intn(n+1))
-		v.Restore(rows, 1)
+		src := NewView(2)
+		src.Update(rows)
+		v.Restore(slices.Clone(src.Columns()), slices.Clone(src.FlagWords()), src.Len(), 1)
 		check(v, flags(rows))
 	}
 }
@@ -456,7 +458,7 @@ func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 	}
 	restored, rv := newCache(128, nil), NewView(2)
 	restored.Buffer().AppendAll(kept.Buffer())
-	restored.RestoreMaxLen(kept.MaxLen())
+	restored.Restored()
 	if len(restored.runs) != 1 || restored.runs[0] != (oblivious.Run{Len: restored.Len()}) {
 		t.Fatalf("restored runs %v, want one raw run of %d", restored.runs, restored.Len())
 	}

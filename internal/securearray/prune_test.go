@@ -101,7 +101,7 @@ func TestDrainInto(t *testing.T) {
 	// Drain preserves order (no sort).
 	cols := v.Columns()
 	for i := 0; i < b.Len(); i++ {
-		if cols[0][i] != b.At(i, 0) || cols[1][i] != b.At(i, 1) || v.FlagByte(i) != b.FlagByte(i) {
+		if cols[0][i] != b.At(i, 0) || cols[1][i] != b.At(i, 1) || viewFlag(v, i) != b.FlagByte(i) {
 			t.Fatalf("drain reordered slot %d", i)
 		}
 	}

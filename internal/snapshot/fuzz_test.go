@@ -35,7 +35,8 @@ func FuzzDecodeBuffer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
 		dst := oblivious.NewBuffer(2, 0)
-		if err := DecodeBufferInto(dec, dst); err != nil {
+		DecodeBufferInto(dec, dst)
+		if err := dec.Err(); err != nil {
 			return
 		}
 		if err := dec.Finish(); err != nil {
@@ -45,20 +46,29 @@ func FuzzDecodeBuffer(f *testing.F) {
 			t.Fatalf("decoded buffer real counter %d != scan %d", dst.Real(), dst.ScanReal())
 		}
 		// Whatever decodes as a buffer is also a view's contents: transposed
-		// onto columns it keeps its count, and it encodes back to the same
-		// section.
+		// onto columns it keeps its count, and its view section decodes to a
+		// view that counts the same and encodes back to the same bytes.
 		v := securearray.NewView(2)
-		v.Restore(dst, 0)
+		v.Update(dst)
 		if v.Real() != dst.Real() || v.Count(nil) != dst.Real() {
 			t.Fatalf("view of the decoded buffer counts %d (scan %d), buffer %d", v.Real(), v.Count(nil), dst.Real())
 		}
-		var asView, asBuffer bytes.Buffer
-		ev, eb := NewEncoder(&asView), NewEncoder(&asBuffer)
-		EncodeView(ev, v)
-		EncodeBuffer(eb, dst)
-		eb.Int(0)
-		if ev.Finish() != nil || eb.Finish() != nil || !bytes.Equal(asView.Bytes(), asBuffer.Bytes()) {
-			t.Fatal("view section differs from the buffer section it was restored from")
+		var a, b bytes.Buffer
+		ea := NewEncoder(&a)
+		EncodeView(ea, v)
+		if err := ea.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		back := securearray.NewView(2)
+		dv := NewDecoder(bytes.NewReader(a.Bytes()))
+		DecodeViewInto(dv, back)
+		if err := dv.Err(); err != nil || dv.Finish() != nil {
+			t.Fatalf("a view's own section does not decode: %v", err)
+		}
+		eb := NewEncoder(&b)
+		EncodeView(eb, back)
+		if eb.Finish() != nil || !bytes.Equal(a.Bytes(), b.Bytes()) || back.Real() != dst.Real() {
+			t.Fatal("view section -> restore -> section changed the bytes or the count")
 		}
 	})
 }
@@ -81,7 +91,8 @@ func FuzzDecodeRuntime(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		target := mpc.NewRuntime(mpc.DefaultCostModel(), 9)
 		dec := NewDecoder(bytes.NewReader(data))
-		if err := DecodeRuntimeInto(dec, target); err != nil {
+		DecodeRuntimeInto(dec, target)
+		if err := dec.Err(); err != nil {
 			return
 		}
 		dec.Finish()
@@ -118,7 +129,8 @@ func FuzzBufferRoundTrip(f *testing.F) {
 		}
 		dst := oblivious.NewBuffer(ar, 0)
 		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-		if err := DecodeBufferInto(dec, dst); err != nil {
+		DecodeBufferInto(dec, dst)
+		if err := dec.Err(); err != nil {
 			t.Fatalf("round trip decode: %v", err)
 		}
 		if err := dec.Finish(); err != nil {
@@ -161,10 +173,11 @@ func fuzzBuffer(arity, n int) *oblivious.Buffer {
 // bumps: the seeds named as valid encodings must still decode cleanly under
 // the current section codecs — a seed that only reaches the error path stops
 // guiding the fuzzer — so a version that changes the buffer or runtime
-// section has to regenerate them. (v7 and v8 changed the runtime section —
-// the protocol-internal draw position, then the meter's call counts, left
-// it — and seed_runtime with it; the engine section's fuzz seeds are live
-// snapshots taken by core.FuzzDecodeFrameworkState itself.)
+// section has to regenerate them. (v7, v8 and v9 changed the runtime section
+// — the protocol-internal draw position, the meter's call counts, then the
+// clock left it — and seed_runtime with it; the engine and DB streams' fuzz
+// seeds are live snapshots taken by core.FuzzDecodeFrameworkState and the
+// root FuzzRestore themselves.)
 func TestSeedCorpusDecodes(t *testing.T) {
 	seed := func(target, name string) []byte {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
@@ -183,12 +196,14 @@ func TestSeedCorpusDecodes(t *testing.T) {
 	}
 	for _, name := range []string{"seed_empty_buffer", "seed_small_buffer"} {
 		dec := NewDecoder(bytes.NewReader(seed("FuzzDecodeBuffer", name)))
-		if err := DecodeBufferInto(dec, oblivious.NewBuffer(2, 0)); err != nil || dec.Finish() != nil {
+		DecodeBufferInto(dec, oblivious.NewBuffer(2, 0))
+		if err := dec.Err(); err != nil || dec.Finish() != nil {
 			t.Errorf("%s no longer decodes: %v / %v", name, err, dec.Finish())
 		}
 	}
 	dec := NewDecoder(bytes.NewReader(seed("FuzzDecodeRuntime", "seed_runtime")))
-	if err := DecodeRuntimeInto(dec, mpc.NewRuntime(mpc.DefaultCostModel(), 9)); err != nil || dec.Finish() != nil {
+	DecodeRuntimeInto(dec, mpc.NewRuntime(mpc.DefaultCostModel(), 9))
+	if err := dec.Err(); err != nil || dec.Finish() != nil {
 		t.Errorf("seed_runtime no longer decodes: %v / %v", err, dec.Finish())
 	}
 }

@@ -1,7 +1,7 @@
 // Package snapshot is the durability codec: a versioned, length-prefixed,
-// little-endian binary format for the engine's hot structures (flat payload
-// arenas, columnar oblivious buffers, the secure cache and materialized
-// view, MPC runtime state) plus the framing every snapshot shares — a magic
+// little-endian binary format for the engine's hot structures (row-major
+// oblivious buffers, the secure cache, the column-major materialized view,
+// MPC runtime state) plus the framing every snapshot shares — a magic
 // + format-version + config-fingerprint header and a CRC-32C trailer.
 //
 // Layered composition: this package knows the wire format and the data-plane
@@ -16,8 +16,8 @@
 //     internal/experiments).
 //   - Decoding is hostile-input safe. Lengths are validated before use,
 //     slice allocation grows with the bytes actually read (a forged length
-//     cannot OOM the process), and every error path returns a typed error
-//     instead of panicking; the fuzz targets in this package pin that.
+//     cannot OOM the process), and every error path latches a typed error
+//     in the Decoder instead of panicking; the fuzz targets pin that.
 //
 // Encoded bytes are deterministic for a given state: maps are serialized in
 // sorted key order, so snapshot → restore → snapshot reproduces the same
@@ -53,8 +53,13 @@ const (
 	// replaced each party's transcript with its running SHA-256 and count; v7
 	// dropped the runtime's protocol-internal draw position, a stream nothing
 	// ever drew from; v8 dropped the cache's three operation counters and the
-	// meter's per-phase call counts, which only tests read.
-	Version = 8
+	// meter's per-phase call counts, which only tests read; v9 writes each
+	// piece of engine state once, as the engine holds it — the view as its
+	// columns and packed flag words, the carry as its two sides in arrival
+	// order and its key order, without the tag and arrival-step columns — and
+	// keeps one clock, the engine's, dropping the DB's and the runtime's
+	// copies and the cache's high-water mark.
+	Version = 9
 )
 
 // Typed decode errors, distinguishable with errors.Is.
@@ -159,18 +164,19 @@ func (e *Encoder) String(s string) {
 }
 
 // I64s writes a length-prefixed []int64.
-func (e *Encoder) I64s(vs []int64) {
-	e.U32(uint32(len(vs)))
-	for _, v := range vs {
-		e.I64(v)
-	}
-}
+func (e *Encoder) I64s(vs []int64) { writeSlice(e, vs, e.I64) }
+
+// U64s writes a length-prefixed []uint64.
+func (e *Encoder) U64s(vs []uint64) { writeSlice(e, vs, e.U64) }
 
 // Bools writes a length-prefixed []bool, one byte per element.
-func (e *Encoder) Bools(vs []bool) {
+func (e *Encoder) Bools(vs []bool) { writeSlice(e, vs, e.Bool) }
+
+// writeSlice writes a length prefix, then each element with elem.
+func writeSlice[T any](e *Encoder, vs []T, elem func(T)) {
 	e.U32(uint32(len(vs)))
 	for _, v := range vs {
-		e.Bool(v)
+		elem(v)
 	}
 }
 
@@ -328,30 +334,24 @@ const allocChunk = 1 << 16
 func (d *Decoder) Len() int { return int(d.U32()) }
 
 // I64s reads a length-prefixed []int64.
-func (d *Decoder) I64s() []int64 {
-	n := d.Len()
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int64, 0, min(n, allocChunk))
-	for i := 0; i < n; i++ {
-		out = append(out, d.I64())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
+func (d *Decoder) I64s() []int64 { return readSlice(d, d.I64) }
+
+// U64s reads a length-prefixed []uint64.
+func (d *Decoder) U64s() []uint64 { return readSlice(d, d.U64) }
 
 // Bools reads a length-prefixed []bool.
-func (d *Decoder) Bools() []bool {
+func (d *Decoder) Bools() []bool { return readSlice(d, d.Bool) }
+
+// readSlice reads a length prefix, then that many elements with elem; the
+// slice grows as they are read (allocChunk).
+func readSlice[T any](d *Decoder, elem func() T) []T {
 	n := d.Len()
 	if d.err != nil {
 		return nil
 	}
-	out := make([]bool, 0, min(n, allocChunk))
+	out := make([]T, 0, min(n, allocChunk))
 	for i := 0; i < n; i++ {
-		out = append(out, d.Bool())
+		out = append(out, elem())
 		if d.err != nil {
 			return nil
 		}

@@ -65,7 +65,8 @@ func TestBufferCodecRoundTrip(t *testing.T) {
 
 			dst := oblivious.NewBuffer(arity, 0)
 			dec := NewDecoder(bytes.NewReader(data))
-			if err := DecodeBufferInto(dec, dst); err != nil {
+			DecodeBufferInto(dec, dst)
+			if err := dec.Err(); err != nil {
 				t.Fatalf("arity=%d n=%d: %v", arity, n, err)
 			}
 			if err := dec.Finish(); err != nil {
@@ -90,13 +91,13 @@ func TestBufferCodecRoundTrip(t *testing.T) {
 }
 
 // TestCacheViewCodecRoundTrip covers the cache/view wrappers: the cache's
-// arena and high-water mark, the view's slots and update counter.
+// arena, the view's slots and update counter.
 func TestCacheViewCodecRoundTrip(t *testing.T) {
 	c := securearray.New(4, 256, nil)
 	batch := sampleBuffer(4, 20)
 	c.Append(batch)
 	v := securearray.NewView(4)
-	c.ReadAndPruneInto(v, 12, 0, c.Len()) // leaves 8 slots below the 20-slot high-water mark
+	c.ReadAndPruneInto(v, 12, 0, c.Len())
 	c.Append(sampleBuffer(4, 8))
 
 	data := encodeSection(t, func(e *Encoder) {
@@ -107,48 +108,48 @@ func TestCacheViewCodecRoundTrip(t *testing.T) {
 	c2 := securearray.New(4, 256, nil)
 	v2 := securearray.NewView(4)
 	dec := NewDecoder(bytes.NewReader(data))
-	if err := DecodeCacheInto(dec, c2); err != nil {
+	DecodeCacheInto(dec, c2)
+	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := DecodeViewInto(dec, v2); err != nil {
+	DecodeViewInto(dec, v2)
+	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := dec.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if c2.Len() != c.Len() || c2.Real() != c.Real() || c2.MaxLen() != c.MaxLen() {
-		t.Fatalf("cache (%d,%d,%d), want (%d,%d,%d)", c2.Len(), c2.Real(), c2.MaxLen(), c.Len(), c.Real(), c.MaxLen())
+	if c2.Len() != c.Len() || c2.Real() != c.Real() {
+		t.Fatalf("cache (%d,%d), want (%d,%d)", c2.Len(), c2.Real(), c.Len(), c.Real())
 	}
 	if v2.Len() != v.Len() || v2.Real() != v.Real() || v2.Updates() != v.Updates() {
 		t.Fatalf("view (%d,%d,%d), want (%d,%d,%d)", v2.Len(), v2.Real(), v2.Updates(), v.Len(), v.Real(), v.Updates())
 	}
 }
 
-// TestViewSectionIsBufferSection pins the format the column-major view
-// keeps: its section is, byte for byte, EncodeBuffer of the row-major
-// equivalent followed by the update counter — so snapshots written before
-// the view was a column store still load, and ones written now load there —
-// and decoding transposes it back exactly, counter included. The lengths
-// end before, on and after the flag bitset's word boundaries.
-func TestViewSectionIsBufferSection(t *testing.T) {
+// TestViewSectionIsViewAsHeld pins the view section's layout — arity and
+// slot count, each column, the ⌈n/64⌉ packed flag words, the update counter
+// — and that decoding replaces a view's contents exactly: length, real count
+// (the popcount of the words), scan and counter, and re-encodes to the same
+// bytes. The lengths end before, on and after the flag words' boundaries.
+func TestViewSectionIsViewAsHeld(t *testing.T) {
 	for _, arity := range []int{1, 2, 4} {
 		for _, n := range []int{0, 1, 7, 63, 64, 65, 129, 130} {
 			rows := sampleBuffer(arity, n)
 			v := securearray.NewView(arity)
 			v.Update(rows)
-			want := encodeSection(t, func(e *Encoder) {
-				EncodeBuffer(e, rows)
-				e.Int(1)
-			})
 			got := encodeSection(t, func(e *Encoder) { EncodeView(e, v) })
-			if !bytes.Equal(got, want) {
-				t.Fatalf("arity=%d n=%d: view section differs from the row-major buffer section", arity, n)
+			// Between the magic and the CRC: two ints, arity length-prefixed
+			// columns of n words, the length-prefixed flag words, one int.
+			if want := len(Magic) + 16 + arity*(4+8*n) + 4 + 8*((n+63)/64) + 8 + 4; len(got) != want {
+				t.Fatalf("arity=%d n=%d: view section is %d bytes, want %d", arity, n, len(got), want)
 			}
 
 			back := securearray.NewView(arity)
 			back.Update(sampleBuffer(arity, 3)) // contents a restore must replace
 			dec := NewDecoder(bytes.NewReader(got))
-			if err := DecodeViewInto(dec, back); err != nil {
+			DecodeViewInto(dec, back)
+			if err := dec.Err(); err != nil {
 				t.Fatalf("arity=%d n=%d: %v", arity, n, err)
 			}
 			if err := dec.Finish(); err != nil {
@@ -158,10 +159,64 @@ func TestViewSectionIsBufferSection(t *testing.T) {
 				t.Fatalf("arity=%d n=%d: restored len/real/scan/updates (%d,%d,%d,%d), want (%d,%d,%d,1)",
 					arity, n, back.Len(), back.Real(), back.Count(nil), back.Updates(), n, rows.Real(), rows.Real())
 			}
-			if again := encodeSection(t, func(e *Encoder) { EncodeView(e, back) }); !bytes.Equal(again, want) {
+			if again := encodeSection(t, func(e *Encoder) { EncodeView(e, back) }); !bytes.Equal(again, got) {
 				t.Fatalf("arity=%d n=%d: restore then re-encode changed the bytes", arity, n)
 			}
 		}
+	}
+}
+
+// TestViewDecodeRejectsCorruptSections drives each check of the view
+// decoder over a well-framed section that no view could have written.
+func TestViewDecodeRejectsCorruptSections(t *testing.T) {
+	const arity, n = 2, 70
+	v := securearray.NewView(arity)
+	v.Update(sampleBuffer(arity, n))
+	cols, flag := v.Columns(), v.FlagWords()
+	// section writes a view section field by field.
+	section := func(arity, n int, cols [][]int64, flag []uint64, updates int) []byte {
+		return encodeSection(t, func(e *Encoder) {
+			e.Int(arity)
+			e.Int(n)
+			for _, col := range cols {
+				e.I64s(col)
+			}
+			e.U64s(flag)
+			e.Int(updates)
+		})
+	}
+	past := slices.Clone(flag)
+	past[1] |= 1 // slot 127, past the 70 the view holds
+	cases := []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"valid", section(arity, n, cols, flag, 1), nil},
+		{"arity", section(arity+1, n, append(slices.Clone(cols), cols[0]), flag, 1), ErrCorrupt},
+		{"negative length", section(arity, -1, cols, flag, 1), ErrCorrupt},
+		{"short column", section(arity, n, [][]int64{cols[0], cols[1][:n-1]}, flag, 1), ErrCorrupt},
+		{"flag words short", section(arity, n, cols, flag[:1], 1), ErrCorrupt},
+		{"flag words long", section(arity, n, cols, append(slices.Clone(flag), 0), 1), ErrCorrupt},
+		{"flag past the end", section(arity, n, cols, past, 1), ErrCorrupt},
+		{"negative updates", section(arity, n, cols, flag, -1), ErrCorrupt},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			back := securearray.NewView(arity)
+			dec := NewDecoder(bytes.NewReader(c.data))
+			DecodeViewInto(dec, back)
+			err := dec.Err()
+			if err == nil {
+				err = dec.Finish()
+			}
+			if !errors.Is(err, c.want) {
+				t.Fatalf("decode error %v, want %v", err, c.want)
+			}
+			if c.want == nil && (back.Len() != n || back.Real() != v.Real()) {
+				t.Fatalf("decoded %d slots, %d real; want %d, %d", back.Len(), back.Real(), n, v.Real())
+			}
+		})
 	}
 }
 
@@ -182,7 +237,8 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 	rt2.ShareToServers("c", 999)
 	rt2.JointLaplace(1.0, mpc.OpOther)
 	dec := NewDecoder(bytes.NewReader(data))
-	if err := DecodeRuntimeInto(dec, rt2); err != nil {
+	DecodeRuntimeInto(dec, rt2)
+	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := dec.Finish(); err != nil {
@@ -200,9 +256,6 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 
 	if got, _ := rt2.RecoverInside("c"); got != 17 {
 		t.Fatalf("recovered counter %d, want 17", got)
-	}
-	if rt.Now() != rt2.Now() {
-		t.Fatalf("clock %d, want %d", rt2.Now(), rt.Now())
 	}
 	// The next joint draws must coincide word for word.
 	for i := 0; i < 8; i++ {
@@ -246,7 +299,7 @@ func driveRounds(rt *mpc.Runtime, ids []mpc.PartyID, steps int) ([]float64, erro
 // goroutine, open the same values and end in the same state — every party's
 // draws, share store, transcript digest, event count and wire tally, and
 // the meter — and the in-process runtime's section is the two one-party
-// sections' party states back to back, then the shared meter and clock.
+// sections' party states back to back, then the shared meter.
 func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
 	const seed, steps = 21, 9
 	model := mpc.DefaultCostModel()
@@ -281,10 +334,7 @@ func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
 		return b[len(Magic) : len(b)-4]
 	}
 	st := both.State()
-	tail := body(func(e *Encoder) {
-		encodeMeterState(e, st.Meter)
-		e.Int(st.Now)
-	})
+	tail := body(func(e *Encoder) { encodeMeterState(e, st.Meter) })
 	var joined []byte
 	for i, r := range one {
 		if errs[i] != nil {
@@ -297,12 +347,12 @@ func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
 		if !reflect.DeepEqual(ost.Parties, st.Parties[i:i+1]) {
 			t.Errorf("party %d state %+v, in-process %+v", i, ost.Parties[0], st.Parties[i])
 		}
-		if !reflect.DeepEqual(ost.Meter, st.Meter) || ost.Now != st.Now {
-			t.Errorf("party %d meter %v at %d, in-process %v at %d", i, ost.Meter, ost.Now, st.Meter, st.Now)
+		if !reflect.DeepEqual(ost.Meter, st.Meter) {
+			t.Errorf("party %d meter %v, in-process %v", i, ost.Meter, st.Meter)
 		}
 		party, ok := bytes.CutSuffix(body(func(e *Encoder) { EncodeRuntime(e, r) }), tail)
 		if !ok {
-			t.Fatalf("party %d section does not end in the meter and clock", i)
+			t.Fatalf("party %d section does not end in the meter", i)
 		}
 		joined = append(joined, party...)
 	}
@@ -321,7 +371,8 @@ func TestDecoderRejectsDamage(t *testing.T) {
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 0; cut < len(good); cut++ {
 			dec := NewDecoder(bytes.NewReader(good[:cut]))
-			err := DecodeBufferInto(dec, fresh())
+			DecodeBufferInto(dec, fresh())
+			err := dec.Err()
 			if err == nil {
 				err = dec.Finish()
 			}
@@ -335,7 +386,8 @@ func TestDecoderRejectsDamage(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[len(bad)-5] ^= 1 // inside the last payload word, not the CRC field
 		dec := NewDecoder(bytes.NewReader(bad))
-		err := DecodeBufferInto(dec, fresh())
+		DecodeBufferInto(dec, fresh())
+		err := dec.Err()
 		if err == nil {
 			err = dec.Finish()
 		}
@@ -348,14 +400,16 @@ func TestDecoderRejectsDamage(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[3] ^= 0x40
 		dec := NewDecoder(bytes.NewReader(bad))
-		if err := DecodeBufferInto(dec, fresh()); !errors.Is(err, ErrBadMagic) {
+		DecodeBufferInto(dec, fresh())
+		if err := dec.Err(); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("want ErrBadMagic, got %v", err)
 		}
 	})
 
 	t.Run("arity-mismatch", func(t *testing.T) {
 		dec := NewDecoder(bytes.NewReader(good))
-		if err := DecodeBufferInto(dec, oblivious.NewBuffer(3, 0)); !errors.Is(err, ErrCorrupt) {
+		DecodeBufferInto(dec, oblivious.NewBuffer(3, 0))
+		if err := dec.Err(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("want ErrCorrupt for arity mismatch, got %v", err)
 		}
 	})
@@ -372,22 +426,10 @@ func TestDecoderRejectsDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-		err := DecodeBufferInto(dec, fresh())
+		DecodeBufferInto(dec, fresh())
+		err := dec.Err()
 		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("want truncated/corrupt, got %v", err)
-		}
-	})
-
-	t.Run("cache-high-water", func(t *testing.T) {
-		// A cache section whose high-water mark is below the length of the
-		// arena it follows cannot have been written by a cache.
-		section := encodeSection(t, func(e *Encoder) {
-			EncodeBuffer(e, src)
-			e.Int(src.Len() - 1)
-		})
-		dec := NewDecoder(bytes.NewReader(section))
-		if err := DecodeCacheInto(dec, securearray.New(2, 128, nil)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("want ErrCorrupt, got %v", err)
 		}
 	})
 
@@ -428,7 +470,9 @@ func TestDecoderRejectsDamage(t *testing.T) {
 			target := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
 			target.ObserveBatch(8, "transform")
 			before := target.Party(mpc.Server0).TranscriptDigest()
-			err := DecodeRuntimeInto(NewDecoder(bytes.NewReader(bad)), target)
+			dec := NewDecoder(bytes.NewReader(bad))
+			DecodeRuntimeInto(dec, target)
+			err := dec.Err()
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("want ErrCorrupt, got %v", err)
 			}
@@ -490,7 +534,8 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 
 	restored := mpc.NewRuntime(mpc.DefaultCostModel(), 5)
 	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-	if err := DecodeRuntimeInto(dec, restored); err != nil {
+	DecodeRuntimeInto(dec, restored)
+	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := dec.Finish(); err != nil {
@@ -514,14 +559,15 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // TestHeaderVersionMismatch pins the version gate: a future version and the
-// previous one (v7, whose cache section carried three operation counters and
-// whose meter carried per-phase call counts — there is no compatibility
-// reader) are both refused.
+// previous one (v8, whose view section was row-major with a flag byte per
+// slot, whose carry rows carried their tag and arrival step in join order,
+// and which held three copies of the clock and the cache's high-water mark —
+// there is no compatibility reader) are both refused.
 func TestHeaderVersionMismatch(t *testing.T) {
-	if Version != 8 {
-		t.Fatalf("format version %d, want 8", Version)
+	if Version != 9 {
+		t.Fatalf("format version %d, want 9", Version)
 	}
-	for _, v := range []uint32{Version + 7, 7} {
+	for _, v := range []uint32{Version + 7, 8} {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		enc.U32(v)

@@ -13,7 +13,10 @@ import (
 // This file holds the section codecs for the data-plane containers and the
 // MPC runtime. Each section is self-delimiting (every variable-length field
 // is length-prefixed), so sections compose by concatenation and higher
-// layers (core, incshrink) interleave their own fields freely.
+// layers (core, incshrink) interleave their own fields freely. A section
+// decoder latches its errors in the Decoder, as the Decoder's own readers
+// do, and loads nothing once one has latched: a caller decodes its sections
+// in order and checks Err (or Finish) once.
 
 // EncodeBuffer writes an oblivious.Buffer: the payload arena plus the
 // parallel flag column — 8·arity + 1 bytes per slot.
@@ -24,102 +27,83 @@ func EncodeBuffer(e *Encoder, b *oblivious.Buffer) {
 	e.Bools(b.Flags())
 }
 
-// DecodeBufferColumns reads a buffer encoded with EncodeBuffer as its two raw
-// columns — row-major payload and flags — after checking the arity and the
-// framing, for a caller that validates the contents before loading them.
-func DecodeBufferColumns(d *Decoder, wantArity int) (payload []int64, flags []bool, err error) {
+// DecodeBufferInto reloads a buffer encoded with EncodeBuffer into dst,
+// which must have the encoded arity and is reset first. The arity and the
+// framing are checked before anything is loaded; the real-slot counter is
+// rebuilt from the flag column.
+func DecodeBufferInto(d *Decoder, dst *oblivious.Buffer) {
 	arity := d.Int()
 	n := d.Int()
-	payload = d.I64s()
-	flags = d.Bools()
+	payload := d.I64s()
+	flags := d.Bools()
 	switch {
 	case d.Err() != nil:
-	case arity != wantArity:
-		d.Corrupt("buffer arity %d, restoring into arity %d", arity, wantArity)
+	case arity != dst.Arity():
+		d.Corrupt("buffer arity %d, restoring into arity %d", arity, dst.Arity())
 	case n < 0 || arity < 0 || len(flags) != n || len(payload) != n*arity:
 		d.Corrupt("buffer of %d slots carries %d flags, %d attributes", n, len(flags), len(payload))
+	default:
+		dst.Reset()
+		dst.Grow(len(flags))
+		dst.AppendColumns(payload, flags)
 	}
-	return payload, flags, d.Err()
 }
 
-// DecodeBufferInto reloads a buffer encoded with EncodeBuffer into dst,
-// which must have the encoded arity and is reset first. The real-slot
-// counter is rebuilt from the flag column.
-func DecodeBufferInto(d *Decoder, dst *oblivious.Buffer) error {
-	payload, flags, err := DecodeBufferColumns(d, dst.Arity())
-	if err != nil {
-		return err
-	}
-	dst.Reset()
-	dst.Grow(len(flags))
-	dst.AppendColumns(payload, flags)
-	return nil
-}
-
-// EncodeCache writes a securearray.Cache: its arena plus its high-water mark.
-// The runs the arena holds are not written (securearray.Cache.RestoreMaxLen).
-func EncodeCache(e *Encoder, c *securearray.Cache) {
-	EncodeBuffer(e, c.Buffer())
-	e.Int(c.MaxLen())
-}
+// EncodeCache writes a securearray.Cache: its arena. The runs the arena
+// holds are not written (securearray.Cache.Restored).
+func EncodeCache(e *Encoder, c *securearray.Cache) { EncodeBuffer(e, c.Buffer()) }
 
 // DecodeCacheInto reloads a cache encoded with EncodeCache into c (same
 // arity required; the meter and tuple width stay as constructed).
-func DecodeCacheInto(d *Decoder, c *securearray.Cache) error {
-	if err := DecodeBufferInto(d, c.Buffer()); err != nil {
-		return err
-	}
-	maxLen := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if maxLen < c.Len() {
-		d.Corrupt("cache high-water mark %d below its length %d", maxLen, c.Len())
-		return d.Err()
-	}
-	c.RestoreMaxLen(maxLen)
-	return nil
+func DecodeCacheInto(d *Decoder, c *securearray.Cache) {
+	DecodeBufferInto(d, c.Buffer())
+	c.Restored()
 }
 
-// EncodeView writes a securearray.View: the bytes EncodeBuffer would write
-// for the row-major equivalent of its column store — the payload is
-// transposed on the way out, and the flag bitset is written one 0/1 byte per
-// slot, the bools' encoding — plus the update counter.
+// EncodeView writes a securearray.View as it is held: its arity and slot
+// count, each attribute column, the packed flag words — ⌈n/64⌉ of them — and
+// the update counter.
 func EncodeView(e *Encoder, v *securearray.View) {
-	cols, n := v.Columns(), v.Len()
+	cols := v.Columns()
 	e.Int(len(cols))
-	e.Int(n)
-	e.U32(uint32(n * len(cols)))
-	for i := 0; i < n; i++ {
-		for _, col := range cols {
-			e.I64(col[i])
-		}
+	e.Int(v.Len())
+	for _, col := range cols {
+		e.I64s(col)
 	}
-	e.U32(uint32(n))
-	for i := 0; i < n; i++ {
-		e.U8(v.FlagByte(i))
-	}
+	e.U64s(v.FlagWords())
 	e.Int(v.Updates())
 }
 
 // DecodeViewInto reloads a view encoded with EncodeView into v (same arity
-// required): the buffer section is decoded and validated row-major, then
-// transposed back onto the view's columns.
-func DecodeViewInto(d *Decoder, v *securearray.View) error {
-	rows := oblivious.NewBuffer(v.Arity(), 0)
-	if err := DecodeBufferInto(d, rows); err != nil {
-		return err
+// required). Every column must hold the view's n slots and the flag words
+// must be the ⌈n/64⌉ a view of n slots keeps, no bit set at or past slot n;
+// the real-tuple count is their popcount.
+func DecodeViewInto(d *Decoder, v *securearray.View) {
+	arity, n := d.Int(), d.Int()
+	if d.Err() == nil && (arity != v.Arity() || n < 0) {
+		d.Corrupt("view of arity %d and %d slots, restoring into arity %d", arity, n, v.Arity())
 	}
+	cols := make([][]int64, 0, v.Arity())
+	for j := 0; j < v.Arity() && d.Err() == nil; j++ {
+		col := d.I64s()
+		if d.Err() == nil && len(col) != n {
+			d.Corrupt("view column %d of %d slots, the view holds %d", j, len(col), n)
+		}
+		cols = append(cols, col)
+	}
+	flag := d.U64s()
 	updates := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if updates < 0 {
+	switch {
+	case d.Err() != nil:
+	case len(flag) != (n+63)/64:
+		d.Corrupt("view of %d slots carries %d flag words", n, len(flag))
+	case n%64 != 0 && flag[len(flag)-1]<<(n%64) != 0:
+		d.Corrupt("view of %d slots flags a slot at or past its end", n)
+	case updates < 0:
 		d.Corrupt("view updates %d", updates)
-		return d.Err()
+	default:
+		v.Restore(cols, flag, n, updates)
 	}
-	v.Restore(rows, updates)
-	return nil
 }
 
 func encodePartyState(e *Encoder, st mpc.PartyState) {
@@ -207,16 +191,15 @@ func decodeMeterState(d *Decoder) mpc.MeterState {
 // parties in order (randomness positions, share stores, transcript digests
 // and event counts, wire tallies — so a crash-rejoined party with a fresh
 // connection keeps attributing transcript events to the same positions in
-// the wire conversation), the cost meter and the logical clock. The party
-// count is the runtime's, not the stream's: two for the in-process runtime,
-// one for a party process.
+// the wire conversation) and the cost meter. The party count is the
+// runtime's, not the stream's: two for the in-process runtime, one for a
+// party process. The logical clock is not here: it is the runtime owner's.
 func EncodeRuntime(e *Encoder, rt *mpc.Runtime) {
 	st := rt.State()
 	for _, p := range st.Parties {
 		encodePartyState(e, p)
 	}
 	encodeMeterState(e, st.Meter)
-	e.Int(st.Now)
 }
 
 // DecodeRuntimeInto reloads runtime state encoded with EncodeRuntime into a
@@ -225,20 +208,17 @@ func EncodeRuntime(e *Encoder, rt *mpc.Runtime) {
 // stream is rebuilt from its seed and fast-forwarded to the recorded draw
 // position — the invariant that makes restored protocol noise resume
 // exactly where the snapshotted runtime stopped.
-func DecodeRuntimeInto(d *Decoder, rt *mpc.Runtime) error {
+func DecodeRuntimeInto(d *Decoder, rt *mpc.Runtime) {
 	// The runtime's own state only sizes the party list; every field is read.
 	st := rt.State()
 	for i := range st.Parties {
 		st.Parties[i] = decodePartyState(d)
 	}
 	st.Meter = decodeMeterState(d)
-	st.Now = d.Int()
 	if d.Err() != nil {
-		return d.Err()
+		return
 	}
 	if err := rt.SetState(st); err != nil {
 		d.Corrupt("%v", err)
-		return d.Err()
 	}
-	return nil
 }

@@ -195,7 +195,8 @@ type Trace struct {
 	Config Config
 	Steps  []Step
 	// LeftTable and RightTable hold the full logical relations, used by
-	// oracle recomputation in tests and by the NM baseline.
+	// oracle recomputation in tests. (The NM baseline reads no relation: it
+	// accumulates each step's NewPairs, the truth.)
 	LeftTable, RightTable *table.Growing
 	// TotalPairs is the total number of logical join pairs over the horizon.
 	TotalPairs int

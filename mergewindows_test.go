@@ -32,11 +32,11 @@ func TestAdvanceBatchStepAllocs(t *testing.T) {
 		want  float64 // allocations per call
 		call  func() error
 	}{
-		{"Advance", 1, 8, func() error { return streamStep(seq, 64+next) }},
-		{"Advance under sDPANT", 1, 3, func() error { return ant.Advance(antSteps[next].Left, antSteps[next].Right) }},
+		{"Advance", 1, 6, func() error { return streamStep(seq, 64+next) }},
+		{"Advance under sDPANT", 1, 2, func() error { return ant.Advance(antSteps[next].Left, antSteps[next].Right) }},
 		{"Count", 1, 0, func() error { query.Count(); return nil }},
 		{"CountWhere", 1, 0, func() error { _, _, err := query.CountWhere(streamWhere); return err }},
-		{"AdvanceBatch(8)", k, 19, func() error { return bat.AdvanceBatch(batches[next]) }},
+		{"AdvanceBatch(8)", k, 2, func() error { return bat.AdvanceBatch(batches[next]) }},
 	}
 	perStep := map[string]float64{}
 	for _, c := range cases {

@@ -9,10 +9,11 @@ import (
 
 // Durability. A DB snapshot is a single self-contained stream: a versioned
 // header, the view definition and deployment options (so Restore can rebuild
-// the engine without any out-of-band configuration), the DB's own cursor
-// state, and the full engine state — cache and view arenas, contribution
-// budgets, secret-share stores, transcript digests, the cost meter and every
-// RNG draw position — closed by a CRC-32C trailer. See DESIGN.md
+// the engine without any out-of-band configuration), and the full engine
+// state — its clock, cache and view, contribution budgets, the carry,
+// secret-share stores, transcript digests, the cost meter and every RNG draw
+// position — closed by a CRC-32C trailer. The engine's clock is the DB's: it
+// is written once. See DESIGN.md
 // ("Durability") for the layout and the RNG-resume invariant.
 //
 // The contract is exact resumption: a restored DB is bit-identical to the
@@ -49,8 +50,6 @@ func (db *DB) Snapshot(w io.Writer) error {
 	enc.I64(db.opts.Seed)
 	enc.Bool(db.opts.MergeWindows)
 
-	enc.Int(db.now)
-
 	db.fw.EncodeState(enc)
 	return enc.Finish()
 }
@@ -84,26 +83,18 @@ func Restore(r io.Reader) (*DB, error) {
 	opts.MaxRight = dec.Int()
 	opts.Seed = dec.I64()
 	opts.MergeWindows = dec.Bool()
-
-	now := dec.Int()
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
 	if fp != configFingerprint(def, opts) {
 		return nil, fmt.Errorf("%w: the configuration section does not match the header", snapshot.ErrFingerprintMismatch)
 	}
-	if now < 0 {
-		return nil, fmt.Errorf("%w: logical clock %d", snapshot.ErrCorrupt, now)
-	}
 
 	db, err := Open(def, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: embedded configuration rejected: %v", snapshot.ErrCorrupt, err)
 	}
-	db.now = now
-	if err := db.fw.DecodeState(dec); err != nil {
-		return nil, err
-	}
+	db.fw.DecodeState(dec)
 	if err := dec.Finish(); err != nil {
 		return nil, err
 	}
