@@ -124,19 +124,21 @@ obs-smoke:
 # recover-smoke proves crash recovery end to end (CI runs this): snapshot a
 # deployment mid-run, restore it, and verify counts/stats stay identical to
 # an uninterrupted run — through the public API and through the serving
-# layer's checkpoint/restore-on-boot path — that what a checkpoint
-# writes beside the view does not grow with the horizon (the runtime section
-# is the same size after 10,000 steps as after 10), and that both parties of
-# a two-process session, each restored from its own session snapshot (its
-# one-party runtime section and its next step) after any step and rejoined
-# over a fresh connection, finish
+# layer's checkpoint/restore-on-boot path — that shutdown loses no
+# acknowledged upload (writers racing Close, checkpointed as soon as it
+# returns and restored, stand at exactly the steps they were told applied),
+# that what a checkpoint writes beside the view does not grow with the
+# horizon (the runtime section is the same size after 10,000 steps as after
+# 10), and that both parties of a two-process session, each restored from
+# its own session snapshot (its versioned header, one-party runtime section
+# and next step) after any step and rejoined over a fresh connection, finish
 # byte-identical to the session that never stopped. The exhaustive
 # byte-identical matrix (goldens at k in {1,37,60,119}) runs with the normal
 # test suite as internal/experiments TestCrashRecoveryReproducesGoldens.
 recover-smoke:
 	$(GO) test -count=1 -run 'TestRecoverSmoke' .
 	$(GO) test -count=1 -run 'TestFrameworkSnapshotRestoreContinues|TestRuntimeStateDoesNotGrowWithHorizon' ./internal/core
-	$(GO) test -count=1 -run 'TestRegistryCheckpointRestore|TestPeriodicCheckpointing' ./internal/serve
+	$(GO) test -count=1 -run 'TestRegistryCheckpointRestore|TestPeriodicCheckpointing|TestCloseIsAckBarrier' ./internal/serve
 	$(GO) test -count=1 -run 'TestSnapshotRejoinByteIdentical' ./internal/party
 
 # wire-smoke proves the transport stack end to end (CI runs this): build

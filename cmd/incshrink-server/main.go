@@ -1,7 +1,8 @@
 // Command incshrink-server is the multi-tenant serving front end: it hosts
-// many named IncShrink views behind an HTTP JSON API, with per-view
-// single-writer ingestion and a concurrent read path (internal/serve).
-// Each view queues at most 16 requests; a full queue answers 503 with
+// many named IncShrink views behind an HTTP JSON API (internal/serve): each
+// request runs on its handler's goroutine under its view's lock, so one
+// view's uploads apply in order while distinct views ingest in parallel.
+// Each view admits at most 16 writes in flight; the 17th answers 503 with
 // Retry-After: 1, and an advance-batch request carries at most 512 steps.
 //
 // Usage:
@@ -39,12 +40,13 @@
 // the moment of the checkpoint, including the DP protocols' randomness
 // positions, so the privacy guarantee over the whole update history is
 // unbroken by the restart. While the restore sweep runs, GET /healthz
-// reports 503; it also degrades to 503 while any view's ingest mailbox is
-// full (the state in which that view's uploads are bounced).
+// reports 503; it also degrades to 503 while any view has 16 writes in
+// flight (the state in which that view's uploads are bounced).
 //
 // SIGINT/SIGTERM triggers graceful shutdown: in-flight requests finish,
-// admitted uploads drain, final checkpoints are written, then the process
-// exits.
+// every view is closed — each upload acknowledged so far has applied, and
+// none is acknowledged afterwards — final checkpoints are written, then the
+// process exits.
 package main
 
 import (
@@ -123,24 +125,15 @@ func main() {
 				log.Warn("ops shutdown", slog.Any("error", err))
 			}
 		}
-		drained := true
-		if err := a.reg.Close(sctx); err != nil {
-			drained = false
-			log.Warn("registry close", slog.Any("error", err))
-		}
+		// Close is a barrier: once it returns, every acknowledged upload
+		// has applied and no later one can be, so the final checkpoints
+		// match exactly what every view last acknowledged. It returns nil.
+		_ = a.reg.Close(sctx)
 		if *dataDir != "" {
-			// Final checkpoints. After a clean drain the on-disk state
-			// matches exactly what every view last acknowledged; if the
-			// grace period expired mid-drain, the checkpoints are still
-			// consistent post-step states, but uploads the loops apply
-			// after this point are acknowledged without being captured.
 			if err := a.reg.CheckpointAll(); err != nil {
 				log.Error("final checkpoint", slog.Any("error", err))
-			} else if drained {
-				log.Info("checkpointed views", slog.Int("count", a.reg.Len()), slog.String("data", *dataDir))
 			} else {
-				log.Warn("checkpointed views with mailboxes still draining; late-acknowledged uploads may not be captured",
-					slog.Int("count", a.reg.Len()), slog.String("data", *dataDir))
+				log.Info("checkpointed views", slog.Int("count", a.reg.Len()), slog.String("data", *dataDir))
 			}
 		}
 	case err := <-errc:

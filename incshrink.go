@@ -203,7 +203,7 @@ func (o Options) validate() error {
 // bare DB must be confined to a single goroutine. For concurrent access
 // and multi-view hosting, route calls through the serving subsystem
 // (internal/serve, exposed by cmd/incshrink-server), which serializes
-// per-view ingestion behind a mailbox and interleaves queries safely.
+// each view's ingestion and queries under one lock per view.
 type DB struct {
 	fw   *core.Framework
 	def  ViewDef

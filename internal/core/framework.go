@@ -346,7 +346,7 @@ func (f *Framework) Step(st workload.Step) {
 
 // StepBatch ingests a contiguous run of time steps — the one step loop of
 // the engine, and the engine-side target of batched ingestion
-// (incshrink.DB.AdvanceBatch, the serving layer's mailbox coalescing). Each
+// (incshrink.DB.AdvanceBatch and the serving layer's batch uploads). Each
 // step queues its upload block (when the owners' schedule ships one), runs
 // Transform over the queued blocks if the step ends a segment, then lets the
 // Shrink protocol act (the DP protocols flush the cache at the end of theirs).

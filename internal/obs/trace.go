@@ -11,7 +11,7 @@ import (
 )
 
 // TraceID identifies one request as it moves from the HTTP handler through
-// the ingest mailbox into the engine. IDs are minted per process and only
+// the wait for its view's lock into the engine. IDs are minted per process and only
 // need to be unique within the trace ring's lifetime.
 type TraceID uint64
 
@@ -50,7 +50,7 @@ func TraceFrom(ctx context.Context) (TraceID, bool) {
 }
 
 // A Span is one timed segment of a traced request: the HTTP dispatch, the
-// wait in the ingest mailbox, the batch apply that drained it.
+// wait for the view's lock, the batch apply that followed it.
 type Span struct {
 	Trace TraceID       `json:"trace"`
 	Name  string        `json:"name"`

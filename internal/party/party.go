@@ -89,8 +89,9 @@ type Report struct {
 	// TranscriptSHA is the party's running transcript digest: SHA-256 over
 	// every event it observed, wire stamps included.
 	TranscriptSHA string `json:"transcript_sha"`
-	// SnapshotSHA digests the final session snapshot: the party's one-party
-	// runtime section and the step it would run next, the horizon.
+	// SnapshotSHA digests the final session snapshot: its versioned header,
+	// the party's one-party runtime section and the step it would run next,
+	// the horizon.
 	SnapshotSHA string `json:"snapshot_sha"`
 	// WireRounds / WireBytes are the connection counters at session end.
 	WireRounds uint64 `json:"wire_rounds"`
@@ -136,17 +137,28 @@ func Run(cfg Config, conn wire.Conn) (*Report, error) {
 
 // Resume restores a snapshot taken by a previous Run (Config.SnapshotAt)
 // into a fresh one-party runtime over a fresh connection and completes the
-// session from the step the snapshot names. opened is the prefix of values
-// the crashed run had already revealed to the protocol layer (three per
-// completed step) — they were delivered before the crash, so the application
-// persists them alongside the snapshot. The final report must be
+// session from the step the snapshot names. A snapshot of another format
+// version fails with snapshot.ErrVersionMismatch and one of another session
+// (role, seed or horizon) with snapshot.ErrFingerprintMismatch, before the
+// party sends anything. opened is the prefix of values the crashed run had
+// already revealed to the protocol layer (three per completed step) — they
+// were delivered before the crash, so the application persists them
+// alongside the snapshot. The final report must be
 // byte-identical to an uninterrupted run — the crash/rejoin contract.
 func Resume(cfg Config, snap []byte, opened []uint32, conn wire.Conn) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
 	d := snapshot.NewDecoder(bytes.NewReader(snap))
+	fp, err := snapshot.ReadHeader(d)
+	if err != nil {
+		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
+	}
+	if fp != cfg.fingerprint() {
+		return nil, fmt.Errorf("party: restoring snapshot: %w: snapshot %016x, this session %016x",
+			snapshot.ErrFingerprintMismatch, fp, cfg.fingerprint())
+	}
+	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
 	snapshot.DecodeRuntimeInto(d, rt)
 	next := d.Int()
 	if d.Err() == nil && (next < 1 || next > cfg.Steps) {
@@ -180,11 +192,22 @@ func (s *session) party() *mpc.Party { return s.rt.Party(mpc.PartyID(s.cfg.Role)
 
 func (s *session) open(v uint32) { s.opened = append(s.opened, v) }
 
-// encodeSnapshot writes the session's snapshot: the runtime section, then
-// the step the session runs next.
+// fingerprint hashes the parameters a session is constructed from — role,
+// seed, horizon and the runtime's cost model — into the header of its
+// snapshots, so Resume refuses a snapshot of another session. SnapshotAt is
+// left out: a resumed run may snapshot elsewhere.
+func (c Config) fingerprint() uint64 {
+	return snapshot.Fingerprint("party session",
+		fmt.Sprintf("role=%d seed=%d steps=%d", c.Role, c.Seed, c.Steps),
+		fmt.Sprintf("%+v", mpc.DefaultCostModel()))
+}
+
+// encodeSnapshot writes the session's snapshot: the versioned header, the
+// runtime section, then the step the session runs next.
 func (s *session) encodeSnapshot(next int) ([]byte, error) {
 	var buf bytes.Buffer
 	e := snapshot.NewEncoder(&buf)
+	snapshot.WriteHeader(e, s.cfg.fingerprint())
 	snapshot.EncodeRuntime(e, s.rt)
 	e.Int(next)
 	if err := e.Finish(); err != nil {

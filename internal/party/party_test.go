@@ -295,30 +295,54 @@ func TestSnapshotRejoinByteIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsForgedStep: a session snapshot names the step the
-// session runs next, after its runtime section. A step before the first
-// the snapshot could follow, or past the horizon, is snapshot.ErrCorrupt
-// before the party sends anything.
+// TestResumeRejectsForgedStep: a session snapshot carries the versioned
+// header, the runtime section and then the step the session runs next. A
+// step before the first the snapshot could follow, or past the horizon, is
+// snapshot.ErrCorrupt; a stream of another format version is
+// snapshot.ErrVersionMismatch; a snapshot of another session is
+// snapshot.ErrFingerprintMismatch — each before the party sends anything.
 func TestResumeRejectsForgedStep(t *testing.T) {
 	cfg := testConfig()
-	f0, _, err := RunLoopbackPair(cfg)
+	f0, f1, err := RunLoopbackPair(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := f0.Snapshot[:len(f0.Snapshot)-12] // the magic and runtime section, before the step and the CRC
+	body := f0.Snapshot[:len(f0.Snapshot)-12] // the magic, header and runtime section, before the step and the CRC
 	if got := binary.LittleEndian.Uint64(f0.Snapshot[len(body):]); got != uint64(cfg.SnapshotAt+1) {
 		t.Fatalf("snapshot after step %d resumes at %d", cfg.SnapshotAt, got)
 	}
-	for _, next := range []int64{0, -1, int64(cfg.Steps) + 1} {
-		forged := binary.LittleEndian.AppendUint64(slices.Clone(body), uint64(next))
-		forged = binary.LittleEndian.AppendUint32(forged, crc32.Checksum(forged, crc32.MakeTable(crc32.Castagnoli)))
+	// seal appends the step and the CRC-32C trailer to a stream's body.
+	seal := func(body []byte, next int64) []byte {
+		b := binary.LittleEndian.AppendUint64(slices.Clone(body), uint64(next))
+		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+	}
+	header := len(snapshot.Magic)
+	runtimeSection := body[header+12:]
+	otherVersion := slices.Clone(body)
+	binary.LittleEndian.PutUint32(otherVersion[header:], snapshot.Version+1)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   error
+	}{
+		{"step 0", seal(body, 0), snapshot.ErrCorrupt},
+		{"step -1", seal(body, -1), snapshot.ErrCorrupt},
+		{"past the horizon", seal(body, int64(cfg.Steps)+1), snapshot.ErrCorrupt},
+		// Format v8 wrote no header: the runtime section, then the runtime
+		// clock 5. Without the header that stream read as one resuming at
+		// step 5, which re-ran a round and failed with an untyped counter
+		// error.
+		{"v8 stream", seal([]byte(snapshot.Magic+string(runtimeSection)), 5), snapshot.ErrVersionMismatch},
+		{"another version", seal(otherVersion, int64(cfg.SnapshotAt)+1), snapshot.ErrVersionMismatch},
+		{"another session", f1.Snapshot, snapshot.ErrFingerprintMismatch},
+	} {
 		c0, c1 := wire.Loopback(8)
-		_, err := Resume(cfg, forged, f0.Opened[:3*(cfg.SnapshotAt+1)], c0)
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("resume at step %d: %v, want snapshot.ErrCorrupt", next, err)
+		_, err := Resume(cfg, tc.stream, f0.Opened[:3*(cfg.SnapshotAt+1)], c0)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 		}
 		if sent := c0.Stats().FramesSent; sent != 0 {
-			t.Errorf("resume at step %d sent %d frames", next, sent)
+			t.Errorf("%s: resume sent %d frames", tc.name, sent)
 		}
 		c0.Close()
 		c1.Close()
@@ -338,8 +362,8 @@ func TestOpenedValuesPinned(t *testing.T) {
 		snap [2]string
 	}{
 		{Config{Seed: 1234, Steps: 12, SnapshotAt: -1}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9", [2]string{
-			"ce6a8020879159225d9f54a369c110d69d744952a0e010ccbbae2db4645ddd7d",
-			"f62076a77e3d3505ca130d38b119417177208d2eeff2bb2e9f1124e90aae4e7a",
+			"57a1d35018d2bc8c7a1ffdfa25f830ea5812e9822b20a86fe9447b564bf05eb2",
+			"464e385e922f970eccf004163ed8e4cf8041645cce29f14b4ebd62d833d4f728",
 		}},
 		{Config{Seed: 64, Steps: 350, SnapshotAt: -1}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3", [2]string{}},
 	} {

@@ -93,9 +93,9 @@ func TestAdvanceBatchSizeCap(t *testing.T) {
 }
 
 // TestCloseCreateRace is the lifecycle race-detector test: views registered
-// while Close is draining must either be drained too (their ingest loop
-// exits before Close returns) or rejected with the typed ErrClosed — no
-// ingest goroutine may escape the drain and leak. Run under -race.
+// while Close runs must either be closed too (every later upload fails with
+// ErrClosed) or rejected with the typed ErrClosed — no view may escape the
+// close and keep acknowledging uploads. Run under -race.
 func TestCloseCreateRace(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		reg := NewRegistry(Config{})
@@ -125,13 +125,8 @@ func TestCloseCreateRace(t *testing.T) {
 		wg.Wait()
 		close(created)
 		for v := range created {
-			select {
-			case <-v.loopDone:
-			default:
-				t.Fatalf("view %s was created during Close but its ingest loop is still running after Close returned", v.name)
-			}
 			if _, err := v.Advance(context.Background(), []incshrink.Row{{1, 0}}, nil); !errors.Is(err, ErrClosed) {
-				t.Errorf("view %s: advance after close: %v", v.name, err)
+				t.Errorf("view %s was created during Close but still accepts uploads after Close returned: %v", v.name, err)
 			}
 		}
 	}

@@ -10,11 +10,12 @@ import (
 	"incshrink"
 )
 
-// TestDropCheckpointNoResurrection pins the checkpoint/Drop interleaving
-// fix: a checkpoint already riding the mailbox when Drop starts writes its
-// file first (it was admitted first), and Drop's delete is strictly ordered
-// after the drain — so the dropped tenant's snapshot cannot reappear and a
-// restarting registry restores nothing.
+// TestDropCheckpointNoResurrection pins the checkpoint/Drop interleaving:
+// an upload and a checkpoint waiting for the view's mutex when Drop starts
+// either run before Drop closes the view or fail with ErrClosed, and Drop's
+// delete is strictly ordered after any checkpoint file written — so the
+// dropped tenant's snapshot cannot reappear and a restarting registry
+// restores nothing.
 func TestDropCheckpointNoResurrection(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(Config{DataDir: dir})
@@ -28,17 +29,21 @@ func TestDropCheckpointNoResurrection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stall the ingest loop, then queue a checkpoint behind a pending
-	// upload, then start the Drop — the exact interleaving where the old
-	// layer could delete the file and have the queued checkpoint recreate
-	// it afterwards.
-	up := stallIngest(t, v, incshrink.StepRows{Left: []incshrink.Row{{2, 1}}})
+	// Hold the view, queue an upload and a checkpoint behind it, then start
+	// the Drop — the interleaving where a checkpoint could recreate the file
+	// after the delete.
+	v.mu.Lock()
+	upDone := make(chan error, 1)
+	go func() {
+		_, err := v.Advance(ctx, []incshrink.Row{{2, 1}}, nil)
+		upDone <- err
+	}()
 	cpDone := make(chan error, 1)
 	go func() {
 		_, _, err := v.Checkpoint(ctx)
 		cpDone <- err
 	}()
-	waitFor(t, func() bool { return len(v.mailbox) == 1 })
+	waitFor(t, func() bool { return v.writers.Load() == 2 })
 
 	dropDone := make(chan error, 1)
 	go func() { dropDone <- reg.Drop("sales") }()
@@ -51,15 +56,21 @@ func TestDropCheckpointNoResurrection(t *testing.T) {
 		t.Fatalf("create during drop: got %v, want ErrExists (name reserved until teardown finishes)", err)
 	}
 
-	v.mu.Unlock() // release: upload applies, checkpoint writes, loop exits, Drop deletes
-	if res := <-up; res.err != nil {
-		t.Fatalf("admitted upload failed: %v", res.err)
+	v.mu.Unlock() // release: the upload, the checkpoint and the close take the mutex in some order
+	if err := <-upDone; err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiting upload: %v, want success or ErrClosed", err)
 	}
-	if err := <-cpDone; err != nil {
-		t.Fatalf("queued checkpoint failed: %v", err)
+	if err := <-cpDone; err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiting checkpoint: %v, want success or ErrClosed", err)
 	}
 	if err := <-dropDone; err != nil {
 		t.Fatalf("drop failed: %v", err)
+	}
+	if _, err := v.Advance(ctx, []incshrink.Row{{3, 2}}, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("upload after drop: %v, want ErrClosed", err)
+	}
+	if _, _, err := v.Checkpoint(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("checkpoint after drop: %v, want ErrClosed", err)
 	}
 
 	snap := filepath.Join(dir, "sales.snap")

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +12,7 @@ import (
 
 // The HTTP JSON API over a Registry. Routes (all JSON in and out):
 //
-//	GET    /healthz                        readiness and queue pressure (503 when degraded)
+//	GET    /healthz                        readiness and write pressure (503 when degraded)
 //	GET    /v1/views                       list view names
 //	POST   /v1/views                       create a view (CreateRequest)
 //	DELETE /v1/views/{name}                drop a view
@@ -28,10 +27,15 @@ import (
 // Request bodies are decoded strictly: unknown fields and trailing data
 // are 400s, not silently ignored.
 //
-// Error mapping: unknown view -> 404, duplicate create -> 409, full ingest
-// mailbox (ErrBusy) -> 503 with Retry-After: 1, malformed input or a
-// DB-rejected upload/query -> 400, snapshot without a data directory -> 409,
-// anything unrecognized -> 500.
+// Every write (advance, advance-batch, snapshot) runs to completion on the
+// handler's goroutine under the view's lock, whether or not the client
+// stays connected.
+//
+// Error mapping: unknown view -> 404, duplicate create -> 409, a view with
+// 16 writes in flight (ErrBusy) -> 503 with Retry-After: 1, a dropped view
+// or closed registry (ErrClosed) -> 503, malformed input or a DB-rejected
+// upload/query -> 400, snapshot without a data directory -> 409, anything
+// unrecognized -> 500.
 
 // CreateRequest declares a new view.
 type CreateRequest struct {
@@ -189,8 +193,8 @@ func NewHandler(reg *Registry) http.Handler {
 		code := http.StatusOK
 		if !h.Ready {
 			// A load balancer should stop routing here: either a restore is
-			// rebuilding the tenant set, or some view's mailbox is full and
-			// its uploads are being bounced.
+			// rebuilding the tenant set, or some view has 16 writes in flight
+			// and its uploads are being bounced.
 			code = http.StatusServiceUnavailable
 		}
 		writeJSON(w, code, h)
@@ -250,11 +254,7 @@ func NewHandler(reg *Registry) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding advance request: %w", err))
 			return
 		}
-		// Once admitted, the upload is applied in order even if the client
-		// goes away, so wait detached from the request context: answering
-		// 400 on a cancelled wait would invite a retry and a double-ingested
-		// time step.
-		step, err := v.Advance(context.WithoutCancel(r.Context()), req.Left, req.Right)
+		step, err := v.Advance(r.Context(), req.Left, req.Right)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -268,9 +268,7 @@ func NewHandler(reg *Registry) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding advance-batch request: %w", err))
 			return
 		}
-		// Same detachment as the single-step route: an admitted batch is
-		// applied (atomically) even if the client goes away.
-		step, err := v.AdvanceBatch(context.WithoutCancel(r.Context()), req.Steps)
+		step, err := v.AdvanceBatch(r.Context(), req.Steps)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -310,10 +308,7 @@ func NewHandler(reg *Registry) http.Handler {
 	}))
 
 	mux.HandleFunc("POST /v1/views/{name}/snapshot", withView(reg, func(v *View, w http.ResponseWriter, r *http.Request) {
-		// The checkpoint rides the ingest mailbox like an upload, so it
-		// reflects every previously admitted step and never tears one; like
-		// an admitted upload it completes even if the client goes away.
-		path, step, err := v.Checkpoint(context.WithoutCancel(r.Context()))
+		path, step, err := v.Checkpoint(r.Context())
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -367,8 +362,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeError writes err as a JSON body; a full mailbox also gets a
-// Retry-After, since the client may simply try again.
+// writeError writes err as a JSON body; ErrBusy also gets a Retry-After,
+// since the client may simply try again.
 func writeError(w http.ResponseWriter, code int, err error) {
 	if errors.Is(err, ErrBusy) {
 		w.Header().Set("Retry-After", "1")

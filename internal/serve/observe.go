@@ -35,7 +35,7 @@ type serveMetrics struct {
 func latencyBuckets() []float64 { return obs.ExpBuckets(1e-5, 4, 12) }
 
 // newServeMetrics registers the serve families and the scrape-time gauges:
-// queue depth is summed (and the view count refreshed) inside an
+// the writes in flight are summed (and the view count refreshed) inside an
 // OnGather hook rather than on every state change, so the hot ingest path
 // never touches a Vec lookup.
 func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
@@ -43,7 +43,7 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 		advances: m.Counter("incshrink_serve_advances_total",
 			"upload steps applied across all views"),
 		rejected: m.Counter("incshrink_serve_rejected_total",
-			"upload steps refused at admission (mailbox full)"),
+			"upload steps refused at admission (too many writes in flight on the view)"),
 		failed: m.Counter("incshrink_serve_failed_total",
 			"ingest requests the engine rejected (validation failures)"),
 		batches: m.Counter("incshrink_serve_batches_total",
@@ -62,7 +62,7 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 		checkpointBytes: m.Histogram("incshrink_serve_checkpoint_bytes",
 			"size of one written view checkpoint", obs.ExpBuckets(256, 4, 12)),
 		queueDepth: m.Gauge("incshrink_serve_queue_depth",
-			"queued ingest requests summed over every view"),
+			"writes in flight (waiting for or holding a view's lock) summed over every view"),
 		views: m.Gauge("incshrink_serve_views",
 			"registered views"),
 		httpRequests: m.CounterVec("incshrink_http_requests_total",
@@ -127,16 +127,17 @@ func (r *Registry) span(trace obs.TraceID, name string, start obs.Ticks, note st
 	r.traces.Record(obs.Span{Trace: trace, Name: name, Start: start, Dur: obs.Since(start), Note: note})
 }
 
-// Health is the registry's readiness report: queue pressure plus the
+// Health is the registry's readiness report: write pressure plus the
 // restore-in-progress flag.
 type Health struct {
 	// Ready is false during a restore (views are still being re-registered,
-	// so requests would land on an incomplete tenant set) and while any
-	// view's mailbox is full, so its uploads are being bounced.
+	// so requests would land on an incomplete tenant set) and while any view
+	// has maxWriters writes in flight, so its uploads are being bounced.
 	Ready     bool `json:"ready"`
 	Restoring bool `json:"restoring"`
-	// Views is the registered view count; Queued sums the requests waiting
-	// in their mailboxes; MaxDepth is the deepest single mailbox.
+	// Views is the registered view count; Queued sums the writes in flight
+	// (waiting for or holding a view's lock); MaxDepth is the most on any
+	// one view.
 	Views    int `json:"views"`
 	Queued   int `json:"queued"`
 	MaxDepth int `json:"max_depth"`
@@ -146,12 +147,12 @@ type Health struct {
 func (r *Registry) Health() Health {
 	h := Health{Restoring: r.restoring.Load()}
 	for _, v := range r.live() {
-		d := len(v.mailbox)
+		d := int(v.writers.Load())
 		h.Views++
 		h.Queued += d
 		h.MaxDepth = max(h.MaxDepth, d)
 	}
-	h.Ready = !h.Restoring && h.MaxDepth < mailboxDepth
+	h.Ready = !h.Restoring && h.MaxDepth < maxWriters
 	return h
 }
 
@@ -168,8 +169,8 @@ func (s *statusRecorder) WriteHeader(code int) {
 
 // withObservability wraps the API mux with the request middleware: a trace
 // ID per request (minted, or adopted from a valid X-Trace-Id header),
-// echoed back in the response, carried in the context through the ingest
-// mailbox, recorded as an "http ..." span, and stamped on a structured
+// echoed back in the response, carried in the context to the view's ingest
+// spans, recorded as an "http ..." span, and stamped on a structured
 // access log line. With no metrics, traces or logger configured the
 // middleware collapses to pass-through.
 func (r *Registry) withObservability(next http.Handler) http.Handler {

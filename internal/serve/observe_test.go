@@ -14,9 +14,9 @@ import (
 	"incshrink/internal/obs"
 )
 
-// TestHealthDegradedQueue pins the degraded path: a view whose mailbox is
-// full flips the registry to unready, and /healthz answers 503 with the flat
-// report until the mailbox drains.
+// TestHealthDegradedQueue pins the degraded path: a view with maxWriters
+// writes in flight flips the registry to unready, and /healthz answers 503
+// with the flat report until they have applied.
 func TestHealthDegradedQueue(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
@@ -44,20 +44,23 @@ func TestHealthDegradedQueue(t *testing.T) {
 		t.Fatalf("healthy: code=%d %+v", code, h)
 	}
 
-	// Back the mailbox up for real: park the ingest loop, then queue
-	// uploads until the mailbox is full — exactly the state a slow view
-	// leaves behind, and the one admission rejects at.
-	first := stallIngest(t, v, incshrink.StepRows{Left: []incshrink.Row{{1, 0}}})
-	queued := make([]chan ingestResult, mailboxDepth)
-	for i := range queued {
-		queued[i] = make(chan ingestResult, 1)
-		v.mailbox <- &ingestReq{steps: []incshrink.StepRows{{Left: []incshrink.Row{{int64(i + 2), 0}}}}, done: queued[i]}
+	// Back the view up for real: hold its mutex, then start uploads until
+	// maxWriters of them wait for it — exactly the state a slow view leaves
+	// behind, and the one admission rejects at.
+	v.mu.Lock()
+	done := make(chan error, maxWriters)
+	for i := 0; i < maxWriters; i++ {
+		go func() {
+			_, err := v.Advance(context.Background(), []incshrink.Row{{int64(i + 1), 0}}, nil)
+			done <- err
+		}()
 	}
+	waitFor(t, func() bool { return v.writers.Load() == maxWriters })
 	code, h := healthz()
 	if code != http.StatusServiceUnavailable || h.Ready {
 		t.Fatalf("degraded: code=%d %+v", code, h)
 	}
-	if h.Views != 1 || h.MaxDepth != mailboxDepth || h.Queued != mailboxDepth {
+	if h.Views != 1 || h.MaxDepth != maxWriters || h.Queued != maxWriters {
 		t.Fatalf("degraded report does not show the backed-up view: %+v", h)
 	}
 	// The bounced upload is told to come back in a second.
@@ -67,13 +70,14 @@ func TestHealthDegradedQueue(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
-		t.Fatalf("upload into a full mailbox: %d, Retry-After %q; want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+		t.Fatalf("upload into a saturated view: %d, Retry-After %q; want 503 and 1", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 
 	v.mu.Unlock()
-	<-first
-	for _, done := range queued {
-		<-done
+	for i := 0; i < maxWriters; i++ {
+		if err := <-done; err != nil {
+			t.Errorf("admitted upload failed: %v", err)
+		}
 	}
 	if code, h := healthz(); code != http.StatusOK || !h.Ready || h.Queued != 0 {
 		t.Fatalf("drained: code=%d %+v", code, h)
@@ -183,7 +187,7 @@ func TestServeMetricsScrape(t *testing.T) {
 		t.Logf("scrape:\n%s", text)
 	}
 
-	// The middleware span and the mailbox's ingest spans share the trace ID
+	// The middleware span and the view's ingest spans share the trace ID
 	// minted for the request.
 	var sawHTTP, sawApply bool
 	for _, s := range traces.Spans() {

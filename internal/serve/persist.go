@@ -60,42 +60,34 @@ func snapName(file string) (string, bool) {
 	return name, true
 }
 
-// checkpoint snapshots the view's DB to its data-directory file. The view
-// mutex is held only for the in-memory encode (the DB must be quiescent
-// while its state is read); the disk write — serialize, fsync, rename —
-// happens unlocked, so readers and ingestion are never stalled behind
-// storage. Returns the file path and the view's logical time at the
-// checkpoint.
-func (v *View) checkpoint() (path string, step int, err error) {
+// checkpointAndUnlock snapshots the view's DB to its data-directory file.
+// The caller holds mu, and checkpointAndUnlock releases it: the encode runs
+// under mu (the DB must be quiescent while its state is read); fileMu is
+// taken before mu is let go, so checkpoint files are written in encode
+// order; and the disk write — fsync, rename — runs under fileMu alone, so
+// readers and writers are not stalled behind storage. Returns the file path
+// and the view's logical time at the checkpoint.
+func (v *View) checkpointAndUnlock() (path string, step int, err error) {
 	start := obs.Now()
-	written := 0
+	var buf bytes.Buffer
+	err = v.db.Snapshot(&buf)
+	step = v.db.Now()
+	v.fileMu.Lock()
+	v.mu.Unlock()
+	defer v.fileMu.Unlock()
 	defer func() {
 		if err != nil {
 			v.cpErrors.Add(1)
 		} else {
 			v.checkpoints.Add(1)
-			v.reg.met.observeCheckpoint(start, written)
+			v.reg.met.observeCheckpoint(start, buf.Len())
 		}
 	}()
-	if v.reg.cfg.DataDir == "" {
-		return "", 0, ErrNoDataDir
-	}
-	// fileMu spans encode and write: concurrent checkpointers (a periodic
-	// checkpoint racing CheckpointAll during a timed-out shutdown) are
-	// fully serialized, so an older snapshot can never rename over a newer
-	// one, and a dropped view's file is never recreated.
-	v.fileMu.Lock()
-	defer v.fileMu.Unlock()
-	if v.dropped {
-		return "", 0, fmt.Errorf("serve: checkpointing %q: %w", v.name, ErrClosed)
-	}
-	var buf bytes.Buffer
-	v.mu.Lock()
-	err = v.db.Snapshot(&buf)
-	step = v.db.Now()
-	v.mu.Unlock()
 	if err != nil {
 		return "", 0, fmt.Errorf("serve: checkpointing %q: %w", v.name, err)
+	}
+	if v.dropped {
+		return "", 0, fmt.Errorf("serve: checkpointing %q: %w", v.name, ErrClosed)
 	}
 
 	path = v.reg.snapPath(v.name)
@@ -118,37 +110,38 @@ func (v *View) checkpoint() (path string, step int, err error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", 0, fmt.Errorf("serve: checkpointing %q: %w", v.name, err)
 	}
-	written = buf.Len()
 	return path, step, nil
 }
 
-// Checkpoint writes a snapshot of the view through the ingest mailbox: it
-// is serialized with uploads exactly like an Advance, so the snapshot
-// reflects every upload admitted before it and never tears a step. A full
-// mailbox fails fast with ErrBusy; a registry without a data directory
-// fails with ErrNoDataDir.
+// Checkpoint writes a snapshot of the view on the caller's goroutine. It is
+// a write like an upload — admitted against maxWriters, refused with
+// ErrClosed once the view is closed, encoded under the view mutex — so the
+// snapshot reflects every upload acknowledged before it and never tears a
+// step. A registry without a data directory fails with ErrNoDataDir.
 func (v *View) Checkpoint(ctx context.Context) (path string, step int, err error) {
 	if v.reg.cfg.DataDir == "" {
 		return "", 0, ErrNoDataDir
 	}
-	res, err := v.submit(ctx, &ingestReq{checkpoint: true, done: make(chan ingestResult, 1)})
-	if err != nil {
+	trace, _ := obs.TraceFrom(ctx)
+	if err := v.enter(trace); err != nil {
 		return "", 0, err
 	}
-	return res.path, res.step, res.err
+	defer v.writers.Add(-1)
+	return v.checkpointAndUnlock()
 }
 
-// CheckpointAll snapshots every registered view, taking each view's mutex
-// directly (not the mailbox), so it also works after Close has drained and
-// stopped the ingest loops — the graceful-shutdown path. Errors are joined;
-// every view is attempted.
+// CheckpointAll snapshots every registered view. It takes each view's mutex
+// without admission and without the closed check, so it also works after
+// Close — the graceful-shutdown path, where it captures every acknowledged
+// upload. Errors are joined; every view is attempted.
 func (r *Registry) CheckpointAll() error {
 	if r.cfg.DataDir == "" {
 		return ErrNoDataDir
 	}
 	var errs []error
 	for _, v := range r.live() {
-		if _, _, err := v.checkpoint(); err != nil {
+		v.mu.Lock()
+		if _, _, err := v.checkpointAndUnlock(); err != nil {
 			errs = append(errs, err)
 		}
 	}

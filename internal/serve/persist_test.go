@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"incshrink"
@@ -116,9 +120,9 @@ func TestRegistryCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestPeriodicCheckpointing pins that CheckpointEvery writes through the
-// ingest loop without any explicit call, and that the snapshot lands at a
-// step boundary.
+// TestPeriodicCheckpointing pins that CheckpointEvery writes from the
+// upload that crosses the boundary without any explicit call, and that the
+// snapshot lands at a step boundary.
 func TestPeriodicCheckpointing(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(Config{DataDir: dir, CheckpointEvery: 10})
@@ -146,9 +150,8 @@ func TestPeriodicCheckpointing(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllAfterClose covers the SIGTERM path: Close drains the
-// mailboxes, then CheckpointAll persists final state with the ingest loops
-// already gone.
+// TestCheckpointAllAfterClose covers the SIGTERM path: Close closes every
+// view, then CheckpointAll persists the final state.
 func TestCheckpointAllAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(Config{DataDir: dir})
@@ -215,8 +218,8 @@ func TestSnapNameRoundTrip(t *testing.T) {
 }
 
 // TestDropWinsOverCheckpointAll pins that a drop is terminal even against
-// the direct (non-mailbox) checkpoint path: CheckpointAll on a just-dropped
-// view must not recreate its file.
+// the checkpoint path that skips the closed check: CheckpointAll on a
+// just-dropped view must not recreate its file.
 func TestDropWinsOverCheckpointAll(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(Config{DataDir: dir})
@@ -232,8 +235,10 @@ func TestDropWinsOverCheckpointAll(t *testing.T) {
 	if err := reg.Drop("t"); err != nil {
 		t.Fatal(err)
 	}
-	// The view object is still referenced; a stale checkpointer must fail.
-	if _, _, err := v.checkpoint(); err == nil {
+	// The view object is still referenced; a stale checkpointer that skips
+	// the closed check, as CheckpointAll does, must still fail.
+	v.mu.Lock()
+	if _, _, err := v.checkpointAndUnlock(); err == nil {
 		t.Fatal("checkpoint of a dropped view succeeded")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "t.snap")); !errors.Is(err, os.ErrNotExist) {
@@ -330,5 +335,82 @@ func TestHTTPSnapshotEndpoint(t *testing.T) {
 	}
 	if code := doJSON(t, esrv.Client(), "POST", esrv.URL+"/v1/views/s/snapshot", nil, nil); code != 409 {
 		t.Fatalf("snapshot without data dir: %d, want 409", code)
+	}
+}
+
+// TestCloseIsAckBarrier pins the shutdown contract: writers race
+// Registry.Close, CheckpointAll runs as soon as Close returns, and a fresh
+// registry restores the data directory. Each restored view must stand at exactly as many steps as
+// uploads on it returned success — none acknowledged and lost, none applied
+// unacknowledged.
+func TestCloseIsAckBarrier(t *testing.T) {
+	const views, writersPerView = 4, 3
+	dir := t.TempDir()
+	reg := NewRegistry(Config{DataDir: dir})
+	var acked [views]atomic.Int64
+	var wg sync.WaitGroup
+	errc := make(chan error, views*writersPerView)
+	for i := 0; i < views; i++ {
+		v, err := reg.Create(fmt.Sprintf("v%d", i), durDef(), durOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < writersPerView; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := int64(1); ; k++ {
+					_, err := v.Advance(context.Background(), []incshrink.Row{{k, 0}}, nil)
+					switch {
+					case err == nil:
+						acked[i].Add(1)
+					case errors.Is(err, ErrBusy):
+						runtime.Gosched()
+					case errors.Is(err, ErrClosed):
+						return
+					default:
+						errc <- err
+						return
+					}
+				}
+			}()
+		}
+	}
+	// Close while every writer is mid-stream.
+	waitFor(t, func() bool {
+		for i := range acked {
+			if acked[i].Load() < 10 {
+				return false
+			}
+		}
+		return true
+	})
+	if err := reg.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint at once, while writers may still be returning: whatever
+	// they are told from here on must already be in these checkpoints.
+	if err := reg.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatalf("upload failed: %v", err)
+	}
+
+	boot := NewRegistry(Config{DataDir: dir})
+	defer boot.Close(context.Background())
+	if restored, err := boot.RestoreAll(); err != nil || len(restored) != views {
+		t.Fatalf("RestoreAll: %v, %v", restored, err)
+	}
+	for i := 0; i < views; i++ {
+		v, err := boot.Get(fmt.Sprintf("v%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := v.Stats().Stats.Step, acked[i].Load(); int64(got) != want {
+			t.Errorf("view v%d restored at step %d, but %d uploads were acknowledged", i, got, want)
+		}
 	}
 }

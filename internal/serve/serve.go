@@ -2,39 +2,44 @@
 // many named IncShrink views (one incshrink.DB per tenant/view, each with
 // its own ViewDef/Options) behind a concurrency model the bare library does
 // not provide. A bare incshrink.DB is confined to a single goroutine; the
-// serve layer makes many of them jointly usable from arbitrary goroutines:
+// serve layer makes many of them jointly usable from arbitrary goroutines
+// with one lock per view, and starts no goroutine of its own:
 //
-//   - Writes go through one bounded mailbox per view (mailboxDepth requests)
-//     drained by a single ingest goroutine, which applies each request as its
-//     own incshrink.DB.AdvanceBatch. Advance stays strictly serialized per
-//     view (the paper's "owners upload in time-step order" invariant) while
-//     distinct views ingest in parallel. Batching is the owner's lever: a
-//     client that wants the paper's Figure 4 amortization sends several steps
-//     in one AdvanceBatch request.
-//   - Admission is the mailbox itself: an upload that finds it full fails fast
-//     with ErrBusy, which the HTTP front end maps to 503 + Retry-After: 1.
+//   - Every operation on a view runs on its caller's goroutine under the
+//     view's mutex. An upload is applied as one incshrink.DB.AdvanceBatch, so
+//     each view's steps stay strictly serialized (the paper's "owners upload
+//     in time-step order" invariant) while distinct views ingest in parallel.
+//     Batching is the owner's lever: a client that wants the paper's Figure 4
+//     amortization sends several steps in one AdvanceBatch request.
+//   - Admission is a per-view count of writes (uploads and checkpoints)
+//     waiting for or holding the mutex: a write that would make it exceed
+//     maxWriters fails at once with ErrBusy, which the HTTP front end maps to
+//     503 + Retry-After: 1.
 //   - The registry is one map under one RWMutex: Get is a read lock, and
 //     Create and Drop hold the write lock for a map insert or delete only —
-//     opening a DB and draining a mailbox both run outside it.
-//   - Reads (CountWhere, Stats) take the view's mutex directly and interleave
-//     between queued uploads, so queries are served while ingestion is in
-//     flight instead of waiting behind the whole mailbox. Note that "reads"
-//     still serialize on the mutex: a simulated secure query charges the
-//     view's cost meter, so it is a write at the DB layer.
+//     opening a DB and closing a view both run outside it.
+//   - Reads (CountWhere, Stats) take the same mutex and interleave with
+//     uploads in lock order. Note that "reads" are writes at the DB layer: a
+//     simulated secure query charges the view's cost meter.
 //
-// Determinism is preserved per view: because the mailbox serializes each
-// view's step order and AdvanceBatch is byte-identical to sequential
-// Advance calls, a view ingesting a given step sequence through the
-// registry — under any amount of cross-view concurrency — produces counts
+// Determinism is preserved per view: because the mutex serializes each
+// view's steps and AdvanceBatch is byte-identical to sequential Advance
+// calls, a view ingesting a given step sequence through the registry —
+// under any amount of cross-view concurrency — produces counts
 // byte-identical to a sequential single-view run at the same seed.
 //
-// Lifecycle is race-free by construction and pinned by race-detector tests:
-// a view registered concurrently with Close is either drained by Close or
-// rejected with ErrClosed (the check-and-register is atomic under the registry
-// lock Close's sweep takes after setting the closed flag), and Drop keeps
-// the name reserved until the view's ingest loop has exited and its
-// checkpoint file is gone, so neither a queued checkpoint nor an immediate
-// re-Create can resurrect a dropped tenant's state.
+// Lifecycle is race-free by construction and pinned by race-detector tests.
+// Drop and Close close a view by setting its closed flag under the view
+// mutex, and a write checks that flag under the same mutex before it
+// applies: once they return, no write can apply or be acknowledged, and
+// every write that returned success applied before them — Close is a
+// barrier for acknowledged uploads. A view registered concurrently with
+// Close is either closed by Close or rejected with ErrClosed (the
+// check-and-register is atomic under the registry lock Close's sweep takes
+// after setting the registry's closed flag), and Drop keeps the name
+// reserved until the view is closed and its checkpoint file is gone, so
+// neither a racing checkpoint nor an immediate re-Create can resurrect a
+// dropped tenant's state.
 package serve
 
 import (
@@ -53,8 +58,9 @@ import (
 )
 
 const (
-	// mailboxDepth is each view's ingest queue capacity, in requests.
-	mailboxDepth = 16
+	// maxWriters bounds the writes (uploads and checkpoints) waiting for or
+	// holding one view's mutex; a write beyond it fails with ErrBusy.
+	maxWriters = 16
 	// maxBatchSteps caps the steps one client AdvanceBatch request may carry:
 	// a batch is applied atomically under the view mutex, so an unbounded one
 	// could starve the view's readers.
@@ -63,13 +69,13 @@ const (
 
 // Sentinel errors of the serving layer.
 var (
-	// ErrBusy reports a full ingest mailbox: the upload or checkpoint was not
-	// admitted and may be retried.
-	ErrBusy = errors.New("serve: view ingest mailbox full, request not admitted")
+	// ErrBusy reports a view with maxWriters writes already in flight: the
+	// upload or checkpoint was not admitted and may be retried.
+	ErrBusy = errors.New("serve: view has too many writes in flight, request not admitted")
 	// ErrNotFound reports an unknown view name.
 	ErrNotFound = errors.New("serve: view not found")
 	// ErrExists reports a Create against a name already registered
-	// (including one still draining after a Drop).
+	// (including one whose Drop has not finished).
 	ErrExists = errors.New("serve: view already exists")
 	// ErrClosed reports an operation against a closed registry or a
 	// dropped view.
@@ -83,8 +89,9 @@ type Config struct {
 	// found there at boot, and the snapshot endpoint/periodic checkpointing
 	// become available. Empty disables persistence.
 	DataDir string
-	// CheckpointEvery checkpoints a view after every N applied uploads
-	// (through the ingest loop, so a checkpoint never tears a step).
+	// CheckpointEvery checkpoints a view after every N applied upload steps,
+	// in the write that crosses the boundary (under the view mutex, so a
+	// checkpoint never tears a step).
 	// 0 disables periodic checkpointing; explicit checkpoints and
 	// checkpoint-on-shutdown still work whenever DataDir is set.
 	CheckpointEvery int
@@ -94,8 +101,8 @@ type Config struct {
 	// Instruments observe but never perturb: per-view counts and snapshots
 	// are byte-identical with or without a Metrics registry (pinned by test).
 	Metrics *obs.Registry
-	// Traces, when non-nil, records request spans (HTTP dispatch, mailbox
-	// wait, apply) into the ring, dumpable via /debug/traces.
+	// Traces, when non-nil, records request spans (HTTP dispatch, the wait
+	// for the view lock, apply) into the ring, dumpable via /debug/traces.
 	Traces *obs.TraceLog
 	// Logger, when non-nil, emits structured access logs (with trace IDs)
 	// from the HTTP handler.
@@ -106,10 +113,9 @@ type Config struct {
 type Registry struct {
 	cfg Config
 
-	closed atomic.Bool // no new views or uploads once set
+	closed atomic.Bool // no new views once set
 	mu     sync.RWMutex
 	views  map[string]*View // guarded by mu
-	wg     sync.WaitGroup   // running ingest loops
 
 	// Observability attachments (all optional, see Config): the serve
 	// metric families, the per-view engine instrument set, the span ring
@@ -136,7 +142,7 @@ func NewRegistry(cfg Config) *Registry {
 	return r
 }
 
-// Create opens a new view under the given name and starts its ingest loop.
+// Create opens a new view under the given name.
 func (r *Registry) Create(name string, def incshrink.ViewDef, opts incshrink.Options) (*View, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: view name must be non-empty", incshrink.ErrInvalidArgument)
@@ -160,12 +166,12 @@ func (r *Registry) Create(name string, def incshrink.ViewDef, opts incshrink.Opt
 	return r.register(name, db)
 }
 
-// register installs a ready DB under name and starts its ingest loop — the
-// shared tail of Create and RestoreAll. The closed check and the map insert
-// are atomic under the registry lock: Close sets the closed flag *before*
-// sweeping the map under the same lock, so a concurrent register either
-// observes the flag (and rejects) or lands in the map before the sweep
-// (and is drained by Close). No ingest loop can escape both.
+// register installs a ready DB under name — the shared tail of Create and
+// RestoreAll. The closed check and the map insert are atomic under the
+// registry lock: Close sets the closed flag *before* sweeping the map under
+// the same lock, so a concurrent register either observes the flag (and
+// rejects) or lands in the map before the sweep (and is closed by Close).
+// No view can escape both.
 func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -175,22 +181,13 @@ func (r *Registry) register(name string, db *incshrink.DB) (*View, error) {
 	if _, ok := r.views[name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
-	v := &View{
-		name:     name,
-		reg:      r,
-		db:       db,
-		mailbox:  make(chan *ingestReq, mailboxDepth),
-		loopDone: make(chan struct{}),
-	}
+	v := &View{name: name, reg: r, db: db}
 	if r.ins != nil {
 		// Attach the engine instruments before the first step can apply, so
 		// the view's whole history is observed.
 		db.Instrument(r.ins.ForView(name))
 	}
 	r.views[name] = v
-	r.wg.Add(1)
-	//lint:allow goleak Close and Drop wait on r.wg
-	go v.ingestLoop(&r.wg)
 	return v, nil
 }
 
@@ -231,15 +228,14 @@ func (r *Registry) Names() []string {
 // Len reports how many views are registered.
 func (r *Registry) Len() int { return len(r.live()) }
 
-// Drop unregisters the named view: its ingest loop drains (uploads and
-// checkpoints already admitted to the mailbox are still applied, in order)
-// and exits, then the view's checkpoint file is deleted — DELETE means the
-// tenant is gone, not "gone until the next restart resurrects it". The name
-// stays reserved (Create returns ErrExists, Get returns ErrNotFound) until
-// the drain and the file removal have both finished, so a checkpoint riding
-// the mailbox is strictly ordered before the delete and a racing re-Create
-// of the same name can never have its fresh checkpoint eaten by the old
-// tenant's teardown. Later Advance calls fail with ErrClosed.
+// Drop unregisters the named view: it closes the view — writes that take
+// its mutex first finish, and every other write fails with ErrClosed — then
+// deletes the view's checkpoint file: DELETE means the tenant is gone, not
+// "gone until the next restart resurrects it". The name stays reserved
+// (Create returns ErrExists, Get returns ErrNotFound) until the close and
+// the file removal have both finished, so a checkpoint already encoded is
+// strictly ordered before the delete and a racing re-Create of the same name
+// can never have its fresh checkpoint eaten by the old tenant's teardown.
 func (r *Registry) Drop(name string) error {
 	r.mu.Lock()
 	v, ok := r.views[name]
@@ -250,16 +246,13 @@ func (r *Registry) Drop(name string) error {
 	v.dropping = true
 	r.mu.Unlock()
 
-	v.stop()
-	// Wait for the ingest loop to exit: every admitted upload is applied and
-	// every queued checkpoint has written its file before the delete below,
-	// so the delete is the terminal event of the tenant's history.
-	<-v.loopDone
+	v.close()
 	var rmErr error
 	if r.cfg.DataDir != "" {
-		// Marking the view dropped under fileMu closes the remaining write
-		// path (CheckpointAll bypasses the mailbox): once dropped is set and
-		// the file removed, no code path recreates it.
+		// Marking the view dropped under fileMu closes the last write path:
+		// a checkpoint encoded before the close waits for fileMu and then
+		// finds dropped set, and CheckpointAll bypasses the closed flag.
+		// Once dropped is set and the file removed, no code path recreates it.
 		v.fileMu.Lock()
 		v.dropped = true
 		err := os.Remove(r.snapPath(name))
@@ -278,46 +271,37 @@ func (r *Registry) Drop(name string) error {
 	return rmErr
 }
 
-// Close shuts the registry down gracefully: no new views or uploads are
-// admitted, every mailbox is drained (admitted uploads are applied, not
-// dropped), and Close returns when all ingest loops have exited or the
-// context is cancelled.
-func (r *Registry) Close(ctx context.Context) error {
+// Close shuts the registry down: no new views are admitted, and every view
+// is closed under its mutex — writes that take it first finish, and every
+// other write fails with ErrClosed. It is a barrier for acknowledged
+// uploads: every upload that returned success applied before Close
+// returned, so CheckpointAll after Close captures exactly what was
+// acknowledged. Reads keep working. The context is not consulted, since
+// Close waits only for writes already under way, and Close returns nil.
+func (r *Registry) Close(context.Context) error {
 	r.closed.Store(true)
 	// Sweep the map under the lock: any register that won its race against
 	// the flag is in the map by now (the insert and the flag check are atomic
-	// under the same lock), so its loop is stopped and counted in wg below —
-	// no ingest goroutine escapes the drain. Views mid-Drop are included
-	// (stop is idempotent).
-	r.mu.Lock()
+	// under the same lock), so no view escapes the close. Views mid-Drop are
+	// included (close is idempotent).
+	r.mu.RLock()
 	views := make([]*View, 0, len(r.views))
-	for _, v := range r.views { //lint:allow maporder shutdown signal only; stop order has no observable effect
+	for _, v := range r.views { //lint:allow maporder each view is closed independently; order has no observable effect
 		views = append(views, v)
 	}
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	for _, v := range views {
-		v.stop()
+		v.close()
 	}
-	done := make(chan struct{})
-	//lint:allow goleak Close receives done or returns on ctx
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return nil
 }
 
 // ServeStats are the serving-layer counters of one view, distinct from the
 // protocol-level incshrink.Stats underneath.
 type ServeStats struct {
 	// Advances counts applied upload steps; Rejected counts steps refused
-	// at admission (mailbox full); Failed counts requests the DB rejected
-	// (for example block-size violations).
+	// at admission (maxWriters writes in flight); Failed counts requests
+	// the DB rejected (for example block-size violations).
 	Advances int64 `json:"advances"`
 	Rejected int64 `json:"rejected"`
 	Failed   int64 `json:"failed"`
@@ -336,24 +320,26 @@ type ServeStats struct {
 	CheckpointErrors int64 `json:"checkpoint_errors"`
 }
 
-// View is one hosted tenant: a single incshrink.DB behind a serializing
-// mailbox. All methods are safe for concurrent use.
+// View is one hosted tenant: a single incshrink.DB behind one mutex. All
+// methods are safe for concurrent use.
 type View struct {
-	name     string
-	reg      *Registry
-	mailbox  chan *ingestReq
-	loopDone chan struct{} // closed when the ingest loop exits
+	name string
+	reg  *Registry
 
 	// dropping marks a view mid-Drop; guarded by the registry's mutex. The
-	// name stays in the map (reserving it against re-Create) until
-	// the drain and checkpoint removal finish.
+	// name stays in the map (reserving it against re-Create) until the close
+	// and checkpoint removal finish.
 	dropping bool
 
+	// writers counts the writes waiting for or holding mu: admission.
+	writers atomic.Int64
+
 	// mu guards db — the bare DB is single-goroutine (see the incshrink
-	// package docs). The ingest loop holds it per request; readers hold it
-	// per query, so reads interleave between queued uploads.
-	mu sync.Mutex
-	db *incshrink.DB
+	// package docs) — and closed, which Drop and Registry.Close set and a
+	// write checks before it applies. Writes and reads hold it per request.
+	mu     sync.Mutex
+	db     *incshrink.DB
+	closed bool
 
 	advances    atomic.Int64
 	rejected    atomic.Int64
@@ -365,140 +351,54 @@ type View struct {
 	checkpoints atomic.Int64
 	cpErrors    atomic.Int64
 
-	// closeMu guards closing and orders mailbox sends against stop()'s
-	// close; it is never held across a DB operation, so admission stays
-	// fast even while an upload holds mu.
-	closeMu sync.Mutex
-	closing bool
-
-	// fileMu serializes checkpoint-file writes (and guards dropped), so
-	// concurrent checkpointers cannot rename an older snapshot over a
-	// newer one and a Drop is terminal: once dropped is set and the file
-	// removed, no code path recreates it.
+	// fileMu serializes checkpoint-file writes (and guards dropped). A
+	// checkpointer takes it before releasing mu, so files are written in
+	// encode order and an older snapshot never renames over a newer one;
+	// and a Drop is terminal: once dropped is set and the file removed, no
+	// code path recreates it.
 	fileMu  sync.Mutex
 	dropped bool
 }
 
-// ingestReq is one mailbox item: a run of upload steps (one for a plain
-// Advance, several for an AdvanceBatch), or (checkpoint=true) a request to
-// write a snapshot. Routing checkpoints through the mailbox gives them the
-// same serialization as uploads — a checkpoint can never tear a step, and
-// it reflects every upload admitted before it.
-type ingestReq struct {
-	steps      []incshrink.StepRows
-	checkpoint bool
-	done       chan ingestResult
-
-	// trace and admitted carry the request's trace context across the
-	// mailbox: the ID minted in the HTTP handler and the admission tick,
-	// so the ingest loop can record the mailbox-wait and apply spans
-	// against the originating request.
-	trace    obs.TraceID
-	admitted obs.Ticks
-}
-
-type ingestResult struct {
-	step int
-	path string // checkpoint file, for checkpoint requests
-	err  error
-}
-
-func (v *View) ingestLoop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer close(v.loopDone)
-	for req := range v.mailbox {
-		if req.checkpoint {
-			path, step, err := v.checkpoint()
-			req.done <- ingestResult{step: step, path: path, err: err}
-			continue
-		}
-		v.apply(req)
-	}
-}
-
-// apply applies one upload request as one AdvanceBatch under the view mutex
-// and acknowledges it with the view's logical time after its last step.
-func (v *View) apply(req *ingestReq) {
-	// Wall time here feeds the latency histogram and the trace spans —
-	// advisory observability, never view state.
-	start := obs.Now()
-	v.reg.span(req.trace, "ingest.wait", req.admitted, "")
+// close makes the view refuse every later write; idempotent.
+func (v *View) close() {
 	v.mu.Lock()
-	err := v.db.AdvanceBatch(req.steps)
-	step := v.db.Now()
+	v.closed = true
 	v.mu.Unlock()
-	if req.trace != 0 {
-		v.reg.span(req.trace, "ingest.apply", start, fmt.Sprintf("steps=%d", len(req.steps)))
-	}
-	if err != nil {
-		v.failed.Add(1)
-		v.reg.met.observeFailed()
-		req.done <- ingestResult{step: step, err: err}
-		return
-	}
-	n := int64(len(req.steps))
-	v.batches.Add(1)
-	v.advances.Add(n)
-	for _, s := range req.steps {
-		v.rowsL.Add(int64(len(s.Left)))
-		v.rowsR.Add(int64(len(s.Right)))
-	}
-	v.reg.met.observeApplied(len(req.steps), start)
-	req.done <- ingestResult{step: step}
+}
 
-	// Periodic durability: checkpoint when the applied-upload counter
-	// crosses a CheckpointEvery boundary, after the acknowledgment (so the
-	// disk write never sits in an ack path) but still inside the ingest
-	// loop, before the next mailbox item — no other writer can run first,
-	// so the snapshot is exactly the post-request state. Failures are
-	// counted (and visible in stats) but do not fail any upload.
-	if every := int64(v.reg.cfg.CheckpointEvery); every > 0 && v.reg.cfg.DataDir != "" {
-		if adv := v.advances.Load(); adv/every != (adv-n)/every {
-			v.checkpoint()
+// enter admits one write and takes the view mutex for it, recording the
+// wait as the request's ingest.wait span. It fails at once with ErrBusy when
+// maxWriters writes are already in flight on the view, and with ErrClosed
+// once the view is closed. On success the caller holds mu and must call
+// v.writers.Add(-1) when its write returns.
+func (v *View) enter(trace obs.TraceID) error {
+	for {
+		n := v.writers.Load()
+		if n >= maxWriters {
+			return ErrBusy
+		}
+		if v.writers.CompareAndSwap(n, n+1) {
+			break
 		}
 	}
+	// Wall time here feeds the ingest.wait span — advisory observability,
+	// never view state.
+	start := obs.Now()
+	v.mu.Lock()
+	v.reg.span(trace, "ingest.wait", start, "")
+	if v.closed {
+		v.mu.Unlock()
+		v.writers.Add(-1)
+		return ErrClosed
+	}
+	return nil
 }
 
-// stop closes the mailbox exactly once; admitted uploads drain first.
-func (v *View) stop() {
-	v.closeMu.Lock()
-	defer v.closeMu.Unlock()
-	if v.closing {
-		return
-	}
-	v.closing = true
-	close(v.mailbox)
-}
-
-// submit admits req to the mailbox without blocking and waits for its
-// result: ErrClosed once the view is stopping, ErrBusy when the mailbox is
-// full, ctx's error if it is cancelled first (the request still runs).
-func (v *View) submit(ctx context.Context, req *ingestReq) (ingestResult, error) {
-	// The send must not race stop()'s close of the mailbox: check and send
-	// under the same lock stop() takes, making stop-then-send impossible.
-	v.closeMu.Lock()
-	if v.closing {
-		v.closeMu.Unlock()
-		return ingestResult{}, ErrClosed
-	}
-	select {
-	case v.mailbox <- req:
-		v.closeMu.Unlock()
-	default:
-		v.closeMu.Unlock()
-		return ingestResult{}, ErrBusy
-	}
-	select {
-	case res := <-req.done:
-		return res, nil
-	case <-ctx.Done():
-		return ingestResult{}, ctx.Err()
-	}
-}
-
-// enqueue admits a run of steps to the ingest queue and waits for the
-// acknowledgment — the shared body of Advance and AdvanceBatch.
-func (v *View) enqueue(ctx context.Context, steps []incshrink.StepRows) (int, error) {
+// advance applies a run of steps as one AdvanceBatch under the view mutex
+// and returns the view's logical time after its last step — the shared
+// body of Advance and AdvanceBatch.
+func (v *View) advance(ctx context.Context, steps []incshrink.StepRows) (int, error) {
 	if len(steps) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", incshrink.ErrInvalidArgument)
 	}
@@ -506,46 +406,72 @@ func (v *View) enqueue(ctx context.Context, steps []incshrink.StepRows) (int, er
 		return 0, fmt.Errorf("%w: batch of %d steps exceeds the %d-step limit",
 			incshrink.ErrInvalidArgument, len(steps), maxBatchSteps)
 	}
-	req := &ingestReq{steps: steps, done: make(chan ingestResult, 1)}
-	if id, ok := obs.TraceFrom(ctx); ok {
-		req.trace = id
-		req.admitted = obs.Now()
-	}
-	res, err := v.submit(ctx, req)
-	if errors.Is(err, ErrBusy) {
-		v.rejected.Add(int64(len(steps)))
-		v.reg.met.observeRejected(len(steps))
-	}
-	if err != nil {
+	trace, _ := obs.TraceFrom(ctx)
+	if err := v.enter(trace); err != nil {
+		if errors.Is(err, ErrBusy) {
+			v.rejected.Add(int64(len(steps)))
+			v.reg.met.observeRejected(len(steps))
+		}
 		return 0, err
 	}
-	return res.step, res.err
+	defer v.writers.Add(-1)
+	start := obs.Now()
+	err := v.db.AdvanceBatch(steps)
+	step := v.db.Now()
+	if trace != 0 {
+		v.reg.span(trace, "ingest.apply", start, fmt.Sprintf("steps=%d", len(steps)))
+	}
+	if err != nil {
+		v.mu.Unlock()
+		v.failed.Add(1)
+		v.reg.met.observeFailed()
+		return step, err
+	}
+	n := int64(len(steps))
+	v.batches.Add(1)
+	adv := v.advances.Add(n)
+	for _, s := range steps {
+		v.rowsL.Add(int64(len(s.Left)))
+		v.rowsR.Add(int64(len(s.Right)))
+	}
+	v.reg.met.observeApplied(len(steps), start)
+
+	// Periodic durability: checkpoint when the applied-step counter crosses
+	// a CheckpointEvery boundary, encoding before the mutex is released, so
+	// the snapshot is exactly the post-request state. Failures are counted
+	// (and visible in stats) but do not fail the upload, which has applied.
+	if every := int64(v.reg.cfg.CheckpointEvery); every > 0 && v.reg.cfg.DataDir != "" && adv/every != (adv-n)/every {
+		v.checkpointAndUnlock()
+	} else {
+		v.mu.Unlock()
+	}
+	return step, nil
 }
 
-// Advance admits one time step of uploads to the view's ingest queue and
-// waits for it to be applied, returning the view's logical time after the
-// step. A full mailbox fails fast with ErrBusy (the caller should retry or
-// shed load); a dropped view or closed registry fails with ErrClosed. If ctx
-// is cancelled while the upload is queued, Advance returns the context error
-// but the upload is still applied in order.
+// Advance applies one time step of uploads on the caller's goroutine and
+// returns the view's logical time after the step. A view with maxWriters
+// writes in flight fails fast with ErrBusy (the caller should retry or shed
+// load); a dropped view or closed registry fails with ErrClosed. ctx carries
+// the request's trace ID; an admitted write is not cancellable and runs to
+// completion.
 func (v *View) Advance(ctx context.Context, left, right []incshrink.Row) (int, error) {
-	return v.enqueue(ctx, []incshrink.StepRows{{Left: left, Right: right}})
+	return v.advance(ctx, []incshrink.StepRows{{Left: left, Right: right}})
 }
 
-// AdvanceBatch admits a contiguous run of time steps as one all-or-nothing
-// unit and waits for it, returning the view's logical time after the last
-// step. The batch inherits incshrink.DB.AdvanceBatch's contract: either
-// every step applies, in order, or none do (the error names the offending
-// step). The batch takes one mailbox slot, and batches above 512 steps are
-// rejected outright (they would hold the view mutex for their whole atomic
+// AdvanceBatch applies a contiguous run of time steps as one all-or-nothing
+// unit, returning the view's logical time after the last step. The batch
+// inherits incshrink.DB.AdvanceBatch's contract: either every step applies,
+// in order, or none do (the error names the offending step). The batch is
+// one write for admission, and batches above 512 steps are rejected
+// outright (they would hold the view mutex for their whole atomic
 // application).
 func (v *View) AdvanceBatch(ctx context.Context, steps []incshrink.StepRows) (int, error) {
-	return v.enqueue(ctx, steps)
+	return v.advance(ctx, steps)
 }
 
 // CountWhere answers a count over the materialized view — the standing
-// view-count query when no condition is given. It is served immediately
-// (interleaving with ingestion) rather than queued behind the mailbox.
+// view-count query when no condition is given — under the view mutex,
+// interleaving with uploads.
 func (v *View) CountWhere(conds ...incshrink.Where) (n int, qetSeconds float64, err error) {
 	start := obs.Now()
 	v.mu.Lock()

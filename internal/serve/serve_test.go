@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -128,10 +129,10 @@ func TestAdvanceUploadErrorCounted(t *testing.T) {
 	}
 }
 
-// TestMailboxAdmission parks the ingest loop and fills the mailbox: the
-// overflow must bounce with ErrBusy while the admitted uploads are applied
-// once the loop is released.
-func TestMailboxAdmission(t *testing.T) {
+// TestWriterAdmission holds the view mutex and fills the view with
+// writers: maxWriters of them wait, every one beyond bounces at once with
+// ErrBusy, and every admitted one applies once the mutex is released.
+func TestWriterAdmission(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
 	v, err := reg.Create("v", testDef(), testOpts(1))
@@ -141,50 +142,71 @@ func TestMailboxAdmission(t *testing.T) {
 
 	ctx := context.Background()
 	row := []incshrink.Row{{1, 0}}
-	first := stallIngest(t, v, incshrink.StepRows{Left: row})
-	done := make(chan error, mailboxDepth)
-	for i := 0; i < mailboxDepth; i++ {
+	v.mu.Lock()
+	done := make(chan error, maxWriters)
+	for i := 0; i < maxWriters; i++ {
 		go func() {
 			_, err := v.Advance(ctx, row, nil)
 			done <- err
 		}()
 	}
-	waitFor(t, func() bool { return len(v.mailbox) == mailboxDepth })
+	waitFor(t, func() bool { return v.writers.Load() == maxWriters })
 
 	// Overflow must bounce immediately with ErrBusy — synchronously, even
-	// though the ingest loop is parked.
+	// though the mutex is held.
 	for i := 0; i < 5; i++ {
 		if _, err := v.Advance(ctx, row, nil); !errors.Is(err, ErrBusy) {
 			t.Fatalf("overflow %d: expected ErrBusy, got %v", i, err)
 		}
 	}
 	v.mu.Unlock()
-	if res := <-first; res.err != nil {
-		t.Errorf("stalled upload failed: %v", res.err)
-	}
-	for i := 0; i < mailboxDepth; i++ {
+	for i := 0; i < maxWriters; i++ {
 		if err := <-done; err != nil {
 			t.Errorf("admitted upload failed: %v", err)
 		}
 	}
 	st := v.Stats()
-	if st.Serve.Advances != mailboxDepth+1 || st.Serve.Rejected != 5 {
-		t.Errorf("advances=%d rejected=%d, want %d/5", st.Serve.Advances, st.Serve.Rejected, mailboxDepth+1)
+	if st.Serve.Advances != maxWriters || st.Serve.Rejected != 5 || st.Stats.Step != maxWriters {
+		t.Errorf("advances=%d rejected=%d step=%d, want %d/5/%d", st.Serve.Advances, st.Serve.Rejected, st.Stats.Step, maxWriters, maxWriters)
+	}
+	if n := v.writers.Load(); n != 0 {
+		t.Errorf("%d writers still counted after every write returned", n)
 	}
 }
 
-// stallIngest parks v's ingest loop deterministically: it takes the view
-// mutex, pushes one upload straight into the mailbox and returns once the
-// loop has taken it, so the loop is blocked on the mutex and every later
-// request stays queued in admission order until the caller releases the
-// loop with v.mu.Unlock(). The returned channel carries the upload's result.
-func stallIngest(t *testing.T, v *View, first incshrink.StepRows) <-chan ingestResult {
-	t.Helper()
-	v.mu.Lock()
-	done := make(chan ingestResult, 1)
-	v.mailbox <- &ingestReq{steps: []incshrink.StepRows{first}, done: done}
-	waitFor(t, func() bool { return len(v.mailbox) == 0 })
-	return done
+// TestViewsStartNoGoroutines pins that a view is one mutex, not a worker:
+// creating, writing to and dropping 64 views leaves the goroutine count
+// where it was. Goroutines other tests leave behind may come and go
+// meanwhile, so a few attempts are allowed; one goroutine per view would
+// fail every one of them.
+func TestViewsStartNoGoroutines(t *testing.T) {
+	reg := NewRegistry(Config{})
+	defer reg.Close(context.Background())
+	ctx := context.Background()
+	var counts [3]int
+	for attempt := 0; attempt < 5; attempt++ {
+		counts[0] = runtime.NumGoroutine()
+		for i := 0; i < 64; i++ {
+			v, err := reg.Create(fmt.Sprintf("v%d", i), testDef(), testOpts(int64(i+1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.Advance(ctx, []incshrink.Row{{1, 0}}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts[1] = runtime.NumGoroutine()
+		for i := 0; i < 64; i++ {
+			if err := reg.Drop(fmt.Sprintf("v%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		counts[2] = runtime.NumGoroutine()
+		if counts[1] == counts[0] && counts[2] == counts[0] {
+			return
+		}
+	}
+	t.Fatalf("goroutines before, with and after 64 views: %v", counts)
 }
 
 // waitFor polls cond until true or the deadline expires.
@@ -213,8 +235,9 @@ func TestCloseDrainsAdmittedUploads(t *testing.T) {
 			errs <- err
 		}(i)
 	}
-	// Close concurrently with the uploads: whatever was admitted must be
-	// applied, not dropped, and Close must wait for the loop to exit.
+	// Close concurrently with the uploads: every acknowledged upload must
+	// have applied by the time Close returns, and the rest fail with
+	// ErrClosed (or ErrBusy).
 	if err := reg.Close(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,13 @@ type Encoder struct {
 	crc     hash.Hash32
 	err     error
 	scratch [8]byte
+	chunk   [chunkBytes]byte
 }
+
+// chunkBytes is how much of a word slice I64s and U64s frame at a time:
+// one buffered write or read and one CRC update per chunk rather than per
+// word.
+const chunkBytes = 4096
 
 // NewEncoder starts a snapshot stream on w and writes the magic.
 func NewEncoder(w io.Writer) *Encoder {
@@ -164,19 +170,30 @@ func (e *Encoder) String(s string) {
 }
 
 // I64s writes a length-prefixed []int64.
-func (e *Encoder) I64s(vs []int64) { writeSlice(e, vs, e.I64) }
+func (e *Encoder) I64s(vs []int64) { writeWords(e, vs) }
 
 // U64s writes a length-prefixed []uint64.
-func (e *Encoder) U64s(vs []uint64) { writeSlice(e, vs, e.U64) }
+func (e *Encoder) U64s(vs []uint64) { writeWords(e, vs) }
+
+// writeWords writes a length prefix, then each word little-endian, a chunk
+// of words at a time.
+func writeWords[T int64 | uint64](e *Encoder, vs []T) {
+	e.U32(uint32(len(vs)))
+	for len(vs) > 0 {
+		k := min(len(vs), chunkBytes/8)
+		for i, v := range vs[:k] {
+			binary.LittleEndian.PutUint64(e.chunk[8*i:], uint64(v))
+		}
+		e.bytes(e.chunk[:8*k])
+		vs = vs[k:]
+	}
+}
 
 // Bools writes a length-prefixed []bool, one byte per element.
-func (e *Encoder) Bools(vs []bool) { writeSlice(e, vs, e.Bool) }
-
-// writeSlice writes a length prefix, then each element with elem.
-func writeSlice[T any](e *Encoder, vs []T, elem func(T)) {
+func (e *Encoder) Bools(vs []bool) {
 	e.U32(uint32(len(vs)))
 	for _, v := range vs {
-		elem(v)
+		e.Bool(v)
 	}
 }
 
@@ -211,6 +228,7 @@ type Decoder struct {
 	crc     hash.Hash32
 	err     error
 	scratch [8]byte
+	chunk   [chunkBytes]byte
 }
 
 // NewDecoder starts reading a snapshot stream and checks the magic.
@@ -334,24 +352,42 @@ const allocChunk = 1 << 16
 func (d *Decoder) Len() int { return int(d.U32()) }
 
 // I64s reads a length-prefixed []int64.
-func (d *Decoder) I64s() []int64 { return readSlice(d, d.I64) }
+func (d *Decoder) I64s() []int64 { return readWords[int64](d) }
 
 // U64s reads a length-prefixed []uint64.
-func (d *Decoder) U64s() []uint64 { return readSlice(d, d.U64) }
+func (d *Decoder) U64s() []uint64 { return readWords[uint64](d) }
 
-// Bools reads a length-prefixed []bool.
-func (d *Decoder) Bools() []bool { return readSlice(d, d.Bool) }
-
-// readSlice reads a length prefix, then that many elements with elem; the
-// slice grows as they are read (allocChunk).
-func readSlice[T any](d *Decoder, elem func() T) []T {
+// readWords reads a length prefix, then that many little-endian words a
+// chunk at a time; the slice grows as they are read (allocChunk).
+func readWords[T int64 | uint64](d *Decoder) []T {
 	n := d.Len()
 	if d.err != nil {
 		return nil
 	}
 	out := make([]T, 0, min(n, allocChunk))
+	for len(out) < n {
+		b := d.chunk[:8*min(n-len(out), chunkBytes/8)]
+		d.bytes(b)
+		if d.err != nil {
+			return nil
+		}
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, T(binary.LittleEndian.Uint64(b[i:])))
+		}
+	}
+	return out
+}
+
+// Bools reads a length-prefixed []bool; the slice grows as elements are
+// read (allocChunk).
+func (d *Decoder) Bools() []bool {
+	n := d.Len()
+	if d.err != nil {
+		return nil
+	}
+	out := make([]bool, 0, min(n, allocChunk))
 	for i := 0; i < n; i++ {
-		out = append(out, elem())
+		out = append(out, d.Bool())
 		if d.err != nil {
 			return nil
 		}

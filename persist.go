@@ -30,7 +30,7 @@ func configFingerprint(def ViewDef, opts Options) uint64 {
 // Snapshot serializes the database to w. The DB remains usable; the
 // snapshot captures the state as of the last completed Advance/query (a
 // snapshot never tears a step because the bare DB is single-goroutine, and
-// the serving layer serializes checkpoints behind the ingest mailbox).
+// the serving layer encodes checkpoints under the view's lock).
 func (db *DB) Snapshot(w io.Writer) error {
 	enc := snapshot.NewEncoder(w)
 	snapshot.WriteHeader(enc, configFingerprint(db.def, db.opts))
