@@ -12,7 +12,6 @@ import (
 // no reference outside their own package's tests, each with what keeps it.
 var deadExportsKept = map[string]string{
 	"dp.DummyInsertedBound": "theorem bound; ROADMAP item 3 asserts against it or deletes it",
-	"dp.ANTDeferredBound":   "theorem bound; ROADMAP item 3",
 	"dp.FlushSizeFor":       "theorem bound; ROADMAP item 3",
 	"gmw.Bit.Open":          "gate library; ROADMAP item 6 runs the engine on it",
 	"gmw.EqualShape":        "gate library; ROADMAP item 6",

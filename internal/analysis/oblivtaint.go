@@ -444,8 +444,6 @@ func (t *taintScan) sourceCall(call *ast.CallExpr) (string, bool) {
 				return "oblivious.Buffer." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/oblivious") && tname == "Union" && fn.Name() == "Key":
 				return "oblivious.Union.Key", true
-			case taintPkg(pkgPath, "internal/securearray") && tname == "View" && (fn.Name() == "Columns" || fn.Name() == "FlagWords"):
-				return "securearray.View." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/table") && tableSources[tname+"."+fn.Name()]:
 				return "table." + tname + "." + fn.Name(), true
 			case taintPkg(pkgPath, "internal/gmw") && tname == "Bit" && fn.Name() == "Open":

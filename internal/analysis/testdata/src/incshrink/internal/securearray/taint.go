@@ -78,21 +78,9 @@ type View struct {
 	cols [][]int64
 }
 
-// FlagWords is the view's packed-flag accessor, a registered source.
-func (v *View) FlagWords() []uint64 { return v.flag }
-
 func branchOnViewFlag(v *View) (n int) {
 	for i := 0; i < len(v.flag); i++ { // the column's length is public
 		if v.flag[i]&1 == 1 { // want `secret-tainted value \(from securearray\.View\.flag\) controls a branch condition`
-			n++
-		}
-	}
-	return n
-}
-
-func branchOnViewFlagWords(v *View) (n int) {
-	for i := 0; i < v.n; i++ {
-		if v.FlagWords()[i/64]>>(63-i%64)&1 == 1 { // want `secret-tainted value \(from securearray\.View\.FlagWords\) controls a branch condition`
 			n++
 		}
 	}

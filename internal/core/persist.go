@@ -67,9 +67,9 @@ func (f *Framework) Restore(r io.Reader) error {
 // section (no header or trailer), for embedding in a larger snapshot such
 // as incshrink.DB's.
 func (f *Framework) EncodeState(enc *snapshot.Encoder) {
-	snapshot.EncodeRuntime(enc, f.rt)
-	snapshot.EncodeCache(enc, f.cache)
-	snapshot.EncodeView(enc, f.view)
+	f.rt.EncodeState(enc)
+	f.cache.EncodeState(enc)
+	f.view.EncodeState(enc)
 
 	// Clock, ledgers, carry: each decoder checks against what came before.
 	// Left arrivals never outlive a step, so only the right side's are state.
@@ -77,8 +77,8 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	encodeLedger(enc, f.str[left].live)
 	encodeLedger(enc, f.str[right].live)
 	f.encodeCarry(enc)
-	snapshot.EncodeBuffer(enc, f.pending[right])
-	snapshot.EncodeBuffer(enc, f.overflow)
+	f.pending[right].EncodeState(enc)
+	f.overflow.EncodeState(enc)
 
 	enc.I64(f.dummyID)
 	enc.Int(f.created)
@@ -91,10 +91,17 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 // DecodeState reloads state written by EncodeState; like the section
 // decoders it is built from, it latches its errors in dec. The caller is
 // responsible for fingerprint/framing checks.
+//
+// The ledgers pin the clock only to its upload period: a clock moved by a
+// period or more is ErrCorrupt, one moved inside it restores. Under sDPTimer
+// no other state records the step inside the period — the transcript, the
+// round tally, the cache and the view change only at a view update, on the
+// T-grid — so catching that clock takes the step schedule, which a public
+// step plan (ROADMAP item 21) will own; it is not copied here.
 func (f *Framework) DecodeState(dec *snapshot.Decoder) {
-	snapshot.DecodeRuntimeInto(dec, f.rt)
-	snapshot.DecodeCacheInto(dec, f.cache)
-	snapshot.DecodeViewInto(dec, f.view)
+	f.rt.DecodeState(dec)
+	f.cache.DecodeState(dec)
+	f.view.DecodeState(dec)
 
 	// The runtime's clock is the engine's: the step that ran last.
 	f.now = dec.Int()
@@ -106,8 +113,8 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) {
 	f.str[left].decode(dec, last)
 	f.str[right].decode(dec, last)
 	f.decodeCarry(dec)
-	snapshot.DecodeBufferInto(dec, f.pending[right])
-	snapshot.DecodeBufferInto(dec, f.overflow)
+	f.pending[right].DecodeState(dec)
+	f.overflow.DecodeState(dec)
 
 	f.dummyID = dec.I64()
 	f.created = dec.Int()

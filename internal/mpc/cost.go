@@ -24,8 +24,9 @@
 package mpc
 
 import (
-	"fmt"
 	"math/bits"
+
+	"incshrink/internal/snapshot"
 )
 
 // CostModel holds the gate-level constants used to charge secure operations.
@@ -188,23 +189,26 @@ func (m *Meter) Reset() {
 	m.gates = [numOps]float64{}
 }
 
-// MeterState is the serializable accumulator state of a Meter (per-phase
-// gate totals, indexed by Op). The cost model is a construction parameter,
-// not state.
-type MeterState struct {
-	Gates []float64
-}
-
-// State snapshots the accumulators.
-func (m *Meter) State() MeterState {
-	return MeterState{Gates: append([]float64(nil), m.gates[:]...)}
-}
-
-// SetState restores accumulators snapshotted with State.
-func (m *Meter) SetState(st MeterState) error {
-	if len(st.Gates) != int(numOps) {
-		return fmt.Errorf("mpc: meter state carries %d phases, want %d", len(st.Gates), numOps)
+// encodeState writes the per-phase gate totals, indexed by Op. The cost
+// model is a construction parameter, not state.
+func (m *Meter) encodeState(e *snapshot.Encoder) {
+	e.U32(uint32(numOps))
+	for _, g := range m.gates {
+		e.F64(g)
 	}
-	copy(m.gates[:], st.Gates)
-	return nil
+}
+
+// decodeState reads totals written by encodeState; a count of phases other
+// than this build's, or a short stream, loads nothing.
+func (m *Meter) decodeState(d *snapshot.Decoder) {
+	if n := d.Len(); d.Err() == nil && n != int(numOps) {
+		d.Corrupt("meter state carries %d phases, want %d", n, numOps)
+	}
+	var gates [numOps]float64
+	for i := range gates {
+		gates[i] = d.F64()
+	}
+	if d.Err() == nil {
+		m.gates = gates
+	}
 }

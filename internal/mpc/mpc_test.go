@@ -1,14 +1,19 @@
 package mpc
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"crypto/sha512"
+	"encoding"
 	"errors"
 	"math"
 	"slices"
 	"sync"
 	"testing"
 
+	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/wire"
 )
 
@@ -296,7 +301,7 @@ func hashEvents(events []Event) [sha256.Size]byte {
 // and event count must equal SHA-256 over, and the length of, the full list
 // of events a recorder attached from construction saw — at every point of a
 // run of share / recover / joint-Laplace / observe steps, and across a
-// State/SetState round trip into a fresh runtime taken mid-run (the digest
+// snapshot round trip into a fresh runtime taken mid-run (the digest
 // resumes; the recorder, which is not state, keeps collecting).
 func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
 	r, tr0, tr1 := recordedRuntime(12)
@@ -338,11 +343,11 @@ func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
 		t.Fatal("events carry no wire stamps; the digest comparison would not cover them")
 	}
 
-	st := r.State()
+	st := encodeSection(t, r.EncodeState)
 	r = NewRuntime(DefaultCostModel(), 12)
 	r.Party(Server0).Record(tr0)
 	r.Party(Server1).Record(tr1)
-	if err := r.SetState(st); err != nil {
+	if err := decodeSection(st, r.DecodeState); err != nil {
 		t.Fatal(err)
 	}
 	check("restored")
@@ -361,41 +366,92 @@ func TestRunningDigestEqualsHashOfRecordedEvents(t *testing.T) {
 	}
 }
 
-// TestSetStateRefusesBadDigestState: a hash state that does not unmarshal is
-// an error that leaves the party as it was — never a silently fresh digest.
-// So is a runtime state with another party count than the runtime's.
-func TestSetStateRefusesBadDigestState(t *testing.T) {
+// encodeSection writes one section into a snapshot stream.
+func encodeSection(t *testing.T, write func(*snapshot.Encoder)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := snapshot.NewEncoder(&buf)
+	write(e)
+	if err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeSection reads one section from a stream encodeSection wrote.
+func decodeSection(data []byte, read func(*snapshot.Decoder)) error {
+	d := snapshot.NewDecoder(bytes.NewReader(data))
+	read(d)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return d.Finish()
+}
+
+// pastBound is a stream whose position is past what a restore replays.
+type pastBound struct{}
+
+func (pastBound) Uint32() uint32 { return 0 }
+func (pastBound) Draws() uint64  { return dp.MaxResumeDraws + 1 }
+
+// TestDecodeStateRefusesBadDigestState: a party section whose hash state
+// does not unmarshal, or whose draw position is past the resumable bound, is
+// ErrCorrupt and leaves the party as it was — never a silently fresh digest
+// or stream. The encoder refuses to write either, so a checkpoint fails at
+// once rather than at the next boot.
+func TestDecodeStateRefusesBadDigestState(t *testing.T) {
 	r := NewRuntime(DefaultCostModel(), 13)
 	r.ObserveBatch(8, "transform")
 	s0 := r.Party(Server0)
 	before := s0.TranscriptDigest()
-	for name, damage := range map[string]func([]byte) []byte{
-		"short":     func(b []byte) []byte { return b[:len(b)-1] },
-		"long":      func(b []byte) []byte { return append(b, 0) },
-		"empty":     func([]byte) []byte { return nil },
-		"bad magic": func(b []byte) []byte { b[0] ^= 0xff; return b },
+	state, _ := s0.digest.(encoding.BinaryMarshaler).MarshalBinary()
+	if len(state) != digestStateLen {
+		t.Fatalf("marshaled digest state is %d bytes, digestStateLen = %d", len(state), digestStateLen)
+	}
+	// section writes a party section field by field, as encodeState does.
+	section := func(draws uint64, digest []byte) []byte {
+		return encodeSection(t, func(e *snapshot.Encoder) {
+			e.U64(draws)
+			e.U32(0)
+			e.String(string(digest))
+			e.U64(1)
+			e.U64(0)
+			e.U64(0)
+		})
+	}
+	if err := decodeSection(section(0, state), s0.decodeState); err != nil {
+		t.Fatalf("the undamaged section: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"short digest":     section(0, state[:len(state)-1]),
+		"long digest":      section(0, append(slices.Clone(state), 0)),
+		"empty digest":     section(0, nil),
+		"bad digest magic": section(0, append([]byte{state[0] ^ 0xff}, state[1:]...)),
+		"draws past bound": section(dp.MaxResumeDraws+1, state),
 	} {
-		st := s0.State()
-		st.Digest = damage(st.Digest)
-		if err := s0.SetState(st); err == nil {
-			t.Errorf("%s digest state accepted", name)
+		if err := decodeSection(data, s0.decodeState); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: decode error %v, want ErrCorrupt", name, err)
 		}
 		if s0.TranscriptDigest() != before || s0.EventCount() != 1 {
-			t.Errorf("%s digest state changed the party", name)
+			t.Errorf("%s changed the party", name)
 		}
 	}
-	one := r.State()
-	one.Parties = one.Parties[:1]
-	gates := r.Meter.TotalGates()
-	one.Meter.Gates = slices.Repeat([]float64{9}, len(one.Meter.Gates))
-	if err := r.SetState(one); err == nil {
-		t.Error("a one-party state restored into a two-party runtime")
-	}
-	if s0.TranscriptDigest() != before || r.Meter.TotalGates() != gates {
-		t.Error("a state of the wrong party count changed the runtime")
-	}
-	if got := len(s0.State().Digest); got != DigestStateLen {
-		t.Errorf("marshaled digest state is %d bytes, DigestStateLen = %d", got, DigestStateLen)
+
+	var buf bytes.Buffer
+	for _, c := range []struct {
+		name   string
+		damage func(p *Party)
+	}{
+		{"draws past bound", func(p *Party) { p.rng = pastBound{} }},
+		{"foreign digest", func(p *Party) { p.digest = sha512.New() }},
+	} {
+		p := NewParty(Server0, 1)
+		c.damage(p)
+		e := snapshot.NewEncoder(&buf)
+		p.encodeState(e)
+		if e.Finish() == nil {
+			t.Errorf("%s: encoded a party section a restore would refuse", c.name)
+		}
 	}
 }
 

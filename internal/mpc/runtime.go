@@ -8,9 +8,11 @@ import (
 	"hash"
 	"maps"
 	"math/rand"
+	"slices"
 
 	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/wire"
 )
 
@@ -128,8 +130,8 @@ func (tr *Transcript) DigestWithoutWire() [sha256.Size]byte {
 	return sha256.Sum256(b)
 }
 
-// DigestStateLen is the length of a marshaled SHA-256 state.
-const DigestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
+// digestStateLen is the length of a marshaled SHA-256 state.
+const digestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
 
 // Party models one outsourcing server: its local share store, its private
 // randomness, the running SHA-256 and count of the events it has observed,
@@ -141,7 +143,7 @@ const DigestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
 type Party struct {
 	ID         PartyID
 	seed       int64
-	rng        *dp.CountingRNG
+	rng        drawCounter
 	store      map[string]secretshare.Word
 	digest     hash.Hash
 	events     uint64
@@ -162,6 +164,13 @@ type Party struct {
 	// labels holds the event label of each key re-shared so far (share); it
 	// is derived, not state.
 	labels map[string]string
+}
+
+// drawCounter is a party's private stream: a *dp.CountingRNG, whose draw
+// position a snapshot records.
+type drawCounter interface {
+	dp.RNG
+	Draws() uint64
 }
 
 // NewParty creates a server with its own private randomness stream. The
@@ -194,57 +203,77 @@ func (p *Party) TranscriptDigest() [sha256.Size]byte {
 // EventCount returns the number of events observed so far.
 func (p *Party) EventCount() uint64 { return p.events }
 
-// PartyState is the serializable mutable state of a Party: the private
-// randomness position, the share store, the transcript digest (the running
-// SHA-256's marshaled state) with its event count, and the wire tally.
-// The party's identity and seed are construction parameters, not state.
-type PartyState struct {
-	Draws      uint64
-	Store      map[string]secretshare.Word
-	Digest     []byte
-	EventCount uint64
-	WireRounds uint64
-	WireBytes  uint64
-}
-
-// State snapshots the party (the store is copied).
-func (p *Party) State() PartyState {
-	// SHA-256 cannot fail to marshal, and the snapshot encoder checks the length.
-	digest, _ := p.digest.(encoding.BinaryMarshaler).MarshalBinary()
-	return PartyState{
-		Draws:      p.rng.Draws(),
-		Store:      maps.Clone(p.store),
-		Digest:     digest,
-		EventCount: p.events,
-		WireRounds: p.wireRounds,
-		WireBytes:  p.wireBytes,
+// encodeState writes the party's section: its draw position, its share
+// store in key order, the running SHA-256 of its transcript (the hash's
+// marshaled state) with the event count, and its wire tally. The party's
+// identity and seed are construction parameters, not state.
+func (p *Party) encodeState(e *snapshot.Encoder) {
+	// Refuse to write a draw position a restore would refuse to replay: the
+	// checkpoint must fail now, loudly, not at the next boot.
+	if p.rng.Draws() > dp.MaxResumeDraws {
+		e.Fail("party draw position %d exceeds the resumable bound %d", p.rng.Draws(), uint64(dp.MaxResumeDraws))
 	}
+	e.U64(p.rng.Draws())
+	e.U32(uint32(len(p.store)))
+	for _, k := range slices.Sorted(maps.Keys(p.store)) {
+		e.String(k)
+		e.U32(p.store[k])
+	}
+	// Likewise a transcript-hash state a restore would refuse.
+	digest, _ := p.digest.(encoding.BinaryMarshaler).MarshalBinary()
+	if len(digest) != digestStateLen {
+		e.Fail("party transcript digest state is %d bytes, want %d", len(digest), digestStateLen)
+	}
+	e.String(string(digest))
+	e.U64(p.events)
+	e.U64(p.wireRounds)
+	e.U64(p.wireBytes)
 }
 
-// SetState restores a snapshot taken with State: the share store, transcript
-// digest and event count are replaced, and the private randomness stream is
-// rebuilt from the party's seed and fast-forwarded to the recorded draw
-// position, so the next word drawn is exactly the one the snapshotted party
-// would have drawn. On error the party is left untouched.
-func (p *Party) SetState(st PartyState) error {
+// decodeState reads a section written by encodeState into p. The share
+// store, transcript digest and event count are replaced, and the private
+// randomness stream is rebuilt from the party's seed and fast-forwarded to
+// the recorded draw position, so the next word drawn is exactly the one the
+// snapshotted party would have drawn. Every field is read and checked before
+// any is loaded: on error p is left untouched.
+func (p *Party) decodeState(d *snapshot.Decoder) {
+	draws := d.U64()
+	n := d.Len()
+	if d.Err() != nil {
+		return
+	}
+	store := make(map[string]secretshare.Word)
+	for range n {
+		k, v := d.String(), d.U32()
+		if d.Err() != nil {
+			return
+		}
+		store[k] = v
+	}
+	if len(store) != n {
+		d.Corrupt("share store with duplicate keys")
+		return
+	}
+	state := []byte(d.String())
+	if d.Err() == nil && len(state) != digestStateLen {
+		d.Corrupt("party transcript digest state of %d bytes, want %d", len(state), digestStateLen)
+	}
+	events, rounds, bytes := d.U64(), d.U64(), d.U64()
+	if d.Err() != nil {
+		return
+	}
 	digest := sha256.New()
-	if err := digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(st.Digest); err != nil {
-		return fmt.Errorf("mpc: restoring %v transcript digest: %w", p.ID, err)
+	if err := digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+		d.Corrupt("restoring %v transcript digest: %v", p.ID, err)
+		return
 	}
 	rng := dp.NewCountingRNG(rand.New(rand.NewSource(p.seed)))
-	if err := dp.ResumeRNG(rng, st.Draws); err != nil {
-		return fmt.Errorf("mpc: restoring %v randomness: %w", p.ID, err)
+	if err := dp.ResumeRNG(rng, draws); err != nil {
+		d.Corrupt("restoring %v randomness: %v", p.ID, err)
+		return
 	}
-	p.rng = rng
-	p.store = make(map[string]secretshare.Word, len(st.Store))
-	for k, v := range st.Store {
-		p.store[k] = v
-	}
-	p.digest = digest
-	p.events = st.EventCount
-	p.wireRounds = st.WireRounds
-	p.wireBytes = st.WireBytes
-	return nil
+	p.rng, p.store, p.digest = rng, store, digest
+	p.events, p.wireRounds, p.wireBytes = events, rounds, bytes
 }
 
 // WireTally returns the party's cumulative wire rounds and frame bytes.
@@ -367,43 +396,33 @@ func (r *Runtime) check(err error) {
 // cost of the run.
 func (r *Runtime) WireTally() (rounds, bytes uint64) { return r.ps[0].WireTally() }
 
-// RuntimeState is the serializable mutable state of a Runtime: its parties
-// in order and the cost meter. The seed, cost model and the parties'
-// identities are construction parameters, and the logical clock belongs to
-// the runtime's owner, which sets it (SetTime) before each step and on
-// restore. A party that
-// crashes, restores this state and reconnects resumes bit-identically — the
-// wire tally is part of the party state precisely so a fresh connection's
-// counters don't reset the transcript attribution.
-type RuntimeState struct {
-	Parties []PartyState
-	Meter   MeterState
+// EncodeState writes the full mutable state of the runtime: each of its
+// parties in order (randomness positions, share stores, transcript digests
+// and event counts, wire tallies — so a crash-rejoined party with a fresh
+// connection keeps attributing transcript events to the same positions in
+// the wire conversation) and the cost meter. The party count is the
+// runtime's: two for the in-process runtime, one for a party process. The
+// seed, the cost model and the logical clock are not here: the clock belongs
+// to the runtime's owner, which sets it (SetTime) before each step and on
+// restore.
+func (r *Runtime) EncodeState(e *snapshot.Encoder) {
+	for _, p := range r.ps {
+		p.encodeState(e)
+	}
+	r.Meter.encodeState(e)
 }
 
-// State snapshots the runtime.
-func (r *Runtime) State() RuntimeState {
-	st := RuntimeState{Parties: make([]PartyState, len(r.ps)), Meter: r.Meter.State()}
-	for i, p := range r.ps {
-		st.Parties[i] = p.State()
+// DecodeState reloads state written by EncodeState into a runtime
+// constructed the same way, with the same seed and cost model: it reads one
+// party section per party the runtime drives, then the meter. Every
+// randomness stream resumes exactly where the snapshotted runtime stopped.
+// Like the Decoder's own readers it latches its errors in d, and a section
+// that fails a check loads nothing.
+func (r *Runtime) DecodeState(d *snapshot.Decoder) {
+	for _, p := range r.ps {
+		p.decodeState(d)
 	}
-	return st
-}
-
-// SetState restores a snapshot taken with State on a runtime constructed
-// the same way, with the same seed and cost model: share stores, transcript
-// digests and meter are replaced, and every randomness
-// stream is fast-forwarded to its recorded position, so the protocol's joint
-// noise resumes exactly where the snapshotted runtime left off.
-func (r *Runtime) SetState(st RuntimeState) error {
-	if len(st.Parties) != len(r.ps) {
-		return fmt.Errorf("mpc: state of %d parties for a runtime of %d", len(st.Parties), len(r.ps))
-	}
-	for i, p := range r.ps {
-		if err := p.SetState(st.Parties[i]); err != nil {
-			return err
-		}
-	}
-	return r.Meter.SetState(st.Meter)
+	r.Meter.decodeState(d)
 }
 
 // SetTime advances the logical clock used to stamp transcript events.

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"incshrink/internal/mpc"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 )
 
@@ -96,30 +97,8 @@ func (b *Buffer) AppendSlot(row table.Row, real bool, _, _ int64) {
 	}
 }
 
-// AppendColumns bulk-appends decoded columnar state: row-major payload data
-// plus the parallel flag column, which must describe the same number of
-// slots. It is the decode-side counterpart of the column accessors.
-func (b *Buffer) AppendColumns(payload []int64, flags []bool) {
-	n := len(flags)
-	if (b.Arity() > 0 && len(payload) != n*b.Arity()) || (b.Arity() == 0 && len(payload) != 0) {
-		panic("oblivious: mismatched column lengths")
-	}
-	b.pay.AppendData(payload)
-	if b.Arity() == 0 {
-		// An arity-0 arena carries no attribute data, so the payload append
-		// cannot account the rows; the flag column carries the slot count.
-		b.pay.AppendZeroRows(n)
-	}
-	b.flag = append(b.flag, flags...)
-	for _, fl := range flags {
-		if fl {
-			b.real++
-		}
-	}
-}
-
-// Flags exposes the isView column for bulk readers (the snapshot codec).
-// Callers must not mutate or retain it across appends.
+// Flags exposes the isView column for bulk readers. Callers must not mutate
+// or retain it across appends.
 func (b *Buffer) Flags() []bool { return b.flag }
 
 // AppendDummies appends n dummy slots (zero payload, isView false) with one
@@ -212,6 +191,41 @@ func (b *Buffer) Reset() {
 	b.pay.Reset()
 	b.flag = b.flag[:0]
 	b.real = 0
+}
+
+// EncodeState writes the buffer as it is held: its arity and slot count,
+// the row-major payload arena and the flag column — 8·arity + 1 bytes per
+// slot.
+func (b *Buffer) EncodeState(e *snapshot.Encoder) {
+	e.Int(b.Arity())
+	e.Int(b.Len())
+	e.I64s(b.pay.Data())
+	e.Bools(b.flag)
+}
+
+// DecodeState replaces the buffer's slots with ones written by EncodeState
+// from a buffer of the same arity. The arity and the framing are checked
+// before anything is loaded, and the real-slot counter is rebuilt from the
+// flag column. Like the Decoder's own readers it latches its errors in d.
+func (b *Buffer) DecodeState(d *snapshot.Decoder) {
+	arity, n := d.Int(), d.Int()
+	payload := d.I64s()
+	flags := d.Bools()
+	switch {
+	case d.Err() != nil:
+	case arity != b.Arity():
+		d.Corrupt("buffer arity %d, restoring into arity %d", arity, b.Arity())
+	case len(flags) != n || len(payload) != n*arity:
+		d.Corrupt("buffer of %d slots carries %d flags, %d attributes", n, len(flags), len(payload))
+	default:
+		b.Reset()
+		b.AppendDummies(n)
+		copy(b.pay.Data(), payload)
+		copy(b.flag, flags)
+		for _, fl := range flags {
+			b.real += int(boolWord(fl))
+		}
+	}
 }
 
 // ScanReal recounts the real slots with a full scan. It exists to pin the

@@ -159,7 +159,7 @@ func Resume(cfg Config, snap []byte, opened []uint32, conn wire.Conn) (*Report, 
 			snapshot.ErrFingerprintMismatch, fp, cfg.fingerprint())
 	}
 	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
-	snapshot.DecodeRuntimeInto(d, rt)
+	rt.DecodeState(d)
 	next := d.Int()
 	if d.Err() == nil && (next < 1 || next > cfg.Steps) {
 		d.Corrupt("session snapshot resumes at step %d of %d", next, cfg.Steps)
@@ -208,7 +208,7 @@ func (s *session) encodeSnapshot(next int) ([]byte, error) {
 	var buf bytes.Buffer
 	e := snapshot.NewEncoder(&buf)
 	snapshot.WriteHeader(e, s.cfg.fingerprint())
-	snapshot.EncodeRuntime(e, s.rt)
+	s.rt.EncodeState(e)
 	e.Int(next)
 	if err := e.Finish(); err != nil {
 		return nil, err

@@ -34,6 +34,7 @@ package securearray
 import (
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
+	"incshrink/internal/snapshot"
 )
 
 // Cache is the secure outsourced cache sigma.
@@ -46,7 +47,7 @@ type Cache struct {
 
 	// runs is the public layout of buf: one run per batch appended since
 	// the last read, after the real-first run that read left. It is not
-	// part of the snapshot (Restored).
+	// part of the snapshot (DecodeState).
 	runs []oblivious.Run
 }
 
@@ -113,12 +114,13 @@ func (c *Cache) oneRun(realFirst bool) {
 // spill and keep are configuration constants), so the operation leaks
 // nothing beyond the DP outputs. Each is clamped to what the cache holds.
 // Figure 3's plain read keeps everything (spill 0, keep >= Len); Section
-// 5.2.1's flush keeps nothing (spill 0, keep 0), and with a flush size
-// chosen by dp.FlushSizeFor what it recycles is all dummies except with
-// small probability beta. The combined fetch goes straight into the view
-// arena; the recycled tail is truncated first, and the surviving segment then
-// slides to the front (a prefix cut, no reallocation). Returns the number of
-// real tuples recycled.
+// 5.2.1's flush keeps nothing (spill 0, keep 0). Its size is the constant
+// mpc.FlushSize = 15, under the deferred data a deployment can carry, so a
+// flush can recycle real rows: 786 over 20 CPDB runs of 4,000 steps
+// (ROADMAP item 24 sizes the flush from a bound, or drops it). The
+// combined fetch goes straight into the view arena; the recycled tail is
+// truncated first, and the surviving segment then slides to the front (a
+// prefix cut, no reallocation). Returns the number of real tuples recycled.
 func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) {
 	oblivious.MergeRealFirst(c.buf, c.runs, c.meter, mpc.OpShrink, c.tupleBits)
 	size = min(max(size, 0), c.buf.Len())
@@ -142,15 +144,20 @@ func (c *Cache) DrainInto(v *View) {
 	c.oneRun(true)
 }
 
-// Buffer exposes the cache arena for the snapshot codec. Callers other than
-// internal/snapshot must treat it as read-only; mutating it bypasses the
-// cache's runs.
-func (c *Cache) Buffer() *oblivious.Buffer { return c.buf }
+// EncodeState writes the cache's arena (oblivious.Buffer.EncodeState). The
+// runs it holds are not written.
+func (c *Cache) EncodeState(e *snapshot.Encoder) { c.buf.EncodeState(e) }
 
-// Restored is the snapshot codec's hook after it reloads the arena: it
-// records the reloaded arena as one raw run. The layout is not checkpointed,
-// and the next read's full sort gives the bytes a merge would have.
-func (c *Cache) Restored() { c.oneRun(false) }
+// DecodeState reloads an arena written by EncodeState from a cache of the
+// same arity; the meter and tuple width stay as constructed. The layout is
+// not checkpointed, so the reloaded arena is one raw run, and the next
+// read's full sort leaves the bytes a merge would have.
+func (c *Cache) DecodeState(d *snapshot.Decoder) {
+	c.buf.DecodeState(d)
+	if d.Err() == nil {
+		c.oneRun(false)
+	}
+}
 
 // View is the materialized view object V: an append-only padded array the
 // servers answer queries from. Unlike the cache it is never resorted, gathered
@@ -216,23 +223,51 @@ func (v *View) Count(conds []oblivious.ScanCond) int {
 // Updates returns the number of synchronizations appended so far.
 func (v *View) Updates() int { return v.updates }
 
-// Columns exposes the attribute columns for the snapshot codec. Callers
-// must not mutate or retain them across appends.
-func (v *View) Columns() [][]int64 { return v.cols }
+// EncodeState writes the view as it is held: its arity and slot count, each
+// attribute column, the packed flag words — ⌈n/64⌉ of them — and the update
+// counter.
+func (v *View) EncodeState(e *snapshot.Encoder) {
+	e.Int(len(v.cols))
+	e.Int(v.n)
+	for _, col := range v.cols {
+		e.I64s(col)
+	}
+	e.U64s(v.flag)
+	e.Int(v.updates)
+}
 
-// FlagWords exposes the packed isView bits, ⌈Len()/64⌉ words, for the
-// snapshot codec. Callers must not mutate or retain them across appends.
-func (v *View) FlagWords() []uint64 { return v.flag }
-
-// Restore replaces the view with n slots held as cols and flag, in the
-// layout Columns and FlagWords expose, and its update counter with a
-// checkpointed value (snapshot codec use). The view takes ownership of the
-// slices; the caller has checked that every column holds n slots and that
-// flag is ⌈n/64⌉ words with no bit set at or past n. The real-tuple counter
-// is their popcount.
-func (v *View) Restore(cols [][]int64, flag []uint64, n, updates int) {
-	v.cols, v.flag, v.n, v.updates = cols, flag, n, updates
-	v.real = v.Count(nil)
+// DecodeState replaces the view with one written by EncodeState from a view
+// of the same arity. Every column must hold the view's n slots and the flag
+// words must be the ⌈n/64⌉ a view of n slots keeps, no bit set at or past
+// slot n; the real-tuple count is their popcount. Like the Decoder's own
+// readers it latches its errors in d, and it loads nothing once one has.
+func (v *View) DecodeState(d *snapshot.Decoder) {
+	arity, n := d.Int(), d.Int()
+	if d.Err() == nil && (arity != v.Arity() || n < 0) {
+		d.Corrupt("view of arity %d and %d slots, restoring into arity %d", arity, n, v.Arity())
+	}
+	cols := make([][]int64, 0, v.Arity())
+	for j := 0; j < v.Arity() && d.Err() == nil; j++ {
+		col := d.I64s()
+		if d.Err() == nil && len(col) != n {
+			d.Corrupt("view column %d of %d slots, the view holds %d", j, len(col), n)
+		}
+		cols = append(cols, col)
+	}
+	flag := d.U64s()
+	updates := d.Int()
+	switch {
+	case d.Err() != nil:
+	case len(flag) != (n+63)/64:
+		d.Corrupt("view of %d slots carries %d flag words", n, len(flag))
+	case n%64 != 0 && flag[len(flag)-1]<<(n%64) != 0:
+		d.Corrupt("view of %d slots flags a slot at or past its end", n)
+	case updates < 0:
+		d.Corrupt("view updates %d", updates)
+	default:
+		v.cols, v.flag, v.n, v.updates = cols, flag, n, updates
+		v.real = v.Count(nil)
+	}
 }
 
 // SizeBytes returns the storage footprint of the view given the per-slot

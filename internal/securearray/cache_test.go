@@ -1,12 +1,14 @@
 package securearray
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 )
 
@@ -44,7 +46,7 @@ func viewFlag(v *View, i int) uint8 { return uint8(v.flag[i/64] >> (63 - i%64) &
 
 // viewRealRows copies out the payloads of v's real slots.
 func viewRealRows(v *View) []table.Row {
-	cols := v.Columns()
+	cols := v.cols
 	var out []table.Row
 	for i := 0; i < v.Len(); i++ {
 		if viewFlag(v, i) == 1 {
@@ -191,7 +193,7 @@ func TestViewAppendOnly(t *testing.T) {
 	if v.Len() != 15 || v.Real() != 9 || v.Updates() != 2 {
 		t.Errorf("view len=%d real=%d updates=%d", v.Len(), v.Real(), v.Updates())
 	}
-	if cols := v.Columns(); len(cols) != 2 || len(cols[0]) != 15 || len(cols[1]) != 15 {
+	if cols := v.cols; len(cols) != 2 || len(cols[0]) != 15 || len(cols[1]) != 15 {
 		t.Error("column lengths wrong")
 	}
 }
@@ -240,7 +242,7 @@ func TestViewFlagBitset(t *testing.T) {
 		rows := batch(rng, n, rng.Intn(n+1))
 		src := NewView(2)
 		src.Update(rows)
-		v.Restore(slices.Clone(src.Columns()), slices.Clone(src.FlagWords()), src.Len(), 1)
+		reload(t, src.EncodeState, v.DecodeState)
 		check(v, flags(rows))
 	}
 }
@@ -264,7 +266,7 @@ func TestReadPreservesMultiset(t *testing.T) {
 	c.Append(b)
 	got := NewView(2)
 	read(c, got, 9)
-	combined := append(viewRealRows(got), realRows(c.Buffer())...)
+	combined := append(viewRealRows(got), realRows(c.buf)...)
 	if !table.MultisetEqual(combined, orig) {
 		t.Error("read split changed the multiset of real tuples")
 	}
@@ -399,7 +401,7 @@ func sameArena(a, b *oblivious.Buffer) bool {
 // sameView reports whether two views hold the same columns and counters.
 func sameView(a, b *View) bool {
 	return slices.Equal(a.flag, b.flag) && a.Len() == b.Len() &&
-		slices.EqualFunc(a.Columns(), b.Columns(), slices.Equal) &&
+		slices.EqualFunc(a.cols, b.cols, slices.Equal) &&
 		a.Real() == b.Real() && a.Updates() == b.Updates()
 }
 
@@ -435,7 +437,7 @@ func TestAppendRealFirstMatchesAppend(t *testing.T) {
 			m.ReadAndPruneInto(vm, size, spill, keep)
 			s.ReadAndPruneInto(vs, size, spill, keep)
 		}
-		if !sameArena(m.Buffer(), s.Buffer()) || !sameView(vm, vs) {
+		if !sameArena(m.buf, s.buf) || !sameView(vm, vs) {
 			t.Fatalf("op %d: the merged read and the full sort left different arenas or views", i)
 		}
 		if want := min(m.Len(), 1); len(m.runs) != want || (want == 1 && (!m.runs[0].RealFirst || m.runs[0].Len != m.Len())) {
@@ -444,9 +446,24 @@ func TestAppendRealFirstMatchesAppend(t *testing.T) {
 	}
 }
 
-// TestRestoredCacheForgetsItsRuns: a cache reloaded from its arena, as the
-// snapshot codec reloads it, holds one raw run, and from then on reads leave
-// the same bytes as the cache that kept its runs.
+// reload writes one section into a snapshot stream and reads it back.
+func reload(t *testing.T, write func(*snapshot.Encoder), read func(*snapshot.Decoder)) {
+	t.Helper()
+	var buf bytes.Buffer
+	e := snapshot.NewEncoder(&buf)
+	write(e)
+	if err := e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	d := snapshot.NewDecoder(&buf)
+	if read(d); d.Err() != nil || d.Finish() != nil {
+		t.Fatalf("section does not reload: %v", d.Err())
+	}
+}
+
+// TestRestoredCacheForgetsItsRuns: a cache reloaded from its snapshot
+// section holds one raw run, and from then on reads leave the same bytes as
+// the cache that kept its runs.
 func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var seq int64
@@ -457,8 +474,7 @@ func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 		kept.AppendRealFirst(compacted(rng, &seq, 40, 25))
 	}
 	restored, rv := newCache(128, nil), NewView(2)
-	restored.Buffer().AppendAll(kept.Buffer())
-	restored.Restored()
+	reload(t, kept.EncodeState, restored.DecodeState)
 	if len(restored.runs) != 1 || restored.runs[0] != (oblivious.Run{Len: restored.Len()}) {
 		t.Fatalf("restored runs %v, want one raw run of %d", restored.runs, restored.Len())
 	}
@@ -468,7 +484,7 @@ func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 		restored.AppendRealFirst(b)
 		kept.ReadAndPruneInto(v, 30, 2, 60)
 		restored.ReadAndPruneInto(rv, 30, 2, 60)
-		if !sameArena(kept.Buffer(), restored.Buffer()) {
+		if !sameArena(kept.buf, restored.buf) {
 			t.Fatalf("read %d after restore: arenas differ", i)
 		}
 	}

@@ -99,7 +99,7 @@ func TestDrainInto(t *testing.T) {
 		t.Errorf("drain moved %d, cache %d", v.Len(), c.Len())
 	}
 	// Drain preserves order (no sort).
-	cols := v.Columns()
+	cols := v.cols
 	for i := 0; i < b.Len(); i++ {
 		if cols[0][i] != b.At(i, 0) || cols[1][i] != b.At(i, 1) || viewFlag(v, i) != b.FlagByte(i) {
 			t.Fatalf("drain reordered slot %d", i)

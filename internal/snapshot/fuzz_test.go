@@ -1,4 +1,4 @@
-package snapshot
+package snapshot_test
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/securearray"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 )
 
@@ -23,19 +24,19 @@ import (
 func FuzzDecodeBuffer(f *testing.F) {
 	for _, n := range []int{0, 3, 40} {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		EncodeBuffer(enc, fuzzBuffer(2, n))
+		enc := snapshot.NewEncoder(&buf)
+		fuzzBuffer(2, n).EncodeState(enc)
 		if err := enc.Finish(); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add([]byte(Magic))
+	f.Add([]byte(snapshot.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data))
+		dec := snapshot.NewDecoder(bytes.NewReader(data))
 		dst := oblivious.NewBuffer(2, 0)
-		DecodeBufferInto(dec, dst)
+		dst.DecodeState(dec)
 		if err := dec.Err(); err != nil {
 			return
 		}
@@ -54,19 +55,19 @@ func FuzzDecodeBuffer(f *testing.F) {
 			t.Fatalf("view of the decoded buffer counts %d (scan %d), buffer %d", v.Real(), v.Count(nil), dst.Real())
 		}
 		var a, b bytes.Buffer
-		ea := NewEncoder(&a)
-		EncodeView(ea, v)
+		ea := snapshot.NewEncoder(&a)
+		v.EncodeState(ea)
 		if err := ea.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		back := securearray.NewView(2)
-		dv := NewDecoder(bytes.NewReader(a.Bytes()))
-		DecodeViewInto(dv, back)
+		dv := snapshot.NewDecoder(bytes.NewReader(a.Bytes()))
+		back.DecodeState(dv)
 		if err := dv.Err(); err != nil || dv.Finish() != nil {
 			t.Fatalf("a view's own section does not decode: %v", err)
 		}
-		eb := NewEncoder(&b)
-		EncodeView(eb, back)
+		eb := snapshot.NewEncoder(&b)
+		back.EncodeState(eb)
 		if eb.Finish() != nil || !bytes.Equal(a.Bytes(), b.Bytes()) || back.Real() != dst.Real() {
 			t.Fatal("view section -> restore -> section changed the bytes or the count")
 		}
@@ -81,17 +82,17 @@ func FuzzDecodeRuntime(f *testing.F) {
 	rt.ShareToServers("c", 4)
 	rt.JointLaplace(1.5, mpc.OpShrink)
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	EncodeRuntime(enc, rt)
+	enc := snapshot.NewEncoder(&buf)
+	rt.EncodeState(enc)
 	if err := enc.Finish(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	f.Add([]byte(Magic))
+	f.Add([]byte(snapshot.Magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		target := mpc.NewRuntime(mpc.DefaultCostModel(), 9)
-		dec := NewDecoder(bytes.NewReader(data))
-		DecodeRuntimeInto(dec, target)
+		dec := snapshot.NewDecoder(bytes.NewReader(data))
+		target.DecodeState(dec)
 		if err := dec.Err(); err != nil {
 			return
 		}
@@ -122,14 +123,14 @@ func FuzzBufferRoundTrip(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		EncodeBuffer(enc, src)
+		enc := snapshot.NewEncoder(&buf)
+		src.EncodeState(enc)
 		if err := enc.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		dst := oblivious.NewBuffer(ar, 0)
-		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-		DecodeBufferInto(dec, dst)
+		dec := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
+		dst.DecodeState(dec)
 		if err := dec.Err(); err != nil {
 			t.Fatalf("round trip decode: %v", err)
 		}
@@ -195,14 +196,14 @@ func TestSeedCorpusDecodes(t *testing.T) {
 		return []byte(s)
 	}
 	for _, name := range []string{"seed_empty_buffer", "seed_small_buffer"} {
-		dec := NewDecoder(bytes.NewReader(seed("FuzzDecodeBuffer", name)))
-		DecodeBufferInto(dec, oblivious.NewBuffer(2, 0))
+		dec := snapshot.NewDecoder(bytes.NewReader(seed("FuzzDecodeBuffer", name)))
+		oblivious.NewBuffer(2, 0).DecodeState(dec)
 		if err := dec.Err(); err != nil || dec.Finish() != nil {
 			t.Errorf("%s no longer decodes: %v / %v", name, err, dec.Finish())
 		}
 	}
-	dec := NewDecoder(bytes.NewReader(seed("FuzzDecodeRuntime", "seed_runtime")))
-	DecodeRuntimeInto(dec, mpc.NewRuntime(mpc.DefaultCostModel(), 9))
+	dec := snapshot.NewDecoder(bytes.NewReader(seed("FuzzDecodeRuntime", "seed_runtime")))
+	mpc.NewRuntime(mpc.DefaultCostModel(), 9).DecodeState(dec)
 	if err := dec.Err(); err != nil || dec.Finish() != nil {
 		t.Errorf("seed_runtime no longer decodes: %v / %v", err, dec.Finish())
 	}

@@ -1,13 +1,18 @@
-// Package snapshot is the durability codec: a versioned, length-prefixed,
-// little-endian binary format for the engine's hot structures (row-major
-// oblivious buffers, the secure cache, the column-major materialized view,
-// MPC runtime state) plus the framing every snapshot shares — a magic
-// + format-version + config-fingerprint header and a CRC-32C trailer.
+// Package snapshot is the durability wire format: a versioned,
+// length-prefixed, little-endian binary encoding (Encoder, Decoder) plus the
+// framing every snapshot shares — a magic + format-version +
+// config-fingerprint header and a CRC-32C trailer.
 //
-// Layered composition: this package knows the wire format and the data-plane
-// containers; the layers that own richer state (core.Framework, the
-// incshrink.DB wrapper) compose their own sections out of the
-// Encoder/Decoder primitives. Two invariants hold everywhere:
+// It knows no engine type. Each type whose state a snapshot holds writes and
+// reads its own section with these primitives, through an
+// EncodeState(*Encoder) / DecodeState(*Decoder) pair over its own fields
+// (oblivious.Buffer, securearray.Cache and View, mpc.Runtime,
+// core.Framework), and sections compose by concatenation: every
+// variable-length field is length-prefixed, so each is self-delimiting. A
+// section decoder latches its errors in the Decoder, as the Decoder's own
+// readers do, and loads nothing once one has latched, so a caller decodes
+// its sections in order and checks Err (or Finish) once. Two invariants
+// hold everywhere:
 //
 //   - Restores are exact. A restored structure is bit-identical to the one
 //     snapshotted — including every RNG draw position — so a deployment that
@@ -259,18 +264,12 @@ func (d *Decoder) bytes(b []byte) {
 	d.crc.Write(b)
 }
 
-// fail latches a decode error (used by structural validation in the typed
-// section decoders).
-func (d *Decoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
 // Corrupt latches a formatted ErrCorrupt, for structural validation by the
 // section decoders built on this codec.
 func (d *Decoder) Corrupt(format string, args ...any) {
-	d.fail(fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...)))
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+	}
 }
 
 // U8 reads one byte.

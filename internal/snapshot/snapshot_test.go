@@ -1,11 +1,14 @@
-package snapshot
+package snapshot_test
+
+// The section tests are an external test package: each section is written
+// by the package that owns its state, and those packages import snapshot.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"errors"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/securearray"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 	"incshrink/internal/wire"
 )
@@ -39,10 +43,10 @@ func sampleBuffer(arity, n int) *oblivious.Buffer {
 	return b
 }
 
-func encodeSection(t *testing.T, write func(*Encoder)) []byte {
+func encodeSection(t *testing.T, write func(*snapshot.Encoder)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := snapshot.NewEncoder(&buf)
 	write(enc)
 	if err := enc.Finish(); err != nil {
 		t.Fatal(err)
@@ -56,16 +60,16 @@ func TestBufferCodecRoundTrip(t *testing.T) {
 	for _, arity := range []int{1, 2, 4} {
 		for _, n := range []int{0, 1, 7, 129} {
 			src := sampleBuffer(arity, n)
-			data := encodeSection(t, func(e *Encoder) { EncodeBuffer(e, src) })
+			data := encodeSection(t, src.EncodeState)
 			// A slot is its row and its flag: 8·arity + 1 bytes, between the
 			// magic, two ints, two length prefixes and the CRC.
-			if want := len(Magic) + 16 + 8 + 4 + n*(8*arity+1); len(data) != want {
+			if want := len(snapshot.Magic) + 16 + 8 + 4 + n*(8*arity+1); len(data) != want {
 				t.Fatalf("arity=%d n=%d: section is %d bytes, want %d", arity, n, len(data), want)
 			}
 
 			dst := oblivious.NewBuffer(arity, 0)
-			dec := NewDecoder(bytes.NewReader(data))
-			DecodeBufferInto(dec, dst)
+			dec := snapshot.NewDecoder(bytes.NewReader(data))
+			dst.DecodeState(dec)
 			if err := dec.Err(); err != nil {
 				t.Fatalf("arity=%d n=%d: %v", arity, n, err)
 			}
@@ -100,19 +104,19 @@ func TestCacheViewCodecRoundTrip(t *testing.T) {
 	c.ReadAndPruneInto(v, 12, 0, c.Len())
 	c.Append(sampleBuffer(4, 8))
 
-	data := encodeSection(t, func(e *Encoder) {
-		EncodeCache(e, c)
-		EncodeView(e, v)
+	data := encodeSection(t, func(e *snapshot.Encoder) {
+		c.EncodeState(e)
+		v.EncodeState(e)
 	})
 
 	c2 := securearray.New(4, 256, nil)
 	v2 := securearray.NewView(4)
-	dec := NewDecoder(bytes.NewReader(data))
-	DecodeCacheInto(dec, c2)
+	dec := snapshot.NewDecoder(bytes.NewReader(data))
+	c2.DecodeState(dec)
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
-	DecodeViewInto(dec, v2)
+	v2.DecodeState(dec)
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,17 +142,17 @@ func TestViewSectionIsViewAsHeld(t *testing.T) {
 			rows := sampleBuffer(arity, n)
 			v := securearray.NewView(arity)
 			v.Update(rows)
-			got := encodeSection(t, func(e *Encoder) { EncodeView(e, v) })
+			got := encodeSection(t, v.EncodeState)
 			// Between the magic and the CRC: two ints, arity length-prefixed
 			// columns of n words, the length-prefixed flag words, one int.
-			if want := len(Magic) + 16 + arity*(4+8*n) + 4 + 8*((n+63)/64) + 8 + 4; len(got) != want {
+			if want := len(snapshot.Magic) + 16 + arity*(4+8*n) + 4 + 8*((n+63)/64) + 8 + 4; len(got) != want {
 				t.Fatalf("arity=%d n=%d: view section is %d bytes, want %d", arity, n, len(got), want)
 			}
 
 			back := securearray.NewView(arity)
 			back.Update(sampleBuffer(arity, 3)) // contents a restore must replace
-			dec := NewDecoder(bytes.NewReader(got))
-			DecodeViewInto(dec, back)
+			dec := snapshot.NewDecoder(bytes.NewReader(got))
+			back.DecodeState(dec)
 			if err := dec.Err(); err != nil {
 				t.Fatalf("arity=%d n=%d: %v", arity, n, err)
 			}
@@ -159,7 +163,7 @@ func TestViewSectionIsViewAsHeld(t *testing.T) {
 				t.Fatalf("arity=%d n=%d: restored len/real/scan/updates (%d,%d,%d,%d), want (%d,%d,%d,1)",
 					arity, n, back.Len(), back.Real(), back.Count(nil), back.Updates(), n, rows.Real(), rows.Real())
 			}
-			if again := encodeSection(t, func(e *Encoder) { EncodeView(e, back) }); !bytes.Equal(again, got) {
+			if again := encodeSection(t, back.EncodeState); !bytes.Equal(again, got) {
 				t.Fatalf("arity=%d n=%d: restore then re-encode changed the bytes", arity, n)
 			}
 		}
@@ -172,10 +176,18 @@ func TestViewDecodeRejectsCorruptSections(t *testing.T) {
 	const arity, n = 2, 70
 	v := securearray.NewView(arity)
 	v.Update(sampleBuffer(arity, n))
-	cols, flag := v.Columns(), v.FlagWords()
+	// The view's columns and flag words, read back out of its own section.
+	dec := snapshot.NewDecoder(bytes.NewReader(encodeSection(t, v.EncodeState)))
+	dec.Int()
+	dec.Int()
+	cols := [][]int64{dec.I64s(), dec.I64s()}
+	flag := dec.U64s()
+	if dec.Err() != nil || len(flag) != 2 {
+		t.Fatalf("view section: %v, %d flag words", dec.Err(), len(flag))
+	}
 	// section writes a view section field by field.
 	section := func(arity, n int, cols [][]int64, flag []uint64, updates int) []byte {
-		return encodeSection(t, func(e *Encoder) {
+		return encodeSection(t, func(e *snapshot.Encoder) {
 			e.Int(arity)
 			e.Int(n)
 			for _, col := range cols {
@@ -193,19 +205,19 @@ func TestViewDecodeRejectsCorruptSections(t *testing.T) {
 		want error
 	}{
 		{"valid", section(arity, n, cols, flag, 1), nil},
-		{"arity", section(arity+1, n, append(slices.Clone(cols), cols[0]), flag, 1), ErrCorrupt},
-		{"negative length", section(arity, -1, cols, flag, 1), ErrCorrupt},
-		{"short column", section(arity, n, [][]int64{cols[0], cols[1][:n-1]}, flag, 1), ErrCorrupt},
-		{"flag words short", section(arity, n, cols, flag[:1], 1), ErrCorrupt},
-		{"flag words long", section(arity, n, cols, append(slices.Clone(flag), 0), 1), ErrCorrupt},
-		{"flag past the end", section(arity, n, cols, past, 1), ErrCorrupt},
-		{"negative updates", section(arity, n, cols, flag, -1), ErrCorrupt},
+		{"arity", section(arity+1, n, append(slices.Clone(cols), cols[0]), flag, 1), snapshot.ErrCorrupt},
+		{"negative length", section(arity, -1, cols, flag, 1), snapshot.ErrCorrupt},
+		{"short column", section(arity, n, [][]int64{cols[0], cols[1][:n-1]}, flag, 1), snapshot.ErrCorrupt},
+		{"flag words short", section(arity, n, cols, flag[:1], 1), snapshot.ErrCorrupt},
+		{"flag words long", section(arity, n, cols, append(slices.Clone(flag), 0), 1), snapshot.ErrCorrupt},
+		{"flag past the end", section(arity, n, cols, past, 1), snapshot.ErrCorrupt},
+		{"negative updates", section(arity, n, cols, flag, -1), snapshot.ErrCorrupt},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			back := securearray.NewView(arity)
-			dec := NewDecoder(bytes.NewReader(c.data))
-			DecodeViewInto(dec, back)
+			dec := snapshot.NewDecoder(bytes.NewReader(c.data))
+			back.DecodeState(dec)
 			err := dec.Err()
 			if err == nil {
 				err = dec.Finish()
@@ -230,14 +242,14 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 	rt.JointLaplace(2.0, 0)
 	rt.ObserveFetch(5, "shrink")
 
-	data := encodeSection(t, func(e *Encoder) { EncodeRuntime(e, rt) })
+	data := encodeSection(t, rt.EncodeState)
 
 	rt2 := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
 	// Perturb the fresh runtime first: restore must overwrite everything.
 	rt2.ShareToServers("c", 999)
 	rt2.JointLaplace(1.0, mpc.OpOther)
-	dec := NewDecoder(bytes.NewReader(data))
-	DecodeRuntimeInto(dec, rt2)
+	dec := snapshot.NewDecoder(bytes.NewReader(data))
+	rt2.DecodeState(dec)
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -329,12 +341,18 @@ func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
 
 	// body is a section's bytes without the stream's magic and CRC-32C
 	// trailer.
-	body := func(write func(*Encoder)) []byte {
+	body := func(write func(*snapshot.Encoder)) []byte {
 		b := encodeSection(t, write)
-		return b[len(Magic) : len(b)-4]
+		return b[len(snapshot.Magic) : len(b)-4]
 	}
-	st := both.State()
-	tail := body(func(e *Encoder) { encodeMeterState(e, st.Meter) })
+	// The meter's section: its phase count, then each phase's gates.
+	ops := []mpc.Op{mpc.OpTransform, mpc.OpShrink, mpc.OpQuery, mpc.OpOther}
+	tail := body(func(e *snapshot.Encoder) {
+		e.U32(uint32(len(ops)))
+		for _, op := range ops {
+			e.F64(both.Meter.Gates(op))
+		}
+	})
 	var joined []byte
 	for i, r := range one {
 		if errs[i] != nil {
@@ -343,20 +361,13 @@ func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
 		if !slices.Equal(opened[i], want) {
 			t.Errorf("party %d opened %v, the in-process runtime %v", i, opened[i], want)
 		}
-		ost := r.State()
-		if !reflect.DeepEqual(ost.Parties, st.Parties[i:i+1]) {
-			t.Errorf("party %d state %+v, in-process %+v", i, ost.Parties[0], st.Parties[i])
-		}
-		if !reflect.DeepEqual(ost.Meter, st.Meter) {
-			t.Errorf("party %d meter %v, in-process %v", i, ost.Meter, st.Meter)
-		}
-		party, ok := bytes.CutSuffix(body(func(e *Encoder) { EncodeRuntime(e, r) }), tail)
+		party, ok := bytes.CutSuffix(body(r.EncodeState), tail)
 		if !ok {
-			t.Fatalf("party %d section does not end in the meter", i)
+			t.Fatalf("party %d section does not end in the in-process runtime's meter", i)
 		}
 		joined = append(joined, party...)
 	}
-	if !bytes.Equal(body(func(e *Encoder) { EncodeRuntime(e, both) }), append(joined, tail...)) {
+	if !bytes.Equal(body(both.EncodeState), append(joined, tail...)) {
 		t.Error("the in-process runtime's section is not its parties' one-party sections joined")
 	}
 }
@@ -364,14 +375,14 @@ func TestRuntimeEqualsPairOfPartyRuntimes(t *testing.T) {
 // TestDecoderRejectsDamage drives the typed error paths of the codec frame.
 func TestDecoderRejectsDamage(t *testing.T) {
 	src := sampleBuffer(2, 9)
-	good := encodeSection(t, func(e *Encoder) { EncodeBuffer(e, src) })
+	good := encodeSection(t, src.EncodeState)
 
 	fresh := func() *oblivious.Buffer { return oblivious.NewBuffer(2, 0) }
 
 	t.Run("truncated", func(t *testing.T) {
 		for cut := 0; cut < len(good); cut++ {
-			dec := NewDecoder(bytes.NewReader(good[:cut]))
-			DecodeBufferInto(dec, fresh())
+			dec := snapshot.NewDecoder(bytes.NewReader(good[:cut]))
+			fresh().DecodeState(dec)
 			err := dec.Err()
 			if err == nil {
 				err = dec.Finish()
@@ -385,13 +396,13 @@ func TestDecoderRejectsDamage(t *testing.T) {
 	t.Run("crc", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[len(bad)-5] ^= 1 // inside the last payload word, not the CRC field
-		dec := NewDecoder(bytes.NewReader(bad))
-		DecodeBufferInto(dec, fresh())
+		dec := snapshot.NewDecoder(bytes.NewReader(bad))
+		fresh().DecodeState(dec)
 		err := dec.Err()
 		if err == nil {
 			err = dec.Finish()
 		}
-		if !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("want ErrCorrupt, got %v", err)
 		}
 	})
@@ -399,17 +410,17 @@ func TestDecoderRejectsDamage(t *testing.T) {
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[3] ^= 0x40
-		dec := NewDecoder(bytes.NewReader(bad))
-		DecodeBufferInto(dec, fresh())
-		if err := dec.Err(); !errors.Is(err, ErrBadMagic) {
+		dec := snapshot.NewDecoder(bytes.NewReader(bad))
+		fresh().DecodeState(dec)
+		if err := dec.Err(); !errors.Is(err, snapshot.ErrBadMagic) {
 			t.Fatalf("want ErrBadMagic, got %v", err)
 		}
 	})
 
 	t.Run("arity-mismatch", func(t *testing.T) {
-		dec := NewDecoder(bytes.NewReader(good))
-		DecodeBufferInto(dec, oblivious.NewBuffer(3, 0))
-		if err := dec.Err(); !errors.Is(err, ErrCorrupt) {
+		dec := snapshot.NewDecoder(bytes.NewReader(good))
+		oblivious.NewBuffer(3, 0).DecodeState(dec)
+		if err := dec.Err(); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("want ErrCorrupt for arity mismatch, got %v", err)
 		}
 	})
@@ -418,32 +429,34 @@ func TestDecoderRejectsDamage(t *testing.T) {
 		// A forged 4-billion-slot length prefix must error out after the
 		// bytes actually present, not allocate terabytes.
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := snapshot.NewEncoder(&buf)
 		enc.Int(2)          // arity
 		enc.Int(1 << 30)    // slots
 		enc.U32(0xffffffff) // payload length prefix
 		if err := enc.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-		DecodeBufferInto(dec, fresh())
+		dec := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
+		fresh().DecodeState(dec)
 		err := dec.Err()
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+		if !errors.Is(err, snapshot.ErrTruncated) && !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Fatalf("want truncated/corrupt, got %v", err)
 		}
 	})
 
 	// The party section's transcript-hash state: a damaged one must be
 	// ErrCorrupt — not a panic, and not a restore that quietly starts a fresh
-	// digest. Each case patches S0's field in a good runtime section.
+	// digest. Each case patches S0's field in a good runtime section, which
+	// the marshaled SHA-256 state's magic locates.
 	rt := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
 	rt.ShareToServers("c", 17)
 	rt.ObserveFetch(5, "shrink")
-	section := encodeSection(t, func(e *Encoder) { EncodeRuntime(e, rt) })
-	at := bytes.Index(section, rt.State().Parties[0].Digest)
+	section := encodeSection(t, rt.EncodeState)
+	at := bytes.Index(section, []byte("sha\x03"))
 	if at < 4 {
 		t.Fatal("S0's marshaled hash state not found in the runtime section")
 	}
+	stateLen := int(binary.LittleEndian.Uint32(section[at-4:]))
 	for _, c := range []struct {
 		name   string
 		damage func(b []byte)
@@ -458,7 +471,7 @@ func TestDecoderRejectsDamage(t *testing.T) {
 			h := sha256.New224()
 			h.Write([]byte("some other hash"))
 			foreign, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-			if err != nil || len(foreign) != mpc.DigestStateLen {
+			if err != nil || len(foreign) != stateLen {
 				t.Fatalf("foreign state: %d bytes, %v", len(foreign), err)
 			}
 			copy(b[at:], foreign)
@@ -470,10 +483,10 @@ func TestDecoderRejectsDamage(t *testing.T) {
 			target := mpc.NewRuntime(mpc.DefaultCostModel(), 42)
 			target.ObserveBatch(8, "transform")
 			before := target.Party(mpc.Server0).TranscriptDigest()
-			dec := NewDecoder(bytes.NewReader(bad))
-			DecodeRuntimeInto(dec, target)
+			dec := snapshot.NewDecoder(bytes.NewReader(bad))
+			target.DecodeState(dec)
 			err := dec.Err()
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("want ErrCorrupt, got %v", err)
 			}
 			if target.Party(mpc.Server0).TranscriptDigest() != before {
@@ -483,37 +496,39 @@ func TestDecoderRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestResumeDrawBoundSymmetry pins that the draw-position bound is
-// enforced at both ends: a position too large to replay refuses to encode
-// (the checkpoint fails loudly now, not the restore later), and a forged
-// position past the bound refuses to decode.
+// TestResumeDrawBoundSymmetry pins the draw-position bound at the decoder:
+// a forged position past it is ErrCorrupt, and a position at it — which a
+// restore schedules lazily, without replaying — decodes and encodes back to
+// the same bytes. That a runtime past the bound refuses to encode, failing
+// the checkpoint now rather than the restore later, is pinned by mpc's
+// TestDecodeStateRefusesBadDigestState, which can stand a party there.
 func TestResumeDrawBoundSymmetry(t *testing.T) {
 	rt := mpc.NewRuntime(mpc.DefaultCostModel(), 1)
 	rt.JointLaplace(1.0, mpc.OpOther)
-	st := rt.State()
-	st.Parties[0].Draws = uint64(dp.MaxResumeDraws) + 1
-	if err := rt.SetState(st); err == nil {
-		t.Fatal("SetState accepted a draw position beyond the resumable bound")
+	good := encodeSection(t, rt.EncodeState)
+	// forged sets S0's draw position, the section's first field. The CRC-32C
+	// trailer no longer matches; the section decoder does not read it.
+	forged := func(draws uint64) []byte {
+		b := bytes.Clone(good)
+		binary.LittleEndian.PutUint64(b[len(snapshot.Magic):], draws)
+		return b
 	}
 
-	// Encode side: a runtime whose recorded position exceeds the bound must
-	// fail at Finish, not write an unrestorable stream. Build the stream by
-	// hand (a real runtime cannot reach the bound in a test).
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	encodePartyState(enc, st.Parties[0])
-	if err := enc.Finish(); err == nil {
-		t.Fatal("encoded a party state beyond the resumable draw bound")
+	dec := snapshot.NewDecoder(bytes.NewReader(forged(dp.MaxResumeDraws + 1)))
+	mpc.NewRuntime(mpc.DefaultCostModel(), 1).DecodeState(dec)
+	if err := dec.Err(); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Fatalf("a draw position past the resumable bound: %v, want ErrCorrupt", err)
 	}
 
-	// The same holds for the other field a restore refuses: a transcript-hash
-	// state of the wrong length.
-	st = rt.State()
-	st.Parties[0].Digest = st.Parties[0].Digest[:len(st.Parties[0].Digest)-1]
-	enc = NewEncoder(&buf)
-	encodePartyState(enc, st.Parties[0])
-	if err := enc.Finish(); err == nil {
-		t.Fatal("encoded a party state whose hash state a restore would refuse")
+	at := forged(dp.MaxResumeDraws)
+	restored := mpc.NewRuntime(mpc.DefaultCostModel(), 1)
+	dec = snapshot.NewDecoder(bytes.NewReader(at))
+	restored.DecodeState(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatalf("a draw position at the resumable bound: %v", err)
+	}
+	if again := encodeSection(t, restored.EncodeState); !bytes.Equal(again[:len(again)-4], at[:len(at)-4]) {
+		t.Fatal("a draw position at the resumable bound did not encode back")
 	}
 }
 
@@ -526,15 +541,15 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 		ref.JointLaplace(1.0, mpc.OpOther)
 	}
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	EncodeRuntime(enc, ref)
+	enc := snapshot.NewEncoder(&buf)
+	ref.EncodeState(enc)
 	if err := enc.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
 	restored := mpc.NewRuntime(mpc.DefaultCostModel(), 5)
-	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-	DecodeRuntimeInto(dec, restored)
+	dec := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
+	restored.DecodeState(dec)
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -543,8 +558,8 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 	}
 	// Snapshot again before drawing: the position must survive untouched.
 	var again bytes.Buffer
-	enc2 := NewEncoder(&again)
-	EncodeRuntime(enc2, restored)
+	enc2 := snapshot.NewEncoder(&again)
+	restored.EncodeState(enc2)
 	if err := enc2.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -564,20 +579,20 @@ func TestLazyResumeMatchesUninterrupted(t *testing.T) {
 // and which held three copies of the clock and the cache's high-water mark —
 // there is no compatibility reader) are both refused.
 func TestHeaderVersionMismatch(t *testing.T) {
-	if Version != 9 {
-		t.Fatalf("format version %d, want 9", Version)
+	if snapshot.Version != 9 {
+		t.Fatalf("format version %d, want 9", snapshot.Version)
 	}
-	for _, v := range []uint32{Version + 7, 8} {
+	for _, v := range []uint32{snapshot.Version + 7, 8} {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := snapshot.NewEncoder(&buf)
 		enc.U32(v)
 		enc.U64(123)
 		if err := enc.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-		if _, err := ReadHeader(dec); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("version %d: want ErrVersionMismatch, got %v", v, err)
+		dec := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
+		if _, err := snapshot.ReadHeader(dec); !errors.Is(err, snapshot.ErrVersionMismatch) {
+			t.Fatalf("version %d: want snapshot.ErrVersionMismatch, got %v", v, err)
 		}
 	}
 }
@@ -585,10 +600,10 @@ func TestHeaderVersionMismatch(t *testing.T) {
 // TestFingerprintDistinguishesParts guards against ambiguity: the part
 // boundaries are part of the hash.
 func TestFingerprintDistinguishesParts(t *testing.T) {
-	if Fingerprint("ab", "c") == Fingerprint("a", "bc") {
+	if snapshot.Fingerprint("ab", "c") == snapshot.Fingerprint("a", "bc") {
 		t.Fatal("fingerprint ignores part boundaries")
 	}
-	if Fingerprint("x") == Fingerprint("x", "") {
+	if snapshot.Fingerprint("x") == snapshot.Fingerprint("x", "") {
 		t.Fatal("fingerprint ignores empty trailing parts")
 	}
 }

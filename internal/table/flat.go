@@ -122,22 +122,6 @@ func (f *Flat) Reset() {
 }
 
 // Data exposes the backing arena (n*arity attributes, row-major) for bulk
-// readers — the snapshot codec serializes it with one copy. Callers must
-// not mutate or retain it across growing appends.
+// access — a snapshot section writes it with one copy, and a decoder fills
+// rows it appended. Callers must not retain it across growing appends.
 func (f *Flat) Data() []int64 { return f.data }
-
-// AppendData bulk-appends row-major attribute data; len(data) must be a
-// multiple of the arena's arity. It is the decode-side counterpart of Data.
-func (f *Flat) AppendData(data []int64) {
-	if f.arity == 0 {
-		if len(data) != 0 {
-			panic("table: appending data to an arity-0 arena")
-		}
-		return
-	}
-	if len(data)%f.arity != 0 {
-		panic(fmt.Sprintf("table: %d attributes do not fill arity-%d rows", len(data), f.arity))
-	}
-	f.data = append(f.data, data...)
-	f.n += len(data) / f.arity
-}
