@@ -26,8 +26,9 @@ import (
 // in a library package without an allow naming its join trips goleak —
 // unjoined in internal/serve, or joined through a WaitGroup in
 // internal/core — and a wall-clock read, an order-sensitive map range, a
-// sync/atomic function call and an uncounted RNG trip detclock, maporder,
-// atomicmix and rngdraw. Every finding makes
+// sync/atomic function call and a math/rand source outside internal/dp (in
+// internal/core or internal/mpc) trip detclock, maporder, atomicmix and
+// rngdraw. Every finding makes
 // incshrink-lint exit nonzero, exactly as `make lint` runs it. This is the
 // same defence-in-depth pin the detclock analyzer got when it landed (a
 // smuggled time.Now must fail CI, not just a unit test over fixtures).
@@ -212,6 +213,20 @@ func lintGateRNG() *rand.Rand {
 }
 `,
 			line:     "return rand.New(rand.NewSource(1))",
+			analyzer: "rngdraw",
+		},
+		{
+			name: "rngdraw catches math/rand imported into a protocol package",
+			file: "internal/mpc/lintgate_rng.go",
+			inject: `package mpc
+
+import "math/rand"
+
+func lintGateWord(seed int64) uint32 {
+	return rand.New(rand.NewSource(seed)).Uint32()
+}
+`,
+			line:     "return rand.New(rand.NewSource(seed)).Uint32()",
 			analyzer: "rngdraw",
 		},
 	}

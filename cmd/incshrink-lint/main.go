@@ -1,7 +1,8 @@
 // Command incshrink-lint runs incshrink's static-analysis suite (detclock,
-// rngdraw, maporder, oblivtaint, and the two bans goleak — no go statement
-// in a library package without an allow naming its join — and atomicmix —
-// no package-level sync/atomic function; see internal/analysis) over every
+// maporder, oblivtaint, and the three bans rngdraw — no math/rand in a
+// snapshot-covered package but internal/dp — goleak — no go statement in a
+// library package without an allow naming its join — and atomicmix — no
+// package-level sync/atomic function; see internal/analysis) over every
 // package and test file of the module rooted at the current directory:
 //
 //	go run ./cmd/incshrink-lint

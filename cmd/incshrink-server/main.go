@@ -4,6 +4,9 @@
 // view's uploads apply in order while distinct views ingest in parallel.
 // Each view admits at most 16 writes in flight; the 17th answers 503 with
 // Retry-After: 1, and an advance-batch request carries at most 512 steps.
+// Both listeners time out a stalled connection (serve.NewHTTPServer): 5 s
+// for the headers, 21 s for the whole request, 53 s to the end of the
+// response, 60 s idle.
 //
 // Usage:
 //
@@ -59,6 +62,8 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
+
+	"incshrink/internal/serve"
 )
 
 func main() {
@@ -98,13 +103,13 @@ func main() {
 			slog.String("data", *dataDir), slog.Any("views", a.restored))
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: a.api}
+	srv := serve.NewHTTPServer(*addr, a.api)
 	errc := make(chan error, 2)
 	go func() { errc <- srv.ListenAndServe() }()
 
 	var opsSrv *http.Server
 	if *opsAddr != "" {
-		opsSrv = &http.Server{Addr: *opsAddr, Handler: a.ops}
+		opsSrv = serve.NewHTTPServer(*opsAddr, a.ops)
 		go func() { errc <- opsSrv.ListenAndServe() }()
 		log.Info("ops listening", slog.String("addr", *opsAddr))
 	}

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"incshrink/internal/serve"
 )
 
 // TestObsSmoke is the in-process form of `make obs-smoke`: boot the exact
@@ -168,5 +172,55 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := parseLevel("loud"); err == nil {
 		t.Error("parseLevel accepted garbage")
+	}
+}
+
+// TestStalledHeadersDisconnect: on both of the server's listeners, a client
+// that sends half a request line and stalls is disconnected within the
+// header timeout, not held — with its goroutine — forever.
+func TestStalledHeadersDisconnect(t *testing.T) {
+	a, err := buildApp(appConfig{TraceBuffer: 16, LogLevel: slog.LevelError}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.reg.Close(context.Background()) })
+	for _, l := range []struct {
+		name string
+		h    http.Handler
+	}{{"api", a.api}, {"ops", a.ops}} {
+		h := l.h
+		t.Run(l.name, func(t *testing.T) {
+			t.Parallel()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := serve.NewHTTPServer("", h)
+			if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+				t.Fatalf("timeouts header %v, read %v, write %v, idle %v: want all set",
+					srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+			}
+			go srv.Serve(ln)
+			defer srv.Close()
+
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			start := time.Now()
+			if _, err := conn.Write([]byte("GET /heal")); err != nil {
+				t.Fatal(err)
+			}
+			// net/http may answer (a 408) before it closes; what matters is
+			// that it closes.
+			conn.SetReadDeadline(start.Add(2 * srv.ReadHeaderTimeout))
+			if got, err := io.ReadAll(conn); err != nil {
+				t.Fatalf("after half a request line: read %q, then %v; want the server to close", got, err)
+			}
+			if waited := time.Since(start); waited > srv.ReadHeaderTimeout+time.Second {
+				t.Fatalf("closed after %v, want within the %v header timeout", waited, srv.ReadHeaderTimeout)
+			}
+		})
 	}
 }

@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: serve.NewHandler(reg)}
+	srv := serve.NewHTTPServer("", serve.NewHandler(reg))
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 	fmt.Println("incshrink-server serving on", base)

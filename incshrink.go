@@ -29,6 +29,7 @@ import (
 	"math"
 
 	"incshrink/internal/core"
+	"incshrink/internal/dp"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/query"
 	"incshrink/internal/table"
@@ -108,7 +109,14 @@ type Options struct {
 	// MaxLeft and MaxRight are the fixed upload block sizes; uploads are
 	// padded to (and must not exceed) these. Defaults 32 and 32.
 	MaxLeft, MaxRight int
-	// Seed drives all protocol randomness (default 1).
+	// Seed drives all protocol randomness. Zero (the default) takes a fresh
+	// seed from the operating system's cryptographic generator at Open, so
+	// views that name no seed do not share noise; the DB records it, and a
+	// snapshot carries it to the restore, which never draws another. It is
+	// never reported (Stats, the HTTP API). The streams are math/rand's,
+	// which reduces a seed modulo 2^31-1, so N unseeded views share a stream
+	// with probability about N²/2^31 (ROADMAP item 26's ChaCha8 key removes
+	// that).
 	Seed int64
 	// MergeWindows selects segment boundaries inside AdvanceBatch, nothing
 	// else. Off (the default), every step's upload gets its own Transform and
@@ -144,7 +152,7 @@ func (o Options) withDefaults() Options {
 		o.MaxRight = 32
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = dp.FreshSeed()
 	}
 	return o
 }

@@ -131,7 +131,7 @@ func TestRowValidation(t *testing.T) {
 // by either ingest call, before anything mutates.
 func TestNegativeKeyRejected(t *testing.T) {
 	open := func() *DB {
-		db, err := Open(ViewDef{Within: 10}, Options{MaxLeft: 4, MaxRight: 4, T: 1})
+		db, err := Open(ViewDef{Within: 10}, Options{MaxLeft: 4, MaxRight: 4, T: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

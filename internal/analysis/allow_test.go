@@ -8,8 +8,7 @@ import (
 )
 
 // The escape-hatch misuse checks (missing reason, unknown analyzer) ride
-// in the detclock and rngdraw fixtures; this covers an allow that
-// suppresses nothing.
+// in the detclock fixture; this covers an allow that suppresses nothing.
 func TestUnusedAllowReported(t *testing.T) {
 	analysistest.Run(t, analysis.DetClock, "incshrink/internal/unusedallow")
 }

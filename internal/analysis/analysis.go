@@ -4,10 +4,9 @@
 //
 //   - detclock: no wall-clock reads or global math/rand draws in
 //     deterministic packages.
-//   - rngdraw: protocol RNGs in snapshot-covered packages must be
-//     constructed through dp.CountingRNG, so every draw is counted and
-//     snapshot/restore can fast-forward the stream (the PR-4 resume
-//     invariant).
+//   - rngdraw: a ban on math/rand in snapshot-covered packages but
+//     internal/dp, whose dp.Stream counts every draw and checkpoints its
+//     own position, so snapshot/restore resumes the stream exactly.
 //   - maporder: no order-dependent work (appends, encodes, hashes, string
 //     or float accumulation) inside a range over a map — the classic
 //     silent golden-breaker.

@@ -11,8 +11,6 @@ import (
 // deadExportsKept are the exported symbols `make deadexports` tolerates with
 // no reference outside their own package's tests, each with what keeps it.
 var deadExportsKept = map[string]string{
-	"dp.DummyInsertedBound": "theorem bound; ROADMAP item 3 asserts against it or deletes it",
-	"dp.FlushSizeFor":       "theorem bound; ROADMAP item 3",
 	"gmw.Bit.Open":          "gate library; ROADMAP item 6 runs the engine on it",
 	"gmw.EqualShape":        "gate library; ROADMAP item 6",
 	"gmw.Eval.XOR":          "gate library; ROADMAP item 6",
@@ -23,7 +21,6 @@ var deadExportsKept = map[string]string{
 	"gmw.Eval.Equal":        "gate library; ROADMAP item 6",
 	"gmw.Eval.Stats":        "gate library; ROADMAP item 6",
 	"party.Resume":          "rejoin entry point; ROADMAP item 7 wires it to a reconnect",
-	"secretshare.NewRand":   "the package's seeded source for its tests and fuzzers",
 	"query.Compiled.Conds":  "query.Rewrite outlives its callers for cmd/benchmark's probe; ROADMAP item 1",
 	"query.Compiled.Oracle": "as above",
 	"query.Compiled.Query":  "as above",

@@ -42,8 +42,8 @@ var timeForbidden = map[string]bool{
 
 // randConstructors are the math/rand{,/v2} package-level functions that
 // build an explicit, seedable source rather than drawing from the hidden
-// global one. They are detclock-legal (rngdraw separately polices where
-// their results may live).
+// global one. They are detclock-legal; in the snapshot-covered packages
+// rngdraw bans them, with all of math/rand, outside internal/dp.
 var randConstructors = map[string]bool{
 	"New":        true,
 	"NewSource":  true,

@@ -484,7 +484,7 @@ func (t *taintScan) sourceField(sel *ast.SelectorExpr) (string, bool) {
 }
 
 // taintPkg matches a module-relative source package, accepting the
-// analysistest stub prefix the same way rngdraw's isDPPath does.
+// analysistest stub under testdata/src that stands in for it.
 func taintPkg(path, rel string) bool {
 	return path == ModulePath+"/"+rel || strings.HasSuffix(path, "/"+rel)
 }

@@ -7,10 +7,15 @@ import (
 	"incshrink/internal/analysis/analysistest"
 )
 
-// The fixture's rng_test.go holds an unwrapped source and expects no
-// finding: rngdraw skips test files, though the driver reports on them.
+// The fixture's rng_test.go builds a source and expects no finding: rngdraw
+// skips test files, though the driver reports on them.
 func TestRNGDraw(t *testing.T) {
 	analysistest.Run(t, analysis.RNGDraw, "incshrink/internal/mpc")
+}
+
+// internal/dp owns the stream: its math/rand source is not a finding.
+func TestRNGDrawSkipsStreamOwner(t *testing.T) {
+	analysistest.Run(t, analysis.RNGDraw, "incshrink/internal/dp")
 }
 
 // internal/serve is not snapshot-covered: its workload randomness is

@@ -1,15 +1,13 @@
-// Package dp is a hermetic analysistest stub of incshrink/internal/dp:
-// the draw-counting wrapper the rngdraw fixtures wrap sources in.
+// Package dp is a hermetic analysistest stub of incshrink/internal/dp, the
+// one snapshot-covered package rngdraw lets build a math/rand source.
 package dp
 
-type RNG interface {
-	Uint32() uint32
+import "math/rand"
+
+type Stream struct {
+	src *rand.Rand
 }
 
-type CountingRNG struct {
-	src RNG
-}
+func NewStream(seed int64) *Stream { return &Stream{src: rand.New(rand.NewSource(seed))} }
 
-func NewCountingRNG(src RNG) *CountingRNG { return &CountingRNG{src: src} }
-
-func (c *CountingRNG) Uint32() uint32 { return c.src.Uint32() }
+func (s *Stream) Uint32() uint32 { return s.src.Uint32() }

@@ -9,16 +9,11 @@ import (
 )
 
 func sources(seed int64) {
-	_ = rand.New(rand.NewSource(seed))                    // want `uncounted RNG: math/rand.New`
-	_ = dp.NewCountingRNG(rand.New(rand.NewSource(seed))) // wrapped at construction: legal
-
-	// Binding the raw source to a name first leaves an uncounted handle
-	// alive, even though it is wrapped one line later.
-	src := rand.NewSource(seed) // want `uncounted RNG: math/rand.NewSource`
-	_ = dp.NewCountingRNG(rand.New(src))
+	_ = rand.New(rand.NewSource(seed)) // want `math/rand.New in` `math/rand.NewSource in`
+	_ = dp.NewStream(seed)             // the one constructor: legal
 }
 
-func allowedSite(seed int64) {
-	//lint:allow rngdraw fixture: one-shot transcript simulation, never resumed from a snapshot
-	_ = rand.New(rand.NewSource(seed))
+// A source built elsewhere is still a use of math/rand where it draws.
+func draw(r *rand.Rand) uint32 {
+	return r.Uint32() // want `math/rand.Uint32 in`
 }

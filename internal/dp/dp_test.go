@@ -152,19 +152,6 @@ func TestDeferredBoundEmpirical(t *testing.T) {
 	}
 }
 
-func TestDummyInsertedBound(t *testing.T) {
-	got, err := DummyInsertedBound(10, 1.5, 100, 15, 10, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got <= 0 {
-		t.Errorf("bound = %v, want positive", got)
-	}
-	if _, err := DummyInsertedBound(10, 1.5, 100, 15, 10, 0); err == nil {
-		t.Error("zero flush interval should error")
-	}
-}
-
 func TestANTDeferredBound(t *testing.T) {
 	got, err := ANTDeferredBound(20, 1.5, 1000, 0.05)
 	if err != nil {
@@ -180,16 +167,6 @@ func TestANTDeferredBound(t *testing.T) {
 	}
 	if _, err := ANTDeferredBound(20, 1.5, 1000, 0); err == nil {
 		t.Error("beta 0 should error")
-	}
-}
-
-func TestFlushSizeFor(t *testing.T) {
-	s, err := FlushSizeFor(10, 1.5, 200, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s <= 0 {
-		t.Errorf("flush size %d, want positive", s)
 	}
 }
 

@@ -1,8 +1,13 @@
 // Package dp implements the differential-privacy machinery used by
 // IncShrink's Shrink protocols: the joint fixed-point Laplace sampler of
-// Algorithm 2 (lines 4-6), the counted, resumable randomness streams it
-// draws from, and the tail bounds of Theorems 4-6 as computable predicates.
-// The mechanisms themselves — sDPTimer's noisy release and sDPANT's
+// Algorithm 2 (lines 4-6), the tail bounds of Theorems 4 and 6 as
+// computable predicates, and the protocol's randomness itself. Stream is
+// the one seeded stream every protocol layer draws from — the parties, the
+// Theorem-7/8 simulators and the GMW dealer — and the one place that knows
+// which generator backs it and how its position is checkpointed and
+// resumed; no other snapshot-covered package imports math/rand (the rngdraw
+// analyzer). FreshSeed gives a deployment that names no seed its own. The
+// mechanisms themselves — sDPTimer's noisy release and sDPANT's
 // numeric-above-noisy-threshold — run inside the MPC runtime (core.Timer,
 // core.ANT), not here.
 package dp
@@ -86,21 +91,6 @@ func DeferredDataBound(b float64, epsilon float64, k int, beta float64) (float64
 	return 2 * b / epsilon * math.Sqrt(float64(k)*math.Log(1/beta)), nil
 }
 
-// DummyInsertedBound returns the Theorem 5 bound on records inserted into the
-// materialized view beyond the true cardinality after the k-th update, with
-// cache flushes of size s every f time steps and update interval T:
-// O(2b*sqrt(k)/eps) + s*k*T/f.
-func DummyInsertedBound(b, epsilon float64, k int, s, T, f int) (float64, error) {
-	d, err := DeferredDataBound(b, epsilon, k, 0.05)
-	if err != nil {
-		return 0, err
-	}
-	if f <= 0 {
-		return 0, errors.New("dp: flush interval must be positive")
-	}
-	return d + float64(s*k*T)/float64(f), nil
-}
-
 // ANTDeferredBound returns the Theorem 6 bound for sDPANT: the number of
 // deferred tuples at time t is O(16 b log(t) / eps). The constant the proof
 // derives is 16 b (log t + log(2/beta)) / eps; we expose the full expression.
@@ -115,16 +105,4 @@ func ANTDeferredBound(b, epsilon float64, t int, beta float64) (float64, error) 
 		t = 2
 	}
 	return 16 * b * (math.Log(float64(t)) + math.Log(2/beta)) / epsilon, nil
-}
-
-// FlushSizeFor picks a cache flush size such that with probability at least
-// 1-beta no real tuple is recycled by a flush (Section 5.2.1): the flush
-// keeps the first `size` tuples of the sorted cache, so it suffices that the
-// deferred-data bound at the flush horizon stays below it.
-func FlushSizeFor(b, epsilon float64, updatesPerFlush int, beta float64) (int, error) {
-	alpha, err := DeferredDataBound(b, epsilon, updatesPerFlush, beta)
-	if err != nil {
-		return 0, err
-	}
-	return int(math.Ceil(alpha)), nil
 }

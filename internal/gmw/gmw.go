@@ -23,7 +23,7 @@
 // cleartext.
 package gmw
 
-import "math/rand"
+import "incshrink/internal/dp"
 
 // Bit is a secret bit, XOR-shared across the two parties.
 type Bit struct {
@@ -71,13 +71,12 @@ var products = func() (p [16]uint16) {
 // a standard abstraction for semi-honest preprocessing (instantiable with
 // OT extension in a deployment); it never sees the parties' inputs.
 type Dealer struct {
-	rng *rand.Rand
+	rng *dp.Stream
 }
 
-// NewDealer creates a dealer with its own randomness.
+// NewDealer creates a dealer with its own randomness, the dp.Stream of seed.
 func NewDealer(seed int64) *Dealer {
-	//lint:allow rngdraw dealer randomness is offline-phase preprocessing, one Uint64 per tuple, never snapshot-covered; wrapping would not count those draws
-	return &Dealer{rng: rand.New(rand.NewSource(seed))}
+	return &Dealer{rng: dp.NewStream(seed)}
 }
 
 // Tuple draws one fresh tuple from a single 64-bit draw: bits 0..3 are a,

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"incshrink/internal/dp"
 	"incshrink/internal/secretshare"
 	"incshrink/internal/snapshot"
 	"incshrink/internal/wire"
@@ -388,17 +387,12 @@ func decodeSection(data []byte, read func(*snapshot.Decoder)) error {
 	return d.Finish()
 }
 
-// pastBound is a stream whose position is past what a restore replays.
-type pastBound struct{}
-
-func (pastBound) Uint32() uint32 { return 0 }
-func (pastBound) Draws() uint64  { return dp.MaxResumeDraws + 1 }
-
 // TestDecodeStateRefusesBadDigestState: a party section whose hash state
 // does not unmarshal, or whose draw position is past the resumable bound, is
 // ErrCorrupt and leaves the party as it was — never a silently fresh digest
-// or stream. The encoder refuses to write either, so a checkpoint fails at
-// once rather than at the next boot.
+// or stream. The encoder refuses to write such a digest, so a checkpoint
+// fails at once rather than at the next boot (the stream's own refusal past
+// the bound is dp's TestStreamRefusesPositionPastBound).
 func TestDecodeStateRefusesBadDigestState(t *testing.T) {
 	r := NewRuntime(DefaultCostModel(), 13)
 	r.ObserveBatch(8, "transform")
@@ -427,7 +421,7 @@ func TestDecodeStateRefusesBadDigestState(t *testing.T) {
 		"long digest":      section(0, append(slices.Clone(state), 0)),
 		"empty digest":     section(0, nil),
 		"bad digest magic": section(0, append([]byte{state[0] ^ 0xff}, state[1:]...)),
-		"draws past bound": section(dp.MaxResumeDraws+1, state),
+		"draws past bound": section(math.MaxUint64, state),
 	} {
 		if err := decodeSection(data, s0.decodeState); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: decode error %v, want ErrCorrupt", name, err)
@@ -437,21 +431,13 @@ func TestDecodeStateRefusesBadDigestState(t *testing.T) {
 		}
 	}
 
+	p := NewParty(Server0, 1)
+	p.digest = sha512.New()
 	var buf bytes.Buffer
-	for _, c := range []struct {
-		name   string
-		damage func(p *Party)
-	}{
-		{"draws past bound", func(p *Party) { p.rng = pastBound{} }},
-		{"foreign digest", func(p *Party) { p.digest = sha512.New() }},
-	} {
-		p := NewParty(Server0, 1)
-		c.damage(p)
-		e := snapshot.NewEncoder(&buf)
-		p.encodeState(e)
-		if e.Finish() == nil {
-			t.Errorf("%s: encoded a party section a restore would refuse", c.name)
-		}
+	e := snapshot.NewEncoder(&buf)
+	p.encodeState(e)
+	if e.Finish() == nil {
+		t.Error("foreign digest: encoded a party section a restore would refuse")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash"
 	"maps"
-	"math/rand"
 	"slices"
 
 	"incshrink/internal/dp"
@@ -142,8 +141,7 @@ const digestStateLen = 4 + sha256.Size + sha256.BlockSize + 8
 // horizon; a test that needs them attaches a recorder (Record).
 type Party struct {
 	ID         PartyID
-	seed       int64
-	rng        drawCounter
+	rng        *dp.Stream
 	store      map[string]secretshare.Word
 	digest     hash.Hash
 	events     uint64
@@ -166,22 +164,12 @@ type Party struct {
 	labels map[string]string
 }
 
-// drawCounter is a party's private stream: a *dp.CountingRNG, whose draw
-// position a snapshot records.
-type drawCounter interface {
-	dp.RNG
-	Draws() uint64
-}
-
-// NewParty creates a server with its own private randomness stream. The
-// stream is wrapped in a draw counter (dp.CountingRNG) so its position can
-// be checkpointed and resumed exactly; the underlying source and therefore
-// the drawn words are unchanged.
+// NewParty creates a server with its own private randomness stream, the
+// dp.Stream of seed, which checkpoints and resumes its own position.
 func NewParty(id PartyID, seed int64) *Party {
 	return &Party{
 		ID:     id,
-		seed:   seed,
-		rng:    dp.NewCountingRNG(rand.New(rand.NewSource(seed))),
+		rng:    dp.NewStream(seed),
 		store:  make(map[string]secretshare.Word),
 		digest: sha256.New(),
 		labels: make(map[string]string),
@@ -203,17 +191,13 @@ func (p *Party) TranscriptDigest() [sha256.Size]byte {
 // EventCount returns the number of events observed so far.
 func (p *Party) EventCount() uint64 { return p.events }
 
-// encodeState writes the party's section: its draw position, its share
-// store in key order, the running SHA-256 of its transcript (the hash's
-// marshaled state) with the event count, and its wire tally. The party's
-// identity and seed are construction parameters, not state.
+// encodeState writes the party's section: its stream's draw position
+// (written by the stream), its share store in key order, the running SHA-256
+// of its transcript (the hash's marshaled state) with the event count, and
+// its wire tally. The party's identity and seed are construction parameters,
+// not state.
 func (p *Party) encodeState(e *snapshot.Encoder) {
-	// Refuse to write a draw position a restore would refuse to replay: the
-	// checkpoint must fail now, loudly, not at the next boot.
-	if p.rng.Draws() > dp.MaxResumeDraws {
-		e.Fail("party draw position %d exceeds the resumable bound %d", p.rng.Draws(), uint64(dp.MaxResumeDraws))
-	}
-	e.U64(p.rng.Draws())
+	p.rng.EncodeState(e)
 	e.U32(uint32(len(p.store)))
 	for _, k := range slices.Sorted(maps.Keys(p.store)) {
 		e.String(k)
@@ -232,12 +216,12 @@ func (p *Party) encodeState(e *snapshot.Encoder) {
 
 // decodeState reads a section written by encodeState into p. The share
 // store, transcript digest and event count are replaced, and the private
-// randomness stream is rebuilt from the party's seed and fast-forwarded to
-// the recorded draw position, so the next word drawn is exactly the one the
-// snapshotted party would have drawn. Every field is read and checked before
-// any is loaded: on error p is left untouched.
+// randomness stream is resumed at the recorded draw position (dp.Stream's
+// Resume), so the next word drawn is exactly the one the snapshotted party
+// would have drawn. Every field is read and checked before any is loaded: on
+// error p is left untouched.
 func (p *Party) decodeState(d *snapshot.Decoder) {
-	draws := d.U64()
+	rng := p.rng.Resume(d)
 	n := d.Len()
 	if d.Err() != nil {
 		return
@@ -265,11 +249,6 @@ func (p *Party) decodeState(d *snapshot.Decoder) {
 	digest := sha256.New()
 	if err := digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
 		d.Corrupt("restoring %v transcript digest: %v", p.ID, err)
-		return
-	}
-	rng := dp.NewCountingRNG(rand.New(rand.NewSource(p.seed)))
-	if err := dp.ResumeRNG(rng, draws); err != nil {
-		d.Corrupt("restoring %v randomness: %v", p.ID, err)
 		return
 	}
 	p.rng, p.store, p.digest = rng, store, digest

@@ -1,10 +1,6 @@
 package mpc
 
-import (
-	"math/rand"
-
-	"incshrink/internal/dp"
-)
+import "incshrink/internal/dp"
 
 // PublicParams are the quantities Theorem 7 assumes publicly available when
 // constructing the simulator of Table 1: the privacy parameter, the owners'
@@ -111,7 +107,7 @@ func (w *simWire) stamp(ev Event) Event {
 // times, sizes, labels and wire tallies) and the distributional half
 // statistically (uniform share values on both sides).
 func SimulateTimer(pp PublicParams, fetches map[int]int, party PartyID, seed int64) *Transcript {
-	rng := dp.NewCountingRNG(rand.New(rand.NewSource(seed)))
+	rng := dp.NewStream(seed)
 	tr := &Transcript{Party: party}
 	var w simWire
 	cache := simCache{pp: pp}
@@ -174,7 +170,7 @@ type ANTOutput struct {
 // Table 1, the simulator additionally emits one random value per update to
 // stand in for the refreshed noisy-threshold share.
 func SimulateANT(pp PublicParams, updates []ANTOutput, party PartyID, seed int64) *Transcript {
-	rng := dp.NewCountingRNG(rand.New(rand.NewSource(seed)))
+	rng := dp.NewStream(seed)
 	tr := &Transcript{Party: party}
 	var w simWire
 	cache := simCache{pp: pp}

@@ -12,7 +12,7 @@ import (
 func FuzzShareBytes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5})
-	rng := NewRand(1)
+	rng := newRand(1)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		padded := append(bytes.Clone(payload), 0, 0, 0)
 		words := make([]Word, (len(payload)+3)/4)

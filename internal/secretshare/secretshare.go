@@ -9,8 +9,6 @@
 // internal/mpc.)
 package secretshare
 
-import "math/rand"
-
 // Word is the ring element type. The paper fixes the ring to Z_{2^32}; XOR
 // arithmetic on uint32 implements it exactly.
 type Word = uint32
@@ -22,7 +20,7 @@ type Shares2 struct {
 }
 
 // RNG is the randomness source interface used throughout the package. It is
-// satisfied by *math/rand.Rand; tests substitute deterministic sources.
+// satisfied by *dp.Stream; tests substitute deterministic sources.
 type RNG interface {
 	Uint32() uint32
 }
@@ -36,12 +34,4 @@ func Share(x Word, rng RNG) Shares2 {
 // Recover reconstructs the secret from both shares.
 func Recover(s Shares2) Word {
 	return s.S0 ^ s.S1
-}
-
-// NewRand returns a deterministic RNG seeded with seed. Every randomized
-// component in this repository threads its RNG explicitly so that whole
-// experiments replay bit-for-bit.
-func NewRand(seed int64) RNG {
-	//lint:allow rngdraw seed-to-RNG factory; callers that persist stream position wrap the result in dp.NewCountingRNG at the use site
-	return rand.New(rand.NewSource(seed))
 }

@@ -1,12 +1,16 @@
 package secretshare
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
+// newRand is the tests' seeded source.
+func newRand(seed int64) RNG { return rand.New(rand.NewSource(seed)) }
+
 func TestShareRecoverRoundTrip(t *testing.T) {
-	rng := NewRand(1)
+	rng := newRand(1)
 	for _, x := range []Word{0, 1, 42, 0xFFFFFFFF, 0x80000000, 123456789} {
 		s := Share(x, rng)
 		if got := Recover(s); got != x {
@@ -16,7 +20,7 @@ func TestShareRecoverRoundTrip(t *testing.T) {
 }
 
 func TestShareRecoverProperty(t *testing.T) {
-	rng := NewRand(2)
+	rng := newRand(2)
 	f := func(x Word) bool { return Recover(Share(x, rng)) == x }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -29,7 +33,7 @@ func TestShareRecoverProperty(t *testing.T) {
 // shares of two very different secrets and compare histograms coarsely.
 func TestSingleShareUniform(t *testing.T) {
 	const n = 64 * 1024
-	rng := NewRand(5)
+	rng := newRand(5)
 	histA := make([]int, 16)
 	histB := make([]int, 16)
 	for i := 0; i < n; i++ {
@@ -47,7 +51,7 @@ func TestSingleShareUniform(t *testing.T) {
 }
 
 func BenchmarkShare(b *testing.B) {
-	rng := NewRand(100)
+	rng := newRand(100)
 	for i := 0; i < b.N; i++ {
 		_ = Share(Word(i), rng)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 
 	"incshrink"
 )
@@ -31,11 +32,11 @@ import (
 // handler's goroutine under the view's lock, whether or not the client
 // stays connected.
 //
-// Error mapping: unknown view -> 404, duplicate create -> 409, a view with
-// 16 writes in flight (ErrBusy) -> 503 with Retry-After: 1, a dropped view
-// or closed registry (ErrClosed) -> 503, malformed input or a DB-rejected
-// upload/query -> 400, snapshot without a data directory -> 409, anything
-// unrecognized -> 500.
+// Error mapping: unknown view -> 404, duplicate create (or a name held by a
+// checkpoint file no view restored) -> 409, a view with 16 writes in flight
+// (ErrBusy) -> 503 with Retry-After: 1, a dropped view or closed registry
+// (ErrClosed) -> 503, malformed input or a DB-rejected upload/query -> 400,
+// snapshot without a data directory -> 409, anything unrecognized -> 500.
 
 // CreateRequest declares a new view.
 type CreateRequest struct {
@@ -131,6 +132,42 @@ type StatusJSON struct {
 // generous, and an unbounded body must not be buffered into memory just to
 // fail the block-size check afterwards.
 const maxBodyBytes = 1 << 20
+
+// Connection timeouts of every http.Server this module runs (NewHTTPServer),
+// sized from the largest legal request and the slowest admitted write, so a
+// client that stalls mid-request holds its connection and goroutine for a
+// bounded time instead of forever:
+//   - a request's headers are a few hundred bytes, and readHeaderTimeout
+//     is ample for them on any live connection;
+//   - readTimeout adds maxBodyBytes at minClientRate;
+//   - writeTimeout runs from the end of the headers to the end of the
+//     response, so it adds, to readTimeout, maxWriters writes each given
+//     slowWrite: the slowest admitted write is a 512-step batch plus its
+//     checkpoint, ≈ 22 ms at the default 32-row blocks on a 2-core x86
+//     server, and slowWrite leaves about 90× that for larger blocks and
+//     slower disks. It is also above the 30 s of a default /debug/pprof/profile;
+//   - idleTimeout closes a keep-alive connection no request reuses.
+const (
+	readHeaderTimeout = 5 * time.Second
+	minClientRate     = 64 << 10 // bytes per second
+	readTimeout       = readHeaderTimeout + maxBodyBytes/minClientRate*time.Second
+	slowWrite         = 2 * time.Second
+	writeTimeout      = readTimeout + maxWriters*slowWrite
+	idleTimeout       = 60 * time.Second
+)
+
+// NewHTTPServer returns an http.Server for h on addr with the connection
+// timeouts above set.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // decodeJSON decodes a size-capped request body into v, strictly: unknown
 // fields are rejected (a typo like "epsilom" must not silently select the

@@ -18,9 +18,11 @@ import (
 // Durability for the serving layer. Every hosted view checkpoints to its
 // own snapshot file <DataDir>/<url-escaped name>.snap (the escaping makes
 // arbitrary registry names filesystem- and path-traversal-safe). Writes are
-// atomic — temp file, fsync, rename — so a crash mid-checkpoint leaves the
-// previous snapshot intact, and a restore always sees a complete stream
-// (the snapshot's own CRC catches anything else).
+// atomic — temp file, fsync, rename, fsync of the directory — so a crash
+// mid-checkpoint leaves the previous snapshot intact, a checkpoint that
+// returned survives a power loss, and a restore always sees a complete
+// stream (the snapshot's own CRC catches anything else). A file RestoreAll
+// could not load keeps its name: Create refuses it with ErrExists.
 
 // ErrNoDataDir reports a checkpoint or restore attempt on a registry
 // configured without a data directory.
@@ -110,7 +112,21 @@ func (v *View) checkpointAndUnlock() (path string, step int, err error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", 0, fmt.Errorf("serve: checkpointing %q: %w", v.name, err)
 	}
+	if err := v.reg.syncDir(); err != nil {
+		return "", 0, fmt.Errorf("serve: checkpointing %q: %w", v.name, err)
+	}
 	return path, step, nil
+}
+
+// syncDir fsyncs the data directory, making a rename or a remove in it
+// durable: without it, a power loss can undo a checkpoint that returned.
+func (r *Registry) syncDir() error {
+	d, err := os.Open(r.cfg.DataDir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Checkpoint writes a snapshot of the view on the caller's goroutine. It is

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"incshrink"
+	"incshrink/internal/snapshot"
 )
 
 func durDef() incshrink.ViewDef { return incshrink.ViewDef{Within: 5} }
@@ -412,5 +414,54 @@ func TestCloseIsAckBarrier(t *testing.T) {
 		if got, want := v.Stats().Stats.Step, acked[i].Load(); int64(got) != want {
 			t.Errorf("view v%d restored at step %d, but %d uploads were acknowledged", i, got, want)
 		}
+	}
+}
+
+// TestUnrestoredSnapshotKeepsItsName: a checkpoint this build cannot read —
+// here a v9 snapshot whose version field says otherwise — fails RestoreAll
+// with ErrVersionMismatch, and its file then reserves the name: a create of
+// it is 409, and neither CheckpointAll nor Close writes over the file. Its
+// bytes wait for a build that reads them, or an operator who moves them.
+func TestUnrestoredSnapshotKeepsItsName(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry(Config{DataDir: dir})
+	v, err := reg.Create("v0", durDef(), durOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	advanceN(t, v, 0, 6)
+	path, _, err := v.Checkpoint(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Close(context.Background())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(snapshot.Magic)
+	if got := binary.LittleEndian.Uint32(data[at:]); got != snapshot.Version {
+		t.Fatalf("version field %d, want %d", got, snapshot.Version)
+	}
+	binary.LittleEndian.PutUint32(data[at:], snapshot.Version+1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := NewRegistry(Config{DataDir: dir})
+	if restored, err := boot.RestoreAll(); !errors.Is(err, snapshot.ErrVersionMismatch) || len(restored) != 0 {
+		t.Fatalf("RestoreAll: restored %v, %v; want none, ErrVersionMismatch", restored, err)
+	}
+	srv := httptest.NewServer(NewHandler(boot))
+	defer srv.Close()
+	if code := doJSON(t, srv.Client(), "POST", srv.URL+"/v1/views", CreateRequest{Name: "v0", Within: 5, Seed: 3}, nil); code != 409 {
+		t.Fatalf("create over an unrestored checkpoint: %d, want 409", code)
+	}
+	if err := boot.CheckpointAll(); err != nil {
+		t.Fatal(err)
+	}
+	boot.Close(context.Background())
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("the unrestored checkpoint changed (%v): %d bytes, was %d", err, len(after), len(data))
 	}
 }

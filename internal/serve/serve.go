@@ -75,7 +75,8 @@ var (
 	// ErrNotFound reports an unknown view name.
 	ErrNotFound = errors.New("serve: view not found")
 	// ErrExists reports a Create against a name already registered
-	// (including one whose Drop has not finished).
+	// (including one whose Drop has not finished) or held by a checkpoint
+	// file RestoreAll did not load.
 	ErrExists = errors.New("serve: view already exists")
 	// ErrClosed reports an operation against a closed registry or a
 	// dropped view.
@@ -142,7 +143,9 @@ func NewRegistry(cfg Config) *Registry {
 	return r
 }
 
-// Create opens a new view under the given name.
+// Create opens a new view under the given name. A name that is registered
+// (or mid-Drop), or whose checkpoint file is in the data directory with no
+// view restored from it, is refused with ErrExists.
 func (r *Registry) Create(name string, def incshrink.ViewDef, opts incshrink.Options) (*View, error) {
 	if name == "" {
 		return nil, fmt.Errorf("%w: view name must be non-empty", incshrink.ErrInvalidArgument)
@@ -158,6 +161,14 @@ func (r *Registry) Create(name string, def incshrink.ViewDef, opts incshrink.Opt
 	r.mu.RUnlock()
 	if dup {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	// A checkpoint file no registered view owns is one RestoreAll could not
+	// load (a newer format, damage): it reserves its name until an operator
+	// moves it away, so a new view's first checkpoint never renames over it.
+	if r.cfg.DataDir != "" {
+		if _, err := os.Lstat(r.snapPath(name)); err == nil {
+			return nil, fmt.Errorf("%w: %q has a checkpoint file no view restored", ErrExists, name)
+		}
 	}
 	db, err := incshrink.Open(def, opts)
 	if err != nil {
@@ -256,6 +267,9 @@ func (r *Registry) Drop(name string) error {
 		v.fileMu.Lock()
 		v.dropped = true
 		err := os.Remove(r.snapPath(name))
+		if err == nil {
+			err = r.syncDir()
+		}
 		v.fileMu.Unlock()
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			rmErr = fmt.Errorf("serve: dropping %q checkpoint: %w", name, err)

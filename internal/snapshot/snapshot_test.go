@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"incshrink/internal/dp"
 	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/securearray"
@@ -493,83 +492,6 @@ func TestDecoderRejectsDamage(t *testing.T) {
 				t.Fatal("a refused hash state still replaced the party's digest")
 			}
 		})
-	}
-}
-
-// TestResumeDrawBoundSymmetry pins the draw-position bound at the decoder:
-// a forged position past it is ErrCorrupt, and a position at it — which a
-// restore schedules lazily, without replaying — decodes and encodes back to
-// the same bytes. That a runtime past the bound refuses to encode, failing
-// the checkpoint now rather than the restore later, is pinned by mpc's
-// TestDecodeStateRefusesBadDigestState, which can stand a party there.
-func TestResumeDrawBoundSymmetry(t *testing.T) {
-	rt := mpc.NewRuntime(mpc.DefaultCostModel(), 1)
-	rt.JointLaplace(1.0, mpc.OpOther)
-	good := encodeSection(t, rt.EncodeState)
-	// forged sets S0's draw position, the section's first field. The CRC-32C
-	// trailer no longer matches; the section decoder does not read it.
-	forged := func(draws uint64) []byte {
-		b := bytes.Clone(good)
-		binary.LittleEndian.PutUint64(b[len(snapshot.Magic):], draws)
-		return b
-	}
-
-	dec := snapshot.NewDecoder(bytes.NewReader(forged(dp.MaxResumeDraws + 1)))
-	mpc.NewRuntime(mpc.DefaultCostModel(), 1).DecodeState(dec)
-	if err := dec.Err(); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("a draw position past the resumable bound: %v, want ErrCorrupt", err)
-	}
-
-	at := forged(dp.MaxResumeDraws)
-	restored := mpc.NewRuntime(mpc.DefaultCostModel(), 1)
-	dec = snapshot.NewDecoder(bytes.NewReader(at))
-	restored.DecodeState(dec)
-	if err := dec.Err(); err != nil {
-		t.Fatalf("a draw position at the resumable bound: %v", err)
-	}
-	if again := encodeSection(t, restored.EncodeState); !bytes.Equal(again[:len(again)-4], at[:len(at)-4]) {
-		t.Fatal("a draw position at the resumable bound did not encode back")
-	}
-}
-
-// TestLazyResumeMatchesUninterrupted pins the lazy catch-up: a stream
-// resumed to position d produces the same words as one that actually drew
-// d times, and re-snapshotting before any draw preserves the position.
-func TestLazyResumeMatchesUninterrupted(t *testing.T) {
-	ref := mpc.NewRuntime(mpc.DefaultCostModel(), 5)
-	for i := 0; i < 100; i++ {
-		ref.JointLaplace(1.0, mpc.OpOther)
-	}
-	var buf bytes.Buffer
-	enc := snapshot.NewEncoder(&buf)
-	ref.EncodeState(enc)
-	if err := enc.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	restored := mpc.NewRuntime(mpc.DefaultCostModel(), 5)
-	dec := snapshot.NewDecoder(bytes.NewReader(buf.Bytes()))
-	restored.DecodeState(dec)
-	if err := dec.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot again before drawing: the position must survive untouched.
-	var again bytes.Buffer
-	enc2 := snapshot.NewEncoder(&again)
-	restored.EncodeState(enc2)
-	if err := enc2.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("re-snapshot before first draw changed the stream position")
-	}
-	for i := 0; i < 16; i++ {
-		if a, b := ref.JointLaplace(1.0, mpc.OpOther), restored.JointLaplace(1.0, mpc.OpOther); a != b {
-			t.Fatalf("draw %d diverged after lazy resume", i)
-		}
 	}
 }
 

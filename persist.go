@@ -89,6 +89,11 @@ func Restore(r io.Reader) (*DB, error) {
 	if fp != configFingerprint(def, opts) {
 		return nil, fmt.Errorf("%w: the configuration section does not match the header", snapshot.ErrFingerprintMismatch)
 	}
+	// Open draws a fresh seed for zero; a snapshot always records the one
+	// its DB drew, and a restore must continue that stream, not start one.
+	if opts.Seed == 0 {
+		return nil, fmt.Errorf("%w: the configuration section has no seed", snapshot.ErrCorrupt)
+	}
 
 	db, err := Open(def, opts)
 	if err != nil {

@@ -3,6 +3,7 @@ package incshrink
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -248,6 +249,24 @@ func TestRestoreRejectsDamage(t *testing.T) {
 		}
 	})
 
+	t.Run("no-seed", func(t *testing.T) {
+		// A configuration section with seed 0 under a matching fingerprint:
+		// Open would draw a fresh seed, so the restore must refuse it rather
+		// than start a new stream. The seed is the options' eighth field.
+		bad := append([]byte(nil), good...)
+		at := len(snapshot.Magic) + 4 + 8 + (8 + 8 + 8 + 1) + (8 + 1 + 8 + 8 + 8 + 8 + 8)
+		if got := int64(binary.LittleEndian.Uint64(bad[at:])); got != 5 {
+			t.Fatalf("seed field reads %d, want 5", got)
+		}
+		binary.LittleEndian.PutUint64(bad[at:], 0)
+		opts := db.opts
+		opts.Seed = 0
+		binary.LittleEndian.PutUint64(bad[len(snapshot.Magic)+4:], configFingerprint(db.def, opts))
+		if _, err := Restore(bytes.NewReader(bad)); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("want ErrCorrupt, got %v", err)
+		}
+	})
+
 	t.Run("trailing-garbage", func(t *testing.T) {
 		// Extra bytes after the trailer are not part of the snapshot; a
 		// stream reader stops at the trailer, so this must still restore.
@@ -347,5 +366,51 @@ func TestOpenRejectsNegativeFields(t *testing.T) {
 	db := mustOpen(t, ViewDef{Within: 10}, Options{})
 	if got := fmt.Sprintf("%v", db.opts.Protocol); got != "sDPTimer" {
 		t.Fatalf("default protocol = %s", got)
+	}
+}
+
+// TestUnseededViewsDrawOwnNoise: two views opened without a seed over the
+// same uploads release different view sizes — each drew its own seed, so the
+// servers cannot read the difference of two true counts off the difference
+// of two releases — and a restore continues the seed its snapshot carries
+// instead of drawing another.
+func TestUnseededViewsDrawOwnNoise(t *testing.T) {
+	const steps = 40
+	// run advances db over steps [from, to) and returns the view size after
+	// each.
+	run := func(db *DB, from, to int) []int {
+		var sizes []int
+		for i := from; i < to; i++ {
+			k := int64(i)
+			if err := db.Advance([]Row{{k, k}, {k + 100, k}}, []Row{{k, k}, {k + 100, k}}); err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, db.Stats().ViewSlots)
+		}
+		return sizes
+	}
+	var sizes [2][]int
+	for i := range sizes {
+		db, err := Open(ViewDef{Within: 5}, Options{T: 2, MaxLeft: 4, MaxRight: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = run(db, 0, steps/2)
+		var buf bytes.Buffer
+		if err := db.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Restore(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := run(db, steps/2, steps)
+		if again := run(restored, steps/2, steps); !slices.Equal(rest, again) {
+			t.Fatalf("view %d: the restore released %v, the uninterrupted view %v", i, again, rest)
+		}
+		sizes[i] = append(sizes[i], rest...)
+	}
+	if slices.Equal(sizes[0], sizes[1]) {
+		t.Fatalf("two unseeded views released the same sizes: %v", sizes[0])
 	}
 }
