@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -43,5 +45,60 @@ func TestSnapshotImportsOnlyStdlib(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no non-test file in internal/snapshot: the glob no longer finds the package")
+	}
+}
+
+// TestReplaySeamTestOnly: core.Framework's replay field makes the Shrink
+// protocols take their DP releases from a list, which turns the engine into
+// the Theorem-7/8 simulator. A production path that set it would force the
+// releases and void the DP guarantee, so no non-test file of the module may
+// write the field: assign it, name it in a composite literal or take its
+// address.
+func TestReplaySeamTestOnly(t *testing.T) {
+	fset, units := loadModule(t)
+	isSeam := func(u *Unit, e ast.Expr) bool {
+		var id *ast.Ident
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			id = e.Sel
+		case *ast.Ident:
+			id = e
+		default:
+			return false
+		}
+		v, ok := u.Info.Uses[id].(*types.Var)
+		return ok && v.IsField() && v.Name() == "replay" && v.Pkg().Path() == ModulePath+"/internal/core"
+	}
+	found := false
+	for _, u := range units {
+		for _, f := range u.Files {
+			if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				var written []ast.Expr
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					written = n.Lhs
+				case *ast.KeyValueExpr:
+					written = []ast.Expr{n.Key}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written = []ast.Expr{n.X}
+					}
+				case *ast.SelectorExpr:
+					found = found || isSeam(u, n)
+				}
+				for _, e := range written {
+					if isSeam(u, e) {
+						t.Errorf("%s: a non-test file writes core.Framework.replay, which forces the DP releases", fset.Position(e.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !found {
+		t.Fatal("no non-test file reads core.Framework.replay: the guard no longer finds the seam")
 	}
 }

@@ -52,7 +52,7 @@ type Config struct {
 // theta=30, T = floor(30 / mean entries per step), and the dataset-specific
 // omega and b of Section 7 (omega=1,b=10 for multiplicity-1 workloads;
 // omega=10,b=20 otherwise). The paper's flush parameters f=2000 and s=15 are
-// the Shrink protocols' constants (mpc.FlushEvery, mpc.FlushSize).
+// the Shrink protocols' constants (FlushEvery, FlushSize).
 func DefaultConfig(wl workload.Config, seed int64) Config {
 	cfg := Config{
 		Epsilon: 1.5,
@@ -191,9 +191,10 @@ type Framework struct {
 	pending [2]*oblivious.Buffer
 
 	shrink   Shrinker
-	prune    int  // the public cache length each view update keeps (pruneBound)
-	spillLen int  // the public slots each view update spills (spillBound)
-	rawDelta bool // cache the raw padded join output, uncompacted (EP)
+	replay   *releases // nil but in the Theorem-7/8 tests; see releases
+	prune    int       // the public cache length each view update keeps (pruneBound)
+	spillLen int       // the public slots each view update spills (spillBound)
+	rawDelta bool      // cache the raw padded join output, uncompacted (EP)
 	match    oblivious.MatchFunc
 	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward; the join appends behind them
 	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction

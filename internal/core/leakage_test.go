@@ -10,7 +10,7 @@ import (
 
 // newRecorded builds an engine whose two parties record their transcripts
 // from the first event — construction's counter share included — which is
-// the full event list the Theorem-7/8 simulators must reproduce. Nothing
+// the full event list the Theorem-7/8 simulation must reproduce. Nothing
 // outside tests records: a serving party keeps only the digest.
 func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) (f *Framework, s0, s1 *mpc.Transcript) {
 	t.Helper()
@@ -28,23 +28,33 @@ func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) 
 // TestFrameGroupingKeepsEvents: grouping the runtime's words into fewer
 // frames moves only the wire stamps. With the stamps zeroed, both parties'
 // recorded transcripts — every draw, share, size and label, in order — hash
-// to what the one-word-per-round runtime produced for the same runs.
+// to what the one-word-per-round runtime produced for the same runs. With
+// the stamps, each party's running transcript digest pins the round and byte
+// schedule itself: the Theorem-7/8 simulator runs the same rounds as the real
+// run, so a round added to both is no leak, and only this pin shows it.
 func TestFrameGroupingKeepsEvents(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		shrink func() Shrinker
 		merge  bool
-		want   [2]string
+		want   [2]string // without wire stamps
+		wire   [2]string // with them
 	}{
 		{"timer", func() Shrinker { return &Timer{} }, false, [2]string{
 			"381e248ac4054a907e140f9736fb09c8e84f981c43c636df85c9baf44e840a56",
-			"5e5ec41bfd49ca64f7774e5e2abce0517a34ddee48a2cec55f4c004b40119cba"}},
+			"5e5ec41bfd49ca64f7774e5e2abce0517a34ddee48a2cec55f4c004b40119cba"}, [2]string{
+			"edef1cef3bcdf2b2ef23a5e6bb3d875c907a00b82b4f792037d53152efc48b41",
+			"cd88264c6e4aba596fb1e37f557bfdbc61773bd25fcae8beb56defd560d57f0a"}},
 		{"timer-merged", func() Shrinker { return &Timer{} }, true, [2]string{
 			"203a6559a8ee6dab9f868130bc4732a235d171ff44780414ba96c99bb250d87b",
-			"7b54049e07ea623862ef2050cbf378b89009e8db019702f070b277fe8a12dc3a"}},
+			"7b54049e07ea623862ef2050cbf378b89009e8db019702f070b277fe8a12dc3a"}, [2]string{
+			"e5def3a9ee00e1bdea2c3f402e293f79b301e4bf939fdf8f1dc24d7a3c572d9b",
+			"afa0d161e7e5fb0d6c2859c8334aa54643dff874c889f1ed9812b986a9e5e0df"}},
 		{"ant", func() Shrinker { return &ANT{} }, false, [2]string{
 			"2d494958061fc3d73b491630d1ac6e1ee9bc30fe16cda6aa7c5c36f29b2e1fa9",
-			"a9efcfa01e17c86a4c9a46634957eb710b2767a1076f0ea9e3d4bf951e21d375"}},
+			"a9efcfa01e17c86a4c9a46634957eb710b2767a1076f0ea9e3d4bf951e21d375"}, [2]string{
+			"9a7b40f4622ec2c1f8204354a730c4cd76b245d407e6b5bfbaf5fedd5530b6fc",
+			"7e22739c1977d90d644fe81e8c764090b9a65c7a6f80e47118f5679d69f9c88f"}},
 	} {
 		wl := workload.TPCDS(240, 41)
 		tr, err := workload.Generate(wl)
@@ -54,64 +64,109 @@ func TestFrameGroupingKeepsEvents(t *testing.T) {
 		cfg := DefaultConfig(wl, 41)
 		cfg.MergeWindows = c.merge
 		f, real0, real1 := newRecorded(t, cfg, wl, c.shrink())
-		for i := 0; i < len(tr.Steps); i += 8 {
-			f.StepBatch(tr.Steps[i:min(i+8, len(tr.Steps))])
-		}
+		runCut(f, tr.Steps, 8)
 		for p, real := range []*mpc.Transcript{real0, real1} {
 			d := real.DigestWithoutWire()
 			if got := hex.EncodeToString(d[:]); got != c.want[p] {
 				t.Errorf("%s: party %d events without wire stamps hash to %s, want %s", c.name, p, got, c.want[p])
 			}
+			w := f.rt.Party(real.Party).TranscriptDigest()
+			if got := hex.EncodeToString(w[:]); got != c.wire[p] {
+				t.Errorf("%s: party %d transcript hashes to %s, want %s", c.name, p, got, c.wire[p])
+			}
 		}
 	}
 }
 
-// TestSimulatorIndistinguishability is the executable half of Theorem 7:
-// the simulator of Table 1, given ONLY the public parameters and the DP
-// mechanism's outputs (the noisy fetch sizes), must reproduce a real
-// server's transcript event for event — same kinds, times, public sizes and
-// labels. If the implementation ever leaked a data-dependent value into the
-// transcript (an unpadded batch, a true cardinality, an extra message), the
-// structural comparison would fail. The 2,010-step run crosses the cache
-// flush at step 2000, whose size the simulator derives from the public cache
-// length.
+// TestSimulatorIndistinguishability is the executable half of Theorems 7
+// and 8, with the textbook simulator: the protocol itself, run on dummy
+// inputs with the leakage programmed in. A second engine runs the real run's
+// public schedule — the deployment, an independent seed, the same StepBatch
+// cuts, every private upload empty (a public relation's arrivals pass
+// through) — and takes its DP outputs from the real run's fetch events: the
+// sDPTimer release sizes, the sDPANT SVT bits and release sizes. Both
+// parties' transcripts must then agree with the real ones on every event's
+// kind, time, size, label and wire stamps: an unpadded batch, a true
+// cardinality or a round that depends on the data would show. So must the
+// cost the engine exports — each phase's metered gates, the cache and view
+// lengths and the update count — which makes the modelled seconds in /stats
+// and /metrics a function of public sizes and DP releases too. The 2,010-step
+// rows cross the cache flush at step 2000.
 func TestSimulatorIndistinguishability(t *testing.T) {
-	for _, steps := range []int{240, 2010} {
-		wl := workload.TPCDS(steps, 31)
-		tr, err := workload.Generate(wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(wl, 31)
-		cfg.T = 10
-		f, real0, real1 := newRecorded(t, cfg, wl, &Timer{})
-		for _, st := range tr.Steps {
-			f.Step(st)
-		}
-		if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
-			t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
-		}
-		requireFlushes(t, real0, wl)
-
-		// The simulator's inputs: public parameters...
-		pp := mpc.PublicParams{
-			UploadEvery: wl.UploadEvery,
-			BatchSize:   cfg.Omega * wl.MaxRight, // right-driven public delta cap
-			T:           cfg.T,
-			Spill:       spillBound(cfg, wl),
-			Prune:       f.prune,
-			Steps:       wl.Steps,
-		}
-		// ...and the DP mechanism's outputs, i.e. exactly the fetch sizes.
-		fetches := map[int]int{}
-		for _, ev := range real0.Events {
-			if ev.Kind == mpc.EvFetchObserved {
-				fetches[ev.Time] = ev.Size
+	timer := func() Shrinker { return &Timer{} }
+	ant := func() Shrinker { return &ANT{} }
+	for _, c := range []struct {
+		name   string
+		wl     workload.Config
+		shrink func() Shrinker
+		merge  bool
+		cut    int // steps per StepBatch call
+	}{
+		{"timer-tpcds", workload.TPCDS(240, 31), timer, false, 1},
+		{"timer-tpcds-flush", workload.TPCDS(2010, 31), timer, false, 1},
+		{"timer-cpdb", workload.CPDB(200, 35), timer, false, 1},
+		{"timer-merged", workload.TPCDS(240, 41), timer, true, 8},
+		{"ant-tpcds", workload.TPCDS(240, 37), ant, false, 1},
+		{"ant-cpdb-flush", workload.CPDB(2010, 37), ant, false, 1},
+		{"ant-merged", workload.CPDB(240, 41), ant, true, 16},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := workload.Generate(c.wl)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, real := range []*mpc.Transcript{real0, real1} {
-			requireSimulated(t, real, mpc.SimulateTimer(pp, fetches, real.Party, 7))
-		}
+			cfg := DefaultConfig(c.wl, c.wl.Seed)
+			cfg.MergeWindows = c.merge
+			f, real0, real1 := newRecorded(t, cfg, c.wl, c.shrink())
+			runCut(f, tr.Steps, c.cut)
+			if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
+				t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
+			}
+			requireFlushes(t, real0, c.wl)
+
+			// The leakage: the DP releases, read off the real transcript.
+			var rel releases
+			for _, ev := range real0.Events {
+				if ev.Kind == mpc.EvFetchObserved {
+					rel = append(rel, ev)
+				}
+			}
+			if len(rel) == 0 {
+				t.Fatal("the run released nothing; the comparison would be vacuous")
+			}
+
+			pads := make([]workload.Step, len(tr.Steps))
+			for i, st := range tr.Steps {
+				pads[i].T = st.T
+				if c.wl.RightPublic {
+					pads[i].Right = st.Right
+				}
+			}
+			cfg.Seed++
+			sim, sim0, sim1 := newRecorded(t, cfg, c.wl, c.shrink())
+			sim.replay = &rel
+			runCut(sim, pads, c.cut)
+
+			requireSimulated(t, real0, sim0)
+			requireSimulated(t, real1, sim1)
+			for op := mpc.OpTransform; op <= mpc.OpOther; op++ {
+				if r, s := f.rt.Meter.Gates(op), sim.rt.Meter.Gates(op); r != s {
+					t.Errorf("%v gates: real %v, simulated %v", op, r, s)
+				}
+			}
+			rm, sm := f.Metrics(), sim.Metrics()
+			if rm.CacheLen != sm.CacheLen || rm.ViewLen != sm.ViewLen || rm.Updates != sm.Updates {
+				t.Errorf("cache, view, updates: real %d, %d, %d, simulated %d, %d, %d",
+					rm.CacheLen, rm.ViewLen, rm.Updates, sm.CacheLen, sm.ViewLen, sm.Updates)
+			}
+		})
+	}
+}
+
+// runCut feeds steps to f in StepBatch calls of cut steps.
+func runCut(f *Framework, steps []workload.Step, cut int) {
+	for i := 0; i < len(steps); i += cut {
+		f.StepBatch(steps[i:min(i+cut, len(steps))])
 	}
 }
 
@@ -125,7 +180,7 @@ func requireFlushes(t *testing.T, real *mpc.Transcript, wl workload.Config) {
 			n++
 		}
 	}
-	if want := (wl.Steps - 1) / mpc.FlushEvery; n != want {
+	if want := (wl.Steps - 1) / FlushEvery; n != want {
 		t.Fatalf("%s over %d steps: %d cache flushes, want %d", wl.Name, wl.Steps, n, want)
 	}
 }
@@ -173,97 +228,4 @@ func TestSimulatedSharesUniform(t *testing.T) {
 			t.Errorf("share nibble %x count %d far from uniform %d", b, h, exp)
 		}
 	}
-}
-
-// TestCPDBBatchSizesPublic: with a public right relation the batch sizes may
-// vary, but they must be a function of the public award stream alone — the
-// same award stream with different private allegations must produce the
-// same batch-size sequence.
-func TestCPDBBatchSizesPublic(t *testing.T) {
-	// Generate two CPDB traces with identical seeds: the private stream is
-	// the same generator output, so instead vary the private side by
-	// dropping half the allegations (a change an adversary must not detect
-	// beyond the DP outputs).
-	wl := workload.CPDB(200, 35)
-	tr, err := workload.Generate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(dropLeft bool) []int {
-		cfg := DefaultConfig(wl, 35)
-		f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
-		for _, st := range tr.Steps {
-			if dropLeft {
-				st.Left = st.Left[:len(st.Left)/2]
-			}
-			f.Step(st)
-		}
-		return real0.SizesOf(mpc.EvBatchObserved)
-	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("batch counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("batch %d: size %d vs %d differ with private data", i, a[i], b[i])
-		}
-	}
-}
-
-// TestSimulatorIndistinguishabilityANT is the Theorem-8 counterpart: the
-// sDPANT deployment's transcripts must be reproducible from the public
-// parameters plus the M_ant outputs (update times and released sizes). The
-// CPDB run crosses the cache flush at step 2000; its right relation is
-// public, so its batch sizes follow the public arrivals.
-func TestSimulatorIndistinguishabilityANT(t *testing.T) {
-	for _, wl := range []workload.Config{workload.TPCDS(240, 37), workload.CPDB(2010, 37)} {
-		tr, err := workload.Generate(wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(wl, 37)
-		f, real0, _ := newRecorded(t, cfg, wl, &ANT{})
-		for _, st := range tr.Steps {
-			f.Step(st)
-		}
-		requireFlushes(t, real0, wl)
-
-		pp := mpc.PublicParams{
-			UploadEvery: wl.UploadEvery,
-			BatchSize:   cfg.Omega * wl.MaxRight,
-			Spill:       spillBound(cfg, wl),
-			Prune:       f.prune,
-			Steps:       wl.Steps,
-		}
-		if wl.RightPublic {
-			pp.Batches = publicBatches(cfg, wl, tr)
-		}
-		var updates []mpc.ANTOutput
-		for _, ev := range real0.Events {
-			if ev.Kind == mpc.EvFetchObserved {
-				updates = append(updates, mpc.ANTOutput{Time: ev.Time, Size: ev.Size})
-			}
-		}
-		if len(updates) == 0 {
-			t.Fatalf("%s: ANT never updated; test vacuous", wl.Name)
-		}
-		requireSimulated(t, real0, mpc.SimulateANT(pp, updates, real0.Party, 9))
-	}
-}
-
-// publicBatches is each Transform's output size over a public right
-// relation: omega times the padded left block plus the right rows that
-// arrived since the previous upload.
-func publicBatches(cfg Config, wl workload.Config, tr *workload.Trace) []int {
-	var out []int
-	right := 0
-	for _, st := range tr.Steps {
-		right += len(st.Right)
-		if (st.T+1)%wl.UploadEvery == 0 {
-			out = append(out, cfg.Omega*(wl.MaxLeft+right))
-			right = 0
-		}
-	}
-	return out
 }

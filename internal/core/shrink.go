@@ -41,17 +41,53 @@ func (s *Timer) Name() string { return "DP-Timer" }
 // Init implements Shrinker.
 func (s *Timer) Init(*Framework) {}
 
+// The paper's cache flush (Section 5.2.1), f and s: both DP Shrink protocols
+// end the FlushEvery-th step with it, moving the FlushSize head of the sorted
+// cache to the view and recycling the rest. Both are public parameters of the
+// schedule.
+const (
+	FlushEvery = 2000
+	FlushSize  = 15
+)
+
+// timerDue reports whether sDPTimer updates the view at step t: every T steps
+// after the first, an interval below 1 meaning every step.
+func timerDue(t, T int) bool { return t != 0 && t%max(T, 1) == 0 }
+
+// flushDue reports whether step t ends with the cache flush.
+func flushDue(t int) bool { return t != 0 && t%FlushEvery == 0 }
+
+// releases is the seam that makes the Theorem-7/8 simulator the engine
+// itself: a recorded run's DP outputs — its fetch events, one per release,
+// in order — which Tick takes in place of the mechanism's: sDPTimer's release
+// size, sDPANT's SVT bit and release size. Every round, draw, event and meter
+// charge still runs, so an engine fed padding alone and a real run's releases
+// is the textbook simulator. Only tests set Framework.replay: a production
+// engine that forced its releases would void the DP guarantee, which
+// internal/analysis's TestReplaySeamTestOnly holds it to.
+type releases []mpc.Event
+
+// at returns, and drops, the release recorded at step t; ok is false if none
+// was.
+func (r *releases) at(t int) (size int, ok bool) {
+	if len(*r) == 0 || (*r)[0].Time != t {
+		return 0, false
+	}
+	size = (*r)[0].Size
+	*r = (*r)[1:]
+	return size, true
+}
+
 // ObservesAt implements StepObserver: sDPTimer touches the counter and the
-// cache only on its T-step schedule (an interval below 1 is every step) and
-// at the cache flushes.
+// cache only on its T-step schedule and at the cache flushes.
 func (s *Timer) ObservesAt(f *Framework, t int) bool {
-	return t != 0 && (t%max(f.cfg.T, 1) == 0 || t%mpc.FlushEvery == 0)
+	return timerDue(t, f.cfg.T) || flushDue(t)
 }
 
 // Tick implements Shrinker. The counter recovery, the joint noise and the
 // counter reset's re-share (Alg. 2 lines 3-4 and 9) are one round.
 func (s *Timer) Tick(f *Framework, t int) {
-	if t == 0 || t%max(f.cfg.T, 1) != 0 {
+	if !timerDue(t, f.cfg.T) {
 		f.flush(t)
 		return
 	}
@@ -60,7 +96,11 @@ func (s *Timer) Tick(f *Framework, t int) {
 	f.exchange(rd)
 	c := int32(rd.Recovered(cw))
 	noise := rd.Laplace(nw, float64(f.cfg.Budget)/f.cfg.Epsilon, mpc.OpShrink)
-	f.syncToView(int(math.Round(float64(c) + noise)))
+	sz := int(math.Round(float64(c) + noise))
+	if f.replay != nil {
+		sz, _ = f.replay.at(t)
+	}
+	f.syncToView(sz)
 	rd.Share(reset, 0)
 	f.flush(t)
 }
@@ -115,7 +155,11 @@ func (s *ANT) Tick(f *Framework, t int) {
 	theta := float64(int32(rd.Recovered(tw))) / thresholdScale
 	// Alg. 3 line 6: c~ <- JointNoise(S0, S1, b, eps1/4, c) = c + Lap(4b/eps1).
 	noisyC := float64(c) + rd.Laplace(nw, float64(f.cfg.Budget)/(eps1/4), mpc.OpShrink)
-	if noisyC < theta {
+	sz, fire := 0, noisyC >= theta
+	if f.replay != nil {
+		sz, fire = f.replay.at(t)
+	}
+	if !fire {
 		f.flush(t)
 		return
 	}
@@ -125,7 +169,10 @@ func (s *ANT) Tick(f *Framework, t int) {
 	f.exchange(rd)
 	// Alg. 3 line 8: sz <- c + Lap(b/eps2).
 	noise := rd.Laplace(release, float64(f.cfg.Budget)/eps2, mpc.OpShrink)
-	f.syncToView(int(math.Round(float64(c) + noise)))
+	if f.replay == nil {
+		sz = int(math.Round(float64(c) + noise))
+	}
+	f.syncToView(sz)
 	s.refreshThreshold(f, rd, refresh, share)
 	// Alg. 3 line 13: reset c to 0.
 	rd.Share(reset, 0)
@@ -155,14 +202,13 @@ func (f *Framework) syncToView(sz int) {
 	f.rt.ObserveFetch(sz, "shrink")
 }
 
-// flush ends both DP Shrink protocols' Tick: every mpc.FlushEvery steps it
-// moves the mpc.FlushSize head of the sorted cache into the view and recycles
-// the rest (the paper's cache flush, Section 5.2.1).
+// flush ends both DP Shrink protocols' Tick: every FlushEvery steps it moves
+// the FlushSize head of the sorted cache into the view and recycles the rest.
 func (f *Framework) flush(t int) {
-	if t == 0 || t%mpc.FlushEvery != 0 {
+	if !flushDue(t) {
 		return
 	}
-	fetched := min(mpc.FlushSize, f.cache.Len())
+	fetched := min(FlushSize, f.cache.Len())
 	f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
 	f.rt.ObserveFlush(fetched, "flush")
 }

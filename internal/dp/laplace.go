@@ -2,8 +2,8 @@
 // IncShrink's Shrink protocols: the joint fixed-point Laplace sampler of
 // Algorithm 2 (lines 4-6), the tail bounds of Theorems 4 and 6 as
 // computable predicates, and the protocol's randomness itself. Stream is
-// the one seeded stream every protocol layer draws from — the parties, the
-// Theorem-7/8 simulators and the GMW dealer — and the one place that knows
+// the one seeded stream every protocol layer draws from — the parties and
+// the GMW dealer — and the one place that knows
 // which generator backs it and how its position is checkpointed and
 // resumed; no other snapshot-covered package imports math/rand (the rngdraw
 // analyzer). FreshSeed gives a deployment that names no seed its own. The

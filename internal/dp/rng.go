@@ -9,9 +9,9 @@ import (
 )
 
 // Stream is the one seeded randomness stream of the protocol stack: each
-// party's private words (joint noise, re-sharing, noisy thresholds), the
-// Theorem-7/8 simulators and the GMW dealer's tuples all draw from a Stream,
-// and NewStream is the only way to build one. Both Uint32 and Uint64 cost one
+// party's private words (joint noise, re-sharing, noisy thresholds) and the
+// GMW dealer's tuples both draw from a Stream, and NewStream is the only way
+// to build one. Both Uint32 and Uint64 cost one
 // step of the underlying math/rand source, so the stream's position is a
 // count of steps, and the stream writes that position into its owner's
 // snapshot section itself (EncodeState, Resume). A restore rebuilds the

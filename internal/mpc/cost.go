@@ -11,9 +11,11 @@
 //     DP-resized fetch counts, flush events — is an Event the party hashes
 //     into its running transcript digest (and a test's recorder lists, see
 //     Party.Record). The security argument (Theorem 7/8/14) says this view
-//     must be simulatable from DP outputs and public parameters alone; the
-//     leakage tests in internal/core check exactly that the transcript
-//     contains nothing else.
+//     must be simulatable from DP outputs and public parameters alone. The
+//     simulator is the engine itself: the leakage tests in internal/core
+//     rerun a recorded run on empty private inputs with its DP releases
+//     programmed in, and StructurallyEqual requires the two transcripts to
+//     agree on everything but the uniform share values.
 //
 //  2. Cost shape. Garbled-circuit cost is gate count times a throughput
 //     constant; oblivious sorts are O(n log^2 n) compare-exchanges and

@@ -644,3 +644,46 @@ func BenchmarkJointLaplace(b *testing.B) {
 		_ = r.JointLaplace(1.0, OpShrink)
 	}
 }
+
+// TestStructurallyEqual: transcripts that differ only in share values
+// compare equal; a difference in any other field, or in length, is reported
+// at the first event it touches.
+func TestStructurallyEqual(t *testing.T) {
+	base := func() *Transcript {
+		return &Transcript{Events: []Event{
+			{Kind: EvRandomContributed, Time: 0, Share: 11, Label: "reshare:c", WireRounds: 1, WireBytes: 8},
+			{Kind: EvBatchObserved, Time: 4, Size: 8, Label: "transform", WireRounds: 2, WireBytes: 24},
+			{Kind: EvFetchObserved, Time: 5, Size: 12, Label: "shrink", WireRounds: 3, WireBytes: 48},
+		}}
+	}
+	a := base()
+	other := base()
+	for i := range other.Events {
+		other.Events[i].Share += 99
+	}
+	if ok, at := StructurallyEqual(a, other); !ok || at != -1 {
+		t.Errorf("transcripts differing only in shares: (%v, %d), want (true, -1)", ok, at)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(tr *Transcript)
+		at   int
+	}{
+		{"size", func(tr *Transcript) { tr.Events[2].Size = 13 }, 2},
+		{"label", func(tr *Transcript) { tr.Events[1].Label = "spill" }, 1},
+		{"time", func(tr *Transcript) { tr.Events[1].Time = 3 }, 1},
+		{"kind", func(tr *Transcript) { tr.Events[2].Kind = EvFlushObserved }, 2},
+		{"wire rounds", func(tr *Transcript) { tr.Events[0].WireRounds = 2 }, 0},
+		{"wire bytes", func(tr *Transcript) { tr.Events[1].WireBytes = 28 }, 1},
+		{"shorter", func(tr *Transcript) { tr.Events = tr.Events[:2] }, 2},
+		{"longer", func(tr *Transcript) { tr.Append(Event{Kind: EvFlushObserved, Time: 5, Size: 15, Label: "flush"}) }, 3},
+	} {
+		b := base()
+		c.edit(b)
+		for _, pair := range [][2]*Transcript{{a, b}, {b, a}} {
+			if ok, at := StructurallyEqual(pair[0], pair[1]); ok || at != c.at {
+				t.Errorf("%s: (%v, %d), want (false, %d)", c.name, ok, at, c.at)
+			}
+		}
+	}
+}

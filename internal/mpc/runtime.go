@@ -73,7 +73,8 @@ func (k EventKind) String() string {
 // the logical time step. WireRounds and WireBytes are the party's cumulative
 // transport tally at the moment the event was recorded — they attribute the
 // observation to a position in the wire conversation, so the Theorem-7/8
-// transcript comparisons also pin the protocol's round/byte shape.
+// comparison also requires the round and byte shape to be independent of
+// the data.
 type Event struct {
 	Kind       EventKind
 	Time       int
@@ -127,6 +128,27 @@ func (tr *Transcript) DigestWithoutWire() [sha256.Size]byte {
 		b = appendEvent(b, ev)
 	}
 	return sha256.Sum256(b)
+}
+
+// StructurallyEqual compares two transcripts on everything but the share
+// values, which are uniform in a real run and in its simulation alike: event
+// kinds, logical times, public sizes, labels and cumulative wire tallies must
+// agree, so a round whose words or frames follow the data differs too. It
+// returns the index of the first difference (the shorter length when one
+// transcript extends the other), or -1.
+func StructurallyEqual(a, b *Transcript) (bool, int) {
+	n := min(len(a.Events), len(b.Events))
+	for i, x := range a.Events[:n] {
+		y := b.Events[i]
+		x.Share, y.Share = 0, 0
+		if x != y {
+			return false, i
+		}
+	}
+	if len(a.Events) != len(b.Events) {
+		return false, n
+	}
+	return true, -1
 }
 
 // digestStateLen is the length of a marshaled SHA-256 state.
@@ -259,8 +281,7 @@ func (p *Party) decodeState(d *snapshot.Decoder) {
 func (p *Party) WireTally() (rounds, bytes uint64) { return p.wireRounds, p.wireBytes }
 
 // observe stamps an event with the party's current wire tally, hashes it into
-// the transcript digest and counts it. All protocol-driven observations go
-// through here; the simulators stamp their Transcripts themselves.
+// the transcript digest and counts it. Every observation goes through here.
 func (p *Party) observe(ev Event) {
 	ev.WireRounds = p.wireRounds
 	ev.WireBytes = p.wireBytes

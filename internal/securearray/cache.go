@@ -115,7 +115,7 @@ func (c *Cache) oneRun(realFirst bool) {
 // nothing beyond the DP outputs. Each is clamped to what the cache holds.
 // Figure 3's plain read keeps everything (spill 0, keep >= Len); Section
 // 5.2.1's flush keeps nothing (spill 0, keep 0). Its size is the constant
-// mpc.FlushSize = 15, under the deferred data a deployment can carry, so a
+// core.FlushSize = 15, under the deferred data a deployment can carry, so a
 // flush can recycle real rows: 786 over 20 CPDB runs of 4,000 steps
 // (ROADMAP item 24 sizes the flush from a bound, or drops it). The
 // combined fetch goes straight into the view arena; the recycled tail is
