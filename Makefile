@@ -88,8 +88,9 @@ race:
 # - 512 distinct sort lengths in the cpdb cache's range
 #   (BenchmarkSortVaryingLengths, which fails if a warm sort builds a
 #   comparator table or allocates);
-# - the scan kernel over a packed flag bitset at the cpdb view size
-#   (BenchmarkCountColumns120k, which fails if a scan allocates);
+# - the scan kernel over a packed flag bitset at the cpdb view size, and one
+#   slot more so its staged tail block runs too (BenchmarkCountColumns120k,
+#   which fails if a scan allocates);
 # - the cache read at the cpdb layout (BenchmarkCacheReadRuns: a real-first
 #   remainder and a compacted batch merged, not sorted; it fails if a warm
 #   read allocates);
@@ -155,9 +156,9 @@ wire-smoke:
 
 # fuzz-smoke gives each snapshot-codec fuzz target (the section codecs, the
 # whole engine state and the DB stream a durable server reads from disk), the
-# wire framing and a GMW peer's fuzzed openings a short budget beyond the
-# seed corpus (the corpus itself already runs in `test`). CI runs it as its
-# own job.
+# wire framing, a GMW peer's fuzzed openings and the view scan kernel against
+# its branching oracle a short budget beyond the seed corpus (the corpus
+# itself already runs in `test`). CI runs it as its own job.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
@@ -166,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzRestore -fuzztime 10s .
 	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s ./internal/gmw
+	$(GO) test -run XXX -fuzz FuzzCountColumns -fuzztime 10s ./internal/oblivious
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a
 # curl-able session). Add DATA=./incshrink-data for a durable server.

@@ -18,11 +18,12 @@ import (
 // oblivtaint — be it a plain flag test, a branching compare-exchange over
 // the sort kernel's keys, a merge whose window of the network is cut by a
 // key, a popcount of a packed flag word that loops once per set bit inside
-// the scan kernel, or a carry retirement that selects the keys behind the
+// the scan kernel, a branch on a block's cells in place of one of the block
+// kernel's carries, or a carry retirement that selects the keys behind the
 // cut in the merge join's own body rather than in the sanctioned scan
-// (emitJoin), none of which any sanction covers — and so does a
-// branch on a reconstructed bit seeded into internal/gmw (whose gate code no
-// sanction covers either). A go statement
+// (emitJoin), none of which any sanction covers — and so does a branch on a
+// reconstructed bit seeded into internal/gmw (whose gate code no sanction
+// covers either). A go statement
 // in a library package without an allow naming its join trips goleak —
 // unjoined in internal/serve, or joined through a WaitGroup in
 // internal/core — and a wall-clock read, an order-sensitive map range, a
@@ -93,6 +94,17 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 			}
 `,
 			line:     "for ; w != 0; w &= w - 1 {",
+			analyzer: "oblivtaint",
+		},
+		{
+			name:    "oblivtaint catches a seeded cell branch in the scan's block kernel",
+			file:    "internal/oblivious/scan.go",
+			replace: "\t\thi, _ = bits.Add64(hi, hi, c)\n",
+			inject: `		if a[k] > b[k] {
+			hi++
+		}
+`,
+			line:     "if a[k] > b[k] {",
 			analyzer: "oblivtaint",
 		},
 		{

@@ -2,6 +2,7 @@ package incshrink
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"incshrink/internal/query"
@@ -111,8 +112,9 @@ func TestCountWhereOperators(t *testing.T) {
 
 // TestCountWhereErrors covers the rewrite error paths: unknown filter
 // column, unknown Minus column, an operator outside the enum (which used to
-// answer 0, nil), and errors on any condition of a conjunction — every one
-// an ErrInvalidArgument, and all without perturbing the query stats.
+// answer 0, nil), errors on any condition of a conjunction, and a ninth
+// condition — every one an ErrInvalidArgument, and all without perturbing
+// the query stats.
 func TestCountWhereErrors(t *testing.T) {
 	db := countWhereDB(t)
 	queriesBefore := db.Stats().QuerySeconds
@@ -126,6 +128,7 @@ func TestCountWhereErrors(t *testing.T) {
 		"bad second condition":             {{Col: "left.key", Cmp: Gt, Val: 0}, {Col: "nope", Cmp: Eq, Val: 1}},
 		"bad Minus in second condition":    {{Col: "left.key", Cmp: Gt, Val: 0}, {Col: "right.time", Minus: "nope", Cmp: Le, Val: 1}},
 		"bad operator in second condition": {{Col: "left.key", Cmp: Gt, Val: 0}, {Col: "left.key", Cmp: Cmp(17)}},
+		"nine conditions":                  slices.Repeat([]Where{{Col: "left.key", Cmp: Gt, Val: 0}}, 9),
 	} {
 		if n, _, err := db.CountWhere(conds...); !errors.Is(err, ErrInvalidArgument) {
 			t.Errorf("%s: CountWhere = %d, %v; want an error wrapping ErrInvalidArgument", name, n, err)

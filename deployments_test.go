@@ -73,6 +73,15 @@ func streamSteps(t0, n int) []incshrink.StepRows {
 // paper's Q1 shape).
 var streamWhere = incshrink.Where{Col: "right.time", Minus: "left.time", Cmp: incshrink.Le, Val: 10}
 
+// eightWhere is the most conditions one CountWhere accepts: two-sided
+// ranges on the Q1 difference and on three of the view's columns.
+var eightWhere = []incshrink.Where{
+	{Col: "right.time", Minus: "left.time", Cmp: incshrink.Ge, Val: 0}, streamWhere,
+	{Col: "left.key", Cmp: incshrink.Gt, Val: 0}, {Col: "left.key", Cmp: incshrink.Lt, Val: 1 << 40},
+	{Col: "right.key", Cmp: incshrink.Ge, Val: 1}, {Col: "right.key", Cmp: incshrink.Le, Val: 1 << 40},
+	{Col: "left.time", Cmp: incshrink.Ne, Val: -1}, {Col: "left.time", Cmp: incshrink.Le, Val: 1 << 40},
+}
+
 // antWarmSteps is how many trace steps warmANT replays before handing the
 // engine over: long enough that the cache length has settled into its
 // stationary range and the view is past its first few hundred syncs.

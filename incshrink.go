@@ -436,16 +436,23 @@ type Where struct {
 // viewSchema is the public column layout of API views.
 var viewSchema = table.MustSchema("view", "left.key", "left.time", "right.key", "right.time")
 
+// maxConds is the most conditions one CountWhere accepts: a two-sided range
+// on each of the view's four columns.
+const maxConds = 8
+
 // CountWhere answers a filtered count over the materialized view: the
 // logical query "COUNT(*) over the view definition's join WHERE <conds>" is
 // rewritten onto the view — each condition lowered to a range test of the
-// scan kernel — and executed with one oblivious scan. A condition naming a
-// column the view does not carry, or an operator that does not exist, is
+// scan kernel — and executed with one oblivious scan. Up to eight
+// conditions compile on the stack, so no accepted query allocates. More
+// than eight (refused before any lowering or scan), a condition naming a
+// column the view does not carry, or an operator that does not exist is
 // rejected with an error wrapping ErrInvalidArgument.
 func (db *DB) CountWhere(conds ...Where) (n int, qetSeconds float64, err error) {
-	// Up to four conditions compile on the stack; the scan itself never
-	// allocates.
-	var buf [4]oblivious.ScanCond
+	if len(conds) > maxConds {
+		return 0, 0, badArg("%d conditions in one count, at most %d", len(conds), maxConds)
+	}
+	var buf [maxConds]oblivious.ScanCond
 	prog := buf[:0]
 	for _, w := range conds {
 		sc, err := query.Lower(query.Cond{Col: w.Col, DiffCol: w.Minus, Op: query.Op(w.Cmp), Val: w.Val}, viewSchema)

@@ -43,14 +43,15 @@ var OblivTaintPackages = []string{
 //     branch on layer geometry and the public lengths alone — a sort's
 //     prefix and a merge's window of the last phase alike (mergeKeys takes
 //     its keys as a registered secret column); the scan kernel (CountColumns,
-//     outsideWord) is a carry shifted into a verdict word, ANDed with a word
-//     of the flag bitset and popcounted; CountBuffer and the Buffer counter
-//     methods (AppendFrom, AppendRange, Truncate, CutPrefix, ScanReal) add
-//     boolWord(flag) where they used to branch on it. All of those pass the
-//     analyzer as ordinary code, and a branching `if less { swap }` over the
-//     keys, `if flag[i] == 1 { n++ }` over a flag column or a loop that
-//     clears a flag word's bits one at a time is a finding (TestLintGate
-//     seeds them).
+//     outsideBlock) is two carry chains shifted into a verdict word, ANDed
+//     with a word of the flag bitset and popcounted; CountBuffer and the
+//     Buffer counter methods (AppendFrom, AppendRange, Truncate, CutPrefix,
+//     ScanReal) add boolWord(flag) where they used to branch on it. All of
+//     those pass the analyzer as ordinary code, and a branching
+//     `if less { swap }` over the keys, `if flag[i] == 1 { n++ }` over a flag
+//     column, a loop that clears a flag word's bits one at a time or a
+//     branch on a block's cells in place of a carry is a finding
+//     (TestLintGate seeds them).
 //   - TightCompactInto: the fixed-topology compaction; its flag-dependent
 //     moves are exactly the part a circuit evaluates obliviously.
 //   - emitJoin: the linear scan of the paper's core operator, shared by the
@@ -80,7 +81,7 @@ var OblivTaintSanctioned = []string{
 // len/cap is public by the padding invariant.
 var OblivTaintColumnParams = map[string][]string{
 	"internal/oblivious.CountColumns": {"flag", "cols"},
-	"internal/oblivious.outsideWord":  {"a", "b"},
+	"internal/oblivious.outsideBlock": {"a", "b"},
 	"internal/oblivious.mergeKeys":    {"keys"},
 }
 

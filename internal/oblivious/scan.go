@@ -21,12 +21,14 @@ const scanBlock = 64
 // CountColumns is the scan kernel: the number of real slots of a
 // column-major padded array of n slots — flag holds the isView bits as a
 // bitset, slot i at bit 63-i%64 of word i/64, cols one []int64 per
-// attribute — that satisfy every condition. A slot costs one carry per
-// condition, shifted into a 64-slot verdict word that is ANDed with the
-// block's flag word and popcounted; no branch, index or allocation depends
-// on a flag or a cell, so the trace is a function of n and conds alone.
-// Without conditions the answer is one popcount per flag word, so every bit
-// at or past n must be zero. The caller charges the scan.
+// attribute — that satisfy every condition. A 64-slot block costs one
+// outsideBlock per condition, whose verdict words are ANDed with the block's
+// flag word and popcounted; the last, partial block is staged into
+// zero-padded stack arrays first, so it runs the same kernel against its flag
+// word unshifted. That, and the count without conditions, one popcount per
+// flag word, need every bit at or past n to be zero. No branch, index or
+// allocation depends on a flag or a cell, so the trace is a function of n and
+// conds alone. The caller charges the scan.
 func CountColumns(flag []uint64, n int, cols [][]int64, conds []ScanCond) int {
 	total := 0
 	if len(conds) == 0 {
@@ -35,18 +37,16 @@ func CountColumns(flag []uint64, n int, cols [][]int64, conds []ScanCond) int {
 		}
 		return total
 	}
+	var zero, tailA, tailB [scanBlock]int64
 	for lo := 0; lo < n; lo += scanBlock {
-		hi := min(lo+scanBlock, n)
-		// Slot lo+k moves to bit hi-lo-1-k, the order outsideWord shifts its
-		// verdicts in.
-		pass := flag[lo/scanBlock] >> (scanBlock - (hi - lo))
+		pass := flag[lo/scanBlock]
 		for _, c := range conds {
-			a, b, mask := cols[c.Col], cols[c.Col], int64(0)
+			a, b := block(cols[c.Col], lo, n, &tailA), &zero
 			if c.Diff >= 0 {
-				b, mask = cols[c.Diff], -1
+				b = block(cols[c.Diff], lo, n, &tailB)
 			}
 			// X - Lo with X = operand ^ signBit is operand - (Lo ^ signBit).
-			out := outsideWord(a[lo:hi], b[lo:hi], mask, c.Lo^signBit, c.Hi-c.Lo)
+			out := outsideBlock(a, b, c.Lo^signBit, c.Hi-c.Lo)
 			// Keep the slots inside the range: clear the out bits, or, for an
 			// inverted condition, everything but them.
 			pass &= out ^ (boolWord(c.Invert) - 1)
@@ -56,35 +56,35 @@ func CountColumns(flag []uint64, n int, cols [][]int64, conds []ScanCond) int {
 	return total
 }
 
-// outsideWord evaluates one range test over up to 64 slots: bit len(a)-1-k
-// of the result is set iff slot k's operand a[k] - b[k]&mask, less off, is
-// above span — i.e. outside the condition's range. x > span is the carry of
+// block is col's 64 slots from lo on, in place, or — for the partial block
+// at the end of n slots — copied into tail, whose slots past them stay zero.
+func block(col []int64, lo, n int, tail *[scanBlock]int64) *[scanBlock]int64 {
+	if n-lo < scanBlock {
+		copy(tail[:], col[lo:n])
+		return tail
+	}
+	return (*[scanBlock]int64)(col[lo:])
+}
+
+// outsideBlock evaluates one range test over a 64-slot block: bit 63-k of
+// the result is set iff slot k's operand a[k] - b[k], less off, is above
+// span — i.e. outside the condition's range. x > span is the carry of
 // x + ^span, and the carry is the carry-in of w+w, so a slot is two loads,
-// two subtractions, an AND and an ADD; ADC pair. Unrolled four slots to a
-// turn and kept out of line: inlined into the block loop the compiler spills
-// w, and the store-to-load round trip on every slot costs more than the
-// whole comparison.
+// two subtractions and an ADD; ADC pair. Slots 0-31 and 32-63 run as two
+// independent carry chains, so each chain's ADC overlaps the other's; a
+// one-column condition passes an all-zero b. The arrays are sliced once so
+// their nil checks leave the loop, and the kernel is kept out of line:
+// inlined into the block loop the compiler spills the chains.
 //
 //go:noinline
-func outsideWord(a, b []int64, mask int64, off, span uint64) uint64 {
-	b = b[:len(a)]
-	nspan := ^span
-	var w uint64
-	k := 0
-	for ; k+4 <= len(a); k += 4 {
-		a4, b4 := a[k:k+4:k+4], b[k:k+4:k+4]
-		_, o0 := bits.Add64(uint64(a4[0]-b4[0]&mask)-off, nspan, 0)
-		w, _ = bits.Add64(w, w, o0)
-		_, o1 := bits.Add64(uint64(a4[1]-b4[1]&mask)-off, nspan, 0)
-		w, _ = bits.Add64(w, w, o1)
-		_, o2 := bits.Add64(uint64(a4[2]-b4[2]&mask)-off, nspan, 0)
-		w, _ = bits.Add64(w, w, o2)
-		_, o3 := bits.Add64(uint64(a4[3]-b4[3]&mask)-off, nspan, 0)
-		w, _ = bits.Add64(w, w, o3)
+func outsideBlock(a, b *[scanBlock]int64, off, span uint64) uint64 {
+	nspan, x, y := ^span, a[:], b[:]
+	var hi, lo uint64
+	for k := 0; k < scanBlock/2; k++ {
+		_, c := bits.Add64(uint64(x[k]-y[k])-off, nspan, 0)
+		hi, _ = bits.Add64(hi, hi, c)
+		_, c = bits.Add64(uint64(x[k+scanBlock/2]-y[k+scanBlock/2])-off, nspan, 0)
+		lo, _ = bits.Add64(lo, lo, c)
 	}
-	for ; k < len(a); k++ {
-		_, out := bits.Add64(uint64(a[k]-b[k]&mask)-off, nspan, 0)
-		w, _ = bits.Add64(w, w, out)
-	}
-	return w
+	return hi<<(scanBlock/2) | lo
 }

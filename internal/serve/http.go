@@ -21,7 +21,8 @@ import (
 //	POST   /v1/views/{name}/advance-batch  ingest several contiguous steps
 //	                                       atomically (AdvanceBatchRequest)
 //	GET    /v1/views/{name}/count          standing view-count query
-//	POST   /v1/views/{name}/count          filtered count (CountRequest)
+//	POST   /v1/views/{name}/count          filtered count (CountRequest, at
+//	                                       most eight conditions)
 //	GET    /v1/views/{name}/stats          protocol + serving stats
 //	POST   /v1/views/{name}/snapshot       checkpoint the view to the data dir
 //
@@ -102,7 +103,11 @@ type WhereJSON struct {
 	Val   int64  `json:"val"`
 }
 
-// CountRequest is a filtered count over the materialized view.
+// CountRequest is a filtered count over the materialized view: the
+// conjunction of at most eight conditions, a two-sided range on each of the
+// view's four columns. A ninth is rejected with 400 before the view is
+// scanned, so one request cannot hold the view's lock for longer than an
+// eight-condition scan.
 type CountRequest struct {
 	Where []WhereJSON `json:"where"`
 }

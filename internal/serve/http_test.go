@@ -124,6 +124,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/count", diff, &cnt); code != 200 {
 		t.Fatalf("difference count: code=%d", code)
 	}
+	// One count carries at most eight conditions, a two-sided range on each
+	// of the four columns: eight that hold everywhere count the whole view,
+	// a ninth is refused before the view is scanned.
+	var ranges CountRequest
+	for _, col := range []string{"left.key", "left.time", "right.key", "right.time"} {
+		ranges.Where = append(ranges.Where, WhereJSON{Col: col, Op: ">=", Val: -1 << 40}, WhereJSON{Col: col, Op: "<=", Val: 1 << 40})
+	}
+	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/count", ranges, &cnt); code != 200 || cnt.Count != total {
+		t.Errorf("eight conditions: code=%d count=%d, want 200 and %d", code, cnt.Count, total)
+	}
+	ranges.Where = append(ranges.Where, WhereJSON{Col: "left.key", Op: "!=", Val: 0})
+	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/count", ranges, nil); code != 400 {
+		t.Errorf("nine conditions: code=%d, want 400", code)
+	}
 	bad := CountRequest{Where: []WhereJSON{{Col: "price", Op: "=", Val: 1}}}
 	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/count", bad, nil); code != 400 {
 		t.Errorf("unknown column: code=%d", code)
