@@ -158,11 +158,10 @@ func BenchmarkAblationTruncateSMJ(b *testing.B) {
 	meter := mpc.NewMeter(mpc.DefaultCostModel())
 	dst := oblivious.NewBuffer(4, 0)
 	for i := 0; i < b.N; i++ {
-		meter.Reset()
 		dst.Reset()
 		oblivious.TruncatedSortMergeJoinInto(dst, t1, t2, 0, 0, nil, 4, meter, mpc.OpTransform)
 	}
-	b.ReportMetric(meter.TotalGates(), "simGates")
+	b.ReportMetric(meter.Gates(mpc.OpTransform)/float64(b.N), "simGates")
 }
 
 func ablationTables(n int) (t1, t2 []oblivious.Record) {
@@ -185,7 +184,7 @@ func ablationTables(n int) (t1, t2 []oblivious.Record) {
 // blocks appended and the k oldest retired — so every call meets the same
 // shape; a round of the pool's segments is first joined both ways. Reported per Transform: comparators executed — counted by a
 // textbook walk of the network local to this file, which internal/oblivious
-// pins equal to what its kernel runs — gates charged, and wall time as ns/op.
+// pins equal to what its kernel runs — gates priced, and wall time as ns/op.
 // The two joins must emit the same pairs, some segment of the round must emit
 // one, and the default deployment must stay under 6,000 comparators.
 func BenchmarkJoinSortVsMerge(b *testing.B) {
@@ -226,7 +225,7 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 				u.Append(int(r[2]), r)
 			}
 		}
-		oblivious.MergeJoinInto(oblivious.NewBuffer(4, 0), u, sides(carried...), [2]int{}, within, 1, nil, mpc.OpTransform)
+		oblivious.MergeJoinInto(oblivious.NewBuffer(4, 0), u, sides(carried...), [2]int{}, within, 1)
 		next := 9
 		segment := func(dst *oblivious.Buffer, meter *mpc.Meter) {
 			var arriving [][]table.Row
@@ -237,7 +236,12 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 				}
 				next = (next + 1) % len(pool)
 			}
-			oblivious.MergeJoinInto(dst, u, sides(arriving...), sides(carried[:shape.k]...), within, 1, meter, mpc.OpTransform)
+			oblivious.MergeJoinInto(dst, u, sides(arriving...), sides(carried[:shape.k]...), within, 1)
+			// Priced as the engine prices a Transform's join and the carry's
+			// retirement: the operators themselves never charge.
+			meter.ChargeSort(mpc.OpTransform, f, 64*3)
+			meter.ChargeMerge(mpc.OpTransform, m, f, 64*3)
+			meter.ChargeScan(mpc.OpTransform, m+f, 64*4)
 			meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(m+f), 64*3)
 			carried = append(carried[shape.k:], arriving...)
 		}
@@ -312,11 +316,10 @@ func BenchmarkJoinSortVsMerge(b *testing.B) {
 				meter := mpc.NewMeter(mpc.DefaultCostModel())
 				dst := oblivious.NewBuffer(4, 0)
 				for i := 0; i < b.N; i++ {
-					meter.Reset()
 					join(variant, dst, meter)
 				}
 				b.ReportMetric(float64(comparators[variant]), "comparators")
-				b.ReportMetric(meter.TotalGates(), "simGates")
+				b.ReportMetric(meter.Gates(mpc.OpTransform)/float64(b.N), "simGates")
 			})
 		}
 	}
@@ -355,7 +358,7 @@ func BenchmarkAblationSortBatcher(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work.Reset()
 		work.AppendAll(base)
-		oblivious.SortRealFirst(work, nil, mpc.OpOther, 64)
+		oblivious.MergeRealFirst(work, []oblivious.Run{{Len: work.Len()}})
 	}
 }
 

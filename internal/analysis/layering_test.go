@@ -102,3 +102,59 @@ func TestReplaySeamTestOnly(t *testing.T) {
 		t.Fatal("no non-test file reads core.Framework.replay: the guard no longer finds the seam")
 	}
 }
+
+// TestOperatorsDoNotMeter: internal/core's price list is the one place the
+// data plane is priced. The operators of internal/oblivious and the cache of
+// internal/securearray execute and never charge, so no non-test file there
+// calls a method of mpc.Meter — except the reference join,
+// TruncatedSortMergeJoinInto, and the probe-only CountBuffer, whose frozen
+// signatures still take a meter and price themselves.
+func TestOperatorsDoNotMeter(t *testing.T) {
+	fset, units := loadModule(t)
+	isMeter := func(tp types.Type) bool {
+		if p, ok := tp.(*types.Pointer); ok {
+			tp = p.Elem()
+		}
+		n, ok := tp.(*types.Named)
+		return ok && n.Obj().Name() == "Meter" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == ModulePath+"/internal/mpc"
+	}
+	allowed := map[string]bool{"TruncatedSortMergeJoinInto": true, "CountBuffer": true}
+	checked, found := 0, 0
+	for _, u := range units {
+		if p := u.Pkg.Path(); p != ModulePath+"/internal/oblivious" && p != ModulePath+"/internal/securearray" {
+			continue
+		}
+		for _, f := range u.Files {
+			if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			checked++
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				pricesItself := ok && fn.Recv == nil && allowed[fn.Name.Name]
+				ast.Inspect(d, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					m, ok := u.Info.Uses[sel.Sel].(*types.Func)
+					if !ok {
+						return true
+					}
+					recv := m.Type().(*types.Signature).Recv()
+					switch {
+					case recv == nil || !isMeter(recv.Type()):
+					case pricesItself:
+						found++
+					default:
+						t.Errorf("%s: %s calls mpc.Meter.%s: the operators execute, and internal/core's price list charges them", fset.Position(sel.Pos()), u.Pkg.Path(), m.Name())
+					}
+					return true
+				})
+			}
+		}
+	}
+	if checked == 0 || found == 0 {
+		t.Fatalf("checked %d files and found %d self-pricing charges: the guard no longer sees the operators", checked, found)
+	}
+}

@@ -123,11 +123,9 @@ func (n *NM) Step(st workload.Step) {
 func (n *NM) Query() (int, float64) {
 	before := n.meter.Seconds(mpc.OpQuery)
 	// One oblivious sort of the unioned relations on the join key, followed
-	// by the truncated scan emitting maxMultiplicity slots per tuple, and a
-	// final aggregation scan — the same cost shape as the Transform join,
-	// but over the entire history.
-	n.meter.ChargeSort(mpc.OpQuery, n.rows, 64*(workload.StreamArity+1))
-	n.meter.ChargeScan(mpc.OpQuery, n.rows*n.wl.MaxMultiplicity, 64*workload.JoinArity)
+	// by the truncated scan emitting maxMultiplicity slots per tuple — the
+	// Transform join's price, over the entire history and nothing carried.
+	priceJoin(n.meter, mpc.OpQuery, 0, n.rows, n.wl.MaxMultiplicity)
 	qet := n.meter.Seconds(mpc.OpQuery) - before
 	n.queries++
 	n.querySecs += qet

@@ -28,11 +28,8 @@ const (
 // invocations the carry sits at its public cap: each padded stream holds
 // exactly `keep` whole blocks, pads included (a pad is minted once, with its
 // block, and leaves with it), from step 0 on (prefill). A public relation's
-// records enter unpadded and are bounded by the join window alone.
-//
-// carryBits is the secret payload width the carry's sort, merge and
-// compaction are charged for: the record plus its (key, tag) sort column.
-const carryBits = 64 * (workload.StreamArity + 1)
+// records enter unpadded and are bounded by the join window alone. What an
+// invocation costs is priced in price.go.
 
 // liveBlock is one upload block whose rows are in the carry; all of it is
 // public, the budget too, which every record of a block spends alike.

@@ -229,11 +229,9 @@ type Framework struct {
 // It bounds the carry (keep blocks) and a step's delta (omega per new row)
 // too, so a deployment whose public sizes alone would exhaust memory is
 // refused before anything is allocated. The largest deployment the tests,
-// examples, experiments and benchmarks build pads to 10,880 rows.
-const maxJoinRows = 1 << 20
-
-// tupleBits is the secret payload width of a view entry (two stream rows).
-const tupleBits = 64 * workload.JoinArity
+// examples, experiments and benchmarks build pads to 10,880 rows; at the cap a
+// step takes ≈ 20 ms and 8 MB (2^20 rows took ≈ 1 s and 266 MB).
+const maxJoinRows = 1 << 15
 
 // New builds an IncShrink engine for a workload with the given Shrink
 // protocol.
@@ -271,7 +269,7 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		cfg:      cfg,
 		wl:       wl,
 		rt:       rt,
-		cache:    securearray.New(workload.JoinArity, tupleBits, rt.Meter),
+		cache:    securearray.New(workload.JoinArity, 0, nil),
 		view:     securearray.NewView(workload.JoinArity),
 		shrink:   shrink,
 		prune:    pruneBound(cfg, wl),
@@ -385,9 +383,9 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 			f.blocks = f.blocks[:0]
 		}
 
-		shrinkProbe := f.ins.phaseStart(f.rt)
+		shrinkProbe := f.ins.phaseStart(f.rt, mpc.OpShrink)
 		f.shrink.Tick(f, st.T)
-		f.ins.phaseDone("shrink", mpc.OpShrink, shrinkProbe, f.rt)
+		f.ins.phaseDone("shrink", shrinkProbe, f.rt)
 
 		f.now = st.T + 1
 		f.ins.stepDone(f)
@@ -439,7 +437,8 @@ func (f *Framework) uploadDue(t int) bool {
 // invocations, a k-block segment (DESIGN.md §12):
 //
 //   - runs one sort of the k new blocks and one merge into the carry — the
-//     meter follows the sizes that ran, so the saving is priced, not hidden;
+//     price list follows the sizes that ran, so the saving is priced, not
+//     hidden;
 //   - bounds each record's contribution by omega per MERGED invocation, not
 //     per block — the same pair set wherever a record's pairs all land in one
 //     block (multiplicity-1 streams);
@@ -452,7 +451,7 @@ func (f *Framework) uploadDue(t int) bool {
 //   - counts as one invocation and emits one batch event for the merged delta
 //     (the merged sizes are public, so the security argument is unchanged).
 func (f *Framework) transform(blocks []uploadBlock) {
-	probe := f.ins.phaseStart(f.rt)
+	probe := f.ins.phaseStart(f.rt, mpc.OpTransform)
 	f.transforms++
 	var fresh [2]int
 	for _, b := range blocks {
@@ -486,22 +485,23 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	// join order, are the next carry's at the public size the ledgers now
 	// hold. It is an order-preserving compaction of the merged keys — a
 	// fixed-topology pass, because in key order which rows a block owns is
-	// secret — charged as the routing network that keeps the order, not as
-	// two linear passes.
+	// secret.
 	n := f.carry.Len()
-	oblivious.MergeJoinInto(joined, f.carry, fresh, cut, f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform)
-	f.rt.Meter.ChargeScan(mpc.OpTransform, mpc.CompactMoves(n), carryBits)
+	oblivious.MergeJoinInto(joined, f.carry, fresh, cut, f.match, f.cfg.Omega)
 
 	// Tighten the exhaustively padded join output to the public
 	// maximum-new-entries bound before caching. Entries beyond the cap (rare
 	// late-shipped pairs) carry over to the next invocation's batch.
 	delta := f.deltaBuf
+	compacted := 0
 	if limit > 0 {
+		compacted = f.overflow.Len()
 		delta.Reset()
 		f.spill.Reset()
-		oblivious.TightCompactInto(f.overflow, limit, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
+		oblivious.TightCompactInto(f.overflow, limit, delta, f.spill, nil, 0, 0)
 		f.overflow, f.spill = f.spill, f.overflow
 	}
+	priceTransform(f.rt.Meter, n, fresh[left]+fresh[right], f.cfg.Omega, compacted)
 
 	// Alg. 1 lines 4-6: update and re-share the cardinality counter — one
 	// reshare per covered block so the joint-randomness stream advances
@@ -534,7 +534,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	}
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
-	f.ins.phaseDone("transform", mpc.OpTransform, probe, f.rt)
+	f.ins.phaseDone("transform", probe, f.rt)
 }
 
 // Query implements Engine: one oblivious scan over the materialized view,
@@ -545,17 +545,17 @@ func (f *Framework) Query() (int, float64) { return f.QueryWhere(nil) }
 // QueryWhere answers a filtered count over the materialized view with one
 // oblivious scan — the execution target of rewritten queries (query.Lower).
 // View columns have the layout {left..., right...}; the scan kernel reads
-// only the flag column and the columns conds names, and is charged as one
+// only the flag column and the columns conds names, and is priced as one
 // pass over every slot at full tuple width whatever they are.
 func (f *Framework) QueryWhere(conds []oblivious.ScanCond) (int, float64) {
-	qProbe := f.ins.phaseStart(f.rt)
+	qProbe := f.ins.phaseStart(f.rt, mpc.OpQuery)
 	before := f.rt.Meter.Seconds(mpc.OpQuery)
-	f.rt.Meter.ChargeScan(mpc.OpQuery, f.view.Len(), 64*f.view.Arity())
+	priceQuery(f.rt.Meter, f.view.Len())
 	res := f.view.Count(conds)
 	qet := f.rt.Meter.Seconds(mpc.OpQuery) - before
 	f.queries++
 	f.querySecs += qet
-	f.ins.phaseDone("query", mpc.OpQuery, qProbe, f.rt)
+	f.ins.phaseDone("query", qProbe, f.rt)
 	return res, qet
 }
 

@@ -134,7 +134,7 @@ func refTransform(r *reference, blocks []uploadBlock) {
 		delta = f.deltaBuf
 		delta.Reset()
 		f.spill.Reset()
-		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, f.rt.Meter, mpc.OpTransform, tupleBits)
+		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, nil, 0, 0)
 		f.overflow, f.spill = f.spill, f.overflow
 	}
 	newReal := delta.Real()

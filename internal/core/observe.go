@@ -141,28 +141,30 @@ func (ins *Instruments) now() obs.Ticks {
 	return obs.Now()
 }
 
-// phaseProbe is one open phase measurement: a clock reading, a probe of the
-// meter's modeled totals, and a probe of the runtime's wire tally, so
-// phaseDone can attribute wall time, the modeled delta and the measured wire
-// traffic to the phase.
+// phaseProbe is one open phase measurement: a clock reading, the op the
+// phase is charged to and the meter's modeled seconds for it, and a probe of
+// the runtime's wire tally, so phaseDone can attribute wall time, the modeled
+// delta and the measured wire traffic to the phase.
 type phaseProbe struct {
-	start obs.Ticks
-	meter mpc.MeterProbe
-	wire  mpc.WireProbe
+	start   obs.Ticks
+	op      mpc.Op
+	seconds float64
+	wire    mpc.WireProbe
 }
 
-// phaseStart opens a phase measurement over the runtime.
-func (ins *Instruments) phaseStart(rt *mpc.Runtime) phaseProbe {
+// phaseStart opens a measurement of a phase charged to op.
+func (ins *Instruments) phaseStart(rt *mpc.Runtime, op mpc.Op) phaseProbe {
 	if ins == nil {
 		return phaseProbe{}
 	}
-	return phaseProbe{start: obs.Now(), meter: rt.Meter.Probe(), wire: rt.WireProbe()}
+	return phaseProbe{start: obs.Now(), op: op, seconds: rt.Meter.Seconds(op), wire: rt.WireProbe()}
 }
 
 // phaseDone closes a phase: the wall duration lands in the phase histogram
 // and, paired with the meter's modeled delta and the connection counters'
-// wire delta for op, feeds the predicted-vs-measured cost accounting.
-func (ins *Instruments) phaseDone(phase string, op mpc.Op, p phaseProbe, rt *mpc.Runtime) {
+// wire delta for the probe's op, feeds the predicted-vs-measured cost
+// accounting.
+func (ins *Instruments) phaseDone(phase string, p phaseProbe, rt *mpc.Runtime) {
 	if ins == nil {
 		return
 	}
@@ -178,9 +180,8 @@ func (ins *Instruments) phaseDone(phase string, op mpc.Op, p phaseProbe, rt *mpc
 		ins.querySeconds.ObserveDuration(elapsed)
 		ins.queries.Inc()
 	}
-	sec, bytes := p.meter.Delta(rt.Meter, op)
 	rounds, words, wireBytes := p.wire.Delta(rt)
-	ins.cost.Observe(op, sec, bytes, elapsed, rounds, words, wireBytes)
+	ins.cost.Observe(p.op, rt.Meter.Seconds(p.op)-p.seconds, elapsed, rounds, words, wireBytes)
 }
 
 // observePad records the padding section of one transform.

@@ -195,6 +195,7 @@ func (f *Framework) exchange(rd *mpc.Round) {
 // copied exactly once, cache arena to view arena.
 func (f *Framework) syncToView(sz int) {
 	sz = min(max(sz, 0), f.cache.Len())
+	priceRead(f.rt.Meter, f.cache.Len())
 	f.lostReal += f.cache.ReadAndPruneInto(f.view, sz, f.spillLen, f.prune)
 	// The spill has a publicly fixed size; record it as a flush-class event,
 	// distinct from the DP-sized fetch.
@@ -209,6 +210,7 @@ func (f *Framework) flush(t int) {
 		return
 	}
 	fetched := min(FlushSize, f.cache.Len())
+	priceRead(f.rt.Meter, f.cache.Len())
 	f.lostReal += f.cache.ReadAndPruneInto(f.view, fetched, 0, 0)
 	f.rt.ObserveFlush(fetched, "flush")
 }

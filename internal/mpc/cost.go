@@ -19,10 +19,12 @@
 //
 //  2. Cost shape. Garbled-circuit cost is gate count times a throughput
 //     constant; oblivious sorts are O(n log^2 n) compare-exchanges and
-//     oblivious scans are O(n) per-tuple circuits. The Meter charges gates
-//     per primitive and converts them into simulated seconds with a rate
-//     calibrated to EMP-class throughput, so the relative factors the paper
-//     reports (NM vs. EP vs. DP protocols) emerge from the same asymptotics.
+//     oblivious scans are O(n) per-tuple circuits. The Meter holds gates per
+//     phase and converts them into simulated seconds with a rate calibrated
+//     to EMP-class throughput, so the relative factors the paper reports (NM
+//     vs. EP vs. DP protocols) emerge from the same asymptotics. Which
+//     primitives a phase runs, at which sizes, is internal/core's price list;
+//     bytes are measured by the wire tally, not modelled.
 package mpc
 
 import (
@@ -31,7 +33,9 @@ import (
 	"incshrink/internal/snapshot"
 )
 
-// CostModel holds the gate-level constants used to charge secure operations.
+// CostModel holds the gate-level constants that price secure operations, each
+// an integer number of AND gates (so a phase's total, far below 2^53, is exact
+// in any order), and the throughput that turns gates into simulated seconds.
 // All sizes are in bits of secret-shared payload per tuple.
 type CostModel struct {
 	// ANDGatesPerCompareExchangeBit is the number of AND gates needed per
@@ -49,9 +53,6 @@ type CostModel struct {
 	// 10^7 AND gates per second; the paper's absolute times correspond to a
 	// somewhat slower effective rate once OT and I/O are included.
 	GatesPerSecond float64
-	// BytesPerANDGate approximates network traffic: two ciphertexts per
-	// garbled AND gate under half-gates (2 x 16 bytes).
-	BytesPerANDGate float64
 }
 
 // DefaultCostModel returns constants calibrated so that the shape of the
@@ -64,7 +65,6 @@ func DefaultCostModel() CostModel {
 		ANDGatesPerScanBit:            2,
 		ANDGatesPerLaplace:            20000,
 		GatesPerSecond:                8e6,
-		BytesPerANDGate:               32,
 	}
 }
 
@@ -122,7 +122,7 @@ func (o Op) String() string {
 	}
 }
 
-// Meter accumulates gate, byte and simulated-time charges by phase. Like
+// Meter accumulates gate charges, and their simulated seconds, by phase. Like
 // Runtime, a Meter belongs to a single engine and is not safe for concurrent
 // use; concurrent simulation cells each meter their own runtime.
 type Meter struct {
@@ -171,25 +171,8 @@ func (m *Meter) ChargeLaplace(op Op) {
 // Gates returns the accumulated AND gates for a phase.
 func (m *Meter) Gates(op Op) float64 { return m.gates[op] }
 
-// TotalGates returns gates across all phases.
-func (m *Meter) TotalGates() float64 {
-	var t float64
-	for _, g := range m.gates {
-		t += g
-	}
-	return t
-}
-
 // Seconds converts a phase's gates to simulated seconds.
 func (m *Meter) Seconds(op Op) float64 { return m.gates[op] / m.model.GatesPerSecond }
-
-// Bytes returns the simulated network traffic for a phase.
-func (m *Meter) Bytes(op Op) float64 { return m.gates[op] * m.model.BytesPerANDGate }
-
-// Reset zeroes all counters.
-func (m *Meter) Reset() {
-	m.gates = [numOps]float64{}
-}
 
 // encodeState writes the per-phase gate totals, indexed by Op. The cost
 // model is a construction parameter, not state.

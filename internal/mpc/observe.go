@@ -7,11 +7,11 @@ import (
 )
 
 // CostObserver is the ROADMAP's cost-model validation hook: it accumulates
-// the Meter's modeled seconds and bytes next to measured wall time per
-// operation class, and exposes their ratio as the
-// incshrink_mpc_predicted_vs_measured family. A ratio near the deployment's
-// calibration constant means the gate-count model tracks reality; drift
-// means the CostModel constants need re-fitting.
+// the Meter's modeled seconds next to measured wall time per operation
+// class, and exposes their ratio as the incshrink_mpc_predicted_vs_measured
+// family. Bytes have one source, the measured wire tally. A ratio near the
+// deployment's calibration constant means the gate-count model tracks
+// reality; drift means the CostModel constants need re-fitting.
 //
 // The observer is write-only from the engine's point of view (the ratio
 // gauge is derived from the observer's own counters, never read back), so
@@ -19,7 +19,6 @@ import (
 type CostObserver struct {
 	predictedSeconds *obs.CounterVec
 	measuredSeconds  *obs.CounterVec
-	predictedBytes   *obs.CounterVec
 	wireRounds       *obs.CounterVec
 	wireWords        *obs.CounterVec
 	wireBytes        *obs.CounterVec
@@ -35,8 +34,6 @@ func NewCostObserver(r *obs.Registry) *CostObserver {
 			"modeled secure-computation seconds charged by the cost meter, by operation class", "op"),
 		measuredSeconds: r.CounterVec("incshrink_mpc_measured_seconds_total",
 			"measured wall seconds spent in the same operations, by operation class", "op"),
-		predictedBytes: r.CounterVec("incshrink_mpc_predicted_bytes_total",
-			"modeled secure-computation network bytes, by operation class", "op"),
 		wireRounds: r.CounterVec("incshrink_mpc_wire_rounds_total",
 			"measured transport rounds from the party connection counters, by operation class", "op"),
 		wireWords: r.CounterVec("incshrink_mpc_wire_words_total",
@@ -50,21 +47,17 @@ func NewCostObserver(r *obs.Registry) *CostObserver {
 	}
 }
 
-// Observe records one completed operation: the meter's modeled deltas for
+// Observe records one completed operation: the meter's modeled seconds for
 // the phase against the measured wall duration and the runtime's measured
 // wire deltas (rounds, words, frame bytes), then refreshes the ratio gauges
-// from the cumulative totals. Negative deltas (a meter Reset between
-// observations) are clamped to zero rather than corrupting the counters.
-func (o *CostObserver) Observe(op Op, predictedSeconds, predictedBytes float64, measured time.Duration, wireRounds, wireWords, wireBytes uint64) {
+// from the cumulative totals. A delta that is not positive adds nothing.
+func (o *CostObserver) Observe(op Op, predictedSeconds float64, measured time.Duration, wireRounds, wireWords, wireBytes uint64) {
 	if o == nil {
 		return
 	}
 	name := op.String()
 	if predictedSeconds > 0 {
 		o.predictedSeconds.With(name).Add(predictedSeconds)
-	}
-	if predictedBytes > 0 {
-		o.predictedBytes.With(name).Add(predictedBytes)
 	}
 	if measured > 0 {
 		o.measuredSeconds.With(name).Add(measured.Seconds())
@@ -92,37 +85,10 @@ func (o *CostObserver) Observe(op Op, predictedSeconds, predictedBytes float64, 
 	}
 }
 
-// MeterProbe captures a Meter's per-phase totals so a caller can compute
-// the deltas one operation contributed. The probe is a value: take one
-// before the operation, call Delta after.
-type MeterProbe struct {
-	seconds [numOps]float64
-	bytes   [numOps]float64
-}
-
-// Probe snapshots the meter's modeled totals for all phases.
-func (m *Meter) Probe() MeterProbe {
-	var p MeterProbe
-	for op := Op(0); op < numOps; op++ {
-		p.seconds[op] = m.Seconds(op)
-		p.bytes[op] = m.Bytes(op)
-	}
-	return p
-}
-
-// Delta returns the modeled seconds and bytes the meter accumulated for op
-// since the probe was taken.
-func (p MeterProbe) Delta(m *Meter, op Op) (seconds, bytes float64) {
-	if op < 0 || op >= numOps {
-		op = OpOther
-	}
-	return m.Seconds(op) - p.seconds[op], m.Bytes(op) - p.bytes[op]
-}
-
 // WireProbe captures a runtime's cumulative per-party wire tally and word
 // count so a caller can compute the rounds, words and frame bytes one
-// operation moved. Like MeterProbe it is a value: take one before the
-// operation, call Delta after.
+// operation moved. It is a value: take one before the operation, call Delta
+// after.
 type WireProbe struct {
 	rounds, words, bytes uint64
 }

@@ -239,14 +239,6 @@ func (b *Buffer) ScanReal() int {
 	return n
 }
 
-// SortRealFirst obliviously sorts the buffer in place so real slots precede
-// dummies — the Shrink ordering, under which a prefix cut of the sorted cache
-// always fetches real data first (Figure 3) — charging one compare-exchange
-// per comparator under op. It is MergeRealFirst of one raw run.
-func SortRealFirst(b *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
-	MergeRealFirst(b, []Run{{Len: b.Len()}}, meter, op, tupleBits)
-}
-
 // Run is one public segment of a buffer: Len slots, already in real-first
 // order (reals, then dummies, each in position order) when RealFirst is set,
 // in no known order otherwise. Where the runs lie and which are real-first
@@ -257,18 +249,20 @@ type Run struct {
 }
 
 // MergeRealFirst puts b, laid out as runs (their lengths summing to b.Len()),
-// in real-first order and returns the number of compare-exchanges it
-// executed. The order is total — key 1-isView, tie-break the slot's position
-// — so the result is the unique stable partition, reals in position order
-// then dummies, whatever the layout: the keys are extracted once, each raw
-// run is sorted by Batcher's network, adjacent runs are merged pairwise
-// through its last phase (mergeKeys) until one is left, and one gather
-// applies the permutation. A buffer that is one real-first run is left
-// alone. Every comparator position is a function of the layout alone. The
-// meter is charged the full sort, mpc.SortCompareExchanges(b.Len()), which
-// the executed count never exceeds. Steady state allocates nothing: the
-// keys, run ends and gather arena are b's own workspace.
-func MergeRealFirst(b *Buffer, runs []Run, meter *mpc.Meter, op mpc.Op, tupleBits int) (executed int) {
+// in real-first order — the Shrink ordering, under which a prefix cut of the
+// sorted cache always fetches real data first (Figure 3) — and returns the
+// number of compare-exchanges it executed. The order is total — key
+// 1-isView, tie-break the slot's position — so the result is the unique
+// stable partition, reals in position order then dummies, whatever the
+// layout: the keys are extracted once, each raw run is sorted by Batcher's
+// network, adjacent runs are merged pairwise through its last phase
+// (mergeKeys) until one is left, and one gather applies the permutation. A
+// buffer that is one real-first run is left alone. Every comparator position
+// is a function of the layout alone. Its caller is priced the full sort,
+// mpc.SortCompareExchanges(b.Len()), which the executed count never exceeds.
+// Steady state allocates nothing: the keys, run ends and gather arena are b's
+// own workspace.
+func MergeRealFirst(b *Buffer, runs []Run) (executed int) {
 	n, covered := b.Len(), 0
 	for _, r := range runs {
 		covered += r.Len
@@ -278,9 +272,6 @@ func MergeRealFirst(b *Buffer, runs []Run, meter *mpc.Meter, op mpc.Op, tupleBit
 	}
 	if n <= 1 {
 		return 0
-	}
-	if meter != nil {
-		meter.ChargeSort(op, n, tupleBits)
 	}
 	if len(runs) == 1 && runs[0].RealFirst {
 		return 0
@@ -296,7 +287,7 @@ func MergeRealFirst(b *Buffer, runs []Run, meter *mpc.Meter, op mpc.Op, tupleBit
 			continue
 		}
 		if !r.RealFirst {
-			executed += sortKeys(&b.ws, keys[lo:lo+r.Len], nil, op, tupleBits)
+			executed += sortKeys(&b.ws, keys[lo:lo+r.Len])
 		}
 		lo += r.Len
 		ends = append(ends, lo)
@@ -306,7 +297,7 @@ func MergeRealFirst(b *Buffer, runs []Run, meter *mpc.Meter, op mpc.Op, tupleBit
 		for j := 0; j < len(ends); j += 2 {
 			end := ends[min(j+1, len(ends)-1)]
 			if j+1 < len(ends) {
-				executed += mergeKeys(&b.ws, keys[lo:end], ends[j]-lo, nil, op, tupleBits)
+				executed += mergeKeys(&b.ws, keys[lo:end], ends[j]-lo)
 			}
 			ends[kept], kept, lo = end, kept+1, end
 		}
@@ -340,19 +331,18 @@ func (b *Buffer) applyPerm(keys []sortKey) {
 // true upper bound, so they are returned rather than dropped. dst and
 // overflow must have src's arity; both are appended to, not reset. It models
 // an order-insensitive oblivious compaction network (linear passes of
-// bit-controlled moves rather than a full sort), so it is charged as two
-// linear passes at scan rate — mark+prefix-sum and controlled move — which
-// is what lets Transform tighten its exhaustively padded join output to the
-// public maximum-new-entries bound before caching without inflating its
+// bit-controlled moves rather than a full sort), which its caller prices as
+// two linear passes at scan rate — mark+prefix-sum and controlled move —
+// which is what lets Transform tighten its exhaustively padded join output to
+// the public maximum-new-entries bound before caching without inflating its
 // cost profile. That delta compaction and cmd/benchmark's operator probe are
 // its callers; the carry's order-preserving retirement runs in the join's
-// scan instead (MergeJoinInto). The tail is padded with one bulk append.
-func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, meter *mpc.Meter, op mpc.Op, tupleBits int) {
+// scan instead (MergeJoinInto). The tail is padded with one bulk append. The
+// three trailing arguments, once its meter, are ignored: cmd/benchmark's
+// probes, frozen until ROADMAP item 1, still pass them.
+func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, _ *mpc.Meter, _ mpc.Op, _ int) {
 	if cap < 0 {
 		cap = 0
-	}
-	if meter != nil {
-		meter.ChargeScan(op, 2*src.Len(), tupleBits)
 	}
 	packed := 0
 	dst.Grow(cap)

@@ -50,7 +50,7 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 			other, _ := randBuffer(rng, rng.Intn(10))
 			b.AppendAll(other)
 		case 7:
-			SortRealFirst(b, nil, mpc.OpOther, 64)
+			sortRealFirst(b)
 		}
 		check("op")
 	}
@@ -67,27 +67,31 @@ func TestSortBufferMatchesEntrySort(t *testing.T) {
 		es := randEntries(rng, rng.Intn(150)) // the index column tells the slots apart
 		b := bufferOf(es)
 		stableRealFirst(es)
-		SortRealFirst(b, nil, mpc.OpOther, 64)
+		sortRealFirst(b)
 		entriesEqual(t, entriesOf(b), es)
 	}
 }
 
+// TestSortBufferChargesLikeEntrySort: below a power of two the buffer sort
+// executes the same comparators as the key sort over as many slots, never
+// more than ChargeSort prices for that length, and a one-slot buffer runs
+// nothing and is charged nothing.
 func TestSortBufferChargesLikeEntrySort(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b, _ := randBuffer(rng, 24)
-	m := mpc.NewMeter(mpc.DefaultCostModel())
-	SortRealFirst(b, m, mpc.OpShrink, 128)
-	want := float64(mpc.SortCompareExchanges(24)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
-	if got := m.Gates(mpc.OpShrink); got != want {
-		t.Errorf("charged %v gates, want %v", got, want)
+	ran, keys := sortRealFirst(b), sortKeys(new(scratch), keysOf(randVals(rng, 24)))
+	m := newMeter()
+	m.ChargeSort(mpc.OpShrink, 24, 128)
+	worth := float64(ran) * 128 * m.Model().ANDGatesPerCompareExchangeBit
+	if got := m.Gates(mpc.OpShrink); ran != keys || ran == 0 || worth > got {
+		t.Errorf("executed %d (buffer) and %d (keys) comparators, worth %v gates; ChargeSort charged %v", ran, keys, worth, got)
 	}
-	// Tiny buffers charge nothing.
-	m.Reset()
 	one := NewBuffer(2, 0)
 	one.AppendDummies(1)
-	SortRealFirst(one, m, mpc.OpShrink, 128)
-	if m.TotalGates() != 0 {
-		t.Error("n=1 sort should be free")
+	m = newMeter()
+	m.ChargeSort(mpc.OpShrink, 1, 128)
+	if sortRealFirst(one) != 0 || m.Gates(mpc.OpShrink) != 0 {
+		t.Error("n=1 sort should execute nothing and be free")
 	}
 }
 
@@ -112,7 +116,7 @@ func TestTightCompactIntoMatchesEntryForm(t *testing.T) {
 		for len(wantOut) < cap {
 			wantOut = append(wantOut, dummy(2))
 		}
-		out, over := tightCompact(es, cap, nil, 64)
+		out, over := tightCompact(es, cap)
 		entriesEqual(t, out, wantOut)
 		entriesEqual(t, over, wantOver)
 	}
@@ -199,12 +203,12 @@ const warmAllocs = 0
 func TestSortBufferSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	b, _ := randBuffer(rng, 512)
-	SortRealFirst(b, nil, mpc.OpOther, 64) // warm the workspace and the network table
+	sortRealFirst(b) // warm the workspace and the network table
 	avg := testing.AllocsPerRun(100, func() {
-		SortRealFirst(b, nil, mpc.OpOther, 64)
+		sortRealFirst(b)
 	})
 	if avg > warmAllocs {
-		t.Errorf("SortRealFirst allocates %.1f/op warm, want <= %v", avg, warmAllocs)
+		t.Errorf("a one-run MergeRealFirst allocates %.1f/op warm, want <= %v", avg, warmAllocs)
 	}
 }
 
@@ -253,7 +257,7 @@ func tpcdsCarry(seed int64, match MatchFunc) (u *Union, dst *Buffer, join func()
 			cut = [2]int{96, 8}
 		}
 		dst.Reset()
-		MergeJoinInto(dst, u, [2]int{96, 8}, cut, match, 1, nil, mpc.OpTransform)
+		MergeJoinInto(dst, u, [2]int{96, 8}, cut, match, 1)
 		joins++
 	}
 	for range 10 {
@@ -283,7 +287,7 @@ func TestTightCompactIntoSteadyStateAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		dst.Reset()
 		over.Reset()
-		TightCompactInto(src, 64, dst, over, nil, mpc.OpTransform, 64)
+		TightCompactInto(src, 64, dst, over, nil, 0, 0)
 	})
 	if avg > warmAllocs {
 		t.Errorf("TightCompactInto allocates %.1f/op warm, want <= %v", avg, warmAllocs)
@@ -299,7 +303,7 @@ func BenchmarkSortBuffer1K(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work.Reset()
 		work.AppendAll(base)
-		SortRealFirst(work, nil, mpc.OpOther, 64)
+		sortRealFirst(work)
 	}
 }
 
@@ -351,12 +355,12 @@ func TestMergeJoinRetiresInJoinOrder(t *testing.T) {
 		gone := appendBlock(rng.Intn(30), 0)
 		more := appendBlock(rng.Intn(30), 1)
 		dst := NewBuffer(4, 0)
-		MergeJoinInto(dst, u, [2]int{gone[0] + more[0], gone[1] + more[1]}, [2]int{}, nil, 2, nil, mpc.OpTransform)
+		MergeJoinInto(dst, u, [2]int{gone[0] + more[0], gone[1] + more[1]}, [2]int{}, nil, 2)
 		fresh := appendBlock(1+rng.Intn(20), 2)
 		n := u.Len()
 		dst.Reset()
 		dst.AppendRow(table.Row{9, 9, 9, 9})
-		MergeJoinInto(dst, u, fresh, gone, nil, 2, nil, mpc.OpTransform)
+		MergeJoinInto(dst, u, fresh, gone, nil, 2)
 
 		if dst.Len() != 1+2*n || !dst.Row(0).Equal(table.Row{9, 9, 9, 9}) {
 			t.Fatalf("trial %d: dst holds %d slots starting %v, want the old slot then %d", trial, dst.Len(), dst.Row(0), 2*n)
@@ -440,6 +444,6 @@ func BenchmarkTightCompactInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst.Reset()
 		over.Reset()
-		TightCompactInto(src, 128, dst, over, nil, mpc.OpTransform, 64)
+		TightCompactInto(src, 128, dst, over, nil, 0, 0)
 	}
 }

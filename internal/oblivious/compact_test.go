@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"incshrink/internal/mpc"
 	"incshrink/internal/table"
 )
 
@@ -16,8 +15,7 @@ func TestTightCompactBasic(t *testing.T) {
 		dummy(2),
 		{Row: table.Row{2, 0}, IsView: true},
 	}
-	m := mpc.NewMeter(mpc.DefaultCostModel())
-	out, overflow := tightCompact(es, 3, m, 128)
+	out, overflow := tightCompact(es, 3)
 	if len(out) != 3 {
 		t.Fatalf("output length %d, want cap 3", len(out))
 	}
@@ -27,10 +25,6 @@ func TestTightCompactBasic(t *testing.T) {
 	if len(overflow) != 0 {
 		t.Errorf("unexpected overflow %v", overflow)
 	}
-	// Charged two linear passes.
-	if want := float64(2*4) * 128 * m.Model().ANDGatesPerScanBit; m.Gates(mpc.OpTransform) != want {
-		t.Errorf("charged %v gates, want %v", m.Gates(mpc.OpTransform), want)
-	}
 }
 
 func TestTightCompactOverflow(t *testing.T) {
@@ -38,7 +32,7 @@ func TestTightCompactOverflow(t *testing.T) {
 	for i := range es {
 		es[i] = entry{Row: table.Row{int64(i)}, IsView: true}
 	}
-	out, overflow := tightCompact(es, 4, nil, 64)
+	out, overflow := tightCompact(es, 4)
 	if len(out) != 4 || countReal(out) != 4 {
 		t.Errorf("out: %d slots %d real", len(out), countReal(out))
 	}
@@ -55,12 +49,12 @@ func TestTightCompactOverflow(t *testing.T) {
 func TestTightCompactEdgeCases(t *testing.T) {
 	// Negative cap clamps to zero; everything real overflows.
 	es := []entry{{Row: table.Row{1}, IsView: true}}
-	out, overflow := tightCompact(es, -1, nil, 64)
+	out, overflow := tightCompact(es, -1)
 	if len(out) != 0 || len(overflow) != 1 {
 		t.Errorf("negative cap: out=%d overflow=%d", len(out), len(overflow))
 	}
 	// Empty input pads to cap with dummies of zero arity.
-	out, overflow = tightCompact(nil, 2, nil, 64)
+	out, overflow = tightCompact(nil, 2)
 	if len(out) != 2 || len(overflow) != 0 || countReal(out) != 0 {
 		t.Errorf("empty input: out=%d overflow=%d", len(out), len(overflow))
 	}
@@ -72,7 +66,7 @@ func TestTightCompactPreservesMultiset(t *testing.T) {
 		es := randEntries(rng, 40)
 		orig := realRowsOf(es)
 		cap := rng.Intn(50)
-		out, overflow := tightCompact(es, cap, nil, 64)
+		out, overflow := tightCompact(es, cap)
 		combined := append(realRowsOf(out), realRowsOf(overflow)...)
 		if !table.MultisetEqual(combined, orig) {
 			t.Fatalf("trial %d: compaction changed the real multiset", trial)

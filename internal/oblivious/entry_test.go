@@ -180,9 +180,13 @@ func smj(t1, t2 []Record, match MatchFunc, bound int, meter *mpc.Meter) []entry 
 }
 
 // tightCompact runs TightCompactInto over es and reads both outputs back.
-func tightCompact(es []entry, cap int, meter *mpc.Meter, tupleBits int) (out, overflow []entry) {
+func tightCompact(es []entry, cap int) (out, overflow []entry) {
 	src := bufferOf(es)
 	dst, over := NewBuffer(src.Arity(), 0), NewBuffer(src.Arity(), 0)
-	TightCompactInto(src, cap, dst, over, meter, mpc.OpTransform, tupleBits)
+	TightCompactInto(src, cap, dst, over, nil, 0, 0)
 	return entriesOf(dst), entriesOf(over)
 }
+
+// sortRealFirst sorts the whole buffer real-first — MergeRealFirst of one raw
+// run — and returns the comparators it executed.
+func sortRealFirst(b *Buffer) int { return MergeRealFirst(b, []Run{{Len: b.Len()}}) }

@@ -48,7 +48,11 @@ const signBit = 1 << 63
 // reference for MergeJoinInto, which the engine runs. fresh = (new1, new2)
 // says the first new1 records of t1 and the first new2 of t2 are new since
 // the caller's last invocation, and only pairs with a new side are emitted;
-// without it every record is new.
+// without it every record is new. Unlike the engine's operators it prices
+// itself, to meter (which may be nil) under op: one sort of the union at the
+// wider side plus the key, then the emit scan at full output width. The
+// signature, meter included, stays until cmd/benchmark's probes, which read
+// that charge, are thawed (ROADMAP item 1).
 func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op, fresh ...int) {
 	new1, new2 := len(t1), len(t2)
 	if len(fresh) == 2 {
@@ -66,15 +70,18 @@ func TruncatedSortMergeJoinInto(dst *Buffer, t1, t2 []Record, key1, key2 int, ma
 		keys[len(t1)+i] = sortKey{k: uint64(r.Row[key2]) ^ signBit, w: 1<<32 | uint64(i)}
 	}
 
-	// Sort the union on (key, tag), charged for the wider side plus the key.
-	sortKeys(&dst.ws, keys, meter, op, 64*(max(recArity(t1), recArity(t2))+1))
+	sortKeys(&dst.ws, keys)
 
 	recs := [2][]Record{t1, t2}
 	emitJoin(dst, keys, joinSides{
 		left:  len(t1),
 		fresh: [2][2]int{{0, new1}, {0, new2}},
 		row:   func(tag uint64, i int) table.Row { return recs[tag][i].Row },
-	}, match, bound, nil, [2]int{}, meter, op)
+	}, match, bound, nil, [2]int{})
+	if meter != nil {
+		meter.ChargeSort(op, len(keys), 64*(max(recArity(t1), recArity(t2))+1))
+		meter.ChargeScan(op, max(bound, 1)*len(keys), 64*dst.Arity())
+	}
 }
 
 // Union is the tagged union of a join's two inputs for a caller that joins it
@@ -136,15 +143,15 @@ func (u *Union) Reset() {
 // new side: bound*u.Len() slots appended to dst, behind whatever it already
 // holds. The same scan retires the union: cut[s] is the public length of
 // the prefix of side s that lapses, a key stays iff its row lies behind that
-// prefix and is rebased by it — the order-preserving compaction of the keys,
-// which the caller charges — and then each side cuts its prefix. Rows are
-// read through their keys and never move.
-func MergeJoinInto(dst *Buffer, u *Union, fresh, cut [2]int, match MatchFunc, bound int, meter *mpc.Meter, op mpc.Op) {
+// prefix and is rebased by it — the order-preserving compaction of the keys
+// — and then each side cuts its prefix. Rows are read through their keys and
+// never move. The caller prices all of it.
+func MergeJoinInto(dst *Buffer, u *Union, fresh, cut [2]int, match MatchFunc, bound int) {
 	arity := dst.Arity() / 2
 	keys := u.keys
 	m := len(keys) - fresh[0] - fresh[1]
-	sortKeys(&dst.ws, keys[m:], meter, op, 64*(arity+1))
-	mergeKeys(&dst.ws, keys, m, meter, op, 64*(arity+1))
+	sortKeys(&dst.ws, keys[m:])
+	mergeKeys(&dst.ws, keys, m)
 
 	n := [2]int{u.Side[0].Len(), u.Side[1].Len()}
 	u.back = resized(u.back, len(keys))
@@ -152,7 +159,7 @@ func MergeJoinInto(dst *Buffer, u *Union, fresh, cut [2]int, match MatchFunc, bo
 		left:  n[0],
 		fresh: [2][2]int{{n[0] - fresh[0], n[0]}, {n[1] - fresh[1], n[1]}},
 		row:   func(tag uint64, i int) table.Row { return u.Side[tag].Row(i)[:arity] },
-	}, match, bound, u.back, cut, meter, op)
+	}, match, bound, u.back, cut)
 	u.keys, u.back = u.back[:n[0]-cut[0]+n[1]-cut[1]], keys
 	for s, side := range u.Side {
 		side.CutPrefix(cut[s])
@@ -183,7 +190,7 @@ func (in *joinSides) isNew(s uint64, i int) bool {
 // to next, rebased by the cut, in scan order, and the others are
 // overwritten — a select on the keys, so it lives here, in the sanctioned
 // scan, and not in the callers.
-func emitJoin(dst *Buffer, keys []sortKey, in joinSides, match MatchFunc, bound int, next []sortKey, cut [2]int, meter *mpc.Meter, op mpc.Op) {
+func emitJoin(dst *Buffer, keys []sortKey, in joinSides, match MatchFunc, bound int, next []sortKey, cut [2]int) {
 	bound = max(bound, 1)
 	dst.ws.contrib = resized(dst.ws.contrib, len(keys))
 	clear(dst.ws.contrib)
@@ -231,11 +238,6 @@ func emitJoin(dst *Buffer, keys []sortKey, in joinSides, match MatchFunc, bound 
 		}
 	}
 	dst.ws.window = window
-	// The emit loop above touches each slot exactly once; charge the output
-	// linear scan (predicate + conditional copy per slot).
-	if meter != nil {
-		meter.ChargeScan(op, bound*len(keys), 64*dst.Arity())
-	}
 }
 
 func recArity(rs []Record) int {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"incshrink/internal/gmw"
-	"incshrink/internal/mpc"
 	"incshrink/internal/table"
 	"incshrink/internal/wire"
 )
@@ -49,7 +48,7 @@ func TestKernelMatchesReferenceNetwork(t *testing.T) {
 		for i, e := range es {
 			keys[i] = sortKey{k: uint64(e.Row[0]) ^ signBit, w: uint64(e.Row[1])<<32 | uint64(e.Row[2])}
 		}
-		sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys)
 		refSort(es, byColumn(0, 1))
 		for i, e := range es {
 			got := table.Row{keyVal(keys[i]), int64(keys[i].w >> 32), int64(uint32(keys[i].w))}
@@ -60,7 +59,7 @@ func TestKernelMatchesReferenceNetwork(t *testing.T) {
 
 		flagged := randEntries(rng, n)
 		b := bufferOf(flagged)
-		SortRealFirst(b, nil, mpc.OpOther, 64)
+		sortRealFirst(b)
 		stableRealFirst(flagged)
 		entriesEqual(t, entriesOf(b), flagged)
 	}

@@ -110,10 +110,8 @@ func TestMergeIsAWindowOfTheLastPhase(t *testing.T) {
 		keys := tieHeavyRuns(rng, m, f)
 		if m == 0 || f == 0 {
 			before := slices.Clone(keys)
-			meter := mpc.NewMeter(mpc.DefaultCostModel())
-			mergeKeys(new(scratch), keys, m, meter, mpc.OpTransform, 64)
-			if !reflect.DeepEqual(keys, before) || meter.TotalGates() != 0 {
-				t.Fatalf("(%d, %d): merging with an empty run moved keys or charged %v gates", m, f, meter.TotalGates())
+			if ran := mergeKeys(new(scratch), keys, m); !reflect.DeepEqual(keys, before) || ran != 0 {
+				t.Fatalf("(%d, %d): merging with an empty run moved keys or executed %d comparators", m, f, ran)
 			}
 			continue
 		}
@@ -135,7 +133,7 @@ func TestMergeIsAWindowOfTheLastPhase(t *testing.T) {
 				ref[want[c]], ref[want[c+1]] = b, a
 			}
 		}
-		mergeKeys(new(scratch), keys, m, nil, mpc.OpOther, 64)
+		mergeKeys(new(scratch), keys, m)
 		if !reflect.DeepEqual(keys, ref[P-m:P+f]) || !keysSorted(keys) {
 			t.Fatalf("(%d, %d): merged keys differ from the textbook walk's, or are not sorted", m, f)
 		}
@@ -175,7 +173,7 @@ func TestMergeZeroOnePrinciple(t *testing.T) {
 						one := (i < m && i >= za) || (i >= m && i-m >= zb)
 						keys[i] = sortKey{k: boolWord(one), w: uint64(i)}
 					}
-					mergeKeys(new(scratch), keys, m, nil, mpc.OpOther, 64)
+					mergeKeys(new(scratch), keys, m)
 					if !keysSorted(keys) {
 						t.Fatalf("(%d, %d) with %d and %d zeros: not merged", m, f, za, zb)
 					}
@@ -194,9 +192,9 @@ func TestMergeExtremeKeys(t *testing.T) {
 		for i, c := range append(slices.Clone(cols[len(cols)-m:]), cols[:len(cols)-m]...) {
 			keys = append(keys, sortKey{k: uint64(c) ^ signBit, w: uint64(i%2)<<32 | uint64(i)})
 		}
-		sortKeys(new(scratch), keys[:m], nil, mpc.OpOther, 64)
-		sortKeys(new(scratch), keys[m:], nil, mpc.OpOther, 64)
-		mergeKeys(new(scratch), keys, m, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys[:m])
+		sortKeys(new(scratch), keys[m:])
+		mergeKeys(new(scratch), keys, m)
 		if !keysSorted(keys) {
 			t.Fatalf("m=%d: extreme keys not merged: %v", m, keys)
 		}
@@ -205,27 +203,25 @@ func TestMergeExtremeKeys(t *testing.T) {
 
 // TestWarmMergeAllocatesNothing: a merge replays windows of tables sorts of
 // the same size class already built, in its caller's workspace — no table
-// build, no retained pairs, no allocation — and is charged the padded last phase.
+// build, no retained pairs, no allocation — and executes no more than the
+// padded last phase its caller is priced at.
 func TestWarmMergeAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	keys := tieHeavyRuns(rng, 936, 104)
 	ws := new(scratch)
-	mergeKeys(ws, slices.Clone(keys), 936, nil, mpc.OpOther, 64)
+	mergeKeys(ws, slices.Clone(keys), 936)
 	_, m0, _, p0 := CacheStats()
 	work := make([]sortKey, len(keys))
-	meter := mpc.NewMeter(mpc.DefaultCostModel())
 	allocs := testing.AllocsPerRun(50, func() {
 		copy(work, keys)
-		mergeKeys(ws, work, 936, meter, mpc.OpTransform, 64)
+		mergeKeys(ws, work, 936)
 	})
 	if _, m1, _, p1 := CacheStats(); m1 != m0 || p1 != p0 || allocs > warmAllocs {
 		t.Errorf("warm merge: %v allocs, table builds %d -> %d, retained pairs %d -> %d", allocs, m0, m1, p0, p1)
 	}
-	meter = mpc.NewMeter(mpc.DefaultCostModel())
 	copy(work, keys)
-	mergeKeys(ws, work, 936, meter, mpc.OpTransform, 64)
-	if got, want := meter.Gates(mpc.OpTransform), 10241*64*meter.Model().ANDGatesPerCompareExchangeBit; got != want {
-		t.Errorf("a (936, 104) merge charged %v gates, want the padded last phase %v", got, want)
+	if ran, priced := mergeKeys(ws, work, 936), mpc.MergeCompareExchanges(936, 104); ran == 0 || ran > priced {
+		t.Errorf("a (936, 104) merge executed %d comparators, priced at the padded last phase's %d", ran, priced)
 	}
 }
 
@@ -271,7 +267,7 @@ func layoutLen(runs []Run) int {
 // real-first partition of its slots — the order a full sort gives. The
 // comparators executed are a function of the layout (two fillings of one
 // layout execute the same number) and never exceed the full sort the read is
-// charged, which the meter shows whatever the layout.
+// priced at, whatever the layout.
 func TestMergeRealFirstMatchesStablePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -280,23 +276,15 @@ func TestMergeRealFirstMatchesStablePartition(t *testing.T) {
 		var executed [2]int
 		for fill := range executed {
 			b, es := runsBuffer(rng, runs)
-			meter := mpc.NewMeter(mpc.DefaultCostModel())
-			executed[fill] = MergeRealFirst(b, runs, meter, mpc.OpShrink, 64)
+			executed[fill] = MergeRealFirst(b, runs)
 			stableRealFirst(es)
 			entriesEqual(t, entriesOf(b), es)
 			if b.Real() != b.ScanReal() {
 				t.Fatalf("layout %v: real counter %d, scan %d", runs, b.Real(), b.ScanReal())
 			}
-			want := float64(mpc.SortCompareExchanges(n)) * 64 * meter.Model().ANDGatesPerCompareExchangeBit
-			if n <= 1 {
-				want = 0
-			}
-			if got := meter.Gates(mpc.OpShrink); got != want {
-				t.Fatalf("layout %v: charged %v gates, want the full sort's %v", runs, got, want)
-			}
 		}
 		if executed[0] != executed[1] || executed[0] > mpc.SortCompareExchanges(n) {
-			t.Fatalf("layout %v: executed %d and %d comparators, the full sort charges %d",
+			t.Fatalf("layout %v: executed %d and %d comparators, the full sort is priced at %d",
 				runs, executed[0], executed[1], mpc.SortCompareExchanges(n))
 		}
 	}
@@ -325,7 +313,7 @@ func TestMergeRealFirstLayouts(t *testing.T) {
 		{"one real-first run", []Run{{2116, true}}, 0},
 	} {
 		b, es := runsBuffer(rng, tc.runs)
-		got := MergeRealFirst(b, tc.runs, nil, mpc.OpShrink, 64)
+		got := MergeRealFirst(b, tc.runs)
 		stableRealFirst(es)
 		entriesEqual(t, entriesOf(b), es)
 		if got != tc.want {
@@ -336,15 +324,15 @@ func TestMergeRealFirstLayouts(t *testing.T) {
 }
 
 // TestMergeRealFirstOneRawRun: a buffer that is one raw run is sorted whole —
-// exactly SortRealFirst, the sorting network's comparators included.
+// into the stable real-first partition, by exactly the sorting network's
+// comparators.
 func TestMergeRealFirstOneRawRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, n := range []int{0, 1, 2, 37, 1024, 1040, 2116} {
 		b, es := randBuffer(rng, n)
-		ref := bufferOf(es)
-		SortRealFirst(ref, nil, mpc.OpShrink, 64)
-		got := MergeRealFirst(b, []Run{{Len: n}}, nil, mpc.OpShrink, 64)
-		entriesEqual(t, entriesOf(b), entriesOf(ref))
+		got := MergeRealFirst(b, []Run{{Len: n}})
+		stableRealFirst(es)
+		entriesEqual(t, entriesOf(b), es)
 		want := 0
 		if n > 1 {
 			want = len(networkOf(n)) / 2
@@ -364,7 +352,7 @@ func TestMergeRealFirstRejectsBadLayout(t *testing.T) {
 			t.Error("runs covering 9 of 10 slots did not panic")
 		}
 	}()
-	MergeRealFirst(b, []Run{{Len: 4}, {Len: 5, RealFirst: true}}, nil, mpc.OpShrink, 64)
+	MergeRealFirst(b, []Run{{Len: 4}, {Len: 5, RealFirst: true}})
 }
 
 // TestWarmMergeRealFirstAllocatesNothing: a warm read of the cpdb layout —
@@ -374,11 +362,10 @@ func TestWarmMergeRealFirstAllocatesNothing(t *testing.T) {
 	runs := []Run{{1116, true}, {1000, false}}
 	base, _ := runsBuffer(rand.New(rand.NewSource(27)), runs)
 	b := NewBuffer(base.Arity(), 0)
-	meter := mpc.NewMeter(mpc.DefaultCostModel())
 	read := func() {
 		b.Reset()
 		b.AppendAll(base)
-		MergeRealFirst(b, runs, meter, mpc.OpShrink, 64)
+		MergeRealFirst(b, runs)
 	}
 	read()
 	if allocs := testing.AllocsPerRun(50, read); allocs > warmAllocs {

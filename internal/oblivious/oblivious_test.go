@@ -32,7 +32,7 @@ func TestSortCorrectnessAllSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 65; n++ {
 		keys := keysOf(randVals(rng, n))
-		sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys)
 		for i := 1; i < n; i++ {
 			if keyVal(keys[i]) < keyVal(keys[i-1]) {
 				t.Fatalf("n=%d: not sorted at %d: %v > %v", n, i, keyVal(keys[i-1]), keyVal(keys[i]))
@@ -47,7 +47,7 @@ func TestSortMatchesStdlib(t *testing.T) {
 		want := randVals(rng, rng.Intn(200))
 		keys := keysOf(want)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
+		sortKeys(new(scratch), keys)
 		for i := range keys {
 			if keyVal(keys[i]) != want[i] {
 				t.Fatalf("trial %d: position %d = %d want %d", trial, i, keyVal(keys[i]), want[i])
@@ -60,46 +60,48 @@ func TestSortMatchesStdlib(t *testing.T) {
 // on the input length, never on the values — the defining property of an
 // oblivious sort. The kernel replays one comparator sequence per length, so the count
 // is pinned twice: the list never exceeds the padded network the cost model
-// charges (mpc.SortCompareExchanges counts the next power of two, which the
-// executed network equals there), and the meter charge of the cache sort and
-// the join sort is that padded count whatever the data.
+// prices (mpc.SortCompareExchanges counts the next power of two, which the
+// executed network equals there), and the cache sort and the join sort
+// execute exactly that list whatever the data.
 func TestSortDataIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{5, 16, 33, 100, 1024, 1040} {
-		got, charged := len(networkOf(n))/2, mpc.SortCompareExchanges(n)
-		if got > charged || (n&(n-1) == 0 && got != charged) {
-			t.Errorf("n=%d: network has %d comparators, cost model charges %d", n, got, charged)
+		got, priced := len(networkOf(n))/2, mpc.SortCompareExchanges(n)
+		if got > priced || (n&(n-1) == 0 && got != priced) {
+			t.Errorf("n=%d: network has %d comparators, cost model prices %d", n, got, priced)
 		}
-		charges := make(map[float64]bool)
+		counts := make(map[int]bool)
 		for trial := 0; trial < 10; trial++ {
-			m := newMeter()
 			b, _ := randBuffer(rng, n)
-			SortRealFirst(b, m, mpc.OpShrink, 64)
-			sortKeys(new(scratch), keysOf(randVals(rng, n)), m, mpc.OpShrink, 64)
-			charges[m.Gates(mpc.OpShrink)] = true
+			counts[sortRealFirst(b)] = true
+			counts[sortKeys(new(scratch), keysOf(randVals(rng, n)))] = true
 		}
-		want := 2 * float64(mpc.SortCompareExchanges(n)) * 64 * newMeter().Model().ANDGatesPerCompareExchangeBit
-		if len(charges) != 1 || !charges[want] {
-			t.Errorf("n=%d: charged gates %v across inputs, want always %v", n, charges, want)
+		if len(counts) != 1 || !counts[got] {
+			t.Errorf("n=%d: executed %v comparators across inputs, want always %d", n, counts, got)
 		}
 	}
 }
 
+// TestSortChargesPaddedNetwork: the sort prices nothing itself (core's price
+// list charges mpc.Meter.ChargeSort), so the charge is only right if the sort
+// executes what ChargeSort prices: on a power of two the buffer sort and the
+// key sort run exactly the padded network, and a one-slot input runs nothing
+// and is charged nothing.
 func TestSortChargesPaddedNetwork(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	b, _ := randBuffer(rng, 8)
+	ran, keys := sortRealFirst(b), sortKeys(new(scratch), keysOf(randVals(rng, 8)))
 	m := newMeter()
-	b, _ := randBuffer(rand.New(rand.NewSource(4)), 8)
-	SortRealFirst(b, m, mpc.OpShrink, 128)
-	want := float64(mpc.SortCompareExchanges(8)) * 128 * m.Model().ANDGatesPerCompareExchangeBit
-	if got := m.Gates(mpc.OpShrink); got != want {
-		t.Errorf("charged %v gates, want %v", got, want)
+	m.ChargeSort(mpc.OpShrink, 8, 128)
+	want := float64(ran) * 128 * m.Model().ANDGatesPerCompareExchangeBit
+	if got := m.Gates(mpc.OpShrink); ran != keys || got != want {
+		t.Errorf("executed %d (buffer) and %d (keys) comparators, worth %v gates; ChargeSort charged %v", ran, keys, want, got)
 	}
-	// Tiny inputs charge nothing.
-	m.Reset()
 	b.Truncate(1)
-	SortRealFirst(b, m, mpc.OpShrink, 128)
-	sortKeys(new(scratch), keysOf([]int64{7}), m, mpc.OpShrink, 128)
-	if m.TotalGates() != 0 {
-		t.Error("n=1 sort should be free")
+	m = newMeter()
+	m.ChargeSort(mpc.OpShrink, 1, 128)
+	if ran, keys := sortRealFirst(b), sortKeys(new(scratch), keysOf([]int64{7})); ran+keys != 0 || m.Gates(mpc.OpShrink) != 0 {
+		t.Error("n=1 sort should execute nothing and be free")
 	}
 }
 
@@ -107,7 +109,7 @@ func TestByIsViewFirstOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		b, es := randBuffer(rng, 50)
-		SortRealFirst(b, nil, mpc.OpOther, 64)
+		sortRealFirst(b)
 		if !sortedRealFirst(b.Flags()) {
 			t.Fatal("reals not all ahead of dummies")
 		}
@@ -123,7 +125,7 @@ func TestCompactFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	b, es := randBuffer(rng, 40)
 	real := countReal(es)
-	SortRealFirst(b, newMeter(), mpc.OpShrink, 64)
+	sortRealFirst(b)
 	sorted := entriesOf(b)
 	if fetched := sorted[:real]; countReal(fetched) != real {
 		t.Errorf("fetched %d entries with %d real, want all real", len(fetched), countReal(fetched))
@@ -143,7 +145,7 @@ func TestCompactPartialFetchKeepsRealPriority(t *testing.T) {
 		es[i] = entry{Row: table.Row{int64(i)}, IsView: i%2 == 0} // 10 real
 	}
 	b := bufferOf(es)
-	SortRealFirst(b, nil, mpc.OpOther, 64)
+	sortRealFirst(b)
 	sorted := entriesOf(b)
 	if got := countReal(sorted[:4]); got != 4 {
 		t.Errorf("fetched %d real, want 4", got)
@@ -293,12 +295,18 @@ func TestSMJBoundClamped(t *testing.T) {
 	}
 }
 
+// TestSMJChargesCosts: the reference join is the one operator that prices
+// itself — one sort of the six-row union at the record plus its key, then the
+// emit scan of bound slots per row at the output width.
 func TestSMJChargesCosts(t *testing.T) {
 	m := newMeter()
 	rows := []table.Row{{1, 0}, {2, 0}, {3, 0}}
 	smj(mkRecords(rows), mkRecords(rows), nil, 2, m)
-	if m.Gates(mpc.OpTransform) <= 0 {
-		t.Error("SMJ charged no gates")
+	model := m.Model()
+	want := float64(mpc.SortCompareExchanges(6))*64*3*model.ANDGatesPerCompareExchangeBit +
+		float64(2*6)*64*4*model.ANDGatesPerScanBit
+	if got := m.Gates(mpc.OpTransform); got != want {
+		t.Errorf("SMJ charged %v gates, want %v", got, want)
 	}
 }
 

@@ -6,9 +6,11 @@
 // Obliviousness here means the sequence of memory touches and
 // compare-exchange positions depends only on input *sizes*, never on
 // values. The simulator executes the operators over plaintext (the secrets
-// are notional shares), but the control flow is the real network, the
-// compare-exchange count is charged to the MPC cost meter, and tests assert
-// the access pattern is identical across inputs of equal size.
+// are notional shares), but the control flow is the real network, and tests
+// assert the access pattern is identical across inputs of equal size. The
+// engine's operators execute and never price: internal/core charges the MPC
+// cost meter from the public sizes it hands them. TruncatedSortMergeJoinInto,
+// the reference join, still prices itself.
 package oblivious
 
 import (
@@ -88,40 +90,34 @@ func exchange(keys []sortKey, pairs []int32) {
 	}
 }
 
-// sortKeys runs Batcher's odd-even merge sorting network over keys in place,
-// charging one compare-exchange per comparator to meter under op, and
-// returns the number it executed. It is the one executor, and it is serial:
-// the network layout depends only on len(keys) — the charge is the padded
-// power-of-two network, mpc.SortCompareExchanges(len(keys)), which the
-// executed one never exceeds — and the kernel takes it a layer at a time
-// from forEachLayer. Serial on purpose: splitting a layer's index-disjoint
-// comparators across goroutines measured slower at every size (DESIGN.md §12).
-func sortKeys(ws *scratch, keys []sortKey, meter *mpc.Meter, op mpc.Op, tupleBits int) int {
+// sortKeys runs Batcher's odd-even merge sorting network over keys in place
+// and returns the number of comparators it executed, which never exceeds the
+// padded power-of-two network its callers are priced at,
+// mpc.SortCompareExchanges(len(keys)). It is the one executor, and it is
+// serial: the network layout depends only on len(keys), and the kernel takes
+// it a layer at a time from forEachLayer. Serial on purpose: splitting a
+// layer's index-disjoint comparators across goroutines measured slower at
+// every size (DESIGN.md §12).
+func sortKeys(ws *scratch, keys []sortKey) int {
 	n := len(keys)
 	if n <= 1 {
 		return 0
-	}
-	if meter != nil {
-		meter.ChargeSort(op, n, tupleBits)
 	}
 	return forEachLayer(ws, 0, n, 0, func(layer []int32) { exchange(keys, layer) })
 }
 
 // mergeKeys merges the sorted runs keys[:m] and keys[m:] in place through the
-// last phase of the same network, charged as that phase padded to its power
-// of two (mpc.MergeCompareExchanges). With P the power of two >= both runs,
-// phase P of the 2P-wire network merges a sorted [0, P) with a sorted [P, 2P);
-// the runs are laid at wires [P-m, P) and [P, P+f) of the workspace's array, the
-// wires outside standing for -inf and +inf, whose comparators never exchange:
-// what runs is one window of every layer (forEachLayer). It returns the
-// number of comparators executed.
-func mergeKeys(ws *scratch, keys []sortKey, m int, meter *mpc.Meter, op mpc.Op, tupleBits int) int {
+// last phase of the same network, which its callers are priced at padded to
+// its power of two (mpc.MergeCompareExchanges). With P the power of two >=
+// both runs, phase P of the 2P-wire network merges a sorted [0, P) with a
+// sorted [P, 2P); the runs are laid at wires [P-m, P) and [P, P+f) of the
+// workspace's array, the wires outside standing for -inf and +inf, whose
+// comparators never exchange: what runs is one window of every layer
+// (forEachLayer). It returns the number of comparators executed.
+func mergeKeys(ws *scratch, keys []sortKey, m int) int {
 	f := len(keys) - m
 	if m == 0 || f == 0 {
 		return 0
-	}
-	if meter != nil {
-		meter.ChargeMerge(op, m, f, tupleBits)
 	}
 	lp := bits.Len(uint(max(m, f) - 1))
 	lo := 1<<lp - m

@@ -18,7 +18,7 @@ func sortZeroOne(bits []int) {
 	for i, b := range bits {
 		keys[i] = sortKey{k: uint64(b), w: uint64(i)}
 	}
-	sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), keys)
 	for i, key := range keys {
 		bits[i] = int(key.k)
 	}
@@ -94,7 +94,7 @@ func TestZeroOneCacheSort(t *testing.T) {
 			for i := 0; i < n; i++ {
 				b.AppendSlot(table.Row{int64(i)}, mask>>i&1 == 1, int64(i), int64(i))
 			}
-			SortRealFirst(b, nil, mpc.OpOther, 64)
+			sortRealFirst(b)
 			if !sortedRealFirst(b.Flags()) || b.Real() != bits.OnesCount(uint(mask)) {
 				t.Fatalf("n=%d mask=%b: not real-first: %v", n, mask, b.Flags())
 			}
@@ -225,7 +225,7 @@ func TestStreamingPathMatchesReference(t *testing.T) {
 		}
 	})
 	_, _, ev0, _ := CacheStats()
-	sortKeys(new(scratch), keys, nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), keys)
 	if _, _, ev1, _ := CacheStats(); ev1 != ev0+1 {
 		t.Fatalf("n=%d did not take the streaming path (evictions %d -> %d)", n, ev0, ev1)
 	}
@@ -245,7 +245,7 @@ func TestStreamingPathMatchesReference(t *testing.T) {
 func TestCacheStatsMove(t *testing.T) {
 	const n, sibling = 1531, 1207 // both replay the 2^11-wire table
 	h0, m0, e0, p0 := CacheStats()
-	sortKeys(new(scratch), make([]sortKey, n), nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), make([]sortKey, n))
 	h1, m1, _, p1 := CacheStats()
 	switch {
 	case m1 == m0+1 && h1 == h0:
@@ -259,8 +259,8 @@ func TestCacheStatsMove(t *testing.T) {
 	default:
 		t.Fatalf("first sort of n=%d: hits %d -> %d misses %d -> %d, want exactly one of them +1", n, h0, h1, m0, m1)
 	}
-	sortKeys(new(scratch), make([]sortKey, sibling), nil, mpc.OpOther, 64)
-	sortKeys(new(scratch), make([]sortKey, n), nil, mpc.OpOther, 64)
+	sortKeys(new(scratch), make([]sortKey, sibling))
+	sortKeys(new(scratch), make([]sortKey, n))
 	h2, m2, e2, p2 := CacheStats()
 	if h2 != h1+2 || m2 != m1 || p2 != p1 {
 		t.Fatalf("a new length in a built class and a repeat: hits %d -> %d misses %d -> %d pairs %d -> %d, want two hits and nothing else",
@@ -302,7 +302,7 @@ func BenchmarkSortVaryingLengths(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, n := range lengths {
-			sortKeys(ws, keys[:n], nil, mpc.OpOther, 64)
+			sortKeys(ws, keys[:n])
 		}
 	}
 	b.StopTimer()

@@ -197,9 +197,11 @@ func (s *session) open(v uint32) { s.opened = append(s.opened, v) }
 // snapshots, so Resume refuses a snapshot of another session. SnapshotAt is
 // left out: a resumed run may snapshot elsewhere.
 func (c Config) fingerprint() uint64 {
+	m := mpc.DefaultCostModel() // as snapshots have always named it, with the bytes per AND gate it dropped
 	return snapshot.Fingerprint("party session",
 		fmt.Sprintf("role=%d seed=%d steps=%d", c.Role, c.Seed, c.Steps),
-		fmt.Sprintf("%+v", mpc.DefaultCostModel()))
+		fmt.Sprintf("{ANDGatesPerCompareExchangeBit:%v ANDGatesPerScanBit:%v ANDGatesPerLaplace:%v GatesPerSecond:%v BytesPerANDGate:32}",
+			m.ANDGatesPerCompareExchangeBit, m.ANDGatesPerScanBit, m.ANDGatesPerLaplace, m.GatesPerSecond))
 }
 
 // encodeSnapshot writes the session's snapshot: the versioned header, the

@@ -29,6 +29,7 @@
 // DrainInto) transpose a prefix of the cache directly onto the view's
 // columns — one copy, no intermediate slice — and every real-tuple count is
 // maintained incrementally, so Real() is O(1) on the serving read path.
+// Nothing here prices: internal/core's price list charges each read.
 package securearray
 
 import (
@@ -39,11 +40,7 @@ import (
 
 // Cache is the secure outsourced cache sigma.
 type Cache struct {
-	buf   *oblivious.Buffer
-	meter *mpc.Meter
-	// tupleBits is the secret payload width per slot, fixed at construction
-	// so all slots are indistinguishable.
-	tupleBits int
+	buf *oblivious.Buffer
 
 	// runs is the public layout of buf: one run per batch appended since
 	// the last read, after the real-first run that read left. It is not
@@ -51,11 +48,12 @@ type Cache struct {
 	runs []oblivious.Run
 }
 
-// New creates an empty cache for slots of the given payload arity, each
-// carrying tupleBits of secret payload. The meter (may be nil) is charged
-// for every oblivious operation.
-func New(arity, tupleBits int, meter *mpc.Meter) *Cache {
-	return &Cache{buf: oblivious.NewBuffer(arity, 0), tupleBits: tupleBits, meter: meter}
+// New creates an empty cache for slots of the given payload arity. The two
+// trailing arguments are ignored: they were the slot width and the meter a
+// read charged, and the signature stays only because cmd/benchmark's probes,
+// frozen until ROADMAP item 1, still pass them.
+func New(arity, _ int, _ *mpc.Meter) *Cache {
+	return &Cache{buf: oblivious.NewBuffer(arity, 0)}
 }
 
 // Append writes an exhaustively padded batch to the tail of the cache
@@ -97,9 +95,9 @@ func (c *Cache) oneRun(realFirst bool) {
 
 // ReadAndPruneInto is the cache read: it performs the view synchronization,
 // a bounded deferred-data spill, and the incremental cache cap under a single
-// oblivious sort, charged as a full sort of the cache, which merges the
-// cache's runs into one. The sorted (real-first) cache splits into four
-// public-length segments:
+// oblivious sort, which merges the cache's runs into one and which the
+// caller prices as a full sort of the cache. The sorted (real-first) cache
+// splits into four public-length segments:
 //
 //	[0:size)                the DP-sized fetch (Alg. 2:8 / Alg. 3:10)
 //	[size:size+spill)       a fixed-size spill, also appended to the view —
@@ -122,7 +120,7 @@ func (c *Cache) oneRun(realFirst bool) {
 // truncated first, and the surviving segment then slides to the front (a
 // prefix cut, no reallocation). Returns the number of real tuples recycled.
 func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) {
-	oblivious.MergeRealFirst(c.buf, c.runs, c.meter, mpc.OpShrink, c.tupleBits)
+	oblivious.MergeRealFirst(c.buf, c.runs)
 	size = min(max(size, 0), c.buf.Len())
 	spill = min(max(spill, 0), c.buf.Len()-size)
 	v.appendRange(c.buf, 0, size+spill)
@@ -149,9 +147,8 @@ func (c *Cache) DrainInto(v *View) {
 func (c *Cache) EncodeState(e *snapshot.Encoder) { c.buf.EncodeState(e) }
 
 // DecodeState reloads an arena written by EncodeState from a cache of the
-// same arity; the meter and tuple width stay as constructed. The layout is
-// not checkpointed, so the reloaded arena is one raw run, and the next
-// read's full sort leaves the bytes a merge would have.
+// same arity. The layout is not checkpointed, so the reloaded arena is one
+// raw run, and the next read's full sort leaves the bytes a merge would have.
 func (c *Cache) DecodeState(d *snapshot.Decoder) {
 	c.buf.DecodeState(d)
 	if d.Err() == nil {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
@@ -61,7 +60,7 @@ func viewRealRows(v *View) []table.Row {
 }
 
 // newCache builds an arity-2 cache like the test batches.
-func newCache(tupleBits int, m *mpc.Meter) *Cache { return New(2, tupleBits, m) }
+func newCache() *Cache { return New(2, 0, nil) }
 
 // read is Figure 3's plain read: fetch size slots and keep the rest.
 func read(c *Cache, v *View, size int) { c.ReadAndPruneInto(v, size, 0, c.Len()) }
@@ -71,7 +70,7 @@ func flush(c *Cache, v *View, size int) (lostReal int) { return c.ReadAndPruneIn
 
 func TestCacheAppendAndCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := newCache(128, nil)
+	c := newCache()
 	c.Append(batch(rng, 10, 3))
 	c.Append(batch(rng, 10, 5))
 	if c.Len() != 20 {
@@ -89,7 +88,7 @@ func TestCacheAppendAndCounters(t *testing.T) {
 
 func TestCacheReadFetchesRealFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := newCache(128, nil)
+	c := newCache()
 	c.Append(batch(rng, 30, 12))
 	got := NewView(2)
 	read(c, got, 12)
@@ -106,7 +105,7 @@ func TestCacheReadFetchesRealFirst(t *testing.T) {
 
 func TestCacheReadOverAndUnderSized(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := newCache(128, nil)
+	c := newCache()
 	c.Append(batch(rng, 10, 4))
 	// Positive noise: fetch more than real count -> dummies included.
 	got := NewView(2)
@@ -115,7 +114,7 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 		t.Errorf("oversized read: %d slots %d real", got.Len(), got.Real())
 	}
 	// Negative noise: fetch fewer than real -> deferred data remains.
-	c2 := newCache(128, nil)
+	c2 := newCache()
 	c2.Append(batch(rng, 10, 4))
 	got = NewView(2)
 	read(c2, got, 2)
@@ -140,21 +139,9 @@ func TestCacheReadOverAndUnderSized(t *testing.T) {
 	}
 }
 
-func TestCacheReadChargesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := mpc.NewMeter(mpc.DefaultCostModel())
-	c := newCache(256, m)
-	c.Append(batch(rng, 16, 5))
-	read(c, NewView(2), 5)
-	want := float64(mpc.SortCompareExchanges(16)) * 256 * m.Model().ANDGatesPerCompareExchangeBit
-	if got := m.Gates(mpc.OpShrink); got != want {
-		t.Errorf("read charged %v gates, want %v", got, want)
-	}
-}
-
 func TestCacheFlushInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	c.Append(batch(rng, 50, 6))
 	lost := flush(c, v, 10)
@@ -177,7 +164,7 @@ func TestCacheFlushInto(t *testing.T) {
 
 func TestCacheFlushReportsLostReal(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := newCache(128, nil)
+	c := newCache()
 	c.Append(batch(rng, 20, 9))
 	lost := flush(c, NewView(2), 5) // undersized flush: 4 real recycled
 	if lost != 4 {
@@ -260,7 +247,7 @@ func TestViewSizeBytes(t *testing.T) {
 // real tuples (no tuple is lost or duplicated by the oblivious machinery).
 func TestReadPreservesMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	c := newCache(128, nil)
+	c := newCache()
 	b := batch(rng, 40, 17)
 	orig := realRows(b)
 	c.Append(b)
@@ -278,7 +265,7 @@ func TestReadPreservesMultiset(t *testing.T) {
 // O(1) Real() on the serving read path.
 func TestCountersPinnedToScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	check := func(op string) {
 		t.Helper()
@@ -323,7 +310,7 @@ func TestCountersPinnedToScan(t *testing.T) {
 // allocations only, from the view's geometric growth at worst).
 func TestCacheSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	src := batch(rng, 256, 40)
 	// Warm up: grow the cache arena to its steady-state size. The view's
@@ -344,7 +331,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 
 func BenchmarkCacheAppend256(b *testing.B) {
 	rng := rand.New(rand.NewSource(98))
-	c := newCache(256, nil)
+	c := newCache()
 	src := batch(rng, 256, 40)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -360,7 +347,7 @@ func BenchmarkCacheAppend256(b *testing.B) {
 
 func BenchmarkCacheRead256(b *testing.B) {
 	rng := rand.New(rand.NewSource(99))
-	c := newCache(256, nil)
+	c := newCache()
 	v := NewView(2)
 	src := batch(rng, 256, 40)
 	b.ReportAllocs()
@@ -388,7 +375,7 @@ func compacted(rng *rand.Rand, seq *int64, n, real int) *oblivious.Buffer {
 		raw.AppendSlot(table.Row{*seq, rng.Int63n(100)}, isReal[i] < real, 0, 0)
 	}
 	out := oblivious.NewBuffer(2, n)
-	oblivious.TightCompactInto(raw, n, out, nil, nil, mpc.OpOther, 0)
+	oblivious.TightCompactInto(raw, n, out, nil, nil, 0, 0)
 	return out
 }
 
@@ -414,7 +401,7 @@ func sameView(a, b *View) bool {
 func TestAppendRealFirstMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var seq int64
-	m, s := newCache(128, nil), newCache(128, nil)
+	m, s := newCache(), newCache()
 	vm, vs := NewView(2), NewView(2)
 	for i := 0; i < 400; i++ {
 		switch op := rng.Intn(10); {
@@ -467,13 +454,13 @@ func reload(t *testing.T, write func(*snapshot.Encoder), read func(*snapshot.Dec
 func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var seq int64
-	kept, v := newCache(128, nil), NewView(2)
+	kept, v := newCache(), NewView(2)
 	kept.AppendRealFirst(compacted(rng, &seq, 90, 30))
 	read(kept, v, 20)
 	for range 3 {
 		kept.AppendRealFirst(compacted(rng, &seq, 40, 25))
 	}
-	restored, rv := newCache(128, nil), NewView(2)
+	restored, rv := newCache(), NewView(2)
 	reload(t, kept.EncodeState, restored.DecodeState)
 	if len(restored.runs) != 1 || restored.runs[0] != (oblivious.Run{Len: restored.Len()}) {
 		t.Fatalf("restored runs %v, want one raw run of %d", restored.runs, restored.Len())
@@ -500,7 +487,7 @@ func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 func BenchmarkCacheReadRuns(b *testing.B) {
 	rng := rand.New(rand.NewSource(100))
 	var seq int64
-	c, v := newCache(256, nil), NewView(2)
+	c, v := newCache(), NewView(2)
 	c.AppendRealFirst(compacted(rng, &seq, 1116, 500))
 	batch := compacted(rng, &seq, 1000, 400)
 	read := func() {

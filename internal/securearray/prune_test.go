@@ -4,14 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 )
 
 func TestReadAndPruneSegments(t *testing.T) {
 	// 30 slots, 12 real. Fetch 5, spill 4, keep 10 => 11 recycled.
 	rng := rand.New(rand.NewSource(1))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	c.Append(batch(rng, 30, 12))
 	lost := c.ReadAndPruneInto(v, 5, 4, 10)
@@ -38,7 +37,7 @@ func TestReadAndPruneLosesTailReal(t *testing.T) {
 	// 20 slots, 15 real. Fetch 2, spill 3, keep 5 => 10 recycled, of which
 	// 15-2-3-5 = 5 are real.
 	rng := rand.New(rand.NewSource(2))
-	c := newCache(128, nil)
+	c := newCache()
 	c.Append(batch(rng, 20, 15))
 	lost := c.ReadAndPruneInto(NewView(2), 2, 3, 5)
 	if lost != 5 {
@@ -51,7 +50,7 @@ func TestReadAndPruneLosesTailReal(t *testing.T) {
 
 func TestReadAndPruneClamps(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	c.Append(batch(rng, 10, 4))
 	// Oversized spill clamps to remaining; negative values clamp to 0.
@@ -63,7 +62,7 @@ func TestReadAndPruneClamps(t *testing.T) {
 		t.Errorf("lost=%d cacheLen=%d after full spill", lost, c.Len())
 	}
 	// Keep larger than remainder keeps all without a flush.
-	c2 := newCache(128, nil)
+	c2 := newCache()
 	c2.Append(batch(rng, 10, 4))
 	lost = c2.ReadAndPruneInto(NewView(2), 2, 1, 100)
 	if lost != 0 || c2.Len() != 7 {
@@ -76,7 +75,7 @@ func TestReadAndPruneConservesReal(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 10 + rng.Intn(40)
 		real := rng.Intn(n + 1)
-		c := newCache(128, nil)
+		c := newCache()
 		v := NewView(2)
 		b := batch(rng, n, real)
 		c.Append(b)
@@ -90,7 +89,7 @@ func TestReadAndPruneConservesReal(t *testing.T) {
 
 func TestDrainInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	b := batch(rng, 12, 5)
 	c.Append(b)
@@ -112,7 +111,7 @@ func TestDrainInto(t *testing.T) {
 // real tuples lost.
 func TestPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	c := newCache(128, nil)
+	c := newCache()
 	v := NewView(2)
 	prune := func(c *Cache, keep int) int { return c.ReadAndPruneInto(v, 0, 0, keep) }
 	c.Append(batch(rng, 20, 6))
@@ -135,7 +134,7 @@ func TestPrune(t *testing.T) {
 	if prune(c, 100) != 0 || c.Len() != 4 || c.Real() != 4 {
 		t.Error("oversized keep lost tuples")
 	}
-	c2 := newCache(128, nil)
+	c2 := newCache()
 	if prune(c2, -1) != 0 {
 		t.Error("negative keep on empty cache should lose nothing")
 	}
@@ -154,7 +153,7 @@ func TestReadAndPruneShortKeepMatchesCutThenTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var seq int64
 	for trial := range 40 {
-		c, ref := newCache(128, nil), newCache(128, nil)
+		c, ref := newCache(), newCache()
 		v, refView := NewView(2), NewView(2)
 		for range 1 + rng.Intn(3) {
 			n := 20 + rng.Intn(60)
@@ -166,7 +165,7 @@ func TestReadAndPruneShortKeepMatchesCutThenTruncate(t *testing.T) {
 		keep := rng.Intn(c.Len() - size - spill)
 
 		lost := c.ReadAndPruneInto(v, size, spill, keep)
-		oblivious.MergeRealFirst(ref.buf, ref.runs, nil, mpc.OpShrink, 128)
+		oblivious.MergeRealFirst(ref.buf, ref.runs)
 		refView.appendRange(ref.buf, 0, size+spill)
 		ref.buf.CutPrefix(size + spill)
 		refLost := ref.buf.Truncate(keep)

@@ -56,6 +56,9 @@ func TestHTTPRejectsHostileCreateBodies(t *testing.T) {
 		{"unbounded-window-and-budget", `{"name":"v","within":9223372036854775807,"budget":9223372036854775807}`},
 		{"huge-window-and-budget", `{"name":"v","within":1099511627776,"budget":1099511627776}`},
 		{"huge-block", `{"name":"v","within":5,"max_left":1099511627776}`},
+		// 2^20 padded join rows: under the old cap, ≈ 1 s and 266 MB of heap
+		// over the first two steps.
+		{"million-row-join", `{"name":"v","within":0,"max_left":524288,"max_right":524288}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -274,8 +274,10 @@ func TestRuntimeCodecResumesRandomness(t *testing.T) {
 			t.Fatalf("draw %d diverged: %v vs %v", i, b, a)
 		}
 	}
-	if rt.Meter.TotalGates() != rt2.Meter.TotalGates() {
-		t.Fatalf("meter gates %v, want %v", rt2.Meter.TotalGates(), rt.Meter.TotalGates())
+	for op := mpc.OpTransform; op <= mpc.OpOther; op++ {
+		if rt.Meter.Gates(op) != rt2.Meter.Gates(op) {
+			t.Fatalf("%v: meter gates %v, want %v", op, rt2.Meter.Gates(op), rt.Meter.Gates(op))
+		}
 	}
 }
 
