@@ -91,9 +91,10 @@ race:
 # - the scan kernel over a packed flag bitset at the cpdb view size, and one
 #   slot more so its staged tail block runs too (BenchmarkCountColumns120k,
 #   which fails if a scan allocates);
-# - the cache read at the cpdb layout (BenchmarkCacheReadRuns: a real-first
-#   remainder and a compacted batch merged, not sorted; it fails if a warm
-#   read allocates);
+# - the cache read at the layouts cpdb_query, tpcds_step and tpcds_batch
+#   meet (BenchmarkCacheReadRuns: a real-first remainder and compacted
+#   batches merged, not sorted, and cut to the K slots the read keeps; it
+#   fails if a warm read allocates);
 # - the two-party GMW comparator over loopback
 #   (BenchmarkEvalCompareExchangeLoopback, which reports rounds/op);
 # - the root package's Advance, AdvanceBatch8, AdvanceANT, Count and
@@ -156,9 +157,10 @@ wire-smoke:
 
 # fuzz-smoke gives each snapshot-codec fuzz target (the section codecs, the
 # whole engine state and the DB stream a durable server reads from disk), the
-# wire framing, a GMW peer's fuzzed openings and the view scan kernel against
-# its branching oracle a short budget beyond the seed corpus (the corpus
-# itself already runs in `test`). CI runs it as its own job.
+# wire framing, a GMW peer's fuzzed openings, the view scan kernel against
+# its branching oracle and the cache read against its stable-partition
+# oracle a short budget beyond the seed corpus (the corpus itself already
+# runs in `test`). CI runs it as its own job.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
@@ -168,6 +170,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s ./internal/gmw
 	$(GO) test -run XXX -fuzz FuzzCountColumns -fuzztime 10s ./internal/oblivious
+	$(GO) test -run XXX -fuzz FuzzCacheRead -fuzztime 10s ./internal/securearray
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a
 # curl-able session). Add DATA=./incshrink-data for a durable server.

@@ -358,7 +358,7 @@ func BenchmarkAblationSortBatcher(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		work.Reset()
 		work.AppendAll(base)
-		oblivious.MergeRealFirst(work, []oblivious.Run{{Len: work.Len()}})
+		oblivious.MergeRealFirst(work, []oblivious.Run{{Len: work.Len()}}, work.Len())
 	}
 }
 

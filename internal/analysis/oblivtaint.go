@@ -45,9 +45,9 @@ var OblivTaintPackages = []string{
 //     its keys as a registered secret column); the scan kernel (CountColumns,
 //     outsideBlock) is two carry chains shifted into a verdict word, ANDed
 //     with a word of the flag bitset and popcounted; CountBuffer and the
-//     Buffer counter methods (AppendFrom, AppendRange, Truncate, CutPrefix,
-//     ScanReal) add boolWord(flag) where they used to branch on it. All of
-//     those pass the analyzer as ordinary code, and a branching
+//     Buffer counter methods (AppendFrom, AppendRange, CutPrefix, ScanReal)
+//     add boolWord(flag) where they used to branch on it. All of those pass
+//     the analyzer as ordinary code, and a branching
 //     `if less { swap }` over the keys, `if flag[i] == 1 { n++ }` over a flag
 //     column, a loop that clears a flag word's bits one at a time or a
 //     branch on a block's cells in place of a carry is a finding

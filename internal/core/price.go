@@ -38,7 +38,9 @@ func priceTransform(m *mpc.Meter, n, fresh, omega, compacted int) {
 }
 
 // priceRead prices a cache read, Shrink's or the flush, as a full sort of the
-// cache's slots, whatever its runs let the merge skip.
+// cache's slots, whatever its runs let the merge skip and however few slots
+// it keeps: the read merges the runs' first K slots only, K = fetch + spill
+// + keep (ROADMAP item 4 charges what executes).
 func priceRead(m *mpc.Meter, slots int) { m.ChargeSort(mpc.OpShrink, slots, tupleBits) }
 
 // priceQuery prices a query as a scan of every view slot at full width.

@@ -149,26 +149,6 @@ func (b *Buffer) Grow(extra int) {
 	}
 }
 
-// Truncate drops every slot from index n on, returning the number of real
-// slots removed (the count of the dropped tail, maintained exactly). n is
-// clamped to [0, Len] — an oversized n must never reslice into retained
-// capacity, which would resurrect stale slots.
-func (b *Buffer) Truncate(n int) (droppedReal int) {
-	if n >= b.Len() {
-		return 0
-	}
-	if n < 0 {
-		n = 0
-	}
-	for i := n; i < b.Len(); i++ {
-		droppedReal += int(boolWord(b.flag[i]))
-	}
-	b.pay.Truncate(n)
-	b.flag = b.flag[:n]
-	b.real -= droppedReal
-	return droppedReal
-}
-
 // CutPrefix removes the first n slots in place (the remainder slides to the
 // front of the arena — no allocation), returning the number of real slots
 // removed.
@@ -248,21 +228,25 @@ type Run struct {
 	RealFirst bool
 }
 
-// MergeRealFirst puts b, laid out as runs (their lengths summing to b.Len()),
-// in real-first order — the Shrink ordering, under which a prefix cut of the
+// MergeRealFirst leaves b, laid out as runs (their lengths summing to
+// b.Len()), holding the first keep slots (keep clamped to [0, b.Len()]) of
+// its real-first order — the Shrink ordering, under which a prefix cut of the
 // sorted cache always fetches real data first (Figure 3) — and returns the
 // number of compare-exchanges it executed. The order is total — key
-// 1-isView, tie-break the slot's position — so the result is the unique
-// stable partition, reals in position order then dummies, whatever the
-// layout: the keys are extracted once, each raw run is sorted by Batcher's
-// network, adjacent runs are merged pairwise through its last phase
-// (mergeKeys) until one is left, and one gather applies the permutation. A
-// buffer that is one real-first run is left alone. Every comparator position
-// is a function of the layout alone. Its caller is priced the full sort,
-// mpc.SortCompareExchanges(b.Len()), which the executed count never exceeds.
-// Steady state allocates nothing: the keys, run ends and gather arena are b's
-// own workspace.
-func MergeRealFirst(b *Buffer, runs []Run) (executed int) {
+// 1-isView, tie-break the slot's position — so the result is a prefix of the
+// unique stable partition, reals in position order then dummies, whatever the
+// layout. A slot at index keep or later of a real-first run has keep slots
+// ahead of it in that order, so only each run's first keep keys are kept: a
+// raw run's keys are sorted by Batcher's network and then cut, a real-first
+// run's are cut as extracted, adjacent runs are merged pairwise through its
+// last phase (mergeKeys) and cut back to keep until one is left, and one
+// gather of the kept keys applies the selection and recounts the real slots.
+// A buffer that is one real-first run no longer than keep is left alone.
+// Every comparator position is a function of the layout and keep alone. Its
+// caller is priced the full sort, mpc.SortCompareExchanges(b.Len()), which
+// the executed count never exceeds. Steady state allocates nothing: the keys,
+// run ends and gather arena are b's own workspace.
+func MergeRealFirst(b *Buffer, runs []Run, keep int) (executed int) {
 	n, covered := b.Len(), 0
 	for _, r := range runs {
 		covered += r.Len
@@ -270,48 +254,54 @@ func MergeRealFirst(b *Buffer, runs []Run) (executed int) {
 	if covered != n {
 		panic("oblivious: runs do not cover the buffer")
 	}
-	if n <= 1 {
-		return 0
-	}
-	if len(runs) == 1 && runs[0].RealFirst {
+	keep = min(max(keep, 0), n)
+	if keep == n && (n <= 1 || len(runs) == 1 && runs[0].RealFirst) {
 		return 0
 	}
 	b.ws.keys = resized(b.ws.keys, n)
 	keys := b.ws.keys
-	for i := range n {
-		keys[i] = sortKey{k: 1 - boolWord(b.flag[i]), w: uint64(i)<<32 | uint64(i)}
-	}
-	ends, lo := b.ws.ends[:0], 0
+	ends, lo, pos := b.ws.ends[:0], 0, 0
 	for _, r := range runs {
-		if r.Len == 0 {
-			continue
+		m := r.Len
+		if r.RealFirst {
+			m = min(m, keep)
+		}
+		for i := range m {
+			keys[lo+i] = sortKey{k: 1 - boolWord(b.flag[pos+i]), w: uint64(pos+i)<<32 | uint64(pos+i)}
 		}
 		if !r.RealFirst {
-			executed += sortKeys(&b.ws, keys[lo:lo+r.Len])
+			executed += sortKeys(&b.ws, keys[lo:lo+m])
 		}
-		lo += r.Len
-		ends = append(ends, lo)
+		pos += r.Len
+		if m = min(m, keep); m > 0 {
+			lo += m
+			ends = append(ends, lo)
+		}
 	}
 	for len(ends) > 1 {
-		lo, kept := 0, 0
+		lo, out, kept := 0, 0, 0
 		for j := 0; j < len(ends); j += 2 {
 			end := ends[min(j+1, len(ends)-1)]
 			if j+1 < len(ends) {
 				executed += mergeKeys(&b.ws, keys[lo:end], ends[j]-lo)
 			}
-			ends[kept], kept, lo = end, kept+1, end
+			m := min(end-lo, keep)
+			copy(keys[out:out+m], keys[lo:lo+m])
+			out += m
+			ends[kept], kept, lo = out, kept+1, end
 		}
 		ends = ends[:kept]
 	}
 	b.ws.ends = ends
-	b.applyPerm(keys)
+	b.gather(keys[:keep])
 	return executed
 }
 
-// applyPerm reorders the buffer so slot i holds the old slot whose index
-// sorted key i carries: one gather into the workspace's arena, then a swap of
-// the two storages (the real count is a permutation's invariant).
-func (b *Buffer) applyPerm(keys []sortKey) {
+// gather makes slot i of the buffer the old slot whose index sorted key i
+// carries, for each of keys and no more: one gather into the workspace's
+// arena, then a swap of the two storages and of the real count the gather
+// kept.
+func (b *Buffer) gather(keys []sortKey) {
 	if b.ws.gather == nil {
 		b.ws.gather = NewBuffer(b.Arity(), 0)
 	}
@@ -323,6 +313,7 @@ func (b *Buffer) applyPerm(keys []sortKey) {
 	}
 	b.pay, s.pay = s.pay, b.pay
 	b.flag, s.flag = s.flag, b.flag
+	b.real, s.real = s.real, b.real
 }
 
 // TightCompactInto obliviously packs the real slots of src into dst up to

@@ -43,7 +43,7 @@ func TestBufferMutationsMaintainRealCounter(t *testing.T) {
 			other, _ := randBuffer(rng, 1+rng.Intn(10))
 			b.AppendFrom(other, rng.Intn(other.Len()))
 		case 4:
-			b.Truncate(rng.Intn(b.Len() + 1))
+			MergeRealFirst(b, []Run{{Len: b.Len()}}, rng.Intn(b.Len()+2)-1)
 		case 5:
 			b.CutPrefix(rng.Intn(b.Len() + 1))
 		case 6:
@@ -142,26 +142,30 @@ func TestCountBufferMatchesEntryForm(t *testing.T) {
 	}
 }
 
-func TestTruncateClamps(t *testing.T) {
+// TestMergeRealFirstClampsKeep: keep is clamped to [0, Len] — an oversized
+// keep must never reslice into retained capacity, which would resurrect stale
+// slots, and a negative one keeps nothing.
+func TestMergeRealFirstClampsKeep(t *testing.T) {
 	b := NewBuffer(2, 0)
-	b.AppendRow(table.Row{1, 2})
 	b.AppendDummies(1)
-	if got := b.Truncate(99); got != 0 || b.Len() != 2 {
-		t.Errorf("oversized truncate: dropped=%d len=%d", got, b.Len())
+	b.AppendRow(table.Row{1, 2})
+	runs := []Run{{Len: 2}}
+	if MergeRealFirst(b, runs, 99); b.Len() != 2 || b.Real() != 1 || !b.IsReal(0) {
+		t.Errorf("oversized keep: len=%d real=%d, slot 0 real %v", b.Len(), b.Real(), b.IsReal(0))
 	}
-	if got := b.Truncate(-3); got != 1 || b.Len() != 0 || b.Real() != 0 {
-		t.Errorf("negative truncate: dropped=%d len=%d real=%d", got, b.Len(), b.Real())
+	if MergeRealFirst(b, runs, -3); b.Len() != 0 || b.Real() != 0 {
+		t.Errorf("negative keep: len=%d real=%d", b.Len(), b.Real())
 	}
 }
 
 // TestAppendDummiesOverRecycledStorage: dummies padded into storage a
-// truncation freed are zero rows flagged dummy, and leave the real count be.
+// prefix cut freed are zero rows flagged dummy, and leave the real count be.
 func TestAppendDummiesOverRecycledStorage(t *testing.T) {
 	b := NewBuffer(2, 0)
 	for i := range 6 {
 		b.AppendRow(table.Row{int64(i + 1), 7})
 	}
-	b.Truncate(2)
+	b.CutPrefix(4)
 	b.AppendDummies(3)
 	b.AppendDummies(-1)
 	b.AppendDummies(1)

@@ -189,4 +189,4 @@ func tightCompact(es []entry, cap int) (out, overflow []entry) {
 
 // sortRealFirst sorts the whole buffer real-first — MergeRealFirst of one raw
 // run — and returns the comparators it executed.
-func sortRealFirst(b *Buffer) int { return MergeRealFirst(b, []Run{{Len: b.Len()}}) }
+func sortRealFirst(b *Buffer) int { return MergeRealFirst(b, []Run{{Len: b.Len()}}, b.Len()) }

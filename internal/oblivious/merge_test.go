@@ -225,14 +225,20 @@ func TestWarmMergeAllocatesNothing(t *testing.T) {
 	}
 }
 
-// runsBuffer fills a buffer laid out as runs. Every slot carries its
-// position, so slots are told apart byte for byte; each run draws its own
-// real density, and a real-first run is stored in its stable real-first
-// order, as a compaction or an earlier read leaves it.
+// runsBuffer fills a buffer laid out as runs, each run drawing its own real
+// density (fillRuns).
 func runsBuffer(rng *rand.Rand, runs []Run) (*Buffer, []entry) {
+	return fillRuns(rng, runs, rng.Float64)
+}
+
+// fillRuns fills a buffer laid out as runs, each run's slots real with the
+// probability density draws for it. Every slot carries its position, so
+// slots are told apart byte for byte; a real-first run is stored in its
+// stable real-first order, as a compaction or an earlier read leaves it.
+func fillRuns(rng *rand.Rand, runs []Run, density func() float64) (*Buffer, []entry) {
 	var es []entry
 	for _, r := range runs {
-		p := rng.Float64()
+		p := density()
 		run := make([]entry, r.Len)
 		for i := range run {
 			run[i] = entry{Row: table.Row{int64(len(es) + i), rng.Int63n(100)}, IsView: rng.Float64() < p}
@@ -262,63 +268,91 @@ func layoutLen(runs []Run) int {
 	return n
 }
 
-// TestMergeRealFirstMatchesStablePartition: over random layouts, merging the
-// runs leaves the buffer, payloads included, in exactly the stable
-// real-first partition of its slots — the order a full sort gives. The
-// comparators executed are a function of the layout (two fillings of one
-// layout execute the same number) and never exceed the full sort the read is
-// priced at, whatever the layout.
+// keepBounds are the keep bounds a layout is read at: the whole buffer (the
+// full merge) first, then past it, nothing, one slot, fewer than the
+// shortest run holds, and between the shortest run and the whole buffer.
+func keepBounds(rng *rand.Rand, runs []Run) []int {
+	n, shortest := layoutLen(runs), slices.MinFunc(runs, func(a, b Run) int { return a.Len - b.Len }).Len
+	return []int{n, n + 1 + rng.Intn(10), 0, 1, rng.Intn(shortest), shortest + rng.Intn(n-shortest+1)}
+}
+
+// TestMergeRealFirstMatchesStablePartition: over random layouts and keep
+// bounds, the merge leaves the buffer, payloads included, holding exactly the
+// first keep slots of the stable real-first partition of its slots — the
+// order a full sort gives, then cut. What it executes is a function of the
+// layout and keep alone: a filling with no real slot, one with every slot
+// real and a random one execute the same comparators and gather the same
+// min(n, keep) slots, never more than the full merge (keep >= n) executes,
+// which never exceeds the full sort the read is priced at.
 func TestMergeRealFirstMatchesStablePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	fillings := []func() float64{func() float64 { return 0 }, func() float64 { return 1 }, rng.Float64}
 	for trial := 0; trial < 60; trial++ {
 		runs := randomLayout(rng)
-		n := layoutLen(runs)
-		var executed [2]int
-		for fill := range executed {
-			b, es := runsBuffer(rng, runs)
-			executed[fill] = MergeRealFirst(b, runs)
-			stableRealFirst(es)
-			entriesEqual(t, entriesOf(b), es)
-			if b.Real() != b.ScanReal() {
-				t.Fatalf("layout %v: real counter %d, scan %d", runs, b.Real(), b.ScanReal())
+		n, full := layoutLen(runs), 0
+		for _, keep := range keepBounds(rng, runs) {
+			executed := make([]int, len(fillings))
+			for fill, density := range fillings {
+				b, es := fillRuns(rng, runs, density)
+				executed[fill] = MergeRealFirst(b, runs, keep)
+				stableRealFirst(es)
+				entriesEqual(t, entriesOf(b), es[:min(keep, n)])
+				if b.Real() != b.ScanReal() {
+					t.Fatalf("layout %v, keep %d: real counter %d, scan %d", runs, keep, b.Real(), b.ScanReal())
+				}
 			}
-		}
-		if executed[0] != executed[1] || executed[0] > mpc.SortCompareExchanges(n) {
-			t.Fatalf("layout %v: executed %d and %d comparators, the full sort is priced at %d",
-				runs, executed[0], executed[1], mpc.SortCompareExchanges(n))
+			if keep == n {
+				full = executed[0]
+			}
+			if slices.Max(executed) != executed[0] || slices.Min(executed) != executed[0] ||
+				executed[0] > full || full > mpc.SortCompareExchanges(n) {
+				t.Fatalf("layout %v, keep %d: fillings executed %v comparators, the full merge %d, the full sort is priced at %d",
+					runs, keep, executed, full, mpc.SortCompareExchanges(n))
+			}
 		}
 	}
 }
 
-// tenRuns is the tpcds_step layout: what the last read left, then ten
-// compacted Transform batches.
-var tenRuns = append([]Run{{105, true}}, slices.Repeat([]Run{{100, true}}, 10)...)
+// readLayouts are the cache layouts the benchmark workloads meet at seed 1,
+// at a read keeping K slots: what the last read left, a real-first run, then
+// one compacted Transform batch per step since. cpdb_query's sDPANT read
+// fetches nothing at K = 12 + 1,116 (spill and prune bound); the tpcds reads
+// keep K = size + 2 + 169 with size about 30. tpcds_batch's AdvanceBatch(8)
+// appends 1,040 slots as merged windows of 104·w.
+var readLayouts = []struct {
+	name string
+	runs []Run
+	keep int
+	full int // executed by the full merge, keep = n
+	want int // executed at keep
+}{
+	{"cpdb", []Run{{1116, true}, {1104, true}}, 1128, 11609, 11609},
+	{"tpcds_batch", []Run{{169, true}, {520, true}, {520, true}}, 200, 8772, 3112},
+	{"tpcds_batch 312+728", []Run{{169, true}, {312, true}, {728, true}}, 200, 7819, 3112},
+	{"tpcds_batch 104+832+104", []Run{{169, true}, {104, true}, {832, true}, {104, true}}, 200, 10794, 3809},
+	{"tpcds_step", append([]Run{{169, true}}, slices.Repeat([]Run{{104, true}}, 10)...), 200, 18701, 11664},
+	{"one real-first run", []Run{{2116, true}}, 2116, 0, 0},
+}
 
 // TestMergeRealFirstLayouts pins the comparators a read executes on the
-// cache layouts the benchmark workloads meet: cpdb's 1,116-slot remainder
-// plus a 1,000-slot batch, tpcds_batch's 200 plus an 832-slot merged batch,
-// and tpcds_step's ten batches. Each read is charged the full sort,
-// 139,263, 58,367 and 58,367 comparators. A cache that is one real-first run
-// executes nothing and is not moved.
+// layouts the benchmark workloads meet (readLayouts), at their keep bound and
+// merging everything. Each read is still charged the full sort, 139,263
+// comparators for cpdb's 2,220 slots and 58,367 for the tpcds reads' 1,209. A
+// cache that is one real-first run kept whole executes nothing and is not
+// moved.
 func TestMergeRealFirstLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for _, tc := range []struct {
-		name string
-		runs []Run
-		want int
-	}{
-		{"cpdb", []Run{{1116, true}, {1000, true}}, 10869},
-		{"tpcds_batch", []Run{{200, true}, {832, true}}, 4669},
-		{"tpcds_step", tenRuns, 16861},
-		{"one real-first run", []Run{{2116, true}}, 0},
-	} {
-		b, es := runsBuffer(rng, tc.runs)
-		got := MergeRealFirst(b, tc.runs)
-		stableRealFirst(es)
-		entriesEqual(t, entriesOf(b), es)
-		if got != tc.want {
-			t.Errorf("%s: %d comparators, want %d (the full sort charges %d)",
-				tc.name, got, tc.want, mpc.SortCompareExchanges(layoutLen(tc.runs)))
+	for _, tc := range readLayouts {
+		n := layoutLen(tc.runs)
+		for _, c := range []struct{ keep, want int }{{n, tc.full}, {tc.keep, tc.want}} {
+			b, es := runsBuffer(rng, tc.runs)
+			got := MergeRealFirst(b, tc.runs, c.keep)
+			stableRealFirst(es)
+			entriesEqual(t, entriesOf(b), es[:c.keep])
+			if got != c.want {
+				t.Errorf("%s at keep %d: %d comparators, want %d (the full sort charges %d)",
+					tc.name, c.keep, got, c.want, mpc.SortCompareExchanges(n))
+			}
 		}
 	}
 }
@@ -330,7 +364,7 @@ func TestMergeRealFirstOneRawRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, n := range []int{0, 1, 2, 37, 1024, 1040, 2116} {
 		b, es := randBuffer(rng, n)
-		got := MergeRealFirst(b, []Run{{Len: n}})
+		got := MergeRealFirst(b, []Run{{Len: n}}, n)
 		stableRealFirst(es)
 		entriesEqual(t, entriesOf(b), es)
 		want := 0
@@ -352,20 +386,20 @@ func TestMergeRealFirstRejectsBadLayout(t *testing.T) {
 			t.Error("runs covering 9 of 10 slots did not panic")
 		}
 	}()
-	MergeRealFirst(b, []Run{{Len: 4}, {Len: 5, RealFirst: true}})
+	MergeRealFirst(b, []Run{{Len: 4}, {Len: 5, RealFirst: true}}, 10)
 }
 
-// TestWarmMergeRealFirstAllocatesNothing: a warm read of the cpdb layout —
-// keys, run ends, merge wires and gather arena all in the buffer's
-// workspace — makes no allocation.
+// TestWarmMergeRealFirstAllocatesNothing: a warm read of the cpdb layout,
+// its batch raw — keys, run ends, merge wires and gather arena all in the
+// buffer's workspace — makes no allocation.
 func TestWarmMergeRealFirstAllocatesNothing(t *testing.T) {
-	runs := []Run{{1116, true}, {1000, false}}
+	runs := []Run{{1116, true}, {1104, false}}
 	base, _ := runsBuffer(rand.New(rand.NewSource(27)), runs)
 	b := NewBuffer(base.Arity(), 0)
 	read := func() {
 		b.Reset()
 		b.AppendAll(base)
-		MergeRealFirst(b, runs)
+		MergeRealFirst(b, runs, 1128)
 	}
 	read()
 	if allocs := testing.AllocsPerRun(50, read); allocs > warmAllocs {

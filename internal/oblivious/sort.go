@@ -50,7 +50,7 @@ type scratch struct {
 	contrib, window []int     // emitJoin's per-record counters and current key group
 	ends            []int     // MergeRealFirst's run ends, merged pairwise
 	pairs           []int32   // one streamed layer of a sort above networkCacheMaxN
-	gather          *Buffer   // applyPerm's arena, swapped with the buffer's own
+	gather          *Buffer   // gather's arena, swapped with the buffer's own
 }
 
 // resized returns s at length n, reallocated only when its capacity falls

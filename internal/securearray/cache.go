@@ -17,9 +17,12 @@
 // not re-sort what is already in it: the cache remembers, in memory only, the
 // public runs appended since the last read — one per batch, raw or already
 // real-first — and oblivious.MergeRealFirst sorts the raw ones and merges
-// them all. What a read leaves is one real-first run. Because the order does
-// not depend on the layout, a restored cache forgets its runs and its first
-// read re-sorts it whole, to the same bytes.
+// them all, cutting every run and merge to the slots the read keeps, so the
+// recycled tail is never merged or gathered. A read is still priced as a
+// full sort of the cache (ROADMAP item 4). What a read leaves is one
+// real-first run. Because the order does not depend on the layout, a
+// restored cache forgets its runs and its first read re-sorts it whole, to
+// the same bytes.
 //
 // The materialized view is only ever appended to and scanned, so it is a
 // column store — one []int64 per attribute beside a bitset of the isView
@@ -94,10 +97,11 @@ func (c *Cache) oneRun(realFirst bool) {
 }
 
 // ReadAndPruneInto is the cache read: it performs the view synchronization,
-// a bounded deferred-data spill, and the incremental cache cap under a single
-// oblivious sort, which merges the cache's runs into one and which the
-// caller prices as a full sort of the cache. The sorted (real-first) cache
-// splits into four public-length segments:
+// a bounded deferred-data spill, and the incremental cache cap in one
+// oblivious selection, which merges the cache's runs and keeps only the
+// slots the read does not recycle, and which the caller prices as a full
+// sort of the cache. The sorted (real-first) cache splits into four
+// public-length segments:
 //
 //	[0:size)                the DP-sized fetch (Alg. 2:8 / Alg. 3:10)
 //	[size:size+spill)       a fixed-size spill, also appended to the view —
@@ -110,24 +114,25 @@ func (c *Cache) oneRun(realFirst bool) {
 //
 // All three cut points are public (size is the DP release or a flush size;
 // spill and keep are configuration constants), so the operation leaks
-// nothing beyond the DP outputs. Each is clamped to what the cache holds.
-// Figure 3's plain read keeps everything (spill 0, keep >= Len); Section
-// 5.2.1's flush keeps nothing (spill 0, keep 0). Its size is the constant
-// core.FlushSize = 15, under the deferred data a deployment can carry, so a
-// flush can recycle real rows: 786 over 20 CPDB runs of 4,000 steps
-// (ROADMAP item 24 sizes the flush from a bound, or drops it). The
-// combined fetch goes straight into the view arena; the recycled tail is
-// truncated first, and the surviving segment then slides to the front (a
-// prefix cut, no reallocation). Returns the number of real tuples recycled.
+// nothing beyond the DP outputs. Each is clamped to what the cache holds,
+// and MergeRealFirst selects the first size+spill+keep slots of the order:
+// the remainder is never gathered. Figure 3's plain read keeps everything
+// (spill 0, keep >= Len); Section 5.2.1's flush keeps nothing (spill 0,
+// keep 0). Its size is the constant core.FlushSize = 15, under the deferred
+// data a deployment can carry, so a flush can recycle real rows: 786 over 20
+// CPDB runs of 4,000 steps (ROADMAP item 24 sizes the flush from a bound, or
+// drops it). The combined fetch goes straight into the view arena, and the
+// surviving segment then slides to the front (a prefix cut, no
+// reallocation). Returns the number of real tuples recycled: the real count
+// before the selection less the real count after it.
 func (c *Cache) ReadAndPruneInto(v *View, size, spill, keep int) (lostReal int) {
-	oblivious.MergeRealFirst(c.buf, c.runs)
 	size = min(max(size, 0), c.buf.Len())
 	spill = min(max(spill, 0), c.buf.Len()-size)
-	v.appendRange(c.buf, 0, size+spill)
-	// Recycle the tail before cutting the prefix, so the cut slides only the
-	// surviving segment down.
 	keep = min(max(keep, 0), c.buf.Len()-size-spill)
-	lostReal = c.buf.Truncate(size + spill + keep)
+	lostReal = c.buf.Real()
+	oblivious.MergeRealFirst(c.buf, c.runs, size+spill+keep)
+	lostReal -= c.buf.Real()
+	v.appendRange(c.buf, 0, size+spill)
 	c.buf.CutPrefix(size + spill)
 	c.oneRun(true)
 	return lostReal

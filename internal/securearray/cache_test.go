@@ -480,27 +480,59 @@ func TestRestoredCacheForgetsItsRuns(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheReadRuns is one cache read at the cpdb_query layout: a
-// 1,116-slot real-first remainder plus a 1,000-slot compacted batch, merged
-// rather than sorted, then pruned back to the remainder. It fails if a warm
-// read allocates.
+// BenchmarkCacheReadRuns is one cache read at each layout a benchmark
+// workload meets at seed 1: a real-first remainder and the compacted batches
+// appended since, merged rather than sorted and cut to the K slots the read
+// keeps, the cache left at the remainder's length again. cpdb_query's sDPANT
+// read fetches nothing, spills 12 and keeps its 1,116-slot bound (K = 1,128
+// of 2,220); tpcds_step's fetches 29, spills 2 and keeps 169 (K = 200 of
+// 1,209, ten batches); tpcds_batch's is the same read after an
+// AdvanceBatch(8) appended two merged windows. The view is emptied after
+// each read, and the benchmark fails if a warm read allocates.
 func BenchmarkCacheReadRuns(b *testing.B) {
-	rng := rand.New(rand.NewSource(100))
-	var seq int64
-	c, v := newCache(), NewView(2)
-	c.AppendRealFirst(compacted(rng, &seq, 1116, 500))
-	batch := compacted(rng, &seq, 1000, 400)
-	read := func() {
-		c.AppendRealFirst(batch)
-		c.ReadAndPruneInto(v, 0, 0, 1116)
+	for _, bc := range []struct {
+		name              string
+		left              int
+		batches           []int
+		size, spill, keep int
+	}{
+		{"cpdb", 1116, []int{1104}, 0, 12, 1116},
+		{"tpcds_step", 169, slices.Repeat([]int{104}, 10), 29, 2, 169},
+		{"tpcds_batch", 169, []int{520, 520}, 29, 2, 169},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(100))
+			var seq int64
+			c, v := newCache(), NewView(2)
+			c.AppendRealFirst(compacted(rng, &seq, bc.left, bc.left/3))
+			var batches []*oblivious.Buffer
+			for _, n := range bc.batches {
+				batches = append(batches, compacted(rng, &seq, n, n/40))
+			}
+			read := func() {
+				for _, batch := range batches {
+					c.AppendRealFirst(batch)
+				}
+				c.ReadAndPruneInto(v, bc.size, bc.spill, bc.keep)
+				emptyView(v)
+			}
+			read()
+			if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
+				b.Fatalf("a warm read allocates %v times", allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+		})
 	}
-	read()
-	if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
-		b.Fatalf("a warm read allocates %v times", allocs)
+}
+
+// emptyView drops every slot of v, keeping its storage.
+func emptyView(v *View) {
+	for j := range v.cols {
+		v.cols[j] = v.cols[j][:0]
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		read()
-	}
+	v.flag, v.n, v.real = v.flag[:0], 0, 0
 }

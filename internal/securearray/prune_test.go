@@ -3,8 +3,6 @@ package securearray
 import (
 	"math/rand"
 	"testing"
-
-	"incshrink/internal/oblivious"
 )
 
 func TestReadAndPruneSegments(t *testing.T) {
@@ -143,36 +141,37 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-// TestReadAndPruneShortKeepMatchesCutThenTruncate pins the read's order of
-// cuts: it recycles the tail before cutting the prefix, and must leave what
-// cutting the prefix and then truncating to keep leaves — the same lost real
-// count, the same surviving arena byte for byte, and the same view — when
-// keep is shorter than the remainder, the case where the two orders differ in
-// how much they move.
+// TestReadAndPruneShortKeepMatchesCutThenTruncate pins the read's cuts
+// against the reference that orders everything and then cuts the prefix and
+// truncates to keep: the same lost real count, the same surviving arena byte
+// for byte, and the same view, when keep is shorter than the remainder — the
+// case where the read's selection stops short of the slots it fetches and
+// keeps most often.
 func TestReadAndPruneShortKeepMatchesCutThenTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var seq int64
 	for trial := range 40 {
-		c, ref := newCache(), newCache()
+		c := newCache()
 		v, refView := NewView(2), NewView(2)
+		var slots []slot
 		for range 1 + rng.Intn(3) {
 			n := 20 + rng.Intn(60)
 			b := compacted(rng, &seq, n, rng.Intn(n+1))
 			c.AppendRealFirst(b)
-			ref.AppendRealFirst(b)
+			slots = append(slots, slotsOf(b)...)
 		}
 		size, spill := rng.Intn(c.Len()/2), rng.Intn(8)
 		keep := rng.Intn(c.Len() - size - spill)
 
 		lost := c.ReadAndPruneInto(v, size, spill, keep)
-		oblivious.MergeRealFirst(ref.buf, ref.runs)
-		refView.appendRange(ref.buf, 0, size+spill)
-		ref.buf.CutPrefix(size + spill)
-		refLost := ref.buf.Truncate(keep)
+		order := stableRealFirst(slots)
+		refView.Update(bufferOf(order[:size+spill]))
+		rest := order[size+spill:]
+		refLost, ref := countReal(rest[keep:]), bufferOf(rest[:keep])
 
-		if lost != refLost || !sameArena(c.buf, ref.buf) || !sameView(v, refView) {
+		if lost != refLost || !sameArena(c.buf, ref) || !sameView(v, refView) {
 			t.Fatalf("trial %d (size %d, spill %d, keep %d): lost %d, reference %d; arenas equal %v, views equal %v",
-				trial, size, spill, keep, lost, refLost, sameArena(c.buf, ref.buf), sameView(v, refView))
+				trial, size, spill, keep, lost, refLost, sameArena(c.buf, ref), sameView(v, refView))
 		}
 		if c.Len() != keep || c.Real() != c.buf.ScanReal() {
 			t.Fatalf("trial %d: cache of %d slots (%d real, scan %d), want keep = %d", trial, c.Len(), c.Real(), c.buf.ScanReal(), keep)
