@@ -158,9 +158,10 @@ wire-smoke:
 # fuzz-smoke gives each snapshot-codec fuzz target (the section codecs, the
 # whole engine state and the DB stream a durable server reads from disk), the
 # wire framing, a GMW peer's fuzzed openings, the view scan kernel against
-# its branching oracle and the cache read against its stable-partition
-# oracle a short budget beyond the seed corpus (the corpus itself already
-# runs in `test`). CI runs it as its own job.
+# its branching oracle, the cache read against its stable-partition oracle
+# and the Theorem-7/8 check on drawn deployments (a real run against its
+# pad replay) a short budget beyond the seed corpus (the corpus itself
+# already runs in `test`). CI runs it as its own job.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
 	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
@@ -171,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s ./internal/gmw
 	$(GO) test -run XXX -fuzz FuzzCountColumns -fuzztime 10s ./internal/oblivious
 	$(GO) test -run XXX -fuzz FuzzCacheRead -fuzztime 10s ./internal/securearray
+	$(GO) test -run XXX -fuzz FuzzSimulator -fuzztime 10s ./internal/core
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a
 # curl-able session). Add DATA=./incshrink-data for a durable server.

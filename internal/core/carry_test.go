@@ -318,11 +318,12 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 	}
 }
 
-// FuzzDecodeFrameworkState feeds arbitrary bytes to Framework.Restore. The
-// contract under hostile input: a typed snapshot error, or a framework whose
-// own snapshot restores and re-encodes to the same bytes — never a panic. The
-// seeds are real snapshots of a window-limited and a budget-limited
-// deployment plus the two framing edge cases.
+// FuzzDecodeFrameworkState feeds arbitrary bytes to Framework.DecodeState,
+// framed as encodeState frames it. The contract under hostile input: a typed
+// snapshot error, or a framework whose own state restores and re-encodes to
+// the same bytes — never a panic. The seeds are real states of a
+// window-limited and a budget-limited deployment plus the two framing edge
+// cases.
 func FuzzDecodeFrameworkState(f *testing.F) {
 	withins := []int64{3, 10}
 	for _, within := range withins {
@@ -331,38 +332,27 @@ func FuzzDecodeFrameworkState(f *testing.F) {
 			e.Step(windowStep(step))
 			e.Query()
 		}
-		var buf bytes.Buffer
-		if err := e.Snapshot(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(encodeState(f, e))
 	}
 	f.Add([]byte(snapshot.Magic))
 	f.Add([]byte{})
-	typed := []error{snapshot.ErrCorrupt, snapshot.ErrTruncated, snapshot.ErrBadMagic,
-		snapshot.ErrVersionMismatch, snapshot.ErrFingerprintMismatch}
+	typed := []error{snapshot.ErrCorrupt, snapshot.ErrTruncated, snapshot.ErrBadMagic}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, within := range withins {
 			e := windowEngine(t, within, 4)
-			if err := e.Restore(bytes.NewReader(data)); err != nil {
+			if err := decodeState(e, data); err != nil {
 				if !slices.ContainsFunc(typed, func(want error) bool { return errors.Is(err, want) }) {
 					t.Fatalf("untyped restore error: %v", err)
 				}
 				continue
 			}
-			var a, b bytes.Buffer
-			if err := e.Snapshot(&a); err != nil {
-				t.Fatal(err)
-			}
+			a := encodeState(t, e)
 			again := windowEngine(t, within, 4)
-			if err := again.Restore(bytes.NewReader(a.Bytes())); err != nil {
-				t.Fatalf("a restored framework's own snapshot does not restore: %v", err)
+			if err := decodeState(again, a); err != nil {
+				t.Fatalf("a restored framework's own state does not restore: %v", err)
 			}
-			if err := again.Snapshot(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatal("snapshot -> restore -> snapshot changed the bytes")
+			if !bytes.Equal(a, encodeState(t, again)) {
+				t.Fatal("encode -> decode -> encode changed the bytes")
 			}
 		}
 	})

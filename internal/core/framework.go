@@ -196,16 +196,13 @@ type Framework struct {
 	spillLen int       // the public slots each view update spills (spillBound)
 	rawDelta bool      // cache the raw padded join output, uncompacted (EP)
 	match    oblivious.MatchFunc
-	overflow *oblivious.Buffer // real entries beyond the delta cap, carried forward; the join appends behind them
-	spill    *oblivious.Buffer // the next overflow, swapped in by each compaction
-	dummyID  int64             // ascending generator for padding-record keys
+	dummyID  int64 // ascending generator for padding-record keys
 
-	// deltaBuf is per-transform scratch, framework-owned so the steady-state
-	// Advance path allocates (almost) nothing: the compacted delta (the raw
-	// join output itself under rawDelta). The padded join output has no
-	// buffer of its own: it lands on the overflow, the delta compaction's
-	// input.
-	deltaBuf *oblivious.Buffer
+	// joined and deltaBuf are per-transform scratch, framework-owned so the
+	// steady-state Advance path allocates (almost) nothing: the padded join
+	// output, max(omega, 1) slots per key, and the delta compacted from it.
+	// Both are reset by every Transform, so neither length is state.
+	joined, deltaBuf *oblivious.Buffer
 
 	// blocks are the upload blocks admitted since the last segment end; the
 	// last step of a StepBatch call ends a segment, so they are not state.
@@ -275,10 +272,9 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 		prune:    pruneBound(cfg, wl),
 		spillLen: spillBound(cfg, wl),
 		match:    wl.Match(),
-		overflow: oblivious.NewBuffer(workload.JoinArity, 0),
-		spill:    oblivious.NewBuffer(workload.JoinArity, 0),
 		carry:    oblivious.NewUnion(workload.StreamArity, workload.ColKey),
 		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
+		joined:   oblivious.NewBuffer(workload.JoinArity, 0),
 		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
 		dummyID:  math.MinInt64,
 	}
@@ -320,9 +316,9 @@ func invocationsPerRecord(cfg Config, wl workload.Config) int {
 // every new pair involves at least one newly uploaded record, and each
 // record contributes at most omega entries per invocation, so
 // omega * (new left + new right) bounds the batch — or omega * new right
-// alone when the workload declares that pairs are right-driven (the
-// overflow carry catches the rare exceptions). A zero cap disables tight
-// compaction (the EP baseline caches the raw padded output).
+// alone when the workload declares that pairs are right-driven, a declared
+// cap whose rare exceptions are truncated like omega's. A zero cap disables
+// tight compaction (the EP baseline caches the raw padded output).
 func (f *Framework) deltaCap(nLeft, nRight int) int {
 	if f.rawDelta {
 		return 0
@@ -472,34 +468,27 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	// The join condition is the view definition's temporal predicate, plus
 	// "at least one side is new" so pairs an earlier invocation produced are
 	// not regenerated. New is positional: the rows at the sides' tails. The
-	// padded output lands straight on the delta compaction's input, behind the
-	// entries carried over from earlier invocations — or, uncompacted, is the
-	// delta.
-	limit := f.deltaCap(fresh[left], fresh[right])
-	joined := f.overflow
-	if limit == 0 {
-		joined = f.deltaBuf
-		joined.Reset()
-	}
-	// The join's scan also retires the lapsed blocks: the keys that stay, in
-	// join order, are the next carry's at the public size the ledgers now
-	// hold. It is an order-preserving compaction of the merged keys — a
-	// fixed-topology pass, because in key order which rows a block owns is
-	// secret.
+	// join's scan also retires the lapsed blocks: the keys that stay, in join
+	// order, are the next carry's at the public size the ledgers now hold. It
+	// is an order-preserving compaction of the merged keys — a fixed-topology
+	// pass, because in key order which rows a block owns is secret.
 	n := f.carry.Len()
-	oblivious.MergeJoinInto(joined, f.carry, fresh, cut, f.match, f.cfg.Omega)
+	f.joined.Reset()
+	oblivious.MergeJoinInto(f.joined, f.carry, fresh, cut, f.match, f.cfg.Omega)
 
 	// Tighten the exhaustively padded join output to the public
-	// maximum-new-entries bound before caching. Entries beyond the cap (rare
-	// late-shipped pairs) carry over to the next invocation's batch.
-	delta := f.deltaBuf
-	compacted := 0
+	// maximum-new-entries bound before caching — or, uncompacted, cache it
+	// as the delta. Real entries beyond the cap (rare late-shipped pairs
+	// under RightDrivesPairs) are dropped, like omega's truncation, and
+	// counted as created and lost.
+	delta, compacted := f.joined, 0
+	limit := f.deltaCap(fresh[left], fresh[right])
 	if limit > 0 {
-		compacted = f.overflow.Len()
+		delta = f.deltaBuf
+		compacted = f.joined.Len()
 		delta.Reset()
-		f.spill.Reset()
-		oblivious.TightCompactInto(f.overflow, limit, delta, f.spill, nil, 0, 0)
-		f.overflow, f.spill = f.spill, f.overflow
+		oblivious.TightCompactInto(f.joined, limit, delta, nil, nil, 0, 0)
+		f.lostReal += f.joined.Real() - delta.Real()
 	}
 	priceTransform(f.rt.Meter, n, fresh[left]+fresh[right], f.cfg.Omega, compacted)
 
@@ -521,7 +510,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	for i := range blocks {
 		rd.Share(cw+1+i, total)
 	}
-	f.created += newReal
+	f.created += f.joined.Real()
 
 	// Alg. 1 line 7: append the exhaustively padded output to the cache
 	// (Append copies; delta is framework scratch reused by the next

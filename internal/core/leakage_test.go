@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/hex"
+	"math/rand"
 	"testing"
 
 	"incshrink/internal/mpc"
@@ -79,88 +80,228 @@ func TestFrameGroupingKeepsEvents(t *testing.T) {
 }
 
 // TestSimulatorIndistinguishability is the executable half of Theorems 7
-// and 8, with the textbook simulator: the protocol itself, run on dummy
-// inputs with the leakage programmed in. A second engine runs the real run's
-// public schedule — the deployment, an independent seed, the same StepBatch
-// cuts, every private upload empty (a public relation's arrivals pass
-// through) — and takes its DP outputs from the real run's fetch events: the
-// sDPTimer release sizes, the sDPANT SVT bits and release sizes. Both
-// parties' transcripts must then agree with the real ones on every event's
-// kind, time, size, label and wire stamps: an unpadded batch, a true
-// cardinality or a round that depends on the data would show. So must the
-// cost the engine exports — each phase's metered gates, the cache and view
-// lengths and the update count — which makes the modelled seconds in /stats
-// and /metrics a function of public sizes and DP releases too. The 2,010-step
+// and 8 on the paper's workloads: checkSimulated over seven hand-picked
+// deployments, both protocols, per-step and merged Transforms. The 2,010-step
 // rows cross the cache flush at step 2000.
 func TestSimulatorIndistinguishability(t *testing.T) {
-	timer := func() Shrinker { return &Timer{} }
-	ant := func() Shrinker { return &ANT{} }
 	for _, c := range []struct {
-		name   string
-		wl     workload.Config
-		shrink func() Shrinker
-		merge  bool
-		cut    int // steps per StepBatch call
+		name  string
+		wl    workload.Config
+		ant   bool
+		merge bool
+		cut   int // steps per StepBatch call
 	}{
-		{"timer-tpcds", workload.TPCDS(240, 31), timer, false, 1},
-		{"timer-tpcds-flush", workload.TPCDS(2010, 31), timer, false, 1},
-		{"timer-cpdb", workload.CPDB(200, 35), timer, false, 1},
-		{"timer-merged", workload.TPCDS(240, 41), timer, true, 8},
-		{"ant-tpcds", workload.TPCDS(240, 37), ant, false, 1},
-		{"ant-cpdb-flush", workload.CPDB(2010, 37), ant, false, 1},
-		{"ant-merged", workload.CPDB(240, 41), ant, true, 16},
+		{"timer-tpcds", workload.TPCDS(240, 31), false, false, 1},
+		{"timer-tpcds-flush", workload.TPCDS(2010, 31), false, false, 1},
+		{"timer-cpdb", workload.CPDB(200, 35), false, false, 1},
+		{"timer-merged", workload.TPCDS(240, 41), false, true, 8},
+		{"ant-tpcds", workload.TPCDS(240, 37), true, false, 1},
+		{"ant-cpdb-flush", workload.CPDB(2010, 37), true, false, 1},
+		{"ant-merged", workload.CPDB(240, 41), true, true, 16},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tr, err := workload.Generate(c.wl)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cfg := DefaultConfig(c.wl, c.wl.Seed)
 			cfg.MergeWindows = c.merge
-			f, real0, real1 := newRecorded(t, cfg, c.wl, c.shrink())
-			runCut(f, tr.Steps, c.cut)
-			if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
-				t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
-			}
+			_, real0, released := checkSimulated(t, deployment{c.wl, cfg, c.ant, c.cut})
 			requireFlushes(t, real0, c.wl)
-
-			// The leakage: the DP releases, read off the real transcript.
-			var rel releases
-			for _, ev := range real0.Events {
-				if ev.Kind == mpc.EvFetchObserved {
-					rel = append(rel, ev)
-				}
-			}
-			if len(rel) == 0 {
+			if released == 0 {
 				t.Fatal("the run released nothing; the comparison would be vacuous")
-			}
-
-			pads := make([]workload.Step, len(tr.Steps))
-			for i, st := range tr.Steps {
-				pads[i].T = st.T
-				if c.wl.RightPublic {
-					pads[i].Right = st.Right
-				}
-			}
-			cfg.Seed++
-			sim, sim0, sim1 := newRecorded(t, cfg, c.wl, c.shrink())
-			sim.replay = &rel
-			runCut(sim, pads, c.cut)
-
-			requireSimulated(t, real0, sim0)
-			requireSimulated(t, real1, sim1)
-			for op := mpc.OpTransform; op <= mpc.OpOther; op++ {
-				if r, s := f.rt.Meter.Gates(op), sim.rt.Meter.Gates(op); r != s {
-					t.Errorf("%v gates: real %v, simulated %v", op, r, s)
-				}
-			}
-			rm, sm := f.Metrics(), sim.Metrics()
-			if rm.CacheLen != sm.CacheLen || rm.ViewLen != sm.ViewLen || rm.Updates != sm.Updates {
-				t.Errorf("cache, view, updates: real %d, %d, %d, simulated %d, %d, %d",
-					rm.CacheLen, rm.ViewLen, rm.Updates, sm.CacheLen, sm.ViewLen, sm.Updates)
 			}
 		})
 	}
+}
+
+// deployment is one run the Theorem-7/8 check replays: a workload, an
+// engine configuration, the Shrink protocol (sDPANT or sDPTimer) and the
+// number of steps per StepBatch call.
+type deployment struct {
+	wl  workload.Config
+	cfg Config
+	ant bool
+	cut int
+}
+
+// overflowing is a generated deployment whose right-driven delta cap binds:
+// a public relation whose late partners ship after the right records they
+// join, so at some Transforms the join emits more real pairs than omega per
+// new right row. A cap that carried those pairs into the next compaction
+// charged their count (1,024 Transform gates more than the pad replay).
+var overflowing = deployment{
+	wl: workload.Config{Name: "overflowing", Steps: 62, UploadEvery: 2, PairRate: 1.9883776886008415, MaxMultiplicity: 5,
+		LeftNoiseRate: 2.444003057518186, RightNoiseRate: 0.04787344208255133, Within: 9, MaxLag: 7,
+		MaxLeft: 5, MaxRight: 3, RightPublic: true, RightDrivesPairs: true, Seed: 552},
+	cfg: Config{Epsilon: 1.5, Omega: 5, Budget: 7, T: 7, Theta: 55, Seed: 1552},
+	ant: true,
+	cut: 14,
+}
+
+// drawDeployment draws a deployment from the space the check sweeps: both
+// protocols, omega 1–5, Budget omega to omega+19, T 1–20, Theta 5–64,
+// epsilon in {0.3, 0.75, 1.5, 5}, block sizes 1–40, Within 0–12, upload
+// period 1–5, multiplicity 1–6, a public relation, merged windows and
+// right-driven pairs each on or off, horizons of 1–100 steps and StepBatch
+// cuts of 1–16.
+func drawDeployment(seed int64) deployment {
+	r := rand.New(rand.NewSource(seed))
+	in := func(lo, hi int) int { return lo + r.Intn(hi-lo+1) }
+	coin := func() bool { return r.Intn(2) == 1 }
+	wl := workload.Config{
+		Name:             "drawn",
+		Steps:            in(1, 100),
+		UploadEvery:      in(1, 5),
+		PairRate:         3 * r.Float64(),
+		MaxMultiplicity:  in(1, 6),
+		LeftNoiseRate:    4 * r.Float64(),
+		RightNoiseRate:   2 * r.Float64(),
+		Within:           int64(in(0, 12)),
+		MaxLeft:          in(1, 40),
+		MaxRight:         in(1, 40),
+		RightPublic:      coin(),
+		RightDrivesPairs: coin(),
+		Seed:             r.Int63(),
+	}
+	wl.MaxLag = int64(in(0, int(wl.Within)))
+	omega := in(1, 5)
+	cfg := Config{
+		Epsilon:      []float64{0.3, 0.75, 1.5, 5}[r.Intn(4)],
+		Omega:        omega,
+		Budget:       in(omega, omega+19),
+		T:            in(1, 20),
+		Theta:        float64(in(5, 64)),
+		MergeWindows: coin(),
+		Seed:         r.Int63(),
+	}
+	return deployment{wl: wl, cfg: cfg, ant: coin(), cut: in(1, 16)}
+}
+
+// checkSimulated is the Theorem-7/8 check, with the textbook simulator: the
+// protocol itself, run on dummy inputs with the leakage programmed in. It
+// runs d for real, then a second engine on the real run's public schedule —
+// the deployment, an independent seed, the same StepBatch cuts, every private
+// upload empty (a public relation's arrivals pass through) — that takes its
+// DP outputs from the real run's fetch events: the sDPTimer release sizes,
+// the sDPANT SVT bits and release sizes. Both parties' transcripts must then
+// agree with the real ones on every event's kind, time, size, label and wire
+// stamps: an unpadded batch, a true cardinality or a round that depends on the
+// data would show. So must the cost the engine exports — each phase's metered
+// gates, the cache and view lengths and the update count — which makes the
+// modelled seconds in /stats and /metrics a function of public sizes and DP
+// releases too, and the length of the engine's snapshot after every StepBatch
+// call. It returns the real engine, its server-0 transcript and the number of
+// releases it made.
+func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transcript, released int) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("deployment %+v", d)
+		}
+	}()
+	tr, err := workload.Generate(d.wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrink := func() Shrinker {
+		if d.ant {
+			return &ANT{}
+		}
+		return &Timer{}
+	}
+	// run feeds steps to e in StepBatch calls of d.cut steps and returns the
+	// snapshot's length after each call.
+	run := func(e *Framework, steps []workload.Step) []int {
+		var lens []int
+		for i := 0; i < len(steps); i += d.cut {
+			e.StepBatch(steps[i:min(i+d.cut, len(steps))])
+			lens = append(lens, len(encodeState(t, e)))
+		}
+		return lens
+	}
+
+	f, real0, real1 := newRecorded(t, d.cfg, d.wl, shrink())
+	realLens := run(f, tr.Steps)
+	if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
+		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
+	}
+
+	// The leakage: the DP releases, read off the real transcript.
+	var rel releases
+	for _, ev := range real0.Events {
+		if ev.Kind == mpc.EvFetchObserved {
+			rel = append(rel, ev)
+		}
+	}
+	released = len(rel)
+
+	pads := make([]workload.Step, len(tr.Steps))
+	for i, st := range tr.Steps {
+		pads[i].T = st.T
+		if d.wl.RightPublic {
+			pads[i].Right = st.Right
+		}
+	}
+	cfg := d.cfg
+	cfg.Seed++
+	sim, sim0, sim1 := newRecorded(t, cfg, d.wl, shrink())
+	sim.replay = &rel
+	simLens := run(sim, pads)
+
+	requireSimulated(t, real0, sim0)
+	requireSimulated(t, real1, sim1)
+	for op := mpc.OpTransform; op <= mpc.OpOther; op++ {
+		if r, s := f.rt.Meter.Gates(op), sim.rt.Meter.Gates(op); r != s {
+			t.Errorf("%v gates: real %v, simulated %v", op, r, s)
+		}
+	}
+	rm, sm := f.Metrics(), sim.Metrics()
+	if rm.CacheLen != sm.CacheLen || rm.ViewLen != sm.ViewLen || rm.Updates != sm.Updates {
+		t.Errorf("cache, view, updates: real %d, %d, %d, simulated %d, %d, %d",
+			rm.CacheLen, rm.ViewLen, rm.Updates, sm.CacheLen, sm.ViewLen, sm.Updates)
+	}
+	for i := range realLens {
+		if realLens[i] != simLens[i] {
+			t.Errorf("after StepBatch call %d the snapshot holds %d bytes, simulated %d", i+1, realLens[i], simLens[i])
+			break
+		}
+	}
+	return f, real0, released
+}
+
+// TestSimulatorSweep runs checkSimulated over the overflowing row and 500
+// drawn deployments. Together they must release, drop pairs at a delta cap
+// and conserve every real pair, so the sweep is not vacuous.
+func TestSimulatorSweep(t *testing.T) {
+	ds := []deployment{overflowing}
+	for seed := range int64(500) {
+		ds = append(ds, drawDeployment(seed))
+	}
+	released, lost := 0, 0
+	for i, d := range ds {
+		f, _, n := checkSimulated(t, d)
+		m := f.Metrics()
+		if got := m.ViewReal + m.CacheReal + m.LostReal; got != m.Created {
+			t.Errorf("view %d + cache %d + lost %d = %d != created %d", m.ViewReal, m.CacheReal, m.LostReal, got, m.Created)
+		}
+		if t.Failed() {
+			if i == 0 {
+				t.Fatal("the overflowing row fails the check")
+			}
+			t.Fatalf("drawDeployment(%d) fails the check", i-1)
+		}
+		released += min(n, 1)
+		lost += m.LostReal
+	}
+	if released < len(ds)/2 || lost == 0 {
+		t.Fatalf("%d of %d deployments released, %d pairs lost: the sweep is vacuous", released, len(ds), lost)
+	}
+}
+
+// FuzzSimulator runs checkSimulated on the deployment drawDeployment draws
+// from the seed. The seed corpus (testdata/fuzz/FuzzSimulator) holds three
+// ordinary draws and the two first draws whose delta cap binds, 388 and 752.
+func FuzzSimulator(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkSimulated(t, drawDeployment(seed))
+	})
 }
 
 // runCut feeds steps to f in StepBatch calls of cut steps.

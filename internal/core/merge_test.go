@@ -86,7 +86,7 @@ func TestMergeWindowsANTByteIdentical(t *testing.T) {
 	wl := workload.TPCDS(60, 3)
 	tr := mustTrace(t, wl)
 
-	seq := mergedEngine(t, wl, true) // same cfg (snapshots encode it) ...
+	seq := mergedEngine(t, wl, true) // the batched engine's cfg ...
 	bat := mergedEngine(t, wl, true)
 	for _, st := range tr.Steps {
 		seq.Step(st) // ... but Step never merges
@@ -95,15 +95,8 @@ func TestMergeWindowsANTByteIdentical(t *testing.T) {
 		bat.StepBatch(tr.Steps[lo:min(lo+7, len(tr.Steps))])
 	}
 
-	var sb, bb bytes.Buffer
-	if err := seq.Snapshot(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := bat.Snapshot(&bb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb.Bytes(), bb.Bytes()) {
-		t.Fatalf("ANT merged batch diverged from sequential (%d vs %d bytes): k=1 segments must be byte-identical", sb.Len(), bb.Len())
+	if sb, bb := encodeState(t, seq), encodeState(t, bat); !bytes.Equal(sb, bb) {
+		t.Fatalf("ANT merged batch diverged from sequential (%d vs %d bytes): k=1 segments must be byte-identical", len(sb), len(bb))
 	}
 }
 

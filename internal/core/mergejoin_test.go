@@ -124,25 +124,22 @@ func refTransform(r *reference, blocks []uploadBlock) {
 	sortJoinOrder(next)
 	r.carried = next
 	f.carry.Reset()
-	joined := oblivious.NewBuffer(workload.JoinArity, 0)
-	oblivious.TruncatedSortMergeJoinInto(joined, in[left], in[right], workload.ColKey, workload.ColKey,
+	f.joined.Reset()
+	oblivious.TruncatedSortMergeJoinInto(f.joined, in[left], in[right], workload.ColKey, workload.ColKey,
 		f.match, f.cfg.Omega, f.rt.Meter, mpc.OpTransform, fresh[left], fresh[right])
 
-	delta := joined
+	delta := f.joined
 	if cap := f.deltaCap(fresh[left], fresh[right]); cap > 0 {
-		f.overflow.AppendAll(joined)
 		delta = f.deltaBuf
 		delta.Reset()
-		f.spill.Reset()
-		oblivious.TightCompactInto(f.overflow, cap, delta, f.spill, nil, 0, 0)
-		f.overflow, f.spill = f.spill, f.overflow
+		oblivious.TightCompactInto(f.joined, cap, delta, nil, nil, 0, 0)
+		f.lostReal += f.joined.Real() - delta.Real()
 	}
-	newReal := delta.Real()
-	total := uint32(recoverCounter(f) + newReal)
+	total := uint32(recoverCounter(f) + delta.Real())
 	for range blocks {
 		f.rt.ShareToServers(counterKey, total)
 	}
-	f.created += newReal
+	f.created += f.joined.Real()
 	f.cache.Append(delta)
 	f.rt.ObserveBatch(delta.Len(), "transform")
 }
@@ -199,7 +196,7 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 			pairs := 0
 			for lo := 0; lo < len(tr.Steps); lo += c.chunk {
 				steps := tr.Steps[lo:min(lo+c.chunk, len(tr.Steps))]
-				before := eng.created + eng.overflow.Real() // every real the join emits lands in one of the two
+				before := eng.created // every real the join emits, cached or dropped at the cap
 				eng.StepBatch(steps)
 				refStepBatch(ref, steps)
 				at := fmt.Sprintf("after step %d", steps[len(steps)-1].T)
@@ -215,20 +212,19 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 				if !slices.EqualFunc(got, exp, func(a, b carriedRow) bool { return byColumns(a, b) == 0 }) {
 					t.Fatalf("%s: the carry holds %d rows, the reference's %d, or not the same ones", at, len(got), len(exp))
 				}
-				// The join's slots and reals are observed on the last delta
-				// compaction's input, now the spill: the overflow carried into
-				// that Transform, then everything its join emitted.
+				// The join's slots and reals are observed on the last
+				// Transform's padded join output.
 				type observed struct{ joinLen, joinReal, counter, cacheReal, viewReal, lost, created, count, countQ1 int }
 				observe := func(f *Framework) observed {
 					n, _ := f.Query()
 					nq, _ := f.QueryWhere(q1)
-					return observed{f.spill.Len(), f.spill.Real(), recoverCounter(f), f.cache.Real(), f.view.Real(),
+					return observed{f.joined.Len(), f.joined.Real(), recoverCounter(f), f.cache.Real(), f.view.Real(),
 						f.lostReal, f.created, n, nq}
 				}
 				if got, exp := observe(eng), observe(ref.Framework); got != exp {
 					t.Fatalf("%s: merge join %+v, full-sort reference %+v", at, got, exp)
 				}
-				pairs += eng.created + eng.overflow.Real() - before
+				pairs += eng.created - before
 			}
 			if pairs == 0 || eng.view.Real() == 0 {
 				t.Fatal("the stream never exercised the join or the view")
@@ -249,13 +245,13 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 	}
 }
 
-// TestOverflowCarriesLatePairs drives the delta cap's rare case: pairs the
-// cap does not cover. The join appends its output behind the entries the
-// overflow carries, so a late-shipped burst must drain through later
-// Transforms one capped delta at a time, none lost. Three right records
-// arrive at step 0; their three left partners ship late, at step 1, when
-// the right block is a single pad, so the cap is omega * 1 = 1.
-func TestOverflowCarriesLatePairs(t *testing.T) {
+// TestDeltaCapDropsLatePairs drives the delta cap's rare case: pairs the
+// cap does not cover. The cap is a truncation, like omega: the pairs past it
+// are dropped, each counted as created and as lost, and nothing surfaces
+// later. Three right records arrive at step 0; their three left partners
+// ship late, at step 1, when the right block is a single pad, so the join
+// emits 3 pairs against a cap of omega * 1 = 1.
+func TestDeltaCapDropsLatePairs(t *testing.T) {
 	wl := workload.TPCDS(8, 1)
 	wl.MaxLeft, wl.MaxRight = 4, 1
 	cfg := DefaultConfig(wl, 1)
@@ -273,10 +269,11 @@ func TestOverflowCarriesLatePairs(t *testing.T) {
 		{T: 3},
 		{T: 4},
 	}
-	for i, want := range [][2]int{{0, 0}, {1, 2}, {2, 1}, {3, 0}, {3, 0}} {
+	for i, want := range [][3]int{{0, 0, 0}, {3, 2, 1}, {3, 2, 1}, {3, 2, 1}, {3, 2, 1}} {
 		eng.Step(steps[i])
-		if got := [2]int{eng.created, eng.overflow.Real()}; got != want {
-			t.Fatalf("after step %d: %d pairs delivered and %d carried, want %d and %d", i, got[0], got[1], want[0], want[1])
+		m := eng.Metrics()
+		if got := [3]int{m.Created, m.LostReal, m.ViewReal + m.CacheReal}; got != want {
+			t.Fatalf("after step %d: %d pairs created, %d lost and %d kept, want %d, %d and %d", i, got[0], got[1], got[2], want[0], want[1], want[2])
 		}
 	}
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"io"
-
+	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
+	"incshrink/internal/workload"
 )
 
 // Framework durability. A snapshot captures every byte of mutable engine
@@ -12,56 +11,18 @@ import (
 // positions, the cost meter), the secure cache arena and the materialized
 // view's columns and flag words, the engine clock, the ledgers of live upload
 // blocks (step, remaining budget, size) and the carry they describe (each
-// side's rows in arrival order, then the key order), the pending arrivals, the
-// overflow and the counters — each as the engine holds it, so a framework
-// restored from it continues bit-identically to one that never stopped. The
-// configuration (Config, workload, Shrink protocol) is *not* state: Restore
-// targets a framework freshly constructed with the same parameters and
-// refuses anything else via the header fingerprint.
+// side's rows in arrival order, then the key order), the pending arrivals and
+// the counters — each as the engine holds it, so a framework restored from it
+// continues bit-identically to one that never stopped. The configuration
+// (Config, workload, Shrink protocol) is *not* state: the state section
+// restores into a framework freshly constructed with the same parameters,
+// and the embedding snapshot (incshrink.DB's) carries the header that
+// refuses anything else.
 //
 // The built-in Shrink protocols keep their evolving state (cardinality
 // counter, noisy threshold) secret-shared in the runtime's stores, so
 // restoring the runtime restores them; a custom Shrinker with private
 // mutable state is not supported by the codec.
-
-// StateFingerprint canonically hashes the construction parameters a
-// snapshot is only valid for: the full Config (seed included), the
-// workload, and the Shrink protocol.
-func (f *Framework) StateFingerprint() uint64 {
-	return snapshot.Fingerprint(
-		fmt.Sprintf("%+v", f.cfg),
-		fmt.Sprintf("%+v", f.wl),
-		f.shrink.Name(),
-	)
-}
-
-// Snapshot writes a standalone framework snapshot: header (format version +
-// construction fingerprint), full mutable state, CRC trailer.
-func (f *Framework) Snapshot(w io.Writer) error {
-	enc := snapshot.NewEncoder(w)
-	snapshot.WriteHeader(enc, f.StateFingerprint())
-	f.EncodeState(enc)
-	return enc.Finish()
-}
-
-// Restore reloads a snapshot written by Snapshot into f, which must have
-// been constructed with the same Config, workload and Shrink protocol
-// (enforced by the fingerprint). On success f is bit-identical to the
-// snapshotted framework; on any error f must be discarded (state may be
-// partially replaced).
-func (f *Framework) Restore(r io.Reader) error {
-	dec := snapshot.NewDecoder(r)
-	fp, err := snapshot.ReadHeader(dec)
-	if err != nil {
-		return err
-	}
-	if fp != f.StateFingerprint() {
-		return fmt.Errorf("%w: snapshot %016x, this engine %016x",
-			snapshot.ErrFingerprintMismatch, fp, f.StateFingerprint())
-	}
-	f.DecodeState(dec)
-	return dec.Finish()
-}
 
 // EncodeState writes the framework's mutable state as one self-delimiting
 // section (no header or trailer), for embedding in a larger snapshot such
@@ -78,7 +39,9 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	encodeLedger(enc, f.str[right].live)
 	f.encodeCarry(enc)
 	f.pending[right].EncodeState(enc)
-	f.overflow.EncodeState(enc)
+	// A reserved section: an empty join-arity buffer, where the delta cap's
+	// overflow was kept before the cap became a truncation (DESIGN.md §8).
+	oblivious.NewBuffer(workload.JoinArity, 0).EncodeState(enc)
 
 	enc.I64(f.dummyID)
 	enc.Int(f.created)
@@ -114,7 +77,10 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) {
 	f.str[right].decode(dec, last)
 	f.decodeCarry(dec)
 	f.pending[right].DecodeState(dec)
-	f.overflow.DecodeState(dec)
+	f.joined.DecodeState(dec) // the reserved section; joined is Transform scratch
+	if dec.Err() == nil && f.joined.Len() != 0 {
+		dec.Corrupt("the reserved join section holds %d slots", f.joined.Len())
+	}
 
 	f.dummyID = dec.I64()
 	f.created = dec.Int()

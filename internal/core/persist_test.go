@@ -72,12 +72,8 @@ func TestFrameworkSnapshotRestoreContinues(t *testing.T) {
 					ref.Query()
 					split.Query()
 				}
-				var buf bytes.Buffer
-				if err := split.Snapshot(&buf); err != nil {
-					t.Fatalf("snapshot at step %d: %v", k, err)
-				}
 				restored := rebuildLike(t, split)
-				if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+				if err := decodeState(restored, encodeState(t, split)); err != nil {
 					t.Fatalf("restore at step %d: %v", k, err)
 				}
 
@@ -150,25 +146,15 @@ func TestFrameworkSnapshotDeterministicBytes(t *testing.T) {
 		f.Step(st)
 		f.Query()
 	}
-	var a, b bytes.Buffer
-	if err := f.Snapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Snapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	a := encodeState(t, f)
+	if !bytes.Equal(a, encodeState(t, f)) {
 		t.Fatal("two snapshots of the same state differ")
 	}
 	restored := rebuildLike(t, f)
-	if err := restored.Restore(bytes.NewReader(a.Bytes())); err != nil {
+	if err := decodeState(restored, a); err != nil {
 		t.Fatal(err)
 	}
-	var c bytes.Buffer
-	if err := restored.Snapshot(&c); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+	if !bytes.Equal(a, encodeState(t, restored)) {
 		t.Fatal("snapshot -> restore -> snapshot changed the bytes")
 	}
 }
@@ -207,51 +193,13 @@ func TestRestoreRejectsForgedClock(t *testing.T) {
 		{f, -1}, {f, 20}, {f, 39}, {f, 41}, {f, 1040},
 		{cpdb, 45}, {cpdb, 48},
 	} {
-		var buf bytes.Buffer
 		now := c.f.now
 		c.f.now = c.clock
-		err := c.f.Snapshot(&buf)
+		forged := encodeState(t, c.f)
 		c.f.now = now
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rebuildLike(t, c.f).Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrCorrupt) {
+		if err := decodeState(rebuildLike(t, c.f), forged); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s clock %d, engine at %d: restore error %v, want ErrCorrupt", c.f.wl.Name, c.clock, now, err)
 		}
-	}
-}
-
-// TestFrameworkRestoreRejectsMismatchedConfig pins the fingerprint check:
-// a snapshot must not restore into an engine built with different
-// parameters or a different Shrink protocol.
-func TestFrameworkRestoreRejectsMismatchedConfig(t *testing.T) {
-	f, tr := buildEngine(t, false, 20)
-	for _, st := range tr.Steps {
-		f.Step(st)
-	}
-	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	other, err := NewANTEngine(f.cfg, f.wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("Timer snapshot restored into an ANT engine")
-	} else if !errors.Is(err, snapshot.ErrFingerprintMismatch) {
-		t.Fatalf("want fingerprint mismatch, got %v", err)
-	}
-
-	cfg := f.cfg
-	cfg.Epsilon = 0.5
-	diff, err := NewTimerEngine(cfg, f.wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := diff.Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, snapshot.ErrFingerprintMismatch) {
-		t.Fatalf("want fingerprint mismatch for different epsilon, got %v", err)
 	}
 }
 
@@ -318,18 +266,12 @@ func TestSnapshotEveryStepByteIdentical(t *testing.T) {
 				ref.StepBatch(steps)
 				hop.StepBatch(steps)
 				checkUnion(t, hop, fmt.Sprintf("after step %d", at))
-				var want, got bytes.Buffer
-				if err := ref.Snapshot(&want); err != nil {
-					t.Fatal(err)
-				}
-				if err := hop.Snapshot(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				got := encodeState(t, hop)
+				if !bytes.Equal(encodeState(t, ref), got) {
 					t.Fatalf("step %d: the restored chain's snapshot differs from the uninterrupted one", at)
 				}
 				hop = rebuildLike(t, hop)
-				if err := hop.Restore(bytes.NewReader(got.Bytes())); err != nil {
+				if err := decodeState(hop, got); err != nil {
 					t.Fatalf("restore after step %d: %v", at, err)
 				}
 				checkUnion(t, hop, fmt.Sprintf("restored after step %d", at))
@@ -348,4 +290,26 @@ func TestSnapshotEveryStepByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodeState writes f's state section as a stream of its own: the magic,
+// EncodeState and the encoder's CRC trailer.
+func encodeState(t testing.TB, f *Framework) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := snapshot.NewEncoder(&buf)
+	f.EncodeState(enc)
+	if err := enc.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeState loads a stream encodeState wrote into f, which must have been
+// built with the writer's Config, workload and Shrink protocol: DecodeState,
+// then the decoder's CRC check.
+func decodeState(f *Framework, data []byte) error {
+	dec := snapshot.NewDecoder(bytes.NewReader(data))
+	f.DecodeState(dec)
+	return dec.Finish()
 }

@@ -10,9 +10,10 @@ import (
 // TestPriceListMatchesClosedForms pins the price list where it lives. Over
 // the golden deployments, every Transform's, Shrink's and query's meter delta
 // must equal mpc's closed forms at the public sizes the engine ran: the
-// carry's length, the padded blocks a segment admits, the spill the delta
-// compaction carries, the cache length each read sorts (followed through the
-// batch, fetch and flush events) and the view a query scans; Shrink adds one
+// carry's length, the padded blocks a segment admits, the padded join output
+// the delta compaction reads (omega slots per key), the cache length each
+// read sorts (followed through the batch, fetch and flush events) and the
+// view a query scans; Shrink adds one
 // Laplace circuit per joint draw. A merged run is fed one segment per call —
 // up to each step the Shrink protocol observes — so each call holds exactly
 // one Transform. The horizon passes a flush, so the flush read is priced too.
@@ -55,7 +56,7 @@ func TestPriceListMatchesClosedForms(t *testing.T) {
 			batch := tr.Steps[lo:hi]
 			lo = hi
 
-			carried, spilled, cached := f.carry.Len(), f.overflow.Len(), f.cache.Len()
+			carried, cached := f.carry.Len(), f.cache.Len()
 			transforms, events := f.transforms, len(s0.Events)
 			var gates [3]float64
 			for op := range gates {
@@ -86,7 +87,7 @@ func TestPriceListMatchesClosedForms(t *testing.T) {
 				want = sortGates(k, stream) + float64(mpc.MergeCompareExchanges(carried, k))*stream*model.ANDGatesPerCompareExchangeBit +
 					scanGates(slots, view) + scanGates(mpc.CompactMoves(n), stream)
 				if f.deltaCap(fresh[left], fresh[right]) > 0 {
-					want += scanGates(2*(spilled+slots), view)
+					want += scanGates(2*slots, view)
 				}
 			}
 			if got := f.rt.Meter.Gates(mpc.OpTransform) - gates[mpc.OpTransform]; got != want {

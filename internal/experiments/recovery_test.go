@@ -10,6 +10,7 @@ import (
 
 	"incshrink/internal/core"
 	"incshrink/internal/sim"
+	"incshrink/internal/snapshot"
 	"incshrink/internal/workload"
 )
 
@@ -23,9 +24,10 @@ func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace, sim.Opt
 			return sim.RunKind(kind, cfg, tr, opts)
 		}
 		return sim.RunKindWithRestart(kind, cfg, tr, opts, k, func(e core.Engine) (core.Engine, error) {
-			fw := e.(*core.Framework)
 			var snap bytes.Buffer
-			if err := fw.Snapshot(&snap); err != nil {
+			enc := snapshot.NewEncoder(&snap)
+			e.(*core.Framework).EncodeState(enc)
+			if err := enc.Finish(); err != nil {
 				return nil, err
 			}
 			// A fresh engine stands in for a fresh process: nothing
@@ -34,7 +36,9 @@ func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace, sim.Opt
 			if err != nil {
 				return nil, err
 			}
-			if err := fresh.(*core.Framework).Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			dec := snapshot.NewDecoder(bytes.NewReader(snap.Bytes()))
+			fresh.(*core.Framework).DecodeState(dec)
+			if err := dec.Finish(); err != nil {
 				return nil, err
 			}
 			return fresh, nil

@@ -319,16 +319,18 @@ func (b *Buffer) gather(keys []sortKey) {
 // TightCompactInto obliviously packs the real slots of src into dst up to
 // cap slots (padding dst with dummies to exactly cap), appending real slots
 // beyond cap to overflow — possible only if the caller's bound was not a
-// true upper bound, so they are returned rather than dropped. dst and
-// overflow must have src's arity; both are appended to, not reset. It models
-// an order-insensitive oblivious compaction network (linear passes of
-// bit-controlled moves rather than a full sort), which its caller prices as
-// two linear passes at scan rate — mark+prefix-sum and controlled move —
-// which is what lets Transform tighten its exhaustively padded join output to
-// the public maximum-new-entries bound before caching without inflating its
-// cost profile. That delta compaction and cmd/benchmark's operator probe are
-// its callers; the carry's order-preserving retirement runs in the join's
-// scan instead (MergeJoinInto). The tail is padded with one bulk append. The
+// true upper bound — or dropping them when overflow is nil. Transform passes
+// nil: its delta cap is a truncation, like omega, and it counts the reals
+// dst did not take as lost. dst and overflow must have src's arity; both
+// are appended to, not reset. It models an order-insensitive oblivious
+// compaction network (linear passes of bit-controlled moves rather than a
+// full sort), which its caller prices as two linear passes at scan rate —
+// mark+prefix-sum and controlled move — which is what lets Transform
+// tighten its exhaustively padded join output to the public
+// maximum-new-entries bound before caching without inflating its cost
+// profile. That delta compaction and cmd/benchmark's operator probe are its
+// callers; the carry's order-preserving retirement runs in the join's scan
+// instead (MergeJoinInto). The tail is padded with one bulk append. The
 // three trailing arguments, once its meter, are ignored: cmd/benchmark's
 // probes, frozen until ROADMAP item 1, still pass them.
 func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, _ *mpc.Meter, _ mpc.Op, _ int) {
@@ -344,7 +346,7 @@ func TightCompactInto(src *Buffer, cap int, dst, overflow *Buffer, _ *mpc.Meter,
 		if packed < cap {
 			dst.AppendFrom(src, i)
 			packed++
-		} else {
+		} else if overflow != nil {
 			overflow.AppendFrom(src, i)
 		}
 	}

@@ -44,6 +44,14 @@ func TestTightCompactOverflow(t *testing.T) {
 			t.Error("overflow carries dummies")
 		}
 	}
+
+	// A nil overflow drops the reals past the cap: the same packed output.
+	src := bufferOf(es)
+	dst := NewBuffer(src.Arity(), 0)
+	TightCompactInto(src, 4, dst, nil, nil, 0, 0)
+	if got := entriesOf(dst); len(got) != 4 || countReal(got) != 4 || !table.MultisetEqual(realRowsOf(got), realRowsOf(out)) {
+		t.Errorf("nil overflow: %d slots, %d real, want the 4 the overflowing call packed", len(got), countReal(got))
+	}
 }
 
 func TestTightCompactEdgeCases(t *testing.T) {

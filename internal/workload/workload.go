@@ -86,8 +86,10 @@ type Config struct {
 	// RightDrivesPairs declares that (almost) every new join pair involves a
 	// newly uploaded right record — true for append-ordered temporal joins
 	// like TPC-ds Q1, where a return can only follow its sale. It lets
-	// Transform cap its padded output at omega * |new right| (rare
-	// late-shipped pairs ride the overflow carry).
+	// Transform cap its padded output at omega * |new right|: a declared
+	// cap whose breach is truncation, like omega's, so the rare pairs past
+	// it (a partner shipped after the right records it joins) are dropped
+	// and counted as lost.
 	RightDrivesPairs bool
 	Seed             int64
 }
