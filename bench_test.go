@@ -137,7 +137,7 @@ func BenchmarkAblationFlushPrune(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig(wl, benchParams.Seed)
 		cfg.T = 10
-		e, err := core.NewTimerEngine(cfg, wl)
+		e, err := core.NewTimerEngine(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -26,7 +26,6 @@ package incshrink
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"incshrink/internal/core"
 	"incshrink/internal/dp"
@@ -167,43 +166,6 @@ func (v ViewDef) withDefaults() ViewDef {
 	return v
 }
 
-// validate rejects definitions withDefaults cannot repair. withDefaults only
-// patches zero values, so negatives — which reach Open directly from a
-// hostile HTTP create body — must be refused, not passed to the engine.
-func (v ViewDef) validate() error {
-	switch {
-	case v.Within < 0:
-		return badArg("Within must be non-negative, got %d", v.Within)
-	case v.Omega < 0:
-		return badArg("Omega must be non-negative (0 means default), got %d", v.Omega)
-	case v.Budget < 0:
-		return badArg("Budget must be non-negative (0 means default), got %d", v.Budget)
-	}
-	return nil
-}
-
-// validate rejects options withDefaults cannot repair (zero means "use the
-// default"; negatives and non-finite values are errors).
-func (o Options) validate() error {
-	switch {
-	case o.Epsilon < 0 || math.IsNaN(o.Epsilon) || math.IsInf(o.Epsilon, 0):
-		return badArg("Epsilon must be positive and finite (0 means default), got %v", o.Epsilon)
-	case o.Protocol != SDPTimer && o.Protocol != SDPANT:
-		return badArg("unknown protocol %d", int(o.Protocol))
-	case o.T < 0:
-		return badArg("T must be non-negative (0 means default), got %d", o.T)
-	case o.Theta < 0 || math.IsNaN(o.Theta) || math.IsInf(o.Theta, 0):
-		return badArg("Theta must be non-negative and finite (0 means default), got %v", o.Theta)
-	case o.UploadEvery < 0:
-		return badArg("UploadEvery must be non-negative (0 means default), got %d", o.UploadEvery)
-	case o.MaxLeft < 0:
-		return badArg("MaxLeft must be non-negative (0 means default), got %d", o.MaxLeft)
-	case o.MaxRight < 0:
-		return badArg("MaxRight must be non-negative (0 means default), got %d", o.MaxRight)
-	}
-	return nil
-}
-
 // DB is a secure outsourced growing database with one materialized view.
 //
 // A DB is not safe for concurrent use: every method — including the
@@ -221,41 +183,24 @@ type DB struct {
 // Open creates a database for the given view definition. Definitions and
 // options that are malformed — negative bounds, unknown protocols, public
 // sizes past the engine's cap — are rejected with an error wrapping
-// ErrInvalidArgument.
+// ErrInvalidArgument. Zero means the default; whatever else a hostile HTTP
+// create body sends reaches core.Config.Validate, which owns the checks.
 func Open(def ViewDef, opts Options) (*DB, error) {
-	if err := def.validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
+	if opts.Protocol != SDPTimer && opts.Protocol != SDPANT {
+		return nil, badArg("unknown protocol %d", int(opts.Protocol))
 	}
 	def = def.withDefaults()
 	opts = opts.withDefaults()
-	wl := workload.Config{
-		Name:            "api",
-		Steps:           1 << 30, // open-ended horizon
-		UploadEvery:     opts.UploadEvery,
-		PairRate:        0,
-		MaxMultiplicity: def.Omega,
-		Within:          def.Within,
-		MaxLeft:         opts.MaxLeft,
-		MaxRight:        opts.MaxRight,
-		RightPublic:     def.RightPublic,
-		Seed:            opts.Seed,
-	}
-	cfg := core.DefaultConfig(wl, opts.Seed)
-	cfg.Epsilon = opts.Epsilon
-	cfg.Omega = def.Omega
-	cfg.Budget = def.Budget
-	cfg.T = opts.T
-	cfg.Theta = opts.Theta
-	cfg.MergeWindows = opts.MergeWindows
+	cfg := core.Config{Epsilon: opts.Epsilon, Omega: def.Omega, Budget: def.Budget, T: opts.T, Theta: opts.Theta,
+		MergeWindows: opts.MergeWindows, Seed: opts.Seed,
+		Shape: core.Shape{UploadEvery: opts.UploadEvery, Within: def.Within, MaxLeft: opts.MaxLeft,
+			MaxRight: opts.MaxRight, RightPublic: def.RightPublic}}
 	var fw *core.Framework
 	var err error
 	if opts.Protocol == SDPANT {
-		fw, err = core.NewANTEngine(cfg, wl)
+		fw, err = core.NewANTEngine(cfg)
 	} else {
-		fw, err = core.NewTimerEngine(cfg, wl)
+		fw, err = core.NewTimerEngine(cfg)
 	}
 	if err != nil {
 		// Everything the engine is built from derives from the caller's

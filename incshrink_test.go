@@ -22,12 +22,43 @@ func TestOpenDefaults(t *testing.T) {
 	}
 }
 
+// TestOpenValidation: a definition or options the engine's Config would
+// refuse is ErrInvalidArgument, one row per check of the public shape that
+// Open sets (zero means the default there, so the block sizes and the upload
+// period are refused when negative; Open declares no data rate).
 func TestOpenValidation(t *testing.T) {
-	if _, err := Open(ViewDef{Within: -1}, Options{}); err == nil {
-		t.Error("negative window accepted")
+	for _, c := range []struct {
+		name string
+		def  ViewDef
+		opts Options
+	}{
+		{"negative window", ViewDef{Within: -1}, Options{}},
+		{"negative epsilon", ViewDef{Within: 5}, Options{Epsilon: -2}},
+		{"negative upload period", ViewDef{Within: 5}, Options{UploadEvery: -1}},
+		{"negative left block", ViewDef{Within: 5}, Options{MaxLeft: -1}},
+		{"negative right block", ViewDef{Within: 5}, Options{MaxRight: -1}},
+	} {
+		if _, err := Open(c.def, c.opts); !errors.Is(err, ErrInvalidArgument) {
+			t.Errorf("%s: Open error %v, want ErrInvalidArgument", c.name, err)
+		}
 	}
-	if _, err := Open(ViewDef{Within: 5}, Options{Epsilon: -2}); err == nil {
-		t.Error("negative epsilon accepted")
+}
+
+// TestOpenSpillsWithoutRate pins the upkeep rule of an engine Open builds: it
+// declares no data rate, so each view update spills max(omega, 2) slots, not
+// the ceil(Theta/4)+1 = 9 of a declared rate. With no data and a noise scale
+// of 1e-8 every DP fetch is empty, so the view holds the spills alone.
+func TestOpenSpillsWithoutRate(t *testing.T) {
+	for omega, spill := range map[int]int{1: 2, 3: 3} {
+		db := mustOpen(t, ViewDef{Within: 3, Omega: omega}, Options{Epsilon: 1e9, T: 1, MaxLeft: 4, MaxRight: 4, Seed: 5})
+		for range 5 {
+			if err := db.Advance(nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := db.Stats(); st.Updates != 4 || st.ViewSlots != 4*spill {
+			t.Errorf("omega %d: %d view slots after %d updates, want %d", omega, st.ViewSlots, st.Updates, 4*spill)
+		}
 	}
 }
 

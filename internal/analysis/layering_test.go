@@ -103,6 +103,51 @@ func TestReplaySeamTestOnly(t *testing.T) {
 	}
 }
 
+// TestWorkloadConfigStaysInTheGenerator: an engine is built from core.Config
+// alone — what a deployment chooses and the Shape it declares — so the trace
+// generator's configuration is read only by the generator, by the simulator
+// and experiments that run its traces, by the commands and by core's paper
+// preset (internal/core/preset.go). A non-test expression of type
+// workload.Config anywhere else — a field, a parameter, a call — fails.
+func TestWorkloadConfigStaysInTheGenerator(t *testing.T) {
+	fset, units := loadModule(t)
+	allowed := func(file string) bool {
+		rel, err := filepath.Rel(moduleRoot, file)
+		rel = filepath.ToSlash(rel)
+		return err == nil && (rel == "internal/core/preset.go" || strings.HasPrefix(rel, "cmd/") ||
+			strings.HasPrefix(rel, "internal/workload/") || strings.HasPrefix(rel, "internal/sim/") ||
+			strings.HasPrefix(rel, "internal/experiments/"))
+	}
+	isConfig := func(tp types.Type) bool {
+		n, ok := tp.(*types.Named)
+		return ok && n.Obj().Name() == "Config" && n.Obj().Pkg().Path() == ModulePath+"/internal/workload"
+	}
+	found := false
+	for _, u := range units {
+		for _, f := range u.Files {
+			name := fset.Position(f.Pos()).Filename
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				e, ok := n.(ast.Expr)
+				if !ok || !isConfig(u.Info.Types[e].Type) {
+					return true
+				}
+				if allowed(name) {
+					found = true
+				} else {
+					t.Errorf("%s: a workload.Config outside the generator's packages: build the engine from core.Config", fset.Position(e.Pos()))
+				}
+				return false
+			})
+		}
+	}
+	if !found {
+		t.Fatal("no non-test file uses workload.Config: the guard no longer finds the type")
+	}
+}
+
 // TestOperatorsDoNotMeter: internal/core's price list is the one place the
 // data plane is priced. The operators of internal/oblivious and the cache of
 // internal/securearray execute and never charge, so no non-test file there

@@ -7,17 +7,16 @@ import (
 
 // NewEPEngine builds the exhaustive-padding baseline of Section 7: the view
 // is updated at every upload with the maximally padded Transform output — no
-// DP, no cache, no truncation (the bound is the workload's maximum
+// DP, no cache, no truncation (the bound is the streams' maximum
 // multiplicity, so no real entry is ever dropped). Queries are exact but must
 // scan a view that is almost entirely dummy slots, which is what makes EP
 // slow.
-func NewEPEngine(cfg Config, wl workload.Config) (*Framework, error) {
+func NewEPEngine(cfg Config, multiplicity int) (*Framework, error) {
 	// EP reuses the Transform machinery with an un-truncating bound and a
 	// pass-through Shrink that moves every cached slot straight to the view
 	// (it never flushes or prunes: those belong to the DP protocols).
-	cfg.Omega = wl.MaxMultiplicity
-	cfg.Budget = 0 // unlimited: EP provides no DP guarantee
-	f, err := New(cfg, wl, &passthroughShrink{})
+	cfg.Omega, cfg.Budget = multiplicity, 0 // an unlimited budget: EP provides no DP guarantee
+	f, err := New(cfg, &passthroughShrink{})
 	if err != nil {
 		return nil, err
 	}
@@ -49,11 +48,10 @@ type OTM struct {
 	materialized bool
 }
 
-// NewOTMEngine builds the OTM baseline.
-func NewOTMEngine(cfg Config, wl workload.Config) (*OTM, error) {
-	cfg.Omega = wl.MaxMultiplicity
-	cfg.Budget = 0
-	f, err := New(cfg, wl, &noopShrink{})
+// NewOTMEngine builds the OTM baseline, untruncated like EP.
+func NewOTMEngine(cfg Config, multiplicity int) (*OTM, error) {
+	cfg.Omega, cfg.Budget = multiplicity, 0
+	f, err := New(cfg, &noopShrink{})
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +94,8 @@ func (o *OTM) Name() string { return "OTM" }
 // cost of sorting and scanning the complete data, which is what produces the
 // paper's 7,800x-1.5e5x gaps.
 type NM struct {
-	wl    workload.Config
-	meter *mpc.Meter
+	multiplicity int
+	meter        *mpc.Meter
 
 	rows      int // tuples outsourced so far, both relations
 	truth     int
@@ -105,12 +103,13 @@ type NM struct {
 	querySecs float64
 }
 
-// NewNMEngine builds the NM baseline.
-func NewNMEngine(cfg Config, wl workload.Config) (*NM, error) {
-	if err := wl.Validate(); err != nil {
+// NewNMEngine builds the NM baseline, whose join is untruncated like EP's.
+func NewNMEngine(cfg Config, multiplicity int) (*NM, error) {
+	cfg.Omega, cfg.Budget = multiplicity, 0
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &NM{wl: wl, meter: mpc.NewMeter(mpc.DefaultCostModel())}, nil
+	return &NM{multiplicity: multiplicity, meter: mpc.NewMeter(mpc.DefaultCostModel())}, nil
 }
 
 // Step implements Engine: outsourced data just accumulates.
@@ -125,7 +124,7 @@ func (n *NM) Query() (int, float64) {
 	// One oblivious sort of the unioned relations on the join key, followed
 	// by the truncated scan emitting maxMultiplicity slots per tuple — the
 	// Transform join's price, over the entire history and nothing carried.
-	priceJoin(n.meter, mpc.OpQuery, 0, n.rows, n.wl.MaxMultiplicity)
+	priceJoin(n.meter, mpc.OpQuery, 0, n.rows, n.multiplicity)
 	qet := n.meter.Seconds(mpc.OpQuery) - before
 	n.queries++
 	n.querySecs += qet

@@ -100,9 +100,9 @@ func (s *stream) retire(blocks []uploadBlock, omega int, within int64) {
 // Pad keys ascend as they are minted, so the keys are already in join order.
 func (f *Framework) prefill() {
 	for j := f.str[left].keep; j >= 1; j-- {
-		b := []uploadBlock{f.admit(f.wl.UploadEvery - 1 - j*f.wl.UploadEvery)}
+		b := []uploadBlock{f.admit(f.cfg.Shape.UploadEvery - 1 - j*f.cfg.Shape.UploadEvery)}
 		for s := range f.str {
-			f.str[s].retire(b, f.cfg.Omega, f.wl.Within)
+			f.str[s].retire(b, f.cfg.Omega, f.cfg.Shape.Within)
 		}
 	}
 }

@@ -61,10 +61,15 @@ func TestBudgetTrackerUnlimited(t *testing.T) {
 // multiplicity 1, default budget 10) with the given join window and block
 // size; windowStep feeds it four joining pairs per step.
 func windowEngine(t testing.TB, within int64, blockSize int) *Framework {
+	return windowEngineOf(t, Shape{UploadEvery: 1, Within: within, MaxLeft: blockSize, MaxRight: blockSize})
+}
+
+// windowEngineOf builds an sDPTimer engine of the given Shape with
+// incshrink.Open's default epsilon, omega, budget and theta, updating the
+// view every step.
+func windowEngineOf(t testing.TB, sh Shape) *Framework {
 	t.Helper()
-	wl := workload.Config{Name: "api", Steps: 1 << 30, UploadEvery: 1, MaxMultiplicity: 1,
-		Within: within, MaxLeft: blockSize, MaxRight: blockSize}
-	f, err := NewTimerEngine(DefaultConfig(wl, 1), wl)
+	f, err := NewTimerEngine(Config{Epsilon: 1.5, Omega: 1, Budget: 10, T: 1, Theta: 30, Seed: 1, Shape: sh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +209,7 @@ func TestWindowLifecycleDoesNotLeak(t *testing.T) {
 func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 	limited := func() *Framework { return windowEngine(t, 3, 4) }
 	public := func() *Framework {
-		wl := workload.Config{Name: "api", Steps: 1 << 30, UploadEvery: 1, MaxMultiplicity: 1,
-			Within: 3, MaxLeft: 4, MaxRight: 4, RightPublic: true}
-		f, err := NewTimerEngine(DefaultConfig(wl, 1), wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+		return windowEngineOf(t, Shape{UploadEvery: 1, Within: 3, MaxLeft: 4, MaxRight: 4, RightPublic: true})
 	}
 	const now = 6 // the engine has run steps 0 to 5
 	stateOf := func(f *Framework) carryState {

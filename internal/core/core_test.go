@@ -65,6 +65,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Theta = -1 },
 		func(c *Config) { c.Theta = math.NaN() },
 		func(c *Config) { c.Theta = math.Inf(1) },
+		func(c *Config) { c.T = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(wl, 1)
@@ -95,20 +96,49 @@ func TestDefaultConfigPerWorkload(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadInputs: New refuses a nil Shrink protocol and every
+// configuration Validate refuses, one row per Shape check among them.
 func TestNewRejectsBadInputs(t *testing.T) {
-	wl := workload.TPCDS(100, 1)
-	cfg := DefaultConfig(wl, 1)
-	if _, err := New(cfg, wl, nil); err == nil {
+	good := DefaultConfig(workload.TPCDS(100, 1), 1)
+	if _, err := New(good, nil); err == nil {
 		t.Error("nil shrinker accepted")
 	}
-	cfg.Epsilon = -1
-	if _, err := New(cfg, wl, &Timer{}); err == nil {
-		t.Error("invalid config accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"negative epsilon", func(c *Config) { c.Epsilon = -1 }},
+		{"upload every 0", func(c *Config) { c.Shape.UploadEvery = 0 }},
+		{"negative window", func(c *Config) { c.Shape.Within = -1 }},
+		{"max left 0", func(c *Config) { c.Shape.MaxLeft = 0 }},
+		{"max right 0", func(c *Config) { c.Shape.MaxRight = 0 }},
+		{"negative pair rate", func(c *Config) { c.Shape.PairRate = -1 }},
+		{"NaN pair rate", func(c *Config) { c.Shape.PairRate = math.NaN() }},
+		{"+Inf pair rate", func(c *Config) { c.Shape.PairRate = math.Inf(1) }},
+		{"-Inf pair rate", func(c *Config) { c.Shape.PairRate = math.Inf(-1) }},
+	} {
+		cfg := good
+		c.edit(&cfg)
+		if _, err := New(cfg, &Timer{}); err == nil {
+			t.Errorf("%s: invalid config accepted", c.name)
+		}
 	}
-	cfg = DefaultConfig(wl, 1)
-	wl.Steps = 0
-	if _, err := New(cfg, wl, &Timer{}); err == nil {
-		t.Error("invalid workload accepted")
+}
+
+// TestMatchPredicate: the view's temporal predicate keeps a pair whose right
+// event falls within the window after its left event, and no other.
+func TestMatchPredicate(t *testing.T) {
+	match := withinWindow(10)
+	rec := func(key, tm int64) oblivious.Record { return oblivious.Record{ID: key, Row: []int64{key, tm}} }
+	l := rec(1, 100)
+	if !match(l, rec(1, 105)) || !match(l, rec(1, 110)) {
+		t.Error("in-window pair rejected")
+	}
+	if match(l, rec(1, 111)) {
+		t.Error("out-of-window pair accepted")
+	}
+	if match(l, rec(1, 95)) {
+		t.Error("right-before-left pair accepted")
 	}
 }
 
@@ -116,9 +146,9 @@ func TestNewRejectsBadInputs(t *testing.T) {
 // window of MaxInt64 steps does not overflow. The budget bounds it, or
 // nothing does and it is MaxInt.
 func TestInvocationsPerRecordSaturates(t *testing.T) {
-	wl := workload.Config{Within: math.MaxInt64, UploadEvery: 1}
+	sh := Shape{Within: math.MaxInt64, UploadEvery: 1}
 	for _, c := range []struct{ budget, want int }{{10, 10}, {0, math.MaxInt}} {
-		if got := invocationsPerRecord(Config{Omega: 1, Budget: c.budget}, wl); got != c.want {
+		if got := invocationsPerRecord(Config{Omega: 1, Budget: c.budget, Shape: sh}); got != c.want {
 			t.Errorf("budget %d: %d invocations per record, want %d", c.budget, got, c.want)
 		}
 	}
@@ -128,48 +158,49 @@ func TestInvocationsPerRecordSaturates(t *testing.T) {
 // would pass maxJoinRows is refused before New pads its carry, whichever
 // factor is large, and one at the cap is built.
 func TestNewRefusesOversizedDeployments(t *testing.T) {
-	base := workload.TPCDS(100, 1)
-	width := base.MaxLeft + base.MaxRight
+	base := DefaultConfig(workload.TPCDS(100, 1), 1)
+	width := base.Shape.MaxLeft + base.Shape.MaxRight
 	for _, c := range []struct {
 		name string
-		edit func(*Config, *workload.Config)
+		edit func(*Config)
 		ok   bool
 	}{
-		{"unbounded window", func(c *Config, wl *workload.Config) { c.Budget, wl.Within = 0, math.MaxInt64 }, false},
-		{"window and budget", func(c *Config, wl *workload.Config) { c.Budget, wl.Within = 1<<40, 1<<40 }, false},
-		{"block", func(c *Config, wl *workload.Config) { wl.MaxLeft = 1 << 40 }, false},
-		{"omega", func(c *Config, wl *workload.Config) { c.Omega, c.Budget = maxJoinRows/width+1, maxJoinRows/width+1 }, false},
-		{"omega at the cap", func(c *Config, wl *workload.Config) { c.Omega, c.Budget = maxJoinRows/width, maxJoinRows/width }, true},
+		{"unbounded window", func(c *Config) { c.Budget, c.Shape.Within = 0, math.MaxInt64 }, false},
+		{"window and budget", func(c *Config) { c.Budget, c.Shape.Within = 1<<40, 1<<40 }, false},
+		{"block", func(c *Config) { c.Shape.MaxLeft = 1 << 40 }, false},
+		{"omega", func(c *Config) { c.Omega, c.Budget = maxJoinRows/width+1, maxJoinRows/width+1 }, false},
+		{"omega at the cap", func(c *Config) { c.Omega, c.Budget = maxJoinRows/width, maxJoinRows/width }, true},
 	} {
-		cfg, wl := DefaultConfig(base, 1), base
-		c.edit(&cfg, &wl)
-		_, err := New(cfg, wl, &Timer{})
+		cfg := base
+		c.edit(&cfg)
+		_, err := New(cfg, &Timer{})
 		if (err == nil) != c.ok {
 			t.Errorf("%s: New error %v, want ok=%t", c.name, err, c.ok)
 		}
 	}
 }
 
-// TestSpillBound pins the derived spill: with a data rate it follows Theta,
-// so it is 9 at the default Theta = 30 on both generators wherever Figure 5
-// (epsilon) and Figure 7 (T) move the other parameters; without one it is
-// max(omega, 2).
+// TestSpillBound pins the derived spill: with a declared data rate
+// (Shape.PairRate) it follows Theta, so it is 9 at the default Theta = 30 on
+// both generators' presets wherever Figure 5 (epsilon) and Figure 7 (T) move
+// the other parameters; a Shape that declares no rate spills max(omega, 2).
 func TestSpillBound(t *testing.T) {
 	for _, wl := range []workload.Config{workload.TPCDS(100, 1), workload.CPDB(100, 1)} {
 		for _, T := range []int{1, 2, 5, 10, 20, 50, 100} {
 			for _, eps := range []float64{0.01, 0.05, 0.1, 0.5, 1, 1.5, 5, 10, 50} {
 				cfg := DefaultConfig(wl, 1)
 				cfg.T, cfg.Epsilon = T, eps
-				if got := spillBound(cfg, wl); got != 9 {
+				if got := spillBound(cfg); got != 9 {
 					t.Errorf("%s T=%d eps=%g: spill %d, want 9", wl.Name, T, eps, got)
 				}
 			}
 		}
 	}
-	open := workload.TPCDS(100, 1)
-	open.PairRate = 0
+	open := DefaultConfig(workload.TPCDS(100, 1), 1)
+	open.Shape.PairRate = 0
 	for omega, want := range map[int]int{1: 2, 2: 2, 3: 3, 10: 10} {
-		if got := spillBound(Config{Omega: omega, Theta: 30}, open); got != want {
+		open.Omega = omega
+		if got := spillBound(open); got != want {
 			t.Errorf("no data rate, omega %d: spill %d, want %d", omega, got, want)
 		}
 	}
@@ -180,7 +211,7 @@ func TestTimerEndToEndTPCDS(t *testing.T) {
 	tr := mustTrace(t, wlCfg)
 	cfg := DefaultConfig(wlCfg, 42)
 	cfg.T = 10
-	f, err := NewTimerEngine(cfg, wlCfg)
+	f, err := NewTimerEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +238,7 @@ func TestANTEndToEndTPCDS(t *testing.T) {
 	wlCfg := workload.TPCDS(400, 42)
 	tr := mustTrace(t, wlCfg)
 	cfg := DefaultConfig(wlCfg, 42)
-	f, err := NewANTEngine(cfg, wlCfg)
+	f, err := NewANTEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +265,7 @@ func TestTimerEndToEndCPDB(t *testing.T) {
 	wlCfg := workload.CPDB(300, 7)
 	tr := mustTrace(t, wlCfg)
 	cfg := DefaultConfig(wlCfg, 7)
-	f, err := NewTimerEngine(cfg, wlCfg)
+	f, err := NewTimerEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +287,13 @@ func TestConservation(t *testing.T) {
 		func() (Engine, *workload.Trace) {
 			wl := workload.TPCDS(300, 9)
 			tr := mustTrace(t, wl)
-			f, _ := NewTimerEngine(DefaultConfig(wl, 9), wl)
+			f, _ := NewTimerEngine(DefaultConfig(wl, 9))
 			return f, tr
 		},
 		func() (Engine, *workload.Trace) {
 			wl := workload.CPDB(300, 9)
 			tr := mustTrace(t, wl)
-			f, _ := NewANTEngine(DefaultConfig(wl, 9), wl)
+			f, _ := NewANTEngine(DefaultConfig(wl, 9))
 			return f, tr
 		},
 	} {
@@ -283,7 +314,7 @@ func TestConservation(t *testing.T) {
 func TestCreatedNeverExceedsTruth(t *testing.T) {
 	wl := workload.TPCDS(300, 11)
 	tr := mustTrace(t, wl)
-	f, _ := NewTimerEngine(DefaultConfig(wl, 11), wl)
+	f, _ := NewTimerEngine(DefaultConfig(wl, 11))
 	truth := 0
 	for _, st := range tr.Steps {
 		f.Step(st)
@@ -305,7 +336,7 @@ func TestTimerLeakageSchedule(t *testing.T) {
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 13)
 	cfg.T = 10
-	f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
+	f, real0, _ := newRecorded(t, cfg, &Timer{})
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
@@ -328,7 +359,7 @@ func TestBatchSizesDataIndependent(t *testing.T) {
 		wl := workload.TPCDS(150, seed)
 		tr := mustTrace(t, wl)
 		cfg := DefaultConfig(wl, 99) // same protocol seed: same noise draws
-		f, _, real1 := newRecorded(t, cfg, wl, &Timer{})
+		f, _, real1 := newRecorded(t, cfg, &Timer{})
 		for _, st := range tr.Steps {
 			f.Step(st)
 		}
@@ -352,7 +383,7 @@ func TestFetchSizesAreNoisy(t *testing.T) {
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 17)
 	cfg.T = 10
-	f, real0, _ := newRecorded(t, cfg, wl, &Timer{})
+	f, real0, _ := newRecorded(t, cfg, &Timer{})
 	truthPerInterval := make(map[int]int)
 	acc := 0
 	for _, st := range tr.Steps {
@@ -388,7 +419,7 @@ func TestFetchSizesAreNoisy(t *testing.T) {
 // kernel's over the view's columns.
 func TestQueryChargesFullWidthScan(t *testing.T) {
 	wl := workload.TPCDS(120, 29)
-	f, _ := NewTimerEngine(DefaultConfig(wl, 29), wl)
+	f, _ := NewTimerEngine(DefaultConfig(wl, 29))
 	for _, st := range mustTrace(t, wl).Steps {
 		f.Step(st)
 	}
@@ -436,7 +467,7 @@ func TestBudgetLifetimeContribution(t *testing.T) {
 			if c.omega > 0 {
 				cfg.Omega, cfg.Budget = c.omega, c.budget
 			}
-			f, err := NewTimerEngine(cfg, c.wl)
+			f, err := NewTimerEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -484,7 +515,7 @@ func TestDeterministicRuns(t *testing.T) {
 	wl := workload.TPCDS(150, 23)
 	tr := mustTrace(t, wl)
 	results := func() []float64 {
-		f, _ := NewTimerEngine(DefaultConfig(wl, 23), wl)
+		f, _ := NewTimerEngine(DefaultConfig(wl, 23))
 		return run(t, f, tr)
 	}
 	a, b := results(), results()
@@ -498,7 +529,7 @@ func TestDeterministicRuns(t *testing.T) {
 func TestEPBaselineExact(t *testing.T) {
 	wl := workload.TPCDS(300, 29)
 	tr := mustTrace(t, wl)
-	e, err := NewEPEngine(DefaultConfig(wl, 29), wl)
+	e, err := NewEPEngine(DefaultConfig(wl, 29), wl.MaxMultiplicity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +549,7 @@ func TestEPBaselineExact(t *testing.T) {
 func TestOTMBaselineFrozen(t *testing.T) {
 	wl := workload.TPCDS(300, 31)
 	tr := mustTrace(t, wl)
-	e, err := NewOTMEngine(DefaultConfig(wl, 31), wl)
+	e, err := NewOTMEngine(DefaultConfig(wl, 31), wl.MaxMultiplicity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +571,7 @@ func TestOTMBaselineFrozen(t *testing.T) {
 func TestNMBaselineExactAndSlow(t *testing.T) {
 	wl := workload.TPCDS(300, 37)
 	tr := mustTrace(t, wl)
-	nm, err := NewNMEngine(DefaultConfig(wl, 37), wl)
+	nm, err := NewNMEngine(DefaultConfig(wl, 37), wl.MaxMultiplicity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +581,7 @@ func TestNMBaselineExactAndSlow(t *testing.T) {
 	}
 	// NM QET grows with history; final queries dominate.
 	m := nm.Metrics()
-	timer, _ := NewTimerEngine(DefaultConfig(wl, 37), wl)
+	timer, _ := NewTimerEngine(DefaultConfig(wl, 37))
 	terrs := run(t, timer, tr)
 	_ = terrs
 	if meanQET(m) < 100*meanQET(timer.Metrics()) {
@@ -562,23 +593,23 @@ func TestNMBaselineExactAndSlow(t *testing.T) {
 func TestEngineNames(t *testing.T) {
 	wl := workload.TPCDS(50, 1)
 	cfg := DefaultConfig(wl, 1)
-	f, _ := NewTimerEngine(cfg, wl)
+	f, _ := NewTimerEngine(cfg)
 	if f.Name() != "DP-Timer" {
 		t.Errorf("timer name %q", f.Name())
 	}
-	a, _ := NewANTEngine(cfg, wl)
+	a, _ := NewANTEngine(cfg)
 	if a.Name() != "DP-ANT" {
 		t.Errorf("ant name %q", a.Name())
 	}
-	ep, _ := NewEPEngine(cfg, wl)
+	ep, _ := NewEPEngine(cfg, wl.MaxMultiplicity)
 	if ep.Name() != "EP" {
 		t.Errorf("ep name %q", ep.Name())
 	}
-	otm, _ := NewOTMEngine(cfg, wl)
+	otm, _ := NewOTMEngine(cfg, wl.MaxMultiplicity)
 	if otm.Name() != "OTM" {
 		t.Errorf("otm name %q", otm.Name())
 	}
-	nm, _ := NewNMEngine(cfg, wl)
+	nm, _ := NewNMEngine(cfg, wl.MaxMultiplicity)
 	if nm.Name() != "NM" {
 		t.Errorf("nm name %q", nm.Name())
 	}
@@ -590,7 +621,7 @@ func TestPruneKeepsErrorBounded(t *testing.T) {
 	wl := workload.TPCDS(400, 41)
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 41)
-	f, _ := NewTimerEngine(cfg, wl)
+	f, _ := NewTimerEngine(cfg)
 	peak := 0
 	for _, st := range tr.Steps {
 		f.Step(st)
@@ -615,9 +646,9 @@ func TestTimerVsANTSparseBurst(t *testing.T) {
 		cfg.T = 10
 		var e Engine
 		if ant {
-			e, _ = NewANTEngine(cfg, wl)
+			e, _ = NewANTEngine(cfg)
 		} else {
-			e, _ = NewTimerEngine(cfg, wl)
+			e, _ = NewTimerEngine(cfg)
 		}
 		return mean(run(t, e, tr))
 	}
@@ -636,7 +667,7 @@ func BenchmarkTimerStepTPCDS(b *testing.B) {
 	tr, _ := workload.Generate(wl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _ := NewTimerEngine(DefaultConfig(wl, 99), wl)
+		f, _ := NewTimerEngine(DefaultConfig(wl, 99))
 		for _, st := range tr.Steps {
 			f.Step(st)
 		}
@@ -651,7 +682,7 @@ func BenchmarkTimerStepTPCDS(b *testing.B) {
 // run itself must show up as replays.
 func TestComparatorCacheGaugesAfterWarmANT(t *testing.T) {
 	wl := workload.CPDB(600, 7)
-	f, err := NewANTEngine(DefaultConfig(wl, 7), wl)
+	f, err := NewANTEngine(DefaultConfig(wl, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -777,9 +808,9 @@ func TestCachedDeltasAreRealFirst(t *testing.T) {
 	for _, wl := range []workload.Config{workload.TPCDS(200, 7), workload.CPDB(200, 7)} {
 		for _, ant := range []bool{false, true} {
 			cfg := DefaultConfig(wl, 7)
-			f, err := NewTimerEngine(cfg, wl)
+			f, err := NewTimerEngine(cfg)
 			if ant {
-				f, err = NewANTEngine(cfg, wl)
+				f, err = NewANTEngine(cfg)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -18,8 +18,9 @@ import (
 )
 
 // Config carries the IncShrink deployment parameters of Section 7: only what
-// a deployment chooses. New derives the rest — the prune and spill bounds,
-// the cost model — and the baselines' constructors set their own.
+// a deployment chooses and the Shape it declares. New derives the rest — the
+// prune and spill bounds, the cost model — and the baselines' constructors
+// set their own.
 type Config struct {
 	// Epsilon is the per-update-stream privacy budget (default 1.5).
 	Epsilon float64
@@ -31,46 +32,35 @@ type Config struct {
 	T int
 	// Theta is the sDPANT synchronization threshold.
 	Theta float64
-	// MergeWindows selects segment boundaries in StepBatch — where the queued
-	// upload blocks get their Transform — and nothing else. Off (the default),
-	// every step ends a segment: one Transform per upload block, and results
-	// are byte-identical however the steps are cut into calls. On, a segment
-	// runs to the next Shrink observation point (its cache flushes included)
-	// or the end of the call, and
-	// its k blocks share ONE Transform — sorted together and merged into the
-	// carry once, instead of k sorts, merges and compactions. That preserves
-	// count trajectories on single-contribution streams and keeps the meter
-	// honest (charges follow the sizes that ran), but a k > 1 segment charges
-	// fewer gates, emits one batch event instead of k, and applies the omega
-	// truncation per segment rather than per block. See DESIGN.md §12.
+	// MergeWindows lets the upload blocks between two Shrink observation
+	// points share one Transform; it selects StepBatch's segment boundaries
+	// and nothing else (see StepBatch and DESIGN.md §12).
 	MergeWindows bool
 	// Seed drives all protocol randomness.
 	Seed int64
+	// Shape is the deployment's public shape.
+	Shape Shape
 }
 
-// DefaultConfig returns the paper's default setting for a workload: eps=1.5,
-// theta=30, T = floor(30 / mean entries per step), and the dataset-specific
-// omega and b of Section 7 (omega=1,b=10 for multiplicity-1 workloads;
-// omega=10,b=20 otherwise). The paper's flush parameters f=2000 and s=15 are
-// the Shrink protocols' constants (FlushEvery, FlushSize).
-func DefaultConfig(wl workload.Config, seed int64) Config {
-	cfg := Config{
-		Epsilon: 1.5,
-		Theta:   30,
-		Seed:    seed,
-	}
-	if wl.MaxMultiplicity <= 1 {
-		cfg.Omega, cfg.Budget = 1, 10
-	} else {
-		cfg.Omega, cfg.Budget = 10, 20
-	}
-	if wl.PairRate > 0 {
-		cfg.T = int(math.Floor(cfg.Theta / wl.PairRate))
-	}
-	if cfg.T < 1 {
-		cfg.T = 1
-	}
-	return cfg
+// Shape is what a deployment declares about its data: by Theorems 7/8 the
+// servers learn only these public sizes and the DP releases.
+type Shape struct {
+	// UploadEvery is the owners' upload period in steps (1 = daily).
+	UploadEvery int
+	// Within is the view's temporal join window in steps (withinWindow).
+	Within int64
+	// MaxLeft and MaxRight are the upload block sizes every upload is padded to.
+	MaxLeft, MaxRight int
+	// RightPublic marks the right relation as public (the CPDB Award table):
+	// its records are not padded and carry no contribution budget.
+	RightPublic bool
+	// RightDrivesPairs declares that (almost) every new join pair involves a
+	// newly uploaded right record, which caps a Transform's delta at
+	// omega * |new right|: a cap whose breach is truncation, like omega's.
+	RightDrivesPairs bool
+	// PairRate is a declared mean of new view entries per step, 0 for none;
+	// only spillBound reads it.
+	PairRate float64
 }
 
 // spillBound sizes the per-update deferred-data spill: the slots each view
@@ -81,10 +71,10 @@ func DefaultConfig(wl workload.Config, seed int64) Config {
 // no longer growing with the horizon, at the cost of at most that many dummy
 // view slots per update. With a data rate it is about a quarter of one
 // update's expected new entries, and Section 7 sizes that volume as Theta
-// (T = Theta / rate), so the spill follows Theta, not T. An open-ended
-// deployment has no rate and spills max(omega, 2).
-func spillBound(cfg Config, wl workload.Config) int {
-	if wl.PairRate > 0 {
+// (T = Theta / rate), so the spill follows Theta, not T. A deployment that
+// declares no rate spills max(omega, 2).
+func spillBound(cfg Config) int {
+	if cfg.Shape.PairRate > 0 {
 		return int(math.Ceil(cfg.Theta/4)) + 1
 	}
 	return max(cfg.Omega, 2)
@@ -93,7 +83,7 @@ func spillBound(cfg Config, wl workload.Config) int {
 // pruneBound computes the public cache length the incremental prune keeps:
 // the Theorem-4 deferred-data bound for the configured epsilon/budget plus
 // two padded batches of headroom.
-func pruneBound(cfg Config, wl workload.Config) int {
+func pruneBound(cfg Config) int {
 	// Deferred-data bound (Theorem 4) over a short horizon of 8 updates at
 	// beta 0.05, plus two padded batches of headroom: beyond this length the
 	// sorted cache tail is dummy with high probability. An unlimited Budget
@@ -102,9 +92,9 @@ func pruneBound(cfg Config, wl workload.Config) int {
 	if err != nil {
 		alpha = 0
 	}
-	batch := cfg.Omega * (wl.MaxLeft + wl.MaxRight)
-	if wl.RightDrivesPairs {
-		batch = cfg.Omega * wl.MaxRight
+	batch := cfg.Omega * (cfg.Shape.MaxLeft + cfg.Shape.MaxRight)
+	if cfg.Shape.RightDrivesPairs {
+		batch = cfg.Omega * cfg.Shape.MaxRight
 	}
 	return int(alpha) + batch
 }
@@ -116,10 +106,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Epsilon must be positive and finite, got %v", c.Epsilon)
 	case !(c.Theta >= 0) || math.IsInf(c.Theta, 0):
 		return fmt.Errorf("core: Theta must be non-negative and finite, got %v", c.Theta)
+	case c.T < 0:
+		return fmt.Errorf("core: T must be non-negative, got %d", c.T)
 	case c.Omega < 1:
 		return fmt.Errorf("core: Omega must be at least 1, got %d", c.Omega)
 	case c.Budget != 0 && c.Budget < c.Omega:
 		return fmt.Errorf("core: Budget %d below Omega %d would retire records before first use", c.Budget, c.Omega)
+	case c.Shape.UploadEvery < 1:
+		return fmt.Errorf("core: UploadEvery must be positive, got %d", c.Shape.UploadEvery)
+	case c.Shape.Within < 0:
+		return fmt.Errorf("core: Within must be non-negative, got %d", c.Shape.Within)
+	case c.Shape.MaxLeft < 1 || c.Shape.MaxRight < 1:
+		return fmt.Errorf("core: block sizes must be positive, got %d/%d", c.Shape.MaxLeft, c.Shape.MaxRight)
+	case !(c.Shape.PairRate >= 0) || math.IsInf(c.Shape.PairRate, 0):
+		return fmt.Errorf("core: PairRate must be non-negative and finite, got %v", c.Shape.PairRate)
 	}
 	return nil
 }
@@ -174,7 +174,6 @@ func safeDiv(a, b float64) float64 {
 // two-server MPC runtime.
 type Framework struct {
 	cfg Config
-	wl  workload.Config
 	rt  *mpc.Runtime
 
 	cache *securearray.Cache
@@ -230,21 +229,18 @@ type Framework struct {
 // step takes ≈ 20 ms and 8 MB (2^20 rows took ≈ 1 s and 266 MB).
 const maxJoinRows = 1 << 15
 
-// New builds an IncShrink engine for a workload with the given Shrink
+// New builds an IncShrink engine for a deployment with the given Shrink
 // protocol.
-func New(cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
-	return newOn(mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed), cfg, wl, shrink)
+func New(cfg Config, shrink Shrinker) (*Framework, error) {
+	return newOn(mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed), cfg, shrink)
 }
 
 // newOn is New over a runtime the caller built from the default cost model
 // and cfg's seed. Construction already shares the counter (and sDPANT its
 // first threshold), so the leakage tests, which must see a party's transcript
 // from its first event, attach their recorders to rt before handing it over.
-func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*Framework, error) {
+func newOn(rt *mpc.Runtime, cfg Config, shrink Shrinker) (*Framework, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := wl.Validate(); err != nil {
 		return nil, err
 	}
 	if shrink == nil {
@@ -255,23 +251,23 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 	// first, so the Transform input — and therefore its cost and its padded
 	// output — is data-independent. They are allocated in full whatever the
 	// data, the carry before New returns, so they are bounded first.
-	inv := invocationsPerRecord(cfg, wl)
-	width := wl.MaxLeft + wl.MaxRight
-	if wl.MaxLeft > maxJoinRows || wl.MaxRight > maxJoinRows ||
+	sh := cfg.Shape
+	inv := invocationsPerRecord(cfg)
+	width := sh.MaxLeft + sh.MaxRight
+	if sh.MaxLeft > maxJoinRows || sh.MaxRight > maxJoinRows ||
 		inv > maxJoinRows/width || cfg.Omega > maxJoinRows/(inv*width) {
 		return nil, fmt.Errorf("core: a padded join output of omega %d × %d blocks of %d+%d rows exceeds %d rows",
-			cfg.Omega, inv, wl.MaxLeft, wl.MaxRight, maxJoinRows)
+			cfg.Omega, inv, sh.MaxLeft, sh.MaxRight, maxJoinRows)
 	}
 	f := &Framework{
 		cfg:      cfg,
-		wl:       wl,
 		rt:       rt,
 		cache:    securearray.New(workload.JoinArity, 0, nil),
 		view:     securearray.NewView(workload.JoinArity),
 		shrink:   shrink,
-		prune:    pruneBound(cfg, wl),
-		spillLen: spillBound(cfg, wl),
-		match:    wl.Match(),
+		prune:    pruneBound(cfg),
+		spillLen: spillBound(cfg),
+		match:    withinWindow(sh.Within),
 		carry:    oblivious.NewUnion(workload.StreamArity, workload.ColKey),
 		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
 		joined:   oblivious.NewBuffer(workload.JoinArity, 0),
@@ -281,10 +277,10 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 	// A public relation needs neither padding nor a budget (its content is
 	// not secret).
 	keep := inv - 1
-	f.str[left] = stream{total: cfg.Budget, block: wl.MaxLeft, keep: keep}
+	f.str[left] = stream{total: cfg.Budget, block: sh.MaxLeft, keep: keep}
 	f.str[right] = stream{keep: -1}
-	if !wl.RightPublic {
-		f.str[right] = stream{total: cfg.Budget, block: wl.MaxRight, keep: keep}
+	if !sh.RightPublic {
+		f.str[right] = stream{total: cfg.Budget, block: sh.MaxRight, keep: keep}
 	}
 	f.prefill()
 	// Alg. 1 line 1-2: initialize the shared cardinality counter to zero.
@@ -297,8 +293,8 @@ func newOn(rt *mpc.Runtime, cfg Config, wl workload.Config, shrink Shrinker) (*F
 // record participates in: limited by its contribution budget (b/omega uses)
 // and by the temporal join window (a record older than Within steps can no
 // longer form new pairs).
-func invocationsPerRecord(cfg Config, wl workload.Config) int {
-	byWindow := int(min(wl.Within/int64(wl.UploadEvery), math.MaxInt-1)) + 1
+func invocationsPerRecord(cfg Config) int {
+	byWindow := int(min(cfg.Shape.Within/int64(cfg.Shape.UploadEvery), math.MaxInt-1)) + 1
 	if cfg.Budget <= 0 {
 		return byWindow
 	}
@@ -312,18 +308,28 @@ func invocationsPerRecord(cfg Config, wl workload.Config) int {
 	return byWindow
 }
 
+// withinWindow is the view definition's temporal predicate: key equality is
+// handled by the join operator; this checks the right event happened within
+// w steps after the left event (Q1's "ReturnDate - SaleDate <= 10").
+func withinWindow(w int64) oblivious.MatchFunc {
+	return func(l, r oblivious.Record) bool {
+		d := r.Row[workload.ColTime] - l.Row[workload.ColTime]
+		return d >= 0 && d <= w
+	}
+}
+
 // deltaCap is the public bound on new view entries per Transform invocation:
 // every new pair involves at least one newly uploaded record, and each
 // record contributes at most omega entries per invocation, so
 // omega * (new left + new right) bounds the batch — or omega * new right
-// alone when the workload declares that pairs are right-driven, a declared
+// alone when the Shape declares that pairs are right-driven, a declared
 // cap whose rare exceptions are truncated like omega's. A zero cap disables
 // tight compaction (the EP baseline caches the raw padded output).
 func (f *Framework) deltaCap(nLeft, nRight int) int {
 	if f.rawDelta {
 		return 0
 	}
-	if f.wl.RightDrivesPairs {
+	if f.cfg.Shape.RightDrivesPairs {
 		return f.cfg.Omega * nRight
 	}
 	return f.cfg.Omega * (nLeft + nRight)
@@ -421,7 +427,7 @@ func (f *Framework) observesAt(t int) bool {
 // fully padded) block this step — Transform runs on schedule even when no
 // real data arrived, hiding the distinction.
 func (f *Framework) uploadDue(t int) bool {
-	return (t+1)%f.wl.UploadEvery == 0
+	return (t+1)%f.cfg.Shape.UploadEvery == 0
 }
 
 // transform is the Transform protocol of Algorithm 1 over one segment of
@@ -461,7 +467,7 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	// its arrival order that the ledger no longer holds.
 	var cut [2]int
 	for s := range f.str {
-		f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within)
+		f.str[s].retire(blocks, f.cfg.Omega, f.cfg.Shape.Within)
 		cut[s] = f.carry.Side[s].Len() - f.str[s].rows()
 	}
 

@@ -13,13 +13,13 @@ import (
 // from the first event — construction's counter share included — which is
 // the full event list the Theorem-7/8 simulation must reproduce. Nothing
 // outside tests records: a serving party keeps only the digest.
-func newRecorded(t *testing.T, cfg Config, wl workload.Config, shrink Shrinker) (f *Framework, s0, s1 *mpc.Transcript) {
+func newRecorded(t *testing.T, cfg Config, shrink Shrinker) (f *Framework, s0, s1 *mpc.Transcript) {
 	t.Helper()
 	rt := mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed)
 	s0, s1 = new(mpc.Transcript), new(mpc.Transcript)
 	rt.Party(mpc.Server0).Record(s0)
 	rt.Party(mpc.Server1).Record(s1)
-	f, err := newOn(rt, cfg, wl, shrink)
+	f, err := newOn(rt, cfg, shrink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFrameGroupingKeepsEvents(t *testing.T) {
 		}
 		cfg := DefaultConfig(wl, 41)
 		cfg.MergeWindows = c.merge
-		f, real0, real1 := newRecorded(t, cfg, wl, c.shrink())
+		f, real0, real1 := newRecorded(t, cfg, c.shrink())
 		runCut(f, tr.Steps, 8)
 		for p, real := range []*mpc.Transcript{real0, real1} {
 			d := real.DigestWithoutWire()
@@ -79,26 +79,30 @@ func TestFrameGroupingKeepsEvents(t *testing.T) {
 	}
 }
 
+// paperRows are seven hand-picked deployments on the paper's workloads: both
+// protocols, per-step and merged Transforms, and cuts of one to sixteen
+// steps per StepBatch call. The 2,010-step rows cross the cache flush at step
+// 2000.
+var paperRows = []struct {
+	name  string
+	wl    workload.Config
+	ant   bool
+	merge bool
+	cut   int // steps per StepBatch call
+}{
+	{"timer-tpcds", workload.TPCDS(240, 31), false, false, 1},
+	{"timer-tpcds-flush", workload.TPCDS(2010, 31), false, false, 1},
+	{"timer-cpdb", workload.CPDB(200, 35), false, false, 1},
+	{"timer-merged", workload.TPCDS(240, 41), false, true, 8},
+	{"ant-tpcds", workload.TPCDS(240, 37), true, false, 1},
+	{"ant-cpdb-flush", workload.CPDB(2010, 37), true, false, 1},
+	{"ant-merged", workload.CPDB(240, 41), true, true, 16},
+}
+
 // TestSimulatorIndistinguishability is the executable half of Theorems 7
-// and 8 on the paper's workloads: checkSimulated over seven hand-picked
-// deployments, both protocols, per-step and merged Transforms. The 2,010-step
-// rows cross the cache flush at step 2000.
+// and 8 on the paper's workloads: checkSimulated over paperRows.
 func TestSimulatorIndistinguishability(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		wl    workload.Config
-		ant   bool
-		merge bool
-		cut   int // steps per StepBatch call
-	}{
-		{"timer-tpcds", workload.TPCDS(240, 31), false, false, 1},
-		{"timer-tpcds-flush", workload.TPCDS(2010, 31), false, false, 1},
-		{"timer-cpdb", workload.CPDB(200, 35), false, false, 1},
-		{"timer-merged", workload.TPCDS(240, 41), false, true, 8},
-		{"ant-tpcds", workload.TPCDS(240, 37), true, false, 1},
-		{"ant-cpdb-flush", workload.CPDB(2010, 37), true, false, 1},
-		{"ant-merged", workload.CPDB(240, 41), true, true, 16},
-	} {
+	for _, c := range paperRows {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig(c.wl, c.wl.Seed)
 			cfg.MergeWindows = c.merge
@@ -113,7 +117,8 @@ func TestSimulatorIndistinguishability(t *testing.T) {
 
 // deployment is one run the Theorem-7/8 check replays: a workload, an
 // engine configuration, the Shrink protocol (sDPANT or sDPTimer) and the
-// number of steps per StepBatch call.
+// number of steps per StepBatch call. The engine runs under the workload's
+// Shape, as sim.Build runs it.
 type deployment struct {
 	wl  workload.Config
 	cfg Config
@@ -200,6 +205,7 @@ func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transc
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.cfg.Shape = ShapeOf(d.wl)
 	shrink := func() Shrinker {
 		if d.ant {
 			return &ANT{}
@@ -217,7 +223,7 @@ func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transc
 		return lens
 	}
 
-	f, real0, real1 := newRecorded(t, d.cfg, d.wl, shrink())
+	f, real0, real1 := newRecorded(t, d.cfg, shrink())
 	realLens := run(f, tr.Steps)
 	if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
 		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
@@ -241,7 +247,7 @@ func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transc
 	}
 	cfg := d.cfg
 	cfg.Seed++
-	sim, sim0, sim1 := newRecorded(t, cfg, d.wl, shrink())
+	sim, sim0, sim1 := newRecorded(t, cfg, shrink())
 	sim.replay = &rel
 	simLens := run(sim, pads)
 
@@ -348,7 +354,7 @@ func TestSimulatedSharesUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(wl, 33)
-	f, _, real1 := newRecorded(t, cfg, wl, &Timer{})
+	f, _, real1 := newRecorded(t, cfg, &Timer{})
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}

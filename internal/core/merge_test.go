@@ -21,9 +21,9 @@ func mergedEngine(t *testing.T, wl workload.Config, ant bool) *Framework {
 		err error
 	)
 	if ant {
-		f, err = NewANTEngine(cfg, wl)
+		f, err = NewANTEngine(cfg)
 	} else {
-		f, err = NewTimerEngine(cfg, wl)
+		f, err = NewTimerEngine(cfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func mergeCountTrajectory(t *testing.T, wl workload.Config) {
 	tr := mustTrace(t, wl)
 
 	cfg := DefaultConfig(wl, 7)
-	seq, err := NewTimerEngine(cfg, wl)
+	seq, err := NewTimerEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestMergedMeterConsistency(t *testing.T) {
 	model := mpc.DefaultCostModel()
 	fresh := k * (wl.MaxLeft + wl.MaxRight)
 	mergedN := carried + fresh
-	if want := (invocationsPerRecord(mrg.cfg, wl) - 1) * (wl.MaxLeft + wl.MaxRight); carried != want || mrg.carry.Len() != want {
+	if want := (invocationsPerRecord(mrg.cfg) - 1) * (wl.MaxLeft + wl.MaxRight); carried != want || mrg.carry.Len() != want {
 		t.Fatalf("carry of %d rows before and %d after the segment, want the public cap %d", carried, mrg.carry.Len(), want)
 	}
 	sortBits := 64 * (workload.StreamArity + 1)
@@ -170,7 +170,7 @@ func TestMergedMeterConsistency(t *testing.T) {
 	// The sequential run over the same steps must charge strictly more: k
 	// sorts, k merges into the carry and k compactions of it.
 	cfg := DefaultConfig(wl, 7)
-	seq, err := NewTimerEngine(cfg, wl)
+	seq, err := NewTimerEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

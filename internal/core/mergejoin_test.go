@@ -98,7 +98,7 @@ func refTransform(r *reference, blocks []uploadBlock) {
 	}
 	live := map[[2]int64]bool{}
 	for s := range f.str {
-		f.str[s].retire(blocks, f.cfg.Omega, f.wl.Within)
+		f.str[s].retire(blocks, f.cfg.Omega, f.cfg.Shape.Within)
 		for _, b := range f.str[s].live {
 			live[[2]int64{int64(s), int64(b.t)}] = true
 		}
@@ -185,11 +185,11 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 			if c.ant {
 				build = NewANTEngine
 			}
-			eng, err := build(cfg, c.wl)
+			eng, err := build(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refEng, _ := build(cfg, c.wl)
+			refEng, _ := build(cfg)
 			ref := newReference(refEng)
 			tr := mustTrace(t, c.wl)
 			want := eng.carry.Len()
@@ -234,7 +234,7 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 				// omega that binds — the same stream creates more pairs under a
 				// bound (and budget) four times as large.
 				cfg.Omega, cfg.Budget = 4*cfg.Omega, 4*cfg.Budget
-				loose, _ := build(cfg, c.wl)
+				loose, _ := build(cfg)
 				loose.StepBatch(tr.Steps)
 				if eng.created >= loose.created || eng.transforms > len(tr.Steps)/4 {
 					t.Errorf("created %d pairs in %d transforms over %d steps, %d untruncated: the case must truncate over multi-block segments",
@@ -255,7 +255,7 @@ func TestDeltaCapDropsLatePairs(t *testing.T) {
 	wl := workload.TPCDS(8, 1)
 	wl.MaxLeft, wl.MaxRight = 4, 1
 	cfg := DefaultConfig(wl, 1)
-	eng, err := NewTimerEngine(cfg, wl)
+	eng, err := NewTimerEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // side's rows in arrival order, then the key order), the pending arrivals and
 // the counters — each as the engine holds it, so a framework restored from it
 // continues bit-identically to one that never stopped. The configuration
-// (Config, workload, Shrink protocol) is *not* state: the state section
+// (Config, Shrink protocol) is *not* state: the state section
 // restores into a framework freshly constructed with the same parameters,
 // and the embedding snapshot (incshrink.DB's) carries the header that
 // refuses anything else.
@@ -72,7 +72,8 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) {
 		dec.Corrupt("engine clock %d", f.now)
 	}
 	f.rt.SetTime(max(f.now-1, 0))
-	last := f.now/f.wl.UploadEvery*f.wl.UploadEvery - 1 // the last upload before the clock
+	up := f.cfg.Shape.UploadEvery
+	last := f.now/up*up - 1 // the last upload before the clock
 	f.str[left].decode(dec, last)
 	f.str[right].decode(dec, last)
 	f.decodeCarry(dec)

@@ -23,9 +23,9 @@ func buildEngine(t *testing.T, ant bool, steps int) (*Framework, *workload.Trace
 		err error
 	)
 	if ant {
-		f, err = NewANTEngine(cfg, wl)
+		f, err = NewANTEngine(cfg)
 	} else {
-		f, err = NewTimerEngine(cfg, wl)
+		f, err = NewTimerEngine(cfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +44,9 @@ func rebuildLike(t *testing.T, f *Framework) *Framework {
 		err   error
 	)
 	if f.Name() == "DP-ANT" {
-		fresh, err = NewANTEngine(f.cfg, f.wl)
+		fresh, err = NewANTEngine(f.cfg)
 	} else {
-		fresh, err = NewTimerEngine(f.cfg, f.wl)
+		fresh, err = NewTimerEngine(f.cfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestRestoreRejectsForgedClock(t *testing.T) {
 		f.Step(st)
 	}
 	wl := workload.CPDB(60, 7)
-	cpdb, err := NewTimerEngine(DefaultConfig(wl, 7), wl)
+	cpdb, err := NewTimerEngine(DefaultConfig(wl, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRestoreRejectsForgedClock(t *testing.T) {
 		forged := encodeState(t, c.f)
 		c.f.now = now
 		if err := decodeState(rebuildLike(t, c.f), forged); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s clock %d, engine at %d: restore error %v, want ErrCorrupt", c.f.wl.Name, c.clock, now, err)
+			t.Errorf("upload period %d, clock %d, engine at %d: restore error %v, want ErrCorrupt", c.f.cfg.Shape.UploadEvery, c.clock, now, err)
 		}
 	}
 }
@@ -254,11 +254,11 @@ func TestSnapshotEveryStepByteIdentical(t *testing.T) {
 			if c.ant {
 				build = NewANTEngine
 			}
-			ref, err := build(cfg, c.wl)
+			ref, err := build(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hop, _ := build(cfg, c.wl)
+			hop, _ := build(cfg)
 			tr := mustTrace(t, c.wl)
 			for lo := 0; lo < len(tr.Steps); lo += c.chunk {
 				steps := tr.Steps[lo:min(lo+c.chunk, len(tr.Steps))]
@@ -306,7 +306,7 @@ func encodeState(t testing.TB, f *Framework) []byte {
 }
 
 // decodeState loads a stream encodeState wrote into f, which must have been
-// built with the writer's Config, workload and Shrink protocol: DecodeState,
+// built with the writer's Config and Shrink protocol: DecodeState,
 // then the decoder's CRC check.
 func decodeState(f *Framework, data []byte) error {
 	dec := snapshot.NewDecoder(bytes.NewReader(data))

@@ -34,7 +34,7 @@ func TestPriceListMatchesClosedForms(t *testing.T) {
 		tr := mustTrace(t, c.wl)
 		cfg := DefaultConfig(c.wl, 41)
 		cfg.MergeWindows = c.merge
-		f, s0, _ := newRecorded(t, cfg, c.wl, c.shrink())
+		f, s0, _ := newRecorded(t, cfg, c.shrink())
 		model := f.rt.Meter.Model()
 		sortGates := func(n, bits int) float64 {
 			return float64(mpc.SortCompareExchanges(n)) * float64(bits) * model.ANDGatesPerCompareExchangeBit

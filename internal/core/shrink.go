@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"incshrink/internal/mpc"
-	"incshrink/internal/workload"
 )
 
 // Shrinker is the view synchronization strategy: Shrink protocols implement
@@ -216,11 +215,11 @@ func (f *Framework) flush(t int) {
 }
 
 // NewTimerEngine builds an IncShrink engine running sDPTimer.
-func NewTimerEngine(cfg Config, wl workload.Config) (*Framework, error) {
-	return New(cfg, wl, &Timer{})
+func NewTimerEngine(cfg Config) (*Framework, error) {
+	return New(cfg, &Timer{})
 }
 
 // NewANTEngine builds an IncShrink engine running sDPANT.
-func NewANTEngine(cfg Config, wl workload.Config) (*Framework, error) {
-	return New(cfg, wl, &ANT{})
+func NewANTEngine(cfg Config) (*Framework, error) {
+	return New(cfg, &ANT{})
 }

@@ -195,13 +195,16 @@ func (s *session) open(v uint32) { s.opened = append(s.opened, v) }
 // fingerprint hashes the parameters a session is constructed from — role,
 // seed, horizon and the runtime's cost model — into the header of its
 // snapshots, so Resume refuses a snapshot of another session. SnapshotAt is
-// left out: a resumed run may snapshot elsewhere.
+// left out: a resumed run may snapshot elsewhere. The cost model is named
+// value by value, with the bytes per AND gate it no longer carries, as its
+// snapshots have always named it.
 func (c Config) fingerprint() uint64 {
-	m := mpc.DefaultCostModel() // as snapshots have always named it, with the bytes per AND gate it dropped
+	m := mpc.DefaultCostModel()
 	return snapshot.Fingerprint("party session",
 		fmt.Sprintf("role=%d seed=%d steps=%d", c.Role, c.Seed, c.Steps),
-		fmt.Sprintf("{ANDGatesPerCompareExchangeBit:%v ANDGatesPerScanBit:%v ANDGatesPerLaplace:%v GatesPerSecond:%v BytesPerANDGate:32}",
-			m.ANDGatesPerCompareExchangeBit, m.ANDGatesPerScanBit, m.ANDGatesPerLaplace, m.GatesPerSecond))
+		snapshot.Named("ANDGatesPerCompareExchangeBit", m.ANDGatesPerCompareExchangeBit,
+			"ANDGatesPerScanBit", m.ANDGatesPerScanBit, "ANDGatesPerLaplace", m.ANDGatesPerLaplace,
+			"GatesPerSecond", m.GatesPerSecond, "BytesPerANDGate", 32))
 }
 
 // encodeSnapshot writes the session's snapshot: the versioned header, the

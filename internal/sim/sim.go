@@ -171,19 +171,21 @@ const (
 // AllKinds lists every candidate in Table 2 order.
 var AllKinds = []EngineKind{KindTimer, KindANT, KindOTM, KindEP, KindNM}
 
-// Build constructs an engine of the given kind.
+// Build constructs an engine of the given kind for the trace wl generates:
+// the engine runs under that trace's Shape, whatever cfg declared.
 func Build(kind EngineKind, cfg core.Config, wl workload.Config) (core.Engine, error) {
+	cfg.Shape = core.ShapeOf(wl)
 	switch kind {
 	case KindTimer:
-		return core.NewTimerEngine(cfg, wl)
+		return core.NewTimerEngine(cfg)
 	case KindANT:
-		return core.NewANTEngine(cfg, wl)
+		return core.NewANTEngine(cfg)
 	case KindOTM:
-		return core.NewOTMEngine(cfg, wl)
+		return core.NewOTMEngine(cfg, wl.MaxMultiplicity)
 	case KindEP:
-		return core.NewEPEngine(cfg, wl)
+		return core.NewEPEngine(cfg, wl.MaxMultiplicity)
 	case KindNM:
-		return core.NewNMEngine(cfg, wl)
+		return core.NewNMEngine(cfg, wl.MaxMultiplicity)
 	default:
 		return nil, fmt.Errorf("sim: unknown engine kind %q", kind)
 	}

@@ -101,6 +101,22 @@ func Fingerprint(parts ...string) uint64 {
 	return h.Sum64()
 }
 
+// Named writes one fingerprint part from alternating names and values, in
+// order, as {name:value ...} with each value as fmt's %v prints it. That is
+// the text %+v gives a struct, but from names the caller writes down, so
+// renaming, reordering or adding a Go field moves no fingerprint. The pairs
+// read like log/slog's key-value arguments.
+func Named(pairs ...any) string {
+	b := []byte{'{'}
+	for i := 0; i+1 < len(pairs); i += 2 {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = fmt.Appendf(b, "%v:%v", pairs[i], pairs[i+1])
+	}
+	return string(append(b, '}'))
+}
+
 // Encoder writes the snapshot wire format: fixed-width little-endian
 // scalars, length-prefixed strings and slices, CRC-32C accumulated over
 // every byte written. The first error latches; Finish reports it.

@@ -83,13 +83,9 @@ type Config struct {
 	// its records are not padded, carry no contribution budget of their own,
 	// and are visible to the servers in the clear.
 	RightPublic bool
-	// RightDrivesPairs declares that (almost) every new join pair involves a
-	// newly uploaded right record — true for append-ordered temporal joins
-	// like TPC-ds Q1, where a return can only follow its sale. It lets
-	// Transform cap its padded output at omega * |new right|: a declared
-	// cap whose breach is truncation, like omega's, so the rare pairs past
-	// it (a partner shipped after the right records it joins) are dropped
-	// and counted as lost.
+	// RightDrivesPairs marks traces whose new join pairs (almost) all involve
+	// a newly uploaded right record, as in TPC-ds Q1, where a return follows
+	// its sale; core.ShapeOf declares it to the engine as its delta cap.
 	RightDrivesPairs bool
 	Seed             int64
 }
@@ -361,17 +357,6 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		if k > 10000 { // safety valve; unreachable for sane lambda
 			return k
 		}
-	}
-}
-
-// Match returns the temporal join predicate of the workload: key equality is
-// handled by the join operator; this checks the right event happened within
-// the window after the left event (Q1's "ReturnDate - SaleDate <= 10").
-func (c Config) Match() oblivious.MatchFunc {
-	within := c.Within
-	return func(l, r oblivious.Record) bool {
-		d := r.Row[ColTime] - l.Row[ColTime]
-		return d >= 0 && d <= within
 	}
 }
 

@@ -239,22 +239,6 @@ func TestScaleVariant(t *testing.T) {
 	}
 }
 
-func TestMatchPredicate(t *testing.T) {
-	cfg := TPCDS(10, 1)
-	match := cfg.Match()
-	rec := func(key, tm int64) oblivious.Record { return oblivious.Record{ID: key, Row: []int64{key, tm}} }
-	l := rec(1, 100)
-	if !match(l, rec(1, 105)) {
-		t.Error("in-window pair rejected")
-	}
-	if match(l, rec(1, 111)) {
-		t.Error("out-of-window pair accepted")
-	}
-	if match(l, rec(1, 95)) {
-		t.Error("right-before-left pair accepted")
-	}
-}
-
 func TestPublicRightShipsEveryStep(t *testing.T) {
 	tr, err := Generate(CPDB(50, 17))
 	if err != nil {

@@ -22,9 +22,15 @@ import (
 // that never stopped.
 
 // configFingerprint canonically hashes the (defaulted) view definition and
-// options a snapshot belongs to.
+// options a snapshot belongs to, as named values in the order and text the
+// format has always hashed: a new field must be named here, and renaming one
+// moves nothing.
 func configFingerprint(def ViewDef, opts Options) uint64 {
-	return snapshot.Fingerprint(fmt.Sprintf("%+v", def), fmt.Sprintf("%+v", opts))
+	return snapshot.Fingerprint(
+		snapshot.Named("Within", def.Within, "Omega", def.Omega, "Budget", def.Budget, "RightPublic", def.RightPublic),
+		snapshot.Named("Epsilon", opts.Epsilon, "Protocol", opts.Protocol, "T", opts.T, "Theta", opts.Theta,
+			"UploadEvery", opts.UploadEvery, "MaxLeft", opts.MaxLeft, "MaxRight", opts.MaxRight,
+			"Seed", opts.Seed, "MergeWindows", opts.MergeWindows))
 }
 
 // Snapshot serializes the database to w. The DB remains usable; the

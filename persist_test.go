@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -108,6 +109,39 @@ func TestRecoverSmoke(t *testing.T) {
 				t.Fatal("restored and uninterrupted databases snapshot to different bytes")
 			}
 		})
+	}
+}
+
+// TestFingerprintNamesEveryField sets each exported field of ViewDef and
+// Options in turn and requires the configuration fingerprint to move: a field
+// configFingerprint does not name would let a snapshot restore into another
+// deployment.
+func TestFingerprintNamesEveryField(t *testing.T) {
+	def, opts := ViewDef{Within: 10}.withDefaults(), Options{Seed: 7}.withDefaults()
+	base := configFingerprint(def, opts)
+	for _, v := range []reflect.Value{reflect.ValueOf(&def).Elem(), reflect.ValueOf(&opts).Elem()} {
+		for i := range v.NumField() {
+			name := v.Type().Name() + "." + v.Type().Field(i).Name
+			f := v.Field(i)
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
+			was := reflect.ValueOf(f.Interface())
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("%s: no edit for a %s field", name, f.Kind())
+			}
+			if configFingerprint(def, opts) == base {
+				t.Errorf("setting %s moves no fingerprint: configFingerprint must name it", name)
+			}
+			f.Set(was)
+		}
 	}
 }
 
