@@ -125,10 +125,11 @@ obs-smoke:
 
 # recover-smoke proves crash recovery end to end (CI runs this): snapshot a
 # deployment mid-run, restore it, and verify counts/stats stay identical to
-# an uninterrupted run — through the public API and through the serving
-# layer's checkpoint/restore-on-boot path — that shutdown loses no
-# acknowledged upload (writers racing Close, checkpointed as soon as it
-# returns and restored, stand at exactly the steps they were told applied),
+# an uninterrupted run — through the public API, through the serving layer's
+# checkpoint/restore-on-boot path, and in core for both DP protocols and the
+# EP and OTM baselines (OTM's freeze restores with its view) — that shutdown
+# loses no acknowledged upload (writers racing Close, checkpointed as soon as
+# it returns and restored, stand at exactly the steps they were told applied),
 # that what a checkpoint writes beside the view does not grow with the
 # horizon (the runtime section is the same size after 10,000 steps as after
 # 10), and that both parties of a two-process session, each restored from

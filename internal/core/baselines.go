@@ -12,79 +12,34 @@ import (
 // scan a view that is almost entirely dummy slots, which is what makes EP
 // slow.
 func NewEPEngine(cfg Config, multiplicity int) (*Framework, error) {
-	// EP reuses the Transform machinery with an un-truncating bound and a
-	// pass-through Shrink that moves every cached slot straight to the view
-	// (it never flushes or prunes: those belong to the DP protocols).
 	cfg.Omega, cfg.Budget = multiplicity, 0 // an unlimited budget: EP provides no DP guarantee
-	f, err := New(cfg, &passthroughShrink{})
-	if err != nil {
-		return nil, err
-	}
-	f.rawDelta = true // the defining naivety: no dummy elimination, ever
-	return f, nil
+	return build(cfg, ep)
 }
 
-// passthroughShrink moves the whole cache into the view every step, without
-// sorting or noise: the view becomes the concatenation of all padded
-// Transform outputs.
-type passthroughShrink struct{}
+// NewOTMEngine builds the one-time-materialization baseline, untruncated like
+// EP: the view is built from the first upload and never updated again.
+// Queries are fast (tiny view) but the error grows with every unsynchronized
+// entry.
+func NewOTMEngine(cfg Config, multiplicity int) (*Framework, error) {
+	cfg.Omega, cfg.Budget = multiplicity, 0
+	return build(cfg, otm)
+}
 
-func (passthroughShrink) Name() string    { return "EP" }
-func (passthroughShrink) Init(*Framework) {}
-func (passthroughShrink) Tick(f *Framework, _ int) {
+// drain is the baselines' Shrink: it moves the whole cache into the view,
+// without sorting or noise (every slot moves, so no oblivious sort is
+// needed), and never flushes or prunes — those belong to the DP protocols.
+// EP's view becomes the concatenation of all padded Transform outputs, and EP
+// resets the counter as the DP protocols do on a release. OTM's first drain
+// is its one materialization: StepBatch ignores every step after it.
+func (f *Framework) drain() {
 	if f.cache.Len() == 0 {
 		return
 	}
-	// Straight append: no oblivious sort is needed because every slot moves.
 	f.cache.DrainInto(f.view)
-	f.rt.ShareToServers(counterKey, 0)
-}
-
-// OTM is the one-time-materialization baseline: the view is built from the
-// first upload and never updated again. Queries are fast (tiny view) but the
-// error grows with every unsynchronized entry.
-type OTM struct {
-	f            *Framework
-	materialized bool
-}
-
-// NewOTMEngine builds the OTM baseline, untruncated like EP.
-func NewOTMEngine(cfg Config, multiplicity int) (*OTM, error) {
-	cfg.Omega, cfg.Budget = multiplicity, 0
-	f, err := New(cfg, &noopShrink{})
-	if err != nil {
-		return nil, err
-	}
-	return &OTM{f: f}, nil
-}
-
-type noopShrink struct{}
-
-func (noopShrink) Name() string         { return "OTM" }
-func (noopShrink) Init(*Framework)      {}
-func (noopShrink) Tick(*Framework, int) {}
-
-// Step implements Engine: only the first upload is transformed and
-// materialized; everything afterwards is ignored (the view is frozen).
-func (o *OTM) Step(st workload.Step) {
-	if o.materialized {
-		return
-	}
-	o.f.Step(st)
-	if o.f.cache.Len() > 0 {
-		o.f.cache.DrainInto(o.f.view)
-		o.materialized = true
+	if f.proto == ep {
+		f.rt.ShareToServers(counterKey, 0)
 	}
 }
-
-// Query implements Engine.
-func (o *OTM) Query() (int, float64) { return o.f.Query() }
-
-// Metrics implements Engine.
-func (o *OTM) Metrics() Metrics { return o.f.Metrics() }
-
-// Name implements Engine.
-func (o *OTM) Name() string { return "OTM" }
 
 // NM is the non-materialization baseline (the standard SOGDB model of
 // DP-Sync): there is no view; every query re-evaluates the full oblivious
@@ -148,6 +103,5 @@ func (n *NM) Name() string { return "NM" }
 
 var (
 	_ Engine = (*Framework)(nil)
-	_ Engine = (*OTM)(nil)
 	_ Engine = (*NM)(nil)
 )

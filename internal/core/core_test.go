@@ -96,13 +96,10 @@ func TestDefaultConfigPerWorkload(t *testing.T) {
 	}
 }
 
-// TestNewRejectsBadInputs: New refuses a nil Shrink protocol and every
-// configuration Validate refuses, one row per Shape check among them.
+// TestNewRejectsBadInputs: build refuses every configuration Validate
+// refuses, one row per Shape check among them.
 func TestNewRejectsBadInputs(t *testing.T) {
 	good := DefaultConfig(workload.TPCDS(100, 1), 1)
-	if _, err := New(good, nil); err == nil {
-		t.Error("nil shrinker accepted")
-	}
 	for _, c := range []struct {
 		name string
 		edit func(*Config)
@@ -119,7 +116,7 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	} {
 		cfg := good
 		c.edit(&cfg)
-		if _, err := New(cfg, &Timer{}); err == nil {
+		if _, err := build(cfg, timer); err == nil {
 			t.Errorf("%s: invalid config accepted", c.name)
 		}
 	}
@@ -155,7 +152,7 @@ func TestInvocationsPerRecordSaturates(t *testing.T) {
 }
 
 // TestNewRefusesOversizedDeployments: a deployment whose padded join output
-// would pass maxJoinRows is refused before New pads its carry, whichever
+// would pass maxJoinRows is refused before build pads its carry, whichever
 // factor is large, and one at the cap is built.
 func TestNewRefusesOversizedDeployments(t *testing.T) {
 	base := DefaultConfig(workload.TPCDS(100, 1), 1)
@@ -173,9 +170,9 @@ func TestNewRefusesOversizedDeployments(t *testing.T) {
 	} {
 		cfg := base
 		c.edit(&cfg)
-		_, err := New(cfg, &Timer{})
+		_, err := build(cfg, timer)
 		if (err == nil) != c.ok {
-			t.Errorf("%s: New error %v, want ok=%t", c.name, err, c.ok)
+			t.Errorf("%s: build error %v, want ok=%t", c.name, err, c.ok)
 		}
 	}
 }
@@ -336,7 +333,7 @@ func TestTimerLeakageSchedule(t *testing.T) {
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 13)
 	cfg.T = 10
-	f, real0, _ := newRecorded(t, cfg, &Timer{})
+	f, real0, _ := newRecorded(t, cfg, timer)
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
@@ -359,7 +356,7 @@ func TestBatchSizesDataIndependent(t *testing.T) {
 		wl := workload.TPCDS(150, seed)
 		tr := mustTrace(t, wl)
 		cfg := DefaultConfig(wl, 99) // same protocol seed: same noise draws
-		f, _, real1 := newRecorded(t, cfg, &Timer{})
+		f, _, real1 := newRecorded(t, cfg, timer)
 		for _, st := range tr.Steps {
 			f.Step(st)
 		}
@@ -383,7 +380,7 @@ func TestFetchSizesAreNoisy(t *testing.T) {
 	tr := mustTrace(t, wl)
 	cfg := DefaultConfig(wl, 17)
 	cfg.T = 10
-	f, real0, _ := newRecorded(t, cfg, &Timer{})
+	f, real0, _ := newRecorded(t, cfg, timer)
 	truthPerInterval := make(map[int]int)
 	acc := 0
 	for _, st := range tr.Steps {
@@ -726,8 +723,8 @@ func TestComparatorCacheGaugesAfterWarmANT(t *testing.T) {
 // they carry it reads exactly 1.0 for Transform and Shrink after a Timer and
 // an sDPANT run — whose rounds carry up to 6 words each.
 func TestWireBytesGaugePricesWords(t *testing.T) {
-	for _, ant := range []bool{false, true} {
-		f, tr := buildEngine(t, ant, 200)
+	for _, proto := range []protocol{timer, ant} {
+		f, tr := buildEngine(t, proto, 200)
 		reg := obs.NewRegistry()
 		f.SetInstruments(NewInstrumentSet(reg).ForView("v"))
 		run(t, f, tr)
@@ -748,7 +745,7 @@ func TestWireBytesGaugePricesWords(t *testing.T) {
 		}
 		for _, op := range []string{`{op="Transform"}`, `{op="Shrink"}`} {
 			if v, ok := gauge[op]; !ok || v != 1 {
-				t.Errorf("%s (ANT %v): predicted/measured wire bytes %v (scraped: %v), want exactly 1", op, ant, v, ok)
+				t.Errorf("%s (%s): predicted/measured wire bytes %v (scraped: %v), want exactly 1", op, f.Name(), v, ok)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // Config carries the IncShrink deployment parameters of Section 7: only what
-// a deployment chooses and the Shape it declares. New derives the rest — the
+// a deployment chooses and the Shape it declares. build derives the rest — the
 // prune and spill bounds, the cost model — and the baselines' constructors
 // set their own.
 type Config struct {
@@ -189,11 +189,10 @@ type Framework struct {
 	str     [2]stream
 	pending [2]*oblivious.Buffer
 
-	shrink   Shrinker
+	proto    protocol
 	replay   *releases // nil but in the Theorem-7/8 tests; see releases
 	prune    int       // the public cache length each view update keeps (pruneBound)
 	spillLen int       // the public slots each view update spills (spillBound)
-	rawDelta bool      // cache the raw padded join output, uncompacted (EP)
 	match    oblivious.MatchFunc
 	dummyID  int64 // ascending generator for padding-record keys
 
@@ -229,28 +228,24 @@ type Framework struct {
 // step takes ≈ 20 ms and 8 MB (2^20 rows took ≈ 1 s and 266 MB).
 const maxJoinRows = 1 << 15
 
-// New builds an IncShrink engine for a deployment with the given Shrink
-// protocol.
-func New(cfg Config, shrink Shrinker) (*Framework, error) {
-	return newOn(mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed), cfg, shrink)
+// build builds an engine for a deployment running the given protocol.
+func build(cfg Config, proto protocol) (*Framework, error) {
+	return newOn(mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed), cfg, proto)
 }
 
-// newOn is New over a runtime the caller built from the default cost model
+// newOn is build over a runtime the caller built from the default cost model
 // and cfg's seed. Construction already shares the counter (and sDPANT its
 // first threshold), so the leakage tests, which must see a party's transcript
 // from its first event, attach their recorders to rt before handing it over.
-func newOn(rt *mpc.Runtime, cfg Config, shrink Shrinker) (*Framework, error) {
+func newOn(rt *mpc.Runtime, cfg Config, proto protocol) (*Framework, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if shrink == nil {
-		return nil, fmt.Errorf("core: nil Shrink protocol")
 	}
 	// Public input sizes: every block is padded to the block size and the
 	// carry holds the blocks of the invocations a record survives after its
 	// first, so the Transform input — and therefore its cost and its padded
 	// output — is data-independent. They are allocated in full whatever the
-	// data, the carry before New returns, so they are bounded first.
+	// data, the carry before build returns, so they are bounded first.
 	sh := cfg.Shape
 	inv := invocationsPerRecord(cfg)
 	width := sh.MaxLeft + sh.MaxRight
@@ -264,7 +259,7 @@ func newOn(rt *mpc.Runtime, cfg Config, shrink Shrinker) (*Framework, error) {
 		rt:       rt,
 		cache:    securearray.New(workload.JoinArity, 0, nil),
 		view:     securearray.NewView(workload.JoinArity),
-		shrink:   shrink,
+		proto:    proto,
 		prune:    pruneBound(cfg),
 		spillLen: spillBound(cfg),
 		match:    withinWindow(sh.Within),
@@ -285,7 +280,9 @@ func newOn(rt *mpc.Runtime, cfg Config, shrink Shrinker) (*Framework, error) {
 	f.prefill()
 	// Alg. 1 line 1-2: initialize the shared cardinality counter to zero.
 	rt.ShareToServers(counterKey, 0)
-	shrink.Init(f)
+	if proto == ant {
+		f.antInit()
+	}
 	return f, nil
 }
 
@@ -324,9 +321,10 @@ func withinWindow(w int64) oblivious.MatchFunc {
 // omega * (new left + new right) bounds the batch — or omega * new right
 // alone when the Shape declares that pairs are right-driven, a declared
 // cap whose rare exceptions are truncated like omega's. A zero cap disables
-// tight compaction (the EP baseline caches the raw padded output).
+// tight compaction: the EP baseline caches the raw padded output, the
+// defining naivety of exhaustive padding.
 func (f *Framework) deltaCap(nLeft, nRight int) int {
-	if f.rawDelta {
+	if f.proto == ep {
 		return 0
 	}
 	if f.cfg.Shape.RightDrivesPairs {
@@ -338,7 +336,7 @@ func (f *Framework) deltaCap(nLeft, nRight int) int {
 const counterKey = "c"
 
 // Name implements Engine: the Shrink protocol names the engine.
-func (f *Framework) Name() string { return f.shrink.Name() }
+func (f *Framework) Name() string { return protocolNames[f.proto] }
 
 // Step implements Engine: one time step is a batch of one.
 func (f *Framework) Step(st workload.Step) {
@@ -351,20 +349,23 @@ func (f *Framework) Step(st workload.Step) {
 // step queues its upload block (when the owners' schedule ships one), runs
 // Transform over the queued blocks if the step ends a segment, then lets the
 // Shrink protocol act (the DP protocols flush the cache at the end of theirs).
+// An OTM engine whose view holds its one materialization ignores the steps.
 //
 // Config.MergeWindows selects segment boundaries and nothing else. Off,
 // every step ends a segment: each upload block gets its own Transform, so
 // the result — counts, simulated costs, RNG draws, snapshots — does not
 // depend on how the steps were cut into calls. On, a segment ends only where
 // deferral would be visible — the Shrink protocol observes the counter or
-// the cache (StepObserver), or the batch ends (blocks are never held across
-// calls) — and the segment's k blocks share
-// one Transform. See transform and DESIGN.md §12 for what differs at k > 1.
-// The per-step scratch is warm after the first step, so marginal steps run
-// off the allocator.
+// the cache (observesAt), or the batch ends (blocks are never held across
+// calls) — and the segment's k blocks share one Transform. See transform and
+// DESIGN.md §12 for what differs at k > 1. The per-step scratch is warm after
+// the first step, so marginal steps run off the allocator.
 func (f *Framework) StepBatch(steps []workload.Step) {
 	f.blocks = f.blocks[:0]
 	for i := range steps {
+		if f.proto == otm && f.view.Len() > 0 {
+			return
+		}
 		st := steps[i]
 		f.rt.SetTime(st.T)
 
@@ -386,7 +387,7 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		}
 
 		shrinkProbe := f.ins.phaseStart(f.rt, mpc.OpShrink)
-		f.shrink.Tick(f, st.T)
+		f.tick(st.T)
 		f.ins.phaseDone("shrink", shrinkProbe, f.rt)
 
 		f.now = st.T + 1
@@ -412,15 +413,13 @@ type uploadBlock struct {
 }
 
 // observesAt reports whether the Shrink protocol will look at the counter or
-// the cache at step t. Protocols that don't declare their observation
-// schedule (StepObserver) are assumed to observe every step, which
-// degenerates window merging to per-step transforms — correct, just not
-// faster.
+// the cache at step t. sDPTimer touches them only on its T-step schedule and
+// at the cache flushes; the others observe every step, which degenerates
+// window merging to per-step transforms — correct, just not faster. The
+// declaration must be conservative: claiming "no observation" at a step
+// where tick does look would let merging change what the protocol sees.
 func (f *Framework) observesAt(t int) bool {
-	if so, ok := f.shrink.(StepObserver); ok {
-		return so.ObservesAt(f, t)
-	}
-	return true
+	return f.proto != timer || timerDue(t, f.cfg.T) || flushDue(t)
 }
 
 // uploadDue reports whether the owners' schedule ships a (possibly empty,

@@ -13,13 +13,13 @@ import (
 // from the first event — construction's counter share included — which is
 // the full event list the Theorem-7/8 simulation must reproduce. Nothing
 // outside tests records: a serving party keeps only the digest.
-func newRecorded(t *testing.T, cfg Config, shrink Shrinker) (f *Framework, s0, s1 *mpc.Transcript) {
+func newRecorded(t *testing.T, cfg Config, proto protocol) (f *Framework, s0, s1 *mpc.Transcript) {
 	t.Helper()
 	rt := mpc.NewRuntime(mpc.DefaultCostModel(), cfg.Seed)
 	s0, s1 = new(mpc.Transcript), new(mpc.Transcript)
 	rt.Party(mpc.Server0).Record(s0)
 	rt.Party(mpc.Server1).Record(s1)
-	f, err := newOn(rt, cfg, shrink)
+	f, err := newOn(rt, cfg, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,23 +35,23 @@ func newRecorded(t *testing.T, cfg Config, shrink Shrinker) (f *Framework, s0, s
 // run, so a round added to both is no leak, and only this pin shows it.
 func TestFrameGroupingKeepsEvents(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		shrink func() Shrinker
-		merge  bool
-		want   [2]string // without wire stamps
-		wire   [2]string // with them
+		name  string
+		proto protocol
+		merge bool
+		want  [2]string // without wire stamps
+		wire  [2]string // with them
 	}{
-		{"timer", func() Shrinker { return &Timer{} }, false, [2]string{
+		{"timer", timer, false, [2]string{
 			"381e248ac4054a907e140f9736fb09c8e84f981c43c636df85c9baf44e840a56",
 			"5e5ec41bfd49ca64f7774e5e2abce0517a34ddee48a2cec55f4c004b40119cba"}, [2]string{
 			"edef1cef3bcdf2b2ef23a5e6bb3d875c907a00b82b4f792037d53152efc48b41",
 			"cd88264c6e4aba596fb1e37f557bfdbc61773bd25fcae8beb56defd560d57f0a"}},
-		{"timer-merged", func() Shrinker { return &Timer{} }, true, [2]string{
+		{"timer-merged", timer, true, [2]string{
 			"203a6559a8ee6dab9f868130bc4732a235d171ff44780414ba96c99bb250d87b",
 			"7b54049e07ea623862ef2050cbf378b89009e8db019702f070b277fe8a12dc3a"}, [2]string{
 			"e5def3a9ee00e1bdea2c3f402e293f79b301e4bf939fdf8f1dc24d7a3c572d9b",
 			"afa0d161e7e5fb0d6c2859c8334aa54643dff874c889f1ed9812b986a9e5e0df"}},
-		{"ant", func() Shrinker { return &ANT{} }, false, [2]string{
+		{"ant", ant, false, [2]string{
 			"2d494958061fc3d73b491630d1ac6e1ee9bc30fe16cda6aa7c5c36f29b2e1fa9",
 			"a9efcfa01e17c86a4c9a46634957eb710b2767a1076f0ea9e3d4bf951e21d375"}, [2]string{
 			"9a7b40f4622ec2c1f8204354a730c4cd76b245d407e6b5bfbaf5fedd5530b6fc",
@@ -64,7 +64,7 @@ func TestFrameGroupingKeepsEvents(t *testing.T) {
 		}
 		cfg := DefaultConfig(wl, 41)
 		cfg.MergeWindows = c.merge
-		f, real0, real1 := newRecorded(t, cfg, c.shrink())
+		f, real0, real1 := newRecorded(t, cfg, c.proto)
 		runCut(f, tr.Steps, 8)
 		for p, real := range []*mpc.Transcript{real0, real1} {
 			d := real.DigestWithoutWire()
@@ -206,11 +206,9 @@ func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transc
 		t.Fatal(err)
 	}
 	d.cfg.Shape = ShapeOf(d.wl)
-	shrink := func() Shrinker {
-		if d.ant {
-			return &ANT{}
-		}
-		return &Timer{}
+	proto := timer
+	if d.ant {
+		proto = ant
 	}
 	// run feeds steps to e in StepBatch calls of d.cut steps and returns the
 	// snapshot's length after each call.
@@ -223,7 +221,7 @@ func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transc
 		return lens
 	}
 
-	f, real0, real1 := newRecorded(t, d.cfg, shrink())
+	f, real0, real1 := newRecorded(t, d.cfg, proto)
 	realLens := run(f, tr.Steps)
 	if n := f.rt.Party(mpc.Server0).EventCount(); n != uint64(len(real0.Events)) {
 		t.Fatalf("recorder holds %d events, the party counted %d", len(real0.Events), n)
@@ -247,7 +245,7 @@ func checkSimulated(t *testing.T, d deployment) (f *Framework, real0 *mpc.Transc
 	}
 	cfg := d.cfg
 	cfg.Seed++
-	sim, sim0, sim1 := newRecorded(t, cfg, shrink())
+	sim, sim0, sim1 := newRecorded(t, cfg, proto)
 	sim.replay = &rel
 	simLens := run(sim, pads)
 
@@ -354,7 +352,7 @@ func TestSimulatedSharesUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(wl, 33)
-	f, _, real1 := newRecorded(t, cfg, &Timer{})
+	f, _, real1 := newRecorded(t, cfg, timer)
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}

@@ -78,7 +78,7 @@ func refStepBatch(r *reference, steps []workload.Step) {
 			refTransform(r, f.blocks)
 			f.blocks = f.blocks[:0]
 		}
-		f.shrink.Tick(f, st.T)
+		f.tick(st.T)
 		f.now = st.T + 1
 	}
 }

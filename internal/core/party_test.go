@@ -25,11 +25,9 @@ func TestPartyRuntimesMatchInProcess(t *testing.T) {
 			cfg := DefaultConfig(c.wl, c.wl.Seed)
 			cfg.MergeWindows = c.merge
 			steps := mustTrace(t, c.wl).Steps
-			shrink := func() Shrinker {
-				if c.ant {
-					return &ANT{}
-				}
-				return &Timer{}
+			proto := timer
+			if c.ant {
+				proto = ant
 			}
 			// answers feeds steps to f in StepBatch calls of c.cut steps and
 			// answers the standing query after each.
@@ -42,7 +40,7 @@ func TestPartyRuntimesMatchInProcess(t *testing.T) {
 				}
 				return out
 			}
-			both, err := New(cfg, shrink())
+			both, err := build(cfg, proto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +58,7 @@ func TestPartyRuntimesMatchInProcess(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					rt := mpc.NewPartyRuntime(mpc.PartyID(i), cfg.Seed, mpc.DefaultCostModel(), conn)
-					if one[i], errs[i] = newOn(rt, cfg, shrink()); errs[i] == nil {
+					if one[i], errs[i] = newOn(rt, cfg, proto); errs[i] == nil {
 						got[i] = answers(one[i])
 					}
 				}()

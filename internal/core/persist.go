@@ -14,15 +14,16 @@ import (
 // side's rows in arrival order, then the key order), the pending arrivals and
 // the counters — each as the engine holds it, so a framework restored from it
 // continues bit-identically to one that never stopped. The configuration
-// (Config, Shrink protocol) is *not* state: the state section
+// (Config, protocol) is *not* state: the state section
 // restores into a framework freshly constructed with the same parameters,
 // and the embedding snapshot (incshrink.DB's) carries the header that
 // refuses anything else.
 //
-// The built-in Shrink protocols keep their evolving state (cardinality
-// counter, noisy threshold) secret-shared in the runtime's stores, so
-// restoring the runtime restores them; a custom Shrinker with private
-// mutable state is not supported by the codec.
+// The protocol set is closed, and each protocol's state is in the runtime's
+// stores or derived from the view: the DP protocols keep theirs (cardinality
+// counter, noisy threshold) secret-shared in the runtime, so restoring the
+// runtime restores them, and OTM's freeze is its non-empty view, so it
+// restores with the view.
 
 // EncodeState writes the framework's mutable state as one self-delimiting
 // section (no header or trailer), for embedding in a larger snapshot such

@@ -13,8 +13,8 @@ import (
 )
 
 // buildEngine constructs a paper-default engine of the given protocol over
-// the TPC-ds-like workload.
-func buildEngine(t *testing.T, ant bool, steps int) (*Framework, *workload.Trace) {
+// the TPC-ds-like workload, through the constructor production calls.
+func buildEngine(t *testing.T, proto protocol, steps int) (*Framework, *workload.Trace) {
 	t.Helper()
 	wl := workload.TPCDS(steps, 7)
 	cfg := DefaultConfig(wl, 7)
@@ -22,10 +22,15 @@ func buildEngine(t *testing.T, ant bool, steps int) (*Framework, *workload.Trace
 		f   *Framework
 		err error
 	)
-	if ant {
-		f, err = NewANTEngine(cfg)
-	} else {
+	switch proto {
+	case timer:
 		f, err = NewTimerEngine(cfg)
+	case ant:
+		f, err = NewANTEngine(cfg)
+	case ep:
+		f, err = NewEPEngine(cfg, wl.MaxMultiplicity)
+	case otm:
+		f, err = NewOTMEngine(cfg, wl.MaxMultiplicity)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -37,17 +42,11 @@ func buildEngine(t *testing.T, ant bool, steps int) (*Framework, *workload.Trace
 	return f, tr
 }
 
+// rebuildLike builds a fresh engine with f's configuration and protocol: the
+// engine a snapshot of f restores into.
 func rebuildLike(t *testing.T, f *Framework) *Framework {
 	t.Helper()
-	var (
-		fresh *Framework
-		err   error
-	)
-	if f.Name() == "DP-ANT" {
-		fresh, err = NewANTEngine(f.cfg)
-	} else {
-		fresh, err = NewTimerEngine(f.cfg)
-	}
+	fresh, err := build(f.cfg, f.proto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +56,26 @@ func rebuildLike(t *testing.T, f *Framework) *Framework {
 // TestFrameworkSnapshotRestoreContinues is the core of the durability
 // contract: an engine snapshotted at step k and restored into a fresh
 // framework must continue bit-identically — same query answers, same
-// metrics, same transcripts — to the engine that never stopped.
+// metrics, same transcripts — to the engine that never stopped. It holds for
+// the baselines too: OTM materializes at step 0 on TPC-ds, and its freeze is
+// derived from the view it restores with, so a restored OTM engine ignores
+// the steps after k as the uninterrupted one does.
 func TestFrameworkSnapshotRestoreContinues(t *testing.T) {
 	const steps = 60
-	for _, ant := range []bool{false, true} {
-		for _, k := range []int{1, 17, 30, 59} {
-			t.Run(fmt.Sprintf("ant=%t/k=%d", ant, k), func(t *testing.T) {
-				ref, tr := buildEngine(t, ant, steps)
-				split, _ := buildEngine(t, ant, steps)
+	for _, c := range []struct {
+		name  string
+		proto protocol
+		ks    []int
+	}{
+		{"ant=false", timer, []int{1, 17, 30, 59}},
+		{"ant=true", ant, []int{1, 17, 30, 59}},
+		{"ep", ep, []int{1, 17, 59}},
+		{"otm", otm, []int{1, 17, 59}},
+	} {
+		for _, k := range c.ks {
+			t.Run(fmt.Sprintf("%s/k=%d", c.name, k), func(t *testing.T) {
+				ref, tr := buildEngine(t, c.proto, steps)
+				split, _ := buildEngine(t, c.proto, steps)
 
 				for _, st := range tr.Steps[:k] {
 					ref.Step(st)
@@ -110,8 +121,8 @@ func TestFrameworkSnapshotRestoreContinues(t *testing.T) {
 // the protocol stream, the meter, the clock — is the same size after 10,000
 // steps as after 10, under either protocol. Only the view may grow.
 func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
-	for _, ant := range []bool{false, true} {
-		f, tr := buildEngine(t, ant, 10_000)
+	for _, proto := range []protocol{timer, ant} {
+		f, tr := buildEngine(t, proto, 10_000)
 		section := func() int {
 			var buf bytes.Buffer
 			enc := snapshot.NewEncoder(&buf)
@@ -129,10 +140,10 @@ func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
 			f.Step(st)
 		}
 		if late := section(); late != early {
-			t.Errorf("ant=%t: runtime section is %d bytes after 10 steps, %d after %d", ant, early, late, len(tr.Steps))
+			t.Errorf("%s: runtime section is %d bytes after 10 steps, %d after %d", f.Name(), early, late, len(tr.Steps))
 		}
 		if now := f.rt.Party(mpc.Server0).EventCount(); now < seen+uint64(len(tr.Steps))/2 {
-			t.Errorf("ant=%t: only %d events over the run; the section had nothing to not grow with", ant, now-seen)
+			t.Errorf("%s: only %d events over the run; the section had nothing to not grow with", f.Name(), now-seen)
 		}
 	}
 }
@@ -141,7 +152,7 @@ func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
 // read: two snapshots of the same state are byte-identical (maps serialize
 // sorted), and snapshot → restore → snapshot reproduces the bytes.
 func TestFrameworkSnapshotDeterministicBytes(t *testing.T) {
-	f, tr := buildEngine(t, true, 40)
+	f, tr := buildEngine(t, ant, 40)
 	for _, st := range tr.Steps {
 		f.Step(st)
 		f.Query()
@@ -170,7 +181,7 @@ func TestFrameworkSnapshotDeterministicBytes(t *testing.T) {
 // (40–42, 44) restores: the ledgers pin it only to the period, and see
 // DecodeState for why nothing else in the stream is checked against it.
 func TestRestoreRejectsForgedClock(t *testing.T) {
-	f, tr := buildEngine(t, false, 40)
+	f, tr := buildEngine(t, timer, 40)
 	for _, st := range tr.Steps {
 		f.Step(st)
 	}
@@ -306,7 +317,7 @@ func encodeState(t testing.TB, f *Framework) []byte {
 }
 
 // decodeState loads a stream encodeState wrote into f, which must have been
-// built with the writer's Config and Shrink protocol: DecodeState,
+// built with the writer's Config and protocol: DecodeState,
 // then the decoder's CRC check.
 func decodeState(f *Framework, data []byte) error {
 	dec := snapshot.NewDecoder(bytes.NewReader(data))

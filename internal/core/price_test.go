@@ -18,13 +18,11 @@ import (
 // up to each step the Shrink protocol observes — so each call holds exactly
 // one Transform. The horizon passes a flush, so the flush read is priced too.
 func TestPriceListMatchesClosedForms(t *testing.T) {
-	timer := func() Shrinker { return &Timer{} }
-	ant := func() Shrinker { return &ANT{} }
 	for _, c := range []struct {
-		name   string
-		wl     workload.Config
-		shrink func() Shrinker
-		merge  bool
+		name  string
+		wl    workload.Config
+		proto protocol
+		merge bool
 	}{
 		{"tpcds-timer", workload.TPCDS(2100, 41), timer, false},
 		{"tpcds-ant", workload.TPCDS(2100, 41), ant, false},
@@ -34,7 +32,7 @@ func TestPriceListMatchesClosedForms(t *testing.T) {
 		tr := mustTrace(t, c.wl)
 		cfg := DefaultConfig(c.wl, 41)
 		cfg.MergeWindows = c.merge
-		f, s0, _ := newRecorded(t, cfg, c.shrink())
+		f, s0, _ := newRecorded(t, cfg, c.proto)
 		model := f.rt.Meter.Model()
 		sortGates := func(n, bits int) float64 {
 			return float64(mpc.SortCompareExchanges(n)) * float64(bits) * model.ANDGatesPerCompareExchangeBit

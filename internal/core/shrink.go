@@ -6,39 +6,34 @@ import (
 	"incshrink/internal/mpc"
 )
 
-// Shrinker is the view synchronization strategy: Shrink protocols implement
-// it over the framework's cache, view and MPC runtime. Init runs once when
-// the framework is constructed; Tick runs at the end of every time step.
-type Shrinker interface {
-	Init(f *Framework)
-	Tick(f *Framework, t int)
-	Name() string
+// protocol is the view synchronization strategy an engine runs over its
+// cache, view and MPC runtime: the paper's two Shrink protocols or one of the
+// Section 7 baselines that have a view. The set is closed, and every
+// protocol's evolving state is secret-shared in the runtime's stores or
+// derived from the view, so a snapshot of the runtime and the arrays holds it.
+type protocol uint8
+
+const (
+	timer protocol = iota // sDPTimer, Algorithm 2
+	ant                   // sDPANT, Algorithm 3
+	ep                    // exhaustive padding: the whole cache, every step
+	otm                   // one-time materialization: the first upload, once
+)
+
+// protocolNames are the engines' report names (Engine.Name).
+var protocolNames = [...]string{timer: "DP-Timer", ant: "DP-ANT", ep: "EP", otm: "OTM"}
+
+// tick runs the protocol at the end of step t.
+func (f *Framework) tick(t int) {
+	switch f.proto {
+	case timer:
+		f.timerTick(t)
+	case ant:
+		f.antTick(t)
+	default:
+		f.drain()
+	}
 }
-
-// StepObserver is an optional Shrinker refinement declaring the protocol's
-// observation schedule: ObservesAt reports whether Tick at step t will read
-// the cardinality counter or the cache. Window merging (Config.MergeWindows)
-// uses it to find the steps where deferred Transforms would become visible;
-// protocols that don't implement it are treated as observing every step,
-// which keeps merging correct but degenerate. The declaration must be
-// conservative — claiming "no observation" at a step where Tick does look
-// would let merging change what the protocol sees.
-type StepObserver interface {
-	ObservesAt(f *Framework, t int) bool
-}
-
-// Timer is the sDPTimer protocol of Algorithm 2: every T time steps,
-// recover the cardinality counter inside the protocol, distort it with
-// jointly generated Laplace(b/eps) noise, fetch that many slots from the
-// sorted cache and append them to the view, then reset and re-share the
-// counter. It also runs the paper's cache flush (Section 5.2.1).
-type Timer struct{}
-
-// Name implements Shrinker.
-func (s *Timer) Name() string { return "DP-Timer" }
-
-// Init implements Shrinker.
-func (s *Timer) Init(*Framework) {}
 
 // The paper's cache flush (Section 5.2.1), f and s: both DP Shrink protocols
 // end the FlushEvery-th step with it, moving the FlushSize head of the sorted
@@ -58,7 +53,7 @@ func flushDue(t int) bool { return t != 0 && t%FlushEvery == 0 }
 
 // releases is the seam that makes the Theorem-7/8 simulator the engine
 // itself: a recorded run's DP outputs — its fetch events, one per release,
-// in order — which Tick takes in place of the mechanism's: sDPTimer's release
+// in order — which tick takes in place of the mechanism's: sDPTimer's release
 // size, sDPANT's SVT bit and release size. Every round, draw, event and meter
 // charge still runs, so an engine fed padding alone and a real run's releases
 // is the textbook simulator. Only tests set Framework.replay: a production
@@ -77,15 +72,14 @@ func (r *releases) at(t int) (size int, ok bool) {
 	return size, true
 }
 
-// ObservesAt implements StepObserver: sDPTimer touches the counter and the
-// cache only on its T-step schedule and at the cache flushes.
-func (s *Timer) ObservesAt(f *Framework, t int) bool {
-	return timerDue(t, f.cfg.T) || flushDue(t)
-}
-
-// Tick implements Shrinker. The counter recovery, the joint noise and the
-// counter reset's re-share (Alg. 2 lines 3-4 and 9) are one round.
-func (s *Timer) Tick(f *Framework, t int) {
+// timerTick is the sDPTimer protocol of Algorithm 2: every T time steps,
+// recover the cardinality counter inside the protocol, distort it with
+// jointly generated Laplace(b/eps) noise, fetch that many slots from the
+// sorted cache and append them to the view, then reset and re-share the
+// counter. It also runs the paper's cache flush (Section 5.2.1). The counter
+// recovery, the joint noise and the counter reset's re-share (Alg. 2 lines
+// 3-4 and 9) are one round.
+func (f *Framework) timerTick(t int) {
 	if !timerDue(t, f.cfg.T) {
 		f.flush(t)
 		return
@@ -104,16 +98,6 @@ func (s *Timer) Tick(f *Framework, t int) {
 	f.flush(t)
 }
 
-// ANT is the sDPANT protocol of Algorithm 3: split the budget eps in two;
-// keep a secret-shared noisy threshold; each step distort the counter and
-// compare against the noisy threshold; on crossing, release a DP-sized fetch
-// and refresh the threshold with fresh randomness. It also runs the paper's
-// cache flush (Section 5.2.1).
-type ANT struct{}
-
-// Name implements Shrinker.
-func (s *ANT) Name() string { return "DP-ANT" }
-
 const thresholdKey = "theta"
 
 // thresholdFixedPoint converts the noisy threshold to/from the 32-bit
@@ -121,18 +105,18 @@ const thresholdKey = "theta"
 // (Alg. 3 line 3). 8 fractional bits are plenty for a count threshold.
 const thresholdScale = 256
 
-// Init implements Shrinker: draw and share the first noisy threshold, one
-// round.
-func (s *ANT) Init(f *Framework) {
+// antInit starts sDPANT at construction: draw and share the first noisy
+// threshold, one round.
+func (f *Framework) antInit() {
 	rd := f.rt.Round()
 	nw, share := rd.Noise(), rd.Reshare(thresholdKey)
 	f.exchange(rd)
-	s.refreshThreshold(f, rd, nw, share)
+	f.refreshThreshold(rd, nw, share)
 }
 
 // refreshThreshold consumes the noise nw and the re-share slot share that rd
 // declared for a fresh noisy threshold.
-func (s *ANT) refreshThreshold(f *Framework, rd *mpc.Round, nw, share int) {
+func (f *Framework) refreshThreshold(rd *mpc.Round, nw, share int) {
 	// Alg. 3 line 2/11: theta~ <- JointNoise(S0, S1, b, eps1/2, theta),
 	// i.e. Lap(b / (eps1/2)) = Lap(4b/eps) with eps1 = eps/2.
 	eps1 := f.cfg.Epsilon / 2
@@ -140,11 +124,14 @@ func (s *ANT) refreshThreshold(f *Framework, rd *mpc.Round, nw, share int) {
 	rd.Share(share, uint32(int32(math.Round(noisy*thresholdScale))))
 }
 
-// Tick implements Shrinker. The SVT check — the counter and threshold
+// antTick is the sDPANT protocol of Algorithm 3: split the budget eps in two;
+// keep a secret-shared noisy threshold; each step distort the counter and
+// compare against the noisy threshold; on crossing, release a DP-sized fetch
+// and refresh the threshold with fresh randomness. It also runs the paper's
+// cache flush (Section 5.2.1). The SVT check — the counter and threshold
 // recoveries and the joint noise — is one round; a release — its noise, the
-// refreshed threshold's noise and both re-shares — is another. sDPANT
-// observes the counter every step, so it needs no StepObserver.
-func (s *ANT) Tick(f *Framework, t int) {
+// refreshed threshold's noise and both re-shares — is another.
+func (f *Framework) antTick(t int) {
 	eps1 := f.cfg.Epsilon / 2
 	eps2 := f.cfg.Epsilon / 2
 	rd := f.rt.Round()
@@ -172,7 +159,7 @@ func (s *ANT) Tick(f *Framework, t int) {
 		sz = int(math.Round(float64(c) + noise))
 	}
 	f.syncToView(sz)
-	s.refreshThreshold(f, rd, refresh, share)
+	f.refreshThreshold(rd, refresh, share)
 	// Alg. 3 line 13: reset c to 0.
 	rd.Share(reset, 0)
 	f.flush(t)
@@ -202,7 +189,7 @@ func (f *Framework) syncToView(sz int) {
 	f.rt.ObserveFetch(sz, "shrink")
 }
 
-// flush ends both DP Shrink protocols' Tick: every FlushEvery steps it moves
+// flush ends both DP Shrink protocols' ticks: every FlushEvery steps it moves
 // the FlushSize head of the sorted cache into the view and recycles the rest.
 func (f *Framework) flush(t int) {
 	if !flushDue(t) {
@@ -216,10 +203,10 @@ func (f *Framework) flush(t int) {
 
 // NewTimerEngine builds an IncShrink engine running sDPTimer.
 func NewTimerEngine(cfg Config) (*Framework, error) {
-	return New(cfg, &Timer{})
+	return build(cfg, timer)
 }
 
 // NewANTEngine builds an IncShrink engine running sDPANT.
 func NewANTEngine(cfg Config) (*Framework, error) {
-	return New(cfg, &ANT{})
+	return build(cfg, ant)
 }

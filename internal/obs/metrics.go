@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -153,7 +154,7 @@ func (r *Registry) register(name, help string, typ metricType, labels []string, 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.typ != typ || f.help != help || !equalStrings(f.labels, labels) || !equalFloats(f.bounds, bounds) {
+		if f.typ != typ || f.help != help || !slices.Equal(f.labels, labels) || !slices.Equal(f.bounds, bounds) {
 			panic(fmt.Sprintf("obs: metric %s re-registered with a different type, help, labels or buckets", name))
 		}
 		return f
@@ -168,30 +169,6 @@ func (r *Registry) register(name, help string, typ metricType, labels []string, 
 	}
 	r.families[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // A Counter is a monotonically non-decreasing sample. Adding a negative

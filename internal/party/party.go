@@ -7,7 +7,7 @@
 // tallies) is byte-identical across transports.
 //
 // The session script exercises every wire primitive the runtime and the GMW
-// layer own: each step is one round, the shape of core.Timer.Tick, that
+// layer own: each step is one round, the shape of core's sDPTimer tick, that
 // recovers the shared counter in-protocol, draws joint Laplace noise and
 // re-shares the next counter; then transcript observations; then a GMW
 // segment (offline tuple dealing plus online rounds of batched AND
@@ -247,7 +247,7 @@ func (s *session) run(from int) (*Report, error) {
 }
 
 // step is one runtime protocol step in the one round of stepRounds, the
-// shape of core.Timer.Tick: recover the counter step t-1 re-shared
+// shape of core's sDPTimer tick: recover the counter step t-1 re-shared
 // (checking the reconstruction), draw joint Laplace noise and re-share the
 // next counter; then record the public observations of a padded batch plus
 // the periodic DP fetch/flush. Declaration order is draw order — the

@@ -170,7 +170,7 @@ func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
 // runtime round per step, the GMW segment's AND rounds and its reveal.
 func TestMeasuredWireMatchesPrediction(t *testing.T) {
 	if len(stepRounds) != 1 {
-		t.Errorf("a step takes %d runtime rounds, want 1: recovery, noise and re-share are one round, as in core.Timer.Tick", len(stepRounds))
+		t.Errorf("a step takes %d runtime rounds, want 1: recovery, noise and re-share are one round, as in core's sDPTimer tick", len(stepRounds))
 	}
 	r0, r1, err := RunLoopbackPair(testConfig())
 	if err != nil {

@@ -38,10 +38,7 @@ type Result struct {
 	TotalQuerySecs   float64
 
 	ViewLen   int
-	ViewReal  int
 	ViewBytes int64
-
-	Metrics core.Metrics
 
 	// Optional per-step series (KeepSeries).
 	L1Series  []float64
@@ -105,9 +102,7 @@ func (a *runAccum) result(e core.Engine, tr *workload.Trace) Result {
 		TotalMPCSecs:     m.TotalMPCSecs,
 		TotalQuerySecs:   m.QuerySecs,
 		ViewLen:          m.ViewLen,
-		ViewReal:         m.ViewReal,
 		ViewBytes:        m.ViewBytes,
-		Metrics:          m,
 		L1Series:         a.l1s,
 		QETSeries:        a.qets,
 	}
