@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test lint orphans deadexports race bench-smoke benchmark obs-smoke recover-smoke wire-smoke fuzz-smoke serve
+.PHONY: check fmt vet build test lint orphans deadexports race bench-smoke benchmark obs-smoke recover-smoke wire-smoke fuzz-smoke goldens serve
 
 # check is what CI runs: formatting, static checks, build, tests, the
 # data-plane benchmark smoke, the observability smoke (boot the production
@@ -136,8 +136,9 @@ obs-smoke:
 # its own session snapshot (its versioned header, one-party runtime section
 # and next step) after any step and rejoined over a fresh connection, finish
 # byte-identical to the session that never stopped. The exhaustive
-# byte-identical matrix (goldens at k in {1,37,60,119}) runs with the normal
-# test suite as internal/experiments TestCrashRecoveryReproducesGoldens.
+# byte-identical matrix (goldens at k in {1,37,60,119}, every framework
+# engine restarted: both DP protocols, EP and OTM) runs with the normal test
+# suite as internal/experiments TestCrashRecoveryReproducesGoldens.
 recover-smoke:
 	$(GO) test -count=1 -run 'TestRecoverSmoke' .
 	$(GO) test -count=1 -run 'TestFrameworkSnapshotRestoreContinues|TestRuntimeStateDoesNotGrowWithHorizon' ./internal/core
@@ -174,6 +175,17 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzCountColumns -fuzztime 10s ./internal/oblivious
 	$(GO) test -run XXX -fuzz FuzzCacheRead -fuzztime 10s ./internal/securearray
 	$(GO) test -run XXX -fuzz FuzzSimulator -fuzztime 10s ./internal/core
+
+# goldens regenerates the seven pinned reports (Table 2, Figures 4-9 at seed
+# 1, 120 steps) that internal/experiments TestGoldenReportsByteIdentical
+# compares byte for byte. Run it only after an intended change to what the
+# reports show, and say so in the commit.
+goldens:
+	$(GO) build -o bin/incshrink-bench ./cmd/incshrink-bench
+	for exp in table2 fig4 fig5 fig6 fig7 fig8 fig9; do \
+		./bin/incshrink-bench -exp $$exp -steps 120 -seed 1 -workers 1 \
+			> internal/experiments/testdata/golden_$${exp}_seed1_steps120.txt || exit 1; \
+	done
 
 # serve runs the multi-tenant HTTP front end (see examples/server for a
 # curl-able session). Add DATA=./incshrink-data for a durable server.

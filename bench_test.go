@@ -398,7 +398,7 @@ func BenchmarkEndToEndTimerTPCDS(b *testing.B) {
 	b.ResetTimer()
 	var r sim.Result
 	for i := 0; i < b.N; i++ {
-		r, err = sim.RunKind(sim.KindTimer, cfg, tr, sim.Options{})
+		r, err = sim.RunKind(sim.KindTimer, cfg, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -419,7 +419,7 @@ func BenchmarkEndToEndANTCPDB(b *testing.B) {
 	b.ResetTimer()
 	var r sim.Result
 	for i := 0; i < b.N; i++ {
-		r, err = sim.RunKind(sim.KindANT, cfg, tr, sim.Options{})
+		r, err = sim.RunKind(sim.KindANT, cfg, tr)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -98,9 +98,6 @@ func (n *NM) Metrics() Metrics {
 	}
 }
 
-// Name implements Engine.
-func (n *NM) Name() string { return "NM" }
-
 var (
 	_ Engine = (*Framework)(nil)
 	_ Engine = (*NM)(nil)

@@ -587,28 +587,28 @@ func TestNMBaselineExactAndSlow(t *testing.T) {
 	}
 }
 
-func TestEngineNames(t *testing.T) {
+// TestConstructorsPickProtocol: each exported constructor builds a
+// Framework running its own protocol.
+func TestConstructorsPickProtocol(t *testing.T) {
 	wl := workload.TPCDS(50, 1)
 	cfg := DefaultConfig(wl, 1)
-	f, _ := NewTimerEngine(cfg)
-	if f.Name() != "DP-Timer" {
-		t.Errorf("timer name %q", f.Name())
-	}
-	a, _ := NewANTEngine(cfg)
-	if a.Name() != "DP-ANT" {
-		t.Errorf("ant name %q", a.Name())
-	}
-	ep, _ := NewEPEngine(cfg, wl.MaxMultiplicity)
-	if ep.Name() != "EP" {
-		t.Errorf("ep name %q", ep.Name())
-	}
-	otm, _ := NewOTMEngine(cfg, wl.MaxMultiplicity)
-	if otm.Name() != "OTM" {
-		t.Errorf("otm name %q", otm.Name())
-	}
-	nm, _ := NewNMEngine(cfg, wl.MaxMultiplicity)
-	if nm.Name() != "NM" {
-		t.Errorf("nm name %q", nm.Name())
+	for _, c := range []struct {
+		name  string
+		build func() (*Framework, error)
+		want  protocol
+	}{
+		{"timer", func() (*Framework, error) { return NewTimerEngine(cfg) }, timer},
+		{"ant", func() (*Framework, error) { return NewANTEngine(cfg) }, ant},
+		{"ep", func() (*Framework, error) { return NewEPEngine(cfg, wl.MaxMultiplicity) }, ep},
+		{"otm", func() (*Framework, error) { return NewOTMEngine(cfg, wl.MaxMultiplicity) }, otm},
+	} {
+		f, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if f.proto != c.want {
+			t.Errorf("%s constructor built protocol %d, want %d", c.name, f.proto, c.want)
+		}
 	}
 }
 
@@ -745,7 +745,7 @@ func TestWireBytesGaugePricesWords(t *testing.T) {
 		}
 		for _, op := range []string{`{op="Transform"}`, `{op="Shrink"}`} {
 			if v, ok := gauge[op]; !ok || v != 1 {
-				t.Errorf("%s (%s): predicted/measured wire bytes %v (scraped: %v), want exactly 1", op, f.Name(), v, ok)
+				t.Errorf("%s (protocol %d): predicted/measured wire bytes %v (scraped: %v), want exactly 1", op, f.proto, v, ok)
 			}
 		}
 	}

@@ -135,8 +135,6 @@ type Engine interface {
 	Query() (result int, qetSeconds float64)
 	// Metrics exposes the engine's accumulated measurements.
 	Metrics() Metrics
-	// Name identifies the engine for reports (DP-Timer, DP-ANT, EP, ...).
-	Name() string
 }
 
 // Metrics aggregates an engine's instrumentation.
@@ -334,9 +332,6 @@ func (f *Framework) deltaCap(nLeft, nRight int) int {
 }
 
 const counterKey = "c"
-
-// Name implements Engine: the Shrink protocol names the engine.
-func (f *Framework) Name() string { return protocolNames[f.proto] }
 
 // Step implements Engine: one time step is a batch of one.
 func (f *Framework) Step(st workload.Step) {

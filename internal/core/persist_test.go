@@ -140,10 +140,10 @@ func TestRuntimeStateDoesNotGrowWithHorizon(t *testing.T) {
 			f.Step(st)
 		}
 		if late := section(); late != early {
-			t.Errorf("%s: runtime section is %d bytes after 10 steps, %d after %d", f.Name(), early, late, len(tr.Steps))
+			t.Errorf("protocol %d: runtime section is %d bytes after 10 steps, %d after %d", f.proto, early, late, len(tr.Steps))
 		}
 		if now := f.rt.Party(mpc.Server0).EventCount(); now < seen+uint64(len(tr.Steps))/2 {
-			t.Errorf("%s: only %d events over the run; the section had nothing to not grow with", f.Name(), now-seen)
+			t.Errorf("protocol %d: only %d events over the run; the section had nothing to not grow with", f.proto, now-seen)
 		}
 	}
 }

@@ -20,9 +20,6 @@ const (
 	otm                   // one-time materialization: the first upload, once
 )
 
-// protocolNames are the engines' report names (Engine.Name).
-var protocolNames = [...]string{timer: "DP-Timer", ant: "DP-ANT", ep: "EP", otm: "OTM"}
-
 // tick runs the protocol at the end of step t.
 func (f *Framework) tick(t int) {
 	switch f.proto {

@@ -20,7 +20,54 @@ type simCell struct {
 	wl   workload.Config
 	kind sim.EngineKind
 	cfg  core.Config
-	opts sim.Options
+}
+
+// grid is one experiment's evaluation grid: its cells in report order, the
+// fill that carries each cell's result to the points it plots, and the
+// figures those fills write. An experiment builds it in one walk — each
+// figure before the fills that capture it — and run hands every result to
+// its own cell's fill, in cell order.
+type grid struct {
+	cells []simCell
+	fills []func(sim.Result)
+	figs  []*Figure
+}
+
+// figure appends an empty figure to the report and returns it for fills.
+func (g *grid) figure(id, title, xLabel, yLabel string) *Figure {
+	f := &Figure{ID: id, Title: title, XLabel: xLabel, YLabel: yLabel}
+	g.figs = append(g.figs, f)
+	return f
+}
+
+// cell appends one cell and the fill its result goes to.
+func (g *grid) cell(wl workload.Config, kind sim.EngineKind, cfg core.Config, fill func(sim.Result)) {
+	g.cells = append(g.cells, simCell{wl: wl, kind: kind, cfg: cfg})
+	g.fills = append(g.fills, fill)
+}
+
+// run executes the cells and fills their points.
+func (g *grid) run(ctx context.Context, p Params) error {
+	res, err := runCells(ctx, p, g.cells)
+	if err != nil {
+		return err
+	}
+	for i, r := range res {
+		g.fills[i](r)
+	}
+	return nil
+}
+
+// figures runs the grid and returns its filled figures.
+func (g *grid) figures(ctx context.Context, p Params) ([]Figure, error) {
+	if err := g.run(ctx, p); err != nil {
+		return nil, err
+	}
+	figs := make([]Figure, len(g.figs))
+	for i, f := range g.figs {
+		figs[i] = *f
+	}
+	return figs, nil
 }
 
 // key canonically names the cell by its workload and the parameters the
@@ -43,14 +90,13 @@ func (c simCell) key() string {
 func runCells(ctx context.Context, p Params, cells []simCell) ([]sim.Result, error) {
 	rc := make([]runner.Cell[sim.Result], len(cells))
 	for i, c := range cells {
-		c := c
 		key := c.key()
 		rc[i] = runner.Cell[sim.Result]{
 			Key: key,
 			Run: func(context.Context) (sim.Result, error) {
 				cfg := c.cfg
 				cfg.Seed = runner.DeriveSeed(p.Seed, key)
-				return cachedRun(c.kind, cfg, c.wl, c.opts)
+				return cachedRun(c.kind, cfg, c.wl)
 			},
 		}
 	}
@@ -77,7 +123,6 @@ type resultKey struct {
 	kind sim.EngineKind
 	cfg  core.Config
 	wl   workload.Config
-	opts sim.Options
 }
 
 type resultEntry struct {
@@ -103,10 +148,10 @@ func sharedTrace(wl workload.Config) (*workload.Trace, error) {
 }
 
 // cachedRun memoizes sim.RunKind per fully specified cell. A simulation is a
-// pure function of (kind, cfg, workload, options) — cfg embeds the derived
-// seed — so a cache hit is byte-identical to a rerun.
-func cachedRun(kind sim.EngineKind, cfg core.Config, wl workload.Config, opts sim.Options) (sim.Result, error) {
-	key := resultKey{kind: kind, cfg: cfg, wl: wl, opts: opts}
+// pure function of (kind, cfg, workload) — cfg embeds the derived seed — so
+// a cache hit is byte-identical to a rerun.
+func cachedRun(kind sim.EngineKind, cfg core.Config, wl workload.Config) (sim.Result, error) {
+	key := resultKey{kind: kind, cfg: cfg, wl: wl}
 	cacheMu.Lock()
 	e, ok := resultCache[key]
 	if !ok {
@@ -120,16 +165,16 @@ func cachedRun(kind sim.EngineKind, cfg core.Config, wl workload.Config, opts si
 			e.err = err
 			return
 		}
-		e.res, e.err = runKind(kind, cfg, tr, opts)
+		e.res, e.err = runKind(kind, cfg, tr)
 	})
 	return e.res, e.err
 }
 
 // runKind is the cell execution function, sim.RunKind in production. The
 // crash-recovery golden test swaps it for a wrapper that snapshots and
-// restores the DP engines mid-run, re-deriving the same reports through a
-// restart (callers that swap it must ResetCaches around the swap — the
-// result cache is keyed by cell, not by execution function).
+// restores every framework engine mid-run, re-deriving the same reports
+// through a restart (callers that swap it must ResetCaches around the swap —
+// the result cache is keyed by cell, not by execution function).
 var runKind = sim.RunKind
 
 // ResetCaches drops every memoized trace and result, forcing the next run

@@ -5,14 +5,14 @@ import (
 	"testing"
 )
 
-// runReport regenerates a set of experiments from scratch (caches dropped)
-// at the given worker count and returns the formatted report bytes.
+// runReport regenerates every experiment from scratch (caches dropped) at
+// the given worker count and returns the formatted report bytes.
 func runReport(t *testing.T, workers int) string {
 	t.Helper()
 	ResetCaches()
 	p := Params{Steps: 60, Seed: 7, Workers: workers}
 	var buf bytes.Buffer
-	for _, name := range []string{"table2", "fig5"} {
+	for _, name := range Names() {
 		if err := Registry[name](ctx, p, &buf); err != nil {
 			t.Fatalf("%s at workers=%d: %v", name, workers, err)
 		}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7). Each experiment has a typed runner returning the
 // rows/series the paper reports and a formatter producing a readable text
-// table. The per-experiment index lives in DESIGN.md §3; Table 2's and
-// Figure 4's reports at seed 1 are pinned byte for byte as goldens under
-// testdata/, and cmd/incshrink-bench prints every report at any scale.
+// table. The per-experiment index lives in DESIGN.md §3. Every report at
+// seed 1 and 120 steps — Table 2 and Figures 4 to 9 — is pinned byte for
+// byte as a golden under testdata/ (`make goldens` regenerates them), and
+// cmd/incshrink-bench prints every report at any scale.
 package experiments
 
 import (
@@ -80,55 +81,54 @@ type Table2Row struct {
 	ImpView float64 // view-size improvement over EP
 }
 
-// comparisonCells enumerates the five-candidate comparison grid (every
-// engine kind on both datasets at the default configuration) in report
-// order — the shared cell set behind Table 2 and Figure 4.
-func comparisonCells(dss []datasetSpec) []simCell {
-	var cells []simCell
-	for _, ds := range dss {
-		for _, kind := range sim.AllKinds {
-			cells = append(cells, simCell{wl: ds.WL, kind: kind, cfg: ds.Cfg})
-		}
-	}
-	return cells
-}
-
 // Table2 reproduces the aggregated statistics for the comparison experiment:
 // all five candidates on both datasets at the default configuration. The ten
-// cells run concurrently on the sweep worker pool.
+// cells run concurrently on the sweep worker pool; a dataset's rows are
+// written once its last candidate's result arrives, since each row's
+// improvement columns compare it with OTM, NM and EP.
 func Table2(ctx context.Context, p Params) ([]Table2Row, error) {
 	p = p.WithDefaults()
-	dss := datasets(p)
-	res, err := runCells(ctx, p, comparisonCells(dss))
-	if err != nil {
-		return nil, err
-	}
+	var g grid
 	var rows []Table2Row
-	for di, ds := range dss {
-		results := map[sim.EngineKind]sim.Result{}
-		for ki, kind := range sim.AllKinds {
-			results[kind] = res[di*len(sim.AllKinds)+ki]
-		}
-		otm, ep, nm := results[sim.KindOTM], results[sim.KindEP], results[sim.KindNM]
+	for _, ds := range datasets(p) {
+		got := map[sim.EngineKind]sim.Result{}
 		for _, kind := range sim.AllKinds {
-			r := results[kind]
-			rows = append(rows, Table2Row{
-				Dataset:       ds.Label,
-				Candidate:     string(kind),
-				AvgL1:         r.AvgL1,
-				RelErr:        r.AvgRel,
-				ImpL1:         sim.Improvement(otm.AvgL1, r.AvgL1),
-				TransformSecs: r.AvgTransformSecs,
-				ShrinkSecs:    r.AvgShrinkSecs,
-				QETSecs:       r.AvgQET,
-				ImpOverNM:     sim.Improvement(nm.AvgQET, r.AvgQET),
-				ImpOverEP:     sim.Improvement(ep.AvgQET, r.AvgQET),
-				ViewMB:        float64(r.ViewBytes) / (1 << 20),
-				ImpView:       sim.Improvement(float64(ep.ViewBytes), float64(r.ViewBytes)),
+			g.cell(ds.WL, kind, ds.Cfg, func(r sim.Result) {
+				got[kind] = r
+				if len(got) == len(sim.AllKinds) {
+					rows = append(rows, table2Rows(ds.Label, got)...)
+				}
 			})
 		}
 	}
+	if err := g.run(ctx, p); err != nil {
+		return nil, err
+	}
 	return rows, nil
+}
+
+// table2Rows is one dataset's block of Table 2, in candidate order.
+func table2Rows(label string, got map[sim.EngineKind]sim.Result) []Table2Row {
+	otm, ep, nm := got[sim.KindOTM], got[sim.KindEP], got[sim.KindNM]
+	var rows []Table2Row
+	for _, kind := range sim.AllKinds {
+		r := got[kind]
+		rows = append(rows, Table2Row{
+			Dataset:       label,
+			Candidate:     string(kind),
+			AvgL1:         r.AvgL1,
+			RelErr:        r.AvgRel,
+			ImpL1:         sim.Improvement(otm.AvgL1, r.AvgL1),
+			TransformSecs: r.AvgTransformSecs,
+			ShrinkSecs:    r.AvgShrinkSecs,
+			QETSecs:       r.AvgQET,
+			ImpOverNM:     sim.Improvement(nm.AvgQET, r.AvgQET),
+			ImpOverEP:     sim.Improvement(ep.AvgQET, r.AvgQET),
+			ViewMB:        float64(r.ViewBytes) / (1 << 20),
+			ImpView:       sim.Improvement(float64(ep.ViewBytes), float64(r.ViewBytes)),
+		})
+	}
+	return rows
 }
 
 // FormatTable2 renders the rows as a text table.

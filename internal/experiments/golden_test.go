@@ -8,20 +8,18 @@ import (
 	"testing"
 )
 
-// TestGoldenReportsByteIdentical pins the full evaluation stack to report
-// bytes captured from the pre-columnar (row-oriented, []Entry-based) engine
-// at seed 1: the Buffer refactor is a pure representation change, so Table 2
-// and Figure 4 — every simulated count, error statistic and MPC cost in
-// them — must reproduce the recorded goldens exactly, byte for byte.
+// TestGoldenReportsByteIdentical pins the full evaluation stack to the
+// report bytes of every registered experiment at seed 1 and 120 steps:
+// Table 2 and Figures 4–9 — every simulated count, error statistic and MPC
+// cost in them — must reproduce the recorded goldens exactly, byte for byte.
 //
 // If this test fails after an intentional semantic change to the protocols
-// or cost model, regenerate the goldens (Params{Steps: 120, Seed: 1}) and
-// say so in the commit; an unintentional failure means the data plane
+// or cost model, regenerate the goldens with `make goldens` and say so in
+// the commit; an unintentional failure means the engine or the harness
 // changed observable behavior.
 func TestGoldenReportsByteIdentical(t *testing.T) {
 	p := Params{Steps: 120, Seed: 1, Workers: 1}
-	for _, name := range []string{"table2", "fig4"} {
-		name := name
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", "golden_"+name+"_seed1_steps120.txt")
 			want, err := os.ReadFile(path)
@@ -33,7 +31,7 @@ func TestGoldenReportsByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("%s output diverged from the pre-refactor golden\n--- got ---\n%s--- want ---\n%s", name, got.String(), want)
+				t.Errorf("%s output diverged from %s (after an intended change, `make goldens` regenerates it)\n--- got ---\n%s--- want ---\n%s", name, path, got.String(), want)
 			}
 		})
 	}

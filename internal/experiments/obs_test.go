@@ -30,7 +30,7 @@ func TestObservedGoldensIdentical(t *testing.T) {
 		runKind = sim.RunKind
 		ResetCaches()
 	}()
-	runKind = func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace, opts sim.Options) (sim.Result, error) {
+	runKind = func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace) (sim.Result, error) {
 		e, err := sim.Build(kind, cfg, tr.Config)
 		if err != nil {
 			return sim.Result{}, err
@@ -38,7 +38,7 @@ func TestObservedGoldensIdentical(t *testing.T) {
 		if fw, ok := e.(*core.Framework); ok {
 			fw.SetInstruments(ins.ForView(string(kind)))
 		}
-		return sim.Run(e, tr, opts), nil
+		return sim.Run(e, tr), nil
 	}
 	// The result cache is keyed by cell, not by execution function: force a
 	// cold run under the instrumented harness.

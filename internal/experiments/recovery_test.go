@@ -14,16 +14,19 @@ import (
 	"incshrink/internal/workload"
 )
 
-// restartAt is runKind with every DP engine snapshotted at step k, restored
-// into a fresh framework ("a fresh process") and continued.
-func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace, sim.Options) (sim.Result, error) {
-	return func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace, opts sim.Options) (sim.Result, error) {
-		if kind != sim.KindTimer && kind != sim.KindANT {
-			// The baselines are not what durability protects; they
-			// run uninterrupted.
-			return sim.RunKind(kind, cfg, tr, opts)
+// restartAt is runKind with every framework engine — sDPTimer, sDPANT, EP
+// and OTM — snapshotted at step k, restored into a fresh framework ("a fresh
+// process") and continued. NM keeps no state, so it runs uninterrupted.
+func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace) (sim.Result, error) {
+	return func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace) (sim.Result, error) {
+		e, err := sim.Build(kind, cfg, tr.Config)
+		if err != nil {
+			return sim.Result{}, err
 		}
-		return sim.RunKindWithRestart(kind, cfg, tr, opts, k, func(e core.Engine) (core.Engine, error) {
+		if _, ok := e.(*core.Framework); !ok {
+			return sim.Run(e, tr), nil
+		}
+		return sim.RunWithRestart(e, tr, k, func(e core.Engine) (core.Engine, error) {
 			var snap bytes.Buffer
 			enc := snapshot.NewEncoder(&snap)
 			e.(*core.Framework).EncodeState(enc)
@@ -46,11 +49,11 @@ func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace, sim.Opt
 	}
 }
 
-// TestCrashRecoveryReproducesGoldens is the acceptance criterion of the
-// durability PR: run the paper-default evaluation with every DP engine
+// TestCrashRecoveryReproducesGoldens is the acceptance criterion of
+// durability: run the paper-default evaluation with every framework engine
 // snapshotted at step k, restored into a fresh framework, and continued to
 // step 120 — the Table 2 and Figure 4 report bytes must equal the pinned
-// seed-1 goldens exactly, for both sDPTimer and sDPANT, at every k in
+// seed-1 goldens exactly, for sDPTimer, sDPANT, EP and OTM, at every k in
 // {1, 37, 60, 119}. Anything short of bit-exact engine restoration (a lost
 // RNG draw, a dropped cache slot, a meter tick) shifts a count or a simulated
 // cost somewhere in the reports and fails the byte comparison. Then the same

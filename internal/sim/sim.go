@@ -12,23 +12,9 @@ import (
 	"incshrink/internal/workload"
 )
 
-// Options controls a run.
-type Options struct {
-	// QueryEvery issues the test query every n steps (default 1, the paper's
-	// "one test query at each time step").
-	QueryEvery int
-	// KeepSeries retains the per-step L1/QET series for figure generation.
-	KeepSeries bool
-}
-
 // Result aggregates one engine's run over one trace.
 type Result struct {
-	Engine   string
-	Workload string
-	Steps    int
-
 	AvgL1  float64
-	MaxL1  float64
 	AvgRel float64 // mean of L1_t / truth_t over steps with truth > 0
 	AvgQET float64
 
@@ -37,12 +23,7 @@ type Result struct {
 	TotalMPCSecs     float64
 	TotalQuerySecs   float64
 
-	ViewLen   int
 	ViewBytes int64
-
-	// Optional per-step series (KeepSeries).
-	L1Series  []float64
-	QETSeries []float64
 }
 
 // runAccum carries the per-step scoring state of a run. It lives outside
@@ -50,78 +31,51 @@ type Result struct {
 // crash-recovery harness snapshots one engine and continues on a restored
 // one) while the accumulated score covers the whole trace.
 type runAccum struct {
-	opts               Options
-	truth              int
-	sumL1, sumRel, max float64
-	sumQET             float64
-	queries            int
-	l1s, qets          []float64
-}
-
-func newRunAccum(opts Options) *runAccum {
-	if opts.QueryEvery < 1 {
-		opts.QueryEvery = 1
-	}
-	return &runAccum{opts: opts}
+	truth                 int
+	sumL1, sumRel, sumQET float64
+	queries               int
 }
 
 // step feeds one trace step to the engine, accumulates the ground truth and
-// issues the standing query when the schedule fires.
+// issues the standing query, the paper's "one test query at each time step".
 func (a *runAccum) step(e core.Engine, st workload.Step) {
 	e.Step(st)
 	a.truth += st.NewPairs
-	if (st.T+1)%a.opts.QueryEvery != 0 {
-		return
-	}
 	res, qet := e.Query()
 	l1 := math.Abs(float64(a.truth - res))
 	a.sumL1 += l1
-	if l1 > a.max {
-		a.max = l1
-	}
 	if a.truth > 0 {
 		a.sumRel += l1 / float64(a.truth)
 	}
 	a.sumQET += qet
 	a.queries++
-	if a.opts.KeepSeries {
-		a.l1s = append(a.l1s, l1)
-		a.qets = append(a.qets, qet)
-	}
 }
 
 // result finalizes the run from the engine that finished the trace.
-func (a *runAccum) result(e core.Engine, tr *workload.Trace) Result {
+func (a *runAccum) result(e core.Engine) Result {
 	m := e.Metrics()
 	r := Result{
-		Engine:           e.Name(),
-		Workload:         tr.Config.Name,
-		Steps:            len(tr.Steps),
 		AvgTransformSecs: m.AvgTransformSecs(),
 		AvgShrinkSecs:    m.AvgShrinkSecs(),
 		TotalMPCSecs:     m.TotalMPCSecs,
 		TotalQuerySecs:   m.QuerySecs,
-		ViewLen:          m.ViewLen,
 		ViewBytes:        m.ViewBytes,
-		L1Series:         a.l1s,
-		QETSeries:        a.qets,
 	}
 	if a.queries > 0 {
 		r.AvgL1 = a.sumL1 / float64(a.queries)
 		r.AvgRel = a.sumRel / float64(a.queries)
 		r.AvgQET = a.sumQET / float64(a.queries)
-		r.MaxL1 = a.max
 	}
 	return r
 }
 
 // Run drives the engine over every step of the trace.
-func Run(e core.Engine, tr *workload.Trace, opts Options) Result {
-	a := newRunAccum(opts)
+func Run(e core.Engine, tr *workload.Trace) Result {
+	var a runAccum
 	for _, st := range tr.Steps {
 		a.step(e, st)
 	}
-	return a.result(e, tr)
+	return a.result(e)
 }
 
 // RunWithRestart drives e over the first k steps of the trace, hands it to
@@ -130,14 +84,9 @@ func Run(e core.Engine, tr *workload.Trace, opts Options) Result {
 // engine. The Result scores the whole trace across the hand-off, so with an
 // exact snapshot/restore it must be byte-identical to Run's (that is the
 // crash-recovery acceptance criterion pinned in internal/experiments).
-func RunWithRestart(e core.Engine, tr *workload.Trace, opts Options, k int, reload func(core.Engine) (core.Engine, error)) (Result, error) {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(tr.Steps) {
-		k = len(tr.Steps)
-	}
-	a := newRunAccum(opts)
+func RunWithRestart(e core.Engine, tr *workload.Trace, k int, reload func(core.Engine) (core.Engine, error)) (Result, error) {
+	k = min(max(k, 0), len(tr.Steps))
+	var a runAccum
 	for _, st := range tr.Steps[:k] {
 		a.step(e, st)
 	}
@@ -148,7 +97,7 @@ func RunWithRestart(e core.Engine, tr *workload.Trace, opts Options, k int, relo
 	for _, st := range tr.Steps[k:] {
 		a.step(e2, st)
 	}
-	return a.result(e2, tr), nil
+	return a.result(e2), nil
 }
 
 // EngineKind names the five comparison candidates of Table 2.
@@ -188,22 +137,12 @@ func Build(kind EngineKind, cfg core.Config, wl workload.Config) (core.Engine, e
 
 // RunKind generates nothing; it builds and runs one candidate over an
 // existing trace.
-func RunKind(kind EngineKind, cfg core.Config, tr *workload.Trace, opts Options) (Result, error) {
+func RunKind(kind EngineKind, cfg core.Config, tr *workload.Trace) (Result, error) {
 	e, err := Build(kind, cfg, tr.Config)
 	if err != nil {
 		return Result{}, err
 	}
-	return Run(e, tr, opts), nil
-}
-
-// RunKindWithRestart is RunKind with a restart after k steps (see
-// RunWithRestart): the crash-recovery harness entry point.
-func RunKindWithRestart(kind EngineKind, cfg core.Config, tr *workload.Trace, opts Options, k int, reload func(core.Engine) (core.Engine, error)) (Result, error) {
-	e, err := Build(kind, cfg, tr.Config)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunWithRestart(e, tr, opts, k, reload)
+	return Run(e, tr), nil
 }
 
 // Improvement returns base/x as a human-oriented ratio, guarding zeros
