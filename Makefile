@@ -132,24 +132,24 @@ obs-smoke:
 # it returns and restored, stand at exactly the steps they were told applied),
 # that what a checkpoint writes beside the view does not grow with the
 # horizon (the runtime section is the same size after 10,000 steps as after
-# 10), and that both parties of a two-process session, each restored from
-# its own session snapshot (its versioned header, one-party runtime section
-# and next step) after any step and rejoined over a fresh connection, finish
-# byte-identical to the session that never stopped. The exhaustive
+# 10), and that a two-party deployment whose parties — each a one-party
+# engine — are rebuilt on a fresh connection, each from its own engine state
+# section, continues byte-identical to the pair that never stopped (answers,
+# transcript digests, final state sections with their wire tallies) on every
+# Theorem-7/8 row, the cache flush included. The exhaustive
 # byte-identical matrix (goldens at k in {1,37,60,119}, every framework
 # engine restarted: both DP protocols, EP and OTM) runs with the normal test
 # suite as internal/experiments TestCrashRecoveryReproducesGoldens.
 recover-smoke:
 	$(GO) test -count=1 -run 'TestRecoverSmoke' .
-	$(GO) test -count=1 -run 'TestFrameworkSnapshotRestoreContinues|TestRuntimeStateDoesNotGrowWithHorizon' ./internal/core
+	$(GO) test -count=1 -run 'TestFrameworkSnapshotRestoreContinues|TestRuntimeStateDoesNotGrowWithHorizon|TestPartyEnginesRejoinByteIdentical' ./internal/core
 	$(GO) test -count=1 -run 'TestRegistryCheckpointRestore|TestPeriodicCheckpointing|TestCloseIsAckBarrier' ./internal/serve
-	$(GO) test -count=1 -run 'TestSnapshotRejoinByteIdentical' ./internal/party
 
 # wire-smoke proves the transport stack end to end (CI runs this): build
 # cmd/incshrink-party, spawn two party processes over localhost TLS with
 # self-signed certificates in a temp dir, and require (a) the networked
 # session is byte-identical to the in-process loopback reference — opened
-# values, transcript and snapshot digests, wire tallies — and (b) the
+# values, transcript digests, wire tallies — and (b) the
 # measured per-party wire rounds/bytes equal the mpc cost-model prediction
 # exactly. The measured numbers land in BENCH_wire.json, which CI holds with
 # git diff --exit-code.

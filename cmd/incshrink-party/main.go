@@ -19,13 +19,12 @@
 //	    measured wire rounds/bytes to equal the mpc cost-model predictions,
 //	    and write the wire benchmark report.
 //
-// Config file format (JSON):
+// Config file format (JSON; a key not listed here is an error):
 //
 //	{
 //	  "role": 0,                      // 0 listens, 1 dials
 //	  "seed": 1234,                   // shared deployment seed
 //	  "steps": 12,                    // protocol steps before the GMW segment
-//	  "snapshot_at": 5,               // optional: snapshot after this step
 //	  "listen": "127.0.0.1:7401",     // role 0: bind address
 //	  "peer": "127.0.0.1:7401",       // role 1: role 0's address
 //	  "cert": "party0.crt",           // this party's certificate
@@ -38,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -62,23 +62,39 @@ const (
 )
 
 type fileConfig struct {
-	Role       int    `json:"role"`
-	Seed       int64  `json:"seed"`
-	Steps      int    `json:"steps"`
-	SnapshotAt *int   `json:"snapshot_at,omitempty"`
-	Listen     string `json:"listen,omitempty"`
-	Peer       string `json:"peer,omitempty"`
-	Cert       string `json:"cert"`
-	Key        string `json:"key"`
-	PeerCert   string `json:"peer_cert"`
+	Role     int    `json:"role"`
+	Seed     int64  `json:"seed"`
+	Steps    int    `json:"steps"`
+	Listen   string `json:"listen,omitempty"`
+	Peer     string `json:"peer,omitempty"`
+	Cert     string `json:"cert"`
+	Key      string `json:"key"`
+	PeerCert string `json:"peer_cert"`
 }
 
 func (fc fileConfig) sessionConfig() party.Config {
-	cfg := party.Config{Role: fc.Role, Seed: fc.Seed, Steps: fc.Steps, SnapshotAt: -1}
-	if fc.SnapshotAt != nil {
-		cfg.SnapshotAt = *fc.SnapshotAt
+	return party.Config{Role: fc.Role, Seed: fc.Seed, Steps: fc.Steps}
+}
+
+// loadConfig reads and validates a party configuration file. It is decoded
+// strictly, as the server decodes its create body: an unknown (or
+// misspelled) key is an error naming it, not a setting silently dropped.
+func loadConfig(path string) (fileConfig, error) {
+	var fc fileConfig
+	f, err := os.Open(path)
+	if err != nil {
+		return fc, err
 	}
-	return cfg
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&fc); err != nil {
+		return fc, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fc, fmt.Errorf("parsing %s: unexpected data after the configuration", path)
+	}
+	return fc, fc.sessionConfig().Validate()
 }
 
 func main() {
@@ -159,15 +175,8 @@ func connect(fc fileConfig) (wire.Conn, error) {
 }
 
 func runParty(configPath, outPath string) error {
-	b, err := os.ReadFile(configPath)
+	fc, err := loadConfig(configPath)
 	if err != nil {
-		return err
-	}
-	var fc fileConfig
-	if err := json.Unmarshal(b, &fc); err != nil {
-		return fmt.Errorf("parsing %s: %w", configPath, err)
-	}
-	if err := fc.sessionConfig().Validate(); err != nil {
 		return err
 	}
 	conn, err := connect(fc)
@@ -280,7 +289,7 @@ func runSmoke(benchPath string) error {
 
 	// In-process loopback reference: the networked run must match it on
 	// every observable.
-	ref0, ref1, err := party.RunLoopbackPair(party.Config{Seed: smokeSeed, Steps: smokeSteps, SnapshotAt: -1})
+	ref0, ref1, err := party.RunLoopbackPair(party.Config{Seed: smokeSeed, Steps: smokeSteps})
 	if err != nil {
 		return fmt.Errorf("loopback reference: %w", err)
 	}

@@ -20,7 +20,6 @@ var deadExportsKept = map[string]string{
 	"gmw.Eval.XORWords":     "gate library; ROADMAP item 6",
 	"gmw.Eval.Equal":        "gate library; ROADMAP item 6",
 	"gmw.Eval.Stats":        "gate library; ROADMAP item 6",
-	"party.Resume":          "rejoin entry point; ROADMAP item 7 wires it to a reconnect",
 	"query.Compiled.Conds":  "query.Rewrite outlives its callers for cmd/benchmark's probe; ROADMAP item 1",
 	"query.Compiled.Oracle": "as above",
 	"query.Compiled.Query":  "as above",

@@ -3,8 +3,10 @@
 // (mpc.NewPartyRuntime): cmd/incshrink-party wraps one Session per OS
 // process over TCP+TLS, the tests wrap two over an in-process loopback, and
 // the contract — checked by the equivalence tests and the wire smoke — is
-// that every observable output (opened values, transcripts, snapshots, wire
-// tallies) is byte-identical across transports.
+// that every observable output (opened values, transcripts, wire tallies) is
+// byte-identical across transports. The session keeps no snapshot: rejoin is
+// the engine's, and core's TestPartyEnginesRejoinByteIdentical rebuilds each
+// one-party Framework on a fresh connection from its own state section.
 //
 // The session script exercises every wire primitive the runtime and the GMW
 // layer own: each step is one round, the shape of core's sDPTimer tick, that
@@ -19,8 +21,6 @@
 package party
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -29,7 +29,6 @@ import (
 
 	"incshrink/internal/gmw"
 	"incshrink/internal/mpc"
-	"incshrink/internal/snapshot"
 	"incshrink/internal/wire"
 )
 
@@ -43,9 +42,9 @@ type Config struct {
 	Seed int64
 	// Steps is the number of runtime protocol steps.
 	Steps int
-	// SnapshotAt, when >= 0, captures a session snapshot (the party's runtime
-	// and the step it runs next) after the step with that index completes;
-	// the bytes land in Report.Snapshot.
+	// SnapshotAt is ignored: it named the step after which the session
+	// snapshotted itself, and the field stays only because cmd/benchmark,
+	// frozen for non-benchmark changes, still sets it.
 	SnapshotAt int
 }
 
@@ -56,9 +55,6 @@ func (c Config) Validate() error {
 	}
 	if c.Steps < 1 {
 		return fmt.Errorf("party: steps must be positive, got %d", c.Steps)
-	}
-	if c.SnapshotAt >= c.Steps {
-		return fmt.Errorf("party: snapshot step %d beyond horizon %d", c.SnapshotAt, c.Steps)
 	}
 	return nil
 }
@@ -89,10 +85,6 @@ type Report struct {
 	// TranscriptSHA is the party's running transcript digest: SHA-256 over
 	// every event it observed, wire stamps included.
 	TranscriptSHA string `json:"transcript_sha"`
-	// SnapshotSHA digests the final session snapshot: its versioned header,
-	// the party's one-party runtime section and the step it would run next,
-	// the horizon.
-	SnapshotSHA string `json:"snapshot_sha"`
 	// WireRounds / WireBytes are the connection counters at session end.
 	WireRounds uint64 `json:"wire_rounds"`
 	WireBytes  uint64 `json:"wire_bytes"`
@@ -102,9 +94,6 @@ type Report struct {
 	// for the configured schedule (see Predict).
 	PredictedRounds uint64 `json:"predicted_rounds"`
 	PredictedBytes  uint64 `json:"predicted_bytes"`
-	// Snapshot holds the mid-run snapshot when Config.SnapshotAt requested
-	// one (not serialized into reports).
-	Snapshot []byte `json:"-"`
 }
 
 // Predict returns the modeled per-party wire cost of a session: the
@@ -132,59 +121,14 @@ func Run(cfg Config, conn wire.Conn) (*Report, error) {
 	}
 	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
 	s := &session{cfg: cfg, rt: rt, conn: conn}
-	return s.run(0)
-}
-
-// Resume restores a snapshot taken by a previous Run (Config.SnapshotAt)
-// into a fresh one-party runtime over a fresh connection and completes the
-// session from the step the snapshot names. A snapshot of another format
-// version fails with snapshot.ErrVersionMismatch and one of another session
-// (role, seed or horizon) with snapshot.ErrFingerprintMismatch, before the
-// party sends anything. opened is the prefix of values the crashed run had
-// already revealed to the protocol layer (three per completed step) — they
-// were delivered before the crash, so the application persists them
-// alongside the snapshot. The final report must be
-// byte-identical to an uninterrupted run — the crash/rejoin contract.
-func Resume(cfg Config, snap []byte, opened []uint32, conn wire.Conn) (*Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := snapshot.NewDecoder(bytes.NewReader(snap))
-	fp, err := snapshot.ReadHeader(d)
-	if err != nil {
-		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
-	}
-	if fp != cfg.fingerprint() {
-		return nil, fmt.Errorf("party: restoring snapshot: %w: snapshot %016x, this session %016x",
-			snapshot.ErrFingerprintMismatch, fp, cfg.fingerprint())
-	}
-	rt := mpc.NewPartyRuntime(mpc.PartyID(cfg.Role), cfg.Seed, mpc.DefaultCostModel(), conn)
-	rt.DecodeState(d)
-	next := d.Int()
-	if d.Err() == nil && (next < 1 || next > cfg.Steps) {
-		d.Corrupt("session snapshot resumes at step %d of %d", next, cfg.Steps)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("party: restoring snapshot: %w", err)
-	}
-	s := &session{cfg: cfg, rt: rt, conn: conn}
-	s.baseRounds, s.baseBytes = rt.WireTally()
-	s.opened = append(s.opened, opened...)
-	return s.run(next)
+	return s.run()
 }
 
 type session struct {
-	cfg  Config
-	rt   *mpc.Runtime
-	conn wire.Conn
-	// baseRounds/baseBytes are the party's wire tally when the session
-	// (re)started: zero on a fresh run, the pre-crash total on a resume. The
-	// report adds them to the connection counters so a rejoined session
-	// reports the same cumulative wire cost as an uninterrupted one.
-	baseRounds uint64
-	baseBytes  uint64
-	opened     []uint32
-	snap       []byte
+	cfg    Config
+	rt     *mpc.Runtime
+	conn   wire.Conn
+	opened []uint32
 }
 
 // party is the runtime's one party, this process's server.
@@ -192,51 +136,13 @@ func (s *session) party() *mpc.Party { return s.rt.Party(mpc.PartyID(s.cfg.Role)
 
 func (s *session) open(v uint32) { s.opened = append(s.opened, v) }
 
-// fingerprint hashes the parameters a session is constructed from — role,
-// seed, horizon and the runtime's cost model — into the header of its
-// snapshots, so Resume refuses a snapshot of another session. SnapshotAt is
-// left out: a resumed run may snapshot elsewhere. The cost model is named
-// value by value, with the bytes per AND gate it no longer carries, as its
-// snapshots have always named it.
-func (c Config) fingerprint() uint64 {
-	m := mpc.DefaultCostModel()
-	return snapshot.Fingerprint("party session",
-		fmt.Sprintf("role=%d seed=%d steps=%d", c.Role, c.Seed, c.Steps),
-		snapshot.Named("ANDGatesPerCompareExchangeBit", m.ANDGatesPerCompareExchangeBit,
-			"ANDGatesPerScanBit", m.ANDGatesPerScanBit, "ANDGatesPerLaplace", m.ANDGatesPerLaplace,
-			"GatesPerSecond", m.GatesPerSecond, "BytesPerANDGate", 32))
-}
-
-// encodeSnapshot writes the session's snapshot: the versioned header, the
-// runtime section, then the step the session runs next.
-func (s *session) encodeSnapshot(next int) ([]byte, error) {
-	var buf bytes.Buffer
-	e := snapshot.NewEncoder(&buf)
-	snapshot.WriteHeader(e, s.cfg.fingerprint())
-	s.rt.EncodeState(e)
-	e.Int(next)
-	if err := e.Finish(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (s *session) run(from int) (*Report, error) {
-	if from == 0 {
-		// Alg. 1 lines 1-2: the counter starts at a public zero, which both
-		// parties share without a round.
-		s.party().StoreShare(0, "c", 0)
-	}
-	for t := from; t < s.cfg.Steps; t++ {
+func (s *session) run() (*Report, error) {
+	// Alg. 1 lines 1-2: the counter starts at a public zero, which both
+	// parties share without a round.
+	s.party().StoreShare(0, "c", 0)
+	for t := range s.cfg.Steps {
 		if err := s.step(t); err != nil {
 			return nil, err
-		}
-		if t == s.cfg.SnapshotAt {
-			b, err := s.encodeSnapshot(t + 1)
-			if err != nil {
-				return nil, fmt.Errorf("party: snapshotting at step %d: %w", t, err)
-			}
-			s.snap = b
 		}
 	}
 	ev, err := s.gmwSegment()
@@ -313,12 +219,6 @@ func (s *session) gmwSegment() (*gmw.Eval, error) {
 
 func (s *session) report(ev *gmw.Eval) (*Report, error) {
 	transcript := s.party().TranscriptDigest()
-	finalSnap, err := s.encodeSnapshot(s.cfg.Steps)
-	if err != nil {
-		return nil, fmt.Errorf("party: final snapshot: %w", err)
-	}
-	snapSum := sha256.Sum256(finalSnap)
-
 	st := s.conn.Stats()
 	predR, predB := Predict(s.cfg)
 	return &Report{
@@ -326,13 +226,11 @@ func (s *session) report(ev *gmw.Eval) (*Report, error) {
 		Steps:           s.cfg.Steps,
 		Opened:          s.opened,
 		TranscriptSHA:   hex.EncodeToString(transcript[:]),
-		SnapshotSHA:     hex.EncodeToString(snapSum[:]),
-		WireRounds:      s.baseRounds + st.Rounds,
-		WireBytes:       s.baseBytes + st.BytesSent + st.BytesRecv,
+		WireRounds:      st.Rounds,
+		WireBytes:       st.BytesSent + st.BytesRecv,
 		GMWANDGates:     ev.ANDGates,
 		PredictedRounds: predR,
 		PredictedBytes:  predB,
-		Snapshot:        s.snap,
 	}, nil
 }
 
@@ -378,8 +276,6 @@ func Equivalent(a, b *Report) (bool, string) {
 		return false, "opened length"
 	case a.TranscriptSHA != b.TranscriptSHA:
 		return false, "transcript digest"
-	case a.SnapshotSHA != b.SnapshotSHA:
-		return false, "snapshot digest"
 	case a.WireRounds != b.WireRounds:
 		return false, "wire rounds"
 	case a.WireBytes != b.WireBytes:

@@ -5,20 +5,17 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"net"
-	"slices"
 	"sync"
 	"testing"
 
 	"incshrink/internal/gmw"
 	"incshrink/internal/mpc"
-	"incshrink/internal/snapshot"
 	"incshrink/internal/wire"
 )
 
 func testConfig() Config {
-	return Config{Seed: 1234, Steps: 12, SnapshotAt: 5}
+	return Config{Seed: 1234, Steps: 12}
 }
 
 // runTCPPair executes both roles of a session over a real localhost TCP
@@ -119,7 +116,7 @@ func runRecordedPair(t *testing.T, cfg Config) (r [2]*Report, tr [2]*mpc.Transcr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r[role], errs[role] = (&session{cfg: c, rt: rt, conn: conn}).run(0)
+			r[role], errs[role] = (&session{cfg: c, rt: rt, conn: conn}).run()
 		}()
 	}
 	wg.Wait()
@@ -141,7 +138,7 @@ func runRecordedPair(t *testing.T, cfg Config) (r [2]*Report, tr [2]*mpc.Transcr
 // before step 0, and role 1's share stored at step t masks counterValue(t+1)
 // rather than counterValue(t).
 func TestTranscriptDigestMatchesLoggedTranscript(t *testing.T) {
-	r, tr := runRecordedPair(t, Config{Seed: 1234, Steps: 12, SnapshotAt: -1})
+	r, tr := runRecordedPair(t, Config{Seed: 1234, Steps: 12})
 	for role, want := range []struct{ draws, unstamped, full string }{
 		{"a74f8d14d943d8b8ed5f2ac0f2326d1eb3e5eec479d95a84329e0fde69ae2da4", "c47960dcda5aa217fff9d8025dbde7f3470cd0b16594c45dd8d2ee7457402ab8", "8b789fbd4496815d333b155452b21c1c76636222d2608c4ea6fb820d70f0dd57"},
 		{"f2417e5bffc8b55d72c3380f6e4c6e09101aaee7c8d49d4f1df4386ae4bb02a5", "48d2f8478ca1bfc82823f14cd6c19f9f9d1320c6168c38f10865399ce546a34a", "b38266c401c8ff9469436f45647e3fec24f215e24c15f4e648df51c5f7069717"},
@@ -192,7 +189,7 @@ func TestMeasuredWireMatchesPrediction(t *testing.T) {
 	}
 	// The session the benchmark runs: 350 steps cost each party 389 rounds
 	// and 15,861 bytes, measured and predicted.
-	l0, _, err := RunLoopbackPair(Config{Seed: 5, Steps: 350, SnapshotAt: -1})
+	l0, _, err := RunLoopbackPair(Config{Seed: 5, Steps: 350})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +227,7 @@ func TestGMWSegmentSpendsItsTriples(t *testing.T) {
 
 // TestLoopbackVsTCPEquivalence is the transport-independence contract: the
 // same configuration over a real TCP socket produces byte-identical opened
-// values, transcripts, snapshots and wire tallies as the in-process
+// values, transcripts and wire tallies as the in-process
 // loopback pair.
 func TestLoopbackVsTCPEquivalence(t *testing.T) {
 	l0, l1, err := RunLoopbackPair(testConfig())
@@ -246,126 +243,17 @@ func TestLoopbackVsTCPEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejoinByteIdentical is the crash/rejoin contract: both parties
-// snapshot after step k, are rebuilt from those bytes over a fresh
-// connection, and the completed session is byte-identical to the
-// uninterrupted one — including the transcript wire stamps, which survive
-// the connection counters resetting. Every k is tried: the snapshot after
-// step k carries the share of the counter step k+1 recovers.
-func TestSnapshotRejoinByteIdentical(t *testing.T) {
-	for k := range testConfig().Steps {
-		cfg := testConfig()
-		cfg.SnapshotAt = k
-		f0, f1, err := RunLoopbackPair(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(f0.Snapshot) == 0 || len(f1.Snapshot) == 0 {
-			t.Fatalf("snapshot after step %d missing", k)
-		}
-
-		// Values opened before the crash point: three per completed step.
-		prefix := 3 * (k + 1)
-
-		c0, c1 := wire.Loopback(256)
-		cfg0, cfg1 := cfg, cfg
-		cfg0.Role, cfg1.Role = 0, 1
-
-		var wg sync.WaitGroup
-		var r1 *Report
-		var err1 error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r1, err1 = Resume(cfg1, f1.Snapshot, f1.Opened[:prefix], c1)
-		}()
-		r0, err0 := Resume(cfg0, f0.Snapshot, f0.Opened[:prefix], c0)
-		wg.Wait()
-		c0.Close()
-		c1.Close()
-		if err0 != nil || err1 != nil {
-			t.Fatalf("resume after step %d: role0=%v role1=%v", k, err0, err1)
-		}
-		if ok, field := Equivalent(f0, r0); !ok {
-			t.Errorf("role 0: session rejoined after step %d diverges on %s", k, field)
-		}
-		if ok, field := Equivalent(f1, r1); !ok {
-			t.Errorf("role 1: session rejoined after step %d diverges on %s", k, field)
-		}
-	}
-}
-
-// TestResumeRejectsForgedStep: a session snapshot carries the versioned
-// header, the runtime section and then the step the session runs next. A
-// step before the first the snapshot could follow, or past the horizon, is
-// snapshot.ErrCorrupt; a stream of another format version is
-// snapshot.ErrVersionMismatch; a snapshot of another session is
-// snapshot.ErrFingerprintMismatch — each before the party sends anything.
-func TestResumeRejectsForgedStep(t *testing.T) {
-	cfg := testConfig()
-	f0, f1, err := RunLoopbackPair(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := f0.Snapshot[:len(f0.Snapshot)-12] // the magic, header and runtime section, before the step and the CRC
-	if got := binary.LittleEndian.Uint64(f0.Snapshot[len(body):]); got != uint64(cfg.SnapshotAt+1) {
-		t.Fatalf("snapshot after step %d resumes at %d", cfg.SnapshotAt, got)
-	}
-	// seal appends the step and the CRC-32C trailer to a stream's body.
-	seal := func(body []byte, next int64) []byte {
-		b := binary.LittleEndian.AppendUint64(slices.Clone(body), uint64(next))
-		return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
-	}
-	header := len(snapshot.Magic)
-	runtimeSection := body[header+12:]
-	otherVersion := slices.Clone(body)
-	binary.LittleEndian.PutUint32(otherVersion[header:], snapshot.Version+1)
-	for _, tc := range []struct {
-		name   string
-		stream []byte
-		want   error
-	}{
-		{"step 0", seal(body, 0), snapshot.ErrCorrupt},
-		{"step -1", seal(body, -1), snapshot.ErrCorrupt},
-		{"past the horizon", seal(body, int64(cfg.Steps)+1), snapshot.ErrCorrupt},
-		// Format v8 wrote no header: the runtime section, then the runtime
-		// clock 5. Without the header that stream read as one resuming at
-		// step 5, which re-ran a round and failed with an untyped counter
-		// error.
-		{"v8 stream", seal([]byte(snapshot.Magic+string(runtimeSection)), 5), snapshot.ErrVersionMismatch},
-		{"another version", seal(otherVersion, int64(cfg.SnapshotAt)+1), snapshot.ErrVersionMismatch},
-		{"another session", f1.Snapshot, snapshot.ErrFingerprintMismatch},
-	} {
-		c0, c1 := wire.Loopback(8)
-		_, err := Resume(cfg, tc.stream, f0.Opened[:3*(cfg.SnapshotAt+1)], c0)
-		if !errors.Is(err, tc.want) {
-			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
-		}
-		if sent := c0.Stats().FramesSent; sent != 0 {
-			t.Errorf("%s: resume sent %d frames", tc.name, sent)
-		}
-		c0.Close()
-		c1.Close()
-	}
-}
-
 // TestOpenedValuesPinned pins the SHA-256 of every value a session opens,
 // little-endian, for the smoke configuration and for the benchmark's first
 // seed-1 session. The literals are those of the two-rounds-per-step
-// schedule: regrouping rounds must not move an opened value. For the smoke
-// configuration it also pins each role's final snapshot digest, so the
-// party's snapshot bytes cannot drift unnoticed.
+// schedule: regrouping rounds must not move an opened value.
 func TestOpenedValuesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want string
-		snap [2]string
 	}{
-		{Config{Seed: 1234, Steps: 12, SnapshotAt: -1}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9", [2]string{
-			"57a1d35018d2bc8c7a1ffdfa25f830ea5812e9822b20a86fe9447b564bf05eb2",
-			"464e385e922f970eccf004163ed8e4cf8041645cce29f14b4ebd62d833d4f728",
-		}},
-		{Config{Seed: 64, Steps: 350, SnapshotAt: -1}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3", [2]string{}},
+		{Config{Seed: 1234, Steps: 12}, "70ae93fb51290c6035fc29146db136fafc3ecc18046301f301b1a3fd767f4ea9"},
+		{Config{Seed: 64, Steps: 350}, "e3af8cefb7112054364d2ef551c47ec516e3cdc12fedf3a2fdfd7a02d8059ee3"},
 	} {
 		r0, r1, err := RunLoopbackPair(tc.cfg)
 		if err != nil {
@@ -378,9 +266,6 @@ func TestOpenedValuesPinned(t *testing.T) {
 			}
 			if got := sha256.Sum256(b); hex.EncodeToString(got[:]) != tc.want {
 				t.Errorf("seed %d, %d steps: role %d opened values hash to %x, want %s", tc.cfg.Seed, tc.cfg.Steps, r.Role, got, tc.want)
-			}
-			if want := tc.snap[r.Role]; want != "" && r.SnapshotSHA != want {
-				t.Errorf("seed %d, %d steps: role %d snapshot digest %s, want %s", tc.cfg.Seed, tc.cfg.Steps, r.Role, r.SnapshotSHA, want)
 			}
 		}
 	}
@@ -419,11 +304,9 @@ func TestConfigValidate(t *testing.T) {
 		cfg Config
 		ok  bool
 	}{
-		{Config{Role: 0, Steps: 1, SnapshotAt: -1}, true},
-		{Config{Role: 1, Steps: 4, SnapshotAt: 3}, true}, // snapshot after last step: resume replays the GMW segment
+		{Config{Role: 0, Steps: 1}, true},
 		{Config{Role: 2, Steps: 4}, false},
 		{Config{Role: 0, Steps: 0}, false},
-		{Config{Role: 0, Steps: 4, SnapshotAt: 4}, false},
 	}
 	for i, tc := range cases {
 		err := tc.cfg.Validate()
