@@ -102,9 +102,12 @@ race:
 #   allocations exactly);
 # - the root package's sort-versus-merge join ablation
 #   (BenchmarkJoinSortVsMerge, which fails if the two joins emit different
-#   pairs or the default deployment's join runs more than 6,000 comparators).
+#   pairs or the default deployment's join runs more than 6,000 comparators);
+# - the trace generator on a 1,000-step TPC-ds trace
+#   (BenchmarkGenerateTPCDS1K, which reports allocations per trace;
+#   TestGenerateAllocs holds a 2,000-step trace to at most 1,000).
 bench-smoke:
-	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw
+	$(GO) test -run XXX -bench . -benchtime 1x ./internal/oblivious ./internal/securearray ./internal/gmw ./internal/workload
 	$(GO) test -run XXX -bench 'BenchmarkAdvance|BenchmarkCount|BenchmarkJoinSortVsMerge' -benchtime 1x .
 
 # benchmark runs the end-to-end benchmark BENCHMARK.json declares — the five

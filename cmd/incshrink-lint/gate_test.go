@@ -110,8 +110,8 @@ func lintGateBranchingExchange(b *Buffer, keys []sortKey) {
 		{
 			name:    "oblivtaint catches seeded carry retirement outside the join's scan",
 			file:    "internal/oblivious/join.go",
-			replace: "\tmergeKeys(&dst.ws, keys, m)\n",
-			inject: `	mergeKeys(&dst.ws, keys, m)
+			replace: "\tmergeKeys(&dst.ws, keys, m, len(keys))\n",
+			inject: `	mergeKeys(&dst.ws, keys, m, len(keys))
 	kept := u.back[:0]
 	for _, k := range keys {
 		if uint32(k.w) >= uint32(cut[k.w>>32]) {

@@ -239,7 +239,8 @@ type Run struct {
 // ahead of it in that order, so only each run's first keep keys are kept: a
 // raw run's keys are sorted by Batcher's network and then cut, a real-first
 // run's are cut as extracted, adjacent runs are merged pairwise through its
-// last phase (mergeKeys) and cut back to keep until one is left, and one
+// last phase (mergeKeys, running only the comparators that reach one of the
+// first keep slots) and cut back to keep until one is left, and one
 // gather of the kept keys applies the selection and recounts the real slots.
 // A buffer that is one real-first run no longer than keep is left alone.
 // Every comparator position is a function of the layout and keep alone. Its
@@ -283,7 +284,7 @@ func MergeRealFirst(b *Buffer, runs []Run, keep int) (executed int) {
 		for j := 0; j < len(ends); j += 2 {
 			end := ends[min(j+1, len(ends)-1)]
 			if j+1 < len(ends) {
-				executed += mergeKeys(&b.ws, keys[lo:end], ends[j]-lo)
+				executed += mergeKeys(&b.ws, keys[lo:end], ends[j]-lo, keep)
 			}
 			m := min(end-lo, keep)
 			copy(keys[out:out+m], keys[lo:lo+m])

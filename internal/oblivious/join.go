@@ -151,7 +151,7 @@ func MergeJoinInto(dst *Buffer, u *Union, fresh, cut [2]int, match MatchFunc, bo
 	keys := u.keys
 	m := len(keys) - fresh[0] - fresh[1]
 	sortKeys(&dst.ws, keys[m:])
-	mergeKeys(&dst.ws, keys, m)
+	mergeKeys(&dst.ws, keys, m, len(keys))
 
 	n := [2]int{u.Side[0].Len(), u.Side[1].Len()}
 	u.back = resized(u.back, len(keys))

@@ -53,7 +53,7 @@ func mergeNetworkOf(m, f int) []int32 {
 	for 1<<lp < P {
 		lp++
 	}
-	forEachLayer(new(scratch), P-m, P+f, lp, func(layer []int32) { got = append(got, layer...) })
+	forEachLayer(new(scratch), P-m, P+f, P+f, lp, func(layer []int32) { got = append(got, layer...) })
 	return got
 }
 
@@ -110,7 +110,7 @@ func TestMergeIsAWindowOfTheLastPhase(t *testing.T) {
 		keys := tieHeavyRuns(rng, m, f)
 		if m == 0 || f == 0 {
 			before := slices.Clone(keys)
-			if ran := mergeKeys(new(scratch), keys, m); !reflect.DeepEqual(keys, before) || ran != 0 {
+			if ran := mergeKeys(new(scratch), keys, m, len(keys)); !reflect.DeepEqual(keys, before) || ran != 0 {
 				t.Fatalf("(%d, %d): merging with an empty run moved keys or executed %d comparators", m, f, ran)
 			}
 			continue
@@ -133,7 +133,7 @@ func TestMergeIsAWindowOfTheLastPhase(t *testing.T) {
 				ref[want[c]], ref[want[c+1]] = b, a
 			}
 		}
-		mergeKeys(new(scratch), keys, m)
+		mergeKeys(new(scratch), keys, m, len(keys))
 		if !reflect.DeepEqual(keys, ref[P-m:P+f]) || !keysSorted(keys) {
 			t.Fatalf("(%d, %d): merged keys differ from the textbook walk's, or are not sorted", m, f)
 		}
@@ -159,6 +159,40 @@ func TestMergeIsAWindowOfTheLastPhase(t *testing.T) {
 	}
 }
 
+// TestMergeKeepCutsTheCone: a merge kept to its first keep outputs runs,
+// on the table path and streamed alike, exactly the comparators of the full
+// merge whose low wire is below keep+k-1 past the first (k the comparator's
+// distance), and leaves those first keep keys exactly as the full merge does.
+func TestMergeKeepCutsTheCone(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	sizes := [][2]int{{936, 104}, {1116, 1104}, {169, 104}, {4097, 96}, {96, 4097}, {1, 1}, {7, 9}}
+	for range 60 {
+		sizes = append(sizes, [2]int{1 + rng.Intn(300), 1 + rng.Intn(300)})
+	}
+	for _, mf := range sizes {
+		m, f := mf[0], mf[1]
+		full := tieHeavyRuns(rng, m, f)
+		keys := slices.Clone(full)
+		mergeKeys(new(scratch), full, m, len(full))
+		all, P := referenceMerge(m, f)
+		for _, keep := range []int{0, 1, 2, (m + f) / 3, m + f - 1, m + f, m + f + 5, 1 + rng.Intn(m+f)} {
+			want := 0
+			for c := 0; c < len(all); c += 2 {
+				if k := int(all[c+1] - all[c]); int(all[c]) < P-m+keep+k-1 {
+					want++
+				}
+			}
+			got := slices.Clone(keys)
+			if ran := mergeKeys(new(scratch), got, m, keep); ran != want {
+				t.Fatalf("(%d, %d) keep %d: ran %d comparators, the cone holds %d", m, f, keep, ran, want)
+			}
+			if n := min(keep, m+f); !reflect.DeepEqual(got[:n], full[:n]) {
+				t.Fatalf("(%d, %d) keep %d: the kept keys differ from the full merge's", m, f, keep)
+			}
+		}
+	}
+}
+
 // TestMergeZeroOnePrinciple: a comparator network merges every pair of
 // sorted runs iff it merges every pair of sorted 0/1 runs, and a sorted 0/1
 // run is its count of zeros — so the check is exhaustive for every (m, f)
@@ -173,7 +207,7 @@ func TestMergeZeroOnePrinciple(t *testing.T) {
 						one := (i < m && i >= za) || (i >= m && i-m >= zb)
 						keys[i] = sortKey{k: boolWord(one), w: uint64(i)}
 					}
-					mergeKeys(new(scratch), keys, m)
+					mergeKeys(new(scratch), keys, m, len(keys))
 					if !keysSorted(keys) {
 						t.Fatalf("(%d, %d) with %d and %d zeros: not merged", m, f, za, zb)
 					}
@@ -194,7 +228,7 @@ func TestMergeExtremeKeys(t *testing.T) {
 		}
 		sortKeys(new(scratch), keys[:m])
 		sortKeys(new(scratch), keys[m:])
-		mergeKeys(new(scratch), keys, m)
+		mergeKeys(new(scratch), keys, m, len(keys))
 		if !keysSorted(keys) {
 			t.Fatalf("m=%d: extreme keys not merged: %v", m, keys)
 		}
@@ -209,18 +243,18 @@ func TestWarmMergeAllocatesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	keys := tieHeavyRuns(rng, 936, 104)
 	ws := new(scratch)
-	mergeKeys(ws, slices.Clone(keys), 936)
+	mergeKeys(ws, slices.Clone(keys), 936, len(keys))
 	_, m0, _, p0 := CacheStats()
 	work := make([]sortKey, len(keys))
 	allocs := testing.AllocsPerRun(50, func() {
 		copy(work, keys)
-		mergeKeys(ws, work, 936)
+		mergeKeys(ws, work, 936, len(work))
 	})
 	if _, m1, _, p1 := CacheStats(); m1 != m0 || p1 != p0 || allocs > warmAllocs {
 		t.Errorf("warm merge: %v allocs, table builds %d -> %d, retained pairs %d -> %d", allocs, m0, m1, p0, p1)
 	}
 	copy(work, keys)
-	if ran, priced := mergeKeys(ws, work, 936), mpc.MergeCompareExchanges(936, 104); ran == 0 || ran > priced {
+	if ran, priced := mergeKeys(ws, work, 936, len(work)), mpc.MergeCompareExchanges(936, 104); ran == 0 || ran > priced {
 		t.Errorf("a (936, 104) merge executed %d comparators, priced at the padded last phase's %d", ran, priced)
 	}
 }
@@ -326,17 +360,19 @@ var readLayouts = []struct {
 	full int // executed by the full merge, keep = n
 	want int // executed at keep
 }{
-	{"cpdb", []Run{{1116, true}, {1104, true}}, 1128, 11609, 11609},
-	{"tpcds_batch", []Run{{169, true}, {520, true}, {520, true}}, 200, 8772, 3112},
-	{"tpcds_batch 312+728", []Run{{169, true}, {312, true}, {728, true}}, 200, 7819, 3112},
-	{"tpcds_batch 104+832+104", []Run{{169, true}, {104, true}, {832, true}, {104, true}}, 200, 10794, 3809},
-	{"tpcds_step", append([]Run{{169, true}}, slices.Repeat([]Run{{104, true}}, 10)...), 200, 18701, 11664},
+	{"cpdb", []Run{{1116, true}, {1104, true}}, 1128, 11609, 7045},
+	{"tpcds_batch", []Run{{169, true}, {520, true}, {520, true}}, 200, 8772, 2025},
+	{"tpcds_batch 312+728", []Run{{169, true}, {312, true}, {728, true}}, 200, 7819, 2025},
+	{"tpcds_batch 104+832+104", []Run{{169, true}, {104, true}, {832, true}, {104, true}}, 200, 10794, 2767},
+	{"tpcds_step", append([]Run{{169, true}}, slices.Repeat([]Run{{104, true}}, 10)...), 200, 18701, 8763},
 	{"one real-first run", []Run{{2116, true}}, 2116, 0, 0},
 }
 
 // TestMergeRealFirstLayouts pins the comparators a read executes on the
 // layouts the benchmark workloads meet (readLayouts), at their keep bound and
-// merging everything. Each read is still charged the full sort, 139,263
+// merging everything: at the bound each merge runs only the comparators that
+// reach a kept slot, so cpdb's read executes 7,045 of its full merge's
+// 11,609. Each read is still charged the full sort, 139,263
 // comparators for cpdb's 2,220 slots and 58,367 for the tpcds reads' 1,209. A
 // cache that is one real-first run kept whole executes nothing and is not
 // moved.

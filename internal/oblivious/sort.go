@@ -103,7 +103,7 @@ func sortKeys(ws *scratch, keys []sortKey) int {
 	if n <= 1 {
 		return 0
 	}
-	return forEachLayer(ws, 0, n, 0, func(layer []int32) { exchange(keys, layer) })
+	return forEachLayer(ws, 0, n, n, 0, func(layer []int32) { exchange(keys, layer) })
 }
 
 // mergeKeys merges the sorted runs keys[:m] and keys[m:] in place through the
@@ -113,8 +113,14 @@ func sortKeys(ws *scratch, keys []sortKey) int {
 // sorted [P, 2P); the runs are laid at wires [P-m, P) and [P, P+f) of the
 // workspace's array, the wires outside standing for -inf and +inf, whose
 // comparators never exchange: what runs is one window of every layer
-// (forEachLayer). It returns the number of comparators executed.
-func mergeKeys(ws *scratch, keys []sortKey, m int) int {
+// (forEachLayer). Only keys[:keep] of the result are its callers' output,
+// so only the comparators that reach one of those wires run: the layers after
+// one of distance k have distances summing to k-1, so a comparator of that
+// layer whose low wire is keep+k-1 or more past the first reaches none of
+// them. The first keep keys are exactly the full merge's and the rest are
+// left in some order of their own; keep >= len(keys) runs the whole window.
+// It returns the number of comparators executed.
+func mergeKeys(ws *scratch, keys []sortKey, m, keep int) int {
 	f := len(keys) - m
 	if m == 0 || f == 0 {
 		return 0
@@ -124,26 +130,29 @@ func mergeKeys(ws *scratch, keys []sortKey, m int) int {
 	ws.wires = resized(ws.wires, lo+len(keys))
 	wires := ws.wires
 	copy(wires[lo:], keys)
-	ran := forEachLayer(ws, lo, lo+len(keys), lp, func(layer []int32) { exchange(wires, layer) })
+	ran := forEachLayer(ws, lo, lo+len(keys), lo+keep, lp, func(layer []int32) { exchange(wires, layer) })
 	copy(keys, wires[lo:])
 	return ran
 }
 
 // forEachLayer hands visit, in order, the layers of the network on wires
 // [0, hi) (hi >= 2) from phase 1<<from on, each cut to the comparators whose
-// low index is at least lo, as flat pairs valid only during the call: a sort
-// is (0, n, 0), a merge the last phase over the wires its runs occupy. Up to
+// low index is at least lo and, in a layer of distance k, below top+k-1 —
+// those that reach a wire below top by the end of the network — as flat
+// pairs valid only during the call: a sort is (0, n, n, 0), a merge the last
+// phase over the wires its runs occupy, cut to the outputs it keeps. Up to
 // networkCacheMaxN a layer is a window of the same layer of the retained
 // 2^lg-wire network (networkTable): within a layer both indexes ascend, the
-// high one k above the low, so "low >= lo" and "high < hi" bound a contiguous
-// run whose ends layerCut gives in closed form; below phase `from` the table
-// is 2^(lg-from) copies of the 2^from-wire network. Above networkCacheMaxN the
-// layers are enumerated one at a time into ws.pairs instead, bounding memory.
-// It returns the number of comparators visited.
-func forEachLayer(ws *scratch, lo, hi, from int, visit func(layer []int32)) (pairs int) {
+// high one k above the low, so "low >= lo" and "high < min(hi, top+2k-1)"
+// bound a contiguous run whose ends layerCut gives in closed form; below
+// phase `from` the table is 2^(lg-from) copies of the 2^from-wire network.
+// Above networkCacheMaxN the layers are enumerated one at a time into
+// ws.pairs instead, bounding memory. It returns the number of comparators
+// visited.
+func forEachLayer(ws *scratch, lo, hi, top, from int, visit func(layer []int32)) (pairs int) {
 	if hi > networkCacheMaxN {
 		networkCacheEvictions.Add(1)
-		ws.pairs = batcherLayers(lo, hi, 1<<from, ws.pairs[:0], func(layer []int32) []int32 {
+		ws.pairs = batcherLayers(lo, top, hi, 1<<from, ws.pairs[:0], func(layer []int32) []int32 {
 			visit(layer)
 			pairs += len(layer) / 2
 			return layer[:0]
@@ -154,7 +163,7 @@ func forEachLayer(ws *scratch, lo, hi, from int, visit func(layer []int32)) (pai
 	table := networkTable(lg)[2*mpc.SortCompareExchanges(1<<from)<<(lg-from):]
 	for lp := from; lp < lg; lp++ {
 		for lk := lp; lk >= 0; lk-- {
-			end := layerCut(lp, lk, hi)
+			end := layerCut(lp, lk, min(hi, top+2<<lk-1))
 			start := min(layerCut(lp, lk, lo+1<<lk), end)
 			visit(table[2*start : 2*end])
 			pairs += end - start
@@ -179,8 +188,9 @@ func forEachLayer(ws *scratch, lo, hi, from int, visit func(layer []int32)) (pai
 // pair, so a layer's compare-exchanges commute and only the layer boundaries
 // order; and within a layer the high index strictly ascends, which is what
 // makes the n-element layer a prefix of the 2^lg-wire one (layerCut). A sort
-// passes (0, n, 1); a merge starts at its phase p0 and drops low indexes < lo.
-func batcherLayers(lo, n, p0 int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
+// passes (0, n, n, 1); a merge starts at its phase p0, drops low indexes < lo
+// and, in a layer of distance k, low indexes >= top+k-1.
+func batcherLayers(lo, top, n, p0 int, buf []int32, layerEnd func(pairs []int32) []int32) []int32 {
 	p2 := 1 << bits.Len(uint(n-1))
 	for p := p0; p < p2; p <<= 1 {
 		for k := p; k >= 1; k >>= 1 {
@@ -188,7 +198,7 @@ func batcherLayers(lo, n, p0 int, buf []int32, layerEnd func(pairs []int32) []in
 				if (j^(j+2*k-1))&^(2*p-1) != 0 {
 					continue // the run straddles a 2p block boundary
 				}
-				for a, end := max(j, lo), min(j+k, n-k); a < end; a++ {
+				for a, end := max(j, lo), min(j+k, n-k, top+k-1); a < end; a++ {
 					buf = append(buf, int32(a), int32(a+k))
 				}
 			}
@@ -244,7 +254,7 @@ func networkTable(lg int) []int32 {
 	built := false
 	t.once.Do(func() {
 		n := 1 << lg
-		t.pairs = batcherLayers(0, n, 1, make([]int32, 0, 2*mpc.SortCompareExchanges(n)),
+		t.pairs = batcherLayers(0, n, n, 1, make([]int32, 0, 2*mpc.SortCompareExchanges(n)),
 			func(pairs []int32) []int32 { return pairs })
 		networkCachePairs.Add(int64(len(t.pairs) / 2))
 		networkCacheMisses.Add(1)

@@ -112,7 +112,7 @@ func TestZeroOneCacheSort(t *testing.T) {
 // every layer forEachLayer hands the kernel, flattened in order.
 func networkOf(n int) []int32 {
 	got := []int32{}
-	forEachLayer(new(scratch), 0, n, 0, func(layer []int32) { got = append(got, layer...) })
+	forEachLayer(new(scratch), 0, n, n, 0, func(layer []int32) { got = append(got, layer...) })
 	return got
 }
 
@@ -162,7 +162,7 @@ func TestEveryLengthIsALayerPrefix(t *testing.T) {
 	// The charged count is the power-of-two network's size: what each table
 	// holds, and one size past the last table what the enumeration lists.
 	for lg := 1; lg <= networkCacheMaxLg+1; lg++ {
-		listed := len(batcherLayers(0, 1<<lg, 1, nil, func(pairs []int32) []int32 { return pairs })) / 2
+		listed := len(batcherLayers(0, 1<<lg, 1<<lg, 1, nil, func(pairs []int32) []int32 { return pairs })) / 2
 		if lg <= networkCacheMaxLg && len(networkTable(lg))/2 != listed {
 			t.Fatalf("table %d holds %d comparators, enumeration lists %d", lg, len(networkTable(lg))/2, listed)
 		}
@@ -193,7 +193,7 @@ func TestCachedReplayMatchesFreshEnumeration(t *testing.T) {
 func TestLayersAreDisjoint(t *testing.T) {
 	for _, n := range []int{2, 7, 64, 640, 1088, 5000} {
 		seen := map[int32]bool{}
-		batcherLayers(0, n, 1, nil, func(pairs []int32) []int32 {
+		batcherLayers(0, n, n, 1, nil, func(pairs []int32) []int32 {
 			clear(seen)
 			for _, i := range pairs {
 				if seen[i] {
@@ -294,7 +294,7 @@ func BenchmarkSortVaryingLengths(b *testing.B) {
 	comparators, ws := 0, new(scratch)
 	for i := range lengths {
 		lengths[i] += 1100
-		forEachLayer(ws, 0, lengths[i], 0, func(layer []int32) { comparators += len(layer) / 2 })
+		forEachLayer(ws, 0, lengths[i], lengths[i], 0, func(layer []int32) { comparators += len(layer) / 2 })
 	}
 	_, m0, _, _ := CacheStats()
 	var ms0, ms1 runtime.MemStats

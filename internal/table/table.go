@@ -1,8 +1,10 @@
 // Package table provides the relational substrate of the reproduction: a
-// small column-typed schema system, insert-only growing tables with logical
-// timestamps (the paper's D = {D_t}), and a plaintext query engine used to
-// compute ground-truth answers q_t(D_t) against which the view-based answers
-// are scored (the L1 error of Section 4.1).
+// small column-typed schema system, the flat row store the secure buffers
+// hold their payload in, and a plaintext query engine used to compute
+// ground-truth answers q_t(D_t) against which the view-based answers are
+// scored (the L1 error of Section 4.1). The growing database D = {D_t}
+// itself is internal/workload's trace: one time-ordered slice per side, of
+// which D_t is a prefix.
 //
 // Everything here is the *logical* side of the system. The secure side
 // (secret-shared caches, oblivious operators) lives in internal/securearray
@@ -12,9 +14,7 @@ package table
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sort"
 )
 
 // Row is one relational tuple: a flat vector of 64-bit attributes. Schemas
@@ -89,60 +89,6 @@ func (s *Schema) Col(name string) (int, error) {
 	}
 	return i, nil
 }
-
-// Arity returns the number of columns.
-func (s *Schema) Arity() int { return len(s.Columns) }
-
-// TimedRow is a row plus the logical time at which the owner received it
-// (the timestamp t_tid of Section 6).
-type TimedRow struct {
-	Time int
-	Row  Row
-}
-
-// Growing is an insert-only relation: the formal growing database
-// D = {u_i} of Definition 1 restricted to one schema. Rows are appended with
-// non-decreasing timestamps; Instance(t) materializes D_t.
-type Growing struct {
-	Schema *Schema
-	rows   []TimedRow
-	maxT   int
-}
-
-// NewGrowing creates an empty growing relation.
-func NewGrowing(s *Schema) *Growing {
-	return &Growing{Schema: s, maxT: -1}
-}
-
-// ErrTimeRegression is returned when rows are inserted out of time order.
-var ErrTimeRegression = errors.New("table: insert timestamp precedes an existing row")
-
-// Insert appends a row at logical time t.
-func (g *Growing) Insert(t int, r Row) error {
-	if len(r) != g.Schema.Arity() {
-		return fmt.Errorf("table: row arity %d does not match schema %q arity %d", len(r), g.Schema.Name, g.Schema.Arity())
-	}
-	if t < g.maxT {
-		return fmt.Errorf("%w: t=%d after t=%d", ErrTimeRegression, t, g.maxT)
-	}
-	g.maxT = t
-	g.rows = append(g.rows, TimedRow{Time: t, Row: r})
-	return nil
-}
-
-// Len returns the total number of rows ever inserted.
-func (g *Growing) Len() int { return len(g.rows) }
-
-// Instance returns all rows with timestamp <= t (the database instance D_t).
-// Rows are shared, not copied; callers must not mutate them.
-func (g *Growing) Instance(t int) []TimedRow {
-	// Rows are time-sorted; binary search for the cut.
-	hi := sort.Search(len(g.rows), func(i int) bool { return g.rows[i].Time > t })
-	return g.rows[:hi]
-}
-
-// All returns every row.
-func (g *Growing) All() []TimedRow { return g.rows }
 
 // Predicate selects rows.
 type Predicate func(Row) bool

@@ -1,9 +1,6 @@
 package table
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 func TestRowCloneEqual(t *testing.T) {
 	r := Row{1, 2, 3}
@@ -25,8 +22,8 @@ func TestSchemaBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Arity() != 3 {
-		t.Errorf("arity = %d", s.Arity())
+	if len(s.Columns) != 3 {
+		t.Errorf("columns = %v", s.Columns)
 	}
 	i, err := s.Col("date")
 	if err != nil || i != 1 {
@@ -47,41 +44,6 @@ func TestSchemaDuplicateColumn(t *testing.T) {
 		}
 	}()
 	MustSchema("x", "a", "a")
-}
-
-func TestGrowingInsertAndInstance(t *testing.T) {
-	g := NewGrowing(MustSchema("r", "k", "v"))
-	for tm := 0; tm < 10; tm++ {
-		if err := g.Insert(tm, Row{int64(tm), int64(tm * 10)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.Len() != 10 {
-		t.Errorf("Len = %d", g.Len())
-	}
-	if got := len(g.Instance(4)); got != 5 {
-		t.Errorf("Instance(4) has %d rows, want 5", got)
-	}
-	if got := len(g.Instance(-1)); got != 0 {
-		t.Errorf("Instance(-1) has %d rows, want 0", got)
-	}
-	if got := len(g.Instance(100)); got != 10 {
-		t.Errorf("Instance(100) has %d rows, want 10", got)
-	}
-}
-
-func TestGrowingInsertErrors(t *testing.T) {
-	g := NewGrowing(MustSchema("r", "k", "v"))
-	if err := g.Insert(0, Row{1}); err == nil {
-		t.Error("arity mismatch should error")
-	}
-	if err := g.Insert(5, Row{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	err := g.Insert(3, Row{1, 2})
-	if !errors.Is(err, ErrTimeRegression) {
-		t.Errorf("time regression err = %v", err)
-	}
 }
 
 func TestCountRows(t *testing.T) {
@@ -146,16 +108,6 @@ func TestMultisetEqual(t *testing.T) {
 	}
 	if !MultisetEqual(nil, nil) {
 		t.Error("empty multisets should be equal")
-	}
-}
-
-func TestInstanceSharedStorageDocumented(t *testing.T) {
-	// Instance returns shared rows by contract; verify slices alias.
-	g := NewGrowing(MustSchema("r", "k"))
-	_ = g.Insert(0, Row{1})
-	inst := g.Instance(0)
-	if &inst[0].Row[0] != &g.rows[0].Row[0] {
-		t.Skip("storage no longer aliased; contract changed")
 	}
 }
 

@@ -15,6 +15,12 @@
 // Variants implement Section 7.3 (Sparse = 10% of the view entries, Burst =
 // 2x) and Section 7.5 scaling (50%, 1x, 2x, 4x). All generation is
 // deterministic given the seed.
+//
+// A trace is stored per side, not per row: each side's records are one
+// slice in generation order, their rows capped views of one arena, so the
+// growing database's instance D_t is a prefix of each side. Uploads are
+// FIFO, so every step's upload is a capped view of the same slice, cut once
+// the horizon is generated.
 package workload
 
 import (
@@ -192,19 +198,52 @@ func Scale(c Config, factor float64) Config {
 type Trace struct {
 	Config Config
 	Steps  []Step
-	// LeftTable and RightTable hold the full logical relations, used by
-	// oracle recomputation in tests. (The NM baseline reads no relation: it
-	// accumulates each step's NewPairs, the truth.)
-	LeftTable, RightTable *table.Growing
+	// LeftTable and RightTable are the full logical relations in generation
+	// order, non-decreasing in ColTime: D_t is each side's prefix with time
+	// <= t, and every step's Left (Right) is a capped view of LeftTable
+	// (RightTable), the uploads concatenated a prefix of it. Oracle
+	// recomputation in tests reads them. (The NM baseline reads no relation:
+	// it accumulates each step's NewPairs, the truth.)
+	LeftTable, RightTable []oblivious.Record
 	// TotalPairs is the total number of logical join pairs over the horizon.
 	TotalPairs int
 }
 
-// LeftSchema and RightSchema describe stream rows.
-var (
-	LeftSchema  = table.MustSchema("left", "key", "time")
-	RightSchema = table.MustSchema("right", "key", "time")
-)
+// relation is one side as it is generated: its records in generation order,
+// their rows in one arena, and how many of them have shipped. Records point
+// at their rows only once the arena stops growing.
+type relation struct {
+	recs    []oblivious.Record
+	rows    *table.Flat
+	shipped int
+}
+
+// newRelation reserves room for the records a horizon of steps is expected
+// to generate at perStep a step, with slack for the draws above the mean.
+func newRelation(steps int, perStep float64) *relation {
+	n := int(1.1*perStep*float64(steps)) + 64
+	return &relation{recs: make([]oblivious.Record, 0, n), rows: table.NewFlat(StreamArity, n)}
+}
+
+func (r *relation) add(id, key int64, t int) {
+	r.recs = append(r.recs, oblivious.Record{ID: id})
+	r.rows.AppendRow(table.Row{key, int64(t)})
+}
+
+// ship uploads up to n of the records not yet shipped, oldest first (any
+// overflow rides the next upload, mirroring a bounded uplink).
+func (r *relation) ship(n int) {
+	r.shipped += min(len(r.recs)-r.shipped, n)
+}
+
+// seal points every record's Row at its capped view of the arena, now that
+// the arena is final.
+func (r *relation) seal() []oblivious.Record {
+	for i := range r.recs {
+		r.recs[i].Row = r.rows.Row(i)
+	}
+	return r.recs
+}
 
 // Generate builds the full trace for a configuration.
 func Generate(cfg Config) (*Trace, error) {
@@ -212,12 +251,20 @@ func Generate(cfg Config) (*Trace, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tr := &Trace{
-		Config:     cfg,
-		Steps:      make([]Step, cfg.Steps),
-		LeftTable:  table.NewGrowing(LeftSchema),
-		RightTable: table.NewGrowing(RightSchema),
+	tr := &Trace{Config: cfg, Steps: make([]Step, cfg.Steps)}
+	groupRate := cfg.PairRate / avgMultiplicity(cfg)
+	groups, leftNoise, rightNoise := newPoisson(groupRate), newPoisson(cfg.LeftNoiseRate), newPoisson(cfg.RightNoiseRate)
+	left := newRelation(cfg.Steps, groupRate+cfg.LeftNoiseRate)
+	right := newRelation(cfg.Steps, cfg.PairRate+cfg.RightNoiseRate)
+	// Spread a left record's partners over the lag window so some arrive
+	// later.
+	maxLag := cfg.MaxLag
+	if maxLag == 0 {
+		maxLag = cfg.Within
 	}
+	// ends[t] is where step t's uploads end on each side; the views are cut
+	// once both relations are final.
+	ends := make([][2]int, cfg.Steps)
 
 	var nextID int64 = 1
 	var nextKey int64 = 1
@@ -226,45 +273,29 @@ func Generate(cfg Config) (*Trace, error) {
 	type pendingJoin struct {
 		key     int64
 		dueStep int
-		count   int
 	}
 	var pending []pendingJoin
-
-	// Upload buffers: records received between uploads accumulate and ship
-	// on the owner's schedule. Right-public relations ship every step (public
-	// data needs no private synchronization).
-	var leftBuf, rightBuf []oblivious.Record
 
 	for t := 0; t < cfg.Steps; t++ {
 		st := &tr.Steps[t]
 		st.T = t
 
 		// 1. New joining groups: a left record plus future right partners.
-		groups := poisson(rng, cfg.PairRate/avgMultiplicity(cfg, rng))
-		for g := 0; g < groups; g++ {
+		for g := groups.draw(rng); g > 0; g-- {
 			key := nextKey
 			nextKey++
-			lrow := table.Row{key, int64(t)}
-			leftBuf = append(leftBuf, oblivious.Record{ID: nextID, Row: lrow})
+			left.add(nextID, key, t)
 			nextID++
-			if err := tr.LeftTable.Insert(t, lrow); err != nil {
-				return nil, err
-			}
 			mult := 1
 			if cfg.MaxMultiplicity > 1 {
 				mult = 1 + rng.Intn(cfg.MaxMultiplicity)
-			}
-			// Spread the partners over the lag window so some arrive later.
-			maxLag := cfg.MaxLag
-			if maxLag == 0 {
-				maxLag = cfg.Within
 			}
 			for m := 0; m < mult; m++ {
 				lag := 0
 				if maxLag > 0 {
 					lag = rng.Intn(int(maxLag) + 1)
 				}
-				pending = append(pending, pendingJoin{key: key, dueStep: t + lag, count: 1})
+				pending = append(pending, pendingJoin{key: key, dueStep: t + lag})
 			}
 		}
 
@@ -275,63 +306,61 @@ func Generate(cfg Config) (*Trace, error) {
 				keep = append(keep, p)
 				continue
 			}
-			rrow := table.Row{p.key, int64(t)}
-			rightBuf = append(rightBuf, oblivious.Record{ID: nextID, Row: rrow})
+			right.add(nextID, p.key, t)
 			nextID++
-			if err := tr.RightTable.Insert(t, rrow); err != nil {
-				return nil, err
-			}
-			st.NewPairs += p.count
+			st.NewPairs++
 		}
 		pending = keep
 
 		// 3. Non-joining noise on both sides (fresh keys never reused).
-		for i := poisson(rng, cfg.LeftNoiseRate); i > 0; i-- {
-			lrow := table.Row{nextKey, int64(t)}
+		for i := leftNoise.draw(rng); i > 0; i-- {
+			left.add(nextID, nextKey, t)
 			nextKey++
-			leftBuf = append(leftBuf, oblivious.Record{ID: nextID, Row: lrow})
 			nextID++
-			if err := tr.LeftTable.Insert(t, lrow); err != nil {
-				return nil, err
-			}
 		}
-		for i := poisson(rng, cfg.RightNoiseRate); i > 0; i-- {
-			rrow := table.Row{nextKey, int64(t)}
+		for i := rightNoise.draw(rng); i > 0; i-- {
+			right.add(nextID, nextKey, t)
 			nextKey++
-			rightBuf = append(rightBuf, oblivious.Record{ID: nextID, Row: rrow})
 			nextID++
-			if err := tr.RightTable.Insert(t, rrow); err != nil {
-				return nil, err
-			}
 		}
 
-		// 4. Ship uploads on schedule, truncating to the block size (any
-		// overflow rides the next upload, mirroring a bounded uplink).
+		// 4. Ship uploads on schedule, truncating to the block size. Public
+		// right relations ship every step in full (public data needs no
+		// private synchronization).
 		if (t+1)%cfg.UploadEvery == 0 {
-			st.Left, leftBuf = takeUpTo(leftBuf, cfg.MaxLeft)
-			if cfg.RightPublic {
-				st.Right, rightBuf = rightBuf, nil
-			} else {
-				st.Right, rightBuf = takeUpTo(rightBuf, cfg.MaxRight)
+			left.ship(cfg.MaxLeft)
+			if !cfg.RightPublic {
+				right.ship(cfg.MaxRight)
 			}
-		} else if cfg.RightPublic {
-			st.Right, rightBuf = rightBuf, nil
 		}
+		if cfg.RightPublic {
+			right.ship(len(right.recs))
+		}
+		ends[t] = [2]int{left.shipped, right.shipped}
 		tr.TotalPairs += st.NewPairs
+	}
+
+	tr.LeftTable, tr.RightTable = left.seal(), right.seal()
+	var from [2]int
+	for t := range tr.Steps {
+		st := &tr.Steps[t]
+		st.Left = upload(tr.LeftTable, from[0], ends[t][0])
+		st.Right = upload(tr.RightTable, from[1], ends[t][1])
+		from = ends[t]
 	}
 	return tr, nil
 }
 
-func takeUpTo(buf []oblivious.Record, n int) (head, rest []oblivious.Record) {
-	if len(buf) <= n {
-		return buf, nil
+// upload is the capped view recs[from:to] of one step's upload, nil when the
+// step ships nothing.
+func upload(recs []oblivious.Record, from, to int) []oblivious.Record {
+	if from == to {
+		return nil
 	}
-	head = buf[:n:n]
-	rest = append([]oblivious.Record(nil), buf[n:]...)
-	return head, rest
+	return recs[from:to:to]
 }
 
-func avgMultiplicity(cfg Config, _ *rand.Rand) float64 {
+func avgMultiplicity(cfg Config) float64 {
 	if cfg.MaxMultiplicity <= 1 {
 		return 1
 	}
@@ -339,18 +368,23 @@ func avgMultiplicity(cfg Config, _ *rand.Rand) float64 {
 	return (1 + float64(cfg.MaxMultiplicity)) / 2
 }
 
-// poisson draws from Poisson(lambda) via Knuth's method; adequate for the
-// small rates used here.
-func poisson(rng *rand.Rand, lambda float64) int {
-	if lambda <= 0 {
+// poisson is a Poisson(lambda) rate with exp(-lambda), the bound Knuth's
+// method draws against, computed once.
+type poisson struct{ lambda, expNeg float64 }
+
+func newPoisson(lambda float64) poisson { return poisson{lambda, math.Exp(-lambda)} }
+
+// draw samples the rate via Knuth's method; adequate for the small rates
+// used here.
+func (r poisson) draw(rng *rand.Rand) int {
+	if r.lambda <= 0 {
 		return 0
 	}
-	l := math.Exp(-lambda)
 	k := 0
 	p := 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= r.expNeg {
 			return k
 		}
 		k++

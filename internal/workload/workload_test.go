@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -68,7 +71,7 @@ func TestTPCDSMultiplicityOne(t *testing.T) {
 	}
 	// Every key appears at most once on each side, so multiplicity is 1.
 	leftKeys := map[int64]int{}
-	for _, r := range tr.LeftTable.All() {
+	for _, r := range tr.LeftTable {
 		leftKeys[r.Row[ColKey]]++
 	}
 	for k, n := range leftKeys {
@@ -77,7 +80,7 @@ func TestTPCDSMultiplicityOne(t *testing.T) {
 		}
 	}
 	rightKeys := map[int64]int{}
-	for _, r := range tr.RightTable.All() {
+	for _, r := range tr.RightTable {
 		rightKeys[r.Row[ColKey]]++
 		if rightKeys[r.Row[ColKey]] > 1 {
 			t.Fatalf("right key %d repeated in multiplicity-1 workload", r.Row[ColKey])
@@ -92,7 +95,7 @@ func TestCPDBMultiplicityAboveOne(t *testing.T) {
 	}
 	rightKeys := map[int64]int{}
 	maxMult := 0
-	for _, r := range tr.RightTable.All() {
+	for _, r := range tr.RightTable {
 		rightKeys[r.Row[ColKey]]++
 		if rightKeys[r.Row[ColKey]] > maxMult {
 			maxMult = rightKeys[r.Row[ColKey]]
@@ -116,7 +119,7 @@ func TestGroundTruthMatchesOracle(t *testing.T) {
 		}
 		truth := tr.PrefixTruth()
 		for _, checkT := range []int{0, 50, 150, 299} {
-			oracle := table.JoinWithin(rowsOf(tr.LeftTable.Instance(checkT)), rowsOf(tr.RightTable.Instance(checkT)),
+			oracle := table.JoinWithin(instance(tr.LeftTable, checkT), instance(tr.RightTable, checkT),
 				ColKey, ColKey, ColTime, ColTime, cfg.Within)
 			if truth[checkT] != oracle {
 				t.Errorf("%s: t=%d prefix truth %d != oracle %d", cfg.Name, checkT, truth[checkT], oracle)
@@ -128,12 +131,63 @@ func TestGroundTruthMatchesOracle(t *testing.T) {
 	}
 }
 
-func rowsOf(trs []table.TimedRow) []table.Row {
-	out := make([]table.Row, len(trs))
-	for i, tr := range trs {
-		out[i] = tr.Row
+// instance is D_t of one side: the rows of its prefix with time <= t.
+func instance(rel []oblivious.Record, t int) []table.Row {
+	var out []table.Row
+	for _, r := range rel {
+		if r.Row[ColTime] > int64(t) {
+			break
+		}
+		out = append(out, r.Row)
 	}
 	return out
+}
+
+// TestRelationInvariants: each side's relation has arity StreamArity and is
+// non-decreasing in ColTime (so D_t is a prefix), and the step uploads,
+// concatenated, are a prefix of it — each one a capped view of it, and each
+// row a capped view of its arena, so an append to one upload or row cannot
+// overwrite the next.
+func TestRelationInvariants(t *testing.T) {
+	for _, cfg := range []Config{TPCDS(400, 5), CPDB(400, 5), Scale(TPCDS(400, 6), 0.5)} {
+		tr, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s, rel := range [][]oblivious.Record{tr.LeftTable, tr.RightTable} {
+			for i, r := range rel {
+				if len(r.Row) != StreamArity || cap(r.Row) != StreamArity {
+					t.Fatalf("%s side %d record %d: row len %d cap %d, want %d", cfg.Name, s, i, len(r.Row), cap(r.Row), StreamArity)
+				}
+				if i > 0 && r.Row[ColTime] < rel[i-1].Row[ColTime] {
+					t.Fatalf("%s side %d record %d: time %d after %d", cfg.Name, s, i, r.Row[ColTime], rel[i-1].Row[ColTime])
+				}
+			}
+			shipped := 0
+			for _, st := range tr.Steps {
+				up := [][]oblivious.Record{st.Left, st.Right}[s]
+				if len(up) == 0 {
+					continue
+				}
+				if cap(up) != len(up) || shipped+len(up) > len(rel) || &up[0] != &rel[shipped] {
+					t.Fatalf("%s side %d step %d: upload is not the capped view rel[%d:%d]", cfg.Name, s, st.T, shipped, shipped+len(up))
+				}
+				if last := up[len(up)-1].Row[ColTime]; last > int64(st.T) {
+					t.Fatalf("%s side %d step %d: ships a record of time %d", cfg.Name, s, st.T, last)
+				}
+				shipped += len(up)
+			}
+		}
+	}
+}
+
+// TestGenerateAllocs: the generator allocates per side, not per row. A
+// 2,000-step TPC-ds trace is ≈ 61k records, so one allocation per row
+// fails by far.
+func TestGenerateAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(3, func() { _, _ = Generate(TPCDS(2000, 1)) }); n > 1000 {
+		t.Errorf("Generate(TPCDS(2000, 1)) allocates %v times, want at most 1,000", n)
+	}
 }
 
 func TestUploadSchedule(t *testing.T) {
@@ -195,7 +249,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		}
 	}
 	c, _ := Generate(TPCDS(200, 22))
-	if a.TotalPairs == c.TotalPairs && a.LeftTable.Len() == c.LeftTable.Len() {
+	if a.TotalPairs == c.TotalPairs && len(a.LeftTable) == len(c.LeftTable) {
 		t.Error("different seeds produced identical traces (suspicious)")
 	}
 }
@@ -250,13 +304,65 @@ func TestPublicRightShipsEveryStep(t *testing.T) {
 	for _, st := range tr.Steps {
 		total += len(st.Right)
 	}
-	if total != tr.RightTable.Len() {
-		t.Errorf("shipped %d right records, generated %d", total, tr.RightTable.Len())
+	if total != len(tr.RightTable) {
+		t.Errorf("shipped %d right records, generated %d", total, len(tr.RightTable))
 	}
 }
 
 func BenchmarkGenerateTPCDS1K(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = Generate(TPCDS(1000, int64(i)))
+	}
+}
+
+// tracesDigest is a SHA-256 over every step of every pinned trace — T,
+// NewPairs, and each upload's record IDs and rows in order — and each trace's
+// TotalPairs: seeds 1–4 of TPCDS and CPDB, each as generated and as its
+// Sparse, Burst and Scale (0.5, 2, 4) variants, 1,000 steps.
+func tracesDigest(t testing.TB) string {
+	h := sha256.New()
+	var w [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(w[:], uint64(v))
+		h.Write(w[:])
+	}
+	putRecords := func(rs []oblivious.Record) {
+		put(int64(len(rs)))
+		for _, r := range rs {
+			put(r.ID)
+			put(int64(len(r.Row)))
+			for _, v := range r.Row {
+				put(v)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, base := range []Config{TPCDS(1000, seed), CPDB(1000, seed)} {
+			for _, cfg := range []Config{base, Sparse(base), Burst(base), Scale(base, 0.5), Scale(base, 2), Scale(base, 4)} {
+				tr, err := Generate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, st := range tr.Steps {
+					put(int64(st.T))
+					put(int64(st.NewPairs))
+					putRecords(st.Left)
+					putRecords(st.Right)
+				}
+				put(int64(tr.TotalPairs))
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTracesPinned holds every generated byte fixed: the digest was captured
+// before the generator moved its rows into one arena per side, so a storage
+// change that shifts a single draw, ID or row fails here.
+func TestTracesPinned(t *testing.T) {
+	const want = "15d47e2f61cfd09378262af3b6874dc9d36eee3c71774b66435f1ee70dc33842"
+	if got := tracesDigest(t); got != want {
+		t.Errorf("trace digest %s, want %s", got, want)
 	}
 }
