@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -15,6 +16,18 @@ func batchStep(t int) StepRows {
 	return StepRows{
 		Left:  []Row{{3 * k, k}, {3*k + 1, k}, {3*k + 2, k}},
 		Right: []Row{{3 * k, k + 2}},
+	}
+}
+
+// leftOnUploads sends step's left rows only at the upload steps of a view
+// that uploads every n steps: a padded stream may send nothing in between.
+func leftOnUploads(n int, step func(int) StepRows) func(int) StepRows {
+	return func(t int) StepRows {
+		st := step(t)
+		if (t+1)%n != 0 {
+			st.Left = nil
+		}
+		return st
 	}
 }
 
@@ -44,11 +57,11 @@ func TestAdvanceBatchEquivalence(t *testing.T) {
 	}{
 		{"default", ViewDef{Within: 10}, 0, batchStep},
 		{"public-omega2-upload3", ViewDef{Within: 10, Omega: 2, RightPublic: true}, 3,
-			func(t int) StepRows {
+			leftOnUploads(3, func(t int) StepRows {
 				st := batchStep(t)
 				st.Right = append(st.Right, Row{3 * int64(t), int64(t) + 3})
 				return st
-			}},
+			})},
 		{"window-limited", ViewDef{Within: 3, Budget: 10}, 0, batchStep},
 	}
 	for _, proto := range []Protocol{SDPTimer, SDPANT} {
@@ -177,9 +190,10 @@ func TestAdvanceCopiesRows(t *testing.T) {
 		name string
 		def  ViewDef
 		opts Options
+		step func(int) StepRows
 	}{
-		{"default", ViewDef{Within: 10}, Options{T: 4, Seed: 5}},
-		{"public-upload3", ViewDef{Within: 10, RightPublic: true}, Options{T: 4, Seed: 5, UploadEvery: 3}},
+		{"default", ViewDef{Within: 10}, Options{T: 4, Seed: 5}, batchStep},
+		{"public-upload3", ViewDef{Within: 10, RightPublic: true}, Options{T: 4, Seed: 5, UploadEvery: 3}, leftOnUploads(3, batchStep)},
 	}
 	scribble := func(steps []StepRows) {
 		for _, st := range steps {
@@ -202,7 +216,7 @@ func TestAdvanceCopiesRows(t *testing.T) {
 					for s := 0; s < 48; s += batch {
 						var a, b []StepRows
 						for i := s; i < s+batch; i++ {
-							a, b = append(a, batchStep(i)), append(b, batchStep(i))
+							a, b = append(a, d.step(i)), append(b, d.step(i))
 						}
 						if batch == 1 {
 							if err := clean.Advance(a[0].Left, a[0].Right); err != nil {
@@ -242,6 +256,65 @@ func TestAdvanceCopiesRows(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestAdvanceRefusesOffScheduleRows pins the upload rule at the door. On a
+// view that uploads every 3 steps (at steps 2, 5, 8, ...), a padded stream
+// may send rows only at an upload: rows on either padded stream between
+// uploads are refused, naming the step and the stream, before anything
+// mutates, and one such step refuses its whole batch. A public relation
+// sends at any step.
+func TestAdvanceRefusesOffScheduleRows(t *testing.T) {
+	opts := Options{T: 4, Seed: 5, UploadEvery: 3, MaxLeft: 2, MaxRight: 2}
+	db := mustOpen(t, ViewDef{Within: 10}, opts)
+	snapshot := func() []byte {
+		var b bytes.Buffer
+		if err := db.Snapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	refused := func(err error, names ...string) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidArgument) {
+			t.Fatalf("got %v, want ErrInvalidArgument", err)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("error %q does not name %q", err, name)
+			}
+		}
+	}
+	if err := db.Advance(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot()
+	refused(db.Advance([]Row{{1, 1}}, nil), "step 1:", "left")
+	refused(db.Advance(nil, []Row{{1, 1}, {2, 1}}), "step 1:", "right")
+	if db.Now() != 1 || !bytes.Equal(snapshot(), before) {
+		t.Fatalf("a refused Advance moved the view: clock %d, snapshot changed %v", db.Now(), !bytes.Equal(snapshot(), before))
+	}
+
+	// Steps 1 to 3, where only step 2 is an upload: right rows at step 3
+	// refuse the batch, and the upload at step 2 is not applied either.
+	batch := []StepRows{{}, {Left: []Row{{1, 1}}, Right: []Row{{1, 2}, {2, 2}}}, {Right: []Row{{3, 3}}}}
+	refused(db.AdvanceBatch(batch), "batch step 2 of 3", "step 3:", "right")
+	if db.Now() != 1 || !bytes.Equal(snapshot(), before) {
+		t.Fatalf("a refused batch moved the view: clock %d, snapshot changed %v", db.Now(), !bytes.Equal(snapshot(), before))
+	}
+	batch[2].Right = nil
+	if err := db.AdvanceBatch(batch); err != nil || db.Now() != 4 {
+		t.Fatalf("the corrected batch: %v, clock %d, want nil and 4", err, db.Now())
+	}
+
+	// The public relation's rows are accepted at every step.
+	pub := mustOpen(t, ViewDef{Within: 10, RightPublic: true}, opts)
+	for step := range 9 {
+		st := leftOnUploads(3, batchStep)(step)
+		if err := pub.Advance(st.Left[:min(len(st.Left), 2)], st.Right); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }

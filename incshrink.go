@@ -103,7 +103,9 @@ type Options struct {
 	T int
 	// Theta is the sDPANT threshold (default 30).
 	Theta float64
-	// UploadEvery is the owners' upload period in steps (default 1).
+	// UploadEvery is the owners' upload period in steps (default 1): step t
+	// is an upload iff (t+1) % UploadEvery == 0, the only steps at which a
+	// padded stream may send rows. A public relation may send at any step.
 	UploadEvery int
 	// MaxLeft and MaxRight are the fixed upload block sizes; uploads are
 	// padded to (and must not exceed) these. Defaults 32 and 32.
@@ -223,17 +225,18 @@ func (db *DB) Now() int { return db.fw.Now() }
 func (db *DB) Instrument(ins *core.Instruments) { db.fw.SetInstruments(ins) }
 
 // Advance moves the database one time step forward, ingesting the records
-// each owner received this step. Uploads on the owners' schedule must fit
-// the configured block sizes, and every row needs at least {key, time} with
-// a non-negative key (see Row). Rows are copied before Advance returns; the
-// caller may reuse or overwrite them. A rejected Advance (wrapping
-// ErrInvalidArgument) mutates nothing: the step does not happen, and a
-// corrected retry continues exactly where a never-failed run would be — the
+// each owner sent this step. A padded stream sends rows only at an upload
+// (Options.UploadEvery), at most its block size; a public one at any step.
+// Every row needs at least {key, time} with a non-negative key (see Row).
+// Rows are copied before Advance returns; the caller may reuse or overwrite
+// them. A rejected Advance (wrapping ErrInvalidArgument, naming the step and
+// the stream) mutates nothing: the step does not happen, and a corrected
+// retry continues exactly where a never-failed run would be — the
 // byte-identical-replay contract the serving layer and snapshot/restore
 // depend on.
 func (db *DB) Advance(left, right []Row) error {
 	// Validate both streams completely before mutating any state.
-	if err := db.validateStep(left, right); err != nil {
+	if err := db.validateStep(db.Now(), left, right); err != nil {
 		return err
 	}
 	db.apply([]StepRows{{Left: left, Right: right}})
@@ -260,19 +263,19 @@ type StepRows struct {
 // round trip and one lock/worker-slot acquisition per batch instead of
 // per step.
 //
-// Validation is all-or-nothing: every step of the batch is validated
-// up-front, before any state mutates. If any step is rejected (error
-// wrapping ErrInvalidArgument, naming the offending step index), the batch
-// does not happen at all — no step is applied and the logical clock does not
-// move — so a corrected retry continues exactly where a never-failed run
-// would have. An empty batch is
-// rejected the same way rather than silently succeeding.
+// Validation is all-or-nothing: every step of the batch is held to Advance's
+// rules at its own step before any state mutates. If any step is rejected
+// (error wrapping ErrInvalidArgument, naming the offending step index, its
+// step and the stream), the batch does not happen at all — no step is applied
+// and the logical clock does not move — so a corrected retry continues
+// exactly where a never-failed run would have. An empty batch is rejected the
+// same way rather than silently succeeding.
 func (db *DB) AdvanceBatch(steps []StepRows) error {
 	if len(steps) == 0 {
 		return badArg("empty batch: AdvanceBatch needs at least one step")
 	}
 	for i, s := range steps {
-		if err := db.validateStep(s.Left, s.Right); err != nil {
+		if err := db.validateStep(db.Now()+i, s.Left, s.Right); err != nil {
 			return fmt.Errorf("batch step %d of %d: %w", i, len(steps), err)
 		}
 	}
@@ -303,15 +306,12 @@ func (db *DB) apply(steps []StepRows) {
 	db.fw.StepBatch(wsteps)
 }
 
-// validateStep checks one step's uploads against the block sizes, the row
-// arity and the key domain without mutating anything — the shared admission
-// gate of Advance and AdvanceBatch.
-func (db *DB) validateStep(left, right []Row) error {
-	if len(left) > db.opts.MaxLeft {
-		return badArg("left upload %d exceeds block size %d", len(left), db.opts.MaxLeft)
-	}
-	if !db.def.RightPublic && len(right) > db.opts.MaxRight {
-		return badArg("right upload %d exceeds block size %d", len(right), db.opts.MaxRight)
+// validateStep checks step t's uploads against the owners' schedule
+// (core.Framework.CheckStep), the row arity and the key domain without
+// mutating anything — the shared admission gate of Advance and AdvanceBatch.
+func (db *DB) validateStep(t int, left, right []Row) error {
+	if err := db.fw.CheckStep(t, [2]int{len(left), len(right)}); err != nil {
+		return badArg("%v", err)
 	}
 	if err := validateRows("left", left); err != nil {
 		return err

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 	"incshrink/internal/workload"
 )
 
 // Stream sides: the side of the carry a stream's rows are on, its join tag,
-// and the index of the per-stream arrays of Framework and uploadBlock.
+// and the index of the per-stream arrays of Framework.
 const (
 	left  = 0
 	right = 1
@@ -63,28 +64,19 @@ func (s *stream) rows() (n int) {
 	return n
 }
 
-// retire ends a segment on the ledger: every live block is charged omega for
-// each of the segment's blocks from its own upload onward and must still be
-// inside the temporal window at each of those block times — one invocation's
-// consume-then-check per block, so budgets and death steps do not depend on
-// how blocks were grouped into segments. Older blocks lapse first, and the
-// survivors are held to the newest `keep`.
-func (s *stream) retire(blocks []uploadBlock, omega int, within int64) {
+// retire ends a segment, the ledger's newest k blocks: block j is charged
+// omega for each of the segment's blocks from its own upload onward, min(k,
+// len(live)-j) of them, and must still be inside the temporal window at the
+// newest — so budgets and death steps do not depend on how blocks were
+// grouped into segments. The survivors are held to the newest `keep`.
+func (s *stream) retire(k, omega int, within int64) {
+	newest := s.live[len(s.live)-1].t
 	kept := s.live[:0]
-	for _, b := range s.live {
-		alive := true
-		for bi := 0; alive && bi < len(blocks); bi++ {
-			t := blocks[bi].t
-			if t < b.t {
-				continue
-			}
-			if s.total > 0 {
-				b.remaining -= omega
-				alive = b.remaining > 0
-			}
-			alive = alive && int64(t-b.t) <= within
+	for j, b := range s.live {
+		if s.total > 0 {
+			b.remaining -= omega * min(k, len(s.live)-j)
 		}
-		if alive {
+		if (s.total <= 0 || b.remaining > 0) && int64(newest-b.t) <= within {
 			kept = append(kept, b)
 		}
 	}
@@ -100,36 +92,38 @@ func (s *stream) retire(blocks []uploadBlock, omega int, within int64) {
 // Pad keys ascend as they are minted, so the keys are already in join order.
 func (f *Framework) prefill() {
 	for j := f.str[left].keep; j >= 1; j-- {
-		b := []uploadBlock{f.admit(f.cfg.Shape.UploadEvery - 1 - j*f.cfg.Shape.UploadEvery)}
+		f.admit(f.cfg.Shape.nextUpload(-j*f.cfg.Shape.UploadEvery), [2][]oblivious.Record{})
 		for s := range f.str {
-			f.str[s].retire(b, f.cfg.Omega, f.cfg.Shape.Within)
+			f.str[s].retire(1, f.cfg.Omega, f.cfg.Shape.Within)
 		}
 	}
 }
 
-// admit appends one upload block to the carry: each stream's pending
-// arrivals in upload order, then pads up to the public block size, at the
-// tail of its stream's side, each key behind the union's. A pad has a fresh
-// never-matching key: pad keys ascend from the bottom of the negative half of
-// the key domain, reserved for them (incshrink.DB rejects negative client
-// keys).
-func (f *Framework) admit(t int) uploadBlock {
-	b := uploadBlock{t: t}
+// admit appends step t's upload block to the tail of each side of the carry,
+// each key behind the union's: a padded stream's rows straight from the step,
+// at most its block size, or the public relation's arrivals since the last
+// upload, then pads up to the block size. A pad has a fresh never-matching
+// key: pad keys ascend from the bottom of the negative half of the key
+// domain, reserved for them (incshrink.DB rejects negative client keys).
+func (f *Framework) admit(t int, recs [2][]oblivious.Record) {
 	for s := range f.str {
-		st, arrived := &f.str[s], f.pending[s]
-		b.n[s] = max(arrived.Len(), st.block)
-		f.carry.Side[s].Grow(b.n[s])
-		for i := range arrived.Len() {
-			f.carry.Append(s, arrived.Row(i))
+		st, side := &f.str[s], f.carry.Side[s]
+		from := side.Len()
+		if st.block == 0 {
+			for i := range f.pending.Len() {
+				f.carry.Append(s, f.pending.Row(i))
+			}
+			f.pending.Reset()
 		}
-		for range b.n[s] - arrived.Len() {
+		for _, r := range recs[s][:min(len(recs[s]), st.block)] {
+			f.carry.Append(s, r.Row[:workload.StreamArity])
+		}
+		for side.Len() < from+st.block {
 			f.carry.Append(s, table.Row{f.dummyID, int64(t)})
 			f.dummyID++
 		}
-		arrived.Reset()
-		st.live = append(st.live, liveBlock{t: t, remaining: max(st.total, 0), n: b.n[s]})
+		st.live = append(st.live, liveBlock{t: t, remaining: max(st.total, 0), n: side.Len() - from})
 	}
-	return b
 }
 
 // encodeLedger writes a stream's live blocks.
@@ -147,7 +141,7 @@ func encodeLedger(enc *snapshot.Encoder, live []liveBlock) {
 // the engine's clock — every upload leaves a block on both ledgers that
 // outlives its own step, and older blocks lapse first, so the clock cannot
 // move without the ledger — a budget a block could hold, and on a padded
-// stream exactly `keep` blocks of at least the public size. last is the
+// stream exactly `keep` blocks of exactly the public size. last is the
 // step of that upload. It stops at the first error, so a forged length
 // costs only the bytes present.
 func (s *stream) decode(dec *snapshot.Decoder, last int) {
@@ -160,7 +154,7 @@ func (s *stream) decode(dec *snapshot.Decoder, last int) {
 			dec.Corrupt("block uploaded at step %d after one uploaded at %d", b.t, s.live[prev].t)
 		case s.total > 0 && (b.remaining <= 0 || b.remaining > s.total), s.total <= 0 && b.remaining != 0:
 			dec.Corrupt("block holds remaining budget %d of total %d", b.remaining, s.total)
-		case b.n < s.block:
+		case b.n < s.block, s.block > 0 && b.n > s.block:
 			dec.Corrupt("block of %d rows, public block size %d", b.n, s.block)
 		}
 		s.live = append(s.live, b)
@@ -176,7 +170,7 @@ func (s *stream) decode(dec *snapshot.Decoder, last int) {
 
 // encodeCarry writes the carry as it is held: each side's rows in arrival
 // order — every carry row is live, so no flag column — then the key order,
-// one (side, position) word per key.
+// one (side, position) word per key, then the public relation's arrivals.
 func (f *Framework) encodeCarry(enc *snapshot.Encoder) {
 	for _, side := range f.carry.Side {
 		enc.I64s(side.Payload().Data())
@@ -186,6 +180,7 @@ func (f *Framework) encodeCarry(enc *snapshot.Encoder) {
 		_, s, i := f.carry.Key(j)
 		enc.U64(uint64(s)<<32 | uint64(i))
 	}
+	f.pending.EncodeState(enc)
 }
 
 // decodeCarry reloads the carry written by encodeCarry and holds it to the
@@ -193,7 +188,8 @@ func (f *Framework) encodeCarry(enc *snapshot.Encoder) {
 // key order names every row exactly once, in (key, side) order, without
 // which every later merge would be silently wrong. The raw columns are
 // checked before they are loaded; the restored union then equals the
-// snapshotted one position for position.
+// snapshotted one position for position. A padded row never outlives its
+// step, so only a public relation may have arrivals.
 func (f *Framework) decodeCarry(dec *snapshot.Decoder) {
 	const arity = workload.StreamArity
 	var rows [2][]int64
@@ -238,6 +234,9 @@ func (f *Framework) decodeCarry(dec *snapshot.Decoder) {
 	}
 	for _, at := range order {
 		f.carry.AppendKey(at[0], at[1])
+	}
+	if f.pending.DecodeState(dec); dec.Err() == nil && f.str[right].block > 0 && f.pending.Len() > 0 {
+		dec.Corrupt("%d arrivals pending on a padded stream", f.pending.Len())
 	}
 }
 

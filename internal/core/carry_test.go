@@ -9,50 +9,56 @@ import (
 	"slices"
 	"testing"
 
+	"incshrink/internal/mpc"
 	"incshrink/internal/oblivious"
 	"incshrink/internal/snapshot"
 	"incshrink/internal/table"
 	"incshrink/internal/workload"
 )
 
-// block is a one-block segment at step t, for driving stream.retire directly.
-func block(t int) []uploadBlock { return []uploadBlock{{t: t}} }
+// upload appends a block uploaded at step t holding budget remaining to the
+// ledger and ends a one-block segment on it, for driving stream.retire
+// directly.
+func (s *stream) upload(t, remaining, omega int, within int64) {
+	s.live = append(s.live, liveBlock{t: t, remaining: remaining})
+	s.retire(1, omega, within)
+}
 
 func TestBudgetTracker(t *testing.T) {
-	s := stream{total: 5, keep: -1, live: []liveBlock{{t: 0, remaining: 5}}}
-	if s.retire(block(0), 2, 100); len(s.live) != 1 || s.live[0].remaining != 3 || s.live[0].t != 0 {
+	s := stream{total: 5, keep: -1}
+	if s.upload(0, 5, 2, 100); len(s.live) != 1 || s.live[0].remaining != 3 || s.live[0].t != 0 {
 		t.Fatalf("after one consume of 2: %+v, want one block holding 3 from step 0", s.live)
 	}
-	if s.retire(block(1), 3, 100); len(s.live) != 0 {
-		t.Errorf("block should retire at zero, ledger holds %+v", s.live)
+	if s.upload(1, 5, 3, 100); len(s.live) != 1 || s.live[0].t != 1 {
+		t.Errorf("the block of step 0 should retire at zero, ledger holds %+v", s.live)
 	}
-	// A retired block is gone for good; a new one starts from the full
-	// budget, and charging only reaches blocks already uploaded.
-	s.live = append(s.live, liveBlock{t: 5, remaining: 5})
-	s.retire(block(4), 2, 100)
-	if len(s.live) != 1 || s.live[0].remaining != 5 {
-		t.Errorf("a block before the upload charged it: %+v", s.live)
+	// A segment's older blocks do not charge a newer one: of a three-block
+	// segment, the newest is charged once and the oldest three times.
+	s = stream{total: 50, keep: -1}
+	for step := range 3 {
+		s.live = append(s.live, liveBlock{t: step, remaining: 50})
+	}
+	s.retire(3, 2, 100)
+	if got := []int{s.live[0].remaining, s.live[1].remaining, s.live[2].remaining}; !slices.Equal(got, []int{44, 46, 48}) {
+		t.Errorf("a three-block segment left budgets %v, want [44 46 48]", got)
 	}
 	// On a padded stream the ledger is held to the newest `keep` blocks.
 	s = stream{total: 50, keep: 2}
 	for step := 0; step < 6; step++ {
-		s.live = append(s.live, liveBlock{t: step, remaining: 50})
-		if s.retire(block(step), 1, 100); len(s.live) > 2 || s.live[0].t != max(step-1, 0) {
+		if s.upload(step, 50, 1, 100); len(s.live) > 2 || s.live[0].t != max(step-1, 0) {
 			t.Fatalf("step %d: ledger %+v, want the 2 newest blocks", step, s.live)
 		}
 	}
 }
 
 func TestBudgetTrackerUnlimited(t *testing.T) {
-	s := stream{keep: -1, live: []liveBlock{{t: 0}}}
-	for i := 0; i < 100; i++ {
-		s.retire(block(i), 10, 1000)
-		if len(s.live) != 1 {
+	s := stream{keep: -1}
+	for i := 0; i <= 1000; i++ {
+		if s.upload(i, 0, 10, 1000); s.live[0].t != 0 {
 			t.Fatal("the public stream retired a block by budget")
 		}
 	}
-	s.retire(block(1001), 10, 1000)
-	if len(s.live) != 0 {
+	if s.upload(1001, 0, 10, 1000); s.live[0].t != 1 {
 		t.Error("the public stream must still retire by window")
 	}
 }
@@ -86,14 +92,16 @@ func windowStep(step int) workload.Step {
 	return st
 }
 
-// carryState is the window part of a snapshot — clock, ledgers, carry — in a
-// form a test can edit before encoding it: each side's rows in arrival order
-// and the key order, one (side, position) per key.
+// carryState is the window part of a snapshot — clock, ledgers, carry,
+// arrivals — in a form a test can edit before encoding it: each side's rows
+// in arrival order, the key order, one (side, position) per key, and the
+// public relation's arrivals since its last upload.
 type carryState struct {
-	now  int
-	live [2][]liveBlock
-	side [2][][]int64
-	keys [][2]int
+	now     int
+	live    [2][]liveBlock
+	side    [2][][]int64
+	keys    [][2]int
+	arrived [][]int64
 }
 
 func carryStateOf(f *Framework) carryState {
@@ -107,6 +115,9 @@ func carryStateOf(f *Framework) carryState {
 	for j := range f.carry.Len() {
 		_, s, i := f.carry.Key(j)
 		st.keys = append(st.keys, [2]int{s, i})
+	}
+	for i := range f.pending.Len() {
+		st.arrived = append(st.arrived, slices.Clone(f.pending.Row(i)))
 	}
 	return st
 }
@@ -155,6 +166,11 @@ func (st carryState) encode(enc *snapshot.Encoder) {
 	for _, k := range st.keys {
 		enc.U64(uint64(k[0])<<32 | uint64(k[1]))
 	}
+	arrived := oblivious.NewBuffer(workload.StreamArity, 0)
+	for _, r := range st.arrived {
+		arrived.AppendRow(r)
+	}
+	arrived.EncodeState(enc)
 }
 
 // decodeCarryState runs the window part of DecodeState over f, whose
@@ -201,6 +217,39 @@ func TestWindowLifecycleDoesNotLeak(t *testing.T) {
 				t.Error("empty view: the stream never exercised the join")
 			}
 		})
+	}
+}
+
+// TestOffScheduleRowsLeaveNoTrace holds a count of real rows out of every
+// padded size. A deployment uploads every 3 steps with a private right
+// stream of block 2, and both streams send n rows on every step, off the
+// schedule too. A padded stream's rows are read only at an upload, so every
+// Transform's batch is the padded omega·(MaxLeft + MaxRight) on both
+// parties' transcripts, whatever n is; an engine that let right rows
+// accumulate between uploads reads 4, 5 and 8 for n = 0, 1 and 2.
+func TestOffScheduleRowsLeaveNoTrace(t *testing.T) {
+	sh := Shape{UploadEvery: 3, Within: 10, MaxLeft: 2, MaxRight: 2}
+	cfg := Config{Epsilon: 1.5, Omega: 1, Budget: 10, T: 1, Theta: 30, Seed: 1, Shape: sh}
+	want := cfg.Omega * (sh.MaxLeft + sh.MaxRight)
+	for n := range 3 {
+		f, s0, s1 := newRecorded(t, cfg, timer)
+		var steps []workload.Step
+		for step := range 9 {
+			st := workload.Step{T: step}
+			for i := range n {
+				key := int64(4*step + i)
+				st.Left = append(st.Left, oblivious.Record{Row: table.Row{key, int64(step)}})
+				st.Right = append(st.Right, oblivious.Record{Row: table.Row{key, int64(step)}})
+			}
+			steps = append(steps, st)
+		}
+		f.StepBatch(steps)
+		for _, tr := range []*mpc.Transcript{s0, s1} {
+			sizes := tr.SizesOf(mpc.EvBatchObserved)
+			if len(sizes) != 3 || slices.ContainsFunc(sizes, func(size int) bool { return size != want }) {
+				t.Fatalf("%d rows a step: party %d observed batches %v, want three of %d", n, tr.Party, sizes, want)
+			}
+		}
 	}
 }
 
@@ -252,6 +301,13 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 			st.live[left][0].t--
 		}, want: snapshot.ErrCorrupt},
 		{name: "short block", engine: limited, edit: func(st *carryState) { st.live[left][0].n-- }, want: snapshot.ErrCorrupt},
+		// A block one row past the public size, its row in the carry and in
+		// key order: only the ledger's block size refuses it.
+		{name: "long block", engine: limited, edit: func(st *carryState) {
+			st.live[left][2].n++
+			st.side[left] = append(st.side[left], []int64{1 << 40, now - 1})
+			st.keys = append(st.keys, [2]int{left, len(st.side[left]) - 1})
+		}, want: snapshot.ErrCorrupt},
 		// The carry: each side against its ledger, then the key order.
 		{name: "below the public cap", engine: limited, edit: func(st *carryState) {
 			st.side[left] = st.side[left][:len(st.side[left])-1]
@@ -285,6 +341,13 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 			}
 			panic("no right row directly before a left row")
 		}, want: snapshot.ErrCorrupt},
+		// The arrivals: only the public relation's outlive a step.
+		{name: "arrivals on a padded stream", engine: limited, edit: func(st *carryState) {
+			st.arrived = append(st.arrived, []int64{1 << 40, now - 1})
+		}, want: snapshot.ErrCorrupt},
+		{name: "arrivals on the public stream", engine: public, edit: func(st *carryState) {
+			st.arrived = append(st.arrived, []int64{1 << 40, now - 1})
+		}},
 		{name: "length beyond the stream", engine: limited, want: snapshot.ErrTruncated, encode: func(enc *snapshot.Encoder) {
 			enc.U32(1 << 30)
 			enc.Int(1)
@@ -321,24 +384,43 @@ func TestWindowDecodeRejectsCorruptStreams(t *testing.T) {
 // framed as encodeState frames it. The contract under hostile input: a typed
 // snapshot error, or a framework whose own state restores and re-encodes to
 // the same bytes — never a panic. The seeds are real states of a
-// window-limited and a budget-limited deployment plus the two framing edge
-// cases.
+// window-limited and a budget-limited deployment, of one uploading every 3
+// steps with a private right stream and of one uploading every 5 with a
+// public right relation — the last two between uploads, the public one with
+// arrivals pending — plus the two framing edge cases. Every input is decoded
+// into all four layouts.
 func FuzzDecodeFrameworkState(f *testing.F) {
-	withins := []int64{3, 10}
-	for _, within := range withins {
-		e := windowEngine(f, within, 4)
-		for step := 0; step < 30; step++ {
-			e.Step(windowStep(step))
+	layouts := []Shape{
+		{UploadEvery: 1, Within: 3, MaxLeft: 4, MaxRight: 4},
+		{UploadEvery: 1, Within: 10, MaxLeft: 4, MaxRight: 4},
+		{UploadEvery: 3, Within: 10, MaxLeft: 4, MaxRight: 4},
+		{UploadEvery: 5, Within: 10, MaxLeft: 4, MaxRight: 4, RightPublic: true},
+	}
+	for _, sh := range layouts {
+		e := windowEngineOf(f, sh)
+		for step := 0; step < 31; step++ {
+			st := windowStep(step)
+			if !e.uploadDue(step) {
+				st.Left = nil
+				if !sh.RightPublic {
+					st.Right = nil
+				}
+			}
+			e.Step(st)
 			e.Query()
 		}
-		f.Add(encodeState(f, e))
+		seed := encodeState(f, e)
+		if err := decodeState(windowEngineOf(f, sh), seed); err != nil {
+			f.Fatalf("the seed of %+v does not restore: %v", sh, err)
+		}
+		f.Add(seed)
 	}
 	f.Add([]byte(snapshot.Magic))
 	f.Add([]byte{})
 	typed := []error{snapshot.ErrCorrupt, snapshot.ErrTruncated, snapshot.ErrBadMagic}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, within := range withins {
-			e := windowEngine(t, within, 4)
+		for _, sh := range layouts {
+			e := windowEngineOf(t, sh)
 			if err := decodeState(e, data); err != nil {
 				if !slices.ContainsFunc(typed, func(want error) bool { return errors.Is(err, want) }) {
 					t.Fatalf("untyped restore error: %v", err)
@@ -346,7 +428,7 @@ func FuzzDecodeFrameworkState(f *testing.F) {
 				continue
 			}
 			a := encodeState(t, e)
-			again := windowEngine(t, within, 4)
+			again := windowEngineOf(t, sh)
 			if err := decodeState(again, a); err != nil {
 				t.Fatalf("a restored framework's own state does not restore: %v", err)
 			}

@@ -63,6 +63,13 @@ type Shape struct {
 	PairRate float64
 }
 
+// nextUpload is the owners' upload schedule, the one rule admission follows:
+// step t is an upload iff (t+1) % UploadEvery == 0, and nextUpload returns the
+// first upload at or after t — the one that ships what arrives at t.
+func (sh Shape) nextUpload(t int) int {
+	return t + (-(t+1)%sh.UploadEvery+sh.UploadEvery)%sh.UploadEvery
+}
+
 // spillBound sizes the per-update deferred-data spill: the slots each view
 // update moves from the head of the sorted cache beyond the DP-sized fetch.
 // Real tuples sort first, so the spill drains deferred data at a rate
@@ -179,13 +186,11 @@ type Framework struct {
 
 	// carry is the Transform's standing input — both streams' live records
 	// and block pads, each side in arrival order, with their sort keys in
-	// join order — and str the two public ledgers of the upload blocks in it
-	// (carry.go). pending holds arrivals not yet admitted to a block: the
-	// right stream's accumulate between uploads, the left side is only ever
-	// non-empty inside a step.
+	// join order — str the two public ledgers of the upload blocks in it
+	// (carry.go), and pending the public relation's arrivals since its last upload.
 	carry   *oblivious.Union
 	str     [2]stream
-	pending [2]*oblivious.Buffer
+	pending *oblivious.Buffer
 
 	proto    protocol
 	replay   *releases // nil but in the Theorem-7/8 tests; see releases
@@ -199,10 +204,6 @@ type Framework struct {
 	// output, max(omega, 1) slots per key, and the delta compacted from it.
 	// Both are reset by every Transform, so neither length is state.
 	joined, deltaBuf *oblivious.Buffer
-
-	// blocks are the upload blocks admitted since the last segment end; the
-	// last step of a StepBatch call ends a segment, so they are not state.
-	blocks []uploadBlock
 
 	created    int
 	lostReal   int
@@ -262,7 +263,7 @@ func newOn(rt *mpc.Runtime, cfg Config, proto protocol) (*Framework, error) {
 		spillLen: spillBound(cfg),
 		match:    withinWindow(sh.Within),
 		carry:    oblivious.NewUnion(workload.StreamArity, workload.ColKey),
-		pending:  [2]*oblivious.Buffer{oblivious.NewBuffer(workload.StreamArity, 0), oblivious.NewBuffer(workload.StreamArity, 0)},
+		pending:  oblivious.NewBuffer(workload.StreamArity, 0),
 		joined:   oblivious.NewBuffer(workload.JoinArity, 0),
 		deltaBuf: oblivious.NewBuffer(workload.JoinArity, 0),
 		dummyID:  math.MinInt64,
@@ -341,10 +342,12 @@ func (f *Framework) Step(st workload.Step) {
 // StepBatch ingests a contiguous run of time steps — the one step loop of
 // the engine, and the engine-side target of batched ingestion
 // (incshrink.DB.AdvanceBatch and the serving layer's batch uploads). Each
-// step queues its upload block (when the owners' schedule ships one), runs
-// Transform over the queued blocks if the step ends a segment, then lets the
-// Shrink protocol act (the DP protocols flush the cache at the end of theirs).
-// An OTM engine whose view holds its one materialization ignores the steps.
+// upload step admits its block (CheckStep), runs Transform over the admitted
+// blocks if the step ends a segment, then lets the Shrink protocol act (the
+// DP protocols flush the cache at the end of theirs). A padded stream's rows
+// are read only at an upload and only up to its block size, so rows off the
+// owners' schedule never reach the carry; incshrink.DB refuses them first. An
+// OTM engine whose view holds its one materialization ignores the steps.
 //
 // Config.MergeWindows selects segment boundaries and nothing else. Off,
 // every step ends a segment: each upload block gets its own Transform, so
@@ -356,7 +359,7 @@ func (f *Framework) Step(st workload.Step) {
 // DESIGN.md §12 for what differs at k > 1. The per-step scratch is warm after
 // the first step, so marginal steps run off the allocator.
 func (f *Framework) StepBatch(steps []workload.Step) {
-	f.blocks = f.blocks[:0]
+	k := 0 // blocks admitted since the segment began
 	for i := range steps {
 		if f.proto == otm && f.view.Len() > 0 {
 			return
@@ -367,18 +370,22 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 		// Public-relation arrivals accumulate between uploads; Transform runs
 		// only when owners submit data, so each record is charged omega once
 		// per upload period and its budget spans the temporal join window.
-		f.arrive(right, st.Right)
+		if f.str[right].block == 0 {
+			for _, r := range st.Right {
+				f.pending.AppendRow(r.Row[:workload.StreamArity])
+			}
+		}
 		if f.uploadDue(st.T) {
-			f.arrive(left, st.Left)
 			padStart := f.ins.now()
-			f.blocks = append(f.blocks, f.admit(st.T))
+			f.admit(st.T, [2][]oblivious.Record{st.Left, st.Right})
+			k++
 			f.ins.observePad(padStart)
 		}
 		// Transform must land before anything at this step can observe its
 		// effect.
-		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || i == len(steps)-1) {
-			f.transform(f.blocks)
-			f.blocks = f.blocks[:0]
+		if k > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || i == len(steps)-1) {
+			f.transform(k)
+			k = 0
 		}
 
 		shrinkProbe := f.ins.phaseStart(f.rt, mpc.OpShrink)
@@ -393,18 +400,18 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 // Now returns the logical time of the step the engine runs next.
 func (f *Framework) Now() int { return f.now }
 
-// arrive copies a step's records of stream s; the caller's rows are not reread.
-func (f *Framework) arrive(s int, recs []oblivious.Record) {
-	for _, r := range recs {
-		f.pending[s].AppendRow(r.Row[:workload.StreamArity])
+// CheckStep holds step t's arrivals, n rows per stream, to the owners'
+// schedule: a padded stream may carry rows only at an upload, and at most
+// its block size; the public relation may carry rows at any step. It mutates
+// nothing, and its error names the step and the stream.
+func (f *Framework) CheckStep(t int, n [2]int) error {
+	for s, str := range f.str {
+		if str.block > 0 && (n[s] > str.block || n[s] > 0 && !f.uploadDue(t)) {
+			return fmt.Errorf("step %d: %d %s rows off the owners' schedule (blocks of at most %d rows at steps t with (t+1) %% %d == 0)",
+				t, n[s], [2]string{"left", "right"}[s], str.block, f.cfg.Shape.UploadEvery)
+		}
 	}
-}
-
-// uploadBlock is one step's upload queued for Transform: the step time and,
-// per stream, the rows it appended to the carry.
-type uploadBlock struct {
-	t int
-	n [2]int
+	return nil
 }
 
 // observesAt reports whether the Shrink protocol will look at the counter or
@@ -420,17 +427,15 @@ func (f *Framework) observesAt(t int) bool {
 // uploadDue reports whether the owners' schedule ships a (possibly empty,
 // fully padded) block this step — Transform runs on schedule even when no
 // real data arrived, hiding the distinction.
-func (f *Framework) uploadDue(t int) bool {
-	return (t+1)%f.cfg.Shape.UploadEvery == 0
-}
+func (f *Framework) uploadDue(t int) bool { return f.cfg.Shape.nextUpload(t) == t }
 
-// transform is the Transform protocol of Algorithm 1 over one segment of
-// k >= 1 upload blocks; k = 1 is the algorithm with its full-input sort
-// replaced by "sort the new block, merge it into the carry", which yields
-// the same sorted union. Its intermediates live in per-framework scratch, so
-// a steady-state invocation stays off the allocator, and every padded size is
-// a public function of k and the deployment. Relative to k single-block
-// invocations, a k-block segment (DESIGN.md §12):
+// transform is the Transform protocol of Algorithm 1 over one segment, the
+// ledgers' newest k >= 1 upload blocks; k = 1 is the algorithm with its
+// full-input sort replaced by "sort the new block, merge it into the carry",
+// which yields the same sorted union. Its intermediates live in per-framework
+// scratch, so a steady-state invocation stays off the allocator, and every
+// padded size is a public function of k and the deployment. Relative to k
+// single-block invocations, a k-block segment (DESIGN.md §12):
 //
 //   - runs one sort of the k new blocks and one merge into the carry — the
 //     price list follows the sizes that ran, so the saving is priced, not
@@ -446,22 +451,22 @@ func (f *Framework) uploadDue(t int) bool {
 //     temporal-window check once per block of the segment;
 //   - counts as one invocation and emits one batch event for the merged delta
 //     (the merged sizes are public, so the security argument is unchanged).
-func (f *Framework) transform(blocks []uploadBlock) {
+func (f *Framework) transform(k int) {
 	probe := f.ins.phaseStart(f.rt, mpc.OpTransform)
 	f.transforms++
-	var fresh [2]int
-	for _, b := range blocks {
-		fresh[left] += b.n[left]
-		fresh[right] += b.n[right]
-	}
 
-	// Charge contribution budgets on the ledgers and find the blocks that ran
-	// out: public bookkeeping, settled first so the join knows what stays.
-	// Blocks lapse oldest first, so a side's lapsed rows are the prefix of
-	// its arrival order that the ledger no longer holds.
-	var cut [2]int
+	// Read the segment's rows off the ledgers, then charge contribution
+	// budgets and find the blocks that ran out: public bookkeeping, settled
+	// first so the join knows what stays. Blocks lapse oldest first, so a
+	// side's lapsed rows are the prefix of its arrival order that the ledger
+	// no longer holds.
+	var fresh, cut [2]int
 	for s := range f.str {
-		f.str[s].retire(blocks, f.cfg.Omega, f.cfg.Shape.Within)
+		live := f.str[s].live
+		for _, b := range live[len(live)-k:] {
+			fresh[s] += b.n
+		}
+		f.str[s].retire(k, f.cfg.Omega, f.cfg.Shape.Within)
 		cut[s] = f.carry.Side[s].Len() - f.str[s].rows()
 	}
 
@@ -502,12 +507,12 @@ func (f *Framework) transform(blocks []uploadBlock) {
 	newReal := delta.Real()
 	rd := f.rt.Round()
 	cw := rd.Recover(counterKey)
-	for range blocks {
+	for range k {
 		rd.Reshare(counterKey)
 	}
 	f.exchange(rd)
 	total := uint32(int(int32(rd.Recovered(cw))) + newReal)
-	for i := range blocks {
+	for i := range k {
 		rd.Share(cw+1+i, total)
 	}
 	f.created += f.joined.Real()

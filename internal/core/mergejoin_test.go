@@ -66,17 +66,21 @@ func sortJoinOrder(rows []carriedRow) {
 // cache, Shrink (and its flush) — is the engine's own code or a copy of it.
 func refStepBatch(r *reference, steps []workload.Step) {
 	f := r.Framework
-	f.blocks = f.blocks[:0]
+	k := 0
 	for i, st := range steps {
 		f.rt.SetTime(st.T)
-		f.arrive(right, st.Right)
-		if f.uploadDue(st.T) {
-			f.arrive(left, st.Left)
-			f.blocks = append(f.blocks, f.admit(st.T))
+		if f.str[right].block == 0 {
+			for _, rec := range st.Right {
+				f.pending.AppendRow(rec.Row[:workload.StreamArity])
+			}
 		}
-		if len(f.blocks) > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || i == len(steps)-1) {
-			refTransform(r, f.blocks)
-			f.blocks = f.blocks[:0]
+		if f.uploadDue(st.T) {
+			f.admit(st.T, [2][]oblivious.Record{st.Left, st.Right})
+			k++
+		}
+		if k > 0 && (!f.cfg.MergeWindows || f.observesAt(st.T) || i == len(steps)-1) {
+			refTransform(r, k)
+			k = 0
 		}
 		f.tick(st.T)
 		f.now = st.T + 1
@@ -88,17 +92,18 @@ func refStepBatch(r *reference, steps []workload.Step) {
 // first, then the carried ones in join order — runs the from-scratch join
 // (sort everything, then scan) on them, and keeps the rows whose block is
 // still on its ledger, put back in join order by a plain sort.
-func refTransform(r *reference, blocks []uploadBlock) {
+func refTransform(r *reference, k int) {
 	f := r.Framework
 	f.transforms++
 	var fresh [2]int
-	for _, b := range blocks {
-		fresh[left] += b.n[left]
-		fresh[right] += b.n[right]
-	}
+	var segment [2][]liveBlock
 	live := map[[2]int64]bool{}
 	for s := range f.str {
-		f.str[s].retire(blocks, f.cfg.Omega, f.cfg.Shape.Within)
+		segment[s] = slices.Clone(f.str[s].live[len(f.str[s].live)-k:])
+		for _, b := range segment[s] {
+			fresh[s] += b.n
+		}
+		f.str[s].retire(k, f.cfg.Omega, f.cfg.Shape.Within)
 		for _, b := range f.str[s].live {
 			live[[2]int64{int64(s), int64(b.t)}] = true
 		}
@@ -106,8 +111,8 @@ func refTransform(r *reference, blocks []uploadBlock) {
 	var rows []carriedRow
 	for s, side := range f.carry.Side {
 		i := side.Len() - fresh[s]
-		for _, b := range blocks {
-			for range b.n[s] {
+		for _, b := range segment[s] {
+			for range b.n {
 				rows = append(rows, carriedRow{slices.Clone(side.Row(i)), s, b.t})
 				i++
 			}
@@ -136,7 +141,7 @@ func refTransform(r *reference, blocks []uploadBlock) {
 		f.lostReal += f.joined.Real() - delta.Real()
 	}
 	total := uint32(recoverCounter(f) + delta.Real())
-	for range blocks {
+	for range k {
 		f.rt.ShareToServers(counterKey, total)
 	}
 	f.created += f.joined.Real()
@@ -248,9 +253,9 @@ func TestMergeJoinMatchesFullSortJoin(t *testing.T) {
 // TestDeltaCapDropsLatePairs drives the delta cap's rare case: pairs the
 // cap does not cover. The cap is a truncation, like omega: the pairs past it
 // are dropped, each counted as created and as lost, and nothing surfaces
-// later. Three right records arrive at step 0; their three left partners
-// ship late, at step 1, when the right block is a single pad, so the join
-// emits 3 pairs against a cap of omega * 1 = 1.
+// later. Three right records arrive at steps 0 to 2, one per block; their
+// three left partners ship late, at step 3, when the right block is a single
+// pad, so the join emits 3 pairs against a cap of omega * 1 = 1.
 func TestDeltaCapDropsLatePairs(t *testing.T) {
 	wl := workload.TPCDS(8, 1)
 	wl.MaxLeft, wl.MaxRight = 4, 1
@@ -263,13 +268,13 @@ func TestDeltaCapDropsLatePairs(t *testing.T) {
 		return oblivious.Record{Row: table.Row{key, at}}
 	}
 	steps := []workload.Step{
-		{T: 0, Right: []oblivious.Record{rec(1, 0), rec(2, 0), rec(3, 0)}},
-		{T: 1, Left: []oblivious.Record{rec(1, 0), rec(2, 0), rec(3, 0)}},
-		{T: 2},
-		{T: 3},
+		{T: 0, Right: []oblivious.Record{rec(1, 0)}},
+		{T: 1, Right: []oblivious.Record{rec(2, 1)}},
+		{T: 2, Right: []oblivious.Record{rec(3, 2)}},
+		{T: 3, Left: []oblivious.Record{rec(1, 0), rec(2, 0), rec(3, 0)}},
 		{T: 4},
 	}
-	for i, want := range [][3]int{{0, 0, 0}, {3, 2, 1}, {3, 2, 1}, {3, 2, 1}, {3, 2, 1}} {
+	for i, want := range [][3]int{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {3, 2, 1}, {3, 2, 1}} {
 		eng.Step(steps[i])
 		m := eng.Metrics()
 		if got := [3]int{m.Created, m.LostReal, m.ViewReal + m.CacheReal}; got != want {

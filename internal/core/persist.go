@@ -11,8 +11,8 @@ import (
 // positions, the cost meter), the secure cache arena and the materialized
 // view's columns and flag words, the engine clock, the ledgers of live upload
 // blocks (step, remaining budget, size) and the carry they describe (each
-// side's rows in arrival order, then the key order), the pending arrivals and
-// the counters — each as the engine holds it, so a framework restored from it
+// side's rows in arrival order, then the key order), the public relation's
+// arrivals since its last upload and the counters — each as the engine holds it, so a framework restored from it
 // continues bit-identically to one that never stopped. The configuration
 // (Config, protocol) is *not* state: the state section
 // restores into a framework freshly constructed with the same parameters,
@@ -34,12 +34,10 @@ func (f *Framework) EncodeState(enc *snapshot.Encoder) {
 	f.view.EncodeState(enc)
 
 	// Clock, ledgers, carry: each decoder checks against what came before.
-	// Left arrivals never outlive a step, so only the right side's are state.
 	enc.Int(f.now)
 	encodeLedger(enc, f.str[left].live)
 	encodeLedger(enc, f.str[right].live)
 	f.encodeCarry(enc)
-	f.pending[right].EncodeState(enc)
 	// A reserved section: an empty join-arity buffer, where the delta cap's
 	// overflow was kept before the cap became a truncation (DESIGN.md §8).
 	oblivious.NewBuffer(workload.JoinArity, 0).EncodeState(enc)
@@ -73,12 +71,10 @@ func (f *Framework) DecodeState(dec *snapshot.Decoder) {
 		dec.Corrupt("engine clock %d", f.now)
 	}
 	f.rt.SetTime(max(f.now-1, 0))
-	up := f.cfg.Shape.UploadEvery
-	last := f.now/up*up - 1 // the last upload before the clock
+	last := f.cfg.Shape.nextUpload(f.now - f.cfg.Shape.UploadEvery) // the last upload before the clock
 	f.str[left].decode(dec, last)
 	f.str[right].decode(dec, last)
 	f.decodeCarry(dec)
-	f.pending[right].DecodeState(dec)
 	f.joined.DecodeState(dec) // the reserved section; joined is Transform scratch
 	if dec.Err() == nil && f.joined.Len() != 0 {
 		dec.Corrupt("the reserved join section holds %d slots", f.joined.Len())

@@ -36,8 +36,10 @@ import (
 // Error mapping: unknown view -> 404, duplicate create (or a name held by a
 // checkpoint file no view restored) -> 409, a view with 16 writes in flight
 // (ErrBusy) -> 503 with Retry-After: 1, a dropped view or closed registry
-// (ErrClosed) -> 503, malformed input or a DB-rejected upload/query -> 400,
-// snapshot without a data directory -> 409, anything unrecognized -> 500.
+// (ErrClosed) -> 503, malformed input or a DB-rejected upload/query -> 400
+// (an upload past a block size, or a padded stream's rows at a step that is
+// not an upload of the view's upload_every schedule), snapshot without a
+// data directory -> 409, anything unrecognized -> 500.
 
 // CreateRequest declares a new view.
 type CreateRequest struct {
@@ -65,7 +67,10 @@ type CreateRequest struct {
 
 // AdvanceRequest carries one time step of uploads; each row is
 // {join key, event time, extra attributes...} (attributes beyond the first
-// two are ignored by the engine).
+// two are ignored by the engine). A padded stream (left, and right unless
+// the view is right_public) may carry rows only at an upload step t, where
+// (t+1) % upload_every == 0, and at most its block size; the public relation
+// may carry rows at any step (incshrink.DB.Advance).
 type AdvanceRequest struct {
 	Left  []incshrink.Row `json:"left"`
 	Right []incshrink.Row `json:"right"`

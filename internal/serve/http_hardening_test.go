@@ -83,8 +83,8 @@ func TestHTTPRejectsHostileCreateBodies(t *testing.T) {
 }
 
 // TestHTTPRejectsHostileAdvanceBodies covers the ingest route: malformed
-// rows and strict-decode violations are 400s, and the rejected step does
-// not advance the view's clock.
+// rows, strict-decode violations and rows off the owners' upload schedule
+// are 400s, and the rejected step does not advance the view's clock.
 func TestHTTPRejectsHostileAdvanceBodies(t *testing.T) {
 	reg := NewRegistry(Config{})
 	defer reg.Close(context.Background())
@@ -113,6 +113,36 @@ func TestHTTPRejectsHostileAdvanceBodies(t *testing.T) {
 	}
 	if st.Stats.Step != 0 {
 		t.Fatalf("rejected advances moved the clock to %d", st.Stats.Step)
+	}
+
+	// A view that uploads every 3 steps: a padded stream sends rows only at
+	// steps 2, 5, 8, ..., the public relation at any step.
+	for _, body := range []string{
+		`{"name":"u3","within":5,"max_left":4,"max_right":4,"upload_every":3}`,
+		`{"name":"u3p","within":5,"max_left":4,"max_right":4,"upload_every":3,"right_public":true}`,
+	} {
+		if code := postRaw(t, c, srv.URL+"/v1/views", body); code != http.StatusCreated {
+			t.Fatalf("create %s -> %d", body, code)
+		}
+	}
+	u3 := srv.URL + "/v1/views/u3"
+	if code := postRaw(t, c, u3+"/advance", `{"left":[[1,0]]}`); code != http.StatusBadRequest {
+		t.Fatalf("left rows at step 0 -> %d, want 400", code)
+	}
+	var refused map[string]string
+	batch := AdvanceBatchRequest{Steps: []incshrink.StepRows{{}, {}, {Left: []incshrink.Row{{1, 2}}}, {Right: []incshrink.Row{{1, 3}}}}}
+	if code := doJSON(t, c, "POST", u3+"/advance-batch", batch, &refused); code != http.StatusBadRequest ||
+		!strings.Contains(refused["error"], "batch step 3 of 4") || !strings.Contains(refused["error"], "step 3:") {
+		t.Fatalf("advance-batch with right rows at step 3 -> %d %q, want 400 naming batch step 3", code, refused["error"])
+	}
+	if code := doJSON(t, c, "GET", u3+"/stats", nil, &st); code != 200 || st.Stats.Step != 0 {
+		t.Fatalf("refused uploads moved the clock to %d (stats %d)", st.Stats.Step, code)
+	}
+	for step := range 6 {
+		body := fmt.Sprintf(`{"right":[[%d,%d]]}`, step, step)
+		if code := postRaw(t, c, srv.URL+"/v1/views/u3p/advance", body); code != http.StatusOK {
+			t.Fatalf("public rows at step %d -> %d, want 200", step, code)
+		}
 	}
 }
 
