@@ -119,10 +119,11 @@ benchmark:
 
 # obs-smoke boots the full production observability wiring in-process —
 # metrics registry, trace ring, slog access logs, ops mux — drives a tenant
-# session, and asserts the /metrics scrape contains the serve, core and MPC
-# families, /debug/traces holds the session's spans, and pprof answers only
-# on the ops listener (CI runs this). The goldens-with-obs pin
-# (TestObservedGoldensIdentical) runs with the normal test suite.
+# session, and asserts the /metrics scrape exposes exactly the pinned serve,
+# core and MPC families (DESIGN.md §11's inventory), /debug/traces holds the
+# session's spans, and pprof answers only on the ops listener (CI runs this).
+# The goldens-with-obs pin (TestObservedGoldensIdentical) runs with the
+# normal test suite.
 obs-smoke:
 	$(GO) test -count=1 -run 'TestObsSmoke' ./cmd/incshrink-server
 
@@ -166,18 +167,20 @@ wire-smoke:
 # its branching oracle, the cache read against its stable-partition oracle
 # and the Theorem-7/8 check on drawn deployments (a real run against its
 # pad replay) a short budget beyond the seed corpus (the corpus itself
-# already runs in `test`). CI runs it as its own job.
+# already runs in `test`). Minimising a new input gets 1 s, not the default
+# minute, so a target that finds one early keeps fuzzing for the rest of its
+# 10 s. CI runs it as its own job.
 fuzz-smoke:
-	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s ./internal/snapshot
-	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s ./internal/snapshot
-	$(GO) test -run XXX -fuzz FuzzDecodeRuntime -fuzztime 10s ./internal/snapshot
-	$(GO) test -run XXX -fuzz FuzzDecodeFrameworkState -fuzztime 10s ./internal/core
-	$(GO) test -run XXX -fuzz FuzzRestore -fuzztime 10s .
-	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s ./internal/wire
-	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s ./internal/gmw
-	$(GO) test -run XXX -fuzz FuzzCountColumns -fuzztime 10s ./internal/oblivious
-	$(GO) test -run XXX -fuzz FuzzCacheRead -fuzztime 10s ./internal/securearray
-	$(GO) test -run XXX -fuzz FuzzSimulator -fuzztime 10s ./internal/core
+	$(GO) test -run XXX -fuzz FuzzDecodeBuffer -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
+	$(GO) test -run XXX -fuzz FuzzBufferRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
+	$(GO) test -run XXX -fuzz FuzzDecodeRuntime -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot
+	$(GO) test -run XXX -fuzz FuzzDecodeFrameworkState -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run XXX -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1s .
+	$(GO) test -run XXX -fuzz FuzzFrameDecoder -fuzztime 10s -fuzzminimizetime 1s ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzPeerOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/gmw
+	$(GO) test -run XXX -fuzz FuzzCountColumns -fuzztime 10s -fuzzminimizetime 1s ./internal/oblivious
+	$(GO) test -run XXX -fuzz FuzzCacheRead -fuzztime 10s -fuzzminimizetime 1s ./internal/securearray
+	$(GO) test -run XXX -fuzz FuzzSimulator -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 
 # goldens regenerates the seven pinned reports (Table 2, Figures 4-9 at seed
 # 1, 120 steps) that internal/experiments TestGoldenReportsByteIdentical

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -18,9 +20,9 @@ import (
 
 // TestObsSmoke is the in-process form of `make obs-smoke`: boot the exact
 // production wiring (buildApp), drive a short tenant session through the
-// API listener, then scrape the ops listener and assert the key metric
-// families from every layer are present, the trace ring holds the session's
-// spans, pprof answers, and the access log carries trace IDs.
+// API listener, then scrape the ops listener and assert it exposes exactly
+// the pinned metric families of every layer, the trace ring holds the
+// session's spans, pprof answers, and the access log carries trace IDs.
 func TestObsSmoke(t *testing.T) {
 	logs := &strings.Builder{}
 	a, err := buildApp(appConfig{
@@ -75,7 +77,8 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("healthz: %d %s", code, body)
 	}
 
-	// The ops scrape must contain families from every instrumented layer.
+	// The ops scrape exposes exactly the families of every instrumented
+	// layer: DESIGN.md §11's inventory, one family per row.
 	resp, err := ops.Client().Get(ops.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -91,21 +94,44 @@ func TestObsSmoke(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("/metrics content type %q", ct)
 	}
-	for _, family := range []string{
-		"incshrink_serve_advances_total",
-		"incshrink_serve_queue_depth",
-		"incshrink_serve_checkpoint_seconds",
-		"incshrink_core_phase_seconds",
-		"incshrink_core_steps_total",
-		"incshrink_mpc_predicted_vs_measured",
-		"incshrink_http_requests_total",
-		"incshrink_core_comparator_cache_hits",
-		"incshrink_core_comparator_cache_misses",
-		"incshrink_core_comparator_cache_pairs",
-	} {
-		if !strings.Contains(string(scrape), family) {
-			t.Errorf("scrape missing family %s", family)
+	var families []string
+	for _, line := range strings.Split(string(scrape), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, typ)
 		}
+	}
+	sort.Strings(families)
+	if want := []string{
+		"incshrink_core_cache_len gauge",
+		"incshrink_core_comparator_cache_evictions gauge",
+		"incshrink_core_comparator_cache_hits gauge",
+		"incshrink_core_comparator_cache_misses gauge",
+		"incshrink_core_comparator_cache_pairs gauge",
+		"incshrink_core_phase_seconds histogram",
+		"incshrink_core_view_len gauge",
+		"incshrink_core_window_blocks gauge",
+		"incshrink_core_window_records gauge",
+		"incshrink_http_request_seconds histogram",
+		"incshrink_http_requests_total counter",
+		"incshrink_mpc_measured_seconds_total counter",
+		"incshrink_mpc_predicted_seconds_total counter",
+		"incshrink_mpc_predicted_vs_measured gauge",
+		"incshrink_mpc_predicted_vs_measured_wire_bytes gauge",
+		"incshrink_mpc_wire_bytes_total counter",
+		"incshrink_mpc_wire_rounds_total counter",
+		"incshrink_mpc_wire_words_total counter",
+		"incshrink_serve_advance_seconds histogram",
+		"incshrink_serve_advances_total counter",
+		"incshrink_serve_batch_steps histogram",
+		"incshrink_serve_checkpoint_bytes histogram",
+		"incshrink_serve_checkpoint_seconds histogram",
+		"incshrink_serve_failed_total counter",
+		"incshrink_serve_query_seconds histogram",
+		"incshrink_serve_queue_depth gauge",
+		"incshrink_serve_rejected_total counter",
+		"incshrink_serve_views gauge",
+	}; !slices.Equal(families, want) {
+		t.Errorf("scrape exposes families\n%s\nwant\n%s", strings.Join(families, "\n"), strings.Join(want, "\n"))
 	}
 
 	// The trace ring is served as JSON and holds the session's spans.

@@ -17,6 +17,20 @@ func BenchmarkAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvanceInstrumented is BenchmarkAdvance with a metrics
+// registry's instruments attached: the difference is what the phase
+// histograms, state gauges and cost counters cost a step.
+func BenchmarkAdvanceInstrumented(b *testing.B) {
+	db := openInstrumented(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := streamStep(db, 64+i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdvanceBatch8 measures the batched ingestion path at batch size
 // 8 on the merged deployment (one coalesced Transform per shrink interval);
 // ns/op is per step (each iteration applies 8 steps through one

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"incshrink"
+	"incshrink/internal/core"
+	"incshrink/internal/obs"
 	"incshrink/internal/workload"
 )
 
@@ -29,6 +31,21 @@ func openStream(tb testing.TB, merge bool, warm int) *incshrink.DB {
 		tb.Fatal(err)
 	}
 	for t := 0; t < warm; t++ {
+		if err := streamStep(db, t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return db
+}
+
+// openInstrumented is openStream(tb, false, warm) with a fresh registry's
+// core and mpc instruments attached before the first step, as the serving
+// layer attaches them to every hosted view.
+func openInstrumented(tb testing.TB, warm int) *incshrink.DB {
+	tb.Helper()
+	db := openStream(tb, false, 0)
+	db.Instrument(core.NewInstrumentSet(obs.NewRegistry()).ForView("stream"))
+	for t := range warm {
 		if err := streamStep(db, t); err != nil {
 			tb.Fatal(err)
 		}

@@ -388,9 +388,9 @@ func (f *Framework) StepBatch(steps []workload.Step) {
 			k = 0
 		}
 
-		shrinkProbe := f.ins.phaseStart(f.rt, mpc.OpShrink)
+		shrinkProbe := f.ins.phaseStart(f.rt, phaseShrink)
 		f.tick(st.T)
-		f.ins.phaseDone("shrink", shrinkProbe, f.rt)
+		f.ins.phaseDone(shrinkProbe, f.rt)
 
 		f.now = st.T + 1
 		f.ins.stepDone(f)
@@ -452,7 +452,7 @@ func (f *Framework) uploadDue(t int) bool { return f.cfg.Shape.nextUpload(t) == 
 //   - counts as one invocation and emits one batch event for the merged delta
 //     (the merged sizes are public, so the security argument is unchanged).
 func (f *Framework) transform(k int) {
-	probe := f.ins.phaseStart(f.rt, mpc.OpTransform)
+	probe := f.ins.phaseStart(f.rt, phaseTransform)
 	f.transforms++
 
 	// Read the segment's rows off the ledgers, then charge contribution
@@ -528,7 +528,7 @@ func (f *Framework) transform(k int) {
 	}
 	f.rt.ObserveBatch(delta.Len(), "transform")
 
-	f.ins.phaseDone("transform", probe, f.rt)
+	f.ins.phaseDone(probe, f.rt)
 }
 
 // Query implements Engine: one oblivious scan over the materialized view,
@@ -542,14 +542,14 @@ func (f *Framework) Query() (int, float64) { return f.QueryWhere(nil) }
 // only the flag column and the columns conds names, and is priced as one
 // pass over every slot at full tuple width whatever they are.
 func (f *Framework) QueryWhere(conds []oblivious.ScanCond) (int, float64) {
-	qProbe := f.ins.phaseStart(f.rt, mpc.OpQuery)
+	qProbe := f.ins.phaseStart(f.rt, phaseQuery)
 	before := f.rt.Meter.Seconds(mpc.OpQuery)
 	priceQuery(f.rt.Meter, f.view.Len())
 	res := f.view.Count(conds)
 	qet := f.rt.Meter.Seconds(mpc.OpQuery) - before
 	f.queries++
 	f.querySecs += qet
-	f.ins.phaseDone("query", qProbe, f.rt)
+	f.ins.phaseDone(qProbe, f.rt)
 	return res, qet
 }
 

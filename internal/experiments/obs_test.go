@@ -61,7 +61,7 @@ func TestObservedGoldensIdentical(t *testing.T) {
 	// Guard against a vacuous pass: the engines must actually have been
 	// instrumented.
 	text := reg.DumpText()
-	if !strings.Contains(text, `incshrink_core_steps_total{view="DP-Timer"}`) ||
+	if !strings.Contains(text, `incshrink_core_phase_seconds_count{view="DP-Timer",phase="shrink"}`) ||
 		!strings.Contains(text, "incshrink_mpc_predicted_vs_measured") {
 		t.Errorf("no instrumentation recorded during the golden runs:\n%s", text)
 	}

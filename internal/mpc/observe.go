@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"sync/atomic"
 	"time"
 
 	"incshrink/internal/obs"
@@ -14,74 +15,100 @@ import (
 // reality; drift means the CostModel constants need re-fitting.
 //
 // The observer is write-only from the engine's point of view (the ratio
-// gauge is derived from the observer's own counters, never read back), so
-// attaching one cannot perturb a deterministic run.
+// gauges are derived from the observer's own counters at scrape time, never
+// read back), so attaching one cannot perturb a deterministic run.
 type CostObserver struct {
-	predictedSeconds *obs.CounterVec
-	measuredSeconds  *obs.CounterVec
-	wireRounds       *obs.CounterVec
-	wireWords        *obs.CounterVec
-	wireBytes        *obs.CounterVec
-	ratio            *obs.GaugeVec
-	wireRatio        *obs.GaugeVec
+	totals [numTotals]*obs.CounterVec
+	// children caches each class's label children, each resolved once, so a
+	// warm Observe makes no label lookup.
+	children         [numOps][numTotals]atomic.Pointer[obs.Counter]
+	ratio, wireRatio *obs.GaugeVec
 }
+
+// The per-class totals, indexing CostObserver.totals.
+const (
+	totPredicted = iota
+	totMeasured
+	totWireRounds
+	totWireWords
+	totWireBytes
+	numTotals
+)
 
 // NewCostObserver registers the mpc cost families on r. Registration is
 // idempotent: two observers over one registry share the same series.
 func NewCostObserver(r *obs.Registry) *CostObserver {
-	return &CostObserver{
-		predictedSeconds: r.CounterVec("incshrink_mpc_predicted_seconds_total",
-			"modeled secure-computation seconds charged by the cost meter, by operation class", "op"),
-		measuredSeconds: r.CounterVec("incshrink_mpc_measured_seconds_total",
-			"measured wall seconds spent in the same operations, by operation class", "op"),
-		wireRounds: r.CounterVec("incshrink_mpc_wire_rounds_total",
-			"measured transport rounds from the party connection counters, by operation class", "op"),
-		wireWords: r.CounterVec("incshrink_mpc_wire_words_total",
-			"runtime words shipped per party, from the party runtime's word count, by operation class", "op"),
-		wireBytes: r.CounterVec("incshrink_mpc_wire_bytes_total",
-			"measured transport frame bytes from the party connection counters, by operation class", "op"),
+	o := &CostObserver{
+		totals: [numTotals]*obs.CounterVec{
+			r.CounterVec("incshrink_mpc_predicted_seconds_total",
+				"modeled secure-computation seconds charged by the cost meter, by operation class", "op"),
+			r.CounterVec("incshrink_mpc_measured_seconds_total",
+				"measured wall seconds spent in the same operations, by operation class", "op"),
+			r.CounterVec("incshrink_mpc_wire_rounds_total",
+				"measured transport rounds from the party connection counters, by operation class", "op"),
+			r.CounterVec("incshrink_mpc_wire_words_total",
+				"runtime words shipped per party, from the party runtime's word count, by operation class", "op"),
+			r.CounterVec("incshrink_mpc_wire_bytes_total",
+				"measured transport frame bytes from the party connection counters, by operation class", "op"),
+		},
 		ratio: r.GaugeVec("incshrink_mpc_predicted_vs_measured",
 			"ratio of cumulative modeled seconds to cumulative measured wall seconds, by operation class", "op"),
 		wireRatio: r.GaugeVec("incshrink_mpc_predicted_vs_measured_wire_bytes",
 			"ratio of wire bytes predicted from the measured rounds and words (2·(5 + 4·w) per round of w words) to measured wire bytes, by operation class", "op"),
 	}
+	r.OnGather(o.gather)
+	return o
+}
+
+// child returns one class's label child of a total, resolving it on first
+// use (two racing first uses resolve the same series).
+func (o *CostObserver) child(op Op, total int) *obs.Counter {
+	p := &o.children[op][total]
+	if c := p.Load(); c != nil {
+		return c
+	}
+	c := o.totals[total].With(op.String())
+	p.Store(c)
+	return c
 }
 
 // Observe records one completed operation: the meter's modeled seconds for
 // the phase against the measured wall duration and the runtime's measured
-// wire deltas (rounds, words, frame bytes), then refreshes the ratio gauges
-// from the cumulative totals. A delta that is not positive adds nothing.
+// wire deltas (rounds, words, frame bytes). A delta that is not positive
+// adds nothing, but a class's first observation brings up its predicted,
+// measured and wire-bytes series; rounds and words wait for a positive one.
 func (o *CostObserver) Observe(op Op, predictedSeconds float64, measured time.Duration, wireRounds, wireWords, wireBytes uint64) {
 	if o == nil {
 		return
 	}
-	name := op.String()
-	if predictedSeconds > 0 {
-		o.predictedSeconds.With(name).Add(predictedSeconds)
+	deltas := [numTotals]float64{predictedSeconds, measured.Seconds(), float64(wireRounds), float64(wireWords), float64(wireBytes)}
+	for total, d := range deltas {
+		if d > 0 {
+			o.child(op, total).Add(d)
+		} else if total != totWireRounds && total != totWireWords {
+			o.child(op, total)
+		}
 	}
-	if measured > 0 {
-		o.measuredSeconds.With(name).Add(measured.Seconds())
-	}
-	if wireRounds > 0 {
-		o.wireRounds.With(name).Add(float64(wireRounds))
-	}
-	if wireWords > 0 {
-		o.wireWords.With(name).Add(float64(wireWords))
-	}
-	if wireBytes > 0 {
-		o.wireBytes.With(name).Add(float64(wireBytes))
-	}
-	pred := o.predictedSeconds.With(name).Value()
-	meas := o.measuredSeconds.With(name).Value()
-	if meas > 0 {
-		o.ratio.With(name).Set(pred / meas)
-	}
-	// The runtime's frame shape prices a round of w words at 2·(5 + 4·w)
-	// bytes; the gauge sits at 1.0 while traffic is pure runtime rounds and
-	// drifts when other frame shapes (GMW AND openings) mix in.
-	if wb := o.wireBytes.With(name).Value(); wb > 0 {
-		rounds, words := uint64(o.wireRounds.With(name).Value()), uint64(o.wireWords.With(name).Value())
-		o.wireRatio.With(name).Set(float64(exchangeBytes(rounds, words)) / wb)
+}
+
+// gather derives the ratio gauges of every observed class from its
+// cumulative totals at scrape time.
+func (o *CostObserver) gather() {
+	for op := range Op(numOps) {
+		if o.children[op][totMeasured].Load() == nil {
+			continue
+		}
+		total := func(t int) float64 { return o.child(op, t).Value() }
+		if meas := total(totMeasured); meas > 0 {
+			o.ratio.With(op.String()).Set(total(totPredicted) / meas)
+		}
+		// The runtime's frame shape prices a round of w words at 2·(5 + 4·w)
+		// bytes; the gauge sits at 1.0 while traffic is pure runtime rounds
+		// and drifts when other frame shapes (GMW AND openings) mix in.
+		if wb := total(totWireBytes); wb > 0 {
+			predicted := exchangeBytes(uint64(total(totWireRounds)), uint64(total(totWireWords)))
+			o.wireRatio.With(op.String()).Set(float64(predicted) / wb)
+		}
 	}
 }
 

@@ -267,9 +267,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // use).
 func (v *CounterVec) With(values ...string) *Counter { return &Counter{s: v.f.get(values)} }
 
-// Delete drops the series for the given label values.
-func (v *CounterVec) Delete(values ...string) { v.f.delete(values) }
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 

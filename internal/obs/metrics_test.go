@@ -100,11 +100,11 @@ func TestExpBuckets(t *testing.T) {
 
 func TestVecSeriesAndDelete(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("ops_total", "ops", "op")
-	v.With("read").Inc()
-	v.With("write").Add(3)
+	v := r.GaugeVec("ops", "ops", "op")
+	v.With("read").Set(1)
+	v.With("write").Set(3)
 	text := r.DumpText()
-	if !strings.Contains(text, `ops_total{op="read"} 1`) || !strings.Contains(text, `ops_total{op="write"} 3`) {
+	if !strings.Contains(text, `ops{op="read"} 1`) || !strings.Contains(text, `ops{op="write"} 3`) {
 		t.Fatalf("exposition missing series:\n%s", text)
 	}
 	v.Delete("write")

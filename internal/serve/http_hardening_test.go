@@ -126,10 +126,13 @@ func TestHTTPRejectsHostileAdvanceBodies(t *testing.T) {
 		}
 	}
 	u3 := srv.URL + "/v1/views/u3"
-	if code := postRaw(t, c, u3+"/advance", `{"left":[[1,0]]}`); code != http.StatusBadRequest {
-		t.Fatalf("left rows at step 0 -> %d, want 400", code)
-	}
 	var refused map[string]string
+	off := AdvanceRequest{Left: []incshrink.Row{{1, 0}}}
+	if code := doJSON(t, c, "POST", u3+"/advance", off, &refused); code != http.StatusBadRequest ||
+		!strings.Contains(refused["error"], "step 0:") || !strings.Contains(refused["error"], "left") ||
+		strings.Contains(refused["error"], "batch") {
+		t.Fatalf("left rows at step 0 -> %d %q, want 400 naming step 0 and left, and no batch", code, refused["error"])
+	}
 	batch := AdvanceBatchRequest{Steps: []incshrink.StepRows{{}, {}, {Left: []incshrink.Row{{1, 2}}}, {Right: []incshrink.Row{{1, 3}}}}}
 	if code := doJSON(t, c, "POST", u3+"/advance-batch", batch, &refused); code != http.StatusBadRequest ||
 		!strings.Contains(refused["error"], "batch step 3 of 4") || !strings.Contains(refused["error"], "step 3:") {

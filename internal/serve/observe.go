@@ -4,22 +4,21 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"time"
 
 	"incshrink/internal/obs"
 )
 
 // serveMetrics are the serving layer's instrument children, registered once
-// per registry on the Config.Metrics registry. All methods on a nil
-// *serveMetrics no-op, so an unobserved registry pays nothing. The families
-// mirror the per-view ServeStats atomics in aggregate — the atomics stay
-// authoritative for the stats endpoint; the obs counters are the scrapeable
-// projection.
+// per registry on the Config.Metrics registry. It is nil without one, and
+// each observation site checks that before it records, so an unobserved
+// registry pays nothing. The families mirror the per-view ServeStats atomics
+// in aggregate — the atomics stay authoritative for the stats endpoint; the
+// obs counters are the scrapeable projection.
 type serveMetrics struct {
 	advances          *obs.Counter
 	rejected          *obs.Counter
 	failed            *obs.Counter
-	batches           *obs.Counter
-	queries           *obs.Counter
 	batchSteps        *obs.Histogram
 	advanceSeconds    *obs.Histogram
 	querySeconds      *obs.Histogram
@@ -46,10 +45,6 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 			"upload steps refused at admission (too many writes in flight on the view)"),
 		failed: m.Counter("incshrink_serve_failed_total",
 			"ingest requests the engine rejected (validation failures)"),
-		batches: m.Counter("incshrink_serve_batches_total",
-			"engine ingest calls (one per applied upload request)"),
-		queries: m.Counter("incshrink_serve_queries_total",
-			"count queries served across all views"),
 		batchSteps: m.Histogram("incshrink_serve_batch_steps",
 			"steps per engine ingest call (one upload request)",
 			obs.ExpBuckets(1, 2, 10)),
@@ -78,53 +73,14 @@ func newServeMetrics(m *obs.Registry, r *Registry) *serveMetrics {
 	return sm
 }
 
-func (sm *serveMetrics) observeApplied(steps int, start obs.Ticks) {
-	if sm == nil {
-		return
-	}
-	sm.batches.Inc()
-	sm.batchSteps.Observe(float64(steps))
-	sm.advances.Add(float64(steps))
-	sm.advanceSeconds.ObserveDuration(obs.Since(start))
-}
-
-func (sm *serveMetrics) observeRejected(steps int) {
-	if sm == nil {
-		return
-	}
-	sm.rejected.Add(float64(steps))
-}
-
-func (sm *serveMetrics) observeFailed() {
-	if sm == nil {
-		return
-	}
-	sm.failed.Inc()
-}
-
-func (sm *serveMetrics) observeQuery(start obs.Ticks) {
-	if sm == nil {
-		return
-	}
-	sm.queries.Inc()
-	sm.querySeconds.ObserveDuration(obs.Since(start))
-}
-
-func (sm *serveMetrics) observeCheckpoint(start obs.Ticks, bytes int) {
-	if sm == nil {
-		return
-	}
-	sm.checkpointSeconds.ObserveDuration(obs.Since(start))
-	sm.checkpointBytes.Observe(float64(bytes))
-}
-
-// span records a trace span in the registry's ring, if tracing is on and
-// the request carried a trace ID.
-func (r *Registry) span(trace obs.TraceID, name string, start obs.Ticks, note string) {
+// span records a trace span of duration d in the registry's ring, if
+// tracing is on and the request carried a trace ID. The caller reads the
+// clock, once, for whatever else the interval feeds.
+func (r *Registry) span(trace obs.TraceID, name string, start obs.Ticks, d time.Duration, note string) {
 	if r.traces == nil || trace == 0 {
 		return
 	}
-	r.traces.Record(obs.Span{Trace: trace, Name: name, Start: start, Dur: obs.Since(start), Note: note})
+	r.traces.Record(obs.Span{Trace: trace, Name: name, Start: start, Dur: d, Note: note})
 }
 
 // Health is the registry's readiness report: write pressure plus the
@@ -171,8 +127,9 @@ func (s *statusRecorder) WriteHeader(code int) {
 // ID per request (minted, or adopted from a valid X-Trace-Id header),
 // echoed back in the response, carried in the context to the view's ingest
 // spans, recorded as an "http ..." span, and stamped on a structured
-// access log line. With no metrics, traces or logger configured the
-// middleware collapses to pass-through.
+// access log line; the histogram, the span and the log line share one
+// reading of the request's duration. With no metrics, traces or logger
+// configured the middleware collapses to pass-through.
 func (r *Registry) withObservability(next http.Handler) http.Handler {
 	if r.met == nil && r.traces == nil && r.logger == nil {
 		return next
@@ -186,19 +143,20 @@ func (r *Registry) withObservability(next http.Handler) http.Handler {
 		w.Header().Set("X-Trace-Id", trace.String())
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(rec, req.WithContext(obs.WithTrace(req.Context(), trace)))
+		d := obs.Since(start)
 
 		if r.met != nil {
 			r.met.httpRequests.With(strconv.Itoa(rec.code)).Inc()
-			r.met.httpSeconds.ObserveDuration(obs.Since(start))
+			r.met.httpSeconds.ObserveDuration(d)
 		}
-		r.span(trace, "http "+req.Method+" "+req.URL.Path, start, strconv.Itoa(rec.code))
+		r.span(trace, "http "+req.Method+" "+req.URL.Path, start, d, strconv.Itoa(rec.code))
 		if r.logger != nil {
 			r.logger.LogAttrs(req.Context(), slog.LevelInfo, "request",
 				slog.String("trace", trace.String()),
 				slog.String("method", req.Method),
 				slog.String("path", req.URL.Path),
 				slog.Int("status", rec.code),
-				slog.Duration("duration", obs.Since(start)),
+				slog.Duration("duration", d),
 			)
 		}
 	})

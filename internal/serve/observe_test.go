@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -162,17 +165,16 @@ func TestServeMetricsScrape(t *testing.T) {
 	text := m.DumpText()
 	for _, want := range []string{
 		"incshrink_serve_advances_total 6",
-		"incshrink_serve_batches_total",
-		"incshrink_serve_queries_total 1",
-		"incshrink_serve_advance_seconds_count",
+		"incshrink_serve_batch_steps_count 6",
+		"incshrink_serve_query_seconds_count 1",
+		"incshrink_serve_advance_seconds_count 6",
 		"incshrink_serve_checkpoint_seconds_count 1",
 		"incshrink_serve_checkpoint_bytes_count 1",
 		"incshrink_serve_queue_depth 0",
 		"incshrink_serve_views 1",
 		`incshrink_core_phase_seconds_count{view="sales",phase="transform"} 6`,
 		`incshrink_core_phase_seconds_count{view="sales",phase="shrink"} 6`,
-		`incshrink_core_steps_total{view="sales"} 6`,
-		`incshrink_core_queries_total{view="sales"} 1`,
+		`incshrink_core_phase_seconds_count{view="sales",phase="query"} 1`,
 		`incshrink_core_window_records{view="sales",side="left"}`,
 		`incshrink_mpc_predicted_vs_measured{op="Transform"}`,
 		`incshrink_mpc_predicted_seconds_total{op="Shrink"}`,
@@ -213,6 +215,74 @@ func TestServeMetricsScrape(t *testing.T) {
 	}
 	if text := m.DumpText(); strings.Contains(text, `view="sales"`) {
 		t.Errorf("dropped view still in scrape:\n%s", text)
+	}
+}
+
+// TestIntervalsReadOnce pins that each serve interval is read off the clock
+// once: after a traced session, incshrink_serve_advance_seconds sums exactly
+// the ingest.apply spans' durations and incshrink_http_request_seconds the
+// "http ..." spans', to float rounding. A histogram that took its own clock
+// reading after the span's would drift from it by that read's cost on every
+// request.
+func TestIntervalsReadOnce(t *testing.T) {
+	m := obs.NewRegistry()
+	traces := obs.NewTraceLog(256)
+	reg := NewRegistry(Config{Metrics: m, Traces: traces})
+	defer reg.Close(context.Background())
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	c := srv.Client()
+
+	if code := postRaw(t, c, srv.URL+"/v1/views", `{"name":"v","within":5,"t":3,"max_left":4,"max_right":4,"seed":3}`); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	for i := range 8 {
+		if code := postRaw(t, c, srv.URL+"/v1/views/v/advance", fmt.Sprintf(`{"left":[[%d,%d]],"right":[[%d,%d]]}`, i, i, i, i+1)); code != http.StatusOK {
+			t.Fatalf("advance %d: %d", i, code)
+		}
+	}
+	if code := postRaw(t, c, srv.URL+"/v1/views/v/advance-batch", `{"steps":[{"left":[[9,8]]},{"right":[[9,10]]}]}`); code != http.StatusOK {
+		t.Fatalf("advance-batch: %d", code)
+	}
+	if code := doJSON(t, c, "GET", srv.URL+"/v1/views/v/count", nil, nil); code != http.StatusOK {
+		t.Fatalf("count: %d", code)
+	}
+
+	var apply, request float64
+	var applies, requests int
+	for _, s := range traces.Spans() {
+		switch {
+		case s.Name == "ingest.apply":
+			apply += s.Dur.Seconds()
+			applies++
+		case strings.HasPrefix(s.Name, "http "):
+			request += s.Dur.Seconds()
+			requests++
+		}
+	}
+	if applies != 9 || requests != 11 {
+		t.Fatalf("trace ring holds %d ingest.apply and %d http spans, want 9 and 11", applies, requests)
+	}
+	text := m.DumpText()
+	for _, c := range []struct {
+		family string
+		spans  float64
+	}{
+		{"incshrink_serve_advance_seconds_sum", apply},
+		{"incshrink_http_request_seconds_sum", request},
+	} {
+		_, after, ok := strings.Cut(text, "\n"+c.family+" ")
+		if !ok {
+			t.Fatalf("scrape has no %s", c.family)
+		}
+		line, _, _ := strings.Cut(after, "\n")
+		got, err := strconv.ParseFloat(line, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-c.spans) > 1e-9*c.spans {
+			t.Errorf("%s = %v, summed spans %v: the histogram and the span read the clock apart", c.family, got, c.spans)
+		}
 	}
 }
 

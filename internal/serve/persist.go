@@ -82,7 +82,10 @@ func (v *View) checkpointAndUnlock() (path string, step int, err error) {
 			v.cpErrors.Add(1)
 		} else {
 			v.checkpoints.Add(1)
-			v.reg.met.observeCheckpoint(start, buf.Len())
+			if m := v.reg.met; m != nil {
+				m.checkpointSeconds.ObserveDuration(obs.Since(start))
+				m.checkpointBytes.Observe(float64(buf.Len()))
+			}
 		}
 	}()
 	if err != nil {

@@ -396,11 +396,11 @@ func (v *View) enter(trace obs.TraceID) error {
 			break
 		}
 	}
-	// Wall time here feeds the ingest.wait span — advisory observability,
-	// never view state.
-	start := obs.Now()
+	start := obs.Now() // feeds the ingest.wait span, never view state
 	v.mu.Lock()
-	v.reg.span(trace, "ingest.wait", start, "")
+	if trace != 0 {
+		v.reg.span(trace, "ingest.wait", start, obs.Since(start), "")
+	}
 	if v.closed {
 		v.mu.Unlock()
 		v.writers.Add(-1)
@@ -409,10 +409,12 @@ func (v *View) enter(trace obs.TraceID) error {
 	return nil
 }
 
-// advance applies a run of steps as one AdvanceBatch under the view mutex
-// and returns the view's logical time after its last step — the shared
-// body of Advance and AdvanceBatch.
-func (v *View) advance(ctx context.Context, steps []incshrink.StepRows) (int, error) {
+// advance applies a run of steps under the view mutex — one
+// incshrink.DB.AdvanceBatch, or with batch unset one DB.Advance, whose error
+// names no batch — and returns the view's logical time after its last step:
+// the shared body of Advance and AdvanceBatch. One clock reading times the
+// apply for its span and its histogram.
+func (v *View) advance(ctx context.Context, steps []incshrink.StepRows, batch bool) (int, error) {
 	if len(steps) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", incshrink.ErrInvalidArgument)
 	}
@@ -424,21 +426,31 @@ func (v *View) advance(ctx context.Context, steps []incshrink.StepRows) (int, er
 	if err := v.enter(trace); err != nil {
 		if errors.Is(err, ErrBusy) {
 			v.rejected.Add(int64(len(steps)))
-			v.reg.met.observeRejected(len(steps))
+			if m := v.reg.met; m != nil {
+				m.rejected.Add(float64(len(steps)))
+			}
 		}
 		return 0, err
 	}
 	defer v.writers.Add(-1)
 	start := obs.Now()
-	err := v.db.AdvanceBatch(steps)
+	var err error
+	if batch {
+		err = v.db.AdvanceBatch(steps)
+	} else {
+		err = v.db.Advance(steps[0].Left, steps[0].Right)
+	}
+	d := obs.Since(start)
 	step := v.db.Now()
 	if trace != 0 {
-		v.reg.span(trace, "ingest.apply", start, fmt.Sprintf("steps=%d", len(steps)))
+		v.reg.span(trace, "ingest.apply", start, d, fmt.Sprintf("steps=%d", len(steps)))
 	}
 	if err != nil {
 		v.mu.Unlock()
 		v.failed.Add(1)
-		v.reg.met.observeFailed()
+		if m := v.reg.met; m != nil {
+			m.failed.Inc()
+		}
 		return step, err
 	}
 	n := int64(len(steps))
@@ -448,7 +460,11 @@ func (v *View) advance(ctx context.Context, steps []incshrink.StepRows) (int, er
 		v.rowsL.Add(int64(len(s.Left)))
 		v.rowsR.Add(int64(len(s.Right)))
 	}
-	v.reg.met.observeApplied(len(steps), start)
+	if m := v.reg.met; m != nil {
+		m.batchSteps.Observe(float64(n))
+		m.advances.Add(float64(n))
+		m.advanceSeconds.ObserveDuration(d)
+	}
 
 	// Periodic durability: checkpoint when the applied-step counter crosses
 	// a CheckpointEvery boundary, encoding before the mutex is released, so
@@ -465,11 +481,11 @@ func (v *View) advance(ctx context.Context, steps []incshrink.StepRows) (int, er
 // Advance applies one time step of uploads on the caller's goroutine and
 // returns the view's logical time after the step. A view with maxWriters
 // writes in flight fails fast with ErrBusy (the caller should retry or shed
-// load); a dropped view or closed registry fails with ErrClosed. ctx carries
-// the request's trace ID; an admitted write is not cancellable and runs to
-// completion.
+// load); a dropped view or closed registry fails with ErrClosed, a rejected
+// step as incshrink.DB.Advance does. ctx carries the request's trace ID; an
+// admitted write is not cancellable and runs to completion.
 func (v *View) Advance(ctx context.Context, left, right []incshrink.Row) (int, error) {
-	return v.advance(ctx, []incshrink.StepRows{{Left: left, Right: right}})
+	return v.advance(ctx, []incshrink.StepRows{{Left: left, Right: right}}, false)
 }
 
 // AdvanceBatch applies a contiguous run of time steps as one all-or-nothing
@@ -480,7 +496,7 @@ func (v *View) Advance(ctx context.Context, left, right []incshrink.Row) (int, e
 // outright (they would hold the view mutex for their whole atomic
 // application).
 func (v *View) AdvanceBatch(ctx context.Context, steps []incshrink.StepRows) (int, error) {
-	return v.advance(ctx, steps)
+	return v.advance(ctx, steps, true)
 }
 
 // CountWhere answers a count over the materialized view — the standing
@@ -495,7 +511,9 @@ func (v *View) CountWhere(conds ...incshrink.Where) (n int, qetSeconds float64, 
 		return 0, 0, err
 	}
 	v.queries.Add(1)
-	v.reg.met.observeQuery(start)
+	if m := v.reg.met; m != nil {
+		m.querySeconds.ObserveDuration(obs.Since(start))
+	}
 	return n, qet, nil
 }
 

@@ -11,15 +11,18 @@ import (
 // TestAdvanceBatchStepAllocs pins the warm allocations of the public hot
 // paths exactly, as testing.AllocsPerRun counts them over 200 calls, the
 // same at any GOMAXPROCS: Advance on the stream, its step's own rows
-// included; Advance on the CPDB/sDPANT deployment; Count and CountWhere —
-// with one condition and with the eight it accepts at most — which allocate
-// nothing; and AdvanceBatch of 8 steps built outside the measurement. A
+// included, and the same with a metrics registry's instruments attached,
+// which allocate nothing once every series is resolved; Advance on the
+// CPDB/sDPANT deployment; Count and CountWhere — with one condition and
+// with the eight it accepts at most — which allocate nothing; and
+// AdvanceBatch of 8 steps built outside the measurement. A
 // batched step must allocate no more than an Advance, which a race build
 // checks too: the record arena is one sized allocation per batch, so the
 // batched path amortizes what the sequential path pays per call.
 func TestAdvanceBatchStepAllocs(t *testing.T) {
 	const runs, k = 200, 8
 	seq, bat, query := openStream(t, false, 64), openStream(t, false, 64), openStream(t, false, 256)
+	observed := openInstrumented(t, 64)
 	ant, antSteps := warmANT(t, runs+1)
 	batches := make([][]incshrink.StepRows, runs+1)
 	for i := range batches {
@@ -33,6 +36,7 @@ func TestAdvanceBatchStepAllocs(t *testing.T) {
 		call  func() error
 	}{
 		{"Advance", 1, 6, func() error { return streamStep(seq, 64+next) }},
+		{"Advance, instrumented", 1, 6, func() error { return streamStep(observed, 64+next) }},
 		{"Advance under sDPANT", 1, 2, func() error { return ant.Advance(antSteps[next].Left, antSteps[next].Right) }},
 		{"Count", 1, 0, func() error { query.Count(); return nil }},
 		{"CountWhere", 1, 0, func() error { _, _, err := query.CountWhere(streamWhere); return err }},

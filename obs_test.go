@@ -83,7 +83,7 @@ func TestInstrumentedRunIdentical(t *testing.T) {
 	// recorded its steps and queries.
 	text := reg.DumpText()
 	for _, want := range []string{
-		`incshrink_core_steps_total{view="pinned"} 120`,
+		`incshrink_core_phase_seconds_count{view="pinned",phase="shrink"} 120`,
 		`incshrink_core_phase_seconds_count{view="pinned",phase="transform"} 120`,
 		`incshrink_mpc_predicted_vs_measured`,
 	} {
