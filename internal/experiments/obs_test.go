@@ -26,10 +26,7 @@ func TestObservedGoldensIdentical(t *testing.T) {
 	reg := obs.NewRegistry()
 	ins := core.NewInstrumentSet(reg)
 
-	defer func() {
-		runKind = sim.RunKind
-		ResetCaches()
-	}()
+	defer func() { runKind = sim.RunKind }()
 	runKind = func(kind sim.EngineKind, cfg core.Config, tr *workload.Trace) (sim.Result, error) {
 		e, err := sim.Build(kind, cfg, tr.Config)
 		if err != nil {
@@ -40,21 +37,18 @@ func TestObservedGoldensIdentical(t *testing.T) {
 		}
 		return sim.Run(e, tr), nil
 	}
-	// The result cache is keyed by cell, not by execution function: force a
-	// cold run under the instrumented harness.
-	ResetCaches()
-
-	for _, name := range []string{"table2", "fig4"} {
+	names := []string{"table2", "fig4"}
+	texts, err := Run(context.Background(), p, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
 		want, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+"_seed1_steps120.txt"))
 		if err != nil {
 			t.Fatalf("missing golden: %v", err)
 		}
-		var got bytes.Buffer
-		if err := Registry[name](context.Background(), p, &got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s with observability attached diverged from the golden\n--- got ---\n%s", name, got.String())
+		if got := []byte(texts[i]); !bytes.Equal(got, want) {
+			t.Errorf("%s with observability attached diverged from the golden\n--- got ---\n%s", name, got)
 		}
 	}
 

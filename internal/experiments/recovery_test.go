@@ -61,21 +61,18 @@ func restartAt(k int) func(sim.EngineKind, core.Config, *workload.Trace) (sim.Re
 // stopped: the carry is snapshotted mid-window — pre-filled blocks still
 // retiring, every mix of live blocks — at each of them.
 func TestCrashRecoveryReproducesGoldens(t *testing.T) {
-	defer func() {
-		runKind = sim.RunKind
-		ResetCaches()
-	}()
+	defer func() { runKind = sim.RunKind }()
+	// reports runs Table 2 and Figure 4 as one grid under the runKind in
+	// place; the grid simulates their shared cells once.
 	reports := func(p Params) map[string][]byte {
-		// The result cache is keyed by cell, not by execution function:
-		// force a cold re-run under the harness in place.
-		ResetCaches()
+		names := []string{"table2", "fig4"}
+		texts, err := Run(context.Background(), p, names...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out := map[string][]byte{}
-		for _, name := range []string{"table2", "fig4"} {
-			var got bytes.Buffer
-			if err := Registry[name](context.Background(), p, &got); err != nil {
-				t.Fatal(err)
-			}
-			out[name] = got.Bytes()
+		for i, name := range names {
+			out[name] = []byte(texts[i])
 		}
 		return out
 	}

@@ -75,8 +75,8 @@ func (o *CostObserver) child(op Op, total int) *obs.Counter {
 // Observe records one completed operation: the meter's modeled seconds for
 // the phase against the measured wall duration and the runtime's measured
 // wire deltas (rounds, words, frame bytes). A delta that is not positive
-// adds nothing, but a class's first observation brings up its predicted,
-// measured and wire-bytes series; rounds and words wait for a positive one.
+// adds nothing, so a class's series appears on its first positive delta and
+// no series ever reads 0.
 func (o *CostObserver) Observe(op Op, predictedSeconds float64, measured time.Duration, wireRounds, wireWords, wireBytes uint64) {
 	if o == nil {
 		return
@@ -85,20 +85,21 @@ func (o *CostObserver) Observe(op Op, predictedSeconds float64, measured time.Du
 	for total, d := range deltas {
 		if d > 0 {
 			o.child(op, total).Add(d)
-		} else if total != totWireRounds && total != totWireWords {
-			o.child(op, total)
 		}
 	}
 }
 
-// gather derives the ratio gauges of every observed class from its
-// cumulative totals at scrape time.
+// gather derives the ratio gauges of every measured class from its
+// cumulative totals at scrape time. A series the class never brought up
+// reads 0 and stays absent.
 func (o *CostObserver) gather() {
 	for op := range Op(numOps) {
-		if o.children[op][totMeasured].Load() == nil {
-			continue
+		total := func(t int) float64 {
+			if c := o.children[op][t].Load(); c != nil {
+				return c.Value()
+			}
+			return 0
 		}
-		total := func(t int) float64 { return o.child(op, t).Value() }
 		if meas := total(totMeasured); meas > 0 {
 			o.ratio.With(op.String()).Set(total(totPredicted) / meas)
 		}

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -183,6 +185,38 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if code := doJSON(t, c, "GET", srv.URL+"/v1/views/sales/stats", nil, nil); code != 404 {
 		t.Errorf("stats after drop: code=%d", code)
+	}
+}
+
+// TestStatsServeKeysArePublic pins the serve object of /stats to its keys.
+// Telemetry may export only public quantities: requests, steps and
+// checkpoints are, but the number of rows an owner sent depends on its data
+// (only the padded block size is public), so no key may count rows.
+func TestStatsServeKeysArePublic(t *testing.T) {
+	reg := NewRegistry(Config{})
+	defer reg.Close(t.Context())
+	srv := httptest.NewServer(NewHandler(reg))
+	defer srv.Close()
+	c := srv.Client()
+
+	create := CreateRequest{Name: "sales", Within: 5, Epsilon: 1.5, T: 3, MaxLeft: 8, MaxRight: 8, Seed: 42}
+	if code := doJSON(t, c, "POST", srv.URL+"/v1/views", create, nil); code != 201 {
+		t.Fatalf("create: code=%d", code)
+	}
+	rows := map[string][][]int64{"left": {{1, 0}, {2, 0}}, "right": {{1, 1}}}
+	if code := doJSON(t, c, "POST", srv.URL+"/v1/views/sales/advance", rows, nil); code != 200 {
+		t.Fatalf("advance: code=%d", code)
+	}
+	var st struct {
+		Serve map[string]json.RawMessage `json:"serve"`
+	}
+	if code := doJSON(t, c, "GET", srv.URL+"/v1/views/sales/stats", nil, &st); code != 200 {
+		t.Fatalf("stats: code=%d", code)
+	}
+	keys := slices.Sorted(maps.Keys(st.Serve))
+	want := []string{"advances", "batches", "checkpoint_errors", "checkpoints", "failed", "queries", "rejected"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("/stats serve keys = %v, want %v", keys, want)
 	}
 }
 

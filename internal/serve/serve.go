@@ -311,7 +311,9 @@ func (r *Registry) Close(context.Context) error {
 }
 
 // ServeStats are the serving-layer counters of one view, distinct from the
-// protocol-level incshrink.Stats underneath.
+// protocol-level incshrink.Stats underneath. Each counts requests, steps or
+// checkpoints — public quantities; how many rows an owner sent depends on its
+// data, and only the padded block size is public, so no field counts rows.
 type ServeStats struct {
 	// Advances counts applied upload steps; Rejected counts steps refused
 	// at admission (maxWriters writes in flight); Failed counts requests
@@ -324,9 +326,6 @@ type ServeStats struct {
 	Batches int64 `json:"batches"`
 	// Queries counts served Count/CountWhere calls.
 	Queries int64 `json:"queries"`
-	// RowsLeft and RowsRight count ingested records per stream.
-	RowsLeft  int64 `json:"rows_left"`
-	RowsRight int64 `json:"rows_right"`
 	// Checkpoints counts snapshots written to the data directory;
 	// CheckpointErrors counts failed attempts (periodic checkpoint failures
 	// are surfaced here rather than failing the upload that triggered them).
@@ -360,8 +359,6 @@ type View struct {
 	failed      atomic.Int64
 	batches     atomic.Int64
 	queries     atomic.Int64
-	rowsL       atomic.Int64
-	rowsR       atomic.Int64
 	checkpoints atomic.Int64
 	cpErrors    atomic.Int64
 
@@ -456,10 +453,6 @@ func (v *View) advance(ctx context.Context, steps []incshrink.StepRows, batch bo
 	n := int64(len(steps))
 	v.batches.Add(1)
 	adv := v.advances.Add(n)
-	for _, s := range steps {
-		v.rowsL.Add(int64(len(s.Left)))
-		v.rowsR.Add(int64(len(s.Right)))
-	}
 	if m := v.reg.met; m != nil {
 		m.batchSteps.Observe(float64(n))
 		m.advances.Add(float64(n))
@@ -531,8 +524,6 @@ func (v *View) Stats() StatusJSON {
 			Failed:           v.failed.Load(),
 			Batches:          v.batches.Load(),
 			Queries:          v.queries.Load(),
-			RowsLeft:         v.rowsL.Load(),
-			RowsRight:        v.rowsR.Load(),
 			Checkpoints:      v.checkpoints.Load(),
 			CheckpointErrors: v.cpErrors.Load(),
 		},

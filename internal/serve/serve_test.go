@@ -105,9 +105,6 @@ func TestAdvanceAndCountThroughView(t *testing.T) {
 	if st.Serve.Queries != 2 { // Count + one successful CountWhere
 		t.Errorf("queries = %d", st.Serve.Queries)
 	}
-	if st.Serve.RowsLeft != 30 || st.Serve.RowsRight != 30 {
-		t.Errorf("rows = %d/%d", st.Serve.RowsLeft, st.Serve.RowsRight)
-	}
 	if st.Stats.Step != 30 {
 		t.Errorf("db step = %d", st.Stats.Step)
 	}
